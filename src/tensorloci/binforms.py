@@ -23,7 +23,7 @@ from .exactnum import (
     upoly_factor_small,
     upoly_gcd,
 )
-from .linalg import Mat, _upoly_det_interp, mat_det
+from .linalg import DOMAIN_POLYRING, Mat, mat_det
 
 
 class BinaryForm:
@@ -248,7 +248,10 @@ def _pl_gcd_polyprs(a, b):
 
 def _pl_resultant(a, b):
     """Resultant in the form variable of two univariate polys given by
-    UniPoly coefficient lists, as a polynomial in the parameter."""
+    UniPoly coefficient lists, as a polynomial in the parameter.
+
+    The Sylvester determinant is taken over Q[λ] by fraction-free Bareiss
+    elimination, whose divisions are exact there."""
     m = len(a) - 1
     n = len(b) - 1
     ah = list(reversed(a))
@@ -259,7 +262,7 @@ def _pl_resultant(a, b):
         rows.append([zero] * i + ah + [zero] * (n - 1 - i))
     for i in range(m):
         rows.append([zero] * i + bh + [zero] * (m - 1 - i))
-    return _upoly_det_interp(rows)
+    return mat_det(Mat(rows, domain=DOMAIN_POLYRING))
 
 
 def _pl_cofactor(polys, g):

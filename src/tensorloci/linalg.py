@@ -2,7 +2,10 @@
 
 Rank and determinant go through fraction-free Bareiss elimination with the
 first-nonzero pivot rule (scan columns left to right, take the topmost
-nonzero entry). For matrices over the rational function field the rows are
+nonzero entry). Over the polynomial ring Q[λ] every Bareiss division is
+exact, so ``mat_det`` on a ``DOMAIN_POLYRING`` matrix is the one
+determinant routine for polynomial matrices (flattening minors, Sylvester
+resultants). For matrices over the rational function field the rows are
 first cleared to polynomial form. A rank computed while the candidate
 recorder is active pushes one polynomial: the gcd of all rank-sized minors,
 which vanishes exactly at the parameter values where the rank drops. The
@@ -146,7 +149,7 @@ def _clear_funcfield_rows(M):
         den = UniPoly([1])
         for x in row:
             if isinstance(x, FuncElem) and x.den.degree > 0:
-                den = (den * x.den) // _poly_gcd_cached(den, x.den)
+                den = (den * x.den) // upoly_gcd(den, x.den)
         if den.degree > 0:
             note_candidate(den)
         new_row = []
@@ -159,12 +162,6 @@ def _clear_funcfield_rows(M):
                 new_row.append(den * Fraction(x))
         out.append(new_row)
     return Mat(out, domain=DOMAIN_POLYRING)
-
-
-def _poly_gcd_cached(a, b):
-    from .exactnum import upoly_gcd
-
-    return upoly_gcd(a, b) if (a.degree > 0 or b.degree > 0) else UniPoly([1])
 
 
 def _exact_div(a, b, domain):
@@ -240,50 +237,6 @@ def _as_upoly(x):
     return UniPoly([Fraction(x)])
 
 
-def _interp_points(k):
-    pts = [Fraction(0)]
-    step = 1
-    while len(pts) < k:
-        pts.append(Fraction(step))
-        if len(pts) < k:
-            pts.append(Fraction(-step))
-        step += 1
-    return pts
-
-
-def _upoly_eval(p, t):
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _upoly_det_interp(rows):
-    """Determinant of a small square matrix of polynomials, by evaluating
-    at enough rational points and interpolating."""
-    bound = 0
-    for row in rows:
-        bound += max([p.degree for p in row if not p.is_zero()] or [0])
-    pts = _interp_points(bound + 1)
-    vals = []
-    for t in pts:
-        sub = Mat([[_upoly_eval(p, t) for p in row] for row in rows])
-        vals.append(mat_det(sub))
-    total = UniPoly(())
-    for i, yi in enumerate(vals):
-        if not yi:
-            continue
-        numer = UniPoly([Fraction(1)])
-        denom = Fraction(1)
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            numer = numer * UniPoly([-xj, Fraction(1)])
-            denom = denom * (pts[i] - xj)
-        total = total + UniPoly([c * yi / denom for c in numer.coeffs])
-    return total
-
-
 def _note_rank_drop_locus(M, r):
     """Record a sound cover of the parameter values where the rank drops.
 
@@ -311,6 +264,10 @@ def _note_rank_drop_locus(M, r):
 
 def mat_det(M):
     """Determinant of a square matrix by Bareiss; exact in any domain.
+
+    Over ``DOMAIN_POLYRING`` each Bareiss division by the previous pivot
+    is an exact polynomial division, so the result is the determinant in
+    Q[λ] itself.
 
     The pivot scan inside is pure elimination bookkeeping, so it runs with
     candidate recording off; whether the determinant itself vanishes is the
@@ -448,25 +405,19 @@ def mat_inverse(A):
 def full_rank_factorization(A):
     """A = B C with B of full column rank and C of full row rank.
 
-    B collects the pivot columns of A; C is the nonzero part of the reduced
-    row echelon form. Works over any field domain. Over the function field
-    the factorization itself is elimination detail; the recorded parameter
-    sensitivity is the minor gcd of the generic rank, as in ``mat_rank``.
+    When A already has full row rank the factorization is B = identity,
+    C = A: no change of basis, so a family of matrices keeps its entries.
+    Otherwise B collects the pivot columns of A and C is the nonzero part
+    of the reduced row echelon form. Works over any field domain. The rank
+    comes from ``mat_rank``, which under the candidate recorder records
+    the parameter values where it drops; the echelon form is elimination
+    detail and records nothing.
     """
-    if A.domain == DOMAIN_FUNCFIELD and recording_active():
-        with suppress_candidate_recording():
-            R, pivots = mat_rref(A)
-        r = len(pivots)
-        if r:
-            _note_rank_drop_locus(_clear_funcfield_rows(A), r)
-        B = Mat(
-            [[A.entries[i][j] for j in pivots] for i in range(A.rows)],
-            domain=A.domain,
-        )
-        C = Mat(R.entries[:r], domain=A.domain)
-        return B, C, r
-    R, pivots = mat_rref(A)
-    r = len(pivots)
+    r = mat_rank(A)
+    if r == A.rows:
+        return mat_identity(A.rows), A, r
+    with suppress_candidate_recording():
+        R, pivots = mat_rref(A)
     B = Mat([[A.entries[i][j] for j in pivots] for i in range(A.rows)],
             domain=A.domain)
     C = Mat(R.entries[:r], domain=A.domain)

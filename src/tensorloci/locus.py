@@ -43,7 +43,15 @@ from .exactnum import (
     record_special_candidates,
     upoly_gcd,
 )
-from .linalg import Mat, mat_inverse, mat_rank, mat_solve, pseudoinverse
+from .linalg import (
+    DOMAIN_POLYRING,
+    Mat,
+    mat_det,
+    mat_inverse,
+    mat_rank,
+    mat_solve,
+    pseudoinverse,
+)
 from .orbits import pencil_shape
 from .pencil import hyperdet233, pencil_det_form, pencil_minor_gcd, pencil_of
 from .tensorcore import (
@@ -234,43 +242,22 @@ def _irreducible_factors(poly):
     return out
 
 
-def _det_cofactor(rows):
-    """Determinant of a small square matrix given as nested lists.
-
-    Plain cofactor expansion: no divisions, so polynomial entries are
-    fine. Sizes here never exceed five.
-    """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for j in range(n):
-        entry = rows[0][j]
-        minor = [
-            [row[k] for k in range(n) if k != j] for row in rows[1:]
-        ]
-        term = entry * _det_cofactor(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def _flat_minor_gcd(pt, axis, r):
     """gcd over Q[lam] of all r x r minors of an axis flattening.
 
-    ``pt`` has polynomial entries of degree at most one in lam. Returns
-    the zero polynomial when every minor vanishes identically and a
-    constant when they are coprime.
+    ``pt`` has polynomial entries of degree at most one in lam; each minor
+    is a Bareiss determinant over Q[lam]. Returns the zero polynomial when
+    every minor vanishes identically and a constant when they are coprime.
     """
     M = flattening(pt, axis)
     g = None
     for row_idx in itertools.combinations(range(M.rows), r):
         for col_idx in itertools.combinations(range(M.cols), r):
-            d = _det_cofactor(
-                [[M.entries[i][j] for j in col_idx] for i in row_idx]
+            d = mat_det(
+                Mat(
+                    [[M.entries[i][j] for j in col_idx] for i in row_idx],
+                    domain=DOMAIN_POLYRING,
+                )
             )
             if d.is_zero():
                 continue

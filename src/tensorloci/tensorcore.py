@@ -301,7 +301,9 @@ def concise_reduce(T):
 
     Returns a ConciseReduction whose core tensor is concise (every flattening
     has full rank) and whose per-axis basis matrices reproduce the input via
-    ``expand``. The zero tensor has no concise core.
+    ``expand``. An axis that is already concise keeps the identity basis,
+    so a concise tensor is its own core; over Q(λ) that keeps the entries
+    of a family T - λP affine in λ. The zero tensor has no concise core.
     """
     if T.is_zero():
         raise ZeroTensor("the zero tensor has no concise reduction")

@@ -6,6 +6,7 @@ import sympy
 
 from tensorloci.binforms import (
     BinaryForm,
+    _pl_resultant,
     bform_discriminant,
     bform_gcd,
     bform_is_pure_power,
@@ -13,7 +14,7 @@ from tensorloci.binforms import (
     linear_form_root,
 )
 from tensorloci.errors import AllZero, DegreeTooLarge, DegreeTooSmall
-from tensorloci.exactnum import FuncElem
+from tensorloci.exactnum import FuncElem, UniPoly
 
 U, V = sympy.symbols("u v")
 
@@ -269,3 +270,43 @@ def test_pure_power_over_function_field():
     ok, ell = bform_is_pure_power(f, 3)
     assert ok
     assert ell.coeffs[1] == lam
+
+
+def x_poly_from_roots(lead, roots):
+    """Coefficients (lowest first, each a UniPoly in lam) of lead * prod(x - r)."""
+    coeffs = [UniPoly([lead])]
+    for r in roots:
+        shifted = [UniPoly(())] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] = shifted[i] - r * c
+        coeffs = shifted
+    return coeffs
+
+
+def test_pl_resultant_by_hand():
+    lam = UniPoly([0, 1])
+    one = UniPoly([1])
+    # x^2 + lam x + 1 against x - lam: the quadratic at x = lam.
+    a = [one, lam, one]
+    b = [-lam, one]
+    assert _pl_resultant(a, b) == UniPoly([1, 0, 2])
+    # x^2 - lam against x^2 - 1: (lam - 1)^2.
+    assert _pl_resultant([-lam, UniPoly(()), one], [-one, UniPoly(()), one]) == (
+        UniPoly([-1, 1]) ** 2
+    )
+
+
+def test_pl_resultant_root_product():
+    """Res(a, b) = la^n lb^m prod(r_i - s_j) for roots affine in lam."""
+    rng = random.Random(41)
+    for _ in range(20):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        la, lb = rng.choice([1, -2, 3]), rng.choice([1, 2, -1])
+        rs = [UniPoly([rng.randint(-3, 3), rng.randint(-2, 2)]) for _ in range(m)]
+        ss = [UniPoly([rng.randint(-3, 3), rng.randint(-2, 2)]) for _ in range(n)]
+        expected = UniPoly([Fraction(la) ** n * Fraction(lb) ** m])
+        for r in rs:
+            for s_ in ss:
+                expected = expected * (r - s_)
+        got = _pl_resultant(x_poly_from_roots(la, rs), x_poly_from_roots(lb, ss))
+        assert got == expected

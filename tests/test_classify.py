@@ -274,3 +274,45 @@ def test_reports_are_deterministic():
     assert a.axis_permutation == b.axis_permutation
     assert repr(a) == repr(b)
     assert isinstance(a, ClassifyReport)
+
+
+SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
+DENSE_POOL = (1, -1, 2, -2, 3, -3)
+
+
+def pooled_rank_one(rng, shape, pool, scale=1):
+    factors = []
+    for d in shape:
+        vec = [rng.choice(pool) for _ in range(d)]
+        while not any(vec):
+            vec = [rng.choice(pool) for _ in range(d)]
+        factors.append([Fraction(x) for x in vec])
+    factors[0] = [scale * x for x in factors[0]]
+    return RankOneTensor(factors)
+
+
+@pytest.mark.parametrize("n", range(5, 27))
+def test_parametric_report_predicts_integer_members(n):
+    """Each integer lam0 in -8..8 lands in the orbit the report predicts:
+    that of the exceptional factor lam0 is a root of, else the generic
+    orbit. A candidate value the generic classification failed to record
+    shows up here as a member outside the generic orbit. Dividing P by 12
+    or 60 multiplies every special value by that number, which brings the
+    small rational ones (1/4, -1/12, ...) onto integers in range."""
+    rng = random.Random("parametric/%d" % n)
+    t = normal_form(n)
+    for pool, scale in (
+        (SPARSE_POOL, Fraction(1, 12)),
+        (SPARSE_POOL, Fraction(1, 12)),
+        (DENSE_POOL, Fraction(1, 12)),
+        (SPARSE_POOL, Fraction(1, 60)),
+    ):
+        fam = ParametricTensor(t, pooled_rank_one(rng, t.shape, pool, scale))
+        rep = classify_parametric(fam)
+        for k in range(-8, 9):
+            lam0 = Fraction(k)
+            roots = [oid for fac, oid in rep.exceptional if fac(lam0) == 0]
+            expected = roots[0] if roots else rep.generic
+            member = fam.specialize(lam0)
+            got = OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
+            assert got == expected, (n, fam.direction.factors, k, rep)

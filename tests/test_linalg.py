@@ -14,6 +14,7 @@ from tensorloci.exactnum import (
     record_special_candidates,
 )
 from tensorloci.linalg import (
+    DOMAIN_POLYRING,
     Mat,
     full_rank_factorization,
     mat_det,
@@ -203,11 +204,36 @@ def test_det_and_inverse():
                 mat_inverse(A)
 
 
+def det_cofactor(rows):
+    """Reference determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * det_cofactor([row[:j] + row[j + 1 :] for row in rows[1:]])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
 def test_det_polyring():
     lam = UniPoly([0, 1])
     one = UniPoly([1])
     M = Mat([[lam, one], [one, lam]])
     assert mat_det(M) == UniPoly([-1, 0, 1])
+
+    # Dense 5 x 5 with entries affine in lam, the size of the largest
+    # flattening minors; Bareiss divides exactly over Q[lam].
+    rng = random.Random(21)
+    for _ in range(5):
+        rows = [
+            [UniPoly([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(5)]
+            for _ in range(5)
+        ]
+        det = mat_det(Mat(rows, domain=DOMAIN_POLYRING))
+        assert det == det_cofactor(rows)
+        assert det.degree <= 5
 
 
 def test_full_rank_factorization_reconstructs():
@@ -218,6 +244,44 @@ def test_full_rank_factorization_reconstructs():
         if r:
             assert mat_mul(B, C) == A
         assert mat_rank(A) == r
+
+
+def test_full_rank_factorization_keeps_full_row_rank_input():
+    rng = random.Random(22)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        A = rand_qq(rng, n, n + rng.randint(0, 2))
+        if mat_rank(A) < n:
+            continue
+        B, C, r = full_rank_factorization(A)
+        assert r == n
+        assert B == mat_identity(n)
+        assert C == A
+
+
+def test_full_rank_factorization_rank_deficient_uses_pivot_columns():
+    rng = random.Random(23)
+    for _ in range(40):
+        n, m = rng.randint(2, 4), rng.randint(1, 5)
+        A = rand_low_rank(rng, n, m, rng.randint(0, min(n - 1, m)))
+        B, C, r = full_rank_factorization(A)
+        _, pivots = mat_rref(A)
+        assert r == len(pivots) < n
+        assert B == Mat([[A.entries[i][j] for j in pivots] for i in range(n)])
+        if r:
+            assert mat_mul(B, C) == A
+
+
+def test_full_rank_factorization_records_like_mat_rank():
+    rng = random.Random(24)
+    for _ in range(60):
+        A = rand_funcfield(rng, rng.randint(1, 4), rng.randint(1, 4))
+        with record_special_candidates() as by_rank:
+            r = mat_rank(A)
+        with record_special_candidates() as by_factorization:
+            _, _, r2 = full_rank_factorization(A)
+        assert r2 == r
+        assert by_factorization == by_rank
 
 
 def test_solve_consistent_and_inconsistent():
