@@ -23,7 +23,7 @@ from .exactnum import (
     upoly_factor_small,
     upoly_gcd,
 )
-from .linalg import DOMAIN_POLYRING, Mat, mat_det
+from .linalg import Mat, clear_denominators, mat_det, sample_points
 
 
 class BinaryForm:
@@ -177,24 +177,6 @@ def bform_gcd(forms):
     return form_from_univariate(acc, qmin)
 
 
-def _ff_clear(coeffs):
-    """FuncElem coefficient list to UniPoly list; denominators recorded."""
-    den = UniPoly([1])
-    for c in coeffs:
-        if isinstance(c, FuncElem) and c.den.degree > 0:
-            den = (den * c.den) // upoly_gcd(den, c.den)
-    out = []
-    for c in coeffs:
-        if isinstance(c, FuncElem):
-            q, r = (c.num * den).divmod(c.den)
-            out.append(q)
-        else:
-            out.append(den * Fraction(c))
-    if den.degree > 0:
-        note_candidate(den)
-    return out
-
-
 def _pp_strip_content(polys):
     """Divide out the common polynomial factor; records it if nonconstant."""
     g = None
@@ -247,22 +229,19 @@ def _pl_gcd_polyprs(a, b):
 
 
 def _pl_resultant(a, b):
-    """Resultant in the form variable of two univariate polys given by
-    UniPoly coefficient lists, as a polynomial in the parameter.
+    """Sylvester resultant of two univariate polys given by coefficient
+    lists, lowest degree first.
 
-    The Sylvester determinant is taken over Q[λ] by fraction-free Bareiss
-    elimination, whose divisions are exact there."""
+    The determinant runs in the coefficients' own domain: Q, Q[λ] for
+    ``UniPoly`` coefficients (a polynomial in the parameter), or Q(λ)."""
     m = len(a) - 1
     n = len(b) - 1
-    ah = list(reversed(a))
-    bh = list(reversed(b))
-    zero = UniPoly(())
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + ah + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + bh + [zero] * (m - 1 - i))
-    return mat_det(Mat(rows, domain=DOMAIN_POLYRING))
+    ah = a[::-1]
+    bh = b[::-1]
+    zero = a[0] - a[0]
+    rows = [[zero] * i + ah + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + bh + [zero] * (m - 1 - i) for i in range(m)]
+    return mat_det(Mat(rows))
 
 
 def _pl_cofactor(polys, g):
@@ -274,15 +253,6 @@ def _pl_cofactor(polys, g):
         den = [FuncElem(p) for p in g]
         quo, _ = _pl_divmod(num, den)
         return [c.num for c in quo]
-
-
-def _weight_values(limit):
-    yield Fraction(0)
-    step = 1
-    while 2 * step - 1 < limit:
-        yield Fraction(step)
-        yield Fraction(-step)
-        step += 1
 
 
 def _pl_weighted_sum(hs, y):
@@ -307,7 +277,7 @@ def _bform_gcd_funcfield(forms):
         qs = [f.v_multiplicity() for f in live]
         stripped = [f.dehomogenized()[1] for f in live]
     qmin = min(qs)
-    cleared = [_pp_strip_content(_ff_clear(u)) for u in stripped]
+    cleared = [_pp_strip_content(clear_denominators(u)[0]) for u in stripped]
     # The v-power of the gcd rises exactly where every form of minimal
     # v-multiplicity loses its v^qmin coefficient, which sits at the top of
     # the dehomogenized list.
@@ -343,7 +313,7 @@ def _bform_gcd_funcfield(forms):
         base = cofs[0]
         g = None
         found = 0
-        for y in _weight_values(30):
+        for y in sample_points(31):
             comb = _pl_weighted_sum(cofs[1:], y)
             if not comb:
                 continue
@@ -384,27 +354,7 @@ def bform_discriminant(f):
         )
     fu = f.partial_u().coeffs
     fv = f.partial_v().coeffs
-    return _resultant_same_degree(fu, fv)
-
-
-def _resultant_same_degree(a, b):
-    """Sylvester resultant of two forms given by coefficient lists (u-first)."""
-    m = len(a) - 1
-    n = len(b) - 1
-    size = m + n
-    zero = a[0] - a[0]
-    rows = []
-    for k in range(n):
-        row = [zero] * size
-        for i, ci in enumerate(a):
-            row[k + i] = ci
-        rows.append(row)
-    for k in range(m):
-        row = [zero] * size
-        for i, ci in enumerate(b):
-            row[k + i] = ci
-        rows.append(row)
-    return mat_det(Mat(rows))
+    return _pl_resultant(fu[::-1], fv[::-1])
 
 
 def bform_is_pure_power(f, d):

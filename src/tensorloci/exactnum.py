@@ -279,12 +279,25 @@ def _ip_prem(a, b):
 
 
 def _ip_primitive(v):
-    g = 0
-    for c in v:
-        g = _gcd_int(g, abs(c))
+    g = math.gcd(*v)
     if g in (0, 1):
         return v
     return [c // g for c in v]
+
+
+def _ip_gcd(a, b):
+    """Primitive gcd, up to sign, of two nonzero integer coefficient lists."""
+    a = _ip_primitive(a)
+    b = _ip_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _ip_prem(a, b)
+        if not r:
+            return b
+        if len(r) == 1:
+            return [1]
+        a, b = b, _ip_primitive(r)
 
 
 def upoly_gcd(f, g):
@@ -293,19 +306,7 @@ def upoly_gcd(f, g):
         return g if g.is_zero() else g.monic()
     if g.is_zero():
         return f.monic()
-    a = _to_int_primitive(f)
-    b = _to_int_primitive(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _ip_prem(a, b)
-        if not r:
-            d = b
-            break
-        if len(r) == 1:
-            d = [1]
-            break
-        a, b = b, _ip_primitive(r)
+    d = _ip_gcd(_to_int_primitive(f), _to_int_primitive(g))
     lead = d[-1]
     return UniPoly([Fraction(c, lead) for c in d], f.var)
 
@@ -335,20 +336,10 @@ def _to_int_primitive(f):
     Returns the integer coefficient list (lowest first). The sign follows the
     leading coefficient of ``f``.
     """
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd_int(g, abs(c))
+    den = math.lcm(*[c.denominator for c in f.coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    g = math.gcd(*ints)
     return [c // g for c in ints]
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # Factoring over Q runs through a finite field: factor the reduction at a

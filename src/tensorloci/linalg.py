@@ -1,21 +1,29 @@
 """Exact dense linear algebra over the scalar domains.
 
-Rank and determinant go through fraction-free Bareiss elimination with the
+Rank and determinant run on one fraction-free Bareiss elimination with the
 first-nonzero pivot rule (scan columns left to right, take the topmost
-nonzero entry). Over the polynomial ring Q[λ] every Bareiss division is
-exact, so ``mat_det`` on a ``DOMAIN_POLYRING`` matrix is the one
-determinant routine for polynomial matrices (flattening minors, Sylvester
-resultants). For matrices over the rational function field the rows are
-first cleared to polynomial form. A rank computed while the candidate
-recorder is active pushes one polynomial: the gcd of all rank-sized minors,
-which vanishes exactly at the parameter values where the rank drops. The
-eliminations themselves run with recording suppressed, since their pivot
-choices are path details the minor gcd already covers.
+nonzero entry). Matrices over Q, Q[λ] and Q(λ) are first scaled row by row
+to integer form by one converter, ``integer_rows``: the Q(λ) denominators
+of a row are cleared, then its rational coefficients. The elimination then
+runs over Z on plain ints, or over Z[λ] on dense lists of ints, lowest
+degree first, and every Bareiss division is exact. ``mat_det`` divides the
+row scales out once at the end; it is the one determinant routine
+(flattening minors, Sylvester resultants), and pencil minors at a sample
+point use its core ``bareiss_det``. Matrices over an algebraic extension
+are eliminated over the field itself.
+
+A rank over Q[λ] or Q(λ) taken while the candidate recorder is active
+records the cleared row denominators and the gcd of the last Bareiss
+pivots in a few row and column orders. Each such pivot is a rank-sized
+minor, so the gcd vanishes wherever the rank drops. ``sample_points`` and
+``interpolate`` give the evaluation points and the interpolation that turn
+determinants at sample points into pencil minors.
 """
 
 from __future__ import annotations
 
-
+import math
+import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix
@@ -23,6 +31,7 @@ from .exactnum import (
     AlgebraicElement,
     FuncElem,
     UniPoly,
+    _ip_gcd,
     note_candidate,
     recording_active,
     suppress_candidate_recording,
@@ -33,6 +42,8 @@ DOMAIN_QQ = "QQ"
 DOMAIN_FUNCFIELD = "funcfield"
 DOMAIN_EXTENSION = "extension"
 DOMAIN_POLYRING = "polyring"
+
+_ONE_POLY = UniPoly([1])
 
 
 def _infer_domain(entries):
@@ -137,180 +148,308 @@ def mat_vec(a, v):
     return out
 
 
-def _clear_funcfield_rows(M):
-    """Scale each row by its common denominator, yielding polynomial entries.
+# --- the Bareiss kernel -----------------------------------------------------
+#
+# Rational, Q[λ] and Q(λ) matrices are eliminated in integer form: each row
+# is scaled to entries in Z (plain ints) or in Z[λ] (dense lists of ints,
+# lowest degree first, no trailing zeros, [] for zero), where every Bareiss
+# division is exact. A ring is the pair (cross, div) of the two operations
+# the elimination needs: cross(a, p, h, b) = a*p - h*b and the exact
+# division by the previous pivot.
 
-    Row scaling by a nonzero polynomial preserves rank; the scaling factors
-    are recorded as special-parameter candidates since the scaled problem
-    only matches the original away from their roots.
+
+def _cross(a, p, h, b):
+    return a * p - h * b
+
+
+def _zx_cross(a, p, h, b):
+    """a*p - h*b over Z[λ]."""
+    n = max(len(a) + len(p), len(h) + len(b)) - 1
+    if n <= 0:
+        return []
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(p):
+                out[i + j] += x * y
+    for i, x in enumerate(h):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_exact_div(a, b):
+    """The quotient a / b over Z[λ]; b must divide a."""
+    db = len(b) - 1
+    lead = b[-1]
+    if not db:
+        return [x // lead for x in a]
+    rem = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db] // lead
+        if c:
+            quo[k] = c
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    assert not any(rem), "Bareiss division left a remainder"
+    return quo
+
+
+RING_Z = (_cross, operator.floordiv)
+RING_ZX = (_zx_cross, _zx_exact_div)
+_FIELD = (_cross, operator.truediv)
+
+
+def _bareiss(work, ring, square=False):
+    """Fraction-free elimination of the rows ``work``, in place.
+
+    Pivots follow the first-nonzero rule. Returns (rank, last pivot, sign
+    of the row permutation); by the Bareiss minor invariant the last pivot
+    times that sign is the minor of the matrix on the pivot rows and
+    columns. With ``square`` the elimination stops at the first column
+    without a pivot and returns that column's zero entry as the pivot: the
+    determinant is zero.
     """
+    cross, div = ring
+    n = len(work)
+    m = len(work[0]) if work else 0
+    rank = 0
+    sign = 1
+    prev = None
+    for col in range(m):
+        for i in range(rank, n):
+            if work[i][col]:
+                break
+        else:
+            if square:
+                return rank, work[rank][col], sign
+            continue
+        if i != rank:
+            work[rank], work[i] = work[i], work[rank]
+            sign = -sign
+        top = work[rank]
+        pivot = top[col]
+        for i in range(rank + 1, n):
+            row = work[i]
+            head = row[col]
+            for j in range(col + 1, m):
+                val = cross(row[j], pivot, head, top[j])
+                row[j] = val if prev is None else div(val, prev)
+        prev = pivot
+        rank += 1
+        if rank == n:
+            break
+    return rank, prev, sign
+
+
+def clear_denominators(row, record=True):
+    """Scale a row of Q(λ) scalars to polynomials over Q.
+
+    Returns (polys, den): ``den`` is the monic lcm of the ``FuncElem``
+    denominators in the row and ``polys`` is the row times ``den``, as
+    ``UniPoly``s. Scaling a row by a nonzero polynomial preserves rank, but
+    the scaled problem only matches the original away from the roots of
+    ``den``, so with ``record`` a nonconstant ``den`` is recorded as a
+    special-parameter candidate.
+    """
+    den = None
+    for x in row:
+        if isinstance(x, FuncElem) and x.den.degree > 0:
+            den = x.den if den is None else (den * x.den) // upoly_gcd(den, x.den)
+    if den is None:
+        polys = [
+            x.num if isinstance(x, FuncElem)
+            else x if isinstance(x, UniPoly)
+            else UniPoly([x])
+            for x in row
+        ]
+        return polys, _ONE_POLY
+    if record:
+        note_candidate(den)
+    polys = [
+        x.num * (den // x.den) if isinstance(x, FuncElem)
+        else x * den if isinstance(x, UniPoly)
+        else den * x
+        for x in row
+    ]
+    return polys, den
+
+
+def _z_row(row):
+    """A rational row times the lcm k of its denominators: (ints, k)."""
+    k = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (k // x.denominator) for x in row], k
+
+
+def _zx_row(row, record=True):
+    """A row of Q[λ] or Q(λ) scalars scaled into Z[λ]: (int lists, s).
+
+    The row times the ``UniPoly`` s is the returned row; s is the cleared
+    denominator (recorded as in ``clear_denominators``) times the lcm of
+    the denominators of the rational coefficients.
+    """
+    polys, den = clear_denominators(row, record)
+    k = math.lcm(*[c.denominator for p in polys for c in p.coeffs])
+    ints = [[c.numerator * (k // c.denominator) for c in p.coeffs] for p in polys]
+    return ints, den * k
+
+
+def integer_rows(M, record=True):
+    """The rows of a Q, Q[λ] or Q(λ) matrix in integer form.
+
+    Returns (rows, ring, scales) with row i of M times scales[i] equal to
+    rows[i]: ints and int scales over Q, Z[λ] lists and ``UniPoly`` scales
+    otherwise.
+    """
+    if M.domain == DOMAIN_QQ:
+        pairs = [_z_row(row) for row in M.entries]
+        ring = RING_Z
+    else:
+        pairs = [_zx_row(row, record) for row in M.entries]
+        ring = RING_ZX
+    return [r for r, _ in pairs], ring, [s for _, s in pairs]
+
+
+def sample_points(n):
+    """The first n of the interpolation points 0, 1, -1, 2, -2, ..."""
+    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(n)]
+
+
+def interpolate(pts, vals):
+    """Coefficients, lowest degree first, of the polynomial of degree below
+    len(pts) that takes vals[i] at pts[i], by Newton's divided differences.
+
+    Field values divide as usual. Over the integers every division is
+    exact as long as the interpolant has integer coefficients, which holds
+    for the determinant of an integer matrix affine in the variable.
+    """
+    n = len(pts)
+    exact = isinstance(vals[0], int)
+    dd = list(vals)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            num = dd[i] - dd[i - 1]
+            d = pts[i] - pts[i - k]
+            dd[i] = num // d if exact else num / d
+    coeffs = [dd[-1]]
+    for k in range(n - 2, -1, -1):
+        x = pts[k]
+        nxt = [dd[k] - x * coeffs[0]]
+        for j in range(1, len(coeffs)):
+            nxt.append(coeffs[j - 1] - x * coeffs[j])
+        nxt.append(coeffs[-1])
+        coeffs = nxt
+    return coeffs
+
+
+def zx_interpolate(pts, vals):
+    """``interpolate`` for values in Z[λ]: one λ-coefficient at a time."""
+    width = max(len(v) for v in vals)
+    per_power = [
+        interpolate(pts, [v[i] if i < len(v) else 0 for v in vals])
+        for i in range(width)
+    ]
     out = []
-    for row in M.entries:
-        den = UniPoly([1])
-        for x in row:
-            if isinstance(x, FuncElem) and x.den.degree > 0:
-                den = (den * x.den) // upoly_gcd(den, x.den)
-        if den.degree > 0:
-            note_candidate(den)
-        new_row = []
-        for x in row:
-            if isinstance(x, FuncElem):
-                q, r = (x.num * den).divmod(x.den)
-                assert r.is_zero()
-                new_row.append(q)
-            else:
-                new_row.append(den * Fraction(x))
-        out.append(new_row)
-    return Mat(out, domain=DOMAIN_POLYRING)
+    for k in range(len(pts)):
+        c = [col[k] for col in per_power]
+        while c and not c[-1]:
+            c.pop()
+        out.append(c)
+    return out
 
 
-def _exact_div(a, b, domain):
-    if domain == DOMAIN_POLYRING:
-        q, r = a.divmod(b)
-        assert r.is_zero(), "Bareiss division left a remainder"
-        return q
-    return a / b
+def bareiss_det(rows, ring):
+    """Determinant of a square matrix given by its rows over ``ring``: an
+    int over Z, an int list over Z[λ] (see ``integer_rows``), a field
+    element over a field. ``rows`` is consumed."""
+    rank, piv, sign = _bareiss(rows, ring, square=True)
+    if rank < len(rows) or sign == 1:
+        return piv
+    return [-c for c in piv] if ring is RING_ZX else -piv
+
+
+def integer_quotient(c, scale, domain):
+    """c / scale back in ``domain``, for a value c and a product of row
+    scales from the integer form of a ``domain`` matrix (``integer_rows``):
+    a Fraction over Q, a ``UniPoly`` over Q[λ], a ``FuncElem`` over Q(λ).
+    """
+    if domain == DOMAIN_QQ:
+        return Fraction(c, scale)
+    if scale.degree:
+        return FuncElem(UniPoly(c), scale)
+    k = scale.coeffs[0]
+    num = UniPoly([Fraction(x, k) for x in c])
+    return num if domain == DOMAIN_POLYRING else FuncElem(num, reduce=False)
 
 
 def mat_rank(M):
     """Rank by Bareiss elimination.
 
     Over the function field this is the generic rank: the rank away from
-    finitely many parameter values. With the candidate recorder active the
-    gcd of all rank-sized minors is recorded, which covers every parameter
+    finitely many parameter values. With the candidate recorder active,
+    over Q[λ] or Q(λ), the cleared row denominators and the gcd of a few
+    rank-sized minors are recorded; together they cover every parameter
     value where the rank can drop.
     """
-    if M.domain == DOMAIN_FUNCFIELD:
-        M = _clear_funcfield_rows(M)
-    if M.domain == DOMAIN_POLYRING and recording_active():
-        with suppress_candidate_recording():
-            rank = _bareiss_rank(M)
-        if rank:
-            _note_rank_drop_locus(M, rank)
-        return rank
-    return _bareiss_rank(M)
-
-
-def _bareiss_rank(M):
-    rank, _ = _bareiss_rank_pivot(M.entries, M.domain)
+    if M.domain == DOMAIN_EXTENSION:
+        return _bareiss([list(r) for r in M.entries], _FIELD)[0]
+    rows, ring, _ = integer_rows(M)
+    if ring is RING_Z or not recording_active():
+        return _bareiss(rows, ring)[0]
+    rank, piv, _ = _bareiss([list(r) for r in rows], ring)
+    if rank:
+        _note_rank_drop_locus(rows, piv)
     return rank
 
 
-def _bareiss_rank_pivot(entries, domain):
-    """(rank, final pivot). By the Bareiss minor invariant the final pivot
-    equals, up to sign, the minor of the matrix on the pivot rows and
-    columns, so for a full-rank elimination it is a nonzero maximal minor."""
-    work = [list(r) for r in entries]
-    n = len(work)
-    m = len(work[0]) if work else 0
-    rank = 0
-    prev = None
-    for col in range(m):
-        pivot_row = None
-        for i in range(rank, n):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for i in range(rank + 1, n):
-            head = work[i][col]
-            for j in range(col + 1, m):
-                val = work[i][j] * pivot - head * work[rank][j]
-                if prev is not None:
-                    val = _exact_div(val, prev, domain)
-                work[i][j] = val
-            work[i][col] = pivot - pivot  # exact zero of the domain
-        prev = pivot
-        rank += 1
-        if rank == n:
-            break
-    return rank, prev
-
-
-def _as_upoly(x):
-    if isinstance(x, UniPoly):
-        return x
-    return UniPoly([Fraction(x)])
-
-
-def _note_rank_drop_locus(M, r):
+def _note_rank_drop_locus(rows, piv):
     """Record a sound cover of the parameter values where the rank drops.
 
     Every r x r minor vanishes wherever the specialized rank falls below r,
-    and the final Bareiss pivot is such a minor, so the gcd of final pivots
+    and the last Bareiss pivot is such a minor, so the gcd of last pivots
     taken with a few different row and column orders covers the rank-drop
-    locus. Nothing is recorded when that gcd is constant.
+    locus. ``piv`` is the last pivot of ``rows`` in their own order. The
+    gcd is recorded monic; nothing is recorded when it is constant.
     """
-    ents = [[_as_upoly(x) for x in row] for row in M.entries]
-    g = None
-    flipped = [list(reversed(row)) for row in ents]
-    for rows in (
-        ents,
-        list(reversed(flipped)),
-        flipped,
-        list(reversed(ents)),
-    ):
-        _, piv = _bareiss_rank_pivot(rows, DOMAIN_POLYRING)
-        g = piv if g is None else upoly_gcd(g, piv)
-        if g.degree == 0:
+    g = piv
+    flipped = [row[::-1] for row in rows]
+    for order in (flipped[::-1], flipped, rows[::-1]):
+        if len(g) == 1:
             return
-    if g is not None and g.degree >= 1:
-        note_candidate(g.monic())
+        _, piv, _ = _bareiss([list(row) for row in order], RING_ZX)
+        g = _ip_gcd(g, piv)
+    if len(g) > 1:
+        note_candidate(UniPoly(g).monic())
 
 
 def mat_det(M):
     """Determinant of a square matrix by Bareiss; exact in any domain.
 
-    Over ``DOMAIN_POLYRING`` each Bareiss division by the previous pivot
-    is an exact polynomial division, so the result is the determinant in
-    Q[λ] itself.
+    Over Q, Q[λ] and Q(λ) the rows are scaled to integer form, eliminated
+    over Z or Z[λ], and the row scales divided out once at the end; the
+    result is a Fraction, a ``UniPoly`` or a ``FuncElem``. Over an
+    extension field the elimination runs in the field.
 
-    The pivot scan inside is pure elimination bookkeeping, so it runs with
-    candidate recording off; whether the determinant itself vanishes is the
-    caller's decision to record.
+    Nothing is recorded: the pivot scan is elimination bookkeeping, and
+    whether the determinant itself vanishes is the caller's decision to
+    record.
     """
-    if recording_active():
-        with suppress_candidate_recording():
-            return _bareiss_det(M)
-    return _bareiss_det(M)
-
-
-def _bareiss_det(M):
     if M.rows != M.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     if M.rows == 0:
         return Fraction(1)
-    work = [list(r) for r in M.entries]
-    n = M.rows
-    domain = M.domain
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not work[k][k]:
-            swap = None
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    swap = i
-                    break
-            if swap is None:
-                return work[k][k]  # a zero of the right domain
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = work[i][j] * pivot - work[i][k] * work[k][j]
-                if prev is not None:
-                    val = _exact_div(val, prev, domain)
-                work[i][j] = val
-            work[i][k] = pivot - pivot
-        prev = pivot
-    out = work[n - 1][n - 1]
-    return out if sign == 1 else -out
+    if M.domain == DOMAIN_EXTENSION:
+        return bareiss_det([list(r) for r in M.entries], _FIELD)
+    rows, ring, scales = integer_rows(M, record=False)
+    det = bareiss_det(rows, ring)
+    scale = scales[0]
+    for s in scales[1:]:
+        scale = scale * s
+    return integer_quotient(det, scale, M.domain)
 
 
 def mat_rref(M):

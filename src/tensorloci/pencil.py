@@ -4,13 +4,19 @@ A tensor with first dimension 2 is the pencil of matrices u*A + v*B, where A
 and B are its two slices. Everything downstream of the shape-(2,3,n)
 classification reads off this pencil: determinant forms, minor gcds, the two
 hyperdeterminants, and jet profiles of the rank-deficient points on the line.
+
+Every minor of the pencil is a binary form in (u, v), found by evaluation
+and interpolation: det(tA + B) at r + 1 integer points t, then the
+polynomial in t through them. Over Q and Q(λ) the pencil is scaled once to
+integer form (rows over Z or Z[λ]), each point is an integer Bareiss
+determinant, the interpolation divides exactly in the integers, and the row
+scales are divided out of each coefficient at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .binforms import (
     BinaryForm,
@@ -21,7 +27,19 @@ from .binforms import (
 )
 from .errors import DegreeTooLarge, WrongShape
 from .exactnum import AlgebraicElement, UniPoly, suppress_candidate_recording
-from .linalg import Mat, mat_det, mat_inverse, mat_rank
+from .linalg import (
+    DOMAIN_EXTENSION,
+    RING_Z,
+    Mat,
+    bareiss_det,
+    integer_quotient,
+    integer_rows,
+    interpolate,
+    mat_det,
+    mat_rank,
+    sample_points,
+    zx_interpolate,
+)
 from .tensorcore import ParametricTensor, Tensor
 
 
@@ -43,7 +61,7 @@ WHOLE_LINE = WholeLine()
 
 
 class Pencil:
-    __slots__ = ("rows", "cols", "a", "b")
+    __slots__ = ("rows", "cols", "a", "b", "_integer")
 
     def __init__(self, a, b):
         if a.rows != b.rows or a.cols != b.cols:
@@ -52,6 +70,7 @@ class Pencil:
         self.cols = a.cols
         self.a = a
         self.b = b
+        self._integer = None
 
     def member(self, u0, v0):
         """The matrix u0*A + v0*B."""
@@ -80,50 +99,83 @@ def pencil_of(t):
     return Pencil(Mat(a_rows), Mat(b_rows))
 
 
-@lru_cache(maxsize=None)
-def _vandermonde_inverse(npts):
-    pts = _sample_points(npts)
-    rows = [[Fraction(p) ** k for k in range(npts)] for p in pts]
-    inv = mat_inverse(Mat(rows))
-    return tuple(tuple(row) for row in inv.entries)
+def _zx_axpy(t, a, b):
+    """t*a + b over Z[λ] (int lists, lowest degree first) for an int t."""
+    if len(a) < len(b):
+        out = list(b)
+        for i, x in enumerate(a):
+            out[i] += t * x
+    else:
+        out = [t * x for x in a]
+        for i, y in enumerate(b):
+            out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _sample_points(npts):
-    pts = [0]
-    k = 1
-    while len(pts) < npts:
-        pts.append(k)
-        if len(pts) < npts:
-            pts.append(-k)
-        k += 1
-    return pts
+def _integer_members(p, pts):
+    """The members t*A + B at the points ``pts`` in integer form.
+
+    Returns (ring, row scales, domain, members), the first three as
+    ``linalg.integer_rows`` and ``Mat`` give them for the rows [A_i | B_i],
+    or None for a pencil over an extension field. The pencil is converted
+    once and records nothing: callers record the branch decisions they
+    take on the minor forms.
+    """
+    if p._integer is None:
+        M = Mat([ra + rb for ra, rb in zip(p.a.entries, p.b.entries)])
+        if M.domain == DOMAIN_EXTENSION:
+            p._integer = False
+        else:
+            p._integer = integer_rows(M, record=False) + (M.domain, {})
+    if p._integer is False:
+        return None
+    rows, ring, scales, domain, members = p._integer
+    c = p.cols
+    for t in pts:
+        if t not in members:
+            if ring is RING_Z:
+                members[t] = [[t * x + y for x, y in zip(r[:c], r[c:])] for r in rows]
+            else:
+                members[t] = [
+                    [_zx_axpy(t, x, y) for x, y in zip(r[:c], r[c:])] for r in rows
+                ]
+    return ring, scales, domain, [members[t] for t in pts]
 
 
 def _minor_form(p, row_idx, col_idx):
-    """det of the selected square subpencil as a BinaryForm of that size."""
+    """det of the selected square subpencil as a BinaryForm of that size.
+
+    det(tA + B) is taken at r + 1 integer points t and interpolated. Over
+    Q and Q(λ) the determinants come from the integer Bareiss kernel, the
+    interpolation runs in integers and the row scales are divided out once
+    at the end; over an extension field the points go through ``mat_det``.
+    """
     r = len(row_idx)
-    pts = _sample_points(r + 1)
-    inv = _vandermonde_inverse(r + 1)
-    dets = []
-    for t in pts:
-        sub = [
-            [
-                Fraction(t) * p.a.entries[i][j] + p.b.entries[i][j]
-                for j in col_idx
-            ]
-            for i in row_idx
+    pts = sample_points(r + 1)
+    form = _integer_members(p, pts)
+    if form is None:
+        a, b = p.a.entries, p.b.entries
+        dets = [
+            mat_det(Mat([[t * a[i][j] + b[i][j] for j in col_idx] for i in row_idx]))
+            for t in pts
         ]
-        dets.append(mat_det(Mat(sub)))
-    # w[k] = coefficient of t^k in det(tA + B); the form is v^r * p(u/v)
-    coeffs = []
-    for i in range(r + 1):
-        k = r - i
-        acc = None
-        for j in range(r + 1):
-            term = inv[k][j] * dets[j]
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return BinaryForm(coeffs, r)
+        coeffs = interpolate(pts, dets)
+    else:
+        ring, scales, domain, members = form
+        dets = [
+            bareiss_det([[m[i][j] for j in col_idx] for i in row_idx], ring)
+            for m in members
+        ]
+        scale = scales[row_idx[0]]
+        for i in row_idx[1:]:
+            scale = scale * scales[i]
+        ints = interpolate(pts, dets) if ring is RING_Z else zx_interpolate(pts, dets)
+        coeffs = [integer_quotient(c, scale, domain) for c in ints]
+    # coeffs[k] is the coefficient of t^k in det(tA + B); the form is
+    # v^r * det((u/v)A + B)
+    return BinaryForm(coeffs[::-1], r)
 
 
 def pencil_det_form(p):
