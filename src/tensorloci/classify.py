@@ -14,13 +14,11 @@ classified one by one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .binforms import bform_discriminant, bform_gcd, bform_is_pure_power
 from .errors import InternalError, UnsupportedShape
 from .exactnum import (
     UniPoly,
-    factor_univariate,
+    candidate_factors,
     record_special_candidates,
 )
 from .linalg import mat_rank
@@ -281,31 +279,14 @@ def classify_parametric(f):
     with record_special_candidates() as bucket:
         generic_report = classify(f.generic_member())
 
-    lam = UniPoly([0, 1])
-    seen = {}
-    for poly in bucket:
-        for fac, _mult in factor_univariate(poly)[1]:
-            if fac.degree >= 1 and fac != lam:
-                seen[fac.coeffs] = fac
-
-    entries = [(lam, base_report.orbit)]
-    for key in sorted(seen, key=lambda k: (len(k), k)):
-        fac = seen[key]
-        orbit = _orbit_at_factor(f, fac)
+    entries = [(UniPoly([0, 1]), base_report.orbit)]
+    for fac in candidate_factors(bucket):
+        member = f.member_at(fac)
+        if member.is_zero():
+            orbit = OrbitId.matrix(0)
+        else:
+            orbit = classify(member).orbit
         if orbit == generic_report.orbit:
             continue
         entries.append((fac, orbit))
     return ParametricReport(generic_report.orbit, entries)
-
-
-def _orbit_at_factor(f, fac):
-    if fac.degree == 1:
-        root = -fac.coeffs[0] / fac.coeffs[1]
-        member = f.specialize(Fraction(root))
-        if member.is_zero():
-            return OrbitId.matrix(0)
-        return classify(member).orbit
-    member = f.specialize_ext(fac.monic())
-    if member.is_zero():
-        return OrbitId.matrix(0)
-    return classify(member).orbit

@@ -690,6 +690,23 @@ def factor_univariate(f):
     return lc, items
 
 
+def candidate_factors(polys):
+    """The distinct monic irreducible factors other than λ of ``polys``.
+
+    These are the candidate special values of a parameter, one factor per
+    conjugate set of roots. Constants contribute nothing; the list is
+    sorted by (degree, coefficients), the order of ``factor_univariate``.
+    """
+    seen = {}
+    for poly in polys:
+        if poly.degree < 1:
+            continue
+        for fac, _mult in factor_univariate(poly)[1]:
+            if fac.coeffs != (0, 1):
+                seen[fac.coeffs] = fac
+    return [seen[key] for key in sorted(seen, key=lambda k: (len(k), k))]
+
+
 def upoly_factor_small(f):
     """Factor a nonzero polynomial of degree at most 6 into irreducibles.
 

@@ -76,7 +76,10 @@ class Mat:
         self.cols = w
         self.domain = domain or _infer_domain(entries)
         if self.domain == DOMAIN_QQ:
-            entries = [[Fraction(x) for x in row] for row in entries]
+            entries = [
+                [x if type(x) is Fraction else Fraction(x) for x in row]
+                for row in entries
+            ]
         self.entries = entries
 
     def __getitem__(self, ij):
@@ -562,21 +565,3 @@ def full_rank_factorization(A):
     C = Mat(R.entries[:r], domain=A.domain)
     return B, C, r
 
-
-def pseudoinverse(A):
-    """Moore-Penrose pseudoinverse of a rational matrix.
-
-    Uses the full-rank factorization A = B C, for which
-    A^+ = C^T (C C^T)^(-1) (B^T B)^(-1) B^T. The zero matrix maps to the
-    zero matrix of the transposed shape.
-    """
-    if A.domain != DOMAIN_QQ:
-        raise ValueError("pseudoinverse is only defined over the rationals")
-    B, C, r = full_rank_factorization(A)
-    if r == 0:
-        return Mat([[Fraction(0)] * A.rows for _ in range(A.cols)])
-    Bt = B.transpose()
-    Ct = C.transpose()
-    left = mat_inverse(mat_mul(C, Ct))
-    right = mat_inverse(mat_mul(Bt, B))
-    return mat_mul(mat_mul(mat_mul(Ct, left), right), Bt)

@@ -14,7 +14,7 @@ they can be played against each other in tests:
 * ``locus_membership`` with the generic strategy classifies the family
   T - lam*P once over the rational function field and reads the answer
   off the exceptional values.
-* The specialized strategy dispatches on the orbit of T: pseudoinverse
+* The specialized strategy dispatches on the orbit of T: a single
   pairing for matrix cores, annihilator contractions for tangent
   tensors, flattening-minor eliminations and pencil invariants for the
   concise orbits of the finite-orbit shapes.
@@ -38,20 +38,12 @@ from .errors import (
 )
 from .exactnum import (
     UniPoly,
-    factor_univariate,
+    candidate_factors,
     note_candidate,
     record_special_candidates,
     upoly_gcd,
 )
-from .linalg import (
-    DOMAIN_POLYRING,
-    Mat,
-    mat_det,
-    mat_inverse,
-    mat_rank,
-    mat_solve,
-    pseudoinverse,
-)
+from .linalg import DOMAIN_POLYRING, Mat, mat_det, mat_rank, mat_solve
 from .orbits import pencil_shape
 from .pencil import hyperdet233, pencil_det_form, pencil_minor_gcd, pencil_of
 from .tensorcore import (
@@ -180,25 +172,23 @@ def _fractions(vec):
     return [Fraction(x) for x in vec]
 
 
-def _member_rank(T, P, witness):
-    """Exact rank of T - lam*P at the witness value."""
-    if witness.is_rational:
-        member = subtract_scaled(T, witness.value, P)
-    else:
-        member = ParametricTensor(T, P).specialize_ext(witness.minimal_poly)
-    if member.is_zero():
-        return 0
-    return classify(member).rank
+def _first_witness(T, P, factors, target):
+    """Membership verdict at the first factor whose root gives rank(T - lam*P)
+    equal to ``target``, or None.
 
-
-def _checked_member(T, P, witness, target):
-    """Build a membership verdict, re-deriving the rank drop it claims."""
-    got = _member_rank(T, P, witness)
-    if got != target:
-        raise InternalError(
-            "witness %r gives rank %d, expected %d" % (witness, got, target)
-        )
-    return LocusVerdict.member(witness)
+    ``factors`` are monic irreducible polynomials other than lam; a linear
+    one yields a rational witness, any other its minimal polynomial.
+    """
+    family = ParametricTensor(T, P)
+    for fac in factors:
+        member = family.member_at(fac)
+        rank = 0 if member.is_zero() else classify(member).rank
+        if rank != target:
+            continue
+        if fac.degree == 1:
+            return LocusVerdict.member(LambdaWitness(value=-fac.coeffs[0]))
+        return LocusVerdict.member(LambdaWitness(minimal_poly=fac))
+    return None
 
 
 def _scan_rational_witness(T, P, target):
@@ -207,49 +197,26 @@ def _scan_rational_witness(T, P, target):
     Only called once some argument has shown that all but finitely many
     values work, so the walk terminates quickly.
     """
-    for m in range(1, _SCAN_LIMIT + 1):
-        for lam0 in (Fraction(m), Fraction(-m)):
-            member = subtract_scaled(T, lam0, P)
-            if member.is_zero():
-                rank = 0
-            else:
-                rank = classify(member).rank
-            if rank == target:
-                return LocusVerdict.member(LambdaWitness(value=lam0))
-    raise InternalError("no integer witness within the scan range")
+    values = (
+        sign * m for m in range(1, _SCAN_LIMIT + 1) for sign in (1, -1)
+    )
+    verdict = _first_witness(
+        T, P, (UniPoly([-lam0, 1]) for lam0 in values), target
+    )
+    if verdict is None:
+        raise InternalError("no integer witness within the scan range")
+    return verdict
 
 
-def _witness_from_factor(T, P, fac, target):
-    """Try an irreducible factor as a witness; None when the rank differs."""
-    if fac.degree == 1:
-        root = -fac.coeffs[0] / fac.coeffs[1]
-        if root == 0:
-            return None
-        witness = LambdaWitness(value=root)
-    else:
-        witness = LambdaWitness(minimal_poly=fac)
-    if _member_rank(T, P, witness) != target:
-        return None
-    return LocusVerdict.member(witness)
-
-
-def _irreducible_factors(poly):
-    """Monic irreducible factors other than lam, rational roots first."""
-    out = []
-    for fac, _mult in factor_univariate(poly)[1]:
-        if fac.degree >= 1 and fac != _LAMBDA:
-            out.append(fac)
-    return out
-
-
-def _flat_minor_gcd(pt, axis, r):
-    """gcd over Q[lam] of all r x r minors of an axis flattening.
+def _flat_minor_gcd(pt, axis):
+    """gcd over Q[lam] of the maximal minors of an axis flattening.
 
     ``pt`` has polynomial entries of degree at most one in lam; each minor
     is a Bareiss determinant over Q[lam]. Returns the zero polynomial when
     every minor vanishes identically and a constant when they are coprime.
     """
     M = flattening(pt, axis)
+    r = min(M.rows, M.cols)
     g = None
     for row_idx in itertools.combinations(range(M.rows), r):
         for col_idx in itertools.combinations(range(M.cols), r):
@@ -269,10 +236,18 @@ def _flat_minor_gcd(pt, axis, r):
     return g.monic()
 
 
-def _flat_max_minor_gcd(pt, axis):
-    """gcd of the maximal minors of an axis flattening."""
-    M = flattening(pt, axis)
-    return _flat_minor_gcd(pt, axis, min(M.rows, M.cols))
+def _pairing(A, u, v):
+    """v^T A^+ u for u in the column space of A and v in its row space.
+
+    For any x with A x = u, v^T A^+ u = v^T A^+ A x = v^T x, since A^+ A
+    projects onto the row space; so one solve gives the pairing. None when
+    u lies outside the column space. The row-space condition on v is the
+    caller's to check.
+    """
+    x = mat_solve(A, u)
+    if x is None:
+        return None
+    return sum(a * b for a, b in zip(v, x))
 
 
 def _proportionality_ratio(X, Y):
@@ -340,20 +315,8 @@ def locus_matrix(A, u, v):
         raise AllZero("zero row factor")
 
     # Factors outside the column and row spaces can never lower the rank.
-    if mat_solve(A, u) is None:
-        return LocusVerdict.forbidden()
-    At = Mat([[A.entries[i][j] for i in range(A.rows)] for j in range(A.cols)])
-    if mat_solve(At, v) is None:
-        return LocusVerdict.forbidden()
-
-    Ap = pseudoinverse(A)
-    pairing = Fraction(0)
-    for j in range(A.cols):
-        row_sum = Fraction(0)
-        for i in range(A.rows):
-            row_sum += Ap.entries[j][i] * u[i]
-        pairing += v[j] * row_sum
-    if pairing == 0:
+    pairing = _pairing(A, u, v)
+    if not pairing or mat_solve(A.transpose(), v) is None:
         return LocusVerdict.forbidden()
     lam0 = 1 / pairing
 
@@ -446,15 +409,12 @@ def _generic_membership(T, P, report):
 
     if orbit_rank(parametric.generic) == target:
         return _scan_rational_witness(T, P, target)
-    for fac, oid in parametric.exceptional:
-        if fac == _LAMBDA:
-            continue
-        if orbit_rank(oid) != target:
-            continue
-        verdict = _witness_from_factor(T, P, fac, target)
-        if verdict is not None:
-            return verdict
-    return LocusVerdict.forbidden()
+    factors = [
+        fac
+        for fac, oid in parametric.exceptional
+        if fac != _LAMBDA and orbit_rank(oid) == target
+    ]
+    return _first_witness(T, P, factors, target) or LocusVerdict.forbidden()
 
 
 # ---------------------------------------------------------------------------
@@ -508,29 +468,6 @@ def _matrix_core_verdict(T, P, report):
     return locus_matrix(Mat(ent), u, v)
 
 
-def _rank_one_member_verdict(core, coreP):
-    """Concise (2,2,2) of rank two: look for a rank-one member of the line.
-
-    The member at lam has rank at most one exactly when every two by two
-    minor of every flattening vanishes there, so the candidate values are
-    the roots of one polynomial gcd.
-    """
-    pt = ParametricTensor(core, coreP).polynomial_member()
-    g = None
-    for ax in (1, 2, 3):
-        gax = _flat_minor_gcd(pt, ax, 2)
-        if gax.is_zero():
-            raise InternalError("a rank-two tensor with a flattening of rank one")
-        g = gax if g is None else upoly_gcd(g, gax)
-        if g.degree == 0:
-            return LocusVerdict.forbidden()
-    for fac in _irreducible_factors(g):
-        verdict = _witness_from_factor(core, coreP, fac, 1)
-        if verdict is not None:
-            return verdict
-    return LocusVerdict.forbidden()
-
-
 def _pairing_verdict(core, coreP, target):
     """Concise cores with an invertible last flattening.
 
@@ -541,24 +478,16 @@ def _pairing_verdict(core, coreP, target):
     M = flattening(core, 3)
     if M.rows != M.cols:
         raise InternalError("pairing route needs a square last flattening")
-    Minv = mat_inverse(M)
-    a, b, c = (list(f) for f in coreP.factors)
-    d1 = core.shape[1]
-    ab = [None] * (core.shape[0] * d1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            ab[i * d1 + j] = ai * bj
-    pairing = Fraction(0)
-    for col in range(M.cols):
-        acc = Fraction(0)
-        for k in range(M.rows):
-            acc += Minv.entries[col][k] * c[k]
-        pairing += ab[col] * acc
+    a, b, c = coreP.factors
+    pairing = _pairing(M, c, [ai * bj for ai in a for bj in b])
+    if pairing is None:
+        raise InternalError("singular last flattening of a concise core")
     if pairing == 0:
         return LocusVerdict.forbidden()
-    return _checked_member(
-        core, coreP, LambdaWitness(value=1 / pairing), target
-    )
+    verdict = _first_witness(core, coreP, [UniPoly([-1 / pairing, 1])], target)
+    if verdict is None:
+        raise InternalError("pairing witness failed the rank recheck")
+    return verdict
 
 
 def _drop_root_verdict(core, coreP, axes, target):
@@ -566,22 +495,43 @@ def _drop_root_verdict(core, coreP, axes, target):
 
     The candidate values of lam are the common roots of the maximal
     minor gcds on the given axes; each candidate is then settled by exact
-    classification of the member.
+    classification of the member. On a concise (2,2,2) core the three
+    flattenings are 2 x 4, so a member has rank at most one exactly where
+    all of their maximal minors vanish.
     """
     pt = ParametricTensor(core, coreP).polynomial_member()
     g = None
     for ax in axes:
-        gax = _flat_max_minor_gcd(pt, ax)
+        gax = _flat_minor_gcd(pt, ax)
         if gax.is_zero():
             raise InternalError("flattening degenerates along the whole line")
         g = gax if g is None else upoly_gcd(g, gax)
         if g.degree == 0:
             return LocusVerdict.forbidden()
-    for fac in _irreducible_factors(g):
-        verdict = _witness_from_factor(core, coreP, fac, target)
+    verdict = _first_witness(core, coreP, candidate_factors([g]), target)
+    return verdict or LocusVerdict.forbidden()
+
+
+def _nonconcise_witness(core, coreP, target):
+    """First member of rank ``target`` among the non-concise members, the
+    roots of the maximal-minor gcd of some flattening; None if none."""
+    pt = ParametricTensor(core, coreP).polynomial_member()
+    for ax in (1, 2, 3):
+        g = _flat_minor_gcd(pt, ax)
+        if g.is_zero():
+            raise InternalError("concise base with a degenerate flattening line")
+        verdict = _first_witness(core, coreP, candidate_factors([g]), target)
         if verdict is not None:
             return verdict
-    return LocusVerdict.forbidden()
+    return None
+
+
+def _note_form_coefficients(forms):
+    """Record the numerators and denominators of binary forms over Q(lam)."""
+    for form in forms:
+        for coeff in form.coeffs:
+            note_candidate(coeff.num)
+            note_candidate(coeff.den)
 
 
 def _rank4_233_verdict(core, coreP):
@@ -597,17 +547,9 @@ def _rank4_233_verdict(core, coreP):
     every value of lam where the generic answer could flip.
     """
     target = 3
-    pt = ParametricTensor(core, coreP).polynomial_member()
-    for ax in (1, 2, 3):
-        g = _flat_max_minor_gcd(pt, ax)
-        if g.is_zero():
-            raise InternalError("concise base with a degenerate flattening line")
-        if g.degree == 0:
-            continue
-        for fac in _irreducible_factors(g):
-            verdict = _witness_from_factor(core, coreP, fac, target)
-            if verdict is not None:
-                return verdict
+    verdict = _nonconcise_witness(core, coreP, target)
+    if verdict is not None:
+        return verdict
 
     family = ParametricTensor(core, coreP)
     gm = family.generic_member()
@@ -618,10 +560,7 @@ def _rank4_233_verdict(core, coreP):
         p = pencil_of(gm)
         det_form = pencil_det_form(p)
         g2 = pencil_minor_gcd(p, 2)
-        for form in (det_form, g2):
-            for coeff in form.coeffs:
-                note_candidate(coeff.num)
-                note_candidate(coeff.den)
+        _note_form_coefficients((det_form, g2))
         double_simple = (
             not det_form.is_zero()
             and not bform_is_pure_power(det_form, 3)[0]
@@ -630,11 +569,8 @@ def _rank4_233_verdict(core, coreP):
         )
     if double_simple:
         return _scan_rational_witness(core, coreP, target)
-    for fac in _candidate_factors(bucket):
-        verdict = _witness_from_factor(core, coreP, fac, target)
-        if verdict is not None:
-            return verdict
-    return LocusVerdict.forbidden()
+    verdict = _first_witness(core, coreP, candidate_factors(bucket), target)
+    return verdict or LocusVerdict.forbidden()
 
 
 def _rank5_234_verdict(core, coreP):
@@ -649,27 +585,16 @@ def _rank5_234_verdict(core, coreP):
     confined to the roots of the recorded branch polynomials.
     """
     target = 4
-    pt = ParametricTensor(core, coreP).polynomial_member()
-    for ax in (1, 2, 3):
-        g = _flat_max_minor_gcd(pt, ax)
-        if g.is_zero():
-            raise InternalError("concise base with a degenerate flattening line")
-        if g.degree == 0:
-            continue
-        for fac in _irreducible_factors(g):
-            verdict = _witness_from_factor(core, coreP, fac, target)
-            if verdict is not None:
-                return verdict
+    verdict = _nonconcise_witness(core, coreP, target)
+    if verdict is not None:
+        return verdict
 
     family = ParametricTensor(core, coreP)
     with record_special_candidates() as bucket:
         p = pencil_of(family.generic_member())
         g3 = pencil_minor_gcd(p, 3)
         g2 = pencil_minor_gcd(p, 2)
-        for form in (g3, g2):
-            for coeff in form.coeffs:
-                note_candidate(coeff.num)
-                note_candidate(coeff.den)
+        _note_form_coefficients((g3, g2))
         stays_rank_five = (
             not g3.is_zero()
             and g3.degree == 2
@@ -679,20 +604,8 @@ def _rank5_234_verdict(core, coreP):
         )
     if not stays_rank_five:
         return _scan_rational_witness(core, coreP, target)
-    for fac in _candidate_factors(bucket):
-        verdict = _witness_from_factor(core, coreP, fac, target)
-        if verdict is not None:
-            return verdict
-    return LocusVerdict.forbidden()
-
-
-def _candidate_factors(bucket):
-    """Deduplicated irreducible factors of recorded branch polynomials."""
-    seen = {}
-    for poly in bucket:
-        for fac in _irreducible_factors(poly):
-            seen[fac.coeffs] = fac
-    return [seen[key] for key in sorted(seen, key=lambda k: (len(k), k))]
+    verdict = _first_witness(core, coreP, candidate_factors(bucket), target)
+    return verdict or LocusVerdict.forbidden()
 
 
 def _specialized_membership(T, P, report):
@@ -717,7 +630,7 @@ def _specialized_membership(T, P, report):
     coreP = RankOneTensor(coord_list)
 
     if n == 6:
-        return _rank_one_member_verdict(core, coreP)
+        return _drop_root_verdict(core, coreP, (1, 2, 3), 1)
     if n in (9, 26):
         return _pairing_verdict(core, coreP, report.rank - 1)
     if n in (13, 15, 16, 17):

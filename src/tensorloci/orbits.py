@@ -93,9 +93,6 @@ RANKS = {
     26: (6, 6),
 }
 
-# Rows that are matrix cases in a three-factor costume: orbit -> matrix rank.
-MATRIX_ROWS = {1: 1, 2: 2, 3: 2, 4: 2, 10: 3}
-
 # Concise shapes, in the normal form's own axis order.
 CONCISE_SHAPES = {
     1: (1, 1, 1),

@@ -189,13 +189,22 @@ class ParametricTensor:
             [gen * 0 + a - gen * b for a, b in zip(self.base.entries, d.entries)],
         )
 
+    def member_at(self, fac):
+        """The member at a root of the monic irreducible polynomial ``fac``:
+        over Q for a linear factor, over Q[λ]/(fac) otherwise."""
+        if fac.degree == 1:
+            return self.specialize(-fac.coeffs[0])
+        return self.specialize_ext(fac)
+
     def generic_member(self):
         """Entries in the rational function field, λ left symbolic."""
-        lam = FuncElem.variable()
         d = self.direction.expand()
         return Tensor(
             self.base.shape,
-            [lam * 0 + a - lam * b for a, b in zip(self.base.entries, d.entries)],
+            [
+                FuncElem(UniPoly([a, -b]), reduce=False)
+                for a, b in zip(self.base.entries, d.entries)
+            ],
         )
 
     def polynomial_member(self):
@@ -316,23 +325,6 @@ def concise_reduce(T):
         new_shape = tuple(r if i == a0 else d for i, d in enumerate(cur.shape))
         cur = unflatten(C, new_shape, a0)
     return ConciseReduction(cur, bases, T.shape)
-
-
-def dual_pairing(tstar, P):
-    """Pair a tensor of dual-basis coordinates with a rank-one tensor."""
-    if tstar.shape != P.shape:
-        raise ShapeMismatch(
-            "shapes differ: %r vs %r" % (tstar.shape, P.shape)
-        )
-    total = None
-    for flat, idx in enumerate(
-        itertools.product(*[range(d) for d in tstar.shape])
-    ):
-        val = tstar.entries[flat]
-        for a, i in enumerate(idx):
-            val = val * P.factors[a][i]
-        total = val if total is None else total + val
-    return total
 
 
 def apply_gl(T, mats):

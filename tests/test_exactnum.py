@@ -23,6 +23,7 @@ from tensorloci.exactnum import (
     FuncElem,
     UniPoly,
     algext_inverse,
+    candidate_factors,
     factor_univariate,
     format_rational,
     is_irreducible,
@@ -150,6 +151,22 @@ def test_factor_reconstructs_and_factors_irreducible(f):
         sfacs = sympy.factor_list(to_sympy(p), _lam)[1]
         assert len(sfacs) == 1 and sfacs[0][1] == 1
     assert prod == f
+
+
+def test_candidate_factors_dedupe_skip_lambda_and_sort():
+    lam = UniPoly([0, 1])
+    f = UniPoly([-2, 0, 1])  # lam^2 - 2
+    g = UniPoly([3, 2])  # 2 lam + 3
+    h = UniPoly([-1, 1])  # lam - 1
+    polys = [f * lam * lam, UniPoly([5]), g * h, h * h * f, UniPoly([-7, 0, 3])]
+    # by degree, then by coefficients from the constant term up
+    assert candidate_factors(polys) == [
+        UniPoly([-1, 1]),
+        UniPoly([Fraction(3, 2), 1]),
+        UniPoly([Fraction(-7, 3), 0, 1]),
+        UniPoly([-2, 0, 1]),
+    ]
+    assert candidate_factors([lam, UniPoly([4]), UniPoly(())]) == []
 
 
 def test_is_irreducible_examples():

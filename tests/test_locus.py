@@ -4,33 +4,45 @@ For every orbit 5-26, two seeded sparse and two seeded dense rank-one
 points are asked about, on the normal form and after a seeded integer
 change of basis on each axis (the GL action). On the normal form the
 closed-form predicate, where one is stored, must agree as well. The
-candidate factors recorded while each family's generic member is
-classified must match a committed table. Points are drawn like the
-agreement sweep in ``scripts/sweep_loci.py``; larger sweeps stay in that
-script.
+witnesses of both strategies and the candidate factors recorded while
+each family's generic member is classified must match committed tables.
+Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
+larger sweeps stay in that script, which is smoke-tested here.
 """
 
+import importlib.util
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from tensorloci.classify import classify
-from tensorloci.errors import UnsupportedOrbit
-from tensorloci.exactnum import factor_univariate, record_special_candidates
+from tensorloci.errors import AllZero, ShapeMismatch, UnsupportedOrbit
+from tensorloci.exactnum import (
+    UniPoly,
+    factor_univariate,
+    format_rational,
+    record_special_candidates,
+)
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
     SPECIALIZED,
+    LambdaWitness,
+    _first_witness,
     closed_form_predicate,
+    locus_matrix,
     locus_membership,
 )
 from tensorloci.orbits import normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
+    Tensor,
     apply_gl,
     apply_gl_rank_one,
     subtract_scaled,
@@ -76,7 +88,17 @@ def assert_strategies_agree(T, P, label):
     for verdict in (spec, gen):
         if verdict.in_decomposition:
             assert member_rank(T, P, verdict.witness) == target, (label, verdict)
-    return spec
+    return spec, gen
+
+
+def witness_code(verdict):
+    """None when forbidden, else the witness value as text, or the
+    minimal polynomial as primitive integer coefficients."""
+    if not verdict.in_decomposition:
+        return None
+    if verdict.witness.is_rational:
+        return format_rational(verdict.witness.value)
+    return primitive(verdict.witness.minimal_poly)
 
 
 def seeded_families(orbit):
@@ -91,17 +113,73 @@ def seeded_families(orbit):
         yield sparse, T, P, apply_gl(T, gs), apply_gl_rank_one(P, gs)
 
 
+# The (SPECIALIZED, GENERIC) witnesses of each seeded family, in the order
+# of seeded_families (normal form, then GL-moved, per point), coded by
+# witness_code: None is a forbidden verdict. The agreement and recheck
+# tests accept any valid witness; this table notices when one moves.
+WITNESSES = {
+    5: [("1/3", "1"), ("-2", "1"), ("-1/6", "1"), ("4/11", "1"),
+        ("-1/6", "1"), ("-4/9", "1"), ("1/42", "1"), ("9/26", "1")],
+    6: [(None, None), (None, None), (None, None), (None, None),
+        (None, None), (None, None), (None, None), (None, None)],
+    7: [(None, None), (None, None), (None, None), (None, None),
+        (None, None), (None, None), (None, None), (None, None)],
+    8: [(None, None), (None, None), (None, None), (None, None),
+        (None, None), (None, None), (None, None), (None, None)],
+    9: [("-1/16", "-1/16"), ("-1/16", "-1/16"), ("1/8", "1/8"), ("1/8", "1/8"),
+        ("-1/2", "-1/2"), ("-1/2", "-1/2"), ("-1/8", "-1/8"), ("-1/8", "-1/8")],
+    10: [("1/6", "1/6"), ("1/6", "1/6"), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    11: [(None, None), (None, None), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    12: [(None, None), (None, None), ("-1/14", "-1/14"), ("-1/14", "-1/14"),
+         (None, None), (None, None), (None, None), (None, None)],
+    13: [("1", "1"), ("1", "1"), ("1/3", "1/3"), ("1/3", "1/3"),
+         ("1", "1"), ("1", "1"), ("1", "1"), ("1", "1")],
+    14: [(None, None), (None, None), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    15: [("1", "1"), ("1", "1"), ("1", "1"), ("1", "1"),
+         ("1", "1"), ("1", "1"), ("1", "1"), ("1", "1")],
+    16: [(None, None), (None, None), ("1", "1"), ("1", "1"),
+         (None, None), (None, None), ("1", "1"), ("1", "1")],
+    17: [("1", "1"), ("1", "1"), ("1", "1"), ("1", "1"),
+         ("1", "1"), ("1", "1"), ("1", "1"), ("1", "1")],
+    18: [(None, None), (None, None), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    19: [(None, None), (None, None), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    20: [(None, None), (None, None), (None, None), (None, None),
+         ("1/6", "1/6"), ("1/6", "1/6"), (None, None), (None, None)],
+    21: [("1", "1"), ("1", "1"), ("1", "1"), ("1", "1"),
+         ("1", "1"), ("1", "1"), ("1", "1"), ("1", "1")],
+    22: [(None, None), (None, None), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    23: [(None, None), (None, None), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    24: [(None, None), (None, None), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    25: [("1/8", "1/8"), ("1/8", "1/8"), (None, None), (None, None),
+         (None, None), (None, None), (None, None), (None, None)],
+    26: [(None, None), (None, None), ("1/11", "1/11"), ("1/11", "1/11"),
+         ("-1/2", "-1/2"), ("-1/2", "-1/2"), (None, None), (None, None)],
+}
+
+
 @pytest.mark.parametrize("orbit", ORBITS)
 def test_strategies_agree_and_witnesses_recheck(orbit):
+    got = []
     for sparse, T, P, gT, gP in seeded_families(orbit):
-        spec = assert_strategies_agree(T, P, (orbit, sparse, "normal"))
+        spec, gen = assert_strategies_agree(T, P, (orbit, sparse, "normal"))
+        got.append((witness_code(spec), witness_code(gen)))
         try:
             forbidden = closed_form_predicate(orbit, P)
         except UnsupportedOrbit:
             pass  # no closed form stored for this orbit
         else:
             assert forbidden == (spec.status == FORBIDDEN), (orbit, P, spec)
-        assert_strategies_agree(gT, gP, (orbit, sparse, "gl"))
+        spec, gen = assert_strategies_agree(gT, gP, (orbit, sparse, "gl"))
+        got.append((witness_code(spec), witness_code(gen)))
+    assert got == WITNESSES[orbit]
 
 
 # The monic irreducible factors recorded while classifying the generic
@@ -276,3 +354,112 @@ def test_closed_form_defects(orbit, factors):
     P = RankOneTensor(factors)
     verdict = locus_membership(normal_form(orbit), P, SPECIALIZED)
     assert closed_form_predicate(orbit, P) == (verdict.status == FORBIDDEN)
+
+
+def in_span(A, x):
+    return A.rank() == A.row_join(x).rank()
+
+
+def test_locus_matrix_pairing_matches_sympy_pinv():
+    """On rank-deficient integer matrices the verdict is read off the
+    pairing v^T A^+ u, with A^+ from sympy, once u and v lie in the column
+    and row spaces; the witness is its reciprocal."""
+    rng = random.Random(31)
+
+    def ints(rows, cols, span=3):
+        return sympy.Matrix(rows, cols, lambda i, j: rng.randint(-span, span))
+
+    seen = set()
+    for _ in range(80):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        r = rng.randint(1, min(n, m) - 1)
+        A = ints(n, r) * ints(r, m)
+        # u = A x and v = A^T z pair to z^T u; vary which condition fails.
+        u, z = A * ints(m, 1, span=1), ints(n, 1, span=1)
+        kind = rng.randrange(4)
+        if kind == 0:
+            u = ints(n, 1)
+        elif kind == 1:
+            z = sympy.Matrix([u[1], -u[0]] + [0] * (n - 2))
+        v = ints(m, 1) if kind == 2 else A.T * z
+        if A.is_zero_matrix or u.is_zero_matrix or v.is_zero_matrix:
+            continue
+        verdict = locus_matrix(
+            [[int(x) for x in row] for row in A.tolist()],
+            [int(x) for x in u],
+            [int(x) for x in v],
+        )
+        if not (in_span(A, u) and in_span(A.T, v)):
+            seen.add("outside")
+            assert verdict.status == FORBIDDEN
+            continue
+        pairing = (v.T * A.pinv() * u)[0, 0]
+        if pairing == 0:
+            seen.add("zero pairing")
+            assert verdict.status == FORBIDDEN
+        else:
+            seen.add("member")
+            expected = Fraction(int(pairing.q), int(pairing.p))
+            assert verdict.witness == LambdaWitness(value=expected)
+    assert seen == {"outside", "zero pairing", "member"}
+
+
+def test_locus_matrix_span_failures_and_bad_input():
+    # rank one: column space spanned by (1, 2), row space by (1, 2, 0)
+    A = [[1, 2, 0], [2, 4, 0]]
+    assert locus_matrix(A, [1, 0], [1, 2, 0]).status == FORBIDDEN
+    assert locus_matrix(A, [1, 2], [0, 0, 1]).status == FORBIDDEN
+    assert locus_matrix(A, [1, 2], [1, 2, 0]).witness == LambdaWitness(value=1)
+    assert locus_matrix(A, [2, 4], [1, 2, 0]).witness == LambdaWitness(
+        value=Fraction(1, 2)
+    )
+    with pytest.raises(ShapeMismatch):
+        locus_matrix(A, [1, 2, 3], [1, 2, 0])
+    with pytest.raises(ShapeMismatch):
+        locus_matrix(A, [1, 2], [1, 2])
+    with pytest.raises(AllZero):
+        locus_matrix([[0, 0], [0, 0]], [1, 0], [0, 1])
+    with pytest.raises(AllZero):
+        locus_matrix(A, [0, 0], [1, 2, 0])
+    with pytest.raises(AllZero):
+        locus_matrix(A, [1, 2], [0, 0, 0])
+
+
+def test_locus_membership_rejects_bad_input():
+    T = normal_form(13)
+    P = RankOneTensor([[1, 0], [0, 1, 1], [1, 2, 0]])
+    with pytest.raises(ShapeMismatch):
+        locus_membership(T, P.expand())
+    with pytest.raises(ShapeMismatch):
+        locus_membership(T, RankOneTensor([[1, 0], [0, 1], [1, 2, 0]]))
+    with pytest.raises(ValueError):
+        locus_membership(T, P, "exhaustive")
+
+
+def test_first_witness_takes_the_first_factor_of_the_target_rank():
+    """The members at lam = 1 and at lam = sqrt(2) both have rank three; an
+    irrational root yields a minimal-polynomial witness."""
+    T = normal_form(16)
+    P = RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
+    lin, quad = UniPoly([-1, 1]), UniPoly([-2, 0, 1])
+    verdict = _first_witness(T, P, [lin, quad], 3)
+    assert verdict.witness == LambdaWitness(value=1)
+    verdict = _first_witness(T, P, [quad, lin], 3)
+    assert verdict.witness == LambdaWitness(minimal_poly=quad)
+    assert member_rank(T, P, verdict.witness) == 3
+    assert _first_witness(T, P, [quad, lin], 2) is None
+
+
+def test_sweep_script_runs_every_orbit(capsys):
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "scripts", "sweep_loci.py"
+    )
+    spec = importlib.util.spec_from_file_location("sweep_loci", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    status = sweep.main(["--orbits", "5-26", "--points", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status in (0, 1)
+    assert [line.split(":")[0] for line in lines if line.startswith("orbit")] == [
+        "orbit %2d" % n for n in ORBITS
+    ]

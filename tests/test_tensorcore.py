@@ -1,6 +1,5 @@
 """Tensor layer tests: flattenings, concision, pairing, group action."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from tensorloci.tensorcore import (
     apply_gl,
     apply_gl_rank_one,
     concise_reduce,
-    dual_pairing,
     flattening,
     subtract_scaled,
 )
@@ -123,23 +121,9 @@ def test_concise_expand_roundtrip():
             assert mat_rank(M) == red.concise_shape[a0]
 
 
-def test_dual_pairing_against_naive_loop():
-    rng = random.Random(25)
-    for _ in range(50):
-        shape = tuple(rng.randint(1, 3) for _ in range(3))
-        tstar = Tensor(
-            shape, [Fraction(rng.randint(-3, 3)) for _ in Tensor.zeros(shape).entries]
-        )
-        P = rand_rank_one(rng, shape)
-        expected = Fraction(0)
-        for idx in itertools.product(*[range(d) for d in shape]):
-            val = tstar[idx]
-            for a, i in enumerate(idx):
-                val *= P.factors[a][i]
-            expected += val
-        assert dual_pairing(tstar, P) == expected
-    with pytest.raises(ShapeMismatch):
-        dual_pairing(Tensor.zeros((2, 2)), RankOneTensor([[1, 0], [1, 0], [1]]))
+def pairing(tstar, P):
+    """The dual pairing of a tensor of dual-basis coordinates with P."""
+    return sum(a * b for a, b in zip(tstar.entries, P.expand().entries))
 
 
 def test_pairing_adjoint_to_group_action():
@@ -152,8 +136,8 @@ def test_pairing_adjoint_to_group_action():
         )
         P = rand_rank_one(rng, shape)
         mats = [rand_invertible(rng, d) for d in shape]
-        lhs = dual_pairing(apply_gl(tstar, [M.transpose() for M in mats]), P)
-        rhs = dual_pairing(tstar, apply_gl_rank_one(P, mats))
+        lhs = pairing(apply_gl(tstar, [M.transpose() for M in mats]), P)
+        rhs = pairing(tstar, apply_gl_rank_one(P, mats))
         assert lhs == rhs
 
 
@@ -215,3 +199,17 @@ def test_parametric_specializations_agree():
     assert all(
         g.evaluate(lam0) == x for g, x in zip(gen.entries, direct.entries)
     )
+
+
+def test_member_at_matches_specialize():
+    """A linear factor specializes over Q, a quadratic one over Q(alpha)."""
+    fam = ParametricTensor(
+        normal_form(16), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
+    )
+    assert fam.member_at(UniPoly([Fraction(-5, 3), 1])) == fam.specialize(
+        Fraction(5, 3)
+    )
+    quad = UniPoly([-2, 0, 1])
+    member = fam.member_at(quad)
+    assert member == fam.specialize_ext(quad)
+    assert all(x.modulus == quad for x in member.entries)
