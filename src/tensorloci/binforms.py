@@ -79,12 +79,6 @@ class BinaryForm:
             q += 1
         return q
 
-    def u_multiplicity(self):
-        p = 0
-        while p <= self.degree and not self.coeffs[self.degree - p]:
-            p += 1
-        return p
-
     def dehomogenized(self):
         """(q, univariate coefficient list lowest-first) with f = v^q * hom."""
         q = self.v_multiplicity()
@@ -124,8 +118,9 @@ def _pl_divmod(a, b):
         return [], a
     quo = [None] * (len(a) - len(b) + 1)
     lead = b[-1]
+    inv = Fraction(1) / lead
     for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / lead
+        c = a[k + len(b) - 1] * inv
         quo[k] = c
         for j in range(len(b)):
             a[k + j] = a[k + j] - c * b[j]
@@ -142,8 +137,8 @@ def _pl_gcd(a, b):
         _, r = _pl_divmod(a, b)
         a, b = b, r
     if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        inv = Fraction(1) / a[-1]
+        a = [c * inv for c in a]
     return a
 
 

@@ -71,7 +71,7 @@ class UniPoly:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs=(), var="λ"):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -217,12 +217,6 @@ class UniPoly:
             [i * c for i, c in enumerate(self.coeffs)][1:], self.var
         )
 
-    def shift_up(self, k):
-        """Multiply by var**k."""
-        if not self.coeffs:
-            return self
-        return UniPoly((_ZERO,) * k + self.coeffs, self.var)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -244,13 +238,6 @@ class UniPoly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-def upoly_from_roots(roots, var="λ"):
-    f = UniPoly([1], var)
-    for r in roots:
-        f = f * UniPoly([-Fraction(r), _ONE], var)
-    return f
 
 
 def _ip_prem(a, b):
@@ -639,10 +626,7 @@ def _factor_monic_distinct(f):
     if n == 1:
         result = [f]
     else:
-        deriv = UniPoly(
-            [i * c for i, c in enumerate(f.coeffs)][1:], f.var
-        )
-        rep = upoly_gcd(f, deriv)
+        rep = upoly_gcd(f, f.derivative())
         if rep.degree >= 1:
             # Repeated factors: the square-free part has the same
             # irreducible factors, each exactly once.
@@ -822,6 +806,13 @@ class AlgebraicElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational divisor scales the representative; no inversion
+            if not other:
+                raise NotInvertible("zero has no inverse")
+            return self._wrap(
+                UniPoly([c / other for c in self.rep.coeffs], self.modulus.var)
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented

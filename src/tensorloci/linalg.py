@@ -487,27 +487,6 @@ def mat_rref(M):
     return Mat(work, domain=M.domain), pivots
 
 
-def mat_nullspace(M):
-    """Basis of the right kernel; always cols - rank vectors."""
-    R, pivots = mat_rref(M)
-    m = M.cols
-    free = [j for j in range(m) if j not in pivots]
-    if M.rows and M.cols:
-        sample = M.entries[0][0]
-        one = Fraction(1) if not sample else sample / sample
-        zero = sample - sample
-    else:
-        one, zero = Fraction(1), Fraction(0)
-    basis = []
-    for j in free:
-        v = [zero] * m
-        v[j] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -R.entries[i][j]
-        basis.append(v)
-    return basis
-
-
 def mat_solve(A, b):
     """One solution x of A x = b over a field, or None if inconsistent."""
     aug = Mat(

@@ -15,9 +15,10 @@ they can be played against each other in tests:
   T - lam*P once over the rational function field and reads the answer
   off the exceptional values.
 * The specialized strategy dispatches on the orbit of T: a single
-  pairing for matrix cores, annihilator contractions for tangent
-  tensors, flattening-minor eliminations and pencil invariants for the
-  concise orbits of the finite-orbit shapes.
+  pairing for matrix cores, the explicit decomposition through P for
+  tangent tensors, flattening-minor eliminations and pencil invariants
+  for the concise orbits of the finite-orbit shapes. It reads the concise
+  core and its axis order from the classification of T.
 * ``closed_form_predicate`` evaluates an explicit polynomial set
   description of the forbidden locus, available for the normal forms of
   certain orbits in their own coordinates.
@@ -33,7 +34,9 @@ from .classify import OrbitId, classify, classify_parametric, orbit_rank
 from .errors import (
     AllZero,
     InternalError,
+    NotInLocus,
     ShapeMismatch,
+    TangencyPointRequested,
     UnsupportedOrbit,
 )
 from .exactnum import (
@@ -50,13 +53,12 @@ from .tensorcore import (
     ParametricTensor,
     RankOneTensor,
     Tensor,
-    concise_reduce,
     factors_in_spans,
     flattening,
     rank_one_factors,
     subtract_scaled,
 )
-from .wstate import decompose_tangential, find_tangency
+from .wstate import decompose_tangential
 
 IN_DECOMPOSITION = "in-decomposition"
 FORBIDDEN = "forbidden"
@@ -265,28 +267,6 @@ def _proportionality_ratio(X, Y):
     return rho
 
 
-def _axis_contraction(core, ax, phi):
-    """Contract one dimension-two axis with the covector phi, keeping rank."""
-    shape = core.shape
-    new_shape = shape[:ax] + (1,) + shape[ax + 1 :]
-    out = Tensor.zeros(new_shape)
-    pos = 0
-    for idx in itertools.product(*[range(d) for d in new_shape]):
-        lo = idx[:ax] + (0,) + idx[ax + 1 :]
-        hi = idx[:ax] + (1,) + idx[ax + 1 :]
-        out.entries[pos] = phi[0] * core[lo] + phi[1] * core[hi]
-        pos += 1
-    return out
-
-
-def _sorted_core(core, coords):
-    """Permute core axes into non-decreasing dimension order."""
-    perm = tuple(sorted(range(core.order), key=lambda i: core.shape[i]))
-    if perm == tuple(range(core.order)):
-        return core, list(coords)
-    return core.transpose_axes(perm), [coords[p] for p in perm]
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -340,10 +320,9 @@ def locus_tangential(T, P):
 
     The forbidden locus of a tangent tensor T consists of the rank-one
     points outside the per-axis spans of T plus exactly one point inside
-    them, the point of tangency. The inside test contracts each active
-    axis with the annihilator of P's factor there: P is the tangency
-    point exactly when every contraction has rank at most one. Members
-    get their witness from the constructive decomposition through P.
+    them, the point of tangency. ``decompose_tangential`` decides both:
+    it refuses such a P, and otherwise writes T as rank many terms whose
+    first term is along P, which gives the witness.
     """
     if not isinstance(P, RankOneTensor):
         raise ShapeMismatch("the probe point must be a rank-one tensor")
@@ -351,49 +330,21 @@ def locus_tangential(T, P):
         raise ShapeMismatch(
             "shapes differ: %r vs %r" % (tuple(P.shape), tuple(T.shape))
         )
-    find_tangency(T)  # validates that T is tangential before anything else
-
-    red = concise_reduce(T)
-    coords = factors_in_spans(P, red)
-    if coords is None:
-        return LocusVerdict.forbidden()
-    core = red.tensor
-
-    at_tangency = True
-    for ax, dim in enumerate(core.shape):
-        if dim == 1:
-            continue
-        if dim != 2:
-            raise InternalError("tangent core with an axis of dimension > 2")
-        x, y = coords[ax]
-        cont = _axis_contraction(core, ax, (y, -x))
-        if cont.is_zero():
-            continue
-        if rank_one_factors(cont) is None:
-            at_tangency = False
-            break
-    if at_tangency:
+    try:
+        dec = decompose_tangential(T, P)
+    except (NotInLocus, TangencyPointRequested):
         return LocusVerdict.forbidden()
 
-    dec = decompose_tangential(T, P)
-    lam0 = None
-    rest_index = None
-    for pos, (coeff, term) in enumerate(dec.terms):
-        rho = _proportionality_ratio(P.expand(), term.expand())
-        if rho is not None:
-            lam0 = coeff / rho
-            rest_index = pos
-            break
-    if lam0 is None:
+    coeff, term = dec.terms[0]
+    rho = _proportionality_ratio(P.expand(), term.expand())
+    if rho is None:
         raise InternalError("decomposition through P lost the P term")
+    lam0 = coeff / rho
 
-    member = subtract_scaled(T, lam0, P)
     rest = Tensor.zeros(T.shape)
-    for pos, (coeff, term) in enumerate(dec.terms):
-        if pos == rest_index:
-            continue
+    for coeff, term in dec.terms[1:]:
         rest = rest.add(term.expand().scale(coeff))
-    if rest != member:
+    if rest != subtract_scaled(T, lam0, P):
         raise InternalError("tangential witness failed the residue recheck")
     return LocusVerdict.member(LambdaWitness(value=lam0))
 
@@ -441,7 +392,7 @@ def _proportional_verdict(T, P):
 
 def _matrix_core_verdict(T, P, report):
     """Tensors whose concise core keeps at most two axes above dimension one."""
-    red = concise_reduce(T)
+    red = report.reduction
     coords = factors_in_spans(P, red)
     if coords is None:
         return LocusVerdict.forbidden()
@@ -622,12 +573,13 @@ def _specialized_membership(T, P, report):
         # the parametric classifier is the direct procedure here.
         return _generic_membership(T, P, report)
 
-    red = concise_reduce(T)
-    coords = factors_in_spans(P, red)
+    # The core in the axis order classify sorted it into, P alongside.
+    coords = factors_in_spans(P, report.reduction)
     if coords is None:
         return LocusVerdict.forbidden()
-    core, coord_list = _sorted_core(red.tensor, coords)
-    coreP = RankOneTensor(coord_list)
+    perm = report.axis_permutation
+    core = report.reduction.tensor.transpose_axes(perm)
+    coreP = RankOneTensor([coords[p] for p in perm])
 
     if n == 6:
         return _drop_root_verdict(core, coreP, (1, 2, 3), 1)

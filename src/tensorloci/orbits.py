@@ -93,37 +93,6 @@ RANKS = {
     26: (6, 6),
 }
 
-# Concise shapes, in the normal form's own axis order.
-CONCISE_SHAPES = {
-    1: (1, 1, 1),
-    2: (2, 2, 1),
-    3: (1, 2, 2),
-    4: (2, 1, 2),
-    5: (2, 2, 2),
-    6: (2, 2, 2),
-    7: (2, 2, 3),
-    8: (2, 2, 3),
-    9: (2, 2, 4),
-    10: (1, 3, 3),
-    11: (2, 3, 2),
-    12: (2, 3, 2),
-    13: (2, 3, 3),
-    14: (2, 3, 3),
-    15: (2, 3, 3),
-    16: (2, 3, 3),
-    17: (2, 3, 3),
-    18: (2, 3, 3),
-    19: (2, 3, 4),
-    20: (2, 3, 4),
-    21: (2, 3, 4),
-    22: (2, 3, 4),
-    23: (2, 3, 4),
-    24: (2, 3, 5),
-    25: (2, 3, 5),
-    26: (2, 3, 6),
-}
-
-
 def pencil_shape(n):
     rows = PENCILS[n]
     return (2, len(rows), len(rows[0]))
@@ -144,7 +113,3 @@ def normal_form(n):
             if cv:
                 t.entries[1 * b * c + r * c + s] += Fraction(cv)
     return t
-
-
-def all_normal_forms():
-    return {n: normal_form(n) for n in range(1, 27)}

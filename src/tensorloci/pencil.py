@@ -3,7 +3,7 @@
 A tensor with first dimension 2 is the pencil of matrices u*A + v*B, where A
 and B are its two slices. Everything downstream of the shape-(2,3,n)
 classification reads off this pencil: determinant forms, minor gcds, the two
-hyperdeterminants, and jet profiles of the rank-deficient points on the line.
+hyperdeterminants, and the member ranks at roots of linear forms.
 
 Every minor of the pencil is a binary form in (u, v), found by evaluation
 and interpolation: det(tA + B) at r + 1 integer points t, then the
@@ -16,17 +16,10 @@ scales are divided out of each coefficient at the end.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .binforms import (
-    BinaryForm,
-    bform_discriminant,
-    bform_gcd,
-    bform_is_pure_power,
-    bform_root_profile,
-)
-from .errors import DegreeTooLarge, WrongShape
-from .exactnum import AlgebraicElement, UniPoly, suppress_candidate_recording
+from .binforms import BinaryForm, bform_discriminant, bform_gcd
+from .errors import WrongShape
+from .exactnum import suppress_candidate_recording
 from .linalg import (
     DOMAIN_EXTENSION,
     RING_Z,
@@ -41,23 +34,6 @@ from .linalg import (
     zx_interpolate,
 )
 from .tensorcore import ParametricTensor, Tensor
-
-
-class WholeLine:
-    """Distinguished jet_profile result: the whole pencil line is singular."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "WholeLine"
-
-
-WHOLE_LINE = WholeLine()
 
 
 class Pencil:
@@ -246,73 +222,7 @@ def hyperdet233(t):
     return -bform_discriminant(pencil_det_form(pencil_of(t)))
 
 
-def member_rank_at(p, factor):
-    """Rank of the pencil member at the root of an irreducible factor.
-
-    Linear factors are evaluated directly; a factor of higher degree is
-    handled by adjoining one of its roots and working over that extension.
-    """
-    if factor.degree == 1:
-        alpha, beta = factor.coeffs
-        return mat_rank(p.member(-beta, alpha))
-    for row in itertools.chain(p.a.entries, p.b.entries):
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise DegreeTooLarge(
-                    "irrational roots need a pencil over the rationals"
-                )
-    univ = list(reversed([Fraction(c) for c in factor.coeffs]))
-    lead = univ[-1]
-    modulus = UniPoly([c / lead for c in univ], var="t")
-    t0 = AlgebraicElement.generator(modulus)
-    ents = [
-        [
-            t0 * Fraction(p.a.entries[i][j]) + Fraction(p.b.entries[i][j])
-            for j in range(p.cols)
-        ]
-        for i in range(p.rows)
-    ]
-    return mat_rank(Mat(ents))
-
-
-def jet_profile(p, r):
-    """Factor the r-minor gcd and report the member rank at each root.
-
-    Returns WHOLE_LINE when every r-minor vanishes identically; otherwise a
-    list of (irreducible factor, multiplicity, member rank) triples. For a
-    constant gcd the list is empty.
-    """
-    g = pencil_minor_gcd(p, r)
-    if g.is_zero():
-        return WHOLE_LINE
-    if g.degree == 0:
-        return []
-    rational = _rational_coeffs(g)
-    if rational is not None:
-        out = []
-        for factor, mult in bform_root_profile(BinaryForm(rational, g.degree)):
-            out.append((factor, mult, member_rank_at(p, factor)))
-        return out
-    # coefficients live in an extension: only the factorization-free shapes
-    if g.degree == 1:
-        lead = next(c for c in g.coeffs if c)
-        ell = BinaryForm([c / lead for c in g.coeffs], 1)
-        return [(ell, 1, member_rank_at(p, ell))]
-    ok, ell = bform_is_pure_power(g, g.degree)
-    if ok:
-        return [(ell, g.degree, member_rank_at(p, ell))]
-    raise DegreeTooLarge(
-        "cannot factor a degree-%d form over an extension" % g.degree
-    )
-
-
-def _rational_coeffs(form):
-    out = []
-    for c in form.coeffs:
-        if isinstance(c, (int, Fraction)):
-            out.append(Fraction(c))
-        elif isinstance(c, AlgebraicElement) and c.rep.degree <= 0:
-            out.append(c.rep.constant_term())
-        else:
-            return None
-    return out
+def member_rank_at(p, ell):
+    """Rank of the pencil member at the root of the linear form ``ell``."""
+    alpha, beta = ell.coeffs
+    return mat_rank(p.member(-beta, alpha))

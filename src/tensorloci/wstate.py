@@ -330,26 +330,6 @@ def _alldiff_terms(ps):
     return list(zip(coeffs, points))
 
 
-def _matrix_rank_one(M):
-    pr = pc = None
-    for i in (0, 1):
-        for j in (0, 1):
-            if M[i][j]:
-                pr, pc = i, j
-                break
-        if pr is not None:
-            break
-    if pr is None:
-        return None
-    x = [M[0][pc], M[1][pc]]
-    y = [M[pr][0] / M[pr][pc], M[pr][1] / M[pr][pc]]
-    for i in (0, 1):
-        for j in (0, 1):
-            if M[i][j] != x[i] * y[j]:
-                return None
-    return x, y
-
-
 def _rank2_split(S):
     """Two rank-one terms summing to a 2x2x2 tensor of rank two.
 
@@ -377,11 +357,14 @@ def _rank2_split(S):
     factors = []
     for kill, own in ((roots[0], roots[1]), (roots[1], roots[0])):
         u0, v0 = kill
-        M = [[u0 * A[i][j] + v0 * B[i][j] for j in (0, 1)] for i in (0, 1)]
-        got = _matrix_rank_one(M)
+        M = Tensor(
+            (2, 2), [u0 * A[i][j] + v0 * B[i][j] for i in (0, 1) for j in (0, 1)]
+        )
+        got = rank_one_factors(M)
         if got is None:
             return None
-        x, y = got
+        # the scalar of the rank-one member goes into the solved coefficient
+        _, (x, y) = got
         factors.append([[own[1], -own[0]], x, y])
     cols = [RankOneTensor(f).expand().entries for f in factors]
     A8 = Mat([[c[t] for c in cols] for t in range(8)])

@@ -1,0 +1,59 @@
+"""The per-layer benchmark metrics name functions that exist.
+
+``locusbench/layers.py`` reads a function or cache it cannot find as 0, so
+a rename in the package would silently zero a metric. These tests load
+``layers.py`` and ``package.py`` from their files, without registering or
+compiling them, and resolve every name they read on the tensorloci modules
+imported here. ``package.load_package()`` is not called: it re-imports the
+package, which would swap the modules under the other tests.
+"""
+
+import importlib
+import importlib.util
+import os
+import sys
+
+import pytest
+
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "locusbench")
+
+
+def load_bench_module(name):
+    path = os.path.join(BENCH_DIR, name + ".py")
+    spec = importlib.util.spec_from_file_location("locusbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+layers = load_bench_module("layers")
+package = load_bench_module("package")
+MODULES = {
+    name: importlib.import_module("tensorloci." + name) for name in package.MODULES
+}
+
+
+def test_layer_modules_are_package_modules():
+    for module in layers.SELF_TIME_MODULES:
+        assert module == "fractions" or module in MODULES, module
+
+
+@pytest.mark.parametrize(
+    "prefix, module, path",
+    [pytest.param(*row, id=row[0]) for row in layers.TIMED_FUNCTIONS],
+)
+def test_timed_functions_resolve(prefix, module, path):
+    assert prefix == "%s.%s" % (module, path)
+    assert layers._code_key(layers._resolve(MODULES, module, path)) is not None
+
+
+def test_caches_and_funcelem_constructor_resolve():
+    for metric, module, attr in layers.CACHES:
+        assert isinstance(layers._resolve(MODULES, module, attr), dict), metric
+    init = layers._resolve(MODULES, "exactnum", "FuncElem.__init__")
+    assert layers._code_key(init) is not None

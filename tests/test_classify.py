@@ -14,7 +14,7 @@ from tensorloci.classify import (
 from tensorloci.errors import UnsupportedShape, ZeroTensor
 from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import Mat, mat_det, mat_rank
-from tensorloci.orbits import CONCISE_SHAPES, RANKS, all_normal_forms, normal_form
+from tensorloci.orbits import RANKS, normal_form
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -25,6 +25,20 @@ from tensorloci.tensorcore import (
 )
 
 MATRIX_ROWS = {1: 1, 2: 2, 3: 2, 4: 2, 10: 3}
+
+# Concise shapes of the normal forms, in each normal form's own axis order.
+CONCISE_SHAPES = {
+    1: (1, 1, 1), 2: (2, 2, 1), 3: (1, 2, 2), 4: (2, 1, 2), 5: (2, 2, 2),
+    6: (2, 2, 2), 7: (2, 2, 3), 8: (2, 2, 3), 9: (2, 2, 4), 10: (1, 3, 3),
+    11: (2, 3, 2), 12: (2, 3, 2), 13: (2, 3, 3), 14: (2, 3, 3),
+    15: (2, 3, 3), 16: (2, 3, 3), 17: (2, 3, 3), 18: (2, 3, 3),
+    19: (2, 3, 4), 20: (2, 3, 4), 21: (2, 3, 4), 22: (2, 3, 4),
+    23: (2, 3, 4), 24: (2, 3, 5), 25: (2, 3, 5), 26: (2, 3, 6),
+}
+
+
+def all_normal_forms():
+    return {n: normal_form(n) for n in range(1, 27)}
 
 
 def unit(n, i):

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorloci import exactnum
 from tensorloci.errors import (
     DegreeTooLarge,
     NotInvertible,
@@ -29,7 +30,6 @@ from tensorloci.exactnum import (
     is_irreducible,
     parse_rational,
     record_special_candidates,
-    upoly_from_roots,
     upoly_gcd,
     upoly_factor_small,
 )
@@ -44,6 +44,14 @@ def to_sympy(f):
 def from_sympy(expr):
     p = sympy.Poly(expr, _lam)
     return UniPoly([Fraction(str(c)) for c in reversed(p.all_coeffs())])
+
+
+def upoly_from_roots(roots, var="λ"):
+    """The monic polynomial with the given rational roots."""
+    f = UniPoly([1], var)
+    for r in roots:
+        f = f * UniPoly([-Fraction(r), 1], var)
+    return f
 
 
 class TestRationalText:
@@ -68,6 +76,13 @@ class TestUniPoly:
         assert f.coeffs == (Fraction(1), Fraction(2))
         assert f.degree == 1
         assert UniPoly([0, 0]).degree == -1
+
+    def test_coefficients_are_fractions(self):
+        q = Fraction(2, 3)
+        f = UniPoly([q, 1, 0])
+        assert all(type(c) is Fraction for c in f.coeffs)
+        assert f.coeffs == (q, Fraction(1))
+        assert f.coeffs[0] is q  # already a Fraction: kept, not rebuilt
 
     def test_divmod(self):
         f = UniPoly([-1, 0, 1])  # λ^2 - 1
@@ -110,6 +125,12 @@ class TestUniPoly:
         lc, items = factor_univariate(f)
         assert lc == 4
         assert items == [(UniPoly([-1, 1]), 2), (UniPoly([0, 1]), 2)]
+        # a repeated factor next to distinct ones, through the square-free part
+        f = upoly_from_roots([1, -3, 1]) * UniPoly([-2, 0, 1])
+        assert factor_univariate(f) == (
+            1,
+            [(UniPoly([-1, 1]), 2), (UniPoly([3, 1]), 1), (UniPoly([-2, 0, 1]), 1)],
+        )
 
 
 @st.composite
@@ -188,6 +209,26 @@ class TestAlgebraicElement:
         mod2 = UniPoly([1, 0, 1])
         z = AlgebraicElement(mod2, UniPoly([3]))
         assert algext_inverse(z).rep == UniPoly([Fraction(1, 3)])
+
+    def test_division_by_a_rational(self, monkeypatch):
+        """x / q equals x times the inverse of q in the field, and takes no
+        extended Euclid; a zero divisor is refused as before."""
+        mod = UniPoly([-2, 0, 1])
+        x = AlgebraicElement(mod, UniPoly([3, Fraction(1, 2)]))
+        olds = {
+            q: x * algext_inverse(AlgebraicElement(mod, UniPoly([q])))
+            for q in (2, -3, Fraction(4, 7))
+        }
+
+        def no_inversion(_):
+            raise AssertionError("a rational divisor needs no inversion")
+
+        monkeypatch.setattr(exactnum, "algext_inverse", no_inversion)
+        for q, old in olds.items():
+            assert x / q == old
+        for zero in (0, Fraction(0)):
+            with pytest.raises(NotInvertible):
+                x / zero
 
     def test_zero_not_invertible(self):
         mod = UniPoly([-2, 0, 1])

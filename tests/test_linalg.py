@@ -1,4 +1,4 @@
-"""Matrix layer tests: rank, nullspace, solve, domain generality."""
+"""Matrix layer tests: rank, solve, inverse, domain generality."""
 
 import random
 from fractions import Fraction
@@ -21,11 +21,9 @@ from tensorloci.linalg import (
     mat_identity,
     mat_inverse,
     mat_mul,
-    mat_nullspace,
     mat_rank,
     mat_rref,
     mat_solve,
-    mat_vec,
 )
 
 
@@ -121,30 +119,6 @@ def test_funcfield_rank_specializes():
                 [[x.evaluate(lam0) for x in row] for row in M.entries]
             )
             assert mat_rank(spec) == r
-
-
-def test_nullspace_dimension_and_membership():
-    rng = random.Random(15)
-    for _ in range(120):
-        n, m = rng.randint(1, 5), rng.randint(1, 5)
-        M = (
-            rand_low_rank(rng, n, m, rng.randint(0, min(n, m)))
-            if rng.random() < 0.6
-            else rand_qq(rng, n, m)
-        )
-        r = mat_rank(M)
-        basis = mat_nullspace(M)
-        assert len(basis) == m - r
-        for v in basis:
-            assert all(x == 0 for x in mat_vec(M, v))
-
-
-def test_nullspace_funcfield_membership():
-    rng = random.Random(16)
-    for _ in range(25):
-        M = rand_funcfield(rng, rng.randint(1, 3), rng.randint(1, 4))
-        for v in mat_nullspace(M):
-            assert all(x.is_zero() for x in mat_vec(M, v))
 
 
 def test_det_and_inverse():

@@ -7,10 +7,13 @@ closed-form predicate, where one is stored, must agree as well. The
 witnesses of both strategies and the candidate factors recorded while
 each family's generic member is classified must match committed tables.
 Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
-larger sweeps stay in that script, which is smoke-tested here.
+larger sweeps stay in that script, which is smoke-tested here. Axis
+permutations of T and P, the tangential route at, near and away from the
+tangency point, and the error paths of each entry point are checked too.
 """
 
 import importlib.util
+import itertools
 import math
 import os
 import random
@@ -19,8 +22,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tensorloci.classify import classify
-from tensorloci.errors import AllZero, ShapeMismatch, UnsupportedOrbit
+from tensorloci.classify import OrbitId, classify, classify_parametric
+from tensorloci.errors import (
+    AllZero,
+    NotTangential,
+    ShapeMismatch,
+    UnsupportedOrbit,
+    UnsupportedShape,
+)
 from tensorloci.exactnum import (
     UniPoly,
     factor_univariate,
@@ -37,6 +46,7 @@ from tensorloci.locus import (
     closed_form_predicate,
     locus_matrix,
     locus_membership,
+    locus_tangential,
 )
 from tensorloci.orbits import normal_form, pencil_shape
 from tensorloci.tensorcore import (
@@ -47,6 +57,7 @@ from tensorloci.tensorcore import (
     apply_gl_rank_one,
     subtract_scaled,
 )
+from tensorloci.wstate import find_tangency
 
 SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
 DENSE_POOL = (1, -1, 2, -2, 3, -3)
@@ -463,3 +474,123 @@ def test_sweep_script_runs_every_orbit(capsys):
     assert [line.split(":")[0] for line in lines if line.startswith("orbit")] == [
         "orbit %2d" % n for n in ORBITS
     ]
+
+
+def moved_orbit5(k):
+    """A seeded GL move of the orbit-5 normal form, its tangency factors,
+    and the random stream that made it."""
+    rng = random.Random("tangential/%d" % k)
+    T = apply_gl(normal_form(5), [random_invertible(rng, 2) for _ in range(3)])
+    return rng, T, find_tangency(T).factors
+
+
+def scaled(rng, vec):
+    s = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5)))
+    return [s * x for x in vec]
+
+
+def off_line(rng, q):
+    """A random integer vector not proportional to the nonzero q."""
+    while True:
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
+        if v[0] * q[1] != v[1] * q[0]:
+            return v
+
+
+def test_tangential_route_forbids_the_tangency_point():
+    for k in range(6):
+        rng, T, q = moved_orbit5(k)
+        P = RankOneTensor([scaled(rng, f) for f in q])
+        assert locus_tangential(T, P).status == FORBIDDEN
+        for strategy in (SPECIALIZED, GENERIC):
+            assert locus_membership(T, P, strategy).status == FORBIDDEN
+
+
+def test_tangential_route_members_partly_on_the_tangency_point():
+    """P agrees with the tangency point on one or two axes: a member, and
+    the witness lowers the rank to two."""
+    for k in range(6):
+        rng, T, q = moved_orbit5(k)
+        for on in ((0,), (1, 2), (rng.randrange(3),), (0, 2)):
+            P = RankOneTensor(
+                [scaled(rng, f) if a in on else off_line(rng, f)
+                 for a, f in enumerate(q)]
+            )
+            verdict = locus_tangential(T, P)
+            assert verdict.in_decomposition, (k, on)
+            assert member_rank(T, P, verdict.witness) == 2
+            spec, _gen = assert_strategies_agree(T, P, (k, on))
+            assert spec == verdict
+
+
+def test_tangential_route_forbids_points_outside_the_spans():
+    # the orbit-5 normal form inside shape (2, 2, 3), then moved by GL
+    rng = random.Random("tangential/wide")
+    t5 = normal_form(5)
+    wide = Tensor.from_dict(
+        (2, 2, 3),
+        {idx: t5[idx] for idx in itertools.product((0, 1), repeat=3)},
+    )
+    gs = [random_invertible(rng, d) for d in (2, 2, 3)]
+    T = apply_gl(wide, gs)
+    for _ in range(4):
+        inside = [[rng.randint(1, 3), rng.randint(-3, 3)] for _ in range(2)]
+        P = apply_gl_rank_one(
+            RankOneTensor(inside + [[rng.randint(-3, 3), rng.randint(-3, 3), 1]]),
+            gs,
+        )
+        assert locus_tangential(T, P).status == FORBIDDEN
+        assert_strategies_agree(T, P, "outside")
+
+
+def test_tangential_route_rejects_bad_input():
+    _rng, T, q = moved_orbit5(0)
+    P = RankOneTensor(q)
+    with pytest.raises(NotTangential):
+        locus_tangential(normal_form(6), P)
+    with pytest.raises(ShapeMismatch):
+        locus_tangential(T, P.expand())
+    with pytest.raises(ShapeMismatch):
+        locus_tangential(T, RankOneTensor([[1, 0], [0, 1], [1, 2, 0]]))
+
+
+def permutation_point(orbit):
+    """The first seeded normal-form family of an orbit whose SPECIALIZED
+    verdict is a member, else the first one."""
+    families = [(T, P) for _s, T, P, _gT, _gP in seeded_families(orbit)]
+    codes = [spec for spec, _gen in WITNESSES[orbit][::2]]
+    pick = next((i for i, c in enumerate(codes) if c is not None), 0)
+    return families[pick]
+
+
+def test_axis_permutations_keep_the_specialized_verdict():
+    """Permuting the axes of T and P together changes neither the status
+    nor the validity of the witness, for every non-identity permutation."""
+    for orbit in ORBITS:
+        T, P = permutation_point(orbit)
+        base = locus_membership(T, P, SPECIALIZED)
+        for perm in itertools.permutations(range(3)):
+            if perm == (0, 1, 2):
+                continue
+            pT = T.transpose_axes(perm)
+            pP = RankOneTensor([P.factors[a] for a in perm])
+            verdict = locus_membership(pT, pP, SPECIALIZED)
+            assert verdict.status == base.status, (orbit, perm)
+            if verdict.in_decomposition:
+                assert member_rank(pT, pP, verdict.witness) == classify(T).rank - 1
+
+
+def test_closed_form_predicate_error_paths():
+    P = RankOneTensor([[1, 0], [0, 1, 1], [1, 2, 0]])
+    assert closed_form_predicate(OrbitId.orbit(13), P) == closed_form_predicate(13, P)
+    with pytest.raises(UnsupportedOrbit):
+        closed_form_predicate(OrbitId.matrix(2), P)
+    for orbit in (5, 14, OrbitId.orbit(18)):
+        with pytest.raises(UnsupportedOrbit):
+            closed_form_predicate(orbit, P)
+    with pytest.raises(ShapeMismatch):
+        closed_form_predicate(13, P.expand())
+    with pytest.raises(ShapeMismatch):
+        closed_form_predicate(13, RankOneTensor([[1, 0], [0, 1], [1, 2, 0]]))
+    with pytest.raises(UnsupportedShape):
+        classify_parametric(normal_form(13))

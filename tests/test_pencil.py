@@ -7,12 +7,11 @@ import sympy
 from tensorloci.binforms import BinaryForm, bform_root_profile
 from tensorloci.errors import WrongShape
 from tensorloci.exactnum import UniPoly
-from tensorloci.orbits import PENCILS, all_normal_forms, normal_form
+from tensorloci.orbits import PENCILS, normal_form
 from tensorloci.pencil import (
-    WHOLE_LINE,
     hyperdet222,
     hyperdet233,
-    jet_profile,
+    member_rank_at,
     pencil_det_form,
     pencil_minor_gcd,
     pencil_of,
@@ -78,8 +77,33 @@ def test_minor_gcd_examples():
     g = pencil_minor_gcd(pencil_of(normal_form(21)), 2)
     assert g.degree == 0 and g.coeffs[0] == 1
 
-    g = pencil_minor_gcd(pencil_of(normal_form(22)), 3)
+    p22 = pencil_of(normal_form(22))
+    g = pencil_minor_gcd(p22, 3)
     assert g == BinaryForm([Fraction(0), Fraction(1), Fraction(0)], 2)
+    u = BinaryForm([Fraction(1), Fraction(0)], 1)
+    v = BinaryForm([Fraction(0), Fraction(1)], 1)
+    assert [member_rank_at(p22, ell) for ell in (v, u)] == [2, 2]
+
+    # orbits 15 and 16 share the determinant form u^3; the rank of the
+    # member at its root tells them apart
+    for n, rank in ((15, 1), (16, 2)):
+        p = pencil_of(normal_form(n))
+        assert pencil_minor_gcd(p, 3) == BinaryForm([1, 0, 0, 0], 3)
+        assert member_rank_at(p, u) == rank
+
+    # the 2-minors of this pencil vanish together only at u^2 = 2 v^2
+    t = Tensor.from_dict(
+        (2, 2, 2),
+        {
+            (0, 0, 0): 1,
+            (0, 1, 1): 1,
+            (1, 0, 1): 2,
+            (1, 1, 0): 1,
+        },
+    )
+    g = pencil_minor_gcd(pencil_of(t), 2)
+    assert g == BinaryForm([Fraction(1), Fraction(0), Fraction(-2)], 2)
+    assert bform_root_profile(g) == [(g, 1)]
 
 
 def test_minor_gcd_zero_form():
@@ -88,6 +112,7 @@ def test_minor_gcd_zero_form():
 
 
 def test_minor_gcd_root_containment():
+    # the root profile of each minor gcd accounts for its whole degree, and
     # a point where the rank drops below r also drops below r+1
     for n in PENCILS:
         t = normal_form(n)
@@ -95,9 +120,14 @@ def test_minor_gcd_root_containment():
             continue
         p = pencil_of(t)
         top = min(p.rows, p.cols)
+        gcds = {r: pencil_minor_gcd(p, r) for r in range(1, top + 1)}
+        for g in gcds.values():
+            if g.degree >= 1 and not g.is_zero():
+                profile = bform_root_profile(g)
+                assert sum(f.degree * m for f, m in profile) == g.degree, n
         for r in range(1, top):
-            g_lo = pencil_minor_gcd(p, r)
-            g_hi = pencil_minor_gcd(p, r + 1)
+            g_lo = gcds[r]
+            g_hi = gcds[r + 1]
             if g_lo.degree == 0 or g_lo.is_zero():
                 continue
             if g_hi.is_zero():
@@ -226,55 +256,6 @@ def test_hyperdet233_vanishes_iff_repeated_root():
         _, factors = sympy.factor_list(det, U_SYM, V_SYM)
         repeated = any(m >= 2 for _, m in factors)
         assert (h == 0) == repeated
-
-
-def test_jet_profile_examples():
-    u = BinaryForm([Fraction(1), Fraction(0)], 1)
-    prof = jet_profile(pencil_of(normal_form(15)), 3)
-    assert prof == [(u, 3, 1)]
-
-    prof = jet_profile(pencil_of(normal_form(16)), 3)
-    assert prof == [(u, 3, 2)]
-
-    assert jet_profile(pencil_of(normal_form(13)), 3) is WHOLE_LINE
-
-
-def test_jet_profile_two_points():
-    v = BinaryForm([Fraction(0), Fraction(1)], 1)
-    u = BinaryForm([Fraction(1), Fraction(0)], 1)
-    prof = jet_profile(pencil_of(normal_form(22)), 3)
-    assert prof == [(v, 1, 2), (u, 1, 2)]
-
-
-def test_jet_profile_irrational_point():
-    t = Tensor.from_dict(
-        (2, 2, 2),
-        {
-            (0, 0, 0): 1,
-            (0, 1, 1): 1,
-            (1, 0, 1): 2,
-            (1, 1, 0): 1,
-        },
-    )
-    prof = jet_profile(pencil_of(t), 2)
-    assert len(prof) == 1
-    factor, mult, rank = prof[0]
-    assert factor == BinaryForm([Fraction(1), Fraction(0), Fraction(-2)], 2)
-    assert mult == 1 and rank == 1
-
-
-def test_jet_profile_degree_sum():
-    for n in range(5, 27):
-        t = normal_form(n)
-        if t.shape[0] != 2 or len(t.shape) != 3 or t.shape[1] < 2:
-            continue
-        p = pencil_of(t)
-        for r in range(1, min(p.rows, p.cols) + 1):
-            prof = jet_profile(p, r)
-            if prof is WHOLE_LINE:
-                continue
-            g = pencil_minor_gcd(p, r)
-            assert sum(f.degree * m for f, m, _ in prof) == g.degree
 
 
 def test_det_form_requires_square():
