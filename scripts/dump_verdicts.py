@@ -1,0 +1,83 @@
+"""Print the verdicts on the seeded benchmark queries, one JSON line each.
+
+The queries are those of ``locusbench/workloads.py``, read from its file:
+for each seed, the given number of rounds (44 queries each) of each
+workload. Each query is asked under both strategies, one line per answer:
+workload, seed, orbit, strategy, status and witness (null when forbidden,
+else its value as text, or the primitive integer coefficients of its
+minimal polynomial). The defaults cover 528 queries, seeds 7-9 with two
+rounds. Two versions of the package give the same answers there exactly
+when their outputs are equal:
+
+    PYTHONPATH=src python scripts/dump_verdicts.py > verdicts.jsonl
+"""
+
+import argparse
+import importlib.util
+import json
+import math
+import os
+import sys
+import types
+
+from tensorloci.exactnum import format_rational
+from tensorloci.linalg import Mat, mat_det
+from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership
+from tensorloci.orbits import normal_form, pencil_shape
+from tensorloci.tensorcore import RankOneTensor, apply_gl, apply_gl_rank_one
+
+WORKLOADS_PY = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "locusbench", "workloads.py"
+)
+PACKAGE = types.SimpleNamespace(
+    Mat=Mat, mat_det=mat_det, normal_form=normal_form, pencil_shape=pencil_shape,
+    RankOneTensor=RankOneTensor, apply_gl=apply_gl, apply_gl_rank_one=apply_gl_rank_one,
+)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def witness_code(verdict):
+    if not verdict.in_decomposition:
+        return None
+    if verdict.witness.is_rational:
+        return format_rational(verdict.witness.value)
+    coeffs = verdict.witness.minimal_poly.coeffs
+    den = math.lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    return [c // math.gcd(*ints) for c in ints]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8, 9])
+    parser.add_argument("--rounds", type=int, default=2)
+    args = parser.parse_args(argv)
+    workloads = load_workloads()
+    for seed in args.seeds:
+        for name in workloads.WORKLOADS:
+            work = workloads.Workload(PACKAGE, name, seed)
+            for _ in range(args.rounds):
+                for q in work.next_round():
+                    for strategy in (SPECIALIZED, GENERIC):
+                        verdict = locus_membership(q.T, q.P, strategy)
+                        print(json.dumps({
+                            "workload": name, "seed": seed, "orbit": q.orbit,
+                            "strategy": strategy, "status": verdict.status,
+                            "witness": witness_code(verdict),
+                        }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

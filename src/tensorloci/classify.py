@@ -264,18 +264,19 @@ def orbit_rank(oid):
     return oid.rank_pair()[0]
 
 
-def classify_parametric(f):
+def classify_parametric(f, base_report):
     """Classify the family T - lambda*P for all values of the parameter.
 
-    The generic orbit is computed once over the rational function field; the
-    candidate special values are the roots of every polynomial some branch
-    decision depended on, each classified exactly (rational roots by direct
-    substitution, irrational ones over the extension field). Factors whose
-    orbit equals the generic orbit are dropped, except lambda itself.
+    ``base_report`` is ``classify(T)``, which the caller already holds; it
+    gives the member at lambda = 0. The generic orbit is computed once over
+    the rational function field; the candidate special values are the roots
+    of every polynomial some branch decision depended on, each classified
+    exactly (rational roots by direct substitution, irrational ones over the
+    extension field). Factors whose orbit equals the generic orbit are
+    dropped, except lambda itself.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
-    base_report = classify(f.base)
     with record_special_candidates() as bucket:
         generic_report = classify(f.generic_member())
 

@@ -16,9 +16,12 @@ they can be played against each other in tests:
   off the exceptional values.
 * The specialized strategy dispatches on the orbit of T: a single
   pairing for matrix cores, the explicit decomposition through P for
-  tangent tensors, flattening-minor eliminations and pencil invariants
-  for the concise orbits of the finite-orbit shapes. It reads the concise
-  core and its axis order from the classification of T.
+  tangent tensors, and for the concise orbits of the finite-orbit shapes
+  the one value of lam where a flattening loses rank (one fraction-free
+  elimination over Z[lam] per flattening) plus pencil invariants. It
+  reads the concise core and its axis order from the classification of
+  T, and works over the function field only to locate the concise
+  escapes of orbits 13, 15-17 and 21.
 * ``closed_form_predicate`` evaluates an explicit polynomial set
   description of the forbidden locus, available for the normal forms of
   certain orbits in their own coordinates.
@@ -26,7 +29,6 @@ they can be played against each other in tests:
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .binforms import bform_is_pure_power
@@ -44,9 +46,8 @@ from .exactnum import (
     candidate_factors,
     note_candidate,
     record_special_candidates,
-    upoly_gcd,
 )
-from .linalg import DOMAIN_POLYRING, Mat, mat_det, mat_rank, mat_solve
+from .linalg import RING_Z, Mat, _bareiss, integer_rows, mat_rank, mat_solve
 from .orbits import pencil_shape
 from .pencil import hyperdet233, pencil_det_form, pencil_minor_gcd, pencil_of
 from .tensorcore import (
@@ -210,32 +211,28 @@ def _scan_rational_witness(T, P, target):
     return verdict
 
 
-def _flat_minor_gcd(pt, axis):
-    """gcd over Q[lam] of the maximal minors of an axis flattening.
+def _drop_value(pt, axis):
+    """The one lam where the axis flattening of a concise family loses rank.
 
-    ``pt`` has polynomial entries of degree at most one in lam; each minor
-    is a Bareiss determinant over Q[lam]. Returns the zero polynomial when
-    every minor vanishes identically and a constant when they are coprime.
+    ``pt`` is T - lam*P over Q[lam] with T concise, so the flattening has
+    full row rank r at lam = 0. P flattens to a rank-one matrix, so every
+    r x r minor is affine in lam, and the last Bareiss pivot over Z[lam] is
+    one of them: the gcd of all of them divides it. A constant pivot means
+    the rank never drops (None); otherwise its root p/q is the only
+    candidate, kept when the rows at p/q, scaled by q into integers, have a
+    smaller rank.
     """
-    M = flattening(pt, axis)
-    r = min(M.rows, M.cols)
-    g = None
-    for row_idx in itertools.combinations(range(M.rows), r):
-        for col_idx in itertools.combinations(range(M.cols), r):
-            d = mat_det(
-                Mat(
-                    [[M.entries[i][j] for j in col_idx] for i in row_idx],
-                    domain=DOMAIN_POLYRING,
-                )
-            )
-            if d.is_zero():
-                continue
-            g = d if g is None else upoly_gcd(g, d)
-            if g.degree == 0:
-                return g.monic()
-    if g is None:
-        return UniPoly(())
-    return g.monic()
+    rows, ring, _ = integer_rows(flattening(pt, axis), record=False)
+    rank, piv, _ = _bareiss([list(row) for row in rows], ring)
+    if rank < len(rows):
+        raise InternalError("concise core with a degenerate flattening line")
+    if len(piv) == 1:
+        return None
+    p, q = -piv[0], piv[1]
+    at_root = [[sum(c * f for c, f in zip(x, (q, p))) for x in row] for row in rows]
+    if _bareiss(at_root, RING_Z)[0] == rank:
+        return None
+    return Fraction(p, q)
 
 
 def _pairing(A, u, v):
@@ -356,7 +353,7 @@ def locus_tangential(T, P):
 def _generic_membership(T, P, report):
     target = report.rank - 1
     family = ParametricTensor(T, P)
-    parametric = classify_parametric(family)
+    parametric = classify_parametric(family, report)
 
     if orbit_rank(parametric.generic) == target:
         return _scan_rational_witness(T, P, target)
@@ -444,34 +441,33 @@ def _pairing_verdict(core, coreP, target):
 def _drop_root_verdict(core, coreP, axes, target):
     """Orbits where a rank drop forces named flattenings to lose rank.
 
-    The candidate values of lam are the common roots of the maximal
-    minor gcds on the given axes; each candidate is then settled by exact
-    classification of the member. On a concise (2,2,2) core the three
-    flattenings are 2 x 4, so a member has rank at most one exactly where
-    all of their maximal minors vanish.
+    Each of the given axes has at most one lam where its flattening drops
+    (``_drop_value``); the only candidate is the one they share, settled
+    by exact classification of the member. On a concise (2,2,2) core the
+    three flattenings are 2 x 4, so a member has rank at most one exactly
+    where all three drop; on a concise (2,2,3) core a member of rank at
+    most two has a 3 x 4 last flattening of rank at most two.
     """
     pt = ParametricTensor(core, coreP).polynomial_member()
-    g = None
+    shared = None
     for ax in axes:
-        gax = _flat_minor_gcd(pt, ax)
-        if gax.is_zero():
-            raise InternalError("flattening degenerates along the whole line")
-        g = gax if g is None else upoly_gcd(g, gax)
-        if g.degree == 0:
+        value = _drop_value(pt, ax)
+        if value is None or (shared is not None and value != shared):
             return LocusVerdict.forbidden()
-    verdict = _first_witness(core, coreP, candidate_factors([g]), target)
+        shared = value
+    verdict = _first_witness(core, coreP, [UniPoly([-shared, 1])], target)
     return verdict or LocusVerdict.forbidden()
 
 
 def _nonconcise_witness(core, coreP, target):
-    """First member of rank ``target`` among the non-concise members, the
-    roots of the maximal-minor gcd of some flattening; None if none."""
+    """First member of rank ``target`` among the non-concise members, one
+    per flattening at most (``_drop_value``); None if none."""
     pt = ParametricTensor(core, coreP).polynomial_member()
     for ax in (1, 2, 3):
-        g = _flat_minor_gcd(pt, ax)
-        if g.is_zero():
-            raise InternalError("concise base with a degenerate flattening line")
-        verdict = _first_witness(core, coreP, candidate_factors([g]), target)
+        value = _drop_value(pt, ax)
+        if value is None:
+            continue
+        verdict = _first_witness(core, coreP, [UniPoly([-value, 1])], target)
         if verdict is not None:
             return verdict
     return None
@@ -489,13 +485,14 @@ def _rank4_233_verdict(core, coreP):
     """Concise (2,3,3) of rank four: does the line reach rank three?
 
     Rank-three members are of three kinds, checked in turn: non-concise
-    members (roots of the flattening minor gcds), members with nonzero
-    hyperdeterminant (present for cofinitely many lam as soon as the
-    hyperdeterminant of the family is not identically zero), and members
-    whose determinant form has a double plus a simple root with a
-    rank-one matrix in the pencil. The last kind is located generically
-    over the function field; the recorded branch polynomials then carry
-    every value of lam where the generic answer could flip.
+    members (where a flattening drops rank, ``_drop_value``), members with
+    nonzero hyperdeterminant (present for cofinitely many lam as soon as
+    the hyperdeterminant of the family, a polynomial in lam, is not
+    identically zero), and members whose determinant form has a double
+    plus a simple root with a rank-one matrix in the pencil. Only the last
+    kind is located over the function field, on the generic member; the
+    recorded branch polynomials then carry every value of lam where the
+    generic answer could flip.
     """
     target = 3
     verdict = _nonconcise_witness(core, coreP, target)
@@ -503,12 +500,11 @@ def _rank4_233_verdict(core, coreP):
         return verdict
 
     family = ParametricTensor(core, coreP)
-    gm = family.generic_member()
-    if not hyperdet233(gm).is_zero():
+    if not hyperdet233(family.polynomial_member()).is_zero():
         return _scan_rational_witness(core, coreP, target)
 
     with record_special_candidates() as bucket:
-        p = pencil_of(gm)
+        p = pencil_of(family.generic_member())
         det_form = pencil_det_form(p)
         g2 = pencil_minor_gcd(p, 2)
         _note_form_coefficients((det_form, g2))
@@ -532,7 +528,7 @@ def _rank5_234_verdict(core, coreP):
     pencil signature: the maximal minors of the pencil share a square of
     a linear form while the two by two minors are coprime. Members
     landing anywhere else have rank four. Non-concise members are found
-    through flattening minor gcds; concise escapes from the orbit are
+    where a flattening drops rank; concise escapes from the orbit are
     confined to the roots of the recorded branch polynomials.
     """
     target = 4
@@ -568,10 +564,6 @@ def _specialized_membership(T, P, report):
     n = report.orbit.value
     if n == 5:
         return locus_tangential(T, P)
-    if n in (7, 8, 11, 12):
-        # Rank three with a two-dimensional family of rank-two neighbours;
-        # the parametric classifier is the direct procedure here.
-        return _generic_membership(T, P, report)
 
     # The core in the axis order classify sorted it into, P alongside.
     coords = factors_in_spans(P, report.reduction)
@@ -583,6 +575,8 @@ def _specialized_membership(T, P, report):
 
     if n == 6:
         return _drop_root_verdict(core, coreP, (1, 2, 3), 1)
+    if n in (7, 8, 11, 12):
+        return _drop_root_verdict(core, coreP, (3,), 2)
     if n in (9, 26):
         return _pairing_verdict(core, coreP, report.rank - 1)
     if n in (13, 15, 16, 17):

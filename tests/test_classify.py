@@ -183,7 +183,7 @@ def test_parametric_tangency_families_have_no_special_values():
     fam = ParametricTensor(
         t5, RankOneTensor([unit(2, 0), unit(2, 0), unit(2, 1)])
     )
-    rep = classify_parametric(fam)
+    rep = classify_parametric(fam, classify(fam.base))
     assert rep.generic == OrbitId.orbit(5)
     assert rep.exceptional == [(UniPoly([0, 1]), OrbitId.orbit(5))]
 
@@ -198,7 +198,7 @@ def test_parametric_tangency_families_have_no_special_values():
     fam = ParametricTensor(
         w, RankOneTensor([unit(2, 0), unit(2, 0), unit(2, 0)])
     )
-    rep = classify_parametric(fam)
+    rep = classify_parametric(fam, classify(fam.base))
     assert rep.generic == OrbitId.orbit(5)
     assert rep.exceptional == [(UniPoly([0, 1]), OrbitId.orbit(5))]
 
@@ -208,7 +208,7 @@ def test_parametric_off_tangency_point_drops_once():
     fam = ParametricTensor(
         t5, RankOneTensor([unit(2, 0), unit(2, 0), unit(2, 0)])
     )
-    rep = classify_parametric(fam)
+    rep = classify_parametric(fam, classify(fam.base))
     assert rep.generic == OrbitId.orbit(5)
     drops = [(f, o) for f, o in rep.exceptional if f != UniPoly([0, 1])]
     assert drops == [(UniPoly([-1, 1]), OrbitId.orbit(2))]
@@ -231,7 +231,7 @@ def test_parametric_orbit9_pairing_factor():
         p = random_rank_one(rng, (2, 2, 4))
         s = pairing(*p.factors)
         fam = ParametricTensor(t9, p)
-        rep = classify_parametric(fam)
+        rep = classify_parametric(fam, classify(fam.base))
         assert rep.generic == OrbitId.orbit(9)
         if s == 0:
             continue
@@ -247,7 +247,7 @@ def test_parametric_rank_two_for_every_nonzero_lambda():
     fam = ParametricTensor(
         t5, RankOneTensor([unit(2, 1), unit(2, 1), unit(2, 1)])
     )
-    rep = classify_parametric(fam)
+    rep = classify_parametric(fam, classify(fam.base))
     assert rep.generic == OrbitId.orbit(6)
     assert rep.generic.rank_pair()[0] == 2
     assert rep.exceptional == [(UniPoly([0, 1]), OrbitId.orbit(5))]
@@ -262,7 +262,7 @@ def test_random_specializations_match_generic():
         t = normal_form(n)
         p = random_rank_one(rng, t.shape)
         fam = ParametricTensor(t, p)
-        rep = classify_parametric(fam)
+        rep = classify_parametric(fam, classify(fam.base))
         bad = set()
         for fac, _orbit in rep.exceptional:
             if fac.degree == 1:
@@ -322,7 +322,7 @@ def test_parametric_report_predicts_integer_members(n):
         (SPARSE_POOL, Fraction(1, 60)),
     ):
         fam = ParametricTensor(t, pooled_rank_one(rng, t.shape, pool, scale))
-        rep = classify_parametric(fam)
+        rep = classify_parametric(fam, classify(fam.base))
         for k in range(-8, 9):
             lam0 = Fraction(k)
             roots = [oid for fac, oid in rep.exceptional if fac(lam0) == 0]

@@ -10,10 +10,14 @@ Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
 larger sweeps stay in that script, which is smoke-tested here. Axis
 permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
+The specialized strategy must answer without ever reaching the generic
+one, and its one-pivot flattening drop must match the gcd of all maximal
+minors. ``scripts/dump_verdicts.py`` is smoke-tested on one round.
 """
 
 import importlib.util
 import itertools
+import json
 import math
 import os
 import random
@@ -22,6 +26,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from tensorloci import locus
 from tensorloci.classify import OrbitId, classify, classify_parametric
 from tensorloci.errors import (
     AllZero,
@@ -35,13 +40,15 @@ from tensorloci.exactnum import (
     factor_univariate,
     format_rational,
     record_special_candidates,
+    upoly_gcd,
 )
-from tensorloci.linalg import Mat, mat_det
+from tensorloci.linalg import DOMAIN_POLYRING, Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
     SPECIALIZED,
     LambdaWitness,
+    _drop_value,
     _first_witness,
     closed_form_predicate,
     locus_matrix,
@@ -55,6 +62,8 @@ from tensorloci.tensorcore import (
     Tensor,
     apply_gl,
     apply_gl_rank_one,
+    factors_in_spans,
+    flattening,
     subtract_scaled,
 )
 from tensorloci.wstate import find_tangency
@@ -322,6 +331,106 @@ def test_recorded_candidate_factors_are_unchanged(orbit):
     assert got == RECORDED_FACTORS[orbit]
 
 
+def concise_family(T, P):
+    """The concise core of T in classify's axis order with P alongside, as
+    the specialized routes see them, over Q[lam]; None when P leaves the
+    spans of T."""
+    report = classify(T)
+    coords = factors_in_spans(P, report.reduction)
+    if coords is None:
+        return None
+    perm = report.axis_permutation
+    core = report.reduction.tensor.transpose_axes(perm)
+    coreP = RankOneTensor([coords[p] for p in perm])
+    return ParametricTensor(core, coreP).polynomial_member()
+
+
+def flat_minor_gcd(pt, axis):
+    """Reference for _drop_value: the monic gcd over Q[lam] of every
+    maximal minor of a flattening, zero when they all vanish."""
+    M = flattening(pt, axis)
+    r = min(M.rows, M.cols)
+    g = UniPoly(())
+    for row_idx in itertools.combinations(range(M.rows), r):
+        for col_idx in itertools.combinations(range(M.cols), r):
+            sub = [[M.entries[i][j] for j in col_idx] for i in row_idx]
+            g = upoly_gcd(g, mat_det(Mat(sub, domain=DOMAIN_POLYRING)))
+            if g.degree == 0:
+                return g
+    return g
+
+
+def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
+    """On every seeded family of the concise orbits, each flattening of the
+    core drops rank at _drop_value and nowhere else: None exactly when the
+    maximal minors are coprime, else the root of their gcd."""
+    drops = 0
+    for orbit in (6, 7, 8, *range(11, 27)):
+        for _sparse, T, P, gT, gP in seeded_families(orbit):
+            for t, p in ((T, P), (gT, gP)):
+                pt = concise_family(t, p)
+                if pt is None:
+                    continue
+                for axis in (1, 2, 3):
+                    g = flat_minor_gcd(pt, axis)
+                    value = _drop_value(pt, axis)
+                    assert not g.is_zero(), (orbit, p, axis)
+                    if g.degree == 0:
+                        assert value is None, (orbit, p, axis)
+                    else:
+                        assert g == UniPoly([-value, 1]), (orbit, p, axis)
+                        drops += 1
+    assert drops > 0
+
+
+# Member points of the normal forms of orbits 7, 8, 11 and 12, where the
+# seeded families are almost all forbidden.
+ROUTE_MEMBERS = {
+    7: ([[2, 0], [0, 2], [2, 0, 1]], [[1, 1], [-1, 0], [2, 0, 0]]),
+    8: ([[-1, -1], [-1, -1], [2, 0, -1]], [[1, 1], [-1, -1], [-1, 0, -1]]),
+    11: ([[-1, 2], [-1, -1, 2], [2, 0]], [[1, 0], [2, 1, 1], [-1, 0]]),
+    12: ([[-1, 1], [2, 0, 2], [-1, 1]], [[0, 2], [0, -1, 1], [0, 1]]),
+}
+
+
+def moved_route_members():
+    """Each point of ROUTE_MEMBERS with its normal form, both moved by a
+    seeded GL change of basis: (orbit, gT, gP)."""
+    for orbit, points in ROUTE_MEMBERS.items():
+        rng = random.Random("route members/%d" % orbit)
+        T = normal_form(orbit)
+        for factors in points:
+            gs = [random_invertible(rng, d) for d in T.shape]
+            yield orbit, apply_gl(T, gs), apply_gl_rank_one(RankOneTensor(factors), gs)
+
+
+def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
+    """SPECIALIZED answers every orbit without the generic strategy, with
+    the witnesses of the table; on GL-moved members of orbits 7, 8, 11
+    and 12 it then agrees with GENERIC and both witnesses re-check."""
+    members = list(moved_route_members())
+
+    def refuse(*_args):
+        raise AssertionError("a specialized route reached the generic strategy")
+
+    with monkeypatch.context() as m:
+        m.setattr(locus, "_generic_membership", refuse)
+        m.setattr(locus, "classify_parametric", refuse)
+        for orbit in ORBITS:
+            got = [
+                witness_code(locus_membership(t, p, SPECIALIZED))
+                for _sparse, T, P, gT, gP in seeded_families(orbit)
+                for t, p in ((T, P), (gT, gP))
+            ]
+            assert got == [spec for spec, _gen in WITNESSES[orbit]], orbit
+        specs = [locus_membership(gT, gP, SPECIALIZED) for _n, gT, gP in members]
+    for (orbit, gT, gP), spec in zip(members, specs):
+        gen = locus_membership(gT, gP, GENERIC)
+        for verdict in (spec, gen):
+            assert verdict.in_decomposition, (orbit, verdict)
+            assert member_rank(gT, gP, verdict.witness) == 2, (orbit, verdict)
+
+
 # Points where a stored closed form disagrees with both algebraic
 # strategies. The strategies agree with each other there and their
 # witnesses re-check, so the closed form is the one at fault.
@@ -476,6 +585,26 @@ def test_sweep_script_runs_every_orbit(capsys):
     ]
 
 
+def test_dump_verdicts_script_runs_one_round(capsys):
+    """One round of each benchmark workload at one seed: every query is
+    answered under both strategies, and they agree on the status."""
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "scripts", "dump_verdicts.py"
+    )
+    spec = importlib.util.spec_from_file_location("dump_verdicts", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    assert dump.main(["--seeds", "7", "--rounds", "1"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 2 * 44 * 2
+    for spec_line, gen_line in zip(lines[::2], lines[1::2]):
+        assert (spec_line["strategy"], gen_line["strategy"]) == (SPECIALIZED, GENERIC)
+        assert spec_line["orbit"] == gen_line["orbit"]
+        assert spec_line["status"] == gen_line["status"], spec_line
+    orbits = [line["orbit"] for line in lines[:88:2]]
+    assert orbits == [n for n in ORBITS for _sparse in (True, False)]
+
+
 def moved_orbit5(k):
     """A seeded GL move of the orbit-5 normal form, its tangency factors,
     and the random stream that made it."""
@@ -593,4 +722,4 @@ def test_closed_form_predicate_error_paths():
     with pytest.raises(ShapeMismatch):
         closed_form_predicate(13, RankOneTensor([[1, 0], [0, 1], [1, 2, 0]]))
     with pytest.raises(UnsupportedShape):
-        classify_parametric(normal_form(13))
+        classify_parametric(normal_form(13), classify(normal_form(13)))
