@@ -5,9 +5,12 @@ for each seed, the given number of rounds (44 queries each) of each
 workload. Each query is asked under both strategies, one line per answer:
 workload, seed, orbit, strategy, status and witness (null when forbidden,
 else its value as text, or the primitive integer coefficients of its
-minimal polynomial). The defaults cover 528 queries, seeds 7-9 with two
-rounds. Two versions of the package give the same answers there exactly
-when their outputs are equal:
+minimal polynomial). A GENERIC line also carries the report of
+``classify_parametric`` on T - lam*P: the generic orbit and each
+exceptional (factor, orbit), the factor as primitive integer coefficients.
+The defaults cover 528 queries, seeds 7-9 with two rounds. Two versions of
+the package give the same answers there exactly when their outputs are
+equal:
 
     PYTHONPATH=src python scripts/dump_verdicts.py > verdicts.jsonl
 """
@@ -20,11 +23,17 @@ import os
 import sys
 import types
 
+from tensorloci.classify import classify, classify_parametric
 from tensorloci.exactnum import format_rational
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership
 from tensorloci.orbits import normal_form, pencil_shape
-from tensorloci.tensorcore import RankOneTensor, apply_gl, apply_gl_rank_one
+from tensorloci.tensorcore import (
+    ParametricTensor,
+    RankOneTensor,
+    apply_gl,
+    apply_gl_rank_one,
+)
 
 WORKLOADS_PY = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "locusbench", "workloads.py"
@@ -47,15 +56,26 @@ def load_workloads():
     return module
 
 
+def primitive(poly):
+    den = math.lcm(*[c.denominator for c in poly.coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    return [c // math.gcd(*ints) for c in ints]
+
+
 def witness_code(verdict):
     if not verdict.in_decomposition:
         return None
     if verdict.witness.is_rational:
         return format_rational(verdict.witness.value)
-    coeffs = verdict.witness.minimal_poly.coeffs
-    den = math.lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    return [c // math.gcd(*ints) for c in ints]
+    return primitive(verdict.witness.minimal_poly)
+
+
+def report_code(T, P):
+    report = classify_parametric(ParametricTensor(T, P), classify(T))
+    return {
+        "generic": repr(report.generic),
+        "exceptional": [[primitive(fac), repr(oid)] for fac, oid in report.exceptional],
+    }
 
 
 def main(argv=None):
@@ -71,11 +91,14 @@ def main(argv=None):
                 for q in work.next_round():
                     for strategy in (SPECIALIZED, GENERIC):
                         verdict = locus_membership(q.T, q.P, strategy)
-                        print(json.dumps({
+                        line = {
                             "workload": name, "seed": seed, "orbit": q.orbit,
                             "strategy": strategy, "status": verdict.status,
                             "witness": witness_code(verdict),
-                        }))
+                        }
+                        if strategy == GENERIC:
+                            line["report"] = report_code(q.T, q.P)
+                        print(json.dumps(line))
     return 0
 
 

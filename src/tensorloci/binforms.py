@@ -5,9 +5,9 @@ coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
 (determinant forms of degenerate pencils vanish identically).
 
 The univariate workhorses below operate on plain coefficient lists (lowest
-degree first) so that they stay generic over the coefficient field; zero
-tests go through ``bool`` which is what lets the function-field elements
-report the parameter values a branch depended on.
+degree first) so that they stay generic over the coefficient field. Gcds
+and quotients need a field; discriminants and resultants also take
+coefficients in Q[λ], where they are polynomials in λ.
 """
 
 from __future__ import annotations
@@ -15,15 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AllZero, DegreeTooLarge, DegreeTooSmall
-from .exactnum import (
-    FuncElem,
-    UniPoly,
-    note_candidate,
-    suppress_candidate_recording,
-    upoly_factor_small,
-    upoly_gcd,
-)
-from .linalg import Mat, clear_denominators, mat_det, sample_points
+from .exactnum import UniPoly, upoly_factor_small, upoly_gcd
+from .linalg import Mat, mat_det
 
 
 class BinaryForm:
@@ -143,92 +136,48 @@ def _pl_gcd(a, b):
 
 
 def bform_gcd(forms):
-    """Greatest common divisor of several binary forms.
-
-    Over a plain coefficient field the result is monic. Over the rational
-    function field the coefficients are polynomials with no common factor
-    (a unit multiple of the monic answer), computed by a pseudo-remainder
-    sequence that never divides by a parameter-dependent quantity. The
-    parameter values where the specialized gcd can differ from the
-    specialization of this generic gcd are recorded with the active
-    candidate collector: cleared denominators, stripped contents, the
-    leading coefficient of the gcd, the joint vanishing locus of the
-    lowest coefficients, and resultants of pairs of cofactors.
+    """Greatest common divisor of several binary forms over a field, monic
+    in its lowest power of u; zero forms are skipped.
 
     Raises AllZero when every input form vanishes identically.
     """
-    if any(isinstance(c, FuncElem) for f in forms for c in f.coeffs):
-        return _bform_gcd_funcfield(forms)
     live = [f for f in forms if not f.is_zero()]
     if not live:
         raise AllZero("gcd of identically zero forms")
     qmin = min(f.v_multiplicity() for f in live)
+    rational = all(isinstance(c, (int, Fraction)) for f in live for c in f.coeffs)
     acc = None
     for f in live:
         _, univ = f.dehomogenized()
-        acc = univ if acc is None else _pl_gcd(acc, univ)
+        if acc is None:
+            acc = univ
+        elif rational:  # the primitive integer remainder sequence
+            acc = list(upoly_gcd(UniPoly(acc), UniPoly(univ)).coeffs)
+        else:
+            acc = _pl_gcd(acc, univ)
         if len(acc) == 1:
             break
     return form_from_univariate(acc, qmin)
 
 
-def _pp_strip_content(polys):
-    """Divide out the common polynomial factor; records it if nonconstant."""
-    g = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = p if g is None else upoly_gcd(g, p)
-        if g.degree == 0:
-            return polys
-    if g is not None and g.degree >= 1:
-        note_candidate(g)
-        polys = [p // g for p in polys]
-    return polys
-
-
-def _pl_prem_upoly(a, b):
-    """Pseudo-remainder of univariate polys with polynomial coefficients."""
-    da = len(a) - 1
-    db = len(b) - 1
-    r = list(a)
-    lb = b[-1]
-    scale = lb.degree > 0 or lb.coeffs[0] != 1
-    for k in range(da - db, -1, -1):
-        coef = r[db + k]
-        if coef.is_zero():
-            continue
-        if scale:
-            r = [lb * x for x in r]
-        for i in range(db + 1):
-            r[i + k] = r[i + k] - coef * b[i]
-    while r and r[-1].is_zero():
-        r.pop()
-    return r
-
-
-def _pl_gcd_polyprs(a, b):
-    """gcd over the function field of two univariate polys given by
-    primitive UniPoly coefficient lists; result is again primitive."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return [UniPoly([Fraction(1)])]
-    while True:
-        r = _pl_prem_upoly(a, b)
-        if not r:
-            return b
-        if len(r) == 1:
-            return [UniPoly([Fraction(1)])]
-        a, b = b, _pp_strip_content(r)
+def bform_quotient(f, g):
+    """The exact quotient f / g of two forms over a field, g nonzero."""
+    if f.is_zero():
+        return BinaryForm([f.coeffs[0]] * (f.degree - g.degree + 1))
+    if g.degree == 0:
+        inv = Fraction(1) / g.coeffs[0]
+        return BinaryForm([x * inv for x in f.coeffs])
+    qf, uf = f.dehomogenized()
+    qg, ug = g.dehomogenized()
+    return form_from_univariate(_pl_divmod(uf, ug)[0], qf - qg)
 
 
 def _pl_resultant(a, b):
     """Sylvester resultant of two univariate polys given by coefficient
     lists, lowest degree first.
 
-    The determinant runs in the coefficients' own domain: Q, Q[λ] for
-    ``UniPoly`` coefficients (a polynomial in the parameter), or Q(λ)."""
+    The determinant runs in the coefficients' own domain: Q, or Q[λ] for
+    ``UniPoly`` coefficients (then the resultant is a polynomial in λ)."""
     m = len(a) - 1
     n = len(b) - 1
     ah = a[::-1]
@@ -237,92 +186,6 @@ def _pl_resultant(a, b):
     rows = [[zero] * i + ah + [zero] * (n - 1 - i) for i in range(n)]
     rows += [[zero] * i + bh + [zero] * (m - 1 - i) for i in range(m)]
     return mat_det(Mat(rows))
-
-
-def _pl_cofactor(polys, g):
-    """Exact quotient polys / g, both primitive UniPoly coefficient lists."""
-    if len(g) == 1:
-        return polys
-    with suppress_candidate_recording():
-        num = [FuncElem(p) for p in polys]
-        den = [FuncElem(p) for p in g]
-        quo, _ = _pl_divmod(num, den)
-        return [c.num for c in quo]
-
-
-def _pl_weighted_sum(hs, y):
-    """Sum of y^j * hs[j] as a trimmed UniPoly coefficient list."""
-    width = max(len(h) for h in hs)
-    out = [UniPoly(())] * width
-    w = Fraction(1)
-    for h in hs:
-        for i, p in enumerate(h):
-            out[i] = out[i] + w * p
-        w = w * y
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _bform_gcd_funcfield(forms):
-    with suppress_candidate_recording():
-        live = [f for f in forms if not f.is_zero()]
-        if not live:
-            raise AllZero("gcd of identically zero forms")
-        qs = [f.v_multiplicity() for f in live]
-        stripped = [f.dehomogenized()[1] for f in live]
-    qmin = min(qs)
-    cleared = [_pp_strip_content(clear_denominators(u)[0]) for u in stripped]
-    # The v-power of the gcd rises exactly where every form of minimal
-    # v-multiplicity loses its v^qmin coefficient, which sits at the top of
-    # the dehomogenized list.
-    low = None
-    for polys, q in zip(cleared, qs):
-        if q != qmin:
-            continue
-        low = polys[-1] if low is None else upoly_gcd(low, polys[-1])
-        if low.degree == 0:
-            break
-    if low is not None and low.degree >= 1:
-        note_candidate(low)
-    with suppress_candidate_recording():
-        acc = cleared[0]
-        for nxt in cleared[1:]:
-            acc = _pl_gcd_polyprs(acc, nxt)
-            if len(acc) == 1:
-                break
-        if len(acc) == 1:
-            acc = [UniPoly([Fraction(1)])]
-    lead = acc[-1]
-    if lead.degree >= 1:
-        note_candidate(lead)
-    # Away from recorded points the specialized gcd is the specialization of
-    # the generic gcd times the gcd of the specialized cofactors. The latter
-    # jumps only where every cofactor picks up a shared root. A cofactor that
-    # is a rational constant rules that out except where its form's stripped
-    # content vanishes, which is already recorded. Otherwise the shared root
-    # kills the resultant of the first cofactor against any weighting of the
-    # rest, so a couple of those resultants summarize the jump locus.
-    cofs = [_pl_cofactor(polys, acc) for polys in cleared] if len(acc) > 1 else cleared
-    if len(cofs) >= 2 and all(len(h) > 1 for h in cofs):
-        base = cofs[0]
-        g = None
-        found = 0
-        for y in sample_points(31):
-            comb = _pl_weighted_sum(cofs[1:], y)
-            if not comb:
-                continue
-            r = _pl_resultant(base, comb)
-            if r.is_zero():
-                continue
-            g = r if g is None else upoly_gcd(g, r)
-            found += 1
-            if g.degree == 0 or found == 2:
-                break
-        if g is not None and g.degree >= 1:
-            note_candidate(g)
-    out = [FuncElem(p) for p in acc]
-    return form_from_univariate(out, qmin)
 
 
 def bform_discriminant(f):

@@ -2,35 +2,42 @@
 
 A tensor is first compressed to its concise core, the core axes are permuted
 so the dimensions are non-decreasing, and the resulting shape is dispatched
-through an invariant decision tree: matrix shapes by rank, (2,2,2) by the
-Cayley hyperdeterminant, (2,2,n) by the 2-minor gcd, (2,3,3) by the root
-structure of the determinant form, (2,3,n) by minor gcds, and the largest
-shapes by conciseness alone. The same tree runs unchanged over the rational
-function field, which is what the parametric classifier exploits: every
-branch taken while classifying T - lambda*P generically records the
-polynomials whose roots could change the outcome, and those roots are then
-classified one by one.
+through one decision table: matrix shapes by rank, (2,2,2) by the Cayley
+hyperdeterminant (the discriminant of the determinant form), (2,2,n) by the
+2-minor gcd, (2,3,3) by the root structure of the determinant form, (2,3,n)
+by minor gcds, and the largest shapes by conciseness alone.
+
+The table reads the pencil invariants of the core through a reader. A
+family T - λP with P rank one is classified over Q(λ) by the same table
+with another reader: there every minor is affine in λ, so each invariant
+is computed over Q and Z[λ], together with guard polynomials whose roots
+include every value of λ where that invariant can differ from its generic
+value (``family_orbit``). ``classify_parametric`` then classifies the
+member at each root exactly.
 """
 
 from __future__ import annotations
 
-from .binforms import bform_discriminant, bform_gcd, bform_is_pure_power
-from .errors import InternalError, UnsupportedShape
-from .exactnum import (
-    UniPoly,
-    candidate_factors,
-    record_special_candidates,
+from .binforms import (
+    bform_discriminant,
+    bform_gcd,
+    bform_is_pure_power,
+    bform_quotient,
 )
-from .linalg import mat_rank
+from .errors import InternalError, UnsupportedShape
+from .exactnum import UniPoly, candidate_factors
+from .linalg import RING_ZX, _bareiss
 from .orbits import RANKS
 from .pencil import (
-    hyperdet222,
+    family_member_rank,
+    family_minor_gcd,
+    lambda_form,
+    lambda_parts,
     member_rank_at,
-    pencil_det_form,
     pencil_minor_gcd,
     pencil_of,
 )
-from .tensorcore import ParametricTensor, Tensor, concise_reduce, flattening
+from .tensorcore import ParametricTensor, Tensor, concise_reduce
 
 
 class OrbitId:
@@ -162,62 +169,56 @@ def classify(t):
     """
     red = concise_reduce(t)
     core = red.tensor
-    concise_shape = core.shape
+    perm = _canonical_permutation(core.shape)
+
+    def reads(dims):
+        return _CoreReads(Tensor(dims, core.transpose_axes(perm).entries))
+
+    orbit, matrix_rank = _orbit_of_shape(t.order, core.shape, reads)
+    rank, brk = orbit.rank_pair()
+    return ClassifyReport(orbit, rank, brk, core.shape, red, perm, matrix_rank)
+
+
+def _orbit_of_shape(order, concise_shape, reads):
+    """The orbit of an order-``order`` tensor with this concise shape.
+
+    Matrix cases are decided by the shape; otherwise ``reads(dims)`` gives
+    the reader of the canonical core, of shape dims. Returns (OrbitId,
+    matrix rank or None).
+    """
     perm = _canonical_permutation(concise_shape)
-    canon = core.transpose_axes(perm)
-    effective = tuple(d for d in canon.shape if d > 1)
-
-    if len(effective) <= 2:
-        r = _matrix_rank_of_core(canon, effective)
-        orbit = OrbitId.matrix(r)
-        if t.order == 3 and concise_shape in MATRIX_CASE_ROWS:
-            orbit = OrbitId.orbit(MATRIX_CASE_ROWS[concise_shape])
-        return ClassifyReport(orbit, r, r, concise_shape, red, perm, r)
-
-    if len(effective) != 3:
+    dims = tuple(concise_shape[i] for i in perm if concise_shape[i] > 1)
+    if len(dims) <= 2:
+        if len(dims) == 1:
+            raise InternalError("a concise core cannot be a vector")
+        r = dims[0] if dims else 1
+        if order == 3 and concise_shape in MATRIX_CASE_ROWS:
+            return OrbitId.orbit(MATRIX_CASE_ROWS[concise_shape]), r
+        return OrbitId.matrix(r), r
+    if len(dims) != 3 or dims[0] != 2 or dims[1] not in (2, 3):
         raise UnsupportedShape(
             "no finite orbit list for concise shape %r" % (concise_shape,)
         )
-
-    squeezed = Tensor(effective, canon.entries)
-    n = _orbit_of_canonical(squeezed)
-    if t.order == 3 and concise_shape == (2, 3, 2):
+    n = _orbit_of_canonical(dims, reads(dims))
+    if order == 3 and concise_shape == (2, 3, 2):
         n = {7: 11, 8: 12}.get(n, n)
-    rank, brk = RANKS[n]
-    return ClassifyReport(
-        OrbitId.orbit(n), rank, brk, concise_shape, red, perm, None
-    )
+    return OrbitId.orbit(n), None
 
 
-def _matrix_rank_of_core(canon, effective):
-    if len(effective) == 0:
-        return 1
-    if len(effective) == 1:
-        raise InternalError("a concise core cannot be a vector")
-    squeezed = Tensor(effective, canon.entries)
-    return mat_rank(flattening(squeezed, 1))
-
-
-def _orbit_of_canonical(core):
-    """Decision tree on a concise core with non-decreasing dims, all > 1."""
-    dims = core.shape
-    if dims[0] != 2 or dims[1] not in (2, 3):
-        raise UnsupportedShape(
-            "no finite orbit list for concise shape %r" % (dims,)
-        )
-    p = pencil_of(core)
+def _orbit_of_canonical(dims, reads):
+    """Decision table on a concise core of shape (2, b, c), b in (2, 3)."""
     if dims == (2, 2, 2):
-        return 6 if hyperdet222(core) else 5
+        return 5 if reads.discriminant_vanishes(reads.minor_gcd(2)) else 6
     if dims == (2, 2, 3):
-        return 7 if pencil_minor_gcd(p, 2).degree >= 1 else 8
+        return 7 if reads.minor_gcd(2).degree >= 1 else 8
     if dims == (2, 2, 4):
         return 9
     if dims == (2, 3, 3):
-        return _orbit_233(p)
+        return _orbit_233(reads)
     if dims == (2, 3, 4):
-        return _orbit_234(p)
+        return _orbit_234(reads)
     if dims == (2, 3, 5):
-        return 24 if pencil_minor_gcd(p, 3).degree >= 1 else 25
+        return 24 if reads.minor_gcd(3).degree >= 1 else 25
     if dims == (2, 3, 6):
         return 26
     raise UnsupportedShape(
@@ -225,26 +226,25 @@ def _orbit_of_canonical(core):
     )
 
 
-def _orbit_233(p):
-    det = pencil_det_form(p)
+def _orbit_233(reads):
+    det = reads.minor_gcd(3)
     if det.is_zero():
         return 13
-    partials = [det, det.partial_u(), det.partial_v()]
-    g = bform_gcd(partials)
+    g = reads.repeated_part(det)
     if g.degree == 0:
         return 18
     if g.degree == 1:
-        return 14 if member_rank_at(p, g) == 1 else 17
+        return 14 if reads.member_rank(g) == 1 else 17
     if g.degree == 2:
         ok, ell = bform_is_pure_power(g, 2)
         if not ok:
             raise InternalError("repeated part of a cubic must be a square")
-        return 15 if member_rank_at(p, ell) == 1 else 16
+        return 15 if reads.member_rank(ell) == 1 else 16
     raise InternalError("cubic determinant form with repeated part %r" % g)
 
 
-def _orbit_234(p):
-    g3 = pencil_minor_gcd(p, 3)
+def _orbit_234(reads):
+    g3 = reads.minor_gcd(3)
     if g3.is_zero():
         raise InternalError("concise 2x3x4 tensor with vanishing 3-minors")
     if g3.degree == 0:
@@ -252,11 +252,74 @@ def _orbit_234(p):
     if g3.degree == 1:
         return 19
     if g3.degree == 2:
-        if bform_discriminant(g3) == 0:
-            g2 = pencil_minor_gcd(p, 2)
-            return 20 if g2.degree >= 1 else 21
+        if reads.discriminant_vanishes(g3):
+            return 20 if reads.minor_gcd(2).degree >= 1 else 21
         return 22
     raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
+
+
+class _CoreReads:
+    """The invariants the decision table reads, on the pencil of a core."""
+
+    def __init__(self, core):
+        self.pencil = pencil_of(core)
+
+    def minor_gcd(self, k):
+        return pencil_minor_gcd(self.pencil, k)
+
+    def discriminant_vanishes(self, form):
+        return bform_discriminant(form) == 0
+
+    def repeated_part(self, det):
+        return bform_gcd([det, det.partial_u(), det.partial_v()])
+
+    def member_rank(self, ell):
+        return member_rank_at(self.pencil, ell)
+
+
+class _FamilyReads:
+    """The same invariants over Q(λ) for the pencil of a family, given by
+    its rows over Z[λ]; each read appends its guards to ``guards``."""
+
+    def __init__(self, rows, cols, guards):
+        self.rows = rows
+        self.cols = cols
+        self.guards = guards
+
+    def _guard(self, poly):
+        if poly is not None and poly.degree >= 1:
+            self.guards.append(poly)
+
+    def minor_gcd(self, k):
+        g, guard = family_minor_gcd(self.rows, self.cols, k)
+        self._guard(guard)
+        return g
+
+    def discriminant_vanishes(self, form):
+        disc = bform_discriminant(form)
+        self._guard(disc)
+        return disc.is_zero()
+
+    def repeated_part(self, det):
+        """The repeated part over Q(λ) of a nonzero determinant form c q,
+        c over Q and q 1 or irreducible over Q(λ), is that of c. It stays
+        so wherever det / rep is square-free, that is off the roots of its
+        discriminant."""
+        parts = lambda_parts([x.coeffs for x in det.coeffs])
+        c = bform_gcd(parts)
+        rep = bform_gcd([c, c.partial_u(), c.partial_v()]) if c.degree else c
+        rest = lambda_form(*(bform_quotient(f, rep) for f in parts))
+        if rest.degree >= 2:
+            disc = bform_discriminant(rest)
+            if disc.is_zero():
+                raise InternalError("square-free form with a zero discriminant")
+            self._guard(disc)
+        return rep
+
+    def member_rank(self, ell):
+        rank, pivot = family_member_rank(self.rows, self.cols, ell)
+        self._guard(pivot)
+        return rank
 
 
 def orbit_rank(oid):
@@ -264,30 +327,71 @@ def orbit_rank(oid):
     return oid.rank_pair()[0]
 
 
+def _pivot_slices(f, axis):
+    """Indices of slices along ``axis`` that span all of them over Q(λ),
+    taken in order, and the last Bareiss pivot of their flattening rows:
+    a rank-sized minor, nonzero wherever they still span."""
+    rows = f.flattening_rows(axis)
+    rank, piv = f.flattening_pivot(axis)
+    if rank == len(rows):
+        return list(range(rank)), piv
+    keep = []
+    for i in range(len(rows)):
+        if _bareiss([list(rows[k]) for k in keep + [i]], RING_ZX)[0] > len(keep):
+            keep.append(i)
+            if len(keep) == rank:
+                break
+    _, piv, _ = _bareiss([list(rows[k]) for k in keep], RING_ZX)
+    return keep, piv
+
+
+def family_orbit(f):
+    """The orbit over Q(λ) of the family T - λP, with its guards.
+
+    Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
+    another orbit is a root of one of the guards, nonconstant ``UniPoly``s.
+    Each flattening's rank comes from one Bareiss elimination over Z[λ],
+    guarded by its last pivot. Off the pivots' roots, the family restricted
+    to the slices carrying them (``_pivot_slices``) is a concise core of
+    the member, whose pencil the decision table reads (``_FamilyReads``).
+    """
+    order = f.base.order
+    slices, guards = [], []
+    for axis in range(1, order + 1):
+        keep, piv = _pivot_slices(f, axis)
+        slices.append(keep)
+        guards.append(UniPoly(piv))
+    concise = tuple(len(s) for s in slices)
+
+    def reads(dims):
+        axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
+        return _FamilyReads(f.pencil_rows(axes, slices), dims[2], guards)
+
+    orbit, _ = _orbit_of_shape(order, concise, reads)
+    return orbit, [g for g in guards if g.degree >= 1]
+
+
 def classify_parametric(f, base_report):
     """Classify the family T - lambda*P for all values of the parameter.
 
     ``base_report`` is ``classify(T)``, which the caller already holds; it
-    gives the member at lambda = 0. The generic orbit is computed once over
-    the rational function field; the candidate special values are the roots
-    of every polynomial some branch decision depended on, each classified
-    exactly (rational roots by direct substitution, irrational ones over the
-    extension field). Factors whose orbit equals the generic orbit are
-    dropped, except lambda itself.
+    gives the member at lambda = 0. The generic orbit and the guards come
+    from ``family_orbit``; the candidate special values are the roots of
+    the guards, each classified exactly (rational roots by direct
+    substitution, irrational ones over the extension field). Factors whose
+    orbit equals the generic orbit are dropped, except lambda itself.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
-    with record_special_candidates() as bucket:
-        generic_report = classify(f.generic_member())
-
+    generic, guards = family_orbit(f)
     entries = [(UniPoly([0, 1]), base_report.orbit)]
-    for fac in candidate_factors(bucket):
+    for fac in candidate_factors(guards):
         member = f.member_at(fac)
         if member.is_zero():
             orbit = OrbitId.matrix(0)
         else:
             orbit = classify(member).orbit
-        if orbit == generic_report.orbit:
+        if orbit == generic:
             continue
         entries.append((fac, orbit))
-    return ParametricReport(generic_report.orbit, entries)
+    return ParametricReport(generic, entries)

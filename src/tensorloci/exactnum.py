@@ -8,8 +8,10 @@ Three scalar domains are implemented on top of ``fractions.Fraction``:
   stored lowest-degree first with no trailing zeros.
 * ``AlgebraicElement`` -- residue classes in Q[x]/(modulus) for a monic
   irreducible modulus, used to work at an irrational root of a polynomial.
-* ``FuncElem`` -- quotients of two ``UniPoly`` (the rational function field),
-  used to classify one-parameter families at a generic parameter value.
+
+A one-parameter family T - λP is never computed over the field Q(λ): its
+invariants are polynomials in λ, and ``candidate_factors`` turns the ones
+whose roots can change an answer into the special values to check.
 
 No floating point number ever enters any computation here.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DegreeTooLarge, NotInvertible, ParseError, ZeroDivisor
@@ -853,178 +854,3 @@ def algext_inverse(x):
         raise ZeroDivisor("gcd with modulus is %r" % d)
     # d is the constant 1 after normalization inside upoly_xgcd
     return AlgebraicElement(x.modulus, s % x.modulus, check=False)
-
-
-# --- rational function field ------------------------------------------------
-
-_candidate_stack = []
-
-
-@contextmanager
-def record_special_candidates():
-    """Collect every polynomial whose (non)vanishing influenced a branch.
-
-    While the context is active, any ``FuncElem`` that is truth-tested and
-    found nonzero pushes its numerator and denominator onto the yielded list.
-    Code that eliminates over the polynomial ring directly is expected to
-    push its pivots via ``note_candidate``.
-    """
-    bucket = []
-    _candidate_stack.append(bucket)
-    try:
-        yield bucket
-    finally:
-        _candidate_stack.pop()
-
-
-@contextmanager
-def suppress_candidate_recording():
-    """Silence candidate collection inside an elimination whose parameter
-    sensitivity the caller records in a coarser, still-sound form."""
-    _candidate_stack.append(None)
-    try:
-        yield
-    finally:
-        _candidate_stack.pop()
-
-
-def recording_active():
-    return bool(_candidate_stack) and _candidate_stack[-1] is not None
-
-
-def note_candidate(poly):
-    if _candidate_stack and _candidate_stack[-1] is not None and poly.degree >= 1:
-        _candidate_stack[-1].append(poly)
-
-
-class FuncElem:
-    """An element of the rational function field Q(x).
-
-    Stored as num/den with den monic and gcd(num, den) = 1. Truth testing a
-    nonzero element records num and den with the active candidate collector;
-    this is what makes the generic-parameter classification auditable.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, reduce=True):
-        if isinstance(num, (int, Fraction)):
-            num = UniPoly([Fraction(num)])
-        if den is None:
-            den = UniPoly([1], num.var)
-        elif isinstance(den, (int, Fraction)):
-            den = UniPoly([Fraction(den)], num.var)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if reduce:
-            if num.is_zero():
-                den = UniPoly([1], num.var)
-            else:
-                g = upoly_gcd(num, den)
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
-                lc = den.leading()
-                if lc != 1:
-                    num = UniPoly([c / lc for c in num.coeffs], num.var)
-                    den = den.monic()
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def variable(cls, var="λ"):
-        return cls(UniPoly([0, 1], var))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        if self.num.is_zero():
-            return False
-        note_candidate(self.num)
-        note_candidate(self.den)
-        return True
-
-    def _coerce(self, other):
-        if isinstance(other, FuncElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FuncElem(
-                UniPoly([Fraction(other)], self.num.var), reduce=False
-            )
-        if isinstance(other, UniPoly):
-            return FuncElem(other, reduce=False)
-        return None
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        diff = self - o
-        return not bool(diff)
-
-    def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
-
-    def __neg__(self):
-        return FuncElem(-self.num, self.den, reduce=False)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return FuncElem(self.num + o.num, self.den)
-        return FuncElem(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FuncElem(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return FuncElem(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return (FuncElem(UniPoly([1], self.num.var)) / self) ** (-n)
-        return FuncElem(self.num ** n, self.den ** n, reduce=False)
-
-    def evaluate(self, x):
-        den = self.den(x)
-        if den == 0:
-            raise ZeroDivisionError("pole at the evaluation point")
-        return self.num(x) / den
-
-    def __repr__(self):
-        if self.den.degree == 0 and self.den.coeffs == (_ONE,):
-            return repr(self.num)
-        return "(%r)/(%r)" % (self.num, self.den)

@@ -2,22 +2,18 @@
 
 Rank and determinant run on one fraction-free Bareiss elimination with the
 first-nonzero pivot rule (scan columns left to right, take the topmost
-nonzero entry). Matrices over Q, Q[λ] and Q(λ) are first scaled row by row
-to integer form by one converter, ``integer_rows``: the Q(λ) denominators
-of a row are cleared, then its rational coefficients. The elimination then
-runs over Z on plain ints, or over Z[λ] on dense lists of ints, lowest
-degree first, and every Bareiss division is exact. ``mat_det`` divides the
-row scales out once at the end; it is the one determinant routine
-(flattening minors, Sylvester resultants), and pencil minors at a sample
-point use its core ``bareiss_det``. Matrices over an algebraic extension
-are eliminated over the field itself.
-
-A rank over Q[λ] or Q(λ) taken while the candidate recorder is active
-records the cleared row denominators and the gcd of the last Bareiss
-pivots in a few row and column orders. Each such pivot is a rank-sized
-minor, so the gcd vanishes wherever the rank drops. ``sample_points`` and
-``interpolate`` give the evaluation points and the interpolation that turn
-determinants at sample points into pencil minors.
+nonzero entry). Matrices over Q and Q[λ] are first scaled row by row to
+integer form by one converter, ``integer_rows``, which clears the rational
+coefficients of each row. The elimination then runs over Z on plain ints,
+or over Z[λ] on dense lists of ints, lowest degree first, and every
+Bareiss division is exact. ``mat_det`` divides the row scales out once at
+the end; it is the one determinant routine (flattening minors, Sylvester
+resultants), and pencil minors at a sample point use its core
+``bareiss_det``. Over Z[λ] the last Bareiss pivot is a rank-sized minor,
+which is what names the parameter values where a rank can drop. Matrices
+over an algebraic extension are eliminated over the field itself.
+``sample_points`` and ``interpolate`` give the evaluation points and the
+interpolation that turn determinants at sample points into pencil minors.
 """
 
 from __future__ import annotations
@@ -27,30 +23,16 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix
-from .exactnum import (
-    AlgebraicElement,
-    FuncElem,
-    UniPoly,
-    _ip_gcd,
-    note_candidate,
-    recording_active,
-    suppress_candidate_recording,
-    upoly_gcd,
-)
+from .exactnum import AlgebraicElement, UniPoly
 
 DOMAIN_QQ = "QQ"
-DOMAIN_FUNCFIELD = "funcfield"
 DOMAIN_EXTENSION = "extension"
 DOMAIN_POLYRING = "polyring"
-
-_ONE_POLY = UniPoly([1])
 
 
 def _infer_domain(entries):
     for row in entries:
         for x in row:
-            if isinstance(x, FuncElem):
-                return DOMAIN_FUNCFIELD
             if isinstance(x, AlgebraicElement):
                 return DOMAIN_EXTENSION
             if isinstance(x, UniPoly):
@@ -153,7 +135,7 @@ def mat_vec(a, v):
 
 # --- the Bareiss kernel -----------------------------------------------------
 #
-# Rational, Q[λ] and Q(λ) matrices are eliminated in integer form: each row
+# Rational and Q[λ] matrices are eliminated in integer form: each row
 # is scaled to entries in Z (plain ints) or in Z[λ] (dense lists of ints,
 # lowest degree first, no trailing zeros, [] for zero), where every Bareiss
 # division is exact. A ring is the pair (cross, div) of the two operations
@@ -249,70 +231,32 @@ def _bareiss(work, ring, square=False):
     return rank, prev, sign
 
 
-def clear_denominators(row, record=True):
-    """Scale a row of Q(λ) scalars to polynomials over Q.
-
-    Returns (polys, den): ``den`` is the monic lcm of the ``FuncElem``
-    denominators in the row and ``polys`` is the row times ``den``, as
-    ``UniPoly``s. Scaling a row by a nonzero polynomial preserves rank, but
-    the scaled problem only matches the original away from the roots of
-    ``den``, so with ``record`` a nonconstant ``den`` is recorded as a
-    special-parameter candidate.
-    """
-    den = None
-    for x in row:
-        if isinstance(x, FuncElem) and x.den.degree > 0:
-            den = x.den if den is None else (den * x.den) // upoly_gcd(den, x.den)
-    if den is None:
-        polys = [
-            x.num if isinstance(x, FuncElem)
-            else x if isinstance(x, UniPoly)
-            else UniPoly([x])
-            for x in row
-        ]
-        return polys, _ONE_POLY
-    if record:
-        note_candidate(den)
-    polys = [
-        x.num * (den // x.den) if isinstance(x, FuncElem)
-        else x * den if isinstance(x, UniPoly)
-        else den * x
-        for x in row
-    ]
-    return polys, den
-
-
 def _z_row(row):
     """A rational row times the lcm k of its denominators: (ints, k)."""
     k = math.lcm(*[x.denominator for x in row])
     return [x.numerator * (k // x.denominator) for x in row], k
 
 
-def _zx_row(row, record=True):
-    """A row of Q[λ] or Q(λ) scalars scaled into Z[λ]: (int lists, s).
-
-    The row times the ``UniPoly`` s is the returned row; s is the cleared
-    denominator (recorded as in ``clear_denominators``) times the lcm of
-    the denominators of the rational coefficients.
-    """
-    polys, den = clear_denominators(row, record)
-    k = math.lcm(*[c.denominator for p in polys for c in p.coeffs])
-    ints = [[c.numerator * (k // c.denominator) for c in p.coeffs] for p in polys]
-    return ints, den * k
+def _zx_row(row):
+    """A row of Q[λ] scalars times the lcm k of the denominators of its
+    coefficients, as Z[λ] int lists: (int lists, k)."""
+    polys = [x.coeffs if isinstance(x, UniPoly) else (Fraction(x),) for x in row]
+    k = math.lcm(*[c.denominator for p in polys for c in p])
+    ints = [[c.numerator * (k // c.denominator) for c in p] for p in polys]
+    return [p if any(p) else [] for p in ints], k
 
 
-def integer_rows(M, record=True):
-    """The rows of a Q, Q[λ] or Q(λ) matrix in integer form.
+def integer_rows(M):
+    """The rows of a Q or Q[λ] matrix in integer form.
 
-    Returns (rows, ring, scales) with row i of M times scales[i] equal to
-    rows[i]: ints and int scales over Q, Z[λ] lists and ``UniPoly`` scales
-    otherwise.
+    Returns (rows, ring, scales) with row i of M times the int scales[i]
+    equal to rows[i]: ints over Q, Z[λ] int lists over Q[λ].
     """
     if M.domain == DOMAIN_QQ:
         pairs = [_z_row(row) for row in M.entries]
         ring = RING_Z
     else:
-        pairs = [_zx_row(row, record) for row in M.entries]
+        pairs = [_zx_row(row) for row in M.entries]
         ring = RING_ZX
     return [r for r, _ in pairs], ring, [s for _, s in pairs]
 
@@ -375,71 +319,30 @@ def bareiss_det(rows, ring):
     return [-c for c in piv] if ring is RING_ZX else -piv
 
 
-def integer_quotient(c, scale, domain):
-    """c / scale back in ``domain``, for a value c and a product of row
-    scales from the integer form of a ``domain`` matrix (``integer_rows``):
-    a Fraction over Q, a ``UniPoly`` over Q[λ], a ``FuncElem`` over Q(λ).
-    """
-    if domain == DOMAIN_QQ:
+def integer_quotient(c, scale):
+    """c / scale for a value c of ``bareiss_det`` or ``interpolate`` on
+    integer rows and an int product of their row scales: a Fraction over
+    Z, a ``UniPoly`` over Z[λ]."""
+    if isinstance(c, int):
         return Fraction(c, scale)
-    if scale.degree:
-        return FuncElem(UniPoly(c), scale)
-    k = scale.coeffs[0]
-    num = UniPoly([Fraction(x, k) for x in c])
-    return num if domain == DOMAIN_POLYRING else FuncElem(num, reduce=False)
+    return UniPoly([Fraction(x, scale) for x in c])
 
 
 def mat_rank(M):
-    """Rank by Bareiss elimination.
-
-    Over the function field this is the generic rank: the rank away from
-    finitely many parameter values. With the candidate recorder active,
-    over Q[λ] or Q(λ), the cleared row denominators and the gcd of a few
-    rank-sized minors are recorded; together they cover every parameter
-    value where the rank can drop.
-    """
+    """Rank by Bareiss elimination; over Q[λ] the rank over Q(λ)."""
     if M.domain == DOMAIN_EXTENSION:
         return _bareiss([list(r) for r in M.entries], _FIELD)[0]
     rows, ring, _ = integer_rows(M)
-    if ring is RING_Z or not recording_active():
-        return _bareiss(rows, ring)[0]
-    rank, piv, _ = _bareiss([list(r) for r in rows], ring)
-    if rank:
-        _note_rank_drop_locus(rows, piv)
-    return rank
-
-
-def _note_rank_drop_locus(rows, piv):
-    """Record a sound cover of the parameter values where the rank drops.
-
-    Every r x r minor vanishes wherever the specialized rank falls below r,
-    and the last Bareiss pivot is such a minor, so the gcd of last pivots
-    taken with a few different row and column orders covers the rank-drop
-    locus. ``piv`` is the last pivot of ``rows`` in their own order. The
-    gcd is recorded monic; nothing is recorded when it is constant.
-    """
-    g = piv
-    flipped = [row[::-1] for row in rows]
-    for order in (flipped[::-1], flipped, rows[::-1]):
-        if len(g) == 1:
-            return
-        _, piv, _ = _bareiss([list(row) for row in order], RING_ZX)
-        g = _ip_gcd(g, piv)
-    if len(g) > 1:
-        note_candidate(UniPoly(g).monic())
+    return _bareiss(rows, ring)[0]
 
 
 def mat_det(M):
     """Determinant of a square matrix by Bareiss; exact in any domain.
 
-    Over Q, Q[λ] and Q(λ) the rows are scaled to integer form, eliminated
-    over Z or Z[λ], and the row scales divided out once at the end; the
-    result is a Fraction, a ``UniPoly`` or a ``FuncElem``. Over an
-    extension field the elimination runs in the field.
-
-    Nothing is recorded: the pivot scan is elimination bookkeeping, and
-    whether the determinant itself vanishes is the caller's decision to
-    record.
+    Over Q and Q[λ] the rows are scaled to integer form, eliminated over Z
+    or Z[λ], and the row scales divided out once at the end; the result is
+    a Fraction or a ``UniPoly``. Over an extension field the elimination
+    runs in the field.
     """
     if M.rows != M.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
@@ -447,12 +350,8 @@ def mat_det(M):
         return Fraction(1)
     if M.domain == DOMAIN_EXTENSION:
         return bareiss_det([list(r) for r in M.entries], _FIELD)
-    rows, ring, scales = integer_rows(M, record=False)
-    det = bareiss_det(rows, ring)
-    scale = scales[0]
-    for s in scales[1:]:
-        scale = scale * s
-    return integer_quotient(det, scale, M.domain)
+    rows, ring, scales = integer_rows(M)
+    return integer_quotient(bareiss_det(rows, ring), math.prod(scales))
 
 
 def mat_rref(M):
@@ -529,16 +428,12 @@ def full_rank_factorization(A):
     When A already has full row rank the factorization is B = identity,
     C = A: no change of basis, so a family of matrices keeps its entries.
     Otherwise B collects the pivot columns of A and C is the nonzero part
-    of the reduced row echelon form. Works over any field domain. The rank
-    comes from ``mat_rank``, which under the candidate recorder records
-    the parameter values where it drops; the echelon form is elimination
-    detail and records nothing.
+    of the reduced row echelon form. Works over any field domain.
     """
     r = mat_rank(A)
     if r == A.rows:
         return mat_identity(A.rows), A, r
-    with suppress_candidate_recording():
-        R, pivots = mat_rref(A)
+    R, pivots = mat_rref(A)
     B = Mat([[A.entries[i][j] for j in pivots] for i in range(A.rows)],
             domain=A.domain)
     C = Mat(R.entries[:r], domain=A.domain)

@@ -12,16 +12,17 @@ Three independent routes are provided and kept deliberately separate so
 they can be played against each other in tests:
 
 * ``locus_membership`` with the generic strategy classifies the family
-  T - lam*P once over the rational function field and reads the answer
-  off the exceptional values.
+  T - lam*P for all lam at once (``classify_parametric``) and reads the
+  answer off the generic orbit and the exceptional values.
 * The specialized strategy dispatches on the orbit of T: a single
   pairing for matrix cores, the explicit decomposition through P for
   tangent tensors, and for the concise orbits of the finite-orbit shapes
   the one value of lam where a flattening loses rank (one fraction-free
   elimination over Z[lam] per flattening) plus pencil invariants. It
   reads the concise core and its axis order from the classification of
-  T, and works over the function field only to locate the concise
-  escapes of orbits 13, 15-17 and 21.
+  T. Only the concise escapes of orbits 13, 15-17 and 21 need the orbit
+  of the family over Q(lam) and its guard polynomials
+  (``classify.family_orbit``).
 * ``closed_form_predicate`` evaluates an explicit polynomial set
   description of the forbidden locus, available for the normal forms of
   certain orbits in their own coordinates.
@@ -31,8 +32,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .binforms import bform_is_pure_power
-from .classify import OrbitId, classify, classify_parametric, orbit_rank
+from .classify import (
+    OrbitId,
+    classify,
+    classify_parametric,
+    family_orbit,
+    orbit_rank,
+)
 from .errors import (
     AllZero,
     InternalError,
@@ -41,15 +47,9 @@ from .errors import (
     TangencyPointRequested,
     UnsupportedOrbit,
 )
-from .exactnum import (
-    UniPoly,
-    candidate_factors,
-    note_candidate,
-    record_special_candidates,
-)
-from .linalg import RING_Z, Mat, _bareiss, integer_rows, mat_rank, mat_solve
+from .exactnum import UniPoly, candidate_factors
+from .linalg import RING_Z, Mat, _bareiss, mat_rank, mat_solve, sample_points
 from .orbits import pencil_shape
-from .pencil import hyperdet233, pencil_det_form, pencil_minor_gcd, pencil_of
 from .tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -68,11 +68,6 @@ GENERIC = "generic"
 SPECIALIZED = "specialized"
 
 _LAMBDA = UniPoly([0, 1])
-
-# How far the search for an integer witness value walks before giving up.
-# The values to avoid are always roots of a handful of low degree
-# polynomials, so in practice the first or second candidate already works.
-_SCAN_LIMIT = 60
 
 
 class LambdaWitness:
@@ -194,36 +189,35 @@ def _first_witness(T, P, factors, target):
     return None
 
 
-def _scan_rational_witness(T, P, target):
-    """First integer lam != 0 where the rank actually drops.
+def _scan_rational_witness(T, P, target, guards):
+    """First integer lam in 1, -1, 2, -2, ... where the rank actually drops.
 
-    Only called once some argument has shown that all but finitely many
-    values work, so the walk terminates quickly.
+    Only called once the member has rank ``target`` at every lam != 0 off
+    the roots of the nonzero polynomials ``guards``; so among the first
+    1 + (sum of their degrees) values one is sure to work.
     """
-    values = (
-        sign * m for m in range(1, _SCAN_LIMIT + 1) for sign in (1, -1)
-    )
+    values = sample_points(2 + sum(g.degree for g in guards))[1:]
     verdict = _first_witness(
         T, P, (UniPoly([-lam0, 1]) for lam0 in values), target
     )
     if verdict is None:
-        raise InternalError("no integer witness within the scan range")
+        raise InternalError("no integer witness off the roots of the guards")
     return verdict
 
 
-def _drop_value(pt, axis):
+def _drop_value(family, axis):
     """The one lam where the axis flattening of a concise family loses rank.
 
-    ``pt`` is T - lam*P over Q[lam] with T concise, so the flattening has
-    full row rank r at lam = 0. P flattens to a rank-one matrix, so every
-    r x r minor is affine in lam, and the last Bareiss pivot over Z[lam] is
-    one of them: the gcd of all of them divides it. A constant pivot means
-    the rank never drops (None); otherwise its root p/q is the only
-    candidate, kept when the rows at p/q, scaled by q into integers, have a
-    smaller rank.
+    ``family`` is T - lam*P with T concise, so the flattening has full row
+    rank r at lam = 0. P flattens to a rank-one matrix, so every r x r
+    minor is affine in lam, and the last Bareiss pivot over Z[lam] is one
+    of them: the gcd of all of them divides it. A constant pivot means the
+    rank never drops (None); otherwise its root p/q is the only candidate,
+    kept when the rows at p/q, scaled by q into integers, have a smaller
+    rank.
     """
-    rows, ring, _ = integer_rows(flattening(pt, axis), record=False)
-    rank, piv, _ = _bareiss([list(row) for row in rows], ring)
+    rows = family.flattening_rows(axis)
+    rank, piv = family.flattening_pivot(axis)
     if rank < len(rows):
         raise InternalError("concise core with a degenerate flattening line")
     if len(piv) == 1:
@@ -352,16 +346,12 @@ def locus_tangential(T, P):
 
 def _generic_membership(T, P, report):
     target = report.rank - 1
-    family = ParametricTensor(T, P)
-    parametric = classify_parametric(family, report)
-
+    parametric = classify_parametric(ParametricTensor(T, P), report)
+    special = [(fac, oid) for fac, oid in parametric.exceptional if fac != _LAMBDA]
     if orbit_rank(parametric.generic) == target:
-        return _scan_rational_witness(T, P, target)
-    factors = [
-        fac
-        for fac, oid in parametric.exceptional
-        if fac != _LAMBDA and orbit_rank(oid) == target
-    ]
+        # every member off the special factors is in the generic orbit
+        return _scan_rational_witness(T, P, target, [fac for fac, _ in special])
+    factors = [fac for fac, oid in special if orbit_rank(oid) == target]
     return _first_witness(T, P, factors, target) or LocusVerdict.forbidden()
 
 
@@ -448,10 +438,10 @@ def _drop_root_verdict(core, coreP, axes, target):
     where all three drop; on a concise (2,2,3) core a member of rank at
     most two has a 3 x 4 last flattening of rank at most two.
     """
-    pt = ParametricTensor(core, coreP).polynomial_member()
+    family = ParametricTensor(core, coreP)
     shared = None
     for ax in axes:
-        value = _drop_value(pt, ax)
+        value = _drop_value(family, ax)
         if value is None or (shared is not None and value != shared):
             return LocusVerdict.forbidden()
         shared = value
@@ -459,99 +449,29 @@ def _drop_root_verdict(core, coreP, axes, target):
     return verdict or LocusVerdict.forbidden()
 
 
-def _nonconcise_witness(core, coreP, target):
-    """First member of rank ``target`` among the non-concise members, one
-    per flattening at most (``_drop_value``); None if none."""
-    pt = ParametricTensor(core, coreP).polynomial_member()
+def _escape_verdict(core, coreP, target):
+    """Concise cores of orbits 13, 15-17 (2,3,3) and 21 (2,3,4): does the
+    line reach rank ``target``, one below the rank of T?
+
+    Non-concise members come first: one candidate per flattening
+    (``_drop_value``), taken in axis order. Then the orbit of the family
+    over Q(lam) decides (``family_orbit``): if it has rank ``target``, so
+    does every member off the roots of its guards, and the scan finds one;
+    otherwise only a member at a root of a guard can, and each candidate
+    factor is classified in turn.
+    """
+    family = ParametricTensor(core, coreP)
     for ax in (1, 2, 3):
-        value = _drop_value(pt, ax)
+        value = _drop_value(family, ax)
         if value is None:
             continue
         verdict = _first_witness(core, coreP, [UniPoly([-value, 1])], target)
         if verdict is not None:
             return verdict
-    return None
-
-
-def _note_form_coefficients(forms):
-    """Record the numerators and denominators of binary forms over Q(lam)."""
-    for form in forms:
-        for coeff in form.coeffs:
-            note_candidate(coeff.num)
-            note_candidate(coeff.den)
-
-
-def _rank4_233_verdict(core, coreP):
-    """Concise (2,3,3) of rank four: does the line reach rank three?
-
-    Rank-three members are of three kinds, checked in turn: non-concise
-    members (where a flattening drops rank, ``_drop_value``), members with
-    nonzero hyperdeterminant (present for cofinitely many lam as soon as
-    the hyperdeterminant of the family, a polynomial in lam, is not
-    identically zero), and members whose determinant form has a double
-    plus a simple root with a rank-one matrix in the pencil. Only the last
-    kind is located over the function field, on the generic member; the
-    recorded branch polynomials then carry every value of lam where the
-    generic answer could flip.
-    """
-    target = 3
-    verdict = _nonconcise_witness(core, coreP, target)
-    if verdict is not None:
-        return verdict
-
-    family = ParametricTensor(core, coreP)
-    if not hyperdet233(family.polynomial_member()).is_zero():
-        return _scan_rational_witness(core, coreP, target)
-
-    with record_special_candidates() as bucket:
-        p = pencil_of(family.generic_member())
-        det_form = pencil_det_form(p)
-        g2 = pencil_minor_gcd(p, 2)
-        _note_form_coefficients((det_form, g2))
-        double_simple = (
-            not det_form.is_zero()
-            and not bform_is_pure_power(det_form, 3)[0]
-            and not g2.is_zero()
-            and g2.degree >= 1
-        )
-    if double_simple:
-        return _scan_rational_witness(core, coreP, target)
-    verdict = _first_witness(core, coreP, candidate_factors(bucket), target)
-    return verdict or LocusVerdict.forbidden()
-
-
-def _rank5_234_verdict(core, coreP):
-    """Concise (2,3,4) of rank five: every neighbour on the line has rank
-    four unless the whole line stays in the same orbit.
-
-    The rank-five orbit is cut out among concise (2,3,4) tensors by its
-    pencil signature: the maximal minors of the pencil share a square of
-    a linear form while the two by two minors are coprime. Members
-    landing anywhere else have rank four. Non-concise members are found
-    where a flattening drops rank; concise escapes from the orbit are
-    confined to the roots of the recorded branch polynomials.
-    """
-    target = 4
-    verdict = _nonconcise_witness(core, coreP, target)
-    if verdict is not None:
-        return verdict
-
-    family = ParametricTensor(core, coreP)
-    with record_special_candidates() as bucket:
-        p = pencil_of(family.generic_member())
-        g3 = pencil_minor_gcd(p, 3)
-        g2 = pencil_minor_gcd(p, 2)
-        _note_form_coefficients((g3, g2))
-        stays_rank_five = (
-            not g3.is_zero()
-            and g3.degree == 2
-            and bform_is_pure_power(g3, 2)[0]
-            and not g2.is_zero()
-            and g2.degree == 0
-        )
-    if not stays_rank_five:
-        return _scan_rational_witness(core, coreP, target)
-    verdict = _first_witness(core, coreP, candidate_factors(bucket), target)
+    generic, guards = family_orbit(family)
+    if orbit_rank(generic) == target:
+        return _scan_rational_witness(core, coreP, target, guards)
+    verdict = _first_witness(core, coreP, candidate_factors(guards), target)
     return verdict or LocusVerdict.forbidden()
 
 
@@ -579,14 +499,12 @@ def _specialized_membership(T, P, report):
         return _drop_root_verdict(core, coreP, (3,), 2)
     if n in (9, 26):
         return _pairing_verdict(core, coreP, report.rank - 1)
-    if n in (13, 15, 16, 17):
-        return _rank4_233_verdict(core, coreP)
+    if n in (13, 15, 16, 17, 21):
+        return _escape_verdict(core, coreP, report.rank - 1)
     if n in (14, 18):
         return _drop_root_verdict(core, coreP, (2, 3), 2)
     if n in (19, 20, 22, 23):
         return _drop_root_verdict(core, coreP, (3,), 3)
-    if n == 21:
-        return _rank5_234_verdict(core, coreP)
     if n in (24, 25):
         return _drop_root_verdict(core, coreP, (3,), 4)
     raise InternalError("orbit %d escaped the dispatch table" % n)

@@ -7,23 +7,40 @@ hyperdeterminants, and the member ranks at roots of linear forms.
 
 Every minor of the pencil is a binary form in (u, v), found by evaluation
 and interpolation: det(tA + B) at r + 1 integer points t, then the
-polynomial in t through them. Over Q and Q(λ) the pencil is scaled once to
+polynomial in t through them. Over Q and Q[λ] the pencil is scaled once to
 integer form (rows over Z or Z[λ]), each point is an integer Bareiss
 determinant, the interpolation divides exactly in the integers, and the row
 scales are divided out of each coefficient at the end.
+
+The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
+l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
+and n binary forms over Q. ``family_minor_gcd`` and ``family_member_rank``
+work on its rows over Z[λ] and return the value over Q(λ) together with a
+guard: a polynomial in λ whose roots include every value where the value
+at that λ differs from the generic one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
-from .binforms import BinaryForm, bform_discriminant, bform_gcd
-from .errors import WrongShape
-from .exactnum import suppress_candidate_recording
+from .binforms import (
+    BinaryForm,
+    _pl_resultant,
+    bform_discriminant,
+    bform_gcd,
+    bform_quotient,
+)
+from .errors import InternalError, WrongShape
+from .exactnum import UniPoly, upoly_gcd
 from .linalg import (
     DOMAIN_EXTENSION,
     RING_Z,
+    RING_ZX,
     Mat,
+    _bareiss,
     bareiss_det,
     integer_quotient,
     integer_rows,
@@ -33,7 +50,7 @@ from .linalg import (
     sample_points,
     zx_interpolate,
 )
-from .tensorcore import ParametricTensor, Tensor
+from .tensorcore import Tensor
 
 
 class Pencil:
@@ -64,9 +81,7 @@ class Pencil:
 
 
 def pencil_of(t):
-    """The pencil of a tensor (or parametric tensor) of shape (2, b, c)."""
-    if isinstance(t, ParametricTensor):
-        t = t.generic_member()
+    """The pencil of a tensor of shape (2, b, c)."""
     if not isinstance(t, Tensor) or t.order != 3 or t.shape[0] != 2:
         raise WrongShape("pencils come from tensors of shape (2, b, c)")
     _, b, c = t.shape
@@ -90,48 +105,42 @@ def _zx_axpy(t, a, b):
     return out
 
 
-def _integer_members(p, pts):
-    """The members t*A + B at the points ``pts`` in integer form.
+def _members(rows, cols, ring, pts):
+    """The members t*A + B at the points ``pts`` of the pencil whose integer
+    rows are [A_i | B_i] over ``ring``."""
+    if ring is RING_Z:
+        return [[[t * x + y for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
+    return [[[_zx_axpy(t, x, y) for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
 
-    Returns (ring, row scales, domain, members), the first three as
-    ``linalg.integer_rows`` and ``Mat`` give them for the rows [A_i | B_i],
-    or None for a pencil over an extension field. The pencil is converted
-    once and records nothing: callers record the branch decisions they
-    take on the minor forms.
-    """
-    if p._integer is None:
-        M = Mat([ra + rb for ra, rb in zip(p.a.entries, p.b.entries)])
-        if M.domain == DOMAIN_EXTENSION:
-            p._integer = False
-        else:
-            p._integer = integer_rows(M, record=False) + (M.domain, {})
-    if p._integer is False:
-        return None
-    rows, ring, scales, domain, members = p._integer
-    c = p.cols
-    for t in pts:
-        if t not in members:
-            if ring is RING_Z:
-                members[t] = [[t * x + y for x, y in zip(r[:c], r[c:])] for r in rows]
-            else:
-                members[t] = [
-                    [_zx_axpy(t, x, y) for x, y in zip(r[:c], r[c:])] for r in rows
-                ]
-    return ring, scales, domain, [members[t] for t in pts]
+
+def _minor_coeffs(members, ring, pts, row_idx, col_idx):
+    """The coefficients in t, lowest first, of det(tA + B) on the selected
+    rows and columns, interpolated from its values at ``pts``."""
+    dets = [
+        bareiss_det([[m[i][j] for j in col_idx] for i in row_idx], ring)
+        for m in members
+    ]
+    return interpolate(pts, dets) if ring is RING_Z else zx_interpolate(pts, dets)
 
 
 def _minor_form(p, row_idx, col_idx):
     """det of the selected square subpencil as a BinaryForm of that size.
 
     det(tA + B) is taken at r + 1 integer points t and interpolated. Over
-    Q and Q(λ) the determinants come from the integer Bareiss kernel, the
+    Q and Q[λ] the determinants come from the integer Bareiss kernel, the
     interpolation runs in integers and the row scales are divided out once
     at the end; over an extension field the points go through ``mat_det``.
+    The pencil is converted to integer form once.
     """
     r = len(row_idx)
     pts = sample_points(r + 1)
-    form = _integer_members(p, pts)
-    if form is None:
+    if p._integer is None:
+        M = Mat([ra + rb for ra, rb in zip(p.a.entries, p.b.entries)])
+        if M.domain == DOMAIN_EXTENSION:
+            p._integer = False
+        else:
+            p._integer = integer_rows(M) + ({},)  # rows, ring, scales, members
+    if p._integer is False:
         a, b = p.a.entries, p.b.entries
         dets = [
             mat_det(Mat([[t * a[i][j] + b[i][j] for j in col_idx] for i in row_idx]))
@@ -139,16 +148,12 @@ def _minor_form(p, row_idx, col_idx):
         ]
         coeffs = interpolate(pts, dets)
     else:
-        ring, scales, domain, members = form
-        dets = [
-            bareiss_det([[m[i][j] for j in col_idx] for i in row_idx], ring)
-            for m in members
-        ]
-        scale = scales[row_idx[0]]
-        for i in row_idx[1:]:
-            scale = scale * scales[i]
-        ints = interpolate(pts, dets) if ring is RING_Z else zx_interpolate(pts, dets)
-        coeffs = [integer_quotient(c, scale, domain) for c in ints]
+        rows, ring, scales, members = p._integer
+        missing = [t for t in pts if t not in members]
+        members.update(zip(missing, _members(rows, p.cols, ring, missing)))
+        ints = _minor_coeffs([members[t] for t in pts], ring, pts, row_idx, col_idx)
+        scale = math.prod(scales[i] for i in row_idx)
+        coeffs = [integer_quotient(c, scale) for c in ints]
     # coeffs[k] is the coefficient of t^k in det(tA + B); the form is
     # v^r * det((u/v)A + B)
     return BinaryForm(coeffs[::-1], r)
@@ -169,22 +174,128 @@ def pencil_minor_gcd(p, r):
     """
     if r < 1 or r > min(p.rows, p.cols):
         raise WrongShape("minor size %d out of range" % r)
-    forms = []
-    found = False
-    # Which minors are identically zero is a polynomial identity, not a
-    # branch on the parameter; a minor that only vanishes at special
-    # parameter values is caught by the gcd bookkeeping below.
-    with suppress_candidate_recording():
-        for row_idx in itertools.combinations(range(p.rows), r):
-            for col_idx in itertools.combinations(range(p.cols), r):
-                f = _minor_form(p, row_idx, col_idx)
-                if not f.is_zero():
-                    found = True
-                    forms.append(f)
-    if not found:
+    g = None
+    for row_idx in itertools.combinations(range(p.rows), r):
+        for col_idx in itertools.combinations(range(p.cols), r):
+            f = _minor_form(p, row_idx, col_idx)
+            if not f.is_zero():
+                g = f if g is None else bform_gcd([g, f])
+                if g.degree == 0:
+                    return g  # the gcd can only shrink
+    if g is None:
         zero = p.a.entries[0][0] - p.a.entries[0][0]
         return BinaryForm([zero] * (r + 1), r)
-    return bform_gcd(forms)
+    return g
+
+
+def lambda_parts(coeffs):
+    """(f0, f1) over Q with f0 + λ f1 the form whose coefficients are
+    given by their coefficient lists in λ, lowest degree first, of length
+    at most two."""
+    return tuple(BinaryForm([c[i] if len(c) > i else 0 for c in coeffs]) for i in (0, 1))
+
+
+def lambda_form(f0, f1=None):
+    """The form f0 + λ f1 over Q[λ] from forms over Q of one degree."""
+    f1 = f1.coeffs if f1 is not None else [0] * len(f0.coeffs)
+    return BinaryForm([UniPoly([x, y]) for x, y in zip(f0.coeffs, f1)])
+
+
+def _primitive_part(pair, content):
+    """f0 + λ f1 divided by its content over Q, scaled to a leading 1, as a
+    tuple: equal for two minors exactly when their primitive parts agree."""
+    cs = [x for f in pair for x in bform_quotient(f, content).coeffs]
+    lead = Fraction(next(x for x in cs if x))
+    return tuple(x / lead for x in cs)
+
+
+def family_minor_gcd(rows, cols, k):
+    """gcd over Q(λ) of the k x k minors of the pencil of a family T - λP.
+
+    ``rows`` are the pencil rows [A_i | B_i] over Z[λ], each a row of the
+    family times a nonzero integer. Each minor is f0 + λ f1 over Q[λ];
+    write it as its content c_i = gcd(f0, f1) over Q times its primitive
+    part. By Gauss's lemma the primitive part is 1 up to a unit or
+    irreducible over Q(λ), so the gcd is the gcd c of the contents, times
+    the primitive part when every minor shares it.
+
+    Returns (G, guard). G is a form over Q[λ] (the zero form of degree k
+    when every minor vanishes). guard is None or a ``UniPoly`` whose roots
+    include every λ0 where the specialized minors have another gcd than
+    G at λ0, up to a constant: with a shared primitive part the cofactors
+    are constants over Q and the gcd never jumps; otherwise the cofactors
+    f/c are affine in λ and jump only where they share a root or all
+    vanish, which their resultant (``_cofactor_guard``) catches.
+    """
+    pts = sample_points(k + 1)
+    members = _members(rows, cols, RING_ZX, pts)
+    parts = []
+    for row_idx in itertools.combinations(range(len(rows)), k):
+        for col_idx in itertools.combinations(range(cols), k):
+            coeffs = _minor_coeffs(members, RING_ZX, pts, row_idx, col_idx)[::-1]
+            if any(coeffs):
+                parts.append(lambda_parts(coeffs))
+    if not parts:
+        return lambda_form(BinaryForm([0] * (k + 1))), None
+    contents = [bform_gcd(pair) for pair in parts]
+    c = bform_gcd(contents)
+    first = _primitive_part(parts[0], contents[0])
+    if contents[0].degree < k and all(
+        _primitive_part(pair, ci) == first for pair, ci in zip(parts[1:], contents[1:])
+    ):
+        d = bform_quotient(contents[0], c)
+        return lambda_form(*(bform_quotient(f, d) for f in parts[0])), None
+    cofactors = [lambda_form(*(bform_quotient(f, c) for f in pair)) for pair in parts]
+    return lambda_form(c), _cofactor_guard(cofactors)
+
+
+def _cofactor_guard(cofactors):
+    """A polynomial in λ vanishing wherever the cofactors, forms of one
+    degree e over Q[λ] with no common factor over Q(λ), share a projective
+    root or all vanish; None when constant.
+
+    For e = 0 it is the gcd of the cofactors. Otherwise it is the gcd of
+    two nonzero homogeneous resultants, at formal degree e, of the first
+    cofactor against a weighted sum of the rest: each of the e roots of
+    the first one rules out at most len(cofactors) - 2 weights, so the
+    first e * (len(cofactors) - 2) + 2 weights hold two good ones.
+    """
+    e = cofactors[0].degree
+    if e == 0:
+        g = UniPoly(())
+        for h in cofactors:
+            g = upoly_gcd(g, h.coeffs[0])
+    else:
+        first, rest = cofactors[0].coeffs, cofactors[1:]
+        found = []
+        for y in sample_points(e * (len(rest) - 1) + 2):
+            comb = [sum((y**j * h.coeffs[i] for j, h in enumerate(rest)), UniPoly(()))
+                    for i in range(e + 1)]
+            r = _pl_resultant(first, comb)
+            if r:
+                found.append(r)
+                if len(found) == 2:
+                    break
+        if not found:
+            raise InternalError("coprime cofactors with a vanishing resultant")
+        g = upoly_gcd(found[0], found[-1])
+    return g if g.degree >= 1 else None
+
+
+def family_member_rank(rows, cols, ell):
+    """Rank over Q(λ) of the member of a family pencil (rows as in
+    ``family_minor_gcd``) at the root of the rational linear form ``ell``,
+    and its last Bareiss pivot over Z[λ] (None for rank 0): the rank is
+    the same at every λ0 that is not a root of the pivot."""
+    alpha, beta = ell.coeffs
+    k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
+    u0, v0 = int(-beta * k), int(alpha * k)
+    member = [
+        [_zx_axpy(u0, x, [v0 * z for z in y]) for x, y in zip(r[:cols], r[cols:])]
+        for r in rows
+    ]
+    rank, piv, _ = _bareiss(member, RING_ZX)
+    return rank, UniPoly(piv) if rank else None
 
 
 def hyperdet222(t):

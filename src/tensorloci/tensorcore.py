@@ -11,6 +11,7 @@ Axis numbering is 1-based in the public flattening API, matching the usual
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -19,8 +20,16 @@ from .errors import (
     SingularMatrix,
     ZeroTensor,
 )
-from .exactnum import AlgebraicElement, FuncElem, UniPoly
-from .linalg import Mat, full_rank_factorization, mat_det, mat_mul, mat_solve
+from .exactnum import AlgebraicElement
+from .linalg import (
+    RING_ZX,
+    Mat,
+    _bareiss,
+    full_rank_factorization,
+    mat_det,
+    mat_mul,
+    mat_solve,
+)
 
 
 def _prod(xs):
@@ -159,10 +168,26 @@ class RankOneTensor:
         return "RankOneTensor(%r)" % (self.factors,)
 
 
-class ParametricTensor:
-    """The affine family T - λP with T a tensor and P rank-one."""
+def _integer_vector(vec):
+    """(ints, k) with vec = k * ints and the ints coprime."""
+    vec = [Fraction(x) for x in vec]
+    den = math.lcm(*[x.denominator for x in vec])
+    ints = [int(x * den) for x in vec]
+    g = math.gcd(*ints)
+    return [x // g for x in ints], Fraction(g, den)
 
-    __slots__ = ("base", "direction")
+
+class ParametricTensor:
+    """The affine family T - λP with T a tensor and P rank-one.
+
+    Its flattenings are also kept over Z[λ], built once per axis from the
+    entries of T and the integer-scaled factors of P: row i of
+    ``flattening_rows(axis)`` is row i of the flattening of T - λP times a
+    positive integer, each entry a list of ints, lowest degree first. A
+    row scale changes no rank and each minor only by a constant.
+    """
+
+    __slots__ = ("base", "direction", "_flat")
 
     def __init__(self, base, direction):
         if base.shape != direction.shape:
@@ -171,6 +196,7 @@ class ParametricTensor:
             )
         self.base = base
         self.direction = direction
+        self._flat = {}
 
     def specialize(self, lam0):
         """The member at a rational parameter value."""
@@ -196,24 +222,53 @@ class ParametricTensor:
             return self.specialize(-fac.coeffs[0])
         return self.specialize_ext(fac)
 
-    def generic_member(self):
-        """Entries in the rational function field, λ left symbolic."""
-        d = self.direction.expand()
-        return Tensor(
-            self.base.shape,
-            [
-                FuncElem(UniPoly([a, -b]), reduce=False)
-                for a, b in zip(self.base.entries, d.entries)
-            ],
-        )
+    def _flattening(self, axis):
+        hit = self._flat.get(axis)
+        if hit is None:
+            a0 = axis - 1
+            scaled = [_integer_vector(f) for f in self.direction.factors]
+            lam = -math.prod(k for _, k in scaled)
+            rest = [1]
+            for b, (ints, _) in enumerate(scaled):
+                if b != a0:
+                    rest = [x * y for x in rest for y in ints]
+            rows = []
+            for t_row, p in zip(flattening(self.base, axis).entries, scaled[a0][0]):
+                k = math.lcm(lam.denominator, *[x.denominator for x in t_row])
+                c = int(lam * p * k)
+                rows.append([
+                    [int(x * k), c * y] if c * y else [int(x * k)] if x else []
+                    for x, y in zip(t_row, rest)
+                ])
+            rank, piv, _ = _bareiss([list(r) for r in rows], RING_ZX)
+            hit = self._flat[axis] = (rows, rank, piv)
+        return hit
 
-    def polynomial_member(self):
-        """Entries as polynomials in λ (degree at most one)."""
-        d = self.direction.expand()
-        out = []
-        for a, b in zip(self.base.entries, d.entries):
-            out.append(UniPoly([Fraction(a), -Fraction(b)]))
-        return Tensor(self.base.shape, out)
+    def flattening_rows(self, axis):
+        """The axis flattening (axis 1-based) over Z[λ], as described above."""
+        return self._flattening(axis)[0]
+
+    def flattening_pivot(self, axis):
+        """(rank over Q(λ), last Bareiss pivot over Z[λ]) of the axis
+        flattening. The pivot is a rank-sized minor of T - λP, affine in λ
+        since P flattens to rank one, and the rank is the same at every
+        λ0 that is not its root."""
+        return self._flattening(axis)[1:]
+
+    def pencil_rows(self, axes, slices):
+        """The pencil rows [A_i | B_i] over Z[λ] of the family restricted
+        on each axis x to the indices ``slices[x]``: ``axes`` are the 0-based
+        pencil, row and column axes, and every other axis keeps one index."""
+        a, r, c = axes
+        others = [x for x in range(len(slices)) if x != r]
+        stride, step = {}, 1
+        for x in reversed(others):
+            stride[x] = step
+            step *= self.base.shape[x]
+        fixed = sum(stride[x] * slices[x][0] for x in others if x not in (a, c))
+        cols = [fixed + stride[a] * s + stride[c] * j for s in slices[a] for j in slices[c]]
+        rows = self.flattening_rows(r + 1)
+        return [[rows[i][k] for k in cols] for i in slices[r]]
 
 
 _flat_maps = {}
@@ -311,8 +366,8 @@ def concise_reduce(T):
     Returns a ConciseReduction whose core tensor is concise (every flattening
     has full rank) and whose per-axis basis matrices reproduce the input via
     ``expand``. An axis that is already concise keeps the identity basis,
-    so a concise tensor is its own core; over Q(λ) that keeps the entries
-    of a family T - λP affine in λ. The zero tensor has no concise core.
+    so a concise tensor is its own core. The zero tensor has no concise
+    core.
     """
     if T.is_zero():
         raise ZeroTensor("the zero tensor has no concise reduction")

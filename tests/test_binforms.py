@@ -10,11 +10,12 @@ from tensorloci.binforms import (
     bform_discriminant,
     bform_gcd,
     bform_is_pure_power,
+    bform_quotient,
     bform_root_profile,
     linear_form_root,
 )
 from tensorloci.errors import AllZero, DegreeTooLarge, DegreeTooSmall
-from tensorloci.exactnum import FuncElem, UniPoly
+from tensorloci.exactnum import UniPoly
 
 U, V = sympy.symbols("u v")
 
@@ -229,47 +230,22 @@ def test_root_profile_degree_cap():
         bform_root_profile(BinaryForm([1] + [0] * 7, 7))
 
 
+def test_quotient_undoes_a_product():
+    """Factors with roots at u = 0 and at infinity, and the zero form."""
+    rng = random.Random(48)
+    for _ in range(40):
+        f = multiply(*[random_linear(rng) for _ in range(rng.randint(1, 3))])
+        g = multiply(*[random_linear(rng) for _ in range(rng.randint(1, 2))])
+        assert bform_quotient(multiply(f, g), g) == f
+    zero = bform_quotient(BinaryForm([0, 0, 0, 0], 3), BinaryForm([1, 2], 1))
+    assert zero.is_zero() and zero.degree == 2
+
+
 def test_linear_form_root():
     ell = BinaryForm([Fraction(3), Fraction(-2)], 1)
     u0, v0 = linear_form_root(ell)
     assert ell.evaluate(u0, v0) == 0
     assert u0 or v0
-
-
-def test_gcd_over_function_field():
-    lam = FuncElem.variable()
-    one = FuncElem(1)
-    ell = BinaryForm([one, -lam], 1)
-    other = BinaryForm([one, one], 1)
-    f = BinaryForm(
-        [
-            ell.coeffs[0] * other.coeffs[0],
-            ell.coeffs[0] * other.coeffs[1] + ell.coeffs[1] * other.coeffs[0],
-            ell.coeffs[1] * other.coeffs[1],
-        ],
-        2,
-    )
-    g = BinaryForm(
-        [
-            ell.coeffs[0] * ell.coeffs[0],
-            2 * ell.coeffs[0] * ell.coeffs[1],
-            ell.coeffs[1] * ell.coeffs[1],
-        ],
-        2,
-    )
-    got = bform_gcd([f, g])
-    assert got.degree == 1
-    assert got.coeffs[0] == one and got.coeffs[1] == -lam
-
-
-def test_pure_power_over_function_field():
-    lam = FuncElem.variable()
-    one = lam / lam
-    # (u + lam v)^3
-    f = BinaryForm([one, 3 * lam, 3 * lam * lam, lam * lam * lam], 3)
-    ok, ell = bform_is_pure_power(f, 3)
-    assert ok
-    assert ell.coeffs[1] == lam
 
 
 def x_poly_from_roots(lead, roots):

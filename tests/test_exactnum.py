@@ -21,7 +21,6 @@ from tensorloci.errors import (
 )
 from tensorloci.exactnum import (
     AlgebraicElement,
-    FuncElem,
     UniPoly,
     algext_inverse,
     candidate_factors,
@@ -29,7 +28,6 @@ from tensorloci.exactnum import (
     format_rational,
     is_irreducible,
     parse_rational,
-    record_special_candidates,
     upoly_gcd,
     upoly_factor_small,
 )
@@ -269,35 +267,6 @@ class TestAlgebraicElement:
             x = AlgebraicElement(mod, rep, check=False)
             assert (x * algext_inverse(x)).rep == UniPoly([1])
             checked += 1
-
-
-class TestFuncElem:
-    def test_reduction_and_arithmetic(self):
-        lam = FuncElem.variable()
-        e = (lam * lam - 1) / (lam - 1)
-        assert e.num == UniPoly([1, 1]) and e.den == UniPoly([1])
-        assert (e - lam - 1).is_zero()
-
-    def test_division_by_zero(self):
-        lam = FuncElem.variable()
-        with pytest.raises(ZeroDivisionError):
-            lam / (lam - lam)
-
-    def test_candidate_recording(self):
-        lam = FuncElem.variable()
-        expr = (lam - 2) / (lam + 1)
-        with record_special_candidates() as bucket:
-            assert bool(expr)
-        polys = set(p.monic().coeffs for p in bucket)
-        assert UniPoly([-2, 1]).coeffs in polys
-        assert UniPoly([1, 1]).coeffs in polys
-        # outside the context nothing is recorded and bool still works
-        assert bool(expr)
-
-    def test_evaluate_matches(self):
-        lam = FuncElem.variable()
-        e = (lam * lam + 1) / (lam - 3)
-        assert e.evaluate(Fraction(4)) == Fraction(17)
 
 
 def test_upoly_from_roots():

@@ -1,10 +1,13 @@
 """The integer Bareiss kernel against sympy.
 
-Matrices over Q, Q[λ] and Q(λ) are scaled row by row to integer form and
+Matrices over Q and Q[λ] are scaled row by row to integer form and
 eliminated over Z or Z[λ]; pencil minors are determinants at integer
 points, interpolated in the integers. Every answer here is compared with
 sympy's symbolic one, on inputs with non-integer rational coefficients,
-nonconstant denominators, zero rows and identically vanishing minors.
+zero rows and identically vanishing minors. The minor gcds of the pencils
+of the seeded families T - λP (``test_locus.seeded_families``) are
+compared with sympy's gcd over Q(λ)[u, v], and with the gcd at every small
+integer λ0 off the roots of their guards.
 """
 
 import itertools
@@ -14,19 +17,26 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from tensorloci.binforms import _pl_resultant
-from tensorloci.exactnum import FuncElem, UniPoly, record_special_candidates
+from test_locus import ORBITS, seeded_families
+
+from tensorloci.binforms import BinaryForm, _pl_resultant
+from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import (
     DOMAIN_POLYRING,
     Mat,
     interpolate,
     mat_det,
-    mat_rank,
     sample_points,
 )
-from tensorloci.orbits import normal_form
-from tensorloci.pencil import Pencil, _minor_form, pencil_det_form, pencil_minor_gcd
-from tensorloci.tensorcore import ParametricTensor, RankOneTensor, concise_reduce
+from tensorloci.pencil import (
+    Pencil,
+    _minor_form,
+    family_minor_gcd,
+    pencil_det_form,
+    pencil_minor_gcd,
+    pencil_of,
+)
+from tensorloci.tensorcore import ParametricTensor, Tensor
 
 LAM, U, V, X = sympy.symbols("lam u v x")
 # Q(λ) and Q(λ)[u, v], where sympy's own dets and gcds are exact and fast.
@@ -35,9 +45,7 @@ QLUV = QL[U, V]
 
 
 def sym(x):
-    """A Fraction, UniPoly or FuncElem as a sympy expression in LAM."""
-    if isinstance(x, FuncElem):
-        return sym(x.num) / sym(x.den)
+    """A Fraction or UniPoly as a sympy expression in LAM."""
     if isinstance(x, UniPoly):
         return sum(
             (sympy.Rational(c) * LAM**i for i, c in enumerate(x.coeffs)), sympy.S.Zero
@@ -60,13 +68,6 @@ def rand_poly(rng, degree):
     """A polynomial of exactly this degree with rational coefficients."""
     top = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
     return UniPoly([rand_fraction(rng) for _ in range(degree)] + [top])
-
-
-def rand_funcelem(rng):
-    num = rand_poly(rng, rng.randint(0, 2))
-    if rng.random() < 0.4:
-        return FuncElem(num, UniPoly([rand_fraction(rng), 1]))
-    return FuncElem(num)
 
 
 def sylvester(f, g):
@@ -106,9 +107,7 @@ def test_det_of_sylvester_matrices_against_sympy_resultant():
         g = [rand_poly(rng, rng.randint(1, 2)) for _ in range(n + 1)]
         M = sylvester(f, g)
         want = sympy_det([[sym(x) for x in row] for row in M.entries], QL)
-        with record_special_candidates() as bucket:
-            det = mat_det(M)
-        assert not bucket  # a determinant records nothing
+        det = mat_det(M)
         assert isinstance(det, UniPoly)
         assert QL.from_sympy(sym(det)) == want
         res = _pl_resultant(list(reversed(f)), list(reversed(g)))
@@ -116,101 +115,6 @@ def test_det_of_sylvester_matrices_against_sympy_resultant():
         # sympy's resultant agrees up to its sign convention
         res_x = sympy.resultant(in_x(f), in_x(g), X)
         assert sympy.expand(sym(det) ** 2 - res_x**2) == 0
-
-
-def test_det_over_function_field_against_sympy():
-    rng = random.Random(42)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        rows = [[rand_funcelem(rng) for _ in range(n)] for _ in range(n)]
-        if n > 1 and rng.random() < 0.3:
-            scale = rand_funcelem(rng)
-            rows[-1] = [scale * x for x in rows[0]]  # identically singular
-        with record_special_candidates() as bucket:
-            det = mat_det(Mat(rows))
-        assert not bucket  # not even the cleared denominators
-        assert isinstance(det, FuncElem)
-        want = sympy_det([[sym(x) for x in row] for row in rows], QL)
-        assert QL.from_sympy(sym(det)) == want
-
-
-def generic_rank(rows):
-    """Rank over Q(λ): the largest rank at a few specialisations."""
-    return max(
-        sympy.Matrix([[sym(x).subs(LAM, lam0) for x in row] for row in rows]).rank()
-        for lam0 in (sympy.Rational(1009, 7), sympy.Rational(-613, 11))
-    )
-
-
-def divides_some_minor(poly, rows, r):
-    p = sym(poly)
-    n, m = len(rows), len(rows[0])
-    for ri in itertools.combinations(range(n), r):
-        for ci in itertools.combinations(range(m), r):
-            minor = sympy.Matrix([[sym(rows[i][j]) for j in ci] for i in ri]).det()
-            minor = sympy.numer(sympy.together(minor))
-            if minor != 0 and sympy.rem(sympy.expand(minor), p, LAM) == 0:
-                return True
-    return False
-
-
-def test_rank_of_sylvester_matrices_records_the_rank_drop():
-    # f = (x - a)h and g = (x - b)h share h, so their Sylvester matrix has
-    # rank m + n - deg h over Q(λ); it drops further at the roots of a - b.
-    rng = random.Random(43)
-    tested = 0
-    while tested < 8:
-        a, b = rand_poly(rng, 1), rand_poly(rng, 1)
-        if (a - b).degree < 1:
-            continue
-        tested += 1
-        h = [UniPoly([1]), rand_poly(rng, 2)]
-        s = UniPoly([rand_fraction(rng) or 1])
-        f = [h[0], h[1] - a * h[0], -a * h[1]]
-        g = [s * h[0], s * (h[1] - b * h[0]), -s * b * h[1]]
-        M = sylvester(f, g)
-        with record_special_candidates() as bucket:
-            r = mat_rank(M)
-        assert r == generic_rank(M.entries) == 3
-        assert bucket, "a rank drop exists but nothing was recorded"
-        for poly in bucket:
-            assert poly.leading() == 1
-            assert divides_some_minor(poly, M.entries, r)
-        drop = sympy.solve(sym(a) - sym(b), LAM)[0]
-        assert any(sym(p).subs(LAM, drop) == 0 for p in bucket)
-
-
-def non_concise_core(T, factors):
-    """The concise core of T - λP; over Q(λ) its entries carry denominators."""
-    gm = ParametricTensor(T, RankOneTensor(factors)).generic_member()
-    core = concise_reduce(gm).tensor
-    _, b, c = core.shape
-    return [[core[(0, i, j)] for j in range(c)] for i in range(b)]
-
-
-def orbit_10_cores():
-    # Orbit 10 is the 3x3 identity matrix, non-concise on its first axis;
-    # with a zero in P's first factor the core is a 3x3 matrix over Q(λ).
-    T = normal_form(10)
-    f = [Fraction(x) for x in (1, 0)]
-    return [
-        non_concise_core(T, [f, [Fraction(x) for x in b], [Fraction(x) for x in c]])
-        for b, c in (((3, 0, -2), (-2, 0, 3)), ((1, 1, -2), (2, 2, 3)),
-                     ((3, 0, -1), (-2, 0, 0)))
-    ]
-
-
-def test_rank_with_denominators_records_them():
-    for rows in orbit_10_cores():
-        assert any(x.den.degree > 0 for row in rows for x in row)
-        with record_special_candidates() as bucket:
-            r = mat_rank(Mat(rows))
-        assert r == generic_rank(rows)
-        for row in rows:
-            den = sympy.lcm([sym(x.den) for x in row])
-            if sympy.degree(den, LAM) > 0:
-                monic = sympy.Poly(den, LAM).monic().as_expr()
-                assert any(sympy.expand(sym(p) - monic) == 0 for p in bucket)
 
 
 def sym_form(form):
@@ -272,12 +176,74 @@ def test_minor_forms_of_rational_pencils_against_sympy():
         check_pencil(p, Fraction)
 
 
-def test_minor_forms_over_the_function_field_against_sympy():
-    rng = random.Random(45)
-    for _ in range(6):
-        rows = rng.randint(2, 3)
-        p = rand_pencil(rng, rand_funcelem, rows, rng.randint(rows, 3))
-        check_pencil(p, FuncElem)
-    a, b, c = orbit_10_cores()
-    check_pencil(Pencil(Mat(a), Mat(b)), FuncElem)
-    check_pencil(Pencil(Mat(c), Mat(a)), FuncElem)
+def family_pencils():
+    """(T, P, pencil rows over Z[λ]) of each seeded family, on the normal
+    form and after its GL move."""
+    for orbit in ORBITS:
+        for _sparse, T, P, gT, gP in seeded_families(orbit):
+            for t, p in ((T, P), (gT, gP)):
+                rows = ParametricTensor(t, p).pencil_rows(
+                    (0, 1, 2), [list(range(d)) for d in t.shape]
+                )
+                yield t, p, rows
+
+
+def test_family_minor_gcd_is_the_gcd_over_the_function_field():
+    """sympy's gcd over Q[λ, u, v] of the pencil minors of T - λP is the
+    generic gcd times a factor in λ alone, which Q(λ) ignores."""
+    ring = sympy.QQ[LAM, U, V]
+    lam, u, v = ring.gens
+
+    def q(x):
+        x = Fraction(x)
+        return ring(sympy.QQ(x.numerator, x.denominator))
+
+    for T, P, rows in family_pencils():
+        d = P.expand()
+        _, b, c = T.shape
+        pencil = [
+            [sum((w * (q(T[(s, i, j)]) - lam * q(d[(s, i, j)]))
+                  for s, w in enumerate((u, v))), ring.zero) for j in range(c)]
+            for i in range(b)
+        ]
+        for k in range(1, min(b, c) + 1):
+            g, _guard = family_minor_gcd(rows, c, k)
+            want = ring.zero
+            for ri, ci in itertools.product(
+                itertools.combinations(range(b), k), itertools.combinations(range(c), k)
+            ):
+                sub = [[pencil[i][j] for j in ci] for i in ri]
+                want = ring.gcd(want, DomainMatrix(sub, (k, k), ring).det())
+                if want and want.degree(u) == want.degree(v) == 0:
+                    break  # only a factor in λ is left
+            got = sum(
+                (sum((q(x) * lam**e for e, x in enumerate(coeff.coeffs)), ring.zero)
+                 * u ** (g.degree - n) * v**n for n, coeff in enumerate(g.coeffs)),
+                ring.zero,
+            )
+            assert bool(got) == bool(want), (T.shape, k)
+            if want:
+                quo, rem = divmod(want, got)
+                assert not rem and quo.degree(u) == quo.degree(v) == 0, (T.shape, P, k, g)
+
+
+def test_family_minor_gcd_specializes_off_its_guard():
+    """At every integer λ0 in -8..8 off the roots of the guard, the gcd of
+    the member's pencil minors is the generic gcd at λ0, up to a constant."""
+    for T, P, rows in family_pencils():
+        _, b, c = T.shape
+        d = P.expand()
+        gcds = [family_minor_gcd(rows, c, k) for k in range(1, min(b, c) + 1)]
+        for lam0 in range(-8, 9):
+            member = Tensor(T.shape, [x - lam0 * y for x, y in zip(T.entries, d.entries)])
+            pencil = pencil_of(member)
+            for k, (g, guard) in enumerate(gcds, 1):
+                if guard is not None and guard(lam0) == 0:
+                    continue
+                got = pencil_minor_gcd(pencil, k)
+                at = BinaryForm([x(Fraction(lam0)) for x in g.coeffs], g.degree)
+                assert got.degree == at.degree and got.is_zero() == at.is_zero()
+                lead = next((i for i, x in enumerate(at.coeffs) if x), None)
+                if lead is not None:
+                    ratio = got.coeffs[lead] / at.coeffs[lead]
+                    assert got.coeffs == [ratio * x for x in at.coeffs], (k, lam0)

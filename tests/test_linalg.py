@@ -7,12 +7,7 @@ import pytest
 import sympy
 
 from tensorloci.errors import SingularMatrix
-from tensorloci.exactnum import (
-    AlgebraicElement,
-    FuncElem,
-    UniPoly,
-    record_special_candidates,
-)
+from tensorloci.exactnum import AlgebraicElement, UniPoly
 from tensorloci.linalg import (
     DOMAIN_POLYRING,
     Mat,
@@ -47,18 +42,6 @@ def to_sympy(M):
     )
 
 
-def rand_funcfield(rng, n, m):
-    def entry():
-        num = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
-        if rng.random() < 0.25:
-            den = UniPoly([rng.randint(1, 3), rng.randint(1, 2)])
-        else:
-            den = UniPoly([1])
-        return FuncElem(num, den)
-
-    return Mat([[entry() for _ in range(m)] for _ in range(n)])
-
-
 def rand_extension(rng, n, m, modulus):
     def entry():
         rep = UniPoly([rng.randint(-5, 5) for _ in range(modulus.degree)])
@@ -80,14 +63,6 @@ def test_rank_transpose_qq_with_oracle():
         assert r == to_sympy(M).rank()
 
 
-def test_rank_transpose_funcfield():
-    rng = random.Random(12)
-    for _ in range(200):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        M = rand_funcfield(rng, n, m)
-        assert mat_rank(M) == mat_rank(M.transpose())
-
-
 def test_rank_transpose_extension():
     rng = random.Random(13)
     mods = [UniPoly([-2, 0, 1]), UniPoly([1, 0, 1]), UniPoly([-2, 0, 0, 1])]
@@ -96,29 +71,6 @@ def test_rank_transpose_extension():
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         M = rand_extension(rng, n, m, mod)
         assert mat_rank(M) == mat_rank(M.transpose())
-
-
-def test_funcfield_rank_specializes():
-    """Generic rank equals the rank at parameter values avoiding all pivots."""
-    rng = random.Random(14)
-    for _ in range(40):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        M = rand_funcfield(rng, n, m)
-        with record_special_candidates() as bucket:
-            r = mat_rank(M)
-        bad = list(bucket)
-        lam0s = []
-        t = 2
-        while len(lam0s) < 3:
-            v = Fraction(t)
-            if all(p(v) != 0 for p in bad):
-                lam0s.append(v)
-            t += 1
-        for lam0 in lam0s:
-            spec = Mat(
-                [[x.evaluate(lam0) for x in row] for row in M.entries]
-            )
-            assert mat_rank(spec) == r
 
 
 def test_det_and_inverse():
@@ -202,18 +154,6 @@ def test_full_rank_factorization_rank_deficient_uses_pivot_columns():
         assert B == Mat([[A.entries[i][j] for j in pivots] for i in range(n)])
         if r:
             assert mat_mul(B, C) == A
-
-
-def test_full_rank_factorization_records_like_mat_rank():
-    rng = random.Random(24)
-    for _ in range(60):
-        A = rand_funcfield(rng, rng.randint(1, 4), rng.randint(1, 4))
-        with record_special_candidates() as by_rank:
-            r = mat_rank(A)
-        with record_special_candidates() as by_factorization:
-            _, _, r2 = full_rank_factorization(A)
-        assert r2 == r
-        assert by_factorization == by_rank
 
 
 def test_solve_consistent_and_inconsistent():

@@ -27,6 +27,15 @@ from tensorloci.linalg import Mat
 U_SYM, V_SYM = sympy.symbols("u v")
 
 
+def polynomial_member(fam):
+    """T - λP with entries in Q[λ]."""
+    d = fam.direction.expand()
+    return Tensor(
+        fam.base.shape,
+        [UniPoly([a, -b]) for a, b in zip(fam.base.entries, d.entries)],
+    )
+
+
 def rank_one(a, b, c):
     return RankOneTensor([list(a), list(b), list(c)]).expand()
 
@@ -165,7 +174,7 @@ def test_hyperdet222_symbolic_identity():
         if not (any(a) and any(b) and any(c)):
             continue
         fam = ParametricTensor(w, RankOneTensor([a, b, c]))
-        h = hyperdet222(fam.polynomial_member())
+        h = hyperdet222(polynomial_member(fam))
         a1, a2 = a
         b1, b2 = b
         c1, c2 = c
@@ -221,12 +230,12 @@ def test_hyperdet233_symbolic_identities():
         b1, b2, b3 = b
         c1, c2, c3 = c
 
-        h17 = _as_poly(hyperdet233(ParametricTensor(t17, RankOneTensor([a, b, c])).polynomial_member()))
+        h17 = _as_poly(hyperdet233(polynomial_member(ParametricTensor(t17, RankOneTensor([a, b, c])))))
         assert h17(Fraction(0)) == 0
         lam_coeff = h17.coeffs[1] if h17.degree >= 1 else Fraction(0)
         assert lam_coeff == -4 * a2 * b2 * c1
 
-        h15 = _as_poly(hyperdet233(ParametricTensor(t15, RankOneTensor([a, b, c])).polynomial_member()))
+        h15 = _as_poly(hyperdet233(polynomial_member(ParametricTensor(t15, RankOneTensor([a, b, c])))))
         scale = a2**2 * b2**2 * c1**2
         dpol = (a2 * b1 * c1 + a1 * b2 * c1 + a2 * b2 * c2 + a2 * b3 * c3) ** 2
         want = UniPoly([0, 0, 0, -4 * a2**3 * b2**3 * c1**3, scale * dpol])

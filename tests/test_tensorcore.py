@@ -57,6 +57,15 @@ def test_flattening_of_t5():
         flattening(t5, 0)
 
 
+def polynomial_member(fam):
+    """T - λP with entries in Q[λ]."""
+    d = fam.direction.expand()
+    return Tensor(
+        fam.base.shape,
+        [UniPoly([a, -b]) for a, b in zip(fam.base.entries, d.entries)],
+    )
+
+
 def test_t9_family_determinant_is_the_pairing():
     """det of the long-axis flattening of T9 - λ(a⊗b⊗c) is linear in λ."""
     rng = random.Random(23)
@@ -69,7 +78,7 @@ def test_t9_family_determinant_is_the_pairing():
             continue
         P = RankOneTensor([a, b, c])
         fam = ParametricTensor(t9, P)
-        pm = fam.polynomial_member()
+        pm = polynomial_member(fam)
         det = mat_det(flattening(pm, 3))
         pairing = (
             a[0] * b[0] * c[0]
@@ -190,19 +199,19 @@ def test_transpose_axes_roundtrip():
 
 
 def test_parametric_specializations_agree():
+    """Each integer flattening row over Z[λ] is a positive multiple of the
+    flattening row of the member, at every λ0; P has rational factors."""
     T = normal_form(9)
-    P = RankOneTensor([[1, 2], [3, 1], [1, 0, 2, 1]])
+    P = RankOneTensor([[1, 2], [Fraction(3, 2), 1], [1, 0, Fraction(-2, 3), 1]])
     fam = ParametricTensor(T, P)
-    lam0 = Fraction(5, 3)
-    direct = fam.specialize(lam0)
-    via_poly = fam.polynomial_member()
-    assert all(
-        p(lam0) == x for p, x in zip(via_poly.entries, direct.entries)
-    )
-    gen = fam.generic_member()
-    assert all(
-        g.evaluate(lam0) == x for g, x in zip(gen.entries, direct.entries)
-    )
+    for lam0 in (Fraction(5, 3), Fraction(-1, 2), Fraction(4)):
+        direct = fam.specialize(lam0)
+        for axis in (1, 2, 3):
+            flat = flattening(direct, axis).entries
+            for row, want in zip(fam.flattening_rows(axis), flat):
+                got = [sum(c * lam0**i for i, c in enumerate(x)) for x in row]
+                scale = next(g / w for g, w in zip(got, want) if w)
+                assert scale > 0 and got == [scale * w for w in want]
 
 
 def test_member_at_matches_specialize():
