@@ -5,7 +5,9 @@ points are asked about, on the normal form and after a seeded integer
 change of basis on each axis (the GL action). On the normal form the
 closed-form predicate, where one is stored, must agree as well. The
 witnesses of both strategies and the report of ``classify_parametric`` on
-each family T - lam*P must match committed tables.
+each family T - lam*P must match committed tables, and every special value
+among the candidates the earlier function-field classifier recorded must
+still be reported.
 Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
 larger sweeps stay in that script, which is smoke-tested here. Axis
 permutations of T and P, the tangential route at, near and away from the
@@ -335,6 +337,147 @@ def test_parametric_reports_are_unchanged(orbit):
         got.append(report_code(T, P))
         got.append(report_code(gT, gP))
     assert got == PARAMETRIC_REPORTS[orbit]
+
+
+# The monic irreducible factors the function-field classifier recorded as
+# candidate special values while classifying the generic member of each
+# seeded family T - lam*P, in the order of seeded_families (normal form,
+# then GL-moved, per point), written like the factors above. That recorder
+# is gone; the table stays as an independent list of candidates that the
+# guards of classify_parametric must not lose. Do not regenerate it.
+RECORDED_FACTORS = {5: [[(-1, 3), (0, 1)], [(-25, 18), (0, 1)],
+                        [(0, 1), (1, 6), (4, 25)], [(0, 1), (4, 25)], [(-4, 3), (0, 1)],
+                        [(-4, 3), (0, 1)], [(-1, 12), (0, 1), (1, 8)],
+                        [(0, 1), (1, 8), (7, 60)]],
+                    6: [[(-1, 2), (0, 1)], [(-1, 2)],
+                        [(-1, 1), (-1, 4), (-1, 25), (0, 1)],
+                        [(-1, 1), (-1, 25), (-1, 35)], [(-1, 2)], [(-3, 8), (-1, 2)],
+                        [(0, 1), (1, 12), (1, 60, 36)], [(1, 1), (1, 60, 36)]],
+                    7: [[(0, 1)], [(0, 1)], [(-1, 7), (0, 1), (1, 3)],
+                        [(-1, 7), (0, 1), (19, 100)], [(0, 1)], [(-1, 36), (0, 1)],
+                        [(-1, 3), (0, 1), (1, 4)], [(-1, 3), (0, 1), (7, 12)]],
+                    8: [[(-1, 1), (1, 1)], [(-1, 1), (1, 1)], [(-1, 3), (0, 1), (1, 5)],
+                        [(-1, 1), (1, 5)], [(-1, 2), (-1, 5)], [(-1, 2), (-1, 5)],
+                        [(-1, 4), (-1, 39), (0, 1)], [(-1, 4), (-1, 39), (0, 1)]],
+                    9: [[(1, 16)], [(1, 16), (7, 8)], [(-1, 8), (-1, 12), (0, 1)],
+                        [(-1, 8)], [(1, 2)], [(1, 2)], [(-1, 3), (0, 1), (1, 8)],
+                        [(1, 8)]],
+                    10: [[(-1, 6), (1, 2)], [(-1, 6), (1, 36)],
+                         [(-1, 4), (0, 1), (1, 4)], [(0, 1), (1, 10)], [(0, 1)],
+                         [(-5, 9), (-1, 15), (0, 1)], [(-1, 9), (0, 1), (1, 3)],
+                         [(-1, 10), (0, 1), (1, 3)]],
+                    11: [[(0, 1), (1, 4)], [(0, 1), (1, 4)], [(0, 1), (1, 6)], [(0, 1)],
+                         [(1, 2)], [(1, 2), (2, 9)], [(-1, 12), (-1, 36), (0, 1)],
+                         [(-15, 416), (-1, 36), (0, 1)]],
+                    12: [[], [(-7, 18)], [(0, 1), (1, 2), (1, 14)], [(-2, 5), (1, 14)],
+                         [(-1, 6), (0, 1), (1, 6)], [(-1, 6), (1, 6), (47, 36)],
+                         [(-1, 9), (-1, 36, 204), (0, 1)], [(-5, 168), (-1, 36, 204)]],
+                    13: [[(0, 1)], [(0, 1), (1, 2)], [(-1, 3), (0, 1), (1, 1)],
+                         [(-9, 4), (-1, 3), (0, 1)], [(0, 1)], [(0, 1)],
+                         [(0, 1), (1, 1)], [(0, 1)]],
+                    14: [[(0, 1)], [(-1, 3), (0, 1)], [(-1, 8), (0, 1), (1, 10, 169)],
+                         [(0, 1), (1, 7), (1, 10, 169), (3, 175)],
+                         [(-1, 1), (0, 1), (1, -14, 25)],
+                         [(-1, 3), (0, 1), (1, -14, 25)],
+                         [(-1, 2), (0, 1), (1, -16, 100)],
+                         [(-2, 11), (-1, 15), (0, 1), (1, -16, 100)]],
+                    15: [[(0, 1), (1, 24)], [(0, 1), (1, 24), (3, 40)],
+                         [(0, 1), (1, 6), (1, 14), (12, 169)],
+                         [(0, 1), (1, 12), (4, 63), (12, 169)],
+                         [(-12, 25), (-1, 2), (-1, 4), (0, 1)],
+                         [(-12, 25), (0, 1), (1, 22), (1, 44)],
+                         [(-1, 9), (0, 1), (1, 12)], [(-1, 9), (0, 1)]],
+                    16: [[(-1, 1), (0, 1)], [(-1, 1), (0, 1)],
+                         [(-243, 0, 137842), (0, 1), (1, 18), (1, 22)],
+                         [(-243, 0, 137842), (-12, 11), (-1, 737), (0, 1)], [(0, 1)],
+                         [(0, 1)], [(-27, 394, 9702), (0, 1), (1, 1), (1, 9)],
+                         [(-27, 394, 9702), (0, 1)]],
+                    17: [[(-1, 28, 48, 32), (0, 1)],
+                         [(-9, 290), (-1, 28, 48, 32), (-1, 240), (0, 1)],
+                         [(-8, 23, 194, 3703), (-1, 6), (0, 1)],
+                         [(-9, 56), (-8, 23, 194, 3703), (0, 1)],
+                         [(-1, 16, 8), (0, 1), (1, 1)],
+                         [(-11, 34), (-1, 16, 8), (0, 1)],
+                         [(-1, 9), (0, 1), (4, -135, 2160, 182952)],
+                         [(0, 1), (4, -135, 2160, 182952)]],
+                    18: [[], [(3, 2)],
+                         [(-1, 12), (0, 1), (1, -44, 1134, -16092, 159705)],
+                         [(0, 1), (1, -44, 1134, -16092, 159705)],
+                         [(-1, 4), (0, 1), (1, 8)], [(-1, 4), (0, 1), (1, 8), (3, 35)],
+                         [(0, 1), (1, 27), (1, 164, 9568, 231984, 1789488)],
+                         [(-1, 140), (1, 164, 9568, 231984, 1789488), (2, 133)]],
+                    19: [[(0, 1)], [(0, 1), (3, 10)], [(-1, 6), (0, 1), (1, 8, 27)],
+                         [(0, 1), (1, 8, 27), (1, 88)], [(0, 1)], [(-5, 16), (0, 1)],
+                         [(0, 1), (1, 2), (1, 7, 154)],
+                         [(0, 1), (1, 7, 154), (1, 20)]],
+                    20: [[(0, 1)], [(-2, 27), (0, 1)], [(-1, 35), (0, 1), (1, 3)],
+                         [(-7, 18), (-1, 35), (0, 1)], [(-1, 6), (0, 1)],
+                         [(-2, 9), (-1, 6), (11, 45)], [(0, 1), (1, 6)], [(0, 1)]],
+                    21: [[(0, 1), (1, 9)], [(-7, 128), (0, 1), (1, 9)],
+                         [(0, 1), (1, 12), (3, 1), (9, 176)],
+                         [(0, 1), (3, 4), (9, 176)], [(0, 1)], [(0, 1)],
+                         [(-1, 2), (0, 1), (1, 3), (1, 306)],
+                         [(0, 1), (1, 306), (17, 392)]],
+                    22: [[(0, 1), (1, 2), (1, 4)], [(-6, 65), (0, 1), (1, 2)],
+                         [(-3, 65), (-1, 4), (0, 1)], [(-3, 65), (-1, 34), (0, 1)],
+                         [(-1, 4), (0, 1)], [(-1, 4), (0, 1), (11, 108)],
+                         [(0, 1), (1, 12)], [(-1, 9), (0, 1)]],
+                    23: [[(1, 12), (1, 24, 162)], [(-23, 105), (1, 12), (1, 24, 162)],
+                         [(0, 1), (1, 6), (1, 15, 25), (1, 16)],
+                         [(1, 15, 25), (1, 16), (4, 105)], [(-1, 6)],
+                         [(-1, 6), (1, 72)], [(-1, 6), (-1, 17, 287, 2979), (0, 1)],
+                         [(-1, 17, 287, 2979)]],
+                    24: [[(0, 1)], [(-1, 12), (0, 1)], [(-1, 6), (0, 1)],
+                         [(0, 1), (1, 16)], [(0, 1)], [(-1, 6), (0, 1)],
+                         [(-1, 21), (0, 1), (1, 8)], [(-33, 119), (-1, 21), (0, 1)]],
+                    25: [[(-1, 4), (-1, 8), (0, 1)], [(-1, 8), (19, 3)],
+                         [(0, 1), (1, 12)], [(-10, 273)], [(-1, 4), (-1, 13), (0, 1)],
+                         [(-19, 147)], [(0, 1), (1, 4)], [(-1, 12)]],
+                    26: [[], [(-5, 24)], [(-1, 11), (0, 1), (1, 2), (1, 8)],
+                         [(-2, 9), (-1, 11)], [(1, 2)], [(1, 2), (23, 20)],
+                         [(0, 1), (1, 6)], [(1, 70)]]}
+
+
+def orbit_at(family, fac):
+    member = family.member_at(fac)
+    return OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
+
+
+def special_among_recorded(T, P, factors):
+    """The recorded factors, other than lam, at whose roots the member
+    leaves the generic orbit, each with that orbit, coded like
+    report_code; and the same pairs read off classify_parametric."""
+    family = ParametricTensor(T, P)
+    report = classify_parametric(family, classify(T))
+    found = []
+    for code in factors:
+        if code == (0, 1):
+            continue
+        lead = Fraction(code[-1])
+        fac = UniPoly([Fraction(c) / lead for c in code])
+        orbit = orbit_at(family, fac)
+        if orbit != report.generic:
+            found.append((code, orbit.value))
+    reported = [
+        (primitive(fac), oid.value)
+        for fac, oid in report.exceptional
+        if primitive(fac) != (0, 1)
+    ]
+    return sorted(found), sorted(reported)
+
+
+@pytest.mark.parametrize("orbit", ORBITS)
+def test_recorded_candidate_factors_are_unchanged(orbit):
+    """Every special value among the candidates the function-field
+    classifier recorded is still reported, with its orbit, and every
+    reported special value other than 0 was among those candidates."""
+    families = []
+    for _sparse, T, P, gT, gP in seeded_families(orbit):
+        families += [(T, P), (gT, gP)]
+    assert len(families) == len(RECORDED_FACTORS[orbit])
+    for (T, P), factors in zip(families, RECORDED_FACTORS[orbit]):
+        found, reported = special_among_recorded(T, P, factors)
+        assert found == reported, (orbit, factors)
 
 
 def concise_family(T, P):
