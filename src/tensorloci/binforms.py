@@ -5,9 +5,10 @@ coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
 (determinant forms of degenerate pencils vanish identically).
 
 The univariate workhorses below operate on plain coefficient lists (lowest
-degree first) so that they stay generic over the coefficient field. Gcds
-and quotients need a field; discriminants and resultants also take
-coefficients in Q[λ], where they are polynomials in λ.
+degree first) so that they stay generic over the coefficient field. Over
+Q the gcd is a primitive integer form, from the integer remainder
+sequence, and int coefficients are taken as they are. Quotients need a
+field; discriminants and resultants also take coefficients in Q[λ].
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AllZero, DegreeTooLarge, DegreeTooSmall
-from .exactnum import UniPoly, upoly_factor_small, upoly_gcd
-from .linalg import Mat, mat_det
+from .exactnum import UniPoly, _ip_gcd, _ip_primitive, upoly_factor_small
+from .linalg import Mat, _z_row, mat_det
 
 
 class BinaryForm:
@@ -136,27 +137,28 @@ def _pl_gcd(a, b):
 
 
 def bform_gcd(forms):
-    """Greatest common divisor of several binary forms over a field, monic
-    in its lowest power of u; zero forms are skipped.
-
-    Raises AllZero when every input form vanishes identically.
+    """Greatest common divisor of several binary forms, zero forms skipped:
+    over Q a primitive integer form, positive in its lowest power of u;
+    over an extension field monic. AllZero when every form vanishes.
     """
     live = [f for f in forms if not f.is_zero()]
     if not live:
         raise AllZero("gcd of identically zero forms")
     qmin = min(f.v_multiplicity() for f in live)
-    rational = all(isinstance(c, (int, Fraction)) for f in live for c in f.coeffs)
+    rational = all(type(c) in (int, Fraction) for f in live for c in f.coeffs)
     acc = None
     for f in live:
         _, univ = f.dehomogenized()
-        if acc is None:
-            acc = univ
-        elif rational:  # the primitive integer remainder sequence
-            acc = list(upoly_gcd(UniPoly(acc), UniPoly(univ)).coeffs)
+        if rational:
+            univ = _ip_primitive(_z_row(univ)[0])
+            acc = univ if acc is None else _ip_gcd(acc, univ)
         else:
-            acc = _pl_gcd(acc, univ)
+            acc = univ if acc is None else _pl_gcd(acc, univ)
         if len(acc) == 1:
+            acc = [1] if rational else acc
             break
+    if rational and acc[-1] < 0:
+        acc = [-c for c in acc]
     return form_from_univariate(acc, qmin)
 
 
@@ -223,7 +225,7 @@ def bform_is_pure_power(f, d):
     """
     if f.is_zero() or f.degree != d:
         return False, None
-    c = f.coeffs
+    c = [Fraction(x) if type(x) is int else x for x in f.coeffs]
     if c[0]:
         beta = c[1] / (d * c[0])
         ell = BinaryForm([c[0] / c[0], beta], 1)

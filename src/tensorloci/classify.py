@@ -1,13 +1,17 @@
 """Orbit classification for tensors in the finite-orbit spaces.
 
-A tensor is first compressed to its concise core, the core axes are permuted
-so the dimensions are non-decreasing, and the resulting shape is dispatched
-through one decision table: matrix shapes by rank, (2,2,2) by the Cayley
-hyperdeterminant (the discriminant of the determinant form), (2,2,n) by the
-2-minor gcd, (2,3,3) by the root structure of the determinant form, (2,3,n)
-by minor gcds, and the largest shapes by conciseness alone.
+A rational tensor is scaled to ints once; its concise core is the scaled
+tensor on its first independent slices of each axis (``concise_reduce``),
+built once in the canonical axis order (dimensions non-decreasing, axes of
+dimension one dropped). Its shape is dispatched through one decision
+table: matrix shapes by rank, (2,2,2) by the Cayley hyperdeterminant (the
+discriminant of the determinant form), (2,2,n) by the 2-minor gcd, (2,3,3)
+by the root structure of the determinant form, (2,3,n) by minor gcds, and
+the largest shapes by conciseness alone.
 
-The table reads the pencil invariants of the core through a reader. A
+The table reads the pencil invariants of the core through a reader. On an
+integer core the pencil rows, minors and the forms read off them are ints,
+known up to a nonzero constant, which is all the table needs. A
 family T - λP with P rank one is classified over Q(λ) by the same table
 with another reader: there every minor is affine in λ, so each invariant
 is computed over Q and Z[λ], together with guard polynomials whose roots
@@ -26,18 +30,16 @@ from .binforms import (
 )
 from .errors import InternalError, UnsupportedShape
 from .exactnum import UniPoly, candidate_factors
-from .linalg import RING_ZX, _bareiss
+from .linalg import RING_ZX
 from .orbits import RANKS
 from .pencil import (
-    family_member_rank,
     family_minor_gcd,
     lambda_form,
     lambda_parts,
-    member_rank_at,
-    pencil_minor_gcd,
-    pencil_of,
+    rows_member_rank,
+    rows_minor_gcd,
 )
-from .tensorcore import ParametricTensor, Tensor, concise_reduce
+from .tensorcore import ParametricTensor, concise_reduce
 
 
 class OrbitId:
@@ -93,6 +95,10 @@ class OrbitId:
 
 
 class ClassifyReport:
+    """The orbit of a tensor, its ranks and its ``reduction``; ``core`` is
+    the concise core in the canonical order, on the ambient axes
+    ``core_axes`` (None for rank one)."""
+
     __slots__ = (
         "orbit",
         "rank",
@@ -101,11 +107,13 @@ class ClassifyReport:
         "reduction",
         "axis_permutation",
         "matrix_rank",
+        "core",
+        "core_axes",
     )
 
     def __init__(
         self, orbit, rank, border_rank, concise_shape, reduction,
-        axis_permutation, matrix_rank,
+        axis_permutation, matrix_rank, core, core_axes,
     ):
         self.orbit = orbit
         self.rank = rank
@@ -114,6 +122,8 @@ class ClassifyReport:
         self.reduction = reduction
         self.axis_permutation = axis_permutation
         self.matrix_rank = matrix_rank
+        self.core = core
+        self.core_axes = core_axes
 
     def __repr__(self):
         return "ClassifyReport(%r, rank=%d, border_rank=%d)" % (
@@ -168,15 +178,13 @@ def classify(t):
     permutation.
     """
     red = concise_reduce(t)
-    core = red.tensor
-    perm = _canonical_permutation(core.shape)
-
-    def reads(dims):
-        return _CoreReads(Tensor(dims, core.transpose_axes(perm).entries))
-
-    orbit, matrix_rank = _orbit_of_shape(t.order, core.shape, reads)
+    shape = red.concise_shape
+    perm = _canonical_permutation(shape)
+    axes = tuple(a for a in perm if shape[a] > 1)
+    core = red.core(axes) if len(axes) >= 2 else None
+    orbit, matrix_rank = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core, red.ring))
     rank, brk = orbit.rank_pair()
-    return ClassifyReport(orbit, rank, brk, core.shape, red, perm, matrix_rank)
+    return ClassifyReport(orbit, rank, brk, shape, red, perm, matrix_rank, core, axes)
 
 
 def _orbit_of_shape(order, concise_shape, reads):
@@ -259,13 +267,18 @@ def _orbit_234(reads):
 
 
 class _CoreReads:
-    """The invariants the decision table reads, on the pencil of a core."""
+    """The invariants the decision table reads, on the pencil rows
+    [A_i | B_i] of a core of shape (2, b, c) over ``ring``."""
 
-    def __init__(self, core):
-        self.pencil = pencil_of(core)
+    def __init__(self, core, ring):
+        _, b, c = core.shape
+        e = core.entries
+        self.rows = [e[i * c:(i + 1) * c] + e[(b + i) * c:(b + i + 1) * c] for i in range(b)]
+        self.cols = c
+        self.ring = ring
 
     def minor_gcd(self, k):
-        return pencil_minor_gcd(self.pencil, k)
+        return rows_minor_gcd(self.rows, self.cols, k, self.ring)
 
     def discriminant_vanishes(self, form):
         return bform_discriminant(form) == 0
@@ -274,7 +287,7 @@ class _CoreReads:
         return bform_gcd([det, det.partial_u(), det.partial_v()])
 
     def member_rank(self, ell):
-        return member_rank_at(self.pencil, ell)
+        return rows_member_rank(self.rows, self.cols, ell, self.ring)[0]
 
 
 class _FamilyReads:
@@ -317,8 +330,8 @@ class _FamilyReads:
         return rep
 
     def member_rank(self, ell):
-        rank, pivot = family_member_rank(self.rows, self.cols, ell)
-        self._guard(pivot)
+        rank, pivot = rows_member_rank(self.rows, self.cols, ell, RING_ZX)
+        self._guard(UniPoly(pivot) if rank else None)
         return rank
 
 
@@ -327,38 +340,20 @@ def orbit_rank(oid):
     return oid.rank_pair()[0]
 
 
-def _pivot_slices(f, axis):
-    """Indices of slices along ``axis`` that span all of them over Q(λ),
-    taken in order, and the last Bareiss pivot of their flattening rows:
-    a rank-sized minor, nonzero wherever they still span."""
-    rows = f.flattening_rows(axis)
-    rank, piv = f.flattening_pivot(axis)
-    if rank == len(rows):
-        return list(range(rank)), piv
-    keep = []
-    for i in range(len(rows)):
-        if _bareiss([list(rows[k]) for k in keep + [i]], RING_ZX)[0] > len(keep):
-            keep.append(i)
-            if len(keep) == rank:
-                break
-    _, piv, _ = _bareiss([list(rows[k]) for k in keep], RING_ZX)
-    return keep, piv
-
-
 def family_orbit(f):
     """The orbit over Q(λ) of the family T - λP, with its guards.
 
     Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
     another orbit is a root of one of the guards, nonconstant ``UniPoly``s.
-    Each flattening's rank comes from one Bareiss elimination over Z[λ],
-    guarded by its last pivot. Off the pivots' roots, the family restricted
-    to the slices carrying them (``_pivot_slices``) is a concise core of
-    the member, whose pencil the decision table reads (``_FamilyReads``).
+    Each flattening's first independent slices come from one Bareiss
+    elimination over Z[λ] (``flattening_pivot``), guarded by its last
+    pivot. Off the pivots' roots the family on those slices is a concise
+    core of the member, whose pencil the table reads (``_FamilyReads``).
     """
     order = f.base.order
     slices, guards = [], []
     for axis in range(1, order + 1):
-        keep, piv = _pivot_slices(f, axis)
+        keep, piv = f.flattening_pivot(axis)
         slices.append(keep)
         guards.append(UniPoly(piv))
     concise = tuple(len(s) for s in slices)

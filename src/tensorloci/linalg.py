@@ -1,19 +1,18 @@
 """Exact dense linear algebra over the scalar domains.
 
-Rank and determinant run on one fraction-free Bareiss elimination with the
-first-nonzero pivot rule (scan columns left to right, take the topmost
-nonzero entry). Matrices over Q and Q[λ] are first scaled row by row to
-integer form by one converter, ``integer_rows``, which clears the rational
-coefficients of each row. The elimination then runs over Z on plain ints,
-or over Z[λ] on dense lists of ints, lowest degree first, and every
-Bareiss division is exact. ``mat_det`` divides the row scales out once at
-the end; it is the one determinant routine (flattening minors, Sylvester
-resultants), and pencil minors at a sample point use its core
+Rank, determinant and row reduction run on one fraction-free Bareiss
+elimination with the first-nonzero pivot rule (scan columns left to right,
+take the topmost nonzero entry): over Z on plain ints, over Z[λ] on dense
+lists of ints, lowest degree first, with every division exact, and over an
+extension field on its elements. The tensor layer hands it integer rows (a
+rational tensor is scaled to ints once); a ``Mat`` over Q or Q[λ] is
+scaled row by row by ``integer_rows``. ``mat_det`` divides the row scales
+out once at the end; pencil minors at sample points use its core
 ``bareiss_det``. Over Z[λ] the last Bareiss pivot is a rank-sized minor,
-which is what names the parameter values where a rank can drop. Matrices
-over an algebraic extension are eliminated over the field itself.
-``sample_points`` and ``interpolate`` give the evaluation points and the
-interpolation that turn determinants at sample points into pencil minors.
+which names the parameter values where a rank can drop. ``pivot_slices``
+reads the first independent rows off the pivot columns of the transpose.
+``sample_points`` and ``interpolate`` turn determinants at sample points
+into pencil minors.
 """
 
 from __future__ import annotations
@@ -186,10 +185,10 @@ def _zx_exact_div(a, b):
 
 RING_Z = (_cross, operator.floordiv)
 RING_ZX = (_zx_cross, _zx_exact_div)
-_FIELD = (_cross, operator.truediv)
+RING_FIELD = (_cross, operator.truediv)
 
 
-def _bareiss(work, ring, square=False):
+def _bareiss(work, ring, square=False, pivots=None):
     """Fraction-free elimination of the rows ``work``, in place.
 
     Pivots follow the first-nonzero rule. Returns (rank, last pivot, sign
@@ -197,7 +196,8 @@ def _bareiss(work, ring, square=False):
     times that sign is the minor of the matrix on the pivot rows and
     columns. With ``square`` the elimination stops at the first column
     without a pivot and returns that column's zero entry as the pivot: the
-    determinant is zero.
+    determinant is zero. The pivot columns are appended to ``pivots`` when
+    it is a list.
     """
     cross, div = ring
     n = len(work)
@@ -216,6 +216,8 @@ def _bareiss(work, ring, square=False):
         if i != rank:
             work[rank], work[i] = work[i], work[rank]
             sign = -sign
+        if pivots is not None:
+            pivots.append(col)
         top = work[rank]
         pivot = top[col]
         for i in range(rank + 1, n):
@@ -229,6 +231,16 @@ def _bareiss(work, ring, square=False):
         if rank == n:
             break
     return rank, prev, sign
+
+
+def pivot_slices(rows, ring):
+    """(indices, pivot): the rows independent of the rows before them,
+    which span all of ``rows``, read off as the pivot columns of the
+    transpose, and the last Bareiss pivot, a minor of the kept rows of
+    their full size (over Z[λ] nonzero wherever they stay independent)."""
+    keep = []
+    _, piv, _ = _bareiss([list(c) for c in zip(*rows)], ring, pivots=keep)
+    return keep, piv
 
 
 def _z_row(row):
@@ -331,7 +343,7 @@ def integer_quotient(c, scale):
 def mat_rank(M):
     """Rank by Bareiss elimination; over Q[λ] the rank over Q(λ)."""
     if M.domain == DOMAIN_EXTENSION:
-        return _bareiss([list(r) for r in M.entries], _FIELD)[0]
+        return _bareiss([list(r) for r in M.entries], RING_FIELD)[0]
     rows, ring, _ = integer_rows(M)
     return _bareiss(rows, ring)[0]
 
@@ -349,41 +361,50 @@ def mat_det(M):
     if M.rows == 0:
         return Fraction(1)
     if M.domain == DOMAIN_EXTENSION:
-        return bareiss_det([list(r) for r in M.entries], _FIELD)
+        return bareiss_det([list(r) for r in M.entries], RING_FIELD)
     rows, ring, scales = integer_rows(M)
     return integer_quotient(bareiss_det(rows, ring), math.prod(scales))
 
 
 def mat_rref(M):
-    """Reduced row echelon form over a field.
+    """(R, pivot columns): the reduced row echelon form over a field, not
+    for the polynomial-ring domain."""
+    rows, pivots, quot = _rref(M)
+    return Mat([[quot(x) for x in row] for row in rows], domain=M.domain), pivots
 
-    Returns (R, pivot_columns). Not for the polynomial-ring domain.
+
+def _rref(M):
+    """(rows, pivot columns, quot) with quot(x) the entry of the reduced
+    row echelon form of M at the entry x of rows. Each pivot step is a
+    Bareiss step on every other row, so over Q, where the rows are scaled
+    to ints, entries stay minors, and each pivot row ends with the last
+    pivot d at its pivot column: quot(x) is x / d.
     """
-    work = [list(r) for r in M.entries]
-    n, m = M.rows, M.cols
-    pivots = []
-    r = 0
-    for col in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if work[i][col]:
-                pivot_row = i
+    if M.domain == DOMAIN_QQ:
+        rows, (_, div), _ = integer_rows(M)
+    else:
+        rows, div = [list(r) for r in M.entries], operator.truediv
+    pivots, prev, r = [], 1, 0
+    for col in range(M.cols):
+        for i in range(r, M.rows):
+            if rows[i][col]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][col]
-        inv = (pv / pv) / pv  # one inversion per pivot row
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        p = top[col]
+        for i in range(M.rows):
+            a = rows[i][col]
+            if i != r and (a or p != prev):
+                rows[i] = [div(p * x - a * y, prev) for x, y in zip(rows[i], top)]
+        prev = p
         pivots.append(col)
         r += 1
-        if r == n:
+        if r == M.rows:
             break
-    return Mat(work, domain=M.domain), pivots
+    qq = M.domain == DOMAIN_QQ
+    return rows, pivots, (lambda x: Fraction(x, prev)) if qq else (lambda x: x / prev)
 
 
 def mat_solve(A, b):
@@ -391,17 +412,12 @@ def mat_solve(A, b):
     aug = Mat(
         [list(A.entries[i]) + [b[i]] for i in range(A.rows)], domain=A.domain
     )
-    R, pivots = mat_rref(aug)
+    rows, pivots, quot = _rref(aug)
     if A.cols in pivots:
         return None
-    if A.rows and A.cols:
-        sample = A.entries[0][0]
-        zero = sample - sample
-    else:
-        zero = Fraction(0)
-    x = [zero] * A.cols
+    x = [quot(0)] * A.cols
     for i, pc in enumerate(pivots):
-        x[pc] = R.entries[i][A.cols]
+        x[pc] = quot(rows[i][A.cols])
     return x
 
 
@@ -416,26 +432,19 @@ def mat_inverse(A):
         ],
         domain=A.domain,
     )
-    R, pivots = mat_rref(aug)
+    rows, pivots, quot = _rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return Mat([R.entries[i][n:] for i in range(n)], domain=A.domain)
+    return Mat([[quot(x) for x in rows[i][n:]] for i in range(n)], domain=A.domain)
 
 
 def full_rank_factorization(A):
-    """A = B C with B of full column rank and C of full row rank.
-
-    When A already has full row rank the factorization is B = identity,
-    C = A: no change of basis, so a family of matrices keeps its entries.
-    Otherwise B collects the pivot columns of A and C is the nonzero part
-    of the reduced row echelon form. Works over any field domain.
-    """
-    r = mat_rank(A)
+    """A = B C with B of full column rank and C of full row rank: B = the
+    identity and C = A when A has full row rank, else B the pivot columns
+    of A and C the nonzero rows of its reduced row echelon form."""
+    R, pivots = mat_rref(A)
+    r = len(pivots)
     if r == A.rows:
         return mat_identity(A.rows), A, r
-    R, pivots = mat_rref(A)
-    B = Mat([[A.entries[i][j] for j in pivots] for i in range(A.rows)],
-            domain=A.domain)
-    C = Mat(R.entries[:r], domain=A.domain)
-    return B, C, r
-
+    B = [[A.entries[i][j] for j in pivots] for i in range(A.rows)]
+    return Mat(B, domain=A.domain), Mat(R.entries[:r], domain=A.domain), r

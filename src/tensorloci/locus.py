@@ -30,6 +30,7 @@ they can be played against each other in tests:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .classify import (
@@ -59,7 +60,7 @@ from .tensorcore import (
     rank_one_factors,
     subtract_scaled,
 )
-from .wstate import decompose_tangential
+from .wstate import _decompose_in, decompose_tangential
 
 IN_DECOMPOSITION = "in-decomposition"
 FORBIDDEN = "forbidden"
@@ -217,7 +218,8 @@ def _drop_value(family, axis):
     rank.
     """
     rows = family.flattening_rows(axis)
-    rank, piv = family.flattening_pivot(axis)
+    keep, piv = family.flattening_pivot(axis)
+    rank = len(keep)
     if rank < len(rows):
         raise InternalError("concise core with a degenerate flattening line")
     if len(piv) == 1:
@@ -325,7 +327,11 @@ def locus_tangential(T, P):
         dec = decompose_tangential(T, P)
     except (NotInLocus, TangencyPointRequested):
         return LocusVerdict.forbidden()
+    return _tangential_verdict(T, P, dec)
 
+
+def _tangential_verdict(T, P, dec):
+    """The witness of a decomposition of T led by P, re-checked."""
     coeff, term = dec.terms[0]
     rho = _proportionality_ratio(P.expand(), term.expand())
     if rho is None:
@@ -375,35 +381,6 @@ def _proportional_verdict(T, P):
     if not subtract_scaled(T, lam0, P).is_zero():
         raise InternalError("proportional witness left a nonzero remainder")
     return LocusVerdict.member(LambdaWitness(value=lam0))
-
-
-def _matrix_core_verdict(T, P, report):
-    """Tensors whose concise core keeps at most two axes above dimension one."""
-    red = report.reduction
-    coords = factors_in_spans(P, red)
-    if coords is None:
-        return LocusVerdict.forbidden()
-    core = red.tensor
-    wide = [ax for ax, d in enumerate(core.shape) if d > 1]
-    if len(wide) != 2:
-        raise InternalError("matrix core with %d wide axes" % len(wide))
-    row_ax, col_ax = wide
-    scale = Fraction(1)
-    for ax in range(core.order):
-        if ax not in wide:
-            scale *= coords[ax][0]
-    rows = core.shape[row_ax]
-    cols = core.shape[col_ax]
-    ent = [[None] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            idx = [0] * core.order
-            idx[row_ax] = i
-            idx[col_ax] = j
-            ent[i][j] = core[tuple(idx)]
-    u = [scale * x for x in coords[row_ax]]
-    v = list(coords[col_ax])
-    return locus_matrix(Mat(ent), u, v)
 
 
 def _pairing_verdict(core, coreP, target):
@@ -475,24 +452,38 @@ def _escape_verdict(core, coreP, target):
     return verdict or LocusVerdict.forbidden()
 
 
+def _core_point(report, coords):
+    """P in the canonical core (c T on the kept slices) from its
+    coordinates ``coords`` (``factors_in_spans``): c and P's coordinate on
+    each dropped axis of dimension one scale the first factor, so the core
+    family is T - lam*P times a constant, in the same lam."""
+    axes = report.core_axes
+    scale = report.reduction.scale * math.prod(
+        x[0] for a, x in enumerate(coords) if a not in axes)
+    first = [scale * x for x in coords[axes[0]]]
+    return RankOneTensor([first] + [coords[a] for a in axes[1:]])
+
+
 def _specialized_membership(T, P, report):
-    if report.matrix_rank is not None:
-        if report.matrix_rank == 1:
-            return _proportional_verdict(T, P)
-        return _matrix_core_verdict(T, P, report)
-
-    n = report.orbit.value
-    if n == 5:
-        return locus_tangential(T, P)
-
-    # The core in the axis order classify sorted it into, P alongside.
+    if report.matrix_rank == 1:
+        return _proportional_verdict(T, P)
     coords = factors_in_spans(P, report.reduction)
     if coords is None:
         return LocusVerdict.forbidden()
-    perm = report.axis_permutation
-    core = report.reduction.tensor.transpose_axes(perm)
-    coreP = RankOneTensor([coords[p] for p in perm])
+    if report.matrix_rank is not None:
+        # the core is a matrix; the pairing decides
+        u, v = _core_point(report, coords).factors
+        return locus_matrix(flattening(report.core, 1), u, v)
 
+    n = report.orbit.value
+    if n == 5:
+        try:
+            dec = _decompose_in(T, report.reduction, coords)
+        except TangencyPointRequested:
+            return LocusVerdict.forbidden()
+        return _tangential_verdict(T, P, dec)
+
+    core, coreP = report.core, _core_point(report, coords)
     if n == 6:
         return _drop_root_verdict(core, coreP, (1, 2, 3), 1)
     if n in (7, 8, 11, 12):

@@ -5,16 +5,18 @@ and B are its two slices. Everything downstream of the shape-(2,3,n)
 classification reads off this pencil: determinant forms, minor gcds, the two
 hyperdeterminants, and the member ranks at roots of linear forms.
 
-Every minor of the pencil is a binary form in (u, v), found by evaluation
-and interpolation: det(tA + B) at r + 1 integer points t, then the
-polynomial in t through them. Over Q and Q[λ] the pencil is scaled once to
-integer form (rows over Z or Z[λ]), each point is an integer Bareiss
-determinant, the interpolation divides exactly in the integers, and the row
-scales are divided out of each coefficient at the end.
+The pencil is kept as its rows [A_i | B_i]: ints, straight from an integer
+core or from a ``Pencil`` over Q scaled row by row once; int lists over
+Z[λ]; or elements of an extension field. Every minor is a binary form in
+(u, v): det(tA + B) at r + 1 integer points t by the Bareiss kernel, then
+the polynomial in t through them, dividing exactly. Row scales change a
+minor only by a constant, so minor gcds (the integer remainder sequence of
+``bform_gcd``) and member ranks use the scaled rows as they are;
+``pencil_det_form`` divides the scales back out.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
-and n binary forms over Q. ``family_minor_gcd`` and ``family_member_rank``
+and n binary forms over Q. ``family_minor_gcd`` and ``rows_member_rank``
 work on its rows over Z[λ] and return the value over Q(λ) together with a
 guard: a polynomial in λ whose roots include every value where the value
 at that λ differs from the generic one.
@@ -37,7 +39,7 @@ from .errors import InternalError, WrongShape
 from .exactnum import UniPoly, upoly_gcd
 from .linalg import (
     DOMAIN_EXTENSION,
-    RING_Z,
+    RING_FIELD,
     RING_ZX,
     Mat,
     _bareiss,
@@ -46,7 +48,6 @@ from .linalg import (
     integer_rows,
     interpolate,
     mat_det,
-    mat_rank,
     sample_points,
     zx_interpolate,
 )
@@ -64,17 +65,6 @@ class Pencil:
         self.a = a
         self.b = b
         self._integer = None
-
-    def member(self, u0, v0):
-        """The matrix u0*A + v0*B."""
-        ents = [
-            [
-                u0 * self.a.entries[i][j] + v0 * self.b.entries[i][j]
-                for j in range(self.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return Mat(ents)
 
     def __repr__(self):
         return "Pencil(%dx%d)" % (self.rows, self.cols)
@@ -108,9 +98,9 @@ def _zx_axpy(t, a, b):
 def _members(rows, cols, ring, pts):
     """The members t*A + B at the points ``pts`` of the pencil whose integer
     rows are [A_i | B_i] over ``ring``."""
-    if ring is RING_Z:
-        return [[[t * x + y for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
-    return [[[_zx_axpy(t, x, y) for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
+    if ring is RING_ZX:
+        return [[[_zx_axpy(t, x, y) for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
+    return [[[t * x + y for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
 
 
 def _minor_coeffs(members, ring, pts, row_idx, col_idx):
@@ -120,40 +110,33 @@ def _minor_coeffs(members, ring, pts, row_idx, col_idx):
         bareiss_det([[m[i][j] for j in col_idx] for i in row_idx], ring)
         for m in members
     ]
-    return interpolate(pts, dets) if ring is RING_Z else zx_interpolate(pts, dets)
+    return zx_interpolate(pts, dets) if ring is RING_ZX else interpolate(pts, dets)
 
 
-def _minor_form(p, row_idx, col_idx):
-    """det of the selected square subpencil as a BinaryForm of that size.
-
-    det(tA + B) is taken at r + 1 integer points t and interpolated. Over
-    Q and Q[λ] the determinants come from the integer Bareiss kernel, the
-    interpolation runs in integers and the row scales are divided out once
-    at the end; over an extension field the points go through ``mat_det``.
-    The pencil is converted to integer form once.
-    """
-    r = len(row_idx)
-    pts = sample_points(r + 1)
+def _pencil_rows(p):
+    """(rows [A_i | B_i] in integer form, ring, row scales, member cache)
+    of a ``Pencil``, made once."""
     if p._integer is None:
         M = Mat([ra + rb for ra, rb in zip(p.a.entries, p.b.entries)])
         if M.domain == DOMAIN_EXTENSION:
-            p._integer = False
+            p._integer = (M.entries, RING_FIELD, [1] * M.rows, {})
         else:
-            p._integer = integer_rows(M) + ({},)  # rows, ring, scales, members
-    if p._integer is False:
-        a, b = p.a.entries, p.b.entries
-        dets = [
-            mat_det(Mat([[t * a[i][j] + b[i][j] for j in col_idx] for i in row_idx]))
-            for t in pts
-        ]
-        coeffs = interpolate(pts, dets)
-    else:
-        rows, ring, scales, members = p._integer
-        missing = [t for t in pts if t not in members]
-        members.update(zip(missing, _members(rows, p.cols, ring, missing)))
-        ints = _minor_coeffs([members[t] for t in pts], ring, pts, row_idx, col_idx)
+            p._integer = integer_rows(M) + ({},)
+    return p._integer
+
+
+def _minor_form(p, row_idx, col_idx):
+    """det of the selected square subpencil as a BinaryForm of that size,
+    the row scales divided out."""
+    r = len(row_idx)
+    pts = sample_points(r + 1)
+    rows, ring, scales, members = _pencil_rows(p)
+    missing = [t for t in pts if t not in members]
+    members.update(zip(missing, _members(rows, p.cols, ring, missing)))
+    coeffs = _minor_coeffs([members[t] for t in pts], ring, pts, row_idx, col_idx)
+    if ring is not RING_FIELD:
         scale = math.prod(scales[i] for i in row_idx)
-        coeffs = [integer_quotient(c, scale) for c in ints]
+        coeffs = [integer_quotient(c, scale) for c in coeffs]
     # coeffs[k] is the coefficient of t^k in det(tA + B); the form is
     # v^r * det((u/v)A + B)
     return BinaryForm(coeffs[::-1], r)
@@ -166,26 +149,32 @@ def pencil_det_form(p):
     return _minor_form(p, tuple(range(p.rows)), tuple(range(p.cols)))
 
 
-def pencil_minor_gcd(p, r):
-    """gcd of all r x r minors of the pencil as a binary form.
-
-    Returns the zero form of degree r when every minor vanishes identically,
-    and the constant form 1 when the minors share no projective root.
-    """
-    if r < 1 or r > min(p.rows, p.cols):
-        raise WrongShape("minor size %d out of range" % r)
+def rows_minor_gcd(rows, cols, k, ring):
+    """gcd of all k x k minors of the pencil with rows [A_i | B_i] over Z
+    or a field, as ``bform_gcd`` gives it; the zero form of degree k when
+    every minor vanishes, a constant when they share no projective root."""
+    pts = sample_points(k + 1)
+    members = _members(rows, cols, ring, pts)
     g = None
-    for row_idx in itertools.combinations(range(p.rows), r):
-        for col_idx in itertools.combinations(range(p.cols), r):
-            f = _minor_form(p, row_idx, col_idx)
-            if not f.is_zero():
-                g = f if g is None else bform_gcd([g, f])
+    for row_idx in itertools.combinations(range(len(rows)), k):
+        for col_idx in itertools.combinations(range(cols), k):
+            coeffs = _minor_coeffs(members, ring, pts, row_idx, col_idx)
+            if any(coeffs):
+                f = BinaryForm(coeffs[::-1], k)
+                g = bform_gcd([f] if g is None else [g, f])
                 if g.degree == 0:
                     return g  # the gcd can only shrink
     if g is None:
-        zero = p.a.entries[0][0] - p.a.entries[0][0]
-        return BinaryForm([zero] * (r + 1), r)
+        return BinaryForm([0] * (k + 1), k)
     return g
+
+
+def pencil_minor_gcd(p, r):
+    """gcd of all r x r minors of the pencil (``rows_minor_gcd``)."""
+    if r < 1 or r > min(p.rows, p.cols):
+        raise WrongShape("minor size %d out of range" % r)
+    rows, ring, _, _ = _pencil_rows(p)
+    return rows_minor_gcd(rows, p.cols, r, ring)
 
 
 def lambda_parts(coeffs):
@@ -282,20 +271,25 @@ def _cofactor_guard(cofactors):
     return g if g.degree >= 1 else None
 
 
-def family_member_rank(rows, cols, ell):
-    """Rank over Q(λ) of the member of a family pencil (rows as in
-    ``family_minor_gcd``) at the root of the rational linear form ``ell``,
-    and its last Bareiss pivot over Z[λ] (None for rank 0): the rank is
-    the same at every λ0 that is not a root of the pivot."""
+def rows_member_rank(rows, cols, ell, ring):
+    """(rank, last Bareiss pivot) of the member at the root of the linear
+    form ``ell`` of the pencil with rows [A_i | B_i] over ``ring``; over Z
+    and Z[λ] the root is scaled to ints first."""
     alpha, beta = ell.coeffs
-    k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
-    u0, v0 = int(-beta * k), int(alpha * k)
-    member = [
-        [_zx_axpy(u0, x, [v0 * z for z in y]) for x, y in zip(r[:cols], r[cols:])]
-        for r in rows
-    ]
-    rank, piv, _ = _bareiss(member, RING_ZX)
-    return rank, UniPoly(piv) if rank else None
+    if ring is RING_FIELD:
+        u0, v0 = -beta, alpha
+    else:
+        k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
+        u0, v0 = int(-beta * k), int(alpha * k)
+    if ring is RING_ZX:
+        member = [
+            [_zx_axpy(u0, x, [v0 * z for z in y]) for x, y in zip(r[:cols], r[cols:])]
+            for r in rows
+        ]
+    else:
+        member = [[u0 * x + v0 * y for x, y in zip(r[:cols], r[cols:])] for r in rows]
+    rank, piv, _ = _bareiss(member, ring)
+    return rank, piv
 
 
 def hyperdet222(t):
@@ -335,5 +329,5 @@ def hyperdet233(t):
 
 def member_rank_at(p, ell):
     """Rank of the pencil member at the root of the linear form ``ell``."""
-    alpha, beta = ell.coeffs
-    return mat_rank(p.member(-beta, alpha))
+    rows, ring, _, _ = _pencil_rows(p)
+    return rows_member_rank(rows, p.cols, ell, ring)[0]

@@ -2,10 +2,13 @@
 
 A tensor of order k is stored densely: a shape tuple and a flat row-major
 entry list (the last axis varies fastest). Entries may live in any of the
-scalar domains from ``exactnum``; all operations are domain-generic.
+scalar domains from ``exactnum``. The concise core of a rational tensor is
+the tensor scaled to ints once, restricted to its first independent slices
+on each axis: an int subtensor, whose flattenings, like the rows over Z[λ]
+of a family T - λP, feed the integer Bareiss kernel directly.
 
-Axis numbering is 1-based in the public flattening API, matching the usual
-"first/second/third factor" language. Flat entry indices are 0-based.
+Axis numbering is 1-based in the public flattening API; flat indices are
+0-based.
 """
 
 from __future__ import annotations
@@ -22,21 +25,18 @@ from .errors import (
 )
 from .exactnum import AlgebraicElement
 from .linalg import (
+    RING_FIELD,
+    RING_Z,
     RING_ZX,
     Mat,
     _bareiss,
-    full_rank_factorization,
+    _z_row,
     mat_det,
+    mat_identity,
     mat_mul,
-    mat_solve,
+    mat_rref,
+    pivot_slices,
 )
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def _strides(shape):
@@ -58,7 +58,7 @@ class Tensor:
         if any(d < 1 for d in shape):
             raise ShapeMismatch("axis dimensions must be positive")
         entries = list(entries)
-        if len(entries) != _prod(shape):
+        if len(entries) != math.prod(shape):
             raise ShapeMismatch(
                 "entry count %d does not match shape %r" % (len(entries), shape)
             )
@@ -67,7 +67,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape):
-        return cls(shape, [Fraction(0)] * _prod(shape))
+        return cls(shape, [Fraction(0)] * math.prod(shape))
 
     @classmethod
     def from_dict(cls, shape, items):
@@ -168,26 +168,24 @@ class RankOneTensor:
         return "RankOneTensor(%r)" % (self.factors,)
 
 
-def _integer_vector(vec):
-    """(ints, k) with vec = k * ints and the ints coprime."""
-    vec = [Fraction(x) for x in vec]
-    den = math.lcm(*[x.denominator for x in vec])
-    ints = [int(x * den) for x in vec]
-    g = math.gcd(*ints)
-    return [x // g for x in ints], Fraction(g, den)
+def _scaled_entries(entries):
+    """(entries times c, c, ring): rational entries become ints, c the lcm
+    of their denominators; field entries stay, with c = 1."""
+    if all(type(x) in (int, Fraction) for x in entries):
+        return (*_z_row(entries), RING_Z)
+    return list(entries), 1, RING_FIELD
 
 
 class ParametricTensor:
     """The affine family T - λP with T a tensor and P rank-one.
 
-    Its flattenings are also kept over Z[λ], built once per axis from the
-    entries of T and the integer-scaled factors of P: row i of
-    ``flattening_rows(axis)`` is row i of the flattening of T - λP times a
-    positive integer, each entry a list of ints, lowest degree first. A
-    row scale changes no rank and each minor only by a constant.
+    Both are scaled to ints once: T' = cT, and P = s P' with P' the
+    product of P's factors scaled to ints. With n/d = c s in lowest terms
+    the family is (d T' - λ n P') / (c d), so its flattening rows over Z[λ]
+    (int lists, lowest degree first) and its rational members are ints.
     """
 
-    __slots__ = ("base", "direction", "_flat")
+    __slots__ = ("base", "direction", "_ints", "_flat")
 
     def __init__(self, base, direction):
         if base.shape != direction.shape:
@@ -196,6 +194,7 @@ class ParametricTensor:
             )
         self.base = base
         self.direction = direction
+        self._ints = None
         self._flat = {}
 
     def specialize(self, lam0):
@@ -215,33 +214,47 @@ class ParametricTensor:
             [gen * 0 + a - gen * b for a, b in zip(self.base.entries, d.entries)],
         )
 
+    def _integer_form(self):
+        """(entries of d T', factors of P', n, entries of P')."""
+        if self._ints is None:
+            base, c, _ = _scaled_entries(self.base.entries)
+            s = Fraction(c)
+            factors = []
+            for f in self.direction.factors:
+                ints, den, _ = _scaled_entries(f)
+                g = math.gcd(*ints)
+                s *= Fraction(g, den)
+                factors.append([x // g for x in ints])
+            base = [s.denominator * x for x in base]
+            self._ints = (base, factors, s.numerator, RankOneTensor(factors).expand().entries)
+        return self._ints
+
     def member_at(self, fac):
         """The member at a root of the monic irreducible polynomial ``fac``:
-        over Q for a linear factor, over Q[λ]/(fac) otherwise."""
-        if fac.degree == 1:
-            return self.specialize(-fac.coeffs[0])
-        return self.specialize_ext(fac)
+        for a linear one, with root p/q, the int tensor q d T' - p n P'
+        (the member times a positive integer); else over Q[λ]/(fac)."""
+        if fac.degree > 1:
+            return self.specialize_ext(fac)
+        root = -fac.coeffs[0]
+        base, _, n, direction = self._integer_form()
+        q, pn = root.denominator, root.numerator * n
+        return Tensor(self.base.shape, [q * a - pn * b for a, b in zip(base, direction)])
 
     def _flattening(self, axis):
         hit = self._flat.get(axis)
         if hit is None:
             a0 = axis - 1
-            scaled = [_integer_vector(f) for f in self.direction.factors]
-            lam = -math.prod(k for _, k in scaled)
-            rest = [1]
-            for b, (ints, _) in enumerate(scaled):
+            base, factors, n, _ = self._integer_form()
+            rest = [-n]
+            for b, ints in enumerate(factors):
                 if b != a0:
                     rest = [x * y for x in rest for y in ints]
-            rows = []
-            for t_row, p in zip(flattening(self.base, axis).entries, scaled[a0][0]):
-                k = math.lcm(lam.denominator, *[x.denominator for x in t_row])
-                c = int(lam * p * k)
-                rows.append([
-                    [int(x * k), c * y] if c * y else [int(x * k)] if x else []
-                    for x, y in zip(t_row, rest)
-                ])
-            rank, piv, _ = _bareiss([list(r) for r in rows], RING_ZX)
-            hit = self._flat[axis] = (rows, rank, piv)
+            rows = [
+                [[x, c * y] if c * y else [x] if x else [] for x, y in zip(t_row, rest)]
+                for t_row, c in zip(_flat_rows(base, self.base.shape, a0), factors[a0])
+            ]
+            keep, piv = pivot_slices(rows, RING_ZX)
+            hit = self._flat[axis] = (rows, keep, piv)
         return hit
 
     def flattening_rows(self, axis):
@@ -249,10 +262,9 @@ class ParametricTensor:
         return self._flattening(axis)[0]
 
     def flattening_pivot(self, axis):
-        """(rank over Q(λ), last Bareiss pivot over Z[λ]) of the axis
-        flattening. The pivot is a rank-sized minor of T - λP, affine in λ
-        since P flattens to rank one, and the rank is the same at every
-        λ0 that is not its root."""
+        """``pivot_slices`` of the axis flattening over Z[λ]: the pivot is
+        a rank-sized minor of T - λP, affine in λ since P flattens to rank
+        one, and off its root the slices stay independent."""
         return self._flattening(axis)[1:]
 
     def pencil_rows(self, axes, slices):
@@ -288,9 +300,18 @@ def _flattening_map(shape, a0):
         for i, v in enumerate(rest):
             c = c * rest_dims[i] + v
         out.append((idx[a0], c))
-    result = (out, shape[a0], _prod(rest_dims))
+    result = (out, shape[a0], math.prod(rest_dims))
     _flat_maps[key] = result
     return result
+
+
+def _flat_rows(entries, shape, a0):
+    """The rows, as lists, of the axis-a0 flattening of a flat entry list."""
+    positions, rows, cols = _flattening_map(shape, a0)
+    out = [[None] * cols for _ in range(rows)]
+    for x, (r, c) in zip(entries, positions):
+        out[r][c] = x
+    return out
 
 
 def flattening(T, axis):
@@ -301,85 +322,102 @@ def flattening(T, axis):
     """
     if not 1 <= axis <= T.order:
         raise AxisOutOfRange("axis %d for order-%d tensor" % (axis, T.order))
-    a0 = axis - 1
-    positions, rows, cols = _flattening_map(T.shape, a0)
-    zero = None
-    for x in T.entries:
-        zero = x - x
-        break
-    ent = [[zero] * cols for _ in range(rows)]
-    for flat, (r, c) in enumerate(positions):
-        ent[r][c] = T.entries[flat]
-    return Mat(ent)
-
-
-def unflatten(M, shape, a0):
-    """Inverse of ``flattening`` for a matrix with shape[a0] rows."""
-    positions, rows, cols = _flattening_map(shape, a0)
-    entries = [None] * _prod(shape)
-    for flat, (r, c) in enumerate(positions):
-        entries[flat] = M.entries[r][c]
-    return Tensor(shape, entries)
+    return Mat(_flat_rows(T.entries, T.shape, axis - 1))
 
 
 class ConciseReduction:
-    """Result of ``concise_reduce``: the concise core plus per-axis bases."""
+    """A tensor T restricted to its first independent slices on each axis.
 
-    __slots__ = ("tensor", "bases", "ambient_shape")
+    ``scaled`` holds the entries of c T (``scale`` c, see
+    ``_scaled_entries``; ints over Z for rational T), ``slices[a]`` the
+    indices kept on axis a. The concise core is c T on them, a subtensor.
+    Slice i of T along axis a is sum_j B[i][j] times kept slice j, with
+    B = ``bases[a]`` the identity on the kept rows, computed on demand.
+    """
 
-    def __init__(self, tensor, bases, ambient_shape):
-        self.tensor = tensor
-        self.bases = bases
+    __slots__ = ("ambient_shape", "scaled", "scale", "ring", "slices", "_bases")
+
+    def __init__(self, ambient_shape, scaled, scale, ring, slices):
         self.ambient_shape = ambient_shape
+        self.scaled = scaled
+        self.scale = scale
+        self.ring = ring
+        self.slices = slices
+        self._bases = None
 
     @property
     def concise_shape(self):
-        return self.tensor.shape
+        return tuple(len(s) for s in self.slices)
+
+    def core(self, axes):
+        """The concise core with its axes in the order ``axes``; an axis
+        left out must keep a single index, which it is fixed at."""
+        st = _strides(self.ambient_shape)
+        base = sum(st[a] * keep[0] for a, keep in enumerate(self.slices) if a not in axes)
+        offsets = [[st[a] * i for i in self.slices[a]] for a in axes]
+        return Tensor(
+            tuple(len(self.slices[a]) for a in axes),
+            [self.scaled[base + sum(o)] for o in itertools.product(*offsets)],
+        )
+
+    @property
+    def tensor(self):
+        """The concise core in the ambient axis order."""
+        return self.core(range(len(self.slices)))
+
+    @property
+    def bases(self):
+        if self._bases is None:
+            self._bases = [self._basis(a0) for a0 in range(len(self.slices))]
+        return self._bases
+
+    def _basis(self, a0):
+        keep, dim = self.slices[a0], self.ambient_shape[a0]
+        if len(keep) == dim:
+            return mat_identity(dim)
+        # the rref of [K^T | M^T], K the kept rows of the flattening M,
+        # is [I | B^T] on its first len(keep) rows
+        rows = _flat_rows(self.scaled, self.ambient_shape, a0)
+        R, _ = mat_rref(Mat([[rows[k][c] for k in keep] + [row[c] for row in rows]
+                             for c in range(len(rows[0]))]))
+        return Mat([[R.entries[j][len(keep) + i] for j in range(len(keep))]
+                    for i in range(dim)])
 
     def expand(self):
         """Rebuild the ambient tensor from the core and the bases."""
-        cur = self.tensor
+        cur = self.tensor.scale(Fraction(1, self.scale))
         for a0, B in enumerate(self.bases):
             cur = _apply_axis(cur, a0, B)
         return cur
 
 
 def _apply_axis(T, a0, M):
-    """Contract axis a0 with the matrix M (new_dim x old_dim semantics).
-
-    M has shape (m, n) with n = T.shape[a0]; the result has m along that axis.
-    """
+    """Contract axis a0 with the m x n matrix M, n = T.shape[a0]; the
+    result has m along that axis."""
     n = T.shape[a0]
     if M.cols != n:
         raise ShapeMismatch("matrix columns %d, axis dimension %d" % (M.cols, n))
-    flat = flattening(T, a0 + 1)
-    new_flat = mat_mul(M, flat)
-    new_shape = tuple(
-        M.rows if i == a0 else d for i, d in enumerate(T.shape)
-    )
-    return unflatten(new_flat, new_shape, a0)
+    new = mat_mul(M, flattening(T, a0 + 1)).entries
+    shape = T.shape[:a0] + (M.rows,) + T.shape[a0 + 1:]
+    return Tensor(shape, [new[r][c] for r, c in _flattening_map(shape, a0)[0]])
 
 
 def concise_reduce(T):
     """Compress each axis to the span actually used by the tensor.
 
-    Returns a ConciseReduction whose core tensor is concise (every flattening
-    has full rank) and whose per-axis basis matrices reproduce the input via
-    ``expand``. An axis that is already concise keeps the identity basis,
-    so a concise tensor is its own core. The zero tensor has no concise
-    core.
+    T is scaled to ints once and each axis keeps its first independent
+    slices (``pivot_slices``). The core, a subtensor, is concise (every
+    flattening has full rank), and ``expand`` reproduces T. A concise
+    tensor is its own core; the zero tensor has none.
     """
     if T.is_zero():
         raise ZeroTensor("the zero tensor has no concise reduction")
-    cur = T
-    bases = []
-    for a0 in range(T.order):
-        M = flattening(cur, a0 + 1)
-        B, C, r = full_rank_factorization(M)
-        bases.append(B)
-        new_shape = tuple(r if i == a0 else d for i, d in enumerate(cur.shape))
-        cur = unflatten(C, new_shape, a0)
-    return ConciseReduction(cur, bases, T.shape)
+    scaled, c, ring = _scaled_entries(T.entries)
+    slices = [
+        pivot_slices(_flat_rows(scaled, T.shape, a0), ring)[0]
+        for a0 in range(T.order)
+    ]
+    return ConciseReduction(T.shape, scaled, c, ring, slices)
 
 
 def apply_gl(T, mats):
@@ -457,14 +495,17 @@ def rank_one_factors(T):
 
 
 def factors_in_spans(P, reduction):
-    """Express each factor of P in the concise bases; None if any falls outside.
-
-    Returns per-axis coordinate vectors x with B_i x = factor_i.
-    """
+    """P's entries at the kept indices of each axis, its coordinates in
+    the bases (the identity on the kept rows); None if a factor p leaves
+    the span of its axis, that is if [M | p] has a larger rank than the
+    flattening M, one integer rank."""
     coords = []
-    for a0, B in enumerate(reduction.bases):
-        x = mat_solve(B, P.factors[a0])
-        if x is None:
-            return None
-        coords.append(x)
+    for a0, keep in enumerate(reduction.slices):
+        vec = P.factors[a0]
+        if len(keep) < len(vec):
+            rows = _flat_rows(reduction.scaled, reduction.ambient_shape, a0)
+            aug = [row + [x] for row, x in zip(rows, _scaled_entries(vec)[0])]
+            if _bareiss(aug, reduction.ring)[0] > len(keep):
+                return None
+        coords.append([vec[i] for i in keep])
     return coords

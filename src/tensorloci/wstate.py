@@ -226,11 +226,16 @@ class _NormalForm:
         self.qhat = qhat
 
 
-def _tangency_data(T):
+def _reduce(T):
     try:
-        red = concise_reduce(T)
+        return concise_reduce(T)
     except ZeroTensor:
         raise NotTangential("the zero tensor is not tangent to the rank ones")
+
+
+def _tangency_data(red):
+    """The normal form of the tangent tensor whose concise reduction is
+    ``red``; its core is read over Q, in the tensor's own scale."""
     dims = red.concise_shape
     if any(d > 2 for d in dims):
         raise NotTangential("some axis uses more than two independent slices")
@@ -238,7 +243,7 @@ def _tangency_data(T):
     if len(active) < 3:
         raise NotTangential("fewer than three axes carry a tangent direction")
     k = len(active)
-    W = Tensor((2,) * k, list(red.tensor.entries))
+    W = Tensor((2,) * k, [Fraction(x, red.scale) for x in red.tensor.entries])
     behind = _axis_point(W, 0)
     front = _axis_point(W, 1)
     qhat = [front[0]] + behind
@@ -283,7 +288,7 @@ def find_tangency(T):
     Raises NotTangential when T is not a tangent vector with at least three
     active axes.
     """
-    nf = _tangency_data(T)
+    nf = _tangency_data(_reduce(T))
     factors = []
     for a in range(T.order):
         B = nf.reduction.bases[a]
@@ -308,21 +313,26 @@ def _alldiff_terms(ps):
     """Terms for the model tensor when no axis of the direction coincides.
 
     ps lists the first coordinate of the direction on each axis, the second
-    being one. The terms are the direction itself plus curve points at
-    finite parameters whose sum is forced; the direction term comes first.
+    being one. The terms are the direction itself plus curve points at k - 1
+    distinct nonzero parameters summing to want = -sum(ps), the direction
+    first. The first k - 2 parameters are a window of 1, -1, 2, -2, ...,
+    the last is forced; a sum off the integers works at once. For k - 2 = 2h
+    the windows at starts 2t are +-(t+1), ..., +-(t+h), so the start
+    2|want| or 0 works for want != 0, and k - 1 for want = 0. For k - 2 =
+    2h + 1 the start 0 works for want <= 0, 1 for want > h; for 1 <= want
+    <= h the forced value lands in every window, and the parameters are
+    1, ..., k - 2 and the negative want - (k - 2)(k - 1) / 2.
     """
     k = len(ps)
     want = -sum(ps)
-    roots = None
-    for start in range(60):
-        free = [_free_root(start + i) for i in range(k - 2)]
-        last = want - sum(free)
-        cand = free + [last]
-        if last and len(set(cand)) == k - 1:
-            roots = cand
+    for start in range(k):
+        roots = [_free_root(start + i) for i in range(k - 2)]
+        roots.append(want - sum(roots))
+        if roots[-1] and len(set(roots)) == k - 1:
             break
-    if roots is None:
-        raise InternalError("no admissible parameter pattern was found")
+    else:
+        roots = [Fraction(i) for i in range(1, k - 1)]
+        roots.append(want - sum(roots))
     points = [[[p, Fraction(1)] for p in ps]]
     for r in roots:
         points.append([[r + p, Fraction(1)] for p in ps])
@@ -413,11 +423,18 @@ def decompose_tangential(T, P):
         raise ShapeMismatch(
             "tensor and direction shapes differ: %r vs %r" % (T.shape, P.shape)
         )
-    nf = _tangency_data(T)
-    k = len(nf.active)
-    coords = factors_in_spans(P, nf.reduction)
+    red = _reduce(T)
+    coords = factors_in_spans(P, red)
     if coords is None:
         raise NotInLocus("the direction leaves the span of the tensor")
+    return _decompose_in(T, red, coords)
+
+
+def _decompose_in(T, red, coords):
+    """``decompose_tangential`` on the concise reduction ``red`` of T, with
+    the coordinates ``coords`` of P there (``factors_in_spans``)."""
+    nf = _tangency_data(red)
+    k = len(nf.active)
     ginv = [mat_inverse(g) for g in nf.gs]
     phat = [mat_vec(ginv[j], coords[a]) for j, a in enumerate(nf.active)]
     coincident = [j for j in range(k) if not phat[j][1]]

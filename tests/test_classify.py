@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from tensorloci.tensorcore import (
     RankOneTensor,
     Tensor,
     apply_gl,
+    factors_in_spans,
     flattening,
     subtract_scaled,
 )
@@ -330,3 +332,62 @@ def test_parametric_report_predicts_integer_members(n):
             member = fam.specialize(lam0)
             got = OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
             assert got == expected, (n, fam.direction.factors, k, rep)
+
+
+def first_independent_slices(T, a0):
+    """Reference: the slices along axis a0 not spanned by the ones before."""
+    M = flattening(T, a0 + 1)
+    keep = []
+    for i in range(M.rows):
+        if mat_rank(Mat([M.row(k) for k in keep + [i]])) > len(keep):
+            keep.append(i)
+    return keep
+
+
+def padded_inputs(rng):
+    """Integer tensors with dependent slices on some axes: each normal form
+    of orbits 5-26 inside a larger shape, moved by GL."""
+    for n in range(5, 27):
+        t = normal_form(n)
+        shape = tuple(d + rng.randint(0, 1) for d in t.shape)
+        items = {idx: t[idx] for idx in itertools.product(*map(range, t.shape)) if t[idx]}
+        yield apply_gl(Tensor.from_dict(shape, items), [random_invertible(rng, d) for d in shape])
+
+
+def test_integer_core_is_the_tensor_on_its_first_independent_slices():
+    """For integer-valued T the core of classify has int entries and is T
+    on its first independent slices, in the canonical axis order; P's
+    coordinates are its entries at the kept indices, or None outside."""
+    rng = random.Random("integer cores")
+    inputs = list(all_normal_forms().values()) + list(padded_inputs(rng))
+    outside_checked = 0
+    for t in inputs:
+        rep = classify(t)
+        slices = [first_independent_slices(t, a) for a in range(t.order)]
+        assert rep.reduction.slices == slices
+        if rep.core is None:
+            continue
+        assert all(type(x) is int for x in rep.core.entries)
+        assert rep.core_axes == tuple(a for a in rep.axis_permutation if len(slices[a]) > 1)
+        want = []
+        for idx in itertools.product(*[slices[a] for a in rep.core_axes]):
+            full = [s[0] for s in slices]
+            for a, i in zip(rep.core_axes, idx):
+                full[a] = i
+            want.append(t[tuple(full)])
+        assert rep.core.entries == want
+        inside = []
+        for a in range(t.order):
+            M = flattening(t, a + 1)
+            inside.append(rng.choice([M.col(j) for j in range(M.cols) if any(M.col(j))]))
+        coords = factors_in_spans(RankOneTensor(inside), rep.reduction)
+        assert coords == [[f[i] for i in s] for f, s in zip(inside, slices)]
+        for a in range(t.order):
+            if len(slices[a]) < t.shape[a]:
+                outside = list(inside)
+                outside[a] = [Fraction(rng.randint(1, 9)) for _ in range(t.shape[a])]
+                aug = [r + [x] for r, x in zip(flattening(t, a + 1).entries, outside[a])]
+                if mat_rank(Mat(aug)) > len(slices[a]):
+                    assert factors_in_spans(RankOneTensor(outside), rep.reduction) is None
+                    outside_checked += 1
+    assert outside_checked > 10

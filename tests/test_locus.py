@@ -13,8 +13,11 @@ larger sweeps stay in that script, which is smoke-tested here. Axis
 permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
 The specialized strategy must answer without ever reaching the generic
-one, and its one-pivot flattening drop must match the gcd of all maximal
-minors. ``scripts/dump_verdicts.py`` is smoke-tested on one round.
+one or a rational row reduction, and its one-pivot flattening drop must
+match the gcd of all maximal minors. Rationally scaled inputs keep their
+verdicts, and order-four lifts of the normal forms get the same verdict
+from both strategies. ``scripts/dump_verdicts.py`` is smoke-tested on one
+round.
 """
 
 import importlib.util
@@ -28,7 +31,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tensorloci import locus
+from tensorloci import linalg, locus, tensorcore
 from tensorloci.classify import OrbitId, classify, classify_parametric
 from tensorloci.errors import (
     AllZero,
@@ -582,6 +585,80 @@ def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
         for verdict in (spec, gen):
             assert verdict.in_decomposition, (orbit, verdict)
             assert member_rank(gT, gP, verdict.witness) == 2, (orbit, verdict)
+
+
+def test_classify_and_specialized_routes_run_without_rref(monkeypatch):
+    """From the integer core down nothing reduces over Q: with the rref and
+    the full-rank factorization refusing, classify and SPECIALIZED answer
+    every seeded family with the witnesses of the table."""
+
+    def refuse(*_args):
+        raise AssertionError("the integer path reached a rational elimination")
+
+    with monkeypatch.context() as m:
+        for module, name in ((linalg, "mat_rref"), (tensorcore, "mat_rref"),
+                             (linalg, "full_rank_factorization")):
+            m.setattr(module, name, refuse)
+        for orbit in ORBITS:
+            got = []
+            for _sparse, T, P, gT, gP in seeded_families(orbit):
+                for t, p in ((T, P), (gT, gP)):
+                    assert classify(t).orbit == OrbitId.orbit(orbit)
+                    got.append(witness_code(locus_membership(t, p, SPECIALIZED)))
+            assert got == [spec for spec, _gen in WITNESSES[orbit]], orbit
+
+
+def rational_scale(rng):
+    return Fraction(rng.choice((1, -1, 2, -3, 4)), rng.choice((2, 3, 4, 5)))
+
+
+def test_rationally_scaled_inputs_keep_their_verdicts():
+    """T times a rational with denominator 2-5 and each factor of P times
+    another: both strategies keep the verdict of the table, and every
+    witness is a Fraction that re-checks."""
+    rng = random.Random("rational scales")
+    for orbit in ORBITS:
+        families = [(T, P) for _s, T, P, gT, gP in seeded_families(orbit)
+                    for T, P in ((T, P), (gT, gP))]
+        for (T, P), codes in zip(families[::3], WITNESSES[orbit][::3]):
+            sT = T.scale(rational_scale(rng))
+            scales = [rational_scale(rng) for _ in P.factors]
+            sP = RankOneTensor([[c * x for x in f] for c, f in zip(scales, P.factors)])
+            target = classify(T).rank - 1
+            for strategy, code in zip((SPECIALIZED, GENERIC), codes):
+                verdict = locus_membership(sT, sP, strategy)
+                assert verdict.in_decomposition == (code is not None), (orbit, strategy)
+                if verdict.in_decomposition:
+                    assert type(verdict.witness.value) is Fraction, (orbit, verdict)
+                    assert member_rank(sT, sP, verdict.witness) == target, (orbit, verdict)
+
+
+def lift_to_order_four(T, P, pos, extra):
+    """T and P with a new axis of dimension 2 at position ``pos``: T uses
+    only index 0 there, and P's factor there is ``extra``."""
+    shape = T.shape[:pos] + (2,) + T.shape[pos:]
+    items = {
+        idx[:pos] + (0,) + idx[pos:]: T[idx]
+        for idx in itertools.product(*[range(d) for d in T.shape])
+        if T[idx]
+    }
+    factors = P.factors[:pos] + [extra] + P.factors[pos:]
+    return Tensor.from_dict(shape, items), RankOneTensor(factors)
+
+
+@pytest.mark.parametrize("orbit", ORBITS)
+def test_order_four_lifts_agree(orbit):
+    """Each normal form lifted to order four, the extra axis in each of the
+    four positions and P's factor there inside its span: SPECIALIZED
+    equals GENERIC at seeded points and both witnesses re-check."""
+    rng = random.Random("order four/%d" % orbit)
+    T = normal_form(orbit)
+    for pos in range(4):
+        for sparse in (True, False):
+            P = random_point(rng, pencil_shape(orbit), sparse)
+            extra = [Fraction(rng.choice((1, -1, 2, -3))), Fraction(0)]
+            T4, P4 = lift_to_order_four(T, P, pos, extra)
+            assert_strategies_agree(T4, P4, (orbit, pos, sparse))
 
 
 # Points where a stored closed form disagrees with both algebraic

@@ -21,8 +21,11 @@ from tensorloci.tensorcore import (
     apply_gl,
     apply_gl_rank_one,
 )
+from tensorloci.locus import locus_tangential
 from tensorloci.wstate import (
     Decomposition,
+    _alldiff_terms,
+    _free_root,
     decompose_tangential,
     find_tangency,
     verify_decomposition,
@@ -277,3 +280,51 @@ def test_decompose_random_directions_order_four(pairs):
     assert dec.terms[0][1].factors == [
         normalized([Fraction(a), Fraction(b)]) for a, b in pairs
     ]
+
+
+def sixty_start_roots(k, want):
+    """The parameters the earlier 60-start search chose, or None where it
+    found none."""
+    for start in range(60):
+        free = [_free_root(start + i) for i in range(k - 2)]
+        last = want - sum(free)
+        if last and len(set(free + [last])) == k - 1:
+            return free + [last]
+    return None
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_alldiff_terms_reach_every_sum(k):
+    """For sums of the direction on both sides of zero, the odd-k gap
+    1, ..., (k - 3) / 2 included, and off the integers, the k terms are nonzero multiples of the
+    direction and of curve points at distinct nonzero parameters summing
+    to want, and they add up to the model tensor; wherever the earlier
+    search found parameters, they are the same."""
+    sums = sorted({-k, -1, 0, 1, 2, 3, k - 1, k, 2 * k})
+    sums += [Fraction(1, 2), Fraction(-7, 3)]
+    for want in sums:
+        rest = [Fraction(j % 3 - 1) for j in range(1, k)]
+        ps = [-want - sum(rest)] + rest
+        terms = _alldiff_terms(ps)
+        assert len(terms) == k and all(c for c, _ in terms)
+        assert [f[0] for f in terms[0][1]] == ps
+        roots = [f[0][0] - ps[0] for _, f in terms[1:]]
+        assert 0 not in roots and len(set(roots)) == k - 1 and sum(roots) == want
+        total = Decomposition((2,) * k, [(c, RankOneTensor(f)) for c, f in terms])
+        assert total.expand() == w_state(k), (k, want)
+        old = sixty_start_roots(k, want)
+        if old is not None:
+            assert roots == old, (k, want)
+        else:
+            assert k % 2 and 1 <= want <= (k - 3) // 2, (k, want)
+
+
+def test_tangential_order_five_off_the_tangency_point():
+    """P = (-1, 1) x (0, 1)^4 is not the tangency point e0^5 of the order-5
+    model, so it is in the locus; its sum lies in the gap of the windows."""
+    T = w_state(5)
+    P = RankOneTensor([[-1, 1]] + [[0, 1]] * 4)
+    dec = decompose_tangential(T, P)
+    assert len(dec) == 5 and verify_decomposition(T, dec)
+    verdict = locus_tangential(T, P)
+    assert verdict.in_decomposition and isinstance(verdict.witness.value, Fraction)
