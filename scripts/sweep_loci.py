@@ -5,14 +5,25 @@ runs both membership strategies on them, and evaluates the closed-form
 predicate where one is stored. Disagreements are printed as they are
 found; an orbit line with no preceding mismatch lines means every point
 agreed. Exit status is nonzero when any mismatch appeared.
+
+With ``--roots N`` it instead draws N families T - lam*P per normal form,
+P with entries in -3..3, and classifies the member at every irrational
+root of a guard twice: off the family's integer minors
+(``classify.orbit_at_root``) and as a tensor over Q(alpha)
+(``ParametricTensor.specialize_ext``). It prints each mismatch and how
+often each read of the decision table ran at those roots.
 """
 
 import argparse
+import collections
 import random
 import sys
 import time
 
+from tensorloci import classify as classify_module
+from tensorloci.classify import classify, family_orbit, orbit_at_root
 from tensorloci.errors import UnsupportedOrbit
+from tensorloci.exactnum import candidate_factors
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
@@ -21,7 +32,7 @@ from tensorloci.locus import (
     locus_membership,
 )
 from tensorloci.orbits import normal_form, pencil_shape
-from tensorloci.tensorcore import RankOneTensor
+from tensorloci.tensorcore import ParametricTensor, RankOneTensor
 
 SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
 DENSE_POOL = (1, -1, 2, -2, 3, -3)
@@ -75,6 +86,64 @@ def sweep_orbit(orbit, points, rnd, skip_generic=False):
     return mismatches
 
 
+READS = ("minor_gcd", "discriminant_vanishes", "repeated_part", "pure_square", "member_rank")
+
+
+def counting_reads(counts):
+    """Wrap the reads of the irrational-root reader so that each call is
+    counted; returns a function that restores them."""
+    cls = classify_module._RootReads
+    saved = {name: getattr(cls, name) for name in READS}
+
+    def counted(name, read):
+        def wrapper(self, *args):
+            counts[name] += 1
+            return read(self, *args)
+        return wrapper
+
+    for name, read in saved.items():
+        setattr(cls, name, counted(name, read))
+    return lambda: [setattr(cls, name, read) for name, read in saved.items()]
+
+
+def sweep_roots(orbits, families, rnd):
+    """Members at irrational roots: the integer reader against Q(alpha)."""
+    counts = collections.Counter()
+    restore = counting_reads(counts)
+    members = mismatches = 0
+    try:
+        for orbit in orbits:
+            T = normal_form(orbit)
+            start, found = time.time(), 0
+            for _ in range(families):
+                factors = []
+                for d in pencil_shape(orbit):
+                    vec = [rnd.randint(-3, 3) for _ in range(d)]
+                    while not any(vec):
+                        vec = [rnd.randint(-3, 3) for _ in range(d)]
+                    factors.append(vec)
+                family = ParametricTensor(T, RankOneTensor(factors))
+                for fac in candidate_factors(family_orbit(family)[1]):
+                    if fac.degree < 2:
+                        continue
+                    found += 1
+                    got = orbit_at_root(family, fac)
+                    want = classify(family.specialize_ext(fac)).orbit
+                    if got != want:
+                        mismatches += 1
+                        print("ROOT MISMATCH orbit %d %r at %r: %r, over Q(alpha) %r"
+                              % (orbit, factors, fac, got, want))
+            members += found
+            print("orbit %2d: %d families, %d members at irrational roots, %.2fs"
+                  % (orbit, families, found, time.time() - start))
+            sys.stdout.flush()
+    finally:
+        restore()
+    print("reads: " + ", ".join("%s %d" % (name, counts[name]) for name in READS))
+    print("%d members at irrational roots, %d mismatches" % (members, mismatches))
+    return mismatches
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -89,6 +158,13 @@ def main(argv=None):
         action="store_true",
         help="only run the specialized strategy against the closed forms",
     )
+    parser.add_argument(
+        "--roots",
+        type=int,
+        default=0,
+        metavar="N",
+        help="cross-check the members at irrational roots on N families per orbit",
+    )
     args = parser.parse_args(argv)
     if "-" in args.orbits:
         lo, hi = args.orbits.split("-")
@@ -96,6 +172,8 @@ def main(argv=None):
     else:
         orbits = [int(x) for x in args.orbits.split(",")]
     rnd = random.Random(args.seed)
+    if args.roots:
+        return 1 if sweep_roots(orbits, args.roots, rnd) else 0
     total = 0
     for orbit in orbits:
         total += sweep_orbit(orbit, args.points, rnd, args.skip_generic)

@@ -16,24 +16,33 @@ family T - λP with P rank one is classified over Q(λ) by the same table
 with another reader: there every minor is affine in λ, so each invariant
 is computed over Q and Z[λ], together with guard polynomials whose roots
 include every value of λ where that invariant can differ from its generic
-value (``family_orbit``). ``classify_parametric`` then classifies the
-member at each root exactly.
+value (``family_orbit``). A third reader reads the member at an
+irrational root α of a guard off the same integer rows: no affine minor
+vanishes at α, so the member has the family's concise shape, and its
+minors are the family's at α, in Z[β] for an integer multiple β of α
+(``orbit_at_root``). ``classify_parametric`` classifies the member at
+each root so, at a rational one as an int tensor.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .binforms import (
+    BinaryForm,
     bform_discriminant,
     bform_gcd,
     bform_is_pure_power,
     bform_quotient,
 )
 from .errors import InternalError, UnsupportedShape
-from .exactnum import UniPoly, candidate_factors
-from .linalg import RING_ZX
+from .exactnum import UniPoly, _zb_cross, _zb_gcd, candidate_factors
+from .linalg import RING_ZX, _bareiss, ring_at_root
 from .orbits import RANKS
 from .pencil import (
     family_minor_gcd,
+    family_minors,
     lambda_form,
     lambda_parts,
     rows_member_rank,
@@ -244,7 +253,7 @@ def _orbit_233(reads):
     if g.degree == 1:
         return 14 if reads.member_rank(g) == 1 else 17
     if g.degree == 2:
-        ok, ell = bform_is_pure_power(g, 2)
+        ok, ell = reads.pure_square(g)
         if not ok:
             raise InternalError("repeated part of a cubic must be a square")
         return 15 if reads.member_rank(ell) == 1 else 16
@@ -285,6 +294,9 @@ class _CoreReads:
 
     def repeated_part(self, det):
         return bform_gcd([det, det.partial_u(), det.partial_v()])
+
+    def pure_square(self, g):
+        return bform_is_pure_power(g, 2)
 
     def member_rank(self, ell):
         return rows_member_rank(self.rows, self.cols, ell, self.ring)[0]
@@ -329,10 +341,72 @@ class _FamilyReads:
             self._guard(disc)
         return rep
 
+    def pure_square(self, g):
+        return bform_is_pure_power(g, 2)
+
     def member_rank(self, ell):
         rank, pivot = rows_member_rank(self.rows, self.cols, ell, RING_ZX)
         self._guard(UniPoly(pivot) if rank else None)
         return rank
+
+
+class _RootReads:
+    """The same invariants at a root α of a monic irreducible ``fac`` of
+    degree d >= 2, from the pencil rows of the family over Z[λ], with no
+    arithmetic over Q(α). With L the lcm of the denominators of fac,
+    β = Lα is a root of the monic integer g(y) = L^d fac(y / L), and Z[β]
+    is int lists mod g (``exactnum._zb_cross``). Each entry and minor of
+    the family is f0 + λ f1 over Q, so at α it is a nonzero rational
+    multiple of L f0 + β f1, zero only where f0 and f1 both vanish."""
+
+    def __init__(self, rows, cols, fac):
+        self.den = math.lcm(*(c.denominator for c in fac.coeffs))
+        self.g = [c.numerator * self.den ** (fac.degree - i) // c.denominator
+                  for i, c in enumerate(fac.coeffs)]
+        self.rows = rows
+        self.cols = cols
+
+    def _lift(self, p):
+        """L p(α) in Z[β] for an affine Z[λ] int list p."""
+        assert len(p) <= 2, "an entry of the family is not affine in λ"
+        return [self.den * x for x in p[:1]] + p[1:]
+
+    def _gcd(self, forms):
+        """``bform_gcd`` over Q(β), up to a constant."""
+        live = [f for f in forms if not f.is_zero()]
+        univ = [f.dehomogenized()[1] for f in live]
+        acc = functools.reduce(lambda a, b: _zb_gcd(a, b, self.g), univ)
+        return BinaryForm([[]] * min(f.v_multiplicity() for f in live) + acc[::-1])
+
+    def minor_gcd(self, k):
+        minors = [BinaryForm([self._lift(c) for c in m]) for m in family_minors(self.rows, self.cols, k)]
+        return self._gcd(minors) if minors else BinaryForm([[]] * (k + 1))
+
+    def discriminant_vanishes(self, form):
+        c0, c1, c2 = form.coeffs
+        return not _zb_cross(c1, c1, [4 * x for x in c0], c2, self.g)
+
+    def repeated_part(self, det):
+        d, c = det.degree, det.coeffs
+        du = BinaryForm([[(d - i) * x for x in c[i]] for i in range(d)])
+        dv = BinaryForm([[i * x for x in c[i]] for i in range(1, d + 1)])
+        return self._gcd([det, du, dv])
+
+    def pure_square(self, g):
+        """``bform_is_pure_power(g, 2)``: c0 u^2 + c1 uv + c2 v^2 is a
+        square when c1^2 = 4 c0 c2, of 2 c0 u + c1 v, or of v if c0 = 0."""
+        if not self.discriminant_vanishes(g):
+            return False, None
+        c0, c1, _ = g.coeffs
+        return True, BinaryForm([[2 * x for x in c0], c1] if c0 else [[], [1]])
+
+    def member_rank(self, ell):
+        """Rank at the root (-b, a) of ell = a u + b v, pivots tested at β."""
+        a, b = ell.coeffs
+        c = self.cols
+        member = [[_zb_cross(a, self._lift(y), b, self._lift(x), self.g)
+                   for x, y in zip(r[:c], r[c:])] for r in self.rows]
+        return _bareiss(member, ring_at_root(self.g))[0]
 
 
 def orbit_rank(oid):
@@ -340,30 +414,45 @@ def orbit_rank(oid):
     return oid.rank_pair()[0]
 
 
+def _family_table(f, reader):
+    """(orbit, pivots): the table on the family restricted to the slices
+    of each flattening's last Bareiss pivot over Z[λ] (``flattening_pivot``),
+    its pencil read by ``reader(rows, cols)``."""
+    order = f.base.order
+    slices, pivots = zip(*(f.flattening_pivot(axis) for axis in range(1, order + 1)))
+    concise = tuple(len(s) for s in slices)
+
+    def reads(dims):
+        axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
+        return reader(f.pencil_rows(axes, slices), dims[2])
+
+    return _orbit_of_shape(order, concise, reads)[0], pivots
+
+
 def family_orbit(f):
     """The orbit over Q(λ) of the family T - λP, with its guards.
 
     Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
     another orbit is a root of one of the guards, nonconstant ``UniPoly``s.
-    Each flattening's first independent slices come from one Bareiss
-    elimination over Z[λ] (``flattening_pivot``), guarded by its last
-    pivot. Off the pivots' roots the family on those slices is a concise
-    core of the member, whose pencil the table reads (``_FamilyReads``).
+    The first of them are the flattening pivots: off their roots the family
+    on the pivot slices is a concise core of the member, whose pencil the
+    table reads (``_FamilyReads``).
     """
-    order = f.base.order
-    slices, guards = [], []
-    for axis in range(1, order + 1):
-        keep, piv = f.flattening_pivot(axis)
-        slices.append(keep)
-        guards.append(UniPoly(piv))
-    concise = tuple(len(s) for s in slices)
-
-    def reads(dims):
-        axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
-        return _FamilyReads(f.pencil_rows(axes, slices), dims[2], guards)
-
-    orbit, _ = _orbit_of_shape(order, concise, reads)
+    guards = []
+    orbit, pivots = _family_table(f, lambda rows, cols: _FamilyReads(rows, cols, guards))
+    guards = [UniPoly(p) for p in pivots] + guards
     return orbit, [g for g in guards if g.degree >= 1]
+
+
+def orbit_at_root(f, fac):
+    """The orbit of the member of T - λP at a root of the monic irreducible
+    ``fac``: the int member's at a rational root (``member_at``). At an
+    irrational one no flattening pivot, affine in λ, vanishes, so the table
+    reads the family on the pivot slices (``_RootReads``)."""
+    if fac.degree == 1:
+        member = f.member_at(fac)
+        return OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
+    return _family_table(f, lambda rows, cols: _RootReads(rows, cols, fac))[0]
 
 
 def classify_parametric(f, base_report):
@@ -372,21 +461,17 @@ def classify_parametric(f, base_report):
     ``base_report`` is ``classify(T)``, which the caller already holds; it
     gives the member at lambda = 0. The generic orbit and the guards come
     from ``family_orbit``; the candidate special values are the roots of
-    the guards, each classified exactly (rational roots by direct
-    substitution, irrational ones over the extension field). Factors whose
-    orbit equals the generic orbit are dropped, except lambda itself.
+    the guards, each classified exactly (``orbit_at_root``: rational roots
+    on an int member, irrational ones on the family's integer minors).
+    Factors whose orbit equals the generic orbit are dropped, except
+    lambda itself.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
     generic, guards = family_orbit(f)
     entries = [(UniPoly([0, 1]), base_report.orbit)]
     for fac in candidate_factors(guards):
-        member = f.member_at(fac)
-        if member.is_zero():
-            orbit = OrbitId.matrix(0)
-        else:
-            orbit = classify(member).orbit
-        if orbit == generic:
-            continue
-        entries.append((fac, orbit))
+        orbit = orbit_at_root(f, fac)
+        if orbit != generic:
+            entries.append((fac, orbit))
     return ParametricReport(generic, entries)

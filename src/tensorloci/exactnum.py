@@ -288,6 +288,51 @@ def _ip_gcd(a, b):
         a, b = b, _ip_primitive(r)
 
 
+# Z[β], β a root of a monic irreducible integer g: int lists, lowest first,
+# reduced mod g (exactly, g being monic), so zero exactly when empty.
+
+
+def _zb_cross(a, p, h, b, g):
+    """a*p - h*b in Z[β], reduced mod g."""
+    out = [0] * max(len(a) + len(p), len(h) + len(b), 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(p):
+            out[i + j] += x * y
+    for i, x in enumerate(h):
+        for j, y in enumerate(b):
+            out[i + j] -= x * y
+    return _ip_prem(out, g)
+
+
+def _zb_primitive(f):
+    """A polynomial over Z[β] divided by the gcd of all its ints."""
+    c = math.gcd(*(x for e in f for x in e))
+    return f if c in (0, 1) else [[x // c for x in e] for e in f]
+
+
+def _zb_gcd(a, b, g):
+    """A gcd over Q(β) of two nonzero polynomials over Z[β], lowest first:
+    the last nonzero pseudo-remainder, integer content taken out at each
+    step, or [[1]]. Z[β] is a domain, so no step needs an inverse."""
+    a, b = _zb_primitive(a), _zb_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        lead, r = b[-1], a
+        for k in range(len(a) - len(b), -1, -1):
+            coef = r[k + len(b) - 1]
+            if coef:
+                r = [_zb_cross(x, lead, coef, b[i - k] if 0 <= i - k < len(b) else [], g)
+                     for i, x in enumerate(r)]
+        r = r[:len(b) - 1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return b
+        a, b = b, _zb_primitive(r)
+    return [[1]]
+
+
 def upoly_gcd(f, g):
     """Monic greatest common divisor; gcd(f, 0) is monic(f), gcd(0, 0) = 0."""
     if f.is_zero():

@@ -22,7 +22,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix
-from .exactnum import AlgebraicElement, UniPoly
+from .exactnum import AlgebraicElement, UniPoly, _ip_prem
 
 DOMAIN_QQ = "QQ"
 DOMAIN_EXTENSION = "extension"
@@ -79,9 +79,6 @@ class Mat:
             domain=self.domain,
         )
 
-    def copy(self):
-        return Mat([list(r) for r in self.entries], domain=self.domain)
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -137,9 +134,9 @@ def mat_vec(a, v):
 # Rational and Q[λ] matrices are eliminated in integer form: each row
 # is scaled to entries in Z (plain ints) or in Z[λ] (dense lists of ints,
 # lowest degree first, no trailing zeros, [] for zero), where every Bareiss
-# division is exact. A ring is the pair (cross, div) of the two operations
-# the elimination needs: cross(a, p, h, b) = a*p - h*b and the exact
-# division by the previous pivot.
+# division is exact. A ring is the triple (cross, div, nonzero) of what the
+# elimination needs: cross(a, p, h, b) = a*p - h*b, the exact division by
+# the previous pivot, and the test that picks a pivot.
 
 
 def _cross(a, p, h, b):
@@ -183,9 +180,16 @@ def _zx_exact_div(a, b):
     return quo
 
 
-RING_Z = (_cross, operator.floordiv)
-RING_ZX = (_zx_cross, _zx_exact_div)
-RING_FIELD = (_cross, operator.truediv)
+RING_Z = (_cross, operator.floordiv, bool)
+RING_ZX = (_zx_cross, _zx_exact_div, bool)
+RING_FIELD = (_cross, operator.truediv, bool)
+
+
+def ring_at_root(g):
+    """Z[y] with pivots tested at a root β of the monic irreducible integer
+    g: the Bareiss entries over Z[y] are minors and evaluation at β is a
+    ring map, so the elimination gives the rank at β."""
+    return (_zx_cross, _zx_exact_div, lambda x: bool(_ip_prem(x, g)))
 
 
 def _bareiss(work, ring, square=False, pivots=None):
@@ -199,7 +203,7 @@ def _bareiss(work, ring, square=False, pivots=None):
     determinant is zero. The pivot columns are appended to ``pivots`` when
     it is a list.
     """
-    cross, div = ring
+    cross, div, nonzero = ring
     n = len(work)
     m = len(work[0]) if work else 0
     rank = 0
@@ -207,7 +211,7 @@ def _bareiss(work, ring, square=False, pivots=None):
     prev = None
     for col in range(m):
         for i in range(rank, n):
-            if work[i][col]:
+            if nonzero(work[i][col]):
                 break
         else:
             if square:
@@ -381,7 +385,7 @@ def _rref(M):
     pivot d at its pivot column: quot(x) is x / d.
     """
     if M.domain == DOMAIN_QQ:
-        rows, (_, div), _ = integer_rows(M)
+        rows, (_, div, _), _ = integer_rows(M)
     else:
         rows, div = [list(r) for r in M.entries], operator.truediv
     pivots, prev, r = [], 1, 0

@@ -38,6 +38,7 @@ from .classify import (
     classify,
     classify_parametric,
     family_orbit,
+    orbit_at_root,
     orbit_rank,
 )
 from .errors import (
@@ -180,9 +181,7 @@ def _first_witness(T, P, factors, target):
     """
     family = ParametricTensor(T, P)
     for fac in factors:
-        member = family.member_at(fac)
-        rank = 0 if member.is_zero() else classify(member).rank
-        if rank != target:
+        if orbit_rank(orbit_at_root(family, fac)) != target:
             continue
         if fac.degree == 1:
             return LocusVerdict.member(LambdaWitness(value=-fac.coeffs[0]))

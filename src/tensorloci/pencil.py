@@ -19,30 +19,33 @@ l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
 and n binary forms over Q. ``family_minor_gcd`` and ``rows_member_rank``
 work on its rows over Z[λ] and return the value over Q(λ) together with a
 guard: a polynomial in λ whose roots include every value where the value
-at that λ differs from the generic one.
+at that λ differs from the generic one. The guards stay over Z[λ], and
+the minors (``family_minors``) give the member at an irrational root α
+too: there each minor is m - αn.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from .binforms import (
     BinaryForm,
-    _pl_resultant,
     bform_discriminant,
     bform_gcd,
     bform_quotient,
 )
 from .errors import InternalError, WrongShape
-from .exactnum import UniPoly, upoly_gcd
+from .exactnum import UniPoly, _ip_gcd
 from .linalg import (
     DOMAIN_EXTENSION,
     RING_FIELD,
     RING_ZX,
     Mat,
     _bareiss,
+    _z_row,
     bareiss_det,
     integer_quotient,
     integer_rows,
@@ -198,6 +201,21 @@ def _primitive_part(pair, content):
     return tuple(x / lead for x in cs)
 
 
+def family_minors(rows, cols, k):
+    """The nonzero k x k minors of the pencil with rows [A_i | B_i] over
+    Z[λ], each the coefficient list of a binary form whose coefficients
+    are Z[λ] int lists, affine when the pencil is a family's."""
+    pts = sample_points(k + 1)
+    members = _members(rows, cols, RING_ZX, pts)
+    out = []
+    for row_idx in itertools.combinations(range(len(rows)), k):
+        for col_idx in itertools.combinations(range(cols), k):
+            coeffs = _minor_coeffs(members, RING_ZX, pts, row_idx, col_idx)[::-1]
+            if any(coeffs):
+                out.append(coeffs)
+    return out
+
+
 def family_minor_gcd(rows, cols, k):
     """gcd over Q(λ) of the k x k minors of the pencil of a family T - λP.
 
@@ -216,14 +234,7 @@ def family_minor_gcd(rows, cols, k):
     f/c are affine in λ and jump only where they share a root or all
     vanish, which their resultant (``_cofactor_guard``) catches.
     """
-    pts = sample_points(k + 1)
-    members = _members(rows, cols, RING_ZX, pts)
-    parts = []
-    for row_idx in itertools.combinations(range(len(rows)), k):
-        for col_idx in itertools.combinations(range(cols), k):
-            coeffs = _minor_coeffs(members, RING_ZX, pts, row_idx, col_idx)[::-1]
-            if any(coeffs):
-                parts.append(lambda_parts(coeffs))
+    parts = [lambda_parts(m) for m in family_minors(rows, cols, k)]
     if not parts:
         return lambda_form(BinaryForm([0] * (k + 1))), None
     contents = [bform_gcd(pair) for pair in parts]
@@ -234,14 +245,19 @@ def family_minor_gcd(rows, cols, k):
     ):
         d = bform_quotient(contents[0], c)
         return lambda_form(*(bform_quotient(f, d) for f in parts[0])), None
-    cofactors = [lambda_form(*(bform_quotient(f, c) for f in pair)) for pair in parts]
+    cofactors = []
+    for f0, f1 in parts:
+        # (f0 + λ f1) / c times a positive integer, over Z[λ]
+        ints, _ = _z_row(bform_quotient(f0, c).coeffs + bform_quotient(f1, c).coeffs)
+        pairs = zip(ints[:k - c.degree + 1], ints[k - c.degree + 1:])
+        cofactors.append([[x, y] if y else [x] if x else [] for x, y in pairs])
     return lambda_form(c), _cofactor_guard(cofactors)
 
 
 def _cofactor_guard(cofactors):
-    """A polynomial in λ vanishing wherever the cofactors, forms of one
-    degree e over Q[λ] with no common factor over Q(λ), share a projective
-    root or all vanish; None when constant.
+    """A polynomial in λ, up to a nonzero constant, vanishing wherever the
+    cofactors, forms of one degree e over Z[λ] with no common factor over
+    Q(λ), share a projective root or all vanish; None when constant.
 
     For e = 0 it is the gcd of the cofactors. Otherwise it is the gcd of
     two nonzero homogeneous resultants, at formal degree e, of the first
@@ -249,26 +265,29 @@ def _cofactor_guard(cofactors):
     the first one rules out at most len(cofactors) - 2 weights, so the
     first e * (len(cofactors) - 2) + 2 weights hold two good ones.
     """
-    e = cofactors[0].degree
+    e = len(cofactors[0]) - 1
     if e == 0:
-        g = UniPoly(())
-        for h in cofactors:
-            g = upoly_gcd(g, h.coeffs[0])
+        found = [h[0] for h in cofactors]
     else:
-        first, rest = cofactors[0].coeffs, cofactors[1:]
+        first, rest = cofactors[0], cofactors[1:]
         found = []
         for y in sample_points(e * (len(rest) - 1) + 2):
-            comb = [sum((y**j * h.coeffs[i] for j, h in enumerate(rest)), UniPoly(()))
-                    for i in range(e + 1)]
-            r = _pl_resultant(first, comb)
+            comb = [[0, 0] for _ in range(e + 1)]
+            for j, h in enumerate(rest):
+                for acc, c in zip(comb, h):
+                    for t, x in enumerate(c):
+                        acc[t] += y**j * x
+            comb = [[x, z] if z else [x] if x else [] for x, z in comb]
+            sylvester = [[[]] * i + h + [[]] * (e - 1 - i) for h in (first, comb) for i in range(e)]
+            r = bareiss_det(sylvester, RING_ZX)
             if r:
                 found.append(r)
                 if len(found) == 2:
                     break
         if not found:
             raise InternalError("coprime cofactors with a vanishing resultant")
-        g = upoly_gcd(found[0], found[-1])
-    return g if g.degree >= 1 else None
+    g = functools.reduce(_ip_gcd, found)
+    return UniPoly(g) if len(g) >= 2 else None
 
 
 def rows_member_rank(rows, cols, ell, ring):

@@ -230,11 +230,10 @@ class ParametricTensor:
         return self._ints
 
     def member_at(self, fac):
-        """The member at a root of the monic irreducible polynomial ``fac``:
-        for a linear one, with root p/q, the int tensor q d T' - p n P'
-        (the member times a positive integer); else over Q[λ]/(fac)."""
-        if fac.degree > 1:
-            return self.specialize_ext(fac)
+        """The member at the root p/q of the monic linear ``fac``: the int
+        tensor q d T' - p n P', the member times a positive integer."""
+        if fac.degree != 1:
+            raise ValueError("member_at takes a monic linear factor")
         root = -fac.coeffs[0]
         base, _, n, direction = self._integer_form()
         q, pn = root.denominator, root.numerator * n

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorloci.binforms import BinaryForm, _pl_gcd, bform_discriminant, bform_is_pure_power
 from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
+    _RootReads,
     classify,
     classify_parametric,
 )
 from tensorloci.errors import UnsupportedShape, ZeroTensor
-from tensorloci.exactnum import UniPoly
-from tensorloci.linalg import Mat, mat_det, mat_rank
+from tensorloci.exactnum import AlgebraicElement, UniPoly, _zb_cross, _zb_gcd
+from tensorloci.linalg import RING_FIELD, Mat, mat_det, mat_rank
+from tensorloci.pencil import rows_member_rank
 from tensorloci.orbits import RANKS, normal_form
 from tensorloci.tensorcore import (
     ParametricTensor,
@@ -391,3 +394,120 @@ def test_integer_core_is_the_tensor_on_its_first_independent_slices():
                     assert factors_in_spans(RankOneTensor(outside), rep.reduction) is None
                     outside_checked += 1
     assert outside_checked > 10
+
+
+# --- members at irrational roots, read in Z[beta] ---------------------------
+#
+# _RootReads works in Z[beta], beta = L alpha for a root alpha of a factor
+# with denominators up to L; each read is checked against the same read of
+# the images in Q(alpha), over AlgebraicElement.
+
+ROOT_FACTORS = (
+    UniPoly([-2, 0, 1]),
+    UniPoly([Fraction(-2, 9), 0, 1]),
+    UniPoly([Fraction(1, 3), Fraction(-1, 2), 0, 1]),
+    UniPoly([Fraction(1, 6), Fraction(-1, 2), Fraction(2, 3), 0, 1]),
+)
+
+
+def in_extension(e, reads, fac):
+    """The element of Q(alpha) that the Z[beta] element e stands for."""
+    beta = AlgebraicElement.generator(fac) * reads.den
+    acc = AlgebraicElement(fac, 0)
+    for c in reversed(e):
+        acc = acc * beta + c
+    return acc
+
+
+def random_zb(rng, reads, nonzero=True):
+    while True:
+        e = _zb_cross([rng.randint(-3, 3) for _ in range(len(reads.g) - 1)], [1], [], [], reads.g)
+        if e or not nonzero:
+            return e
+
+
+def zb_poly_mul(a, b, g):
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = _zb_cross(x, y, [-1], out[i + j], g)
+    return out
+
+
+def root_readers():
+    for fac in ROOT_FACTORS:
+        yield fac, _RootReads([], 0, fac), random.Random("root reads/%r" % (fac.coeffs,))
+
+
+def test_root_reader_integer_minimal_polynomial():
+    """g is monic with int coefficients, of the degree of fac, and g(beta) = 0."""
+    for fac, reads, _rng in root_readers():
+        assert len(reads.g) == fac.degree + 1 and reads.g[-1] == 1
+        assert all(type(c) is int for c in reads.g)
+        assert in_extension(reads.g, reads, fac) == 0
+
+
+def test_zb_gcd_matches_the_gcd_over_the_extension():
+    """Products h p and h q with h of degree 0-3: the gcd in Z[beta] has the
+    degree of the gcd over Q(alpha) and is a multiple of it."""
+    for fac, reads, rng in root_readers():
+        for k in range(4):
+            for _ in range(3):
+                h, p, q = ([random_zb(rng, reads) for _ in range(d + 1)] for d in (k, 2, 1))
+                a, b = zb_poly_mul(h, p, reads.g), zb_poly_mul(h, q, reads.g)
+                got = [in_extension(c, reads, fac) for c in _zb_gcd(a, b, reads.g)]
+                want = _pl_gcd(*([in_extension(c, reads, fac) for c in f] for f in (a, b)))
+                assert len(got) == len(want) >= k + 1
+                assert [c / got[-1] for c in got] == want
+
+
+def test_root_reader_discriminant_and_pure_square():
+    """Quadratic forms c l^2 (l = a u + b v, a or b possibly zero) are pure
+    squares of a multiple of l; forms with three random coefficients are
+    not; both agree with the reads over Q(alpha)."""
+    for fac, reads, rng in root_readers():
+        for case in range(12):
+            a, b, c = (random_zb(rng, reads) for _ in range(3))
+            a, b = ([], b) if case % 3 == 1 else (a, []) if case % 3 == 2 else (a, b)
+            if case < 6:
+                f = [_zb_cross(c, _zb_cross(x, y, [], [], reads.g), [], [], reads.g)
+                     for x, y in ((a, a), ([2 * t for t in a], b), (b, b))]
+            else:
+                f = [random_zb(rng, reads) for _ in range(3)]
+            form = BinaryForm(f)
+            image = BinaryForm([in_extension(x, reads, fac) for x in f])
+            vanishes = reads.discriminant_vanishes(form)
+            assert vanishes == (bform_discriminant(image) == 0)
+            ok, ell = reads.pure_square(form)
+            want_ok, want = bform_is_pure_power(image, 2)
+            assert ok == want_ok == vanishes == (case < 6)
+            if ok:
+                u, v = (in_extension(x, reads, fac) for x in ell.coeffs)
+                assert u * want.coeffs[1] == v * want.coeffs[0]
+                assert (u, v) != (0, 0)
+
+
+def test_root_reader_member_rank():
+    """Pencils A, lambda A + R over Z[lambda] with R of rank r: at the root
+    (-alpha, 1) the member is a multiple of R. Random pencils and linear
+    forms agree with the rank over Q(alpha)."""
+    for fac, reads, rng in root_readers():
+        alpha = AlgebraicElement.generator(fac)
+        for r in range(4):
+            A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
+            right = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(r)]
+            R = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(3)] for row in left]
+            want = mat_rank(Mat(R))
+            rows = [
+                [[x] if x else [] for x in a_row]
+                + [[y, x] if x else [y] if y else [] for x, y in zip(a_row, r_row)]
+                for a_row, r_row in zip(A, R)
+            ]
+            reads.rows, reads.cols = rows, 3
+            assert reads.member_rank(BinaryForm([[reads.den], [0, 1]])) == want
+            ell = BinaryForm([random_zb(rng, reads), random_zb(rng, reads, nonzero=False)])
+            field_rows = [[sum((c * alpha**i for i, c in enumerate(x)), alpha * 0) for x in row]
+                          for row in rows]
+            image = BinaryForm([in_extension(x, reads, fac) for x in ell.coeffs])
+            assert reads.member_rank(ell) == rows_member_rank(field_rows, 3, image, RING_FIELD)[0]

@@ -9,14 +9,18 @@ each family T - lam*P must match committed tables, and every special value
 among the candidates the earlier function-field classifier recorded must
 still be reported.
 Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
-larger sweeps stay in that script, which is smoke-tested here. Axis
+larger sweeps stay in that script, which is smoke-tested here in both
+its modes (the oracle agreement and the members at irrational roots). Axis
 permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
 The specialized strategy must answer without ever reaching the generic
 one or a rational row reduction, and its one-pivot flattening drop must
-match the gcd of all maximal minors. Rationally scaled inputs keep their
-verdicts, and order-four lifts of the normal forms get the same verdict
-from both strategies. ``scripts/dump_verdicts.py`` is smoke-tested on one
+match the gcd of all maximal minors. The generic strategy must answer
+without computing over Q(alpha), and the orbit it reads off the family's
+integer minors at each irrational candidate root must be the orbit of the
+member over Q(alpha). Rationally scaled inputs keep their verdicts, and
+order-four lifts of the normal forms get the same verdict from both
+strategies. ``scripts/dump_verdicts.py`` is smoke-tested on one
 round.
 """
 
@@ -31,8 +35,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tensorloci import linalg, locus, tensorcore
-from tensorloci.classify import OrbitId, classify, classify_parametric
+from tensorloci import exactnum, linalg, locus, tensorcore
+from tensorloci.classify import (
+    OrbitId,
+    classify,
+    classify_parametric,
+    family_orbit,
+    orbit_at_root,
+)
 from tensorloci.errors import (
     AllZero,
     InternalError,
@@ -41,7 +51,7 @@ from tensorloci.errors import (
     UnsupportedOrbit,
     UnsupportedShape,
 )
-from tensorloci.exactnum import UniPoly, format_rational, upoly_gcd
+from tensorloci.exactnum import UniPoly, candidate_factors, format_rational, upoly_gcd
 from tensorloci.linalg import DOMAIN_POLYRING, Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
@@ -442,7 +452,9 @@ RECORDED_FACTORS = {5: [[(-1, 3), (0, 1)], [(-25, 18), (0, 1)],
 
 
 def orbit_at(family, fac):
-    member = family.member_at(fac)
+    """The orbit of the member at a root of fac, classified as a tensor:
+    over Q(alpha) at an irrational root."""
+    member = family.member_at(fac) if fac.degree == 1 else family.specialize_ext(fac)
     return OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
 
 
@@ -585,6 +597,51 @@ def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
         for verdict in (spec, gen):
             assert verdict.in_decomposition, (orbit, verdict)
             assert member_rank(gT, gP, verdict.witness) == 2, (orbit, verdict)
+
+
+def irrational_candidates(orbit):
+    """(family, factor) for each candidate factor of degree >= 2 of the
+    seeded families of an orbit, on the normal form and GL-moved."""
+    for _sparse, T, P, gT, gP in seeded_families(orbit):
+        for t, p in ((T, P), (gT, gP)):
+            family = ParametricTensor(t, p)
+            for fac in candidate_factors(family_orbit(family)[1]):
+                if fac.degree >= 2:
+                    yield family, fac
+
+
+def test_members_at_irrational_roots_match_their_orbits_over_the_extension():
+    """At every irrational candidate root of the seeded families, the
+    orbit read off the family's integer minors is the orbit of the member
+    classified as a tensor over Q(alpha)."""
+    seen = 0
+    for orbit in ORBITS:
+        for family, fac in irrational_candidates(orbit):
+            want = classify(family.specialize_ext(fac)).orbit
+            assert orbit_at_root(family, fac) == want, (orbit, fac)
+            seen += 1
+    assert seen == 36
+
+
+def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
+    """With the member over Q(alpha), elements of Q(alpha) and their
+    inverses refusing, GENERIC answers every seeded family with the
+    witnesses of the table."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the generic strategy computed over Q(alpha)")
+
+    with monkeypatch.context() as m:
+        m.setattr(exactnum, "algext_inverse", refuse)
+        m.setattr(exactnum.AlgebraicElement, "__init__", refuse)
+        m.setattr(ParametricTensor, "specialize_ext", refuse)
+        for orbit in ORBITS:
+            got = [
+                witness_code(locus_membership(t, p, GENERIC))
+                for _sparse, T, P, gT, gP in seeded_families(orbit)
+                for t, p in ((T, P), (gT, gP))
+            ]
+            assert got == [gen for _spec, gen in WITNESSES[orbit]], orbit
 
 
 def test_classify_and_specialized_routes_run_without_rref(monkeypatch):
@@ -815,19 +872,36 @@ def test_scan_bound_covers_guard_roots_at_one_and_minus_one():
         _scan_rational_witness(T, P, 3, guards[1:])
 
 
-def test_sweep_script_runs_every_orbit(capsys):
+def sweep_script():
     path = os.path.join(
         os.path.dirname(__file__), os.pardir, "scripts", "sweep_loci.py"
     )
     spec = importlib.util.spec_from_file_location("sweep_loci", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_sweep_script_runs_every_orbit(capsys):
+    sweep = sweep_script()
     status = sweep.main(["--orbits", "5-26", "--points", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert status in (0, 1)
     assert [line.split(":")[0] for line in lines if line.startswith("orbit")] == [
         "orbit %2d" % n for n in ORBITS
     ]
+
+
+def test_sweep_script_cross_checks_members_at_irrational_roots(capsys):
+    sweep = sweep_script()
+    status = sweep.main(["--roots", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert [line.split(":")[0] for line in lines if line.startswith("orbit")] == [
+        "orbit %2d" % n for n in ORBITS
+    ]
+    assert lines[-2].startswith("reads: minor_gcd ")
+    assert lines[-1] == "5 members at irrational roots, 0 mismatches"
 
 
 def test_dump_verdicts_script_runs_one_round(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensorloci.classify import classify, orbit_at_root
 from tensorloci.errors import (
     AxisOutOfRange,
     ShapeMismatch,
@@ -216,7 +217,9 @@ def test_parametric_specializations_agree():
 
 def test_member_at_matches_specialize():
     """A linear factor gives the member over Q times a positive integer,
-    with int entries; a quadratic one the member over Q(alpha)."""
+    with int entries. At a root of a quadratic one the member is over
+    Q(alpha), from specialize_ext, in the orbit orbit_at_root reads off
+    the family; member_at refuses that factor."""
     fam = ParametricTensor(
         normal_form(16), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     )
@@ -226,6 +229,8 @@ def test_member_at_matches_specialize():
     ratio = next(a / b for a, b in zip(member.entries, want.entries) if b)
     assert ratio > 0 and member == want.scale(ratio)
     quad = UniPoly([-2, 0, 1])
-    member = fam.member_at(quad)
-    assert member == fam.specialize_ext(quad)
+    member = fam.specialize_ext(quad)
     assert all(x.modulus == quad for x in member.entries)
+    assert classify(member).orbit == orbit_at_root(fam, quad)
+    with pytest.raises(ValueError):
+        fam.member_at(quad)
