@@ -19,9 +19,9 @@ l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
 and n binary forms over Q. ``family_minor_gcd`` and ``rows_member_rank``
 work on its rows over Z[λ] and return the value over Q(λ) together with a
 guard: a polynomial in λ whose roots include every value where the value
-at that λ differs from the generic one. The guards stay over Z[λ], and
-the minors (``family_minors``) give the member at an irrational root α
-too: there each minor is m - αn.
+at that λ differs from the generic one, the cofactor guard computed
+over Z[λ]. The minors (``family_minors``) also give the member at an
+irrational root α: there each minor is m - αn.
 """
 
 from __future__ import annotations
