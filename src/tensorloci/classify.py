@@ -9,18 +9,20 @@ discriminant of the determinant form), (2,2,n) by the 2-minor gcd, (2,3,3)
 by the root structure of the determinant form, (2,3,n) by minor gcds, and
 the largest shapes by conciseness alone.
 
-The table reads the pencil invariants of the core through a reader. On an
-integer core the pencil rows, minors and the forms read off them are ints,
-known up to a nonzero constant, which is all the table needs. A
-family T - λP with P rank one is classified over Q(λ) by the same table
-with another reader: there every minor is affine in λ, so each invariant
-is computed over Q and Z[λ], together with guard polynomials whose roots
-include every value of λ where that invariant can differ from its generic
-value (``family_orbit``). A third reader reads the member at an
-irrational root α of a guard off the same integer rows: no affine minor
-vanishes at α, so the member has the family's concise shape, and its
-minors are the family's at α, in Z[β] for an integer multiple β of α
-(``orbit_at_root``). ``classify_parametric`` classifies the member at
+The table reads the pencil invariants of the core through a reader. Every
+reader holds one ``pencil.Pencil``, the rows [A_i | B_i], whose minors
+come from the one enumerator ``pencil_minors``. On an integer core the
+rows, minors and the forms read off them are ints, known up to a nonzero
+constant, which is all the table needs. A family T - λP with P rank one
+is classified over Q(λ) by the same table with another reader, on its
+pencil over Z[λ]: there every minor is affine in λ, so each invariant is
+computed over Q and Z[λ], together with guard polynomials whose roots
+include every value of λ where that invariant can differ from its
+generic value (``family_orbit``). A third reader reads the member at an
+irrational root α of a guard off the same pencil over Z[λ]: no affine
+minor vanishes at α, so the member has the family's concise shape, and
+its minors are the family's at α, in Z[β] for an integer multiple β of
+α (``orbit_at_root``). ``classify_parametric`` classifies the member at
 each root so, at a rational one as an int tensor.
 """
 
@@ -41,12 +43,14 @@ from .exactnum import UniPoly, _zb_cross, _zb_gcd, candidate_factors
 from .linalg import RING_ZX, _bareiss, ring_at_root
 from .orbits import RANKS
 from .pencil import (
+    Pencil,
     family_minor_gcd,
     family_minors,
     lambda_form,
     lambda_parts,
-    rows_member_rank,
-    rows_minor_gcd,
+    member_rank_at,
+    pencil_minor_gcd,
+    slice_rows,
 )
 from .tensorcore import ParametricTensor, concise_reduce
 
@@ -276,18 +280,14 @@ def _orbit_234(reads):
 
 
 class _CoreReads:
-    """The invariants the decision table reads, on the pencil rows
-    [A_i | B_i] of a core of shape (2, b, c) over ``ring``."""
+    """The invariants the decision table reads, on the pencil of a core of
+    shape (2, b, c) over ``ring``."""
 
     def __init__(self, core, ring):
-        _, b, c = core.shape
-        e = core.entries
-        self.rows = [e[i * c:(i + 1) * c] + e[(b + i) * c:(b + i + 1) * c] for i in range(b)]
-        self.cols = c
-        self.ring = ring
+        self.p = Pencil(slice_rows(core), core.shape[2], ring)
 
     def minor_gcd(self, k):
-        return rows_minor_gcd(self.rows, self.cols, k, self.ring)
+        return pencil_minor_gcd(self.p, k)
 
     def discriminant_vanishes(self, form):
         return bform_discriminant(form) == 0
@@ -299,16 +299,15 @@ class _CoreReads:
         return bform_is_pure_power(g, 2)
 
     def member_rank(self, ell):
-        return rows_member_rank(self.rows, self.cols, ell, self.ring)[0]
+        return member_rank_at(self.p, ell)[0]
 
 
 class _FamilyReads:
-    """The same invariants over Q(λ) for the pencil of a family, given by
-    its rows over Z[λ]; each read appends its guards to ``guards``."""
+    """The same invariants over Q(λ) for the pencil ``p`` of a family over
+    Z[λ]; each read appends its guards to ``guards``."""
 
-    def __init__(self, rows, cols, guards):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, p, guards):
+        self.p = p
         self.guards = guards
 
     def _guard(self, poly):
@@ -316,7 +315,7 @@ class _FamilyReads:
             self.guards.append(poly)
 
     def minor_gcd(self, k):
-        g, guard = family_minor_gcd(self.rows, self.cols, k)
+        g, guard = family_minor_gcd(self.p, k)
         self._guard(guard)
         return g
 
@@ -345,26 +344,25 @@ class _FamilyReads:
         return bform_is_pure_power(g, 2)
 
     def member_rank(self, ell):
-        rank, pivot = rows_member_rank(self.rows, self.cols, ell, RING_ZX)
+        rank, pivot = member_rank_at(self.p, ell)
         self._guard(UniPoly(pivot) if rank else None)
         return rank
 
 
 class _RootReads:
     """The same invariants at a root α of a monic irreducible ``fac`` of
-    degree d >= 2, from the pencil rows of the family over Z[λ], with no
+    degree d >= 2, from the pencil ``p`` of the family over Z[λ], with no
     arithmetic over Q(α). With L the lcm of the denominators of fac,
     β = Lα is a root of the monic integer g(y) = L^d fac(y / L), and Z[β]
     is int lists mod g (``exactnum._zb_cross``). Each entry and minor of
     the family is f0 + λ f1 over Q, so at α it is a nonzero rational
     multiple of L f0 + β f1, zero only where f0 and f1 both vanish."""
 
-    def __init__(self, rows, cols, fac):
+    def __init__(self, p, fac):
         self.den = math.lcm(*(c.denominator for c in fac.coeffs))
         self.g = [c.numerator * self.den ** (fac.degree - i) // c.denominator
                   for i, c in enumerate(fac.coeffs)]
-        self.rows = rows
-        self.cols = cols
+        self.p = p
 
     def _lift(self, p):
         """L p(α) in Z[β] for an affine Z[λ] int list p."""
@@ -379,7 +377,7 @@ class _RootReads:
         return BinaryForm([[]] * min(f.v_multiplicity() for f in live) + acc[::-1])
 
     def minor_gcd(self, k):
-        minors = [BinaryForm([self._lift(c) for c in m]) for m in family_minors(self.rows, self.cols, k)]
+        minors = [BinaryForm([self._lift(c) for c in m]) for m in family_minors(self.p, k)]
         return self._gcd(minors) if minors else BinaryForm([[]] * (k + 1))
 
     def discriminant_vanishes(self, form):
@@ -403,9 +401,9 @@ class _RootReads:
     def member_rank(self, ell):
         """Rank at the root (-b, a) of ell = a u + b v, pivots tested at β."""
         a, b = ell.coeffs
-        c = self.cols
+        c = self.p.cols
         member = [[_zb_cross(a, self._lift(y), b, self._lift(x), self.g)
-                   for x, y in zip(r[:c], r[c:])] for r in self.rows]
+                   for x, y in zip(r[:c], r[c:])] for r in self.p.rows]
         return _bareiss(member, ring_at_root(self.g))[0]
 
 
@@ -416,15 +414,16 @@ def orbit_rank(oid):
 
 def _family_table(f, reader):
     """(orbit, pivots): the table on the family restricted to the slices
-    of each flattening's last Bareiss pivot over Z[λ] (``flattening_pivot``),
-    its pencil read by ``reader(rows, cols)``."""
+    of each flattening's last Bareiss pivot over Z[λ] (``flattening_pivot``).
+    Its rows over Z[λ] on the pencil, row and column axes of the canonical
+    order make the ``Pencil`` that ``reader(pencil)`` reads."""
     order = f.base.order
     slices, pivots = zip(*(f.flattening_pivot(axis) for axis in range(1, order + 1)))
     concise = tuple(len(s) for s in slices)
 
     def reads(dims):
         axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
-        return reader(f.pencil_rows(axes, slices), dims[2])
+        return reader(Pencil(f.pencil_rows(axes, slices), dims[2], RING_ZX))
 
     return _orbit_of_shape(order, concise, reads)[0], pivots
 
@@ -439,7 +438,7 @@ def family_orbit(f):
     table reads (``_FamilyReads``).
     """
     guards = []
-    orbit, pivots = _family_table(f, lambda rows, cols: _FamilyReads(rows, cols, guards))
+    orbit, pivots = _family_table(f, lambda p: _FamilyReads(p, guards))
     guards = [UniPoly(p) for p in pivots] + guards
     return orbit, [g for g in guards if g.degree >= 1]
 
@@ -452,7 +451,7 @@ def orbit_at_root(f, fac):
     if fac.degree == 1:
         member = f.member_at(fac)
         return OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
-    return _family_table(f, lambda rows, cols: _RootReads(rows, cols, fac))[0]
+    return _family_table(f, lambda p: _RootReads(p, fac))[0]
 
 
 def classify_parametric(f, base_report):

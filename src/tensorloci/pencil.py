@@ -5,19 +5,20 @@ and B are its two slices. Everything downstream of the shape-(2,3,n)
 classification reads off this pencil: determinant forms, minor gcds, the two
 hyperdeterminants, and the member ranks at roots of linear forms.
 
-The pencil is kept as its rows [A_i | B_i]: ints, straight from an integer
-core or from a ``Pencil`` over Q scaled row by row once; int lists over
-Z[λ]; or elements of an extension field. Every minor is a binary form in
-(u, v): det(tA + B) at r + 1 integer points t by the Bareiss kernel, then
-the polynomial in t through them, dividing exactly. Row scales change a
-minor only by a constant, so minor gcds (the integer remainder sequence of
-``bform_gcd``) and member ranks use the scaled rows as they are;
-``pencil_det_form`` divides the scales back out.
+There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
+ints with one scale per row (``pencil_of`` scales a rational tensor once,
+an integer core comes as it is), Z[λ] int lists, or field elements. There
+is one enumerator of minors, ``pencil_minors``: each k x k minor is
+det(tA + B) at k + 1 integer points t by the Bareiss kernel, then the
+polynomial in t through them, dividing exactly. Row scales change a minor
+only by a constant, so minor gcds (the integer remainder sequence of
+``bform_gcd``) and member ranks (``member_rank_at``) use the scaled rows
+as they are; ``pencil_det_form`` divides the scales back out.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
-and n binary forms over Q. ``family_minor_gcd`` and ``rows_member_rank``
-work on its rows over Z[λ] and return the value over Q(λ) together with a
+and n binary forms over Q. ``family_minor_gcd`` and ``member_rank_at``
+work on its rows over Z[λ] and give the value over Q(λ) together with a
 guard: a polynomial in λ whose roots include every value where the value
 at that λ differs from the generic one, the cofactor guard computed
 over Z[λ]. The minors (``family_minors``) also give the member at an
@@ -50,7 +51,6 @@ from .linalg import (
     integer_quotient,
     integer_rows,
     interpolate,
-    mat_det,
     sample_points,
     zx_interpolate,
 )
@@ -58,126 +58,117 @@ from .tensorcore import Tensor
 
 
 class Pencil:
-    __slots__ = ("rows", "cols", "a", "b", "_integer")
+    """The pencil u*A + v*B of a 2 x b x c tensor as its rows [A_i | B_i]
+    over ``ring``: ints over Z, Z[λ] int lists, or field elements. Row i
+    is row i of the pencil times the int ``scales[i]`` (1 over a field)."""
 
-    def __init__(self, a, b):
-        if a.rows != b.rows or a.cols != b.cols:
-            raise WrongShape("pencil slices must share a shape")
-        self.rows = a.rows
-        self.cols = a.cols
-        self.a = a
-        self.b = b
-        self._integer = None
+    __slots__ = ("rows", "cols", "ring", "scales")
+
+    def __init__(self, rows, cols, ring, scales=None):
+        self.rows = rows
+        self.cols = cols
+        self.ring = ring
+        self.scales = scales or [1] * len(rows)
 
     def __repr__(self):
-        return "Pencil(%dx%d)" % (self.rows, self.cols)
+        return "Pencil(%dx%d)" % (len(self.rows), self.cols)
+
+
+def slice_rows(t):
+    """The rows [A_i | B_i] of the entries of a tensor of shape (2, b, c)."""
+    _, b, c = t.shape
+    e = t.entries
+    return [e[i * c:(i + 1) * c] + e[(b + i) * c:(b + i + 1) * c] for i in range(b)]
 
 
 def pencil_of(t):
-    """The pencil of a tensor of shape (2, b, c)."""
+    """The pencil of a tensor of shape (2, b, c), scaled to integer rows
+    over Q and Q[λ] (``integer_rows``)."""
     if not isinstance(t, Tensor) or t.order != 3 or t.shape[0] != 2:
         raise WrongShape("pencils come from tensors of shape (2, b, c)")
-    _, b, c = t.shape
-    a_rows = [[t[(0, i, j)] for j in range(c)] for i in range(b)]
-    b_rows = [[t[(1, i, j)] for j in range(c)] for i in range(b)]
-    return Pencil(Mat(a_rows), Mat(b_rows))
+    M = Mat(slice_rows(t))
+    if M.domain == DOMAIN_EXTENSION:
+        return Pencil(M.entries, t.shape[2], RING_FIELD)
+    rows, ring, scales = integer_rows(M)
+    return Pencil(rows, t.shape[2], ring, scales)
 
 
-def _zx_axpy(t, a, b):
-    """t*a + b over Z[λ] (int lists, lowest degree first) for an int t."""
-    if len(a) < len(b):
-        out = list(b)
-        for i, x in enumerate(a):
-            out[i] += t * x
-    else:
-        out = [t * x for x in a]
-        for i, y in enumerate(b):
-            out[i] += y
+def _zx_comb(s, a, t, b):
+    """s*a + t*b over Z[λ] (int lists, lowest degree first) for ints s, t."""
+    out = [s * x for x in a] + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += t * y
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def _members(rows, cols, ring, pts):
-    """The members t*A + B at the points ``pts`` of the pencil whose integer
-    rows are [A_i | B_i] over ``ring``."""
-    if ring is RING_ZX:
-        return [[[_zx_axpy(t, x, y) for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
-    return [[[t * x + y for x, y in zip(r[:cols], r[cols:])] for r in rows] for t in pts]
+def _member(p, u0, v0):
+    """The rows of the member u0*A + v0*B, for u0, v0 ints or, over a
+    field, field elements."""
+    c = p.cols
+    if p.ring is RING_ZX:
+        return [[_zx_comb(u0, x, v0, y) for x, y in zip(r[:c], r[c:])] for r in p.rows]
+    return [[u0 * x + v0 * y for x, y in zip(r[:c], r[c:])] for r in p.rows]
 
 
-def _minor_coeffs(members, ring, pts, row_idx, col_idx):
-    """The coefficients in t, lowest first, of det(tA + B) on the selected
-    rows and columns, interpolated from its values at ``pts``."""
-    dets = [
-        bareiss_det([[m[i][j] for j in col_idx] for i in row_idx], ring)
-        for m in members
-    ]
-    return zx_interpolate(pts, dets) if ring is RING_ZX else interpolate(pts, dets)
-
-
-def _pencil_rows(p):
-    """(rows [A_i | B_i] in integer form, ring, row scales, member cache)
-    of a ``Pencil``, made once."""
-    if p._integer is None:
-        M = Mat([ra + rb for ra, rb in zip(p.a.entries, p.b.entries)])
-        if M.domain == DOMAIN_EXTENSION:
-            p._integer = (M.entries, RING_FIELD, [1] * M.rows, {})
-        else:
-            p._integer = integer_rows(M) + ({},)
-    return p._integer
-
-
-def _minor_form(p, row_idx, col_idx):
-    """det of the selected square subpencil as a BinaryForm of that size,
-    the row scales divided out."""
-    r = len(row_idx)
-    pts = sample_points(r + 1)
-    rows, ring, scales, members = _pencil_rows(p)
-    missing = [t for t in pts if t not in members]
-    members.update(zip(missing, _members(rows, p.cols, ring, missing)))
-    coeffs = _minor_coeffs([members[t] for t in pts], ring, pts, row_idx, col_idx)
-    if ring is not RING_FIELD:
-        scale = math.prod(scales[i] for i in row_idx)
-        coeffs = [integer_quotient(c, scale) for c in coeffs]
-    # coeffs[k] is the coefficient of t^k in det(tA + B); the form is
-    # v^r * det((u/v)A + B)
-    return BinaryForm(coeffs[::-1], r)
+def pencil_minors(p, k):
+    """Every k x k minor of the pencil, as (row indices, column indices,
+    coefficients): det(uA + vB) on those rows and columns, highest power
+    of u first, times the product of the row scales. The determinants of
+    tA + B at k + 1 integer points t are interpolated in t."""
+    pts = sample_points(k + 1)
+    members = [_member(p, t, 1) for t in pts]
+    for row_idx in itertools.combinations(range(len(p.rows)), k):
+        for col_idx in itertools.combinations(range(p.cols), k):
+            dets = [
+                bareiss_det([[m[i][j] for j in col_idx] for i in row_idx], p.ring)
+                for m in members
+            ]
+            coeffs = zx_interpolate(pts, dets) if p.ring is RING_ZX else interpolate(pts, dets)
+            yield row_idx, col_idx, coeffs[::-1]
 
 
 def pencil_det_form(p):
-    """Determinant of a square pencil as a binary form of degree = size."""
-    if p.rows != p.cols:
+    """Determinant of a square pencil as a binary form of degree = size,
+    the row scales divided out."""
+    n = p.cols
+    if len(p.rows) != n:
         raise WrongShape("determinant form needs a square pencil")
-    return _minor_form(p, tuple(range(p.rows)), tuple(range(p.cols)))
+    ((_, _, coeffs),) = pencil_minors(p, n)
+    if p.ring is not RING_FIELD:
+        scale = math.prod(p.scales)
+        coeffs = [integer_quotient(c, scale) for c in coeffs]
+    return BinaryForm(coeffs, n)
 
 
-def rows_minor_gcd(rows, cols, k, ring):
-    """gcd of all k x k minors of the pencil with rows [A_i | B_i] over Z
-    or a field, as ``bform_gcd`` gives it; the zero form of degree k when
-    every minor vanishes, a constant when they share no projective root."""
-    pts = sample_points(k + 1)
-    members = _members(rows, cols, ring, pts)
+def pencil_minor_gcd(p, k):
+    """gcd of all k x k minors of a pencil over Z or a field, as
+    ``bform_gcd`` gives it; the zero form of degree k when every minor
+    vanishes, a constant when they share no projective root."""
+    if k < 1 or k > min(len(p.rows), p.cols):
+        raise WrongShape("minor size %d out of range" % k)
     g = None
-    for row_idx in itertools.combinations(range(len(rows)), k):
-        for col_idx in itertools.combinations(range(cols), k):
-            coeffs = _minor_coeffs(members, ring, pts, row_idx, col_idx)
-            if any(coeffs):
-                f = BinaryForm(coeffs[::-1], k)
-                g = bform_gcd([f] if g is None else [g, f])
-                if g.degree == 0:
-                    return g  # the gcd can only shrink
-    if g is None:
-        return BinaryForm([0] * (k + 1), k)
-    return g
+    for _, _, coeffs in pencil_minors(p, k):
+        if any(coeffs):
+            f = BinaryForm(coeffs, k)
+            g = bform_gcd([f] if g is None else [g, f])
+            if g.degree == 0:
+                return g  # the gcd can only shrink
+    return BinaryForm([0] * (k + 1), k) if g is None else g
 
 
-def pencil_minor_gcd(p, r):
-    """gcd of all r x r minors of the pencil (``rows_minor_gcd``)."""
-    if r < 1 or r > min(p.rows, p.cols):
-        raise WrongShape("minor size %d out of range" % r)
-    rows, ring, _, _ = _pencil_rows(p)
-    return rows_minor_gcd(rows, p.cols, r, ring)
+def member_rank_at(p, ell):
+    """(rank, last Bareiss pivot) of the member at the root of the linear
+    form ``ell``; over Z and Z[λ] the root is scaled to ints first."""
+    alpha, beta = ell.coeffs
+    if p.ring is RING_FIELD:
+        u0, v0 = -beta, alpha
+    else:
+        k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
+        u0, v0 = int(-beta * k), int(alpha * k)
+    rank, piv, _ = _bareiss(_member(p, u0, v0), p.ring)
+    return rank, piv
 
 
 def lambda_parts(coeffs):
@@ -201,30 +192,22 @@ def _primitive_part(pair, content):
     return tuple(x / lead for x in cs)
 
 
-def family_minors(rows, cols, k):
-    """The nonzero k x k minors of the pencil with rows [A_i | B_i] over
-    Z[λ], each the coefficient list of a binary form whose coefficients
-    are Z[λ] int lists, affine when the pencil is a family's."""
-    pts = sample_points(k + 1)
-    members = _members(rows, cols, RING_ZX, pts)
-    out = []
-    for row_idx in itertools.combinations(range(len(rows)), k):
-        for col_idx in itertools.combinations(range(cols), k):
-            coeffs = _minor_coeffs(members, RING_ZX, pts, row_idx, col_idx)[::-1]
-            if any(coeffs):
-                out.append(coeffs)
-    return out
+def family_minors(p, k):
+    """The nonzero k x k minors of a pencil over Z[λ], each the coefficient
+    list of a binary form whose coefficients are Z[λ] int lists, affine
+    when the pencil is a family's."""
+    return [coeffs for _, _, coeffs in pencil_minors(p, k) if any(coeffs)]
 
 
-def family_minor_gcd(rows, cols, k):
+def family_minor_gcd(p, k):
     """gcd over Q(λ) of the k x k minors of the pencil of a family T - λP.
 
-    ``rows`` are the pencil rows [A_i | B_i] over Z[λ], each a row of the
-    family times a nonzero integer. Each minor is f0 + λ f1 over Q[λ];
-    write it as its content c_i = gcd(f0, f1) over Q times its primitive
-    part. By Gauss's lemma the primitive part is 1 up to a unit or
-    irreducible over Q(λ), so the gcd is the gcd c of the contents, times
-    the primitive part when every minor shares it.
+    ``p`` is the pencil over Z[λ], each row a row of the family times a
+    nonzero integer. Each minor is f0 + λ f1 over Q[λ]; write it as its
+    content c_i = gcd(f0, f1) over Q times its primitive part. By Gauss's
+    lemma the primitive part is 1 up to a unit or irreducible over Q(λ),
+    so the gcd is the gcd c of the contents, times the primitive part when
+    every minor shares it.
 
     Returns (G, guard). G is a form over Q[λ] (the zero form of degree k
     when every minor vanishes). guard is None or a ``UniPoly`` whose roots
@@ -234,7 +217,7 @@ def family_minor_gcd(rows, cols, k):
     f/c are affine in λ and jump only where they share a root or all
     vanish, which their resultant (``_cofactor_guard``) catches.
     """
-    parts = [lambda_parts(m) for m in family_minors(rows, cols, k)]
+    parts = [lambda_parts(m) for m in family_minors(p, k)]
     if not parts:
         return lambda_form(BinaryForm([0] * (k + 1))), None
     contents = [bform_gcd(pair) for pair in parts]
@@ -290,46 +273,12 @@ def _cofactor_guard(cofactors):
     return UniPoly(g) if len(g) >= 2 else None
 
 
-def rows_member_rank(rows, cols, ell, ring):
-    """(rank, last Bareiss pivot) of the member at the root of the linear
-    form ``ell`` of the pencil with rows [A_i | B_i] over ``ring``; over Z
-    and Z[λ] the root is scaled to ints first."""
-    alpha, beta = ell.coeffs
-    if ring is RING_FIELD:
-        u0, v0 = -beta, alpha
-    else:
-        k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
-        u0, v0 = int(-beta * k), int(alpha * k)
-    if ring is RING_ZX:
-        member = [
-            [_zx_axpy(u0, x, [v0 * z for z in y]) for x, y in zip(r[:cols], r[cols:])]
-            for r in rows
-        ]
-    else:
-        member = [[u0 * x + v0 * y for x, y in zip(r[:cols], r[cols:])] for r in rows]
-    rank, piv, _ = _bareiss(member, ring)
-    return rank, piv
-
-
 def hyperdet222(t):
-    """Cayley hyperdeterminant of a 2x2x2 tensor.
-
-    Computed as the discriminant b^2 - 4ac of the quadratic determinant form
-    of the pencil, which is a closed-form degree-4 polynomial in the entries.
-    """
+    """Cayley hyperdeterminant of a 2x2x2 tensor: the discriminant
+    b^2 - 4ac of the quadratic determinant form of the pencil."""
     if not isinstance(t, Tensor) or t.shape != (2, 2, 2):
         raise WrongShape("hyperdet222 needs shape (2, 2, 2)")
-    p = pencil_of(t)
-    alpha = mat_det(p.a)
-    gamma = mat_det(p.b)
-    summed = Mat(
-        [
-            [p.a.entries[i][j] + p.b.entries[i][j] for j in range(2)]
-            for i in range(2)
-        ]
-    )
-    beta = mat_det(summed) - alpha - gamma
-    return beta * beta - 4 * alpha * gamma
+    return bform_discriminant(pencil_det_form(pencil_of(t)))
 
 
 def hyperdet233(t):
@@ -344,9 +293,3 @@ def hyperdet233(t):
     if not isinstance(t, Tensor) or t.shape != (2, 3, 3):
         raise WrongShape("hyperdet233 needs shape (2, 3, 3)")
     return -bform_discriminant(pencil_det_form(pencil_of(t)))
-
-
-def member_rank_at(p, ell):
-    """Rank of the pencil member at the root of the linear form ``ell``."""
-    rows, ring, _, _ = _pencil_rows(p)
-    return rows_member_rank(rows, p.cols, ell, ring)[0]

@@ -17,7 +17,6 @@ import itertools
 from fractions import Fraction
 
 from .binforms import (
-    BinaryForm,
     bform_gcd,
     bform_is_pure_power,
     bform_root_profile,
@@ -32,6 +31,7 @@ from .errors import (
     ZeroTensor,
 )
 from .linalg import Mat, mat_inverse, mat_solve, mat_vec
+from .pencil import pencil_det_form, pencil_minor_gcd, pencil_of
 from .tensorcore import (
     RankOneTensor,
     Tensor,
@@ -141,20 +141,6 @@ def _tangent_core(k):
     return t
 
 
-def _pencil_minor(tl, tr, bl, br):
-    """The 2x2 minor of a matrix of linear forms, as a quadratic form.
-
-    Each argument is a coefficient pair (x, y) standing for x*u + y*v.
-    Returns None when the minor vanishes identically.
-    """
-    c0 = tl[0] * br[0] - tr[0] * bl[0]
-    c1 = tl[0] * br[1] + tl[1] * br[0] - tr[0] * bl[1] - tr[1] * bl[0]
-    c2 = tl[1] * br[1] - tr[1] * bl[1]
-    if not (c0 or c1 or c2):
-        return None
-    return BinaryForm([c0, c1, c2], 2)
-
-
 def _axis_point(W, axis0):
     """Factors of the unique decomposable contraction along one axis.
 
@@ -175,18 +161,12 @@ def _axis_point(W, axis0):
     Y = Tensor(rest, ys)
     quads = []
     for b in range(1, k):
-        FX = flattening(X, b)
-        FY = flattening(Y, b)
-        for c1 in range(FX.cols):
-            for c2 in range(c1 + 1, FX.cols):
-                q = _pencil_minor(
-                    (FX.entries[0][c1], FY.entries[0][c1]),
-                    (FX.entries[0][c2], FY.entries[0][c2]),
-                    (FX.entries[1][c1], FY.entries[1][c1]),
-                    (FX.entries[1][c2], FY.entries[1][c2]),
-                )
-                if q is not None:
-                    quads.append(q)
+        # the 2-minors of the b-th flattening of uX + vY
+        flats = [flattening(F, b).entries for F in (X, Y)]
+        pair = Tensor((2, 2, len(flats[0][0])), [x for F in flats for row in F for x in row])
+        q = pencil_minor_gcd(pencil_of(pair), 2)
+        if not q.is_zero():
+            quads.append(q)
     if not quads:
         raise NotTangential(
             "every contraction along axis %d factors" % (axis0 + 1,)
@@ -349,15 +329,7 @@ def _rank2_split(S):
     """
     A = [[S[(0, i, j)] for j in (0, 1)] for i in (0, 1)]
     B = [[S[(1, i, j)] for j in (0, 1)] for i in (0, 1)]
-    c0 = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    c2 = B[0][0] * B[1][1] - B[0][1] * B[1][0]
-    c1 = (
-        A[0][0] * B[1][1]
-        + B[0][0] * A[1][1]
-        - A[0][1] * B[1][0]
-        - B[0][1] * A[1][0]
-    )
-    form = BinaryForm([c0, c1, c2], 2)
+    form = pencil_det_form(pencil_of(S))
     if form.is_zero():
         return None
     profile = bform_root_profile(form)

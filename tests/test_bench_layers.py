@@ -8,12 +8,17 @@ imported here. ``package.load_package()`` is not called: it re-imports the
 package, which would swap the modules under the other tests.
 """
 
+import cProfile
 import importlib
 import importlib.util
 import os
+import pstats
 import sys
 
 import pytest
+
+from tensorloci.classify import classify
+from tensorloci.orbits import normal_form
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "locusbench")
 
@@ -55,3 +60,17 @@ def test_timed_functions_resolve(prefix, module, path):
 def test_caches_and_funcelem_constructor_resolve():
     for metric, module, attr in layers.CACHES:
         assert isinstance(layers._resolve(MODULES, module, attr), dict), metric
+
+
+def test_classify_reaches_the_timed_minor_gcd():
+    """``classify`` reads its minor gcds through ``pencil.pencil_minor_gcd``,
+    so the benchmark's timer on that function counts calls rather than
+    reading 0."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for n in range(5, 27):
+        classify(normal_form(n))
+    profile.disable()
+    key = layers._code_key(layers._resolve(MODULES, "pencil", "pencil_minor_gcd"))
+    row = pstats.Stats(profile).stats.get(key)
+    assert row is not None and row[1] > 0

@@ -16,8 +16,8 @@ from tensorloci.classify import (
 )
 from tensorloci.errors import UnsupportedShape, ZeroTensor
 from tensorloci.exactnum import AlgebraicElement, UniPoly, _zb_cross, _zb_gcd
-from tensorloci.linalg import RING_FIELD, Mat, mat_det, mat_rank
-from tensorloci.pencil import rows_member_rank
+from tensorloci.linalg import RING_FIELD, RING_ZX, Mat, mat_det, mat_rank
+from tensorloci.pencil import Pencil, member_rank_at
 from tensorloci.orbits import RANKS, normal_form
 from tensorloci.tensorcore import (
     ParametricTensor,
@@ -436,7 +436,7 @@ def zb_poly_mul(a, b, g):
 
 def root_readers():
     for fac in ROOT_FACTORS:
-        yield fac, _RootReads([], 0, fac), random.Random("root reads/%r" % (fac.coeffs,))
+        yield fac, _RootReads(Pencil([], 0, RING_ZX), fac), random.Random("root reads/%r" % (fac.coeffs,))
 
 
 def test_root_reader_integer_minimal_polynomial():
@@ -504,10 +504,10 @@ def test_root_reader_member_rank():
                 + [[y, x] if x else [y] if y else [] for x, y in zip(a_row, r_row)]
                 for a_row, r_row in zip(A, R)
             ]
-            reads.rows, reads.cols = rows, 3
+            reads = _RootReads(Pencil(rows, 3, RING_ZX), fac)
             assert reads.member_rank(BinaryForm([[reads.den], [0, 1]])) == want
             ell = BinaryForm([random_zb(rng, reads), random_zb(rng, reads, nonzero=False)])
             field_rows = [[sum((c * alpha**i for i, c in enumerate(x)), alpha * 0) for x in row]
                           for row in rows]
             image = BinaryForm([in_extension(x, reads, fac) for x in ell.coeffs])
-            assert reads.member_rank(ell) == rows_member_rank(field_rows, 3, image, RING_FIELD)[0]
+            assert reads.member_rank(ell) == member_rank_at(Pencil(field_rows, 3, RING_FIELD), image)[0]

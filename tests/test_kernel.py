@@ -11,6 +11,7 @@ integer λ0 off the roots of their guards.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,17 +24,19 @@ from tensorloci.binforms import BinaryForm, _pl_resultant
 from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import (
     DOMAIN_POLYRING,
+    RING_ZX,
     Mat,
+    integer_quotient,
     interpolate,
     mat_det,
     sample_points,
 )
 from tensorloci.pencil import (
     Pencil,
-    _minor_form,
     family_minor_gcd,
     pencil_det_form,
     pencil_minor_gcd,
+    pencil_minors,
     pencil_of,
 )
 from tensorloci.tensorcore import ParametricTensor, Tensor
@@ -122,22 +125,29 @@ def sym_form(form):
     return sum(sym(c) * U ** (d - i) * V**i for i, c in enumerate(form.coeffs))
 
 
-def check_pencil(p, coeff_type):
-    A = [[sym(x) for x in row] for row in p.a.entries]
-    B = [[sym(x) for x in row] for row in p.b.entries]
-    for r in range(1, min(p.rows, p.cols) + 1):
+def check_pencil(t, coeff_type):
+    _, rows, cols = t.shape
+    A = [[sym(t[(0, i, j)]) for j in range(cols)] for i in range(rows)]
+    B = [[sym(t[(1, i, j)]) for j in range(cols)] for i in range(rows)]
+    p = pencil_of(t)
+    for r in range(1, min(rows, cols) + 1):
         minors = []
-        for ri in itertools.combinations(range(p.rows), r):
-            for ci in itertools.combinations(range(p.cols), r):
-                form = _minor_form(p, ri, ci)
-                assert form.degree == r
-                assert all(isinstance(c, coeff_type) for c in form.coeffs)
-                want = sympy_det(
-                    [[U * A[i][j] + V * B[i][j] for j in ci] for i in ri], QLUV
-                )
-                assert QLUV.from_sympy(sym_form(form)) == want
-                assert form.is_zero() == (not want)
-                minors.append(want)
+        seen = []
+        for ri, ci, coeffs in pencil_minors(p, r):
+            assert len(coeffs) == r + 1
+            scale = math.prod(p.scales[i] for i in ri)
+            form = BinaryForm([integer_quotient(c, scale) for c in coeffs], r)
+            assert all(isinstance(c, coeff_type) for c in form.coeffs)
+            want = sympy_det(
+                [[U * A[i][j] + V * B[i][j] for j in ci] for i in ri], QLUV
+            )
+            assert QLUV.from_sympy(sym_form(form)) == want
+            assert form.is_zero() == (not want)
+            minors.append(want)
+            seen.append((ri, ci))
+        assert seen == list(itertools.product(
+            itertools.combinations(range(rows), r), itertools.combinations(range(cols), r)
+        ))
         g = pencil_minor_gcd(p, r)
         live = [m for m in minors if m]
         if not live:
@@ -147,10 +157,8 @@ def check_pencil(p, coeff_type):
         for m in live[1:]:
             want = QLUV.gcd(want, m)
         assert QLUV.from_sympy(sym_form(g)).monic() == want.monic(), (r, g, want)
-    if p.rows == p.cols:
-        assert pencil_det_form(p) == _minor_form(
-            p, tuple(range(p.rows)), tuple(range(p.cols))
-        )
+    if rows == cols:
+        assert pencil_det_form(p) == form  # the one minor of full size
 
 
 def rand_pencil(rng, entry, rows, cols):
@@ -165,15 +173,15 @@ def rand_pencil(rng, entry, rows, cols):
         s = entry(rng)
         a[-1] = [s * x for x in a[0]]
         b[-1] = [s * x for x in b[0]]
-    return Pencil(Mat(a), Mat(b))
+    return Tensor((2, rows, cols), [x for m in (a, b) for row in m for x in row])
 
 
 def test_minor_forms_of_rational_pencils_against_sympy():
     rng = random.Random(44)
     for _ in range(12):
         rows = rng.randint(2, 3)
-        p = rand_pencil(rng, rand_fraction, rows, rng.randint(rows, 4))
-        check_pencil(p, Fraction)
+        t = rand_pencil(rng, rand_fraction, rows, rng.randint(rows, 4))
+        check_pencil(t, Fraction)
 
 
 def family_pencils():
@@ -207,7 +215,7 @@ def test_family_minor_gcd_is_the_gcd_over_the_function_field():
             for i in range(b)
         ]
         for k in range(1, min(b, c) + 1):
-            g, _guard = family_minor_gcd(rows, c, k)
+            g, _guard = family_minor_gcd(Pencil(rows, c, RING_ZX), k)
             want = ring.zero
             for ri, ci in itertools.product(
                 itertools.combinations(range(b), k), itertools.combinations(range(c), k)
@@ -233,7 +241,7 @@ def test_family_minor_gcd_specializes_off_its_guard():
     for T, P, rows in family_pencils():
         _, b, c = T.shape
         d = P.expand()
-        gcds = [family_minor_gcd(rows, c, k) for k in range(1, min(b, c) + 1)]
+        gcds = [family_minor_gcd(Pencil(rows, c, RING_ZX), k) for k in range(1, min(b, c) + 1)]
         for lam0 in range(-8, 9):
             member = Tensor(T.shape, [x - lam0 * y for x, y in zip(T.entries, d.entries)])
             pencil = pencil_of(member)
