@@ -16,9 +16,10 @@ rows, minors and the forms read off them are ints, known up to a nonzero
 constant, which is all the table needs. A family T - λP with P rank one
 is classified over Q(λ) by the same table with another reader, on its
 pencil over Z[λ]: there every minor is affine in λ, so each invariant is
-computed over Q and Z[λ], together with guard polynomials whose roots
+computed over Z and Z[λ], together with guard polynomials whose roots
 include every value of λ where that invariant can differ from its
-generic value (``family_orbit``). A third reader reads the member at an
+generic value (``family_orbit``); the guard of a repeated part is
+interpolated from the discriminants of int forms at sample values of λ. A third reader reads the member at an
 irrational root α of a guard off the same pencil over Z[λ]: no affine
 minor vanishes at α, so the member has the family's concise shape, and
 its minors are the family's at α, in Z[β] for an integer multiple β of
@@ -36,21 +37,20 @@ from .binforms import (
     bform_discriminant,
     bform_gcd,
     bform_is_pure_power,
-    bform_quotient,
 )
 from .errors import InternalError, UnsupportedShape
 from .exactnum import UniPoly, _zb_cross, _zb_gcd, candidate_factors
-from .linalg import RING_ZX, _bareiss, ring_at_root
+from .linalg import RING_ZX, _bareiss, _zx_cross, interpolate, ring_at_root, sample_points
 from .orbits import RANKS
 from .pencil import (
     Pencil,
     family_minor_gcd,
     family_minors,
-    lambda_form,
     lambda_parts,
     member_rank_at,
     pencil_minor_gcd,
     slice_rows,
+    zform_quotient,
 )
 from .tensorcore import ParametricTensor, concise_reduce
 
@@ -320,24 +320,30 @@ class _FamilyReads:
         return g
 
     def discriminant_vanishes(self, form):
-        disc = bform_discriminant(form)
-        self._guard(disc)
-        return disc.is_zero()
+        c0, c1, c2 = form.coeffs
+        disc = _zx_cross(c1, c1, [4 * x for x in c0], c2)
+        self._guard(UniPoly(disc))
+        return not disc
 
     def repeated_part(self, det):
         """The repeated part over Q(λ) of a nonzero determinant form c q,
-        c over Q and q 1 or irreducible over Q(λ), is that of c. It stays
-        so wherever det / rep is square-free, that is off the roots of its
-        discriminant."""
-        parts = lambda_parts([x.coeffs for x in det.coeffs])
+        c an int form and q 1 or irreducible over Q(λ), is that of c. It
+        stays so wherever det / rep is square-free, that is off the roots
+        of its discriminant, a polynomial in λ of degree at most 2(d - 1)
+        for det / rep of degree d: its values at 2(d - 1) + 1 integers,
+        each the discriminant of an int form, give it."""
+        parts = lambda_parts(det.coeffs)
         c = bform_gcd(parts)
         rep = bform_gcd([c, c.partial_u(), c.partial_v()]) if c.degree else c
-        rest = lambda_form(*(bform_quotient(f, rep) for f in parts))
-        if rest.degree >= 2:
-            disc = bform_discriminant(rest)
-            if disc.is_zero():
+        d = det.degree - rep.degree
+        if d >= 2:
+            f0, f1 = (zform_quotient(f, rep).coeffs for f in parts)
+            pts = sample_points(2 * d - 1)
+            vals = [bform_discriminant(BinaryForm([x + t * y for x, y in zip(f0, f1)]))
+                    for t in pts]
+            if not any(vals):
                 raise InternalError("square-free form with a zero discriminant")
-            self._guard(disc)
+            self._guard(UniPoly(interpolate(pts, vals)))
         return rep
 
     def pure_square(self, g):

@@ -7,12 +7,12 @@ lists of ints, lowest degree first, with every division exact, and over an
 extension field on its elements. The tensor layer hands it integer rows (a
 rational tensor is scaled to ints once); a ``Mat`` over Q or Q[λ] is
 scaled row by row by ``integer_rows``. ``mat_det`` divides the row scales
-out once at the end; pencil minors at sample points use its core
-``bareiss_det``. Over Z[λ] the last Bareiss pivot is a rank-sized minor,
-which names the parameter values where a rank can drop. ``pivot_slices``
-reads the first independent rows off the pivot columns of the transpose.
-``sample_points`` and ``interpolate`` turn determinants at sample points
-into pencil minors.
+out once at the end; its core ``bareiss_det`` also takes the resultants
+of the cofactor guard over Z[λ]. Over Z[λ] the last Bareiss pivot is a
+rank-sized minor, which names the parameter values where a rank can drop.
+``pivot_slices`` reads the first independent rows off the pivot columns
+of the transpose. ``sample_points`` and ``interpolate`` rebuild a
+polynomial in λ from its integer values at sample points.
 """
 
 from __future__ import annotations
@@ -288,7 +288,8 @@ def interpolate(pts, vals):
 
     Field values divide as usual. Over the integers every division is
     exact as long as the interpolant has integer coefficients, which holds
-    for the determinant of an integer matrix affine in the variable.
+    for the discriminant of an int form whose coefficients are affine in
+    the variable.
     """
     n = len(pts)
     exact = isinstance(vals[0], int)
@@ -309,22 +310,6 @@ def interpolate(pts, vals):
     return coeffs
 
 
-def zx_interpolate(pts, vals):
-    """``interpolate`` for values in Z[λ]: one λ-coefficient at a time."""
-    width = max(len(v) for v in vals)
-    per_power = [
-        interpolate(pts, [v[i] if i < len(v) else 0 for v in vals])
-        for i in range(width)
-    ]
-    out = []
-    for k in range(len(pts)):
-        c = [col[k] for col in per_power]
-        while c and not c[-1]:
-            c.pop()
-        out.append(c)
-    return out
-
-
 def bareiss_det(rows, ring):
     """Determinant of a square matrix given by its rows over ``ring``: an
     int over Z, an int list over Z[λ] (see ``integer_rows``), a field
@@ -336,9 +321,9 @@ def bareiss_det(rows, ring):
 
 
 def integer_quotient(c, scale):
-    """c / scale for a value c of ``bareiss_det`` or ``interpolate`` on
-    integer rows and an int product of their row scales: a Fraction over
-    Z, a ``UniPoly`` over Z[λ]."""
+    """c / scale for a value c of ``bareiss_det`` or a minor coefficient
+    of ``pencil.pencil_minors`` on integer rows and an int product of
+    their row scales: a Fraction over Z, a ``UniPoly`` over Z[λ]."""
     if isinstance(c, int):
         return Fraction(c, scale)
     return UniPoly([Fraction(x, scale) for x in c])

@@ -172,14 +172,13 @@ def _fractions(vec):
     return [Fraction(x) for x in vec]
 
 
-def _first_witness(T, P, factors, target):
-    """Membership verdict at the first factor whose root gives rank(T - lam*P)
-    equal to ``target``, or None.
+def _first_witness(family, factors, target):
+    """Membership verdict at the first factor whose root gives the member
+    of ``family``, T - lam*P, the rank ``target``, or None.
 
     ``factors`` are monic irreducible polynomials other than lam; a linear
     one yields a rational witness, any other its minimal polynomial.
     """
-    family = ParametricTensor(T, P)
     for fac in factors:
         if orbit_rank(orbit_at_root(family, fac)) != target:
             continue
@@ -189,7 +188,7 @@ def _first_witness(T, P, factors, target):
     return None
 
 
-def _scan_rational_witness(T, P, target, guards):
+def _scan_rational_witness(family, target, guards):
     """First integer lam in 1, -1, 2, -2, ... where the rank actually drops.
 
     Only called once the member has rank ``target`` at every lam != 0 off
@@ -197,9 +196,7 @@ def _scan_rational_witness(T, P, target, guards):
     1 + (sum of their degrees) values one is sure to work.
     """
     values = sample_points(2 + sum(g.degree for g in guards))[1:]
-    verdict = _first_witness(
-        T, P, (UniPoly([-lam0, 1]) for lam0 in values), target
-    )
+    verdict = _first_witness(family, (UniPoly([-lam0, 1]) for lam0 in values), target)
     if verdict is None:
         raise InternalError("no integer witness off the roots of the guards")
     return verdict
@@ -351,13 +348,14 @@ def _tangential_verdict(T, P, dec):
 
 def _generic_membership(T, P, report):
     target = report.rank - 1
-    parametric = classify_parametric(ParametricTensor(T, P), report)
+    family = ParametricTensor(T, P)
+    parametric = classify_parametric(family, report)
     special = [(fac, oid) for fac, oid in parametric.exceptional if fac != _LAMBDA]
     if orbit_rank(parametric.generic) == target:
         # every member off the special factors is in the generic orbit
-        return _scan_rational_witness(T, P, target, [fac for fac, _ in special])
+        return _scan_rational_witness(family, target, [fac for fac, _ in special])
     factors = [fac for fac, oid in special if orbit_rank(oid) == target]
-    return _first_witness(T, P, factors, target) or LocusVerdict.forbidden()
+    return _first_witness(family, factors, target) or LocusVerdict.forbidden()
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +396,8 @@ def _pairing_verdict(core, coreP, target):
         raise InternalError("singular last flattening of a concise core")
     if pairing == 0:
         return LocusVerdict.forbidden()
-    verdict = _first_witness(core, coreP, [UniPoly([-1 / pairing, 1])], target)
+    family = ParametricTensor(core, coreP)
+    verdict = _first_witness(family, [UniPoly([-1 / pairing, 1])], target)
     if verdict is None:
         raise InternalError("pairing witness failed the rank recheck")
     return verdict
@@ -421,7 +420,7 @@ def _drop_root_verdict(core, coreP, axes, target):
         if value is None or (shared is not None and value != shared):
             return LocusVerdict.forbidden()
         shared = value
-    verdict = _first_witness(core, coreP, [UniPoly([-shared, 1])], target)
+    verdict = _first_witness(family, [UniPoly([-shared, 1])], target)
     return verdict or LocusVerdict.forbidden()
 
 
@@ -441,13 +440,13 @@ def _escape_verdict(core, coreP, target):
         value = _drop_value(family, ax)
         if value is None:
             continue
-        verdict = _first_witness(core, coreP, [UniPoly([-value, 1])], target)
+        verdict = _first_witness(family, [UniPoly([-value, 1])], target)
         if verdict is not None:
             return verdict
     generic, guards = family_orbit(family)
     if orbit_rank(generic) == target:
-        return _scan_rational_witness(core, coreP, target, guards)
-    verdict = _first_witness(core, coreP, candidate_factors(guards), target)
+        return _scan_rational_witness(family, target, guards)
+    verdict = _first_witness(family, candidate_factors(guards), target)
     return verdict or LocusVerdict.forbidden()
 
 

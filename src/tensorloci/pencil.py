@@ -9,20 +9,22 @@ There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
 ints with one scale per row (``pencil_of`` scales a rational tensor once,
 an integer core comes as it is), Z[λ] int lists, or field elements. There
 is one enumerator of minors, ``pencil_minors``: each k x k minor is
-det(tA + B) at k + 1 integer points t by the Bareiss kernel, then the
-polynomial in t through them, dividing exactly. Row scales change a minor
-only by a constant, so minor gcds (the integer remainder sequence of
-``bform_gcd``) and member ranks (``member_rank_at``) use the scaled rows
-as they are; ``pencil_det_form`` divides the scales back out.
+expanded along its first row as a binary form, in the ring's own
+arithmetic, sharing the smaller minors of the lower rows. Row scales
+change a minor only by a constant, so minor gcds (the integer remainder
+sequence of ``bform_gcd``) and member ranks (``member_rank_at``) use the
+scaled rows as they are; ``pencil_det_form`` divides the scales back out.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
-and n binary forms over Q. ``family_minor_gcd`` and ``member_rank_at``
-work on its rows over Z[λ] and give the value over Q(λ) together with a
-guard: a polynomial in λ whose roots include every value where the value
-at that λ differs from the generic one, the cofactor guard computed
-over Z[λ]. The minors (``family_minors``) also give the member at an
-irrational root α: there each minor is m - αn.
+and n int forms once the rows are over Z[λ]. ``family_minor_gcd`` and
+``member_rank_at`` work on those rows and give the value over Q(λ)
+together with a guard: a polynomial in λ whose roots include every value
+where the value at that λ differs from the generic one. Contents,
+quotients and the cofactor guard stay over Z and Z[λ] (Gauss's lemma
+makes every quotient by a primitive content exact). The minors
+(``family_minors``) also give the member at an irrational root α: there
+each minor is m - αn.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .binforms import (
-    BinaryForm,
-    bform_discriminant,
-    bform_gcd,
-    bform_quotient,
-)
+from .binforms import BinaryForm, bform_discriminant, bform_gcd
 from .errors import InternalError, WrongShape
 from .exactnum import UniPoly, _ip_gcd
 from .linalg import (
@@ -46,13 +43,11 @@ from .linalg import (
     RING_ZX,
     Mat,
     _bareiss,
-    _z_row,
+    _zx_exact_div,
     bareiss_det,
     integer_quotient,
     integer_rows,
-    interpolate,
     sample_points,
-    zx_interpolate,
 )
 from .tensorcore import Tensor
 
@@ -115,18 +110,51 @@ def _member(p, u0, v0):
 def pencil_minors(p, k):
     """Every k x k minor of the pencil, as (row indices, column indices,
     coefficients): det(uA + vB) on those rows and columns, highest power
-    of u first, times the product of the row scales. The determinants of
-    tA + B at k + 1 integer points t are interpolated in t."""
-    pts = sample_points(k + 1)
-    members = [_member(p, t, 1) for t in pts]
+    of u first, times the product of the row scales.
+
+    Each minor is expanded along its first row, as a binary form in the
+    ring's own arithmetic (its ``cross``): the entry a u + b v times the
+    complementary minor of the lower rows. Those smaller minors are shared
+    across the minors through a dict that lives for this call only.
+    """
+    cross = p.ring[0]
+    zx = p.ring is RING_ZX
+    one, zero = ([1], []) if zx else (1, p.rows[0][0] * 0)
+    c = p.cols
+    # entry (i, j) of uA + vB as its (u, v) coefficients, and negated: the
+    # even terms of an expansion are added as acc - (-a) m = acc + a m
+    ents = [[(r[j], r[c + j]) for j in range(c)] for r in p.rows]
+    negs = [[([-x for x in a], [-x for x in b]) if zx else (-a, -b) for a, b in row]
+            for row in ents]
+    memo = {}
+
+    def expand(rows, cols):
+        if len(rows) == 1:
+            return list(ents[rows[0]][cols[0]])
+        acc = [zero] * (len(rows) + 1)
+        top, lower = rows[0], rows[1:]
+        for i, j in enumerate(cols):
+            a, b = (ents if i % 2 else negs)[top][j]
+            if not (a or b):
+                continue
+            if len(lower) == 1:
+                m = ents[lower[0]][cols[1 - i]]
+            else:
+                sub = lower, cols[:i] + cols[i + 1:]
+                m = memo.get(sub)
+                if m is None:
+                    m = memo[sub] = expand(*sub)
+            for t, x in enumerate(m):
+                if x:
+                    if a:
+                        acc[t] = cross(acc[t], one, a, x)
+                    if b:
+                        acc[t + 1] = cross(acc[t + 1], one, b, x)
+        return acc
+
     for row_idx in itertools.combinations(range(len(p.rows)), k):
-        for col_idx in itertools.combinations(range(p.cols), k):
-            dets = [
-                bareiss_det([[m[i][j] for j in col_idx] for i in row_idx], p.ring)
-                for m in members
-            ]
-            coeffs = zx_interpolate(pts, dets) if p.ring is RING_ZX else interpolate(pts, dets)
-            yield row_idx, col_idx, coeffs[::-1]
+        for col_idx in itertools.combinations(range(c), k):
+            yield row_idx, col_idx, expand(row_idx, col_idx)
 
 
 def pencil_det_form(p):
@@ -172,24 +200,29 @@ def member_rank_at(p, ell):
 
 
 def lambda_parts(coeffs):
-    """(f0, f1) over Q with f0 + λ f1 the form whose coefficients are
-    given by their coefficient lists in λ, lowest degree first, of length
-    at most two."""
+    """(f0, f1), int forms with f0 + λ f1 the form whose coefficients are
+    the given Z[λ] int lists, of length at most two."""
     return tuple(BinaryForm([c[i] if len(c) > i else 0 for c in coeffs]) for i in (0, 1))
 
 
 def lambda_form(f0, f1=None):
-    """The form f0 + λ f1 over Q[λ] from forms over Q of one degree."""
+    """The form f0 + λ f1 over Z[λ], coefficients int lists, from int
+    forms of one degree."""
     f1 = f1.coeffs if f1 is not None else [0] * len(f0.coeffs)
-    return BinaryForm([UniPoly([x, y]) for x, y in zip(f0.coeffs, f1)])
+    return BinaryForm([[x, y] if y else [x] if x else [] for x, y in zip(f0.coeffs, f1)])
 
 
-def _primitive_part(pair, content):
-    """f0 + λ f1 divided by its content over Q, scaled to a leading 1, as a
-    tuple: equal for two minors exactly when their primitive parts agree."""
-    cs = [x for f in pair for x in bform_quotient(f, content).coeffs]
-    lead = Fraction(next(x for x in cs if x))
-    return tuple(x / lead for x in cs)
+def zform_quotient(f, g):
+    """The quotient f / g of int forms, g primitive and dividing f over Q.
+
+    By Gauss's lemma it has int coefficients, so one exact division over
+    Z of the coefficient lists, read as polynomials in v at u = 1, gives
+    it."""
+    d = f.degree - g.degree
+    den = g.coeffs[:]
+    while not den[-1]:
+        den.pop()
+    return BinaryForm(_zx_exact_div(f.coeffs, den)[:d + 1], d)
 
 
 def family_minors(p, k):
@@ -199,41 +232,51 @@ def family_minors(p, k):
     return [coeffs for _, _, coeffs in pencil_minors(p, k) if any(coeffs)]
 
 
+def _primitive_key(f0, f1, content):
+    """The ints of (f0 + λ f1) / content over their gcd, the first nonzero
+    positive: equal for two minors exactly when their primitive parts
+    agree up to a constant."""
+    cs = zform_quotient(f0, content).coeffs + zform_quotient(f1, content).coeffs
+    g = math.gcd(*cs)
+    if next(x for x in cs if x) < 0:
+        g = -g
+    return tuple(x // g for x in cs)
+
+
 def family_minor_gcd(p, k):
     """gcd over Q(λ) of the k x k minors of the pencil of a family T - λP.
 
     ``p`` is the pencil over Z[λ], each row a row of the family times a
-    nonzero integer. Each minor is f0 + λ f1 over Q[λ]; write it as its
-    content c_i = gcd(f0, f1) over Q times its primitive part. By Gauss's
-    lemma the primitive part is 1 up to a unit or irreducible over Q(λ),
-    so the gcd is the gcd c of the contents, times the primitive part when
-    every minor shares it.
+    nonzero integer. Each minor is f0 + λ f1 with f0, f1 int forms; write
+    it as its content c_i = gcd(f0, f1), a primitive int form, times its
+    primitive part. By Gauss's lemma the primitive part is 1 up to a unit
+    or irreducible over Q(λ), so the gcd is the gcd c of the contents,
+    times the primitive part when every minor shares it; and every
+    quotient by a content is an int form, taken by exact division.
 
-    Returns (G, guard). G is a form over Q[λ] (the zero form of degree k
-    when every minor vanishes). guard is None or a ``UniPoly`` whose roots
-    include every λ0 where the specialized minors have another gcd than
-    G at λ0, up to a constant: with a shared primitive part the cofactors
-    are constants over Q and the gcd never jumps; otherwise the cofactors
-    f/c are affine in λ and jump only where they share a root or all
-    vanish, which their resultant (``_cofactor_guard``) catches.
+    Returns (G, guard). G is a form over Z[λ], coefficients int lists,
+    known up to a nonzero constant (the zero form of degree k when every
+    minor vanishes). guard is None or a ``UniPoly`` whose roots include
+    every λ0 where the specialized minors have another gcd than G at λ0,
+    up to a constant: with a shared primitive part the cofactors are
+    constants and the gcd never jumps; otherwise the cofactors f/c are
+    affine in λ and jump only where they share a root or all vanish,
+    which their resultant (``_cofactor_guard``) catches.
     """
     parts = [lambda_parts(m) for m in family_minors(p, k)]
     if not parts:
-        return lambda_form(BinaryForm([0] * (k + 1))), None
+        return BinaryForm([[]] * (k + 1)), None
     contents = [bform_gcd(pair) for pair in parts]
     c = bform_gcd(contents)
-    first = _primitive_part(parts[0], contents[0])
+    first = _primitive_key(*parts[0], contents[0])
     if contents[0].degree < k and all(
-        _primitive_part(pair, ci) == first for pair, ci in zip(parts[1:], contents[1:])
+        _primitive_key(*pair, ci) == first for pair, ci in zip(parts[1:], contents[1:])
     ):
-        d = bform_quotient(contents[0], c)
-        return lambda_form(*(bform_quotient(f, d) for f in parts[0])), None
-    cofactors = []
-    for f0, f1 in parts:
-        # (f0 + λ f1) / c times a positive integer, over Z[λ]
-        ints, _ = _z_row(bform_quotient(f0, c).coeffs + bform_quotient(f1, c).coeffs)
-        pairs = zip(ints[:k - c.degree + 1], ints[k - c.degree + 1:])
-        cofactors.append([[x, y] if y else [x] if x else [] for x, y in pairs])
+        d = zform_quotient(contents[0], c)
+        return lambda_form(*(zform_quotient(f, d) for f in parts[0])), None
+    cofactors = [
+        lambda_form(zform_quotient(f0, c), zform_quotient(f1, c)).coeffs for f0, f1 in parts
+    ]
     return lambda_form(c), _cofactor_guard(cofactors)
 
 

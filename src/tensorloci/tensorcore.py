@@ -457,7 +457,8 @@ def rank_one_factors(T):
 
     Returns (c, factors) with each factor unit-normalized (first nonzero
     coordinate 1) and the scalar c carrying the rest, or None when T is zero
-    or has rank above one. Works over any field domain.
+    or has rank above one. Works over any field domain; int entries give
+    ``Fraction`` quotients.
     """
     anchor = None
     for idx in itertools.product(*[range(d) for d in T.shape]):
@@ -488,6 +489,7 @@ def rank_one_factors(T):
     factors = []
     for fib in fibers:
         lead = next(x for x in fib if x)
+        lead = Fraction(lead) if isinstance(lead, int) else lead
         factors.append([x / lead for x in fib])
         coeff = lead if coeff is None else coeff * lead
     return coeff / lhs, factors

@@ -62,15 +62,29 @@ def test_caches_and_funcelem_constructor_resolve():
         assert isinstance(layers._resolve(MODULES, module, attr), dict), metric
 
 
-def test_classify_reaches_the_timed_minor_gcd():
-    """``classify`` reads its minor gcds through ``pencil.pencil_minor_gcd``,
-    so the benchmark's timer on that function counts calls rather than
-    reading 0."""
+def classify_calls(module, path):
+    """Calls of ``module.path`` while ``classify`` runs on the normal
+    forms of orbits 5-26."""
     profile = cProfile.Profile()
     profile.enable()
     for n in range(5, 27):
         classify(normal_form(n))
     profile.disable()
-    key = layers._code_key(layers._resolve(MODULES, "pencil", "pencil_minor_gcd"))
+    key = layers._code_key(layers._resolve(MODULES, module, path))
     row = pstats.Stats(profile).stats.get(key)
-    assert row is not None and row[1] > 0
+    return 0 if row is None else row[1]
+
+
+def test_classify_reaches_the_timed_minor_gcd():
+    """``classify`` reads its minor gcds through ``pencil.pencil_minor_gcd``,
+    so the benchmark's timer on that function counts calls rather than
+    reading 0."""
+    assert classify_calls("pencil", "pencil_minor_gcd") > 0
+
+
+@pytest.mark.parametrize("path", ["bareiss_det", "interpolate"])
+def test_classify_expands_minors_without_determinants_at_sample_points(path):
+    """The pencil minors of ``classify`` come from the Laplace expansion
+    of ``pencil.pencil_minors``, not from determinants at sample points
+    interpolated in t."""
+    assert classify_calls("linalg", path) == 0

@@ -1,13 +1,15 @@
-"""The integer Bareiss kernel against sympy.
+"""The integer Bareiss kernel and the minor enumerator against sympy.
 
 Matrices over Q and Q[λ] are scaled row by row to integer form and
-eliminated over Z or Z[λ]; pencil minors are determinants at integer
-points, interpolated in the integers. Every answer here is compared with
-sympy's symbolic one, on inputs with non-integer rational coefficients,
-zero rows and identically vanishing minors. The minor gcds of the pencils
-of the seeded families T - λP (``test_locus.seeded_families``) are
-compared with sympy's gcd over Q(λ)[u, v], and with the gcd at every small
-integer λ0 off the roots of their guards.
+eliminated over Z or Z[λ]; pencil minors are expanded along their first
+row as binary forms, in the arithmetic of Z, Z[λ] or Q(α). Every answer
+here is compared with sympy's symbolic one, on inputs with non-integer
+rational coefficients, zero rows and identically vanishing minors: Q
+pencils up to 3 x 6, Q[λ] pencils with entries of λ-degree up to two, and
+a pencil over Q(2^(1/3)). The minor gcds of the pencils of the seeded
+families T - λP (``test_locus.seeded_families``) are compared with sympy's
+gcd over Q(λ)[u, v], and with the gcd at every small integer λ0 off the
+roots of their guards.
 """
 
 import itertools
@@ -21,9 +23,10 @@ from sympy.polys.matrices import DomainMatrix
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm, _pl_resultant
-from tensorloci.exactnum import UniPoly
+from tensorloci.exactnum import AlgebraicElement, UniPoly
 from tensorloci.linalg import (
     DOMAIN_POLYRING,
+    RING_FIELD,
     RING_ZX,
     Mat,
     integer_quotient,
@@ -34,17 +37,23 @@ from tensorloci.linalg import (
 from tensorloci.pencil import (
     Pencil,
     family_minor_gcd,
+    family_minors,
     pencil_det_form,
     pencil_minor_gcd,
     pencil_minors,
     pencil_of,
 )
-from tensorloci.tensorcore import ParametricTensor, Tensor
+from tensorloci.tensorcore import ParametricTensor, RankOneTensor, Tensor
 
 LAM, U, V, X = sympy.symbols("lam u v x")
 # Q(λ) and Q(λ)[u, v], where sympy's own dets and gcds are exact and fast.
 QL = sympy.QQ.frac_field(LAM)
 QLUV = QL[U, V]
+# Q(α) for α = 2^(1/3), as AlgebraicElements and in sympy.
+ALPHA = AlgebraicElement.generator(UniPoly([-2, 0, 0, 1]))
+QA = sympy.QQ.algebraic_field(sympy.root(2, 3))
+QAUV = QA[U, V]
+ALPHA_QAUV = QAUV(QA.from_sympy(sympy.root(2, 3)))
 
 
 def sym(x):
@@ -120,34 +129,51 @@ def test_det_of_sylvester_matrices_against_sympy_resultant():
         assert sympy.expand(sym(det) ** 2 - res_x**2) == 0
 
 
-def sym_form(form):
-    d = form.degree
-    return sum(sym(c) * U ** (d - i) * V**i for i, c in enumerate(form.coeffs))
+def in_qauv(x):
+    """An element of Q(α) in QAUV, built in the ring: sympy's from_sympy
+    on powers of 2^(1/3) is slow."""
+    return sum((QAUV(QA.convert(sympy.QQ(c.numerator, c.denominator))) * ALPHA_QAUV**i
+                for i, c in enumerate(x.rep.coeffs)), QAUV.zero)
 
 
-def check_pencil(t, coeff_type):
+def check_pencil(t, coeff_type, domain=QLUV, conv=None):
+    """Every minor of the pencil of t, in enumeration order, against
+    sympy's determinant in ``domain``, the scalars mapped there by
+    ``conv``; the minor gcds too, except over Z[λ], where
+    ``pencil_minor_gcd`` does not apply."""
+    conv = conv or (lambda x: domain.from_sympy(sym(x)))
+    u, v = domain.gens
+
+    def in_domain(form):
+        d = form.degree
+        return sum((conv(c) * u ** (d - i) * v**i for i, c in enumerate(form.coeffs)),
+                   domain.zero)
+
     _, rows, cols = t.shape
-    A = [[sym(t[(0, i, j)]) for j in range(cols)] for i in range(rows)]
-    B = [[sym(t[(1, i, j)]) for j in range(cols)] for i in range(rows)]
+    A = [[conv(t[(0, i, j)]) for j in range(cols)] for i in range(rows)]
+    B = [[conv(t[(1, i, j)]) for j in range(cols)] for i in range(rows)]
     p = pencil_of(t)
     for r in range(1, min(rows, cols) + 1):
         minors = []
         seen = []
         for ri, ci, coeffs in pencil_minors(p, r):
             assert len(coeffs) == r + 1
-            scale = math.prod(p.scales[i] for i in ri)
-            form = BinaryForm([integer_quotient(c, scale) for c in coeffs], r)
+            if p.ring is not RING_FIELD:
+                scale = math.prod(p.scales[i] for i in ri)
+                coeffs = [integer_quotient(c, scale) for c in coeffs]
+            form = BinaryForm(coeffs, r)
             assert all(isinstance(c, coeff_type) for c in form.coeffs)
-            want = sympy_det(
-                [[U * A[i][j] + V * B[i][j] for j in ci] for i in ri], QLUV
-            )
-            assert QLUV.from_sympy(sym_form(form)) == want
+            sub = [[u * A[i][j] + v * B[i][j] for j in ci] for i in ri]
+            want = DomainMatrix(sub, (r, r), domain).det()
+            assert in_domain(form) == want
             assert form.is_zero() == (not want)
             minors.append(want)
             seen.append((ri, ci))
         assert seen == list(itertools.product(
             itertools.combinations(range(rows), r), itertools.combinations(range(cols), r)
         ))
+        if p.ring is RING_ZX:
+            continue
         g = pencil_minor_gcd(p, r)
         live = [m for m in minors if m]
         if not live:
@@ -155,8 +181,8 @@ def check_pencil(t, coeff_type):
             continue
         want = live[0]
         for m in live[1:]:
-            want = QLUV.gcd(want, m)
-        assert QLUV.from_sympy(sym_form(g)).monic() == want.monic(), (r, g, want)
+            want = domain.gcd(want, m)
+        assert in_domain(g).monic() == want.monic(), (r, g, want)
     if rows == cols:
         assert pencil_det_form(p) == form  # the one minor of full size
 
@@ -182,6 +208,37 @@ def test_minor_forms_of_rational_pencils_against_sympy():
         rows = rng.randint(2, 3)
         t = rand_pencil(rng, rand_fraction, rows, rng.randint(rows, 4))
         check_pencil(t, Fraction)
+
+
+def test_minor_forms_of_wide_pencils_against_sympy():
+    """3 x 5 and 3 x 6 pencils, the shapes of orbits 24-26."""
+    rng = random.Random(45)
+    for cols in (5, 5, 6, 6):
+        check_pencil(rand_pencil(rng, rand_fraction, 3, cols), Fraction)
+
+
+def test_minor_forms_of_quadratic_pencils_over_q_lambda_against_sympy():
+    """Entries of λ-degree up to two: the enumerator's Z[λ] arithmetic on
+    pencils that are not a family's, so minors are not affine in λ."""
+    rng = random.Random(46)
+
+    def entry(rng):
+        return UniPoly([rand_fraction(rng) for _ in range(rng.randint(0, 3))])
+
+    for _ in range(8):
+        rows = rng.randint(2, 3)
+        t = rand_pencil(rng, entry, rows, rng.randint(rows, 4))
+        check_pencil(t, UniPoly)
+
+
+def test_minor_forms_of_a_pencil_over_an_extension_field_against_sympy():
+    rng = random.Random(47)
+
+    def entry(rng):
+        return sum((rand_fraction(rng) * ALPHA**i for i in range(3)), ALPHA * 0)
+
+    for rows, cols in ((2, 3), (3, 3), (3, 4)):
+        check_pencil(rand_pencil(rng, entry, rows, cols), AlgebraicElement, QAUV, in_qauv)
 
 
 def family_pencils():
@@ -225,7 +282,7 @@ def test_family_minor_gcd_is_the_gcd_over_the_function_field():
                 if want and want.degree(u) == want.degree(v) == 0:
                     break  # only a factor in λ is left
             got = sum(
-                (sum((q(x) * lam**e for e, x in enumerate(coeff.coeffs)), ring.zero)
+                (sum((q(x) * lam**e for e, x in enumerate(coeff)), ring.zero)
                  * u ** (g.degree - n) * v**n for n, coeff in enumerate(g.coeffs)),
                 ring.zero,
             )
@@ -249,9 +306,42 @@ def test_family_minor_gcd_specializes_off_its_guard():
                 if guard is not None and guard(lam0) == 0:
                     continue
                 got = pencil_minor_gcd(pencil, k)
-                at = BinaryForm([x(Fraction(lam0)) for x in g.coeffs], g.degree)
+                at = BinaryForm(
+                    [sum(x * lam0**e for e, x in enumerate(c)) for c in g.coeffs], g.degree
+                )
                 assert got.degree == at.degree and got.is_zero() == at.is_zero()
                 lead = next((i for i, x in enumerate(at.coeffs) if x), None)
                 if lead is not None:
-                    ratio = got.coeffs[lead] / at.coeffs[lead]
+                    ratio = Fraction(got.coeffs[lead]) / at.coeffs[lead]
                     assert got.coeffs == [ratio * x for x in at.coeffs], (k, lam0)
+
+
+def test_family_minor_gcd_when_every_minor_vanishes():
+    """A family whose pencil has a zero row has no nonzero 3-minor: the
+    gcd is the zero form of degree 3, with no guard; its 2-minors are the
+    gcd over Q(λ) of the family on the two other rows."""
+    rng = random.Random(48)
+    for _ in range(4):
+        slices = [[[rng.randint(-3, 3) for _ in range(3)] for _ in range(2)] + [[0] * 3]
+                  for _ in range(2)]
+        T = Tensor((2, 3, 3), [x for s in slices for row in s for x in row])
+        P = RankOneTensor([[1, rng.randint(-2, 2)], [rng.randint(1, 3), 1, 0],
+                           [rng.randint(-2, 2), 1, 2]])
+        rows = ParametricTensor(T, P).pencil_rows((0, 1, 2), [[0, 1], [0, 1, 2], [0, 1, 2]])
+        p = Pencil(rows, 3, RING_ZX)
+        assert family_minors(p, 3) == []
+        g, guard = family_minor_gcd(p, 3)
+        assert g.is_zero() and g.degree == 3 and guard is None
+        top = Pencil(rows[:2], 3, RING_ZX)
+        assert family_minor_gcd(p, 2) == family_minor_gcd(top, 2)
+
+
+def test_family_minor_gcd_of_minors_equal_up_to_sign():
+    """The two entries of T - λP are u - λv and -(u - λv): they share their
+    primitive part, so the gcd over Q(λ) is u - λv, with no guard."""
+    T = Tensor((2, 1, 2), [1, -1, 0, 0])
+    P = RankOneTensor([[0, 1], [1], [1, -1]])
+    rows = ParametricTensor(T, P).pencil_rows((0, 1, 2), [[0, 1], [0], [0, 1]])
+    g, guard = family_minor_gcd(Pencil(rows, 2, RING_ZX), 1)
+    (s,), lam = g.coeffs
+    assert s and lam == [0, -s] and guard is None

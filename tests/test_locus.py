@@ -690,6 +690,30 @@ def test_rationally_scaled_inputs_keep_their_verdicts():
                     assert member_rank(sT, sP, verdict.witness) == target, (orbit, verdict)
 
 
+def test_rank_one_tensors_with_int_entries_keep_exact_witnesses():
+    """A rank-one T with int or Fraction entries: P a multiple of T is a
+    member under both strategies, with the witness 1/multiple as a
+    Fraction that re-checks; a P off the line of T is forbidden by both."""
+    rng = random.Random("rank one")
+    for shape in ((2, 1, 1), (2, 2, 2), (2, 3, 4)):
+        for _ in range(4):
+            factors = [[rng.choice(DENSE_POOL) for _ in range(d)] for d in shape]
+            multiple = rng.choice((2, 3, -1, -2))
+            first = factors[0]
+            on_line = RankOneTensor([[multiple * x for x in first]] + factors[1:])
+            off_line = RankOneTensor([[first[0] + 1] + first[1:]] + factors[1:])
+            for kind in (int, Fraction):
+                T = RankOneTensor([[kind(x) for x in f] for f in factors]).expand()
+                for P, member in ((on_line, True), (off_line, False)):
+                    for strategy in (SPECIALIZED, GENERIC):
+                        verdict = locus_membership(T, P, strategy)
+                        assert verdict.in_decomposition == member, (shape, kind, strategy)
+                        if member:
+                            lam = verdict.witness.value
+                            assert type(lam) is Fraction and lam == Fraction(1, multiple)
+                            assert subtract_scaled(T, lam, P).is_zero()
+
+
 def lift_to_order_four(T, P, pos, extra):
     """T and P with a new axis of dimension 2 at position ``pos``: T uses
     only index 0 there, and P's factor there is ``extra``."""
@@ -849,12 +873,13 @@ def test_first_witness_takes_the_first_factor_of_the_target_rank():
     T = normal_form(16)
     P = RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     lin, quad = UniPoly([-1, 1]), UniPoly([-2, 0, 1])
-    verdict = _first_witness(T, P, [lin, quad], 3)
+    family = ParametricTensor(T, P)
+    verdict = _first_witness(family, [lin, quad], 3)
     assert verdict.witness == LambdaWitness(value=1)
-    verdict = _first_witness(T, P, [quad, lin], 3)
+    verdict = _first_witness(family, [quad, lin], 3)
     assert verdict.witness == LambdaWitness(minimal_poly=quad)
     assert member_rank(T, P, verdict.witness) == 3
-    assert _first_witness(T, P, [quad, lin], 2) is None
+    assert _first_witness(family, [quad, lin], 2) is None
 
 
 def test_scan_bound_covers_guard_roots_at_one_and_minus_one():
@@ -867,9 +892,10 @@ def test_scan_bound_covers_guard_roots_at_one_and_minus_one():
     for strategy in (SPECIALIZED, GENERIC):
         assert witness_code(locus_membership(T, P, strategy)) == "2", strategy
     guards = [UniPoly([-1, 1]), UniPoly([1, 1])]
-    assert witness_code(_scan_rational_witness(T, P, 3, guards)) == "2"
+    family = ParametricTensor(T, P)
+    assert witness_code(_scan_rational_witness(family, 3, guards)) == "2"
     with pytest.raises(InternalError):
-        _scan_rational_witness(T, P, 3, guards[1:])
+        _scan_rational_witness(family, 3, guards[1:])
 
 
 def sweep_script():
