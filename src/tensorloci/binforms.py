@@ -1,14 +1,17 @@
-"""Binary forms in (u, v) over any of the scalar fields.
+"""Binary forms in (u, v): over Z and Q, and over an extension field.
 
 A form of degree d is a coefficient list of length d+1; position i holds the
 coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
-(determinant forms of degenerate pencils vanish identically).
+(determinant forms of degenerate pencils vanish identically). The layers
+above also keep forms whose coefficients are Z[λ] int lists, and read
+them with their own arithmetic.
 
-The univariate workhorses below operate on plain coefficient lists (lowest
-degree first) so that they stay generic over the coefficient field. Over
-Q the gcd is a primitive integer form, from the integer remainder
-sequence, and int coefficients are taken as they are. Quotients need a
-field; discriminants and resultants also take coefficients in Q[λ].
+Over Q the gcd is a primitive integer form, from the integer remainder
+sequence, and int coefficients are taken as they are; over an extension
+field it runs the Euclidean algorithm on coefficient lists (lowest degree
+first). Discriminants are the classical ones of degree 2 and 3, in any
+ring: every determinant form and repeated part in the package has degree
+at most 3.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AllZero, DegreeTooLarge, DegreeTooSmall
-from .exactnum import UniPoly, _ip_gcd, _ip_primitive, upoly_factor_small
-from .linalg import Mat, _z_row, mat_det
+from .exactnum import _ip_gcd, _ip_primitive
+from .linalg import _z_row
 
 
 class BinaryForm:
@@ -92,7 +95,7 @@ def form_from_univariate(univ, v_power=0):
     return BinaryForm(coeffs, m + v_power)
 
 
-# --- generic univariate helpers on lowest-first lists -----------------------
+# --- univariate helpers over a field, on lowest-first lists ----------------
 
 
 def _pl_trim(a):
@@ -101,35 +104,22 @@ def _pl_trim(a):
     return a
 
 
-def _pl_divmod(a, b):
+def _pl_rem(a, b):
+    """The remainder of a by the nonzero b, both trimmed, over a field."""
     a = list(a)
-    b = list(b)
-    _pl_trim(b)
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    _pl_trim(a)
-    if len(a) < len(b):
-        return [], a
-    quo = [None] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    inv = Fraction(1) / lead
+    inv = Fraction(1) / b[-1]
     for k in range(len(a) - len(b), -1, -1):
         c = a[k + len(b) - 1] * inv
-        quo[k] = c
         for j in range(len(b)):
             a[k + j] = a[k + j] - c * b[j]
-    rem = _pl_trim(a[: len(b) - 1])
-    zero = lead - lead
-    quo = [zero if q is None else q for q in quo]
-    return quo, rem
+    return _pl_trim(a[: len(b) - 1])
 
 
 def _pl_gcd(a, b):
     a = _pl_trim(list(a))
     b = _pl_trim(list(b))
     while b:
-        _, r = _pl_divmod(a, b)
-        a, b = b, r
+        a, b = b, _pl_rem(a, b)
     if a:
         inv = Fraction(1) / a[-1]
         a = [c * inv for c in a]
@@ -162,41 +152,12 @@ def bform_gcd(forms):
     return form_from_univariate(acc, qmin)
 
 
-def bform_quotient(f, g):
-    """The exact quotient f / g of two forms over a field, g nonzero."""
-    if f.is_zero():
-        return BinaryForm([f.coeffs[0]] * (f.degree - g.degree + 1))
-    if g.degree == 0:
-        inv = Fraction(1) / g.coeffs[0]
-        return BinaryForm([x * inv for x in f.coeffs])
-    qf, uf = f.dehomogenized()
-    qg, ug = g.dehomogenized()
-    return form_from_univariate(_pl_divmod(uf, ug)[0], qf - qg)
-
-
-def _pl_resultant(a, b):
-    """Sylvester resultant of two univariate polys given by coefficient
-    lists, lowest degree first.
-
-    The determinant runs in the coefficients' own domain: Q, or Q[λ] for
-    ``UniPoly`` coefficients (then the resultant is a polynomial in λ)."""
-    m = len(a) - 1
-    n = len(b) - 1
-    ah = a[::-1]
-    bh = b[::-1]
-    zero = a[0] - a[0]
-    rows = [[zero] * i + ah + [zero] * (n - 1 - i) for i in range(n)]
-    rows += [[zero] * i + bh + [zero] * (m - 1 - i) for i in range(m)]
-    return mat_det(Mat(rows))
-
-
 def bform_discriminant(f):
-    """Discriminant of a binary form of degree >= 2.
+    """Discriminant of a binary form of degree 2 or 3.
 
     Degree 2 uses the classical b^2 - 4ac; degree 3 the anchored quartic
-    expression below (whose vanishing set is the classical one); degrees
-    above 3 use the resultant of the two partial derivatives, which is the
-    discriminant up to a nonzero constant and is all downstream code needs.
+    expression below (whose vanishing set is the classical one). Larger
+    degrees raise DegreeTooLarge.
     """
     d = f.degree
     c = f.coeffs
@@ -212,9 +173,7 @@ def bform_discriminant(f):
             - 18 * c[0] * c[1] * c[2] * c[3]
             + 27 * c[0] ** 2 * c[3] ** 2
         )
-    fu = f.partial_u().coeffs
-    fv = f.partial_v().coeffs
-    return _pl_resultant(fu[::-1], fv[::-1])
+    raise DegreeTooLarge("discriminant of a form of degree %d above 3" % d)
 
 
 def bform_is_pure_power(f, d):
@@ -260,33 +219,6 @@ def _binomial(n, k):
     out = 1
     for i in range(k):
         out = out * (n - i) // (i + 1)
-    return out
-
-
-def bform_root_profile(f):
-    """Irreducible factors of a rational binary form with multiplicities.
-
-    Returns [(BinaryForm factor, multiplicity)] sorted with the v factor (the
-    root at infinity) first, then by degree and coefficients. Only forms over
-    the rationals of degree at most 6 are supported.
-    """
-    if f.is_zero():
-        raise AllZero("zero form has no root profile")
-    if f.degree > 6:
-        raise DegreeTooLarge("degree %d exceeds the supported bound 6" % f.degree)
-    coeffs = [Fraction(c) for c in f.coeffs]
-    q = 0
-    while q <= f.degree and not coeffs[q]:
-        q += 1
-    out = []
-    if q:
-        out.append((BinaryForm([Fraction(0), Fraction(1)], 1), q))
-    univ = list(reversed(coeffs[q:]))
-    if len(univ) > 1:
-        poly = UniPoly(univ, var="t")
-        for fac, mult in upoly_factor_small(poly):
-            form = BinaryForm(list(reversed(fac.coeffs)), fac.degree)
-            out.append((form, mult))
     return out
 
 

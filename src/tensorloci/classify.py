@@ -13,17 +13,19 @@ The table reads the pencil invariants of the core through a reader. Every
 reader holds one ``pencil.Pencil``, the rows [A_i | B_i], whose minors
 come from the one enumerator ``pencil_minors``. On an integer core the
 rows, minors and the forms read off them are ints, known up to a nonzero
-constant, which is all the table needs. A family T - λP with P rank one
-is classified over Q(λ) by the same table with another reader, on its
+constant, which is all the table needs; the core of a tensor over an
+extension field (``ParametricTensor.specialize_ext``) is read the same
+way in the field's arithmetic. A family T - λP with P rank one is
+classified over Q(λ) by the same table with another reader, on its
 pencil over Z[λ]: there every minor is affine in λ, so each invariant is
 computed over Z and Z[λ], together with guard polynomials whose roots
 include every value of λ where that invariant can differ from its
 generic value (``family_orbit``); the guard of a repeated part is
-interpolated from the discriminants of int forms at sample values of λ. A third reader reads the member at an
-irrational root α of a guard off the same pencil over Z[λ]: no affine
-minor vanishes at α, so the member has the family's concise shape, and
-its minors are the family's at α, in Z[β] for an integer multiple β of
-α (``orbit_at_root``). ``classify_parametric`` classifies the member at
+interpolated from the discriminants of int forms at sample values of λ.
+A third reader reads the member at an irrational root α of a guard off
+the same pencil over Z[λ]: no affine minor vanishes at α, so the member
+has the family's concise shape, and its minors are the family's at α,
+in Z[β] for an integer multiple β of α (``orbit_at_root``). ``classify_parametric`` classifies the member at
 each root so, at a rational one as an int tensor.
 """
 

@@ -1,13 +1,21 @@
 """Exact scalar arithmetic.
 
-Three scalar domains are implemented on top of ``fractions.Fraction``:
+Tensors and matrices hold rationals, ``fractions.Fraction`` (``Rational``
+is an alias), and the kernels below them compute on ints. Two more types
+live here, neither of them a matrix entry:
 
-* ``Rational`` -- an alias for ``Fraction`` (always stored reduced, positive
-  denominator; that is what ``Fraction`` guarantees).
 * ``UniPoly`` -- univariate polynomials over the rationals, coefficients
-  stored lowest-degree first with no trailing zeros.
+  stored lowest-degree first with no trailing zeros: the guards of a
+  family T - λP and their irreducible factors, with ``factor_univariate``.
 * ``AlgebraicElement`` -- residue classes in Q[x]/(modulus) for a monic
-  irreducible modulus, used to work at an irrational root of a polynomial.
+  irreducible modulus: the entries of the member of a family at an
+  irrational root (``tensorcore.ParametricTensor.specialize_ext``), which
+  ``classify`` reads in the field's arithmetic, an independent check of
+  the integer root reader.
+
+Integer polynomials are dense int lists, lowest degree first: the gcd of
+the integer remainder sequence (``_ip_gcd``), and Z[β] for a root β of a
+monic irreducible integer polynomial (``_zb_cross``, ``_zb_gcd``).
 
 A one-parameter family T - λP is never computed over the field Q(λ): its
 invariants are polynomials in λ, and ``candidate_factors`` turns the ones
@@ -23,7 +31,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import DegreeTooLarge, NotInvertible, ParseError, ZeroDivisor
+from .errors import NotInvertible, ParseError, ZeroDivisor
 
 Rational = Fraction
 
@@ -687,8 +695,7 @@ def factor_univariate(f):
     """Factor any nonzero rational polynomial.
 
     Returns (leading_coefficient, [(monic irreducible, multiplicity), ...])
-    sorted by (degree, coefficients). No degree cap; the public wrapper
-    ``upoly_factor_small`` enforces the documented limit.
+    sorted by (degree, coefficients), with no degree cap.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -735,20 +742,6 @@ def candidate_factors(polys):
             if fac.coeffs != (0, 1):
                 seen[fac.coeffs] = fac
     return [seen[key] for key in sorted(seen, key=lambda k: (len(k), k))]
-
-
-def upoly_factor_small(f):
-    """Factor a nonzero polynomial of degree at most 6 into irreducibles.
-
-    Returns a list of (monic irreducible, multiplicity) pairs; the product of
-    the factors times the leading coefficient of ``f`` reconstructs ``f``.
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    if f.degree > 6:
-        raise DegreeTooLarge("degree %d exceeds the supported bound 6" % f.degree)
-    _, items = factor_univariate(f)
-    return items
 
 
 def is_irreducible(f):

@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over the scalar domains.
+"""Exact dense linear algebra: rational matrices on an integer kernel.
 
-Rank, determinant and row reduction run on one fraction-free Bareiss
-elimination with the first-nonzero pivot rule (scan columns left to right,
-take the topmost nonzero entry): over Z on plain ints, over Z[λ] on dense
-lists of ints, lowest degree first, with every division exact, and over an
-extension field on its elements. The tensor layer hands it integer rows (a
-rational tensor is scaled to ints once); a ``Mat`` over Q or Q[λ] is
-scaled row by row by ``integer_rows``. ``mat_det`` divides the row scales
-out once at the end; its core ``bareiss_det`` also takes the resultants
-of the cofactor guard over Z[λ]. Over Z[λ] the last Bareiss pivot is a
-rank-sized minor, which names the parameter values where a rank can drop.
+A ``Mat`` is a matrix over Q; its entries are ``Fraction``s. Rank,
+determinant and row reduction run on one fraction-free Bareiss elimination
+with the first-nonzero pivot rule (scan columns left to right, take the
+topmost nonzero entry), on the rows of the matrix scaled to ints by
+``integer_rows``; ``mat_det`` divides the row scales out once at the end.
+The same kernel takes rows over other rings from the layers above: over
+Z[λ], dense lists of ints, lowest degree first, with every division exact
+(the flattenings and pencils of a family T - λP, and the resultants of
+its cofactor guard, through ``bareiss_det``), and over an extension field
+on its elements. Over Z[λ] the last Bareiss pivot is a rank-sized minor,
+which names the parameter values where a rank can drop.
 ``pivot_slices`` reads the first independent rows off the pivot columns
 of the transpose. ``sample_points`` and ``interpolate`` rebuild a
 polynomial in λ from its integer values at sample points.
@@ -22,29 +23,17 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix
-from .exactnum import AlgebraicElement, UniPoly, _ip_prem
-
-DOMAIN_QQ = "QQ"
-DOMAIN_EXTENSION = "extension"
-DOMAIN_POLYRING = "polyring"
-
-
-def _infer_domain(entries):
-    for row in entries:
-        for x in row:
-            if isinstance(x, AlgebraicElement):
-                return DOMAIN_EXTENSION
-            if isinstance(x, UniPoly):
-                return DOMAIN_POLYRING
-    return DOMAIN_QQ
+from .exactnum import _ip_prem
 
 
 class Mat:
-    """A dense matrix; entries are row-major lists of domain scalars."""
+    """A dense rational matrix; entries are row-major lists of Fractions.
+    Entries that are not rational (``Fraction(x)`` refuses them) raise
+    TypeError."""
 
-    __slots__ = ("rows", "cols", "entries", "domain")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, domain=None):
+    def __init__(self, entries):
         entries = [list(row) for row in entries]
         if entries:
             w = len(entries[0])
@@ -55,13 +44,9 @@ class Mat:
             w = 0
         self.rows = len(entries)
         self.cols = w
-        self.domain = domain or _infer_domain(entries)
-        if self.domain == DOMAIN_QQ:
-            entries = [
-                [x if type(x) is Fraction else Fraction(x) for x in row]
-                for row in entries
-            ]
-        self.entries = entries
+        self.entries = [
+            [x if type(x) is Fraction else Fraction(x) for x in row] for row in entries
+        ]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -75,8 +60,7 @@ class Mat:
 
     def transpose(self):
         return Mat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            domain=self.domain,
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
     def __eq__(self, other):
@@ -131,10 +115,10 @@ def mat_vec(a, v):
 
 # --- the Bareiss kernel -----------------------------------------------------
 #
-# Rational and Q[λ] matrices are eliminated in integer form: each row
-# is scaled to entries in Z (plain ints) or in Z[λ] (dense lists of ints,
-# lowest degree first, no trailing zeros, [] for zero), where every Bareiss
-# division is exact. A ring is the triple (cross, div, nonzero) of what the
+# Rational matrices are eliminated in integer form: each row is scaled to
+# ints, where every Bareiss division is exact; so are rows over Z[λ]
+# (dense lists of ints, lowest degree first, no trailing zeros, [] for
+# zero). A ring is the triple (cross, div, nonzero) of what the
 # elimination needs: cross(a, p, h, b) = a*p - h*b, the exact division by
 # the previous pivot, and the test that picks a pivot.
 
@@ -253,28 +237,11 @@ def _z_row(row):
     return [x.numerator * (k // x.denominator) for x in row], k
 
 
-def _zx_row(row):
-    """A row of Q[λ] scalars times the lcm k of the denominators of its
-    coefficients, as Z[λ] int lists: (int lists, k)."""
-    polys = [x.coeffs if isinstance(x, UniPoly) else (Fraction(x),) for x in row]
-    k = math.lcm(*[c.denominator for p in polys for c in p])
-    ints = [[c.numerator * (k // c.denominator) for c in p] for p in polys]
-    return [p if any(p) else [] for p in ints], k
-
-
 def integer_rows(M):
-    """The rows of a Q or Q[λ] matrix in integer form.
-
-    Returns (rows, ring, scales) with row i of M times the int scales[i]
-    equal to rows[i]: ints over Q, Z[λ] int lists over Q[λ].
-    """
-    if M.domain == DOMAIN_QQ:
-        pairs = [_z_row(row) for row in M.entries]
-        ring = RING_Z
-    else:
-        pairs = [_zx_row(row) for row in M.entries]
-        ring = RING_ZX
-    return [r for r, _ in pairs], ring, [s for _, s in pairs]
+    """(rows, scales): the rows of M in integer form, row i of M times the
+    int scales[i] equal to the int list rows[i]."""
+    pairs = [_z_row(row) for row in M.entries]
+    return [r for r, _ in pairs], [s for _, s in pairs]
 
 
 def sample_points(n):
@@ -284,21 +251,18 @@ def sample_points(n):
 
 def interpolate(pts, vals):
     """Coefficients, lowest degree first, of the polynomial of degree below
-    len(pts) that takes vals[i] at pts[i], by Newton's divided differences.
+    len(pts) that takes the int vals[i] at the int pts[i], by Newton's
+    divided differences.
 
-    Field values divide as usual. Over the integers every division is
-    exact as long as the interpolant has integer coefficients, which holds
-    for the discriminant of an int form whose coefficients are affine in
-    the variable.
+    Every division is exact as long as the interpolant has integer
+    coefficients, which holds for the discriminant of an int form whose
+    coefficients are affine in the variable.
     """
     n = len(pts)
-    exact = isinstance(vals[0], int)
     dd = list(vals)
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
-            num = dd[i] - dd[i - 1]
-            d = pts[i] - pts[i - k]
-            dd[i] = num // d if exact else num / d
+            dd[i] = (dd[i] - dd[i - 1]) // (pts[i] - pts[i - k])
     coeffs = [dd[-1]]
     for k in range(n - 2, -1, -1):
         x = pts[k]
@@ -312,67 +276,43 @@ def interpolate(pts, vals):
 
 def bareiss_det(rows, ring):
     """Determinant of a square matrix given by its rows over ``ring``: an
-    int over Z, an int list over Z[λ] (see ``integer_rows``), a field
-    element over a field. ``rows`` is consumed."""
+    int over Z, an int list over Z[λ]. ``rows`` is consumed."""
     rank, piv, sign = _bareiss(rows, ring, square=True)
     if rank < len(rows) or sign == 1:
         return piv
     return [-c for c in piv] if ring is RING_ZX else -piv
 
 
-def integer_quotient(c, scale):
-    """c / scale for a value c of ``bareiss_det`` or a minor coefficient
-    of ``pencil.pencil_minors`` on integer rows and an int product of
-    their row scales: a Fraction over Z, a ``UniPoly`` over Z[λ]."""
-    if isinstance(c, int):
-        return Fraction(c, scale)
-    return UniPoly([Fraction(x, scale) for x in c])
-
-
 def mat_rank(M):
-    """Rank by Bareiss elimination; over Q[λ] the rank over Q(λ)."""
-    if M.domain == DOMAIN_EXTENSION:
-        return _bareiss([list(r) for r in M.entries], RING_FIELD)[0]
-    rows, ring, _ = integer_rows(M)
-    return _bareiss(rows, ring)[0]
+    """Rank by Bareiss elimination over Z."""
+    return _bareiss(integer_rows(M)[0], RING_Z)[0]
 
 
 def mat_det(M):
-    """Determinant of a square matrix by Bareiss; exact in any domain.
-
-    Over Q and Q[λ] the rows are scaled to integer form, eliminated over Z
-    or Z[λ], and the row scales divided out once at the end; the result is
-    a Fraction or a ``UniPoly``. Over an extension field the elimination
-    runs in the field.
-    """
+    """Determinant of a square matrix, a Fraction: the rows are scaled to
+    integer form, eliminated over Z by Bareiss, and the row scales divided
+    out once at the end."""
     if M.rows != M.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     if M.rows == 0:
         return Fraction(1)
-    if M.domain == DOMAIN_EXTENSION:
-        return bareiss_det([list(r) for r in M.entries], RING_FIELD)
-    rows, ring, scales = integer_rows(M)
-    return integer_quotient(bareiss_det(rows, ring), math.prod(scales))
+    rows, scales = integer_rows(M)
+    return Fraction(bareiss_det(rows, RING_Z), math.prod(scales))
 
 
 def mat_rref(M):
-    """(R, pivot columns): the reduced row echelon form over a field, not
-    for the polynomial-ring domain."""
-    rows, pivots, quot = _rref(M)
-    return Mat([[quot(x) for x in row] for row in rows], domain=M.domain), pivots
+    """(R, pivot columns): the reduced row echelon form."""
+    rows, pivots, d = _rref(M)
+    return Mat([[Fraction(x, d) for x in row] for row in rows]), pivots
 
 
 def _rref(M):
-    """(rows, pivot columns, quot) with quot(x) the entry of the reduced
-    row echelon form of M at the entry x of rows. Each pivot step is a
-    Bareiss step on every other row, so over Q, where the rows are scaled
-    to ints, entries stay minors, and each pivot row ends with the last
-    pivot d at its pivot column: quot(x) is x / d.
+    """(rows, pivot columns, d) with rows / d the reduced row echelon form
+    of M. Each pivot step is a Bareiss step on every other row, scaled to
+    ints, so entries stay minors, and each pivot row ends with the last
+    pivot d at its pivot column.
     """
-    if M.domain == DOMAIN_QQ:
-        rows, (_, div, _), _ = integer_rows(M)
-    else:
-        rows, div = [list(r) for r in M.entries], operator.truediv
+    rows, _ = integer_rows(M)
     pivots, prev, r = [], 1, 0
     for col in range(M.cols):
         for i in range(r, M.rows):
@@ -386,27 +326,23 @@ def _rref(M):
         for i in range(M.rows):
             a = rows[i][col]
             if i != r and (a or p != prev):
-                rows[i] = [div(p * x - a * y, prev) for x, y in zip(rows[i], top)]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
         prev = p
         pivots.append(col)
         r += 1
         if r == M.rows:
             break
-    qq = M.domain == DOMAIN_QQ
-    return rows, pivots, (lambda x: Fraction(x, prev)) if qq else (lambda x: x / prev)
+    return rows, pivots, prev
 
 
 def mat_solve(A, b):
-    """One solution x of A x = b over a field, or None if inconsistent."""
-    aug = Mat(
-        [list(A.entries[i]) + [b[i]] for i in range(A.rows)], domain=A.domain
-    )
-    rows, pivots, quot = _rref(aug)
+    """One solution x of A x = b, or None if inconsistent."""
+    rows, pivots, d = _rref(Mat([list(A.entries[i]) + [b[i]] for i in range(A.rows)]))
     if A.cols in pivots:
         return None
-    x = [quot(0)] * A.cols
+    x = [Fraction(0)] * A.cols
     for i, pc in enumerate(pivots):
-        x[pc] = quot(rows[i][A.cols])
+        x[pc] = Fraction(rows[i][A.cols], d)
     return x
 
 
@@ -414,17 +350,11 @@ def mat_inverse(A):
     if A.rows != A.cols:
         raise ShapeMismatch("inverse of a non-square matrix")
     n = A.rows
-    aug = Mat(
-        [
-            list(A.entries[i]) + [Fraction(i == j) for j in range(n)]
-            for i in range(n)
-        ],
-        domain=A.domain,
-    )
-    rows, pivots, quot = _rref(aug)
+    aug = Mat([list(A.entries[i]) + [i == j for j in range(n)] for i in range(n)])
+    rows, pivots, d = _rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return Mat([[quot(x) for x in rows[i][n:]] for i in range(n)], domain=A.domain)
+    return Mat([[Fraction(x, d) for x in rows[i][n:]] for i in range(n)])
 
 
 def full_rank_factorization(A):
@@ -436,4 +366,4 @@ def full_rank_factorization(A):
     if r == A.rows:
         return mat_identity(A.rows), A, r
     B = [[A.entries[i][j] for j in pivots] for i in range(A.rows)]
-    return Mat(B, domain=A.domain), Mat(R.entries[:r], domain=A.domain), r
+    return Mat(B), Mat(R.entries[:r]), r

@@ -172,19 +172,21 @@ def _fractions(vec):
     return [Fraction(x) for x in vec]
 
 
-def _first_witness(family, factors, target):
-    """Membership verdict at the first factor whose root gives the member
-    of ``family``, T - lam*P, the rank ``target``, or None.
+def _factor_verdict(fac):
+    """Membership verdict witnessed at a root of the monic irreducible
+    ``fac``, other than lam: a linear factor yields a rational witness,
+    any other its minimal polynomial."""
+    if fac.degree == 1:
+        return LocusVerdict.member(LambdaWitness(value=-fac.coeffs[0]))
+    return LocusVerdict.member(LambdaWitness(minimal_poly=fac))
 
-    ``factors`` are monic irreducible polynomials other than lam; a linear
-    one yields a rational witness, any other its minimal polynomial.
-    """
+
+def _first_witness(family, factors, target):
+    """Membership verdict at the first of ``factors`` whose root gives the
+    member of ``family``, T - lam*P, the rank ``target``, or None."""
     for fac in factors:
-        if orbit_rank(orbit_at_root(family, fac)) != target:
-            continue
-        if fac.degree == 1:
-            return LocusVerdict.member(LambdaWitness(value=-fac.coeffs[0]))
-        return LocusVerdict.member(LambdaWitness(minimal_poly=fac))
+        if orbit_rank(orbit_at_root(family, fac)) == target:
+            return _factor_verdict(fac)
     return None
 
 
@@ -354,8 +356,11 @@ def _generic_membership(T, P, report):
     if orbit_rank(parametric.generic) == target:
         # every member off the special factors is in the generic orbit
         return _scan_rational_witness(family, target, [fac for fac, _ in special])
-    factors = [fac for fac, oid in special if orbit_rank(oid) == target]
-    return _first_witness(family, factors, target) or LocusVerdict.forbidden()
+    # the report holds the orbit of the member at each special factor
+    for fac, oid in special:
+        if orbit_rank(oid) == target:
+            return _factor_verdict(fac)
+    return LocusVerdict.forbidden()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ hyperdeterminants, and the member ranks at roots of linear forms.
 
 There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
 ints with one scale per row (``pencil_of`` scales a rational tensor once,
-an integer core comes as it is), Z[λ] int lists, or field elements. There
+an integer core comes as it is), Z[λ] int lists (a family T - λP), or
+field elements (the core of a tensor over an extension field). There
 is one enumerator of minors, ``pencil_minors``: each k x k minor is
 expanded along its first row as a binary form, in the ring's own
 arithmetic, sharing the smaller minors of the lower rows. Row scales
@@ -38,14 +39,13 @@ from .binforms import BinaryForm, bform_discriminant, bform_gcd
 from .errors import InternalError, WrongShape
 from .exactnum import UniPoly, _ip_gcd
 from .linalg import (
-    DOMAIN_EXTENSION,
     RING_FIELD,
+    RING_Z,
     RING_ZX,
     Mat,
     _bareiss,
     _zx_exact_div,
     bareiss_det,
-    integer_quotient,
     integer_rows,
     sample_points,
 )
@@ -77,15 +77,12 @@ def slice_rows(t):
 
 
 def pencil_of(t):
-    """The pencil of a tensor of shape (2, b, c), scaled to integer rows
-    over Q and Q[λ] (``integer_rows``)."""
+    """The pencil of a rational tensor of shape (2, b, c), scaled to
+    integer rows (``integer_rows``)."""
     if not isinstance(t, Tensor) or t.order != 3 or t.shape[0] != 2:
         raise WrongShape("pencils come from tensors of shape (2, b, c)")
-    M = Mat(slice_rows(t))
-    if M.domain == DOMAIN_EXTENSION:
-        return Pencil(M.entries, t.shape[2], RING_FIELD)
-    rows, ring, scales = integer_rows(M)
-    return Pencil(rows, t.shape[2], ring, scales)
+    rows, scales = integer_rows(Mat(slice_rows(t)))
+    return Pencil(rows, t.shape[2], RING_Z, scales)
 
 
 def _zx_comb(s, a, t, b):
@@ -158,16 +155,14 @@ def pencil_minors(p, k):
 
 
 def pencil_det_form(p):
-    """Determinant of a square pencil as a binary form of degree = size,
-    the row scales divided out."""
+    """Determinant of a square pencil over Z as a binary form of degree =
+    size, with Fraction coefficients: the row scales divided out."""
     n = p.cols
     if len(p.rows) != n:
         raise WrongShape("determinant form needs a square pencil")
     ((_, _, coeffs),) = pencil_minors(p, n)
-    if p.ring is not RING_FIELD:
-        scale = math.prod(p.scales)
-        coeffs = [integer_quotient(c, scale) for c in coeffs]
-    return BinaryForm(coeffs, n)
+    scale = math.prod(p.scales)
+    return BinaryForm([Fraction(c, scale) for c in coeffs], n)
 
 
 def pencil_minor_gcd(p, k):

@@ -1,11 +1,15 @@
 """Tensors, rank-one tensors, flattenings, concision, one-parameter families.
 
 A tensor of order k is stored densely: a shape tuple and a flat row-major
-entry list (the last axis varies fastest). Entries may live in any of the
-scalar domains from ``exactnum``. The concise core of a rational tensor is
-the tensor scaled to ints once, restricted to its first independent slices
-on each axis: an int subtensor, whose flattenings, like the rows over Z[λ]
-of a family T - λP, feed the integer Bareiss kernel directly.
+entry list (the last axis varies fastest). Entries are rationals, ints or
+``Fraction``s; only the member of a family at an irrational root
+(``ParametricTensor.specialize_ext``) holds elements of an extension
+field, and only its concise core is computed over that field. The concise
+core of a rational tensor is the tensor scaled to ints once, restricted to
+its first independent slices on each axis: an int subtensor, whose
+flattenings, like the rows over Z[λ] of a family T - λP, feed the integer
+Bareiss kernel directly. ``flattening`` and the GL action go through the
+rational ``linalg.Mat``.
 
 Axis numbering is 1-based in the public flattening API; flat indices are
 0-based.
@@ -196,14 +200,6 @@ class ParametricTensor:
         self.direction = direction
         self._ints = None
         self._flat = {}
-
-    def specialize(self, lam0):
-        """The member at a rational parameter value."""
-        d = self.direction.expand()
-        return Tensor(
-            self.base.shape,
-            [a - lam0 * b for a, b in zip(self.base.entries, d.entries)],
-        )
 
     def specialize_ext(self, modulus):
         """The member at a root of an irreducible polynomial."""

@@ -14,14 +14,10 @@ checks any claimed weighted rank-one decomposition exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .binforms import (
-    bform_gcd,
-    bform_is_pure_power,
-    bform_root_profile,
-    linear_form_root,
-)
+from .binforms import bform_gcd, bform_is_pure_power, linear_form_root
 from .errors import (
     InternalError,
     NotInLocus,
@@ -30,7 +26,7 @@ from .errors import (
     TangencyPointRequested,
     ZeroTensor,
 )
-from .linalg import Mat, mat_inverse, mat_solve, mat_vec
+from .linalg import Mat, mat_inverse, mat_solve, mat_vec, sample_points
 from .pencil import pencil_det_form, pencil_minor_gcd, pencil_of
 from .tensorcore import (
     RankOneTensor,
@@ -126,11 +122,6 @@ def verify_decomposition(T, dec):
 
 def _e(i):
     return [Fraction(int(i == 0)), Fraction(int(i == 1))]
-
-
-def _free_root(i):
-    v = Fraction(i // 2 + 1)
-    return v if i % 2 == 0 else -v
 
 
 def _tangent_core(k):
@@ -295,18 +286,19 @@ def _alldiff_terms(ps):
     ps lists the first coordinate of the direction on each axis, the second
     being one. The terms are the direction itself plus curve points at k - 1
     distinct nonzero parameters summing to want = -sum(ps), the direction
-    first. The first k - 2 parameters are a window of 1, -1, 2, -2, ...,
-    the last is forced; a sum off the integers works at once. For k - 2 = 2h
-    the windows at starts 2t are +-(t+1), ..., +-(t+h), so the start
-    2|want| or 0 works for want != 0, and k - 1 for want = 0. For k - 2 =
-    2h + 1 the start 0 works for want <= 0, 1 for want > h; for 1 <= want
-    <= h the forced value lands in every window, and the parameters are
-    1, ..., k - 2 and the negative want - (k - 2)(k - 1) / 2.
+    first. The first k - 2 parameters are a window of 1, -1, 2, -2, ...
+    (``sample_points`` after its 0), the last is forced; a sum off the
+    integers works at once. For k - 2 = 2h the windows at starts 2t are
+    +-(t+1), ..., +-(t+h), so the start 2|want| or 0 works for want != 0,
+    and k - 1 for want = 0. For k - 2 = 2h + 1 the start 0 works for
+    want <= 0, 1 for want > h; for 1 <= want <= h the forced value lands
+    in every window, and the parameters are 1, ..., k - 2 and the
+    negative want - (k - 2)(k - 1) / 2.
     """
     k = len(ps)
     want = -sum(ps)
     for start in range(k):
-        roots = [_free_root(start + i) for i in range(k - 2)]
+        roots = sample_points(start + k - 1)[start + 1:]
         roots.append(want - sum(roots))
         if roots[-1] and len(set(roots)) == k - 1:
             break
@@ -320,6 +312,25 @@ def _alldiff_terms(ps):
     return list(zip(coeffs, points))
 
 
+def _distinct_rational_roots(form):
+    """The two projective roots of a quadratic form a u^2 + b uv + c v^2,
+    or None unless they are rational and distinct, that is unless the
+    discriminant is a nonzero rational square: (-1, 0), the root of v,
+    first when a = 0, else the roots (r, 1) with r descending."""
+    a, b, c = form.coeffs
+    disc = Fraction(b * b - 4 * a * c)
+    if disc <= 0:
+        return None
+    n, d = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if n * n != disc.numerator or d * d != disc.denominator:
+        return None
+    one = Fraction(1)
+    if not a:
+        return [(-one, 0 * one), (-c / b, one)]
+    s = Fraction(n, d)
+    return [(r, one) for r in sorted(((-b + s) / (2 * a), (-b - s) / (2 * a)), reverse=True)]
+
+
 def _rank2_split(S):
     """Two rank-one terms summing to a 2x2x2 tensor of rank two.
 
@@ -329,13 +340,9 @@ def _rank2_split(S):
     """
     A = [[S[(0, i, j)] for j in (0, 1)] for i in (0, 1)]
     B = [[S[(1, i, j)] for j in (0, 1)] for i in (0, 1)]
-    form = pencil_det_form(pencil_of(S))
-    if form.is_zero():
+    roots = _distinct_rational_roots(pencil_det_form(pencil_of(S)))
+    if roots is None:
         return None
-    profile = bform_root_profile(form)
-    if len(profile) != 2 or any(m != 1 or f.degree != 1 for f, m in profile):
-        return None
-    roots = [linear_form_root(f) for f, _ in profile]
     factors = []
     for kill, own in ((roots[0], roots[1]), (roots[1], roots[0])):
         u0, v0 = kill

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,16 +7,13 @@ import sympy
 
 from tensorloci.binforms import (
     BinaryForm,
-    _pl_resultant,
     bform_discriminant,
     bform_gcd,
     bform_is_pure_power,
-    bform_quotient,
-    bform_root_profile,
     linear_form_root,
 )
 from tensorloci.errors import AllZero, DegreeTooLarge, DegreeTooSmall
-from tensorloci.exactnum import UniPoly
+from tensorloci.pencil import zform_quotient
 
 U, V = sympy.symbols("u v")
 
@@ -92,8 +90,12 @@ def test_gcd_random_against_sympy():
 
 
 def test_discriminant_degree_bounds():
+    """Degrees 2 and 3 only: every determinant form and repeated part in
+    the package has degree at most 3."""
     with pytest.raises(DegreeTooSmall):
         bform_discriminant(BinaryForm([1, 2], 1))
+    with pytest.raises(DegreeTooLarge):
+        bform_discriminant(BinaryForm([1, 0, 1, 0, 0], 4))
 
 
 def test_discriminant_quadratic():
@@ -126,7 +128,7 @@ def test_discriminant_zero_iff_repeated_factor():
     rng = random.Random(23)
     checked = 0
     for trial in range(500):
-        degree = 3 if trial % 2 else 4
+        degree = 3 if trial % 2 else 2
         if trial % 4 == 0:
             ell = random_linear(rng)
             rest = [random_linear(rng) for _ in range(degree - 2)]
@@ -140,14 +142,6 @@ def test_discriminant_zero_iff_repeated_factor():
         assert (disc == 0) == _has_repeated_factor(form)
         checked += 1
     assert checked >= 490
-
-
-def test_discriminant_quartic_repeated_root_at_infinity():
-    # v^2 * (u^2 + v^2) has a double root at (1 : 0)
-    form = multiply(
-        BinaryForm([0, 1], 1), BinaryForm([0, 1], 1), BinaryForm([1, 0, 1], 2)
-    )
-    assert bform_discriminant(form) == 0
 
 
 def test_discriminant_cubic_unimodular_invariance():
@@ -198,46 +192,19 @@ def test_pure_power_random():
         assert to_sympy(got) * to_sympy(ell).coeff(U if ell.coeffs[0] else V) == to_sympy(ell)
 
 
-def test_root_profile_examples():
-    prof = bform_root_profile(BinaryForm([1, 2, 1], 2))
-    assert prof == [(BinaryForm([Fraction(1), Fraction(1)], 1), 2)]
-
-    prof = bform_root_profile(BinaryForm([0, 1, 0, 0], 3))
-    assert prof == [
-        (BinaryForm([Fraction(0), Fraction(1)], 1), 1),
-        (BinaryForm([Fraction(1), Fraction(0)], 1), 2),
-    ]
-
-    prof = bform_root_profile(BinaryForm([1, 0, 1], 2))
-    assert prof == [(BinaryForm([Fraction(1), Fraction(0), Fraction(1)], 2), 1)]
-
-
-def test_root_profile_reconstructs():
-    rng = random.Random(53)
-    for _ in range(60):
-        forms = [random_linear(rng) for _ in range(rng.randint(1, 4))]
-        form = multiply(*forms)
-        prof = bform_root_profile(form)
-        rebuilt = 1
-        for fac, mult in prof:
-            rebuilt *= to_sympy(fac) ** mult
-        ratio = sympy.simplify(to_sympy(form) / sympy.expand(rebuilt))
-        assert ratio.is_constant(U, V) and ratio != 0
-
-
-def test_root_profile_degree_cap():
-    with pytest.raises(DegreeTooLarge):
-        bform_root_profile(BinaryForm([1] + [0] * 7, 7))
-
-
 def test_quotient_undoes_a_product():
-    """Factors with roots at u = 0 and at infinity, and the zero form."""
+    """The exact quotient of int forms by a primitive one
+    (``pencil.zform_quotient``): factors with roots at u = 0 and at
+    infinity, and the zero form."""
     rng = random.Random(48)
     for _ in range(40):
         f = multiply(*[random_linear(rng) for _ in range(rng.randint(1, 3))])
         g = multiply(*[random_linear(rng) for _ in range(rng.randint(1, 2))])
-        assert bform_quotient(multiply(f, g), g) == f
-    zero = bform_quotient(BinaryForm([0, 0, 0, 0], 3), BinaryForm([1, 2], 1))
+        content = math.gcd(*(int(x) for x in g.coeffs))
+        g = BinaryForm([int(x) // content for x in g.coeffs])
+        fg = BinaryForm([int(x) for x in multiply(f, g).coeffs])
+        assert zform_quotient(fg, g) == f
+    zero = zform_quotient(BinaryForm([0, 0, 0, 0], 3), BinaryForm([1, 2], 1))
     assert zero.is_zero() and zero.degree == 2
 
 
@@ -246,43 +213,3 @@ def test_linear_form_root():
     u0, v0 = linear_form_root(ell)
     assert ell.evaluate(u0, v0) == 0
     assert u0 or v0
-
-
-def x_poly_from_roots(lead, roots):
-    """Coefficients (lowest first, each a UniPoly in lam) of lead * prod(x - r)."""
-    coeffs = [UniPoly([lead])]
-    for r in roots:
-        shifted = [UniPoly(())] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] = shifted[i] - r * c
-        coeffs = shifted
-    return coeffs
-
-
-def test_pl_resultant_by_hand():
-    lam = UniPoly([0, 1])
-    one = UniPoly([1])
-    # x^2 + lam x + 1 against x - lam: the quadratic at x = lam.
-    a = [one, lam, one]
-    b = [-lam, one]
-    assert _pl_resultant(a, b) == UniPoly([1, 0, 2])
-    # x^2 - lam against x^2 - 1: (lam - 1)^2.
-    assert _pl_resultant([-lam, UniPoly(()), one], [-one, UniPoly(()), one]) == (
-        UniPoly([-1, 1]) ** 2
-    )
-
-
-def test_pl_resultant_root_product():
-    """Res(a, b) = la^n lb^m prod(r_i - s_j) for roots affine in lam."""
-    rng = random.Random(41)
-    for _ in range(20):
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        la, lb = rng.choice([1, -2, 3]), rng.choice([1, 2, -1])
-        rs = [UniPoly([rng.randint(-3, 3), rng.randint(-2, 2)]) for _ in range(m)]
-        ss = [UniPoly([rng.randint(-3, 3), rng.randint(-2, 2)]) for _ in range(n)]
-        expected = UniPoly([Fraction(la) ** n * Fraction(lb) ** m])
-        for r in rs:
-            for s_ in ss:
-                expected = expected * (r - s_)
-        got = _pl_resultant(x_poly_from_roots(la, rs), x_poly_from_roots(lb, ss))
-        assert got == expected

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from tensorloci import exactnum
 from tensorloci.errors import (
-    DegreeTooLarge,
     NotInvertible,
     ParseError,
     ZeroDivisor,
@@ -29,7 +28,6 @@ from tensorloci.exactnum import (
     is_irreducible,
     parse_rational,
     upoly_gcd,
-    upoly_factor_small,
 )
 
 _lam = sympy.Symbol("lam")
@@ -108,15 +106,11 @@ class TestUniPoly:
     def test_factor_fixed_example(self):
         # λ^4 + λ^2 + 1 = (λ^2 + λ + 1)(λ^2 - λ + 1)
         f = UniPoly([1, 0, 1, 0, 1])
-        facs = upoly_factor_small(f)
+        _, facs = factor_univariate(f)
         assert facs == [
             (UniPoly([1, -1, 1]), 1),
             (UniPoly([1, 1, 1]), 1),
         ]
-
-    def test_factor_degree_cap(self):
-        with pytest.raises(DegreeTooLarge):
-            upoly_factor_small(UniPoly([1] + [0] * 6 + [1]))
 
     def test_factor_with_multiplicity_and_lc(self):
         f = UniPoly([0, 0, 4, -8, 4])  # 4λ^2(λ-1)^2

@@ -1,4 +1,6 @@
-"""Matrix layer tests: rank, solve, inverse, domain generality."""
+"""Matrix layer tests: rank, determinant, solve, inverse and rref of
+rational matrices, and the TypeError on any other entry; the Bareiss
+kernel on rows over an extension field and over Z[λ]."""
 
 import random
 from fractions import Fraction
@@ -9,8 +11,11 @@ import sympy
 from tensorloci.errors import SingularMatrix
 from tensorloci.exactnum import AlgebraicElement, UniPoly
 from tensorloci.linalg import (
-    DOMAIN_POLYRING,
+    RING_FIELD,
+    RING_ZX,
     Mat,
+    _bareiss,
+    bareiss_det,
     full_rank_factorization,
     mat_det,
     mat_identity,
@@ -20,6 +25,8 @@ from tensorloci.linalg import (
     mat_rref,
     mat_solve,
 )
+from tensorloci.pencil import pencil_of
+from tensorloci.tensorcore import Tensor
 
 
 def rand_fraction(rng, span=6):
@@ -47,7 +54,7 @@ def rand_extension(rng, n, m, modulus):
         rep = UniPoly([rng.randint(-5, 5) for _ in range(modulus.degree)])
         return AlgebraicElement(modulus, rep, check=False)
 
-    return Mat([[entry() for _ in range(m)] for _ in range(n)])
+    return [[entry() for _ in range(m)] for _ in range(n)]
 
 
 def test_rank_transpose_qq_with_oracle():
@@ -64,13 +71,38 @@ def test_rank_transpose_qq_with_oracle():
 
 
 def test_rank_transpose_extension():
+    """The kernel over a field, as ``classify`` runs it on a member over
+    Q(alpha): row rank equals column rank."""
     rng = random.Random(13)
     mods = [UniPoly([-2, 0, 1]), UniPoly([1, 0, 1]), UniPoly([-2, 0, 0, 1])]
     for i in range(200):
         mod = mods[i % 3]
         n, m = rng.randint(1, 4), rng.randint(1, 4)
-        M = rand_extension(rng, n, m, mod)
-        assert mat_rank(M) == mat_rank(M.transpose())
+        rows = rand_extension(rng, n, m, mod)
+        rank = _bareiss([list(r) for r in rows], RING_FIELD)[0]
+        assert rank == _bareiss([list(c) for c in zip(*rows)], RING_FIELD)[0]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [UniPoly([1, 1]), AlgebraicElement.generator(UniPoly([-2, 0, 1]))],
+    ids=["polynomial", "algebraic"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: Mat([[1, x], [Fraction(1, 2), 0]]),
+        lambda x: mat_rank(Mat([[1, x], [Fraction(1, 2), 0]])),
+        lambda x: mat_det(Mat([[1, x], [Fraction(1, 2), 0]])),
+        lambda x: pencil_of(Tensor((2, 2, 2), [1, x, Fraction(1, 2), 0, 0, 3, 1, 0])),
+    ],
+    ids=["Mat", "mat_rank", "mat_det", "pencil_of"],
+)
+def test_entries_other_than_rationals_raise_type_error(build, entry):
+    """Matrices and pencils are rational: a polynomial or an algebraic
+    entry is refused, not computed over another domain."""
+    with pytest.raises(TypeError):
+        build(entry)
 
 
 def test_det_and_inverse():
@@ -102,22 +134,22 @@ def det_cofactor(rows):
 
 
 def test_det_polyring():
-    lam = UniPoly([0, 1])
-    one = UniPoly([1])
-    M = Mat([[lam, one], [one, lam]])
-    assert mat_det(M) == UniPoly([-1, 0, 1])
+    """Determinants over Z[λ], rows of int lists, lowest degree first."""
+    assert bareiss_det([[[0, 1], [1]], [[1], [0, 1]]], RING_ZX) == [-1, 0, 1]
 
     # Dense 5 x 5 with entries affine in lam, the size of the largest
-    # flattening minors; Bareiss divides exactly over Q[lam].
+    # flattening minors; Bareiss divides exactly over Z[lam].
+    def affine(a, b):
+        return [a, b] if b else [a] if a else []  # no trailing zeros
+
     rng = random.Random(21)
     for _ in range(5):
-        rows = [
-            [UniPoly([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(5)]
-            for _ in range(5)
-        ]
-        det = mat_det(Mat(rows, domain=DOMAIN_POLYRING))
-        assert det == det_cofactor(rows)
-        assert det.degree <= 5
+        rows = [[affine(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(5)]
+                for _ in range(5)]
+        want = det_cofactor([[UniPoly(x) for x in row] for row in rows])
+        det = bareiss_det(rows, RING_ZX)
+        assert UniPoly(det) == want
+        assert len(det) <= 6
 
 
 def test_full_rank_factorization_reconstructs():

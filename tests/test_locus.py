@@ -20,7 +20,8 @@ without computing over Q(alpha), and the orbit it reads off the family's
 integer minors at each irrational candidate root must be the orbit of the
 member over Q(alpha). Rationally scaled inputs keep their verdicts, and
 order-four lifts of the normal forms get the same verdict from both
-strategies. ``scripts/dump_verdicts.py`` is smoke-tested on one
+strategies. In the {0, 1} box, one point per projective class, SPECIALIZED
+agrees with every stored closed form but the three known defective ones. ``scripts/dump_verdicts.py`` is smoke-tested on one
 round.
 """
 
@@ -34,6 +35,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from tensorloci import exactnum, linalg, locus, tensorcore
 from tensorloci.classify import (
@@ -51,8 +53,8 @@ from tensorloci.errors import (
     UnsupportedOrbit,
     UnsupportedShape,
 )
-from tensorloci.exactnum import UniPoly, candidate_factors, format_rational, upoly_gcd
-from tensorloci.linalg import DOMAIN_POLYRING, Mat, mat_det
+from tensorloci.exactnum import UniPoly, candidate_factors, format_rational
+from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
@@ -73,8 +75,8 @@ from tensorloci.tensorcore import (
     Tensor,
     apply_gl,
     apply_gl_rank_one,
+    _flat_rows,
     factors_in_spans,
-    flattening,
     subtract_scaled,
 )
 from tensorloci.wstate import find_tangency
@@ -510,22 +512,29 @@ def concise_family(T, P):
 
 def flat_minor_gcd(family, axis):
     """Reference for _drop_value: the monic gcd over Q[lam] of every
-    maximal minor of a flattening, zero when they all vanish."""
+    maximal minor of a flattening, zero when they all vanish, from
+    sympy's determinants over QQ[lam]."""
+    ring = sympy.QQ[sympy.Symbol("lam")]
+
+    def q(x):
+        x = Fraction(x)
+        return ring(sympy.QQ(x.numerator, x.denominator))
+
     d = family.direction.expand()
-    pt = Tensor(
-        family.base.shape,
-        [UniPoly([a, -b]) for a, b in zip(family.base.entries, d.entries)],
-    )
-    M = flattening(pt, axis)
-    r = min(M.rows, M.cols)
-    g = UniPoly(())
-    for row_idx in itertools.combinations(range(M.rows), r):
-        for col_idx in itertools.combinations(range(M.cols), r):
-            sub = [[M.entries[i][j] for j in col_idx] for i in row_idx]
-            g = upoly_gcd(g, mat_det(Mat(sub, domain=DOMAIN_POLYRING)))
-            if g.degree == 0:
-                return g
-    return g
+    entries = [q(a) - ring.gens[0] * q(b) for a, b in zip(family.base.entries, d.entries)]
+    rows = _flat_rows(entries, family.base.shape, axis - 1)
+    r = min(len(rows), len(rows[0]))
+    g = ring.zero
+    for row_idx, col_idx in itertools.product(
+        itertools.combinations(range(len(rows)), r),
+        itertools.combinations(range(len(rows[0])), r),
+    ):
+        sub = [[rows[i][j] for j in col_idx] for i in row_idx]
+        g = ring.gcd(g, DomainMatrix(sub, (r, r), ring).det())
+        if g and g.degree() == 0:
+            break
+    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(g.to_dense())]
+    return UniPoly(coeffs).monic()
 
 
 def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
@@ -785,6 +794,30 @@ def test_closed_form_defects(orbit, factors):
     P = RankOneTensor(factors)
     verdict = locus_membership(normal_form(orbit), P, SPECIALIZED)
     assert closed_form_predicate(orbit, P) == (verdict.status == FORBIDDEN)
+
+
+# The stored closed forms that agree with both strategies everywhere in
+# the {0, 1} box; _cf_21, _cf_22 and _cf_24 do not (CLOSED_FORM_DEFECTS).
+CORRECT_CLOSED_FORMS = (9, 13, 15, 16, 17, 19, 20, 23, 25, 26)
+
+
+def box_points(shape):
+    """One rank-one point per projective class with factors in the {0, 1}
+    box: two distinct nonzero 0/1 vectors are never proportional."""
+    vecs = [[list(v) for v in itertools.product((0, 1), repeat=d) if any(v)] for d in shape]
+    for factors in itertools.product(*vecs):
+        yield RankOneTensor(factors)
+
+
+@pytest.mark.parametrize("orbit", CORRECT_CLOSED_FORMS)
+def test_closed_form_matches_specialized_on_the_box(orbit):
+    """The third oracle: at every point of the {0, 1} box the closed form
+    calls forbidden exactly what SPECIALIZED does (3642 points over the
+    ten orbits)."""
+    T = normal_form(orbit)
+    for P in box_points(T.shape):
+        verdict = locus_membership(T, P, SPECIALIZED)
+        assert closed_form_predicate(orbit, P) == (verdict.status == FORBIDDEN), P.factors
 
 
 def in_span(A, x):

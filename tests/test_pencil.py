@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tensorloci.binforms import BinaryForm, bform_root_profile
+from tensorloci.binforms import BinaryForm
 from tensorloci.errors import WrongShape
 from tensorloci.exactnum import UniPoly
 from tensorloci.orbits import PENCILS, normal_form
@@ -17,23 +17,38 @@ from tensorloci.pencil import (
     pencil_of,
 )
 from tensorloci.tensorcore import (
-    ParametricTensor,
     RankOneTensor,
     Tensor,
     apply_gl,
+    subtract_scaled,
 )
 from tensorloci.linalg import Mat
 
-U_SYM, V_SYM = sympy.symbols("u v")
+U_SYM, V_SYM, LAM_SYM = sympy.symbols("u v lam")
 
 
-def polynomial_member(fam):
-    """T - λP with entries in Q[λ]."""
-    d = fam.direction.expand()
-    return Tensor(
-        fam.base.shape,
-        [UniPoly([a, -b]) for a, b in zip(fam.base.entries, d.entries)],
-    )
+def member_polynomial(hyperdet, T, P, degree):
+    """hyperdet(T - λP) as a UniPoly in λ, interpolated by sympy from its
+    values at degree + 1 rational λ. With P rank one each coefficient of
+    the det form is affine in λ (the matrix determinant lemma), so the
+    discriminant of a form of degree d has degree at most 2(d - 1)."""
+    pts = [Fraction(k, 3) for k in range(-degree, degree + 1, 2)]
+    data = [(sympy.Rational(x), sympy.Rational(hyperdet(subtract_scaled(T, x, P))))
+            for x in pts]
+    poly = sympy.Poly(sympy.interpolate(data, LAM_SYM), LAM_SYM)
+    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+def to_sympy(form):
+    d = form.degree
+    return sum(sympy.Rational(c) * U_SYM ** (d - i) * V_SYM**i for i, c in enumerate(form.coeffs))
+
+
+def sympy_factors(form):
+    """sympy's irreducible factors of a binary form over Q, with their
+    multiplicities, as sympy polynomials in u and v."""
+    _, factors = sympy.factor_list(to_sympy(form), U_SYM, V_SYM)
+    return [(sympy.Poly(f, U_SYM, V_SYM), m) for f, m in factors]
 
 
 def rank_one(a, b, c):
@@ -119,7 +134,7 @@ def test_minor_gcd_examples():
     )
     g = pencil_minor_gcd(pencil_of(t), 2)
     assert g == BinaryForm([Fraction(1), Fraction(0), Fraction(-2)], 2)
-    assert bform_root_profile(g) == [(g, 1)]
+    assert [(f.as_expr(), m) for f, m in sympy_factors(g)] == [(to_sympy(g), 1)]
 
 
 def test_minor_gcd_zero_form():
@@ -128,8 +143,8 @@ def test_minor_gcd_zero_form():
 
 
 def test_minor_gcd_root_containment():
-    # the root profile of each minor gcd accounts for its whole degree, and
-    # a point where the rank drops below r also drops below r+1
+    # the factors of each minor gcd account for its whole degree, and a
+    # point where the rank drops below r also drops below r+1
     for n in PENCILS:
         t = normal_form(n)
         if t.shape[0] != 2 or len(t.shape) != 3:
@@ -139,8 +154,8 @@ def test_minor_gcd_root_containment():
         gcds = {r: pencil_minor_gcd(p, r) for r in range(1, top + 1)}
         for g in gcds.values():
             if g.degree >= 1 and not g.is_zero():
-                profile = bform_root_profile(g)
-                assert sum(f.degree * m for f, m in profile) == g.degree, n
+                factors = sympy_factors(g)
+                assert sum(f.total_degree() * m for f, m in factors) == g.degree, n
         for r in range(1, top):
             g_lo = gcds[r]
             g_hi = gcds[r + 1]
@@ -148,15 +163,10 @@ def test_minor_gcd_root_containment():
                 continue
             if g_hi.is_zero():
                 continue
-            for factor, _ in bform_root_profile(g_lo):
-                u0, v0 = _root_of(factor)
-                assert g_hi.evaluate(u0, v0) == 0
-
-
-def _root_of(linear):
-    assert linear.degree == 1
-    alpha, beta = linear.coeffs
-    return (-beta, alpha)
+            for factor, _ in sympy_factors(g_lo):
+                assert factor.total_degree() == 1
+                alpha, beta = factor.coeff_monomial(U_SYM), factor.coeff_monomial(V_SYM)
+                assert g_hi.evaluate(Fraction(str(-beta)), Fraction(str(alpha))) == 0
 
 
 def test_hyperdet222_point_values():
@@ -180,8 +190,7 @@ def test_hyperdet222_symbolic_identity():
         c = [Fraction(rng.randint(-4, 4)) for _ in range(2)]
         if not (any(a) and any(b) and any(c)):
             continue
-        fam = ParametricTensor(w, RankOneTensor([a, b, c]))
-        h = hyperdet222(polynomial_member(fam))
+        h = member_polynomial(hyperdet222, w, RankOneTensor([a, b, c]), 2)
         a1, a2 = a
         b1, b2 = b
         c1, c2 = c
@@ -194,7 +203,7 @@ def test_hyperdet222_symbolic_identity():
             + a1**2 * b2**2 * c2**2
         )
         want = UniPoly([Fraction(0), -4 * a2 * b2 * c2, quad])
-        assert UniPoly(h.coeffs if isinstance(h, UniPoly) else [h]) == want
+        assert h == want
 
 
 def test_hyperdet222_vanishing_and_nonvanishing():
@@ -237,22 +246,17 @@ def test_hyperdet233_symbolic_identities():
         b1, b2, b3 = b
         c1, c2, c3 = c
 
-        h17 = _as_poly(hyperdet233(polynomial_member(ParametricTensor(t17, RankOneTensor([a, b, c])))))
+        P = RankOneTensor([a, b, c])
+        h17 = member_polynomial(hyperdet233, t17, P, 4)
         assert h17(Fraction(0)) == 0
         lam_coeff = h17.coeffs[1] if h17.degree >= 1 else Fraction(0)
         assert lam_coeff == -4 * a2 * b2 * c1
 
-        h15 = _as_poly(hyperdet233(polynomial_member(ParametricTensor(t15, RankOneTensor([a, b, c])))))
+        h15 = member_polynomial(hyperdet233, t15, P, 4)
         scale = a2**2 * b2**2 * c1**2
         dpol = (a2 * b1 * c1 + a1 * b2 * c1 + a2 * b2 * c2 + a2 * b3 * c3) ** 2
         want = UniPoly([0, 0, 0, -4 * a2**3 * b2**3 * c1**3, scale * dpol])
         assert h15 == want
-
-
-def _as_poly(x):
-    if isinstance(x, UniPoly):
-        return x
-    return UniPoly([Fraction(x)])
 
 
 def test_hyperdet233_vanishes_iff_repeated_root():

@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorloci.binforms import BinaryForm
 from tensorloci.errors import (
     NotInLocus,
     NotTangential,
     ShapeMismatch,
     TangencyPointRequested,
 )
-from tensorloci.linalg import Mat, mat_det, mat_vec
+from tensorloci.linalg import Mat, mat_det, mat_vec, sample_points
 from tensorloci.orbits import normal_form
 from tensorloci.tensorcore import (
     RankOneTensor,
@@ -25,7 +27,7 @@ from tensorloci.locus import locus_tangential
 from tensorloci.wstate import (
     Decomposition,
     _alldiff_terms,
-    _free_root,
+    _distinct_rational_roots,
     decompose_tangential,
     find_tangency,
     verify_decomposition,
@@ -282,11 +284,44 @@ def test_decompose_random_directions_order_four(pairs):
     ]
 
 
+def test_distinct_rational_roots_against_sympy():
+    """The roots _rank2_split splits at, on quadratic forms with and
+    without a u^2 term, square and irreducible ones: two distinct linear
+    factors over Q, with the root (-1, 0) of v first, then the roots
+    (r, 1) with r descending; None for any other factorization."""
+    u, v = sympy.symbols("u v")
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(300):
+        if trial % 2:
+            coeffs = [rng.randint(-4, 4) for _ in range(3)]
+        else:  # a product of two linear forms, v among them at times
+            l1 = [rng.choice([0, 0, 1, 2, -3]), rng.randint(-3, 3)]
+            l2 = [rng.randint(-3, 3), rng.randint(-3, 3)]
+            coeffs = [l1[0] * l2[0], l1[0] * l2[1] + l1[1] * l2[0], l1[1] * l2[1]]
+        form = BinaryForm([Fraction(c, 2) for c in coeffs])
+        expr = sum(c * u ** (2 - i) * v**i for i, c in enumerate(coeffs))
+        factors = sympy.factor_list(expr, u, v)[1] if expr != 0 else []
+        want = None
+        if len(factors) == 2 and all(m == 1 and sympy.Poly(f, u, v).total_degree() == 1
+                                     for f, m in factors):
+            roots = []
+            for f, _ in factors:
+                p = sympy.Poly(f, u, v)
+                a, b = Fraction(str(p.coeff_monomial(u))), Fraction(str(p.coeff_monomial(v)))
+                roots.append((Fraction(-1), Fraction(0)) if not a else (-b / a, Fraction(1)))
+            want = sorted(roots, key=lambda r: (r[1], -r[0]))
+        got = _distinct_rational_roots(form)
+        assert got == want, coeffs
+        seen.add("none" if want is None else "v" if not coeffs[0] else "two")
+    assert seen == {"none", "v", "two"}
+
+
 def sixty_start_roots(k, want):
     """The parameters the earlier 60-start search chose, or None where it
     found none."""
     for start in range(60):
-        free = [_free_root(start + i) for i in range(k - 2)]
+        free = [sample_points(start + i + 2)[-1] for i in range(k - 2)]
         last = want - sum(free)
         if last and len(set(free + [last])) == k - 1:
             return free + [last]
