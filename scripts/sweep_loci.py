@@ -2,9 +2,12 @@
 
 For each requested normal form the script draws random rank-one points,
 runs both membership strategies on them, and evaluates the closed-form
-predicate where one is stored. Disagreements are printed as they are
-found; an orbit line with no preceding mismatch lines means every point
-agreed. Exit status is nonzero when any mismatch appeared.
+predicate where one is stored. The strategies must return the same
+verdict, witness included: a STRATEGY MISMATCH line reports different
+statuses, a WITNESS MISMATCH line equal statuses with different witnesses.
+Disagreements are printed as they are found; an orbit line with no
+preceding mismatch lines means every point agreed. Exit status is nonzero
+when any mismatch appeared.
 
 With ``--roots N`` it instead draws N families T - lam*P per normal form,
 P with entries in -3..3, and classifies the member at every irrational
@@ -63,11 +66,12 @@ def sweep_orbit(orbit, points, rnd, skip_generic=False):
         spec = locus_membership(T, P, SPECIALIZED)
         if not skip_generic:
             gen = locus_membership(T, P, GENERIC)
-            if spec.status != gen.status:
+            if spec != gen:
                 mismatches += 1
+                kind = "STRATEGY" if spec.status != gen.status else "WITNESS"
                 print(
-                    "STRATEGY MISMATCH orbit %d %r spec: %r gen: %r"
-                    % (orbit, describe(P), spec, gen)
+                    "%s MISMATCH orbit %d %r spec: %r gen: %r"
+                    % (kind, orbit, describe(P), spec, gen)
                 )
         try:
             cf = closed_form_predicate(orbit, P)

@@ -99,9 +99,6 @@ class UniPoly:
     def leading(self):
         return self.coeffs[-1] if self.coeffs else _ZERO
 
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else _ZERO
-
     def monic(self):
         if not self.coeffs:
             return self

@@ -15,14 +15,14 @@ they can be played against each other in tests:
   T - lam*P for all lam at once (``classify_parametric``) and reads the
   answer off the generic orbit and the exceptional values.
 * The specialized strategy dispatches on the orbit of T: a single
-  pairing for matrix cores, the explicit decomposition through P for
-  tangent tensors, and for the concise orbits of the finite-orbit shapes
-  the one value of lam where a flattening loses rank (one fraction-free
-  elimination over Z[lam] per flattening) plus pencil invariants. It
-  reads the concise core and its axis order from the classification of
-  T. Only the concise escapes of orbits 13, 15-17 and 21 need the orbit
-  of the family over Q(lam) and its guard polynomials
-  (``classify.family_orbit``).
+  pairing for matrix cores, and for the concise orbits of the finite-orbit
+  shapes the one value of lam where a flattening loses rank (one
+  fraction-free elimination over Z[lam] per flattening) plus pencil
+  invariants. It reads the concise core and its axis order from the
+  classification of T. Only orbits 5, 13, 15-17 and 21 need the orbit of
+  the family over Q(lam) and its guard polynomials
+  (``classify.family_orbit``). Its witness is the one the generic
+  strategy returns.
 * ``closed_form_predicate`` evaluates an explicit polynomial set
   description of the forbidden locus, available for the normal forms of
   certain orbits in their own coordinates.
@@ -61,7 +61,7 @@ from .tensorcore import (
     rank_one_factors,
     subtract_scaled,
 )
-from .wstate import _decompose_in, decompose_tangential
+from .wstate import decompose_tangential
 
 IN_DECOMPOSITION = "in-decomposition"
 FORBIDDEN = "forbidden"
@@ -325,11 +325,6 @@ def locus_tangential(T, P):
         dec = decompose_tangential(T, P)
     except (NotInLocus, TangencyPointRequested):
         return LocusVerdict.forbidden()
-    return _tangential_verdict(T, P, dec)
-
-
-def _tangential_verdict(T, P, dec):
-    """The witness of a decomposition of T led by P, re-checked."""
     coeff, term = dec.terms[0]
     rho = _proportionality_ratio(P.expand(), term.expand())
     if rho is None:
@@ -385,30 +380,29 @@ def _proportional_verdict(T, P):
     return LocusVerdict.member(LambdaWitness(value=lam0))
 
 
-def _pairing_verdict(core, coreP, target):
+def _pairing_verdict(family, target):
     """Concise cores with an invertible last flattening.
 
     Here a rank drop forces the last flattening to become singular, and
     det(M - lam * c (a x b)^T) = det(M) (1 - lam * pairing) with
     pairing = (a x b)^T M^{-1} c: one rational number decides everything.
     """
-    M = flattening(core, 3)
+    M = flattening(family.base, 3)
     if M.rows != M.cols:
         raise InternalError("pairing route needs a square last flattening")
-    a, b, c = coreP.factors
+    a, b, c = family.direction.factors
     pairing = _pairing(M, c, [ai * bj for ai in a for bj in b])
     if pairing is None:
         raise InternalError("singular last flattening of a concise core")
     if pairing == 0:
         return LocusVerdict.forbidden()
-    family = ParametricTensor(core, coreP)
     verdict = _first_witness(family, [UniPoly([-1 / pairing, 1])], target)
     if verdict is None:
         raise InternalError("pairing witness failed the rank recheck")
     return verdict
 
 
-def _drop_root_verdict(core, coreP, axes, target):
+def _drop_root_verdict(family, axes, target):
     """Orbits where a rank drop forces named flattenings to lose rank.
 
     Each of the given axes has at most one lam where its flattening drops
@@ -418,7 +412,6 @@ def _drop_root_verdict(core, coreP, axes, target):
     where all three drop; on a concise (2,2,3) core a member of rank at
     most two has a 3 x 4 last flattening of rank at most two.
     """
-    family = ParametricTensor(core, coreP)
     shared = None
     for ax in axes:
         value = _drop_value(family, ax)
@@ -429,25 +422,18 @@ def _drop_root_verdict(core, coreP, axes, target):
     return verdict or LocusVerdict.forbidden()
 
 
-def _escape_verdict(core, coreP, target):
-    """Concise cores of orbits 13, 15-17 (2,3,3) and 21 (2,3,4): does the
-    line reach rank ``target``, one below the rank of T?
+def _escape_verdict(family, target):
+    """Concise cores of orbits 5 (2,2,2), 13, 15-17 (2,3,3) and 21
+    (2,3,4): does the line reach rank ``target``, one below the rank of T?
 
-    Non-concise members come first: one candidate per flattening
-    (``_drop_value``), taken in axis order. Then the orbit of the family
-    over Q(lam) decides (``family_orbit``): if it has rank ``target``, so
-    does every member off the roots of its guards, and the scan finds one;
-    otherwise only a member at a root of a guard can, and each candidate
-    factor is classified in turn.
+    The orbit of the family over Q(lam) decides (``family_orbit``): if it
+    has rank ``target``, so does every member off the roots of its guards,
+    and the scan finds one; otherwise only a member at a root of a guard
+    can, and each candidate factor is classified in turn. The guards
+    include every flattening pivot, so the members that leave the concise
+    shape are among the candidates. Either way the witness is the one the
+    generic strategy returns.
     """
-    family = ParametricTensor(core, coreP)
-    for ax in (1, 2, 3):
-        value = _drop_value(family, ax)
-        if value is None:
-            continue
-        verdict = _first_witness(family, [UniPoly([-value, 1])], target)
-        if verdict is not None:
-            return verdict
     generic, guards = family_orbit(family)
     if orbit_rank(generic) == target:
         return _scan_rational_witness(family, target, guards)
@@ -479,28 +465,18 @@ def _specialized_membership(T, P, report):
         return locus_matrix(flattening(report.core, 1), u, v)
 
     n = report.orbit.value
-    if n == 5:
-        try:
-            dec = _decompose_in(T, report.reduction, coords)
-        except TangencyPointRequested:
-            return LocusVerdict.forbidden()
-        return _tangential_verdict(T, P, dec)
-
-    core, coreP = report.core, _core_point(report, coords)
+    family = ParametricTensor(report.core, _core_point(report, coords))
+    target = report.rank - 1
+    if n in (5, 13, 15, 16, 17, 21):
+        return _escape_verdict(family, target)
     if n == 6:
-        return _drop_root_verdict(core, coreP, (1, 2, 3), 1)
-    if n in (7, 8, 11, 12):
-        return _drop_root_verdict(core, coreP, (3,), 2)
+        return _drop_root_verdict(family, (1, 2, 3), target)
+    if n in (7, 8, 11, 12, 19, 20, 22, 23, 24, 25):
+        return _drop_root_verdict(family, (3,), target)
     if n in (9, 26):
-        return _pairing_verdict(core, coreP, report.rank - 1)
-    if n in (13, 15, 16, 17, 21):
-        return _escape_verdict(core, coreP, report.rank - 1)
+        return _pairing_verdict(family, target)
     if n in (14, 18):
-        return _drop_root_verdict(core, coreP, (2, 3), 2)
-    if n in (19, 20, 22, 23):
-        return _drop_root_verdict(core, coreP, (3,), 3)
-    if n in (24, 25):
-        return _drop_root_verdict(core, coreP, (3,), 4)
+        return _drop_root_verdict(family, (2, 3), target)
     raise InternalError("orbit %d escaped the dispatch table" % n)
 
 
@@ -509,8 +485,10 @@ def locus_membership(T, P, strategy=SPECIALIZED):
 
     Both strategies answer the same question and agree everywhere; the
     generic one classifies the whole family T - lam*P at once, the
-    specialized one runs a per-orbit procedure. Witnesses may differ
-    between strategies, verdicts never do.
+    specialized one runs a per-orbit procedure. Both return the same
+    witness: the first of 1, -1, 2, -2, ... that lowers the rank when the
+    generic member already has rank(T) - 1, else the first root that does
+    among the candidate factors, in ``candidate_factors`` order.
     """
     if not isinstance(P, RankOneTensor):
         raise ShapeMismatch("the probe point must be a rank-one tensor")
@@ -528,6 +506,14 @@ def locus_membership(T, P, strategy=SPECIALIZED):
 
 # ---------------------------------------------------------------------------
 # closed forms at the normal forms
+
+
+def _cf_5(a, b, c):
+    """P is forbidden only at the tangency point e1 x e1 x e2, the point
+    ``find_tangency(normal_form(5))`` returns: the normal form is tangent
+    to the rank ones there, and every other rank-one point lies in a
+    shortest decomposition."""
+    return a[1] == 0 and b[1] == 0 and c[0] == 0
 
 
 def _cf_9(a, b, c):
@@ -781,6 +767,7 @@ def _cf_26(a, b, c):
 
 
 _CLOSED_FORMS = {
+    5: _cf_5,
     9: _cf_9,
     13: _cf_13,
     15: _cf_15,

@@ -9,6 +9,11 @@ writes the tensor as a sum of exactly rank many rank-one terms, one of which
 is proportional to a prescribed rank-one direction; every direction inside
 the per-axis spans works except the point q itself. ``verify_decomposition``
 checks any claimed weighted rank-one decomposition exactly.
+
+These serve ``locus.locus_tangential``, which reads its witness off the
+decomposition for tangent tensors of any order. ``locus_membership`` does
+not come here: it answers the 2 x 2 x 2 tangent orbit from the family
+T - lam*P like the other escapes, with the witness of the generic strategy.
 """
 
 from __future__ import annotations
@@ -406,12 +411,6 @@ def decompose_tangential(T, P):
     coords = factors_in_spans(P, red)
     if coords is None:
         raise NotInLocus("the direction leaves the span of the tensor")
-    return _decompose_in(T, red, coords)
-
-
-def _decompose_in(T, red, coords):
-    """``decompose_tangential`` on the concise reduction ``red`` of T, with
-    the coordinates ``coords`` of P there (``factors_in_spans``)."""
     nf = _tangency_data(red)
     k = len(nf.active)
     ginv = [mat_inverse(g) for g in nf.gs]

@@ -2,8 +2,10 @@
 
 For every orbit 5-26, two seeded sparse and two seeded dense rank-one
 points are asked about, on the normal form and after a seeded integer
-change of basis on each axis (the GL action). On the normal form the
-closed-form predicate, where one is stored, must agree as well. The
+change of basis on each axis (the GL action). Both strategies must
+return the same verdict, witness included, and so must every GL move and
+axis permutation of the question. On the normal form the closed-form
+predicate, where one is stored, must agree as well. The
 witnesses of both strategies and the report of ``classify_parametric`` on
 each family T - lam*P must match committed tables, and every special value
 among the candidates the earlier function-field classifier recorded must
@@ -117,7 +119,7 @@ def assert_strategies_agree(T, P, label):
     target = classify(T).rank - 1
     spec = locus_membership(T, P, SPECIALIZED)
     gen = locus_membership(T, P, GENERIC)
-    assert spec.status == gen.status, (label, spec, gen)
+    assert spec == gen, (label, spec, gen)
     for verdict in (spec, gen):
         if verdict.in_decomposition:
             assert member_rank(T, P, verdict.witness) == target, (label, verdict)
@@ -148,11 +150,12 @@ def seeded_families(orbit):
 
 # The (SPECIALIZED, GENERIC) witnesses of each seeded family, in the order
 # of seeded_families (normal form, then GL-moved, per point), coded by
-# witness_code: None is a forbidden verdict. The agreement and recheck
-# tests accept any valid witness; this table notices when one moves.
+# witness_code: None is a forbidden verdict. The agreement test already
+# asks both strategies for the same witness; this table notices when the
+# shared witness moves.
 WITNESSES = {
-    5: [("1/3", "1"), ("-2", "1"), ("-1/6", "1"), ("4/11", "1"),
-        ("-1/6", "1"), ("-4/9", "1"), ("1/42", "1"), ("9/26", "1")],
+    5: [("1", "1"), ("1", "1"), ("1", "1"), ("1", "1"),
+        ("1", "1"), ("1", "1"), ("1", "1"), ("1", "1")],
     6: [(None, None), (None, None), (None, None), (None, None),
         (None, None), (None, None), (None, None), (None, None)],
     7: [(None, None), (None, None), (None, None), (None, None),
@@ -798,7 +801,7 @@ def test_closed_form_defects(orbit, factors):
 
 # The stored closed forms that agree with both strategies everywhere in
 # the {0, 1} box; _cf_21, _cf_22 and _cf_24 do not (CLOSED_FORM_DEFECTS).
-CORRECT_CLOSED_FORMS = (9, 13, 15, 16, 17, 19, 20, 23, 25, 26)
+CORRECT_CLOSED_FORMS = (5, 9, 13, 15, 16, 17, 19, 20, 23, 25, 26)
 
 
 def box_points(shape):
@@ -812,8 +815,8 @@ def box_points(shape):
 @pytest.mark.parametrize("orbit", CORRECT_CLOSED_FORMS)
 def test_closed_form_matches_specialized_on_the_box(orbit):
     """The third oracle: at every point of the {0, 1} box the closed form
-    calls forbidden exactly what SPECIALIZED does (3642 points over the
-    ten orbits)."""
+    calls forbidden exactly what SPECIALIZED does (3669 points over the
+    eleven orbits)."""
     T = normal_form(orbit)
     for P in box_points(T.shape):
         verdict = locus_membership(T, P, SPECIALIZED)
@@ -1029,8 +1032,7 @@ def test_tangential_route_members_partly_on_the_tangency_point():
             verdict = locus_tangential(T, P)
             assert verdict.in_decomposition, (k, on)
             assert member_rank(T, P, verdict.witness) == 2
-            spec, _gen = assert_strategies_agree(T, P, (k, on))
-            assert spec == verdict
+            assert_strategies_agree(T, P, (k, on))
 
 
 def test_tangential_route_forbids_points_outside_the_spans():
@@ -1064,6 +1066,28 @@ def test_tangential_route_rejects_bad_input():
         locus_tangential(T, RankOneTensor([[1, 0], [0, 1], [1, 2, 0]]))
 
 
+def axis_permutations(T, P):
+    """T and P with their axes permuted together, for each of the five
+    non-identity permutations."""
+    for perm in itertools.permutations(range(3)):
+        if perm != (0, 1, 2):
+            yield T.transpose_axes(perm), RankOneTensor([P.factors[a] for a in perm])
+
+
+@pytest.mark.parametrize("orbit", ORBITS)
+def test_gl_moves_and_axis_permutations_keep_the_whole_verdict(orbit):
+    """The witness set of (T, P) is fixed by the GL action and by axis
+    permutations, and so is the witness drawn from it: for every seeded
+    family, (gT, gP) and the five permutations of (T, P) get the verdict
+    of (T, P), witness included, under both strategies."""
+    for sparse, T, P, gT, gP in seeded_families(orbit):
+        for strategy in (SPECIALIZED, GENERIC):
+            want = locus_membership(T, P, strategy)
+            for t, p in [(gT, gP), *axis_permutations(T, P)]:
+                got = locus_membership(t, p, strategy)
+                assert got == want, (orbit, sparse, strategy, t.shape, got, want)
+
+
 def permutation_point(orbit):
     """The first seeded normal-form family of an orbit whose SPECIALIZED
     verdict is a member, else the first one."""
@@ -1075,17 +1099,14 @@ def permutation_point(orbit):
 
 def test_axis_permutations_keep_the_specialized_verdict():
     """Permuting the axes of T and P together changes neither the status
-    nor the validity of the witness, for every non-identity permutation."""
+    nor the witness, for every non-identity permutation, and the witness
+    re-checks."""
     for orbit in ORBITS:
         T, P = permutation_point(orbit)
         base = locus_membership(T, P, SPECIALIZED)
-        for perm in itertools.permutations(range(3)):
-            if perm == (0, 1, 2):
-                continue
-            pT = T.transpose_axes(perm)
-            pP = RankOneTensor([P.factors[a] for a in perm])
+        for pT, pP in axis_permutations(T, P):
             verdict = locus_membership(pT, pP, SPECIALIZED)
-            assert verdict.status == base.status, (orbit, perm)
+            assert verdict == base, (orbit, pT.shape)
             if verdict.in_decomposition:
                 assert member_rank(pT, pP, verdict.witness) == classify(T).rank - 1
 
@@ -1095,7 +1116,7 @@ def test_closed_form_predicate_error_paths():
     assert closed_form_predicate(OrbitId.orbit(13), P) == closed_form_predicate(13, P)
     with pytest.raises(UnsupportedOrbit):
         closed_form_predicate(OrbitId.matrix(2), P)
-    for orbit in (5, 14, OrbitId.orbit(18)):
+    for orbit in (14, OrbitId.orbit(18)):
         with pytest.raises(UnsupportedOrbit):
             closed_form_predicate(orbit, P)
     with pytest.raises(ShapeMismatch):
