@@ -14,7 +14,10 @@ P with entries in -3..3, and classifies the member at every irrational
 root of a guard twice: off the family's integer minors
 (``classify.orbit_at_root``) and as a tensor over Q(alpha)
 (``ParametricTensor.specialize_ext``). It prints each mismatch and how
-often each read of the decision table ran at those roots.
+often each read of the decision table ran at those roots, and, per orbit
+and in total, how many candidate factors the guards of ``family_orbit``
+gave and how many of them landed back in the generic orbit: the
+classifications of members that ``classify_parametric`` wastes.
 """
 
 import argparse
@@ -114,11 +117,11 @@ def sweep_roots(orbits, families, rnd):
     """Members at irrational roots: the integer reader against Q(alpha)."""
     counts = collections.Counter()
     restore = counting_reads(counts)
-    members = mismatches = 0
+    members = mismatches = all_candidates = all_wasted = 0
     try:
         for orbit in orbits:
             T = normal_form(orbit)
-            start, found = time.time(), 0
+            start, found, candidates, wasted = time.time(), 0, 0, 0
             for _ in range(families):
                 factors = []
                 for d in pencil_shape(orbit):
@@ -127,22 +130,29 @@ def sweep_roots(orbits, families, rnd):
                         vec = [rnd.randint(-3, 3) for _ in range(d)]
                     factors.append(vec)
                 family = ParametricTensor(T, RankOneTensor(factors))
-                for fac in candidate_factors(family_orbit(family)[1]):
+                generic, guards = family_orbit(family)
+                for fac in candidate_factors(guards):
+                    got = orbit_at_root(family, fac)
+                    candidates += 1
+                    wasted += got == generic
                     if fac.degree < 2:
                         continue
                     found += 1
-                    got = orbit_at_root(family, fac)
                     want = classify(family.specialize_ext(fac)).orbit
                     if got != want:
                         mismatches += 1
                         print("ROOT MISMATCH orbit %d %r at %r: %r, over Q(alpha) %r"
                               % (orbit, factors, fac, got, want))
             members += found
-            print("orbit %2d: %d families, %d members at irrational roots, %.2fs"
-                  % (orbit, families, found, time.time() - start))
+            all_candidates += candidates
+            all_wasted += wasted
+            print("orbit %2d: %d families, %d members at irrational roots, "
+                  "%d candidate factors, %d in the generic orbit, %.2fs"
+                  % (orbit, families, found, candidates, wasted, time.time() - start))
             sys.stdout.flush()
     finally:
         restore()
+    print("%d candidate factors, %d in the generic orbit" % (all_candidates, all_wasted))
     print("reads: " + ", ".join("%s %d" % (name, counts[name]) for name in READS))
     print("%d members at irrational roots, %d mismatches" % (members, mismatches))
     return mismatches

@@ -421,19 +421,20 @@ def orbit_rank(oid):
 
 
 def _family_table(f, reader):
-    """(orbit, pivots): the table on the family restricted to the slices
-    of each flattening's last Bareiss pivot over Z[λ] (``flattening_pivot``).
-    Its rows over Z[λ] on the pencil, row and column axes of the canonical
-    order make the ``Pencil`` that ``reader(pencil)`` reads."""
+    """(orbit, drops): the table on the family restricted to the first
+    independent slices of each flattening over Z[λ], and the λ where
+    those slices lose rank (``flattening_drop``). Its rows over Z[λ] on
+    the pencil, row and column axes of the canonical order make the
+    ``Pencil`` that ``reader(pencil)`` reads."""
     order = f.base.order
-    slices, pivots = zip(*(f.flattening_pivot(axis) for axis in range(1, order + 1)))
+    slices, drops = zip(*(f.flattening_drop(axis) for axis in range(1, order + 1)))
     concise = tuple(len(s) for s in slices)
 
     def reads(dims):
         axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
         return reader(Pencil(f.pencil_rows(axes, slices), dims[2], RING_ZX))
 
-    return _orbit_of_shape(order, concise, reads)[0], pivots
+    return _orbit_of_shape(order, concise, reads)[0], drops
 
 
 def family_orbit(f):
@@ -441,14 +442,15 @@ def family_orbit(f):
 
     Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
     another orbit is a root of one of the guards, nonconstant ``UniPoly``s.
-    The first of them are the flattening pivots: off their roots the family
-    on the pivot slices is a concise core of the member, whose pencil the
-    table reads (``_FamilyReads``).
+    The first of them are the flattening drops, λ - drop for each
+    flattening whose kept slices lose rank somewhere: off those values
+    the family on the kept slices is a concise core of the member, whose
+    pencil the table reads (``_FamilyReads``). A flattening pivot whose
+    root keeps the slices independent guards nothing, so it is not one.
     """
     guards = []
-    orbit, pivots = _family_table(f, lambda p: _FamilyReads(p, guards))
-    guards = [UniPoly(p) for p in pivots] + guards
-    return orbit, [g for g in guards if g.degree >= 1]
+    orbit, drops = _family_table(f, lambda p: _FamilyReads(p, guards))
+    return orbit, [UniPoly([-x, 1]) for x in drops if x is not None] + guards
 
 
 def orbit_at_root(f, fac):

@@ -6,11 +6,13 @@ with the first-nonzero pivot rule (scan columns left to right, take the
 topmost nonzero entry), on the rows of the matrix scaled to ints by
 ``integer_rows``; ``mat_det`` divides the row scales out once at the end.
 The same kernel takes rows over other rings from the layers above: over
-Z[λ], dense lists of ints, lowest degree first, with every division exact
-(the flattenings and pencils of a family T - λP, and the resultants of
-its cofactor guard, through ``bareiss_det``), and over an extension field
-on its elements. Over Z[λ] the last Bareiss pivot is a rank-sized minor,
-which names the parameter values where a rank can drop.
+an extension field on its elements, and over Z[λ], dense lists of ints,
+lowest degree first (the flattenings and pencils of a family T - λP, and
+the resultants of its cofactor guard, through ``bareiss_det``). Rows over
+Z[λ] are eliminated over Z at λ = 2^K, with K large enough that every
+minor is read back from its value there (Kronecker substitution). Over
+Z[λ] the last Bareiss pivot is a rank-sized minor, which names the
+parameter values where a rank can drop.
 ``pivot_slices`` reads the first independent rows off the pivot columns
 of the transpose. ``sample_points`` and ``interpolate`` rebuild a
 polynomial in λ from its integer values at sample points.
@@ -116,11 +118,16 @@ def mat_vec(a, v):
 # --- the Bareiss kernel -----------------------------------------------------
 #
 # Rational matrices are eliminated in integer form: each row is scaled to
-# ints, where every Bareiss division is exact; so are rows over Z[λ]
-# (dense lists of ints, lowest degree first, no trailing zeros, [] for
-# zero). A ring is the triple (cross, div, nonzero) of what the
-# elimination needs: cross(a, p, h, b) = a*p - h*b, the exact division by
-# the previous pivot, and the test that picks a pivot.
+# ints, where every Bareiss division is exact. A ring is the triple
+# (cross, div, nonzero) of what the elimination needs: cross(a, p, h, b) =
+# a*p - h*b, the exact division by the previous pivot, and the test that
+# picks a pivot. Z[λ] (dense int lists, lowest degree first, no trailing
+# zeros, [] for zero) has no triple: its rows are packed into ints at
+# λ = 2^K and eliminated over Z. Every entry Bareiss tests or divides by
+# is a minor, evaluation at 2^K is a ring map, and below the bound of
+# ``kronecker_bits`` a polynomial is zero exactly when its value there is;
+# so ranks, pivot columns and minors come out as over Z[λ]. Z[y] modulo an
+# irreducible g (``ring_at_root``) keeps the list arithmetic.
 
 
 def _cross(a, p, h, b):
@@ -165,8 +172,52 @@ def _zx_exact_div(a, b):
 
 
 RING_Z = (_cross, operator.floordiv, bool)
-RING_ZX = (_zx_cross, _zx_exact_div, bool)
 RING_FIELD = (_cross, operator.truediv, bool)
+RING_ZX = "Z[λ]"  # rows over Z[λ]: packed at λ = 2^K, eliminated over RING_Z
+
+
+def kronecker_bits(n, s):
+    """K for packing Z[λ] into Z at λ = 2^K, for the n x n minors of a
+    matrix whose entries have norm at most s, the norm of a polynomial
+    being the sum of the absolute values of its coefficients (at most the
+    number of terms times the largest one). A minor is a sum of n!
+    products of n entries and the norm of a product is at most the
+    product of the norms, so every coefficient of a minor is at most
+    n! s^n; 2^(K - 1) exceeds twice that. The bound holds as well in more
+    variables, for the binary forms det(uA + vB) over Z[λ]."""
+    return (math.factorial(n) * s**n).bit_length() + 2
+
+
+def kronecker_pack(x, k):
+    """The value at λ = 2^k of the Z[λ] int list x."""
+    v = 0
+    for c in reversed(x):
+        v = (v << k) + c
+    return v
+
+
+def kronecker_unpack(v, k):
+    """The Z[λ] int list whose value at 2^k is the int v, read off as
+    signed base-2^k digits, each in [-2^(k - 1), 2^(k - 1)): the inverse
+    of ``kronecker_pack`` on lists with every |coefficient| < 2^(k - 1)."""
+    out = []
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= 1 << k
+        out.append(d)
+        v = (v - d) >> k
+    return out
+
+
+def packed_rows(rows, n, spread=1):
+    """(int rows, k): the rows over Z[λ] at λ = 2^k, with k covering the
+    n x n minors of every matrix whose entries are combinations of their
+    entries with coefficients of absolute sum at most ``spread``."""
+    s = max((sum(map(abs, x)) for row in rows for x in row), default=0)
+    k = kronecker_bits(n, spread * s)
+    return [[kronecker_pack(x, k) for x in row] for row in rows], k
 
 
 def ring_at_root(g):
@@ -177,7 +228,8 @@ def ring_at_root(g):
 
 
 def _bareiss(work, ring, square=False, pivots=None):
-    """Fraction-free elimination of the rows ``work``, in place.
+    """Fraction-free elimination of the rows ``work``, in place (over
+    Z[λ], of their packed copy).
 
     Pivots follow the first-nonzero rule. Returns (rank, last pivot, sign
     of the row permutation); by the Bareiss minor invariant the last pivot
@@ -187,6 +239,10 @@ def _bareiss(work, ring, square=False, pivots=None):
     determinant is zero. The pivot columns are appended to ``pivots`` when
     it is a list.
     """
+    if ring is RING_ZX:
+        ints, k = packed_rows(work, min(len(work), len(work[0]) if work else 0))
+        rank, piv, sign = _bareiss(ints, RING_Z, square, pivots)
+        return rank, None if piv is None else kronecker_unpack(piv, k), sign
     cross, div, nonzero = ring
     n = len(work)
     m = len(work[0]) if work else 0
@@ -277,10 +333,11 @@ def interpolate(pts, vals):
 def bareiss_det(rows, ring):
     """Determinant of a square matrix given by its rows over ``ring``: an
     int over Z, an int list over Z[λ]. ``rows`` is consumed."""
+    if ring is RING_ZX:
+        ints, k = packed_rows(rows, len(rows))
+        return kronecker_unpack(bareiss_det(ints, RING_Z), k)
     rank, piv, sign = _bareiss(rows, ring, square=True)
-    if rank < len(rows) or sign == 1:
-        return piv
-    return [-c for c in piv] if ring is RING_ZX else -piv
+    return piv if rank < len(rows) or sign == 1 else -piv
 
 
 def mat_rank(M):

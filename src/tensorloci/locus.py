@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedOrbit,
 )
 from .exactnum import UniPoly, candidate_factors
-from .linalg import RING_Z, Mat, _bareiss, mat_rank, mat_solve, sample_points
+from .linalg import Mat, mat_rank, mat_solve, sample_points
 from .orbits import pencil_shape
 from .tensorcore import (
     ParametricTensor,
@@ -202,31 +202,6 @@ def _scan_rational_witness(family, target, guards):
     if verdict is None:
         raise InternalError("no integer witness off the roots of the guards")
     return verdict
-
-
-def _drop_value(family, axis):
-    """The one lam where the axis flattening of a concise family loses rank.
-
-    ``family`` is T - lam*P with T concise, so the flattening has full row
-    rank r at lam = 0. P flattens to a rank-one matrix, so every r x r
-    minor is affine in lam, and the last Bareiss pivot over Z[lam] is one
-    of them: the gcd of all of them divides it. A constant pivot means the
-    rank never drops (None); otherwise its root p/q is the only candidate,
-    kept when the rows at p/q, scaled by q into integers, have a smaller
-    rank.
-    """
-    rows = family.flattening_rows(axis)
-    keep, piv = family.flattening_pivot(axis)
-    rank = len(keep)
-    if rank < len(rows):
-        raise InternalError("concise core with a degenerate flattening line")
-    if len(piv) == 1:
-        return None
-    p, q = -piv[0], piv[1]
-    at_root = [[sum(c * f for c, f in zip(x, (q, p))) for x in row] for row in rows]
-    if _bareiss(at_root, RING_Z)[0] == rank:
-        return None
-    return Fraction(p, q)
 
 
 def _pairing(A, u, v):
@@ -406,7 +381,7 @@ def _drop_root_verdict(family, axes, target):
     """Orbits where a rank drop forces named flattenings to lose rank.
 
     Each of the given axes has at most one lam where its flattening drops
-    (``_drop_value``); the only candidate is the one they share, settled
+    (``flattening_drop``); the only candidate is the one they share, settled
     by exact classification of the member. On a concise (2,2,2) core the
     three flattenings are 2 x 4, so a member has rank at most one exactly
     where all three drop; on a concise (2,2,3) core a member of rank at
@@ -414,7 +389,9 @@ def _drop_root_verdict(family, axes, target):
     """
     shared = None
     for ax in axes:
-        value = _drop_value(family, ax)
+        keep, value = family.flattening_drop(ax)
+        if len(keep) < family.base.shape[ax - 1]:
+            raise InternalError("concise core with a degenerate flattening line")
         if value is None or (shared is not None and value != shared):
             return LocusVerdict.forbidden()
         shared = value
@@ -430,7 +407,7 @@ def _escape_verdict(family, target):
     has rank ``target``, so does every member off the roots of its guards,
     and the scan finds one; otherwise only a member at a root of a guard
     can, and each candidate factor is classified in turn. The guards
-    include every flattening pivot, so the members that leave the concise
+    include every flattening drop, so the members that leave the concise
     shape are among the candidates. Either way the witness is the one the
     generic strategy returns.
     """

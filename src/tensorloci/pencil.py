@@ -10,11 +10,15 @@ ints with one scale per row (``pencil_of`` scales a rational tensor once,
 an integer core comes as it is), Z[λ] int lists (a family T - λP), or
 field elements (the core of a tensor over an extension field). There
 is one enumerator of minors, ``pencil_minors``: each k x k minor is
-expanded along its first row as a binary form, in the ring's own
-arithmetic, sharing the smaller minors of the lower rows. Row scales
-change a minor only by a constant, so minor gcds (the integer remainder
-sequence of ``bform_gcd``) and member ranks (``member_rank_at``) use the
-scaled rows as they are; ``pencil_det_form`` divides the scales back out.
+expanded along its first row as a binary form, sharing the smaller minors
+of the lower rows, in ints or the field's arithmetic. Rows over Z[λ] are
+packed into ints at λ = 2^K, for K above a bound on every coefficient of
+the minors read (``linalg.kronecker_bits``), and the results unpacked
+from their signed base-2^K digits; so are the members whose ranks
+``member_rank_at`` reads. Row scales change a minor only by a constant,
+so minor gcds (the integer remainder sequence of ``bform_gcd``) and
+member ranks use the scaled rows as they are; ``pencil_det_form``
+divides the scales back out.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
@@ -47,6 +51,8 @@ from .linalg import (
     _zx_exact_div,
     bareiss_det,
     integer_rows,
+    kronecker_unpack,
+    packed_rows,
     sample_points,
 )
 from .tensorcore import Tensor
@@ -85,23 +91,10 @@ def pencil_of(t):
     return Pencil(rows, t.shape[2], RING_Z, scales)
 
 
-def _zx_comb(s, a, t, b):
-    """s*a + t*b over Z[λ] (int lists, lowest degree first) for ints s, t."""
-    out = [s * x for x in a] + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] += t * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _member(p, u0, v0):
-    """The rows of the member u0*A + v0*B, for u0, v0 ints or, over a
-    field, field elements."""
-    c = p.cols
-    if p.ring is RING_ZX:
-        return [[_zx_comb(u0, x, v0, y) for x, y in zip(r[:c], r[c:])] for r in p.rows]
-    return [[u0 * x + v0 * y for x, y in zip(r[:c], r[c:])] for r in p.rows]
+def _member(rows, c, u0, v0):
+    """The rows of the member u0*A + v0*B of the pencil rows [A_i | B_i]
+    with c columns, for u0, v0 ints or, over a field, field elements."""
+    return [[u0 * x + v0 * y for x, y in zip(r[:c], r[c:])] for r in rows]
 
 
 def pencil_minors(p, k):
@@ -109,20 +102,24 @@ def pencil_minors(p, k):
     coefficients): det(uA + vB) on those rows and columns, highest power
     of u first, times the product of the row scales.
 
-    Each minor is expanded along its first row, as a binary form in the
-    ring's own arithmetic (its ``cross``): the entry a u + b v times the
-    complementary minor of the lower rows. Those smaller minors are shared
-    across the minors through a dict that lives for this call only.
+    Each minor is expanded along its first row, as a binary form: the
+    entry a u + b v times the complementary minor of the lower rows. Those
+    smaller minors are shared across the minors through a dict that lives
+    for this call only. Over Z[λ] the rows are packed into ints at 2^K
+    (each entry a u + b v has norm at most twice the largest of the rows)
+    and each coefficient unpacked.
     """
-    cross = p.ring[0]
-    zx = p.ring is RING_ZX
-    one, zero = ([1], []) if zx else (1, p.rows[0][0] * 0)
+    if p.ring is RING_ZX:
+        rows, bits = packed_rows(p.rows, k, 2)
+        for row_idx, col_idx, coeffs in pencil_minors(Pencil(rows, p.cols, RING_Z), k):
+            yield row_idx, col_idx, [kronecker_unpack(x, bits) for x in coeffs]
+        return
+    zero = p.rows[0][0] * 0 if p.rows else 0
     c = p.cols
     # entry (i, j) of uA + vB as its (u, v) coefficients, and negated: the
     # even terms of an expansion are added as acc - (-a) m = acc + a m
     ents = [[(r[j], r[c + j]) for j in range(c)] for r in p.rows]
-    negs = [[([-x for x in a], [-x for x in b]) if zx else (-a, -b) for a, b in row]
-            for row in ents]
+    negs = [[(-a, -b) for a, b in row] for row in ents]
     memo = {}
 
     def expand(rows, cols):
@@ -144,9 +141,9 @@ def pencil_minors(p, k):
             for t, x in enumerate(m):
                 if x:
                     if a:
-                        acc[t] = cross(acc[t], one, a, x)
+                        acc[t] -= a * x
                     if b:
-                        acc[t + 1] = cross(acc[t + 1], one, b, x)
+                        acc[t + 1] -= b * x
         return acc
 
     for row_idx in itertools.combinations(range(len(p.rows)), k):
@@ -183,14 +180,19 @@ def pencil_minor_gcd(p, k):
 
 def member_rank_at(p, ell):
     """(rank, last Bareiss pivot) of the member at the root of the linear
-    form ``ell``; over Z and Z[λ] the root is scaled to ints first."""
+    form ``ell``; over Z and Z[λ] the root is scaled to ints first, and
+    over Z[λ] the member is eliminated packed at 2^K."""
     alpha, beta = ell.coeffs
     if p.ring is RING_FIELD:
         u0, v0 = -beta, alpha
     else:
         k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
         u0, v0 = int(-beta * k), int(alpha * k)
-    rank, piv, _ = _bareiss(_member(p, u0, v0), p.ring)
+    if p.ring is RING_ZX:
+        rows, bits = packed_rows(p.rows, min(len(p.rows), p.cols), abs(u0) + abs(v0))
+        rank, piv, _ = _bareiss(_member(rows, p.cols, u0, v0), RING_Z)
+        return rank, None if piv is None else kronecker_unpack(piv, bits)
+    rank, piv, _ = _bareiss(_member(p.rows, p.cols, u0, v0), p.ring)
     return rank, piv
 
 

@@ -244,22 +244,37 @@ class ParametricTensor:
             for b, ints in enumerate(factors):
                 if b != a0:
                     rest = [x * y for x in rest for y in ints]
+            t_rows, cs = _flat_rows(base, self.base.shape, a0), factors[a0]
             rows = [
                 [[x, c * y] if c * y else [x] if x else [] for x, y in zip(t_row, rest)]
-                for t_row, c in zip(_flat_rows(base, self.base.shape, a0), factors[a0])
+                for t_row, c in zip(t_rows, cs)
             ]
             keep, piv = pivot_slices(rows, RING_ZX)
-            hit = self._flat[axis] = (rows, keep, piv)
+            drop = None
+            if len(piv) == 2:
+                p, q = -piv[0], piv[1]
+                at_root = [[q * x + p * cs[i] * y for x, y in zip(t_rows[i], rest)]
+                           for i in keep]
+                if _bareiss(at_root, RING_Z)[0] < len(keep):
+                    drop = Fraction(p, q)
+            hit = self._flat[axis] = (rows, keep, drop)
         return hit
 
     def flattening_rows(self, axis):
         """The axis flattening (axis 1-based) over Z[λ], as described above."""
         return self._flattening(axis)[0]
 
-    def flattening_pivot(self, axis):
-        """``pivot_slices`` of the axis flattening over Z[λ]: the pivot is
-        a rank-sized minor of T - λP, affine in λ since P flattens to rank
-        one, and off its root the slices stay independent."""
+    def flattening_drop(self, axis):
+        """(slices, drop): the first independent rows of the axis flattening
+        over Z[λ] (``pivot_slices``) and the one λ where they lose rank, a
+        Fraction, or None where they never do.
+
+        Their last Bareiss pivot is a minor of their full size, affine in
+        λ since P flattens to rank one, and the gcd of all such minors
+        divides it. So its root p/q is the only candidate, kept when the
+        rows at it, scaled by q into ints, have a smaller rank. Off the
+        drop the slices stay independent and span the member's flattening.
+        """
         return self._flattening(axis)[1:]
 
     def pencil_rows(self, axes, slices):

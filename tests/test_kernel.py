@@ -1,8 +1,12 @@
 """The integer Bareiss kernel and the minor enumerator against sympy.
 
-Determinants over Z[λ] run on rows of int lists; pencil minors are
-expanded along their first row as binary forms, in the arithmetic of Z,
-Z[λ] or Q(α). Every answer here is compared with sympy's symbolic one, on
+Determinants over Z[λ] take rows of int lists; pencil minors are
+expanded along their first row as binary forms, in the arithmetic of Z
+or Q(α), and over Z[λ] both run on ints at λ = 2^K (Kronecker
+substitution). The packed kernels are compared with sympy over Q[λ] on
+seeded matrices with entries of degree up to three, coefficients up to
+±2^40, zero entries and rows, rank-deficient and non-square shapes, and
+on minors that reach the coefficient bound K is derived from. Every answer here is compared with sympy's symbolic one, on
 inputs with non-integer rational coefficients, zero rows and identically
 vanishing minors: Q pencils up to 3 x 6 (``pencil_of``), Z[λ] pencils
 with entries of λ-degree up to two and a pencil over Q(2^(1/3)) (a
@@ -30,12 +34,17 @@ from tensorloci.linalg import (
     RING_ZX,
     bareiss_det,
     interpolate,
+    kronecker_bits,
+    kronecker_pack,
+    kronecker_unpack,
+    pivot_slices,
     sample_points,
 )
 from tensorloci.pencil import (
     Pencil,
     family_minor_gcd,
     family_minors,
+    member_rank_at,
     pencil_det_form,
     pencil_minor_gcd,
     pencil_minors,
@@ -47,6 +56,7 @@ from tensorloci.tensorcore import ParametricTensor, RankOneTensor, Tensor
 LAM, U, V, X = sympy.symbols("lam u v x")
 # Q(λ) and Q(λ)[u, v], where sympy's own dets and gcds are exact and fast.
 QL = sympy.QQ.frac_field(LAM)
+QX = sympy.QQ[LAM]
 QLUV = QL[U, V]
 # Q(α) for α = 2^(1/3), as AlgebraicElements and in sympy.
 ALPHA = AlgebraicElement.generator(UniPoly([-2, 0, 0, 1]))
@@ -366,3 +376,140 @@ def test_family_minor_gcd_of_minors_equal_up_to_sign():
     g, guard = family_minor_gcd(Pencil(rows, 2, RING_ZX), 1)
     (s,), lam = g.coeffs
     assert s and lam == [0, -s] and guard is None
+
+
+# --- Z[λ] packed at λ = 2^K --------------------------------------------------
+
+BIG = 2**40
+
+
+def rand_big_zx(rng):
+    """A Z[λ] int list of degree 0-3 with coefficients up to ±2^40, many
+    of them exactly ±2^40; the zero list one time in five."""
+    if rng.random() < 0.2:
+        return []
+    x = [rng.choice([-BIG, BIG, rng.randint(-BIG, BIG)]) for _ in range(rng.randint(1, 4))]
+    x[-1] = x[-1] or BIG
+    return x
+
+
+def rand_big_matrix(rng, n, m):
+    """n x m over Z[λ] from ``rand_big_zx``; sometimes with a zero row, or
+    with the last row a Z[λ] combination of the first two."""
+    rows = [[rand_big_zx(rng) for _ in range(m)] for _ in range(n)]
+    kind = rng.randint(0, 2)
+    if kind == 1:
+        rows[rng.randrange(n)] = [[] for _ in range(m)]
+    elif kind == 2 and n > 2:
+        s, t = (UniPoly([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(2))
+        rows[-1] = [[int(c) for c in (s * UniPoly(a) + t * UniPoly(b)).coeffs]
+                    for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def in_qx(x):
+    return QX.from_sympy(sym(x))
+
+
+def qx_minors(rows, r):
+    """Every r x r minor over Q[λ] of the int-list matrix ``rows``."""
+    ents = [[in_qx(x) for x in row] for row in rows]
+    return [
+        DomainMatrix([[ents[i][j] for j in cols] for i in ri], (r, r), QX).det()
+        for ri in itertools.combinations(range(len(rows)), r)
+        for cols in itertools.combinations(range(len(rows[0])), r)
+    ]
+
+
+def ql_rank(rows):
+    ents = [[QL.from_sympy(sym(x)) for x in row] for row in rows]
+    return DomainMatrix(ents, (len(rows), len(rows[0])), QL).rank()
+
+
+def assert_pivot_is_a_minor(piv, rows, rank):
+    """The last Bareiss pivot of ``rows``: None at rank zero, else a
+    nonzero int list, up to sign a rank-sized minor."""
+    if rank == 0:
+        assert piv is None
+        return
+    assert piv and piv[-1], piv
+    got = in_qx(piv)
+    assert any(m in (got, -got) for m in qx_minors(rows, rank))
+
+
+def test_kronecker_round_trip_at_the_digit_bound():
+    """Unpacking inverts packing on every list whose coefficients are at
+    most 2^(K - 1) - 1 in absolute value, and not beyond."""
+    rng = random.Random(49)
+    for k in (2, 3, 8, 41, 84, kronecker_bits(4, 4 * BIG)):
+        edge = (1 << (k - 1)) - 1
+        for _ in range(40):
+            x = [rng.choice([edge, -edge, 0, rng.randint(-edge, edge)])
+                 for _ in range(rng.randint(0, 6))]
+            if x:
+                x[-1] = x[-1] or rng.choice([edge, -edge])
+            assert kronecker_unpack(kronecker_pack(x, k), k) == x
+        assert kronecker_unpack(kronecker_pack([edge + 1], k), k) != [edge + 1]
+
+
+def test_packed_kernels_at_minors_that_reach_the_bound():
+    """[[a, a], [-a, a]] has the determinant 2 a^2, which is the bound
+    n! s^n: determinant, kept rows and member rank come out exact."""
+    for a in ([BIG], [-BIG], [3]):
+        neg = [-c for c in a]
+        rows = [[a, a], [neg, a]]
+        det = [2 * a[0] ** 2]
+        assert bareiss_det([list(r) for r in rows], RING_ZX) == det
+        keep, piv = pivot_slices(rows, RING_ZX)
+        assert keep == [0, 1] and piv in (det, [-det[0]])
+        # the member at v = 0 of the pencil with A = rows and B = 0
+        p = Pencil([r + [[], []] for r in rows], 2, RING_ZX)
+        assert member_rank_at(p, BinaryForm([0, 1])) == (2, det)
+
+
+def test_packed_det_against_sympy():
+    rng = random.Random(50)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = rand_big_matrix(rng, n, n)
+        (want,) = qx_minors(rows, n)
+        det = bareiss_det([list(r) for r in rows], RING_ZX)
+        assert not det or det[-1]
+        assert in_qx(det) == want
+
+
+def test_packed_pivot_slices_against_sympy():
+    """The kept rows are those independent of the rows before them over
+    Q(λ); the pivot is up to sign a minor of the kept rows."""
+    rng = random.Random(51)
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        rows = rand_big_matrix(rng, n, m)
+        keep, piv = pivot_slices(rows, RING_ZX)
+        ranks = [0] + [ql_rank(rows[:i + 1]) for i in range(n)]
+        assert keep == [i for i in range(n) if ranks[i + 1] > ranks[i]]
+        assert_pivot_is_a_minor(piv, [rows[i] for i in keep], len(keep))
+
+
+def test_packed_member_rank_against_sympy():
+    """The member at the root (-b, a) of a u + b v, ranked over Q(λ)."""
+    rng = random.Random(52)
+    for _ in range(30):
+        n, c = rng.randint(1, 3), rng.randint(1, 4)
+        rows = rand_big_matrix(rng, n, 2 * c)
+        a, b = rng.choice([(0, 1), (1, 0), (rng.randint(-4, 4), rng.randint(1, 4))])
+        rank, piv = member_rank_at(Pencil(rows, c, RING_ZX), BinaryForm([a, b]))
+        member = [[[int(z) for z in (-b * UniPoly(x) + a * UniPoly(y)).coeffs]
+                   for x, y in zip(r[:c], r[c:])] for r in rows]
+        assert rank == ql_rank(member)
+        assert_pivot_is_a_minor(piv, member, rank)
+
+
+def test_packed_pencil_minors_against_sympy():
+    """Every minor of pencils of the packed kernels' seeded entries, square
+    or not, with zero or proportional rows."""
+    rng = random.Random(53)
+    for _ in range(8):
+        rows = rng.randint(1, 3)
+        t = rand_pencil(rng, lambda rng: UniPoly(rand_big_zx(rng)), rows, rng.randint(1, 4))
+        check_pencil(t, RING_ZX)

@@ -17,7 +17,9 @@ permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
 The specialized strategy must answer without ever reaching the generic
 one or a rational row reduction, and its one-pivot flattening drop must
-match the gcd of all maximal minors. The generic strategy must answer
+match the gcd of all maximal minors. Every flattening guard of a family
+is such a drop, and no candidate factor of a seeded family lands back in
+its generic orbit. The generic strategy must answer
 without computing over Q(alpha), and the orbit it reads off the family's
 integer minors at each irrational candidate root must be the orbit of the
 member over Q(alpha). Rationally scaled inputs keep their verdicts, and
@@ -56,13 +58,12 @@ from tensorloci.errors import (
     UnsupportedShape,
 )
 from tensorloci.exactnum import UniPoly, candidate_factors, format_rational
-from tensorloci.linalg import Mat, mat_det
+from tensorloci.linalg import Mat, mat_det, mat_rank
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
     SPECIALIZED,
     LambdaWitness,
-    _drop_value,
     _first_witness,
     _scan_rational_witness,
     closed_form_predicate,
@@ -79,6 +80,7 @@ from tensorloci.tensorcore import (
     apply_gl_rank_one,
     _flat_rows,
     factors_in_spans,
+    flattening,
     subtract_scaled,
 )
 from tensorloci.wstate import find_tangency
@@ -542,8 +544,9 @@ def flat_minor_gcd(family, axis):
 
 def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
     """On every seeded family of the concise orbits, each flattening of the
-    core drops rank at _drop_value and nowhere else: None exactly when the
-    maximal minors are coprime, else the root of their gcd."""
+    core drops rank at its ``flattening_drop`` and nowhere else: None
+    exactly when the maximal minors are coprime, else the root of their
+    gcd."""
     drops = 0
     for orbit in (6, 7, 8, *range(11, 27)):
         for _sparse, T, P, gT, gP in seeded_families(orbit):
@@ -553,7 +556,7 @@ def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
                     continue
                 for axis in (1, 2, 3):
                     g = flat_minor_gcd(family, axis)
-                    value = _drop_value(family, axis)
+                    value = family.flattening_drop(axis)[1]
                     assert not g.is_zero(), (orbit, p, axis)
                     if g.degree == 0:
                         assert value is None, (orbit, p, axis)
@@ -561,6 +564,35 @@ def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
                         assert g == UniPoly([-value, 1]), (orbit, p, axis)
                         drops += 1
     assert drops > 0
+
+
+def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
+    """On every seeded family, normal form and GL-moved, the flattening
+    guards of ``family_orbit`` are its drops: at each root the member's
+    kept slices lose rank. And no candidate factor that
+    ``classify_parametric`` classifies lands back in the generic orbit."""
+    candidates = wasted = drops = 0
+    for orbit in ORBITS:
+        for _sparse, T, P, gT, gP in seeded_families(orbit):
+            for t, p in ((T, P), (gT, gP)):
+                family = ParametricTensor(t, p)
+                generic, guards = family_orbit(family)
+                flat = []
+                for axis in range(1, t.order + 1):
+                    keep, drop = family.flattening_drop(axis)
+                    if drop is None:
+                        continue
+                    fac = UniPoly([-drop, 1])
+                    rows = flattening(family.member_at(fac), axis).entries
+                    assert mat_rank(Mat([rows[i] for i in keep])) < len(keep), (orbit, p)
+                    flat.append(fac)
+                assert guards[:len(flat)] == flat, (orbit, p)
+                drops += len(flat)
+                for fac in candidate_factors(guards):
+                    candidates += 1
+                    wasted += orbit_at_root(family, fac) == generic
+    assert drops > 0 and candidates > 0
+    assert wasted == 0, (wasted, candidates)
 
 
 # Member points of the normal forms of orbits 7, 8, 11 and 12, where the
