@@ -18,6 +18,12 @@ often each read of the decision table ran at those roots, and, per orbit
 and in total, how many candidate factors the guards of ``family_orbit``
 gave and how many of them landed back in the generic orbit: the
 classifications of members that ``classify_parametric`` wastes.
+
+With ``--gl N`` it draws N points per normal form and moves T and P by
+one seeded invertible integer matrix per axis (entries in -3..3). Both
+strategies must return the same verdict, witness included, on the moved
+pair as at the normal form: a GL MISMATCH line reports each difference,
+and the exit status is nonzero when any appeared.
 """
 
 import argparse
@@ -30,6 +36,7 @@ from tensorloci import classify as classify_module
 from tensorloci.classify import classify, family_orbit, orbit_at_root
 from tensorloci.errors import UnsupportedOrbit
 from tensorloci.exactnum import candidate_factors
+from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
@@ -38,7 +45,12 @@ from tensorloci.locus import (
     locus_membership,
 )
 from tensorloci.orbits import normal_form, pencil_shape
-from tensorloci.tensorcore import ParametricTensor, RankOneTensor
+from tensorloci.tensorcore import (
+    ParametricTensor,
+    RankOneTensor,
+    apply_gl,
+    apply_gl_rank_one,
+)
 
 SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
 DENSE_POOL = (1, -1, 2, -2, 3, -3)
@@ -90,6 +102,38 @@ def sweep_orbit(orbit, points, rnd, skip_generic=False):
         "orbit %2d: %d points, %.2fs" % (orbit, points, time.time() - start)
     )
     sys.stdout.flush()
+    return mismatches
+
+
+def random_invertible(rnd, n):
+    while True:
+        g = Mat([[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if mat_det(g):
+            return g
+
+
+def sweep_gl(orbits, points, rnd):
+    """Whole verdicts of both strategies at the normal form against those
+    at the point moved by GL."""
+    mismatches = 0
+    for orbit in orbits:
+        T = normal_form(orbit)
+        shape = pencil_shape(orbit)
+        start = time.time()
+        for k in range(points):
+            P = random_point(rnd, shape, sparse=(k % 2 == 0))
+            gs = [random_invertible(rnd, d) for d in shape]
+            gT, gP = apply_gl(T, gs), apply_gl_rank_one(P, gs)
+            for strategy in (SPECIALIZED, GENERIC):
+                want = locus_membership(T, P, strategy)
+                got = locus_membership(gT, gP, strategy)
+                if got != want:
+                    mismatches += 1
+                    print("GL MISMATCH orbit %d %r %s: %r, moved by %r: %r"
+                          % (orbit, describe(P), strategy, want, gs, got))
+        print("orbit %2d: %d points, %.2fs" % (orbit, points, time.time() - start))
+        sys.stdout.flush()
+    print("%d GL mismatches" % mismatches)
     return mismatches
 
 
@@ -179,6 +223,13 @@ def main(argv=None):
         metavar="N",
         help="cross-check the members at irrational roots on N families per orbit",
     )
+    parser.add_argument(
+        "--gl",
+        type=int,
+        default=0,
+        metavar="N",
+        help="compare the verdicts on N points per orbit with those after a GL move",
+    )
     args = parser.parse_args(argv)
     if "-" in args.orbits:
         lo, hi = args.orbits.split("-")
@@ -188,6 +239,8 @@ def main(argv=None):
     rnd = random.Random(args.seed)
     if args.roots:
         return 1 if sweep_roots(orbits, args.roots, rnd) else 0
+    if args.gl:
+        return 1 if sweep_gl(orbits, args.gl, rnd) else 0
     total = 0
     for orbit in orbits:
         total += sweep_orbit(orbit, args.points, rnd, args.skip_generic)

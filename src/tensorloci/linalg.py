@@ -86,22 +86,6 @@ def mat_identity(n):
     return Mat([[Fraction(i == j) for j in range(n)] for i in range(n)])
 
 
-def mat_mul(a, b):
-    if a.cols != b.rows:
-        raise ShapeMismatch("inner dimensions differ")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = None
-            for k in range(a.cols):
-                term = a.entries[i][k] * b.entries[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Fraction(0))
-        out.append(row)
-    return Mat(out)
-
-
 def mat_vec(a, v):
     if a.cols != len(v):
         raise ShapeMismatch("vector length differs from column count")

@@ -8,8 +8,8 @@ field, and only its concise core is computed over that field. The concise
 core of a rational tensor is the tensor scaled to ints once, restricted to
 its first independent slices on each axis: an int subtensor, whose
 flattenings, like the rows over Z[λ] of a family T - λP, feed the integer
-Bareiss kernel directly. ``flattening`` and the GL action go through the
-rational ``linalg.Mat``.
+Bareiss kernel directly. ``flattening`` returns a rational ``linalg.Mat``;
+the GL action runs on ints, one contraction per axis (``_contract``).
 
 Axis numbering is 1-based in the public flattening API; flat indices are
 0-based.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -35,9 +36,8 @@ from .linalg import (
     Mat,
     _bareiss,
     _z_row,
-    mat_det,
+    bareiss_det,
     mat_identity,
-    mat_mul,
     mat_rref,
     pivot_slices,
 )
@@ -160,12 +160,9 @@ class RankOneTensor:
         return tuple(len(f) for f in self.factors)
 
     def expand(self):
-        entries = []
-        for idx in itertools.product(*[range(len(f)) for f in self.factors]):
-            val = self.factors[0][idx[0]]
-            for a in range(1, len(self.factors)):
-                val = val * self.factors[a][idx[a]]
-            entries.append(val)
+        entries = self.factors[0]
+        for f in self.factors[1:]:
+            entries = [x * y for x in entries for y in f]
         return Tensor(self.shape, entries)
 
     def __repr__(self):
@@ -394,22 +391,51 @@ class ConciseReduction:
                     for i in range(dim)])
 
     def expand(self):
-        """Rebuild the ambient tensor from the core and the bases."""
-        cur = self.tensor.scale(Fraction(1, self.scale))
-        for a0, B in enumerate(self.bases):
-            cur = _apply_axis(cur, a0, B)
-        return cur
+        """Rebuild the ambient tensor, as Fractions: the core contracted on
+        each axis by its basis (``_contract``); over a field, TypeError."""
+        bases = [_mat_ints(B) for B in self.bases]
+        entries = _contract(self.tensor.entries, self.concise_shape, bases, self.scale)
+        return Tensor(self.ambient_shape, entries)
 
 
-def _apply_axis(T, a0, M):
-    """Contract axis a0 with the m x n matrix M, n = T.shape[a0]; the
-    result has m along that axis."""
-    n = T.shape[a0]
-    if M.cols != n:
-        raise ShapeMismatch("matrix columns %d, axis dimension %d" % (M.cols, n))
-    new = mat_mul(M, flattening(T, a0 + 1)).entries
-    shape = T.shape[:a0] + (M.rows,) + T.shape[a0 + 1:]
-    return Tensor(shape, [new[r][c] for r, c in _flattening_map(shape, a0)[0]])
+def _mat_ints(M):
+    """(rows, k): the Mat M times k, the lcm of all its denominators."""
+    ints, k = _z_row([x for row in M.entries for x in row])
+    return [ints[i:i + M.cols] for i in range(0, len(ints), M.cols)], k
+
+
+def _contract(entries, shape, mats, c):
+    """The GL kernel: the tensor (``entries``, ``shape``) over c, axis a
+    contracted by mats[a] = (rows, k), a matrix times the int k. Ints or
+    Fractions (else TypeError) are scaled to ints once; in each block of
+    outer indices, new fibre i is sum_j rows[i][j] fibre j; c, k and the
+    scale are divided out once, into Fractions."""
+    ints, scale, ring = _scaled_entries(entries)
+    if ring is not RING_Z:
+        raise TypeError("entries must be ints or Fractions")
+    inner = len(ints)
+    for n, (rows, _) in zip(shape, mats):
+        inner //= n
+        blocks = [[ints[o + t:o + n * inner:inner] for t in range(inner)]
+                  for o in range(0, len(ints), n * inner)]
+        ints = [sum(map(operator.mul, row, col)) for cols in blocks for row in rows for col in cols]
+    c *= scale * math.prod(k for _, k in mats)
+    return [Fraction(x, c) for x in ints]
+
+
+def _gl_ints(shape, mats):
+    """``_mat_ints`` of one square, invertible Mat per axis of ``shape``."""
+    if len(mats) != len(shape):
+        raise ShapeMismatch("need one matrix per axis")
+    out = []
+    for a0, (n, M) in enumerate(zip(shape, mats)):
+        if M.rows != n or M.cols != n:
+            raise ShapeMismatch("axis %d wants a %d-square matrix" % (a0 + 1, n))
+        rows, k = _mat_ints(M)
+        if not bareiss_det([list(r) for r in rows], RING_Z):
+            raise SingularMatrix("axis %d matrix is singular" % (a0 + 1,))
+        out.append((rows, k))
+    return out
 
 
 def concise_reduce(T):
@@ -431,26 +457,16 @@ def concise_reduce(T):
 
 
 def apply_gl(T, mats):
-    """Act on T by one invertible matrix per axis."""
-    if len(mats) != T.order:
-        raise ShapeMismatch("need one matrix per axis")
-    for a0, M in enumerate(mats):
-        if M.rows != M.cols or M.rows != T.shape[a0]:
-            raise ShapeMismatch("axis %d wants a %d-square matrix" % (a0 + 1, T.shape[a0]))
-        if not mat_det(M):
-            raise SingularMatrix("axis %d matrix is singular" % (a0 + 1,))
-    cur = T
-    for a0, M in enumerate(mats):
-        cur = _apply_axis(cur, a0, M)
-    return cur
+    """Act on T by one invertible Mat per axis: (M_1, ..., M_k) T, with
+    Fraction entries, by ``_contract``."""
+    return Tensor(T.shape, _contract(T.entries, T.shape, _gl_ints(T.shape, mats), 1))
 
 
 def apply_gl_rank_one(P, mats):
-    """Act on a rank-one tensor factorwise; stays rank one."""
-    out = []
-    for a0, M in enumerate(mats):
-        out.append(mat_mul(M, Mat([[x] for x in P.factors[a0]])).col(0))
-    return RankOneTensor(out)
+    """Act on a rank-one tensor factorwise, with the checks and Fraction
+    entries of ``apply_gl``: each factor is a one-axis ``_contract``."""
+    gls = zip(P.factors, _gl_ints(P.shape, mats))
+    return RankOneTensor([_contract(f, (len(f),), [gl], 1) for f, gl in gls])
 
 
 def subtract_scaled(T, lam, P):

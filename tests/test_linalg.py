@@ -20,13 +20,18 @@ from tensorloci.linalg import (
     mat_det,
     mat_identity,
     mat_inverse,
-    mat_mul,
     mat_rank,
     mat_rref,
     mat_solve,
 )
 from tensorloci.pencil import pencil_of
 from tensorloci.tensorcore import Tensor
+
+
+def mat_mul(a, b):
+    """The reference product of two Mats."""
+    return Mat([[sum(x * y for x, y in zip(row, col)) for col in zip(*b.entries)]
+                for row in a.entries])
 
 
 def rand_fraction(rng, span=6):

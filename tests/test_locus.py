@@ -11,8 +11,9 @@ each family T - lam*P must match committed tables, and every special value
 among the candidates the earlier function-field classifier recorded must
 still be reported.
 Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
-larger sweeps stay in that script, which is smoke-tested here in both
-its modes (the oracle agreement and the members at irrational roots). Axis
+larger sweeps stay in that script, which is smoke-tested here in all
+its modes (the oracle agreement, the members at irrational roots and the
+verdicts under GL). Axis
 permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
 The specialized strategy must answer without ever reaching the generic
@@ -996,6 +997,17 @@ def test_sweep_script_cross_checks_members_at_irrational_roots(capsys):
     ]
     assert lines[-2].startswith("reads: minor_gcd ")
     assert lines[-1] == "5 members at irrational roots, 0 mismatches"
+
+
+def test_sweep_script_compares_verdicts_under_gl(capsys):
+    sweep = sweep_script()
+    status = sweep.main(["--gl", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert [line.split(":")[0] for line in lines if line.startswith("orbit")] == [
+        "orbit %2d" % n for n in ORBITS
+    ]
+    assert lines[-1] == "0 GL mismatches"
 
 
 def test_dump_verdicts_script_runs_one_round(capsys):

@@ -1,6 +1,18 @@
-"""Tensor layer tests: flattenings, concision, pairing, group action."""
+"""Tensor layer tests: flattenings, concision, pairing, group action.
 
+The GL action (``apply_gl``, ``apply_gl_rank_one``, ``ConciseReduction.expand``)
+is checked against a reference kept here, a chain of rational matrix
+products, entry for entry and type for type; verdicts do not change under
+GL, so these tests, not the verdict sweeps, are what would catch a wrong
+invertible action.
+"""
+
+import importlib.util
+import itertools
+import math
+import os
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -13,7 +25,7 @@ from tensorloci.errors import (
     ZeroTensor,
 )
 from tensorloci.exactnum import UniPoly
-from tensorloci.linalg import Mat, mat_det, mat_rank
+from tensorloci.linalg import Mat, mat_det, mat_identity, mat_inverse, mat_rank
 from tensorloci.orbits import normal_form
 from tensorloci.tensorcore import (
     ConciseReduction,
@@ -157,6 +169,141 @@ def test_flattening_ranks_gl_invariant():
             assert [
                 mat_rank(flattening(moved, a + 1)) for a in range(3)
             ] == base_ranks
+
+
+def mat_product(a, b):
+    return Mat([[sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+                 for j in range(b.cols)] for i in range(a.rows)])
+
+
+def ref_gl(T, mats):
+    """The reference action: for each axis in turn, M times the axis
+    flattening as Mats, folded back into a tensor."""
+    shape, entries = T.shape, T.entries
+    for a0, M in enumerate(mats):
+        flat = flattening(Tensor(shape, entries), a0 + 1)
+        prod = mat_product(M, flat)
+        shape = shape[:a0] + (M.rows,) + shape[a0 + 1:]
+        rest = shape[:a0] + shape[a0 + 1:]
+        entries = []
+        for idx in itertools.product(*[range(d) for d in shape]):
+            col = 0
+            for i, d in zip(idx[:a0] + idx[a0 + 1:], rest):
+                col = col * d + i
+            entries.append(prod[idx[a0], col])
+    return Tensor(shape, entries)
+
+
+def ref_gl_rank_one(P, mats):
+    return [mat_product(M, Mat([[x] for x in f])).col(0) for f, M in zip(P.factors, mats)]
+
+
+def assert_same(got, want):
+    """Equal entries of equal types, and the types are Fractions."""
+    assert got.shape == want.shape
+    assert got.entries == want.entries
+    assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
+    assert all(type(x) is Fraction for x in got.entries)
+
+
+def rand_entry(rng, rational):
+    if rational and rng.random() < 0.6:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return rng.randint(-4, 4)
+
+
+def rand_gl(rng, n):
+    """An invertible matrix with entries of denominators up to 6."""
+    while True:
+        M = Mat([[rand_entry(rng, True) for _ in range(n)] for _ in range(n)])
+        if mat_det(M):
+            return M
+
+
+def gl_cases(seed, count):
+    """Seeded (T, P, g): orders 2-4, dimensions 1-4, int or rational T."""
+    rng = random.Random(seed)
+    for k in range(count):
+        order = rng.randint(2, 4)
+        shape = tuple(rng.randint(1, 4) for _ in range(order))
+        T = Tensor(shape, [rand_entry(rng, k % 2 == 1) for _ in range(math.prod(shape))])
+        P = rand_rank_one(rng, shape)
+        yield T, P, [rand_gl(rng, d) for d in shape]
+
+
+def test_gl_action_matches_the_reference():
+    for T, P, g in gl_cases(31, 150):
+        assert_same(apply_gl(T, g), ref_gl(T, g))
+        got = apply_gl_rank_one(P, g).factors
+        assert got == ref_gl_rank_one(P, g)
+        assert all(type(x) is Fraction for f in got for x in f)
+        if T.is_zero():
+            continue
+        red = concise_reduce(T)
+        core = Tensor(red.concise_shape, [Fraction(x, red.scale) for x in red.tensor.entries])
+        assert_same(red.expand(), ref_gl(core, red.bases))
+        assert red.expand() == T
+
+
+def test_gl_action_group_laws():
+    """g then h is h g; g then its inverse is the identity; the action on
+    a rank-one tensor factorwise is the action on its expansion."""
+    rng = random.Random(32)
+    for T, P, g in gl_cases(33, 60):
+        h = [rand_gl(rng, d) for d in T.shape]
+        moved = apply_gl(T, g)
+        assert apply_gl(moved, h) == apply_gl(T, [mat_product(b, a) for a, b in zip(g, h)])
+        assert apply_gl(moved, [mat_inverse(M) for M in g]) == T
+        assert apply_gl_rank_one(P, g).expand() == apply_gl(P.expand(), g)
+
+
+def test_gl_action_rejects_bad_input():
+    """One square invertible matrix of the axis size per axis, for tensors
+    and rank-one tensors alike; entries other than ints and Fractions
+    raise TypeError."""
+    T = normal_form(5)
+    P = RankOneTensor([[1, 2], [3, 0], [1, 1]])
+    eye = mat_identity(2)
+    wrong = ([eye, eye], [eye] * 4, [eye, Mat([[1, 0, 0], [0, 1, 0]]), eye],
+             [eye, mat_identity(3), eye])
+    for act, X in ((apply_gl, T), (apply_gl_rank_one, P)):
+        for mats in wrong:
+            with pytest.raises(ShapeMismatch):
+                act(X, mats)
+        with pytest.raises(SingularMatrix):
+            act(X, [eye, Mat([[1, 1], [1, 1]]), eye])
+    for bad in (0.5, "1"):
+        with pytest.raises(TypeError):
+            apply_gl(Tensor((2, 2), [bad, 0, 0, 1]), [eye, eye])
+        with pytest.raises(TypeError):
+            apply_gl_rank_one(RankOneTensor([[bad, 1], [1, 0]]), [eye, eye])
+
+
+def test_benchmark_moves_match_the_reference():
+    """The first spec-gl round at seed 7 of ``locusbench/workloads.py``,
+    read from its file as ``scripts/dump_verdicts.py`` reads it: each
+    moved (T, P) is the reference move of its normal-form point."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "dump_verdicts.py")
+    spec = importlib.util.spec_from_file_location("dump_verdicts", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    moves = []
+
+    def recorded(act):
+        def wrapper(X, mats):
+            moves.append(mats)
+            return act(X, mats)
+        return wrapper
+
+    package = types.SimpleNamespace(**vars(dump.PACKAGE))
+    package.apply_gl = recorded(apply_gl)
+    package.apply_gl_rank_one = recorded(apply_gl_rank_one)
+    queries = dump.load_workloads().Workload(package, "spec-gl", 7).next_round()
+    assert len(queries) == 44 and len(moves) == 88
+    for q, g, same_g in zip(queries, moves[::2], moves[1::2]):
+        assert g is same_g
+        assert_same(q.T, ref_gl(q.T0, g))
+        assert q.P.factors == ref_gl_rank_one(q.P0, g)
 
 
 def test_apply_gl_rejects_singular():
