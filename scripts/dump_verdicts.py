@@ -5,9 +5,13 @@ for each seed, the given number of rounds (44 queries each) of each
 workload. Each query is asked under both strategies, one line per answer:
 workload, seed, orbit, strategy, status and witness (null when forbidden,
 else its value as text, or the primitive integer coefficients of its
-minimal polynomial). A GENERIC line also carries the report of
+witness polynomial). A GENERIC line also carries the report of
 ``classify_parametric`` on T - lam*P: the generic orbit and each
 exceptional (factor, orbit), the factor as primitive integer coefficients.
+The report lists its irrational special values in groups, one per orbit;
+each group is printed as its irreducible factors over Q (from sympy),
+each with the group's orbit, after lam in the order of (degree,
+coefficients) of the monic factors.
 The defaults cover 528 queries, seeds 7-9 with two rounds. Two versions of
 the package give the same answers there exactly when their outputs are
 equal:
@@ -22,9 +26,12 @@ import math
 import os
 import sys
 import types
+from fractions import Fraction
+
+import sympy
 
 from tensorloci.classify import classify, classify_parametric
-from tensorloci.exactnum import format_rational
+from tensorloci.exactnum import UniPoly, format_rational
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership
 from tensorloci.orbits import normal_form, pencil_shape
@@ -70,11 +77,22 @@ def witness_code(verdict):
     return primitive(verdict.witness.minimal_poly)
 
 
+def irreducible_factors(poly):
+    """The monic irreducible factors over Q of a square-free UniPoly."""
+    x = sympy.Symbol("x")
+    expr = sympy.Poly(list(reversed(primitive(poly))), x)
+    return [UniPoly([Fraction(int(c)) for c in reversed(f.all_coeffs())]).monic()
+            for f, _ in expr.factor_list()[1]]
+
+
 def report_code(T, P):
     report = classify_parametric(ParametricTensor(T, P), classify(T))
+    lam, rest = report.exceptional[0], report.exceptional[1:]
+    split = sorted(((q, oid) for fac, oid in rest for q in irreducible_factors(fac)),
+                   key=lambda e: (e[0].degree, e[0].coeffs))
     return {
         "generic": repr(report.generic),
-        "exceptional": [[primitive(fac), repr(oid)] for fac, oid in report.exceptional],
+        "exceptional": [[primitive(fac), repr(oid)] for fac, oid in [lam] + split],
     }
 
 

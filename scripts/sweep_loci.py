@@ -11,13 +11,17 @@ when any mismatch appeared.
 
 With ``--roots N`` it instead draws N families T - lam*P per normal form,
 P with entries in -3..3, and classifies the member at every irrational
-root of a guard twice: off the family's integer minors
-(``classify.orbit_at_root``) and as a tensor over Q(alpha)
-(``ParametricTensor.specialize_ext``). It prints each mismatch and how
-often each read of the decision table ran at those roots, and, per orbit
-and in total, how many candidate factors the guards of ``family_orbit``
-gave and how many of them landed back in the generic orbit: the
-classifications of members that ``classify_parametric`` wastes.
+root of a guard twice: off the family's integer minors, all the roots of
+the candidate at once (``classify.orbits_at_roots``), and as a tensor
+over Q(alpha) (``ParametricTensor.specialize_ext``) at each irreducible
+factor, from sympy, of each group that reader returns. It prints each
+mismatch and how often each read of the decision table ran at those
+roots, and, per orbit and in total, how many irreducible candidate
+factors the guards of ``family_orbit`` gave and how many of them landed
+back in the generic orbit: the classifications of members that
+``classify_parametric`` wastes. The total also counts the D5 splits: the
+tables that stopped on a zero divisor, where the roots of one candidate
+turned out to lie in different orbits.
 
 With ``--gl N`` it draws N points per normal form and moves T and P by
 one seeded invertible integer matrix per axis (entries in -3..3). Both
@@ -28,14 +32,18 @@ and the exit status is nonzero when any appeared.
 
 import argparse
 import collections
+import math
 import random
 import sys
 import time
+from fractions import Fraction
+
+import sympy
 
 from tensorloci import classify as classify_module
-from tensorloci.classify import classify, family_orbit, orbit_at_root
-from tensorloci.errors import UnsupportedOrbit
-from tensorloci.exactnum import candidate_factors
+from tensorloci.classify import classify, family_orbit, orbits_at_roots
+from tensorloci.errors import UnsupportedOrbit, ZeroDivisor
+from tensorloci.exactnum import UniPoly, candidate_factors
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
@@ -142,9 +150,11 @@ READS = ("minor_gcd", "discriminant_vanishes", "repeated_part", "pure_square", "
 
 def counting_reads(counts):
     """Wrap the reads of the irrational-root reader so that each call is
-    counted; returns a function that restores them."""
+    counted, and the table so that each D5 split is; returns a function
+    that restores them."""
     cls = classify_module._RootReads
     saved = {name: getattr(cls, name) for name in READS}
+    table = classify_module._family_table
 
     def counted(name, read):
         def wrapper(self, *args):
@@ -152,9 +162,31 @@ def counting_reads(counts):
             return read(self, *args)
         return wrapper
 
+    def counted_table(*args):
+        try:
+            return table(*args)
+        except ZeroDivisor:
+            counts["splits"] += 1
+            raise
+
     for name, read in saved.items():
         setattr(cls, name, counted(name, read))
-    return lambda: [setattr(cls, name, read) for name, read in saved.items()]
+    classify_module._family_table = counted_table
+
+    def restore():
+        for name, read in saved.items():
+            setattr(cls, name, read)
+        classify_module._family_table = table
+    return restore
+
+
+def irreducible_factors(poly):
+    """The monic irreducible factors over Q of a square-free UniPoly."""
+    x = sympy.Symbol("x")
+    den = math.lcm(*[c.denominator for c in poly.coeffs])
+    expr = sympy.Poly([int(c * den) for c in reversed(poly.coeffs)], x)
+    return [UniPoly([Fraction(int(c)) for c in reversed(f.all_coeffs())]).monic()
+            for f, _ in expr.factor_list()[1]]
 
 
 def sweep_roots(orbits, families, rnd):
@@ -176,17 +208,18 @@ def sweep_roots(orbits, families, rnd):
                 family = ParametricTensor(T, RankOneTensor(factors))
                 generic, guards = family_orbit(family)
                 for fac in candidate_factors(guards):
-                    got = orbit_at_root(family, fac)
-                    candidates += 1
-                    wasted += got == generic
-                    if fac.degree < 2:
-                        continue
-                    found += 1
-                    want = classify(family.specialize_ext(fac)).orbit
-                    if got != want:
-                        mismatches += 1
-                        print("ROOT MISMATCH orbit %d %r at %r: %r, over Q(alpha) %r"
-                              % (orbit, factors, fac, got, want))
+                    for group, got in orbits_at_roots(family, fac):
+                        for q in irreducible_factors(group):
+                            candidates += 1
+                            wasted += got == generic
+                            if q.degree < 2:
+                                continue
+                            found += 1
+                            want = classify(family.specialize_ext(q)).orbit
+                            if got != want:
+                                mismatches += 1
+                                print("ROOT MISMATCH orbit %d %r at %r: %r, over Q(alpha) %r"
+                                      % (orbit, factors, q, got, want))
             members += found
             all_candidates += candidates
             all_wasted += wasted
@@ -196,7 +229,8 @@ def sweep_roots(orbits, families, rnd):
             sys.stdout.flush()
     finally:
         restore()
-    print("%d candidate factors, %d in the generic orbit" % (all_candidates, all_wasted))
+    print("%d candidate factors, %d in the generic orbit, %d D5 splits"
+          % (all_candidates, all_wasted, counts["splits"]))
     print("reads: " + ", ".join("%s %d" % (name, counts[name]) for name in READS))
     print("%d members at irrational roots, %d mismatches" % (members, mismatches))
     return mismatches

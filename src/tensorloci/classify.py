@@ -22,17 +22,22 @@ computed over Z and Z[λ], together with guard polynomials whose roots
 include every value of λ where that invariant can differ from its
 generic value (``family_orbit``); the guard of a repeated part is
 interpolated from the discriminants of int forms at sample values of λ.
-A third reader reads the member at an irrational root α of a guard off
-the same pencil over Z[λ]: no affine minor vanishes at α, so the member
-has the family's concise shape, and its minors are the family's at α,
-in Z[β] for an integer multiple β of α (``orbit_at_root``). ``classify_parametric`` classifies the member at
-each root so, at a rational one as an int tensor.
+A third reader reads the members at the irrational roots of the guards
+off the same pencil over Z[λ]: no affine minor vanishes there, so each
+member has the family's concise shape, and its minors are the family's
+at the root α, in Z[β] for an integer multiple β of α. The guards are
+never split into irreducible factors: the reader takes all their
+irrational roots at once, as the roots of one square-free polynomial,
+and splits it only where a read tells two roots apart (dynamic
+evaluation, ``orbits_at_roots``). ``classify_parametric`` classifies
+the members at the roots so, at a rational one as an int tensor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from .binforms import (
     BinaryForm,
@@ -40,9 +45,16 @@ from .binforms import (
     bform_gcd,
     bform_is_pure_power,
 )
-from .errors import InternalError, UnsupportedShape
-from .exactnum import UniPoly, _zb_cross, _zb_gcd, candidate_factors
-from .linalg import RING_ZX, _bareiss, _zx_cross, interpolate, ring_at_root, sample_points
+from .errors import InternalError, UnsupportedShape, ZeroDivisor
+from .exactnum import (
+    UniPoly,
+    _ip_cross,
+    _ip_exact_div,
+    _zb_cross,
+    _zb_gcd,
+    candidate_factors,
+)
+from .linalg import RING_ZX, _bareiss, interpolate, ring_at_root, sample_points
 from .orbits import RANKS
 from .pencil import (
     Pencil,
@@ -151,9 +163,13 @@ class ClassifyReport:
 class ParametricReport:
     """Generic orbit of T - lambda*P plus the finitely many special values.
 
-    exceptional holds (irreducible monic UniPoly, OrbitId) pairs; the factor
-    lambda itself (the value 0) is always listed first, even when its orbit
-    agrees with the generic one, because rank cannot drop at lambda = 0.
+    exceptional holds (monic UniPoly, OrbitId) pairs: the member at every
+    root of the polynomial lies in that orbit. The factor lambda itself
+    (the value 0) is always listed first, even when its orbit agrees with
+    the generic one, because rank cannot drop at lambda = 0. Then come
+    the rational special values, one linear factor each, in the order of
+    ``candidate_factors``; then the irrational ones, one group per orbit,
+    square-free with no rational root and coprime to the other groups.
     """
 
     __slots__ = ("generic", "exceptional")
@@ -323,7 +339,7 @@ class _FamilyReads:
 
     def discriminant_vanishes(self, form):
         c0, c1, c2 = form.coeffs
-        disc = _zx_cross(c1, c1, [4 * x for x in c0], c2)
+        disc = _ip_cross(c1, c1, [4 * x for x in c0], c2)
         self._guard(UniPoly(disc))
         return not disc
 
@@ -358,19 +374,23 @@ class _FamilyReads:
 
 
 class _RootReads:
-    """The same invariants at a root α of a monic irreducible ``fac`` of
-    degree d >= 2, from the pencil ``p`` of the family over Z[λ], with no
-    arithmetic over Q(α). With L the lcm of the denominators of fac,
-    β = Lα is a root of the monic integer g(y) = L^d fac(y / L), and Z[β]
-    is int lists mod g (``exactnum._zb_cross``). Each entry and minor of
-    the family is f0 + λ f1 over Q, so at α it is a nonzero rational
-    multiple of L f0 + β f1, zero only where f0 and f1 both vanish."""
+    """The same invariants at all the roots α of a monic square-free f
+    with no rational root at once, from the pencil ``p`` of the family
+    over Z[λ], with no arithmetic over Q(α). With (g, L) = (g, ``den``)
+    from ``_root_model(f)``, β = Lα is a root of the monic integer g, and
+    Z[β] is int lists mod g (``exactnum._zb_cross``). Each entry and minor
+    of the family is f0 + λ f1 over Q, so at α it is a nonzero rational
+    multiple of L f0 + β f1: zero only where f0 and f1 both vanish, else
+    a unit, g having no rational root. Every element computed from those
+    is made by ``_zb_cross``, up to an integer factor, or tested as a
+    pivot by ``linalg.ring_at_root``; one that vanishes at some roots of g
+    and not at others raises ZeroDivisor with the factor of g to split
+    off."""
 
-    def __init__(self, p, fac):
-        self.den = math.lcm(*(c.denominator for c in fac.coeffs))
-        self.g = [c.numerator * self.den ** (fac.degree - i) // c.denominator
-                  for i, c in enumerate(fac.coeffs)]
+    def __init__(self, p, g, den):
         self.p = p
+        self.g = g
+        self.den = den
 
     def _lift(self, p):
         """L p(α) in Z[β] for an affine Z[λ] int list p."""
@@ -453,15 +473,42 @@ def family_orbit(f):
     return orbit, [UniPoly([-x, 1]) for x in drops if x is not None] + guards
 
 
-def orbit_at_root(f, fac):
-    """The orbit of the member of T - λP at a root of the monic irreducible
-    ``fac``: the int member's at a rational root (``member_at``). At an
-    irrational one no flattening pivot, affine in λ, vanishes, so the table
-    reads the family on the pivot slices (``_RootReads``)."""
+def _root_model(fac):
+    """(g, L) for the monic ``fac`` of degree d: L the lcm of its
+    denominators and g(y) = L^d fac(y / L), a monic integer polynomial
+    whose roots are L times those of fac."""
+    den = math.lcm(*(c.denominator for c in fac.coeffs))
+    return [c.numerator * den ** (fac.degree - i) // c.denominator
+            for i, c in enumerate(fac.coeffs)], den
+
+
+def orbits_at_roots(f, fac):
+    """The orbits of the members of T - λP at the roots of ``fac``, monic
+    and either linear or square-free with no rational root, as a list of
+    (group, orbit): the groups are monic, pairwise coprime and multiply to
+    fac, one per orbit, sorted by (degree, coefficients), so the list does
+    not depend on where fac was split. A rational root is read on the int
+    member (``member_at``). At irrational roots no flattening pivot,
+    affine in λ, vanishes, so the table reads the family on the pivot
+    slices at all roots of fac at once (``_RootReads``); when a read tells
+    two roots apart, fac splits there and the table reads each part
+    again (dynamic evaluation)."""
     if fac.degree == 1:
         member = f.member_at(fac)
-        return OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
-    return _family_table(f, lambda p: _RootReads(p, fac))[0]
+        return [(fac, OrbitId.matrix(0) if member.is_zero() else classify(member).orbit)]
+    g, den = _root_model(fac)
+    todo, parts = [g], {}
+    while todo:
+        g = todo.pop()
+        try:
+            orbit = _family_table(f, lambda p: _RootReads(p, g, den))[0]
+        except ZeroDivisor as split:
+            todo += [split.factor, _ip_exact_div(g, split.factor)]
+        else:
+            parts[orbit] = _ip_cross(parts.get(orbit, [1]), g, [], [])
+    groups = [(UniPoly([Fraction(c, den ** (len(part) - 1 - i)) for i, c in enumerate(part)]),
+               orbit) for orbit, part in parts.items()]
+    return sorted(groups, key=lambda e: (e[0].degree, e[0].coeffs))
 
 
 def classify_parametric(f, base_report):
@@ -470,17 +517,15 @@ def classify_parametric(f, base_report):
     ``base_report`` is ``classify(T)``, which the caller already holds; it
     gives the member at lambda = 0. The generic orbit and the guards come
     from ``family_orbit``; the candidate special values are the roots of
-    the guards, each classified exactly (``orbit_at_root``: rational roots
-    on an int member, irrational ones on the family's integer minors).
-    Factors whose orbit equals the generic orbit are dropped, except
-    lambda itself.
+    the guards (``candidate_factors``), each classified exactly
+    (``orbits_at_roots``: rational roots on an int member, the irrational
+    ones together on the family's integer minors). Roots whose orbit
+    equals the generic orbit are dropped, except lambda itself.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
     generic, guards = family_orbit(f)
     entries = [(UniPoly([0, 1]), base_report.orbit)]
     for fac in candidate_factors(guards):
-        orbit = orbit_at_root(f, fac)
-        if orbit != generic:
-            entries.append((fac, orbit))
+        entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac) if orbit != generic]
     return ParametricReport(generic, entries)

@@ -38,7 +38,14 @@ class NotInvertible(TensorLociError):
 
 
 class ZeroDivisor(TensorLociError):
+    """A nonzero residue that is not invertible: it shares ``factor`` (None
+    when not given) with the modulus."""
+
     code = "zero-divisor"
+
+    def __init__(self, message, factor=None):
+        super().__init__(message)
+        self.factor = factor
 
 
 class AxisOutOfRange(TensorLociError):

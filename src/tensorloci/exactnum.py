@@ -6,29 +6,32 @@ live here, neither of them a matrix entry:
 
 * ``UniPoly`` -- univariate polynomials over the rationals, coefficients
   stored lowest-degree first with no trailing zeros: the guards of a
-  family T - λP and their irreducible factors, with ``factor_univariate``.
+  family T - λP and the candidate special values read off them.
 * ``AlgebraicElement`` -- residue classes in Q[x]/(modulus) for a monic
-  irreducible modulus: the entries of the member of a family at an
-  irrational root (``tensorcore.ParametricTensor.specialize_ext``), which
-  ``classify`` reads in the field's arithmetic, an independent check of
-  the integer root reader.
+  modulus: the entries of the member of a family at an irrational root
+  (``tensorcore.ParametricTensor.specialize_ext``), which ``classify``
+  reads in the field's arithmetic, an independent check of the integer
+  root reader.
 
 Integer polynomials are dense int lists, lowest degree first: the gcd of
-the integer remainder sequence (``_ip_gcd``), and Z[β] for a root β of a
-monic irreducible integer polynomial (``_zb_cross``, ``_zb_gcd``).
+the integer remainder sequence (``_ip_gcd``), exact products and
+quotients, and Z[β] for a root β of a monic integer polynomial with no
+rational root (``_zb_cross``, ``_zb_gcd``), where a zero divisor is
+reported rather than computed with.
 
 A one-parameter family T - λP is never computed over the field Q(λ): its
 invariants are polynomials in λ, and ``candidate_factors`` turns the ones
-whose roots can change an answer into the special values to check.
+whose roots can change an answer into the special values to check: the
+rational roots, found mod a prime and lifted, and one square-free
+polynomial holding all the other roots. Nothing is factored into
+irreducibles.
 
 No floating point number ever enters any computation here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from fractions import Fraction
 
 from .errors import NotInvertible, ParseError, ZeroDivisor
@@ -218,11 +221,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return UniPoly(
-            [i * c for i, c in enumerate(self.coeffs)][1:], self.var
-        )
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -293,20 +291,76 @@ def _ip_gcd(a, b):
         a, b = b, _ip_primitive(r)
 
 
-# Z[β], β a root of a monic irreducible integer g: int lists, lowest first,
-# reduced mod g (exactly, g being monic), so zero exactly when empty.
+def _ip_cross(a, p, h, b):
+    """a*p - h*b for integer coefficient lists."""
+    n = max(len(a) + len(p), len(h) + len(b)) - 1
+    if n <= 0:
+        return []
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(p):
+                out[i + j] += x * y
+    for i, x in enumerate(h):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ip_exact_div(a, b):
+    """The quotient a / b of integer coefficient lists; b must divide a."""
+    db = len(b) - 1
+    lead = b[-1]
+    if not db:
+        return [x // lead for x in a]
+    rem = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db] // lead
+        if c:
+            quo[k] = c
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    assert not any(rem), "inexact division of integer polynomials"
+    return quo
+
+
+def _ip_horner(f, x, m):
+    """f(x) mod m for an integer coefficient list f."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+# Z[β], β a root of a monic integer g with no rational root: int lists,
+# lowest first, reduced mod g (exactly, g being monic), so zero exactly when
+# empty. For an irreducible g, Z[β] is a domain. Otherwise a nonzero residue
+# can vanish at some roots of g and not at others; it then shares a factor
+# with g, and ``_zb_reduce`` raises ZeroDivisor with that factor, so the
+# caller can split g and start again on each part (dynamic evaluation). A
+# residue of degree at most one is never such a zero divisor, since g has
+# no rational root.
+
+
+def _zb_reduce(x, g):
+    """The residue of the integer list x in Z[β]; raises ZeroDivisor, with
+    the monic common factor as ``factor``, for a nonzero zero divisor."""
+    r = _ip_prem(x, g)
+    if len(r) > 2:
+        d = _ip_gcd(r, g)
+        if len(d) > 1:
+            d = d if d[-1] > 0 else [-c for c in d]
+            raise ZeroDivisor("%r shares the factor %r with %r" % (r, d, g), d)
+    return r
 
 
 def _zb_cross(a, p, h, b, g):
     """a*p - h*b in Z[β], reduced mod g."""
-    out = [0] * max(len(a) + len(p), len(h) + len(b), 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(p):
-            out[i + j] += x * y
-    for i, x in enumerate(h):
-        for j, y in enumerate(b):
-            out[i + j] -= x * y
-    return _ip_prem(out, g)
+    return _zb_reduce(_ip_cross(a, p, h, b), g)
 
 
 def _zb_primitive(f):
@@ -318,7 +372,8 @@ def _zb_primitive(f):
 def _zb_gcd(a, b, g):
     """A gcd over Q(β) of two nonzero polynomials over Z[β], lowest first:
     the last nonzero pseudo-remainder, integer content taken out at each
-    step, or [[1]]. Z[β] is a domain, so no step needs an inverse."""
+    step, or [[1]]. No step needs an inverse, and no zero divisor passes
+    ``_zb_cross``, so the sequence is the same at every root of g."""
     a, b = _zb_primitive(a), _zb_primitive(b)
     if len(a) < len(b):
         a, b = b, a
@@ -336,17 +391,6 @@ def _zb_gcd(a, b, g):
             return b
         a, b = b, _zb_primitive(r)
     return [[1]]
-
-
-def upoly_gcd(f, g):
-    """Monic greatest common divisor; gcd(f, 0) is monic(f), gcd(0, 0) = 0."""
-    if f.is_zero():
-        return g if g.is_zero() else g.monic()
-    if g.is_zero():
-        return f.monic()
-    d = _ip_gcd(_to_int_primitive(f), _to_int_primitive(g))
-    lead = d[-1]
-    return UniPoly([Fraction(c, lead) for c in d], f.var)
 
 
 def upoly_xgcd(f, g):
@@ -380,385 +424,80 @@ def _to_int_primitive(f):
     return [c // g for c in ints]
 
 
-# Factoring over Q runs through a finite field: factor the reduction at a
-# good prime, lift the factors high enough that true integer coefficients
-# are recoverable, and recombine. All the helpers below handle dense
-# coefficient lists of ints (lowest first, no trailing zeros) modulo m.
+def _rational_roots(f):
+    """The rational roots of a square-free integer coefficient list f of
+    degree at least one.
 
-
-def _pm_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pm_add(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x + y) % m
-    return _pm_trim(out)
-
-
-def _pm_sub(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x - y) % m
-    return _pm_trim(out)
-
-
-def _pm_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % m
-    return _pm_trim(out)
-
-
-def _pm_divmod(a, b, m):
-    """Polynomial divmod mod m; the leading coefficient of b must be a unit."""
-    rem = [c % m for c in a]
-    _pm_trim(rem)
-    db = len(b) - 1
-    if len(rem) < len(b):
-        return [], rem
-    inv = pow(b[-1], -1, m)
-    q = [0] * (len(rem) - db)
-    for k in range(len(rem) - len(b), -1, -1):
-        coef = (rem[k + db] * inv) % m
-        if coef:
-            q[k] = coef
-            for i, cb in enumerate(b):
-                rem[k + i] = (rem[k + i] - coef * cb) % m
-    return _pm_trim(q), _pm_trim(rem[:db])
-
-
-def _pm_powmod(base, e, mod, m):
-    result = [1]
-    b = _pm_divmod(base, mod, m)[1]
-    while e:
-        if e & 1:
-            result = _pm_divmod(_pm_mul(result, b, m), mod, m)[1]
-        b = _pm_divmod(_pm_mul(b, b, m), mod, m)[1]
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a, b, p):
-    a = _pm_trim([c % p for c in a])
-    b = _pm_trim([c % p for c in b])
-    while b:
-        a, b = b, _pm_divmod(a, b, p)[1]
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [(c * inv) % p for c in a]
-
-
-def _fp_extgcd(g, h, p):
-    """s, t with s*g + t*h = 1 mod p, for coprime g and h."""
-    r0, r1 = list(g), list(h)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pm_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _pm_sub(s0, _pm_mul(q, s1, p), p)
-        t0, t1 = t1, _pm_sub(t0, _pm_mul(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    return [(c * inv) % p for c in s0], [(c * inv) % p for c in t0]
-
-
-def _fp_split_equal_degree(g, d, p, rnd):
-    """Split a product of same-degree-d irreducibles mod an odd prime."""
-    n = len(g) - 1
-    if n == d:
-        return [g]
-    e = (p ** d - 1) // 2
-    while True:
-        a = _pm_trim([rnd.randrange(p) for _ in range(n)])
-        if len(a) < 2:
-            continue
-        r = _fp_gcd(a, g, p)
-        if not 0 < len(r) - 1 < n:
-            b = _pm_powmod(a, e, g, p)
-            r = _fp_gcd(_pm_sub(b, [1], p), g, p)
-            if not 0 < len(r) - 1 < n:
-                continue
-        rest = _pm_divmod(g, r, p)[0]
-        return _fp_split_equal_degree(r, d, p, rnd) + _fp_split_equal_degree(
-            rest, d, p, rnd
-        )
-
-
-def _fp_factor_squarefree(f, p, rnd):
-    """Monic irreducible factors of a monic square-free polynomial mod p."""
-    out = []
-    x = [0, 1]
-    v = f
-    h = x
-    d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _pm_powmod(h, p, v, p)
-        g = _fp_gcd(_pm_sub(h, x, p), v, p)
-        if len(g) - 1 > 0:
-            out.extend(_fp_split_equal_degree(g, d, p, rnd))
-            v = _pm_divmod(v, g, p)[0]
-            h = _pm_divmod(h, v, p)[1]
-    if len(v) - 1 > 0:
-        out.append(v)
-    return out
-
-
-def _odd_primes():
-    n = 3
-    while True:
-        if all(n % q for q in range(3, int(n ** 0.5) + 1, 2)):
-            yield n
-        n += 2
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """Lift f = g*h and s*g + t*h = 1 from mod m to mod m*m (f, g, h monic)."""
-    m2 = m * m
-    fm = _pm_trim([c % m2 for c in f])
-    e = _pm_sub(fm, _pm_mul(g, h, m2), m2)
-    q, r = _pm_divmod(_pm_mul(s, e, m2), h, m2)
-    g1 = _pm_add(_pm_add(g, _pm_mul(t, e, m2), m2), _pm_mul(q, g, m2), m2)
-    h1 = _pm_add(h, r, m2)
-    b = _pm_sub(
-        _pm_add(_pm_mul(s, g1, m2), _pm_mul(t, h1, m2), m2), [1], m2
-    )
-    c, d = _pm_divmod(_pm_mul(s, b, m2), h1, m2)
-    s1 = _pm_sub(s, d, m2)
-    t1 = _pm_sub(_pm_sub(t, _pm_mul(t, b, m2), m2), _pm_mul(c, g1, m2), m2)
-    return g1, h1, s1, t1
-
-
-def _hensel_tree(f, facs, p, M):
-    """Factors of the monic integer polynomial f lifted from mod p to mod M.
-
-    M must be a repeated square of p so every node stops at the same
-    modulus.
+    A root r/s in lowest terms has s dividing the leading coefficient a,
+    so y = a r / s is an integer, and |y| < |a| + max |f_i| = B by Cauchy's
+    bound. At a prime p not dividing a where every root of f mod p is
+    simple (all but finitely many primes, f being square-free), Newton's
+    method lifts each such root to the one root mod p^(2^k) > 2B above it;
+    so y is a times a lifted root, taken between -B and B, and each
+    candidate is checked exactly.
     """
-    if len(facs) == 1:
-        return [_pm_trim([c % M for c in f])]
-    half = len(facs) // 2
-    gp = [1]
-    for fac in facs[:half]:
-        gp = _pm_mul(gp, fac, p)
-    hp = [1]
-    for fac in facs[half:]:
-        hp = _pm_mul(hp, fac, p)
-    s, t = _fp_extgcd(gp, hp, p)
-    g, h = gp, hp
-    m = p
-    while m < M:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m = m * m
-    return _hensel_tree(g, facs[:half], p, M) + _hensel_tree(
-        h, facs[half:], p, M
-    )
-
-
-def _int_divmod_monic(a, b):
-    """Exact integer polynomial divmod by a monic divisor."""
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) < len(b):
-        return None, rem
-    q = [0] * (len(rem) - db)
-    for k in range(len(rem) - len(b), -1, -1):
-        coef = rem[k + db]
-        if coef:
-            q[k] = coef
-            for i, cb in enumerate(b):
-                rem[k + i] -= coef * cb
-    return q, _pm_trim(rem[:db])
-
-
-def _recombine(fstar, lifted, M):
-    """Merge lifted modular factors into true integer factors of fstar."""
-    half = M // 2
-
-    def sym(poly):
-        return [c - M if c > half else c for c in poly]
-
-    rem = list(fstar)
-    idx = list(range(len(lifted)))
-    out = []
-    k = 1
-    while 2 * k <= len(idx):
-        hit = False
-        for combo in itertools.combinations(idx, k):
-            prod = [1]
-            for i in combo:
-                prod = _pm_mul(prod, lifted[i], M)
-            cand = sym(prod)
-            if cand[0] and rem[0] % cand[0]:
-                continue
-            q, r = _int_divmod_monic(rem, cand)
-            if q is not None and not r:
-                out.append(cand)
-                rem = q
-                idx = [i for i in idx if i not in combo]
-                hit = True
+    lead = f[-1]
+    if len(f) == 2:
+        return [Fraction(-f[0], lead)]
+    df = [i * c for i, c in enumerate(f)][1:]
+    p = 1
+    while True:
+        p += 1
+        if lead % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            roots = [x for x in range(p) if not _ip_horner(f, x, p)]
+            if all(_ip_horner(df, x, p) for x in roots):
                 break
-        if not hit:
-            k += 1
-    if len(rem) - 1 > 0:
-        out.append(rem)
-    return out
-
-
-def _zassenhaus(f):
-    """Monic irreducible factors of a monic square-free rational polynomial
-    with no rational roots, via factorization at a good prime."""
-    ints = _to_int_primitive(f)
-    lead = ints[-1]
-    n = len(ints) - 1
-    # Scale the variable so the integer model is monic; roots pick up a
-    # factor of the old leading coefficient, undone when mapping back.
-    fstar = [a * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])]
-    fstar.append(1)
-    rnd = random.Random(1299721)
-
-    best = None
-    good = 0
-    for p in _odd_primes():
-        fp = _pm_trim([c % p for c in fstar])
-        dfp = _pm_trim([(i * fp[i]) % p for i in range(1, len(fp))])
-        if len(_fp_gcd(fp, dfp, p)) != 1:
-            continue  # reduction mod p is not square-free
-        facs = _fp_factor_squarefree(fp, p, rnd)
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        good += 1
-        if good == 3 or len(facs) == 1:
-            break
-    p, facs = best
-    if len(facs) == 1:
-        return [f]
-    facs.sort(key=lambda a: (len(a), a))
-
-    norm = math.isqrt(sum(c * c for c in fstar)) + 1
-    coeff_bound = (1 << n) * norm
-    M = p
-    while M <= 2 * coeff_bound:
-        M = M * M
-    lifted = _hensel_tree(fstar, facs, p, M)
+    bound = abs(lead) + max(map(abs, f[:-1]))
+    m = p
+    while roots and m <= 2 * bound:
+        m *= m
+        roots = [(x - _ip_horner(f, x, m) * pow(_ip_horner(df, x, m), -1, m)) % m
+                 for x in roots]
     out = []
-    for g in _recombine(fstar, lifted, M):
-        d = len(g) - 1
-        coeffs = [Fraction(c, lead ** (d - i)) for i, c in enumerate(g)]
-        out.append(UniPoly(coeffs, f.var))
-    return sorted(out, key=lambda q: (q.degree, q.coeffs))
-
-
-_irreducible_cache = {}
-
-
-def _factor_monic_distinct(f):
-    """Distinct monic irreducible factors of a monic polynomial with a
-    nonzero constant term. Multiplicities are the caller's business."""
-    key = f.coeffs
-    if key in _irreducible_cache:
-        return _irreducible_cache[key]
-    n = f.degree
-    if n == 1:
-        result = [f]
-    else:
-        rep = upoly_gcd(f, f.derivative())
-        if rep.degree >= 1:
-            # Repeated factors: the square-free part has the same
-            # irreducible factors, each exactly once.
-            result = _factor_monic_distinct((f // rep).monic())
-        else:
-            result = _zassenhaus(f)
-    _irreducible_cache[key] = result
-    return result
-
-
-def factor_univariate(f):
-    """Factor any nonzero rational polynomial.
-
-    Returns (leading_coefficient, [(monic irreducible, multiplicity), ...])
-    sorted by (degree, coefficients), with no degree cap.
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    lc = f.leading()
-    work = f.monic()
-    factors = {}
-    # powers of the variable
-    k = 0
-    cs = list(work.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    if k:
-        factors[UniPoly([0, 1], f.var).coeffs] = k
-        work = UniPoly(cs, f.var)
-    if work.degree >= 1:
-        for g in _factor_monic_distinct(work):
-            mult = 0
-            while True:
-                q, rem = work.divmod(g)
-                if rem.is_zero():
-                    work = q
-                    mult += 1
-                else:
-                    break
-            factors[g.coeffs] = factors.get(g.coeffs, 0) + mult
-    items = [(UniPoly(cs, f.var), m) for cs, m in factors.items()]
-    items.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return lc, items
+    for x in roots:
+        y = lead * x % m
+        r = Fraction(y - m if 2 * y > m else y, lead)
+        n, d = r.numerator, r.denominator
+        if not sum(c * n**i * d ** (len(f) - 1 - i) for i, c in enumerate(f)):
+            out.append(r)
+    return out
 
 
 def candidate_factors(polys):
-    """The distinct monic irreducible factors other than λ of ``polys``.
+    """The candidate special values of a parameter, from the nonconstant
+    guards among ``polys``.
 
-    These are the candidate special values of a parameter, one factor per
-    conjugate set of roots. Constants contribute nothing; the list is
-    sorted by (degree, coefficients), the order of ``factor_univariate``.
+    First each rational root other than 0 as its monic linear factor,
+    sorted by coefficients; then, when the guards have any other root, one
+    monic square-free polynomial with no rational root whose roots are
+    exactly those: the lcm of the square-free parts of the guards with λ
+    and the rational roots taken out. It is not split into irreducible
+    factors; ``classify.orbits_at_roots`` reads it whole.
     """
-    seen = {}
-    for poly in polys:
-        if poly.degree < 1:
-            continue
-        for fac, _mult in factor_univariate(poly)[1]:
-            if fac.coeffs != (0, 1):
-                seen[fac.coeffs] = fac
-    return [seen[key] for key in sorted(seen, key=lambda k: (len(k), k))]
-
-
-def is_irreducible(f):
-    """True for an irreducible polynomial of degree >= 1 (over Q)."""
-    if f.degree < 1:
-        return False
-    key = f.monic().coeffs
-    hit = _irreducible_cache.get(("irr", key))
-    if hit is None:
-        _, items = factor_univariate(f)
-        hit = len(items) == 1 and items[0][1] == 1
-        _irreducible_cache[("irr", key)] = hit
-    return hit
+    roots = set()
+    rest = [1]
+    for poly in {p.coeffs: p for p in polys if p.degree >= 1}.values():
+        f = _to_int_primitive(poly)
+        f = f[next(i for i, c in enumerate(f) if c):]
+        if len(f) > 2:
+            f = _ip_exact_div(f, _ip_gcd(f, [i * c for i, c in enumerate(f)][1:]))
+        if len(f) > 1:
+            for r in _rational_roots(f):
+                roots.add(r)
+                f = _ip_exact_div(f, [-r.numerator, r.denominator])
+        if len(f) > 1:
+            rest = _ip_cross(rest, _ip_exact_div(f, _ip_gcd(rest, f)), [], [])
+    out = [UniPoly([-r, 1]) for r in sorted(roots, reverse=True)]
+    return out + [UniPoly(rest).monic()] if len(rest) > 1 else out
 
 
 class AlgebraicElement:
-    """An element of Q[x]/(modulus), modulus monic irreducible.
+    """An element of Q[x]/(modulus), modulus monic of degree at least one.
 
     The representative is always reduced modulo the modulus. Arithmetic mixes
-    freely with ints and Fractions.
+    freely with ints and Fractions. Q[x]/(modulus) is a field when the
+    modulus is irreducible; when it is not, inverting a zero divisor raises
+    ZeroDivisor (``algext_inverse``).
     """
 
     __slots__ = ("modulus", "rep")
@@ -769,8 +508,6 @@ class AlgebraicElement:
                 raise ValueError("modulus must be monic")
             if modulus.degree < 1:
                 raise ValueError("modulus must have degree >= 1")
-            if not is_irreducible(modulus):
-                raise ValueError("modulus must be irreducible over Q")
         if isinstance(rep, (int, Fraction)):
             rep = UniPoly([Fraction(rep)], modulus.var)
         if rep.degree >= modulus.degree:

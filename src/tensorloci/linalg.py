@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix
-from .exactnum import _ip_prem
+from .exactnum import _ip_cross, _ip_exact_div, _zb_reduce
 
 
 class Mat:
@@ -110,49 +110,12 @@ def mat_vec(a, v):
 # λ = 2^K and eliminated over Z. Every entry Bareiss tests or divides by
 # is a minor, evaluation at 2^K is a ring map, and below the bound of
 # ``kronecker_bits`` a polynomial is zero exactly when its value there is;
-# so ranks, pivot columns and minors come out as over Z[λ]. Z[y] modulo an
-# irreducible g (``ring_at_root``) keeps the list arithmetic.
+# so ranks, pivot columns and minors come out as over Z[λ]. Z[y] with
+# pivots tested modulo g (``ring_at_root``) keeps the list arithmetic.
 
 
 def _cross(a, p, h, b):
     return a * p - h * b
-
-
-def _zx_cross(a, p, h, b):
-    """a*p - h*b over Z[λ]."""
-    n = max(len(a) + len(p), len(h) + len(b)) - 1
-    if n <= 0:
-        return []
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(p):
-                out[i + j] += x * y
-    for i, x in enumerate(h):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] -= x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zx_exact_div(a, b):
-    """The quotient a / b over Z[λ]; b must divide a."""
-    db = len(b) - 1
-    lead = b[-1]
-    if not db:
-        return [x // lead for x in a]
-    rem = list(a)
-    quo = [0] * max(len(a) - db, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + db] // lead
-        if c:
-            quo[k] = c
-            for j, y in enumerate(b):
-                rem[k + j] -= c * y
-    assert not any(rem), "Bareiss division left a remainder"
-    return quo
 
 
 RING_Z = (_cross, operator.floordiv, bool)
@@ -205,10 +168,13 @@ def packed_rows(rows, n, spread=1):
 
 
 def ring_at_root(g):
-    """Z[y] with pivots tested at a root β of the monic irreducible integer
-    g: the Bareiss entries over Z[y] are minors and evaluation at β is a
-    ring map, so the elimination gives the rank at β."""
-    return (_zx_cross, _zx_exact_div, lambda x: bool(_ip_prem(x, g)))
+    """Z[y] with pivots tested at the roots β of the monic integer g, which
+    has no rational root: the Bareiss entries over Z[y] are minors and
+    evaluation at β is a ring map, so the elimination gives the rank at
+    every root of g at once. A pivot test that finds a nonzero residue
+    vanishing at only some of them raises ZeroDivisor with the common
+    factor (``exactnum._zb_reduce``), on which g splits."""
+    return (_ip_cross, _ip_exact_div, lambda x: bool(_zb_reduce(x, g)))
 
 
 def _bareiss(work, ring, square=False, pivots=None):
@@ -396,15 +362,3 @@ def mat_inverse(A):
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return Mat([[Fraction(x, d) for x in rows[i][n:]] for i in range(n)])
-
-
-def full_rank_factorization(A):
-    """A = B C with B of full column rank and C of full row rank: B = the
-    identity and C = A when A has full row rank, else B the pivot columns
-    of A and C the nonzero rows of its reduced row echelon form."""
-    R, pivots = mat_rref(A)
-    r = len(pivots)
-    if r == A.rows:
-        return mat_identity(A.rows), A, r
-    B = [[A.entries[i][j] for j in pivots] for i in range(A.rows)]
-    return Mat(B), Mat(R.entries[:r]), r

@@ -6,7 +6,7 @@ lam != 0 with rank(T - lam*P) = rank(T) - 1. Points with that property
 form the decomposition locus of T; the rest form the forbidden locus.
 Everything here decides that membership exactly over the rationals and,
 on the membership side, returns a witness lam: either a rational value
-or the minimal polynomial of an algebraic one.
+or a monic square-free polynomial every root of which is one.
 
 Three independent routes are provided and kept deliberately separate so
 they can be played against each other in tests:
@@ -38,8 +38,8 @@ from .classify import (
     classify,
     classify_parametric,
     family_orbit,
-    orbit_at_root,
     orbit_rank,
+    orbits_at_roots,
 )
 from .errors import (
     AllZero,
@@ -76,9 +76,9 @@ class LambdaWitness:
     """A value of lam certifying membership: rational, or algebraic.
 
     Exactly one of ``value`` (a nonzero rational) and ``minimal_poly`` (a
-    monic irreducible polynomial of degree at least one, never lam
-    itself) is set; in the algebraic case any root of the polynomial
-    serves as the witness value.
+    monic square-free polynomial of degree at least one, never lam
+    itself) is set; in the algebraic case every root of the polynomial
+    is a witness value, and the minimal polynomial of each divides it.
     """
 
     __slots__ = ("value", "minimal_poly")
@@ -173,20 +173,22 @@ def _fractions(vec):
 
 
 def _factor_verdict(fac):
-    """Membership verdict witnessed at a root of the monic irreducible
-    ``fac``, other than lam: a linear factor yields a rational witness,
-    any other its minimal polynomial."""
+    """Membership verdict witnessed at every root of the monic ``fac``,
+    other than lam: a linear factor yields a rational witness, any other
+    is the witness polynomial."""
     if fac.degree == 1:
         return LocusVerdict.member(LambdaWitness(value=-fac.coeffs[0]))
     return LocusVerdict.member(LambdaWitness(minimal_poly=fac))
 
 
 def _first_witness(family, factors, target):
-    """Membership verdict at the first of ``factors`` whose root gives the
-    member of ``family``, T - lam*P, the rank ``target``, or None."""
+    """Membership verdict at the first group of roots of ``factors``, in
+    their order and that of ``orbits_at_roots``, where the member of
+    ``family``, T - lam*P, has the rank ``target``, or None."""
     for fac in factors:
-        if orbit_rank(orbit_at_root(family, fac)) == target:
-            return _factor_verdict(fac)
+        for group, oid in orbits_at_roots(family, fac):
+            if orbit_rank(oid) == target:
+                return _factor_verdict(group)
     return None
 
 
@@ -324,9 +326,9 @@ def _generic_membership(T, P, report):
     parametric = classify_parametric(family, report)
     special = [(fac, oid) for fac, oid in parametric.exceptional if fac != _LAMBDA]
     if orbit_rank(parametric.generic) == target:
-        # every member off the special factors is in the generic orbit
+        # every member off the special roots is in the generic orbit
         return _scan_rational_witness(family, target, [fac for fac, _ in special])
-    # the report holds the orbit of the member at each special factor
+    # the report holds the orbit of the member at each special group
     for fac, oid in special:
         if orbit_rank(oid) == target:
             return _factor_verdict(fac)
@@ -406,7 +408,7 @@ def _escape_verdict(family, target):
     The orbit of the family over Q(lam) decides (``family_orbit``): if it
     has rank ``target``, so does every member off the roots of its guards,
     and the scan finds one; otherwise only a member at a root of a guard
-    can, and each candidate factor is classified in turn. The guards
+    can, and the candidates are classified in turn. The guards
     include every flattening drop, so the members that leave the concise
     shape are among the candidates. Either way the witness is the one the
     generic strategy returns.
@@ -464,8 +466,10 @@ def locus_membership(T, P, strategy=SPECIALIZED):
     generic one classifies the whole family T - lam*P at once, the
     specialized one runs a per-orbit procedure. Both return the same
     witness: the first of 1, -1, 2, -2, ... that lowers the rank when the
-    generic member already has rank(T) - 1, else the first root that does
-    among the candidate factors, in ``candidate_factors`` order.
+    generic member already has rank(T) - 1, else the first rational root
+    that does among the candidates of ``candidate_factors``, in order, or
+    else the first group of irrational roots that does, in the order of
+    ``orbits_at_roots``.
     """
     if not isinstance(P, RankOneTensor):
         raise ShapeMismatch("the probe point must be a rank-one tensor")

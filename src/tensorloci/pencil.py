@@ -41,14 +41,13 @@ from fractions import Fraction
 
 from .binforms import BinaryForm, bform_discriminant, bform_gcd
 from .errors import InternalError, WrongShape
-from .exactnum import UniPoly, _ip_gcd
+from .exactnum import UniPoly, _ip_exact_div, _ip_gcd
 from .linalg import (
     RING_FIELD,
     RING_Z,
     RING_ZX,
     Mat,
     _bareiss,
-    _zx_exact_div,
     bareiss_det,
     integer_rows,
     kronecker_unpack,
@@ -219,7 +218,7 @@ def zform_quotient(f, g):
     den = g.coeffs[:]
     while not den[-1]:
         den.pop()
-    return BinaryForm(_zx_exact_div(f.coeffs, den)[:d + 1], d)
+    return BinaryForm(_ip_exact_div(f.coeffs, den)[:d + 1], d)
 
 
 def family_minors(p, k):

@@ -199,7 +199,7 @@ class ParametricTensor:
         self._flat = {}
 
     def specialize_ext(self, modulus):
-        """The member at a root of an irreducible polynomial."""
+        """The member at a root of the monic ``modulus``, over Q[x]/(modulus)."""
         gen = AlgebraicElement.generator(modulus)
         d = self.direction.expand()
         return Tensor(

@@ -11,10 +11,11 @@ from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
     _RootReads,
+    _root_model,
     classify,
     classify_parametric,
 )
-from tensorloci.errors import UnsupportedShape, ZeroTensor
+from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
 from tensorloci.exactnum import AlgebraicElement, UniPoly, _zb_cross, _zb_gcd
 from tensorloci.linalg import RING_FIELD, RING_ZX, Mat, mat_det, mat_rank
 from tensorloci.pencil import Pencil, member_rank_at
@@ -436,7 +437,7 @@ def zb_poly_mul(a, b, g):
 
 def root_readers():
     for fac in ROOT_FACTORS:
-        yield fac, _RootReads(Pencil([], 0, RING_ZX), fac), random.Random("root reads/%r" % (fac.coeffs,))
+        yield fac, _RootReads(Pencil([], 0, RING_ZX), *_root_model(fac)), random.Random("root reads/%r" % (fac.coeffs,))
 
 
 def test_root_reader_integer_minimal_polynomial():
@@ -445,6 +446,23 @@ def test_root_reader_integer_minimal_polynomial():
         assert len(reads.g) == fac.degree + 1 and reads.g[-1] == 1
         assert all(type(c) is int for c in reads.g)
         assert in_extension(reads.g, reads, fac) == 0
+
+
+def test_zb_cross_reports_a_zero_divisor_with_its_factor():
+    """Modulo g = (y^2 - 2)(y^2 - 3), which has no rational root, a residue
+    that vanishes at two of the roots of g raises ZeroDivisor with the
+    monic factor of g it shares; a residue of degree at most one, or one
+    coprime to g, is a unit and comes back reduced."""
+    g = [6, 0, -5, 0, 1]
+    assert _zb_cross([0, 0, 1], [0, 0, 1], [], [], g) == [-6, 0, 5]
+    assert _zb_cross([-5, 0, 1], [1], [], [], g) == [-5, 0, 1]
+    assert _zb_cross([2, 1], [1], [], [], g) == [2, 1]
+    for a, p, h, b, factor in (([0, 1], [0, 1], [2], [1], [-2, 0, 1]),
+                               ([0, 0, -3, 0, 1], [1], [], [], [-3, 0, 1]),
+                               ([0, 0, 1], [0, 0, 1], [3], [0, 0, 1], [-3, 0, 1])):
+        with pytest.raises(ZeroDivisor) as split:
+            _zb_cross(a, p, h, b, g)
+        assert split.value.factor == factor
 
 
 def test_zb_gcd_matches_the_gcd_over_the_extension():
@@ -504,7 +522,7 @@ def test_root_reader_member_rank():
                 + [[y, x] if x else [y] if y else [] for x, y in zip(a_row, r_row)]
                 for a_row, r_row in zip(A, R)
             ]
-            reads = _RootReads(Pencil(rows, 3, RING_ZX), fac)
+            reads = _RootReads(Pencil(rows, 3, RING_ZX), *_root_model(fac))
             assert reads.member_rank(BinaryForm([[reads.den], [0, 1]])) == want
             ell = BinaryForm([random_zb(rng, reads), random_zb(rng, reads, nonzero=False)])
             field_rows = [[sum((c * alpha**i for i, c in enumerate(x)), alpha * 0) for x in row]

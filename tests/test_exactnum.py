@@ -1,9 +1,11 @@
 """Scalar arithmetic tests.
 
-sympy is used as the independent oracle for gcd and factorization results;
-the fixed expected values below were frozen after checking them against it.
+sympy is used as the independent oracle for gcd results and for the split
+of guards into rational roots and the rest (``candidate_factors``); the
+fixed expected values below were frozen after checking them against it.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,13 +23,11 @@ from tensorloci.errors import (
 from tensorloci.exactnum import (
     AlgebraicElement,
     UniPoly,
+    _ip_gcd,
     algext_inverse,
     candidate_factors,
-    factor_univariate,
     format_rational,
-    is_irreducible,
     parse_rational,
-    upoly_gcd,
 )
 
 _lam = sympy.Symbol("lam")
@@ -92,37 +92,22 @@ class TestUniPoly:
         assert f(Fraction(5)) == 1 - 15 + 50
 
     def test_gcd_fixed_example(self):
-        # gcd(λ^3 - λ, λ^2 - 2λ + 1) = λ - 1
-        f = UniPoly([0, -1, 0, 1])
-        g = UniPoly([1, -2, 1])
-        assert upoly_gcd(f, g) == UniPoly([-1, 1])
-
-    def test_gcd_zero_conventions(self):
-        z = UniPoly([])
-        f = UniPoly([2, 4])
-        assert upoly_gcd(f, z) == UniPoly([Fraction(1, 2), 1]).monic()
-        assert upoly_gcd(z, z).is_zero()
+        # gcd(λ^3 - λ, λ^2 - 2λ + 1) = λ - 1, up to sign
+        assert _ip_gcd([0, -1, 0, 1], [1, -2, 1]) in ([-1, 1], [1, -1])
 
     def test_factor_fixed_example(self):
-        # λ^4 + λ^2 + 1 = (λ^2 + λ + 1)(λ^2 - λ + 1)
+        # λ^4 + λ^2 + 1 = (λ^2 + λ + 1)(λ^2 - λ + 1) has no rational root:
+        # it is one candidate, not split into its irreducible factors
         f = UniPoly([1, 0, 1, 0, 1])
-        _, facs = factor_univariate(f)
-        assert facs == [
-            (UniPoly([1, -1, 1]), 1),
-            (UniPoly([1, 1, 1]), 1),
-        ]
+        assert candidate_factors([f]) == [f]
+        assert candidate_factors([f * UniPoly([3, 2])]) == [UniPoly([Fraction(3, 2), 1]), f]
 
     def test_factor_with_multiplicity_and_lc(self):
         f = UniPoly([0, 0, 4, -8, 4])  # 4λ^2(λ-1)^2
-        lc, items = factor_univariate(f)
-        assert lc == 4
-        assert items == [(UniPoly([-1, 1]), 2), (UniPoly([0, 1]), 2)]
-        # a repeated factor next to distinct ones, through the square-free part
+        assert candidate_factors([f]) == [UniPoly([-1, 1])]
+        # a repeated root next to simple ones, through the square-free part
         f = upoly_from_roots([1, -3, 1]) * UniPoly([-2, 0, 1])
-        assert factor_univariate(f) == (
-            1,
-            [(UniPoly([-1, 1]), 2), (UniPoly([3, 1]), 1), (UniPoly([-2, 0, 1]), 1)],
-        )
+        assert candidate_factors([f]) == [UniPoly([-1, 1]), UniPoly([3, 1]), UniPoly([-2, 0, 1])]
 
 
 @st.composite
@@ -138,32 +123,103 @@ def small_polys(draw, max_degree=5, zero_ok=True):
     return UniPoly(coeffs)
 
 
-@given(small_polys(), small_polys())
+def primitive_ints(f):
+    den = math.lcm(*[c.denominator for c in f.coeffs])
+    return [int(c * den) for c in f.coeffs]
+
+
+@given(small_polys(zero_ok=False), small_polys(zero_ok=False))
 @settings(max_examples=60, deadline=None)
 def test_gcd_divides_both_and_is_maximal(f, g):
-    """gcd divides both inputs and any common divisor divides the gcd."""
-    d = upoly_gcd(f, g)
-    if d.is_zero():
-        assert f.is_zero() and g.is_zero()
-        return
+    """The integer gcd divides both inputs and any common divisor divides
+    it: it is sympy's gcd up to a constant."""
+    d = UniPoly(_ip_gcd(primitive_ints(f), primitive_ints(g)))
     assert (f % d).is_zero()
     assert (g % d).is_zero()
     sd = sympy.gcd(to_sympy(f), to_sympy(g), _lam)
-    assert to_sympy(d).equals(sympy.monic(sd, _lam) if sd.free_symbols else sd / sd)
+    assert d.monic() == from_sympy(sympy.monic(sd, _lam) if sd.free_symbols else sd / sd)
+
+
+def sympy_candidates(polys):
+    """``candidate_factors`` from sympy's factorization: the monic linear
+    factors other than λ, by coefficients, then the product of the other
+    distinct monic irreducible factors."""
+    linear, other = set(), set()
+    for f in polys:
+        if f.degree < 1:
+            continue
+        for q, _mult in sympy.factor_list(to_sympy(f), _lam)[1]:
+            q = from_sympy(q).monic()
+            if q.degree > 1:
+                other.add(q.coeffs)
+            elif q.coeffs != (0, 1):
+                linear.add(q.coeffs)
+    rest = UniPoly([1])
+    for coeffs in other:
+        rest = rest * UniPoly(coeffs)
+    return [UniPoly(c) for c in sorted(linear)] + ([rest] if other else [])
 
 
 @given(small_polys(max_degree=6, zero_ok=False))
 @settings(max_examples=60, deadline=None)
 def test_factor_reconstructs_and_factors_irreducible(f):
-    lc, items = factor_univariate(f)
-    prod = UniPoly([lc])
-    for p, m in items:
-        assert p.leading() == 1
-        prod = prod * p**m
-        # cross-check irreducibility with sympy
-        sfacs = sympy.factor_list(to_sympy(p), _lam)[1]
-        assert len(sfacs) == 1 and sfacs[0][1] == 1
-    assert prod == f
+    """The candidates of one guard are its linear factors over Q other than
+    λ and the product of its other irreducible factors, each once: their
+    product, times λ when λ divides f, is the square-free part of f."""
+    got = candidate_factors([f])
+    assert got == sympy_candidates([f])
+    assert all(q.leading() == 1 for q in got)
+    prod = UniPoly([1])
+    for q in got:
+        prod = prod * q
+    if f.coeffs[0] == 0:
+        prod = prod * UniPoly([0, 1])
+    assert prod == from_sympy(sympy.sqf_part(to_sympy(f))).monic()
+
+
+def seeded_guards(rng):
+    """One to three guards of degree 1-6 with leading coefficients up to
+    2^40: rational roots with denominators up to 2^40, factors without a
+    rational root, λ and repeated roots."""
+    guards = []
+    for _ in range(rng.randint(1, 3)):
+        f = UniPoly([rng.choice([1, -1]) * rng.randint(1, 2**20)])
+        target = rng.randint(1, 6)
+        while f.degree < target:
+            room = target - f.degree
+            kind = rng.randrange(4 if room > 1 else 2)
+            if kind == 0:
+                root = Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40))
+                fac, mult = UniPoly([-root, 1]), rng.choice([1, min(2, room)])
+            elif kind == 1:
+                fac, mult = UniPoly([0, 1]), rng.randint(1, min(2, room))
+            else:
+                d = rng.randint(2, min(3, room))
+                fac = UniPoly([rng.randint(-50, 50) for _ in range(d)] + [rng.randint(1, 2**40)])
+                mult = 1
+            f = f * fac**mult
+        guards.append(f)
+    return guards
+
+
+def test_candidate_factors_match_sympy_on_seeded_polynomials():
+    rng = random.Random("candidate factors")
+    for _ in range(80):
+        guards = seeded_guards(rng)
+        assert candidate_factors(guards) == sympy_candidates(guards), guards
+
+
+def test_candidate_factors_skip_primes_with_multiple_roots():
+    """The roots 1 and 30031 = 1 + 2*3*5*7*11*13 meet mod each of the
+    first six primes, where the reduction is not square-free; the roots
+    are found at a later prime."""
+    f = upoly_from_roots([1, 30031]) * UniPoly([1, 0, 1]) * UniPoly([Fraction(1, 7), 1])
+    x = sympy.Symbol("x")
+    for p in (2, 3, 5, 7, 11, 13):
+        fp = sympy.Poly(to_sympy(f * 7).subs(_lam, x), x, modulus=p)
+        assert sympy.gcd(fp, fp.diff(x)).degree() > 0, p
+    assert candidate_factors([f]) == sympy_candidates([f]) == [
+        UniPoly([-30031, 1]), UniPoly([-1, 1]), UniPoly([Fraction(1, 7), 1]), UniPoly([1, 0, 1])]
 
 
 def test_candidate_factors_dedupe_skip_lambda_and_sort():
@@ -172,20 +228,14 @@ def test_candidate_factors_dedupe_skip_lambda_and_sort():
     g = UniPoly([3, 2])  # 2 lam + 3
     h = UniPoly([-1, 1])  # lam - 1
     polys = [f * lam * lam, UniPoly([5]), g * h, h * h * f, UniPoly([-7, 0, 3])]
-    # by degree, then by coefficients from the constant term up
+    # rational roots by coefficients from the constant term up, then the
+    # lcm of the rest, monic
     assert candidate_factors(polys) == [
         UniPoly([-1, 1]),
         UniPoly([Fraction(3, 2), 1]),
-        UniPoly([Fraction(-7, 3), 0, 1]),
-        UniPoly([-2, 0, 1]),
+        UniPoly([Fraction(-7, 3), 0, 1]) * UniPoly([-2, 0, 1]),
     ]
     assert candidate_factors([lam, UniPoly([4]), UniPoly(())]) == []
-
-
-def test_is_irreducible_examples():
-    assert is_irreducible(UniPoly([-2, 0, 1]))
-    assert not is_irreducible(UniPoly([-1, 0, 1]))
-    assert not is_irreducible(UniPoly([3]))
 
 
 class TestAlgebraicElement:
@@ -228,15 +278,11 @@ class TestAlgebraicElement:
             algext_inverse(AlgebraicElement(mod, UniPoly([])))
 
     def test_zero_divisor_detected(self):
-        # reducible modulus smuggled in without validation
+        # a reducible modulus is accepted; inverting a zero divisor is not
         mod = UniPoly([-1, 0, 1])
-        x = AlgebraicElement(mod, UniPoly([-1, 1]), check=False)
+        x = AlgebraicElement(mod, UniPoly([-1, 1]))
         with pytest.raises(ZeroDivisor):
             algext_inverse(x)
-
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            AlgebraicElement(UniPoly([-1, 0, 1]), UniPoly([5]))
 
     def test_random_inverses(self):
         """x * x^(-1) = 1 for 100 random elements in 10 random moduli."""
@@ -248,7 +294,7 @@ class TestAlgebraicElement:
                 Fraction(1)
             ]
             f = UniPoly(coeffs)
-            if is_irreducible(f):
+            if sympy.Poly(to_sympy(f), _lam).is_irreducible:
                 moduli.append(f)
         checked = 0
         while checked < 100:

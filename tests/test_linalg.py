@@ -1,6 +1,7 @@
 """Matrix layer tests: rank, determinant, solve, inverse and rref of
 rational matrices, and the TypeError on any other entry; the Bareiss
-kernel on rows over an extension field and over Z[λ]."""
+kernel on rows over an extension field, over Z[λ] and over Z[y] with
+pivots tested at the roots of a reducible g."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tensorloci.errors import SingularMatrix
+from tensorloci.errors import SingularMatrix, ZeroDivisor
 from tensorloci.exactnum import AlgebraicElement, UniPoly
 from tensorloci.linalg import (
     RING_FIELD,
@@ -16,13 +17,13 @@ from tensorloci.linalg import (
     Mat,
     _bareiss,
     bareiss_det,
-    full_rank_factorization,
     mat_det,
     mat_identity,
     mat_inverse,
     mat_rank,
     mat_rref,
     mat_solve,
+    ring_at_root,
 )
 from tensorloci.pencil import pencil_of
 from tensorloci.tensorcore import Tensor
@@ -157,40 +158,17 @@ def test_det_polyring():
         assert len(det) <= 6
 
 
-def test_full_rank_factorization_reconstructs():
-    rng = random.Random(20)
-    for _ in range(50):
-        A = rand_low_rank(rng, rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 3))
-        B, C, r = full_rank_factorization(A)
-        if r:
-            assert mat_mul(B, C) == A
-        assert mat_rank(A) == r
-
-
-def test_full_rank_factorization_keeps_full_row_rank_input():
-    rng = random.Random(22)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        A = rand_qq(rng, n, n + rng.randint(0, 2))
-        if mat_rank(A) < n:
-            continue
-        B, C, r = full_rank_factorization(A)
-        assert r == n
-        assert B == mat_identity(n)
-        assert C == A
-
-
-def test_full_rank_factorization_rank_deficient_uses_pivot_columns():
-    rng = random.Random(23)
-    for _ in range(40):
-        n, m = rng.randint(2, 4), rng.randint(1, 5)
-        A = rand_low_rank(rng, n, m, rng.randint(0, min(n - 1, m)))
-        B, C, r = full_rank_factorization(A)
-        _, pivots = mat_rref(A)
-        assert r == len(pivots) < n
-        assert B == Mat([[A.entries[i][j] for j in pivots] for i in range(n)])
-        if r:
-            assert mat_mul(B, C) == A
+def test_ring_at_root_splits_a_reducible_modulus_on_a_zero_divisor():
+    """Over Z[y] with pivots tested at the roots of g = (y^2 - 2)(y^2 - 3),
+    the pivot y^2 - 2 vanishes at two roots of g and not at the other two:
+    the elimination stops with the factor of g it shares. Pivots that are
+    units at every root, y and y^2 - 5, keep their rank."""
+    g = [6, 0, -5, 0, 1]
+    ring = ring_at_root(g)
+    assert _bareiss([[[0, 1], [1]], [[1], [-5, 0, 1]]], ring)[0] == 2
+    with pytest.raises(ZeroDivisor) as split:
+        _bareiss([[[-2, 0, 1], [1]], [[1], [0, 1]]], ring)
+    assert split.value.factor == [-2, 0, 1]
 
 
 def test_solve_consistent_and_inconsistent():

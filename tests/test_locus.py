@@ -23,7 +23,8 @@ is such a drop, and no candidate factor of a seeded family lands back in
 its generic orbit. The generic strategy must answer
 without computing over Q(alpha), and the orbit it reads off the family's
 integer minors at each irrational candidate root must be the orbit of the
-member over Q(alpha). Rationally scaled inputs keep their verdicts, and
+member over Q(alpha); a candidate times polynomials whose roots give the
+generic orbit comes back split into one group per orbit. Rationally scaled inputs keep their verdicts, and
 order-four lifts of the normal forms get the same verdict from both
 strategies. In the {0, 1} box, one point per projective class, SPECIALIZED
 agrees with every stored closed form but the three known defective ones. ``scripts/dump_verdicts.py`` is smoke-tested on one
@@ -48,7 +49,7 @@ from tensorloci.classify import (
     classify,
     classify_parametric,
     family_orbit,
-    orbit_at_root,
+    orbits_at_roots,
 )
 from tensorloci.errors import (
     AllZero,
@@ -131,7 +132,7 @@ def assert_strategies_agree(T, P, label):
 
 def witness_code(verdict):
     """None when forbidden, else the witness value as text, or the
-    minimal polynomial as primitive integer coefficients."""
+    witness polynomial as primitive integer coefficients."""
     if not verdict.in_decomposition:
         return None
     if verdict.witness.is_rational:
@@ -343,11 +344,30 @@ def primitive(poly):
     return tuple(c // g for c in ints)
 
 
+def irreducible_factors(poly):
+    """The monic irreducible factors over Q of a square-free UniPoly, from
+    sympy."""
+    lam = sympy.Symbol("lam")
+    expr = sympy.Poly(list(reversed(primitive(poly))), lam)
+    return [UniPoly([Fraction(int(c)) for c in reversed(f.all_coeffs())]).monic()
+            for f, _ in expr.factor_list()[1]]
+
+
+def irreducible_entries(groups):
+    """Each (group, orbit) of ``groups`` as its irreducible factors, each
+    with the group's orbit, by (degree, coefficients)."""
+    split = [(q, oid) for fac, oid in groups for q in irreducible_factors(fac)]
+    return sorted(split, key=lambda e: (e[0].degree, e[0].coeffs))
+
+
 def report_code(T, P):
+    """The report coded as in the table: lam first, then every special
+    value as its irreducible factor, in (degree, coefficients) order."""
     report = classify_parametric(ParametricTensor(T, P), classify(T))
+    lam, rest = report.exceptional[0], report.exceptional[1:]
     return (
         report.generic.value,
-        [(primitive(fac), oid.value) for fac, oid in report.exceptional],
+        [(primitive(fac), oid.value) for fac, oid in [lam] + irreducible_entries(rest)],
     )
 
 
@@ -483,8 +503,7 @@ def special_among_recorded(T, P, factors):
             found.append((code, orbit.value))
     reported = [
         (primitive(fac), oid.value)
-        for fac, oid in report.exceptional
-        if primitive(fac) != (0, 1)
+        for fac, oid in irreducible_entries(report.exceptional[1:])
     ]
     return sorted(found), sorted(reported)
 
@@ -590,8 +609,9 @@ def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
                 assert guards[:len(flat)] == flat, (orbit, p)
                 drops += len(flat)
                 for fac in candidate_factors(guards):
-                    candidates += 1
-                    wasted += orbit_at_root(family, fac) == generic
+                    for q, orbit in irreducible_entries(orbits_at_roots(family, fac)):
+                        candidates += 1
+                        wasted += orbit == generic
     assert drops > 0 and candidates > 0
     assert wasted == 0, (wasted, candidates)
 
@@ -645,14 +665,17 @@ def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
 
 
 def irrational_candidates(orbit):
-    """(family, factor) for each candidate factor of degree >= 2 of the
-    seeded families of an orbit, on the normal form and GL-moved."""
+    """(family, factor, orbit) for each irreducible factor of degree >= 2
+    of the candidates of the seeded families of an orbit, on the normal
+    form and GL-moved, with the orbit ``orbits_at_roots`` reads at its
+    roots."""
     for _sparse, T, P, gT, gP in seeded_families(orbit):
         for t, p in ((T, P), (gT, gP)):
             family = ParametricTensor(t, p)
             for fac in candidate_factors(family_orbit(family)[1]):
                 if fac.degree >= 2:
-                    yield family, fac
+                    for q, oid in irreducible_entries(orbits_at_roots(family, fac)):
+                        yield family, q, oid
 
 
 def test_members_at_irrational_roots_match_their_orbits_over_the_extension():
@@ -661,9 +684,31 @@ def test_members_at_irrational_roots_match_their_orbits_over_the_extension():
     classified as a tensor over Q(alpha)."""
     seen = 0
     for orbit in ORBITS:
-        for family, fac in irrational_candidates(orbit):
-            want = classify(family.specialize_ext(fac)).orbit
-            assert orbit_at_root(family, fac) == want, (orbit, fac)
+        for family, fac, oid in irrational_candidates(orbit):
+            assert oid == classify(family.specialize_ext(fac)).orbit, (orbit, fac)
+            seen += 1
+    assert seen == 36
+
+
+def test_root_groups_split_where_the_orbits_differ():
+    """Each irrational candidate of a seeded family, all outside the
+    generic orbit, times lam^2 - 7, whose roots give the generic orbit, is
+    read whole: the reader splits it on a zero divisor into two coprime
+    groups, each with the orbit of the member over Q(alpha) at its roots.
+    With lam^2 + 5 as well, the two generic parts come back merged into
+    one group, wherever the splits fell."""
+    quad, other = UniPoly([-7, 0, 1]), UniPoly([5, 0, 1])
+    seen = 0
+    for orbit in ORBITS:
+        for family, fac, oid in irrational_candidates(orbit):
+            generic = family_orbit(family)[0]
+            assert oid != generic
+            for q in (quad, other):
+                assert classify(family.specialize_ext(q)).orbit == generic
+            for q in (quad, quad * other):
+                want = [(fac, oid), (q, generic)]
+                assert orbits_at_roots(family, fac * q) == sorted(
+                    want, key=lambda e: (e[0].degree, e[0].coeffs)), (orbit, fac)
             seen += 1
     assert seen == 36
 
@@ -690,16 +735,15 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
 
 
 def test_classify_and_specialized_routes_run_without_rref(monkeypatch):
-    """From the integer core down nothing reduces over Q: with the rref and
-    the full-rank factorization refusing, classify and SPECIALIZED answer
-    every seeded family with the witnesses of the table."""
+    """From the integer core down nothing reduces over Q: with the rref
+    refusing, classify and SPECIALIZED answer every seeded family with the
+    witnesses of the table."""
 
     def refuse(*_args):
         raise AssertionError("the integer path reached a rational elimination")
 
     with monkeypatch.context() as m:
-        for module, name in ((linalg, "mat_rref"), (tensorcore, "mat_rref"),
-                             (linalg, "full_rank_factorization")):
+        for module, name in ((linalg, "mat_rref"), (tensorcore, "mat_rref")):
             m.setattr(module, name, refuse)
         for orbit in ORBITS:
             got = []
@@ -937,11 +981,12 @@ def test_locus_membership_rejects_bad_input():
 
 
 def test_first_witness_takes_the_first_factor_of_the_target_rank():
-    """The members at lam = 1 and at lam = sqrt(2) both have rank three; an
-    irrational root yields a minimal-polynomial witness."""
+    """The members at lam = 1 and at lam = +-sqrt(2), +-sqrt(3) all have
+    rank three; irrational roots yield a witness polynomial, every root of
+    which is a witness, and roots in one orbit share one."""
     T = normal_form(16)
     P = RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
-    lin, quad = UniPoly([-1, 1]), UniPoly([-2, 0, 1])
+    lin, quad, other = UniPoly([-1, 1]), UniPoly([-2, 0, 1]), UniPoly([-3, 0, 1])
     family = ParametricTensor(T, P)
     verdict = _first_witness(family, [lin, quad], 3)
     assert verdict.witness == LambdaWitness(value=1)
@@ -949,6 +994,10 @@ def test_first_witness_takes_the_first_factor_of_the_target_rank():
     assert verdict.witness == LambdaWitness(minimal_poly=quad)
     assert member_rank(T, P, verdict.witness) == 3
     assert _first_witness(family, [quad, lin], 2) is None
+    verdict = _first_witness(family, [quad * other, lin], 3)
+    assert verdict.witness == LambdaWitness(minimal_poly=quad * other)
+    for fac in (quad, other):
+        assert member_rank(T, P, LambdaWitness(minimal_poly=fac)) == 3
 
 
 def test_scan_bound_covers_guard_roots_at_one_and_minus_one():

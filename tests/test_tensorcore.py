@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorloci.classify import classify, orbit_at_root
+from tensorloci.classify import classify, orbits_at_roots
 from tensorloci.errors import (
     AxisOutOfRange,
     ShapeMismatch,
@@ -356,7 +356,7 @@ def test_parametric_specializations_agree():
 def test_member_at_matches_specialize():
     """A linear factor gives the member over Q (``subtract_scaled``) times
     a positive integer, with int entries. At a root of a quadratic one the member is over
-    Q(alpha), from specialize_ext, in the orbit orbit_at_root reads off
+    Q(alpha), from specialize_ext, in the orbit orbits_at_roots reads off
     the family; member_at refuses that factor."""
     fam = ParametricTensor(
         normal_form(16), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
@@ -369,6 +369,6 @@ def test_member_at_matches_specialize():
     quad = UniPoly([-2, 0, 1])
     member = fam.specialize_ext(quad)
     assert all(x.modulus == quad for x in member.entries)
-    assert classify(member).orbit == orbit_at_root(fam, quad)
+    assert orbits_at_roots(fam, quad) == [(quad, classify(member).orbit)]
     with pytest.raises(ValueError):
         fam.member_at(quad)
