@@ -28,10 +28,22 @@ one seeded invertible integer matrix per axis (entries in -3..3). Both
 strategies must return the same verdict, witness included, on the moved
 pair as at the normal form: a GL MISMATCH line reports each difference,
 and the exit status is nonzero when any appeared.
+
+With ``--tangential N`` it draws, for each order k = 3-6 and each proper
+subset C of the axes, N seeded GL moves (entries in -3..3) of the tangent
+model sum_j E_j, each with a random P that agrees with the tangency point
+e0^k exactly on C. ``decompose_tangential`` must give k terms that sum
+back with P first, and ``locus_tangential`` must return a member. At
+k = 3 its status must equal that of both ``locus_membership`` strategies,
+and when P agrees with the tangency point on two axes its whole verdict
+must equal GENERIC's, since the witness is then unique. A TANGENTIAL
+MISMATCH line reports each failure, and the exit status is nonzero when
+any appeared.
 """
 
 import argparse
 import collections
+import itertools
 import math
 import random
 import sys
@@ -42,7 +54,7 @@ import sympy
 
 from tensorloci import classify as classify_module
 from tensorloci.classify import classify, family_orbit, orbits_at_roots
-from tensorloci.errors import UnsupportedOrbit, ZeroDivisor
+from tensorloci.errors import TensorLociError, UnsupportedOrbit, ZeroDivisor
 from tensorloci.exactnum import UniPoly, candidate_factors
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import (
@@ -51,14 +63,17 @@ from tensorloci.locus import (
     SPECIALIZED,
     closed_form_predicate,
     locus_membership,
+    locus_tangential,
 )
 from tensorloci.orbits import normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
+    Tensor,
     apply_gl,
     apply_gl_rank_one,
 )
+from tensorloci.wstate import decompose_tangential, verify_decomposition
 
 SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
 DENSE_POOL = (1, -1, 2, -2, 3, -3)
@@ -142,6 +157,75 @@ def sweep_gl(orbits, points, rnd):
         print("orbit %2d: %d points, %.2fs" % (orbit, points, time.time() - start))
         sys.stdout.flush()
     print("%d GL mismatches" % mismatches)
+    return mismatches
+
+
+def tangent_model(k):
+    """sum_j E_j, E_j with e1 on axis j and e0 on the others."""
+    t = Tensor.zeros((2,) * k)
+    for j in range(k):
+        t.entries[1 << (k - 1 - j)] = Fraction(1)
+    return t
+
+
+def normalized(v):
+    lead = Fraction(next(x for x in v if x))
+    return [x / lead for x in v]
+
+
+def tangential_problems(T, P, k, d):
+    """What the tangential decomposition and verdict get wrong on a tangent
+    tensor T of order k and a P off its tangency point on d axes."""
+    try:
+        dec = decompose_tangential(T, P)
+        verdict = locus_tangential(T, P)
+    except TensorLociError as exc:
+        return ["raised %r" % (exc,)]
+    problems = []
+    sums_back = verify_decomposition(T, dec)
+    if len(dec) != k or not sums_back:
+        problems.append("%d terms, summing back: %s" % (len(dec), sums_back))
+    if dec.terms[0][1].factors != [normalized(f) for f in P.factors]:
+        problems.append("first term %r is not P" % (dec.terms[0][1].factors,))
+    if not verdict.in_decomposition:
+        problems.append("locus_tangential: %r" % (verdict,))
+    if k == 3:
+        for strategy in (SPECIALIZED, GENERIC):
+            other = locus_membership(T, P, strategy)
+            whole = d == 1 and strategy == GENERIC
+            if other.status != verdict.status or (whole and other != verdict):
+                problems.append("locus_tangential %r, %s %r" % (verdict, strategy, other))
+    return problems
+
+
+def sweep_tangential(draws, rnd):
+    """The tangential decomposition and verdict on GL moves of the tangent
+    model, every order 3-6 and coincidence pattern."""
+    mismatches = cases = 0
+    for k in range(3, 7):
+        T = tangent_model(k)
+        start = time.time()
+        for m in range(k):
+            for coincident in itertools.combinations(range(k), m):
+                for _ in range(draws):
+                    factors = []
+                    for j in range(k):
+                        if j in coincident:
+                            factors.append([rnd.choice(DENSE_POOL), 0])
+                        else:
+                            factors.append([rnd.choice(SPARSE_POOL), rnd.choice(DENSE_POOL)])
+                    P = RankOneTensor(factors)
+                    gs = [random_invertible(rnd, 2) for _ in range(k)]
+                    gT, gP = apply_gl(T, gs), apply_gl_rank_one(P, gs)
+                    cases += 1
+                    for problem in tangential_problems(gT, gP, k, k - m):
+                        mismatches += 1
+                        print("TANGENTIAL MISMATCH k=%d C=%r P=%r moved by %r: %s"
+                              % (k, coincident, describe(P), gs, problem))
+        print("order %d: %d patterns x %d draws, %.2fs"
+              % (k, 2 ** k - 1, draws, time.time() - start))
+        sys.stdout.flush()
+    print("%d tangent tensors, %d tangential mismatches" % (cases, mismatches))
     return mismatches
 
 
@@ -264,6 +348,13 @@ def main(argv=None):
         metavar="N",
         help="compare the verdicts on N points per orbit with those after a GL move",
     )
+    parser.add_argument(
+        "--tangential",
+        type=int,
+        default=0,
+        metavar="N",
+        help="decompose N GL-moved tangent tensors per order 3-6 and coincidence pattern",
+    )
     args = parser.parse_args(argv)
     if "-" in args.orbits:
         lo, hi = args.orbits.split("-")
@@ -275,6 +366,8 @@ def main(argv=None):
         return 1 if sweep_roots(orbits, args.roots, rnd) else 0
     if args.gl:
         return 1 if sweep_gl(orbits, args.gl, rnd) else 0
+    if args.tangential:
+        return 1 if sweep_tangential(args.tangential, rnd) else 0
     total = 0
     for orbit in orbits:
         total += sweep_orbit(orbit, args.points, rnd, args.skip_generic)

@@ -10,6 +10,24 @@ is proportional to a prescribed rank-one direction; every direction inside
 the per-axis spans works except the point q itself. ``verify_decomposition``
 checks any claimed weighted rank-one decomposition exactly.
 
+In model coordinates the tensor is W = sum_j E_j, E_j the coordinate tensor
+with e1 on axis j and e0 elsewhere, and q = e0^k. Let D be the d >= 1 axes
+where the direction's factor is (p_j, 1) and C those where it is e0, and
+F(r) = (x)_D (r + p_j, 1) (x) e0^C, so F(0) is the direction. For f monic
+with d - 1 distinct nonzero roots (the nodes), Lagrange interpolation of F
+at 0 and the nodes reads off its r^(d-1) coefficient:
+
+    W = F(0)/f(0) + sum_{f(r)=0} F(r)/(r f'(r)) + sum_C E_j - rho e0^k,
+
+rho = sum_D p_j + sum of the nodes. The last two parts are |C| terms, the
+first E_j with (-rho, 1) on its own axis, so W has k terms with the
+direction first and closed-form coefficients. T - lam*P has rank k - 1 at
+every lam = 1/f(0) that a choice of nodes reaches (model scale, P = F(0)):
+at the one point lam = 1 when d = 1 (then T - lam*P is a tangent tensor
+again for every other lam); at every lam != 0 when C is nonempty and
+d >= 2; and, when C is empty, at 1/f(0) for those f whose nodes sum to
+-sum p_j, which leaves no rho e0^k over.
+
 These serve ``locus.locus_tangential``, which reads its witness off the
 decomposition for tangent tensors of any order. ``locus_membership`` does
 not come here: it answers the 2 x 2 x 2 tangent orbit from the family
@@ -31,8 +49,8 @@ from .errors import (
     TangencyPointRequested,
     ZeroTensor,
 )
-from .linalg import Mat, mat_inverse, mat_solve, mat_vec, sample_points
-from .pencil import pencil_det_form, pencil_minor_gcd, pencil_of
+from .linalg import Mat, mat_inverse, mat_vec, sample_points
+from .pencil import pencil_minor_gcd, pencil_of
 from .tensorcore import (
     RankOneTensor,
     Tensor,
@@ -64,7 +82,7 @@ class TangencyPoint:
                     break
             if lead is None:
                 raise ZeroTensor("zero factor vector in a tangency point")
-            norm.append([x / lead for x in f])
+            norm.append([x / Fraction(lead) for x in f])
         self.factors = norm
 
     @property
@@ -276,29 +294,20 @@ def find_tangency(T):
     return TangencyPoint(factors)
 
 
-def _solve_terms(points, target):
-    cols = [RankOneTensor(f).expand().entries for f in points]
-    A = Mat([[c[t] for c in cols] for t in range(len(target.entries))])
-    sol = mat_solve(A, list(target.entries))
-    if sol is None or any(not c for c in sol):
-        raise InternalError("the decomposition system is inconsistent")
-    return sol
-
-
-def _alldiff_terms(ps):
-    """Terms for the model tensor when no axis of the direction coincides.
+def _nodes(ps):
+    """Nodes for the model tensor when no axis of the direction coincides.
 
     ps lists the first coordinate of the direction on each axis, the second
-    being one. The terms are the direction itself plus curve points at k - 1
-    distinct nonzero parameters summing to want = -sum(ps), the direction
-    first. The first k - 2 parameters are a window of 1, -1, 2, -2, ...
+    being one. The nodes are k - 1 distinct nonzero parameters summing to
+    want = -sum(ps), so that the interpolation leaves no multiple of the
+    tangency point over. The first k - 2 are a window of 1, -1, 2, -2, ...
     (``sample_points`` after its 0), the last is forced; a sum off the
     integers works at once. For k - 2 = 2h the windows at starts 2t are
     +-(t+1), ..., +-(t+h), so the start 2|want| or 0 works for want != 0,
     and k - 1 for want = 0. For k - 2 = 2h + 1 the start 0 works for
     want <= 0, 1 for want > h; for 1 <= want <= h the forced value lands
-    in every window, and the parameters are 1, ..., k - 2 and the
-    negative want - (k - 2)(k - 1) / 2.
+    in every window, and the nodes are 1, ..., k - 2 and the negative
+    want - (k - 2)(k - 1) / 2.
     """
     k = len(ps)
     want = -sum(ps)
@@ -306,94 +315,38 @@ def _alldiff_terms(ps):
         roots = sample_points(start + k - 1)[start + 1:]
         roots.append(want - sum(roots))
         if roots[-1] and len(set(roots)) == k - 1:
-            break
-    else:
-        roots = [Fraction(i) for i in range(1, k - 1)]
-        roots.append(want - sum(roots))
-    points = [[[p, Fraction(1)] for p in ps]]
-    for r in roots:
-        points.append([[r + p, Fraction(1)] for p in ps])
-    coeffs = _solve_terms(points, _tangent_core(k))
-    return list(zip(coeffs, points))
+            return roots
+    roots = [Fraction(i) for i in range(1, k - 1)]
+    roots.append(want - sum(roots))
+    return roots
 
 
-def _distinct_rational_roots(form):
-    """The two projective roots of a quadratic form a u^2 + b uv + c v^2,
-    or None unless they are rational and distinct, that is unless the
-    discriminant is a nonzero rational square: (-1, 0), the root of v,
-    first when a = 0, else the roots (r, 1) with r descending."""
-    a, b, c = form.coeffs
-    disc = Fraction(b * b - 4 * a * c)
-    if disc <= 0:
-        return None
-    n, d = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-    if n * n != disc.numerator or d * d != disc.denominator:
-        return None
+def _model_terms(phat):
+    """k terms (coefficient, factors) adding up to the model tensor by the
+    interpolation identity of the module docstring, the direction with
+    model factors phat first."""
     one = Fraction(1)
-    if not a:
-        return [(-one, 0 * one), (-c / b, one)]
-    s = Fraction(n, d)
-    return [(r, one) for r in sorted(((-b + s) / (2 * a), (-b - s) / (2 * a)), reverse=True)]
+    k = len(phat)
+    ps = {j: v[0] / v[1] for j, v in enumerate(phat) if v[1]}
+    if not ps:
+        raise TangencyPointRequested("the direction is the tangency point itself")
+    coincident = [j for j in range(k) if j not in ps]
+    if coincident:
+        nodes = [Fraction(s) for s in sample_points(len(ps))[1:]]
+    else:
+        nodes = _nodes(list(ps.values()))
 
+    def curve(r):
+        return [[r + ps[j], one] if j in ps else _e(0) for j in range(k)]
 
-def _rank2_split(S):
-    """Two rank-one terms summing to a 2x2x2 tensor of rank two.
-
-    Slices along the first axis; the determinant of the slice pencil must
-    have two distinct rational roots. Returns [(coeff, factors), ...] or
-    None when that fails.
-    """
-    A = [[S[(0, i, j)] for j in (0, 1)] for i in (0, 1)]
-    B = [[S[(1, i, j)] for j in (0, 1)] for i in (0, 1)]
-    roots = _distinct_rational_roots(pencil_det_form(pencil_of(S)))
-    if roots is None:
-        return None
-    factors = []
-    for kill, own in ((roots[0], roots[1]), (roots[1], roots[0])):
-        u0, v0 = kill
-        M = Tensor(
-            (2, 2), [u0 * A[i][j] + v0 * B[i][j] for i in (0, 1) for j in (0, 1)]
-        )
-        got = rank_one_factors(M)
-        if got is None:
-            return None
-        # the scalar of the rank-one member goes into the solved coefficient
-        _, (x, y) = got
-        factors.append([[own[1], -own[0]], x, y])
-    cols = [RankOneTensor(f).expand().entries for f in factors]
-    A8 = Mat([[c[t] for c in cols] for t in range(8)])
-    sol = mat_solve(A8, list(S.entries))
-    if sol is None or any(not c for c in sol):
-        return None
-    return list(zip(sol, factors))
-
-
-def _tail_two_coincident(p):
-    """Three terms for the order-three model when two axes coincide.
-
-    Local axis order: the two coinciding axes first, then the free one with
-    direction (p, 1).
-    """
-    return [
-        (Fraction(1), [_e(0), _e(0), [p, Fraction(1)]]),
-        (Fraction(1), [_e(1), _e(0), _e(0)]),
-        (Fraction(1), [_e(0), [-p, Fraction(1)], _e(0)]),
-    ]
-
-
-def _tail_one_coincident(p1, p2):
-    """Three terms for the order-three model when one axis coincides.
-
-    Local axis order: the coinciding axis first. Subtracting the direction
-    itself leaves a tensor of rank two whose slice pencil along the first
-    axis always has distinct rational roots, so it splits exactly.
-    """
-    direction = [_e(0), [p1, Fraction(1)], [p2, Fraction(1)]]
-    S = _tangent_core(3).sub(RankOneTensor(direction).expand())
-    split = _rank2_split(S)
-    if split is None:
-        raise InternalError("the rank-two remainder did not split rationally")
-    return [(Fraction(1), direction)] + [(c, f) for c, f in split]
+    terms = [(one / math.prod(-s for s in nodes), curve(0))]
+    for s in nodes:
+        terms.append((one / (s * math.prod(s - t for t in nodes if t != s)), curve(s)))
+    rho = sum(ps.values()) + sum(nodes)
+    for c in coincident:
+        terms.append((one, [[-rho, one] if j == c else _e(0) for j in range(k)]))
+        rho = 0
+    return terms
 
 
 def decompose_tangential(T, P):
@@ -401,7 +354,12 @@ def decompose_tangential(T, P):
 
     P must be a rank-one tensor of the same shape whose factors stay inside
     the per-axis spans of T and which is not the tangency point itself. The
-    direction term always comes first.
+    direction term always comes first. The terms are those of the model
+    identity W = F(0)/f(0) + sum_{f(r)=0} F(r)/(r f'(r)) + sum_C E_j - rho e0^k
+    of the module docstring. The nodes are the first d - 1 of 1, -1, 2, ...
+    when C is nonempty, else those of ``_nodes``. The witness lam = 1/f(0)
+    (model scale) is the only one when d = 1, one of all lam != 0 when C is
+    nonempty and d >= 2, and tied to -sum p_j through the nodes when C is empty.
     """
     if T.shape != P.shape:
         raise ShapeMismatch(
@@ -412,47 +370,9 @@ def decompose_tangential(T, P):
     if coords is None:
         raise NotInLocus("the direction leaves the span of the tensor")
     nf = _tangency_data(red)
-    k = len(nf.active)
-    ginv = [mat_inverse(g) for g in nf.gs]
-    phat = [mat_vec(ginv[j], coords[a]) for j, a in enumerate(nf.active)]
-    coincident = [j for j in range(k) if not phat[j][1]]
-    different = [j for j in range(k) if phat[j][1]]
-    if not different:
-        raise TangencyPointRequested("the direction is the tangency point itself")
-    shift = {j: phat[j][0] / phat[j][1] for j in different}
-    m = len(coincident)
-    if m == 0:
-        core_terms = _alldiff_terms([shift[j] for j in range(k)])
-    else:
-        if k - m >= 3:
-            peeled = coincident
-            tail_axes = different
-            local = _alldiff_terms([shift[j] for j in different])
-        else:
-            peeled = coincident[: k - 3]
-            tail_axes = coincident[k - 3 :] + different
-            if len(different) == 1:
-                local = _tail_two_coincident(shift[different[0]])
-            else:
-                local = _tail_one_coincident(
-                    shift[different[0]], shift[different[1]]
-                )
-        spread = []
-        for coeff, facs in local:
-            full = [None] * k
-            for j in peeled:
-                full[j] = _e(0)
-            for pos, j in enumerate(tail_axes):
-                full[j] = facs[pos]
-            spread.append((coeff, full))
-        sing = []
-        for j in peeled:
-            full = [_e(0) for _ in range(k)]
-            full[j] = _e(1)
-            sing.append((Fraction(1), full))
-        core_terms = [spread[0]] + sing + spread[1:]
+    phat = [mat_vec(mat_inverse(nf.gs[j]), coords[a]) for j, a in enumerate(nf.active)]
     out = []
-    for coeff, facs in core_terms:
+    for coeff, facs in _model_terms(phat):
         scale = coeff
         ambient = []
         for a in range(T.order):

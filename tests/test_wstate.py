@@ -1,14 +1,13 @@
 """Tangency recovery and explicit minimal decompositions."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorloci.binforms import BinaryForm
 from tensorloci.errors import (
     NotInLocus,
     NotTangential,
@@ -23,11 +22,12 @@ from tensorloci.tensorcore import (
     apply_gl,
     apply_gl_rank_one,
 )
-from tensorloci.locus import locus_tangential
+from tensorloci.locus import GENERIC, locus_membership, locus_tangential
 from tensorloci.wstate import (
     Decomposition,
-    _alldiff_terms,
-    _distinct_rational_roots,
+    TangencyPoint,
+    _model_terms,
+    _nodes,
     decompose_tangential,
     find_tangency,
     verify_decomposition,
@@ -149,16 +149,6 @@ def test_decompose_direction_term_comes_first():
             assert dec.terms[0][1].factors == [normalized(f) for f in factors]
 
 
-def test_decompose_two_coincident_axes():
-    t = w_state(3)
-    for free in ([Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)], [Fraction(-5), Fraction(3)]):
-        p = RankOneTensor([unit(2, 0), unit(2, 0), free])
-        dec = decompose_tangential(t, p)
-        assert verify_decomposition(t, dec)
-        assert len(dec) == 3
-        assert dec.terms[0][1].factors == [unit(2, 0), unit(2, 0), normalized(free)]
-
-
 def test_decompose_through_opposite_corner():
     t = normal_form(5)
     p = RankOneTensor([unit(2, 1), unit(2, 1), unit(2, 1)])
@@ -168,40 +158,47 @@ def test_decompose_through_opposite_corner():
     assert dec.terms[0][1].factors == [unit(2, 1), unit(2, 1), unit(2, 1)]
 
 
-def test_decompose_one_coincident_axis():
-    t = w_state(3)
+def direction(rng, k, coincident, zero_sum):
+    """A rank-one direction on the order-k model: a multiple of e0 on the
+    coincident axes, (p_j, 1) up to scale on the others, the p_j summing to
+    zero when asked."""
+    free = [j for j in range(k) if j not in coincident]
+    ps = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in free]
+    if zero_sum:
+        ps[-1] -= sum(ps)
+    factors = [[Fraction(rng.choice((1, -1, 2, 3))), Fraction(0)] for _ in range(k)]
+    for j, p in zip(free, ps):
+        b = Fraction(rng.choice((1, -1, 2, 3)))
+        factors[j] = [p * b, b]
+    return RankOneTensor(factors)
+
+
+@pytest.mark.parametrize(
+    "k, coincident",
+    [
+        pytest.param(k, c, id="k%d-C%s" % (k, "".join(map(str, c)) or "_"))
+        for k in range(3, 7)
+        for m in range(k)
+        for c in itertools.combinations(range(k), m)
+    ],
+)
+def test_decompose_every_coincidence_pattern(k, coincident):
+    """Every proper subset C of the axes may agree with the tangency point:
+    on the model with the free p_j summing to zero, and after a seeded GL
+    move with random free p_j, the decomposition has k nonzero terms that
+    sum back, P's normalized factors first."""
+    rng = random.Random(1000 * k + sum(1 << j for j in coincident))
+    mats = [random_invertible(rng, 2) for _ in range(k)]
     cases = [
-        (Fraction(1), Fraction(2)),
-        (Fraction(1), Fraction(-1)),
-        (Fraction(0), Fraction(0)),
+        (w_state(k), direction(rng, k, coincident, zero_sum=True)),
+        (apply_gl(w_state(k), mats),
+         apply_gl_rank_one(direction(rng, k, coincident, zero_sum=False), mats)),
     ]
-    for p1, p2 in cases:
-        p = RankOneTensor([unit(2, 0), [p1, Fraction(1)], [p2, Fraction(1)]])
+    for t, p in cases:
         dec = decompose_tangential(t, p)
-        assert verify_decomposition(t, dec)
-        assert len(dec) == 3
-        assert dec.terms[0][1].factors == [
-            unit(2, 0),
-            normalized([p1, Fraction(1)]),
-            normalized([p2, Fraction(1)]),
-        ]
-
-
-def test_decompose_higher_order_all_coincidence_counts():
-    for k in (4, 5):
-        t = w_state(k)
-        for m in range(k):
-            factors = []
-            for j in range(k):
-                if j < m:
-                    factors.append(unit(2, 0))
-                else:
-                    factors.append([Fraction(j - 1), Fraction(1)])
-            p = RankOneTensor(factors)
-            dec = decompose_tangential(t, p)
-            assert verify_decomposition(t, dec)
-            assert len(dec) == k
-            assert dec.terms[0][1].factors == [normalized(f) for f in factors]
+        assert len(dec) == k and all(c for c, _ in dec.terms)
+        assert dec.expand() == t
+        assert dec.terms[0][1].factors == [normalized(f) for f in p.factors]
 
 
 def test_decompose_rejects_the_tangency_point():
@@ -284,39 +281,6 @@ def test_decompose_random_directions_order_four(pairs):
     ]
 
 
-def test_distinct_rational_roots_against_sympy():
-    """The roots _rank2_split splits at, on quadratic forms with and
-    without a u^2 term, square and irreducible ones: two distinct linear
-    factors over Q, with the root (-1, 0) of v first, then the roots
-    (r, 1) with r descending; None for any other factorization."""
-    u, v = sympy.symbols("u v")
-    rng = random.Random(29)
-    seen = set()
-    for trial in range(300):
-        if trial % 2:
-            coeffs = [rng.randint(-4, 4) for _ in range(3)]
-        else:  # a product of two linear forms, v among them at times
-            l1 = [rng.choice([0, 0, 1, 2, -3]), rng.randint(-3, 3)]
-            l2 = [rng.randint(-3, 3), rng.randint(-3, 3)]
-            coeffs = [l1[0] * l2[0], l1[0] * l2[1] + l1[1] * l2[0], l1[1] * l2[1]]
-        form = BinaryForm([Fraction(c, 2) for c in coeffs])
-        expr = sum(c * u ** (2 - i) * v**i for i, c in enumerate(coeffs))
-        factors = sympy.factor_list(expr, u, v)[1] if expr != 0 else []
-        want = None
-        if len(factors) == 2 and all(m == 1 and sympy.Poly(f, u, v).total_degree() == 1
-                                     for f, m in factors):
-            roots = []
-            for f, _ in factors:
-                p = sympy.Poly(f, u, v)
-                a, b = Fraction(str(p.coeff_monomial(u))), Fraction(str(p.coeff_monomial(v)))
-                roots.append((Fraction(-1), Fraction(0)) if not a else (-b / a, Fraction(1)))
-            want = sorted(roots, key=lambda r: (r[1], -r[0]))
-        got = _distinct_rational_roots(form)
-        assert got == want, coeffs
-        seen.add("none" if want is None else "v" if not coeffs[0] else "two")
-    assert seen == {"none", "v", "two"}
-
-
 def sixty_start_roots(k, want):
     """The parameters the earlier 60-start search chose, or None where it
     found none."""
@@ -331,20 +295,22 @@ def sixty_start_roots(k, want):
 @pytest.mark.parametrize("k", range(3, 9))
 def test_alldiff_terms_reach_every_sum(k):
     """For sums of the direction on both sides of zero, the odd-k gap
-    1, ..., (k - 3) / 2 included, and off the integers, the k terms are nonzero multiples of the
-    direction and of curve points at distinct nonzero parameters summing
-    to want, and they add up to the model tensor; wherever the earlier
-    search found parameters, they are the same."""
+    1, ..., (k - 3) / 2 included, and off the integers, the nodes are k - 1
+    distinct nonzero parameters summing to want, and the k model terms are
+    nonzero multiples of the direction and of the curve points at the
+    nodes, adding up to the model tensor; wherever the earlier search found
+    parameters, they are the same."""
     sums = sorted({-k, -1, 0, 1, 2, 3, k - 1, k, 2 * k})
     sums += [Fraction(1, 2), Fraction(-7, 3)]
     for want in sums:
         rest = [Fraction(j % 3 - 1) for j in range(1, k)]
         ps = [-want - sum(rest)] + rest
-        terms = _alldiff_terms(ps)
+        roots = _nodes(ps)
+        assert 0 not in roots and len(set(roots)) == k - 1 and sum(roots) == want
+        terms = _model_terms([[p, Fraction(1)] for p in ps])
         assert len(terms) == k and all(c for c, _ in terms)
         assert [f[0] for f in terms[0][1]] == ps
-        roots = [f[0][0] - ps[0] for _, f in terms[1:]]
-        assert 0 not in roots and len(set(roots)) == k - 1 and sum(roots) == want
+        assert [f[0][0] - ps[0] for _, f in terms[1:]] == roots
         total = Decomposition((2,) * k, [(c, RankOneTensor(f)) for c, f in terms])
         assert total.expand() == w_state(k), (k, want)
         old = sixty_start_roots(k, want)
@@ -363,3 +329,31 @@ def test_tangential_order_five_off_the_tangency_point():
     assert len(dec) == 5 and verify_decomposition(T, dec)
     verdict = locus_tangential(T, P)
     assert verdict.in_decomposition and isinstance(verdict.witness.value, Fraction)
+
+
+def test_tangential_one_free_axis_matches_generic():
+    """When P agrees with the tangency point on two of three axes (d = 1),
+    T - lam*P is a tangent tensor again at every lam but one, so the
+    decomposition and the generic strategy must name that same witness:
+    whole verdicts agree on GL moves of orbit 5."""
+    rng = random.Random(53)
+    tangency = find_tangency(normal_form(5)).factors
+    for trial in range(16):
+        free = trial % 3
+        factors = [list(f) for f in tangency]
+        v = [Fraction(0), Fraction(0)]
+        while v[0] * tangency[free][1] == v[1] * tangency[free][0]:
+            v = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
+        factors[free] = v
+        mats = [random_invertible(rng, 2) for _ in range(3)]
+        T = apply_gl(normal_form(5), mats)
+        P = apply_gl_rank_one(RankOneTensor(factors), mats)
+        got = locus_tangential(T, P)
+        assert got.in_decomposition
+        assert got == locus_membership(T, P, GENERIC), (factors, mats)
+
+
+def test_tangency_point_keeps_int_factors_exact():
+    tp = TangencyPoint([[2, 4], [1, 0], [0, 3]])
+    assert tp.factors == [[1, 2], [1, 0], [0, 1]]
+    assert all(type(x) is Fraction for f in tp.factors for x in f)
