@@ -39,6 +39,20 @@ and when P agrees with the tangency point on two axes its whole verdict
 must equal GENERIC's, since the witness is then unique. A TANGENTIAL
 MISMATCH line reports each failure, and the exit status is nonzero when
 any appeared.
+
+With ``--drops N`` it draws N families T - lam*P per shape (2,2,2),
+(2,2,3), (2,3,3), (2,3,4), (3,3,2), (2,2,2,2) and (2,4), each base a sum
+of 0-4 random rank-one terms, so most bases are not concise, and P with
+Fraction entries, in every other family on the factors of a term of T
+on all axes but one. Each ``flattening_drop`` must equal sympy's over
+QQ[lam]: the rows independent of the rows before them over QQ(lam), and
+the root of the gcd of their maximal minors (None when it is 1). A DROP
+MISMATCH line reports each difference; the script prints how often each
+branch of the kernel was reached, and the exit status is nonzero when
+any mismatch appeared.
+
+``--roots`` and ``--drops`` need sympy; without it they print a note and
+exit with status 0.
 """
 
 import argparse
@@ -50,13 +64,17 @@ import sys
 import time
 from fractions import Fraction
 
-import sympy
+try:
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:
+    sympy = None
 
 from tensorloci import classify as classify_module
 from tensorloci.classify import classify, family_orbit, orbits_at_roots
 from tensorloci.errors import TensorLociError, UnsupportedOrbit, ZeroDivisor
 from tensorloci.exactnum import UniPoly, candidate_factors
-from tensorloci.linalg import Mat, mat_det
+from tensorloci.linalg import Mat, mat_det, mat_rank
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
@@ -79,15 +97,16 @@ SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
 DENSE_POOL = (1, -1, 2, -2, 3, -3)
 
 
+def random_vector(rnd, d, pool):
+    vec = [0]
+    while not any(vec):
+        vec = [rnd.choice(pool) for _ in range(d)]
+    return vec
+
+
 def random_point(rnd, shape, sparse):
     pool = SPARSE_POOL if sparse else DENSE_POOL
-    factors = []
-    for d in shape:
-        vec = [rnd.choice(pool) for _ in range(d)]
-        while not any(vec):
-            vec = [rnd.choice(pool) for _ in range(d)]
-        factors.append(vec)
-    return RankOneTensor(factors)
+    return RankOneTensor([random_vector(rnd, d, pool) for d in shape])
 
 
 def describe(point):
@@ -320,6 +339,83 @@ def sweep_roots(orbits, families, rnd):
     return mismatches
 
 
+DROP_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 2), (2, 2, 2, 2), (2, 4))
+FRACTION_POOL = (1, -1, Fraction(1, 2), Fraction(-3, 2), 2, 0)
+
+
+def non_concise_family(rnd, shape, on_a_term):
+    """T - lam*P, T a sum of 0-4 random rank-one terms; with ``on_a_term``
+    all but one of P's factors are half those of a term of T."""
+    terms = [[random_vector(rnd, d, SPARSE_POOL) for d in shape]
+             for _ in range(rnd.randint(0, 4))]
+    T = Tensor.zeros(shape)
+    for factors in terms:
+        T = T.add(RankOneTensor(factors).expand())
+    point = [random_vector(rnd, d, FRACTION_POOL) for d in shape]
+    if on_a_term and terms:
+        term, free = rnd.choice(terms), rnd.randrange(len(shape))
+        point = [f if a == free else [Fraction(x, 2) for x in term[a]]
+                 for a, f in enumerate(point)]
+    return ParametricTensor(T, RankOneTensor(point))
+
+
+def sympy_drop(rows):
+    """(keep, drop) of flattening rows over Z[lam] (int lists, lowest
+    degree first), from sympy over QQ[lam]."""
+    lam = sympy.Symbol("lam")
+    ring, field = sympy.QQ[lam], sympy.QQ.frac_field(lam)
+    ents = [[ring.from_sympy(sum(c * lam**i for i, c in enumerate(x))) for x in row]
+            for row in rows]
+    cols = len(rows[0])
+    keep, rank = [], 0
+    for i in range(len(rows)):
+        top = [[field.convert_from(x, ring) for x in row] for row in ents[:i + 1]]
+        if DomainMatrix(top, (i + 1, cols), field).rank() > rank:
+            keep.append(i)
+            rank += 1
+    g = ring.zero
+    for idx in itertools.combinations(range(cols), rank):
+        sub = [[ents[i][j] for j in idx] for i in keep]
+        g = ring.gcd(g, DomainMatrix(sub, (rank, rank), ring).det())
+        if g.degree() == 0:
+            return keep, None
+    c0, c1 = (Fraction(int(c.numerator), int(c.denominator)) for c in reversed(g.to_dense()))
+    return keep, -c0 / c1
+
+
+def sweep_drops(draws, rnd):
+    """Every ``flattening_drop`` of random families on bases that are
+    mostly not concise against sympy over QQ[lam]."""
+    branches = collections.Counter()
+    mismatches = flattenings = 0
+    for shape in DROP_SHAPES:
+        start = time.time()
+        for k in range(draws):
+            family = non_concise_family(rnd, shape, k % 2)
+            for axis in range(1, len(shape) + 1):
+                got = family.flattening_drop(axis)
+                rows = family.flattening_rows(axis)
+                want = sympy_drop(rows)
+                flattenings += 1
+                if got != want:
+                    mismatches += 1
+                    print("DROP MISMATCH %r axis %d T=%r P=%r: %r, sympy %r"
+                          % (shape, axis, family.base.entries,
+                             describe(family.direction), got, want))
+                keep, drop = got
+                # the rows (M_i | c_i r) have the rank of the (M_i | c_i)
+                v = Mat([[x[j] if len(x) > j else 0 for j in (0, 1) for x in row]
+                         for row in rows])
+                branches["drop None" if drop is None else "drop 0" if drop == 0
+                         else "nonzero drop"] += 1
+                branches["one row fewer than the pivot (M_i | c_i)"] += len(keep) < mat_rank(v)
+        print("shape %r: %d families, %.2fs" % (shape, draws, time.time() - start))
+        sys.stdout.flush()
+    print("branches: " + ", ".join("%s %d" % item for item in sorted(branches.items())))
+    print("%d flattenings, %d drop mismatches" % (flattenings, mismatches))
+    return mismatches
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -355,7 +451,17 @@ def main(argv=None):
         metavar="N",
         help="decompose N GL-moved tangent tensors per order 3-6 and coincidence pattern",
     )
+    parser.add_argument(
+        "--drops",
+        type=int,
+        default=0,
+        metavar="N",
+        help="compare every flattening_drop of N random families per shape with sympy",
+    )
     args = parser.parse_args(argv)
+    if sympy is None and (args.roots or args.drops):
+        print("sympy is not installed: --roots and --drops skipped")
+        return 0
     if "-" in args.orbits:
         lo, hi = args.orbits.split("-")
         orbits = list(range(int(lo), int(hi) + 1))
@@ -368,6 +474,8 @@ def main(argv=None):
         return 1 if sweep_gl(orbits, args.gl, rnd) else 0
     if args.tangential:
         return 1 if sweep_tangential(args.tangential, rnd) else 0
+    if args.drops:
+        return 1 if sweep_drops(args.drops, rnd) else 0
     total = 0
     for orbit in orbits:
         total += sweep_orbit(orbit, args.points, rnd, args.skip_generic)

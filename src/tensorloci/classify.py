@@ -443,9 +443,11 @@ def orbit_rank(oid):
 def _family_table(f, reader):
     """(orbit, drops): the table on the family restricted to the first
     independent slices of each flattening over Z[λ], and the λ where
-    those slices lose rank (``flattening_drop``). Its rows over Z[λ] on
-    the pencil, row and column axes of the canonical order make the
-    ``Pencil`` that ``reader(pencil)`` reads."""
+    those slices lose rank (``flattening_drop``): each flattening is a
+    rank-one update M + λ c r^T, and rows S with independent (M_i | c_i)
+    are dependent at λ0 exactly when (-λ0 r | 1) lies in their span. Its
+    rows over Z[λ] on the pencil, row and column axes of the canonical
+    order make the ``Pencil`` that ``reader(pencil)`` reads."""
     order = f.base.order
     slices, drops = zip(*(f.flattening_drop(axis) for axis in range(1, order + 1)))
     concise = tuple(len(s) for s in slices)
@@ -465,8 +467,8 @@ def family_orbit(f):
     The first of them are the flattening drops, λ - drop for each
     flattening whose kept slices lose rank somewhere: off those values
     the family on the kept slices is a concise core of the member, whose
-    pencil the table reads (``_FamilyReads``). A flattening pivot whose
-    root keeps the slices independent guards nothing, so it is not one.
+    pencil the table reads (``_FamilyReads``). A flattening whose kept
+    slices never lose rank guards nothing.
     """
     guards = []
     orbit, drops = _family_table(f, lambda p: _FamilyReads(p, guards))
@@ -488,11 +490,12 @@ def orbits_at_roots(f, fac):
     (group, orbit): the groups are monic, pairwise coprime and multiply to
     fac, one per orbit, sorted by (degree, coefficients), so the list does
     not depend on where fac was split. A rational root is read on the int
-    member (``member_at``). At irrational roots no flattening pivot,
-    affine in λ, vanishes, so the table reads the family on the pivot
-    slices at all roots of fac at once (``_RootReads``); when a read tells
-    two roots apart, fac splits there and the table reads each part
-    again (dynamic evaluation)."""
+    member (``member_at``). The kept slices of a flattening lose rank at
+    most at one λ, a rational one (``flattening_drop``), so at irrational
+    roots the table reads the family on those slices at all roots of fac
+    at once (``_RootReads``); when a read tells two roots apart, fac
+    splits there and the table reads each part again (dynamic
+    evaluation)."""
     if fac.degree == 1:
         member = f.member_at(fac)
         return [(fac, OrbitId.matrix(0) if member.is_zero() else classify(member).orbit)]

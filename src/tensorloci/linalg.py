@@ -5,14 +5,11 @@ determinant and row reduction run on one fraction-free Bareiss elimination
 with the first-nonzero pivot rule (scan columns left to right, take the
 topmost nonzero entry), on the rows of the matrix scaled to ints by
 ``integer_rows``; ``mat_det`` divides the row scales out once at the end.
-The same kernel takes rows over other rings from the layers above: over
-an extension field on its elements, and over Z[λ], dense lists of ints,
-lowest degree first (the flattenings and pencils of a family T - λP, and
-the resultants of its cofactor guard, through ``bareiss_det``). Rows over
-Z[λ] are eliminated over Z at λ = 2^K, with K large enough that every
-minor is read back from its value there (Kronecker substitution). Over
-Z[λ] the last Bareiss pivot is a rank-sized minor, which names the
-parameter values where a rank can drop.
+The same kernel takes rows over an extension field on its elements, and
+``bareiss_det`` takes square matrices over Z[λ], dense lists of ints,
+lowest degree first (the resultants of a family's cofactor guard): they
+are eliminated over Z at λ = 2^K, with K large enough that the
+determinant is read back from its value there (Kronecker substitution).
 ``pivot_slices`` reads the first independent rows off the pivot columns
 of the transpose. ``sample_points`` and ``interpolate`` rebuild a
 polynomial in λ from its integer values at sample points.
@@ -106,12 +103,13 @@ def mat_vec(a, v):
 # (cross, div, nonzero) of what the elimination needs: cross(a, p, h, b) =
 # a*p - h*b, the exact division by the previous pivot, and the test that
 # picks a pivot. Z[λ] (dense int lists, lowest degree first, no trailing
-# zeros, [] for zero) has no triple: its rows are packed into ints at
-# λ = 2^K and eliminated over Z. Every entry Bareiss tests or divides by
-# is a minor, evaluation at 2^K is a ring map, and below the bound of
-# ``kronecker_bits`` a polynomial is zero exactly when its value there is;
-# so ranks, pivot columns and minors come out as over Z[λ]. Z[y] with
-# pivots tested modulo g (``ring_at_root``) keeps the list arithmetic.
+# zeros, [] for zero) has no triple: ``bareiss_det`` and the pencil layer
+# pack its rows into ints at λ = 2^K and eliminate them over Z. Every
+# entry Bareiss tests or divides by is a minor, evaluation at 2^K is a
+# ring map, and below the bound of ``kronecker_bits`` a polynomial is
+# zero exactly when its value there is; so ranks and minors come out as
+# over Z[λ]. Z[y] with pivots tested modulo g (``ring_at_root``) keeps
+# the list arithmetic.
 
 
 def _cross(a, p, h, b):
@@ -178,8 +176,7 @@ def ring_at_root(g):
 
 
 def _bareiss(work, ring, square=False, pivots=None):
-    """Fraction-free elimination of the rows ``work``, in place (over
-    Z[λ], of their packed copy).
+    """Fraction-free elimination of the rows ``work``, in place.
 
     Pivots follow the first-nonzero rule. Returns (rank, last pivot, sign
     of the row permutation); by the Bareiss minor invariant the last pivot
@@ -189,10 +186,6 @@ def _bareiss(work, ring, square=False, pivots=None):
     determinant is zero. The pivot columns are appended to ``pivots`` when
     it is a list.
     """
-    if ring is RING_ZX:
-        ints, k = packed_rows(work, min(len(work), len(work[0]) if work else 0))
-        rank, piv, sign = _bareiss(ints, RING_Z, square, pivots)
-        return rank, None if piv is None else kronecker_unpack(piv, k), sign
     cross, div, nonzero = ring
     n = len(work)
     m = len(work[0]) if work else 0
@@ -228,13 +221,11 @@ def _bareiss(work, ring, square=False, pivots=None):
 
 
 def pivot_slices(rows, ring):
-    """(indices, pivot): the rows independent of the rows before them,
-    which span all of ``rows``, read off as the pivot columns of the
-    transpose, and the last Bareiss pivot, a minor of the kept rows of
-    their full size (over Z[λ] nonzero wherever they stay independent)."""
+    """The indices of the rows independent of the rows before them, which
+    span all of ``rows``, read off as the pivot columns of the transpose."""
     keep = []
-    _, piv, _ = _bareiss([list(c) for c in zip(*rows)], ring, pivots=keep)
-    return keep, piv
+    _bareiss([list(c) for c in zip(*rows)], ring, pivots=keep)
+    return keep
 
 
 def _z_row(row):

@@ -17,10 +17,10 @@ they can be played against each other in tests:
 * The specialized strategy dispatches on the orbit of T: a single
   pairing for matrix cores, and for the concise orbits of the finite-orbit
   shapes the one value of lam where a flattening loses rank (one
-  fraction-free elimination over Z[lam] per flattening) plus pencil
-  invariants. It reads the concise core and its axis order from the
-  classification of T. Only orbits 5, 13, 15-17 and 21 need the orbit of
-  the family over Q(lam) and its guard polynomials
+  fraction-free elimination over Z per flattening, a rank-one update of
+  the base's) plus pencil invariants. It reads the concise core and its
+  axis order from the classification of T. Only orbits 5, 13, 15-17 and
+  21 need the orbit of the family over Q(lam) and its guard polynomials
   (``classify.family_orbit``). Its witness is the one the generic
   strategy returns.
 * ``closed_form_predicate`` evaluates an explicit polynomial set
@@ -357,28 +357,6 @@ def _proportional_verdict(T, P):
     return LocusVerdict.member(LambdaWitness(value=lam0))
 
 
-def _pairing_verdict(family, target):
-    """Concise cores with an invertible last flattening.
-
-    Here a rank drop forces the last flattening to become singular, and
-    det(M - lam * c (a x b)^T) = det(M) (1 - lam * pairing) with
-    pairing = (a x b)^T M^{-1} c: one rational number decides everything.
-    """
-    M = flattening(family.base, 3)
-    if M.rows != M.cols:
-        raise InternalError("pairing route needs a square last flattening")
-    a, b, c = family.direction.factors
-    pairing = _pairing(M, c, [ai * bj for ai in a for bj in b])
-    if pairing is None:
-        raise InternalError("singular last flattening of a concise core")
-    if pairing == 0:
-        return LocusVerdict.forbidden()
-    verdict = _first_witness(family, [UniPoly([-1 / pairing, 1])], target)
-    if verdict is None:
-        raise InternalError("pairing witness failed the rank recheck")
-    return verdict
-
-
 def _drop_root_verdict(family, axes, target):
     """Orbits where a rank drop forces named flattenings to lose rank.
 
@@ -387,7 +365,11 @@ def _drop_root_verdict(family, axes, target):
     by exact classification of the member. On a concise (2,2,2) core the
     three flattenings are 2 x 4, so a member has rank at most one exactly
     where all three drop; on a concise (2,2,3) core a member of rank at
-    most two has a 3 x 4 last flattening of rank at most two.
+    most two has a 3 x 4 last flattening of rank at most two. On the
+    cores of orbits 9 and 26 the last flattening M is square and
+    invertible, and P's is c r^T; by the matrix determinant lemma
+    det(M - lam c r^T) = det(M) (1 - lam r^T M^-1 c), so the only drop
+    is lam = 1 / (r^T M^-1 c), and there is none when that pairing is 0.
     """
     shared = None
     for ax in axes:
@@ -450,10 +432,8 @@ def _specialized_membership(T, P, report):
         return _escape_verdict(family, target)
     if n == 6:
         return _drop_root_verdict(family, (1, 2, 3), target)
-    if n in (7, 8, 11, 12, 19, 20, 22, 23, 24, 25):
+    if n in (7, 8, 9, 11, 12, 19, 20, 22, 23, 24, 25, 26):
         return _drop_root_verdict(family, (3,), target)
-    if n in (9, 26):
-        return _pairing_verdict(family, target)
     if n in (14, 18):
         return _drop_root_verdict(family, (2, 3), target)
     raise InternalError("orbit %d escaped the dispatch table" % n)

@@ -7,9 +7,10 @@ entry list (the last axis varies fastest). Entries are rationals, ints or
 field, and only its concise core is computed over that field. The concise
 core of a rational tensor is the tensor scaled to ints once, restricted to
 its first independent slices on each axis: an int subtensor, whose
-flattenings, like the rows over Z[λ] of a family T - λP, feed the integer
-Bareiss kernel directly. ``flattening`` returns a rational ``linalg.Mat``;
-the GL action runs on ints, one contraction per axis (``_contract``).
+flattenings feed the integer Bareiss kernel directly, as do those of a
+family T - λP, rank-one updates of the base's (``_update_drop``).
+``flattening`` returns a rational ``linalg.Mat``; the GL action runs on
+ints, one contraction per axis (``_contract``).
 
 Axis numbering is 1-based in the public flattening API; flat indices are
 0-based.
@@ -32,7 +33,6 @@ from .exactnum import AlgebraicElement
 from .linalg import (
     RING_FIELD,
     RING_Z,
-    RING_ZX,
     Mat,
     _bareiss,
     _z_row,
@@ -177,6 +177,36 @@ def _scaled_entries(entries):
     return list(entries), 1, RING_FIELD
 
 
+def _update_drop(m_rows, c, r):
+    """(keep, drop) of ``ParametricTensor.flattening_drop`` for the rows of
+    M + λ c r^T: M the int rows ``m_rows``, c and r int vectors, r nonzero.
+
+    One Bareiss elimination over Z of the columns v_0, ..., v_{m-1},
+    (r | 0), (0 | 1), v_i = (M_i | c_i). In its echelon form a column is
+    in the span of the pivot columns of the rows above row t exactly when
+    its entries from row t on vanish. If (0 | 1) pivots, it is in no span:
+    every pivot v_i is kept, with no drop. Else let t be the last row
+    where (r | 0) or (0 | 1) is nonzero, a and b their entries there:
+    b (r | 0) - a (0 | 1) is in the span before row t, and if t is the
+    pivot row of a v_i, both first enter the span there and that v_i is
+    not kept. The kept rows drop where (-λ r | 1) is a multiple of that
+    vector, at b / a, and nowhere when a is 0.
+    """
+    m = len(c)
+    work = [[*col, y, 0] for col, y in zip(zip(*m_rows), r)] + [[*c, 0, 1]]
+    pivots = []
+    rank = _bareiss(work, RING_Z, pivots=pivots)[0]
+    keep = [j for j in pivots if j < m]
+    if pivots[-1] == m + 1:
+        return keep, None
+    # each pivot row here pivots at or left of column m: its last two entries are final
+    t = max(i for i in range(rank) if work[i][m] or work[i][m + 1])
+    if t < len(keep):
+        del keep[t]
+    a, b = work[t][m], work[t][m + 1]
+    return keep, Fraction(b, a) if a else None
+
+
 class ParametricTensor:
     """The affine family T - λP with T a tensor and P rank-one.
 
@@ -246,15 +276,7 @@ class ParametricTensor:
                 [[x, c * y] if c * y else [x] if x else [] for x, y in zip(t_row, rest)]
                 for t_row, c in zip(t_rows, cs)
             ]
-            keep, piv = pivot_slices(rows, RING_ZX)
-            drop = None
-            if len(piv) == 2:
-                p, q = -piv[0], piv[1]
-                at_root = [[q * x + p * cs[i] * y for x, y in zip(t_rows[i], rest)]
-                           for i in keep]
-                if _bareiss(at_root, RING_Z)[0] < len(keep):
-                    drop = Fraction(p, q)
-            hit = self._flat[axis] = (rows, keep, drop)
+            hit = self._flat[axis] = (rows, *_update_drop(t_rows, cs, rest))
         return hit
 
     def flattening_rows(self, axis):
@@ -262,15 +284,17 @@ class ParametricTensor:
         return self._flattening(axis)[0]
 
     def flattening_drop(self, axis):
-        """(slices, drop): the first independent rows of the axis flattening
-        over Z[λ] (``pivot_slices``) and the one λ where they lose rank, a
-        Fraction, or None where they never do.
+        """(slices, drop): the rows of the axis flattening over Z[λ] that are
+        independent of the rows before them, and the one λ where those rows
+        lose rank, a Fraction, or None where they never do.
 
-        Their last Bareiss pivot is a minor of their full size, affine in
-        λ since P flattens to rank one, and the gcd of all such minors
-        divides it. So its root p/q is the only candidate, kept when the
-        rows at it, scaled by q into ints, have a smaller rank. Off the
-        drop the slices stay independent and span the member's flattening.
+        The flattening is M + λ c r^T, a rank-one update of the base's.
+        Rows S with independent v_i = (M_i | c_i) are dependent at λ0
+        exactly when (-λ0 r | 1) lies in span{v_i : i in S}, and over Q(λ)
+        exactly when (r | 0) and (0 | 1) both do; ``_update_drop`` reads
+        both off one integer elimination. The drop is 0 where the base's
+        rows on the slices are dependent. Off the drop the slices stay
+        independent and span the member's flattening.
         """
         return self._flattening(axis)[1:]
 
@@ -450,7 +474,7 @@ def concise_reduce(T):
         raise ZeroTensor("the zero tensor has no concise reduction")
     scaled, c, ring = _scaled_entries(T.entries)
     slices = [
-        pivot_slices(_flat_rows(scaled, T.shape, a0), ring)[0]
+        pivot_slices(_flat_rows(scaled, T.shape, a0), ring)
         for a0 in range(T.order)
     ]
     return ConciseReduction(T.shape, scaled, c, ring, slices)

@@ -6,7 +6,10 @@ or Q(α), and over Z[λ] both run on ints at λ = 2^K (Kronecker
 substitution). The packed kernels are compared with sympy over Q[λ] on
 seeded matrices with entries of degree up to three, coefficients up to
 ±2^40, zero entries and rows, rank-deficient and non-square shapes, and
-on minors that reach the coefficient bound K is derived from. Every answer here is compared with sympy's symbolic one, on
+on minors that reach the coefficient bound K is derived from. The kept
+slices and drop of each flattening of a family (``flattening_drop``) are
+compared with sympy over Q[λ] on seeded families whose base is not
+concise. Every answer here is compared with sympy's symbolic one, on
 inputs with non-integer rational coefficients, zero rows and identically
 vanishing minors: Q pencils up to 3 x 6 (``pencil_of``), Z[λ] pencils
 with entries of λ-degree up to two and a pencil over Q(2^(1/3)) (a
@@ -37,7 +40,6 @@ from tensorloci.linalg import (
     kronecker_bits,
     kronecker_pack,
     kronecker_unpack,
-    pivot_slices,
     sample_points,
 )
 from tensorloci.pencil import (
@@ -454,14 +456,12 @@ def test_kronecker_round_trip_at_the_digit_bound():
 
 def test_packed_kernels_at_minors_that_reach_the_bound():
     """[[a, a], [-a, a]] has the determinant 2 a^2, which is the bound
-    n! s^n: determinant, kept rows and member rank come out exact."""
+    n! s^n: determinant and member rank come out exact."""
     for a in ([BIG], [-BIG], [3]):
         neg = [-c for c in a]
         rows = [[a, a], [neg, a]]
         det = [2 * a[0] ** 2]
         assert bareiss_det([list(r) for r in rows], RING_ZX) == det
-        keep, piv = pivot_slices(rows, RING_ZX)
-        assert keep == [0, 1] and piv in (det, [-det[0]])
         # the member at v = 0 of the pencil with A = rows and B = 0
         p = Pencil([r + [[], []] for r in rows], 2, RING_ZX)
         assert member_rank_at(p, BinaryForm([0, 1])) == (2, det)
@@ -478,17 +478,69 @@ def test_packed_det_against_sympy():
         assert in_qx(det) == want
 
 
-def test_packed_pivot_slices_against_sympy():
-    """The kept rows are those independent of the rows before them over
-    Q(λ); the pivot is up to sign a minor of the kept rows."""
-    rng = random.Random(51)
-    for _ in range(30):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        rows = rand_big_matrix(rng, n, m)
-        keep, piv = pivot_slices(rows, RING_ZX)
-        ranks = [0] + [ql_rank(rows[:i + 1]) for i in range(n)]
-        assert keep == [i for i in range(n) if ranks[i + 1] > ranks[i]]
-        assert_pivot_is_a_minor(piv, [rows[i] for i in keep], len(keep))
+def non_concise_family(rng, shape, on_a_term):
+    """T - λP with T a sum of 0-4 sparse rank-one terms, so that most
+    bases have rank-deficient flattenings and zero rows, and P with
+    Fraction entries. With ``on_a_term`` all but one of P's factors are
+    those of a term of T, which can put the other factors of P in the
+    span of T's flattening rows."""
+    def vec(d, pool):
+        v = [0]
+        while not any(v):
+            v = [rng.choice(pool) for _ in range(d)]
+        return v
+
+    terms = [[vec(d, (0, 0, 1, -1, 2)) for d in shape] for _ in range(rng.randint(0, 4))]
+    entries = [0] * math.prod(shape)
+    for factors in terms:
+        entries = [a + b for a, b in zip(entries, RankOneTensor(factors).expand().entries)]
+    point = [vec(d, (1, -1, Fraction(1, 2), Fraction(-3, 2), 2, 0)) for d in shape]
+    if on_a_term and terms:
+        term, free = rng.choice(terms), rng.randrange(len(shape))
+        point = [f if a == free else [Fraction(x, 2) for x in term[a]]
+                 for a, f in enumerate(point)]
+    return ParametricTensor(Tensor(shape, entries), RankOneTensor(point))
+
+
+def qx_minor_gcd(rows):
+    """The monic gcd over Q[λ] of the maximal minors of ``rows``."""
+    g = QX.zero
+    for minor in qx_minors(rows, len(rows)):
+        g = QX.gcd(g, minor)
+        if g.degree() == 0:
+            break
+    return g.monic()
+
+
+def test_flattening_drop_of_non_concise_bases_against_sympy():
+    """The kept slices of each flattening are the rows independent of
+    the rows before them over Q(λ), and they lose rank at the drop and
+    nowhere else: the gcd of their maximal minors over Q[λ] is λ - drop,
+    or 1 when the drop is None. Every branch of the kernel is reached: a
+    drop of 0 (the base's rows on the slices are dependent), one kept
+    row fewer than the independent rows (M_i | c_i), and a nonzero
+    drop."""
+    rng = random.Random(54)
+    shapes = ((2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 2), (2, 2, 2, 2), (2, 4))
+    branches = {"zero": 0, "fewer": 0, "nonzero": 0}
+    for k in range(16):
+        for shape in shapes:
+            family = non_concise_family(rng, shape, k % 2)
+            for axis in range(1, len(shape) + 1):
+                keep, drop = family.flattening_drop(axis)
+                rows = family.flattening_rows(axis)
+                ranks = [0] + [ql_rank(rows[:i + 1]) for i in range(len(rows))]
+                assert keep == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+                want = QX.one if drop is None else in_qx([-drop, 1])
+                assert qx_minor_gcd([rows[i] for i in keep]) == want, (shape, axis)
+                # the rows (M_i | c_i r) have the rank of the v_i = (M_i | c_i)
+                v = [[sympy.QQ(x[j] if len(x) > j else 0) for j in (0, 1) for x in row]
+                     for row in rows]
+                rank = DomainMatrix(v, (len(v), len(v[0])), sympy.QQ).rank()
+                branches["zero"] += drop == 0
+                branches["fewer"] += len(keep) < rank
+                branches["nonzero"] += bool(drop)
+    assert all(branches.values()), branches
 
 
 def test_packed_member_rank_against_sympy():

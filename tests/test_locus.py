@@ -568,7 +568,7 @@ def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
     exactly when the maximal minors are coprime, else the root of their
     gcd."""
     drops = 0
-    for orbit in (6, 7, 8, *range(11, 27)):
+    for orbit in (5, 6, 7, 8, 9, *range(11, 27)):
         for _sparse, T, P, gT, gP in seeded_families(orbit):
             for t, p in ((T, P), (gT, gP)):
                 family = concise_family(t, p)
