@@ -2,8 +2,9 @@
 
 The queries are those of ``locusbench/workloads.py``, read from its file:
 for each seed, the given number of rounds (44 queries each) of each
-workload. Each query is asked under both strategies, one line per answer:
-workload, seed, orbit, strategy, status and witness (null when forbidden,
+workload, then as many rounds (8 queries each) of the matrix cases. Each
+query is asked under both strategies, one line per answer: workload,
+seed, orbit, strategy, status and witness (null when forbidden,
 else its value as text, or the primitive integer coefficients of its
 witness polynomial). A GENERIC line also carries the report of
 ``classify_parametric`` on T - lam*P: the generic orbit and each
@@ -12,9 +13,13 @@ The report lists its irrational special values in groups, one per orbit;
 each group is printed as its irreducible factors over Q (from sympy),
 each with the group's orbit, after lam in the order of (degree,
 coefficients) of the monic factors.
-The defaults cover 528 queries, seeds 7-9 with two rounds. Two versions of
-the package give the same answers there exactly when their outputs are
-equal:
+After each seed's workloads come the matrix cases, rows 1-4 of
+``orbits.PENCILS`` (row 1 rank one, rows 2-4 of matrix rank two), as the
+workload ``pencil-rows``: each round a sparse and a dense point per row,
+drawn like the workloads' and moved with their normal form by GL, from
+random streams named apart from the workloads' streams. The defaults
+cover 576 queries, seeds 7-9 with two rounds. Two versions of the
+package give the same answers there exactly when their outputs are equal:
 
     PYTHONPATH=src python scripts/dump_verdicts.py > verdicts.jsonl
 """
@@ -24,6 +29,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import sys
 import types
 from fractions import Fraction
@@ -96,6 +102,40 @@ def report_code(T, P):
     }
 
 
+MATRIX_ROWS = (1, 2, 3, 4)
+
+
+def matrix_row_queries(workloads, seed, rounds):
+    """(row, gT, gP) for ``rounds`` rounds of a sparse and a dense point
+    per row 1-4 of ``PENCILS``, the point and its normal form moved by one
+    GL element: points and moves come from streams of their own per seed
+    and row, named apart from the workloads' streams."""
+    points = {n: random.Random("pencil rows/%d/%d" % (seed, n)) for n in MATRIX_ROWS}
+    moves = {n: random.Random("pencil rows gl/%d/%d" % (seed, n)) for n in MATRIX_ROWS}
+    for _ in range(rounds):
+        for n in MATRIX_ROWS:
+            shape = pencil_shape(n)
+            for sparse in (True, False):
+                factors = workloads._random_factors(points[n], shape, sparse)
+                P = RankOneTensor([[Fraction(x) for x in f] for f in factors])
+                gs = [workloads._random_invertible(PACKAGE, moves[n], d) for d in shape]
+                yield n, apply_gl(normal_form(n), gs), apply_gl_rank_one(P, gs)
+
+
+def print_answers(name, seed, orbit, T, P):
+    """One line per strategy for the query (T, P)."""
+    for strategy in (SPECIALIZED, GENERIC):
+        verdict = locus_membership(T, P, strategy)
+        line = {
+            "workload": name, "seed": seed, "orbit": orbit,
+            "strategy": strategy, "status": verdict.status,
+            "witness": witness_code(verdict),
+        }
+        if strategy == GENERIC:
+            line["report"] = report_code(T, P)
+        print(json.dumps(line))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8, 9])
@@ -107,16 +147,9 @@ def main(argv=None):
             work = workloads.Workload(PACKAGE, name, seed)
             for _ in range(args.rounds):
                 for q in work.next_round():
-                    for strategy in (SPECIALIZED, GENERIC):
-                        verdict = locus_membership(q.T, q.P, strategy)
-                        line = {
-                            "workload": name, "seed": seed, "orbit": q.orbit,
-                            "strategy": strategy, "status": verdict.status,
-                            "witness": witness_code(verdict),
-                        }
-                        if strategy == GENERIC:
-                            line["report"] = report_code(q.T, q.P)
-                        print(json.dumps(line))
+                    print_answers(name, seed, q.orbit, q.T, q.P)
+        for n, T, P in matrix_row_queries(workloads, seed, args.rounds):
+            print_answers("pencil-rows", seed, n, T, P)
     return 0
 
 

@@ -1,18 +1,18 @@
 """Exception types shared across the package.
 
-Every error carries a stable ``code`` string; the CLI surfaces it in JSON
-payloads, so the codes are part of the public interface and must not change.
+Every error carries a stable ``code`` string: the codes are part of the
+public interface and must not change.
 """
 
 
 class TensorLociError(Exception):
-    """Base class for domain errors (CLI exit status 2)."""
+    """Base class for domain errors."""
 
     code = "error"
 
 
 class ParseError(TensorLociError):
-    """Malformed input document (CLI exit status 1)."""
+    """Malformed rational text (``exactnum.parse_rational``)."""
 
     code = "parse-error"
 

@@ -333,17 +333,6 @@ def _rref(M):
     return rows, pivots, prev
 
 
-def mat_solve(A, b):
-    """One solution x of A x = b, or None if inconsistent."""
-    rows, pivots, d = _rref(Mat([list(A.entries[i]) + [b[i]] for i in range(A.rows)]))
-    if A.cols in pivots:
-        return None
-    x = [Fraction(0)] * A.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[i][A.cols], d)
-    return x
-
-
 def mat_inverse(A):
     if A.rows != A.cols:
         raise ShapeMismatch("inverse of a non-square matrix")

@@ -14,15 +14,17 @@ they can be played against each other in tests:
 * ``locus_membership`` with the generic strategy classifies the family
   T - lam*P for all lam at once (``classify_parametric``) and reads the
   answer off the generic orbit and the exceptional values.
-* The specialized strategy dispatches on the orbit of T: a single
-  pairing for matrix cores, and for the concise orbits of the finite-orbit
-  shapes the one value of lam where a flattening loses rank (one
-  fraction-free elimination over Z per flattening, a rank-one update of
-  the base's) plus pencil invariants. It reads the concise core and its
-  axis order from the classification of T. Only orbits 5, 13, 15-17 and
-  21 need the orbit of the family over Q(lam) and its guard polynomials
-  (``classify.family_orbit``). Its witness is the one the generic
-  strategy returns.
+* The specialized strategy reads the concise core and its axis order
+  from the classification of T; a P outside the spans of T is forbidden.
+  Otherwise it takes one of two routes on the family on the core. The
+  drop route: on matrix cores, rank-one T included, and on most concise
+  orbits of the finite-orbit shapes, a rank drop forces named
+  flattenings to lose rank, which each does at one value of lam at most
+  (one fraction-free elimination over Z per flattening, a rank-one update
+  of the base's); the member at the value they share is classified. The
+  escape route: orbits 5, 13, 15-17 and 21 need the orbit of the family
+  over Q(lam) and its guard polynomials (``classify.family_orbit``). Its
+  witness is the one the generic strategy returns.
 * ``closed_form_predicate`` evaluates an explicit polynomial set
   description of the forbidden locus, available for the normal forms of
   certain orbits in their own coordinates.
@@ -42,7 +44,6 @@ from .classify import (
     orbits_at_roots,
 )
 from .errors import (
-    AllZero,
     InternalError,
     NotInLocus,
     ShapeMismatch,
@@ -50,15 +51,13 @@ from .errors import (
     UnsupportedOrbit,
 )
 from .exactnum import UniPoly, candidate_factors
-from .linalg import Mat, mat_rank, mat_solve, sample_points
+from .linalg import sample_points
 from .orbits import pencil_shape
 from .tensorcore import (
     ParametricTensor,
     RankOneTensor,
     Tensor,
     factors_in_spans,
-    flattening,
-    rank_one_factors,
     subtract_scaled,
 )
 from .wstate import decompose_tangential
@@ -206,20 +205,6 @@ def _scan_rational_witness(family, target, guards):
     return verdict
 
 
-def _pairing(A, u, v):
-    """v^T A^+ u for u in the column space of A and v in its row space.
-
-    For any x with A x = u, v^T A^+ u = v^T A^+ A x = v^T x, since A^+ A
-    projects onto the row space; so one solve gives the pairing. None when
-    u lies outside the column space. The row-space condition on v is the
-    caller's to check.
-    """
-    x = mat_solve(A, u)
-    if x is None:
-        return None
-    return sum(a * b for a, b in zip(v, x))
-
-
 def _proportionality_ratio(X, Y):
     """rho with X = rho * Y, or None; X and Y share a shape, Y nonzero."""
     rho = None
@@ -233,50 +218,6 @@ def _proportionality_ratio(X, Y):
         if a != rho * b:
             return None
     return rho
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-def locus_matrix(A, u, v):
-    """Membership of the rank-one matrix u v^T in the locus of A.
-
-    After the span checks the answer is a single pairing: u v^T belongs
-    to the decomposition locus exactly when v^T A^+ u is nonzero, and
-    then lam = 1 / (v^T A^+ u) is the unique witness.
-    """
-    if not isinstance(A, Mat):
-        A = Mat([[Fraction(x) for x in row] for row in A])
-    u = _fractions(u)
-    v = _fractions(v)
-    if len(u) != A.rows or len(v) != A.cols:
-        raise ShapeMismatch(
-            "vectors of length %d, %d against a %d x %d matrix"
-            % (len(u), len(v), A.rows, A.cols)
-        )
-    if all(all(not x for x in row) for row in A.entries):
-        raise AllZero("the zero matrix has no shortest decomposition to join")
-    if not any(u):
-        raise AllZero("zero column factor")
-    if not any(v):
-        raise AllZero("zero row factor")
-
-    # Factors outside the column and row spaces can never lower the rank.
-    pairing = _pairing(A, u, v)
-    if not pairing or mat_solve(A.transpose(), v) is None:
-        return LocusVerdict.forbidden()
-    lam0 = 1 / pairing
-
-    member = Mat(
-        [
-            [A.entries[i][j] - lam0 * u[i] * v[j] for j in range(A.cols)]
-            for i in range(A.rows)
-        ]
-    )
-    if mat_rank(member) != mat_rank(A) - 1:
-        raise InternalError("pairing witness failed the rank recheck")
-    return LocusVerdict.member(LambdaWitness(value=lam0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +280,18 @@ def _generic_membership(T, P, report):
 # membership, specialized strategy
 
 
-def _proportional_verdict(T, P):
-    """Rank-one base case: only scalar multiples of T itself qualify."""
-    coeff, factors = rank_one_factors(T)
-    rho = Fraction(1)
-    units = []
-    for vec in P.factors:
-        vec = _fractions(vec)
-        lead = next((x for x in vec if x), None)
-        rho *= lead
-        units.append([x / lead for x in vec])
-    if units != [list(f) for f in factors]:
-        return LocusVerdict.forbidden()
-    lam0 = coeff / rho
-    if not subtract_scaled(T, lam0, P).is_zero():
-        raise InternalError("proportional witness left a nonzero remainder")
-    return LocusVerdict.member(LambdaWitness(value=lam0))
-
-
 def _drop_root_verdict(family, axes, target):
-    """Orbits where a rank drop forces named flattenings to lose rank.
+    """Cores where a rank drop forces named flattenings to lose rank.
 
     Each of the given axes has at most one lam where its flattening drops
     (``flattening_drop``); the only candidate is the one they share, settled
     by exact classification of the member. On a concise (2,2,2) core the
     three flattenings are 2 x 4, so a member has rank at most one exactly
     where all three drop; on a concise (2,2,3) core a member of rank at
-    most two has a 3 x 4 last flattening of rank at most two. On the
-    cores of orbits 9 and 26 the last flattening M is square and
-    invertible, and P's is c r^T; by the matrix determinant lemma
+    most two has a 3 x 4 last flattening of rank at most two. A flattening
+    M that is square and invertible (a matrix core, the 1 x ... x 1 core
+    of a rank-one T, and the last flattening of the cores of orbits 9 and
+    26) meets P's, c r^T, in one drop: by the matrix determinant lemma
     det(M - lam c r^T) = det(M) (1 - lam r^T M^-1 c), so the only drop
     is lam = 1 / (r^T M^-1 c), and there is none when that pairing is 0.
     """
@@ -402,12 +326,11 @@ def _escape_verdict(family, target):
     return verdict or LocusVerdict.forbidden()
 
 
-def _core_point(report, coords):
-    """P in the canonical core (c T on the kept slices) from its
+def _core_point(report, axes, coords):
+    """P in the core (c T on the kept slices of ``axes``) from its
     coordinates ``coords`` (``factors_in_spans``): c and P's coordinate on
     each dropped axis of dimension one scale the first factor, so the core
     family is T - lam*P times a constant, in the same lam."""
-    axes = report.core_axes
     scale = report.reduction.scale * math.prod(
         x[0] for a, x in enumerate(coords) if a not in axes)
     first = [scale * x for x in coords[axes[0]]]
@@ -415,19 +338,17 @@ def _core_point(report, coords):
 
 
 def _specialized_membership(T, P, report):
-    if report.matrix_rank == 1:
-        return _proportional_verdict(T, P)
     coords = factors_in_spans(P, report.reduction)
     if coords is None:
         return LocusVerdict.forbidden()
-    if report.matrix_rank is not None:
-        # the core is a matrix; the pairing decides
-        u, v = _core_point(report, coords).factors
-        return locus_matrix(flattening(report.core, 1), u, v)
-
-    n = report.orbit.value
-    family = ParametricTensor(report.core, _core_point(report, coords))
+    # a rank-one T has no canonical core; its 1 x ... x 1 core keeps every axis
+    axes = report.core_axes or tuple(range(T.order))
+    core = report.core or report.reduction.core(axes)
+    family = ParametricTensor(core, _core_point(report, axes, coords))
     target = report.rank - 1
+    if report.matrix_rank is not None:
+        return _drop_root_verdict(family, (1,), target)
+    n = report.orbit.value
     if n in (5, 13, 15, 16, 17, 21):
         return _escape_verdict(family, target)
     if n == 6:

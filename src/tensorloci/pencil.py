@@ -2,23 +2,22 @@
 
 A tensor with first dimension 2 is the pencil of matrices u*A + v*B, where A
 and B are its two slices. Everything downstream of the shape-(2,3,n)
-classification reads off this pencil: determinant forms, minor gcds, the two
-hyperdeterminants, and the member ranks at roots of linear forms.
+classification reads off this pencil: minor gcds and the member ranks at
+roots of linear forms.
 
 There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
-ints with one scale per row (``pencil_of`` scales a rational tensor once,
-an integer core comes as it is), Z[λ] int lists (a family T - λP), or
-field elements (the core of a tensor over an extension field). There
-is one enumerator of minors, ``pencil_minors``: each k x k minor is
-expanded along its first row as a binary form, sharing the smaller minors
-of the lower rows, in ints or the field's arithmetic. Rows over Z[λ] are
+ints, each row scaled by an int of its own (``pencil_of`` scales a
+rational tensor once, an integer core comes as it is), Z[λ] int lists (a
+family T - λP), or field elements (the core of a tensor over an extension
+field). There is one enumerator of minors, ``pencil_minors``: each k x k
+minor is expanded along its first row as a binary form, sharing the
+smaller minors of the lower rows, in ints or the field's arithmetic. Rows over Z[λ] are
 packed into ints at λ = 2^K, for K above a bound on every coefficient of
 the minors read (``linalg.kronecker_bits``), and the results unpacked
 from their signed base-2^K digits; so are the members whose ranks
 ``member_rank_at`` reads. Row scales change a minor only by a constant,
 so minor gcds (the integer remainder sequence of ``bform_gcd``) and
-member ranks use the scaled rows as they are; ``pencil_det_form``
-divides the scales back out.
+member ranks use the scaled rows as they are.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
@@ -39,7 +38,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .binforms import BinaryForm, bform_discriminant, bform_gcd
+from .binforms import BinaryForm, bform_gcd
 from .errors import InternalError, WrongShape
 from .exactnum import UniPoly, _ip_exact_div, _ip_gcd
 from .linalg import (
@@ -59,16 +58,15 @@ from .tensorcore import Tensor
 
 class Pencil:
     """The pencil u*A + v*B of a 2 x b x c tensor as its rows [A_i | B_i]
-    over ``ring``: ints over Z, Z[λ] int lists, or field elements. Row i
-    is row i of the pencil times the int ``scales[i]`` (1 over a field)."""
+    over ``ring``: ints over Z, Z[λ] int lists, or field elements. Over Z
+    and Z[λ] row i may be row i of the pencil times a nonzero int."""
 
-    __slots__ = ("rows", "cols", "ring", "scales")
+    __slots__ = ("rows", "cols", "ring")
 
-    def __init__(self, rows, cols, ring, scales=None):
+    def __init__(self, rows, cols, ring):
         self.rows = rows
         self.cols = cols
         self.ring = ring
-        self.scales = scales or [1] * len(rows)
 
     def __repr__(self):
         return "Pencil(%dx%d)" % (len(self.rows), self.cols)
@@ -86,8 +84,7 @@ def pencil_of(t):
     integer rows (``integer_rows``)."""
     if not isinstance(t, Tensor) or t.order != 3 or t.shape[0] != 2:
         raise WrongShape("pencils come from tensors of shape (2, b, c)")
-    rows, scales = integer_rows(Mat(slice_rows(t)))
-    return Pencil(rows, t.shape[2], RING_Z, scales)
+    return Pencil(integer_rows(Mat(slice_rows(t)))[0], t.shape[2], RING_Z)
 
 
 def _member(rows, c, u0, v0):
@@ -99,7 +96,7 @@ def _member(rows, c, u0, v0):
 def pencil_minors(p, k):
     """Every k x k minor of the pencil, as (row indices, column indices,
     coefficients): det(uA + vB) on those rows and columns, highest power
-    of u first, times the product of the row scales.
+    of u first, times the product of the scales of those rows.
 
     Each minor is expanded along its first row, as a binary form: the
     entry a u + b v times the complementary minor of the lower rows. Those
@@ -148,17 +145,6 @@ def pencil_minors(p, k):
     for row_idx in itertools.combinations(range(len(p.rows)), k):
         for col_idx in itertools.combinations(range(c), k):
             yield row_idx, col_idx, expand(row_idx, col_idx)
-
-
-def pencil_det_form(p):
-    """Determinant of a square pencil over Z as a binary form of degree =
-    size, with Fraction coefficients: the row scales divided out."""
-    n = p.cols
-    if len(p.rows) != n:
-        raise WrongShape("determinant form needs a square pencil")
-    ((_, _, coeffs),) = pencil_minors(p, n)
-    scale = math.prod(p.scales)
-    return BinaryForm([Fraction(c, scale) for c in coeffs], n)
 
 
 def pencil_minor_gcd(p, k):
@@ -310,25 +296,3 @@ def _cofactor_guard(cofactors):
             raise InternalError("coprime cofactors with a vanishing resultant")
     g = functools.reduce(_ip_gcd, found)
     return UniPoly(g) if len(g) >= 2 else None
-
-
-def hyperdet222(t):
-    """Cayley hyperdeterminant of a 2x2x2 tensor: the discriminant
-    b^2 - 4ac of the quadratic determinant form of the pencil."""
-    if not isinstance(t, Tensor) or t.shape != (2, 2, 2):
-        raise WrongShape("hyperdet222 needs shape (2, 2, 2)")
-    return bform_discriminant(pencil_det_form(pencil_of(t)))
-
-
-def hyperdet233(t):
-    """Schlafli hyperdeterminant of a 2x3x3 tensor.
-
-    The discriminant of the cubic determinant form of the pencil; it vanishes
-    exactly when the pencil line meets the singular members non-generically.
-    The sign flip relative to bform_discriminant makes the known symbolic
-    evaluations at normal forms minus lambda times a rank-one point come out
-    coefficient for coefficient.
-    """
-    if not isinstance(t, Tensor) or t.shape != (2, 3, 3):
-        raise WrongShape("hyperdet233 needs shape (2, 3, 3)")
-    return -bform_discriminant(pencil_det_form(pencil_of(t)))

@@ -4,7 +4,10 @@ A tensor of order k is stored densely: a shape tuple and a flat row-major
 entry list (the last axis varies fastest). Entries are rationals, ints or
 ``Fraction``s; only the member of a family at an irrational root
 (``ParametricTensor.specialize_ext``) holds elements of an extension
-field, and only its concise core is computed over that field. The concise
+field, and only its concise core is computed over that field. Any other
+entry, a float included, raises TypeError wherever entries are scaled to
+ints: in ``concise_reduce`` (so in ``classify``), in the families and in
+the GL action. The concise
 core of a rational tensor is the tensor scaled to ints once, restricted to
 its first independent slices on each axis: an int subtensor, whose
 flattenings feed the integer Bareiss kernel directly, as do those of a
@@ -171,9 +174,14 @@ class RankOneTensor:
 
 def _scaled_entries(entries):
     """(entries times c, c, ring): rational entries become ints, c the lcm
-    of their denominators; field entries stay, with c = 1."""
+    of their denominators; field entries stay, with c = 1. Any other
+    entry, a float included, raises TypeError."""
     if all(type(x) in (int, Fraction) for x in entries):
         return (*_z_row(entries), RING_Z)
+    for x in entries:
+        if type(x) not in (int, Fraction, AlgebraicElement):
+            raise TypeError("entries must be ints, Fractions or AlgebraicElements, not %s"
+                            % type(x).__name__)
     return list(entries), 1, RING_FIELD
 
 

@@ -1,4 +1,4 @@
-"""Matrix layer tests: rank, determinant, solve, inverse and rref of
+"""Matrix layer tests: rank, determinant, inverse and rref of
 rational matrices, and the TypeError on any other entry; the Bareiss
 kernel on rows over an extension field, over Z[λ] and over Z[y] with
 pivots tested at the roots of a reducible g."""
@@ -22,7 +22,6 @@ from tensorloci.linalg import (
     mat_inverse,
     mat_rank,
     mat_rref,
-    mat_solve,
     ring_at_root,
 )
 from tensorloci.pencil import pencil_of
@@ -169,14 +168,6 @@ def test_ring_at_root_splits_a_reducible_modulus_on_a_zero_divisor():
     with pytest.raises(ZeroDivisor) as split:
         _bareiss([[[-2, 0, 1], [1]], [[1], [0, 1]]], ring)
     assert split.value.factor == [-2, 0, 1]
-
-
-def test_solve_consistent_and_inconsistent():
-    A = Mat([[1, 2], [2, 4]])
-    assert mat_solve(A, [Fraction(3), Fraction(6)]) is not None
-    assert mat_solve(A, [Fraction(3), Fraction(7)]) is None
-    x = mat_solve(Mat([[1, 0], [0, 2]]), [Fraction(5), Fraction(3)])
-    assert x == [Fraction(5), Fraction(3, 2)]
 
 
 def test_rref_shape():

@@ -26,7 +26,9 @@ integer minors at each irrational candidate root must be the orbit of the
 member over Q(alpha); a candidate times polynomials whose roots give the
 generic orbit comes back split into one group per orbit. Rationally scaled inputs keep their verdicts, and
 order-four lifts of the normal forms get the same verdict from both
-strategies. In the {0, 1} box, one point per projective class, SPECIALIZED
+strategies, and so do matrix and rank-one T of orders two to four, the
+matrix verdicts read off sympy's pseudo-inverse. In the {0, 1} box, one
+point per projective class, SPECIALIZED
 agrees with every stored closed form but the three known defective ones. ``scripts/dump_verdicts.py`` is smoke-tested on one
 round.
 """
@@ -52,12 +54,12 @@ from tensorloci.classify import (
     orbits_at_roots,
 )
 from tensorloci.errors import (
-    AllZero,
     InternalError,
     NotTangential,
     ShapeMismatch,
     UnsupportedOrbit,
     UnsupportedShape,
+    ZeroTensor,
 )
 from tensorloci.exactnum import UniPoly, candidate_factors, format_rational
 from tensorloci.linalg import Mat, mat_det, mat_rank
@@ -69,7 +71,6 @@ from tensorloci.locus import (
     _first_witness,
     _scan_rational_witness,
     closed_form_predicate,
-    locus_matrix,
     locus_membership,
     locus_tangential,
 )
@@ -780,11 +781,12 @@ def test_rationally_scaled_inputs_keep_their_verdicts():
 
 
 def test_rank_one_tensors_with_int_entries_keep_exact_witnesses():
-    """A rank-one T with int or Fraction entries: P a multiple of T is a
-    member under both strategies, with the witness 1/multiple as a
-    Fraction that re-checks; a P off the line of T is forbidden by both."""
+    """A rank-one T of order two, three or four with int or Fraction
+    entries: P a multiple of T is a member under both strategies, with the
+    witness 1/multiple as a Fraction that re-checks; a P off the line of T
+    is forbidden by both."""
     rng = random.Random("rank one")
-    for shape in ((2, 1, 1), (2, 2, 2), (2, 3, 4)):
+    for shape in ((2, 1, 1), (2, 2, 2), (2, 3, 4), (3, 2), (2, 1), (2, 1, 3, 2), (2, 2, 2, 2)):
         for _ in range(4):
             factors = [[rng.choice(DENSE_POOL) for _ in range(d)] for d in shape]
             multiple = rng.choice((2, 3, -1, -2))
@@ -904,8 +906,23 @@ def in_span(A, x):
     return A.rank() == A.row_join(x).rank()
 
 
+def unit_lifts(T, P):
+    """T and P as they are, and lifted to orders three and four by axes of
+    dimension one, where T takes 1 and P a nonzero scalar: (T, P, s) with
+    s the product of P's scalars, so the pairing of the lift is s times
+    that of (T, P)."""
+    yield T, P, 1
+    for positions, scalars in (((0,), (2,)), ((1, 3), (-1, 3))):
+        shape, factors = list(T.shape), list(P.factors)
+        for pos, x in zip(positions, scalars):
+            shape.insert(pos, 1)
+            factors.insert(pos, [x])
+        yield Tensor(shape, T.entries), RankOneTensor(factors), math.prod(scalars)
+
+
 def test_locus_matrix_pairing_matches_sympy_pinv():
-    """On rank-deficient integer matrices the verdict is read off the
+    """On rank-deficient integer matrices A, and on their lifts by axes of
+    dimension one, both strategies read the verdict on u v^T off the
     pairing v^T A^+ u, with A^+ from sympy, once u and v lie in the column
     and row spaces; the witness is its reciprocal."""
     rng = random.Random(31)
@@ -928,45 +945,47 @@ def test_locus_matrix_pairing_matches_sympy_pinv():
         v = ints(m, 1) if kind == 2 else A.T * z
         if A.is_zero_matrix or u.is_zero_matrix or v.is_zero_matrix:
             continue
-        verdict = locus_matrix(
-            [[int(x) for x in row] for row in A.tolist()],
-            [int(x) for x in u],
-            [int(x) for x in v],
-        )
+        T = Tensor((n, m), [int(x) for x in A])
+        P = RankOneTensor([[int(x) for x in u], [int(x) for x in v]])
         if not (in_span(A, u) and in_span(A.T, v)):
-            seen.add("outside")
-            assert verdict.status == FORBIDDEN
-            continue
-        pairing = (v.T * A.pinv() * u)[0, 0]
-        if pairing == 0:
-            seen.add("zero pairing")
-            assert verdict.status == FORBIDDEN
+            branch, pairing = "outside", 0
         else:
-            seen.add("member")
-            expected = Fraction(int(pairing.q), int(pairing.p))
-            assert verdict.witness == LambdaWitness(value=expected)
+            pairing = (v.T * A.pinv() * u)[0, 0]
+            branch = "member" if pairing else "zero pairing"
+        seen.add(branch)
+        for t, p, s in unit_lifts(T, P):
+            for strategy in (SPECIALIZED, GENERIC):
+                verdict = locus_membership(t, p, strategy)
+                if pairing:
+                    expected = Fraction(int(pairing.q), int(pairing.p) * s)
+                    assert verdict.witness == LambdaWitness(value=expected), (branch, t.shape)
+                else:
+                    assert verdict.status == FORBIDDEN, (branch, t.shape, strategy)
     assert seen == {"outside", "zero pairing", "member"}
 
 
 def test_locus_matrix_span_failures_and_bad_input():
+    """A matrix T through ``locus_membership``: factors outside the column
+    or row space are forbidden, multiples of T are members, and bad input
+    raises ShapeMismatch or ZeroTensor."""
     # rank one: column space spanned by (1, 2), row space by (1, 2, 0)
-    A = [[1, 2, 0], [2, 4, 0]]
-    assert locus_matrix(A, [1, 0], [1, 2, 0]).status == FORBIDDEN
-    assert locus_matrix(A, [1, 2], [0, 0, 1]).status == FORBIDDEN
-    assert locus_matrix(A, [1, 2], [1, 2, 0]).witness == LambdaWitness(value=1)
-    assert locus_matrix(A, [2, 4], [1, 2, 0]).witness == LambdaWitness(
-        value=Fraction(1, 2)
-    )
+    A = Tensor((2, 3), [1, 2, 0, 2, 4, 0])
+    for strategy in (SPECIALIZED, GENERIC):
+        for u, v in (([1, 0], [1, 2, 0]), ([1, 2], [0, 0, 1])):
+            assert locus_membership(A, RankOneTensor([u, v]), strategy).status == FORBIDDEN
+        for u, lam in (([1, 2], 1), ([2, 4], Fraction(1, 2))):
+            verdict = locus_membership(A, RankOneTensor([u, [1, 2, 0]]), strategy)
+            assert verdict.witness == LambdaWitness(value=lam)
     with pytest.raises(ShapeMismatch):
-        locus_matrix(A, [1, 2, 3], [1, 2, 0])
+        locus_membership(A, RankOneTensor([[1, 2, 3], [1, 2, 0]]))
     with pytest.raises(ShapeMismatch):
-        locus_matrix(A, [1, 2], [1, 2])
-    with pytest.raises(AllZero):
-        locus_matrix([[0, 0], [0, 0]], [1, 0], [0, 1])
-    with pytest.raises(AllZero):
-        locus_matrix(A, [0, 0], [1, 2, 0])
-    with pytest.raises(AllZero):
-        locus_matrix(A, [1, 2], [0, 0, 0])
+        locus_membership(A, RankOneTensor([[1, 2], [1, 2]]))
+    with pytest.raises(ZeroTensor):
+        locus_membership(Tensor.zeros((2, 2)), RankOneTensor([[1, 0], [0, 1]]))
+    with pytest.raises(ZeroTensor):
+        locus_membership(A, RankOneTensor([[0, 0], [1, 2, 0]]))
+    with pytest.raises(ZeroTensor):
+        locus_membership(A, RankOneTensor([[1, 2], [0, 0, 0]]))
 
 
 def test_locus_membership_rejects_bad_input():
@@ -1060,9 +1079,10 @@ def test_sweep_script_compares_verdicts_under_gl(capsys):
 
 
 def test_dump_verdicts_script_runs_one_round(capsys):
-    """One round of each benchmark workload at one seed: every query is
-    answered under both strategies, and they agree on the status; each
-    GENERIC line carries the parametric report, lam listed first."""
+    """One round of each benchmark workload and of the matrix cases at one
+    seed: every query is answered under both strategies, and they agree on
+    the status; each GENERIC line carries the parametric report, lam
+    listed first."""
     path = os.path.join(
         os.path.dirname(__file__), os.pardir, "scripts", "dump_verdicts.py"
     )
@@ -1071,7 +1091,7 @@ def test_dump_verdicts_script_runs_one_round(capsys):
     spec.loader.exec_module(dump)
     assert dump.main(["--seeds", "7", "--rounds", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(lines) == 2 * 44 * 2
+    assert len(lines) == 2 * 44 * 2 + 8 * 2
     for spec_line, gen_line in zip(lines[::2], lines[1::2]):
         assert (spec_line["strategy"], gen_line["strategy"]) == (SPECIALIZED, GENERIC)
         assert spec_line["orbit"] == gen_line["orbit"]
@@ -1080,6 +1100,8 @@ def test_dump_verdicts_script_runs_one_round(capsys):
         assert gen_line["report"]["exceptional"][0][0] == [0, 1], gen_line
     orbits = [line["orbit"] for line in lines[:88:2]]
     assert orbits == [n for n in ORBITS for _sparse in (True, False)]
+    rows = [(line["workload"], line["orbit"]) for line in lines[-16::2]]
+    assert rows == [("pencil-rows", n) for n in (1, 2, 3, 4) for _sparse in (True, False)]
 
 
 def moved_orbit5(k):

@@ -327,6 +327,26 @@ def test_rank_one_rejects_zero_factor():
         RankOneTensor([[0, 0], [1, 0], [1, 0]])
 
 
+def test_float_entries_raise_type_error():
+    """Floats are refused wherever entries are scaled to ints, never taken
+    for elements of an extension field: this (2,2,2) tensor of orbit 5,
+    divided by 10 as floats, was once classified as orbit 6."""
+    ints = [2, 2, -1, -1, 3, 1, -1, 0]
+    assert classify(Tensor((2, 2, 2), ints)).orbit == classify(normal_form(5)).orbit
+    floats = Tensor((2, 2, 2), [x / 10 for x in ints])
+    with pytest.raises(TypeError):
+        concise_reduce(floats)
+    with pytest.raises(TypeError):
+        classify(floats)
+    with pytest.raises(TypeError):
+        classify(Tensor((2, 2, 2), ints[:-1] + [0.0]))
+    P = RankOneTensor([[1, 0.5], [1, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        ParametricTensor(normal_form(5), P).flattening_drop(1)
+    with pytest.raises(TypeError):
+        apply_gl(floats, [mat_identity(2)] * 3)
+
+
 def test_transpose_axes_roundtrip():
     rng = random.Random(28)
     T = Tensor((2, 3, 4), [Fraction(rng.randint(-5, 5)) for _ in range(24)])
