@@ -51,6 +51,16 @@ MISMATCH line reports each difference; the script prints how often each
 branch of the kernel was reached, and the exit status is nonzero when
 any mismatch appeared.
 
+With ``--escape N`` it draws, for each escape orbit (5, 13, 15-17 and
+21), N sparse and N dense points, each at the normal form and moved by
+one seeded invertible integer matrix per axis. Each time the open-orbit
+certificate of the escape route fires (SPECIALIZED answers without
+``family_orbit``), the orbit of T - lam*P over Q(lam) must be the open
+orbit of the shape and GENERIC must return the same whole verdict. It
+prints the certificate hits and the fallbacks per orbit and in total,
+and an ESCAPE MISMATCH line per failure; the exit status is nonzero when
+any appeared.
+
 ``--roots`` and ``--drops`` need sympy; without it they print a note and
 exit with status 0.
 """
@@ -71,11 +81,13 @@ except ImportError:
     sympy = None
 
 from tensorloci import classify as classify_module
-from tensorloci.classify import classify, family_orbit, orbits_at_roots
+from tensorloci import locus as locus_module
+from tensorloci.classify import OrbitId, classify, family_orbit, orbits_at_roots
 from tensorloci.errors import TensorLociError, UnsupportedOrbit, ZeroDivisor
 from tensorloci.exactnum import UniPoly, candidate_factors
 from tensorloci.linalg import Mat, mat_det, mat_rank
 from tensorloci.locus import (
+    ESCAPE_ORBITS,
     FORBIDDEN,
     GENERIC,
     SPECIALIZED,
@@ -83,7 +95,7 @@ from tensorloci.locus import (
     locus_membership,
     locus_tangential,
 )
-from tensorloci.orbits import normal_form, pencil_shape
+from tensorloci.orbits import OPEN_ORBITS, normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -176,6 +188,52 @@ def sweep_gl(orbits, points, rnd):
         print("orbit %2d: %d points, %.2fs" % (orbit, points, time.time() - start))
         sys.stdout.flush()
     print("%d GL mismatches" % mismatches)
+    return mismatches
+
+
+def sweep_escape(draws, rnd):
+    """The open-orbit certificate of the escape route against the family's
+    orbit over Q(lam) and the generic strategy, wherever it fires."""
+    real, calls = locus_module.family_orbit, []
+
+    def counted(family):
+        calls.append(family)
+        return real(family)
+
+    hits = fallbacks = mismatches = 0
+    locus_module.family_orbit = counted
+    try:
+        for orbit in ESCAPE_ORBITS:
+            T = normal_form(orbit)
+            shape = pencil_shape(orbit)
+            open_orbit = OrbitId.orbit(OPEN_ORBITS[shape])
+            start, orbit_hits, orbit_fallbacks = time.time(), 0, 0
+            for k in range(2 * draws):
+                P = random_point(rnd, shape, sparse=(k % 2 == 0))
+                gs = [random_invertible(rnd, d) for d in shape]
+                for t, p in ((T, P), (apply_gl(T, gs), apply_gl_rank_one(P, gs))):
+                    del calls[:]
+                    spec = locus_membership(t, p, SPECIALIZED)
+                    if calls:
+                        orbit_fallbacks += 1
+                        continue
+                    orbit_hits += 1
+                    generic = real(ParametricTensor(t, p))[0]
+                    gen = locus_membership(t, p, GENERIC)
+                    if generic != open_orbit or spec != gen:
+                        mismatches += 1
+                        print("ESCAPE MISMATCH orbit %d %r moved by %r: family orbit %r, "
+                              "%s %r, %s %r" % (orbit, describe(P), gs if t is not T else None,
+                                                generic, SPECIALIZED, spec, GENERIC, gen))
+            hits += orbit_hits
+            fallbacks += orbit_fallbacks
+            print("orbit %2d: %d families, %d certificate hits, %d fallbacks, %.2fs"
+                  % (orbit, 4 * draws, orbit_hits, orbit_fallbacks, time.time() - start))
+            sys.stdout.flush()
+    finally:
+        locus_module.family_orbit = real
+    print("%d certificate hits, %d fallbacks, %d escape mismatches"
+          % (hits, fallbacks, mismatches))
     return mismatches
 
 
@@ -458,6 +516,13 @@ def main(argv=None):
         metavar="N",
         help="compare every flattening_drop of N random families per shape with sympy",
     )
+    parser.add_argument(
+        "--escape",
+        type=int,
+        default=0,
+        metavar="N",
+        help="check the open-orbit certificate on N sparse and N dense points per escape orbit",
+    )
     args = parser.parse_args(argv)
     if sympy is None and (args.roots or args.drops):
         print("sympy is not installed: --roots and --drops skipped")
@@ -474,6 +539,8 @@ def main(argv=None):
         return 1 if sweep_gl(orbits, args.gl, rnd) else 0
     if args.tangential:
         return 1 if sweep_tangential(args.tangential, rnd) else 0
+    if args.escape:
+        return 1 if sweep_escape(args.escape, rnd) else 0
     if args.drops:
         return 1 if sweep_drops(args.drops, rnd) else 0
     total = 0

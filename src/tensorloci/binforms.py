@@ -6,12 +6,12 @@ coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
 above also keep forms whose coefficients are Z[λ] int lists, and read
 them with their own arithmetic.
 
-Over Q the gcd is a primitive integer form, from the integer remainder
-sequence, and int coefficients are taken as they are; over an extension
-field it runs the Euclidean algorithm on coefficient lists (lowest degree
-first). Discriminants are the classical ones of degree 2 and 3, in any
-ring: every determinant form and repeated part in the package has degree
-at most 3.
+Over Z the gcd is a primitive integer form, from the integer remainder
+sequence on the int coefficient lists; over a field (Fractions, or an
+extension field) it runs the Euclidean algorithm on coefficient lists
+(lowest degree first). Discriminants are the classical ones of degree 2
+and 3, in any ring: every determinant form and repeated part in the
+package has degree at most 3.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import AllZero, DegreeTooLarge, DegreeTooSmall
 from .exactnum import _ip_gcd, _ip_primitive
-from .linalg import _z_row
 
 
 class BinaryForm:
@@ -127,28 +126,35 @@ def _pl_gcd(a, b):
 
 
 def bform_gcd(forms):
-    """Greatest common divisor of several binary forms, zero forms skipped:
-    over Q a primitive integer form, positive in its lowest power of u;
-    over an extension field monic. AllZero when every form vanishes.
+    """Greatest common divisor of binary forms, zero forms skipped, in one
+    pass over the iterable ``forms`` that stops once the gcd is a
+    constant: of int forms a primitive integer form, its first nonzero
+    coefficient positive, from the integer remainder sequence run on
+    their coefficient lists as they are; from the first form with other
+    coefficients on (Fractions, or an extension field) by the Euclidean
+    algorithm over that field, up to a constant. AllZero when every form
+    vanishes.
     """
-    live = [f for f in forms if not f.is_zero()]
-    if not live:
-        raise AllZero("gcd of identically zero forms")
-    qmin = min(f.v_multiplicity() for f in live)
-    rational = all(type(c) in (int, Fraction) for f in live for c in f.coeffs)
-    acc = None
-    for f in live:
-        _, univ = f.dehomogenized()
+    rational, qmin, acc = True, None, None
+    for f in forms:
+        q = f.v_multiplicity()
+        if q > f.degree:
+            continue  # the zero form
+        qmin = q if qmin is None else min(qmin, q)
+        if acc is not None and len(acc) == 1:
+            if not qmin:
+                break  # a constant gcd
+            continue  # only the power of v can still shrink
+        univ = f.coeffs[q:][::-1]
+        rational = rational and all(type(c) is int for c in univ)
         if rational:
-            univ = _ip_primitive(_z_row(univ)[0])
-            acc = univ if acc is None else _ip_gcd(acc, univ)
+            acc = _ip_primitive(univ) if acc is None else _ip_gcd(acc, univ)
         else:
             acc = univ if acc is None else _pl_gcd(acc, univ)
-        if len(acc) == 1:
-            acc = [1] if rational else acc
-            break
-    if rational and acc[-1] < 0:
-        acc = [-c for c in acc]
+    if acc is None:
+        raise AllZero("gcd of identically zero forms")
+    if rational:
+        acc = [1] if len(acc) == 1 else [-c for c in acc] if acc[-1] < 0 else acc
     return form_from_univariate(acc, qmin)
 
 

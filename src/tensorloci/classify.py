@@ -39,12 +39,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .binforms import (
-    BinaryForm,
-    bform_discriminant,
-    bform_gcd,
-    bform_is_pure_power,
-)
+from .binforms import BinaryForm, bform_discriminant, bform_gcd
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
 from .exactnum import (
     UniPoly,
@@ -297,6 +292,22 @@ def _orbit_234(reads):
     raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
 
 
+def _square_root(g):
+    """``bform_is_pure_power(g, 2)`` up to a constant, for a nonzero form
+    g over Z or a field; the rule every reader's ``pure_square`` states:
+    c0 u^2 + c1 uv + c2 v^2 is a square when c1^2 = 4 c0 c2, of 2 c0 u +
+    c1 v (over Z divided by its gcd, signed like c0), or of v if c0 = 0."""
+    c0, c1, c2 = g.coeffs
+    if c1 * c1 != 4 * c0 * c2:
+        return False, None
+    if not c0:
+        return True, BinaryForm([0, 1])
+    if type(c0) is int and type(c1) is int:
+        d = math.gcd(2 * c0, c1) * (1 if c0 > 0 else -1)
+        return True, BinaryForm([2 * c0 // d, c1 // d])
+    return True, BinaryForm([2 * c0, c1])
+
+
 class _CoreReads:
     """The invariants the decision table reads, on the pencil of a core of
     shape (2, b, c) over ``ring``."""
@@ -314,7 +325,7 @@ class _CoreReads:
         return bform_gcd([det, det.partial_u(), det.partial_v()])
 
     def pure_square(self, g):
-        return bform_is_pure_power(g, 2)
+        return _square_root(g)
 
     def member_rank(self, ell):
         return member_rank_at(self.p, ell)[0]
@@ -365,7 +376,8 @@ class _FamilyReads:
         return rep
 
     def pure_square(self, g):
-        return bform_is_pure_power(g, 2)
+        """g is the int form ``repeated_part`` returns: ``_square_root``."""
+        return _square_root(g)
 
     def member_rank(self, ell):
         rank, pivot = member_rank_at(self.p, ell)
@@ -419,7 +431,7 @@ class _RootReads:
         return self._gcd([det, du, dv])
 
     def pure_square(self, g):
-        """``bform_is_pure_power(g, 2)``: c0 u^2 + c1 uv + c2 v^2 is a
+        """``_square_root``'s rule in Z[β]: c0 u^2 + c1 uv + c2 v^2 is a
         square when c1^2 = 4 c0 c2, of 2 c0 u + c1 v, or of v if c0 = 0."""
         if not self.discriminant_vanishes(g):
             return False, None

@@ -25,10 +25,19 @@ from .errors import ShapeMismatch, SingularMatrix
 from .exactnum import _ip_cross, _ip_exact_div, _zb_reduce
 
 
+def to_fraction(x):
+    """An int (a bool included) or a Fraction as a Fraction; anything else
+    raises TypeError, a float too: ``Fraction(0.1)`` is its binary value
+    3602879701896397/36028797018963968, not 1/10."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError("entries must be ints or Fractions, not %s" % type(x).__name__)
+
+
 class Mat:
     """A dense rational matrix; entries are row-major lists of Fractions.
-    Entries that are not rational (``Fraction(x)`` refuses them) raise
-    TypeError."""
+    Entries given as anything but ints and Fractions, floats included,
+    raise TypeError (``to_fraction``)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -44,7 +53,7 @@ class Mat:
         self.rows = len(entries)
         self.cols = w
         self.entries = [
-            [x if type(x) is Fraction else Fraction(x) for x in row] for row in entries
+            [x if type(x) is Fraction else to_fraction(x) for x in row] for row in entries
         ]
 
     def __getitem__(self, ij):
@@ -229,7 +238,10 @@ def pivot_slices(rows, ring):
 
 
 def _z_row(row):
-    """A rational row times the lcm k of its denominators: (ints, k)."""
+    """A rational row times the lcm k of its denominators: (ints, k), a
+    fresh list; an all-int row is copied as it is, with k = 1."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
     k = math.lcm(*[x.denominator for x in row])
     return [x.numerator * (k // x.denominator) for x in row], k
 

@@ -22,9 +22,13 @@ they can be played against each other in tests:
   flattenings to lose rank, which each does at one value of lam at most
   (one fraction-free elimination over Z per flattening, a rank-one update
   of the base's); the member at the value they share is classified. The
-  escape route: orbits 5, 13, 15-17 and 21 need the orbit of the family
-  over Q(lam) and its guard polynomials (``classify.family_orbit``). Its
-  witness is the one the generic strategy returns.
+  escape route: on orbits 5, 13, 15-17 and 21 the member at lam = 1 is
+  classified first; when it lies in the open orbit of the core's shape
+  (``orbits.OPEN_ORBITS``) it certifies that the family's generic orbit
+  is that open orbit, and 1 is the witness. Otherwise the route needs
+  the orbit of the family over Q(lam) and its guard polynomials
+  (``classify.family_orbit``). Either way its witness is the one the
+  generic strategy returns.
 * ``closed_form_predicate`` evaluates an explicit polynomial set
   description of the forbidden locus, available for the normal forms of
   certain orbits in their own coordinates.
@@ -51,8 +55,8 @@ from .errors import (
     UnsupportedOrbit,
 )
 from .exactnum import UniPoly, candidate_factors
-from .linalg import sample_points
-from .orbits import pencil_shape
+from .linalg import sample_points, to_fraction
+from .orbits import OPEN_ORBITS, pencil_shape
 from .tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -69,6 +73,10 @@ GENERIC = "generic"
 SPECIALIZED = "specialized"
 
 _LAMBDA = UniPoly([0, 1])
+
+# The orbits the specialized strategy sends to the escape route
+# (``_escape_verdict``).
+ESCAPE_ORBITS = (5, 13, 15, 16, 17, 21)
 
 
 class LambdaWitness:
@@ -168,7 +176,8 @@ class LocusVerdict:
 
 
 def _fractions(vec):
-    return [Fraction(x) for x in vec]
+    """The entries of ``vec`` as Fractions; a float raises TypeError."""
+    return [to_fraction(x) for x in vec]
 
 
 def _factor_verdict(fac):
@@ -180,18 +189,20 @@ def _factor_verdict(fac):
     return LocusVerdict.member(LambdaWitness(minimal_poly=fac))
 
 
-def _first_witness(family, factors, target):
+def _first_witness(family, factors, target, known=None):
     """Membership verdict at the first group of roots of ``factors``, in
     their order and that of ``orbits_at_roots``, where the member of
-    ``family``, T - lam*P, has the rank ``target``, or None."""
+    ``family``, T - lam*P, has the rank ``target``, or None. ``known``
+    maps factors already classified to their ``orbits_at_roots``."""
     for fac in factors:
-        for group, oid in orbits_at_roots(family, fac):
+        groups = known.get(fac) if known else None
+        for group, oid in groups or orbits_at_roots(family, fac):
             if orbit_rank(oid) == target:
                 return _factor_verdict(group)
     return None
 
 
-def _scan_rational_witness(family, target, guards):
+def _scan_rational_witness(family, target, guards, known=None):
     """First integer lam in 1, -1, 2, -2, ... where the rank actually drops.
 
     Only called once the member has rank ``target`` at every lam != 0 off
@@ -199,7 +210,7 @@ def _scan_rational_witness(family, target, guards):
     1 + (sum of their degrees) values one is sure to work.
     """
     values = sample_points(2 + sum(g.degree for g in guards))[1:]
-    verdict = _first_witness(family, (UniPoly([-lam0, 1]) for lam0 in values), target)
+    verdict = _first_witness(family, (UniPoly([-lam0, 1]) for lam0 in values), target, known)
     if verdict is None:
         raise InternalError("no integer witness off the roots of the guards")
     return verdict
@@ -311,18 +322,32 @@ def _escape_verdict(family, target):
     """Concise cores of orbits 5 (2,2,2), 13, 15-17 (2,3,3) and 21
     (2,3,4): does the line reach rank ``target``, one below the rank of T?
 
-    The orbit of the family over Q(lam) decides (``family_orbit``): if it
-    has rank ``target``, so does every member off the roots of its guards,
-    and the scan finds one; otherwise only a member at a root of a guard
-    can, and the candidates are classified in turn. The guards
-    include every flattening drop, so the members that leave the concise
-    shape are among the candidates. Either way the witness is the one the
-    generic strategy returns.
+    The member at lam = 1 is classified first. If it lies in the open
+    orbit of the core's shape (``OPEN_ORBITS``), that open orbit is the
+    orbit of the family over Q(lam): every member lies in the closure of
+    the family's generic orbit, and an open orbit lies in the closure of
+    no other orbit. The open orbit has rank ``target``, so the scan below
+    would stop at its first value, 1: the witness is 1, the one the
+    generic strategy returns, and ``family_orbit`` is never built.
+
+    Otherwise the orbit of the family over Q(lam) decides
+    (``family_orbit``): if it has rank ``target``, so does every member
+    off the roots of its guards, and the scan finds one; otherwise only a
+    member at a root of a guard can, and the candidates are classified in
+    turn. The guards include every flattening drop, so the members that
+    leave the concise shape are among the candidates. Either way the
+    witness is the one the generic strategy returns, and the member at 1
+    is not classified again.
     """
+    one = UniPoly([-1, 1])
+    at_one = orbits_at_roots(family, one)
+    if at_one[0][1] == OrbitId.orbit(OPEN_ORBITS[family.base.shape]):
+        return _factor_verdict(one)
+    known = {one: at_one}
     generic, guards = family_orbit(family)
     if orbit_rank(generic) == target:
-        return _scan_rational_witness(family, target, guards)
-    verdict = _first_witness(family, candidate_factors(guards), target)
+        return _scan_rational_witness(family, target, guards, known)
+    verdict = _first_witness(family, candidate_factors(guards), target, known)
     return verdict or LocusVerdict.forbidden()
 
 
@@ -349,7 +374,7 @@ def _specialized_membership(T, P, report):
     if report.matrix_rank is not None:
         return _drop_root_verdict(family, (1,), target)
     n = report.orbit.value
-    if n in (5, 13, 15, 16, 17, 21):
+    if n in ESCAPE_ORBITS:
         return _escape_verdict(family, target)
     if n == 6:
         return _drop_root_verdict(family, (1, 2, 3), target)

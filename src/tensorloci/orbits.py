@@ -93,6 +93,12 @@ RANKS = {
     26: (6, 6),
 }
 
+# The open orbit of each concise shape (2, b, c) that holds an escape
+# orbit, one of rank one above it: the orbit of a generic tensor of that
+# shape in Ja'Ja's finite orbit list (SIAM J. Comput. 8, 1979).
+OPEN_ORBITS = {(2, 2, 2): 6, (2, 3, 3): 18, (2, 3, 4): 23}
+
+
 def pencil_shape(n):
     rows = PENCILS[n]
     return (2, len(rows), len(rows[0]))

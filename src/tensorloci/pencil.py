@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 
 from .binforms import BinaryForm, bform_gcd
-from .errors import InternalError, WrongShape
+from .errors import AllZero, InternalError, WrongShape
 from .exactnum import UniPoly, _ip_exact_div, _ip_gcd
 from .linalg import (
     RING_FIELD,
@@ -149,18 +149,14 @@ def pencil_minors(p, k):
 
 def pencil_minor_gcd(p, k):
     """gcd of all k x k minors of a pencil over Z or a field, as
-    ``bform_gcd`` gives it; the zero form of degree k when every minor
-    vanishes, a constant when they share no projective root."""
+    ``bform_gcd`` gives it, which stops taking minors once the gcd is a
+    constant; the zero form of degree k when every minor vanishes."""
     if k < 1 or k > min(len(p.rows), p.cols):
         raise WrongShape("minor size %d out of range" % k)
-    g = None
-    for _, _, coeffs in pencil_minors(p, k):
-        if any(coeffs):
-            f = BinaryForm(coeffs, k)
-            g = bform_gcd([f] if g is None else [g, f])
-            if g.degree == 0:
-                return g  # the gcd can only shrink
-    return BinaryForm([0] * (k + 1), k) if g is None else g
+    try:
+        return bform_gcd(BinaryForm(c, k) for _, _, c in pencil_minors(p, k) if any(c))
+    except AllZero:
+        return BinaryForm([0] * (k + 1), k)
 
 
 def member_rank_at(p, ell):

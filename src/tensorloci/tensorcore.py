@@ -173,9 +173,10 @@ class RankOneTensor:
 
 
 def _scaled_entries(entries):
-    """(entries times c, c, ring): rational entries become ints, c the lcm
-    of their denominators; field entries stay, with c = 1. Any other
-    entry, a float included, raises TypeError."""
+    """(entries times c, c, ring), a fresh list: rational entries become
+    ints, c the lcm of their denominators (``_z_row``: c = 1 when all
+    are ints); field entries stay, with c = 1. Any other entry, a float
+    included, raises TypeError."""
     if all(type(x) in (int, Fraction) for x in entries):
         return (*_z_row(entries), RING_Z)
     for x in entries:

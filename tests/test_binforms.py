@@ -89,6 +89,51 @@ def test_gcd_random_against_sympy():
         assert ratio.is_constant(U, V) and ratio != 0
 
 
+def random_int_form(rng, degree):
+    """Product of ``degree`` random integer linear forms, one in three of
+    them v, times a random nonzero integer, maybe negative."""
+    expr = rng.choice([-6, -3, -1, 1, 2, 4])
+    for _ in range(degree):
+        if rng.randrange(3):
+            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            while not (a or b):
+                a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            expr *= a * U + b * V
+        else:
+            expr *= V
+    return BinaryForm([int(c) for c in from_sympy_expr(expr, degree).coeffs], degree)
+
+
+def test_int_gcd_matches_sympy_and_is_primitive():
+    """On int forms sharing a random factor, with zero forms, powers of v
+    and negative leads mixed in, the gcd is sympy's up to a constant: an
+    int form, primitive, its first nonzero coefficient positive."""
+    rng = random.Random(23)
+    for _ in range(150):
+        common = random_int_form(rng, rng.randint(0, 2))
+        forms = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.randrange(4):
+                forms.append(multiply(common, random_int_form(rng, rng.randint(0, 2))))
+                forms[-1] = BinaryForm([int(c) for c in forms[-1].coeffs])
+            else:
+                forms.append(BinaryForm([0] * (rng.randint(1, 4) + 1)))
+        live = [f for f in forms if not f.is_zero()]
+        if not live:
+            with pytest.raises(AllZero):
+                bform_gcd(forms)
+            continue
+        got = bform_gcd(forms)
+        assert all(type(c) is int for c in got.coeffs), got
+        assert math.gcd(*got.coeffs) == 1
+        assert next(c for c in got.coeffs if c) > 0
+        want = sympy.Poly(sympy.gcd_list([to_sympy(f) for f in live]), U, V)
+        _, want = want.primitive()
+        if want.LC() < 0:
+            want = -want
+        assert sympy.Poly(to_sympy(got), U, V) == want, (forms, got, want)
+
+
 def test_discriminant_degree_bounds():
     """Degrees 2 and 3 only: every determinant form and repeated part in
     the package has degree at most 3."""

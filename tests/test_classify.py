@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from tensorloci.binforms import BinaryForm, _pl_gcd, bform_discriminant, bform_i
 from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
+    _FamilyReads,
     _RootReads,
     _root_model,
+    _square_root,
     classify,
     classify_parametric,
 )
@@ -503,6 +506,39 @@ def test_root_reader_discriminant_and_pure_square():
                 u, v = (in_extension(x, reads, fac) for x in ell.coeffs)
                 assert u * want.coeffs[1] == v * want.coeffs[0]
                 assert (u, v) != (0, 0)
+
+
+def test_int_pure_square_rule_matches_bform_is_pure_power():
+    """The rule the readers share, on int forms: planted squares c l^2
+    (l = a u + b v, a = 0 among them) are squares of l up to a constant,
+    and the linear form is the one ``bform_is_pure_power`` gives scaled
+    to ints, so the member at its root is the same int member; forms
+    off the square cone are not squares."""
+    rng = random.Random(41)
+    squares = 0
+    for case in range(300):
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        if case % 5 == 0:
+            a = 0
+        if not (a or b):
+            continue
+        c = rng.choice([-4, -3, -1, 1, 2, 6])
+        coeffs = [c * a * a, 2 * c * a * b, c * b * b]
+        if case % 2:
+            coeffs[rng.randrange(3)] += rng.choice([-1, 1])
+        g = BinaryForm(coeffs)
+        if g.is_zero():
+            continue  # a repeated part, what the readers test, is never zero
+        ok, ell = _square_root(g)
+        assert _FamilyReads(None, []).pure_square(g) == (ok, ell)
+        want_ok, want = bform_is_pure_power(g, 2)
+        assert ok == want_ok, g
+        if ok:
+            squares += 1
+            k = math.lcm(*(Fraction(x).denominator for x in want.coeffs))
+            assert ell.coeffs == [int(x * k) for x in want.coeffs], (g, ell, want)
+            assert ell.coeffs[0] * b == ell.coeffs[1] * a
+    assert squares > 100
 
 
 def test_root_reader_member_rank():

@@ -90,8 +90,8 @@ def test_rank_transpose_extension():
 
 @pytest.mark.parametrize(
     "entry",
-    [UniPoly([1, 1]), AlgebraicElement.generator(UniPoly([-2, 0, 1]))],
-    ids=["polynomial", "algebraic"],
+    [UniPoly([1, 1]), AlgebraicElement.generator(UniPoly([-2, 0, 1])), 0.1],
+    ids=["polynomial", "algebraic", "float"],
 )
 @pytest.mark.parametrize(
     "build",
@@ -105,9 +105,17 @@ def test_rank_transpose_extension():
 )
 def test_entries_other_than_rationals_raise_type_error(build, entry):
     """Matrices and pencils are rational: a polynomial or an algebraic
-    entry is refused, not computed over another domain."""
+    entry is refused, not computed over another domain, and so is a
+    float, not taken at its binary value."""
     with pytest.raises(TypeError):
         build(entry)
+
+
+def test_bool_entries_stay_rational():
+    """``mat_inverse`` augments with bools, which are ints: they stay."""
+    assert Mat([[True, False], [False, True]]) == mat_identity(2)
+    A = Mat([[1, 2], [3, 4]])
+    assert mat_inverse(A) == Mat([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
 
 
 def test_det_and_inverse():

@@ -11,9 +11,12 @@ each family T - lam*P must match committed tables, and every special value
 among the candidates the earlier function-field classifier recorded must
 still be reported.
 Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
-larger sweeps stay in that script, which is smoke-tested here in all
-its modes (the oracle agreement, the members at irrational roots and the
-verdicts under GL). Axis
+larger sweeps stay in that script, which is smoke-tested here in its
+modes for the oracle agreement, the members at irrational roots, the
+verdicts under GL and the open-orbit certificate of the escape route.
+That certificate must answer some seeded family of every escape orbit
+without ``family_orbit``, agree with it and with GENERIC wherever it
+fires, and leave the member at 1 classified once where it does not. Axis
 permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
 The specialized strategy must answer without ever reaching the generic
@@ -64,6 +67,7 @@ from tensorloci.errors import (
 from tensorloci.exactnum import UniPoly, candidate_factors, format_rational
 from tensorloci.linalg import Mat, mat_det, mat_rank
 from tensorloci.locus import (
+    ESCAPE_ORBITS,
     FORBIDDEN,
     GENERIC,
     SPECIALIZED,
@@ -74,7 +78,7 @@ from tensorloci.locus import (
     locus_membership,
     locus_tangential,
 )
-from tensorloci.orbits import normal_form, pencil_shape
+from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -1035,6 +1039,96 @@ def test_scan_bound_covers_guard_roots_at_one_and_minus_one():
         _scan_rational_witness(family, 3, guards[1:])
 
 
+def escape_families():
+    """(orbit, T, P) for the seeded families of each escape orbit, on the
+    normal form and GL-moved."""
+    for orbit in ESCAPE_ORBITS:
+        for _sparse, T, P, gT, gP in seeded_families(orbit):
+            yield orbit, T, P
+            yield orbit, gT, gP
+
+
+class FamilyOrbitCalled(Exception):
+    pass
+
+
+def test_open_orbit_certificate_answers_without_family_orbit(monkeypatch):
+    """With ``family_orbit`` made to raise, SPECIALIZED still answers some
+    seeded family of every escape orbit: the member at 1 lies in the
+    open orbit. There the witness is 1, GENERIC's whole verdict is the
+    same, and ``family_orbit`` gives the open orbit as the family's."""
+    def refuse(*_args):
+        raise FamilyOrbitCalled
+
+    fired = []
+    with monkeypatch.context() as m:
+        m.setattr(locus, "family_orbit", refuse)
+        for orbit, t, p in escape_families():
+            try:
+                fired.append((orbit, t, p, locus_membership(t, p, SPECIALIZED)))
+            except FamilyOrbitCalled:
+                pass
+    assert {orbit for orbit, *_ in fired} == set(ESCAPE_ORBITS)
+    for orbit, t, p, verdict in fired:
+        assert verdict == locus.LocusVerdict.member(LambdaWitness(value=1)), (orbit, p)
+        assert locus_membership(t, p, GENERIC) == verdict, (orbit, p)
+        generic, _ = family_orbit(ParametricTensor(t, p))
+        assert generic == OrbitId.orbit(OPEN_ORBITS[pencil_shape(orbit)]), (orbit, p)
+
+
+def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
+    """Where the member at 1 is off the open orbit, the escape route builds
+    ``family_orbit`` and classifies no member twice: the member at 1 is
+    classified first and reused. On the orbit-17 family whose scan walks
+    1, -1, 2 and on the seeded fallback families of the escape orbits."""
+    T17 = normal_form(17)
+    P17 = RankOneTensor([[Fraction(-1, 2), 0], [0, 1, 1], [1, 0, -1]])
+    one = UniPoly([-1, 1])
+    classified, built = [], []
+    real_orbits, real_family = locus.orbits_at_roots, locus.family_orbit
+
+    def orbits_at_roots(family, fac):
+        classified.append(fac)
+        return real_orbits(family, fac)
+
+    def family_orbit_spy(family):
+        built.append(family)
+        return real_family(family)
+
+    fallbacks = 0
+    with monkeypatch.context() as m:
+        m.setattr(locus, "orbits_at_roots", orbits_at_roots)
+        m.setattr(locus, "family_orbit", family_orbit_spy)
+        for orbit, t, p in [(17, T17, P17)] + list(escape_families()):
+            del classified[:], built[:]
+            verdict = locus_membership(t, p, SPECIALIZED)
+            assert classified[0] == one, (orbit, p)
+            assert len(classified) == len(set(classified)), (orbit, p, classified)
+            if built:
+                fallbacks += 1
+            else:
+                assert classified == [one], (orbit, p, classified)
+            if t is T17:
+                assert built and witness_code(verdict) == "2"
+                assert classified[:3] == [one, UniPoly([1, 1]), UniPoly([-2, 1])]
+    assert fallbacks > 1
+
+
+def test_open_orbit_table_holds_generic_tensors_one_rank_below_the_escapes():
+    """Seeded random int tensors of each shape of ``OPEN_ORBITS`` classify
+    to its orbit, whose rank is one below that of every escape orbit of
+    the shape; and every escape orbit has its shape in the table."""
+    rng = random.Random("open orbits")
+    assert {pencil_shape(n) for n in ESCAPE_ORBITS} == set(OPEN_ORBITS)
+    for shape, n in OPEN_ORBITS.items():
+        for _ in range(8):
+            t = Tensor(shape, [rng.randint(-9, 9) for _ in range(math.prod(shape))])
+            assert classify(t).orbit == OrbitId.orbit(n), (shape, t.entries)
+        for m in ESCAPE_ORBITS:
+            if pencil_shape(m) == shape:
+                assert RANKS[n][0] == RANKS[m][0] - 1, (n, m)
+
+
 def sweep_script():
     path = os.path.join(
         os.path.dirname(__file__), os.pardir, "scripts", "sweep_loci.py"
@@ -1076,6 +1170,20 @@ def test_sweep_script_compares_verdicts_under_gl(capsys):
         "orbit %2d" % n for n in ORBITS
     ]
     assert lines[-1] == "0 GL mismatches"
+
+
+def test_sweep_script_checks_the_open_orbit_certificate(capsys):
+    sweep = sweep_script()
+    status = sweep.main(["--escape", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert [line.split(":")[0] for line in lines if line.startswith("orbit")] == [
+        "orbit %2d" % n for n in ESCAPE_ORBITS
+    ]
+    words = lines[-1].split()
+    hits, fallbacks = int(words[0]), int(words[3])
+    assert hits > 0 and hits + fallbacks == 4 * len(ESCAPE_ORBITS)
+    assert lines[-1].endswith(" 0 escape mismatches")
 
 
 def test_dump_verdicts_script_runs_one_round(capsys):
@@ -1240,3 +1348,6 @@ def test_closed_form_predicate_error_paths():
         closed_form_predicate(13, RankOneTensor([[1, 0], [0, 1], [1, 2, 0]]))
     with pytest.raises(UnsupportedShape):
         classify_parametric(normal_form(13), classify(normal_form(13)))
+    # a float factor is refused, not read at its binary value
+    with pytest.raises(TypeError):
+        closed_form_predicate(9, RankOneTensor([[0.1, 1], [1, 0], [1, 0, 0, 0]]))
