@@ -32,9 +32,13 @@ and the exit status is nonzero when any appeared.
 With ``--tangential N`` it draws, for each order k = 3-6 and each proper
 subset C of the axes, N seeded GL moves (entries in -3..3) of the tangent
 model sum_j E_j, each with a random P that agrees with the tangency point
-e0^k exactly on C. ``decompose_tangential`` must give k terms that sum
-back with P first, and ``locus_tangential`` must return a member. At
-k = 3 its status must equal that of both ``locus_membership`` strategies,
+e0^k exactly on C. For k = 3-5 it draws N more of the model made not
+concise: each axis padded by zero slices up to dimension 2 or 3 at
+random, and one inactive axis of dimension 1-3 added, on which P's factor
+is in T's span (at k = 6 these would take most of the run).
+``decompose_tangential`` must give k terms that sum back with P first,
+and ``locus_tangential`` must return a member. On the 2 x 2 x 2 tensors
+(k = 3, not padded) its status must equal that of both ``locus_membership`` strategies,
 and when P agrees with the tangency point on two axes its whole verdict
 must equal GENERIC's, since the witness is then unique. A TANGENTIAL
 MISMATCH line reports each failure, and the exit status is nonzero when
@@ -252,7 +256,7 @@ def normalized(v):
 
 def tangential_problems(T, P, k, d):
     """What the tangential decomposition and verdict get wrong on a tangent
-    tensor T of order k and a P off its tangency point on d axes."""
+    tensor T with k active axes and a P off its tangency point on d axes."""
     try:
         dec = decompose_tangential(T, P)
         verdict = locus_tangential(T, P)
@@ -266,7 +270,7 @@ def tangential_problems(T, P, k, d):
         problems.append("first term %r is not P" % (dec.terms[0][1].factors,))
     if not verdict.in_decomposition:
         problems.append("locus_tangential: %r" % (verdict,))
-    if k == 3:
+    if T.order == 3:
         for strategy in (SPECIALIZED, GENERIC):
             other = locus_membership(T, P, strategy)
             whole = d == 1 and strategy == GENERIC
@@ -275,10 +279,23 @@ def tangential_problems(T, P, k, d):
     return problems
 
 
+def padded(T, P, rnd):
+    """The model T and P with each axis padded by zero slices up to
+    dimension 2 or 3 and a last, inactive axis v added, P's factor there a
+    multiple of v: a tangent tensor that is not concise, P in its spans."""
+    dims = [rnd.choice((2, 3)) for _ in range(T.order)]
+    v = random_vector(rnd, rnd.randint(1, 3), DENSE_POOL)
+    shape = tuple(dims) + (len(v),)
+    entries = [v[idx[-1]] * T[idx[:-1]] if max(idx[:-1]) < 2 else 0
+               for idx in itertools.product(*[range(d) for d in shape])]
+    factors = [f + [0] * (d - 2) for f, d in zip(P.factors, dims)]
+    return Tensor(shape, entries), RankOneTensor(factors + [[-2 * x for x in v]])
+
+
 def sweep_tangential(draws, rnd):
     """The tangential decomposition and verdict on GL moves of the tangent
     model, every order 3-6 and coincidence pattern."""
-    mismatches = cases = 0
+    mismatches = drawn = 0
     for k in range(3, 7):
         T = tangent_model(k)
         start = time.time()
@@ -292,17 +309,19 @@ def sweep_tangential(draws, rnd):
                         else:
                             factors.append([rnd.choice(SPARSE_POOL), rnd.choice(DENSE_POOL)])
                     P = RankOneTensor(factors)
-                    gs = [random_invertible(rnd, 2) for _ in range(k)]
-                    gT, gP = apply_gl(T, gs), apply_gl_rank_one(P, gs)
-                    cases += 1
-                    for problem in tangential_problems(gT, gP, k, k - m):
-                        mismatches += 1
-                        print("TANGENTIAL MISMATCH k=%d C=%r P=%r moved by %r: %s"
-                              % (k, coincident, describe(P), gs, problem))
+                    cases = [(T, P), padded(T, P, rnd)] if k < 6 else [(T, P)]
+                    for t, p in cases:
+                        gs = [random_invertible(rnd, d) for d in t.shape]
+                        gT, gP = apply_gl(t, gs), apply_gl_rank_one(p, gs)
+                        drawn += 1
+                        for problem in tangential_problems(gT, gP, k, k - m):
+                            mismatches += 1
+                            print("TANGENTIAL MISMATCH k=%d C=%r P=%r moved by %r: %s"
+                                  % (k, coincident, describe(p), gs, problem))
         print("order %d: %d patterns x %d draws, %.2fs"
               % (k, 2 ** k - 1, draws, time.time() - start))
         sys.stdout.flush()
-    print("%d tangent tensors, %d tangential mismatches" % (cases, mismatches))
+    print("%d tangent tensors, %d tangential mismatches" % (drawn, mismatches))
     return mismatches
 
 

@@ -17,14 +17,6 @@ class ParseError(TensorLociError):
     code = "parse-error"
 
 
-class IndexOutOfRange(ParseError):
-    code = "index-out-of-range"
-
-
-class DuplicateEntry(ParseError):
-    code = "duplicate-entry"
-
-
 class DegreeTooLarge(TensorLociError):
     code = "degree-too-large"
 
@@ -90,14 +82,6 @@ class NotInLocus(TensorLociError):
 
 class UnsupportedOrbit(TensorLociError):
     code = "unsupported-orbit"
-
-
-class IllegalMove(TensorLociError):
-    code = "illegal-move"
-
-
-class NoRationalWitnessFound(TensorLociError):
-    code = "no-rational-witness-found"
 
 
 class InternalError(TensorLociError):

@@ -1,7 +1,8 @@
 """Exact dense linear algebra: rational matrices on an integer kernel.
 
-A ``Mat`` is a matrix over Q; its entries are ``Fraction``s. Rank,
-determinant and row reduction run on one fraction-free Bareiss elimination
+A ``Mat`` is a matrix over Q; its entries are ``Fraction``s. There is one
+elimination kernel and no row reduction: rank, determinant and the
+independent rows all run on one fraction-free Bareiss elimination
 with the first-nonzero pivot rule (scan columns left to right, take the
 topmost nonzero entry), on the rows of the matrix scaled to ints by
 ``integer_rows``; ``mat_det`` divides the row scales out once at the end.
@@ -21,7 +22,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import ShapeMismatch, SingularMatrix
+from .errors import ShapeMismatch
 from .exactnum import _ip_cross, _ip_exact_div, _zb_reduce
 
 
@@ -86,23 +87,6 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%r)" % (self.entries,)
-
-
-def mat_identity(n):
-    return Mat([[Fraction(i == j) for j in range(n)] for i in range(n)])
-
-
-def mat_vec(a, v):
-    if a.cols != len(v):
-        raise ShapeMismatch("vector length differs from column count")
-    out = []
-    for i in range(a.rows):
-        acc = None
-        for k in range(a.cols):
-            term = a.entries[i][k] * v[k]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
 
 
 # --- the Bareiss kernel -----------------------------------------------------
@@ -308,49 +292,3 @@ def mat_det(M):
         return Fraction(1)
     rows, scales = integer_rows(M)
     return Fraction(bareiss_det(rows, RING_Z), math.prod(scales))
-
-
-def mat_rref(M):
-    """(R, pivot columns): the reduced row echelon form."""
-    rows, pivots, d = _rref(M)
-    return Mat([[Fraction(x, d) for x in row] for row in rows]), pivots
-
-
-def _rref(M):
-    """(rows, pivot columns, d) with rows / d the reduced row echelon form
-    of M. Each pivot step is a Bareiss step on every other row, scaled to
-    ints, so entries stay minors, and each pivot row ends with the last
-    pivot d at its pivot column.
-    """
-    rows, _ = integer_rows(M)
-    pivots, prev, r = [], 1, 0
-    for col in range(M.cols):
-        for i in range(r, M.rows):
-            if rows[i][col]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        top = rows[r]
-        p = top[col]
-        for i in range(M.rows):
-            a = rows[i][col]
-            if i != r and (a or p != prev):
-                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
-        prev = p
-        pivots.append(col)
-        r += 1
-        if r == M.rows:
-            break
-    return rows, pivots, prev
-
-
-def mat_inverse(A):
-    if A.rows != A.cols:
-        raise ShapeMismatch("inverse of a non-square matrix")
-    n = A.rows
-    aug = Mat([list(A.entries[i]) + [i == j for j in range(n)] for i in range(n)])
-    rows, pivots, d = _rref(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return Mat([[Fraction(x, d) for x in rows[i][n:]] for i in range(n)])

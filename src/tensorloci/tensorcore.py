@@ -40,9 +40,8 @@ from .linalg import (
     _bareiss,
     _z_row,
     bareiss_det,
-    mat_identity,
-    mat_rref,
     pivot_slices,
+    to_fraction,
 )
 
 
@@ -370,12 +369,11 @@ class ConciseReduction:
 
     ``scaled`` holds the entries of c T (``scale`` c, see
     ``_scaled_entries``; ints over Z for rational T), ``slices[a]`` the
-    indices kept on axis a. The concise core is c T on them, a subtensor.
-    Slice i of T along axis a is sum_j B[i][j] times kept slice j, with
-    B = ``bases[a]`` the identity on the kept rows, computed on demand.
+    indices kept on axis a. The concise core is c T on them, a subtensor
+    (``core``); the kept slices of an axis span all of its slices.
     """
 
-    __slots__ = ("ambient_shape", "scaled", "scale", "ring", "slices", "_bases")
+    __slots__ = ("ambient_shape", "scaled", "scale", "ring", "slices")
 
     def __init__(self, ambient_shape, scaled, scale, ring, slices):
         self.ambient_shape = ambient_shape
@@ -383,7 +381,6 @@ class ConciseReduction:
         self.scale = scale
         self.ring = ring
         self.slices = slices
-        self._bases = None
 
     @property
     def concise_shape(self):
@@ -399,36 +396,6 @@ class ConciseReduction:
             tuple(len(self.slices[a]) for a in axes),
             [self.scaled[base + sum(o)] for o in itertools.product(*offsets)],
         )
-
-    @property
-    def tensor(self):
-        """The concise core in the ambient axis order."""
-        return self.core(range(len(self.slices)))
-
-    @property
-    def bases(self):
-        if self._bases is None:
-            self._bases = [self._basis(a0) for a0 in range(len(self.slices))]
-        return self._bases
-
-    def _basis(self, a0):
-        keep, dim = self.slices[a0], self.ambient_shape[a0]
-        if len(keep) == dim:
-            return mat_identity(dim)
-        # the rref of [K^T | M^T], K the kept rows of the flattening M,
-        # is [I | B^T] on its first len(keep) rows
-        rows = _flat_rows(self.scaled, self.ambient_shape, a0)
-        R, _ = mat_rref(Mat([[rows[k][c] for k in keep] + [row[c] for row in rows]
-                             for c in range(len(rows[0]))]))
-        return Mat([[R.entries[j][len(keep) + i] for j in range(len(keep))]
-                    for i in range(dim)])
-
-    def expand(self):
-        """Rebuild the ambient tensor, as Fractions: the core contracted on
-        each axis by its basis (``_contract``); over a field, TypeError."""
-        bases = [_mat_ints(B) for B in self.bases]
-        entries = _contract(self.tensor.entries, self.concise_shape, bases, self.scale)
-        return Tensor(self.ambient_shape, entries)
 
 
 def _mat_ints(M):
@@ -475,8 +442,8 @@ def concise_reduce(T):
     """Compress each axis to the span actually used by the tensor.
 
     T is scaled to ints once and each axis keeps its first independent
-    slices (``pivot_slices``). The core, a subtensor, is concise (every
-    flattening has full rank), and ``expand`` reproduces T. A concise
+    slices (``pivot_slices``), which span all of its slices. The core, a
+    subtensor, is concise (every flattening has full rank). A concise
     tensor is its own core; the zero tensor has none.
     """
     if T.is_zero():
@@ -556,10 +523,11 @@ def rank_one_factors(T):
 
 
 def factors_in_spans(P, reduction):
-    """P's entries at the kept indices of each axis, its coordinates in
-    the bases (the identity on the kept rows); None if a factor p leaves
-    the span of its axis, that is if [M | p] has a larger rank than the
-    flattening M, one integer rank."""
+    """P's entries at the kept indices of each axis, ints or Fractions (any
+    other entry goes through ``to_fraction``: a float raises TypeError);
+    inside the span of its axis a factor is fixed by them. None if a
+    factor p leaves that span, that is if [M | p] has a larger rank than
+    the flattening M, one integer rank."""
     coords = []
     for a0, keep in enumerate(reduction.slices):
         vec = P.factors[a0]
@@ -568,5 +536,6 @@ def factors_in_spans(P, reduction):
             aug = [row + [x] for row, x in zip(rows, _scaled_entries(vec)[0])]
             if _bareiss(aug, reduction.ring)[0] > len(keep):
                 return None
-        coords.append([vec[i] for i in keep])
+        coords.append([x if type(x) in (int, Fraction) else to_fraction(x)
+                       for x in (vec[i] for i in keep)])
     return coords

@@ -10,8 +10,20 @@ is proportional to a prescribed rank-one direction; every direction inside
 the per-axis spans works except the point q itself. ``verify_decomposition``
 checks any claimed weighted rank-one decomposition exactly.
 
-In model coordinates the tensor is W = sum_j E_j, E_j the coordinate tensor
-with e1 on axis j and e0 elsewhere, and q = e0^k. Let D be the d >= 1 axes
+T is read in its own coordinates. Its active axes are those whose slices
+span a plane, each q_b is unit-normalized (first nonzero entry one), and m
+is the index where each q_b has its last nonzero entry. Then T is
+sum_j q1 x ... x t_j x ... x qn over the active j for one choice of t_j:
+t_j[m_j] = 0, except that the first active axis also carries the multiple
+T[m] / prod_b q_b[m_b] of q. So t_j is the fibre of T through m along axis
+j over prod_{b != j} q_b[m_b], less that multiple of q_j on every later
+active axis. Sending e0 to q_j and e1 to t_j on the k active axes, and
+keeping q_b on the others, carries the model W = sum_j E_j, E_j the
+coordinate tensor with e1 on axis j and e0 elsewhere, to T and e0^k to q.
+None of it depends on which slices a concise reduction keeps, so neither
+do the terms below.
+
+In model coordinates let D be the d >= 1 axes
 where the direction's factor is (p_j, 1) and C those where it is e0, and
 F(r) = (x)_D (r + p_j, 1) (x) e0^C, so F(0) is the direction. For f monic
 with d - 1 distinct nonzero roots (the nodes), Lagrange interpolation of F
@@ -36,7 +48,6 @@ T - lam*P like the other escapes, with the witness of the generic strategy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -49,15 +60,14 @@ from .errors import (
     TangencyPointRequested,
     ZeroTensor,
 )
-from .linalg import Mat, mat_inverse, mat_vec, sample_points
+from .linalg import sample_points
 from .pencil import pencil_minor_gcd, pencil_of
 from .tensorcore import (
     RankOneTensor,
     Tensor,
-    apply_gl,
+    _flat_rows,
     concise_reduce,
     factors_in_spans,
-    flattening,
     rank_one_factors,
 )
 
@@ -147,43 +157,34 @@ def _e(i):
     return [Fraction(int(i == 0)), Fraction(int(i == 1))]
 
 
-def _tangent_core(k):
-    """Sum of the k coordinate tensors with a single raised axis."""
-    t = Tensor.zeros((2,) * k)
-    for j in range(k):
-        t.entries[1 << (k - 1 - j)] = Fraction(1)
-    return t
+def _axis_point(red, a):
+    """Ambient factors, on every axis but a, of the unique decomposable
+    contraction along the active axis a.
 
-
-def _axis_point(W, axis0):
-    """Factors of the unique decomposable contraction along one axis.
-
-    W is a concise tensor with every axis two dimensional. Contracting the
-    chosen axis with a covector gives a pencil of tensors one order down;
-    for a tangent tensor exactly one member, counted with multiplicity, has
-    all flattening minors zero, and that member is the product of the
-    tangency factors on the remaining axes.
+    Contracting axis a with a covector combines its two kept slices X and
+    Y, rows of the axis-a flattening: a pencil uX + vY one order down. For
+    a tangent tensor exactly one member, counted with multiplicity, has
+    all 2-minors of its flattenings zero, and that member is the product
+    of the tangency factors on the remaining axes. The minors are read on
+    the concise core, where they are few and have the same gcd, since the
+    kept slices of each axis span all of its slices; flattenings of
+    dimension one have none.
     """
-    k = W.order
-    perm = [axis0] + [a for a in range(k) if a != axis0]
-    moved = W.transpose_axes(perm)
-    half = len(moved.entries) // 2
-    xs = moved.entries[:half]
-    ys = moved.entries[half:]
-    rest = (2,) * (k - 1)
-    X = Tensor(rest, xs)
-    Y = Tensor(rest, ys)
+    shape = red.ambient_shape
+    core = red.core(range(len(shape)))
+    rest = core.shape[:a] + core.shape[a + 1:]
     quads = []
-    for b in range(1, k):
-        # the 2-minors of the b-th flattening of uX + vY
-        flats = [flattening(F, b).entries for F in (X, Y)]
-        pair = Tensor((2, 2, len(flats[0][0])), [x for F in flats for row in F for x in row])
+    for b, d in enumerate(rest):
+        if d == 1:
+            continue
+        flats = [_flat_rows(F, rest, b) for F in _flat_rows(core.entries, core.shape, a)]
+        pair = Tensor((2, d, len(flats[0][0])), [x for F in flats for row in F for x in row])
         q = pencil_minor_gcd(pencil_of(pair), 2)
         if not q.is_zero():
             quads.append(q)
     if not quads:
         raise NotTangential(
-            "every contraction along axis %d factors" % (axis0 + 1,)
+            "every contraction along axis %d factors" % (a + 1,)
         )
     g = bform_gcd(quads)
     if g.degree == 1:
@@ -192,32 +193,20 @@ def _axis_point(W, axis0):
         ok, ell = bform_is_pure_power(g, 2)
         if not ok:
             raise NotTangential(
-                "axis %d has two independent factoring contractions" % (axis0 + 1,)
+                "axis %d has two independent factoring contractions" % (a + 1,)
             )
     else:
         raise NotTangential(
-            "axis %d has no factoring contraction" % (axis0 + 1,)
+            "axis %d has no factoring contraction" % (a + 1,)
         )
     u0, v0 = linear_form_root(ell)
-    Z = Tensor(rest, [u0 * x + v0 * y for x, y in zip(xs, ys)])
-    got = rank_one_factors(Z)
+    rows = _flat_rows(red.scaled, shape, a)
+    xs, ys = (rows[i] for i in red.slices[a])
+    got = rank_one_factors(Tensor(shape[:a] + shape[a + 1:],
+                                  [u0 * x + v0 * y for x, y in zip(xs, ys)]))
     if got is None:
         raise InternalError("a contraction with vanishing minors failed to factor")
     return got[1]
-
-
-class _NormalForm:
-    """Concise data plus per-axis bases that shape a tangent tensor into the
-    model: zero coefficient on the pure point, one on every raised axis."""
-
-    __slots__ = ("reduction", "active", "slot", "gs", "qhat")
-
-    def __init__(self, reduction, active, slot, gs, qhat):
-        self.reduction = reduction
-        self.active = active
-        self.slot = slot
-        self.gs = gs
-        self.qhat = qhat
 
 
 def _reduce(T):
@@ -227,53 +216,35 @@ def _reduce(T):
         raise NotTangential("the zero tensor is not tangent to the rank ones")
 
 
-def _tangency_data(red):
-    """The normal form of the tangent tensor whose concise reduction is
-    ``red``; its core is read over Q, in the tensor's own scale."""
+def _tangency_data(T, red):
+    """(active axes, q, t) with T = sum over the active j of
+    q_1 x ... x t_j x ... x q_n, in T's own coordinates, as the module
+    docstring fixes them; ``red`` is T's concise reduction."""
     dims = red.concise_shape
     if any(d > 2 for d in dims):
         raise NotTangential("some axis uses more than two independent slices")
     active = [a for a, d in enumerate(dims) if d == 2]
     if len(active) < 3:
         raise NotTangential("fewer than three axes carry a tangent direction")
-    k = len(active)
-    W = Tensor((2,) * k, [Fraction(x, red.scale) for x in red.tensor.entries])
-    behind = _axis_point(W, 0)
-    front = _axis_point(W, 1)
-    qhat = [front[0]] + behind
-    gs0 = []
-    for q in qhat:
-        u = _e(0) if q[1] else _e(1)
-        gs0.append(Mat([[q[0], u[0]], [q[1], u[1]]]))
-    model0 = apply_gl(W, [mat_inverse(g) for g in gs0])
-    point_coeff = None
-    sing = [None] * k
-    for flat, idx in enumerate(itertools.product((0, 1), repeat=k)):
-        val = model0.entries[flat]
-        weight = sum(idx)
-        if weight == 0:
-            point_coeff = val
-        elif weight == 1:
-            if not val:
-                raise NotTangential(
-                    "axis %d carries no tangent direction" % (active[idx.index(1)] + 1,)
-                )
-            sing[idx.index(1)] = val
-        elif val:
-            raise NotTangential("the tensor is not a tangent vector")
-    gs = []
-    for j, (q, g0) in enumerate(zip(qhat, gs0)):
-        w = [sing[j] * g0.entries[0][1], sing[j] * g0.entries[1][1]]
-        if j == 0:
-            # fold the pure point component into the first tangent vector
-            w = [w[0] + point_coeff * q[0], w[1] + point_coeff * q[1]]
-        gs.append(Mat([[q[0], w[0]], [q[1], w[1]]]))
-    if apply_gl(W, [mat_inverse(g) for g in gs]) != _tangent_core(k):
-        raise InternalError("normalization did not reach the model tensor")
-    slot = [None] * len(dims)
-    for j, a in enumerate(active):
-        slot[a] = j
-    return _NormalForm(red, active, slot, gs, qhat)
+    first, second = active[:2]
+    q = _axis_point(red, first)
+    q.insert(first, _axis_point(red, second)[first])
+    m = [max(i for i, x in enumerate(f) if x) for f in q]
+    qm = [f[i] for f, i in zip(q, m)]
+    point = T[tuple(m)] / math.prod(qm)
+    t = {}
+    for j in active:
+        lift = 0 if j == first else point
+        scale = math.prod(qm[:j] + qm[j + 1:])
+        fibre = [T[tuple(m[:j]) + (i,) + tuple(m[j + 1:])] / scale for i in range(len(q[j]))]
+        t[j] = [x - lift * y for x, y in zip(fibre, q[j])]
+    total = Tensor.zeros(T.shape)
+    for j in active:
+        if any(t[j]):
+            total = total.add(RankOneTensor(q[:j] + [t[j]] + q[j + 1:]).expand())
+    if total != T:
+        raise NotTangential("the tensor is not a tangent vector")
+    return active, q, t
 
 
 def find_tangency(T):
@@ -282,16 +253,7 @@ def find_tangency(T):
     Raises NotTangential when T is not a tangent vector with at least three
     active axes.
     """
-    nf = _tangency_data(_reduce(T))
-    factors = []
-    for a in range(T.order):
-        B = nf.reduction.bases[a]
-        j = nf.slot[a]
-        if j is None:
-            factors.append(B.col(0))
-        else:
-            factors.append(mat_vec(B, nf.qhat[j]))
-    return TangencyPoint(factors)
+    return TangencyPoint(_tangency_data(T, _reduce(T))[1])
 
 
 def _nodes(ps):
@@ -356,7 +318,9 @@ def decompose_tangential(T, P):
     the per-axis spans of T and which is not the tangency point itself. The
     direction term always comes first. The terms are those of the model
     identity W = F(0)/f(0) + sum_{f(r)=0} F(r)/(r f'(r)) + sum_C E_j - rho e0^k
-    of the module docstring. The nodes are the first d - 1 of 1, -1, 2, ...
+    of the module docstring, mapped back by e0 -> q_j and e1 -> t_j; P's
+    model coordinates come from Cramer's rule on the two kept coordinates
+    of each active axis. The nodes are the first d - 1 of 1, -1, 2, ...
     when C is nonempty, else those of ``_nodes``. The witness lam = 1/f(0)
     (model scale) is the only one when d = 1, one of all lam != 0 when C is
     nonempty and d >= 2, and tied to -sum p_j through the nodes when C is empty.
@@ -369,19 +333,23 @@ def decompose_tangential(T, P):
     coords = factors_in_spans(P, red)
     if coords is None:
         raise NotInLocus("the direction leaves the span of the tensor")
-    nf = _tangency_data(red)
-    phat = [mat_vec(mat_inverse(nf.gs[j]), coords[a]) for j, a in enumerate(nf.active)]
+    active, q, t = _tangency_data(T, red)
+    phat = []
+    for a in active:
+        # Cramer's rule on the kept coordinates, where q_a and t_a stay independent
+        (q0, q1), (t0, t1) = ([v[i] for i in red.slices[a]] for v in (q[a], t[a]))
+        p0, p1 = coords[a]
+        det = q0 * t1 - q1 * t0
+        phat.append([(p0 * t1 - p1 * t0) / det, (q0 * p1 - q1 * p0) / det])
     out = []
     for coeff, facs in _model_terms(phat):
+        model = dict(zip(active, facs))
         scale = coeff
         ambient = []
-        for a in range(T.order):
-            B = nf.reduction.bases[a]
-            j = nf.slot[a]
-            if j is None:
-                v = B.col(0)
-            else:
-                v = mat_vec(B, mat_vec(nf.gs[j], facs[j]))
+        for a, v in enumerate(q):
+            if a in model:
+                x, y = model[a]
+                v = [x * u + y * w for u, w in zip(v, t[a])]
             lead = next(x for x in v if x)
             ambient.append([x / lead for x in v])
             scale = scale * lead

@@ -5,8 +5,10 @@ a rename in the package would silently zero a metric. The names in
 ``RETIRED`` were deleted on purpose: the polynomial factorizer, its cache
 and the rational gcd it called went when the guards of a family stopped
 being factored into irreducibles, the full-rank factorization had no
-caller left, and the determinant form of a pencil went with the
-hyperdeterminants, its only callers, which only tests called. Their
+caller left, the determinant form of a pencil went with the
+hyperdeterminants, its only callers, which only tests called, and the
+row reduction went when tangent tensors were read in their own
+coordinates instead of through the bases of a concise core. Their
 metrics read 0, and these tests check that they still
 do, until the benchmark stops naming them. These tests load
 ``layers.py`` and ``package.py`` from their files, without registering or
@@ -48,6 +50,7 @@ RETIRED = {
     "exactnum.factor_univariate",
     "exactnum.irreducible_cache.entries",
     "linalg.full_rank_factorization",
+    "linalg.mat_rref",
     "pencil.pencil_det_form",
 }
 

@@ -48,7 +48,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from tensorloci import exactnum, linalg, locus, tensorcore
+from tensorloci import exactnum, linalg, locus
 from tensorloci.classify import (
     OrbitId,
     classify,
@@ -536,7 +536,7 @@ def concise_family(T, P):
     if coords is None:
         return None
     perm = report.axis_permutation
-    core = report.reduction.tensor.transpose_axes(perm)
+    core = report.reduction.core(perm)
     return ParametricTensor(core, RankOneTensor([coords[p] for p in perm]))
 
 
@@ -739,20 +739,20 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
             assert got == [gen for _spec, gen in WITNESSES[orbit]], orbit
 
 
-def test_classify_and_specialized_routes_run_without_rref(monkeypatch):
-    """From the integer core down nothing reduces over Q: with the rref
-    refusing, classify and SPECIALIZED answer every seeded family with the
-    witnesses of the table."""
+def test_classify_and_specialized_routes_run_without_rational_matrices(monkeypatch):
+    """From the integer core down nothing reduces over Q: with rational
+    matrices (``linalg.Mat``) refusing, classify and SPECIALIZED answer
+    every seeded family with the witnesses of the table."""
 
     def refuse(*_args):
-        raise AssertionError("the integer path reached a rational elimination")
+        raise AssertionError("the integer path built a rational matrix")
 
+    families = {orbit: list(seeded_families(orbit)) for orbit in ORBITS}
     with monkeypatch.context() as m:
-        for module, name in ((linalg, "mat_rref"), (tensorcore, "mat_rref")):
-            m.setattr(module, name, refuse)
+        m.setattr(linalg.Mat, "__init__", refuse)
         for orbit in ORBITS:
             got = []
-            for _sparse, T, P, gT, gP in seeded_families(orbit):
+            for _sparse, T, P, gT, gP in families[orbit]:
                 for t, p in ((T, P), (gT, gP)):
                     assert classify(t).orbit == OrbitId.orbit(orbit)
                     got.append(witness_code(locus_membership(t, p, SPECIALIZED)))
@@ -1184,6 +1184,19 @@ def test_sweep_script_checks_the_open_orbit_certificate(capsys):
     hits, fallbacks = int(words[0]), int(words[3])
     assert hits > 0 and hits + fallbacks == 4 * len(ESCAPE_ORBITS)
     assert lines[-1].endswith(" 0 escape mismatches")
+
+
+def test_sweep_script_decomposes_tangent_tensors(capsys):
+    """One draw per order and coincidence pattern, concise and, up to
+    order 5, padded with an inactive axis: no mismatch."""
+    sweep = sweep_script()
+    status = sweep.main(["--tangential", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "order %d" % k for k in range(3, 7)
+    ]
+    assert lines[-1] == "169 tangent tensors, 0 tangential mismatches"
 
 
 def test_dump_verdicts_script_runs_one_round(capsys):

@@ -14,7 +14,8 @@ from tensorloci.errors import (
     ShapeMismatch,
     TangencyPointRequested,
 )
-from tensorloci.linalg import Mat, mat_det, mat_vec, sample_points
+from tensorloci import tensorcore
+from tensorloci.linalg import Mat, mat_det, sample_points
 from tensorloci.orbits import normal_form
 from tensorloci.tensorcore import (
     RankOneTensor,
@@ -81,7 +82,7 @@ def test_find_tangency_gl_transport():
             mats = [random_invertible(rng, 2) for _ in range(k)]
             moved = apply_gl(w_state(k), mats)
             tp = find_tangency(moved)
-            want = [normalized(mat_vec(m, unit(2, 0))) for m in mats]
+            want = [normalized(m.col(0)) for m in mats]
             assert tp.factors == want
 
 
@@ -95,6 +96,76 @@ def test_find_tangency_keeps_inactive_axes():
     t = Tensor((2, 2, 2, 3), entries)
     tp = find_tangency(t)
     assert tp.factors == [unit(2, 0), unit(2, 0), unit(2, 0), v]
+
+
+def padded_tangent(rng, k):
+    """(T, P, q): a tangent tensor of order k + 1 that is not concise, a
+    direction inside its spans and its tangency point. The order-k model
+    has some axes padded to dimension 3 by a zero slice and a last,
+    inactive axis v; T, P and q are then moved by one seeded invertible
+    matrix per axis."""
+    dims = [rng.choice((2, 3)) for _ in range(k)]
+    v = [Fraction(rng.choice((1, -1, 2))) for _ in range(rng.randint(1, 3))]
+    shape = tuple(dims) + (len(v),)
+    entries = []
+    for idx in itertools.product(*[range(d) for d in shape]):
+        raised = idx[:k]
+        on_model = max(raised) < 2 and sum(raised) == 1
+        entries.append(v[idx[k]] if on_model else Fraction(0))
+    factors = [[Fraction(rng.randint(-3, 3)), Fraction(rng.choice((1, -1, 2)))]
+               + [Fraction(0)] * (d - 2) for d in dims]
+    P = RankOneTensor(factors + [[2 * x for x in v]])
+    mats = [random_invertible(rng, d) for d in shape]
+    q = [unit(d, 0) for d in dims] + [v]
+    return (apply_gl(Tensor(shape, entries), mats), apply_gl_rank_one(P, mats),
+            apply_gl_rank_one(RankOneTensor(q), mats).factors)
+
+
+def test_find_tangency_of_padded_tensors():
+    """The tangency point comes out in the tensor's own coordinates, the
+    inactive axis included."""
+    rng = random.Random(59)
+    for k in (3, 4, 5):
+        for _ in range(4):
+            T, _P, q = padded_tangent(rng, k)
+            assert find_tangency(T).factors == [normalized(f) for f in q]
+
+
+def test_decompose_does_not_depend_on_the_kept_slices(monkeypatch):
+    """The decomposition of a padded, GL-moved tangent tensor depends on T
+    and P alone: keeping the last independent slices of each axis instead
+    of the first gives the same terms."""
+    rng = random.Random(61)
+    cases = [padded_tangent(rng, 3 + i % 3) for i in range(40)]
+    first = [(tensorcore.concise_reduce(T).slices, decompose_tangential(T, P))
+             for T, P, _q in cases]
+    real = tensorcore.pivot_slices
+
+    def last_slices(rows, ring):
+        return sorted(len(rows) - 1 - i for i in real(rows[::-1], ring))
+
+    moved = 0
+    with monkeypatch.context() as m:
+        m.setattr(tensorcore, "pivot_slices", last_slices)
+        for (T, P, _q), (slices, dec) in zip(cases, first):
+            moved += tensorcore.concise_reduce(T).slices != slices
+            again = decompose_tangential(T, P)
+            assert [(c, t.factors) for c, t in again.terms] == [
+                (c, t.factors) for c, t in dec.terms]
+            assert verify_decomposition(T, dec)
+            assert dec.terms[0][1].factors == [normalized(f) for f in P.factors]
+    assert moved >= 30
+
+
+def test_tangential_refuses_float_directions():
+    """A float in P is refused, not read at its binary value or in float
+    arithmetic, as ``locus_membership`` refuses it."""
+    for x in (0.1, 0.5):
+        P = RankOneTensor([[x, 1], [1, 0], [1, 1]])
+        with pytest.raises(TypeError):
+            decompose_tangential(normal_form(5), P)
+        with pytest.raises(TypeError):
+            locus_tangential(normal_form(5), P)
 
 
 def test_find_tangency_rejections():
