@@ -55,9 +55,10 @@ MISMATCH line reports each difference; the script prints how often each
 branch of the kernel was reached, and the exit status is nonzero when
 any mismatch appeared.
 
-With ``--escape N`` it draws, for each escape orbit (5, 13, 15-17 and
-21), N sparse and N dense points, each at the normal form and moved by
-one seeded invertible integer matrix per axis. Each time the open-orbit
+With ``--escape N`` it draws, for each escape orbit (an orbit whose rank
+is above its border rank: 5, 13, 15-17 and 21), N sparse and N dense
+points, each at the normal form and moved by one seeded invertible
+integer matrix per axis. Each time the open-orbit
 certificate of the escape route fires (SPECIALIZED answers without
 ``family_orbit``), the orbit of T - lam*P over Q(lam) must be the open
 orbit of the shape and GENERIC must return the same whole verdict. It
@@ -91,7 +92,6 @@ from tensorloci.errors import TensorLociError, UnsupportedOrbit, ZeroDivisor
 from tensorloci.exactnum import UniPoly, candidate_factors
 from tensorloci.linalg import Mat, mat_det, mat_rank
 from tensorloci.locus import (
-    ESCAPE_ORBITS,
     FORBIDDEN,
     GENERIC,
     SPECIALIZED,
@@ -99,7 +99,7 @@ from tensorloci.locus import (
     locus_membership,
     locus_tangential,
 )
-from tensorloci.orbits import OPEN_ORBITS, normal_form, pencil_shape
+from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -207,7 +207,8 @@ def sweep_escape(draws, rnd):
     hits = fallbacks = mismatches = 0
     locus_module.family_orbit = counted
     try:
-        for orbit in ESCAPE_ORBITS:
+        # the orbits with rank above border rank: their cores have no rank axis
+        for orbit in (n for n in sorted(RANKS) if RANKS[n][0] > RANKS[n][1]):
             T = normal_form(orbit)
             shape = pencil_shape(orbit)
             open_orbit = OrbitId.orbit(OPEN_ORBITS[shape])

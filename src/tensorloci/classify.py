@@ -128,14 +128,13 @@ class ClassifyReport:
         "concise_shape",
         "reduction",
         "axis_permutation",
-        "matrix_rank",
         "core",
         "core_axes",
     )
 
     def __init__(
         self, orbit, rank, border_rank, concise_shape, reduction,
-        axis_permutation, matrix_rank, core, core_axes,
+        axis_permutation, core, core_axes,
     ):
         self.orbit = orbit
         self.rank = rank
@@ -143,7 +142,6 @@ class ClassifyReport:
         self.concise_shape = concise_shape
         self.reduction = reduction
         self.axis_permutation = axis_permutation
-        self.matrix_rank = matrix_rank
         self.core = core
         self.core_axes = core_axes
 
@@ -208,17 +206,16 @@ def classify(t):
     perm = _canonical_permutation(shape)
     axes = tuple(a for a in perm if shape[a] > 1)
     core = red.core(axes) if len(axes) >= 2 else None
-    orbit, matrix_rank = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core, red.ring))
+    orbit = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core, red.ring))
     rank, brk = orbit.rank_pair()
-    return ClassifyReport(orbit, rank, brk, shape, red, perm, matrix_rank, core, axes)
+    return ClassifyReport(orbit, rank, brk, shape, red, perm, core, axes)
 
 
 def _orbit_of_shape(order, concise_shape, reads):
     """The orbit of an order-``order`` tensor with this concise shape.
 
     Matrix cases are decided by the shape; otherwise ``reads(dims)`` gives
-    the reader of the canonical core, of shape dims. Returns (OrbitId,
-    matrix rank or None).
+    the reader of the canonical core, of shape dims.
     """
     perm = _canonical_permutation(concise_shape)
     dims = tuple(concise_shape[i] for i in perm if concise_shape[i] > 1)
@@ -227,8 +224,8 @@ def _orbit_of_shape(order, concise_shape, reads):
             raise InternalError("a concise core cannot be a vector")
         r = dims[0] if dims else 1
         if order == 3 and concise_shape in MATRIX_CASE_ROWS:
-            return OrbitId.orbit(MATRIX_CASE_ROWS[concise_shape]), r
-        return OrbitId.matrix(r), r
+            return OrbitId.orbit(MATRIX_CASE_ROWS[concise_shape])
+        return OrbitId.matrix(r)
     if len(dims) != 3 or dims[0] != 2 or dims[1] not in (2, 3):
         raise UnsupportedShape(
             "no finite orbit list for concise shape %r" % (concise_shape,)
@@ -236,7 +233,7 @@ def _orbit_of_shape(order, concise_shape, reads):
     n = _orbit_of_canonical(dims, reads(dims))
     if order == 3 and concise_shape == (2, 3, 2):
         n = {7: 11, 8: 12}.get(n, n)
-    return OrbitId.orbit(n), None
+    return OrbitId.orbit(n)
 
 
 def _orbit_of_canonical(dims, reads):
@@ -468,7 +465,7 @@ def _family_table(f, reader):
         axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
         return reader(Pencil(f.pencil_rows(axes, slices), dims[2], RING_ZX))
 
-    return _orbit_of_shape(order, concise, reads)[0], drops
+    return _orbit_of_shape(order, concise, reads), drops
 
 
 def family_orbit(f):

@@ -16,19 +16,19 @@ they can be played against each other in tests:
   answer off the generic orbit and the exceptional values.
 * The specialized strategy reads the concise core and its axis order
   from the classification of T; a P outside the spans of T is forbidden.
-  Otherwise it takes one of two routes on the family on the core. The
-  drop route: on matrix cores, rank-one T included, and on most concise
-  orbits of the finite-orbit shapes, a rank drop forces named
-  flattenings to lose rank, which each does at one value of lam at most
-  (one fraction-free elimination over Z per flattening, a rank-one update
-  of the base's); the member at the value they share is classified. The
-  escape route: on orbits 5, 13, 15-17 and 21 the member at lam = 1 is
-  classified first; when it lies in the open orbit of the core's shape
-  (``orbits.OPEN_ORBITS``) it certifies that the family's generic orbit
-  is that open orbit, and 1 is the witness. Otherwise the route needs
-  the orbit of the family over Q(lam) and its guard polynomials
-  (``classify.family_orbit``). Either way its witness is the one the
-  generic strategy returns.
+  Otherwise the rank of T picks one of two routes on the family on the
+  core. The drop route, on a core with a rank axis (one of dimension
+  rank T): a rank drop forces the flattening on each rank axis to lose
+  rank, which it does at one value of lam at most (one fraction-free
+  elimination over Z per axis, a rank-one update of the base's); the
+  member at that value is classified. The escape route, on the other
+  cores, those of the orbits of rank above border rank: the member at
+  lam = 1 is classified first; when it lies in the open orbit of the
+  core's shape (``orbits.OPEN_ORBITS``) it certifies that the family's
+  generic orbit is that open orbit, and 1 is the witness. Otherwise the
+  route needs the orbit of the family over Q(lam) and its guard
+  polynomials (``classify.family_orbit``). Either way its witness is the
+  one the generic strategy returns.
 * ``closed_form_predicate`` evaluates an explicit polynomial set
   description of the forbidden locus, available for the normal forms of
   certain orbits in their own coordinates.
@@ -73,10 +73,6 @@ GENERIC = "generic"
 SPECIALIZED = "specialized"
 
 _LAMBDA = UniPoly([0, 1])
-
-# The orbits the specialized strategy sends to the escape route
-# (``_escape_verdict``).
-ESCAPE_ORBITS = (5, 13, 15, 16, 17, 21)
 
 
 class LambdaWitness:
@@ -292,19 +288,18 @@ def _generic_membership(T, P, report):
 
 
 def _drop_root_verdict(family, axes, target):
-    """Cores where a rank drop forces named flattenings to lose rank.
+    """Cores whose rank axes, of dimension r = rank T, are ``axes``.
 
-    Each of the given axes has at most one lam where its flattening drops
-    (``flattening_drop``); the only candidate is the one they share, settled
-    by exact classification of the member. On a concise (2,2,2) core the
-    three flattenings are 2 x 4, so a member has rank at most one exactly
-    where all three drop; on a concise (2,2,3) core a member of rank at
-    most two has a 3 x 4 last flattening of rank at most two. A flattening
-    M that is square and invertible (a matrix core, the 1 x ... x 1 core
-    of a rank-one T, and the last flattening of the cores of orbits 9 and
-    26) meets P's, c r^T, in one drop: by the matrix determinant lemma
-    det(M - lam c r^T) = det(M) (1 - lam r^T M^-1 c), so the only drop
-    is lam = 1 / (r^T M^-1 c), and there is none when that pairing is 0.
+    The base's flattening on a rank axis has rank r. If rank(T - lam*P)
+    = r - 1, then the member's flattening there has rank at most r - 1:
+    it loses rank, so lam is that flattening's one drop
+    (``flattening_drop``). One rank axis names the candidate, and any
+    others only reject early; the candidate is settled by exact
+    classification of the member. Where that flattening M is square, so
+    invertible, the matrix determinant lemma gives det(M - lam c r^T) =
+    det(M) (1 - lam r^T M^-1 c) for P's flattening c r^T, so the only
+    drop is lam = 1 / (r^T M^-1 c), and there is none when that pairing
+    is 0.
     """
     shared = None
     for ax in axes:
@@ -319,8 +314,8 @@ def _drop_root_verdict(family, axes, target):
 
 
 def _escape_verdict(family, target):
-    """Concise cores of orbits 5 (2,2,2), 13, 15-17 (2,3,3) and 21
-    (2,3,4): does the line reach rank ``target``, one below the rank of T?
+    """Cores with no rank axis, those of the orbits of rank above border
+    rank: does the line reach rank ``target``, one below the rank of T?
 
     The member at lam = 1 is classified first. If it lies in the open
     orbit of the core's shape (``OPEN_ORBITS``), that open orbit is the
@@ -371,18 +366,10 @@ def _specialized_membership(T, P, report):
     core = report.core or report.reduction.core(axes)
     family = ParametricTensor(core, _core_point(report, axes, coords))
     target = report.rank - 1
-    if report.matrix_rank is not None:
-        return _drop_root_verdict(family, (1,), target)
-    n = report.orbit.value
-    if n in ESCAPE_ORBITS:
-        return _escape_verdict(family, target)
-    if n == 6:
-        return _drop_root_verdict(family, (1, 2, 3), target)
-    if n in (7, 8, 9, 11, 12, 19, 20, 22, 23, 24, 25, 26):
-        return _drop_root_verdict(family, (3,), target)
-    if n in (14, 18):
-        return _drop_root_verdict(family, (2, 3), target)
-    raise InternalError("orbit %d escaped the dispatch table" % n)
+    rank_axes = [a for a, d in enumerate(core.shape, 1) if d == report.rank]
+    if rank_axes:
+        return _drop_root_verdict(family, rank_axes, target)
+    return _escape_verdict(family, target)
 
 
 def locus_membership(T, P, strategy=SPECIALIZED):
@@ -390,7 +377,7 @@ def locus_membership(T, P, strategy=SPECIALIZED):
 
     Both strategies answer the same question and agree everywhere; the
     generic one classifies the whole family T - lam*P at once, the
-    specialized one runs a per-orbit procedure. Both return the same
+    specialized one picks its route by the rank of T. Both return the same
     witness: the first of 1, -1, 2, -2, ... that lowers the rank when the
     generic member already has rank(T) - 1, else the first rational root
     that does among the candidates of ``candidate_factors``, in order, or
@@ -423,11 +410,23 @@ def _cf_5(a, b, c):
     return a[1] == 0 and b[1] == 0 and c[0] == 0
 
 
+def _cf_6(a, b, c):
+    """The normal form e1 x e1 x e1 + e2 x e2 x e2 has one shortest
+    decomposition (Kruskal): P must be a multiple of one of its terms."""
+    return not (a[1] == b[1] == c[1] == 0 or a[0] == b[0] == c[0] == 0)
+
+
 def _cf_9(a, b, c):
     a1, a2 = a
     b1, b2 = b
     c1, c2, c3, c4 = c
     return a1 * b1 * c1 + a2 * b1 * c2 + a1 * b2 * c3 + a2 * b2 * c4 == 0
+
+
+def _cf_10(a, b, c):
+    """The normal form e1 x I: P outside its span (a2 != 0) is forbidden,
+    else det(I - lam a1 b c^T) = 1 - lam a1 b.c has a root iff b.c != 0."""
+    return a[1] != 0 or sum(x * y for x, y in zip(b, c)) == 0
 
 
 def _cf_13(a, b, c):
@@ -675,7 +674,9 @@ def _cf_26(a, b, c):
 
 _CLOSED_FORMS = {
     5: _cf_5,
+    6: _cf_6,
     9: _cf_9,
+    10: _cf_10,
     13: _cf_13,
     15: _cf_15,
     16: _cf_16,

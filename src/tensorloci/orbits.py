@@ -93,9 +93,9 @@ RANKS = {
     26: (6, 6),
 }
 
-# The open orbit of each concise shape (2, b, c) that holds an escape
-# orbit, one of rank one above it: the orbit of a generic tensor of that
-# shape in Ja'Ja's finite orbit list (SIAM J. Comput. 8, 1979).
+# The cores that reach this table have no rank axis, no dimension equal to
+# their rank. Per concise shape (2, b, c): the open orbit, one rank below
+# them, in Ja'Ja's finite orbit list (SIAM J. Comput. 8, 1979).
 OPEN_ORBITS = {(2, 2, 2): 6, (2, 3, 3): 18, (2, 3, 4): 23}
 
 

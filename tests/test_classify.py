@@ -78,10 +78,11 @@ def test_normal_forms_match_table():
         assert rep.orbit == OrbitId.orbit(n), n
         assert (rep.rank, rep.border_rank) == RANKS[n], n
         assert rep.concise_shape == CONCISE_SHAPES[n], n
+        # a matrix core keeps at most two axes, and its rank is the matrix rank
         if n in MATRIX_ROWS:
-            assert rep.matrix_rank == MATRIX_ROWS[n]
+            assert rep.rank == MATRIX_ROWS[n] and len(rep.core_axes) <= 2, n
         else:
-            assert rep.matrix_rank is None
+            assert len(rep.core_axes) == 3, n
 
 
 def test_border_rank_never_exceeds_rank():
@@ -95,7 +96,7 @@ def test_matrix_inputs():
     rep = classify(m)
     assert rep.orbit == OrbitId.matrix(2)
     assert rep.rank == rep.border_rank == 2
-    assert rep.matrix_rank == 2
+    assert len(rep.core_axes) == 2
 
     diag3 = Tensor.from_dict(
         (3, 3, 1), {(i, i, 0): Fraction(1) for i in range(3)}

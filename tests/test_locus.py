@@ -19,6 +19,9 @@ without ``family_orbit``, agree with it and with GENERIC wherever it
 fires, and leave the member at 1 classified once where it does not. Axis
 permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
+The rank axes of each normal form's core, those of dimension rank T,
+must pick its specialized route, and at every drop-route witness each
+rank-axis flattening must lose rank.
 The specialized strategy must answer without ever reaching the generic
 one or a rational row reduction, and its one-pivot flattening drop must
 match the gcd of all maximal minors. Every flattening guard of a family
@@ -67,7 +70,6 @@ from tensorloci.errors import (
 from tensorloci.exactnum import UniPoly, candidate_factors, format_rational
 from tensorloci.linalg import Mat, mat_det, mat_rank
 from tensorloci.locus import (
-    ESCAPE_ORBITS,
     FORBIDDEN,
     GENERIC,
     SPECIALIZED,
@@ -95,6 +97,9 @@ from tensorloci.wstate import find_tangency
 SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
 DENSE_POOL = (1, -1, 2, -2, 3, -3)
 ORBITS = range(5, 27)
+# The orbits whose rank is above their border rank: the specialized
+# strategy sends exactly these to the escape route.
+ESCAPE_ORBITS = tuple(n for n in sorted(RANKS) if RANKS[n][0] > RANKS[n][1])
 
 
 def random_point(rng, shape, sparse):
@@ -567,6 +572,64 @@ def flat_minor_gcd(family, axis):
     return UniPoly(coeffs).monic()
 
 
+# The rank axes of the concise core of each normal form: the axes of the
+# core, 1-based in its canonical order, whose dimension is the rank.
+RANK_AXES = {
+    **{n: (1, 2, 3) for n in (1, 6)},
+    **{n: (1, 2) for n in (2, 3, 4, 10)},
+    **{n: (2, 3) for n in (14, 18)},
+    **{n: (3,) for n in (7, 8, 9, 11, 12, 19, 20, 22, 23, 24, 25, 26)},
+    **{n: () for n in ESCAPE_ORBITS},
+}
+
+
+def test_the_rank_of_t_picks_the_specialized_route(monkeypatch):
+    """On all 26 normal forms, asked about e1 x e1 x e1, SPECIALIZED takes
+    the drop route on the rank axes of RANK_AXES, and the escape route on
+    exactly the orbits without any, those whose rank is above their border
+    rank; their core shapes are the keys of ``OPEN_ORBITS``."""
+    assert sorted(RANK_AXES) == list(range(1, 27))
+    drops, escapes = {}, {}
+    with monkeypatch.context() as m:
+        m.setattr(locus, "_drop_root_verdict",
+                  lambda _family, axes, _target: drops.setdefault(n, tuple(axes)))
+        m.setattr(locus, "_escape_verdict",
+                  lambda family, _target: escapes.setdefault(n, family.base.shape))
+        for n in range(1, 27):
+            T = normal_form(n)
+            locus_membership(T, RankOneTensor([[1] + [0] * (d - 1) for d in T.shape]))
+    assert drops == {n: axes for n, axes in RANK_AXES.items() if axes}
+    assert set(escapes) == set(ESCAPE_ORBITS) == {5, 13, 15, 16, 17, 21}
+    assert set(escapes.values()) == set(OPEN_ORBITS)
+
+
+def test_a_drop_route_witness_drops_every_rank_axis_flattening():
+    """The lemma of the drop route, read without classifying the member:
+    at the witness of every member SPECIALIZED finds among the seeded
+    families of the orbits with a rank axis, normal form and GL-moved, and
+    the points of ROUTE_MEMBERS, the flattening of T - lam*P on each rank
+    axis, an ambient axis of ``core_axes``, has rank below rank T."""
+    cases = [
+        (orbit, t, p)
+        for orbit in ORBITS if orbit not in ESCAPE_ORBITS
+        for _sparse, T, P, gT, gP in seeded_families(orbit)
+        for t, p in ((T, P), (gT, gP))
+    ]
+    members = 0
+    for orbit, t, p in cases + list(moved_route_members()):
+        verdict = locus_membership(t, p, SPECIALIZED)
+        if not verdict.in_decomposition:
+            continue
+        report = classify(t)
+        axes = [a + 1 for a in report.core_axes if report.concise_shape[a] == report.rank]
+        assert axes and verdict.witness.is_rational, (orbit, p)
+        member = subtract_scaled(t, verdict.witness.value, p)
+        for axis in axes:
+            assert mat_rank(flattening(member, axis)) < report.rank, (orbit, p, axis)
+        members += 1
+    assert members > 0
+
+
 def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
     """On every seeded family of the concise orbits, each flattening of the
     core drops rank at its ``flattening_drop`` and nowhere else: None
@@ -884,7 +947,7 @@ def test_closed_form_defects(orbit, factors):
 
 # The stored closed forms that agree with both strategies everywhere in
 # the {0, 1} box; _cf_21, _cf_22 and _cf_24 do not (CLOSED_FORM_DEFECTS).
-CORRECT_CLOSED_FORMS = (5, 9, 13, 15, 16, 17, 19, 20, 23, 25, 26)
+CORRECT_CLOSED_FORMS = (5, 6, 9, 10, 13, 15, 16, 17, 19, 20, 23, 25, 26)
 
 
 def box_points(shape):
@@ -898,8 +961,8 @@ def box_points(shape):
 @pytest.mark.parametrize("orbit", CORRECT_CLOSED_FORMS)
 def test_closed_form_matches_specialized_on_the_box(orbit):
     """The third oracle: at every point of the {0, 1} box the closed form
-    calls forbidden exactly what SPECIALIZED does (3669 points over the
-    eleven orbits)."""
+    calls forbidden exactly what SPECIALIZED does (3843 points over the
+    thirteen orbits)."""
     T = normal_form(orbit)
     for P in box_points(T.shape):
         verdict = locus_membership(T, P, SPECIALIZED)

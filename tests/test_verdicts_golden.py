@@ -1,0 +1,34 @@
+"""``scripts/dump_verdicts.py`` at seed 7, one round, prints exactly the
+committed ``tests/data/verdicts_seed7.jsonl``: every verdict, witness and
+parametric report of those 192 answers, byte for byte. Regenerate the
+file only for a deliberate change of answers, and say why in that change:
+
+    PYTHONPATH=src python scripts/dump_verdicts.py --seeds 7 --rounds 1 \\
+        > tests/data/verdicts_seed7.jsonl
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+pytest.importorskip("sympy")
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+GOLDEN = os.path.join(ROOT, "tests", "data", "verdicts_seed7.jsonl")
+
+
+def test_dump_verdicts_matches_the_golden_file():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "dump_verdicts.py"),
+         "--seeds", "7", "--rounds", "1"],
+        env=env, capture_output=True, check=True,
+    ).stdout
+    with open(GOLDEN, "rb") as fh:
+        golden = fh.read()
+    # line by line first, so a failure names the first answer that moved
+    for k, (got, want) in enumerate(zip(out.splitlines(), golden.splitlines()), 1):
+        assert got == want, "line %d" % k
+    assert out == golden
