@@ -17,9 +17,17 @@ After each seed's workloads come the matrix cases, rows 1-4 of
 ``orbits.PENCILS`` (row 1 rank one, rows 2-4 of matrix rank two), as the
 workload ``pencil-rows``: each round a sparse and a dense point per row,
 drawn like the workloads' and moved with their normal form by GL, from
-random streams named apart from the workloads' streams. The defaults
-cover 576 queries, seeds 7-9 with two rounds. Two versions of the
-package give the same answers there exactly when their outputs are equal:
+random streams named apart from the workloads' streams. Then come the
+tangent tensors, as the workload ``tangent``: each round, for each order
+k = 3-5 and each size m = 0, ..., k - 1 of the set of axes where P agrees
+with the tangency point, one P on the tangent model of ``sweep_loci.py``,
+with the model both as it is and padded (``sweep_loci.padded``), each pair
+moved by GL, all from streams of their own. Each tangent tensor gets one
+line: the factors of ``find_tangency``, the terms of
+``decompose_tangential`` and the status and witness of
+``locus_tangential``, as text. The defaults cover 576 queries and 144
+tangent tensors, seeds 7-9 with two rounds. Two versions of the package
+give the same answers there exactly when their outputs are equal:
 
     PYTHONPATH=src python scripts/dump_verdicts.py > verdicts.jsonl
 """
@@ -39,7 +47,7 @@ import sympy
 from tensorloci.classify import classify, classify_parametric
 from tensorloci.exactnum import UniPoly, format_rational
 from tensorloci.linalg import Mat, mat_det
-from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership
+from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership, locus_tangential
 from tensorloci.orbits import normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
@@ -47,18 +55,19 @@ from tensorloci.tensorcore import (
     apply_gl,
     apply_gl_rank_one,
 )
+from tensorloci.wstate import decompose_tangential, find_tangency
 
-WORKLOADS_PY = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "locusbench", "workloads.py"
-)
+HERE = os.path.dirname(os.path.abspath(__file__))
+WORKLOADS_PY = os.path.join(HERE, os.pardir, "locusbench", "workloads.py")
 PACKAGE = types.SimpleNamespace(
     Mat=Mat, mat_det=mat_det, normal_form=normal_form, pencil_shape=pencil_shape,
     RankOneTensor=RankOneTensor, apply_gl=apply_gl, apply_gl_rank_one=apply_gl_rank_one,
 )
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+def load_module(name, path):
+    """The module in the file ``path``, imported without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -67,6 +76,14 @@ def load_workloads():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+def load_workloads():
+    return load_module("bench_workloads", WORKLOADS_PY)
+
+
+def load_sweep():
+    return load_module("sweep_loci", os.path.join(HERE, "sweep_loci.py"))
 
 
 def primitive(poly):
@@ -122,6 +139,42 @@ def matrix_row_queries(workloads, seed, rounds):
                 yield n, apply_gl(normal_form(n), gs), apply_gl_rank_one(P, gs)
 
 
+def tangent_queries(sweep, seed, rounds):
+    """(k, m, padded, gT, gP) for ``rounds`` rounds of one P per order
+    k = 3-5 and size m of its coincident set, drawn like those of
+    ``sweep_loci.py --tangential``, on the model plain and padded."""
+    points = random.Random("tangent/%d" % seed)
+    moves = random.Random("tangent gl/%d" % seed)
+    for _ in range(rounds):
+        for k in range(3, 6):
+            T = sweep.tangent_model(k)
+            for m in range(k):
+                coincident = points.sample(range(k), m)
+                P = RankOneTensor([[points.choice(sweep.DENSE_POOL), 0] if j in coincident
+                                   else [points.choice(sweep.SPARSE_POOL),
+                                         points.choice(sweep.DENSE_POOL)]
+                                   for j in range(k)])
+                for pad, (t, p) in enumerate([(T, P), sweep.padded(T, P, points)]):
+                    gs = [sweep.random_invertible(moves, d) for d in t.shape]
+                    yield k, m, bool(pad), apply_gl(t, gs), apply_gl_rank_one(p, gs)
+
+
+def text(vectors):
+    return [[format_rational(x) for x in v] for v in vectors]
+
+
+def print_tangent(seed, k, m, pad, T, P):
+    """One line for the tangent tensor T and the direction P."""
+    verdict = locus_tangential(T, P)
+    print(json.dumps({
+        "workload": "tangent", "seed": seed, "order": k, "coincident": m, "padded": pad,
+        "tangency": text(find_tangency(T).factors),
+        "terms": [[format_rational(c), text(t.factors)]
+                  for c, t in decompose_tangential(T, P).terms],
+        "status": verdict.status, "witness": witness_code(verdict),
+    }))
+
+
 def print_answers(name, seed, orbit, T, P):
     """One line per strategy for the query (T, P)."""
     for strategy in (SPECIALIZED, GENERIC):
@@ -141,7 +194,7 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8, 9])
     parser.add_argument("--rounds", type=int, default=2)
     args = parser.parse_args(argv)
-    workloads = load_workloads()
+    workloads, sweep = load_workloads(), load_sweep()
     for seed in args.seeds:
         for name in workloads.WORKLOADS:
             work = workloads.Workload(PACKAGE, name, seed)
@@ -150,6 +203,8 @@ def main(argv=None):
                     print_answers(name, seed, q.orbit, q.T, q.P)
         for n, T, P in matrix_row_queries(workloads, seed, args.rounds):
             print_answers("pencil-rows", seed, n, T, P)
+        for query in tangent_queries(sweep, seed, args.rounds):
+            print_tangent(seed, *query)
     return 0
 
 

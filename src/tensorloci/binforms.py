@@ -11,11 +11,16 @@ sequence on the int coefficient lists; over a field (Fractions, or an
 extension field) it runs the Euclidean algorithm on coefficient lists
 (lowest degree first). Discriminants are the classical ones of degree 2
 and 3, in any ring: every determinant form and repeated part in the
-package has degree at most 3.
+package has degree at most 3. Squares are read by one rule,
+``bform_square_root``, on the quadratics over Z or a field that are
+tested for one: the repeated part of a cubic determinant form and the
+2-minor gcd of a tangent tensor's contraction pencil. No higher power is
+ever tested.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import AllZero, DegreeTooLarge, DegreeTooSmall
@@ -182,53 +187,17 @@ def bform_discriminant(f):
     raise DegreeTooLarge("discriminant of a form of degree %d above 3" % d)
 
 
-def bform_is_pure_power(f, d):
-    """Is f a nonzero multiple of the d-th power of a linear form?
-
-    Returns (True, linear form) or (False, None). The linear form is
-    normalized with leading nonzero coefficient 1.
-    """
-    if f.is_zero() or f.degree != d:
+def bform_square_root(g):
+    """(True, ell) when the nonzero quadratic form g over Z or a field is a
+    constant times ell^2, else (False, None): c0 u^2 + c1 uv + c2 v^2 is a
+    square when c1^2 = 4 c0 c2, of 2 c0 u + c1 v (over Z divided by its
+    gcd, signed like c0), or of v if c0 = 0."""
+    c0, c1, c2 = g.coeffs
+    if c1 * c1 != 4 * c0 * c2:
         return False, None
-    c = [Fraction(x) if type(x) is int else x for x in f.coeffs]
-    if c[0]:
-        beta = c[1] / (d * c[0])
-        ell = BinaryForm([c[0] / c[0], beta], 1)
-        if _power_matches(f, ell, c[0]):
-            return True, ell
-        return False, None
-    # no u^d term: the only candidate root is u = 0, so the form must be c*v^d
-    if all(not x for x in c[:-1]):
-        one = c[d] / c[d]
-        return True, BinaryForm([one - one, one], 1)
-    return False, None
-
-
-def _power_matches(f, ell, scale):
-    d = f.degree
-    a, b = ell.coeffs
-    # binomial expansion of scale * (a u + b v)^d
-    coeff = scale
-    for i in range(d + 1):
-        expect = coeff
-        for _ in range(i):
-            expect = expect * b
-        for _ in range(d - i):
-            expect = expect * a
-        binom = _binomial(d, i)
-        if f.coeffs[i] != expect * binom:
-            return False
-    return True
-
-
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def linear_form_root(ell):
-    """The projective root (u0, v0) of a linear form alpha*u + beta*v."""
-    alpha, beta = ell.coeffs
-    return (-beta, alpha)
+    if not c0:
+        return True, BinaryForm([0, 1])
+    if type(c0) is int and type(c1) is int:
+        d = math.gcd(2 * c0, c1) * (1 if c0 > 0 else -1)
+        return True, BinaryForm([2 * c0 // d, c1 // d])
+    return True, BinaryForm([2 * c0, c1])

@@ -39,7 +39,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .binforms import BinaryForm, bform_discriminant, bform_gcd
+from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_root
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
 from .exactnum import (
     UniPoly,
@@ -289,22 +289,6 @@ def _orbit_234(reads):
     raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
 
 
-def _square_root(g):
-    """``bform_is_pure_power(g, 2)`` up to a constant, for a nonzero form
-    g over Z or a field; the rule every reader's ``pure_square`` states:
-    c0 u^2 + c1 uv + c2 v^2 is a square when c1^2 = 4 c0 c2, of 2 c0 u +
-    c1 v (over Z divided by its gcd, signed like c0), or of v if c0 = 0."""
-    c0, c1, c2 = g.coeffs
-    if c1 * c1 != 4 * c0 * c2:
-        return False, None
-    if not c0:
-        return True, BinaryForm([0, 1])
-    if type(c0) is int and type(c1) is int:
-        d = math.gcd(2 * c0, c1) * (1 if c0 > 0 else -1)
-        return True, BinaryForm([2 * c0 // d, c1 // d])
-    return True, BinaryForm([2 * c0, c1])
-
-
 class _CoreReads:
     """The invariants the decision table reads, on the pencil of a core of
     shape (2, b, c) over ``ring``."""
@@ -322,7 +306,7 @@ class _CoreReads:
         return bform_gcd([det, det.partial_u(), det.partial_v()])
 
     def pure_square(self, g):
-        return _square_root(g)
+        return bform_square_root(g)
 
     def member_rank(self, ell):
         return member_rank_at(self.p, ell)[0]
@@ -373,8 +357,8 @@ class _FamilyReads:
         return rep
 
     def pure_square(self, g):
-        """g is the int form ``repeated_part`` returns: ``_square_root``."""
-        return _square_root(g)
+        """g is the int form ``repeated_part`` returns: ``bform_square_root``."""
+        return bform_square_root(g)
 
     def member_rank(self, ell):
         rank, pivot = member_rank_at(self.p, ell)
@@ -428,7 +412,7 @@ class _RootReads:
         return self._gcd([det, du, dv])
 
     def pure_square(self, g):
-        """``_square_root``'s rule in Z[β]: c0 u^2 + c1 uv + c2 v^2 is a
+        """``bform_square_root``'s rule in Z[β]: c0 u^2 + c1 uv + c2 v^2 is a
         square when c1^2 = 4 c0 c2, of 2 c0 u + c1 v, or of v if c0 = 0."""
         if not self.discriminant_vanishes(g):
             return False, None

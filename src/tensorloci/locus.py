@@ -212,21 +212,6 @@ def _scan_rational_witness(family, target, guards, known=None):
     return verdict
 
 
-def _proportionality_ratio(X, Y):
-    """rho with X = rho * Y, or None; X and Y share a shape, Y nonzero."""
-    rho = None
-    for a, b in zip(X.entries, Y.entries):
-        if b:
-            rho = a / b
-            break
-    if rho is None:
-        return None
-    for a, b in zip(X.entries, Y.entries):
-        if a != rho * b:
-            return None
-    return rho
-
-
 # ---------------------------------------------------------------------------
 # tangent tensors
 
@@ -250,11 +235,15 @@ def locus_tangential(T, P):
         dec = decompose_tangential(T, P)
     except (NotInLocus, TangencyPointRequested):
         return LocusVerdict.forbidden()
+    # the first term is coeff times P's factors over their first nonzero entries
     coeff, term = dec.terms[0]
-    rho = _proportionality_ratio(P.expand(), term.expand())
-    if rho is None:
-        raise InternalError("decomposition through P lost the P term")
-    lam0 = coeff / rho
+    leads = []
+    for p, f in zip(P.factors, term.factors):
+        lead = next(x for x in p if x)
+        if any(x != lead * y for x, y in zip(p, f)):
+            raise InternalError("decomposition through P lost the P term")
+        leads.append(lead)
+    lam0 = coeff / math.prod(leads)
 
     rest = Tensor.zeros(T.shape)
     for coeff, term in dec.terms[1:]:

@@ -6,10 +6,9 @@ classification reads off this pencil: minor gcds and the member ranks at
 roots of linear forms.
 
 There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
-ints, each row scaled by an int of its own (``pencil_of`` scales a
-rational tensor once, an integer core comes as it is), Z[λ] int lists (a
-family T - λP), or field elements (the core of a tensor over an extension
-field). There is one enumerator of minors, ``pencil_minors``: each k x k
+ints, each row scaled by an int of its own (the rows of an integer core,
+taken as they are), Z[λ] int lists (a family T - λP), or field elements
+(the core of a tensor over an extension field). There is one enumerator of minors, ``pencil_minors``: each k x k
 minor is expanded along its first row as a binary form, sharing the
 smaller minors of the lower rows, in ints or the field's arithmetic. Rows over Z[λ] are
 packed into ints at λ = 2^K, for K above a bound on every coefficient of
@@ -45,15 +44,12 @@ from .linalg import (
     RING_FIELD,
     RING_Z,
     RING_ZX,
-    Mat,
     _bareiss,
     bareiss_det,
-    integer_rows,
     kronecker_unpack,
     packed_rows,
     sample_points,
 )
-from .tensorcore import Tensor
 
 
 class Pencil:
@@ -77,14 +73,6 @@ def slice_rows(t):
     _, b, c = t.shape
     e = t.entries
     return [e[i * c:(i + 1) * c] + e[(b + i) * c:(b + i + 1) * c] for i in range(b)]
-
-
-def pencil_of(t):
-    """The pencil of a rational tensor of shape (2, b, c), scaled to
-    integer rows (``integer_rows``)."""
-    if not isinstance(t, Tensor) or t.order != 3 or t.shape[0] != 2:
-        raise WrongShape("pencils come from tensors of shape (2, b, c)")
-    return Pencil(integer_rows(Mat(slice_rows(t)))[0], t.shape[2], RING_Z)
 
 
 def _member(rows, c, u0, v0):

@@ -12,8 +12,9 @@ core of a rational tensor is the tensor scaled to ints once, restricted to
 its first independent slices on each axis: an int subtensor, whose
 flattenings feed the integer Bareiss kernel directly, as do those of a
 family T - λP, rank-one updates of the base's (``_update_drop``).
-``flattening`` returns a rational ``linalg.Mat``; the GL action runs on
-ints, one contraction per axis (``_contract``).
+Flattenings are read by strides off the flat entry list, with no cache
+(``_flat_rows``); ``flattening`` returns a rational ``linalg.Mat``. The GL
+action runs on ints, one contraction per axis (``_contract``).
 
 Axis numbering is 1-based in the public flattening API; flat indices are
 0-based.
@@ -322,35 +323,21 @@ class ParametricTensor:
         return [[rows[i][k] for k in cols] for i in slices[r]]
 
 
-_flat_maps = {}
-
-
-def _flattening_map(shape, a0):
-    """For each flat position, its (row, col) in the axis-a0 flattening."""
-    key = (shape, a0)
-    hit = _flat_maps.get(key)
-    if hit is not None:
-        return hit
-    rest_dims = [d for i, d in enumerate(shape) if i != a0]
-    out = []
-    for idx in itertools.product(*[range(d) for d in shape]):
-        rest = [idx[i] for i in range(len(shape)) if i != a0]
-        c = 0
-        for i, v in enumerate(rest):
-            c = c * rest_dims[i] + v
-        out.append((idx[a0], c))
-    result = (out, shape[a0], math.prod(rest_dims))
-    _flat_maps[key] = result
-    return result
-
-
 def _flat_rows(entries, shape, a0):
-    """The rows, as lists, of the axis-a0 flattening of a flat entry list."""
-    positions, rows, cols = _flattening_map(shape, a0)
-    out = [[None] * cols for _ in range(rows)]
-    for x, (r, c) in zip(entries, positions):
-        out[r][c] = x
-    return out
+    """The rows, fresh lists, of the axis-a0 flattening of a flat entry
+    list, by strides: row i is, in each block of the axes before a0, the
+    run of prod(shape[a0 + 1:]) entries at index i."""
+    n = shape[a0]
+    inner = math.prod(shape[a0 + 1:])
+    if inner == 1:
+        return [entries[i::n] for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for o in range(i * inner, len(entries), n * inner):
+            row += entries[o:o + inner]
+        rows.append(row)
+    return rows
 
 
 def flattening(T, axis):
@@ -470,56 +457,15 @@ def apply_gl_rank_one(P, mats):
 
 
 def subtract_scaled(T, lam, P):
-    """T - lam * P with P rank one."""
+    """T - lam * P with P rank one, in Fractions: lam and the entries go
+    through ``to_fraction``, so a float raises TypeError."""
     if T.shape != P.shape:
         raise ShapeMismatch("shapes differ: %r vs %r" % (T.shape, P.shape))
+    lam = to_fraction(lam)
     d = P.expand()
     return Tensor(
-        T.shape, [a - lam * b for a, b in zip(T.entries, d.entries)]
+        T.shape, [to_fraction(a) - lam * to_fraction(b) for a, b in zip(T.entries, d.entries)]
     )
-
-
-def rank_one_factors(T):
-    """Factor T as c * v_1 x ... x v_k when T has rank one.
-
-    Returns (c, factors) with each factor unit-normalized (first nonzero
-    coordinate 1) and the scalar c carrying the rest, or None when T is zero
-    or has rank above one. Works over any field domain; int entries give
-    ``Fraction`` quotients.
-    """
-    anchor = None
-    for idx in itertools.product(*[range(d) for d in T.shape]):
-        if T[idx]:
-            anchor = idx
-            break
-    if anchor is None:
-        return None
-    pivot = T[anchor]
-    fibers = []
-    for a0 in range(T.order):
-        jdx = list(anchor)
-        fib = []
-        for t in range(T.shape[a0]):
-            jdx[a0] = t
-            fib.append(T[tuple(jdx)])
-        jdx[a0] = anchor[a0]
-        fibers.append(fib)
-    # T has rank one exactly when pivot^(k-1) * T equals the outer product
-    # of the fibers through the anchor entry.
-    prod = RankOneTensor(fibers).expand()
-    lhs = pivot
-    for _ in range(T.order - 2):
-        lhs = lhs * pivot
-    if any(lhs * a != b for a, b in zip(T.entries, prod.entries)):
-        return None
-    coeff = None
-    factors = []
-    for fib in fibers:
-        lead = next(x for x in fib if x)
-        lead = Fraction(lead) if isinstance(lead, int) else lead
-        factors.append([x / lead for x in fib])
-        coeff = lead if coeff is None else coeff * lead
-    return coeff / lhs, factors
 
 
 def factors_in_spans(P, reduction):

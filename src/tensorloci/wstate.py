@@ -11,8 +11,13 @@ the per-axis spans works except the point q itself. ``verify_decomposition``
 checks any claimed weighted rank-one decomposition exactly.
 
 T is read in its own coordinates. Its active axes are those whose slices
-span a plane, each q_b is unit-normalized (first nonzero entry one), and m
-is the index where each q_b has its last nonzero entry. Then T is
+span a plane. The q_b are read off its int concise core: along each of
+the first two active axes, one member of the contraction pencil has all
+its flattenings of rank one, at the root of the pencil's 2-minor gcd or
+of its square root, and its fibres through its first nonzero entry are
+the q_b of the other axes. Each q_b is unit-normalized (first nonzero
+entry one), and m is the index where each q_b has its last nonzero
+entry. Then T is
 sum_j q1 x ... x t_j x ... x qn over the active j for one choice of t_j:
 t_j[m_j] = 0, except that the first active axis also carries the multiple
 T[m] / prod_b q_b[m_b] of q. So t_j is the fibre of T through m along axis
@@ -51,7 +56,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .binforms import bform_gcd, bform_is_pure_power, linear_form_root
+from .binforms import bform_gcd, bform_square_root
 from .errors import (
     InternalError,
     NotInLocus,
@@ -60,15 +65,14 @@ from .errors import (
     TangencyPointRequested,
     ZeroTensor,
 )
-from .linalg import sample_points
-from .pencil import pencil_minor_gcd, pencil_of
+from .linalg import RING_Z, sample_points
+from .pencil import Pencil, pencil_minor_gcd
 from .tensorcore import (
     RankOneTensor,
     Tensor,
     _flat_rows,
     concise_reduce,
     factors_in_spans,
-    rank_one_factors,
 )
 
 
@@ -166,9 +170,11 @@ def _axis_point(red, a):
     a tangent tensor exactly one member, counted with multiplicity, has
     all 2-minors of its flattenings zero, and that member is the product
     of the tangency factors on the remaining axes. The minors are read on
-    the concise core, where they are few and have the same gcd, since the
-    kept slices of each axis span all of its slices; flattenings of
-    dimension one have none.
+    the int concise core, where they are few and have the same gcd, since
+    the kept slices of each axis span all of its slices; flattenings of
+    dimension one have none. The member at the root of that gcd, or of its
+    square root, is nonzero with flattenings of rank one, so it has rank
+    one: its factors are its fibres through its first nonzero entry.
     """
     shape = red.ambient_shape
     core = red.core(range(len(shape)))
@@ -177,9 +183,8 @@ def _axis_point(red, a):
     for b, d in enumerate(rest):
         if d == 1:
             continue
-        flats = [_flat_rows(F, rest, b) for F in _flat_rows(core.entries, core.shape, a)]
-        pair = Tensor((2, d, len(flats[0][0])), [x for F in flats for row in F for x in row])
-        q = pencil_minor_gcd(pencil_of(pair), 2)
+        X, Y = (_flat_rows(F, rest, b) for F in _flat_rows(core.entries, core.shape, a))
+        q = pencil_minor_gcd(Pencil([r + s for r, s in zip(X, Y)], len(X[0]), RING_Z), 2)
         if not q.is_zero():
             quads.append(q)
     if not quads:
@@ -190,7 +195,7 @@ def _axis_point(red, a):
     if g.degree == 1:
         ell = g
     elif g.degree == 2:
-        ok, ell = bform_is_pure_power(g, 2)
+        ok, ell = bform_square_root(g)
         if not ok:
             raise NotTangential(
                 "axis %d has two independent factoring contractions" % (a + 1,)
@@ -199,14 +204,20 @@ def _axis_point(red, a):
         raise NotTangential(
             "axis %d has no factoring contraction" % (a + 1,)
         )
-    u0, v0 = linear_form_root(ell)
+    alpha, beta = ell.coeffs
     rows = _flat_rows(red.scaled, shape, a)
     xs, ys = (rows[i] for i in red.slices[a])
-    got = rank_one_factors(Tensor(shape[:a] + shape[a + 1:],
-                                  [u0 * x + v0 * y for x, y in zip(xs, ys)]))
-    if got is None:
-        raise InternalError("a contraction with vanishing minors failed to factor")
-    return got[1]
+    member = [alpha * y - beta * x for x, y in zip(xs, ys)]
+    first = next(i for i, x in enumerate(member) if x)
+    factors = []
+    step = len(member)
+    for d in shape[:a] + shape[a + 1:]:
+        step //= d
+        start = first - first // step % d * step
+        fibre = member[start:start + d * step:step]
+        lead = Fraction(next(x for x in fibre if x))
+        factors.append([x / lead for x in fibre])
+    return factors
 
 
 def _reduce(T):

@@ -8,7 +8,9 @@ being factored into irreducibles, the full-rank factorization had no
 caller left, the determinant form of a pencil went with the
 hyperdeterminants, its only callers, which only tests called, and the
 row reduction went when tangent tensors were read in their own
-coordinates instead of through the bases of a concise core. Their
+coordinates instead of through the bases of a concise core, and the
+cache of flattening maps went when flattenings came to be read by
+strides. Their
 metrics read 0, and these tests check that they still
 do, until the benchmark stops naming them. These tests load
 ``layers.py`` and ``package.py`` from their files, without registering or
@@ -52,6 +54,7 @@ RETIRED = {
     "linalg.full_rank_factorization",
     "linalg.mat_rref",
     "pencil.pencil_det_form",
+    "tensorcore.flat_maps.entries",
 }
 
 layers = load_bench_module("layers")

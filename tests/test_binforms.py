@@ -9,8 +9,7 @@ from tensorloci.binforms import (
     BinaryForm,
     bform_discriminant,
     bform_gcd,
-    bform_is_pure_power,
-    linear_form_root,
+    bform_square_root,
 )
 from tensorloci.errors import AllZero, DegreeTooLarge, DegreeTooSmall
 from tensorloci.pencil import zform_quotient
@@ -207,34 +206,64 @@ def test_discriminant_cubic_unimodular_invariance():
         assert bform_discriminant(from_sympy_expr(moved, 3)) == bform_discriminant(form)
 
 
+def sympy_square_root(form):
+    """(True, l) when sympy factors the int quadratic form over Z as a
+    constant times l^2, l primitive with its first nonzero coefficient
+    positive; else (False, None)."""
+    _, factors = sympy.factor_list(to_sympy(form), U, V)
+    if len(factors) != 1 or factors[0][1] != 2:
+        return False, None
+    ell = sympy.Poly(factors[0][0], U, V)
+    coeffs = [int(ell.coeff_monomial(U)), int(ell.coeff_monomial(V))]
+    sign = 1 if next(x for x in coeffs if x) > 0 else -1
+    return True, BinaryForm([sign * x for x in coeffs])
+
+
 def test_pure_power_examples():
-    ok, ell = bform_is_pure_power(BinaryForm([1, 6, 12, 8], 3), 3)
-    assert ok and ell == BinaryForm([Fraction(1), Fraction(2)], 1)
-
-    ok, ell = bform_is_pure_power(BinaryForm([0, 0, 0, 5], 3), 3)
-    assert ok and ell == BinaryForm([Fraction(0), Fraction(1)], 1)
-
-    ok, ell = bform_is_pure_power(BinaryForm([0, 1, 0, 0], 3), 3)
-    assert not ok and ell is None
-
-    scaled = multiply(*(4 * [BinaryForm([2, -1], 1)]))
-    scaled = BinaryForm([5 * c for c in scaled.coeffs], 4)
-    ok, ell = bform_is_pure_power(scaled, 4)
-    assert ok and ell == BinaryForm([Fraction(1), Fraction(-1, 2)], 1)
-
-    ok, _ = bform_is_pure_power(BinaryForm([1, 2, 1], 2), 3)
-    assert not ok
+    """The one square rule on int quadratics, against sympy: squares with
+    c0 > 0, c0 < 0 and c0 = 0 give the primitive linear form, signed like
+    c0, whose root (-b, a) is the root of the form; non-squares give
+    (False, None)."""
+    squares = (
+        ([1, 4, 4], [1, 2]),
+        ([-18, 12, -2], [3, -1]),
+        ([0, 0, 5], [0, 1]),
+        ([0, 0, -3], [0, 1]),
+        ([4, 0, 0], [1, 0]),
+    )
+    for coeffs, root in squares:
+        form = BinaryForm(coeffs)
+        ok, ell = bform_square_root(form)
+        assert (ok, ell) == (True, BinaryForm(root)) == sympy_square_root(form)
+        a, b = ell.coeffs
+        assert form.evaluate(-b, a) == 0
+    for coeffs in ([1, 2, 3], [0, 1, 0], [0, 2, 5], [-1, 0, 1], [1, 0, 1]):
+        form = BinaryForm(coeffs)
+        assert bform_square_root(form) == (False, None) == sympy_square_root(form)
 
 
 def test_pure_power_random():
+    """Planted squares c l^2 (c0 = 0 among them) and forms one entry off
+    them: the square rule agrees with sympy's factorization over Z."""
     rng = random.Random(41)
-    for _ in range(100):
-        ell = random_linear(rng)
-        d = rng.randint(2, 4)
-        form = multiply(*([ell] * d))
-        ok, got = bform_is_pure_power(form, d)
-        assert ok
-        assert to_sympy(got) * to_sympy(ell).coeff(U if ell.coeffs[0] else V) == to_sympy(ell)
+    squares = 0
+    for case in range(200):
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        if case % 5 == 0:
+            a = 0
+        if not (a or b):
+            continue
+        c = rng.choice([-4, -3, -1, 1, 2, 6])
+        coeffs = [c * a * a, 2 * c * a * b, c * b * b]
+        if case % 2:
+            coeffs[rng.randrange(3)] += rng.choice([-1, 1])
+        form = BinaryForm(coeffs)
+        if form.is_zero():
+            continue
+        got = bform_square_root(form)
+        assert got == sympy_square_root(form), form
+        squares += got[0]
+    assert squares > 60
 
 
 def test_quotient_undoes_a_product():
@@ -251,10 +280,3 @@ def test_quotient_undoes_a_product():
         assert zform_quotient(fg, g) == f
     zero = zform_quotient(BinaryForm([0, 0, 0, 0], 3), BinaryForm([1, 2], 1))
     assert zero.is_zero() and zero.degree == 2
-
-
-def test_linear_form_root():
-    ell = BinaryForm([Fraction(3), Fraction(-2)], 1)
-    u0, v0 = linear_form_root(ell)
-    assert ell.evaluate(u0, v0) == 0
-    assert u0 or v0

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorloci.binforms import BinaryForm, _pl_gcd, bform_discriminant, bform_is_pure_power
+import sympy
+
+from tensorloci.binforms import BinaryForm, _pl_gcd, bform_discriminant, bform_square_root
 from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
     _FamilyReads,
     _RootReads,
     _root_model,
-    _square_root,
     classify,
     classify_parametric,
 )
@@ -483,11 +484,39 @@ def test_zb_gcd_matches_the_gcd_over_the_extension():
                 assert [c / got[-1] for c in got] == want
 
 
+def zb_in_field(e, K, beta):
+    """The Z[beta] element e in sympy's algebraic field K, beta in K."""
+    acc = K.zero
+    for c in reversed(e):
+        acc = acc * beta + K.convert(c)
+    return acc
+
+
+def sympy_square_root(coeffs, K, beta=None):
+    """(True, (a, b)) when sympy factors c0 u^2 + c1 uv + c2 v^2 over K as
+    a constant times (a u + b v)^2, else (False, None); the coefficients
+    are ints, or Z[beta] elements when beta is given."""
+    u, v = sympy.symbols("u v")
+    if beta is not None:
+        coeffs = [zb_in_field(c, K, beta) for c in coeffs]
+    form = sympy.Poly.from_dict(
+        {(2 - i, i): K.convert(c) for i, c in enumerate(coeffs) if c}, u, v, domain=K)
+    _, factors = form.factor_list()
+    if len(factors) != 1 or factors[0][1] != 2:
+        return False, None
+    ell = factors[0][0].as_dict(native=True)
+    return True, (ell.get((1, 0), K.zero), ell.get((0, 1), K.zero))
+
+
 def test_root_reader_discriminant_and_pure_square():
     """Quadratic forms c l^2 (l = a u + b v, a or b possibly zero) are pure
     squares of a multiple of l; forms with three random coefficients are
     not; both agree with the reads over Q(alpha)."""
     for fac, reads, rng in root_readers():
+        x = sympy.Symbol("x")
+        K = sympy.QQ.algebraic_field(sympy.CRootOf(
+            sympy.Poly([sympy.Rational(c) for c in reversed(fac.coeffs)], x), 0))
+        beta = K([reads.den, 0])
         for case in range(12):
             a, b, c = (random_zb(rng, reads) for _ in range(3))
             a, b = ([], b) if case % 3 == 1 else (a, []) if case % 3 == 2 else (a, b)
@@ -501,20 +530,21 @@ def test_root_reader_discriminant_and_pure_square():
             vanishes = reads.discriminant_vanishes(form)
             assert vanishes == (bform_discriminant(image) == 0)
             ok, ell = reads.pure_square(form)
-            want_ok, want = bform_is_pure_power(image, 2)
+            want_ok, want = sympy_square_root(form.coeffs, K, beta)
             assert ok == want_ok == vanishes == (case < 6)
             if ok:
-                u, v = (in_extension(x, reads, fac) for x in ell.coeffs)
-                assert u * want.coeffs[1] == v * want.coeffs[0]
-                assert (u, v) != (0, 0)
+                u, v = (zb_in_field(x, K, beta) for x in ell.coeffs)
+                assert u * want[1] == v * want[0]
+                assert (u, v) != (K.zero, K.zero)
 
 
-def test_int_pure_square_rule_matches_bform_is_pure_power():
+def test_int_pure_square_rule_matches_sympy():
     """The rule the readers share, on int forms: planted squares c l^2
     (l = a u + b v, a = 0 among them) are squares of l up to a constant,
-    and the linear form is the one ``bform_is_pure_power`` gives scaled
-    to ints, so the member at its root is the same int member; forms
-    off the square cone are not squares."""
+    as sympy's factorization over Q finds, and the linear form is
+    primitive with its first nonzero coefficient positive, so the member
+    at its root is one int member; forms off the square cone are not
+    squares."""
     rng = random.Random(41)
     squares = 0
     for case in range(300):
@@ -530,14 +560,14 @@ def test_int_pure_square_rule_matches_bform_is_pure_power():
         g = BinaryForm(coeffs)
         if g.is_zero():
             continue  # a repeated part, what the readers test, is never zero
-        ok, ell = _square_root(g)
+        ok, ell = bform_square_root(g)
         assert _FamilyReads(None, []).pure_square(g) == (ok, ell)
-        want_ok, want = bform_is_pure_power(g, 2)
+        want_ok, want = sympy_square_root(coeffs, sympy.QQ)
         assert ok == want_ok, g
         if ok:
             squares += 1
-            k = math.lcm(*(Fraction(x).denominator for x in want.coeffs))
-            assert ell.coeffs == [int(x * k) for x in want.coeffs], (g, ell, want)
+            assert math.gcd(*ell.coeffs) == 1 and next(x for x in ell.coeffs if x) > 0
+            assert ell.coeffs[0] * want[1] == ell.coeffs[1] * want[0], (g, ell, want)
             assert ell.coeffs[0] * b == ell.coeffs[1] * a
     assert squares > 100
 

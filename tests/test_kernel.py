@@ -11,7 +11,7 @@ slices and drop of each flattening of a family (``flattening_drop``) are
 compared with sympy over Q[λ] on seeded families whose base is not
 concise. Every answer here is compared with sympy's symbolic one, on
 inputs with non-integer rational coefficients, zero rows and identically
-vanishing minors: Q pencils up to 3 x 6 (``pencil_of``), Z[λ] pencils
+vanishing minors: Q pencils up to 3 x 6 (on their int rows), Z[λ] pencils
 with entries of λ-degree up to two and a pencil over Q(2^(1/3)) (a
 ``Pencil`` built on their rows). The minor gcds of the pencils of the seeded
 families T - λP (``test_locus.seeded_families``) are compared with sympy's
@@ -51,7 +51,6 @@ from tensorloci.pencil import (
     member_rank_at,
     pencil_minor_gcd,
     pencil_minors,
-    pencil_of,
     slice_rows,
 )
 from tensorloci.tensorcore import ParametricTensor, RankOneTensor, Tensor
@@ -144,13 +143,14 @@ def in_qauv(x):
 
 def pencil_over(t, ring):
     """(pencil, scales): the pencil of t over ``ring``, row i that of t times
-    scales[i]: ``pencil_of`` a rational t, each row times the lcm of its
+    scales[i]: over Z each row of a rational t times the lcm of its
     denominators (``integer_rows``); over Z[λ] each row of ``UniPoly``s
     times the lcm of its denominators, as int lists; over a field the rows
     as they are."""
     rows = slice_rows(t)
     if ring is RING_Z:
-        return pencil_of(t), integer_rows(Mat(rows))[1]
+        ints, scales = integer_rows(Mat(rows))
+        return Pencil(ints, t.shape[2], RING_Z), scales
     if ring is RING_FIELD:
         return Pencil(rows, t.shape[2], RING_FIELD), [1] * len(rows)
     scales = [math.lcm(*(c.denominator for x in row for c in x.coeffs)) for row in rows]
@@ -337,7 +337,7 @@ def test_family_minor_gcd_specializes_off_its_guard():
         gcds = [family_minor_gcd(Pencil(rows, c, RING_ZX), k) for k in range(1, min(b, c) + 1)]
         for lam0 in range(-8, 9):
             member = Tensor(T.shape, [x - lam0 * y for x, y in zip(T.entries, d.entries)])
-            pencil = pencil_of(member)
+            pencil = pencil_over(member, RING_Z)[0]
             for k, (g, guard) in enumerate(gcds, 1):
                 if guard is not None and guard(lam0) == 0:
                     continue

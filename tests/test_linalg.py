@@ -21,8 +21,7 @@ from tensorloci.linalg import (
     mat_rank,
     ring_at_root,
 )
-from tensorloci.pencil import pencil_of
-from tensorloci.tensorcore import Tensor
+from tensorloci.tensorcore import RankOneTensor, Tensor, subtract_scaled
 
 
 def mat_mul(a, b):
@@ -96,14 +95,15 @@ def test_rank_transpose_extension():
         lambda x: Mat([[1, x], [Fraction(1, 2), 0]]),
         lambda x: mat_rank(Mat([[1, x], [Fraction(1, 2), 0]])),
         lambda x: mat_det(Mat([[1, x], [Fraction(1, 2), 0]])),
-        lambda x: pencil_of(Tensor((2, 2, 2), [1, x, Fraction(1, 2), 0, 0, 3, 1, 0])),
+        lambda x: subtract_scaled(Tensor((2, 2, 2), [1, 0, Fraction(1, 2), 0, 0, 3, 1, 0]), x,
+                                  RankOneTensor([[1, 0], [0, 1], [1, 1]])),
     ],
-    ids=["Mat", "mat_rank", "mat_det", "pencil_of"],
+    ids=["Mat", "mat_rank", "mat_det", "subtract_scaled"],
 )
 def test_entries_other_than_rationals_raise_type_error(build, entry):
-    """Matrices and pencils are rational: a polynomial or an algebraic
-    entry is refused, not computed over another domain, and so is a
-    float, not taken at its binary value."""
+    """Matrices and T - lam*P are rational: a polynomial or an algebraic
+    entry or lam is refused, not computed over another domain, and so is
+    a float, not taken at its binary value."""
     with pytest.raises(TypeError):
         build(entry)
 

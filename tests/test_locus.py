@@ -72,6 +72,7 @@ from tensorloci.linalg import Mat, mat_det, mat_rank
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
+    IN_DECOMPOSITION,
     SPECIALIZED,
     LambdaWitness,
     _first_witness,
@@ -1266,7 +1267,8 @@ def test_dump_verdicts_script_runs_one_round(capsys):
     """One round of each benchmark workload and of the matrix cases at one
     seed: every query is answered under both strategies, and they agree on
     the status; each GENERIC line carries the parametric report, lam
-    listed first."""
+    listed first. The 24 tangent tensors that follow are members, each
+    decomposed into as many terms as it has active axes."""
     path = os.path.join(
         os.path.dirname(__file__), os.pardir, "scripts", "dump_verdicts.py"
     )
@@ -1275,7 +1277,12 @@ def test_dump_verdicts_script_runs_one_round(capsys):
     spec.loader.exec_module(dump)
     assert dump.main(["--seeds", "7", "--rounds", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    lines, tangent = lines[:-24], lines[-24:]
     assert len(lines) == 2 * 44 * 2 + 8 * 2
+    assert [(t["workload"], t["order"], t["coincident"], t["padded"]) for t in tangent] == [
+        ("tangent", k, m, pad) for k in (3, 4, 5) for m in range(k) for pad in (False, True)]
+    for t in tangent:
+        assert t["status"] == IN_DECOMPOSITION and len(t["terms"]) == t["order"], t
     for spec_line, gen_line in zip(lines[::2], lines[1::2]):
         assert (spec_line["strategy"], gen_line["strategy"]) == (SPECIALIZED, GENERIC)
         assert spec_line["orbit"] == gen_line["orbit"]

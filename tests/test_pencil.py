@@ -1,18 +1,16 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from tensorloci.binforms import BinaryForm, bform_discriminant
-from tensorloci.errors import WrongShape
 from tensorloci.exactnum import UniPoly
 from tensorloci.orbits import PENCILS, normal_form
 from tensorloci.pencil import (
+    Pencil,
     member_rank_at,
     pencil_minor_gcd,
-    pencil_of,
     slice_rows,
 )
 from tensorloci.tensorcore import (
@@ -21,7 +19,7 @@ from tensorloci.tensorcore import (
     apply_gl,
     subtract_scaled,
 )
-from tensorloci.linalg import Mat
+from tensorloci.linalg import RING_Z, Mat
 
 U_SYM, V_SYM, LAM_SYM = sympy.symbols("u v lam")
 
@@ -101,22 +99,29 @@ def random_invertible(rng, n):
             return m
 
 
+def int_pencil(t):
+    """The pencil of an integer tensor of shape (2, b, c) on its rows
+    [A_i | B_i] as ints, as the readers take an integer core."""
+    rows = [[int(x) for x in r] for r in slice_rows(t)]
+    assert rows == slice_rows(t), "not an integer tensor"
+    return Pencil(rows, t.shape[2], RING_Z)
+
+
 def slices(p):
-    """The slices (A, B) of a pencil read off its rows [A_i | B_i], which
-    ``pencil_of`` leaves unscaled for an integer tensor."""
+    """The slices (A, B) of a pencil read off its rows [A_i | B_i]."""
     return [r[:p.cols] for r in p.rows], [r[p.cols:] for r in p.rows]
 
 
 def test_pencil_of_normal_forms():
-    a5, b5 = slices(pencil_of(normal_form(5)))
+    a5, b5 = slices(int_pencil(normal_form(5)))
     assert a5 == [[1, 0], [0, 1]]
     assert b5 == [[0, 1], [0, 0]]
 
-    a13, b13 = slices(pencil_of(normal_form(13)))
+    a13, b13 = slices(int_pencil(normal_form(13)))
     assert a13 == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
     assert b13 == [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
 
-    a21, b21 = slices(pencil_of(normal_form(21)))
+    a21, b21 = slices(int_pencil(normal_form(21)))
     assert a21 == [
         [1, 0, 0, 0],
         [0, 0, 1, 0],
@@ -129,21 +134,14 @@ def test_pencil_of_normal_forms():
     ]
 
 
-def test_pencil_of_wrong_shape():
-    with pytest.raises(WrongShape):
-        pencil_of(Tensor.zeros((3, 2, 2)))
-    with pytest.raises(WrongShape):
-        pencil_of(Tensor.zeros((2, 2)))
-
-
 def test_minor_gcd_examples():
-    g = pencil_minor_gcd(pencil_of(normal_form(20)), 2)
+    g = pencil_minor_gcd(int_pencil(normal_form(20)), 2)
     assert g == BinaryForm([Fraction(1), Fraction(0)], 1)
 
-    g = pencil_minor_gcd(pencil_of(normal_form(21)), 2)
+    g = pencil_minor_gcd(int_pencil(normal_form(21)), 2)
     assert g.degree == 0 and g.coeffs[0] == 1
 
-    p22 = pencil_of(normal_form(22))
+    p22 = int_pencil(normal_form(22))
     g = pencil_minor_gcd(p22, 3)
     assert g == BinaryForm([Fraction(0), Fraction(1), Fraction(0)], 2)
     u = BinaryForm([Fraction(1), Fraction(0)], 1)
@@ -153,7 +151,7 @@ def test_minor_gcd_examples():
     # orbits 15 and 16 share the determinant form u^3; the rank of the
     # member at its root tells them apart
     for n, rank in ((15, 1), (16, 2)):
-        p = pencil_of(normal_form(n))
+        p = int_pencil(normal_form(n))
         assert pencil_minor_gcd(p, 3) == BinaryForm([1, 0, 0, 0], 3)
         assert member_rank_at(p, u)[0] == rank
 
@@ -167,13 +165,13 @@ def test_minor_gcd_examples():
             (1, 1, 0): 1,
         },
     )
-    g = pencil_minor_gcd(pencil_of(t), 2)
+    g = pencil_minor_gcd(int_pencil(t), 2)
     assert g == BinaryForm([Fraction(1), Fraction(0), Fraction(-2)], 2)
     assert [(f.as_expr(), m) for f, m in sympy_factors(g)] == [(to_sympy(g), 1)]
 
 
 def test_minor_gcd_zero_form():
-    g = pencil_minor_gcd(pencil_of(normal_form(13)), 3)
+    g = pencil_minor_gcd(int_pencil(normal_form(13)), 3)
     assert g.is_zero() and g.degree == 3
 
 
@@ -184,7 +182,7 @@ def test_minor_gcd_root_containment():
         t = normal_form(n)
         if t.shape[0] != 2 or len(t.shape) != 3:
             continue
-        p = pencil_of(t)
+        p = int_pencil(t)
         top = min(len(p.rows), p.cols)
         gcds = {r: pencil_minor_gcd(p, r) for r in range(1, top + 1)}
         for g in gcds.values():

@@ -351,6 +351,11 @@ def test_subtract_scaled():
     assert S[(0, 0, 0)] == 0
     with pytest.raises(ShapeMismatch):
         subtract_scaled(T, Fraction(1), RankOneTensor([[1], [1, 0], [1, 0]]))
+    # a float lam or entry is refused, not computed in floats
+    with pytest.raises(TypeError):
+        subtract_scaled(T, 0.5, P)
+    with pytest.raises(TypeError):
+        subtract_scaled(T, 1, RankOneTensor([[0.5, 0], [1, 0], [1, 0]]))
 
 
 def test_rank_one_rejects_zero_factor():

@@ -1,6 +1,7 @@
 """``scripts/dump_verdicts.py`` at seed 7, one round, prints exactly the
 committed ``tests/data/verdicts_seed7.jsonl``: every verdict, witness and
-parametric report of those 192 answers, byte for byte. Regenerate the
+parametric report of those 192 answers, and the tangency point,
+decomposition and verdict of its 24 tangent tensors, byte for byte. Regenerate the
 file only for a deliberate change of answers, and say why in that change:
 
     PYTHONPATH=src python scripts/dump_verdicts.py --seeds 7 --rounds 1 \\
