@@ -66,6 +66,17 @@ prints the certificate hits and the fallbacks per orbit and in total,
 and an ESCAPE MISMATCH line per failure; the exit status is nonzero when
 any appeared.
 
+With ``--ranks N`` it draws N points per normal form, each at the normal
+form and moved by one seeded invertible integer matrix per axis, and
+classifies each family T - lam*P over Q(lam) twice: exactly, and
+``ranks_only`` as ``locus_membership`` does, with the name-only reads of
+the table skipped. Both must give the same generic rank, and every
+exceptional factor of the exact ``classify_parametric`` whose member's
+rank differs from the generic rank must divide one of the ``ranks_only``
+candidate factors. It prints the candidate roots of both and how many
+``ranks_only`` saves, per orbit and in total, and a RANKS MISMATCH line
+per failure; the exit status is nonzero when any appeared.
+
 ``--roots`` and ``--drops`` need sympy; without it they print a note and
 exit with status 0.
 """
@@ -87,7 +98,14 @@ except ImportError:
 
 from tensorloci import classify as classify_module
 from tensorloci import locus as locus_module
-from tensorloci.classify import OrbitId, classify, family_orbit, orbits_at_roots
+from tensorloci.classify import (
+    OrbitId,
+    classify,
+    classify_parametric,
+    family_orbit,
+    orbit_rank,
+    orbits_at_roots,
+)
 from tensorloci.errors import TensorLociError, UnsupportedOrbit, ZeroDivisor
 from tensorloci.exactnum import UniPoly, candidate_factors
 from tensorloci.linalg import Mat, mat_det, mat_rank
@@ -200,9 +218,9 @@ def sweep_escape(draws, rnd):
     orbit over Q(lam) and the generic strategy, wherever it fires."""
     real, calls = locus_module.family_orbit, []
 
-    def counted(family):
+    def counted(family, **kwargs):
         calls.append(family)
-        return real(family)
+        return real(family, **kwargs)
 
     hits = fallbacks = mismatches = 0
     locus_module.family_orbit = counted
@@ -239,6 +257,42 @@ def sweep_escape(draws, rnd):
         locus_module.family_orbit = real
     print("%d certificate hits, %d fallbacks, %d escape mismatches"
           % (hits, fallbacks, mismatches))
+    return mismatches
+
+
+def sweep_ranks(orbits, draws, rnd):
+    """The family over Q(lam) classified ``ranks_only`` against exactly:
+    the generic rank, and the special values where the rank changes."""
+    mismatches = exact_all = fast_all = 0
+    for orbit in orbits:
+        T = normal_form(orbit)
+        shape = pencil_shape(orbit)
+        start, exact_roots, fast_roots = time.time(), 0, 0
+        for k in range(draws):
+            P = random_point(rnd, shape, sparse=(k % 2 == 0))
+            gs = [random_invertible(rnd, d) for d in shape]
+            for t, p in ((T, P), (apply_gl(T, gs), apply_gl_rank_one(P, gs))):
+                family = ParametricTensor(t, p)
+                exact = classify_parametric(family, classify(t))
+                generic, guards = family_orbit(family, ranks_only=True)
+                fast = candidate_factors(guards)
+                rank = orbit_rank(exact.generic)
+                exact_roots += sum(f.degree for f in candidate_factors(family_orbit(family)[1]))
+                fast_roots += sum(f.degree for f in fast)
+                lost = [fac for fac, oid in exact.exceptional[1:]
+                        if orbit_rank(oid) != rank and not any((c % fac).is_zero() for c in fast)]
+                if orbit_rank(generic) != rank or lost:
+                    mismatches += 1
+                    print("RANKS MISMATCH orbit %d %r moved by %r: exact %r, ranks_only %r, "
+                          "lost %r" % (orbit, describe(P), gs if t is not T else None,
+                                       exact, generic, lost))
+        exact_all += exact_roots
+        fast_all += fast_roots
+        print("orbit %2d: %d families, %d candidate roots exact, %d ranks_only, %.2fs"
+              % (orbit, 2 * draws, exact_roots, fast_roots, time.time() - start))
+        sys.stdout.flush()
+    print("%d candidate roots exact, %d ranks_only, %d saved, %d rank mismatches"
+          % (exact_all, fast_all, exact_all - fast_all, mismatches))
     return mismatches
 
 
@@ -543,6 +597,13 @@ def main(argv=None):
         metavar="N",
         help="check the open-orbit certificate on N sparse and N dense points per escape orbit",
     )
+    parser.add_argument(
+        "--ranks",
+        type=int,
+        default=0,
+        metavar="N",
+        help="compare the ranks_only family classification with the exact one, N points per orbit",
+    )
     args = parser.parse_args(argv)
     if sympy is None and (args.roots or args.drops):
         print("sympy is not installed: --roots and --drops skipped")
@@ -561,6 +622,8 @@ def main(argv=None):
         return 1 if sweep_tangential(args.tangential, rnd) else 0
     if args.escape:
         return 1 if sweep_escape(args.escape, rnd) else 0
+    if args.ranks:
+        return 1 if sweep_ranks(orbits, args.ranks, rnd) else 0
     if args.drops:
         return 1 if sweep_drops(args.drops, rnd) else 0
     total = 0

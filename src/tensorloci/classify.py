@@ -7,7 +7,10 @@ dimension one dropped). Its shape is dispatched through one decision
 table: matrix shapes by rank, (2,2,2) by the Cayley hyperdeterminant (the
 discriminant of the determinant form), (2,2,n) by the 2-minor gcd, (2,3,3)
 by the root structure of the determinant form, (2,3,n) by minor gcds, and
-the largest shapes by conciseness alone.
+the largest shapes by conciseness alone. Three of its reads only tell
+apart two orbits of equal ranks (``_orbit_of_canonical``); the table skips
+them on request (``ranks_only``), as ``locus_membership`` asks. Every
+entry point is exact by default, and so are members at irrational roots.
 
 The table reads the pencil invariants of the core through a reader. Every
 reader holds one ``pencil.Pencil``, the rows [A_i | B_i], whose minors
@@ -194,8 +197,10 @@ def _canonical_permutation(shape):
     return tuple(sorted(range(len(shape)), key=lambda i: shape[i]))
 
 
-def classify(t):
-    """Full orbit classification of a nonzero tensor.
+def classify(t, *, ranks_only=False):
+    """Full orbit classification of a nonzero tensor; with ``ranks_only``
+    the table skips its name-only reads (``_orbit_of_canonical``), and the
+    orbit is exact up to its rank and border rank.
 
     Raises ZeroTensor for the zero tensor and UnsupportedShape when the
     concise core is not a matrix shape, (2,2,n), or (2,3,n) up to axis
@@ -206,12 +211,12 @@ def classify(t):
     perm = _canonical_permutation(shape)
     axes = tuple(a for a in perm if shape[a] > 1)
     core = red.core(axes) if len(axes) >= 2 else None
-    orbit = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core, red.ring))
+    orbit = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core, red.ring), ranks_only)
     rank, brk = orbit.rank_pair()
     return ClassifyReport(orbit, rank, brk, shape, red, perm, core, axes)
 
 
-def _orbit_of_shape(order, concise_shape, reads):
+def _orbit_of_shape(order, concise_shape, reads, ranks_only):
     """The orbit of an order-``order`` tensor with this concise shape.
 
     Matrix cases are decided by the shape; otherwise ``reads(dims)`` gives
@@ -230,26 +235,37 @@ def _orbit_of_shape(order, concise_shape, reads):
         raise UnsupportedShape(
             "no finite orbit list for concise shape %r" % (concise_shape,)
         )
-    n = _orbit_of_canonical(dims, reads(dims))
+    n = _orbit_of_canonical(dims, reads(dims), ranks_only)
     if order == 3 and concise_shape == (2, 3, 2):
         n = {7: 11, 8: 12}.get(n, n)
     return OrbitId.orbit(n)
 
 
-def _orbit_of_canonical(dims, reads):
-    """Decision table on a concise core of shape (2, b, c), b in (2, 3)."""
+def _orbit_of_canonical(dims, reads, ranks_only):
+    """Decision table on a concise core of shape (2, b, c), b in (2, 3).
+
+    Three reads are name-only: each tells apart the two orbits of a pair
+    of equal rank and border rank (``RANKS``), and nothing else. They are
+    the 2-minor gcd on (2,2,3), 7 or 8 (11 or 12 as (2,3,2)), the 3-minor
+    gcd on (2,3,5), 24 or 25, and on (2,3,3) the member rank at the root
+    of the square repeated part, 15 or 16. With ``ranks_only`` they are
+    skipped and the first orbit of the pair is reported: the membership
+    question reads only ranks, so ``locus_membership`` asks for this on T,
+    on its rational members and on the family over Q(λ). No open orbit
+    (``OPEN_ORBITS``) lies in a pair.
+    """
     if dims == (2, 2, 2):
         return 5 if reads.discriminant_vanishes(reads.minor_gcd(2)) else 6
     if dims == (2, 2, 3):
-        return 7 if reads.minor_gcd(2).degree >= 1 else 8
+        return 7 if ranks_only or reads.minor_gcd(2).degree >= 1 else 8
     if dims == (2, 2, 4):
         return 9
     if dims == (2, 3, 3):
-        return _orbit_233(reads)
+        return _orbit_233(reads, ranks_only)
     if dims == (2, 3, 4):
         return _orbit_234(reads)
     if dims == (2, 3, 5):
-        return 24 if reads.minor_gcd(3).degree >= 1 else 25
+        return 24 if ranks_only or reads.minor_gcd(3).degree >= 1 else 25
     if dims == (2, 3, 6):
         return 26
     raise UnsupportedShape(
@@ -257,7 +273,7 @@ def _orbit_of_canonical(dims, reads):
     )
 
 
-def _orbit_233(reads):
+def _orbit_233(reads, ranks_only):
     det = reads.minor_gcd(3)
     if det.is_zero():
         return 13
@@ -270,7 +286,7 @@ def _orbit_233(reads):
         ok, ell = reads.pure_square(g)
         if not ok:
             raise InternalError("repeated part of a cubic must be a square")
-        return 15 if reads.member_rank(ell) == 1 else 16
+        return 15 if ranks_only or reads.member_rank(ell) == 1 else 16
     raise InternalError("cubic determinant form with repeated part %r" % g)
 
 
@@ -433,7 +449,7 @@ def orbit_rank(oid):
     return oid.rank_pair()[0]
 
 
-def _family_table(f, reader):
+def _family_table(f, reader, ranks_only=False):
     """(orbit, drops): the table on the family restricted to the first
     independent slices of each flattening over Z[λ], and the λ where
     those slices lose rank (``flattening_drop``): each flattening is a
@@ -449,11 +465,13 @@ def _family_table(f, reader):
         axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
         return reader(Pencil(f.pencil_rows(axes, slices), dims[2], RING_ZX))
 
-    return _orbit_of_shape(order, concise, reads), drops
+    return _orbit_of_shape(order, concise, reads, ranks_only), drops
 
 
-def family_orbit(f):
-    """The orbit over Q(λ) of the family T - λP, with its guards.
+def family_orbit(f, *, ranks_only=False):
+    """The orbit over Q(λ) of the family T - λP, with its guards; with
+    ``ranks_only``, exact up to its ranks (``_orbit_of_canonical``), and the
+    guards only those of the reads kept.
 
     Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
     another orbit is a root of one of the guards, nonconstant ``UniPoly``s.
@@ -464,7 +482,7 @@ def family_orbit(f):
     slices never lose rank guards nothing.
     """
     guards = []
-    orbit, drops = _family_table(f, lambda p: _FamilyReads(p, guards))
+    orbit, drops = _family_table(f, lambda p: _FamilyReads(p, guards), ranks_only)
     return orbit, [UniPoly([-x, 1]) for x in drops if x is not None] + guards
 
 
@@ -477,7 +495,7 @@ def _root_model(fac):
             for i, c in enumerate(fac.coeffs)], den
 
 
-def orbits_at_roots(f, fac):
+def orbits_at_roots(f, fac, *, ranks_only=False):
     """The orbits of the members of T - λP at the roots of ``fac``, monic
     and either linear or square-free with no rational root, as a list of
     (group, orbit): the groups are monic, pairwise coprime and multiply to
@@ -488,10 +506,12 @@ def orbits_at_roots(f, fac):
     roots the table reads the family on those slices at all roots of fac
     at once (``_RootReads``); when a read tells two roots apart, fac
     splits there and the table reads each part again (dynamic
-    evaluation)."""
+    evaluation). ``ranks_only`` is passed to ``classify`` at a rational
+    root; the groups at irrational roots are always exact."""
     if fac.degree == 1:
         member = f.member_at(fac)
-        return [(fac, OrbitId.matrix(0) if member.is_zero() else classify(member).orbit)]
+        return [(fac, OrbitId.matrix(0) if member.is_zero()
+                 else classify(member, ranks_only=ranks_only).orbit)]
     g, den = _root_model(fac)
     todo, parts = [g], {}
     while todo:
@@ -507,7 +527,7 @@ def orbits_at_roots(f, fac):
     return sorted(groups, key=lambda e: (e[0].degree, e[0].coeffs))
 
 
-def classify_parametric(f, base_report):
+def classify_parametric(f, base_report, *, ranks_only=False):
     """Classify the family T - lambda*P for all values of the parameter.
 
     ``base_report`` is ``classify(T)``, which the caller already holds; it
@@ -517,11 +537,16 @@ def classify_parametric(f, base_report):
     (``orbits_at_roots``: rational roots on an int member, the irrational
     ones together on the family's integer minors). Roots whose orbit
     equals the generic orbit are dropped, except lambda itself.
+
+    ``ranks_only`` classifies the family and its rational members only
+    up to ranks (``_orbit_of_canonical``; ``base_report`` likewise): a root
+    whose member's rank differs from the generic rank stays a candidate.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
-    generic, guards = family_orbit(f)
+    generic, guards = family_orbit(f, ranks_only=ranks_only)
     entries = [(UniPoly([0, 1]), base_report.orbit)]
     for fac in candidate_factors(guards):
-        entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac) if orbit != generic]
+        entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac, ranks_only=ranks_only)
+                    if orbit != generic]
     return ParametricReport(generic, entries)

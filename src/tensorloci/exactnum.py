@@ -42,6 +42,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def to_fraction(x):
+    """An int (a bool included) or a Fraction as a Fraction; anything else
+    raises TypeError, a float too: ``Fraction(0.1)`` is its binary value
+    3602879701896397/36028797018963968, not 1/10. The one scalar policy of
+    the public constructors: ``UniPoly``, ``linalg.Mat`` and the entries of
+    tensors."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError("entries must be ints or Fractions, not %s" % type(x).__name__)
+
+
 def parse_rational(text):
     """Parse "p/q" or "p" into a Fraction. Decimal notation is rejected."""
     if not isinstance(text, str):
@@ -77,13 +88,14 @@ class UniPoly:
 
     Coefficients are a tuple of Fractions indexed by degree (position 0 is
     the constant term); the tuple never has trailing zeros. The zero
-    polynomial has an empty coefficient tuple and degree -1.
+    polynomial has an empty coefficient tuple and degree -1. Coefficients
+    go through ``to_fraction``: a float raises TypeError.
     """
 
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs=(), var="λ"):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else to_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

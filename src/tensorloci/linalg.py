@@ -23,16 +23,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch
-from .exactnum import _ip_cross, _ip_exact_div, _zb_reduce
-
-
-def to_fraction(x):
-    """An int (a bool included) or a Fraction as a Fraction; anything else
-    raises TypeError, a float too: ``Fraction(0.1)`` is its binary value
-    3602879701896397/36028797018963968, not 1/10."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError("entries must be ints or Fractions, not %s" % type(x).__name__)
+from .exactnum import _ip_cross, _ip_exact_div, _zb_reduce, to_fraction
 
 
 class Mat:

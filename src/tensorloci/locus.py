@@ -12,8 +12,9 @@ Three independent routes are provided and kept deliberately separate so
 they can be played against each other in tests:
 
 * ``locus_membership`` with the generic strategy classifies the family
-  T - lam*P for all lam at once (``classify_parametric``) and reads the
-  answer off the generic orbit and the exceptional values.
+  T - lam*P for all lam at once (``classify_parametric``), only finely
+  enough to read ranks, and reads the answer off the generic orbit and
+  the exceptional values.
 * The specialized strategy reads the concise core and its axis order
   from the classification of T; a P outside the spans of T is forbidden.
   Otherwise the rank of T picks one of two routes on the family on the
@@ -37,7 +38,6 @@ they can be played against each other in tests:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .classify import (
     OrbitId,
@@ -78,10 +78,11 @@ _LAMBDA = UniPoly([0, 1])
 class LambdaWitness:
     """A value of lam certifying membership: rational, or algebraic.
 
-    Exactly one of ``value`` (a nonzero rational) and ``minimal_poly`` (a
-    monic square-free polynomial of degree at least one, never lam
-    itself) is set; in the algebraic case every root of the polynomial
-    is a witness value, and the minimal polynomial of each divides it.
+    Exactly one of ``value`` (a nonzero int or Fraction; a float raises
+    TypeError) and ``minimal_poly`` (a monic square-free polynomial of
+    degree at least one, never lam itself) is set; in the algebraic case
+    every root of the polynomial is a witness value, and the minimal
+    polynomial of each divides it.
     """
 
     __slots__ = ("value", "minimal_poly")
@@ -90,7 +91,7 @@ class LambdaWitness:
         if (value is None) == (minimal_poly is None):
             raise InternalError("witness needs a value or a minimal polynomial")
         if value is not None:
-            value = Fraction(value)
+            value = to_fraction(value)
             if value == 0:
                 raise InternalError("zero can never witness a rank drop")
         else:
@@ -189,10 +190,11 @@ def _first_witness(family, factors, target, known=None):
     """Membership verdict at the first group of roots of ``factors``, in
     their order and that of ``orbits_at_roots``, where the member of
     ``family``, T - lam*P, has the rank ``target``, or None. ``known``
-    maps factors already classified to their ``orbits_at_roots``."""
+    maps factors already classified to their ``orbits_at_roots``. Only
+    ranks are read, so members are classified ``ranks_only``."""
     for fac in factors:
         groups = known.get(fac) if known else None
-        for group, oid in groups or orbits_at_roots(family, fac):
+        for group, oid in groups or orbits_at_roots(family, fac, ranks_only=True):
             if orbit_rank(oid) == target:
                 return _factor_verdict(group)
     return None
@@ -260,7 +262,7 @@ def locus_tangential(T, P):
 def _generic_membership(T, P, report):
     target = report.rank - 1
     family = ParametricTensor(T, P)
-    parametric = classify_parametric(family, report)
+    parametric = classify_parametric(family, report, ranks_only=True)
     special = [(fac, oid) for fac, oid in parametric.exceptional if fac != _LAMBDA]
     if orbit_rank(parametric.generic) == target:
         # every member off the special roots is in the generic orbit
@@ -324,11 +326,11 @@ def _escape_verdict(family, target):
     is not classified again.
     """
     one = UniPoly([-1, 1])
-    at_one = orbits_at_roots(family, one)
+    at_one = orbits_at_roots(family, one, ranks_only=True)
     if at_one[0][1] == OrbitId.orbit(OPEN_ORBITS[family.base.shape]):
         return _factor_verdict(one)
     known = {one: at_one}
-    generic, guards = family_orbit(family)
+    generic, guards = family_orbit(family, ranks_only=True)
     if orbit_rank(generic) == target:
         return _scan_rational_witness(family, target, guards, known)
     verdict = _first_witness(family, candidate_factors(guards), target, known)
@@ -366,11 +368,13 @@ def locus_membership(T, P, strategy=SPECIALIZED):
 
     Both strategies answer the same question and agree everywhere; the
     generic one classifies the whole family T - lam*P at once, the
-    specialized one picks its route by the rank of T. Both return the same
-    witness: the first of 1, -1, 2, -2, ... that lowers the rank when the
-    generic member already has rank(T) - 1, else the first rational root
-    that does among the candidates of ``candidate_factors``, in order, or
-    else the first group of irrational roots that does, in the order of
+    specialized one picks its route by the rank of T. Only ranks decide,
+    so T, the family over Q(lam) and its rational members are classified
+    ``ranks_only``, with no guard for the reads skipped. Both return the
+    same witness: the first of 1, -1, 2, -2, ... that lowers the rank when
+    the generic member already has rank(T) - 1, else the first rational
+    root that does among the candidates of ``candidate_factors``, in order,
+    or else the first group of irrational roots that does, in the order of
     ``orbits_at_roots``.
     """
     if not isinstance(P, RankOneTensor):
@@ -381,7 +385,7 @@ def locus_membership(T, P, strategy=SPECIALIZED):
         )
     if strategy not in (GENERIC, SPECIALIZED):
         raise ValueError("unknown strategy %r" % (strategy,))
-    report = classify(T)
+    report = classify(T, ranks_only=True)
     if strategy == GENERIC:
         return _generic_membership(T, P, report)
     return _specialized_membership(T, P, report)

@@ -173,14 +173,14 @@ class RankOneTensor:
 
 
 def _scaled_entries(entries):
-    """(entries times c, c, ring), a fresh list: rational entries become
-    ints, c the lcm of their denominators (``_z_row``: c = 1 when all
-    are ints); field entries stay, with c = 1. Any other entry, a float
-    included, raises TypeError."""
-    if all(type(x) in (int, Fraction) for x in entries):
+    """(entries times c, c, ring), a fresh list: rational entries, bools
+    included, become ints, c the lcm of their denominators (``_z_row``:
+    c = 1 when all are ints); field entries stay, with c = 1. Any other
+    entry, a float included, raises TypeError."""
+    if all(isinstance(x, (int, Fraction)) for x in entries):
         return (*_z_row(entries), RING_Z)
     for x in entries:
-        if type(x) not in (int, Fraction, AlgebraicElement):
+        if not isinstance(x, (int, Fraction, AlgebraicElement)):
             raise TypeError("entries must be ints, Fractions or AlgebraicElements, not %s"
                             % type(x).__name__)
     return list(entries), 1, RING_FIELD
@@ -225,7 +225,7 @@ class ParametricTensor:
     (int lists, lowest degree first) and its rational members are ints.
     """
 
-    __slots__ = ("base", "direction", "_ints", "_flat")
+    __slots__ = ("base", "direction", "_ints", "_rows", "_drops")
 
     def __init__(self, base, direction):
         if base.shape != direction.shape:
@@ -235,7 +235,8 @@ class ParametricTensor:
         self.base = base
         self.direction = direction
         self._ints = None
-        self._flat = {}
+        self._rows = {}
+        self._drops = {}
 
     def specialize_ext(self, modulus):
         """The member at a root of the monic ``modulus``, over Q[x]/(modulus)."""
@@ -247,18 +248,21 @@ class ParametricTensor:
         )
 
     def _integer_form(self):
-        """(entries of d T', factors of P', n, entries of P')."""
+        """(entries of d T', factors of P', n, entries of P'): c s = n / d
+        is the product of c and, per factor, its content over its scale."""
         if self._ints is None:
-            base, c, _ = _scaled_entries(self.base.entries)
-            s = Fraction(c)
+            base, n, _ = _scaled_entries(self.base.entries)
+            d = 1
             factors = []
             for f in self.direction.factors:
                 ints, den, _ = _scaled_entries(f)
                 g = math.gcd(*ints)
-                s *= Fraction(g, den)
+                n, d = n * g, d * den
                 factors.append([x // g for x in ints])
-            base = [s.denominator * x for x in base]
-            self._ints = (base, factors, s.numerator, RankOneTensor(factors).expand().entries)
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+            base = [d * x for x in base] if d > 1 else base
+            self._ints = (base, factors, n, RankOneTensor(factors).expand().entries)
         return self._ints
 
     def member_at(self, fac):
@@ -271,26 +275,26 @@ class ParametricTensor:
         q, pn = root.denominator, root.numerator * n
         return Tensor(self.base.shape, [q * a - pn * b for a, b in zip(base, direction)])
 
-    def _flattening(self, axis):
-        hit = self._flat.get(axis)
-        if hit is None:
-            a0 = axis - 1
-            base, factors, n, _ = self._integer_form()
-            rest = [-n]
-            for b, ints in enumerate(factors):
-                if b != a0:
-                    rest = [x * y for x in rest for y in ints]
-            t_rows, cs = _flat_rows(base, self.base.shape, a0), factors[a0]
-            rows = [
-                [[x, c * y] if c * y else [x] if x else [] for x, y in zip(t_row, rest)]
-                for t_row, c in zip(t_rows, cs)
-            ]
-            hit = self._flat[axis] = (rows, *_update_drop(t_rows, cs, rest))
-        return hit
+    def _update(self, axis):
+        """(M, c, r), ints: the axis flattening is M + λ c r^T."""
+        a0 = axis - 1
+        base, factors, n, _ = self._integer_form()
+        rest = [-n]
+        for b, ints in enumerate(factors):
+            if b != a0:
+                rest = [x * y for x in rest for y in ints]
+        return _flat_rows(base, self.base.shape, a0), factors[a0], rest
 
     def flattening_rows(self, axis):
         """The axis flattening (axis 1-based) over Z[λ], as described above."""
-        return self._flattening(axis)[0]
+        rows = self._rows.get(axis)
+        if rows is None:
+            t_rows, cs, rest = self._update(axis)
+            rows = self._rows[axis] = [
+                [[x, c * y] if c * y else [x] if x else [] for x, y in zip(t_row, rest)]
+                for t_row, c in zip(t_rows, cs)
+            ]
+        return rows
 
     def flattening_drop(self, axis):
         """(slices, drop): the rows of the axis flattening over Z[λ] that are
@@ -305,7 +309,10 @@ class ParametricTensor:
         rows on the slices are dependent. Off the drop the slices stay
         independent and span the member's flattening.
         """
-        return self._flattening(axis)[1:]
+        hit = self._drops.get(axis)
+        if hit is None:
+            hit = self._drops[axis] = _update_drop(*self._update(axis))
+        return hit
 
     def pencil_rows(self, axes, slices):
         """The pencil rows [A_i | B_i] over Z[λ] of the family restricted
@@ -375,7 +382,11 @@ class ConciseReduction:
 
     def core(self, axes):
         """The concise core with its axes in the order ``axes``; an axis
-        left out must keep a single index, which it is fixed at."""
+        left out must keep a single index, which it is fixed at. A concise
+        tensor in its own axis order is its own core."""
+        if tuple(axes) == tuple(range(len(self.slices))) and all(
+                len(keep) == n for keep, n in zip(self.slices, self.ambient_shape)):
+            return Tensor(self.ambient_shape, self.scaled)
         st = _strides(self.ambient_shape)
         base = sum(st[a] * keep[0] for a, keep in enumerate(self.slices) if a not in axes)
         offsets = [[st[a] * i for i in self.slices[a]] for a in axes]

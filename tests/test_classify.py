@@ -23,7 +23,7 @@ from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
 from tensorloci.exactnum import AlgebraicElement, UniPoly, _zb_cross, _zb_gcd
 from tensorloci.linalg import RING_FIELD, RING_ZX, Mat, mat_det, mat_rank
 from tensorloci.pencil import Pencil, member_rank_at
-from tensorloci.orbits import RANKS, normal_form
+from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -90,6 +90,19 @@ def test_border_rank_never_exceeds_rank():
     for n in RANKS:
         rank, brk = RANKS[n]
         assert brk <= rank <= brk + 1
+
+
+def test_name_only_pairs_share_their_ranks():
+    """The table may report either orbit of a pair for both under
+    ``ranks_only`` (``_orbit_of_canonical``): the two have one rank and
+    border rank, and no open orbit of the escape route is in a pair."""
+    pairs = ((7, 8), (11, 12), (15, 16), (24, 25))
+    for a, b in pairs:
+        assert RANKS[a] == RANKS[b], (a, b)
+    assert not set(OPEN_ORBITS.values()) & set(itertools.chain(*pairs))
+    for n in range(1, 27):
+        first = next((a for a, b in pairs if n in (a, b)), n)
+        assert classify(normal_form(n), ranks_only=True).orbit == OrbitId.orbit(first), n
 
 
 def test_matrix_inputs():

@@ -80,6 +80,16 @@ class TestUniPoly:
         assert f.coeffs == (q, Fraction(1))
         assert f.coeffs[0] is q  # already a Fraction: kept, not rebuilt
 
+    def test_coefficients_follow_the_scalar_policy(self):
+        """Ints, bools and Fractions are taken; a float is refused, not kept
+        at its binary value 3602879701896397/36028797018963968."""
+        assert UniPoly([True, 2]).coeffs == (Fraction(1), Fraction(2))
+        for bad in (0.1, 1.0, "1/2"):
+            with pytest.raises(TypeError):
+                UniPoly([bad, 1])
+            with pytest.raises(TypeError):
+                exactnum.to_fraction(bad)
+
     def test_divmod(self):
         f = UniPoly([-1, 0, 1])  # λ^2 - 1
         g = UniPoly([1, 1])  # λ + 1

@@ -13,7 +13,8 @@ still be reported.
 Points are drawn like the agreement sweep in ``scripts/sweep_loci.py``;
 larger sweeps stay in that script, which is smoke-tested here in its
 modes for the oracle agreement, the members at irrational roots, the
-verdicts under GL and the open-orbit certificate of the escape route.
+verdicts under GL, the open-orbit certificate of the escape route and the
+family classified only finely enough to read ranks.
 That certificate must answer some seeded family of every escape orbit
 without ``family_orbit``, agree with it and with GENERIC wherever it
 fires, and leave the member at 1 classified once where it does not. Axis
@@ -22,9 +23,11 @@ tangency point, and the error paths of each entry point are checked too.
 The rank axes of each normal form's core, those of dimension rank T,
 must pick its specialized route, and at every drop-route witness each
 rank-axis flattening must lose rank.
-The specialized strategy must answer without ever reaching the generic
-one or a rational row reduction, and its one-pivot flattening drop must
-match the gcd of all maximal minors. Every flattening guard of a family
+Both strategies must answer the families that meet a pair of orbits of
+equal ranks without the reads that tell the pair apart, which the exact
+defaults still make. The specialized strategy must answer without ever
+reaching the generic one or a rational row reduction, and its one-pivot
+flattening drop must match the gcd of all maximal minors. Every flattening guard of a family
 is such a drop, and no candidate factor of a seeded family lands back in
 its generic orbit. The generic strategy must answer
 without computing over Q(alpha), and the orbit it reads off the family's
@@ -54,6 +57,8 @@ from sympy.polys.matrices import DomainMatrix
 from tensorloci import exactnum, linalg, locus
 from tensorloci.classify import (
     OrbitId,
+    _CoreReads,
+    _FamilyReads,
     classify,
     classify_parametric,
     family_orbit,
@@ -712,7 +717,7 @@ def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
     and 12 it then agrees with GENERIC and both witnesses re-check."""
     members = list(moved_route_members())
 
-    def refuse(*_args):
+    def refuse(*_args, **_kwargs):
         raise AssertionError("a specialized route reached the generic strategy")
 
     with monkeypatch.context() as m:
@@ -731,6 +736,90 @@ def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
         for verdict in (spec, gen):
             assert verdict.in_decomposition, (orbit, verdict)
             assert member_rank(gT, gP, verdict.witness) == 2, (orbit, verdict)
+
+
+# The orbits whose seeded families meet a name-only read of the table:
+# the four pairs of equal ranks, and 9 and 26, whose members at the drop
+# have (2,2,3) and (2,3,5) cores.
+NAME_ONLY_PAIRS = ((7, 8), (11, 12), (15, 16), (24, 25))
+NAME_ONLY_ORBITS = (7, 8, 11, 12, 15, 16, 24, 25, 9, 26)
+
+
+# Escape families whose member at 1, or whose family over Q(lam), lies in
+# a pair, each with the witness code that both strategies give at the
+# normal form and after a GL move.
+NAME_ONLY_ESCAPES = [
+    (13, [[0, 1], [0, 2, 0], [1, 0, 1]], None),
+    (15, [[0, 1], [0, 0, -1], [2, -1, 0]], None),
+    (15, [[1, 0], [1, 0, 0], [1, 0, 0]], "1"),
+    (16, [[0, -1], [-1, 0, 0], [0, 0, 1]], None),
+    (16, [[1, 0], [1, 0, -1], [0, 0, -1]], "1"),
+    (17, [[1, 0], [0, 1, 2], [0, 1, 1]], None),
+    (21, [[2, -1], [-1, 0, 0], [0, 1, 0, -1]], "1"),
+]
+
+
+class NameOnlyRead(Exception):
+    pass
+
+
+def refuse_name_only_reads(m):
+    """Make the three name-only reads raise on the integer cores and on the
+    family over Q(lam): the 2-minor gcd of a 2 x 3 pencil, the 3-minor gcd
+    of a 3 x 5 pencil, and a member rank after the square check."""
+    for cls in (_CoreReads, _FamilyReads):
+        def minor_gcd(self, k, real=cls.minor_gcd):
+            if (k, len(self.p.rows), self.p.cols) in ((2, 2, 3), (3, 3, 5)):
+                raise NameOnlyRead(k)
+            return real(self, k)
+
+        def pure_square(self, g, real=cls.pure_square):
+            self.squared = True
+            return real(self, g)
+
+        def member_rank(self, ell, real=cls.member_rank):
+            if getattr(self, "squared", False):
+                raise NameOnlyRead(ell)
+            return real(self, ell)
+
+        for read in (minor_gcd, pure_square, member_rank):
+            m.setattr(cls, read.__name__, read)
+
+
+def test_membership_reads_ranks_not_orbit_names(monkeypatch):
+    """With the name-only reads made to raise, both strategies still give
+    the witnesses of the table on the seeded families of the pairs and of
+    orbits 9 and 26, and the recorded ones on escape families that meet a
+    pair: T, its rational members and the family over Q(lam) are
+    classified ``ranks_only``. The exact defaults, which do make those
+    reads, still name both orbits of each pair, at the normal form and
+    after a GL move."""
+    rng = random.Random("name-only reads")
+    pairs = [(first, n, t) for first, second in NAME_ONLY_PAIRS for n in (first, second)
+             for t in (normal_form(n), apply_gl(normal_form(n), [
+                 random_invertible(rng, d) for d in pencil_shape(n)]))]
+    with monkeypatch.context() as m:
+        refuse_name_only_reads(m)
+        for orbit in NAME_ONLY_ORBITS:
+            got = [
+                tuple(witness_code(locus_membership(t, p, s)) for s in (SPECIALIZED, GENERIC))
+                for _sparse, T, P, gT, gP in seeded_families(orbit)
+                for t, p in ((T, P), (gT, gP))
+            ]
+            assert got == WITNESSES[orbit], orbit
+        for orbit, factors, want in NAME_ONLY_ESCAPES:
+            T, P = normal_form(orbit), RankOneTensor(factors)
+            gs = [random_invertible(rng, d) for d in pencil_shape(orbit)]
+            for t, p in ((T, P), (apply_gl(T, gs), apply_gl_rank_one(P, gs))):
+                for strategy in (SPECIALIZED, GENERIC):
+                    verdict = locus_membership(t, p, strategy)
+                    assert witness_code(verdict) == want, (orbit, factors, strategy)
+        for first, n, t in pairs:
+            with pytest.raises(NameOnlyRead):
+                classify(t)
+            assert classify(t, ranks_only=True).orbit == OrbitId.orbit(first), n
+    for _first, n, t in pairs:
+        assert classify(t).orbit == OrbitId.orbit(n), n
 
 
 def irrational_candidates(orbit):
@@ -1067,6 +1156,21 @@ def test_locus_membership_rejects_bad_input():
         locus_membership(T, P, "exhaustive")
 
 
+def test_witness_values_and_entries_follow_the_scalar_policy():
+    """A float witness value is refused, not kept at its binary value; bool
+    entries of T and P are taken as the ints they are."""
+    for bad in (0.1, 1.0):
+        with pytest.raises(TypeError):
+            LambdaWitness(value=bad)
+    assert LambdaWitness(value=True) == LambdaWitness(value=1)
+    T, P = normal_form(9), RankOneTensor([[1, 1], [1, 0], [1, 0, 0, 1]])
+    bT = Tensor(T.shape, [bool(x) for x in T.entries])
+    bP = RankOneTensor([[bool(x) for x in f] for f in P.factors])
+    assert classify(bT).orbit == OrbitId.orbit(9)
+    for strategy in (SPECIALIZED, GENERIC):
+        assert locus_membership(bT, bP, strategy) == locus_membership(T, P, strategy)
+
+
 def test_first_witness_takes_the_first_factor_of_the_target_rank():
     """The members at lam = 1 and at lam = +-sqrt(2), +-sqrt(3) all have
     rank three; irrational roots yield a witness polynomial, every root of
@@ -1121,7 +1225,7 @@ def test_open_orbit_certificate_answers_without_family_orbit(monkeypatch):
     seeded family of every escape orbit: the member at 1 lies in the
     open orbit. There the witness is 1, GENERIC's whole verdict is the
     same, and ``family_orbit`` gives the open orbit as the family's."""
-    def refuse(*_args):
+    def refuse(*_args, **_kwargs):
         raise FamilyOrbitCalled
 
     fired = []
@@ -1151,13 +1255,13 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
     classified, built = [], []
     real_orbits, real_family = locus.orbits_at_roots, locus.family_orbit
 
-    def orbits_at_roots(family, fac):
+    def orbits_at_roots(family, fac, **kwargs):
         classified.append(fac)
-        return real_orbits(family, fac)
+        return real_orbits(family, fac, **kwargs)
 
-    def family_orbit_spy(family):
+    def family_orbit_spy(family, **kwargs):
         built.append(family)
-        return real_family(family)
+        return real_family(family, **kwargs)
 
     fallbacks = 0
     with monkeypatch.context() as m:
@@ -1248,6 +1352,22 @@ def test_sweep_script_checks_the_open_orbit_certificate(capsys):
     hits, fallbacks = int(words[0]), int(words[3])
     assert hits > 0 and hits + fallbacks == 4 * len(ESCAPE_ORBITS)
     assert lines[-1].endswith(" 0 escape mismatches")
+
+
+def test_sweep_script_compares_rank_only_family_classifications(capsys):
+    """One point per orbit, at the normal form and GL-moved: the
+    ``ranks_only`` family keeps the generic rank and every candidate where
+    the rank changes, and saves some candidate roots."""
+    sweep = sweep_script()
+    status = sweep.main(["--ranks", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert [line.split(":")[0] for line in lines if line.startswith("orbit")] == [
+        "orbit %2d" % n for n in ORBITS
+    ]
+    words = lines[-1].split()
+    assert int(words[0]) - int(words[4]) == int(words[6]) > 0
+    assert lines[-1].endswith(" 0 rank mismatches")
 
 
 def test_sweep_script_decomposes_tangent_tensors(capsys):
