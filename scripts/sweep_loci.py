@@ -108,7 +108,7 @@ from tensorloci.classify import (
 )
 from tensorloci.errors import TensorLociError, UnsupportedOrbit, ZeroDivisor
 from tensorloci.exactnum import UniPoly, candidate_factors
-from tensorloci.linalg import Mat, mat_det, mat_rank
+from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
@@ -125,7 +125,7 @@ from tensorloci.tensorcore import (
     apply_gl,
     apply_gl_rank_one,
 )
-from tensorloci.wstate import decompose_tangential, verify_decomposition
+from tensorloci.wstate import decompose_tangential
 
 SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
 DENSE_POOL = (1, -1, 2, -2, 3, -3)
@@ -307,6 +307,14 @@ def tangent_model(k):
 def normalized(v):
     lead = Fraction(next(x for x in v if x))
     return [x / lead for x in v]
+
+
+def verify_decomposition(T, dec):
+    """True when every coefficient is nonzero and the weighted rank-one
+    terms add up to T exactly; the zero tensor with the empty
+    decomposition passes."""
+    return (tuple(T.shape) == dec.shape and all(c for c, _ in dec.terms)
+            and dec.expand() == T)
 
 
 def tangential_problems(T, P, k, d):
@@ -536,11 +544,12 @@ def sweep_drops(draws, rnd):
                              describe(family.direction), got, want))
                 keep, drop = got
                 # the rows (M_i | c_i r) have the rank of the (M_i | c_i)
-                v = Mat([[x[j] if len(x) > j else 0 for j in (0, 1) for x in row]
-                         for row in rows])
+                v = [[sympy.ZZ(x[j] if len(x) > j else 0) for j in (0, 1) for x in row]
+                     for row in rows]
                 branches["drop None" if drop is None else "drop 0" if drop == 0
                          else "nonzero drop"] += 1
-                branches["one row fewer than the pivot (M_i | c_i)"] += len(keep) < mat_rank(v)
+                rank = DomainMatrix(v, (len(v), len(v[0])), sympy.ZZ).rank()
+                branches["one row fewer than the pivot (M_i | c_i)"] += len(keep) < rank
         print("shape %r: %d families, %.2fs" % (shape, draws, time.time() - start))
         sys.stdout.flush()
     print("branches: " + ", ".join("%s %d" % item for item in sorted(branches.items())))

@@ -52,17 +52,6 @@ class BinaryForm:
     def __hash__(self):
         return hash((self.degree, tuple(self.coeffs)))
 
-    def evaluate(self, u0, v0):
-        total = None
-        for i, c in enumerate(self.coeffs):
-            term = c
-            for _ in range(self.degree - i):
-                term = term * u0
-            for _ in range(i):
-                term = term * v0
-            total = term if total is None else total + term
-        return total
-
     def partial_u(self):
         d = self.degree
         return BinaryForm(

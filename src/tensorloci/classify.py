@@ -76,10 +76,15 @@ class OrbitId:
     KIND_MATRIX = "matrix"
 
     def __init__(self, kind, value):
-        if kind == self.KIND_ORBIT and not 1 <= value <= 26:
-            raise ValueError("orbit number %r out of range" % (value,))
-        if kind == self.KIND_MATRIX and value < 0:
-            raise ValueError("matrix rank cannot be negative")
+        if kind == self.KIND_ORBIT:
+            if not 1 <= value <= 26:
+                raise ValueError("orbit number %r out of range" % (value,))
+        elif kind == self.KIND_MATRIX:
+            if value < 0:
+                raise ValueError("matrix rank cannot be negative")
+        else:
+            raise ValueError("orbit id kind %r is neither %r nor %r"
+                             % (kind, self.KIND_ORBIT, self.KIND_MATRIX))
         self.kind = kind
         self.value = value
 

@@ -40,10 +40,6 @@ class ZeroDivisor(TensorLociError):
         self.factor = factor
 
 
-class AxisOutOfRange(TensorLociError):
-    code = "axis-out-of-range"
-
-
 class ZeroTensor(TensorLociError):
     code = "zero-tensor"
 

@@ -46,7 +46,8 @@ def to_fraction(x):
     """An int (a bool included) or a Fraction as a Fraction; anything else
     raises TypeError, a float too: ``Fraction(0.1)`` is its binary value
     3602879701896397/36028797018963968, not 1/10. The one scalar policy of
-    the public constructors: ``UniPoly``, ``linalg.Mat`` and the entries of
+    the public constructors: ``UniPoly``, ``linalg.Mat``,
+    ``locus.LambdaWitness``, ``wstate.TangencyPoint`` and the entries of
     tensors."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
@@ -178,18 +179,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly([1], self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def _coerce(self, other):
         if isinstance(other, UniPoly):
             return other
@@ -218,20 +207,8 @@ class UniPoly:
                     rem[k + j] -= c * d
         return UniPoly(quo, self.var), UniPoly(rem[: len(div) - 1], self.var)
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for any scalar with + and *."""
-        if not self.coeffs:
-            return x * 0
-        acc = x * 0 + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self):
         if not self.coeffs:

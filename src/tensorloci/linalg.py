@@ -1,10 +1,12 @@
 """Exact dense linear algebra: rational matrices on an integer kernel.
 
-A ``Mat`` is a matrix over Q; its entries are ``Fraction``s. There is one
-elimination kernel and no row reduction: rank, determinant and the
-independent rows all run on one fraction-free Bareiss elimination
-with the first-nonzero pivot rule (scan columns left to right, take the
-topmost nonzero entry), on the rows of the matrix scaled to ints by
+A ``Mat`` is a matrix over Q, its entries ``Fraction``s, as the GL action
+(``tensorcore.apply_gl``) takes one per axis; ``mat_det`` is its
+determinant. There is one elimination kernel and no row
+reduction: ranks, determinants and the independent rows all run on one
+fraction-free Bareiss elimination (``_bareiss``) with the first-nonzero
+pivot rule (scan columns left to right, take the topmost nonzero entry).
+A rational matrix is eliminated on its rows scaled to ints by
 ``integer_rows``; ``mat_det`` divides the row scales out once at the end.
 The same kernel takes rows over an extension field on its elements, and
 ``bareiss_det`` takes square matrices over Z[λ], dense lists of ints,
@@ -51,17 +53,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return list(self.entries[i])
-
-    def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def transpose(self):
-        return Mat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -266,11 +257,6 @@ def bareiss_det(rows, ring):
         return kronecker_unpack(bareiss_det(ints, RING_Z), k)
     rank, piv, sign = _bareiss(rows, ring, square=True)
     return piv if rank < len(rows) or sign == 1 else -piv
-
-
-def mat_rank(M):
-    """Rank by Bareiss elimination over Z."""
-    return _bareiss(integer_rows(M)[0], RING_Z)[0]
 
 
 def mat_det(M):

@@ -54,8 +54,8 @@ from .errors import (
     TangencyPointRequested,
     UnsupportedOrbit,
 )
-from .exactnum import UniPoly, candidate_factors
-from .linalg import sample_points, to_fraction
+from .exactnum import UniPoly, candidate_factors, to_fraction
+from .linalg import sample_points
 from .orbits import OPEN_ORBITS, pencil_shape
 from .tensorcore import (
     ParametricTensor,
@@ -170,11 +170,6 @@ class LocusVerdict:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _fractions(vec):
-    """The entries of ``vec`` as Fractions; a float raises TypeError."""
-    return [to_fraction(x) for x in vec]
 
 
 def _factor_verdict(fac):
@@ -710,5 +705,5 @@ def closed_form_predicate(orbit, P):
             "normal form of orbit %d has shape %r, point has %r"
             % (orbit, expected, tuple(P.shape))
         )
-    a, b, c = (_fractions(f) for f in P.factors)
+    a, b, c = ([to_fraction(x) for x in f] for f in P.factors)
     return bool(_CLOSED_FORMS[orbit](a, b, c))

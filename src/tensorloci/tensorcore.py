@@ -13,11 +13,9 @@ its first independent slices on each axis: an int subtensor, whose
 flattenings feed the integer Bareiss kernel directly, as do those of a
 family T - λP, rank-one updates of the base's (``_update_drop``).
 Flattenings are read by strides off the flat entry list, with no cache
-(``_flat_rows``); ``flattening`` returns a rational ``linalg.Mat``. The GL
-action runs on ints, one contraction per axis (``_contract``).
-
-Axis numbering is 1-based in the public flattening API; flat indices are
-0-based.
+(``_flat_rows``, on 0-based axes); the flattenings of a family are
+numbered from 1 (``ParametricTensor.flattening_rows``). The GL action
+runs on ints, one contraction per axis (``_contract``).
 """
 
 from __future__ import annotations
@@ -27,23 +25,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import (
-    AxisOutOfRange,
-    ShapeMismatch,
-    SingularMatrix,
-    ZeroTensor,
-)
-from .exactnum import AlgebraicElement
-from .linalg import (
-    RING_FIELD,
-    RING_Z,
-    Mat,
-    _bareiss,
-    _z_row,
-    bareiss_det,
-    pivot_slices,
-    to_fraction,
-)
+from .errors import ShapeMismatch, SingularMatrix, ZeroTensor
+from .exactnum import AlgebraicElement, to_fraction
+from .linalg import RING_FIELD, RING_Z, _bareiss, _z_row, bareiss_det, pivot_slices
 
 
 def _strides(shape):
@@ -76,16 +60,6 @@ class Tensor:
     def zeros(cls, shape):
         return cls(shape, [Fraction(0)] * math.prod(shape))
 
-    @classmethod
-    def from_dict(cls, shape, items):
-        """Build from {multi_index: value} with 0-based indices."""
-        t = cls.zeros(shape)
-        st = _strides(shape)
-        for idx, val in items.items():
-            flat = sum(i * s for i, s in zip(idx, st))
-            t.entries[flat] = val
-        return t
-
     @property
     def order(self):
         return len(self.shape)
@@ -116,30 +90,6 @@ class Tensor:
         return Tensor(
             self.shape, [a + b for a, b in zip(self.entries, other.entries)]
         )
-
-    def sub(self, other):
-        if self.shape != other.shape:
-            raise ShapeMismatch("shapes differ: %r vs %r" % (self.shape, other.shape))
-        return Tensor(
-            self.shape, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def transpose_axes(self, perm):
-        """Reorder axes; perm[new_axis] = old_axis, 0-based."""
-        if sorted(perm) != list(range(self.order)):
-            raise ShapeMismatch("not a permutation: %r" % (perm,))
-        new_shape = tuple(self.shape[p] for p in perm)
-        out = Tensor.zeros(new_shape)
-        st_old = _strides(self.shape)
-        st_new = _strides(new_shape)
-        for idx in itertools.product(*[range(d) for d in new_shape]):
-            old_idx = [0] * self.order
-            for a, p in enumerate(perm):
-                old_idx[p] = idx[a]
-            out.entries[sum(i * s for i, s in zip(idx, st_new))] = self.entries[
-                sum(i * s for i, s in zip(old_idx, st_old))
-            ]
-        return out
 
 
 class RankOneTensor:
@@ -345,17 +295,6 @@ def _flat_rows(entries, shape, a0):
             row += entries[o:o + inner]
         rows.append(row)
     return rows
-
-
-def flattening(T, axis):
-    """The axis-th flattening as a matrix, axis 1-based.
-
-    Rows are indexed by the chosen axis; columns run over the remaining axes
-    in increasing order, row-major (last remaining axis fastest).
-    """
-    if not 1 <= axis <= T.order:
-        raise AxisOutOfRange("axis %d for order-%d tensor" % (axis, T.order))
-    return Mat(_flat_rows(T.entries, T.shape, axis - 1))
 
 
 class ConciseReduction:

@@ -7,8 +7,8 @@ but rank equal to the number of such axes, and it determines q uniquely.
 ``find_tangency`` recovers q from the tensor alone. ``decompose_tangential``
 writes the tensor as a sum of exactly rank many rank-one terms, one of which
 is proportional to a prescribed rank-one direction; every direction inside
-the per-axis spans works except the point q itself. ``verify_decomposition``
-checks any claimed weighted rank-one decomposition exactly.
+the per-axis spans works except the point q itself, and the terms are
+checked to sum back to T exactly.
 
 T is read in its own coordinates. Its active axes are those whose slices
 span a plane. The q_b are read off its int concise core: along each of
@@ -65,6 +65,7 @@ from .errors import (
     TangencyPointRequested,
     ZeroTensor,
 )
+from .exactnum import to_fraction
 from .linalg import RING_Z, sample_points
 from .pencil import Pencil, pencil_minor_gcd
 from .tensorcore import (
@@ -80,7 +81,8 @@ class TangencyPoint:
     """The rank-one point a tangent tensor is attached to.
 
     Factors are unit-normalized (first nonzero coordinate one), so two
-    projectively equal points compare equal.
+    projectively equal points compare equal. Their entries go through
+    ``to_fraction``: a float raises TypeError.
     """
 
     __slots__ = ("factors",)
@@ -88,23 +90,12 @@ class TangencyPoint:
     def __init__(self, factors):
         norm = []
         for f in factors:
-            f = list(f)
-            lead = None
-            for x in f:
-                if x:
-                    lead = x
-                    break
+            f = [to_fraction(x) for x in f]
+            lead = next((x for x in f if x), None)
             if lead is None:
                 raise ZeroTensor("zero factor vector in a tangency point")
-            norm.append([x / Fraction(lead) for x in f])
+            norm.append([x / lead for x in f])
         self.factors = norm
-
-    @property
-    def shape(self):
-        return tuple(len(f) for f in self.factors)
-
-    def tensor(self):
-        return RankOneTensor([list(f) for f in self.factors])
 
     def __eq__(self, other):
         if not isinstance(other, TangencyPoint):
@@ -141,20 +132,6 @@ class Decomposition:
 
     def __repr__(self):
         return "Decomposition(%d terms, shape=%r)" % (len(self.terms), self.shape)
-
-
-def verify_decomposition(T, dec):
-    """True when the terms are honest rank-one summands adding up to T.
-
-    Every coefficient must be nonzero and the weighted sum must reproduce T
-    exactly; the zero tensor together with the empty decomposition passes.
-    """
-    if tuple(T.shape) != dec.shape:
-        return False
-    for c, _ in dec.terms:
-        if not c:
-            return False
-    return dec.expand() == T
 
 
 def _e(i):

@@ -13,12 +13,14 @@ from tensorloci.errors import ZeroDivisor
 from tensorloci.exactnum import AlgebraicElement, UniPoly
 from tensorloci.linalg import (
     RING_FIELD,
+    RING_Z,
     RING_ZX,
     Mat,
     _bareiss,
     bareiss_det,
+    integer_rows,
     mat_det,
-    mat_rank,
+    pivot_slices,
     ring_at_root,
 )
 from tensorloci.tensorcore import RankOneTensor, Tensor, subtract_scaled
@@ -58,6 +60,12 @@ def rand_extension(rng, n, m, modulus):
     return [[entry() for _ in range(m)] for _ in range(n)]
 
 
+def kernel_rank(M):
+    """The rank of a rational matrix as the package reads it: the number
+    of independent rows ``pivot_slices`` keeps of its integer rows."""
+    return len(pivot_slices(integer_rows(M)[0], RING_Z))
+
+
 def test_rank_transpose_qq_with_oracle():
     rng = random.Random(11)
     for _ in range(200):
@@ -66,8 +74,8 @@ def test_rank_transpose_qq_with_oracle():
             M = rand_low_rank(rng, n, m, rng.randint(0, min(n, m)))
         else:
             M = rand_qq(rng, n, m)
-        r = mat_rank(M)
-        assert r == mat_rank(M.transpose())
+        r = kernel_rank(M)
+        assert r == kernel_rank(Mat(list(zip(*M.entries))))
         assert r == to_sympy(M).rank()
 
 
@@ -93,12 +101,11 @@ def test_rank_transpose_extension():
     "build",
     [
         lambda x: Mat([[1, x], [Fraction(1, 2), 0]]),
-        lambda x: mat_rank(Mat([[1, x], [Fraction(1, 2), 0]])),
         lambda x: mat_det(Mat([[1, x], [Fraction(1, 2), 0]])),
         lambda x: subtract_scaled(Tensor((2, 2, 2), [1, 0, Fraction(1, 2), 0, 0, 3, 1, 0]), x,
                                   RankOneTensor([[1, 0], [0, 1], [1, 1]])),
     ],
-    ids=["Mat", "mat_rank", "mat_det", "subtract_scaled"],
+    ids=["Mat", "mat_det", "subtract_scaled"],
 )
 def test_entries_other_than_rationals_raise_type_error(build, entry):
     """Matrices and T - lam*P are rational: a polynomial or an algebraic
@@ -113,7 +120,7 @@ def test_bool_entries_stay_rational():
     A = Mat([[True, False], [False, True]])
     assert A == Mat([[1, 0], [0, 1]])
     assert all(type(x) is Fraction for row in A.entries for x in row)
-    assert mat_det(A) == 1 and mat_rank(A) == 2
+    assert mat_det(A) == 1 and kernel_rank(A) == 2
 
 
 def test_det_with_oracle():

@@ -42,17 +42,17 @@ agrees with every stored closed form but the three known defective ones. ``scrip
 round.
 """
 
-import importlib.util
 import itertools
 import json
 import math
-import os
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
+
+from support import flattening, load_script, permute_axes, rank, tensor_from_dict
 
 from tensorloci import exactnum, linalg, locus
 from tensorloci.classify import (
@@ -73,7 +73,7 @@ from tensorloci.errors import (
     ZeroTensor,
 )
 from tensorloci.exactnum import UniPoly, candidate_factors, format_rational
-from tensorloci.linalg import Mat, mat_det, mat_rank
+from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
@@ -95,7 +95,6 @@ from tensorloci.tensorcore import (
     apply_gl_rank_one,
     _flat_rows,
     factors_in_spans,
-    flattening,
     subtract_scaled,
 )
 from tensorloci.wstate import find_tangency
@@ -631,7 +630,7 @@ def test_a_drop_route_witness_drops_every_rank_axis_flattening():
         assert axes and verdict.witness.is_rational, (orbit, p)
         member = subtract_scaled(t, verdict.witness.value, p)
         for axis in axes:
-            assert mat_rank(flattening(member, axis)) < report.rank, (orbit, p, axis)
+            assert rank(flattening(member, axis)) < report.rank, (orbit, p, axis)
         members += 1
     assert members > 0
 
@@ -677,8 +676,8 @@ def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
                     if drop is None:
                         continue
                     fac = UniPoly([-drop, 1])
-                    rows = flattening(family.member_at(fac), axis).entries
-                    assert mat_rank(Mat([rows[i] for i in keep])) < len(keep), (orbit, p)
+                    rows = flattening(family.member_at(fac), axis)
+                    assert rank([rows[i] for i in keep]) < len(keep), (orbit, p)
                     flat.append(fac)
                 assert guards[:len(flat)] == flat, (orbit, p)
                 drops += len(flat)
@@ -972,7 +971,7 @@ def lift_to_order_four(T, P, pos, extra):
         if T[idx]
     }
     factors = P.factors[:pos] + [extra] + P.factors[pos:]
-    return Tensor.from_dict(shape, items), RankOneTensor(factors)
+    return tensor_from_dict(shape, items), RankOneTensor(factors)
 
 
 @pytest.mark.parametrize("orbit", ORBITS)
@@ -1298,13 +1297,7 @@ def test_open_orbit_table_holds_generic_tensors_one_rank_below_the_escapes():
 
 
 def sweep_script():
-    path = os.path.join(
-        os.path.dirname(__file__), os.pardir, "scripts", "sweep_loci.py"
-    )
-    spec = importlib.util.spec_from_file_location("sweep_loci", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return sweep
+    return load_script("sweep_loci")
 
 
 def test_sweep_script_runs_every_orbit(capsys):
@@ -1389,12 +1382,7 @@ def test_dump_verdicts_script_runs_one_round(capsys):
     the status; each GENERIC line carries the parametric report, lam
     listed first. The 24 tangent tensors that follow are members, each
     decomposed into as many terms as it has active axes."""
-    path = os.path.join(
-        os.path.dirname(__file__), os.pardir, "scripts", "dump_verdicts.py"
-    )
-    spec = importlib.util.spec_from_file_location("dump_verdicts", path)
-    dump = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dump)
+    dump = load_script("dump_verdicts")
     assert dump.main(["--seeds", "7", "--rounds", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     lines, tangent = lines[:-24], lines[-24:]
@@ -1465,7 +1453,7 @@ def test_tangential_route_forbids_points_outside_the_spans():
     # the orbit-5 normal form inside shape (2, 2, 3), then moved by GL
     rng = random.Random("tangential/wide")
     t5 = normal_form(5)
-    wide = Tensor.from_dict(
+    wide = tensor_from_dict(
         (2, 2, 3),
         {idx: t5[idx] for idx in itertools.product((0, 1), repeat=3)},
     )
@@ -1497,7 +1485,7 @@ def axis_permutations(T, P):
     non-identity permutations."""
     for perm in itertools.permutations(range(3)):
         if perm != (0, 1, 2):
-            yield T.transpose_axes(perm), RankOneTensor([P.factors[a] for a in perm])
+            yield permute_axes(T, perm), RankOneTensor([P.factors[a] for a in perm])
 
 
 @pytest.mark.parametrize("orbit", ORBITS)

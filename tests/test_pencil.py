@@ -4,6 +4,8 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from support import form_at, poly_at, tensor_from_dict
+
 from tensorloci.binforms import BinaryForm, bform_discriminant
 from tensorloci.exactnum import UniPoly
 from tensorloci.orbits import PENCILS, normal_form
@@ -156,7 +158,7 @@ def test_minor_gcd_examples():
         assert member_rank_at(p, u)[0] == rank
 
     # the 2-minors of this pencil vanish together only at u^2 = 2 v^2
-    t = Tensor.from_dict(
+    t = tensor_from_dict(
         (2, 2, 2),
         {
             (0, 0, 0): 1,
@@ -199,7 +201,7 @@ def test_minor_gcd_root_containment():
             for factor, _ in sympy_factors(g_lo):
                 assert factor.total_degree() == 1
                 alpha, beta = factor.coeff_monomial(U_SYM), factor.coeff_monomial(V_SYM)
-                assert g_hi.evaluate(Fraction(str(-beta)), Fraction(str(alpha))) == 0
+                assert form_at(g_hi, Fraction(str(-beta)), Fraction(str(alpha))) == 0
 
 
 def test_hyperdet222_point_values():
@@ -210,7 +212,7 @@ def test_hyperdet222_point_values():
 
 def test_hyperdet222_symbolic_identity():
     # H(W - lambda a*b*c) for the symmetric tangential tensor
-    w = Tensor.from_dict((2, 2, 2), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    w = tensor_from_dict((2, 2, 2), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     rng = random.Random(3)
     for _ in range(50):
         a = [Fraction(rng.randint(-4, 4)) for _ in range(2)]
@@ -274,7 +276,7 @@ def test_hyperdet233_symbolic_identities():
 
         P = RankOneTensor([a, b, c])
         h17 = member_polynomial(hyperdet233, t17, P, 4)
-        assert h17(Fraction(0)) == 0
+        assert poly_at(h17, 0) == 0
         lam_coeff = h17.coeffs[1] if h17.degree >= 1 else Fraction(0)
         assert lam_coeff == -4 * a2 * b2 * c1
 

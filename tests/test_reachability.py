@@ -1,0 +1,118 @@
+"""Every function in ``src/tensorloci`` is reached by a production path.
+
+``scripts/dump_verdicts.py --seeds 7 --rounds 1`` asks both membership
+strategies, ``classify_parametric`` and the tangential entry points on the
+seeded benchmark queries, the matrix cases and the tangent tensors. Run
+under ``sys.setprofile``, it must enter every function of the package but
+those in ``ALLOWED``, each listed with the reason it is not entered. A
+helper that only tests call fails here: tests take their references from
+``tests/support.py`` instead.
+
+Functions are keyed by (file, first line), the line of the first decorator
+for a decorated one, which is what ``co_firstlineno`` holds; ``ast`` names
+them, since ``co_qualname`` needs Python 3.11.
+"""
+
+import ast
+import contextlib
+import fnmatch
+import io
+import os
+import sys
+
+import pytest
+
+pytest.importorskip("sympy")
+
+from support import load_script  # noqa: E402  (after the sympy check)
+
+ROOT = os.path.realpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+PACKAGE_DIR = os.path.join(ROOT, "src", "tensorloci")
+
+# module:qualname patterns of the functions the dump is allowed not to enter
+ALLOWED = {
+    # the closed forms: ``locusbench/checks.py`` checks every benchmark verdict with them
+    "locus:_cf_*": "entered by locusbench/checks.py",
+    "locus:closed_form_predicate": "entered by locusbench/checks.py",
+    # dunder methods: reprs, comparisons and operators the answers need not call
+    "*:*.__*__": "dunder method",
+    # the Q(alpha) layer: the member of a family at an irrational root as a
+    # tensor over Q(alpha), an independent check of the integer root reader,
+    # with the polynomial arithmetic and the field branch of bform_gcd it uses
+    "tensorcore:ParametricTensor.specialize_ext": "Q(alpha) layer",
+    "exactnum:AlgebraicElement.*": "Q(alpha) layer",
+    "exactnum:algext_inverse": "Q(alpha) layer",
+    "exactnum:upoly_xgcd": "Q(alpha) layer",
+    "exactnum:UniPoly._coerce": "Q(alpha) layer: UniPoly arithmetic",
+    "exactnum:UniPoly.divmod": "Q(alpha) layer: reduction modulo the modulus",
+    "exactnum:UniPoly.is_zero": "Q(alpha) layer",
+    "exactnum:UniPoly.leading": "Q(alpha) layer",
+    "binforms:_pl_*": "Q(alpha) layer: bform_gcd over a field",
+    # text input of rationals, whose place is not settled yet
+    "exactnum:parse_rational": "rational text input, no caller yet",
+    # square roots no seeded query reaches
+    "classify:_RootReads.pure_square": "no seeded input reaches it",
+    "classify:_FamilyReads.pure_square": "no seeded input reaches it at one round",
+}
+
+
+def package_functions():
+    """{(path, first line): "module:qualname"} of every function defined in
+    the package, nested ones included."""
+    out = {}
+    for fname in sorted(os.listdir(PACKAGE_DIR)):
+        if not fname.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE_DIR, fname)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        module = fname[:-3]
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(path, first)] = "%s:%s%s" % (module, prefix, child.name)
+                    visit(child, prefix + child.name + ".")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, prefix + child.name + ".")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+    return out
+
+
+def entered_by_dump():
+    """The (path, first line) of every function entered while
+    ``dump_verdicts.main`` runs at seed 7, one round, its output discarded."""
+    dump = load_script("dump_verdicts")
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            dump.main(["--seeds", "7", "--rounds", "1"])
+        finally:
+            sys.setprofile(None)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
+
+
+def allowed(name):
+    return any(fnmatch.fnmatchcase(name, pattern) for pattern in ALLOWED)
+
+
+def test_every_package_function_is_entered_by_the_verdict_dump():
+    functions = package_functions()
+    entered = entered_by_dump()
+    missed = sorted(name for key, name in functions.items() if key not in entered)
+    assert [name for name in missed if not allowed(name)] == []
+
+
+def test_every_allowed_pattern_names_a_function():
+    names = package_functions().values()
+    assert [p for p in ALLOWED if not any(fnmatch.fnmatchcase(n, p) for n in names)] == []

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import load_script, sums_back, tensor_from_dict
+
 from tensorloci.errors import (
     NotInLocus,
     NotTangential,
@@ -31,7 +33,6 @@ from tensorloci.wstate import (
     _nodes,
     decompose_tangential,
     find_tangency,
-    verify_decomposition,
 )
 
 
@@ -82,7 +83,7 @@ def test_find_tangency_gl_transport():
             mats = [random_invertible(rng, 2) for _ in range(k)]
             moved = apply_gl(w_state(k), mats)
             tp = find_tangency(moved)
-            want = [normalized(m.col(0)) for m in mats]
+            want = [normalized([row[0] for row in m.entries]) for m in mats]
             assert tp.factors == want
 
 
@@ -152,7 +153,7 @@ def test_decompose_does_not_depend_on_the_kept_slices(monkeypatch):
             again = decompose_tangential(T, P)
             assert [(c, t.factors) for c, t in again.terms] == [
                 (c, t.factors) for c, t in dec.terms]
-            assert verify_decomposition(T, dec)
+            assert sums_back(T, dec)
             assert dec.terms[0][1].factors == [normalized(f) for f in P.factors]
     assert moved >= 30
 
@@ -177,7 +178,7 @@ def test_find_tangency_rejections():
         find_tangency(normal_form(6))
     with pytest.raises(NotTangential):
         find_tangency(normal_form(9))
-    pencil_like = Tensor.from_dict(
+    pencil_like = tensor_from_dict(
         (2, 2, 2), {(0, 0, 1): Fraction(1), (0, 1, 0): Fraction(1)}
     )
     with pytest.raises(NotTangential):
@@ -215,7 +216,7 @@ def test_decompose_direction_term_comes_first():
                 dec = decompose_tangential(t, p)
             except TangencyPointRequested:
                 continue
-            assert verify_decomposition(t, dec)
+            assert sums_back(t, dec)
             assert len(dec) == 3
             assert dec.terms[0][1].factors == [normalized(f) for f in factors]
 
@@ -224,7 +225,7 @@ def test_decompose_through_opposite_corner():
     t = normal_form(5)
     p = RankOneTensor([unit(2, 1), unit(2, 1), unit(2, 1)])
     dec = decompose_tangential(t, p)
-    assert verify_decomposition(t, dec)
+    assert sums_back(t, dec)
     assert len(dec) == 3
     assert dec.terms[0][1].factors == [unit(2, 1), unit(2, 1), unit(2, 1)]
 
@@ -308,12 +309,14 @@ def test_decompose_gl_equivariance():
             RankOneTensor([[1, 1], [1, 1], [0, 1]]), mats
         )
         dec = decompose_tangential(t, p)
-        assert verify_decomposition(t, dec)
+        assert sums_back(t, dec)
         assert len(dec) == 3
         assert dec.terms[0][1].factors == [normalized(f) for f in p.factors]
 
 
 def test_verify_decomposition_edges():
+    """The decomposition check of ``scripts/sweep_loci.py``."""
+    verify_decomposition = load_script("sweep_loci").verify_decomposition
     zero = Tensor.zeros((2, 2, 2))
     assert verify_decomposition(zero, Decomposition((2, 2, 2), []))
     assert not verify_decomposition(zero, Decomposition((2, 2), []))
@@ -345,7 +348,7 @@ def test_decompose_random_directions_order_four(pairs):
     t = w_state(4)
     p = RankOneTensor([[Fraction(a), Fraction(b)] for a, b in pairs])
     dec = decompose_tangential(t, p)
-    assert verify_decomposition(t, dec)
+    assert sums_back(t, dec)
     assert len(dec) == 4
     assert dec.terms[0][1].factors == [
         normalized([Fraction(a), Fraction(b)]) for a, b in pairs
@@ -397,7 +400,7 @@ def test_tangential_order_five_off_the_tangency_point():
     T = w_state(5)
     P = RankOneTensor([[-1, 1]] + [[0, 1]] * 4)
     dec = decompose_tangential(T, P)
-    assert len(dec) == 5 and verify_decomposition(T, dec)
+    assert len(dec) == 5 and sums_back(T, dec)
     verdict = locus_tangential(T, P)
     assert verdict.in_decomposition and isinstance(verdict.witness.value, Fraction)
 
@@ -422,6 +425,16 @@ def test_tangential_one_free_axis_matches_generic():
         got = locus_tangential(T, P)
         assert got.in_decomposition
         assert got == locus_membership(T, P, GENERIC), (factors, mats)
+
+
+def test_tangency_point_takes_only_rationals():
+    """Tangency factors follow the scalar policy of tensor entries and
+    matrices (``to_fraction``): a float raises TypeError, a bool is an int."""
+    with pytest.raises(TypeError):
+        TangencyPoint([[0.5, 1], [1, 0], [0, 1]])
+    tp = TangencyPoint([[True, False], [1, 0], [0, 1]])
+    assert tp.factors == [[1, 0], [1, 0], [0, 1]]
+    assert all(type(x) is Fraction for f in tp.factors for x in f)
 
 
 def test_tangency_point_keeps_int_factors_exact():
