@@ -25,7 +25,9 @@ with the model both as it is and padded (``sweep_loci.padded``), each pair
 moved by GL, all from streams of their own. Each tangent tensor gets one
 line: the factors of ``find_tangency``, the terms of
 ``decompose_tangential`` and the status and witness of
-``locus_tangential``, as text. The defaults cover 576 queries and 144
+``locus_tangential``, as text; a witness lam0 is first re-checked on the
+decomposition, whose terms after the one along P must sum to T - lam0 P
+(``subtract_scaled``). The defaults cover 576 queries and 144
 tangent tensors, seeds 7-9 with two rounds. Two versions of the package
 give the same answers there exactly when their outputs are equal:
 
@@ -54,8 +56,9 @@ from tensorloci.tensorcore import (
     RankOneTensor,
     apply_gl,
     apply_gl_rank_one,
+    subtract_scaled,
 )
-from tensorloci.wstate import decompose_tangential, find_tangency
+from tensorloci.wstate import Decomposition, decompose_tangential, find_tangency
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS_PY = os.path.join(HERE, os.pardir, "locusbench", "workloads.py")
@@ -164,13 +167,19 @@ def text(vectors):
 
 
 def print_tangent(seed, k, m, pad, T, P):
-    """One line for the tangent tensor T and the direction P."""
+    """One line for the tangent tensor T and the direction P, once the
+    witness lam0 of a member is re-checked: the terms of the decomposition
+    after the first, the one along P, sum to T - lam0 P."""
     verdict = locus_tangential(T, P)
+    dec = decompose_tangential(T, P)
+    if verdict.in_decomposition:
+        lam0 = verdict.witness.value
+        if Decomposition(T.shape, dec.terms[1:]).expand() != subtract_scaled(T, lam0, P):
+            raise RuntimeError("tangential witness %s fails its re-check" % lam0)
     print(json.dumps({
         "workload": "tangent", "seed": seed, "order": k, "coincident": m, "padded": pad,
         "tangency": text(find_tangency(T).factors),
-        "terms": [[format_rational(c), text(t.factors)]
-                  for c, t in decompose_tangential(T, P).terms],
+        "terms": [[format_rational(c), text(t.factors)] for c, t in dec.terms],
         "status": verdict.status, "witness": witness_code(verdict),
     }))
 

@@ -23,8 +23,10 @@ classified over Q(λ) by the same table with another reader, on its
 pencil over Z[λ]: there every minor is affine in λ, so each invariant is
 computed over Z and Z[λ], together with guard polynomials whose roots
 include every value of λ where that invariant can differ from its
-generic value (``family_orbit``); the guard of a repeated part is
-interpolated from the discriminants of int forms at sample values of λ.
+generic value (``family_orbit``); a discriminant over Z[λ], the guard of
+a repeated part or of a quadratic, is one discriminant of an int form,
+the form packed at λ = 2^K and the value unpacked (Kronecker
+substitution, ``_lambda_discriminant``).
 A third reader reads the members at the irrational roots of the guards
 off the same pencil over Z[λ]: no affine minor vanishes there, so each
 member has the family's concise shape, and its minors are the family's
@@ -52,19 +54,19 @@ from .exactnum import (
     _zb_gcd,
     candidate_factors,
 )
-from .linalg import RING_ZX, _bareiss, interpolate, ring_at_root, sample_points
+from .linalg import RING_ZX, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
 from .orbits import RANKS
 from .pencil import (
     Pencil,
     family_minor_gcd,
     family_minors,
+    lambda_form,
     lambda_parts,
     member_rank_at,
     pencil_minor_gcd,
-    slice_rows,
     zform_quotient,
 )
-from .tensorcore import ParametricTensor, concise_reduce
+from .tensorcore import ParametricTensor, concise_reduce, flat_rows
 
 
 class OrbitId:
@@ -315,7 +317,7 @@ class _CoreReads:
     shape (2, b, c) over ``ring``."""
 
     def __init__(self, core, ring):
-        self.p = Pencil(slice_rows(core), core.shape[2], ring)
+        self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], ring)
 
     def minor_gcd(self, k):
         return pencil_minor_gcd(self.p, k)
@@ -331,6 +333,21 @@ class _CoreReads:
 
     def member_rank(self, ell):
         return member_rank_at(self.p, ell)[0]
+
+
+def _lambda_discriminant(form):
+    """The discriminant, an int list, of a form of degree d = 2 or 3 over
+    Z[λ], by Kronecker substitution. Each of its terms is an int times a
+    product of 2d - 2 coefficients of the form, the ints adding up to at
+    most 1 + 4 + 4 + 18 + 27 = 54 in absolute value, and the norm (sum of
+    absolute values) of a product is at most the product of the norms; so
+    with s the largest norm of a coefficient, every coefficient of the
+    discriminant is at most 54 s^(2d - 2). At λ = 2^K, K two bits above
+    that bound, the discriminant of the packed int form unpacks to it."""
+    s = max(sum(map(abs, c)) for c in form.coeffs)
+    k = (54 * s ** (2 * form.degree - 2)).bit_length() + 2
+    packed = BinaryForm([kronecker_pack(c, k) for c in form.coeffs])
+    return kronecker_unpack(bform_discriminant(packed), k)
 
 
 class _FamilyReads:
@@ -351,8 +368,7 @@ class _FamilyReads:
         return g
 
     def discriminant_vanishes(self, form):
-        c0, c1, c2 = form.coeffs
-        disc = _ip_cross(c1, c1, [4 * x for x in c0], c2)
+        disc = _lambda_discriminant(form)
         self._guard(UniPoly(disc))
         return not disc
 
@@ -360,21 +376,15 @@ class _FamilyReads:
         """The repeated part over Q(λ) of a nonzero determinant form c q,
         c an int form and q 1 or irreducible over Q(λ), is that of c. It
         stays so wherever det / rep is square-free, that is off the roots
-        of its discriminant, a polynomial in λ of degree at most 2(d - 1)
-        for det / rep of degree d: its values at 2(d - 1) + 1 integers,
-        each the discriminant of an int form, give it."""
+        of its discriminant over Z[λ] (``_lambda_discriminant``)."""
         parts = lambda_parts(det.coeffs)
         c = bform_gcd(parts)
         rep = bform_gcd([c, c.partial_u(), c.partial_v()]) if c.degree else c
-        d = det.degree - rep.degree
-        if d >= 2:
-            f0, f1 = (zform_quotient(f, rep).coeffs for f in parts)
-            pts = sample_points(2 * d - 1)
-            vals = [bform_discriminant(BinaryForm([x + t * y for x, y in zip(f0, f1)]))
-                    for t in pts]
-            if not any(vals):
+        if det.degree - rep.degree >= 2:
+            disc = _lambda_discriminant(lambda_form(*(zform_quotient(f, rep) for f in parts)))
+            if not disc:
                 raise InternalError("square-free form with a zero discriminant")
-            self._guard(UniPoly(interpolate(pts, vals)))
+            self._guard(UniPoly(disc))
         return rep
 
     def pure_square(self, g):

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic.
 
-Tensors and matrices hold rationals, ``fractions.Fraction`` (``Rational``
-is an alias), and the kernels below them compute on ints. Two more types
-live here, neither of them a matrix entry:
+Tensors and matrices hold rationals, ``fractions.Fraction``, and the
+kernels below them compute on ints: ``_z_row`` scales a list of
+rationals to ints by the lcm of its denominators, for the tensors, the
+matrices and the guards alike. Two more types live here, neither of
+them a matrix entry:
 
 * ``UniPoly`` -- univariate polynomials over the rationals, coefficients
   stored lowest-degree first with no trailing zeros: the guards of a
@@ -36,10 +38,7 @@ from fractions import Fraction
 
 from .errors import NotInvertible, ParseError, ZeroDivisor
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def to_fraction(x):
@@ -52,6 +51,15 @@ def to_fraction(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError("entries must be ints or Fractions, not %s" % type(x).__name__)
+
+
+def _z_row(row):
+    """A rational row times the lcm k of its denominators: (ints, k), a
+    fresh list; an all-int row is copied as it is, with k = 1."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    k = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (k // x.denominator) for x in row], k
 
 
 def parse_rational(text):
@@ -401,18 +409,6 @@ def upoly_xgcd(f, g):
     return r0, s0, t0
 
 
-def _to_int_primitive(f):
-    """Scale a nonzero rational polynomial to a primitive integer one.
-
-    Returns the integer coefficient list (lowest first). The sign follows the
-    leading coefficient of ``f``.
-    """
-    den = math.lcm(*[c.denominator for c in f.coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
-
-
 def _rational_roots(f):
     """The rational roots of a square-free integer coefficient list f of
     degree at least one.
@@ -466,7 +462,7 @@ def candidate_factors(polys):
     roots = set()
     rest = [1]
     for poly in {p.coeffs: p for p in polys if p.degree >= 1}.values():
-        f = _to_int_primitive(poly)
+        f = _ip_primitive(_z_row(poly.coeffs)[0])
         f = f[next(i for i, c in enumerate(f) if c):]
         if len(f) > 2:
             f = _ip_exact_div(f, _ip_gcd(f, [i * c for i, c in enumerate(f)][1:]))

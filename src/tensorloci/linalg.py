@@ -6,16 +6,17 @@ determinant. There is one elimination kernel and no row
 reduction: ranks, determinants and the independent rows all run on one
 fraction-free Bareiss elimination (``_bareiss``) with the first-nonzero
 pivot rule (scan columns left to right, take the topmost nonzero entry).
-A rational matrix is eliminated on its rows scaled to ints by
-``integer_rows``; ``mat_det`` divides the row scales out once at the end.
-The same kernel takes rows over an extension field on its elements, and
-``bareiss_det`` takes square matrices over Z[λ], dense lists of ints,
-lowest degree first (the resultants of a family's cofactor guard): they
-are eliminated over Z at λ = 2^K, with K large enough that the
-determinant is read back from its value there (Kronecker substitution).
-``pivot_slices`` reads the first independent rows off the pivot columns
-of the transpose. ``sample_points`` and ``interpolate`` rebuild a
-polynomial in λ from its integer values at sample points.
+A rational matrix is eliminated as kM, scaled to ints by the lcm k of
+all its denominators (``mat_ints``); ``mat_det`` divides k^n out once at
+the end. The same kernel takes rows over an extension field on its
+elements, and ``bareiss_det`` takes square matrices over Z[λ], dense
+lists of ints, lowest degree first (the resultants of a family's
+cofactor guard): they are eliminated over Z at λ = 2^K, with K large
+enough that the determinant is read back from its value there
+(Kronecker substitution). ``pivot_slices`` reads the first independent
+rows off the pivot columns of the transpose. ``sample_points`` lists
+the small integers 0, 1, -1, 2, ... that the cofactor guard, the witness
+scan and the tangent nodes take in turn.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch
-from .exactnum import _ip_cross, _ip_exact_div, _zb_reduce, to_fraction
+from .exactnum import _ip_cross, _ip_exact_div, _z_row, _zb_reduce, to_fraction
 
 
 class Mat:
@@ -150,16 +151,14 @@ def ring_at_root(g):
     return (_ip_cross, _ip_exact_div, lambda x: bool(_zb_reduce(x, g)))
 
 
-def _bareiss(work, ring, square=False, pivots=None):
+def _bareiss(work, ring, pivots=None):
     """Fraction-free elimination of the rows ``work``, in place.
 
     Pivots follow the first-nonzero rule. Returns (rank, last pivot, sign
     of the row permutation); by the Bareiss minor invariant the last pivot
     times that sign is the minor of the matrix on the pivot rows and
-    columns. With ``square`` the elimination stops at the first column
-    without a pivot and returns that column's zero entry as the pivot: the
-    determinant is zero. The pivot columns are appended to ``pivots`` when
-    it is a list.
+    columns. The pivot columns are appended to ``pivots`` when it is a
+    list.
     """
     cross, div, nonzero = ring
     n = len(work)
@@ -172,8 +171,6 @@ def _bareiss(work, ring, square=False, pivots=None):
             if nonzero(work[i][col]):
                 break
         else:
-            if square:
-                return rank, work[rank][col], sign
             continue
         if i != rank:
             work[rank], work[i] = work[i], work[rank]
@@ -203,69 +200,35 @@ def pivot_slices(rows, ring):
     return keep
 
 
-def _z_row(row):
-    """A rational row times the lcm k of its denominators: (ints, k), a
-    fresh list; an all-int row is copied as it is, with k = 1."""
-    if all(type(x) is int for x in row):
-        return list(row), 1
-    k = math.lcm(*[x.denominator for x in row])
-    return [x.numerator * (k // x.denominator) for x in row], k
-
-
-def integer_rows(M):
-    """(rows, scales): the rows of M in integer form, row i of M times the
-    int scales[i] equal to the int list rows[i]."""
-    pairs = [_z_row(row) for row in M.entries]
-    return [r for r, _ in pairs], [s for _, s in pairs]
+def mat_ints(M):
+    """(rows, k): the Mat M times k, the lcm of all its denominators."""
+    ints, k = _z_row([x for row in M.entries for x in row])
+    return [ints[i:i + M.cols] for i in range(0, len(ints), M.cols)], k
 
 
 def sample_points(n):
-    """The first n of the interpolation points 0, 1, -1, 2, -2, ..."""
+    """The first n of the integers 0, 1, -1, 2, -2, ..."""
     return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(n)]
-
-
-def interpolate(pts, vals):
-    """Coefficients, lowest degree first, of the polynomial of degree below
-    len(pts) that takes the int vals[i] at the int pts[i], by Newton's
-    divided differences.
-
-    Every division is exact as long as the interpolant has integer
-    coefficients, which holds for the discriminant of an int form whose
-    coefficients are affine in the variable.
-    """
-    n = len(pts)
-    dd = list(vals)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) // (pts[i] - pts[i - k])
-    coeffs = [dd[-1]]
-    for k in range(n - 2, -1, -1):
-        x = pts[k]
-        nxt = [dd[k] - x * coeffs[0]]
-        for j in range(1, len(coeffs)):
-            nxt.append(coeffs[j - 1] - x * coeffs[j])
-        nxt.append(coeffs[-1])
-        coeffs = nxt
-    return coeffs
 
 
 def bareiss_det(rows, ring):
     """Determinant of a square matrix given by its rows over ``ring``: an
-    int over Z, an int list over Z[λ]. ``rows`` is consumed."""
+    int over Z, an int list over Z[λ]. ``rows`` is consumed. One Bareiss
+    pass: 0 when the rank is below n, else the last pivot times the sign
+    of the row permutation."""
     if ring is RING_ZX:
         ints, k = packed_rows(rows, len(rows))
         return kronecker_unpack(bareiss_det(ints, RING_Z), k)
-    rank, piv, sign = _bareiss(rows, ring, square=True)
-    return piv if rank < len(rows) or sign == 1 else -piv
+    rank, piv, sign = _bareiss(rows, ring)
+    return sign * piv if rank == len(rows) else 0
 
 
 def mat_det(M):
-    """Determinant of a square matrix, a Fraction: the rows are scaled to
-    integer form, eliminated over Z by Bareiss, and the row scales divided
-    out once at the end."""
+    """Determinant of a square matrix, a Fraction: det M = det(kM) / k^n,
+    kM eliminated over Z by Bareiss (``mat_ints``)."""
     if M.rows != M.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     if M.rows == 0:
         return Fraction(1)
-    rows, scales = integer_rows(M)
-    return Fraction(bareiss_det(rows, RING_Z), math.prod(scales))
+    rows, k = mat_ints(M)
+    return Fraction(bareiss_det(rows, RING_Z), k**M.rows)

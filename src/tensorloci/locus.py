@@ -60,9 +60,7 @@ from .orbits import OPEN_ORBITS, pencil_shape
 from .tensorcore import (
     ParametricTensor,
     RankOneTensor,
-    Tensor,
     factors_in_spans,
-    subtract_scaled,
 )
 from .wstate import decompose_tangential
 
@@ -172,6 +170,16 @@ class LocusVerdict:
 # shared helpers
 
 
+def _check_probe(T, P):
+    """ShapeMismatch unless P is a rank-one tensor of T's shape."""
+    if not isinstance(P, RankOneTensor):
+        raise ShapeMismatch("the probe point must be a rank-one tensor")
+    if tuple(P.shape) != tuple(T.shape):
+        raise ShapeMismatch(
+            "shapes differ: %r vs %r" % (tuple(P.shape), tuple(T.shape))
+        )
+
+
 def _factor_verdict(fac):
     """Membership verdict witnessed at every root of the monic ``fac``,
     other than lam: a linear factor yields a rational witness, any other
@@ -220,14 +228,12 @@ def locus_tangential(T, P):
     points outside the per-axis spans of T plus exactly one point inside
     them, the point of tangency. ``decompose_tangential`` decides both:
     it refuses such a P, and otherwise writes T as rank many terms whose
-    first term is along P, which gives the witness.
+    first term is along P, which gives the witness lam0. Its terms are
+    checked there to sum back to T exactly, and the first one is checked
+    here, factor by factor, to be exactly lam0 P; so the other terms sum
+    to T - lam0 P, rank(T) - 1 of them, with no further check.
     """
-    if not isinstance(P, RankOneTensor):
-        raise ShapeMismatch("the probe point must be a rank-one tensor")
-    if tuple(P.shape) != tuple(T.shape):
-        raise ShapeMismatch(
-            "shapes differ: %r vs %r" % (tuple(P.shape), tuple(T.shape))
-        )
+    _check_probe(T, P)
     try:
         dec = decompose_tangential(T, P)
     except (NotInLocus, TangencyPointRequested):
@@ -241,12 +247,6 @@ def locus_tangential(T, P):
             raise InternalError("decomposition through P lost the P term")
         leads.append(lead)
     lam0 = coeff / math.prod(leads)
-
-    rest = Tensor.zeros(T.shape)
-    for coeff, term in dec.terms[1:]:
-        rest = rest.add(term.expand().scale(coeff))
-    if rest != subtract_scaled(T, lam0, P):
-        raise InternalError("tangential witness failed the residue recheck")
     return LocusVerdict.member(LambdaWitness(value=lam0))
 
 
@@ -372,12 +372,7 @@ def locus_membership(T, P, strategy=SPECIALIZED):
     or else the first group of irrational roots that does, in the order of
     ``orbits_at_roots``.
     """
-    if not isinstance(P, RankOneTensor):
-        raise ShapeMismatch("the probe point must be a rank-one tensor")
-    if tuple(P.shape) != tuple(T.shape):
-        raise ShapeMismatch(
-            "shapes differ: %r vs %r" % (tuple(P.shape), tuple(T.shape))
-        )
+    _check_probe(T, P)
     if strategy not in (GENERIC, SPECIALIZED):
         raise ValueError("unknown strategy %r" % (strategy,))
     report = classify(T, ranks_only=True)

@@ -7,16 +7,18 @@ roots of linear forms.
 
 There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
 ints, each row scaled by an int of its own (the rows of an integer core,
-taken as they are), Z[λ] int lists (a family T - λP), or field elements
-(the core of a tensor over an extension field). There is one enumerator of minors, ``pencil_minors``: each k x k
-minor is expanded along its first row as a binary form, sharing the
-smaller minors of the lower rows, in ints or the field's arithmetic. Rows over Z[λ] are
-packed into ints at λ = 2^K, for K above a bound on every coefficient of
-the minors read (``linalg.kronecker_bits``), and the results unpacked
-from their signed base-2^K digits; so are the members whose ranks
-``member_rank_at`` reads. Row scales change a minor only by a constant,
-so minor gcds (the integer remainder sequence of ``bform_gcd``) and
-member ranks use the scaled rows as they are.
+its axis-1 flattening by ``tensorcore.flat_rows``), Z[λ] int lists (a
+family T - λP), or field elements (the core of a tensor over an
+extension field). There is one enumerator of minors, ``pencil_minors``:
+each k x k minor is expanded along its first row as a binary form,
+sharing the smaller minors of the lower rows, in ints or the field's
+arithmetic. Rows over Z[λ] are packed into ints at λ = 2^K, for K above
+a bound on every coefficient of the minors read
+(``linalg.kronecker_bits``), and the results unpacked from their signed
+base-2^K digits; so are the members whose ranks ``member_rank_at``
+reads. Row scales change a minor only by a constant, so minor gcds (the
+integer remainder sequence of ``bform_gcd``) and member ranks use the
+scaled rows as they are.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
@@ -66,13 +68,6 @@ class Pencil:
 
     def __repr__(self):
         return "Pencil(%dx%d)" % (len(self.rows), self.cols)
-
-
-def slice_rows(t):
-    """The rows [A_i | B_i] of the entries of a tensor of shape (2, b, c)."""
-    _, b, c = t.shape
-    e = t.entries
-    return [e[i * c:(i + 1) * c] + e[(b + i) * c:(b + i + 1) * c] for i in range(b)]
 
 
 def _member(rows, c, u0, v0):

@@ -13,7 +13,7 @@ its first independent slices on each axis: an int subtensor, whose
 flattenings feed the integer Bareiss kernel directly, as do those of a
 family T - λP, rank-one updates of the base's (``_update_drop``).
 Flattenings are read by strides off the flat entry list, with no cache
-(``_flat_rows``, on 0-based axes); the flattenings of a family are
+(``flat_rows``, on 0-based axes); the flattenings of a family are
 numbered from 1 (``ParametricTensor.flattening_rows``). The GL action
 runs on ints, one contraction per axis (``_contract``).
 """
@@ -26,8 +26,8 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix, ZeroTensor
-from .exactnum import AlgebraicElement, to_fraction
-from .linalg import RING_FIELD, RING_Z, _bareiss, _z_row, bareiss_det, pivot_slices
+from .exactnum import AlgebraicElement, _z_row, to_fraction
+from .linalg import RING_FIELD, RING_Z, _bareiss, bareiss_det, mat_ints, pivot_slices
 
 
 def _strides(shape):
@@ -233,7 +233,7 @@ class ParametricTensor:
         for b, ints in enumerate(factors):
             if b != a0:
                 rest = [x * y for x in rest for y in ints]
-        return _flat_rows(base, self.base.shape, a0), factors[a0], rest
+        return flat_rows(base, self.base.shape, a0), factors[a0], rest
 
     def flattening_rows(self, axis):
         """The axis flattening (axis 1-based) over Z[λ], as described above."""
@@ -280,10 +280,11 @@ class ParametricTensor:
         return [[rows[i][k] for k in cols] for i in slices[r]]
 
 
-def _flat_rows(entries, shape, a0):
+def flat_rows(entries, shape, a0):
     """The rows, fresh lists, of the axis-a0 flattening of a flat entry
     list, by strides: row i is, in each block of the axes before a0, the
-    run of prod(shape[a0 + 1:]) entries at index i."""
+    run of prod(shape[a0 + 1:]) entries at index i. On axis 1 of a tensor
+    of shape (2, b, c) they are the rows [A_i | B_i] of its pencil."""
     n = shape[a0]
     inner = math.prod(shape[a0 + 1:])
     if inner == 1:
@@ -335,12 +336,6 @@ class ConciseReduction:
         )
 
 
-def _mat_ints(M):
-    """(rows, k): the Mat M times k, the lcm of all its denominators."""
-    ints, k = _z_row([x for row in M.entries for x in row])
-    return [ints[i:i + M.cols] for i in range(0, len(ints), M.cols)], k
-
-
 def _contract(entries, shape, mats, c):
     """The GL kernel: the tensor (``entries``, ``shape``) over c, axis a
     contracted by mats[a] = (rows, k), a matrix times the int k. Ints or
@@ -361,14 +356,14 @@ def _contract(entries, shape, mats, c):
 
 
 def _gl_ints(shape, mats):
-    """``_mat_ints`` of one square, invertible Mat per axis of ``shape``."""
+    """``mat_ints`` of one square, invertible Mat per axis of ``shape``."""
     if len(mats) != len(shape):
         raise ShapeMismatch("need one matrix per axis")
     out = []
     for a0, (n, M) in enumerate(zip(shape, mats)):
         if M.rows != n or M.cols != n:
             raise ShapeMismatch("axis %d wants a %d-square matrix" % (a0 + 1, n))
-        rows, k = _mat_ints(M)
+        rows, k = mat_ints(M)
         if not bareiss_det([list(r) for r in rows], RING_Z):
             raise SingularMatrix("axis %d matrix is singular" % (a0 + 1,))
         out.append((rows, k))
@@ -387,7 +382,7 @@ def concise_reduce(T):
         raise ZeroTensor("the zero tensor has no concise reduction")
     scaled, c, ring = _scaled_entries(T.entries)
     slices = [
-        pivot_slices(_flat_rows(scaled, T.shape, a0), ring)
+        pivot_slices(flat_rows(scaled, T.shape, a0), ring)
         for a0 in range(T.order)
     ]
     return ConciseReduction(T.shape, scaled, c, ring, slices)
@@ -428,7 +423,7 @@ def factors_in_spans(P, reduction):
     for a0, keep in enumerate(reduction.slices):
         vec = P.factors[a0]
         if len(keep) < len(vec):
-            rows = _flat_rows(reduction.scaled, reduction.ambient_shape, a0)
+            rows = flat_rows(reduction.scaled, reduction.ambient_shape, a0)
             aug = [row + [x] for row, x in zip(rows, _scaled_entries(vec)[0])]
             if _bareiss(aug, reduction.ring)[0] > len(keep):
                 return None

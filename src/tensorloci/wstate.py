@@ -71,9 +71,9 @@ from .pencil import Pencil, pencil_minor_gcd
 from .tensorcore import (
     RankOneTensor,
     Tensor,
-    _flat_rows,
     concise_reduce,
     factors_in_spans,
+    flat_rows,
 )
 
 
@@ -160,7 +160,7 @@ def _axis_point(red, a):
     for b, d in enumerate(rest):
         if d == 1:
             continue
-        X, Y = (_flat_rows(F, rest, b) for F in _flat_rows(core.entries, core.shape, a))
+        X, Y = (flat_rows(F, rest, b) for F in flat_rows(core.entries, core.shape, a))
         q = pencil_minor_gcd(Pencil([r + s for r, s in zip(X, Y)], len(X[0]), RING_Z), 2)
         if not q.is_zero():
             quads.append(q)
@@ -182,7 +182,7 @@ def _axis_point(red, a):
             "axis %d has no factoring contraction" % (a + 1,)
         )
     alpha, beta = ell.coeffs
-    rows = _flat_rows(red.scaled, shape, a)
+    rows = flat_rows(red.scaled, shape, a)
     xs, ys = (rows[i] for i in red.slices[a])
     member = [alpha * y - beta * x for x, y in zip(xs, ys)]
     first = next(i for i, x in enumerate(member) if x)

@@ -4,9 +4,10 @@ The package keeps only what its answers need; the tests build their own
 references here instead of borrowing package helpers. From sympy over QQ:
 the rank of a rational matrix (``DomainMatrix``) and the value of a
 polynomial or a binary form at a rational point. By plain row-major
-indexing, keeping the entries as they are: the flattening of a tensor, an
-axis permutation, a tensor from its nonzero entries, and whether a
-weighted rank-one decomposition sums back to a tensor, entry by entry.
+indexing, keeping the entries as they are: the flattening of a tensor,
+the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, an axis
+permutation, a tensor from its nonzero entries, and whether a weighted
+rank-one decomposition sums back to a tensor, entry by entry.
 ``load_script`` imports a script of ``scripts/`` from its file.
 """
 
@@ -70,6 +71,14 @@ def flattening(T, axis):
     flat = [T.entries[i] for i in _flat_indices(T.shape, perm)]
     n = len(flat) // T.shape[a0]
     return [flat[i * n:(i + 1) * n] for i in range(T.shape[a0])]
+
+
+def pencil_rows(T):
+    """The rows [A_i | B_i] of the pencil u*A + v*B of a tensor of shape
+    (2, b, c), A and B its two slices."""
+    _, b, c = T.shape
+    return [[T.entries[_flat((k, i, j), T.shape)] for k in (0, 1) for j in range(c)]
+            for i in range(b)]
 
 
 def rank(rows):

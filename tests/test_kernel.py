@@ -16,7 +16,9 @@ with entries of λ-degree up to two and a pencil over Q(2^(1/3)) (a
 ``Pencil`` built on their rows). The minor gcds of the pencils of the seeded
 families T - λP (``test_locus.seeded_families``) are compared with sympy's
 gcd over Q(λ)[u, v], and with the gcd at every small integer λ0 off the
-roots of their guards.
+roots of their guards. The discriminant guards of ``family_orbit`` on
+(2,2,2) and (2,3,3) families with entries above 2^40 are compared with
+sympy's discriminant in λ.
 """
 
 import itertools
@@ -27,19 +29,17 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from support import poly_at
+from support import pencil_rows, poly_at
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm
+from tensorloci.classify import OrbitId, family_orbit
 from tensorloci.exactnum import AlgebraicElement, UniPoly
 from tensorloci.linalg import (
     RING_FIELD,
     RING_Z,
     RING_ZX,
-    Mat,
     bareiss_det,
-    integer_rows,
-    interpolate,
     kronecker_bits,
     kronecker_pack,
     kronecker_unpack,
@@ -52,7 +52,6 @@ from tensorloci.pencil import (
     member_rank_at,
     pencil_minor_gcd,
     pencil_minors,
-    slice_rows,
 )
 from tensorloci.tensorcore import ParametricTensor, RankOneTensor, Tensor
 
@@ -108,15 +107,8 @@ def in_x(coeffs):
     return sum(sym(c) * X ** (d - k) for k, c in enumerate(coeffs))
 
 
-def test_sample_points_and_interpolation():
+def test_sample_points():
     assert sample_points(6) == [0, 1, -1, 2, -2, 3]
-    rng = random.Random(40)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        want = [rng.randint(-50, 50) for _ in range(n)]
-        pts = sample_points(n)
-        vals = [sum(c * t**k for k, c in enumerate(want)) for t in pts]
-        assert interpolate(pts, vals) == want  # exact integer divisions
 
 
 def test_det_of_sylvester_matrices_against_sympy_resultant():
@@ -145,12 +137,12 @@ def in_qauv(x):
 def pencil_over(t, ring):
     """(pencil, scales): the pencil of t over ``ring``, row i that of t times
     scales[i]: over Z each row of a rational t times the lcm of its
-    denominators (``integer_rows``); over Z[λ] each row of ``UniPoly``s
-    times the lcm of its denominators, as int lists; over a field the rows
-    as they are."""
-    rows = slice_rows(t)
+    denominators; over Z[λ] each row of ``UniPoly``s times the lcm of its
+    denominators, as int lists; over a field the rows as they are."""
+    rows = pencil_rows(t)
     if ring is RING_Z:
-        ints, scales = integer_rows(Mat(rows))
+        scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in rows]
+        ints = [[int(x * k) for x in row] for row, k in zip(rows, scales)]
         return Pencil(ints, t.shape[2], RING_Z), scales
     if ring is RING_FIELD:
         return Pencil(rows, t.shape[2], RING_FIELD), [1] * len(rows)
@@ -480,6 +472,33 @@ def test_packed_det_against_sympy():
         det = bareiss_det([list(r) for r in rows], RING_ZX)
         assert not det or det[-1]
         assert in_qx(det) == want
+
+
+def big_entry(rng):
+    """An int above 2^40 in absolute value."""
+    return rng.choice([-1, 1]) * (BIG + rng.randint(1, BIG))
+
+
+def test_family_discriminant_guards_on_big_entries_against_sympy():
+    """The last guard of ``family_orbit`` on a generic (2,2,2) family, the
+    discriminant of its quadratic determinant form, and on a generic
+    (2,3,3) family, that of the cubic one (``_FamilyReads.repeated_part``),
+    both read by Kronecker substitution, are sympy's discriminant in λ
+    of det(uA + vB) on T - λP, up to sign, with every entry of T and P
+    above 2^40."""
+    rng = random.Random(51)
+    for shape, orbit in [((2, 2, 2), 6)] * 3 + [((2, 3, 3), 18)] * 3:
+        T = Tensor(shape, [big_entry(rng) for _ in range(math.prod(shape))])
+        P = RankOneTensor([[big_entry(rng) for _ in range(d)] for d in shape])
+        generic, guards = family_orbit(ParametricTensor(T, P))
+        assert generic == OrbitId.orbit(orbit)
+        n = shape[1]
+        d = P.expand()
+        pencil = sympy.Matrix(n, n, lambda i, j: sum(
+            w * (T[(k, i, j)] - LAM * d[(k, i, j)]) for k, w in enumerate((U, 1))))
+        want = sympy.Poly(sympy.discriminant(pencil.det(), U), LAM)
+        got = [sympy.Integer(int(c)) for c in guards[-1].coeffs[::-1]]
+        assert got in (want.all_coeffs(), [-c for c in want.all_coeffs()])
 
 
 def non_concise_family(rng, shape, on_a_term):

@@ -18,8 +18,8 @@ from tensorloci.linalg import (
     Mat,
     _bareiss,
     bareiss_det,
-    integer_rows,
     mat_det,
+    mat_ints,
     pivot_slices,
     ring_at_root,
 )
@@ -63,7 +63,7 @@ def rand_extension(rng, n, m, modulus):
 def kernel_rank(M):
     """The rank of a rational matrix as the package reads it: the number
     of independent rows ``pivot_slices`` keeps of its integer rows."""
-    return len(pivot_slices(integer_rows(M)[0], RING_Z))
+    return len(pivot_slices(mat_ints(M)[0], RING_Z))
 
 
 def test_rank_transpose_qq_with_oracle():
@@ -145,8 +145,20 @@ def det_cofactor(rows):
 
 
 def test_det_polyring():
-    """Determinants over Z[λ], rows of int lists, lowest degree first."""
+    """Determinants over Z[λ], rows of int lists, lowest degree first; and
+    of singular square matrices, whose pivots run out before the last
+    column or at a column of zeros: 0 over Z, [] over Z[λ]."""
     assert bareiss_det([[[0, 1], [1]], [[1], [0, 1]]], RING_ZX) == [-1, 0, 1]
+
+    for rows in ([[0]], [[0, 1], [0, 2]], [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
+                 [[1, 2, 3], [2, 4, 6], [1, 0, 1]], [[1, 0, 2], [0, 1, 3], [1, 1, 5]]):
+        assert bareiss_det([list(r) for r in rows], RING_Z) == 0
+        assert mat_det(Mat(rows)) == 0
+        assert bareiss_det([[[x] if x else [] for x in r] for r in rows], RING_ZX) == []
+    for rows in ([[[1], [0, 1]], [[0, 1], [0, 0, 1]]],
+                 [[[], [1]], [[], [0, 1]]],
+                 [[[1], [2], [0, 1]], [[3], [], [1]], [[3, 1], [0, 2], [1, 0, 1]]]):
+        assert bareiss_det(rows, RING_ZX) == []
 
     # Dense 5 x 5 with entries affine in lam, the size of the largest
     # flattening minors; Bareiss divides exactly over Z[lam].

@@ -93,8 +93,8 @@ from tensorloci.tensorcore import (
     Tensor,
     apply_gl,
     apply_gl_rank_one,
-    _flat_rows,
     factors_in_spans,
+    flat_rows,
     subtract_scaled,
 )
 from tensorloci.wstate import find_tangency
@@ -562,7 +562,7 @@ def flat_minor_gcd(family, axis):
 
     d = family.direction.expand()
     entries = [q(a) - ring.gens[0] * q(b) for a, b in zip(family.base.entries, d.entries)]
-    rows = _flat_rows(entries, family.base.shape, axis - 1)
+    rows = flat_rows(entries, family.base.shape, axis - 1)
     r = min(len(rows), len(rows[0]))
     g = ring.zero
     for row_idx, col_idx in itertools.product(
@@ -1376,15 +1376,15 @@ def test_sweep_script_decomposes_tangent_tensors(capsys):
     assert lines[-1] == "169 tangent tensors, 0 tangential mismatches"
 
 
-def test_dump_verdicts_script_runs_one_round(capsys):
+def test_dump_verdicts_script_runs_one_round(seed7_dump):
     """One round of each benchmark workload and of the matrix cases at one
-    seed: every query is answered under both strategies, and they agree on
-    the status; each GENERIC line carries the parametric report, lam
-    listed first. The 24 tangent tensors that follow are members, each
-    decomposed into as many terms as it has active axes."""
-    dump = load_script("dump_verdicts")
-    assert dump.main(["--seeds", "7", "--rounds", "1"]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    seed (the shared ``seed7_dump``): every query is answered under both
+    strategies, and they agree on the status; each GENERIC line carries
+    the parametric report, lam listed first. The 24 tangent tensors that
+    follow are members, each decomposed into as many terms as it has
+    active axes."""
+    assert seed7_dump.status == 0
+    lines = [json.loads(line) for line in seed7_dump.out.splitlines()]
     lines, tangent = lines[:-24], lines[-24:]
     assert len(lines) == 2 * 44 * 2 + 8 * 2
     assert [(t["workload"], t["order"], t["coincident"], t["padded"]) for t in tangent] == [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from support import form_at, poly_at, tensor_from_dict
+from support import form_at, pencil_rows, poly_at, tensor_from_dict
 
 from tensorloci.binforms import BinaryForm, bform_discriminant
 from tensorloci.exactnum import UniPoly
@@ -13,7 +13,6 @@ from tensorloci.pencil import (
     Pencil,
     member_rank_at,
     pencil_minor_gcd,
-    slice_rows,
 )
 from tensorloci.tensorcore import (
     RankOneTensor,
@@ -52,7 +51,7 @@ def det_form(t):
     _, n, _ = t.shape
     u, v = QUV.gens
     entry = [[QUV(sympy.QQ(x.numerator, x.denominator)) for x in map(Fraction, row)]
-             for row in slice_rows(t)]
+             for row in pencil_rows(t)]
     sub = [[u * row[j] + v * row[n + j] for j in range(n)] for row in entry]
     det = DomainMatrix(sub, (n, n), QUV).det()
     coeffs = [det.get((n - i, i), sympy.QQ.zero) for i in range(n + 1)]
@@ -104,8 +103,8 @@ def random_invertible(rng, n):
 def int_pencil(t):
     """The pencil of an integer tensor of shape (2, b, c) on its rows
     [A_i | B_i] as ints, as the readers take an integer core."""
-    rows = [[int(x) for x in r] for r in slice_rows(t)]
-    assert rows == slice_rows(t), "not an integer tensor"
+    rows = [[int(x) for x in r] for r in pencil_rows(t)]
+    assert rows == pencil_rows(t), "not an integer tensor"
     return Pencil(rows, t.shape[2], RING_Z)
 
 

@@ -6,7 +6,8 @@ seeded benchmark queries, the matrix cases and the tangent tensors. Run
 under ``sys.setprofile``, it must enter every function of the package but
 those in ``ALLOWED``, each listed with the reason it is not entered. A
 helper that only tests call fails here: tests take their references from
-``tests/support.py`` instead.
+``tests/support.py`` instead. The run is the shared ``seed7_dump`` of
+``conftest.py``.
 
 Functions are keyed by (file, first line), the line of the first decorator
 for a decorated one, which is what ``co_firstlineno`` holds; ``ast`` names
@@ -14,17 +15,12 @@ them, since ``co_qualname`` needs Python 3.11.
 """
 
 import ast
-import contextlib
 import fnmatch
-import io
 import os
-import sys
 
 import pytest
 
 pytest.importorskip("sympy")
-
-from support import load_script  # noqa: E402  (after the sympy check)
 
 ROOT = os.path.realpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 PACKAGE_DIR = os.path.join(ROOT, "src", "tensorloci")
@@ -83,32 +79,13 @@ def package_functions():
     return out
 
 
-def entered_by_dump():
-    """The (path, first line) of every function entered while
-    ``dump_verdicts.main`` runs at seed 7, one round, its output discarded."""
-    dump = load_script("dump_verdicts")
-    codes = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
-
-    with contextlib.redirect_stdout(io.StringIO()):
-        sys.setprofile(profile)
-        try:
-            dump.main(["--seeds", "7", "--rounds", "1"])
-        finally:
-            sys.setprofile(None)
-    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
-
-
 def allowed(name):
     return any(fnmatch.fnmatchcase(name, pattern) for pattern in ALLOWED)
 
 
-def test_every_package_function_is_entered_by_the_verdict_dump():
+def test_every_package_function_is_entered_by_the_verdict_dump(seed7_dump):
     functions = package_functions()
-    entered = entered_by_dump()
+    entered = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seed7_dump.codes}
     missed = sorted(name for key, name in functions.items() if key not in entered)
     assert [name for name in missed if not allowed(name)] == []
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from support import flattening, permute_axes, rank
+from support import flattening, pencil_rows, permute_axes, rank
 
 from tensorloci.classify import classify, orbits_at_roots
 from tensorloci.errors import ShapeMismatch, SingularMatrix, ZeroTensor
@@ -30,10 +30,10 @@ from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
     Tensor,
-    _flat_rows,
     apply_gl,
     apply_gl_rank_one,
     concise_reduce,
+    flat_rows,
     subtract_scaled,
 )
 
@@ -90,14 +90,19 @@ def rand_rank_one(rng, shape, span=3):
 
 def test_flattening_of_t5():
     """The strided flattening kernel, against the rows written out and
-    against sympy on every axis."""
+    against the flattenings by plain indexing on every axis. On axis 1 of
+    a 2 x b x c tensor its rows are the pencil rows [A_i | B_i], which the
+    classifier reads."""
     t5 = normal_form(5)
-    assert _flat_rows(t5.entries, t5.shape, 0) == [
+    assert flat_rows(t5.entries, t5.shape, 0) == [
         [1, 0, 0, 1],
         [0, 1, 0, 0],
     ]
     for a0 in range(3):
-        assert _flat_rows(t5.entries, t5.shape, a0) == flattening(t5, a0 + 1)
+        assert flat_rows(t5.entries, t5.shape, a0) == flattening(t5, a0 + 1)
+    for n in (5, 13, 21, 26):
+        t = normal_form(n)
+        assert flat_rows(t.entries, t.shape, 1) == pencil_rows(t)
 
 
 def test_t9_family_determinant_is_the_pairing():
