@@ -260,6 +260,17 @@ def sweep_escape(draws, rnd):
     return mismatches
 
 
+def divides(fac, c):
+    """True when the monic UniPoly fac divides the UniPoly c: exact long
+    division on their coefficient lists leaves no remainder."""
+    rem, d = list(c.coeffs), fac.degree
+    for k in range(len(rem) - 1 - d, -1, -1):
+        q = rem[k + d]
+        for j, x in enumerate(fac.coeffs):
+            rem[k + j] -= q * x
+    return not any(rem)
+
+
 def sweep_ranks(orbits, draws, rnd):
     """The family over Q(lam) classified ``ranks_only`` against exactly:
     the generic rank, and the special values where the rank changes."""
@@ -280,7 +291,7 @@ def sweep_ranks(orbits, draws, rnd):
                 exact_roots += sum(f.degree for f in candidate_factors(family_orbit(family)[1]))
                 fast_roots += sum(f.degree for f in fast)
                 lost = [fac for fac, oid in exact.exceptional[1:]
-                        if orbit_rank(oid) != rank and not any((c % fac).is_zero() for c in fast)]
+                        if orbit_rank(oid) != rank and not any(divides(fac, c) for c in fast)]
                 if orbit_rank(generic) != rank or lost:
                     mismatches += 1
                     print("RANKS MISMATCH orbit %d %r moved by %r: exact %r, ranks_only %r, "

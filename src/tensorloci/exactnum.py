@@ -93,7 +93,7 @@ def format_rational(q):
 
 
 class UniPoly:
-    """A univariate polynomial over Q.
+    """A univariate polynomial over Q, in λ.
 
     Coefficients are a tuple of Fractions indexed by degree (position 0 is
     the constant term); the tuple never has trailing zeros. The zero
@@ -101,14 +101,13 @@ class UniPoly:
     go through ``to_fraction``: a float raises TypeError.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), var="λ"):
+    def __init__(self, coeffs=()):
         cs = [c if type(c) is Fraction else to_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
 
     @property
     def degree(self):
@@ -129,7 +128,7 @@ class UniPoly:
         lc = self.coeffs[-1]
         if lc == 1:
             return self
-        return UniPoly([c / lc for c in self.coeffs], self.var)
+        return UniPoly([c / lc for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
@@ -142,7 +141,7 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.var)
+        return UniPoly([-c for c in self.coeffs])
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -154,7 +153,7 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out, self.var)
+        return UniPoly(out)
 
     __radd__ = __add__
 
@@ -176,14 +175,14 @@ class UniPoly:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return UniPoly((), self.var)
+            return UniPoly()
         out = [_ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] += ca * cb
-        return UniPoly(out, self.var)
+        return UniPoly(out)
 
     __rmul__ = __mul__
 
@@ -191,7 +190,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly([Fraction(other)], self.var)
+            return UniPoly([Fraction(other)])
         return NotImplemented
 
     def divmod(self, other):
@@ -199,12 +198,12 @@ class UniPoly:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         if isinstance(other, (int, Fraction)):
-            other = UniPoly([Fraction(other)], self.var)
+            other = UniPoly([Fraction(other)])
         rem = list(self.coeffs)
         div = other.coeffs
         dq = len(rem) - len(div)
         if dq < 0:
-            return UniPoly((), self.var), self
+            return UniPoly(), self
         quo = [_ZERO] * (dq + 1)
         inv_lc = 1 / div[-1]
         for k in range(dq, -1, -1):
@@ -213,7 +212,7 @@ class UniPoly:
                 quo[k] = c
                 for j, d in enumerate(div):
                     rem[k + j] -= c * d
-        return UniPoly(quo, self.var), UniPoly(rem[: len(div) - 1], self.var)
+        return UniPoly(quo), UniPoly(rem[: len(div) - 1])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -228,7 +227,7 @@ class UniPoly:
             if i == 0:
                 parts.append(format_rational(c))
             else:
-                v = self.var if i == 1 else "%s^%d" % (self.var, i)
+                v = "λ" if i == 1 else "λ^%d" % i
                 if c == 1:
                     parts.append(v)
                 elif c == -1:
@@ -393,8 +392,8 @@ def _zb_gcd(a, b, g):
 def upoly_xgcd(f, g):
     """Extended Euclid: returns (d, s, t) with s*f + t*g = d, d monic."""
     r0, r1 = f, g
-    s0, s1 = UniPoly([1], f.var), UniPoly((), f.var)
-    t0, t1 = UniPoly((), f.var), UniPoly([1], f.var)
+    s0, s1 = UniPoly([1]), UniPoly()
+    t0, t1 = UniPoly(), UniPoly([1])
     while r1:
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
@@ -403,9 +402,9 @@ def upoly_xgcd(f, g):
     if r0:
         lc = r0.leading()
         inv = 1 / lc
-        r0 = UniPoly([c * inv for c in r0.coeffs], f.var)
-        s0 = UniPoly([c * inv for c in s0.coeffs], f.var)
-        t0 = UniPoly([c * inv for c in t0.coeffs], f.var)
+        r0 = UniPoly([c * inv for c in r0.coeffs])
+        s0 = UniPoly([c * inv for c in s0.coeffs])
+        t0 = UniPoly([c * inv for c in t0.coeffs])
     return r0, s0, t0
 
 
@@ -494,7 +493,7 @@ class AlgebraicElement:
             if modulus.degree < 1:
                 raise ValueError("modulus must have degree >= 1")
         if isinstance(rep, (int, Fraction)):
-            rep = UniPoly([Fraction(rep)], modulus.var)
+            rep = UniPoly([Fraction(rep)])
         if rep.degree >= modulus.degree:
             rep = rep % modulus
         self.modulus = modulus
@@ -503,7 +502,7 @@ class AlgebraicElement:
     @classmethod
     def generator(cls, modulus):
         """The class of the variable itself."""
-        return cls(modulus, UniPoly([0, 1], modulus.var))
+        return cls(modulus, UniPoly([0, 1]))
 
     def _wrap(self, rep):
         return AlgebraicElement(self.modulus, rep, check=False)
@@ -514,7 +513,7 @@ class AlgebraicElement:
                 raise ValueError("mixed moduli")
             return other
         if isinstance(other, (int, Fraction)):
-            return self._wrap(UniPoly([Fraction(other)], self.modulus.var))
+            return self._wrap(UniPoly([Fraction(other)]))
         return None
 
     def is_zero(self):
@@ -569,7 +568,7 @@ class AlgebraicElement:
             if not other:
                 raise NotInvertible("zero has no inverse")
             return self._wrap(
-                UniPoly([c / other for c in self.rep.coeffs], self.modulus.var)
+                UniPoly([c / other for c in self.rep.coeffs])
             )
         o = self._coerce(other)
         if o is None:
@@ -585,7 +584,7 @@ class AlgebraicElement:
     def __pow__(self, n):
         if n < 0:
             return algext_inverse(self) ** (-n)
-        result = self._wrap(UniPoly([1], self.modulus.var))
+        result = self._wrap(UniPoly([1]))
         base = self
         while n:
             if n & 1:

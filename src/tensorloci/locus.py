@@ -170,14 +170,12 @@ class LocusVerdict:
 # shared helpers
 
 
-def _check_probe(T, P):
-    """ShapeMismatch unless P is a rank-one tensor of T's shape."""
+def _check_probe(shape, P):
+    """ShapeMismatch unless P is a rank-one tensor of this shape."""
     if not isinstance(P, RankOneTensor):
         raise ShapeMismatch("the probe point must be a rank-one tensor")
-    if tuple(P.shape) != tuple(T.shape):
-        raise ShapeMismatch(
-            "shapes differ: %r vs %r" % (tuple(P.shape), tuple(T.shape))
-        )
+    if tuple(P.shape) != tuple(shape):
+        raise ShapeMismatch("shapes differ: %r vs %r" % (tuple(P.shape), tuple(shape)))
 
 
 def _factor_verdict(fac):
@@ -233,7 +231,7 @@ def locus_tangential(T, P):
     here, factor by factor, to be exactly lam0 P; so the other terms sum
     to T - lam0 P, rank(T) - 1 of them, with no further check.
     """
-    _check_probe(T, P)
+    _check_probe(T.shape, P)
     try:
         dec = decompose_tangential(T, P)
     except (NotInLocus, TangencyPointRequested):
@@ -372,7 +370,7 @@ def locus_membership(T, P, strategy=SPECIALIZED):
     or else the first group of irrational roots that does, in the order of
     ``orbits_at_roots``.
     """
-    _check_probe(T, P)
+    _check_probe(T.shape, P)
     if strategy not in (GENERIC, SPECIALIZED):
         raise ValueError("unknown strategy %r" % (strategy,))
     report = classify(T, ranks_only=True)
@@ -692,13 +690,6 @@ def closed_form_predicate(orbit, P):
         raise UnsupportedOrbit(
             "no closed-form forbidden locus stored for orbit %r" % (orbit,)
         )
-    if not isinstance(P, RankOneTensor):
-        raise ShapeMismatch("the probe point must be a rank-one tensor")
-    expected = pencil_shape(orbit)
-    if tuple(P.shape) != expected:
-        raise ShapeMismatch(
-            "normal form of orbit %d has shape %r, point has %r"
-            % (orbit, expected, tuple(P.shape))
-        )
+    _check_probe(pencil_shape(orbit), P)
     a, b, c = ([to_fraction(x) for x in f] for f in P.factors)
     return bool(_CLOSED_FORMS[orbit](a, b, c))

@@ -2,8 +2,15 @@
 
 The package keeps only what its answers need; the tests build their own
 references here instead of borrowing package helpers. From sympy over QQ:
-the rank of a rational matrix (``DomainMatrix``) and the value of a
-polynomial or a binary form at a rational point. By plain row-major
+the rank of a rational matrix (``DomainMatrix``), the value of a
+polynomial or a binary form at a rational point, products of polynomials
+in λ (``Poly``: ``qq_poly``, ``upoly``, ``upoly_product``), so that no
+expected value is built with ``UniPoly`` arithmetic, and determinants
+over ZZ[λ] (``zx_det``). From sympy over Q(α) (``QQ.algebraic_field``):
+the orbit of the member T - αP of a family at an irrational root α
+(``orbit_at_root``), read by the decision table of ``orbits.py`` on
+sympy's minor gcds, discriminants, repeated parts and member ranks, with
+no ``AlgebraicElement``. By plain row-major
 indexing, keeping the entries as they are: the flattening of a tensor,
 the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, an axis
 permutation, a tensor from its nonzero entries, and whether a weighted
@@ -23,9 +30,11 @@ import sympy
 from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
+from tensorloci.exactnum import UniPoly
 from tensorloci.tensorcore import Tensor
 
 _U, _V = sympy.symbols("u v")
+LAM = sympy.Symbol("lam")
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
 
 
@@ -137,3 +146,132 @@ def load_script(name):
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+# --- polynomials in λ, and the member at an irrational root, in sympy ------
+
+
+def qq_poly(coeffs):
+    """The sympy Poly over QQ in LAM with these coefficients, lowest degree
+    first: a ``UniPoly``'s ``coeffs`` or a Z[λ] int list."""
+    return sympy.Poly.from_list([_qq(c) for c in reversed(coeffs)], LAM, domain=sympy.QQ)
+
+
+def upoly(poly):
+    """The ``UniPoly`` of a sympy Poly in LAM, or of an expression in it."""
+    poly = sympy.Poly(poly, LAM, domain=sympy.QQ)
+    return UniPoly([Fraction(int(c.numerator), int(c.denominator))
+                    for c in reversed(poly.rep.to_list())])
+
+
+def upoly_product(*factors):
+    """The product of ``UniPoly``s or coefficient lists, multiplied by sympy
+    over QQ, as a ``UniPoly``."""
+    out = qq_poly([1])
+    for f in factors:
+        out *= qq_poly(getattr(f, "coeffs", f))
+    return upoly(out)
+
+
+def zx_det(rows):
+    """The determinant of a square matrix over Z[λ], its entries int lists
+    lowest degree first, as such a list; by sympy over ZZ[LAM]."""
+    ring = sympy.ZZ[LAM]
+    n = len(rows)
+    ents = [[ring.ring.from_list(list(reversed(x))) for x in row] for row in rows]
+    det = DomainMatrix(ents, (n, n), ring).det()
+    return [int(c) for c in reversed(det.to_dense())] if det else []
+
+
+def root_field(fac):
+    """(K, α): sympy's field Q(α) for the first root α of the monic
+    irreducible ``UniPoly`` fac, of degree two or more, with α in K."""
+    root = sympy.CRootOf(qq_poly(fac.coeffs).as_expr(), 0)
+    field = sympy.QQ.algebraic_field(root)
+    return field, field.from_sympy(root)
+
+
+def _form_degree(f):
+    return max(map(sum, f.monoms()))
+
+
+def _field_orbit(field, A, B):
+    """The orbit number of the concise tensor over ``field`` with slices A
+    and B, b x c, b in (2, 3) and b <= c: the decision table of ``orbits.py``
+    on its pencil u A + v B, every read in sympy over ``field``: minor gcds
+    over field[u, v], discriminants of quadratic forms, the repeated part
+    of the cubic determinant form and ranks of members."""
+    ring = field[_U, _V]
+    u, v = ring.gens
+    b, c = len(A), len(A[0])
+    pencil = [[u * ring(A[i][j]) + v * ring(B[i][j]) for j in range(c)] for i in range(b)]
+
+    def minor_gcd(k):
+        g = ring.zero
+        for ri in itertools.combinations(range(b), k):
+            for ci in itertools.combinations(range(c), k):
+                sub = [[pencil[i][j] for j in ci] for i in ri]
+                g = ring.gcd(g, DomainMatrix(sub, (k, k), ring).det())
+        return g
+
+    def square_free_quadratic(g):
+        c0, c1, c2 = (g.get(m, field.zero) for m in ((2, 0), (1, 1), (0, 2)))
+        return c1 * c1 - 4 * c0 * c2 != field.zero
+
+    def member_rank(ell):
+        """The rank of the member at the root (-b, a) of ell = a u + b v."""
+        a, b_ = ell.get((1, 0), field.zero), ell.get((0, 1), field.zero)
+        rows = [[a * y - b_ * x for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+        return DomainMatrix(rows, (b, c), field).rank()
+
+    if (b, c) == (2, 2):
+        return 6 if square_free_quadratic(minor_gcd(2)) else 5
+    if (b, c) == (2, 3):
+        return 7 if _form_degree(minor_gcd(2)) >= 1 else 8
+    if (b, c) == (2, 4):
+        return 9
+    if (b, c) == (3, 3):
+        det = minor_gcd(3)
+        if not det:
+            return 13
+        rep = ring.gcd(ring.gcd(det, det.diff(u)), det.diff(v))
+        degree = _form_degree(rep)
+        if degree == 0:
+            return 18
+        if degree == 1:
+            return 14 if member_rank(rep) == 1 else 17
+        c0, c1 = rep.get((2, 0), field.zero), rep.get((1, 1), field.zero)
+        ell = 2 * c0 * u + c1 * v if c0 else v
+        return 15 if member_rank(ell) == 1 else 16
+    if (b, c) == (3, 4):
+        g3 = minor_gcd(3)
+        degree = _form_degree(g3)
+        if degree < 2:
+            return (23, 19)[degree]
+        if square_free_quadratic(g3):
+            return 22
+        return 20 if _form_degree(minor_gcd(2)) >= 1 else 21
+    if (b, c) == (3, 5):
+        return 24 if _form_degree(minor_gcd(3)) >= 1 else 25
+    assert (b, c) == (3, 6), (b, c)
+    return 26
+
+
+def orbit_at_root(T, P, fac):
+    """The orbit number of the member T - αP at the first root α of the
+    monic irreducible ``UniPoly`` fac, for T and P of shape (2, b, c) with
+    that member concise; read in sympy's Q(α) (``_field_orbit``), its
+    pencil transposed when b > c, as (2, 3, 2) is the table's (2, 2, 3)."""
+    field, alpha = root_field(fac)
+    member = Tensor(T.shape, [field.convert(_qq(t)) - alpha * field.convert(_qq(x))
+                              for t, x in zip(T.entries, P.expand().entries)])
+    for axis, dim in enumerate(T.shape, 1):
+        rows = flattening(member, axis)
+        assert DomainMatrix(rows, (dim, len(rows[0])), field).rank() == dim, "not concise"
+    c = T.shape[2]
+    rows = pencil_rows(member)
+    slices = [[r[:c] for r in rows], [r[c:] for r in rows]]
+    if T.shape[1] > c:
+        slices = [[list(col) for col in zip(*s)] for s in slices]
+        return {7: 11, 8: 12}[_field_orbit(field, *slices)]
+    return _field_orbit(field, *slices)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,23 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from support import flattening, poly_at, rank, tensor_from_dict
+from support import (
+    flattening,
+    orbit_at_root,
+    poly_at,
+    rank,
+    root_field,
+    tensor_from_dict,
+    upoly_product,
+)
+from test_locus import ORBITS, irrational_candidates
 
-from tensorloci.binforms import BinaryForm, _pl_gcd, bform_discriminant, bform_square_root
+from tensorloci import classify as classify_module
+from tensorloci.binforms import BinaryForm, bform_square_root
 from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
-    _FamilyReads,
     _RootReads,
-    _root_model,
     classify,
     classify_parametric,
+    family_orbit,
+    orbits_at_roots,
 )
 from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
-from tensorloci.exactnum import AlgebraicElement, UniPoly, _zb_cross, _zb_gcd
-from tensorloci.linalg import RING_FIELD, RING_ZX, Mat, mat_det
-from tensorloci.pencil import Pencil, member_rank_at
+from tensorloci.exactnum import UniPoly, _zb_gcd
+from tensorloci.linalg import RING_ZX, Mat, mat_det, pivot_slices, ring_at_root
+from tensorloci.pencil import Pencil
 from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form
 from tensorloci.tensorcore import (
     ParametricTensor,
@@ -428,9 +440,10 @@ def test_integer_core_is_the_tensor_on_its_first_independent_slices():
 
 # --- members at irrational roots, read in Z[beta] ---------------------------
 #
-# _RootReads works in Z[beta], beta = L alpha for a root alpha of a factor
-# with denominators up to L; each read is checked against the same read of
-# the images in Q(alpha), over AlgebraicElement.
+# orbits_at_roots reads the members at all the roots of a factor at once,
+# in Z[beta], beta = L alpha for a root alpha of the factor with
+# denominators up to L; each orbit it reads is checked against sympy's
+# reading of the member over Q(alpha) (``support.orbit_at_root``).
 
 ROOT_FACTORS = (
     UniPoly([-2, 0, 1]),
@@ -440,72 +453,152 @@ ROOT_FACTORS = (
 )
 
 
-def in_extension(e, reads, fac):
-    """The element of Q(alpha) that the Z[beta] element e stands for."""
-    beta = AlgebraicElement.generator(fac) * reads.den
-    acc = AlgebraicElement(fac, 0)
-    for c in reversed(e):
-        acc = acc * beta + c
-    return acc
+def root_model(fac):
+    """(g, L): L the lcm of the denominators of the monic fac of degree d,
+    g(y) = L^d fac(y / L), the monic integer polynomial of beta = L alpha."""
+    den = math.lcm(*(c.denominator for c in fac.coeffs))
+    return [int(c * den ** (fac.degree - i)) for i, c in enumerate(fac.coeffs)], den
+
+
+def trimmed(x):
+    x = list(x)
+    while x and not x[-1]:
+        x.pop()
+    return x
+
+
+def zb_mul(a, b, g):
+    """a * b in Z[beta] for beta a root of the monic int g: the product of
+    the int lists reduced mod g, by sympy over ZZ."""
+    y = sympy.Symbol("y")
+    a, b, g = (sympy.Poly.from_list(list(reversed(x)) or [0], y, domain=sympy.ZZ)
+               for x in (a, b, g))
+    return trimmed(int(c) for c in reversed((a * b).rem(g).all_coeffs()))
+
+
+def zb_add(a, b):
+    return trimmed(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+def zb_poly_mul(a, b, g):
+    """a * b for polynomials over Z[beta], lists of Z[beta] elements lowest
+    degree first, each product of coefficients by ``zb_mul``."""
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = zb_add(out[i + j], zb_mul(x, y, g))
+    return out
 
 
 def random_zb(rng, reads, nonzero=True):
     while True:
-        e = _zb_cross([rng.randint(-3, 3) for _ in range(len(reads.g) - 1)], [1], [], [], reads.g)
+        e = trimmed(rng.randint(-3, 3) for _ in range(len(reads.g) - 1))
         if e or not nonzero:
             return e
 
 
-def zb_poly_mul(a, b, g):
-    out = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = _zb_cross(x, y, [-1], out[i + j], g)
-    return out
-
-
 def root_readers():
     for fac in ROOT_FACTORS:
-        yield fac, _RootReads(Pencil([], 0, RING_ZX), *_root_model(fac)), random.Random("root reads/%r" % (fac.coeffs,))
+        yield fac, _RootReads(Pencil([], 0, RING_ZX), *root_model(fac)), random.Random("root reads/%r" % (fac.coeffs,))
 
 
-def test_root_reader_integer_minimal_polynomial():
-    """g is monic with int coefficients, of the degree of fac, and g(beta) = 0."""
-    for fac, reads, _rng in root_readers():
-        assert len(reads.g) == fac.degree + 1 and reads.g[-1] == 1
-        assert all(type(c) is int for c in reads.g)
-        assert in_extension(reads.g, reads, fac) == 0
+def candidate_per_orbit():
+    """One irrational candidate (family, q, orbit at the roots of q) of the
+    seeded families of test_locus per orbit met there: 5, 11, 17 and 19."""
+    first = {}
+    for orbit in ORBITS:
+        for family, q, oid in irrational_candidates(orbit):
+            first.setdefault(oid, (family, q, oid))
+    return list(first.values())
+
+
+def test_root_factors_come_back_split_by_orbit():
+    """Each factor of ROOT_FACTORS, with denominators up to 9, times an
+    irrational candidate q of a seeded family, is read whole in Z[beta],
+    beta a root of the monic integer L^d fac(y / L) times that of q: the
+    reader splits off fac where it tells the orbits apart, and the groups
+    multiply back to the product exactly, each with the orbit sympy reads
+    over Q(alpha) at its roots, the generic one at the roots of fac."""
+    for family, q, oid in candidate_per_orbit():
+        generic = family_orbit(family)[0]
+        assert oid != generic
+        for fac in ROOT_FACTORS:
+            want = OrbitId.orbit(orbit_at_root(family.base, family.direction, fac))
+            assert want == generic, fac
+            got = orbits_at_roots(family, upoly_product(q, fac))
+            assert got == sorted([(q, oid), (fac, want)],
+                                 key=lambda e: (e[0].degree, e[0].coeffs)), (oid, fac)
 
 
 def test_zb_cross_reports_a_zero_divisor_with_its_factor():
     """Modulo g = (y^2 - 2)(y^2 - 3), which has no rational root, a residue
-    that vanishes at two of the roots of g raises ZeroDivisor with the
-    monic factor of g it shares; a residue of degree at most one, or one
-    coprime to g, is a unit and comes back reduced."""
+    a*p - h*b that vanishes at two of the roots of g makes the pivot test
+    of ``ring_at_root`` raise ZeroDivisor with the monic factor of g it
+    shares; a residue of degree at most one, or one coprime to g, is a
+    unit, a pivot; y^4 reduces to 5 y^2 - 6, their difference a zero
+    entry."""
     g = [6, 0, -5, 0, 1]
-    assert _zb_cross([0, 0, 1], [0, 0, 1], [], [], g) == [-6, 0, 5]
-    assert _zb_cross([-5, 0, 1], [1], [], [], g) == [-5, 0, 1]
-    assert _zb_cross([2, 1], [1], [], [], g) == [2, 1]
+    ring = ring_at_root(g)
+
+    def cross(a, p, h, b):
+        return [x - y for x, y in itertools.zip_longest(
+            upoly_product(a, p).coeffs, upoly_product(h, b).coeffs, fillvalue=0)]
+
+    def pivots(x):
+        return len(pivot_slices([[trimmed(int(c) for c in x)]], ring))
+
+    assert pivots(cross([0, 0, 1], [0, 0, 1], [], [])) == 1
+    assert pivots(cross([0, 0, 1], [0, 0, 1], [1], [-6, 0, 5])) == 0
+    assert pivots(cross([-5, 0, 1], [1], [], [])) == 1
+    assert pivots(cross([2, 1], [1], [], [])) == 1
     for a, p, h, b, factor in (([0, 1], [0, 1], [2], [1], [-2, 0, 1]),
                                ([0, 0, -3, 0, 1], [1], [], [], [-3, 0, 1]),
                                ([0, 0, 1], [0, 0, 1], [3], [0, 0, 1], [-3, 0, 1])):
         with pytest.raises(ZeroDivisor) as split:
-            _zb_cross(a, p, h, b, g)
+            pivots(cross(a, p, h, b))
         assert split.value.factor == factor
 
 
 def test_zb_gcd_matches_the_gcd_over_the_extension():
     """Products h p and h q with h of degree 0-3: the gcd in Z[beta] has the
-    degree of the gcd over Q(alpha) and is a multiple of it."""
+    degree of the gcd over Q(alpha), sympy's over ``QQ.algebraic_field``,
+    and is a multiple of it. Called directly: the minors that public
+    inputs bring to it are affine in lambda, never planted products."""
+    x = sympy.Symbol("x")
     for fac, reads, rng in root_readers():
+        K, alpha = root_field(fac)
+        beta = reads.den * alpha
+
+        def in_field(f):
+            return sympy.Poly.from_list(
+                [zb_in_field(c, K, beta) for c in reversed(f)], x, domain=K)
+
         for k in range(4):
             for _ in range(3):
                 h, p, q = ([random_zb(rng, reads) for _ in range(d + 1)] for d in (k, 2, 1))
                 a, b = zb_poly_mul(h, p, reads.g), zb_poly_mul(h, q, reads.g)
-                got = [in_extension(c, reads, fac) for c in _zb_gcd(a, b, reads.g)]
-                want = _pl_gcd(*([in_extension(c, reads, fac) for c in f] for f in (a, b)))
+                got = [zb_in_field(c, K, beta) for c in _zb_gcd(a, b, reads.g)]
+                want = in_field(a).gcd(in_field(b)).rep.to_list()[::-1]
                 assert len(got) == len(want) >= k + 1
                 assert [c / got[-1] for c in got] == want
+
+
+def test_orbits_at_irrational_roots_match_sympy_over_the_field():
+    """At every irrational candidate root of the seeded families of
+    test_locus, the orbit read off the family's integer minors in Z[beta]
+    is the one sympy reads off the member over Q(alpha): minor gcds over
+    Q(alpha)[u, v], the discriminant of the (2,2,2) determinant form, the
+    repeated part of the (2,3,3) one and the member rank at its root. The
+    members there meet the discriminant (orbit 5), a 2-minor gcd of
+    positive degree (11), a linear repeated part whose member has rank
+    two (17) and a linear 3-minor gcd (19)."""
+    seen = collections.Counter()
+    for orbit in ORBITS:
+        for family, fac, oid in irrational_candidates(orbit):
+            assert oid == OrbitId.orbit(orbit_at_root(family.base, family.direction, fac)), (
+                orbit, fac)
+            seen[oid.value] += 1
+    assert seen == {5: 2, 11: 2, 17: 22, 19: 10}
 
 
 def zb_in_field(e, K, beta):
@@ -535,24 +628,24 @@ def sympy_square_root(coeffs, K, beta=None):
 def test_root_reader_discriminant_and_pure_square():
     """Quadratic forms c l^2 (l = a u + b v, a or b possibly zero) are pure
     squares of a multiple of l; forms with three random coefficients are
-    not; both agree with the reads over Q(alpha)."""
+    not; both agree with sympy over Q(alpha). The square read is called
+    directly: no family reaches it at an irrational root, where a square
+    repeated part would make a square-free cubic factor a square."""
     for fac, reads, rng in root_readers():
-        x = sympy.Symbol("x")
-        K = sympy.QQ.algebraic_field(sympy.CRootOf(
-            sympy.Poly([sympy.Rational(c) for c in reversed(fac.coeffs)], x), 0))
-        beta = K([reads.den, 0])
+        K, alpha = root_field(fac)
+        beta = reads.den * alpha
         for case in range(12):
             a, b, c = (random_zb(rng, reads) for _ in range(3))
             a, b = ([], b) if case % 3 == 1 else (a, []) if case % 3 == 2 else (a, b)
             if case < 6:
-                f = [_zb_cross(c, _zb_cross(x, y, [], [], reads.g), [], [], reads.g)
+                f = [zb_mul(c, zb_mul(x, y, reads.g), reads.g)
                      for x, y in ((a, a), ([2 * t for t in a], b), (b, b))]
             else:
                 f = [random_zb(rng, reads) for _ in range(3)]
             form = BinaryForm(f)
-            image = BinaryForm([in_extension(x, reads, fac) for x in f])
+            c0, c1, c2 = (zb_in_field(x, K, beta) for x in f)
             vanishes = reads.discriminant_vanishes(form)
-            assert vanishes == (bform_discriminant(image) == 0)
+            assert vanishes == (c1 * c1 - 4 * c0 * c2 == K.zero)
             ok, ell = reads.pure_square(form)
             want_ok, want = sympy_square_root(form.coeffs, K, beta)
             assert ok == want_ok == vanishes == (case < 6)
@@ -585,7 +678,6 @@ def test_int_pure_square_rule_matches_sympy():
         if g.is_zero():
             continue  # a repeated part, what the readers test, is never zero
         ok, ell = bform_square_root(g)
-        assert _FamilyReads(None, []).pure_square(g) == (ok, ell)
         want_ok, want = sympy_square_root(coeffs, sympy.QQ)
         assert ok == want_ok, g
         if ok:
@@ -596,12 +688,53 @@ def test_int_pure_square_rule_matches_sympy():
     assert squares > 100
 
 
+# Families T - lam*P over Q(lam) whose generic orbit is 15 or 16: the
+# repeated part of their cubic determinant form is a square.
+SQUARE_FAMILIES = [
+    (15, [[-1, 0], [2, 0, 0], [2, 0, 0]], 15),
+    (15, [[-1, -1], [1, -1, 0], [0, 0, -1]], 16),
+    (16, [[-1, 0], [2, 0, 0], [-1, 1, 0]], 16),
+    (13, [[0, 2], [0, -1, 0], [2, 0, 0]], 16),
+]
+
+
+def test_family_square_read_is_the_int_rule(monkeypatch):
+    """The family reader over Q(lam) reads its square repeated parts by
+    ``bform_square_root``, the rule above: on families whose generic
+    orbit is 15 or 16 each square it takes is a square, as sympy's
+    factorization over Q finds, and the orbit is that of the member at an
+    integer lam0 off the roots of the guards."""
+    calls = []
+
+    def spy(g):
+        calls.append((g, bform_square_root(g)))
+        return calls[-1][1]
+
+    for n, factors, want in SQUARE_FAMILIES:
+        T, P = normal_form(n), RankOneTensor(factors)
+        del calls[:]
+        with monkeypatch.context() as m:
+            m.setattr(classify_module, "bform_square_root", spy)
+            generic, guards = family_orbit(ParametricTensor(T, P))
+        assert generic == OrbitId.orbit(want), (n, factors)
+        assert calls, (n, factors)
+        for g, (ok, ell) in calls:
+            want_ok, root = sympy_square_root(g.coeffs, sympy.QQ)
+            assert ok and want_ok, g
+            assert ell.coeffs[0] * root[1] == ell.coeffs[1] * root[0]
+        lam0 = next(k for k in range(2, 20) if all(poly_at(q, k) for q in guards))
+        assert classify(subtract_scaled(T, Fraction(lam0), P)).orbit == generic
+
+
 def test_root_reader_member_rank():
     """Pencils A, lambda A + R over Z[lambda] with R of rank r: at the root
     (-alpha, 1) the member is a multiple of R. Random pencils and linear
-    forms agree with the rank over Q(alpha)."""
+    forms agree with sympy's rank over Q(alpha). Called directly: at the
+    irrational roots public inputs reach, the pencil is a family's and its
+    linear forms are repeated parts, never random ones."""
     for fac, reads, rng in root_readers():
-        alpha = AlgebraicElement.generator(fac)
+        K, alpha = root_field(fac)
+        beta = reads.den * alpha
         for r in range(4):
             A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
             left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
@@ -613,10 +746,10 @@ def test_root_reader_member_rank():
                 + [[y, x] if x else [y] if y else [] for x, y in zip(a_row, r_row)]
                 for a_row, r_row in zip(A, R)
             ]
-            reads = _RootReads(Pencil(rows, 3, RING_ZX), *_root_model(fac))
+            reads = _RootReads(Pencil(rows, 3, RING_ZX), *root_model(fac))
             assert reads.member_rank(BinaryForm([[reads.den], [0, 1]])) == want
             ell = BinaryForm([random_zb(rng, reads), random_zb(rng, reads, nonzero=False)])
-            field_rows = [[sum((c * alpha**i for i, c in enumerate(x)), alpha * 0) for x in row]
-                          for row in rows]
-            image = BinaryForm([in_extension(x, reads, fac) for x in ell.coeffs])
-            assert reads.member_rank(ell) == member_rank_at(Pencil(field_rows, 3, RING_FIELD), image)[0]
+            a, b = (zb_in_field(c, K, beta) for c in ell.coeffs)
+            at_alpha = [[zb_in_field(e, K, alpha) for e in row] for row in rows]
+            member = [[a * y - b * x for x, y in zip(row[:3], row[3:])] for row in at_alpha]
+            assert reads.member_rank(ell) == DomainMatrix(member, (3, 3), K).rank()

@@ -3,6 +3,9 @@
 sympy is used as the independent oracle for gcd results and for the split
 of guards into rational roots and the rest (``candidate_factors``); the
 fixed expected values below were frozen after checking them against it.
+Products of polynomials, the inputs and the expected values alike, are
+taken from sympy (``support.upoly_product``), and the integer gcd is
+reached through ``bform_gcd`` on int forms.
 """
 
 import math
@@ -14,7 +17,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import qq_poly, upoly, upoly_product
+
 from tensorloci import exactnum
+from tensorloci.binforms import bform_gcd, form_from_univariate
 from tensorloci.errors import (
     NotInvertible,
     ParseError,
@@ -23,31 +29,21 @@ from tensorloci.errors import (
 from tensorloci.exactnum import (
     AlgebraicElement,
     UniPoly,
-    _ip_gcd,
     algext_inverse,
     candidate_factors,
     format_rational,
     parse_rational,
 )
 
-_lam = sympy.Symbol("lam")
-
-
-def to_sympy(f):
-    return sum(sympy.Rational(c) * _lam**i for i, c in enumerate(f.coeffs))
-
-
-def from_sympy(expr):
-    p = sympy.Poly(expr, _lam)
-    return UniPoly([Fraction(str(c)) for c in reversed(p.all_coeffs())])
-
-
-def upoly_from_roots(roots, var="λ"):
+def upoly_from_roots(roots):
     """The monic polynomial with the given rational roots."""
-    f = UniPoly([1], var)
-    for r in roots:
-        f = f * UniPoly([-Fraction(r), 1], var)
-    return f
+    return upoly_product(*([-Fraction(r), 1] for r in roots))
+
+
+def int_gcd(a, b):
+    """The gcd, up to sign, of two nonzero integer coefficient lists, lowest
+    degree first, from ``bform_gcd`` on the int forms they dehomogenize."""
+    return bform_gcd([form_from_univariate(a), form_from_univariate(b)]).dehomogenized()[1]
 
 
 class TestRationalText:
@@ -99,20 +95,20 @@ class TestUniPoly:
 
     def test_gcd_fixed_example(self):
         # gcd(λ^3 - λ, λ^2 - 2λ + 1) = λ - 1, up to sign
-        assert _ip_gcd([0, -1, 0, 1], [1, -2, 1]) in ([-1, 1], [1, -1])
+        assert int_gcd([0, -1, 0, 1], [1, -2, 1]) in ([-1, 1], [1, -1])
 
     def test_factor_fixed_example(self):
         # λ^4 + λ^2 + 1 = (λ^2 + λ + 1)(λ^2 - λ + 1) has no rational root:
         # it is one candidate, not split into its irreducible factors
         f = UniPoly([1, 0, 1, 0, 1])
         assert candidate_factors([f]) == [f]
-        assert candidate_factors([f * UniPoly([3, 2])]) == [UniPoly([Fraction(3, 2), 1]), f]
+        assert candidate_factors([upoly_product(f, [3, 2])]) == [UniPoly([Fraction(3, 2), 1]), f]
 
     def test_factor_with_multiplicity_and_lc(self):
         f = UniPoly([0, 0, 4, -8, 4])  # 4λ^2(λ-1)^2
         assert candidate_factors([f]) == [UniPoly([-1, 1])]
         # a repeated root next to simple ones, through the square-free part
-        f = upoly_from_roots([1, -3, 1]) * UniPoly([-2, 0, 1])
+        f = upoly_product(upoly_from_roots([1, -3, 1]), [-2, 0, 1])
         assert candidate_factors([f]) == [UniPoly([-1, 1]), UniPoly([3, 1]), UniPoly([-2, 0, 1])]
 
 
@@ -139,11 +135,10 @@ def primitive_ints(f):
 def test_gcd_divides_both_and_is_maximal(f, g):
     """The integer gcd divides both inputs and any common divisor divides
     it: it is sympy's gcd up to a constant."""
-    d = UniPoly(_ip_gcd(primitive_ints(f), primitive_ints(g)))
-    assert (f % d).is_zero()
-    assert (g % d).is_zero()
-    sd = sympy.gcd(to_sympy(f), to_sympy(g), _lam)
-    assert d.monic() == from_sympy(sympy.monic(sd, _lam) if sd.free_symbols else sd / sd)
+    d = qq_poly(int_gcd(primitive_ints(f), primitive_ints(g)))
+    assert qq_poly(f.coeffs).rem(d).is_zero
+    assert qq_poly(g.coeffs).rem(d).is_zero
+    assert d.monic() == qq_poly(f.coeffs).gcd(qq_poly(g.coeffs)).monic()
 
 
 def sympy_candidates(polys):
@@ -154,15 +149,13 @@ def sympy_candidates(polys):
     for f in polys:
         if f.degree < 1:
             continue
-        for q, _mult in sympy.factor_list(to_sympy(f), _lam)[1]:
-            q = from_sympy(q).monic()
+        for q, _mult in qq_poly(f.coeffs).factor_list()[1]:
+            q = upoly(q.monic())
             if q.degree > 1:
                 other.add(q.coeffs)
             elif q.coeffs != (0, 1):
                 linear.add(q.coeffs)
-    rest = UniPoly([1])
-    for coeffs in other:
-        rest = rest * UniPoly(coeffs)
+    rest = upoly_product(*other)
     return [UniPoly(c) for c in sorted(linear)] + ([rest] if other else [])
 
 
@@ -175,12 +168,8 @@ def test_factor_reconstructs_and_factors_irreducible(f):
     got = candidate_factors([f])
     assert got == sympy_candidates([f])
     assert all(q.leading() == 1 for q in got)
-    prod = UniPoly([1])
-    for q in got:
-        prod = prod * q
-    if f.coeffs[0] == 0:
-        prod = prod * UniPoly([0, 1])
-    assert prod == from_sympy(sympy.sqf_part(to_sympy(f))).monic()
+    prod = upoly_product(*got, *([[0, 1]] if f.coeffs[0] == 0 else []))
+    assert prod == upoly(qq_poly(f.coeffs).sqf_part().monic())
 
 
 def seeded_guards(rng):
@@ -204,7 +193,7 @@ def seeded_guards(rng):
                 fac = UniPoly([rng.randint(-50, 50) for _ in range(d)] + [rng.randint(1, 2**40)])
                 mult = 1
             for _ in range(mult):
-                f = f * fac
+                f = upoly_product(f, fac)
         guards.append(f)
     return guards
 
@@ -220,11 +209,10 @@ def test_candidate_factors_skip_primes_with_multiple_roots():
     """The roots 1 and 30031 = 1 + 2*3*5*7*11*13 meet mod each of the
     first six primes, where the reduction is not square-free; the roots
     are found at a later prime."""
-    f = upoly_from_roots([1, 30031]) * UniPoly([1, 0, 1]) * UniPoly([Fraction(1, 7), 1])
-    x = sympy.Symbol("x")
+    f = upoly_product(upoly_from_roots([1, 30031]), [1, 0, 1], [Fraction(1, 7), 1])
     for p in (2, 3, 5, 7, 11, 13):
-        fp = sympy.Poly(to_sympy(f * 7).subs(_lam, x), x, modulus=p)
-        assert sympy.gcd(fp, fp.diff(x)).degree() > 0, p
+        fp = sympy.Poly((qq_poly(f.coeffs) * 7).as_expr(), modulus=p)
+        assert sympy.gcd(fp, fp.diff()).degree() > 0, p
     assert candidate_factors([f]) == sympy_candidates([f]) == [
         UniPoly([-30031, 1]), UniPoly([-1, 1]), UniPoly([Fraction(1, 7), 1]), UniPoly([1, 0, 1])]
 
@@ -234,13 +222,14 @@ def test_candidate_factors_dedupe_skip_lambda_and_sort():
     f = UniPoly([-2, 0, 1])  # lam^2 - 2
     g = UniPoly([3, 2])  # 2 lam + 3
     h = UniPoly([-1, 1])  # lam - 1
-    polys = [f * lam * lam, UniPoly([5]), g * h, h * h * f, UniPoly([-7, 0, 3])]
+    polys = [upoly_product(f, lam, lam), UniPoly([5]), upoly_product(g, h),
+             upoly_product(h, h, f), UniPoly([-7, 0, 3])]
     # rational roots by coefficients from the constant term up, then the
     # lcm of the rest, monic
     assert candidate_factors(polys) == [
         UniPoly([-1, 1]),
         UniPoly([Fraction(3, 2), 1]),
-        UniPoly([Fraction(-7, 3), 0, 1]) * UniPoly([-2, 0, 1]),
+        upoly_product([Fraction(-7, 3), 0, 1], [-2, 0, 1]),
     ]
     assert candidate_factors([lam, UniPoly([4]), UniPoly(())]) == []
 
@@ -301,7 +290,7 @@ class TestAlgebraicElement:
                 Fraction(1)
             ]
             f = UniPoly(coeffs)
-            if sympy.Poly(to_sympy(f), _lam).is_irreducible:
+            if qq_poly(f.coeffs).is_irreducible:
                 moduli.append(f)
         checked = 0
         while checked < 100:

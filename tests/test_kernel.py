@@ -29,12 +29,12 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from support import pencil_rows, poly_at
+from support import pencil_rows, poly_at, qq_poly, upoly, upoly_product
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm
 from tensorloci.classify import OrbitId, family_orbit
-from tensorloci.exactnum import AlgebraicElement, UniPoly
+from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import (
     RING_FIELD,
     RING_Z,
@@ -60,8 +60,8 @@ LAM, U, V, X = sympy.symbols("lam u v x")
 QL = sympy.QQ.frac_field(LAM)
 QX = sympy.QQ[LAM]
 QLUV = QL[U, V]
-# Q(α) for α = 2^(1/3), as AlgebraicElements and in sympy.
-ALPHA = AlgebraicElement.generator(UniPoly([-2, 0, 0, 1]))
+# Q(α) for α = 2^(1/3) in sympy; its AlgebraicElements are built in the
+# one test over it, so that the module collects without them.
 QA = sympy.QQ.algebraic_field(sympy.root(2, 3))
 QAUV = QA[U, V]
 ALPHA_QAUV = QAUV(QA.from_sympy(sympy.root(2, 3)))
@@ -161,16 +161,18 @@ def unscaled(c, scale, ring):
     return c
 
 
-COEFF_TYPES = {RING_Z: Fraction, RING_ZX: UniPoly, RING_FIELD: AlgebraicElement}
+COEFF_TYPES = {RING_Z: Fraction, RING_ZX: UniPoly}
 
 
-def check_pencil(t, ring, domain=QLUV, conv=None):
+def check_pencil(t, ring, domain=QLUV, conv=None, coeff_type=None):
     """Every minor of the pencil of t over ``ring`` (``pencil_over``), in
     enumeration order, its row scales divided out, against sympy's
     determinant in ``domain`` of the pencil of t, the scalars mapped there
-    by ``conv``; the minor gcds too, except over Z[λ], where
+    by ``conv``, its coefficients of ``coeff_type`` (by default that of
+    ``COEFF_TYPES``); the minor gcds too, except over Z[λ], where
     ``pencil_minor_gcd`` does not apply."""
     conv = conv or (lambda x: domain.from_sympy(sym(x)))
+    coeff_type = coeff_type or COEFF_TYPES[ring]
     u, v = domain.gens
 
     def in_domain(form):
@@ -190,7 +192,7 @@ def check_pencil(t, ring, domain=QLUV, conv=None):
             assert len(coeffs) == r + 1
             scale = math.prod(scales[i] for i in ri)
             form = BinaryForm([unscaled(c, scale, ring) for c in coeffs], r)
-            assert all(isinstance(c, COEFF_TYPES[ring]) for c in form.coeffs)
+            assert all(isinstance(c, coeff_type) for c in form.coeffs)
             sub = [[u * A[i][j] + v * B[i][j] for j in ci] for i in ri]
             want = DomainMatrix(sub, (r, r), domain).det()
             assert in_domain(form) == want
@@ -215,18 +217,26 @@ def check_pencil(t, ring, domain=QLUV, conv=None):
         assert len(minors) == 1  # the one minor of full size: sympy's det(uA + vB)
 
 
+def times(s, x):
+    """s * x for pencil entries: ``UniPoly``s multiplied by sympy
+    (``upoly_product``), other scalars as they are."""
+    if isinstance(s, UniPoly):
+        return upoly_product(s, x if isinstance(x, UniPoly) else [x])
+    return s * x
+
+
 def rand_pencil(rng, entry, rows, cols):
     a = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
     b = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
     kind = rng.randint(0, 2)
     if kind == 1:  # a zero row
-        zero = entry(rng) * 0
+        zero = times(entry(rng), 0)
         a[0] = [zero] * cols
         b[0] = [zero] * cols
     elif kind == 2 and rows > 1:  # proportional rows: top minors vanish
         s = entry(rng)
-        a[-1] = [s * x for x in a[0]]
-        b[-1] = [s * x for x in b[0]]
+        a[-1] = [times(s, x) for x in a[0]]
+        b[-1] = [times(s, x) for x in b[0]]
     return Tensor((2, rows, cols), [x for m in (a, b) for row in m for x in row])
 
 
@@ -261,13 +271,17 @@ def test_minor_forms_of_quadratic_pencils_over_q_lambda_against_sympy():
 
 
 def test_minor_forms_of_a_pencil_over_an_extension_field_against_sympy():
+    from tensorloci.exactnum import AlgebraicElement
+
     rng = random.Random(47)
+    alpha = AlgebraicElement.generator(UniPoly([-2, 0, 0, 1]))
 
     def entry(rng):
-        return sum((rand_fraction(rng) * ALPHA**i for i in range(3)), ALPHA * 0)
+        return sum((rand_fraction(rng) * alpha**i for i in range(3)), alpha * 0)
 
     for rows, cols in ((2, 3), (3, 3), (3, 4)):
-        check_pencil(rand_pencil(rng, entry, rows, cols), RING_FIELD, QAUV, in_qauv)
+        check_pencil(rand_pencil(rng, entry, rows, cols), RING_FIELD, QAUV, in_qauv,
+                     AlgebraicElement)
 
 
 def family_pencils():
@@ -399,8 +413,8 @@ def rand_big_matrix(rng, n, m):
     if kind == 1:
         rows[rng.randrange(n)] = [[] for _ in range(m)]
     elif kind == 2 and n > 2:
-        s, t = (UniPoly([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(2))
-        rows[-1] = [[int(c) for c in (s * UniPoly(a) + t * UniPoly(b)).coeffs]
+        s, t = (qq_poly([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(2))
+        rows[-1] = [[int(c) for c in upoly(s * qq_poly(a) + t * qq_poly(b)).coeffs]
                     for a, b in zip(rows[0], rows[1])]
     return rows
 
@@ -574,7 +588,7 @@ def test_packed_member_rank_against_sympy():
         rows = rand_big_matrix(rng, n, 2 * c)
         a, b = rng.choice([(0, 1), (1, 0), (rng.randint(-4, 4), rng.randint(1, 4))])
         rank, piv = member_rank_at(Pencil(rows, c, RING_ZX), BinaryForm([a, b]))
-        member = [[[int(z) for z in (-b * UniPoly(x) + a * UniPoly(y)).coeffs]
+        member = [[[int(z) for z in upoly(-b * qq_poly(x) + a * qq_poly(y)).coeffs]
                    for x, y in zip(r[:c], r[c:])] for r in rows]
         assert rank == ql_rank(member)
         assert_pivot_is_a_minor(piv, member, rank)

@@ -52,7 +52,14 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from support import flattening, load_script, permute_axes, rank, tensor_from_dict
+from support import (
+    flattening,
+    load_script,
+    permute_axes,
+    rank,
+    tensor_from_dict,
+    upoly_product,
+)
 
 from tensorloci import exactnum, linalg, locus
 from tensorloci.classify import (
@@ -81,7 +88,6 @@ from tensorloci.locus import (
     SPECIALIZED,
     LambdaWitness,
     _first_witness,
-    _scan_rational_witness,
     closed_form_predicate,
     locus_membership,
     locus_tangential,
@@ -862,9 +868,9 @@ def test_root_groups_split_where_the_orbits_differ():
             assert oid != generic
             for q in (quad, other):
                 assert classify(family.specialize_ext(q)).orbit == generic
-            for q in (quad, quad * other):
+            for q in (quad, upoly_product(quad, other)):
                 want = [(fac, oid), (q, generic)]
-                assert orbits_at_roots(family, fac * q) == sorted(
+                assert orbits_at_roots(family, upoly_product(fac, q)) == sorted(
                     want, key=lambda e: (e[0].degree, e[0].coeffs)), (orbit, fac)
             seen += 1
     assert seen == 36
@@ -1172,25 +1178,36 @@ def test_witness_values_and_entries_follow_the_scalar_policy():
 
 def test_first_witness_takes_the_first_factor_of_the_target_rank():
     """The members at lam = 1 and at lam = +-sqrt(2), +-sqrt(3) all have
-    rank three; irrational roots yield a witness polynomial, every root of
-    which is a witness, and roots in one orbit share one."""
+    rank three, read as the witness search reads them, ``orbits_at_roots``
+    up to ranks: each factor is one group, roots in one orbit sharing one,
+    and none has rank two; both strategies take the first value of the
+    scan, 1. Given the factors in another order, the search takes the
+    first of the target rank; irrational roots yield a witness
+    polynomial, every root of which is a witness. No family reaches that
+    branch through ``locus_membership``, so it is called directly."""
     T = normal_form(16)
     P = RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     lin, quad, other = UniPoly([-1, 1]), UniPoly([-2, 0, 1]), UniPoly([-3, 0, 1])
+    both = upoly_product(quad, other)
     family = ParametricTensor(T, P)
+    for fac in (lin, quad, both):
+        (group, oid), = orbits_at_roots(family, fac, ranks_only=True)
+        assert group == fac and oid.rank_pair()[0] == 3, fac
+    for strategy in (SPECIALIZED, GENERIC):
+        assert locus_membership(T, P, strategy).witness == LambdaWitness(value=1)
     verdict = _first_witness(family, [lin, quad], 3)
     assert verdict.witness == LambdaWitness(value=1)
     verdict = _first_witness(family, [quad, lin], 3)
     assert verdict.witness == LambdaWitness(minimal_poly=quad)
     assert member_rank(T, P, verdict.witness) == 3
     assert _first_witness(family, [quad, lin], 2) is None
-    verdict = _first_witness(family, [quad * other, lin], 3)
-    assert verdict.witness == LambdaWitness(minimal_poly=quad * other)
+    verdict = _first_witness(family, [both, lin], 3)
+    assert verdict.witness == LambdaWitness(minimal_poly=both)
     for fac in (quad, other):
         assert member_rank(T, P, LambdaWitness(minimal_poly=fac)) == 3
 
 
-def test_scan_bound_covers_guard_roots_at_one_and_minus_one():
+def test_scan_bound_covers_guard_roots_at_one_and_minus_one(monkeypatch):
     """The members of T17 - lam*P at lam = 1 and -1 stay in orbit 17 (rank
     4), the generic one is in orbit 18 (rank 3): both strategies walk 1,
     -1, 2, which the derived bound 1 + deg(guards) = 3 just covers."""
@@ -1199,11 +1216,12 @@ def test_scan_bound_covers_guard_roots_at_one_and_minus_one():
     assert report_code(T, P) == (18, [((0, 1), 17), ((-1, 1), 17), ((1, 1), 17)])
     for strategy in (SPECIALIZED, GENERIC):
         assert witness_code(locus_membership(T, P, strategy)) == "2", strategy
-    guards = [UniPoly([-1, 1]), UniPoly([1, 1])]
-    family = ParametricTensor(T, P)
-    assert witness_code(_scan_rational_witness(family, 3, guards)) == "2"
-    with pytest.raises(InternalError):
-        _scan_rational_witness(family, 3, guards[1:])
+    # GENERIC scans off the roots of its special values, lam - 1 and lam + 1:
+    # one value fewer than the bound leaves no witness
+    with monkeypatch.context() as m:
+        m.setattr(locus, "sample_points", lambda n: linalg.sample_points(n - 1))
+        with pytest.raises(InternalError, match="no integer witness"):
+            locus_membership(T, P, GENERIC)
 
 
 def escape_families():

@@ -29,8 +29,6 @@ from tensorloci.locus import GENERIC, locus_membership, locus_tangential
 from tensorloci.wstate import (
     Decomposition,
     TangencyPoint,
-    _model_terms,
-    _nodes,
     decompose_tangential,
     find_tangency,
 )
@@ -373,20 +371,25 @@ def test_alldiff_terms_reach_every_sum(k):
     distinct nonzero parameters summing to want, and the k model terms are
     nonzero multiples of the direction and of the curve points at the
     nodes, adding up to the model tensor; wherever the earlier search found
-    parameters, they are the same."""
+    parameters, they are the same. The W state is its own model, its
+    tangency point e0 and direction e1 on every axis, so the terms
+    ``decompose_tangential`` writes for the direction (p_j, 1) are the
+    model terms: a factor (x, y) of a term is the curve point at the
+    parameter x / y."""
     sums = sorted({-k, -1, 0, 1, 2, 3, k - 1, k, 2 * k})
     sums += [Fraction(1, 2), Fraction(-7, 3)]
+    T = w_state(k)
     for want in sums:
         rest = [Fraction(j % 3 - 1) for j in range(1, k)]
         ps = [-want - sum(rest)] + rest
-        roots = _nodes(ps)
+        dec = decompose_tangential(T, RankOneTensor([[p, Fraction(1)] for p in ps]))
+        points = [[x / y for x, y in term.factors] for _, term in dec.terms]
+        roots = [f[0] - ps[0] for f in points[1:]]
         assert 0 not in roots and len(set(roots)) == k - 1 and sum(roots) == want
-        terms = _model_terms([[p, Fraction(1)] for p in ps])
-        assert len(terms) == k and all(c for c, _ in terms)
-        assert [f[0] for f in terms[0][1]] == ps
-        assert [f[0][0] - ps[0] for _, f in terms[1:]] == roots
-        total = Decomposition((2,) * k, [(c, RankOneTensor(f)) for c, f in terms])
-        assert total.expand() == w_state(k), (k, want)
+        assert len(dec) == k and all(c for c, _ in dec.terms)
+        assert points[0] == ps
+        assert points[1:] == [[r + p for p in ps] for r in roots]
+        assert sums_back(T, dec), (k, want)
         old = sixty_start_roots(k, want)
         if old is not None:
             assert roots == old, (k, want)
