@@ -5,8 +5,7 @@ for each seed, the given number of rounds (44 queries each) of each
 workload, then as many rounds (8 queries each) of the matrix cases. Each
 query is asked under both strategies, one line per answer: workload,
 seed, orbit, strategy, status and witness (null when forbidden,
-else its value as text, or the primitive integer coefficients of its
-witness polynomial). A GENERIC line also carries the report of
+else its value as text: every witness is rational). A GENERIC line also carries the report of
 ``classify_parametric`` on T - lam*P: the generic orbit and each
 exceptional (factor, orbit), the factor as primitive integer coefficients.
 The report lists its irrational special values in groups, one per orbit;
@@ -98,9 +97,7 @@ def primitive(poly):
 def witness_code(verdict):
     if not verdict.in_decomposition:
         return None
-    if verdict.witness.is_rational:
-        return format_rational(verdict.witness.value)
-    return primitive(verdict.witness.minimal_poly)
+    return format_rational(verdict.witness.value)
 
 
 def irreducible_factors(poly):

@@ -12,11 +12,13 @@ when any mismatch appeared.
 With ``--roots N`` it instead draws N families T - lam*P per normal form,
 P with entries in -3..3, and classifies the member at every irrational
 root of a guard twice: off the family's integer minors, all the roots of
-the candidate at once (``classify.orbits_at_roots``), and as a tensor
-over Q(alpha) (``ParametricTensor.specialize_ext``) at each irreducible
-factor, from sympy, of each group that reader returns. It prints each
-mismatch and how often each read of the decision table ran at those
-roots, and, per orbit and in total, how many irreducible candidate
+the candidate at once (``classify.orbits_at_roots``), and in sympy over
+Q(alpha) (``orbit_at_root`` of ``tests/support.py``) at each irreducible
+factor, from sympy, of each group that reader returns. An irrational
+group outside the generic orbit must not have rank r - 1, r = rank T: no
+witness is irrational (``locus.LambdaWitness``). It prints each mismatch
+and each such group, and how often each read of the decision table ran
+at those roots, and, per orbit and in total, how many irreducible candidate
 factors the guards of ``family_orbit`` gave and how many of them landed
 back in the generic orbit: the classifications of members that
 ``classify_parametric`` wastes. The total also counts the D5 splits: the
@@ -83,8 +85,10 @@ exit with status 0.
 
 import argparse
 import collections
+import importlib.util
 import itertools
 import math
+import os
 import random
 import sys
 import time
@@ -443,14 +447,34 @@ def irreducible_factors(poly):
             for f, _ in expr.factor_list()[1]]
 
 
+def load_support():
+    """``tests/support.py``, imported from its file without writing
+    bytecode: its ``orbit_at_root`` reads the member of a family at an
+    irrational root in sympy over Q(alpha)."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests",
+                        "support.py")
+    spec = importlib.util.spec_from_file_location("support", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
 def sweep_roots(orbits, families, rnd):
-    """Members at irrational roots: the integer reader against Q(alpha)."""
+    """Members at irrational roots: the integer reader against sympy over
+    Q(alpha), and no irrational group of rank r - 1 off the generic orbit."""
+    orbit_at_root = load_support().orbit_at_root
     counts = collections.Counter()
     restore = counting_reads(counts)
-    members = mismatches = all_candidates = all_wasted = 0
+    members = mismatches = lemma = all_candidates = all_wasted = 0
     try:
         for orbit in orbits:
             T = normal_form(orbit)
+            target = RANKS[orbit][0] - 1
             start, found, candidates, wasted = time.time(), 0, 0, 0
             for _ in range(families):
                 factors = []
@@ -463,13 +487,17 @@ def sweep_roots(orbits, families, rnd):
                 generic, guards = family_orbit(family)
                 for fac in candidate_factors(guards):
                     for group, got in orbits_at_roots(family, fac):
+                        if group.degree > 1 and got != generic and orbit_rank(got) == target:
+                            lemma += 1
+                            print("RANK %d AT IRRATIONAL ROOTS orbit %d %r at %r: %r"
+                                  % (target, orbit, factors, group, got))
                         for q in irreducible_factors(group):
                             candidates += 1
                             wasted += got == generic
                             if q.degree < 2:
                                 continue
                             found += 1
-                            want = classify(family.specialize_ext(q)).orbit
+                            want = OrbitId.orbit(orbit_at_root(T, family.direction, q))
                             if got != want:
                                 mismatches += 1
                                 print("ROOT MISMATCH orbit %d %r at %r: %r, over Q(alpha) %r"
@@ -486,8 +514,9 @@ def sweep_roots(orbits, families, rnd):
     print("%d candidate factors, %d in the generic orbit, %d D5 splits"
           % (all_candidates, all_wasted, counts["splits"]))
     print("reads: " + ", ".join("%s %d" % (name, counts[name]) for name in READS))
-    print("%d members at irrational roots, %d mismatches" % (members, mismatches))
-    return mismatches
+    print("%d members at irrational roots, %d mismatches, %d irrational groups of rank r - 1"
+          % (members, mismatches, lemma))
+    return mismatches + lemma
 
 
 DROP_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 2), (2, 2, 2, 2), (2, 4))

@@ -1,4 +1,4 @@
-"""Binary forms in (u, v): over Z and Q, and over an extension field.
+"""Binary forms in (u, v) over Z.
 
 A form of degree d is a coefficient list of length d+1; position i holds the
 coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
@@ -6,22 +6,19 @@ coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
 above also keep forms whose coefficients are Z[λ] int lists, and read
 them with their own arithmetic.
 
-Over Z the gcd is a primitive integer form, from the integer remainder
-sequence on the int coefficient lists; over a field (Fractions, or an
-extension field) it runs the Euclidean algorithm on coefficient lists
-(lowest degree first). Discriminants are the classical ones of degree 2
-and 3, in any ring: every determinant form and repeated part in the
-package has degree at most 3. Squares are read by one rule,
-``bform_square_root``, on the quadratics over Z or a field that are
-tested for one: the repeated part of a cubic determinant form and the
-2-minor gcd of a tangent tensor's contraction pencil. No higher power is
-ever tested.
+The gcd of int forms is a primitive integer form, from the integer
+remainder sequence on their int coefficient lists. Discriminants are the
+classical ones of degree 2 and 3, in any ring: every determinant form and
+repeated part in the package has degree at most 3. Squares are read by
+one rule, ``bform_square_root``, on the int quadratics that are tested
+for one: the repeated part of a cubic determinant form and the 2-minor
+gcd of a tangent tensor's contraction pencil. No higher power is ever
+tested.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import AllZero, DegreeTooLarge, DegreeTooSmall
 from .exactnum import _ip_gcd, _ip_primitive
@@ -80,56 +77,17 @@ class BinaryForm:
 
 def form_from_univariate(univ, v_power=0):
     """Homogenize a lowest-first coefficient list and multiply by v^v_power."""
-    m = len(univ) - 1
-    coeffs = list(reversed(univ))
-    if v_power:
-        zero = univ[0] - univ[0]
-        coeffs = [zero] * v_power + coeffs
-    return BinaryForm(coeffs, m + v_power)
-
-
-# --- univariate helpers over a field, on lowest-first lists ----------------
-
-
-def _pl_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pl_rem(a, b):
-    """The remainder of a by the nonzero b, both trimmed, over a field."""
-    a = list(a)
-    inv = Fraction(1) / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv
-        for j in range(len(b)):
-            a[k + j] = a[k + j] - c * b[j]
-    return _pl_trim(a[: len(b) - 1])
-
-
-def _pl_gcd(a, b):
-    a = _pl_trim(list(a))
-    b = _pl_trim(list(b))
-    while b:
-        a, b = b, _pl_rem(a, b)
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = [c * inv for c in a]
-    return a
+    return BinaryForm([0] * v_power + list(reversed(univ)), len(univ) - 1 + v_power)
 
 
 def bform_gcd(forms):
-    """Greatest common divisor of binary forms, zero forms skipped, in one
-    pass over the iterable ``forms`` that stops once the gcd is a
-    constant: of int forms a primitive integer form, its first nonzero
-    coefficient positive, from the integer remainder sequence run on
-    their coefficient lists as they are; from the first form with other
-    coefficients on (Fractions, or an extension field) by the Euclidean
-    algorithm over that field, up to a constant. AllZero when every form
-    vanishes.
+    """Greatest common divisor of int binary forms, zero forms skipped, in
+    one pass over the iterable ``forms`` that stops once the gcd is a
+    constant: a primitive integer form, its first nonzero coefficient
+    positive, from the integer remainder sequence run on their coefficient
+    lists as they are. AllZero when every form vanishes.
     """
-    rational, qmin, acc = True, None, None
+    qmin, acc = None, None
     for f in forms:
         q = f.v_multiplicity()
         if q > f.degree:
@@ -140,15 +98,10 @@ def bform_gcd(forms):
                 break  # a constant gcd
             continue  # only the power of v can still shrink
         univ = f.coeffs[q:][::-1]
-        rational = rational and all(type(c) is int for c in univ)
-        if rational:
-            acc = _ip_primitive(univ) if acc is None else _ip_gcd(acc, univ)
-        else:
-            acc = univ if acc is None else _pl_gcd(acc, univ)
+        acc = _ip_primitive(univ) if acc is None else _ip_gcd(acc, univ)
     if acc is None:
         raise AllZero("gcd of identically zero forms")
-    if rational:
-        acc = [1] if len(acc) == 1 else [-c for c in acc] if acc[-1] < 0 else acc
+    acc = [1] if len(acc) == 1 else [-c for c in acc] if acc[-1] < 0 else acc
     return form_from_univariate(acc, qmin)
 
 
@@ -177,16 +130,14 @@ def bform_discriminant(f):
 
 
 def bform_square_root(g):
-    """(True, ell) when the nonzero quadratic form g over Z or a field is a
-    constant times ell^2, else (False, None): c0 u^2 + c1 uv + c2 v^2 is a
-    square when c1^2 = 4 c0 c2, of 2 c0 u + c1 v (over Z divided by its
-    gcd, signed like c0), or of v if c0 = 0."""
+    """(True, ell) when the nonzero int quadratic form g is a constant
+    times ell^2, else (False, None): c0 u^2 + c1 uv + c2 v^2 is a square
+    when c1^2 = 4 c0 c2, of 2 c0 u + c1 v divided by its gcd and signed
+    like c0, or of v if c0 = 0."""
     c0, c1, c2 = g.coeffs
     if c1 * c1 != 4 * c0 * c2:
         return False, None
     if not c0:
         return True, BinaryForm([0, 1])
-    if type(c0) is int and type(c1) is int:
-        d = math.gcd(2 * c0, c1) * (1 if c0 > 0 else -1)
-        return True, BinaryForm([2 * c0 // d, c1 // d])
-    return True, BinaryForm([2 * c0, c1])
+    d = math.gcd(2 * c0, c1) * (1 if c0 > 0 else -1)
+    return True, BinaryForm([2 * c0 // d, c1 // d])

@@ -14,20 +14,18 @@ entry point is exact by default, and so are members at irrational roots.
 
 The table reads the pencil invariants of the core through a reader. Every
 reader holds one ``pencil.Pencil``, the rows [A_i | B_i], whose minors
-come from the one enumerator ``pencil_minors``. On an integer core the
-rows, minors and the forms read off them are ints, known up to a nonzero
-constant, which is all the table needs; the core of a tensor over an
-extension field (``ParametricTensor.specialize_ext``) is read the same
-way in the field's arithmetic. A family T - λP with P rank one is
-classified over Q(λ) by the same table with another reader, on its
-pencil over Z[λ]: there every minor is affine in λ, so each invariant is
-computed over Z and Z[λ], together with guard polynomials whose roots
-include every value of λ where that invariant can differ from its
-generic value (``family_orbit``); a discriminant over Z[λ], the guard of
-a repeated part or of a quadratic, is one discriminant of an int form,
-the form packed at λ = 2^K and the value unpacked (Kronecker
-substitution, ``_lambda_discriminant``).
-A third reader reads the members at the irrational roots of the guards
+come from the one enumerator ``pencil_minors``. On the integer core of a
+tensor the rows, minors and the forms read off them are ints, known up
+to a nonzero constant, which is all the table needs. A family T - λP
+with P rank one is classified over Q(λ) by the same table with another
+reader, on its pencil over Z[λ]: there every minor is affine in λ, so
+each invariant is computed over Z and Z[λ], together with guard
+polynomials whose roots include every value of λ where that invariant
+can differ from its generic value (``family_orbit``); a discriminant
+over Z[λ], the guard of a repeated part or of a quadratic, is one
+discriminant of an int form, the form packed at λ = 2^K and the value
+unpacked (Kronecker substitution, ``_lambda_discriminant``). A third
+reader reads the members at the irrational roots of the guards
 off the same pencil over Z[λ]: no affine minor vanishes there, so each
 member has the family's concise shape, and its minors are the family's
 at the root α, in Z[β] for an integer multiple β of α. The guards are
@@ -54,7 +52,7 @@ from .exactnum import (
     _zb_gcd,
     candidate_factors,
 )
-from .linalg import RING_ZX, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
+from .linalg import RING_Z, RING_ZX, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
 from .orbits import RANKS
 from .pencil import (
     Pencil,
@@ -218,7 +216,7 @@ def classify(t, *, ranks_only=False):
     perm = _canonical_permutation(shape)
     axes = tuple(a for a in perm if shape[a] > 1)
     core = red.core(axes) if len(axes) >= 2 else None
-    orbit = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core, red.ring), ranks_only)
+    orbit = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core), ranks_only)
     rank, brk = orbit.rank_pair()
     return ClassifyReport(orbit, rank, brk, shape, red, perm, core, axes)
 
@@ -313,11 +311,11 @@ def _orbit_234(reads):
 
 
 class _CoreReads:
-    """The invariants the decision table reads, on the pencil of a core of
-    shape (2, b, c) over ``ring``."""
+    """The invariants the decision table reads, on the pencil of an integer
+    core of shape (2, b, c)."""
 
-    def __init__(self, core, ring):
-        self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], ring)
+    def __init__(self, core):
+        self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], RING_Z)
 
     def minor_gcd(self, k):
         return pencil_minor_gcd(self.p, k)

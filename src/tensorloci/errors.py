@@ -25,10 +25,6 @@ class DegreeTooSmall(TensorLociError):
     code = "degree-too-small"
 
 
-class NotInvertible(TensorLociError):
-    code = "not-invertible"
-
-
 class ZeroDivisor(TensorLociError):
     """A nonzero residue that is not invertible: it shares ``factor`` (None
     when not given) with the modulus."""

@@ -3,17 +3,14 @@
 Tensors and matrices hold rationals, ``fractions.Fraction``, and the
 kernels below them compute on ints: ``_z_row`` scales a list of
 rationals to ints by the lcm of its denominators, for the tensors, the
-matrices and the guards alike. Two more types live here, neither of
-them a matrix entry:
+matrices and the guards alike. There is no other scalar domain: any
+other entry, a float included, raises TypeError where it enters. One more type lives
+here, not a matrix entry:
 
 * ``UniPoly`` -- univariate polynomials over the rationals, coefficients
-  stored lowest-degree first with no trailing zeros: the guards of a
-  family T - λP and the candidate special values read off them.
-* ``AlgebraicElement`` -- residue classes in Q[x]/(modulus) for a monic
-  modulus: the entries of the member of a family at an irrational root
-  (``tensorcore.ParametricTensor.specialize_ext``), which ``classify``
-  reads in the field's arithmetic, an independent check of the integer
-  root reader.
+  stored lowest-degree first with no trailing zeros: a record of the
+  guards of a family T - λP and of the candidate special values read off
+  them, with no arithmetic of its own.
 
 Integer polynomials are dense int lists, lowest degree first: the gcd of
 the integer remainder sequence (``_ip_gcd``), exact products and
@@ -36,10 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotInvertible, ParseError, ZeroDivisor
-
-_ZERO = Fraction(0)
-
+from .errors import ParseError, ZeroDivisor
 
 def to_fraction(x):
     """An int (a bool included) or a Fraction as a Fraction; anything else
@@ -113,14 +107,8 @@ class UniPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else _ZERO
 
     def monic(self):
         if not self.coeffs:
@@ -139,83 +127,6 @@ class UniPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([Fraction(other)])
-        return NotImplemented
-
-    def divmod(self, other):
-        """Polynomial division with remainder; ``other`` must be nonzero."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([Fraction(other)])
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return UniPoly(), self
-        quo = [_ZERO] * (dq + 1)
-        inv_lc = 1 / div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] * inv_lc
-            if c:
-                quo[k] = c
-                for j, d in enumerate(div):
-                    rem[k + j] -= c * d
-        return UniPoly(quo), UniPoly(rem[: len(div) - 1])
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def __repr__(self):
         if not self.coeffs:
@@ -389,25 +300,6 @@ def _zb_gcd(a, b, g):
     return [[1]]
 
 
-def upoly_xgcd(f, g):
-    """Extended Euclid: returns (d, s, t) with s*f + t*g = d, d monic."""
-    r0, r1 = f, g
-    s0, s1 = UniPoly([1]), UniPoly()
-    t0, t1 = UniPoly(), UniPoly([1])
-    while r1:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0:
-        lc = r0.leading()
-        inv = 1 / lc
-        r0 = UniPoly([c * inv for c in r0.coeffs])
-        s0 = UniPoly([c * inv for c in s0.coeffs])
-        t0 = UniPoly([c * inv for c in t0.coeffs])
-    return r0, s0, t0
-
-
 def _rational_roots(f):
     """The rational roots of a square-free integer coefficient list f of
     degree at least one.
@@ -473,140 +365,3 @@ def candidate_factors(polys):
             rest = _ip_cross(rest, _ip_exact_div(f, _ip_gcd(rest, f)), [], [])
     out = [UniPoly([-r, 1]) for r in sorted(roots, reverse=True)]
     return out + [UniPoly(rest).monic()] if len(rest) > 1 else out
-
-
-class AlgebraicElement:
-    """An element of Q[x]/(modulus), modulus monic of degree at least one.
-
-    The representative is always reduced modulo the modulus. Arithmetic mixes
-    freely with ints and Fractions. Q[x]/(modulus) is a field when the
-    modulus is irreducible; when it is not, inverting a zero divisor raises
-    ZeroDivisor (``algext_inverse``).
-    """
-
-    __slots__ = ("modulus", "rep")
-
-    def __init__(self, modulus, rep, check=True):
-        if check:
-            if not modulus.coeffs or modulus.leading() != 1:
-                raise ValueError("modulus must be monic")
-            if modulus.degree < 1:
-                raise ValueError("modulus must have degree >= 1")
-        if isinstance(rep, (int, Fraction)):
-            rep = UniPoly([Fraction(rep)])
-        if rep.degree >= modulus.degree:
-            rep = rep % modulus
-        self.modulus = modulus
-        self.rep = rep
-
-    @classmethod
-    def generator(cls, modulus):
-        """The class of the variable itself."""
-        return cls(modulus, UniPoly([0, 1]))
-
-    def _wrap(self, rep):
-        return AlgebraicElement(self.modulus, rep, check=False)
-
-    def _coerce(self, other):
-        if isinstance(other, AlgebraicElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self._wrap(UniPoly([Fraction(other)]))
-        return None
-
-    def is_zero(self):
-        return self.rep.is_zero()
-
-    def __bool__(self):
-        return not self.rep.is_zero()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.rep == o.rep
-
-    def __hash__(self):
-        return hash((self.modulus.coeffs, self.rep.coeffs))
-
-    def __neg__(self):
-        return self._wrap(-self.rep)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.rep + o.rep)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.rep - o.rep)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap((self.rep * o.rep) % self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational divisor scales the representative; no inversion
-            if not other:
-                raise NotInvertible("zero has no inverse")
-            return self._wrap(
-                UniPoly([c / other for c in self.rep.coeffs])
-            )
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * algext_inverse(o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * algext_inverse(self)
-
-    def __pow__(self, n):
-        if n < 0:
-            return algext_inverse(self) ** (-n)
-        result = self._wrap(UniPoly([1]))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __repr__(self):
-        return "[%r mod %r]" % (self.rep, self.modulus)
-
-
-def algext_inverse(x):
-    """Multiplicative inverse in Q[x]/(modulus).
-
-    Raises NotInvertible for zero and ZeroDivisor when the representative
-    shares a factor with a (reducible) modulus.
-    """
-    if x.rep.is_zero():
-        raise NotInvertible("zero has no inverse")
-    d, s, _ = upoly_xgcd(x.rep, x.modulus)
-    if d.degree > 0:
-        raise ZeroDivisor("gcd with modulus is %r" % d)
-    # d is the constant 1 after normalization inside upoly_xgcd
-    return AlgebraicElement(x.modulus, s % x.modulus, check=False)

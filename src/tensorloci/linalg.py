@@ -8,8 +8,7 @@ fraction-free Bareiss elimination (``_bareiss``) with the first-nonzero
 pivot rule (scan columns left to right, take the topmost nonzero entry).
 A rational matrix is eliminated as kM, scaled to ints by the lcm k of
 all its denominators (``mat_ints``); ``mat_det`` divides k^n out once at
-the end. The same kernel takes rows over an extension field on its
-elements, and ``bareiss_det`` takes square matrices over Z[λ], dense
+the end. ``bareiss_det`` takes square matrices over Z, and over Z[λ], dense
 lists of ints, lowest degree first (the resultants of a family's
 cofactor guard): they are eliminated over Z at λ = 2^K, with K large
 enough that the determinant is read back from its value there
@@ -93,7 +92,6 @@ def _cross(a, p, h, b):
 
 
 RING_Z = (_cross, operator.floordiv, bool)
-RING_FIELD = (_cross, operator.truediv, bool)
 RING_ZX = "Z[λ]"  # rows over Z[λ]: packed at λ = 2^K, eliminated over RING_Z
 
 
@@ -212,13 +210,16 @@ def sample_points(n):
 
 
 def bareiss_det(rows, ring):
-    """Determinant of a square matrix given by its rows over ``ring``: an
-    int over Z, an int list over Z[λ]. ``rows`` is consumed. One Bareiss
-    pass: 0 when the rank is below n, else the last pivot times the sign
+    """Determinant of a square matrix given by its rows over ``ring``,
+    ``RING_Z`` or ``RING_ZX``: an int over Z, an int list over Z[λ]; any
+    other ring raises ValueError. ``rows`` is consumed. One Bareiss pass
+    over Z: 0 when the rank is below n, else the last pivot times the sign
     of the row permutation."""
     if ring is RING_ZX:
         ints, k = packed_rows(rows, len(rows))
         return kronecker_unpack(bareiss_det(ints, RING_Z), k)
+    if ring is not RING_Z:
+        raise ValueError("bareiss_det takes rows over Z or Z[λ]")
     rank, piv, sign = _bareiss(rows, ring)
     return sign * piv if rank == len(rows) else 0
 

@@ -5,8 +5,8 @@ when subtracting a suitable multiple of it lowers the rank: there is a
 lam != 0 with rank(T - lam*P) = rank(T) - 1. Points with that property
 form the decomposition locus of T; the rest form the forbidden locus.
 Everything here decides that membership exactly over the rationals and,
-on the membership side, returns a witness lam: either a rational value
-or a monic square-free polynomial every root of which is one.
+on the membership side, returns a witness lam, always a rational value:
+no lam the routes below can need is irrational (``LambdaWitness``).
 
 Three independent routes are provided and kept deliberately separate so
 they can be played against each other in tests:
@@ -74,52 +74,56 @@ _LAMBDA = UniPoly([0, 1])
 
 
 class LambdaWitness:
-    """A value of lam certifying membership: rational, or algebraic.
+    """A value of lam certifying membership: ``value``, a nonzero int or
+    Fraction (a float raises TypeError).
 
-    Exactly one of ``value`` (a nonzero int or Fraction; a float raises
-    TypeError) and ``minimal_poly`` (a monic square-free polynomial of
-    degree at least one, never lam itself) is set; in the algebraic case
-    every root of the polynomial is a witness value, and the minimal
-    polynomial of each divides it.
+    Every witness is rational. Let r = rank T. On a core with a rank axis,
+    lam is that flattening's one drop (``_drop_root_verdict``), which is
+    rational. On an escape core (orbits 5, 13, 15-17 and 21) the drops are
+    rational too, so at an irrational alpha the member is concise in the
+    core's shape, and every pencil minor, and every minor at a lam-free
+    point (u0:v0), is affine in lam. The orbits of rank r - 1 are then
+    reachable at alpha only as follows:
+
+    * the open orbit of the shape (6, 18 or 23): it is then the family's
+      generic orbit, and the integer scan answers;
+    * orbit 14, when the family's generic orbit is 17: that needs rank one
+      at the lam-free double root, a rank-one update losing rank, so lam
+      is rational. When it is 15 or 16 the determinant form is
+      l^3 (a + b lam), and when it is 13 the form is 0;
+    * orbits 19, 20 or 22, when the family's generic orbit is 21: the
+      lam-free l^2 stays in the 3-minor gcd at alpha, so the member is not
+      in 19, 22 or 23, and 20 needs the 2-minors to vanish at the root of
+      l, affine in lam again.
+
+    So no member at an irrational root is needed, and GENERIC checks the
+    claim on every call: an irrational group of rank r - 1 in its report
+    raises InternalError. ``is_rational`` is therefore always True; it
+    stays for the callers that read it.
     """
 
-    __slots__ = ("value", "minimal_poly")
+    __slots__ = ("value",)
 
-    def __init__(self, value=None, minimal_poly=None):
-        if (value is None) == (minimal_poly is None):
-            raise InternalError("witness needs a value or a minimal polynomial")
-        if value is not None:
-            value = to_fraction(value)
-            if value == 0:
-                raise InternalError("zero can never witness a rank drop")
-        else:
-            minimal_poly = minimal_poly.monic()
-            if minimal_poly.degree < 1:
-                raise InternalError("constant minimal polynomial")
-            if minimal_poly == _LAMBDA:
-                raise InternalError("lam itself cannot be a minimal polynomial")
+    def __init__(self, value):
+        value = to_fraction(value)
+        if value == 0:
+            raise InternalError("zero can never witness a rank drop")
         self.value = value
-        self.minimal_poly = minimal_poly
 
     @property
     def is_rational(self):
-        return self.value is not None
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, LambdaWitness):
             return NotImplemented
-        return (
-            self.value == other.value
-            and self.minimal_poly == other.minimal_poly
-        )
+        return self.value == other.value
 
     def __hash__(self):
-        return hash((self.value, self.minimal_poly))
+        return hash(self.value)
 
     def __repr__(self):
-        if self.is_rational:
-            return "LambdaWitness(value=%s)" % (self.value,)
-        return "LambdaWitness(minimal_poly=%r)" % (self.minimal_poly,)
+        return "LambdaWitness(value=%s)" % (self.value,)
 
 
 class LocusVerdict:
@@ -179,25 +183,22 @@ def _check_probe(shape, P):
 
 
 def _factor_verdict(fac):
-    """Membership verdict witnessed at every root of the monic ``fac``,
-    other than lam: a linear factor yields a rational witness, any other
-    is the witness polynomial."""
-    if fac.degree == 1:
-        return LocusVerdict.member(LambdaWitness(value=-fac.coeffs[0]))
-    return LocusVerdict.member(LambdaWitness(minimal_poly=fac))
+    """Membership verdict witnessed at the root of the monic linear
+    ``fac``."""
+    return LocusVerdict.member(LambdaWitness(-fac.coeffs[0]))
 
 
 def _first_witness(family, factors, target, known=None):
-    """Membership verdict at the first group of roots of ``factors``, in
-    their order and that of ``orbits_at_roots``, where the member of
-    ``family``, T - lam*P, has the rank ``target``, or None. ``known``
-    maps factors already classified to their ``orbits_at_roots``. Only
-    ranks are read, so members are classified ``ranks_only``."""
+    """Membership verdict at the root of the first of the monic linear
+    ``factors`` where the member of ``family``, T - lam*P, has the rank
+    ``target``, or None. ``known`` maps factors already classified to their
+    ``orbits_at_roots``. Only ranks are read, so members are classified
+    ``ranks_only``."""
     for fac in factors:
         groups = known.get(fac) if known else None
-        for group, oid in groups or orbits_at_roots(family, fac, ranks_only=True):
-            if orbit_rank(oid) == target:
-                return _factor_verdict(group)
+        (_, oid), = groups or orbits_at_roots(family, fac, ranks_only=True)
+        if orbit_rank(oid) == target:
+            return _factor_verdict(fac)
     return None
 
 
@@ -257,10 +258,14 @@ def _generic_membership(T, P, report):
     family = ParametricTensor(T, P)
     parametric = classify_parametric(family, report, ranks_only=True)
     special = [(fac, oid) for fac, oid in parametric.exceptional if fac != _LAMBDA]
+    if any(fac.degree > 1 and orbit_rank(oid) == target for fac, oid in special):
+        raise InternalError("rank %d at irrational roots: the witness lemma of "
+                            "LambdaWitness fails" % target)
     if orbit_rank(parametric.generic) == target:
         # every member off the special roots is in the generic orbit
         return _scan_rational_witness(family, target, [fac for fac, _ in special])
-    # the report holds the orbit of the member at each special group
+    # the report holds the orbit of the member at each special value, and
+    # those of the target rank are rational
     for fac, oid in special:
         if orbit_rank(oid) == target:
             return _factor_verdict(fac)
@@ -313,10 +318,11 @@ def _escape_verdict(family, target):
     (``family_orbit``): if it has rank ``target``, so does every member
     off the roots of its guards, and the scan finds one; otherwise only a
     member at a root of a guard can, and the candidates are classified in
-    turn. The guards include every flattening drop, so the members that
-    leave the concise shape are among the candidates. Either way the
-    witness is the one the generic strategy returns, and the member at 1
-    is not classified again.
+    turn: only the rational ones, since no member at an irrational root
+    has rank ``target`` (``LambdaWitness``). The guards include every
+    flattening drop, so the members that leave the concise shape are among
+    the candidates. Either way the witness is the one the generic strategy
+    returns, and the member at 1 is not classified again.
     """
     one = UniPoly([-1, 1])
     at_one = orbits_at_roots(family, one, ranks_only=True)
@@ -326,7 +332,8 @@ def _escape_verdict(family, target):
     generic, guards = family_orbit(family, ranks_only=True)
     if orbit_rank(generic) == target:
         return _scan_rational_witness(family, target, guards, known)
-    verdict = _first_witness(family, candidate_factors(guards), target, known)
+    linear = [fac for fac in candidate_factors(guards) if fac.degree == 1]
+    verdict = _first_witness(family, linear, target, known)
     return verdict or LocusVerdict.forbidden()
 
 
@@ -366,9 +373,9 @@ def locus_membership(T, P, strategy=SPECIALIZED):
     ``ranks_only``, with no guard for the reads skipped. Both return the
     same witness: the first of 1, -1, 2, -2, ... that lowers the rank when
     the generic member already has rank(T) - 1, else the first rational
-    root that does among the candidates of ``candidate_factors``, in order,
-    or else the first group of irrational roots that does, in the order of
-    ``orbits_at_roots``.
+    root that does among the candidates of ``candidate_factors``, in order.
+    No irrational root can (``LambdaWitness``); GENERIC raises
+    InternalError if one does.
     """
     _check_probe(T.shape, P)
     if strategy not in (GENERIC, SPECIALIZED):

@@ -7,18 +7,16 @@ roots of linear forms.
 
 There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
 ints, each row scaled by an int of its own (the rows of an integer core,
-its axis-1 flattening by ``tensorcore.flat_rows``), Z[λ] int lists (a
-family T - λP), or field elements (the core of a tensor over an
-extension field). There is one enumerator of minors, ``pencil_minors``:
+its axis-1 flattening by ``tensorcore.flat_rows``), or Z[λ] int lists (a
+family T - λP). There is one enumerator of minors, ``pencil_minors``:
 each k x k minor is expanded along its first row as a binary form,
-sharing the smaller minors of the lower rows, in ints or the field's
-arithmetic. Rows over Z[λ] are packed into ints at λ = 2^K, for K above
-a bound on every coefficient of the minors read
-(``linalg.kronecker_bits``), and the results unpacked from their signed
-base-2^K digits; so are the members whose ranks ``member_rank_at``
-reads. Row scales change a minor only by a constant, so minor gcds (the
-integer remainder sequence of ``bform_gcd``) and member ranks use the
-scaled rows as they are.
+sharing the smaller minors of the lower rows, in ints. Rows over Z[λ]
+are packed into ints at λ = 2^K, for K above a bound on every
+coefficient of the minors read (``linalg.kronecker_bits``), and the
+results unpacked from their signed base-2^K digits; so are the members
+whose ranks ``member_rank_at`` reads. Row scales change a minor only by
+a constant, so minor gcds (the integer remainder sequence of
+``bform_gcd``) and member ranks use the scaled rows as they are.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
@@ -43,7 +41,6 @@ from .binforms import BinaryForm, bform_gcd
 from .errors import AllZero, InternalError, WrongShape
 from .exactnum import UniPoly, _ip_exact_div, _ip_gcd
 from .linalg import (
-    RING_FIELD,
     RING_Z,
     RING_ZX,
     _bareiss,
@@ -56,8 +53,8 @@ from .linalg import (
 
 class Pencil:
     """The pencil u*A + v*B of a 2 x b x c tensor as its rows [A_i | B_i]
-    over ``ring``: ints over Z, Z[λ] int lists, or field elements. Over Z
-    and Z[λ] row i may be row i of the pencil times a nonzero int."""
+    over ``ring``: ints over Z or Z[λ] int lists, row i being row i of the
+    pencil times a nonzero int."""
 
     __slots__ = ("rows", "cols", "ring")
 
@@ -71,8 +68,8 @@ class Pencil:
 
 
 def _member(rows, c, u0, v0):
-    """The rows of the member u0*A + v0*B of the pencil rows [A_i | B_i]
-    with c columns, for u0, v0 ints or, over a field, field elements."""
+    """The rows of the member u0*A + v0*B of the int pencil rows
+    [A_i | B_i] with c columns, for ints u0, v0."""
     return [[u0 * x + v0 * y for x, y in zip(r[:c], r[c:])] for r in rows]
 
 
@@ -93,7 +90,6 @@ def pencil_minors(p, k):
         for row_idx, col_idx, coeffs in pencil_minors(Pencil(rows, p.cols, RING_Z), k):
             yield row_idx, col_idx, [kronecker_unpack(x, bits) for x in coeffs]
         return
-    zero = p.rows[0][0] * 0 if p.rows else 0
     c = p.cols
     # entry (i, j) of uA + vB as its (u, v) coefficients, and negated: the
     # even terms of an expansion are added as acc - (-a) m = acc + a m
@@ -104,7 +100,7 @@ def pencil_minors(p, k):
     def expand(rows, cols):
         if len(rows) == 1:
             return list(ents[rows[0]][cols[0]])
-        acc = [zero] * (len(rows) + 1)
+        acc = [0] * (len(rows) + 1)
         top, lower = rows[0], rows[1:]
         for i, j in enumerate(cols):
             a, b = (ents if i % 2 else negs)[top][j]
@@ -131,8 +127,8 @@ def pencil_minors(p, k):
 
 
 def pencil_minor_gcd(p, k):
-    """gcd of all k x k minors of a pencil over Z or a field, as
-    ``bform_gcd`` gives it, which stops taking minors once the gcd is a
+    """gcd of all k x k minors of a pencil over Z, as ``bform_gcd`` gives
+    it, which stops taking minors once the gcd is a
     constant; the zero form of degree k when every minor vanishes."""
     if k < 1 or k > min(len(p.rows), p.cols):
         raise WrongShape("minor size %d out of range" % k)
@@ -144,14 +140,11 @@ def pencil_minor_gcd(p, k):
 
 def member_rank_at(p, ell):
     """(rank, last Bareiss pivot) of the member at the root of the linear
-    form ``ell``; over Z and Z[λ] the root is scaled to ints first, and
-    over Z[λ] the member is eliminated packed at 2^K."""
+    form ``ell``, its root scaled to ints first; over Z[λ] the member is
+    eliminated packed at 2^K."""
     alpha, beta = ell.coeffs
-    if p.ring is RING_FIELD:
-        u0, v0 = -beta, alpha
-    else:
-        k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
-        u0, v0 = int(-beta * k), int(alpha * k)
+    k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
+    u0, v0 = int(-beta * k), int(alpha * k)
     if p.ring is RING_ZX:
         rows, bits = packed_rows(p.rows, min(len(p.rows), p.cols), abs(u0) + abs(v0))
         rank, piv, _ = _bareiss(_member(rows, p.cols, u0, v0), RING_Z)

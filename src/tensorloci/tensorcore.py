@@ -2,17 +2,14 @@
 
 A tensor of order k is stored densely: a shape tuple and a flat row-major
 entry list (the last axis varies fastest). Entries are rationals, ints or
-``Fraction``s; only the member of a family at an irrational root
-(``ParametricTensor.specialize_ext``) holds elements of an extension
-field, and only its concise core is computed over that field. Any other
-entry, a float included, raises TypeError wherever entries are scaled to
-ints: in ``concise_reduce`` (so in ``classify``), in the families and in
-the GL action. The concise
-core of a rational tensor is the tensor scaled to ints once, restricted to
-its first independent slices on each axis: an int subtensor, whose
-flattenings feed the integer Bareiss kernel directly, as do those of a
-family T - λP, rank-one updates of the base's (``_update_drop``).
-Flattenings are read by strides off the flat entry list, with no cache
+``Fraction``s. Any other entry, a float included, raises TypeError
+wherever entries are scaled to ints: in ``concise_reduce`` (so in
+``classify``), in the families and in the GL action. The concise core of
+a tensor is the tensor scaled to ints once, restricted to its first
+independent slices on each axis: an int subtensor, whose flattenings
+feed the integer Bareiss kernel directly, as do those of a family
+T - λP, rank-one updates of the base's (``_update_drop``). Flattenings
+are read by strides off the flat entry list, with no cache
 (``flat_rows``, on 0-based axes); the flattenings of a family are
 numbered from 1 (``ParametricTensor.flattening_rows``). The GL action
 runs on ints, one contraction per axis (``_contract``).
@@ -26,8 +23,8 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix, ZeroTensor
-from .exactnum import AlgebraicElement, _z_row, to_fraction
-from .linalg import RING_FIELD, RING_Z, _bareiss, bareiss_det, mat_ints, pivot_slices
+from .exactnum import _z_row, to_fraction
+from .linalg import RING_Z, _bareiss, bareiss_det, mat_ints, pivot_slices
 
 
 def _strides(shape):
@@ -123,17 +120,14 @@ class RankOneTensor:
 
 
 def _scaled_entries(entries):
-    """(entries times c, c, ring), a fresh list: rational entries, bools
+    """(entries times c, c), a fresh list: rational entries, bools
     included, become ints, c the lcm of their denominators (``_z_row``:
-    c = 1 when all are ints); field entries stay, with c = 1. Any other
-    entry, a float included, raises TypeError."""
-    if all(isinstance(x, (int, Fraction)) for x in entries):
-        return (*_z_row(entries), RING_Z)
+    c = 1 when all are ints). Any other entry, a float included, raises
+    TypeError."""
     for x in entries:
-        if not isinstance(x, (int, Fraction, AlgebraicElement)):
-            raise TypeError("entries must be ints, Fractions or AlgebraicElements, not %s"
-                            % type(x).__name__)
-    return list(entries), 1, RING_FIELD
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError("entries must be ints or Fractions, not %s" % type(x).__name__)
+    return _z_row(entries)
 
 
 def _update_drop(m_rows, c, r):
@@ -188,24 +182,15 @@ class ParametricTensor:
         self._rows = {}
         self._drops = {}
 
-    def specialize_ext(self, modulus):
-        """The member at a root of the monic ``modulus``, over Q[x]/(modulus)."""
-        gen = AlgebraicElement.generator(modulus)
-        d = self.direction.expand()
-        return Tensor(
-            self.base.shape,
-            [gen * 0 + a - gen * b for a, b in zip(self.base.entries, d.entries)],
-        )
-
     def _integer_form(self):
         """(entries of d T', factors of P', n, entries of P'): c s = n / d
         is the product of c and, per factor, its content over its scale."""
         if self._ints is None:
-            base, n, _ = _scaled_entries(self.base.entries)
+            base, n = _scaled_entries(self.base.entries)
             d = 1
             factors = []
             for f in self.direction.factors:
-                ints, den, _ = _scaled_entries(f)
+                ints, den = _scaled_entries(f)
                 g = math.gcd(*ints)
                 n, d = n * g, d * den
                 factors.append([x // g for x in ints])
@@ -301,19 +286,18 @@ def flat_rows(entries, shape, a0):
 class ConciseReduction:
     """A tensor T restricted to its first independent slices on each axis.
 
-    ``scaled`` holds the entries of c T (``scale`` c, see
-    ``_scaled_entries``; ints over Z for rational T), ``slices[a]`` the
-    indices kept on axis a. The concise core is c T on them, a subtensor
-    (``core``); the kept slices of an axis span all of its slices.
+    ``scaled`` holds the entries of c T, ints (``scale`` c, see
+    ``_scaled_entries``), ``slices[a]`` the indices kept on axis a. The
+    concise core is c T on them, a subtensor (``core``); the kept slices
+    of an axis span all of its slices.
     """
 
-    __slots__ = ("ambient_shape", "scaled", "scale", "ring", "slices")
+    __slots__ = ("ambient_shape", "scaled", "scale", "slices")
 
-    def __init__(self, ambient_shape, scaled, scale, ring, slices):
+    def __init__(self, ambient_shape, scaled, scale, slices):
         self.ambient_shape = ambient_shape
         self.scaled = scaled
         self.scale = scale
-        self.ring = ring
         self.slices = slices
 
     @property
@@ -342,9 +326,7 @@ def _contract(entries, shape, mats, c):
     Fractions (else TypeError) are scaled to ints once; in each block of
     outer indices, new fibre i is sum_j rows[i][j] fibre j; c, k and the
     scale are divided out once, into Fractions."""
-    ints, scale, ring = _scaled_entries(entries)
-    if ring is not RING_Z:
-        raise TypeError("entries must be ints or Fractions")
+    ints, scale = _scaled_entries(entries)
     inner = len(ints)
     for n, (rows, _) in zip(shape, mats):
         inner //= n
@@ -380,12 +362,12 @@ def concise_reduce(T):
     """
     if T.is_zero():
         raise ZeroTensor("the zero tensor has no concise reduction")
-    scaled, c, ring = _scaled_entries(T.entries)
+    scaled, c = _scaled_entries(T.entries)
     slices = [
-        pivot_slices(flat_rows(scaled, T.shape, a0), ring)
+        pivot_slices(flat_rows(scaled, T.shape, a0), RING_Z)
         for a0 in range(T.order)
     ]
-    return ConciseReduction(T.shape, scaled, c, ring, slices)
+    return ConciseReduction(T.shape, scaled, c, slices)
 
 
 def apply_gl(T, mats):
@@ -425,7 +407,7 @@ def factors_in_spans(P, reduction):
         if len(keep) < len(vec):
             rows = flat_rows(reduction.scaled, reduction.ambient_shape, a0)
             aug = [row + [x] for row, x in zip(rows, _scaled_entries(vec)[0])]
-            if _bareiss(aug, reduction.ring)[0] > len(keep):
+            if _bareiss(aug, RING_Z)[0] > len(keep):
                 return None
         coords.append([x if type(x) in (int, Fraction) else to_fraction(x)
                        for x in (vec[i] for i in keep)])

@@ -4,13 +4,14 @@ The package keeps only what its answers need; the tests build their own
 references here instead of borrowing package helpers. From sympy over QQ:
 the rank of a rational matrix (``DomainMatrix``), the value of a
 polynomial or a binary form at a rational point, products of polynomials
-in λ (``Poly``: ``qq_poly``, ``upoly``, ``upoly_product``), so that no
-expected value is built with ``UniPoly`` arithmetic, and determinants
-over ZZ[λ] (``zx_det``). From sympy over Q(α) (``QQ.algebraic_field``):
-the orbit of the member T - αP of a family at an irrational root α
-(``orbit_at_root``), read by the decision table of ``orbits.py`` on
-sympy's minor gcds, discriminants, repeated parts and member ranks, with
-no ``AlgebraicElement``. By plain row-major
+in λ (``Poly``: ``qq_poly``, ``upoly``, ``upoly_product``), since
+``UniPoly`` has no arithmetic, and determinants over ZZ[λ] (``zx_det``).
+From sympy over Q(α) (``QQ.algebraic_field``): the orbit of the member
+T - αP of a family at an irrational root α (``orbit_at_root``), read by
+the decision table of ``orbits.py`` on sympy's minor gcds,
+discriminants, repeated parts and member ranks; the package has no
+arithmetic over Q(α) to take it from, and ``scripts/sweep_loci.py
+--roots`` loads it from here too. By plain row-major
 indexing, keeping the entries as they are: the flattening of a tensor,
 the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, an axis
 permutation, a tensor from its nonzero entries, and whether a weighted

@@ -1,24 +1,24 @@
 """The integer Bareiss kernel and the minor enumerator against sympy.
 
 Determinants over Z[λ] take rows of int lists; pencil minors are
-expanded along their first row as binary forms, in the arithmetic of Z
-or Q(α), and over Z[λ] both run on ints at λ = 2^K (Kronecker
-substitution). The packed kernels are compared with sympy over Q[λ] on
-seeded matrices with entries of degree up to three, coefficients up to
-±2^40, zero entries and rows, rank-deficient and non-square shapes, and
-on minors that reach the coefficient bound K is derived from. The kept
-slices and drop of each flattening of a family (``flattening_drop``) are
-compared with sympy over Q[λ] on seeded families whose base is not
-concise. Every answer here is compared with sympy's symbolic one, on
-inputs with non-integer rational coefficients, zero rows and identically
-vanishing minors: Q pencils up to 3 x 6 (on their int rows), Z[λ] pencils
-with entries of λ-degree up to two and a pencil over Q(2^(1/3)) (a
-``Pencil`` built on their rows). The minor gcds of the pencils of the seeded
-families T - λP (``test_locus.seeded_families``) are compared with sympy's
-gcd over Q(λ)[u, v], and with the gcd at every small integer λ0 off the
-roots of their guards. The discriminant guards of ``family_orbit`` on
-(2,2,2) and (2,3,3) families with entries above 2^40 are compared with
-sympy's discriminant in λ.
+expanded along their first row as binary forms over Z, and over Z[λ]
+both run on ints at λ = 2^K (Kronecker substitution). The packed kernels
+are compared with sympy over Q[λ] on seeded matrices with entries of
+degree up to three, coefficients up to ±2^40, zero entries and rows,
+rank-deficient and non-square shapes, and on minors that reach the
+coefficient bound K is derived from. The kept slices and drop of each
+flattening of a family (``flattening_drop``) are compared with sympy
+over Q[λ] on seeded families whose base is not concise. Every answer
+here is compared with sympy's symbolic one, on inputs with non-integer
+rational coefficients, zero rows and identically vanishing minors: Q
+pencils up to 3 x 6 (on their int rows) and Z[λ] pencils with entries of
+λ-degree up to two (a ``Pencil`` built on their rows). The minor gcds of
+the pencils of the seeded families T - λP
+(``test_locus.seeded_families``) are compared with sympy's gcd over
+Q(λ)[u, v], and with the gcd at every small integer λ0 off the roots of
+their guards. The discriminant guards of ``family_orbit`` on (2,2,2) and
+(2,3,3) families with entries above 2^40 are compared with sympy's
+discriminant in λ.
 """
 
 import itertools
@@ -36,7 +36,6 @@ from tensorloci.binforms import BinaryForm
 from tensorloci.classify import OrbitId, family_orbit
 from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import (
-    RING_FIELD,
     RING_Z,
     RING_ZX,
     bareiss_det,
@@ -60,11 +59,6 @@ LAM, U, V, X = sympy.symbols("lam u v x")
 QL = sympy.QQ.frac_field(LAM)
 QX = sympy.QQ[LAM]
 QLUV = QL[U, V]
-# Q(α) for α = 2^(1/3) in sympy; its AlgebraicElements are built in the
-# one test over it, so that the module collects without them.
-QA = sympy.QQ.algebraic_field(sympy.root(2, 3))
-QAUV = QA[U, V]
-ALPHA_QAUV = QAUV(QA.from_sympy(sympy.root(2, 3)))
 
 
 def sym(x):
@@ -127,25 +121,16 @@ def test_det_of_sylvester_matrices_against_sympy_resultant():
         assert sympy.expand(sym(det) ** 2 - res_x**2) == 0
 
 
-def in_qauv(x):
-    """An element of Q(α) in QAUV, built in the ring: sympy's from_sympy
-    on powers of 2^(1/3) is slow."""
-    return sum((QAUV(QA.convert(sympy.QQ(c.numerator, c.denominator))) * ALPHA_QAUV**i
-                for i, c in enumerate(x.rep.coeffs)), QAUV.zero)
-
-
 def pencil_over(t, ring):
     """(pencil, scales): the pencil of t over ``ring``, row i that of t times
     scales[i]: over Z each row of a rational t times the lcm of its
     denominators; over Z[λ] each row of ``UniPoly``s times the lcm of its
-    denominators, as int lists; over a field the rows as they are."""
+    denominators, as int lists."""
     rows = pencil_rows(t)
     if ring is RING_Z:
         scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in rows]
         ints = [[int(x * k) for x in row] for row, k in zip(rows, scales)]
         return Pencil(ints, t.shape[2], RING_Z), scales
-    if ring is RING_FIELD:
-        return Pencil(rows, t.shape[2], RING_FIELD), [1] * len(rows)
     scales = [math.lcm(*(c.denominator for x in row for c in x.coeffs)) for row in rows]
     ints = [[[int(c * k) for c in x.coeffs] for x in row] for row, k in zip(rows, scales)]
     return Pencil(ints, t.shape[2], RING_ZX), scales
@@ -153,27 +138,27 @@ def pencil_over(t, ring):
 
 def unscaled(c, scale, ring):
     """A minor coefficient of the scaled rows over the product of their
-    scales: a Fraction, a UniPoly, or the field element itself."""
+    scales: a Fraction or a UniPoly."""
     if ring is RING_Z:
         return Fraction(c, scale)
-    if ring is RING_ZX:
-        return UniPoly([Fraction(x, scale) for x in c])
-    return c
+    return UniPoly([Fraction(x, scale) for x in c])
 
 
 COEFF_TYPES = {RING_Z: Fraction, RING_ZX: UniPoly}
 
 
-def check_pencil(t, ring, domain=QLUV, conv=None, coeff_type=None):
+def check_pencil(t, ring):
     """Every minor of the pencil of t over ``ring`` (``pencil_over``), in
     enumeration order, its row scales divided out, against sympy's
-    determinant in ``domain`` of the pencil of t, the scalars mapped there
-    by ``conv``, its coefficients of ``coeff_type`` (by default that of
-    ``COEFF_TYPES``); the minor gcds too, except over Z[λ], where
+    determinant in Q(λ)[u, v] of the pencil of t, its coefficients of the
+    type of ``COEFF_TYPES``; the minor gcds too, except over Z[λ], where
     ``pencil_minor_gcd`` does not apply."""
-    conv = conv or (lambda x: domain.from_sympy(sym(x)))
-    coeff_type = coeff_type or COEFF_TYPES[ring]
+    domain = QLUV
+    coeff_type = COEFF_TYPES[ring]
     u, v = domain.gens
+
+    def conv(x):
+        return domain.from_sympy(sym(x))
 
     def in_domain(form):
         d = form.degree
@@ -268,20 +253,6 @@ def test_minor_forms_of_quadratic_pencils_over_q_lambda_against_sympy():
         rows = rng.randint(2, 3)
         t = rand_pencil(rng, entry, rows, rng.randint(rows, 4))
         check_pencil(t, RING_ZX)
-
-
-def test_minor_forms_of_a_pencil_over_an_extension_field_against_sympy():
-    from tensorloci.exactnum import AlgebraicElement
-
-    rng = random.Random(47)
-    alpha = AlgebraicElement.generator(UniPoly([-2, 0, 0, 1]))
-
-    def entry(rng):
-        return sum((rand_fraction(rng) * alpha**i for i in range(3)), alpha * 0)
-
-    for rows, cols in ((2, 3), (3, 3), (3, 4)):
-        check_pencil(rand_pencil(rng, entry, rows, cols), RING_FIELD, QAUV, in_qauv,
-                     AlgebraicElement)
 
 
 def family_pencils():

@@ -1,21 +1,22 @@
 """Matrix layer tests: rank and determinant of rational matrices, and
 the TypeError on any other entry; the Bareiss kernel, through
-``pivot_slices`` and ``bareiss_det``, on rows over an extension field,
-over Z[λ] (against sympy's determinant over ZZ[λ]) and over Z[y] with
-pivots tested at the roots of a reducible g."""
+``pivot_slices`` and ``bareiss_det``, on rows over Z[λ] (against sympy's
+determinant over ZZ[λ]) and over Z[y] with pivots tested at the roots of
+g, against sympy's rank over Q(α) for an irreducible g, split on a
+zero divisor for a reducible one."""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from support import zx_det
+from support import root_field, zx_det
 
 from tensorloci.errors import ZeroDivisor
 from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import (
-    RING_FIELD,
     RING_Z,
     RING_ZX,
     Mat,
@@ -54,12 +55,15 @@ def to_sympy(M):
     )
 
 
-def rand_extension(rng, n, m, modulus):
-    from tensorloci.exactnum import AlgebraicElement
+def rand_zy(rng, n, m, degree):
+    """An n x m matrix over Z[y], entries int lists of degree below
+    ``degree``, lowest first with no trailing zeros; one in three zero."""
 
     def entry():
-        rep = UniPoly([rng.randint(-5, 5) for _ in range(modulus.degree)])
-        return AlgebraicElement(modulus, rep, check=False)
+        e = [rng.randint(-5, 5) for _ in range(degree)] if rng.randrange(3) else []
+        while e and not e[-1]:
+            e.pop()
+        return e
 
     return [[entry() for _ in range(m)] for _ in range(n)]
 
@@ -84,28 +88,28 @@ def test_rank_transpose_qq_with_oracle():
 
 
 def test_rank_transpose_extension():
-    """The kernel over a field, as ``classify`` runs it on a member over
-    Q(alpha): row rank equals column rank, each the number of independent
-    rows ``pivot_slices`` keeps."""
+    """The kernel over Z[y] with pivots tested at the roots of an
+    irreducible monic g, as ``orbits_at_roots`` runs it on a member at an
+    irrational root: row rank equals column rank, each the number of
+    independent rows ``pivot_slices`` keeps, and sympy's rank over
+    Q(alpha), y taken to a root alpha of g."""
     rng = random.Random(13)
-    mods = [UniPoly([-2, 0, 1]), UniPoly([1, 0, 1]), UniPoly([-2, 0, 0, 1])]
+    mods = [[-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1]]
+    fields = [root_field(UniPoly(g)) for g in mods]
     for i in range(200):
-        mod = mods[i % 3]
+        g, (field, alpha) = mods[i % 3], fields[i % 3]
         n, m = rng.randint(1, 4), rng.randint(1, 4)
-        rows = rand_extension(rng, n, m, mod)
-        rank = len(pivot_slices(rows, RING_FIELD))
-        assert rank == len(pivot_slices([list(c) for c in zip(*rows)], RING_FIELD))
-
-
-def algebraic_entry():
-    from tensorloci.exactnum import AlgebraicElement
-
-    return AlgebraicElement.generator(UniPoly([-2, 0, 1]))
+        rows = rand_zy(rng, n, m, len(g) - 1)
+        rank = len(pivot_slices(rows, ring_at_root(g)))
+        assert rank == len(pivot_slices([list(c) for c in zip(*rows)], ring_at_root(g)))
+        at_alpha = [[sum((field(c) * alpha**k for k, c in enumerate(x)), field.zero)
+                     for x in row] for row in rows]
+        assert rank == DomainMatrix(at_alpha, (n, m), field).rank()
 
 
 @pytest.mark.parametrize(
     "entry",
-    [lambda: UniPoly([1, 1]), algebraic_entry, lambda: 0.1],
+    [lambda: UniPoly([1, 1]), lambda: sympy.sqrt(2), lambda: 0.1],
     ids=["polynomial", "algebraic", "float"],
 )
 @pytest.mark.parametrize(
@@ -120,9 +124,8 @@ def algebraic_entry():
 )
 def test_entries_other_than_rationals_raise_type_error(build, entry):
     """Matrices and T - lam*P are rational: a polynomial or an algebraic
-    entry or lam is refused, not computed over another domain, and so is
-    a float, not taken at its binary value. The entries are built here,
-    so that the module collects without the arithmetic of Q(alpha)."""
+    entry or lam (sympy's sqrt(2)) is refused, not computed over another
+    domain, and so is a float, not taken at its binary value."""
     x = entry()
     with pytest.raises(TypeError):
         build(x)
@@ -186,3 +189,14 @@ def test_ring_at_root_splits_a_reducible_modulus_on_a_zero_divisor():
     with pytest.raises(ZeroDivisor) as split:
         pivot_slices([[[-2, 0, 1], [1]], [[1], [0, 1]]], ring)
     assert split.value.factor == [-2, 0, 1]
+
+
+def test_bareiss_det_refuses_rings_other_than_z_and_z_lambda():
+    """The determinant of [[0, 1], [1, 0]] is -1 over Z and over Z[λ].
+    Over Z[y] with pivots tested at the roots of g, the sign of the row
+    swap would turn the list pivot [1] into []: 0 where the determinant is
+    -1. ``bareiss_det`` refuses that ring instead of answering."""
+    assert bareiss_det([[0, 1], [1, 0]], RING_Z) == -1
+    assert bareiss_det([[[], [1]], [[1], []]], RING_ZX) == [-1]
+    with pytest.raises(ValueError):
+        bareiss_det([[[], [1]], [[1], []]], ring_at_root([6, 0, -5, 0, 1]))

@@ -30,10 +30,12 @@ reaching the generic one or a rational row reduction, and its one-pivot
 flattening drop must match the gcd of all maximal minors. Every flattening guard of a family
 is such a drop, and no candidate factor of a seeded family lands back in
 its generic orbit. The generic strategy must answer
-without computing over Q(alpha), and the orbit it reads off the family's
-integer minors at each irrational candidate root must be the orbit of the
-member over Q(alpha); a candidate times polynomials whose roots give the
-generic orbit comes back split into one group per orbit. Rationally scaled inputs keep their verdicts, and
+with rational witnesses only, and raise on a report with an irrational
+group of rank r - 1, which no seeded escape family has; the orbit it
+reads off the family's integer minors at each irrational group must be
+the orbit sympy reads off the member over Q(alpha); a candidate times
+polynomials whose roots give the generic orbit comes back split into one
+group per orbit. Rationally scaled inputs keep their verdicts, and
 order-four lifts of the normal forms get the same verdict from both
 strategies, and so do matrix and rank-one T of orders two to four, the
 matrix verdicts read off sympy's pseudo-inverse. In the {0, 1} box, one
@@ -55,13 +57,14 @@ from sympy.polys.matrices import DomainMatrix
 from support import (
     flattening,
     load_script,
+    orbit_at_root,
     permute_axes,
     rank,
     tensor_from_dict,
     upoly_product,
 )
 
-from tensorloci import exactnum, linalg, locus
+from tensorloci import linalg, locus
 from tensorloci.classify import (
     OrbitId,
     _CoreReads,
@@ -87,7 +90,6 @@ from tensorloci.locus import (
     IN_DECOMPOSITION,
     SPECIALIZED,
     LambdaWitness,
-    _first_witness,
     closed_form_predicate,
     locus_membership,
     locus_tangential,
@@ -132,11 +134,9 @@ def random_invertible(rng, n):
 
 
 def member_rank(T, P, witness):
-    """rank(T - lam*P) at the witness; algebraic lam over its extension."""
-    if witness.is_rational:
-        member = subtract_scaled(T, witness.value, P)
-    else:
-        member = ParametricTensor(T, P).specialize_ext(witness.minimal_poly)
+    """rank(T - lam*P) at the witness, always rational."""
+    assert witness.is_rational
+    member = subtract_scaled(T, witness.value, P)
     return 0 if member.is_zero() else classify(member).rank
 
 
@@ -152,13 +152,10 @@ def assert_strategies_agree(T, P, label):
 
 
 def witness_code(verdict):
-    """None when forbidden, else the witness value as text, or the
-    witness polynomial as primitive integer coefficients."""
+    """None when forbidden, else the witness value as text."""
     if not verdict.in_decomposition:
         return None
-    if verdict.witness.is_rational:
-        return format_rational(verdict.witness.value)
-    return primitive(verdict.witness.minimal_poly)
+    return format_rational(verdict.witness.value)
 
 
 def seeded_families(orbit):
@@ -501,9 +498,12 @@ RECORDED_FACTORS = {5: [[(-1, 3), (0, 1)], [(-25, 18), (0, 1)],
 
 
 def orbit_at(family, fac):
-    """The orbit of the member at a root of fac, classified as a tensor:
-    over Q(alpha) at an irrational root."""
-    member = family.member_at(fac) if fac.degree == 1 else family.specialize_ext(fac)
+    """The orbit of the member at a root of the irreducible fac, classified
+    as a tensor at a rational root, and read by sympy over Q(alpha) at an
+    irrational one (``orbit_at_root``)."""
+    if fac.degree > 1:
+        return OrbitId.orbit(orbit_at_root(family.base, family.direction, fac))
+    member = family.member_at(fac)
     return OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
 
 
@@ -656,7 +656,7 @@ def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
                 for axis in (1, 2, 3):
                     g = flat_minor_gcd(family, axis)
                     value = family.flattening_drop(axis)[1]
-                    assert not g.is_zero(), (orbit, p, axis)
+                    assert g.degree >= 0, (orbit, p, axis)  # not every minor vanishes
                     if g.degree == 0:
                         assert value is None, (orbit, p, axis)
                     else:
@@ -842,14 +842,20 @@ def irrational_candidates(orbit):
 
 
 def test_members_at_irrational_roots_match_their_orbits_over_the_extension():
-    """At every irrational candidate root of the seeded families, the
-    orbit read off the family's integer minors is the orbit of the member
-    classified as a tensor over Q(alpha)."""
+    """At every irrational group the exact ``classify_parametric`` reports
+    on the seeded families, normal form and GL-moved, the orbit read off
+    the family's integer minors is the orbit sympy reads off the member
+    over Q(alpha) at each irreducible factor of the group
+    (``orbit_at_root``)."""
     seen = 0
     for orbit in ORBITS:
-        for family, fac, oid in irrational_candidates(orbit):
-            assert oid == classify(family.specialize_ext(fac)).orbit, (orbit, fac)
-            seen += 1
+        for _sparse, T, P, gT, gP in seeded_families(orbit):
+            for t, p in ((T, P), (gT, gP)):
+                report = classify_parametric(ParametricTensor(t, p), classify(t))
+                for fac, oid in irreducible_entries(report.exceptional[1:]):
+                    if fac.degree > 1:
+                        assert oid == OrbitId.orbit(orbit_at_root(t, p, fac)), (orbit, fac)
+                        seen += 1
     assert seen == 36
 
 
@@ -857,9 +863,9 @@ def test_root_groups_split_where_the_orbits_differ():
     """Each irrational candidate of a seeded family, all outside the
     generic orbit, times lam^2 - 7, whose roots give the generic orbit, is
     read whole: the reader splits it on a zero divisor into two coprime
-    groups, each with the orbit of the member over Q(alpha) at its roots.
-    With lam^2 + 5 as well, the two generic parts come back merged into
-    one group, wherever the splits fell."""
+    groups, each with the orbit of the member over Q(alpha) at its roots
+    (``orbit_at_root``). With lam^2 + 5 as well, the two generic parts come
+    back merged into one group, wherever the splits fell."""
     quad, other = UniPoly([-7, 0, 1]), UniPoly([5, 0, 1])
     seen = 0
     for orbit in ORBITS:
@@ -867,7 +873,7 @@ def test_root_groups_split_where_the_orbits_differ():
             generic = family_orbit(family)[0]
             assert oid != generic
             for q in (quad, other):
-                assert classify(family.specialize_ext(q)).orbit == generic
+                assert orbit_at_root(family.base, family.direction, q) == generic.value
             for q in (quad, upoly_product(quad, other)):
                 want = [(fac, oid), (q, generic)]
                 assert orbits_at_roots(family, upoly_product(fac, q)) == sorted(
@@ -877,24 +883,32 @@ def test_root_groups_split_where_the_orbits_differ():
 
 
 def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
-    """With the member over Q(alpha), elements of Q(alpha) and their
-    inverses refusing, GENERIC answers every seeded family with the
-    witnesses of the table."""
+    """GENERIC answers every seeded family with the witnesses of the
+    table, all rational. A report with an irrational group of
+    rank r - 1, which the lemma of ``LambdaWitness`` rules out, would ask
+    for a witness over Q(alpha): planted in place of the report of a
+    family, it makes GENERIC raise InternalError instead of answering."""
+    for orbit in ORBITS:
+        verdicts = [
+            locus_membership(t, p, GENERIC)
+            for _sparse, T, P, gT, gP in seeded_families(orbit)
+            for t, p in ((T, P), (gT, gP))
+        ]
+        assert [witness_code(v) for v in verdicts] == [
+            gen for _spec, gen in WITNESSES[orbit]], orbit
+    T, P = normal_form(17), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
+    real = locus.classify_parametric
 
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the generic strategy computed over Q(alpha)")
+    def planted(family, report, **kwargs):
+        parametric = real(family, report, **kwargs)
+        parametric.exceptional.append((UniPoly([-2, 0, 1]), OrbitId.orbit(14)))
+        return parametric
 
     with monkeypatch.context() as m:
-        m.setattr(exactnum, "algext_inverse", refuse)
-        m.setattr(exactnum.AlgebraicElement, "__init__", refuse)
-        m.setattr(ParametricTensor, "specialize_ext", refuse)
-        for orbit in ORBITS:
-            got = [
-                witness_code(locus_membership(t, p, GENERIC))
-                for _sparse, T, P, gT, gP in seeded_families(orbit)
-                for t, p in ((T, P), (gT, gP))
-            ]
-            assert got == [gen for _spec, gen in WITNESSES[orbit]], orbit
+        m.setattr(locus, "classify_parametric", planted)
+        with pytest.raises(InternalError, match="irrational"):
+            locus_membership(T, P, GENERIC)
+    assert locus_membership(T, P, GENERIC).in_decomposition
 
 
 def test_classify_and_specialized_routes_run_without_rational_matrices(monkeypatch):
@@ -1180,31 +1194,24 @@ def test_first_witness_takes_the_first_factor_of_the_target_rank():
     """The members at lam = 1 and at lam = +-sqrt(2), +-sqrt(3) all have
     rank three, read as the witness search reads them, ``orbits_at_roots``
     up to ranks: each factor is one group, roots in one orbit sharing one,
-    and none has rank two; both strategies take the first value of the
-    scan, 1. Given the factors in another order, the search takes the
-    first of the target rank; irrational roots yield a witness
-    polynomial, every root of which is a witness. No family reaches that
-    branch through ``locus_membership``, so it is called directly."""
+    and none has rank two. sympy reads the same rank over Q(alpha) at the
+    irrational ones (``orbit_at_root``): they are generic members, of rank
+    r - 1 like every member off the special values, so both strategies
+    take the first value of the integer scan, 1, and no irrational root is
+    ever the witness."""
     T = normal_form(16)
     P = RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     lin, quad, other = UniPoly([-1, 1]), UniPoly([-2, 0, 1]), UniPoly([-3, 0, 1])
-    both = upoly_product(quad, other)
     family = ParametricTensor(T, P)
-    for fac in (lin, quad, both):
+    for fac in (lin, quad, upoly_product(quad, other)):
         (group, oid), = orbits_at_roots(family, fac, ranks_only=True)
         assert group == fac and oid.rank_pair()[0] == 3, fac
-    for strategy in (SPECIALIZED, GENERIC):
-        assert locus_membership(T, P, strategy).witness == LambdaWitness(value=1)
-    verdict = _first_witness(family, [lin, quad], 3)
-    assert verdict.witness == LambdaWitness(value=1)
-    verdict = _first_witness(family, [quad, lin], 3)
-    assert verdict.witness == LambdaWitness(minimal_poly=quad)
-    assert member_rank(T, P, verdict.witness) == 3
-    assert _first_witness(family, [quad, lin], 2) is None
-    verdict = _first_witness(family, [both, lin], 3)
-    assert verdict.witness == LambdaWitness(minimal_poly=both)
     for fac in (quad, other):
-        assert member_rank(T, P, LambdaWitness(minimal_poly=fac)) == 3
+        assert RANKS[orbit_at_root(T, P, fac)][0] == 3, fac
+    for strategy in (SPECIALIZED, GENERIC):
+        verdict = locus_membership(T, P, strategy)
+        assert verdict.witness == LambdaWitness(value=1) and verdict.witness.is_rational
+        assert member_rank(T, P, verdict.witness) == 3
 
 
 def test_scan_bound_covers_guard_roots_at_one_and_minus_one(monkeypatch):
@@ -1231,6 +1238,22 @@ def escape_families():
         for _sparse, T, P, gT, gP in seeded_families(orbit):
             yield orbit, T, P
             yield orbit, gT, gP
+
+
+def test_no_irrational_group_of_an_escape_family_has_the_target_rank():
+    """The lemma of ``LambdaWitness`` on the seeded families of the six
+    escape orbits, normal form and GL-moved: the exact
+    ``classify_parametric`` reports groups of irrational special values on
+    them (12, all on orbits 16 and 17), and none has rank r - 1,
+    r = rank T, so every witness is rational."""
+    groups = 0
+    for orbit, T, P in escape_families():
+        target = RANKS[orbit][0] - 1
+        report = classify_parametric(ParametricTensor(T, P), classify(T))
+        irrational = [oid for fac, oid in report.exceptional if fac.degree > 1]
+        assert [oid for oid in irrational if oid.rank_pair()[0] == target] == [], (orbit, P)
+        groups += len(irrational)
+    assert groups == 12
 
 
 class FamilyOrbitCalled(Exception):
@@ -1337,7 +1360,8 @@ def test_sweep_script_cross_checks_members_at_irrational_roots(capsys):
         "orbit %2d" % n for n in ORBITS
     ]
     assert lines[-2].startswith("reads: minor_gcd ")
-    assert lines[-1] == "5 members at irrational roots, 0 mismatches"
+    assert lines[-1] == ("5 members at irrational roots, 0 mismatches, "
+                         "0 irrational groups of rank r - 1")
 
 
 def test_sweep_script_compares_verdicts_under_gl(capsys):

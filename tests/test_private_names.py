@@ -29,9 +29,6 @@ ALLOWED = {
     "_escape_verdict": "spy target: the escape route of the specialized strategy",
     "_generic_membership": "spy target: refused on the specialized routes",
     # kernels no public input reaches
-    "_first_witness": "its witness polynomial: no family tried meets the target rank "
-                      "only at irrational roots (no query of the 9-seed, 3-round verdict "
-                      "dump does), so a direct call orders the factors",
     "_RootReads": "its pure_square: no family has a square repeated part at an "
                   "irrational root, so only a direct call on planted Z[beta] forms reaches it; "
                   "its member_rank at random linear forms, which no repeated part is",

@@ -30,20 +30,10 @@ ALLOWED = {
     # the closed forms: ``locusbench/checks.py`` checks every benchmark verdict with them
     "locus:_cf_*": "entered by locusbench/checks.py",
     "locus:closed_form_predicate": "entered by locusbench/checks.py",
+    # always True, every witness being rational: read by locusbench/checks.py
+    "locus:LambdaWitness.is_rational": "entered by locusbench/checks.py",
     # dunder methods: reprs, comparisons and operators the answers need not call
     "*:*.__*__": "dunder method",
-    # the Q(alpha) layer: the member of a family at an irrational root as a
-    # tensor over Q(alpha), an independent check of the integer root reader,
-    # with the polynomial arithmetic and the field branch of bform_gcd it uses
-    "tensorcore:ParametricTensor.specialize_ext": "Q(alpha) layer",
-    "exactnum:AlgebraicElement.*": "Q(alpha) layer",
-    "exactnum:algext_inverse": "Q(alpha) layer",
-    "exactnum:upoly_xgcd": "Q(alpha) layer",
-    "exactnum:UniPoly._coerce": "Q(alpha) layer: UniPoly arithmetic",
-    "exactnum:UniPoly.divmod": "Q(alpha) layer: reduction modulo the modulus",
-    "exactnum:UniPoly.is_zero": "Q(alpha) layer",
-    "exactnum:UniPoly.leading": "Q(alpha) layer",
-    "binforms:_pl_*": "Q(alpha) layer: bform_gcd over a field",
     # text input of rationals, whose place is not settled yet
     "exactnum:parse_rational": "rational text input, no caller yet",
     # square roots no seeded query reaches

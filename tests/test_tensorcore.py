@@ -19,9 +19,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from support import flattening, pencil_rows, permute_axes, rank
+from support import flattening, orbit_at_root, pencil_rows, permute_axes, rank
 
-from tensorloci.classify import classify, orbits_at_roots
+from tensorloci.classify import OrbitId, classify, orbits_at_roots
 from tensorloci.errors import ShapeMismatch, SingularMatrix, ZeroTensor
 from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import Mat, mat_det
@@ -417,9 +417,10 @@ def test_parametric_specializations_agree():
 
 def test_member_at_matches_specialize():
     """A linear factor gives the member over Q (``subtract_scaled``) times
-    a positive integer, with int entries. At a root of a quadratic one the member is over
-    Q(alpha), from specialize_ext, in the orbit orbits_at_roots reads off
-    the family; member_at refuses that factor."""
+    a positive integer, with int entries. At a root of a quadratic one the
+    member is over Q(alpha), in the orbit orbits_at_roots reads off the
+    family, as sympy reads it there (``orbit_at_root``); member_at refuses
+    that factor."""
     fam = ParametricTensor(
         normal_form(16), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     )
@@ -429,8 +430,7 @@ def test_member_at_matches_specialize():
     ratio = next(a / b for a, b in zip(member.entries, want.entries) if b)
     assert ratio > 0 and member == want.scale(ratio)
     quad = UniPoly([-2, 0, 1])
-    member = fam.specialize_ext(quad)
-    assert all(x.modulus == quad for x in member.entries)
-    assert orbits_at_roots(fam, quad) == [(quad, classify(member).orbit)]
+    want = OrbitId.orbit(orbit_at_root(fam.base, fam.direction, quad))
+    assert orbits_at_roots(fam, quad) == [(quad, want)]
     with pytest.raises(ValueError):
         fam.member_at(quad)
