@@ -407,10 +407,12 @@ READS = ("minor_gcd", "discriminant_vanishes", "repeated_part", "pure_square", "
 
 
 def counting_reads(counts):
-    """Wrap the reads of the irrational-root reader so that each call is
-    counted, and the table so that each D5 split is; returns a function
-    that restores them."""
+    """Wrap the reads of the irrational-root reader, its own and those it
+    shares with the integer reader, so that each call on it is counted,
+    and the table so that each D5 split is; returns a function that
+    restores them."""
     cls = classify_module._RootReads
+    own = {name: cls.__dict__.get(name) for name in READS}
     saved = {name: getattr(cls, name) for name in READS}
     table = classify_module._family_table
 
@@ -432,8 +434,11 @@ def counting_reads(counts):
     classify_module._family_table = counted_table
 
     def restore():
-        for name, read in saved.items():
-            setattr(cls, name, read)
+        for name, read in own.items():
+            if read is None:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, read)
         classify_module._family_table = table
     return restore
 

@@ -1,33 +1,32 @@
-"""Binary forms in (u, v) over Z.
+"""Binary forms in (u, v) over Z and Z[β].
 
 A form of degree d is a coefficient list of length d+1; position i holds the
 coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
-(determinant forms of degenerate pencils vanish identically). The layers
-above also keep forms whose coefficients are Z[λ] int lists, and read
-them with their own arithmetic.
+(determinant forms of degenerate pencils vanish identically). A form
+carries its coefficient ring, ``exactnum.INTEGERS`` or ``zb_ring(g)``, and
+every read below is written once on the ring's operations. Forms over Z[λ]
+are only held: the layers above split or pack them into int forms first.
 
-The gcd of int forms is a primitive integer form, from the integer
-remainder sequence on their int coefficient lists. Discriminants are the
-classical ones of degree 2 and 3, in any ring: every determinant form and
-repeated part in the package has degree at most 3. Squares are read by
-one rule, ``bform_square_root``, on the int quadratics that are tested
-for one: the repeated part of a cubic determinant form and the 2-minor
-gcd of a tangent tensor's contraction pencil. No higher power is ever
-tested.
+The gcd of forms is the ring's remainder sequence on their coefficient
+lists, over Z a primitive form, its first nonzero coefficient positive.
+Discriminants are the classical ones of degree 2, in either ring, and 3,
+over Z: every determinant form and repeated part in the package has
+degree at most 3. Squares are read by one rule, ``bform_square_root``, on
+the quadratics that are tested for one: the repeated part of a cubic
+determinant form and the 2-minor gcd of a tangent tensor's contraction
+pencil. No higher power is ever tested.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import AllZero, DegreeTooLarge, DegreeTooSmall
-from .exactnum import _ip_gcd, _ip_primitive
+from .exactnum import INTEGERS
 
 
 class BinaryForm:
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "coeffs", "ring")
 
-    def __init__(self, coeffs, degree=None):
+    def __init__(self, coeffs, degree=None, ring=INTEGERS):
         coeffs = list(coeffs)
         if degree is None:
             degree = len(coeffs) - 1
@@ -35,6 +34,7 @@ class BinaryForm:
             raise ValueError("need %d coefficients" % (degree + 1))
         self.degree = degree
         self.coeffs = coeffs
+        self.ring = ring
 
     def is_zero(self):
         return all(not c for c in self.coeffs)
@@ -51,13 +51,11 @@ class BinaryForm:
 
     def partial_u(self):
         d = self.degree
-        return BinaryForm(
-            [(d - i) * self.coeffs[i] for i in range(d)], d - 1
-        )
+        return BinaryForm(self.ring.scale(range(d, 0, -1), self.coeffs), d - 1, self.ring)
 
     def partial_v(self):
         d = self.degree
-        return BinaryForm([i * self.coeffs[i] for i in range(1, d + 1)], d - 1)
+        return BinaryForm(self.ring.scale(range(1, d + 1), self.coeffs[1:]), d - 1, self.ring)
 
     def v_multiplicity(self):
         """Largest q with v^q dividing the form."""
@@ -66,26 +64,22 @@ class BinaryForm:
             q += 1
         return q
 
-    def dehomogenized(self):
-        """(q, univariate coefficient list lowest-first) with f = v^q * hom."""
-        q = self.v_multiplicity()
-        return q, list(reversed(self.coeffs[q:]))
-
     def __repr__(self):
         return "BinaryForm(%r)" % (self.coeffs,)
 
 
-def form_from_univariate(univ, v_power=0):
+def form_from_univariate(univ, v_power=0, ring=INTEGERS):
     """Homogenize a lowest-first coefficient list and multiply by v^v_power."""
-    return BinaryForm([0] * v_power + list(reversed(univ)), len(univ) - 1 + v_power)
+    return BinaryForm([ring.zero] * v_power + list(reversed(univ)), len(univ) - 1 + v_power, ring)
 
 
 def bform_gcd(forms):
-    """Greatest common divisor of int binary forms, zero forms skipped, in
-    one pass over the iterable ``forms`` that stops once the gcd is a
-    constant: a primitive integer form, its first nonzero coefficient
-    positive, from the integer remainder sequence run on their coefficient
-    lists as they are. AllZero when every form vanishes.
+    """Greatest common divisor of binary forms over one ring, zero forms
+    skipped, in one pass over the iterable ``forms`` that stops once the
+    gcd is a constant: the remainder sequence of the ring run on their
+    coefficient lists as they are, the result as the ring reports it (over
+    Z primitive, its first nonzero coefficient positive). AllZero when
+    every form vanishes.
     """
     qmin, acc = None, None
     for f in forms:
@@ -98,26 +92,29 @@ def bform_gcd(forms):
                 break  # a constant gcd
             continue  # only the power of v can still shrink
         univ = f.coeffs[q:][::-1]
-        acc = _ip_primitive(univ) if acc is None else _ip_gcd(acc, univ)
+        if acc is None:
+            acc, ring = univ, f.ring
+        else:
+            acc = ring.gcd(acc, univ)
     if acc is None:
         raise AllZero("gcd of identically zero forms")
-    acc = [1] if len(acc) == 1 else [-c for c in acc] if acc[-1] < 0 else acc
-    return form_from_univariate(acc, qmin)
+    return form_from_univariate(ring.normal(acc), qmin, ring)
 
 
 def bform_discriminant(f):
     """Discriminant of a binary form of degree 2 or 3.
 
-    Degree 2 uses the classical b^2 - 4ac; degree 3 the anchored quartic
-    expression below (whose vanishing set is the classical one). Larger
-    degrees raise DegreeTooLarge.
+    Degree 2 uses the classical b^2 - 4ac, in the form's ring; degree 3,
+    over Z only, the anchored quartic expression below (whose vanishing
+    set is the classical one). Larger degrees raise DegreeTooLarge.
     """
     d = f.degree
     c = f.coeffs
     if d < 2:
         raise DegreeTooSmall("discriminant needs degree >= 2")
     if d == 2:
-        return c[1] * c[1] - 4 * c[0] * c[2]
+        four_a, b, c2 = f.ring.scale((4, 1, 1), c)
+        return f.ring.cross(b, b, four_a, c2)
     if d == 3:
         return (
             -(c[1] * c[1] * c[2] * c[2])
@@ -130,14 +127,11 @@ def bform_discriminant(f):
 
 
 def bform_square_root(g):
-    """(True, ell) when the nonzero int quadratic form g is a constant
-    times ell^2, else (False, None): c0 u^2 + c1 uv + c2 v^2 is a square
-    when c1^2 = 4 c0 c2, of 2 c0 u + c1 v divided by its gcd and signed
-    like c0, or of v if c0 = 0."""
-    c0, c1, c2 = g.coeffs
-    if c1 * c1 != 4 * c0 * c2:
+    """(True, ell) when the nonzero quadratic form g is a constant times
+    ell^2, else (False, None): c0 u^2 + c1 uv + c2 v^2 is a square when
+    its discriminant c1^2 - 4 c0 c2 vanishes, of its u-partial 2 c0 u + c1 v,
+    or of v (its v-partial 2 c2 v) if c0 = 0, as ``bform_gcd`` reports it:
+    over Z primitive and signed like c0."""
+    if bform_discriminant(g):
         return False, None
-    if not c0:
-        return True, BinaryForm([0, 1])
-    d = math.gcd(2 * c0, c1) * (1 if c0 > 0 else -1)
-    return True, BinaryForm([2 * c0 // d, c1 // d])
+    return True, bform_gcd([g.partial_u() if g.coeffs[0] else g.partial_v()])

@@ -28,7 +28,9 @@ unpacked (Kronecker substitution, ``_lambda_discriminant``). A third
 reader reads the members at the irrational roots of the guards
 off the same pencil over Z[λ]: no affine minor vanishes there, so each
 member has the family's concise shape, and its minors are the family's
-at the root α, in Z[β] for an integer multiple β of α. The guards are
+at the root α, forms over Z[β] for an integer multiple β of α, which
+carry their ring: all but its minors and member ranks are the integer
+reader's reads. The guards are
 never split into irreducible factors: the reader takes all their
 irrational roots at once, as the roots of one square-free polynomial,
 and splits it only where a read tells two roots apart (dynamic
@@ -38,26 +40,17 @@ the members at the roots so, at a rational one as an int tensor.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_root
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
-from .exactnum import (
-    UniPoly,
-    _ip_cross,
-    _ip_exact_div,
-    _zb_cross,
-    _zb_gcd,
-    candidate_factors,
-)
+from .exactnum import UniPoly, _ip_cross, _ip_exact_div, candidate_factors, zb_ring
 from .linalg import RING_Z, RING_ZX, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
-from .orbits import RANKS
+from .orbits import PENCILS, RANKS, normal_form
 from .pencil import (
     Pencil,
     family_minor_gcd,
-    family_minors,
     lambda_form,
     lambda_parts,
     member_rank_at,
@@ -186,15 +179,13 @@ class ParametricReport:
         )
 
 
-# Table rows that are matrix cases in a three-factor presentation, keyed by
-# their concise shape in the original axis order.
-MATRIX_CASE_ROWS = {
-    (1, 1, 1): 1,
-    (2, 2, 1): 2,
-    (1, 2, 2): 3,
-    (2, 1, 2): 4,
-    (1, 3, 3): 10,
-}
+# Both read off ``PENCILS``: the table rows that are matrix cases in a
+# three-factor presentation, keyed by their concise shape in the original
+# axis order, and each (2, 2, 3) row to its transpose, a (2, 3, 2) row.
+_SHAPES = {n: concise_reduce(normal_form(n)).concise_shape for n in PENCILS}
+MATRIX_CASE_ROWS = {s: n for n, s in _SHAPES.items() if sum(d > 1 for d in s) <= 2}
+TRANSPOSED_ROWS = {n: m for n in PENCILS if _SHAPES[n] == (2, 2, 3) for m in PENCILS
+                   if PENCILS[m] == [list(col) for col in zip(*PENCILS[n])]}
 
 
 def _canonical_permutation(shape):
@@ -242,7 +233,7 @@ def _orbit_of_shape(order, concise_shape, reads, ranks_only):
         )
     n = _orbit_of_canonical(dims, reads(dims), ranks_only)
     if order == 3 and concise_shape == (2, 3, 2):
-        n = {7: 11, 8: 12}.get(n, n)
+        n = TRANSPOSED_ROWS[n]
     return OrbitId.orbit(n)
 
 
@@ -312,7 +303,7 @@ def _orbit_234(reads):
 
 class _CoreReads:
     """The invariants the decision table reads, on the pencil of an integer
-    core of shape (2, b, c)."""
+    core of shape (2, b, c); the forms carry their ring."""
 
     def __init__(self, core):
         self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], RING_Z)
@@ -321,7 +312,7 @@ class _CoreReads:
         return pencil_minor_gcd(self.p, k)
 
     def discriminant_vanishes(self, form):
-        return bform_discriminant(form) == 0
+        return not bform_discriminant(form)
 
     def repeated_part(self, det):
         return bform_gcd([det, det.partial_u(), det.partial_v()])
@@ -348,7 +339,7 @@ def _lambda_discriminant(form):
     return kronecker_unpack(bform_discriminant(packed), k)
 
 
-class _FamilyReads:
+class _FamilyReads(_CoreReads):
     """The same invariants over Q(λ) for the pencil ``p`` of a family over
     Z[λ]; each read appends its guards to ``guards``."""
 
@@ -376,8 +367,7 @@ class _FamilyReads:
         stays so wherever det / rep is square-free, that is off the roots
         of its discriminant over Z[λ] (``_lambda_discriminant``)."""
         parts = lambda_parts(det.coeffs)
-        c = bform_gcd(parts)
-        rep = bform_gcd([c, c.partial_u(), c.partial_v()]) if c.degree else c
+        rep = super().repeated_part(bform_gcd(parts))
         if det.degree - rep.degree >= 2:
             disc = _lambda_discriminant(lambda_form(*(zform_quotient(f, rep) for f in parts)))
             if not disc:
@@ -385,74 +375,47 @@ class _FamilyReads:
             self._guard(UniPoly(disc))
         return rep
 
-    def pure_square(self, g):
-        """g is the int form ``repeated_part`` returns: ``bform_square_root``."""
-        return bform_square_root(g)
-
     def member_rank(self, ell):
         rank, pivot = member_rank_at(self.p, ell)
         self._guard(UniPoly(pivot) if rank else None)
         return rank
 
 
-class _RootReads:
+class _RootReads(_CoreReads):
     """The same invariants at all the roots α of a monic square-free f
     with no rational root at once, from the pencil ``p`` of the family
     over Z[λ], with no arithmetic over Q(α). With (g, L) = (g, ``den``)
     from ``_root_model(f)``, β = Lα is a root of the monic integer g, and
-    Z[β] is int lists mod g (``exactnum._zb_cross``). Each entry and minor
-    of the family is f0 + λ f1 over Q, so at α it is a nonzero rational
-    multiple of L f0 + β f1: zero only where f0 and f1 both vanish, else
-    a unit, g having no rational root. Every element computed from those
-    is made by ``_zb_cross``, up to an integer factor, or tested as a
-    pivot by ``linalg.ring_at_root``; one that vanishes at some roots of g
-    and not at others raises ZeroDivisor with the factor of g to split
-    off."""
+    the forms are over Z[β], int lists mod g (``exactnum.zb_ring``). Each
+    entry and minor of the family is f0 + λ f1 over Q, so at α it is a
+    nonzero rational multiple of L f0 + β f1: zero only where f0 and f1
+    both vanish, else a unit, g having no rational root. Every element
+    computed from those is made by the ring, up to an integer factor, or
+    tested as a pivot by ``linalg.ring_at_root``; one that vanishes at
+    some roots of g and not at others raises ZeroDivisor with the factor
+    of g to split off."""
 
     def __init__(self, p, g, den):
         self.p = p
         self.g = g
         self.den = den
+        self.ring = zb_ring(g)
 
     def _lift(self, p):
         """L p(α) in Z[β] for an affine Z[λ] int list p."""
         assert len(p) <= 2, "an entry of the family is not affine in λ"
         return [self.den * x for x in p[:1]] + p[1:]
 
-    def _gcd(self, forms):
-        """``bform_gcd`` over Q(β), up to a constant."""
-        live = [f for f in forms if not f.is_zero()]
-        univ = [f.dehomogenized()[1] for f in live]
-        acc = functools.reduce(lambda a, b: _zb_gcd(a, b, self.g), univ)
-        return BinaryForm([[]] * min(f.v_multiplicity() for f in live) + acc[::-1])
-
     def minor_gcd(self, k):
-        minors = [BinaryForm([self._lift(c) for c in m]) for m in family_minors(self.p, k)]
-        return self._gcd(minors) if minors else BinaryForm([[]] * (k + 1))
-
-    def discriminant_vanishes(self, form):
-        c0, c1, c2 = form.coeffs
-        return not _zb_cross(c1, c1, [4 * x for x in c0], c2, self.g)
-
-    def repeated_part(self, det):
-        d, c = det.degree, det.coeffs
-        du = BinaryForm([[(d - i) * x for x in c[i]] for i in range(d)])
-        dv = BinaryForm([[i * x for x in c[i]] for i in range(1, d + 1)])
-        return self._gcd([det, du, dv])
-
-    def pure_square(self, g):
-        """``bform_square_root``'s rule in Z[β]: c0 u^2 + c1 uv + c2 v^2 is a
-        square when c1^2 = 4 c0 c2, of 2 c0 u + c1 v, or of v if c0 = 0."""
-        if not self.discriminant_vanishes(g):
-            return False, None
-        c0, c1, _ = g.coeffs
-        return True, BinaryForm([[2 * x for x in c0], c1] if c0 else [[], [1]])
+        return pencil_minor_gcd(
+            self.p, k, lambda m: BinaryForm([self._lift(c) for c in m], k, self.ring))
 
     def member_rank(self, ell):
         """Rank at the root (-b, a) of ell = a u + b v, pivots tested at β."""
         a, b = ell.coeffs
         c = self.p.cols
-        member = [[_zb_cross(a, self._lift(y), b, self._lift(x), self.g)
+        cross = self.ring.cross
+        member = [[cross(a, self._lift(y), b, self._lift(x))
                    for x, y in zip(r[:c], r[c:])] for r in self.p.rows]
         return _bareiss(member, ring_at_root(self.g))[0]
 

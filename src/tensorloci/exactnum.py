@@ -16,7 +16,9 @@ Integer polynomials are dense int lists, lowest degree first: the gcd of
 the integer remainder sequence (``_ip_gcd``), exact products and
 quotients, and Z[β] for a root β of a monic integer polynomial with no
 rational root (``_zb_cross``, ``_zb_gcd``), where a zero divisor is
-reported rather than computed with.
+reported rather than computed with. Each of Z and Z[β] is also one
+``CoeffRing`` record, ``INTEGERS`` and ``zb_ring(g)``, which travels with
+a binary form over it: ``binforms`` computes with nothing else.
 
 A one-parameter family T - λP is never computed over the field Q(λ): its
 invariants are polynomials in λ, and ``candidate_factors`` turns the ones
@@ -30,6 +32,7 @@ No floating point number ever enters any computation here.
 
 from __future__ import annotations
 
+import collections
 import math
 from fractions import Fraction
 
@@ -298,6 +301,35 @@ def _zb_gcd(a, b, g):
             return b
         a, b = b, _zb_primitive(r)
     return [[1]]
+
+
+# A coefficient ring of binary forms: its zero; scale(ns, xs), the n x for
+# ints n, one call per form; cross(a, p, h, b) = a p - h b; gcd(a, b), a gcd
+# up to a constant of two nonzero polynomials over it, lowest first; and
+# normal(a), the multiple of the nonzero polynomial a that it reports.
+CoeffRing = collections.namedtuple("CoeffRing", "zero scale cross gcd normal")
+
+# Z: a polynomial reported primitive, its last coefficient positive
+INTEGERS = CoeffRing(
+    0,
+    lambda ns, xs: [n * x for n, x in zip(ns, xs)],
+    lambda a, p, h, b: a * p - h * b,
+    _ip_gcd,
+    lambda v: _ip_primitive([-c for c in v] if v[-1] < 0 else v),
+)
+
+
+def zb_ring(g):
+    """Z[β] for a root β of g, as above: a nonzero zero divisor raises
+    ZeroDivisor in ``cross`` and ``gcd``, and a polynomial is reported
+    with its integer content taken out."""
+    return CoeffRing(
+        [],
+        lambda ns, xs: [[n * y for y in x] for n, x in zip(ns, xs)],
+        lambda a, p, h, b: _zb_cross(a, p, h, b, g),
+        lambda a, b: _zb_gcd(a, b, g),
+        _zb_primitive,
+    )
 
 
 def _rational_roots(f):

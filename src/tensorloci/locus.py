@@ -53,6 +53,7 @@ from .errors import (
     ShapeMismatch,
     TangencyPointRequested,
     UnsupportedOrbit,
+    UnsupportedShape,
 )
 from .exactnum import UniPoly, candidate_factors, to_fraction
 from .linalg import sample_points
@@ -256,7 +257,16 @@ def locus_tangential(T, P):
 def _generic_membership(T, P, report):
     target = report.rank - 1
     family = ParametricTensor(T, P)
-    parametric = classify_parametric(family, report, ranks_only=True)
+    try:
+        parametric = classify_parametric(family, report, ranks_only=True)
+    except UnsupportedShape:
+        # T - lam*P keeps more slices than T on some axis, so P's factor
+        # there is off T's span: projecting it away maps an r-term
+        # decomposition with P to an (r - 1)-term one of T.
+        if any(len(family.flattening_drop(axis)[0]) > d
+               for axis, d in enumerate(report.concise_shape, 1)):
+            return LocusVerdict.forbidden()
+        raise
     special = [(fac, oid) for fac, oid in parametric.exceptional if fac != _LAMBDA]
     if any(fac.degree > 1 and orbit_rank(oid) == target for fac, oid in special):
         raise InternalError("rank %d at irrational roots: the witness lemma of "
@@ -376,6 +386,11 @@ def locus_membership(T, P, strategy=SPECIALIZED):
     root that does among the candidates of ``candidate_factors``, in order.
     No irrational root can (``LambdaWitness``); GENERIC raises
     InternalError if one does.
+
+    Supported: any T, of any order and padded or not, whose concise core
+    lies in a finite-orbit space, and any rank-one P of T's shape; other T
+    raise UnsupportedShape. Where T - lam*P has no orbit list, GENERIC
+    answers forbidden, as SPECIALIZED does (``_generic_membership``).
     """
     _check_probe(T.shape, P)
     if strategy not in (GENERIC, SPECIALIZED):

@@ -15,8 +15,8 @@ are packed into ints at λ = 2^K, for K above a bound on every
 coefficient of the minors read (``linalg.kronecker_bits``), and the
 results unpacked from their signed base-2^K digits; so are the members
 whose ranks ``member_rank_at`` reads. Row scales change a minor only by
-a constant, so minor gcds (the integer remainder sequence of
-``bform_gcd``) and member ranks use the scaled rows as they are.
+a constant, so minor gcds (the remainder sequence of ``bform_gcd``) and
+member ranks use the scaled rows as they are.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
@@ -25,9 +25,9 @@ and n int forms once the rows are over Z[λ]. ``family_minor_gcd`` and
 together with a guard: a polynomial in λ whose roots include every value
 where the value at that λ differs from the generic one. Contents,
 quotients and the cofactor guard stay over Z and Z[λ] (Gauss's lemma
-makes every quotient by a primitive content exact). The minors
-(``family_minors``) also give the member at an irrational root α: there
-each minor is m - αn.
+makes every quotient by a primitive content exact). The same minors
+also give the member at an irrational root α: there each minor is
+m - αn, and ``pencil_minor_gcd`` takes their gcd as forms over Z[β].
 """
 
 from __future__ import annotations
@@ -126,14 +126,16 @@ def pencil_minors(p, k):
             yield row_idx, col_idx, expand(row_idx, col_idx)
 
 
-def pencil_minor_gcd(p, k):
-    """gcd of all k x k minors of a pencil over Z, as ``bform_gcd`` gives
-    it, which stops taking minors once the gcd is a
-    constant; the zero form of degree k when every minor vanishes."""
+def pencil_minor_gcd(p, k, form=BinaryForm):
+    """gcd of all k x k minors of a pencil, as ``bform_gcd`` gives it,
+    which stops taking minors once the gcd is a constant; the zero form of
+    degree k when every minor vanishes. ``form`` makes each nonzero minor
+    a binary form: an int form over Z, or over Z[β] a family's minor over
+    Z[λ] read at a root."""
     if k < 1 or k > min(len(p.rows), p.cols):
         raise WrongShape("minor size %d out of range" % k)
     try:
-        return bform_gcd(BinaryForm(c, k) for _, _, c in pencil_minors(p, k) if any(c))
+        return bform_gcd(form(c) for _, _, c in pencil_minors(p, k) if any(c))
     except AllZero:
         return BinaryForm([0] * (k + 1), k)
 
@@ -179,13 +181,6 @@ def zform_quotient(f, g):
     return BinaryForm(_ip_exact_div(f.coeffs, den)[:d + 1], d)
 
 
-def family_minors(p, k):
-    """The nonzero k x k minors of a pencil over Z[λ], each the coefficient
-    list of a binary form whose coefficients are Z[λ] int lists, affine
-    when the pencil is a family's."""
-    return [coeffs for _, _, coeffs in pencil_minors(p, k) if any(coeffs)]
-
-
 def _primitive_key(f0, f1, content):
     """The ints of (f0 + λ f1) / content over their gcd, the first nonzero
     positive: equal for two minors exactly when their primitive parts
@@ -217,7 +212,7 @@ def family_minor_gcd(p, k):
     affine in λ and jump only where they share a root or all vanish,
     which their resultant (``_cofactor_guard``) catches.
     """
-    parts = [lambda_parts(m) for m in family_minors(p, k)]
+    parts = [lambda_parts(m) for _, _, m in pencil_minors(p, k) if any(m)]
     if not parts:
         return BinaryForm([[]] * (k + 1)), None
     contents = [bform_gcd(pair) for pair in parts]

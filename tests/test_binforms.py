@@ -14,6 +14,7 @@ from tensorloci.binforms import (
     bform_square_root,
 )
 from tensorloci.errors import AllZero, DegreeTooLarge, DegreeTooSmall
+from tensorloci.exactnum import zb_ring
 from tensorloci.pencil import zform_quotient
 
 U, V = sympy.symbols("u v")
@@ -288,3 +289,63 @@ def test_quotient_undoes_a_product():
         assert zform_quotient(fg, g) == f
     zero = zform_quotient(BinaryForm([0, 0, 0, 0], 3), BinaryForm([1, 2], 1))
     assert zero.is_zero() and zero.degree == 2
+
+
+# Z[beta] for beta a root of each monic g, of degree 2-4 with no rational
+# root; the last is reducible, (y^2 - 2)(y^2 - 3).
+ZB_MODULI = ([-2, 0, 1], [-1, 1, 0, 1], [6, 0, -5, 0, 1])
+
+
+def embedded(form, ring):
+    """The int form as a form over Z[beta] with constant coefficients."""
+    return BinaryForm([[c] if c else [] for c in form.coeffs], form.degree, ring)
+
+
+def constants(form):
+    """The ints of a form over Z[beta] whose coefficients are constants."""
+    assert all(len(c) <= 1 for c in form.coeffs), form
+    return [c[0] if c else 0 for c in form.coeffs]
+
+
+def proportional(xs, ys):
+    """True when the nonzero int lists xs and ys are multiples of each other."""
+    return len(xs) == len(ys) and any(xs) and any(ys) and all(
+        x * ys[j] == xs[j] * y for j in range(len(xs)) for x, y in zip(xs, ys))
+
+
+def test_partials_scale_list_coefficients():
+    """Over Z[beta] the partials scale each coefficient list; they once
+    repeated it, the u-partial of [[1, 2], [3], [4]] reading
+    [[1, 2, 1, 2], [3]]."""
+    ring = zb_ring([-2, 0, 1])
+    f = BinaryForm([[1, 2], [3], [4]], ring=ring)
+    du, dv = f.partial_u(), f.partial_v()
+    assert (du.coeffs, du.degree, du.ring) == ([[2, 4], [3]], 1, ring)
+    assert (dv.coeffs, dv.degree, dv.ring) == ([[3], [8]], 1, ring)
+
+
+def test_int_forms_embedded_in_zb_read_as_over_z():
+    """Seeded int forms of degree 1-3, embedded as constants of Z[beta]:
+    up to a constant the same ``bform_gcd``, the same vanishing of the
+    quadratic discriminant and the same square verdict as over Z."""
+    rng = random.Random(37)
+    squares = 0
+    for g in ZB_MODULI:
+        ring = zb_ring(g)
+        for _ in range(40):
+            common = random_int_form(rng, rng.randint(0, 2))
+            low, high = max(0, 1 - common.degree), 3 - common.degree
+            forms = [int_form(multiply(common, random_int_form(rng, rng.randint(low, high))))
+                     for _ in range(rng.randint(1, 3))]
+            got = bform_gcd([embedded(f, ring) for f in forms])
+            assert got.ring is ring and proportional(constants(got), bform_gcd(forms).coeffs)
+            for f in forms:
+                if f.degree != 2:
+                    continue
+                assert (not bform_discriminant(embedded(f, ring))) == (not bform_discriminant(f))
+                (ok, ell), (want_ok, want) = bform_square_root(embedded(f, ring)), bform_square_root(f)
+                assert ok == want_ok, f
+                if ok:
+                    squares += 1
+                    assert proportional(constants(ell), want.coeffs), (f, ell, want)
+    assert squares >= 10

@@ -23,7 +23,13 @@ from support import (
 from test_locus import ORBITS, irrational_candidates
 
 from tensorloci import classify as classify_module
-from tensorloci.binforms import BinaryForm, bform_square_root
+from tensorloci.binforms import (
+    BinaryForm,
+    bform_discriminant,
+    bform_gcd,
+    bform_square_root,
+    form_from_univariate,
+)
 from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
@@ -34,7 +40,7 @@ from tensorloci.classify import (
     orbits_at_roots,
 )
 from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
-from tensorloci.exactnum import UniPoly, _zb_gcd
+from tensorloci.exactnum import UniPoly, zb_ring
 from tensorloci.linalg import RING_ZX, Mat, mat_det, pivot_slices, ring_at_root
 from tensorloci.pencil import Pencil
 from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form
@@ -97,6 +103,21 @@ def test_normal_forms_match_table():
             assert rep.rank == MATRIX_ROWS[n] and len(rep.core_axes) <= 2, n
         else:
             assert len(rep.core_axes) == 3, n
+
+
+def test_orbit_tables_are_read_off_the_pencils():
+    """The classifier's two tables, computed from ``orbits.PENCILS`` at
+    import, equal the literals it once stated: the matrix-case rows by
+    their concise shapes, and the (2, 3, 2) rows 11 and 12 as the
+    transposes of the (2, 2, 3) rows 7 and 8."""
+    assert classify_module.MATRIX_CASE_ROWS == {
+        (1, 1, 1): 1,
+        (2, 2, 1): 2,
+        (1, 2, 2): 3,
+        (2, 1, 2): 4,
+        (1, 3, 3): 10,
+    }
+    assert classify_module.TRANSPOSED_ROWS == {7: 11, 8: 12}
 
 
 def test_orbit_ids_have_two_kinds():
@@ -490,16 +511,18 @@ def zb_poly_mul(a, b, g):
     return out
 
 
-def random_zb(rng, reads, nonzero=True):
+def random_zb(rng, g, nonzero=True):
     while True:
-        e = trimmed(rng.randint(-3, 3) for _ in range(len(reads.g) - 1))
+        e = trimmed(rng.randint(-3, 3) for _ in range(len(g) - 1))
         if e or not nonzero:
             return e
 
 
-def root_readers():
+def root_models():
+    """(fac, g, L, rng) for each factor of ROOT_FACTORS: its model in
+    Z[beta] (``root_model``) and a random stream of its own."""
     for fac in ROOT_FACTORS:
-        yield fac, _RootReads(Pencil([], 0, RING_ZX), *root_model(fac)), random.Random("root reads/%r" % (fac.coeffs,))
+        yield (fac, *root_model(fac), random.Random("root reads/%r" % (fac.coeffs,)))
 
 
 def candidate_per_orbit():
@@ -560,14 +583,16 @@ def test_zb_cross_reports_a_zero_divisor_with_its_factor():
 
 
 def test_zb_gcd_matches_the_gcd_over_the_extension():
-    """Products h p and h q with h of degree 0-3: the gcd in Z[beta] has the
-    degree of the gcd over Q(alpha), sympy's over ``QQ.algebraic_field``,
-    and is a multiple of it. Called directly: the minors that public
-    inputs bring to it are affine in lambda, never planted products."""
+    """Products h p and h q with h of degree 0-3: ``bform_gcd`` of the
+    forms over Z[beta] they homogenize has the degree of the gcd over
+    Q(alpha), sympy's over ``QQ.algebraic_field``, and is a multiple of
+    it. Planted products: the minors that public inputs bring to the Z[beta]
+    gcd are affine in lambda."""
     x = sympy.Symbol("x")
-    for fac, reads, rng in root_readers():
+    for fac, g, den, rng in root_models():
         K, alpha = root_field(fac)
-        beta = reads.den * alpha
+        beta = den * alpha
+        ring = zb_ring(g)
 
         def in_field(f):
             return sympy.Poly.from_list(
@@ -575,9 +600,10 @@ def test_zb_gcd_matches_the_gcd_over_the_extension():
 
         for k in range(4):
             for _ in range(3):
-                h, p, q = ([random_zb(rng, reads) for _ in range(d + 1)] for d in (k, 2, 1))
-                a, b = zb_poly_mul(h, p, reads.g), zb_poly_mul(h, q, reads.g)
-                got = [zb_in_field(c, K, beta) for c in _zb_gcd(a, b, reads.g)]
+                h, p, q = ([random_zb(rng, g) for _ in range(d + 1)] for d in (k, 2, 1))
+                a, b = zb_poly_mul(h, p, g), zb_poly_mul(h, q, g)
+                gcd = bform_gcd([form_from_univariate(f, 0, ring) for f in (a, b)])
+                got = [zb_in_field(c, K, beta) for c in reversed(gcd.coeffs)]
                 want = in_field(a).gcd(in_field(b)).rep.to_list()[::-1]
                 assert len(got) == len(want) >= k + 1
                 assert [c / got[-1] for c in got] == want
@@ -626,27 +652,29 @@ def sympy_square_root(coeffs, K, beta=None):
 
 
 def test_root_reader_discriminant_and_pure_square():
-    """Quadratic forms c l^2 (l = a u + b v, a or b possibly zero) are pure
-    squares of a multiple of l; forms with three random coefficients are
-    not; both agree with sympy over Q(alpha). The square read is called
-    directly: no family reaches it at an irrational root, where a square
-    repeated part would make a square-free cubic factor a square."""
-    for fac, reads, rng in root_readers():
+    """Quadratic forms c l^2 over Z[beta] (l = a u + b v, a or b possibly
+    zero) are pure squares of a multiple of l; forms with three random
+    coefficients are not; ``bform_discriminant`` and ``bform_square_root``,
+    the reads the root reader shares, agree with sympy over Q(alpha). The
+    square rule is called directly: no family reaches it at an irrational
+    root, where a square repeated part would make a square-free cubic
+    factor a square."""
+    for fac, g, den, rng in root_models():
         K, alpha = root_field(fac)
-        beta = reads.den * alpha
+        beta = den * alpha
         for case in range(12):
-            a, b, c = (random_zb(rng, reads) for _ in range(3))
+            a, b, c = (random_zb(rng, g) for _ in range(3))
             a, b = ([], b) if case % 3 == 1 else (a, []) if case % 3 == 2 else (a, b)
             if case < 6:
-                f = [zb_mul(c, zb_mul(x, y, reads.g), reads.g)
+                f = [zb_mul(c, zb_mul(x, y, g), g)
                      for x, y in ((a, a), ([2 * t for t in a], b), (b, b))]
             else:
-                f = [random_zb(rng, reads) for _ in range(3)]
-            form = BinaryForm(f)
+                f = [random_zb(rng, g) for _ in range(3)]
+            form = BinaryForm(f, ring=zb_ring(g))
             c0, c1, c2 = (zb_in_field(x, K, beta) for x in f)
-            vanishes = reads.discriminant_vanishes(form)
+            vanishes = not bform_discriminant(form)
             assert vanishes == (c1 * c1 - 4 * c0 * c2 == K.zero)
-            ok, ell = reads.pure_square(form)
+            ok, ell = bform_square_root(form)
             want_ok, want = sympy_square_root(form.coeffs, K, beta)
             assert ok == want_ok == vanishes == (case < 6)
             if ok:
@@ -732,9 +760,9 @@ def test_root_reader_member_rank():
     forms agree with sympy's rank over Q(alpha). Called directly: at the
     irrational roots public inputs reach, the pencil is a family's and its
     linear forms are repeated parts, never random ones."""
-    for fac, reads, rng in root_readers():
+    for fac, g, den, rng in root_models():
         K, alpha = root_field(fac)
-        beta = reads.den * alpha
+        beta = den * alpha
         for r in range(4):
             A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
             left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
@@ -746,9 +774,10 @@ def test_root_reader_member_rank():
                 + [[y, x] if x else [y] if y else [] for x, y in zip(a_row, r_row)]
                 for a_row, r_row in zip(A, R)
             ]
-            reads = _RootReads(Pencil(rows, 3, RING_ZX), *root_model(fac))
-            assert reads.member_rank(BinaryForm([[reads.den], [0, 1]])) == want
-            ell = BinaryForm([random_zb(rng, reads), random_zb(rng, reads, nonzero=False)])
+            reads = _RootReads(Pencil(rows, 3, RING_ZX), g, den)
+            assert reads.member_rank(BinaryForm([[den], [0, 1]], ring=reads.ring)) == want
+            ell = BinaryForm([random_zb(rng, g), random_zb(rng, g, nonzero=False)],
+                             ring=reads.ring)
             a, b = (zb_in_field(c, K, beta) for c in ell.coeffs)
             at_alpha = [[zb_in_field(e, K, alpha) for e in row] for row in rows]
             member = [[a * y - b * x for x, y in zip(row[:3], row[3:])] for row in at_alpha]

@@ -36,8 +36,10 @@ def upoly_from_roots(roots):
 
 def int_gcd(a, b):
     """The gcd, up to sign, of two nonzero integer coefficient lists, lowest
-    degree first, from ``bform_gcd`` on the int forms they dehomogenize."""
-    return bform_gcd([form_from_univariate(a), form_from_univariate(b)]).dehomogenized()[1]
+    degree first, from ``bform_gcd`` on the int forms they dehomogenize: no
+    power of v divides those, so the gcd's coefficients reversed are the
+    list."""
+    return bform_gcd([form_from_univariate(a), form_from_univariate(b)]).coeffs[::-1]
 
 
 class TestRationalText:

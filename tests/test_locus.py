@@ -1009,6 +1009,38 @@ def test_order_four_lifts_agree(orbit):
             assert_strategies_agree(T4, P4, (orbit, pos, sparse))
 
 
+def padded_off_the_span(T, P, axis):
+    """T padded by one zero slice on ``axis``, and P with its factor there
+    moved into the new slice, off T's span."""
+    shape = T.shape[:axis] + (T.shape[axis] + 1,) + T.shape[axis + 1:]
+    items = {idx: T[idx] for idx in itertools.product(*[range(d) for d in T.shape]) if T[idx]}
+    factors = list(P.factors)
+    factors[axis] = [Fraction(0)] * T.shape[axis] + [Fraction(1)]
+    return tensor_from_dict(shape, items), RankOneTensor(factors)
+
+
+def test_generic_answers_padded_forms_with_p_off_the_span():
+    """Each normal form padded by one zero slice on each axis in turn, P's
+    factor for that axis in the new slice: both strategies say forbidden.
+    On 22 of these pairs, orbits 13-26 padded on axis 1 and 19-26 on axis
+    2, T - lam*P has a concise shape with no orbit list, (3, b, c) or
+    (2, 4, c) with c >= 4, and GENERIC answers by the projection lemma."""
+    rng = random.Random("padded off the span")
+    unlisted = []
+    for orbit in ORBITS:
+        for axis in range(3):
+            P = random_point(rng, pencil_shape(orbit), sparse=False)
+            T, P = padded_off_the_span(normal_form(orbit), P, axis)
+            spec, _ = assert_strategies_agree(T, P, (orbit, axis))
+            assert not spec.in_decomposition, (orbit, axis)
+            try:
+                family_orbit(ParametricTensor(T, P))
+            except UnsupportedShape:
+                unlisted.append((orbit, axis))
+    assert sorted(unlisted) == sorted(
+        [(n, 0) for n in range(13, 27)] + [(n, 1) for n in range(19, 27)])
+
+
 # Points where a stored closed form disagrees with both algebraic
 # strategies. The strategies agree with each other there and their
 # witnesses re-check, so the closed form is the one at fault.

@@ -29,11 +29,7 @@ ALLOWED = {
     "_escape_verdict": "spy target: the escape route of the specialized strategy",
     "_generic_membership": "spy target: refused on the specialized routes",
     # kernels no public input reaches
-    "_RootReads": "its pure_square: no family has a square repeated part at an "
-                  "irrational root, so only a direct call on planted Z[beta] forms reaches it; "
-                  "its member_rank at random linear forms, which no repeated part is",
-    "_zb_gcd": "on planted common factors of degree 0-3: the minors public inputs "
-               "bring to it are affine in lambda",
+    "_RootReads": "its member_rank at random linear forms, which no repeated part is",
 }
 
 

@@ -36,9 +36,6 @@ ALLOWED = {
     "*:*.__*__": "dunder method",
     # text input of rationals, whose place is not settled yet
     "exactnum:parse_rational": "rational text input, no caller yet",
-    # square roots no seeded query reaches
-    "classify:_RootReads.pure_square": "no seeded input reaches it",
-    "classify:_FamilyReads.pure_square": "no seeded input reaches it at one round",
 }
 
 
