@@ -9,8 +9,8 @@ else its value as text: every witness is rational). A GENERIC line also carries 
 ``classify_parametric`` on T - lam*P: the generic orbit and each
 exceptional (factor, orbit), the factor as primitive integer coefficients.
 The report lists its irrational special values in groups, one per orbit;
-each group is printed as its irreducible factors over Q (from sympy),
-each with the group's orbit, after lam in the order of (degree,
+each group is printed as its irreducible factors over Q (from sympy, by
+``tests/support.py``), each with the group's orbit, after lam in the order of (degree,
 coefficients) of the monic factors.
 After each seed's workloads come the matrix cases, rows 1-4 of
 ``orbits.PENCILS`` (row 1 rank one, rows 2-4 of matrix rank two), as the
@@ -19,9 +19,9 @@ drawn like the workloads' and moved with their normal form by GL, from
 random streams named apart from the workloads' streams. Then come the
 tangent tensors, as the workload ``tangent``: each round, for each order
 k = 3-5 and each size m = 0, ..., k - 1 of the set of axes where P agrees
-with the tangency point, one P on the tangent model of ``sweep_loci.py``,
-with the model both as it is and padded (``sweep_loci.padded``), each pair
-moved by GL, all from streams of their own. Each tangent tensor gets one
+with the tangency point, one P on the tangent model, with the model both
+as it is and padded, each pair moved by GL, all drawn by
+``tests/draws.py`` from streams of their own. Each tangent tensor gets one
 line: the factors of ``find_tangency``, the terms of
 ``decompose_tangential`` and the status and witness of
 ``locus_tangential``, as text; a witness lam0 is first re-checked on the
@@ -36,17 +36,14 @@ give the same answers there exactly when their outputs are equal:
 import argparse
 import importlib.util
 import json
-import math
 import os
 import random
 import sys
 import types
 from fractions import Fraction
 
-import sympy
-
 from tensorloci.classify import classify, classify_parametric
-from tensorloci.exactnum import UniPoly, format_rational
+from tensorloci.exactnum import format_rational
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership, locus_tangential
 from tensorloci.orbits import normal_form, pencil_shape
@@ -84,38 +81,18 @@ def load_workloads():
     return load_module("bench_workloads", WORKLOADS_PY)
 
 
-def load_sweep():
-    return load_module("sweep_loci", os.path.join(HERE, "sweep_loci.py"))
+def load_tests_module(name):
+    return load_module(name, os.path.join(HERE, os.pardir, "tests", name + ".py"))
 
 
-def primitive(poly):
-    den = math.lcm(*[c.denominator for c in poly.coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in poly.coeffs]
-    return [c // math.gcd(*ints) for c in ints]
-
-
-def witness_code(verdict):
-    if not verdict.in_decomposition:
-        return None
-    return format_rational(verdict.witness.value)
-
-
-def irreducible_factors(poly):
-    """The monic irreducible factors over Q of a square-free UniPoly."""
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(list(reversed(primitive(poly))), x)
-    return [UniPoly([Fraction(int(c)) for c in reversed(f.all_coeffs())]).monic()
-            for f, _ in expr.factor_list()[1]]
-
-
-def report_code(T, P):
+def report_code(support, T, P):
     report = classify_parametric(ParametricTensor(T, P), classify(T))
     lam, rest = report.exceptional[0], report.exceptional[1:]
-    split = sorted(((q, oid) for fac, oid in rest for q in irreducible_factors(fac)),
+    split = sorted(((q, oid) for fac, oid in rest for q in support.irreducible_factors(fac)),
                    key=lambda e: (e[0].degree, e[0].coeffs))
     return {
         "generic": repr(report.generic),
-        "exceptional": [[primitive(fac), repr(oid)] for fac, oid in [lam] + split],
+        "exceptional": [[support.primitive(fac), repr(oid)] for fac, oid in [lam] + split],
     }
 
 
@@ -139,23 +116,19 @@ def matrix_row_queries(workloads, seed, rounds):
                 yield n, apply_gl(normal_form(n), gs), apply_gl_rank_one(P, gs)
 
 
-def tangent_queries(sweep, seed, rounds):
+def tangent_queries(draws, seed, rounds):
     """(k, m, padded, gT, gP) for ``rounds`` rounds of one P per order
-    k = 3-5 and size m of its coincident set, drawn like those of
-    ``sweep_loci.py --tangential``, on the model plain and padded."""
+    k = 3-5 and size m of its coincident set, on the model plain and
+    padded (``draws.padded_tangent``)."""
     points = random.Random("tangent/%d" % seed)
     moves = random.Random("tangent gl/%d" % seed)
     for _ in range(rounds):
         for k in range(3, 6):
-            T = sweep.tangent_model(k)
+            T = draws.tangent_model(k)
             for m in range(k):
-                coincident = points.sample(range(k), m)
-                P = RankOneTensor([[points.choice(sweep.DENSE_POOL), 0] if j in coincident
-                                   else [points.choice(sweep.SPARSE_POOL),
-                                         points.choice(sweep.DENSE_POOL)]
-                                   for j in range(k)])
-                for pad, (t, p) in enumerate([(T, P), sweep.padded(T, P, points)]):
-                    gs = [sweep.random_invertible(moves, d) for d in t.shape]
+                P = draws.tangent_direction(points, k, points.sample(range(k), m))
+                for pad, (t, p) in enumerate([(T, P), draws.padded_tangent(points, T, P)]):
+                    gs = [draws.random_invertible(moves, d) for d in t.shape]
                     yield k, m, bool(pad), apply_gl(t, gs), apply_gl_rank_one(p, gs)
 
 
@@ -163,7 +136,7 @@ def text(vectors):
     return [[format_rational(x) for x in v] for v in vectors]
 
 
-def print_tangent(seed, k, m, pad, T, P):
+def print_tangent(support, seed, k, m, pad, T, P):
     """One line for the tangent tensor T and the direction P, once the
     witness lam0 of a member is re-checked: the terms of the decomposition
     after the first, the one along P, sum to T - lam0 P."""
@@ -177,21 +150,21 @@ def print_tangent(seed, k, m, pad, T, P):
         "workload": "tangent", "seed": seed, "order": k, "coincident": m, "padded": pad,
         "tangency": text(find_tangency(T).factors),
         "terms": [[format_rational(c), text(t.factors)] for c, t in dec.terms],
-        "status": verdict.status, "witness": witness_code(verdict),
+        "status": verdict.status, "witness": support.witness_code(verdict),
     }))
 
 
-def print_answers(name, seed, orbit, T, P):
+def print_answers(support, name, seed, orbit, T, P):
     """One line per strategy for the query (T, P)."""
     for strategy in (SPECIALIZED, GENERIC):
         verdict = locus_membership(T, P, strategy)
         line = {
             "workload": name, "seed": seed, "orbit": orbit,
             "strategy": strategy, "status": verdict.status,
-            "witness": witness_code(verdict),
+            "witness": support.witness_code(verdict),
         }
         if strategy == GENERIC:
-            line["report"] = report_code(T, P)
+            line["report"] = report_code(support, T, P)
         print(json.dumps(line))
 
 
@@ -200,17 +173,18 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8, 9])
     parser.add_argument("--rounds", type=int, default=2)
     args = parser.parse_args(argv)
-    workloads, sweep = load_workloads(), load_sweep()
+    workloads = load_workloads()
+    draws, support = load_tests_module("draws"), load_tests_module("support")
     for seed in args.seeds:
         for name in workloads.WORKLOADS:
             work = workloads.Workload(PACKAGE, name, seed)
             for _ in range(args.rounds):
                 for q in work.next_round():
-                    print_answers(name, seed, q.orbit, q.T, q.P)
+                    print_answers(support, name, seed, q.orbit, q.T, q.P)
         for n, T, P in matrix_row_queries(workloads, seed, args.rounds):
-            print_answers("pencil-rows", seed, n, T, P)
-        for query in tangent_queries(sweep, seed, args.rounds):
-            print_tangent(seed, *query)
+            print_answers(support, "pencil-rows", seed, n, T, P)
+        for query in tangent_queries(draws, seed, args.rounds):
+            print_tangent(support, seed, *query)
     return 0
 
 

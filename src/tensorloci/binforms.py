@@ -5,7 +5,9 @@ coefficient of u^(d-i) v^i. The zero form of a declared degree is allowed
 (determinant forms of degenerate pencils vanish identically). A form
 carries its coefficient ring, ``exactnum.INTEGERS`` or ``zb_ring(g)``, and
 every read below is written once on the ring's operations. Forms over Z[λ]
-are only held: the layers above split or pack them into int forms first.
+are only held: the layers above split or pack them into int forms first,
+and their record, ``LAMBDA_INTS``, has no operations, so a read of one
+raises.
 
 The gcd of forms is the ring's remainder sequence on their coefficient
 lists, over Z a primitive form, its first nonzero coefficient positive.

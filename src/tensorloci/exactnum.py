@@ -18,7 +18,8 @@ quotients, and Z[β] for a root β of a monic integer polynomial with no
 rational root (``_zb_cross``, ``_zb_gcd``), where a zero divisor is
 reported rather than computed with. Each of Z and Z[β] is also one
 ``CoeffRing`` record, ``INTEGERS`` and ``zb_ring(g)``, which travels with
-a binary form over it: ``binforms`` computes with nothing else.
+a binary form over it: ``binforms`` computes with nothing else. A form
+over Z[λ] carries ``LAMBDA_INTS``, a record with no operations.
 
 A one-parameter family T - λP is never computed over the field Q(λ): its
 invariants are polynomials in λ, and ``candidate_factors`` turns the ones
@@ -317,6 +318,12 @@ INTEGERS = CoeffRing(
     _ip_gcd,
     lambda v: _ip_primitive([-c for c in v] if v[-1] < 0 else v),
 )
+
+
+# Z[λ], int lists lowest degree first: the ring of a family's forms,
+# which are only split or packed into int forms, never read, so that no
+# operation is given and a read of such a form raises TypeError
+LAMBDA_INTS = CoeffRing([], None, None, None, None)
 
 
 def zb_ring(g):

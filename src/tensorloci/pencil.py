@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .binforms import BinaryForm, bform_gcd
 from .errors import AllZero, InternalError, WrongShape
-from .exactnum import UniPoly, _ip_exact_div, _ip_gcd
+from .exactnum import LAMBDA_INTS, UniPoly, _ip_exact_div, _ip_gcd
 from .linalg import (
     RING_Z,
     RING_ZX,
@@ -165,7 +165,8 @@ def lambda_form(f0, f1=None):
     """The form f0 + λ f1 over Z[λ], coefficients int lists, from int
     forms of one degree."""
     f1 = f1.coeffs if f1 is not None else [0] * len(f0.coeffs)
-    return BinaryForm([[x, y] if y else [x] if x else [] for x, y in zip(f0.coeffs, f1)])
+    return BinaryForm([[x, y] if y else [x] if x else [] for x, y in zip(f0.coeffs, f1)],
+                      ring=LAMBDA_INTS)
 
 
 def zform_quotient(f, g):
@@ -214,7 +215,7 @@ def family_minor_gcd(p, k):
     """
     parts = [lambda_parts(m) for _, _, m in pencil_minors(p, k) if any(m)]
     if not parts:
-        return BinaryForm([[]] * (k + 1)), None
+        return BinaryForm([[]] * (k + 1), ring=LAMBDA_INTS), None
     contents = [bform_gcd(pair) for pair in parts]
     c = bform_gcd(contents)
     first = _primitive_key(*parts[0], contents[0])

@@ -1,0 +1,375 @@
+"""The properties the oracles are checked on, each written once.
+
+A property is a function from one input to the list of problems it finds
+there, as text, empty when the input passes. One that counts what it met
+on the way (certificate hits, candidate roots, branches of a kernel)
+adds to the ``collections.Counter`` it is given. Tier-1 runs each
+property on small seeded batches. ``scripts/sweep_loci.py --check NAME
+N`` runs ``CHECKS[NAME]`` at scale: a check runs one property on the
+batches of ``draws.py`` and yields each problem after the draw it was
+found on, counting its draws.
+"""
+
+import itertools
+
+from draws import (
+    drop_families,
+    int_points,
+    moved_pairs,
+    orbit_points,
+    padded_cases,
+    tangent_cases,
+)
+from support import (
+    irreducible_factors,
+    normalized,
+    orbit_at_root,
+    permute_axes,
+    rank,
+    sums_back,
+    sympy_drop,
+)
+
+from tensorloci import locus
+from tensorloci.classify import (
+    OrbitId,
+    classify,
+    classify_parametric,
+    family_orbit,
+    orbit_rank,
+    orbits_at_roots,
+)
+from tensorloci.errors import TensorLociError, UnsupportedOrbit
+from tensorloci.exactnum import candidate_factors
+from tensorloci.locus import (
+    FORBIDDEN,
+    GENERIC,
+    SPECIALIZED,
+    LambdaWitness,
+    LocusVerdict,
+    closed_form_predicate,
+    locus_membership,
+    locus_tangential,
+)
+from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form, pencil_shape
+from tensorloci.tensorcore import (
+    ParametricTensor,
+    RankOneTensor,
+    apply_gl,
+    apply_gl_rank_one,
+    subtract_scaled,
+)
+from tensorloci.wstate import decompose_tangential
+
+STRATEGIES = (SPECIALIZED, GENERIC)
+# the orbits whose rank is above their border rank: SPECIALIZED sends
+# exactly these to the escape route
+ESCAPE_ORBITS = tuple(n for n in sorted(RANKS) if RANKS[n][0] > RANKS[n][1])
+
+
+def text(P):
+    return [[str(x) for x in f] for f in P.factors]
+
+
+def member_rank(T, P, witness):
+    """rank(T - λP) at the witness, always rational."""
+    member = subtract_scaled(T, witness.value, P)
+    return 0 if member.is_zero() else classify(member).rank
+
+
+# --- properties --------------------------------------------------------------
+
+
+def agreement(T, P):
+    """Both strategies give (T, P) the same whole verdict, witness
+    included, and at a member's witness rank(T - λP) = rank T - 1."""
+    try:
+        spec, gen = (locus_membership(T, P, s) for s in STRATEGIES)
+    except TensorLociError as exc:
+        return ["raised %r" % (exc,)]
+    if spec != gen:
+        kind = "statuses" if spec.status != gen.status else "witnesses"
+        return ["%s differ: %s %r, %s %r" % (kind, SPECIALIZED, spec, GENERIC, gen)]
+    if spec.in_decomposition and member_rank(T, P, spec.witness) != classify(T).rank - 1:
+        return ["witness %r does not lower the rank by one" % (spec.witness,)]
+    return []
+
+
+def closed_form(orbit, P):
+    """The stored closed form of ``orbit`` calls P forbidden exactly when
+    SPECIALIZED does at the normal form. Raises UnsupportedOrbit when the
+    orbit has no stored form."""
+    cf = closed_form_predicate(orbit, P)
+    spec = locus_membership(normal_form(orbit), P, SPECIALIZED)
+    if cf != (spec.status == FORBIDDEN):
+        return ["closed form says forbidden: %r, %s %r" % (cf, SPECIALIZED, spec)]
+    return []
+
+
+def normal_form_agreement(orbit, P):
+    """``agreement`` at the normal form of ``orbit``, and ``closed_form``
+    where the orbit has a stored one."""
+    problems = agreement(normal_form(orbit), P)
+    try:
+        return problems + closed_form(orbit, P)
+    except UnsupportedOrbit:
+        return problems
+
+
+def axis_permutations(T, P):
+    """(perm, T, P) with the axes of T and P permuted together, new axis i
+    old axis perm[i], for each non-identity permutation."""
+    for perm in itertools.permutations(range(T.order)):
+        if perm != tuple(range(T.order)):
+            yield perm, permute_axes(T, perm), RankOneTensor([P.factors[a] for a in perm])
+
+
+def invariance(T, P, gT, gP):
+    """Each strategy gives (T, P) the whole verdict it gives (gT, gP), a
+    GL move of it, and each axis permutation of it."""
+    moves = [("moved", gT, gP)] + [
+        ("axes %r" % (perm,), t, p) for perm, t, p in axis_permutations(T, P)]
+    problems = []
+    for strategy in STRATEGIES:
+        want = locus_membership(T, P, strategy)
+        for name, t, p in moves:
+            got = locus_membership(t, p, strategy)
+            if got != want:
+                problems.append("%s %s: %r, unmoved %r" % (strategy, name, got, want))
+    return problems
+
+
+def escape_certificate(orbit, T, P, counts):
+    """Wherever the open-orbit certificate of the escape route answers
+    (SPECIALIZED without ``family_orbit``), the witness is 1, the family
+    T - λP lies in the open orbit of the shape and GENERIC gives the same
+    whole verdict. Counts ``certificate hits`` and ``fallbacks``."""
+    real, calls = locus.family_orbit, []
+
+    def counted(family, **kwargs):
+        calls.append(family)
+        return real(family, **kwargs)
+
+    locus.family_orbit = counted
+    try:
+        spec = locus_membership(T, P, SPECIALIZED)
+    finally:
+        locus.family_orbit = real
+    if calls:
+        counts["fallbacks"] += 1
+        return []
+    counts["certificate hits"] += 1
+    generic = family_orbit(ParametricTensor(T, P))[0]
+    gen = locus_membership(T, P, GENERIC)
+    want = LocusVerdict.member(LambdaWitness(value=1))
+    if generic != OrbitId.orbit(OPEN_ORBITS[pencil_shape(orbit)]) or not spec == gen == want:
+        return ["family orbit %r, %s %r, %s %r" % (generic, SPECIALIZED, spec, GENERIC, gen)]
+    return []
+
+
+def divides(fac, c):
+    """True when the monic UniPoly fac divides the UniPoly c: exact long
+    division on their coefficient lists leaves no remainder."""
+    rem, d = list(c.coeffs), fac.degree
+    for k in range(len(rem) - 1 - d, -1, -1):
+        q = rem[k + d]
+        for j, x in enumerate(fac.coeffs):
+            rem[k + j] -= q * x
+    return not any(rem)
+
+
+def ranks_only(T, P, counts):
+    """The family T - λP classified ``ranks_only``, as ``locus_membership``
+    does, keeps the generic rank of the exact ``classify_parametric``, and
+    each exact special value where the rank changes divides one of its
+    candidate factors. Counts the degrees of the candidate factors of
+    both (``candidate roots exact``, ``candidate roots ranks_only``)."""
+    family = ParametricTensor(T, P)
+    exact = classify_parametric(family, classify(T))
+    generic, guards = family_orbit(family, ranks_only=True)
+    fast = candidate_factors(guards)
+    exact_roots = sum(f.degree for f in candidate_factors(family_orbit(family)[1]))
+    fast_roots = sum(f.degree for f in fast)
+    counts["candidate roots exact"] += exact_roots
+    counts["candidate roots ranks_only"] += fast_roots
+    counts["candidate roots saved"] += exact_roots - fast_roots
+    want = orbit_rank(exact.generic)
+    lost = [fac for fac, oid in exact.exceptional[1:]
+            if orbit_rank(oid) != want and not any(divides(fac, c) for c in fast)]
+    if orbit_rank(generic) != want or lost:
+        return ["exact %r, ranks_only %r, lost %r" % (exact, generic, lost)]
+    return []
+
+
+def irrational_roots(T, P, counts):
+    """At the irrational roots of every candidate factor of T - λP, the
+    orbit ``orbits_at_roots`` reads off the family's integer minors is
+    the orbit sympy reads off the member over Q(α) at each irreducible
+    factor (``support.orbit_at_root``), and no irrational group outside
+    the generic orbit has rank r - 1, r = rank T: no witness is
+    irrational (``locus.LambdaWitness``). Counts the ``irrational
+    groups``, the irreducible ``candidate factors``, those ``in the
+    generic orbit`` (classifications ``classify_parametric`` wastes) and
+    the ``members at irrational roots``."""
+    family = ParametricTensor(T, P)
+    target = classify(T).rank - 1
+    generic, guards = family_orbit(family)
+    problems = []
+    for fac in candidate_factors(guards):
+        for group, got in orbits_at_roots(family, fac):
+            if group.degree > 1:
+                counts["irrational groups"] += 1
+                if got != generic and orbit_rank(got) == target:
+                    problems.append("rank %d at irrational roots %r: %r" % (target, group, got))
+            for q in irreducible_factors(group):
+                counts["candidate factors"] += 1
+                counts["in the generic orbit"] += got == generic
+                if q.degree < 2:
+                    continue
+                counts["members at irrational roots"] += 1
+                want = OrbitId.orbit(orbit_at_root(T, P, q))
+                if got != want:
+                    problems.append("at %r: %r, over Q(alpha) %r" % (q, got, want))
+    return problems
+
+
+def flattening_drops(family, counts):
+    """Each ``flattening_drop`` of the family is sympy's over QQ[λ]
+    (``support.sympy_drop``). Counts the ``flattenings`` and the branches
+    of the kernel each reaches: ``drop 0``, ``drop None``, ``nonzero
+    drop``, and ``one row fewer``, one kept row fewer than the rows
+    (M_i | c_i), whose rank the rows (M_i | c_i r) have."""
+    problems = []
+    for axis in range(1, family.base.order + 1):
+        got = family.flattening_drop(axis)
+        rows = family.flattening_rows(axis)
+        want = sympy_drop(rows)
+        counts["flattenings"] += 1
+        if got != want:
+            problems.append("axis %d T=%r P=%r: %r, sympy %r"
+                            % (axis, family.base.entries, text(family.direction), got, want))
+        keep, drop = got
+        counts["drop None" if drop is None else "drop 0" if drop == 0 else "nonzero drop"] += 1
+        v = [[x[j] if len(x) > j else 0 for j in (0, 1) for x in row] for row in rows]
+        counts["one row fewer"] += len(keep) < rank(v)
+    return problems
+
+
+def tangential(T, P, k, d):
+    """On a tangent tensor T with k active axes and a P off its tangency
+    point on d of them, ``decompose_tangential`` gives k terms that sum
+    back to T (``support.sums_back``), the one along P first, and
+    ``locus_tangential`` says member. On a 2 x 2 x 2 T both strategies
+    give its status, and when d = 1 GENERIC its whole verdict, the
+    witness being unique then."""
+    try:
+        dec = decompose_tangential(T, P)
+        verdict = locus_tangential(T, P)
+    except TensorLociError as exc:
+        return ["raised %r" % (exc,)]
+    problems = []
+    if len(dec) != k or not sums_back(T, dec):
+        problems.append("%d terms, summing back: %s" % (len(dec), sums_back(T, dec)))
+    if dec.terms[0][1].factors != [normalized(f) for f in P.factors]:
+        problems.append("first term %r is not P" % (dec.terms[0][1].factors,))
+    if not verdict.in_decomposition:
+        problems.append("locus_tangential: %r" % (verdict,))
+    if T.order == 3:
+        for strategy in STRATEGIES:
+            other = locus_membership(T, P, strategy)
+            whole = d == 1 and strategy == GENERIC
+            if other.status != verdict.status or (whole and other != verdict):
+                problems.append("locus_tangential %r, %s %r" % (verdict, strategy, other))
+    return problems
+
+
+# --- checks: a property on a batch of draws ------------------------------------
+
+
+def check_agreement(rng, n, orbits, counts):
+    """Both strategies and the closed forms on n points per orbit at its
+    normal form: ``normal_form_agreement``."""
+    for orbit, _T, P, _gs in orbit_points(rng, n, orbits):
+        counts["points"] += 1
+        for problem in normal_form_agreement(orbit, P):
+            yield "orbit %d P=%r: %s" % (orbit, text(P), problem)
+
+
+def check_padded(rng, n, orbits, counts):
+    """Both strategies on n normal forms of random orbits, padded by zero
+    slices and moved by GL, P off the spans in about 30% of draws:
+    ``agreement`` on ``draws.padded_case``."""
+    for orbit, T, P in padded_cases(rng, n, orbits):
+        counts["padded points"] += 1
+        for problem in agreement(T, P):
+            yield "orbit %d padded to %r P=%r: %s" % (orbit, T.shape, text(P), problem)
+
+
+def check_gl(rng, n, orbits, counts):
+    """GL and axis-permutation invariance of the whole verdicts on n
+    points per orbit, each moved by one invertible matrix per axis with
+    entries in -3..3: ``invariance``."""
+    for orbit, T, P, gs in orbit_points(rng, n, orbits):
+        counts["points"] += 1
+        for problem in invariance(T, P, apply_gl(T, gs), apply_gl_rank_one(P, gs)):
+            yield "orbit %d P=%r moved by %r: %s" % (orbit, text(P), gs, problem)
+
+
+def check_escape(rng, n, _orbits, counts):
+    """The open-orbit certificate on 2n points per escape orbit (5, 13,
+    15-17 and 21), n sparse and n dense, each at the normal form and
+    moved by GL: ``escape_certificate``."""
+    for orbit, T, P, gs in moved_pairs(rng, 2 * n, ESCAPE_ORBITS):
+        for problem in escape_certificate(orbit, T, P, counts):
+            yield "orbit %d P=%r moved by %r: %s" % (orbit, text(P), gs, problem)
+
+
+def check_ranks(rng, n, orbits, counts):
+    """The family classified ``ranks_only`` against exactly, on n points
+    per orbit, each at the normal form and moved by GL: ``ranks_only``."""
+    for orbit, T, P, gs in moved_pairs(rng, n, orbits):
+        counts["families"] += 1
+        for problem in ranks_only(T, P, counts):
+            yield "orbit %d P=%r moved by %r: %s" % (orbit, text(P), gs, problem)
+
+
+def check_roots(rng, n, orbits, counts):
+    """Members at irrational roots against sympy over Q(α), on n families
+    per orbit at the normal form, P with entries in -3..3:
+    ``irrational_roots``."""
+    for orbit, T, P in int_points(rng, n, orbits):
+        counts["families"] += 1
+        for problem in irrational_roots(T, P, counts):
+            yield "orbit %d P=%r: %s" % (orbit, text(P), problem)
+
+
+def check_drops(rng, n, _orbits, counts):
+    """Every flattening drop against sympy, on n families per shape on
+    bases that are mostly not concise: ``flattening_drops`` on
+    ``draws.drop_families``."""
+    for family in drop_families(rng, n):
+        for problem in flattening_drops(family, counts):
+            yield "shape %r: %s" % (family.base.shape, problem)
+
+
+def check_tangential(rng, n, _orbits, counts):
+    """The tangential decomposition and verdict on n GL-moved tangent
+    tensors per order 3-6 and set C of axes where P agrees with the
+    tangency point, plain and, below order 6, padded:
+    ``tangential``."""
+    for k, coincident, T, P in tangent_cases(rng, n):
+        counts["tangent tensors"] += 1
+        for problem in tangential(T, P, k, k - len(coincident)):
+            yield "k=%d C=%r P=%r: %s" % (k, coincident, text(P), problem)
+
+
+CHECKS = {
+    "agreement": check_agreement,
+    "padded": check_padded,
+    "gl": check_gl,
+    "escape": check_escape,
+    "ranks": check_ranks,
+    "roots": check_roots,
+    "drops": check_drops,
+    "tangential": check_tangential,
+}

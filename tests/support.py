@@ -5,18 +5,27 @@ references here instead of borrowing package helpers. From sympy over QQ:
 the rank of a rational matrix (``DomainMatrix``), the value of a
 polynomial or a binary form at a rational point, products of polynomials
 in λ (``Poly``: ``qq_poly``, ``upoly``, ``upoly_product``), since
-``UniPoly`` has no arithmetic, and determinants over ZZ[λ] (``zx_det``).
+``UniPoly`` has no arithmetic, their irreducible factors
+(``irreducible_factors``) and primitive integer coefficients
+(``primitive``), determinants over ZZ[λ] (``zx_det``) and the
+flattening drop of a family over QQ[λ] (``sympy_drop``).
 From sympy over Q(α) (``QQ.algebraic_field``): the orbit of the member
 T - αP of a family at an irrational root α (``orbit_at_root``), read by
 the decision table of ``orbits.py`` on sympy's minor gcds,
 discriminants, repeated parts and member ranks; the package has no
-arithmetic over Q(α) to take it from, and ``scripts/sweep_loci.py
---roots`` loads it from here too. By plain row-major
+arithmetic over Q(α) to take it from. By plain row-major
 indexing, keeping the entries as they are: the flattening of a tensor,
 the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, an axis
 permutation, a tensor from its nonzero entries, and whether a weighted
 rank-one decomposition sums back to a tensor, entry by entry.
-``load_script`` imports a script of ``scripts/`` from its file.
+``witness_code`` writes a verdict's witness as text. ``load_script``
+imports a script of ``scripts/`` from its file.
+
+The seeded inputs these references are checked on come from ``draws.py``,
+one generator of the supported domain for the tests and the scripts, and
+the properties they are checked for are written once in
+``properties.py``, which tier-1 runs at small size and
+``scripts/sweep_loci.py --check NAME N`` at scale.
 """
 
 import functools
@@ -31,7 +40,7 @@ import sympy
 from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
-from tensorloci.exactnum import UniPoly
+from tensorloci.exactnum import UniPoly, format_rational
 from tensorloci.tensorcore import Tensor
 
 _U, _V = sympy.symbols("u v")
@@ -135,6 +144,12 @@ def sums_back(T, dec):
     ] == list(T.entries)
 
 
+def normalized(v):
+    """The vector v divided by its first nonzero entry, as Fractions."""
+    lead = Fraction(next(x for x in v if x))
+    return [x / lead for x in v]
+
+
 def load_script(name):
     """The module in ``scripts/<name>.py``, imported from its file without
     writing bytecode."""
@@ -172,6 +187,54 @@ def upoly_product(*factors):
     for f in factors:
         out *= qq_poly(getattr(f, "coeffs", f))
     return upoly(out)
+
+
+def witness_code(verdict):
+    """None when forbidden, else the witness value as text."""
+    if not verdict.in_decomposition:
+        return None
+    return format_rational(verdict.witness.value)
+
+
+def primitive(poly):
+    """The coefficients of a nonzero ``UniPoly`` scaled to coprime
+    integers with the sign they had, as a tuple."""
+    den = math.lcm(*[c.denominator for c in poly.coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def irreducible_factors(poly):
+    """The monic irreducible factors over Q of a square-free ``UniPoly``."""
+    den = math.lcm(*[Fraction(c).denominator for c in poly.coeffs])
+    expr = sympy.Poly([int(c * den) for c in reversed(poly.coeffs)], LAM)
+    return [UniPoly([Fraction(int(c)) for c in reversed(f.all_coeffs())]).monic()
+            for f, _ in expr.factor_list()[1]]
+
+
+def sympy_drop(rows):
+    """(keep, drop) of the flattening rows of a family over Z[λ], int
+    lists lowest degree first, over QQ[λ]: keep the rows independent of
+    the rows before them over QQ(λ), drop the root of the gcd of their
+    maximal minors, None when it is 1."""
+    ring, field = sympy.QQ[LAM], sympy.QQ.frac_field(LAM)
+    ents = [[ring.from_sympy(sum(c * LAM**i for i, c in enumerate(x))) for x in row]
+            for row in rows]
+    cols = len(rows[0])
+    keep = []
+    for i in range(len(rows)):
+        top = [[field.convert_from(x, ring) for x in row] for row in ents[:i + 1]]
+        if DomainMatrix(top, (i + 1, cols), field).rank() > len(keep):
+            keep.append(i)
+    g = ring.zero
+    for idx in itertools.combinations(range(cols), len(keep)):
+        sub = [[ents[i][j] for j in idx] for i in keep]
+        g = ring.gcd(g, DomainMatrix(sub, (len(keep), len(keep)), ring).det())
+        if g.degree() == 0:
+            return keep, None
+    c0, c1 = (Fraction(int(c.numerator), int(c.denominator)) for c in reversed(g.to_dense()))
+    return keep, -c0 / c1
 
 
 def zx_det(rows):

@@ -15,9 +15,20 @@ from tensorloci.binforms import (
 )
 from tensorloci.errors import AllZero, DegreeTooLarge, DegreeTooSmall
 from tensorloci.exactnum import zb_ring
-from tensorloci.pencil import zform_quotient
+from tensorloci.pencil import lambda_form, zform_quotient
 
 U, V = sympy.symbols("u v")
+
+
+def test_forms_over_z_lambda_cannot_be_read():
+    """A family's form over Z[λ] carries a ring record with no operations
+    (``LAMBDA_INTS``): its partials, gcd and discriminant raise instead of
+    scaling, repeating or multiplying its int lists as if they were ints."""
+    f = lambda_form(BinaryForm([1, 3, 4]), BinaryForm([2, 0, 0]))
+    assert f.coeffs == [[1, 2], [3], [4]]
+    for read in (f.partial_u, f.partial_v, lambda: bform_gcd([f]), lambda: bform_discriminant(f)):
+        with pytest.raises(TypeError):
+            read()
 
 
 def to_sympy(form):

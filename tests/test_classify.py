@@ -11,6 +11,14 @@ from hypothesis import strategies as st
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from draws import (
+    DENSE_POOL,
+    SPARSE_POOL,
+    pad,
+    random_invertible,
+    random_point,
+    random_rank_one,
+)
 from support import (
     flattening,
     orbit_at_root,
@@ -41,7 +49,7 @@ from tensorloci.classify import (
 )
 from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
 from tensorloci.exactnum import UniPoly, zb_ring
-from tensorloci.linalg import RING_ZX, Mat, mat_det, pivot_slices, ring_at_root
+from tensorloci.linalg import RING_ZX, pivot_slices, ring_at_root
 from tensorloci.pencil import Pencil
 from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form
 from tensorloci.tensorcore import (
@@ -74,22 +82,6 @@ def unit(n, i):
     v = [Fraction(0)] * n
     v[i] = Fraction(1)
     return v
-
-
-def random_invertible(rng, n):
-    while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if mat_det(Mat(rows)) != 0:
-            return Mat(rows)
-
-
-def random_rank_one(rng, shape):
-    while True:
-        factors = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(d)] for d in shape
-        ]
-        if all(any(x for x in f) for f in factors):
-            return RankOneTensor(factors)
 
 
 def test_normal_forms_match_table():
@@ -358,21 +350,6 @@ def test_reports_are_deterministic():
     assert isinstance(a, ClassifyReport)
 
 
-SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
-DENSE_POOL = (1, -1, 2, -2, 3, -3)
-
-
-def pooled_rank_one(rng, shape, pool, scale=1):
-    factors = []
-    for d in shape:
-        vec = [rng.choice(pool) for _ in range(d)]
-        while not any(vec):
-            vec = [rng.choice(pool) for _ in range(d)]
-        factors.append([Fraction(x) for x in vec])
-    factors[0] = [scale * x for x in factors[0]]
-    return RankOneTensor(factors)
-
-
 @pytest.mark.parametrize("n", range(5, 27))
 def test_parametric_report_predicts_integer_members(n):
     """Each integer lam0 in -8..8 lands in the orbit the report predicts:
@@ -389,7 +366,8 @@ def test_parametric_report_predicts_integer_members(n):
         (DENSE_POOL, Fraction(1, 12)),
         (SPARSE_POOL, Fraction(1, 60)),
     ):
-        fam = ParametricTensor(t, pooled_rank_one(rng, t.shape, pool, scale))
+        first, *rest = random_point(rng, t.shape, pool).factors
+        fam = ParametricTensor(t, RankOneTensor([[scale * x for x in first]] + rest))
         rep = classify_parametric(fam, classify(fam.base))
         for k in range(-8, 9):
             lam0 = Fraction(k)
@@ -410,22 +388,18 @@ def first_independent_slices(T, a0):
     return keep
 
 
-def padded_inputs(rng):
-    """Integer tensors with dependent slices on some axes: each normal form
-    of orbits 5-26 inside a larger shape, moved by GL."""
-    for n in range(5, 27):
-        t = normal_form(n)
-        shape = tuple(d + rng.randint(0, 1) for d in t.shape)
-        items = {idx: t[idx] for idx in itertools.product(*map(range, t.shape)) if t[idx]}
-        yield apply_gl(tensor_from_dict(shape, items), [random_invertible(rng, d) for d in shape])
-
-
 def test_integer_core_is_the_tensor_on_its_first_independent_slices():
     """For integer-valued T the core of classify has int entries and is T
     on its first independent slices, in the canonical axis order; P's
     coordinates are its entries at the kept indices, or None outside."""
     rng = random.Random("integer cores")
-    inputs = list(all_normal_forms().values()) + list(padded_inputs(rng))
+    inputs = list(all_normal_forms().values())
+    # each normal form of orbits 5-26 inside a larger shape, moved by GL:
+    # integer tensors with dependent slices on some axes
+    for n in range(5, 27):
+        dims = [d + rng.randint(0, 1) for d in normal_form(n).shape]
+        gs = [random_invertible(rng, d) for d in dims]
+        inputs.append(apply_gl(pad(normal_form(n), dims), gs))
     outside_checked = 0
     for t in inputs:
         rep = classify(t)

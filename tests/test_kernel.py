@@ -21,6 +21,7 @@ their guards. The discriminant guards of ``family_orbit`` on (2,2,2) and
 discriminant in λ.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -29,12 +30,14 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from draws import DROP_SHAPES, non_concise_family
+from properties import flattening_drops
 from support import pencil_rows, poly_at, qq_poly, upoly, upoly_product
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm
 from tensorloci.classify import OrbitId, family_orbit
-from tensorloci.exactnum import UniPoly
+from tensorloci.exactnum import LAMBDA_INTS, UniPoly
 from tensorloci.linalg import (
     RING_Z,
     RING_ZX,
@@ -345,6 +348,7 @@ def test_family_minor_gcd_when_every_minor_vanishes():
         assert not any(any(c) for _, _, c in pencil_minors(p, 3))
         g, guard = family_minor_gcd(p, 3)
         assert g.is_zero() and g.degree == 3 and guard is None
+        assert g.ring is LAMBDA_INTS
         top = Pencil(rows[:2], 3, RING_ZX)
         assert family_minor_gcd(p, 2) == family_minor_gcd(top, 2)
 
@@ -485,69 +489,21 @@ def test_family_discriminant_guards_on_big_entries_against_sympy():
         assert got in (want.all_coeffs(), [-c for c in want.all_coeffs()])
 
 
-def non_concise_family(rng, shape, on_a_term):
-    """T - λP with T a sum of 0-4 sparse rank-one terms, so that most
-    bases have rank-deficient flattenings and zero rows, and P with
-    Fraction entries. With ``on_a_term`` all but one of P's factors are
-    those of a term of T, which can put the other factors of P in the
-    span of T's flattening rows."""
-    def vec(d, pool):
-        v = [0]
-        while not any(v):
-            v = [rng.choice(pool) for _ in range(d)]
-        return v
-
-    terms = [[vec(d, (0, 0, 1, -1, 2)) for d in shape] for _ in range(rng.randint(0, 4))]
-    entries = [0] * math.prod(shape)
-    for factors in terms:
-        entries = [a + b for a, b in zip(entries, RankOneTensor(factors).expand().entries)]
-    point = [vec(d, (1, -1, Fraction(1, 2), Fraction(-3, 2), 2, 0)) for d in shape]
-    if on_a_term and terms:
-        term, free = rng.choice(terms), rng.randrange(len(shape))
-        point = [f if a == free else [Fraction(x, 2) for x in term[a]]
-                 for a, f in enumerate(point)]
-    return ParametricTensor(Tensor(shape, entries), RankOneTensor(point))
-
-
-def qx_minor_gcd(rows):
-    """The monic gcd over Q[λ] of the maximal minors of ``rows``."""
-    g = QX.zero
-    for minor in qx_minors(rows, len(rows)):
-        g = QX.gcd(g, minor)
-        if g.degree() == 0:
-            break
-    return g.monic()
-
-
 def test_flattening_drop_of_non_concise_bases_against_sympy():
-    """The kept slices of each flattening are the rows independent of
-    the rows before them over Q(λ), and they lose rank at the drop and
-    nowhere else: the gcd of their maximal minors over Q[λ] is λ - drop,
-    or 1 when the drop is None. Every branch of the kernel is reached: a
-    drop of 0 (the base's rows on the slices are dependent), one kept
-    row fewer than the independent rows (M_i | c_i), and a nonzero
-    drop."""
+    """On families on bases that are mostly not concise, the kept slices
+    of each flattening are the rows independent of the rows before them
+    over Q(λ), and they lose rank at the drop and nowhere else: the gcd of
+    their maximal minors over Q[λ] is λ - drop, or 1 when the drop is None
+    (``flattening_drops``). Every branch of the kernel is reached: a drop
+    of 0 (the base's rows on the slices are dependent), one kept row fewer
+    than the independent rows (M_i | c_i), and a nonzero drop."""
     rng = random.Random(54)
-    shapes = ((2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 2), (2, 2, 2, 2), (2, 4))
-    branches = {"zero": 0, "fewer": 0, "nonzero": 0}
+    counts = collections.Counter()
     for k in range(16):
-        for shape in shapes:
-            family = non_concise_family(rng, shape, k % 2)
-            for axis in range(1, len(shape) + 1):
-                keep, drop = family.flattening_drop(axis)
-                rows = family.flattening_rows(axis)
-                ranks = [0] + [ql_rank(rows[:i + 1]) for i in range(len(rows))]
-                assert keep == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
-                want = QX.one if drop is None else in_qx([-drop, 1])
-                assert qx_minor_gcd([rows[i] for i in keep]) == want, (shape, axis)
-                # the rows (M_i | c_i r) have the rank of the v_i = (M_i | c_i)
-                v = [[sympy.QQ(x[j] if len(x) > j else 0) for j in (0, 1) for x in row]
-                     for row in rows]
-                rank = DomainMatrix(v, (len(v), len(v[0])), sympy.QQ).rank()
-                branches["zero"] += drop == 0
-                branches["fewer"] += len(keep) < rank
-                branches["nonzero"] += bool(drop)
-    assert all(branches.values()), branches
+        for shape in DROP_SHAPES:
+            family = non_concise_family(rng, shape, k % 2, pool=(0, 0, 1, -1, 2))
+            assert flattening_drops(family, counts) == [], (shape, family.base.entries)
+    assert all(counts[branch] for branch in ("drop 0", "one row fewer", "nonzero drop")), counts
 
 
 def test_packed_member_rank_against_sympy():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from draws import random_invertible
 from support import form_at, pencil_rows, poly_at, tensor_from_dict
 
 from tensorloci.binforms import BinaryForm, bform_discriminant
@@ -20,7 +21,7 @@ from tensorloci.tensorcore import (
     apply_gl,
     subtract_scaled,
 )
-from tensorloci.linalg import RING_Z, Mat
+from tensorloci.linalg import RING_Z
 
 U_SYM, V_SYM, LAM_SYM = sympy.symbols("u v lam")
 
@@ -88,16 +89,6 @@ def sympy_factors(form):
 
 def rank_one(a, b, c):
     return RankOneTensor([list(a), list(b), list(c)]).expand()
-
-
-def random_invertible(rng, n):
-    while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        m = Mat(rows)
-        from tensorloci.linalg import mat_det
-
-        if mat_det(m):
-            return m
 
 
 def int_pencil(t):

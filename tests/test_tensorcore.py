@@ -8,6 +8,7 @@ same reference rebuilds each tensor from its concise core and the bases
 that sympy solves for on the kept slices, and inverts the GL moves.
 """
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from draws import random_entry, random_invertible, random_rank_one
 from support import flattening, orbit_at_root, pencil_rows, permute_axes, rank
 
 from tensorloci.classify import OrbitId, classify, orbits_at_roots
@@ -36,13 +38,6 @@ from tensorloci.tensorcore import (
     flat_rows,
     subtract_scaled,
 )
-
-
-def rand_invertible(rng, n):
-    while True:
-        M = Mat([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
-        if mat_det(M):
-            return M
 
 
 def eye(n):
@@ -76,16 +71,6 @@ def rebuilt_from_core(T, red):
         bases.append(from_sympy(B))
     core = red.core(range(T.order))
     return ref_gl(Tensor(core.shape, [Fraction(x, red.scale) for x in core.entries]), bases)
-
-
-def rand_rank_one(rng, shape, span=3):
-    while True:
-        try:
-            return RankOneTensor(
-                [[Fraction(rng.randint(-span, span)) for _ in range(d)] for d in shape]
-            )
-        except ZeroTensor:
-            continue
 
 
 def test_flattening_of_t5():
@@ -186,8 +171,8 @@ def test_pairing_adjoint_to_group_action():
         tstar = Tensor(
             shape, [Fraction(rng.randint(-3, 3)) for _ in Tensor.zeros(shape).entries]
         )
-        P = rand_rank_one(rng, shape)
-        mats = [rand_invertible(rng, d) for d in shape]
+        P = random_rank_one(rng, shape)
+        mats = [random_invertible(rng, d) for d in shape]
         lhs = pairing(apply_gl(tstar, [from_sympy(to_sympy(M).T) for M in mats]), P)
         rhs = pairing(tstar, apply_gl_rank_one(P, mats))
         assert lhs == rhs
@@ -199,7 +184,7 @@ def test_flattening_ranks_gl_invariant():
         T = normal_form(n)
         base_ranks = [rank(flattening(T, a + 1)) for a in range(3)]
         for _ in range(10):
-            mats = [rand_invertible(rng, d) for d in T.shape]
+            mats = [random_invertible(rng, d) for d in T.shape]
             moved = apply_gl(T, mats)
             assert [
                 rank(flattening(moved, a + 1)) for a in range(3)
@@ -242,18 +227,8 @@ def assert_same(got, want):
     assert all(type(x) is Fraction for x in got.entries)
 
 
-def rand_entry(rng, rational):
-    if rational and rng.random() < 0.6:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-    return rng.randint(-4, 4)
-
-
-def rand_gl(rng, n):
-    """An invertible matrix with entries of denominators up to 6."""
-    while True:
-        M = Mat([[rand_entry(rng, True) for _ in range(n)] for _ in range(n)])
-        if mat_det(M):
-            return M
+# entries of the invertible matrices of the GL cases: denominators up to 6
+RATIONAL = functools.partial(random_entry, rational=True)
 
 
 def gl_cases(seed, count):
@@ -262,9 +237,9 @@ def gl_cases(seed, count):
     for k in range(count):
         order = rng.randint(2, 4)
         shape = tuple(rng.randint(1, 4) for _ in range(order))
-        T = Tensor(shape, [rand_entry(rng, k % 2 == 1) for _ in range(math.prod(shape))])
-        P = rand_rank_one(rng, shape)
-        yield T, P, [rand_gl(rng, d) for d in shape]
+        T = Tensor(shape, [random_entry(rng, k % 2 == 1) for _ in range(math.prod(shape))])
+        P = random_rank_one(rng, shape)
+        yield T, P, [random_invertible(rng, d, entry=RATIONAL) for d in shape]
 
 
 def test_gl_action_matches_the_reference():
@@ -283,7 +258,7 @@ def test_gl_action_group_laws():
     a rank-one tensor factorwise is the action on its expansion."""
     rng = random.Random(32)
     for T, P, g in gl_cases(33, 60):
-        h = [rand_gl(rng, d) for d in T.shape]
+        h = [random_invertible(rng, d, entry=RATIONAL) for d in T.shape]
         moved = apply_gl(T, g)
         assert apply_gl(moved, h) == apply_gl(T, [mat_product(b, a) for a, b in zip(g, h)])
         assert apply_gl(moved, [sympy_inverse(M) for M in g]) == T

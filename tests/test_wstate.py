@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import load_script, sums_back, tensor_from_dict
+from draws import padded_tangent, random_invertible, tangent_direction, tangent_model
+from properties import tangential
+from support import normalized, sums_back, tensor_from_dict
 
 from tensorloci.errors import (
     NotInLocus,
@@ -17,7 +19,7 @@ from tensorloci.errors import (
     TangencyPointRequested,
 )
 from tensorloci import tensorcore
-from tensorloci.linalg import Mat, mat_det, sample_points
+from tensorloci.linalg import sample_points
 from tensorloci.orbits import normal_form
 from tensorloci.tensorcore import (
     RankOneTensor,
@@ -25,9 +27,8 @@ from tensorloci.tensorcore import (
     apply_gl,
     apply_gl_rank_one,
 )
-from tensorloci.locus import GENERIC, locus_membership, locus_tangential
+from tensorloci.locus import locus_tangential
 from tensorloci.wstate import (
-    Decomposition,
     TangencyPoint,
     decompose_tangential,
     find_tangency,
@@ -38,28 +39,8 @@ def unit(n, i):
     return [Fraction(int(j == i)) for j in range(n)]
 
 
-def w_state(k):
-    """Sum of the k order-k coordinate tensors with one raised axis."""
-    t = Tensor.zeros((2,) * k)
-    for j in range(k):
-        t.entries[1 << (k - 1 - j)] = Fraction(1)
-    return t
-
-
-def random_invertible(rng, n):
-    while True:
-        m = Mat([[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)])
-        if mat_det(m):
-            return m
-
-
-def normalized(v):
-    lead = next(x for x in v if x)
-    return [x / lead for x in v]
-
-
 def test_find_tangency_symmetric_three():
-    tp = find_tangency(w_state(3))
+    tp = find_tangency(tangent_model(3))
     assert tp.factors == [unit(2, 0), unit(2, 0), unit(2, 0)]
 
 
@@ -69,7 +50,7 @@ def test_find_tangency_normal_form_five():
 
 
 def test_find_tangency_with_point_component():
-    t = w_state(3).add(RankOneTensor([unit(2, 0)] * 3).expand().scale(Fraction(2)))
+    t = tangent_model(3).add(RankOneTensor([unit(2, 0)] * 3).expand().scale(Fraction(2)))
     tp = find_tangency(t)
     assert tp.factors == [unit(2, 0), unit(2, 0), unit(2, 0)]
 
@@ -78,15 +59,15 @@ def test_find_tangency_gl_transport():
     rng = random.Random(41)
     for k in (3, 4):
         for _ in range(4):
-            mats = [random_invertible(rng, 2) for _ in range(k)]
-            moved = apply_gl(w_state(k), mats)
+            mats = [random_invertible(rng, 2, 4) for _ in range(k)]
+            moved = apply_gl(tangent_model(k), mats)
             tp = find_tangency(moved)
             want = [normalized([row[0] for row in m.entries]) for m in mats]
             assert tp.factors == want
 
 
 def test_find_tangency_keeps_inactive_axes():
-    base = w_state(3)
+    base = tangent_model(3)
     v = [Fraction(1), Fraction(2), Fraction(0)]
     entries = []
     for flat in range(8):
@@ -97,37 +78,25 @@ def test_find_tangency_keeps_inactive_axes():
     assert tp.factors == [unit(2, 0), unit(2, 0), unit(2, 0), v]
 
 
-def padded_tangent(rng, k):
-    """(T, P, q): a tangent tensor of order k + 1 that is not concise, a
-    direction inside its spans and its tangency point. The order-k model
-    has some axes padded to dimension 3 by a zero slice and a last,
-    inactive axis v; T, P and q are then moved by one seeded invertible
-    matrix per axis."""
-    dims = [rng.choice((2, 3)) for _ in range(k)]
-    v = [Fraction(rng.choice((1, -1, 2))) for _ in range(rng.randint(1, 3))]
-    shape = tuple(dims) + (len(v),)
-    entries = []
-    for idx in itertools.product(*[range(d) for d in shape]):
-        raised = idx[:k]
-        on_model = max(raised) < 2 and sum(raised) == 1
-        entries.append(v[idx[k]] if on_model else Fraction(0))
-    factors = [[Fraction(rng.randint(-3, 3)), Fraction(rng.choice((1, -1, 2)))]
-               + [Fraction(0)] * (d - 2) for d in dims]
-    P = RankOneTensor(factors + [[2 * x for x in v]])
-    mats = [random_invertible(rng, d) for d in shape]
-    q = [unit(d, 0) for d in dims] + [v]
-    return (apply_gl(Tensor(shape, entries), mats), apply_gl_rank_one(P, mats),
-            apply_gl_rank_one(RankOneTensor(q), mats).factors)
+def moved_tangent_cases(rng, count):
+    """(T, P, q), count of them, of orders k = 3, 4, 5 in turn: the order-k
+    model with zero slices and an inactive axis v (``padded_tangent``), a
+    direction inside its spans off the tangency point on every model axis,
+    and its tangency point q, e0 on the model axes and v on the last; T, P
+    and q moved by one seeded invertible matrix per axis."""
+    for i in range(count):
+        k = 3 + i % 3
+        T, P = padded_tangent(rng, tangent_model(k), tangent_direction(rng, k, ()))
+        q = RankOneTensor([unit(d, 0) for d in T.shape[:-1]] + [P.factors[-1]])
+        mats = [random_invertible(rng, d, 4) for d in T.shape]
+        yield apply_gl(T, mats), apply_gl_rank_one(P, mats), apply_gl_rank_one(q, mats).factors
 
 
 def test_find_tangency_of_padded_tensors():
     """The tangency point comes out in the tensor's own coordinates, the
     inactive axis included."""
-    rng = random.Random(59)
-    for k in (3, 4, 5):
-        for _ in range(4):
-            T, _P, q = padded_tangent(rng, k)
-            assert find_tangency(T).factors == [normalized(f) for f in q]
+    for T, _P, q in moved_tangent_cases(random.Random(59), 12):
+        assert find_tangency(T).factors == [normalized(f) for f in q]
 
 
 def test_decompose_does_not_depend_on_the_kept_slices(monkeypatch):
@@ -135,7 +104,7 @@ def test_decompose_does_not_depend_on_the_kept_slices(monkeypatch):
     and P alone: keeping the last independent slices of each axis instead
     of the first gives the same terms."""
     rng = random.Random(61)
-    cases = [padded_tangent(rng, 3 + i % 3) for i in range(40)]
+    cases = list(moved_tangent_cases(rng, 40))
     first = [(tensorcore.concise_reduce(T).slices, decompose_tangential(T, P))
              for T, P, _q in cases]
     real = tensorcore.pivot_slices
@@ -184,7 +153,7 @@ def test_find_tangency_rejections():
 
 
 def test_decompose_matches_known_cubic_expansion():
-    t = w_state(3)
+    t = tangent_model(3)
     p = RankOneTensor([[1, 1], [1, 1], [0, 1]])
     dec = decompose_tangential(t, p)
     assert len(dec) == 3
@@ -200,7 +169,7 @@ def test_decompose_matches_known_cubic_expansion():
 
 def test_decompose_direction_term_comes_first():
     rng = random.Random(43)
-    targets = [w_state(3), normal_form(5)]
+    targets = [tangent_model(3), normal_form(5)]
     for t in targets:
         for _ in range(8):
             factors = [
@@ -256,32 +225,30 @@ def test_decompose_every_coincidence_pattern(k, coincident):
     """Every proper subset C of the axes may agree with the tangency point:
     on the model with the free p_j summing to zero, and after a seeded GL
     move with random free p_j, the decomposition has k nonzero terms that
-    sum back, P's normalized factors first."""
+    sum back, P's normalized factors first, and P is a member
+    (``tangential``)."""
     rng = random.Random(1000 * k + sum(1 << j for j in coincident))
-    mats = [random_invertible(rng, 2) for _ in range(k)]
+    mats = [random_invertible(rng, 2, 4) for _ in range(k)]
     cases = [
-        (w_state(k), direction(rng, k, coincident, zero_sum=True)),
-        (apply_gl(w_state(k), mats),
+        (tangent_model(k), direction(rng, k, coincident, zero_sum=True)),
+        (apply_gl(tangent_model(k), mats),
          apply_gl_rank_one(direction(rng, k, coincident, zero_sum=False), mats)),
     ]
     for t, p in cases:
-        dec = decompose_tangential(t, p)
-        assert len(dec) == k and all(c for c, _ in dec.terms)
-        assert dec.expand() == t
-        assert dec.terms[0][1].factors == [normalized(f) for f in p.factors]
+        assert tangential(t, p, k, k - len(coincident)) == []
 
 
 def test_decompose_rejects_the_tangency_point():
     with pytest.raises(TangencyPointRequested):
-        decompose_tangential(w_state(3), RankOneTensor([unit(2, 0)] * 3))
+        decompose_tangential(tangent_model(3), RankOneTensor([unit(2, 0)] * 3))
     with pytest.raises(TangencyPointRequested):
         decompose_tangential(
-            w_state(4), RankOneTensor([[Fraction(3), Fraction(0)]] + [unit(2, 0)] * 3)
+            tangent_model(4), RankOneTensor([[Fraction(3), Fraction(0)]] + [unit(2, 0)] * 3)
         )
 
 
 def test_decompose_rejects_directions_outside_the_spans():
-    base = w_state(3)
+    base = tangent_model(3)
     wide = Tensor.zeros((2, 2, 3))
     for i in range(2):
         for j in range(2):
@@ -295,14 +262,14 @@ def test_decompose_rejects_directions_outside_the_spans():
 def test_decompose_shape_mismatch():
     p = RankOneTensor([unit(2, 0), unit(2, 0), unit(3, 0)])
     with pytest.raises(ShapeMismatch):
-        decompose_tangential(w_state(3), p)
+        decompose_tangential(tangent_model(3), p)
 
 
 def test_decompose_gl_equivariance():
     rng = random.Random(47)
     for _ in range(6):
-        mats = [random_invertible(rng, 2) for _ in range(3)]
-        t = apply_gl(w_state(3), mats)
+        mats = [random_invertible(rng, 2, 4) for _ in range(3)]
+        t = apply_gl(tangent_model(3), mats)
         p = apply_gl_rank_one(
             RankOneTensor([[1, 1], [1, 1], [0, 1]]), mats
         )
@@ -310,25 +277,6 @@ def test_decompose_gl_equivariance():
         assert sums_back(t, dec)
         assert len(dec) == 3
         assert dec.terms[0][1].factors == [normalized(f) for f in p.factors]
-
-
-def test_verify_decomposition_edges():
-    """The decomposition check of ``scripts/sweep_loci.py``."""
-    verify_decomposition = load_script("sweep_loci").verify_decomposition
-    zero = Tensor.zeros((2, 2, 2))
-    assert verify_decomposition(zero, Decomposition((2, 2, 2), []))
-    assert not verify_decomposition(zero, Decomposition((2, 2), []))
-    one = RankOneTensor([unit(2, 0)] * 3)
-    assert not verify_decomposition(
-        zero, Decomposition((2, 2, 2), [(Fraction(0), one)])
-    )
-    assert not verify_decomposition(
-        zero, Decomposition((2, 2, 2), [(Fraction(1), one)])
-    )
-    assert verify_decomposition(
-        one.expand().scale(Fraction(5)),
-        Decomposition((2, 2, 2), [(Fraction(5), one)]),
-    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -343,7 +291,7 @@ def test_verify_decomposition_edges():
     )
 )
 def test_decompose_random_directions_order_four(pairs):
-    t = w_state(4)
+    t = tangent_model(4)
     p = RankOneTensor([[Fraction(a), Fraction(b)] for a, b in pairs])
     dec = decompose_tangential(t, p)
     assert sums_back(t, dec)
@@ -378,7 +326,7 @@ def test_alldiff_terms_reach_every_sum(k):
     parameter x / y."""
     sums = sorted({-k, -1, 0, 1, 2, 3, k - 1, k, 2 * k})
     sums += [Fraction(1, 2), Fraction(-7, 3)]
-    T = w_state(k)
+    T = tangent_model(k)
     for want in sums:
         rest = [Fraction(j % 3 - 1) for j in range(1, k)]
         ps = [-want - sum(rest)] + rest
@@ -400,7 +348,7 @@ def test_alldiff_terms_reach_every_sum(k):
 def test_tangential_order_five_off_the_tangency_point():
     """P = (-1, 1) x (0, 1)^4 is not the tangency point e0^5 of the order-5
     model, so it is in the locus; its sum lies in the gap of the windows."""
-    T = w_state(5)
+    T = tangent_model(5)
     P = RankOneTensor([[-1, 1]] + [[0, 1]] * 4)
     dec = decompose_tangential(T, P)
     assert len(dec) == 5 and sums_back(T, dec)
@@ -422,12 +370,10 @@ def test_tangential_one_free_axis_matches_generic():
         while v[0] * tangency[free][1] == v[1] * tangency[free][0]:
             v = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
         factors[free] = v
-        mats = [random_invertible(rng, 2) for _ in range(3)]
+        mats = [random_invertible(rng, 2, 4) for _ in range(3)]
         T = apply_gl(normal_form(5), mats)
         P = apply_gl_rank_one(RankOneTensor(factors), mats)
-        got = locus_tangential(T, P)
-        assert got.in_decomposition
-        assert got == locus_membership(T, P, GENERIC), (factors, mats)
+        assert tangential(T, P, 3, 1) == [], (factors, mats)
 
 
 def test_tangency_point_takes_only_rationals():
