@@ -89,7 +89,7 @@ def report_code(support, T, P):
     report = classify_parametric(ParametricTensor(T, P), classify(T))
     lam, rest = report.exceptional[0], report.exceptional[1:]
     split = sorted(((q, oid) for fac, oid in rest for q in support.irreducible_factors(fac)),
-                   key=lambda e: (e[0].degree, e[0].coeffs))
+                   key=lambda e: (len(e[0]), [Fraction(c, e[0][-1]) for c in e[0]]))
     return {
         "generic": repr(report.generic),
         "exceptional": [[support.primitive(fac), repr(oid)] for fac, oid in [lam] + split],

@@ -40,12 +40,9 @@ the members at the roots so, at a rational one as an int tensor.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_root
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
-from .exactnum import UniPoly, _ip_cross, _ip_exact_div, candidate_factors, zb_ring
+from .exactnum import _ip_cross, _ip_exact_div, _ip_primitive, candidate_factors, zb_ring
 from .linalg import RING_Z, RING_ZX, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
 from .orbits import PENCILS, RANKS, normal_form
 from .pencil import (
@@ -157,13 +154,15 @@ class ClassifyReport:
 class ParametricReport:
     """Generic orbit of T - lambda*P plus the finitely many special values.
 
-    exceptional holds (monic UniPoly, OrbitId) pairs: the member at every
-    root of the polynomial lies in that orbit. The factor lambda itself
-    (the value 0) is always listed first, even when its orbit agrees with
-    the generic one, because rank cannot drop at lambda = 0. Then come
-    the rational special values, one linear factor each, in the order of
-    ``candidate_factors``; then the irrational ones, one group per orbit,
-    square-free with no rational root and coprime to the other groups.
+    exceptional holds (factor, OrbitId) pairs: the member at every root of
+    the factor, an int tuple lowest degree first, primitive with a positive
+    leading coefficient, lies in that orbit. The factor lambda itself,
+    (0, 1) for the value 0, is always listed first, even when its orbit
+    agrees with the generic one, because rank cannot drop at lambda = 0.
+    Then come the rational special values p/q, one linear factor (-p, q)
+    each, in the order of ``candidate_factors``; then the irrational ones,
+    one group per orbit, square-free with no rational root and coprime to
+    the other groups.
     """
 
     __slots__ = ("generic", "exceptional")
@@ -348,7 +347,7 @@ class _FamilyReads(_CoreReads):
         self.guards = guards
 
     def _guard(self, poly):
-        if poly is not None and poly.degree >= 1:
+        if poly is not None and len(poly) > 1:
             self.guards.append(poly)
 
     def minor_gcd(self, k):
@@ -358,7 +357,7 @@ class _FamilyReads(_CoreReads):
 
     def discriminant_vanishes(self, form):
         disc = _lambda_discriminant(form)
-        self._guard(UniPoly(disc))
+        self._guard(disc)
         return not disc
 
     def repeated_part(self, det):
@@ -372,12 +371,12 @@ class _FamilyReads(_CoreReads):
             disc = _lambda_discriminant(lambda_form(*(zform_quotient(f, rep) for f in parts)))
             if not disc:
                 raise InternalError("square-free form with a zero discriminant")
-            self._guard(UniPoly(disc))
+            self._guard(disc)
         return rep
 
     def member_rank(self, ell):
         rank, pivot = member_rank_at(self.p, ell)
-        self._guard(UniPoly(pivot) if rank else None)
+        self._guard(pivot if rank else None)
         return rank
 
 
@@ -450,41 +449,43 @@ def family_orbit(f, *, ranks_only=False):
     guards only those of the reads kept.
 
     Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
-    another orbit is a root of one of the guards, nonconstant ``UniPoly``s.
-    The first of them are the flattening drops, λ - drop for each
-    flattening whose kept slices lose rank somewhere: off those values
+    another orbit is a root of one of the guards, nonconstant int lists or
+    tuples, lowest degree first, each known up to a nonzero constant.
+    The first of them are the flattening drops, (-p, q) for each drop p/q
+    of a flattening whose kept slices lose rank somewhere: off those values
     the family on the kept slices is a concise core of the member, whose
     pencil the table reads (``_FamilyReads``). A flattening whose kept
     slices never lose rank guards nothing.
     """
     guards = []
     orbit, drops = _family_table(f, lambda p: _FamilyReads(p, guards), ranks_only)
-    return orbit, [UniPoly([-x, 1]) for x in drops if x is not None] + guards
+    return orbit, [(-x.numerator, x.denominator) for x in drops if x is not None] + guards
 
 
 def _root_model(fac):
-    """(g, L) for the monic ``fac`` of degree d: L the lcm of its
-    denominators and g(y) = L^d fac(y / L), a monic integer polynomial
-    whose roots are L times those of fac."""
-    den = math.lcm(*(c.denominator for c in fac.coeffs))
-    return [c.numerator * den ** (fac.degree - i) // c.denominator
-            for i, c in enumerate(fac.coeffs)], den
+    """(g, L) for ``fac`` of degree d, primitive: L its leading coefficient
+    and g(y) = L^(d-1) fac(y / L), a monic integer polynomial whose roots
+    are L times those of fac."""
+    lead = fac[-1]
+    return [c * lead ** (len(fac) - 2 - i) for i, c in enumerate(fac[:-1])] + [1], lead
 
 
 def orbits_at_roots(f, fac, *, ranks_only=False):
-    """The orbits of the members of T - λP at the roots of ``fac``, monic
-    and either linear or square-free with no rational root, as a list of
-    (group, orbit): the groups are monic, pairwise coprime and multiply to
-    fac, one per orbit, sorted by (degree, coefficients), so the list does
-    not depend on where fac was split. A rational root is read on the int
-    member (``member_at``). The kept slices of a flattening lose rank at
-    most at one λ, a rational one (``flattening_drop``), so at irrational
-    roots the table reads the family on those slices at all roots of fac
-    at once (``_RootReads``); when a read tells two roots apart, fac
-    splits there and the table reads each part again (dynamic
-    evaluation). ``ranks_only`` is passed to ``classify`` at a rational
-    root; the groups at irrational roots are always exact."""
-    if fac.degree == 1:
+    """The orbits of the members of T - λP at the roots of ``fac``, an int
+    tuple lowest degree first, primitive with a positive leading
+    coefficient, and either linear or square-free with no rational root,
+    as a list of (group, orbit): the groups are int tuples of that form,
+    pairwise coprime, multiplying to fac, one per orbit, sorted by
+    (degree, coefficients), so the list does not depend on where fac was
+    split. A rational root is read on the int member (``member_at``). The
+    kept slices of a flattening lose rank at most at one λ, a rational one
+    (``flattening_drop``), so at irrational roots the table reads the
+    family on those slices at all roots of fac at once (``_RootReads``);
+    when a read tells two roots apart, fac splits there and the table
+    reads each part again (dynamic evaluation). ``ranks_only`` is passed
+    to ``classify`` at a rational root; the groups at irrational roots
+    are always exact."""
+    if len(fac) == 2:
         member = f.member_at(fac)
         return [(fac, OrbitId.matrix(0) if member.is_zero()
                  else classify(member, ranks_only=ranks_only).orbit)]
@@ -498,9 +499,10 @@ def orbits_at_roots(f, fac, *, ranks_only=False):
             todo += [split.factor, _ip_exact_div(g, split.factor)]
         else:
             parts[orbit] = _ip_cross(parts.get(orbit, [1]), g, [], [])
-    groups = [(UniPoly([Fraction(c, den ** (len(part) - 1 - i)) for i, c in enumerate(part)]),
-               orbit) for orbit, part in parts.items()]
-    return sorted(groups, key=lambda e: (e[0].degree, e[0].coeffs))
+    # each part is monic in y = Lλ: part(Lλ) has the leading coefficient L^degree
+    groups = [(tuple(_ip_primitive([c * den**i for i, c in enumerate(part)])), orbit)
+              for orbit, part in parts.items()]
+    return sorted(groups, key=lambda e: (len(e[0]), e[0]))
 
 
 def classify_parametric(f, base_report, *, ranks_only=False):
@@ -521,7 +523,7 @@ def classify_parametric(f, base_report, *, ranks_only=False):
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
     generic, guards = family_orbit(f, ranks_only=ranks_only)
-    entries = [(UniPoly([0, 1]), base_report.orbit)]
+    entries = [((0, 1), base_report.orbit)]
     for fac in candidate_factors(guards):
         entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac, ranks_only=ranks_only)
                     if orbit != generic]

@@ -2,15 +2,9 @@
 
 Tensors and matrices hold rationals, ``fractions.Fraction``, and the
 kernels below them compute on ints: ``_z_row`` scales a list of
-rationals to ints by the lcm of its denominators, for the tensors, the
-matrices and the guards alike. There is no other scalar domain: any
-other entry, a float included, raises TypeError where it enters. One more type lives
-here, not a matrix entry:
-
-* ``UniPoly`` -- univariate polynomials over the rationals, coefficients
-  stored lowest-degree first with no trailing zeros: a record of the
-  guards of a family T - λP and of the candidate special values read off
-  them, with no arithmetic of its own.
+rationals to ints by the lcm of its denominators, for the tensors and the
+matrices alike. There is no other scalar domain: any other entry, a float
+included, raises TypeError where it enters.
 
 Integer polynomials are dense int lists, lowest degree first: the gcd of
 the integer remainder sequence (``_ip_gcd``), exact products and
@@ -22,9 +16,11 @@ a binary form over it: ``binforms`` computes with nothing else. A form
 over Z[λ] carries ``LAMBDA_INTS``, a record with no operations.
 
 A one-parameter family T - λP is never computed over the field Q(λ): its
-invariants are polynomials in λ, and ``candidate_factors`` turns the ones
-whose roots can change an answer into the special values to check: the
-rational roots, found mod a prime and lifted, and one square-free
+invariants are polynomials in λ with int coefficients, and
+``candidate_factors`` turns the ones whose roots can change an answer
+into the special values to check, as int tuples, primitive with a
+positive leading coefficient: the rational roots p/q, found mod a prime
+and lifted, as the linear factors (-p, q), and one square-free
 polynomial holding all the other roots. Nothing is factored into
 irreducibles.
 
@@ -43,9 +39,8 @@ def to_fraction(x):
     """An int (a bool included) or a Fraction as a Fraction; anything else
     raises TypeError, a float too: ``Fraction(0.1)`` is its binary value
     3602879701896397/36028797018963968, not 1/10. The one scalar policy of
-    the public constructors: ``UniPoly``, ``linalg.Mat``,
-    ``locus.LambdaWitness``, ``wstate.TangencyPoint`` and the entries of
-    tensors."""
+    the public constructors: ``linalg.Mat``, ``locus.LambdaWitness``,
+    ``wstate.TangencyPoint`` and the entries of tensors."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError("entries must be ints or Fractions, not %s" % type(x).__name__)
@@ -88,71 +83,6 @@ def format_rational(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-class UniPoly:
-    """A univariate polynomial over Q, in λ.
-
-    Coefficients are a tuple of Fractions indexed by degree (position 0 is
-    the constant term); the tuple never has trailing zeros. The zero
-    polynomial has an empty coefficient tuple and degree -1. Coefficients
-    go through ``to_fraction``: a float raises TypeError.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return UniPoly([c / lc for c in self.coeffs])
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (() if other == 0 else (Fraction(other),))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(format_rational(c))
-            else:
-                v = "λ" if i == 1 else "λ^%d" % i
-                if c == 1:
-                    parts.append(v)
-                elif c == -1:
-                    parts.append("-" + v)
-                else:
-                    parts.append("%s*%s" % (format_rational(c), v))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
 
 
 def _ip_prem(a, b):
@@ -380,20 +310,21 @@ def _rational_roots(f):
 
 def candidate_factors(polys):
     """The candidate special values of a parameter, from the nonconstant
-    guards among ``polys``.
+    int coefficient lists among ``polys``, lowest degree first.
 
-    First each rational root other than 0 as its monic linear factor,
-    sorted by coefficients; then, when the guards have any other root, one
-    monic square-free polynomial with no rational root whose roots are
-    exactly those: the lcm of the square-free parts of the guards with λ
-    and the rational roots taken out. It is not split into irreducible
-    factors; ``classify.orbits_at_roots`` reads it whole.
+    Each is an int tuple, primitive with a positive leading coefficient.
+    First each rational root p/q other than 0 as its linear factor
+    (-p, q), largest root first; then, when the guards have any other
+    root, one square-free polynomial with no rational root whose roots
+    are exactly those: the lcm of the square-free parts of the guards
+    with λ and the rational roots taken out. It is not split into
+    irreducible factors; ``classify.orbits_at_roots`` reads it whole.
+    Candidates given back come back unchanged.
     """
     roots = set()
     rest = [1]
-    for poly in {p.coeffs: p for p in polys if p.degree >= 1}.values():
-        f = _ip_primitive(_z_row(poly.coeffs)[0])
-        f = f[next(i for i, c in enumerate(f) if c):]
+    for f in dict.fromkeys(tuple(p) for p in polys if len(p) >= 2):
+        f = _ip_primitive(f[next(i for i, c in enumerate(f) if c):])
         if len(f) > 2:
             f = _ip_exact_div(f, _ip_gcd(f, [i * c for i, c in enumerate(f)][1:]))
         if len(f) > 1:
@@ -402,5 +333,7 @@ def candidate_factors(polys):
                 f = _ip_exact_div(f, [-r.numerator, r.denominator])
         if len(f) > 1:
             rest = _ip_cross(rest, _ip_exact_div(f, _ip_gcd(rest, f)), [], [])
-    out = [UniPoly([-r, 1]) for r in sorted(roots, reverse=True)]
-    return out + [UniPoly(rest).monic()] if len(rest) > 1 else out
+    out = [(-r.numerator, r.denominator) for r in sorted(roots, reverse=True)]
+    if len(rest) > 1:
+        out.append(tuple(rest) if rest[-1] > 0 else tuple(-c for c in rest))
+    return out

@@ -38,6 +38,7 @@ they can be played against each other in tests:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .classify import (
     OrbitId,
@@ -55,7 +56,7 @@ from .errors import (
     UnsupportedOrbit,
     UnsupportedShape,
 )
-from .exactnum import UniPoly, candidate_factors, to_fraction
+from .exactnum import candidate_factors, to_fraction
 from .linalg import sample_points
 from .orbits import OPEN_ORBITS, pencil_shape
 from .tensorcore import (
@@ -70,8 +71,6 @@ FORBIDDEN = "forbidden"
 
 GENERIC = "generic"
 SPECIALIZED = "specialized"
-
-_LAMBDA = UniPoly([0, 1])
 
 
 class LambdaWitness:
@@ -184,17 +183,17 @@ def _check_probe(shape, P):
 
 
 def _factor_verdict(fac):
-    """Membership verdict witnessed at the root of the monic linear
-    ``fac``."""
-    return LocusVerdict.member(LambdaWitness(-fac.coeffs[0]))
+    """Membership verdict witnessed at the root of the linear factor
+    ``fac`` = (c0, c1), an int tuple: -c0 / c1."""
+    return LocusVerdict.member(LambdaWitness(Fraction(-fac[0], fac[1])))
 
 
 def _first_witness(family, factors, target, known=None):
-    """Membership verdict at the root of the first of the monic linear
-    ``factors`` where the member of ``family``, T - lam*P, has the rank
-    ``target``, or None. ``known`` maps factors already classified to their
-    ``orbits_at_roots``. Only ranks are read, so members are classified
-    ``ranks_only``."""
+    """Membership verdict at the root of the first of the linear factors
+    ``factors``, int tuples, where the member of ``family``, T - lam*P, has
+    the rank ``target``, or None. ``known`` maps factors already
+    classified to their ``orbits_at_roots``. Only ranks are read, so
+    members are classified ``ranks_only``."""
     for fac in factors:
         groups = known.get(fac) if known else None
         (_, oid), = groups or orbits_at_roots(family, fac, ranks_only=True)
@@ -210,8 +209,8 @@ def _scan_rational_witness(family, target, guards, known=None):
     the roots of the nonzero polynomials ``guards``; so among the first
     1 + (sum of their degrees) values one is sure to work.
     """
-    values = sample_points(2 + sum(g.degree for g in guards))[1:]
-    verdict = _first_witness(family, (UniPoly([-lam0, 1]) for lam0 in values), target, known)
+    values = sample_points(2 + sum(len(g) - 1 for g in guards))[1:]
+    verdict = _first_witness(family, ((-lam0, 1) for lam0 in values), target, known)
     if verdict is None:
         raise InternalError("no integer witness off the roots of the guards")
     return verdict
@@ -267,8 +266,8 @@ def _generic_membership(T, P, report):
                for axis, d in enumerate(report.concise_shape, 1)):
             return LocusVerdict.forbidden()
         raise
-    special = [(fac, oid) for fac, oid in parametric.exceptional if fac != _LAMBDA]
-    if any(fac.degree > 1 and orbit_rank(oid) == target for fac, oid in special):
+    special = parametric.exceptional[1:]
+    if any(len(fac) > 2 and orbit_rank(oid) == target for fac, oid in special):
         raise InternalError("rank %d at irrational roots: the witness lemma of "
                             "LambdaWitness fails" % target)
     if orbit_rank(parametric.generic) == target:
@@ -308,7 +307,7 @@ def _drop_root_verdict(family, axes, target):
         if value is None or (shared is not None and value != shared):
             return LocusVerdict.forbidden()
         shared = value
-    verdict = _first_witness(family, [UniPoly([-shared, 1])], target)
+    verdict = _first_witness(family, [(-shared.numerator, shared.denominator)], target)
     return verdict or LocusVerdict.forbidden()
 
 
@@ -334,7 +333,7 @@ def _escape_verdict(family, target):
     the candidates. Either way the witness is the one the generic strategy
     returns, and the member at 1 is not classified again.
     """
-    one = UniPoly([-1, 1])
+    one = (-1, 1)
     at_one = orbits_at_roots(family, one, ranks_only=True)
     if at_one[0][1] == OrbitId.orbit(OPEN_ORBITS[family.base.shape]):
         return _factor_verdict(one)
@@ -342,7 +341,7 @@ def _escape_verdict(family, target):
     generic, guards = family_orbit(family, ranks_only=True)
     if orbit_rank(generic) == target:
         return _scan_rational_witness(family, target, guards, known)
-    linear = [fac for fac in candidate_factors(guards) if fac.degree == 1]
+    linear = [fac for fac in candidate_factors(guards) if len(fac) == 2]
     verdict = _first_witness(family, linear, target, known)
     return verdict or LocusVerdict.forbidden()
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .binforms import BinaryForm, bform_gcd
 from .errors import AllZero, InternalError, WrongShape
-from .exactnum import LAMBDA_INTS, UniPoly, _ip_exact_div, _ip_gcd
+from .exactnum import LAMBDA_INTS, _ip_exact_div, _ip_gcd
 from .linalg import (
     RING_Z,
     RING_ZX,
@@ -206,12 +206,12 @@ def family_minor_gcd(p, k):
 
     Returns (G, guard). G is a form over Z[λ], coefficients int lists,
     known up to a nonzero constant (the zero form of degree k when every
-    minor vanishes). guard is None or a ``UniPoly`` whose roots include
-    every λ0 where the specialized minors have another gcd than G at λ0,
-    up to a constant: with a shared primitive part the cofactors are
-    constants and the gcd never jumps; otherwise the cofactors f/c are
-    affine in λ and jump only where they share a root or all vanish,
-    which their resultant (``_cofactor_guard``) catches.
+    minor vanishes). guard is None or an int list, lowest degree first,
+    whose roots include every λ0 where the specialized minors have another
+    gcd than G at λ0, up to a constant: with a shared primitive part the
+    cofactors are constants and the gcd never jumps; otherwise the
+    cofactors f/c are affine in λ and jump only where they share a root
+    or all vanish, which their resultant (``_cofactor_guard``) catches.
     """
     parts = [lambda_parts(m) for _, _, m in pencil_minors(p, k) if any(m)]
     if not parts:
@@ -231,9 +231,10 @@ def family_minor_gcd(p, k):
 
 
 def _cofactor_guard(cofactors):
-    """A polynomial in λ, up to a nonzero constant, vanishing wherever the
-    cofactors, forms of one degree e over Z[λ] with no common factor over
-    Q(λ), share a projective root or all vanish; None when constant.
+    """A polynomial in λ, an int list up to a nonzero constant, vanishing
+    wherever the cofactors, forms of one degree e over Z[λ] with no common
+    factor over Q(λ), share a projective root or all vanish; None when
+    constant.
 
     For e = 0 it is the gcd of the cofactors. Otherwise it is the gcd of
     two nonzero homogeneous resultants, at formal degree e, of the first
@@ -263,4 +264,4 @@ def _cofactor_guard(cofactors):
         if not found:
             raise InternalError("coprime cofactors with a vanishing resultant")
     g = functools.reduce(_ip_gcd, found)
-    return UniPoly(g) if len(g) >= 2 else None
+    return g if len(g) >= 2 else None

@@ -201,14 +201,15 @@ class ParametricTensor:
         return self._ints
 
     def member_at(self, fac):
-        """The member at the root p/q of the monic linear ``fac``: the int
-        tensor q d T' - p n P', the member times a positive integer."""
-        if fac.degree != 1:
-            raise ValueError("member_at takes a monic linear factor")
-        root = -fac.coeffs[0]
+        """The member at the root p/q of the linear factor ``fac`` = (-p, q),
+        q > 0: the int tensor q d T' - p n P', the member times a positive
+        integer."""
+        if len(fac) != 2:
+            raise ValueError("member_at takes a linear factor")
+        c0, q = fac
         base, _, n, direction = self._integer_form()
-        q, pn = root.denominator, root.numerator * n
-        return Tensor(self.base.shape, [q * a - pn * b for a, b in zip(base, direction)])
+        cn = c0 * n
+        return Tensor(self.base.shape, [q * a + cn * b for a, b in zip(base, direction)])
 
     def _update(self, axis):
         """(M, c, r), ints: the axis flattening is M + λ c r^T."""

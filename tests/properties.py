@@ -11,6 +11,7 @@ found on, counting its draws.
 """
 
 import itertools
+from fractions import Fraction
 
 from draws import (
     drop_families,
@@ -25,9 +26,12 @@ from support import (
     normalized,
     orbit_at_root,
     permute_axes,
+    primitive,
+    qq_poly,
     rank,
     sums_back,
     sympy_drop,
+    upoly_product,
 )
 
 from tensorloci import locus
@@ -168,14 +172,9 @@ def escape_certificate(orbit, T, P, counts):
 
 
 def divides(fac, c):
-    """True when the monic UniPoly fac divides the UniPoly c: exact long
-    division on their coefficient lists leaves no remainder."""
-    rem, d = list(c.coeffs), fac.degree
-    for k in range(len(rem) - 1 - d, -1, -1):
-        q = rem[k + d]
-        for j, x in enumerate(fac.coeffs):
-            rem[k + j] -= q * x
-    return not any(rem)
+    """True when the polynomial in λ fac divides c over Q, both given by
+    their coefficients, lowest degree first (``support.qq_poly``)."""
+    return qq_poly(c).rem(qq_poly(fac)).is_zero
 
 
 def ranks_only(T, P, counts):
@@ -188,8 +187,8 @@ def ranks_only(T, P, counts):
     exact = classify_parametric(family, classify(T))
     generic, guards = family_orbit(family, ranks_only=True)
     fast = candidate_factors(guards)
-    exact_roots = sum(f.degree for f in candidate_factors(family_orbit(family)[1]))
-    fast_roots = sum(f.degree for f in fast)
+    exact_roots = sum(len(f) - 1 for f in candidate_factors(family_orbit(family)[1]))
+    fast_roots = sum(len(f) - 1 for f in fast)
     counts["candidate roots exact"] += exact_roots
     counts["candidate roots ranks_only"] += fast_roots
     counts["candidate roots saved"] += exact_roots - fast_roots
@@ -201,30 +200,62 @@ def ranks_only(T, P, counts):
     return []
 
 
+def canonical(poly):
+    """True when ``poly`` is an int tuple of degree one or more, primitive
+    with a positive leading coefficient."""
+    return (type(poly) is tuple and len(poly) > 1 and all(type(c) is int for c in poly)
+            and poly == primitive(poly))
+
+
+def candidate_problems(candidates):
+    """What breaks the contract of ``candidate_factors`` in its output:
+    each candidate is canonical, the linear ones come first with nonzero
+    roots strictly descending, at most one other follows, and the output
+    is its own candidates."""
+    problems = ["candidate %r is not canonical" % (c,) for c in candidates if not canonical(c)]
+    linear = [c for c in candidates if len(c) == 2]
+    roots = [Fraction(-c[0], c[1]) for c in linear]
+    if (candidates[:len(linear)] != linear or len(candidates) > len(linear) + 1
+            or 0 in roots or any(a <= b for a, b in zip(roots, roots[1:]))):
+        problems.append("candidates %r are out of order" % (candidates,))
+    if candidate_factors(candidates) != candidates:
+        problems.append("candidates %r are not their own candidates" % (candidates,))
+    return problems
+
+
 def irrational_roots(T, P, counts):
     """At the irrational roots of every candidate factor of T - λP, the
     orbit ``orbits_at_roots`` reads off the family's integer minors is
     the orbit sympy reads off the member over Q(α) at each irreducible
     factor (``support.orbit_at_root``), and no irrational group outside
     the generic orbit has rank r - 1, r = rank T: no witness is
-    irrational (``locus.LambdaWitness``). Counts the ``irrational
-    groups``, the irreducible ``candidate factors``, those ``in the
-    generic orbit`` (classifications ``classify_parametric`` wastes) and
-    the ``members at irrational roots``."""
+    irrational (``locus.LambdaWitness``). The candidates keep the
+    contract of ``candidate_factors`` (``candidate_problems``), and the
+    groups of each are canonical and multiply to it. Counts the
+    ``irrational groups``, those ``off the generic orbit``, the
+    irreducible ``candidate factors``, those ``in the generic orbit``
+    (classifications ``classify_parametric`` wastes) and the ``members
+    at irrational roots``."""
     family = ParametricTensor(T, P)
     target = classify(T).rank - 1
     generic, guards = family_orbit(family)
-    problems = []
-    for fac in candidate_factors(guards):
-        for group, got in orbits_at_roots(family, fac):
-            if group.degree > 1:
+    candidates = candidate_factors(guards)
+    problems = candidate_problems(candidates)
+    for fac in candidates:
+        groups = orbits_at_roots(family, fac)
+        parts = [group for group, _ in groups]
+        if not all(map(canonical, parts)) or upoly_product(*parts) != fac:
+            problems.append("groups %r of %r" % (groups, fac))
+        for group, got in groups:
+            if len(group) > 2:
                 counts["irrational groups"] += 1
+                counts["irrational groups off the generic orbit"] += got != generic
                 if got != generic and orbit_rank(got) == target:
                     problems.append("rank %d at irrational roots %r: %r" % (target, group, got))
             for q in irreducible_factors(group):
                 counts["candidate factors"] += 1
                 counts["in the generic orbit"] += got == generic
-                if q.degree < 2:
+                if len(q) < 3:
                     continue
                 counts["members at irrational roots"] += 1
                 want = OrbitId.orbit(orbit_at_root(T, P, q))

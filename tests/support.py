@@ -4,11 +4,14 @@ The package keeps only what its answers need; the tests build their own
 references here instead of borrowing package helpers. From sympy over QQ:
 the rank of a rational matrix (``DomainMatrix``), the value of a
 polynomial or a binary form at a rational point, products of polynomials
-in λ (``Poly``: ``qq_poly``, ``upoly``, ``upoly_product``), since
-``UniPoly`` has no arithmetic, their irreducible factors
-(``irreducible_factors``) and primitive integer coefficients
-(``primitive``), determinants over ZZ[λ] (``zx_det``) and the
-flattening drop of a family over QQ[λ] (``sympy_drop``).
+in λ (``Poly``: ``qq_poly``, ``coefficients``, ``upoly``,
+``upoly_product``), their irreducible factors (``irreducible_factors``)
+and primitive integer coefficients (``primitive``), determinants over
+ZZ[λ] (``zx_det``) and the flattening drop of a family over QQ[λ]
+(``sympy_drop``). A polynomial in λ is a sequence of coefficients,
+lowest degree first, as the package hands them over: ints, or Fractions
+in the references; a canonical one is an int tuple, primitive with a
+positive leading coefficient.
 From sympy over Q(α) (``QQ.algebraic_field``): the orbit of the member
 T - αP of a family at an irrational root α (``orbit_at_root``), read by
 the decision table of ``orbits.py`` on sympy's minor gcds,
@@ -40,7 +43,7 @@ import sympy
 from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
-from tensorloci.exactnum import UniPoly, format_rational
+from tensorloci.exactnum import format_rational
 from tensorloci.tensorcore import Tensor
 
 _U, _V = sympy.symbols("u v")
@@ -118,8 +121,8 @@ def tensor_from_dict(shape, items):
 
 
 def poly_at(poly, x):
-    """The value at the rational x of a ``UniPoly``, a Fraction."""
-    value = dup_eval([_qq(c) for c in reversed(poly.coeffs)], _qq(x), sympy.QQ)
+    """The value at the rational x of a polynomial in λ, a Fraction."""
+    value = dup_eval([_qq(c) for c in reversed(poly)], _qq(x), sympy.QQ)
     return Fraction(int(value.numerator), int(value.denominator))
 
 
@@ -169,23 +172,30 @@ def load_script(name):
 
 def qq_poly(coeffs):
     """The sympy Poly over QQ in LAM with these coefficients, lowest degree
-    first: a ``UniPoly``'s ``coeffs`` or a Z[λ] int list."""
+    first, ints or Fractions."""
     return sympy.Poly.from_list([_qq(c) for c in reversed(coeffs)], LAM, domain=sympy.QQ)
 
 
+def coefficients(poly):
+    """The coefficients of a sympy Poly in LAM, or of an expression in it,
+    lowest degree first, as a tuple of Fractions with no trailing zero."""
+    coeffs = sympy.Poly(poly, LAM, domain=sympy.QQ).rep.to_list()[::-1]
+    return tuple(Fraction(int(c.numerator), int(c.denominator)) for c in coeffs)
+
+
 def upoly(poly):
-    """The ``UniPoly`` of a sympy Poly in LAM, or of an expression in it."""
-    poly = sympy.Poly(poly, LAM, domain=sympy.QQ)
-    return UniPoly([Fraction(int(c.numerator), int(c.denominator))
-                    for c in reversed(poly.rep.to_list())])
+    """The canonical int tuple of a nonzero sympy Poly in LAM, or of an
+    expression in it: its ``coefficients`` scaled to coprime ints with a
+    positive leading one."""
+    return primitive(coefficients(poly))
 
 
 def upoly_product(*factors):
-    """The product of ``UniPoly``s or coefficient lists, multiplied by sympy
-    over QQ, as a ``UniPoly``."""
+    """The product of coefficient sequences, multiplied by sympy over QQ,
+    as a canonical int tuple (``upoly``)."""
     out = qq_poly([1])
     for f in factors:
-        out *= qq_poly(getattr(f, "coeffs", f))
+        out *= qq_poly(f)
     return upoly(out)
 
 
@@ -197,20 +207,19 @@ def witness_code(verdict):
 
 
 def primitive(poly):
-    """The coefficients of a nonzero ``UniPoly`` scaled to coprime
-    integers with the sign they had, as a tuple."""
-    den = math.lcm(*[c.denominator for c in poly.coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in poly.coeffs]
-    g = math.gcd(*ints)
+    """The coefficients, ints or Fractions, of a nonzero polynomial in λ
+    scaled to coprime integers with a positive leading one, as a tuple."""
+    poly = [Fraction(c) for c in poly]
+    den = math.lcm(*[c.denominator for c in poly])
+    ints = [c.numerator * (den // c.denominator) for c in poly]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return tuple(c // g for c in ints)
 
 
 def irreducible_factors(poly):
-    """The monic irreducible factors over Q of a square-free ``UniPoly``."""
-    den = math.lcm(*[Fraction(c).denominator for c in poly.coeffs])
-    expr = sympy.Poly([int(c * den) for c in reversed(poly.coeffs)], LAM)
-    return [UniPoly([Fraction(int(c)) for c in reversed(f.all_coeffs())]).monic()
-            for f, _ in expr.factor_list()[1]]
+    """The irreducible factors over Q of a square-free polynomial in λ, as
+    canonical int tuples (``upoly``)."""
+    return [upoly(f) for f, _ in qq_poly(poly).factor_list()[1]]
 
 
 def sympy_drop(rows):
@@ -248,9 +257,9 @@ def zx_det(rows):
 
 
 def root_field(fac):
-    """(K, α): sympy's field Q(α) for the first root α of the monic
-    irreducible ``UniPoly`` fac, of degree two or more, with α in K."""
-    root = sympy.CRootOf(qq_poly(fac.coeffs).as_expr(), 0)
+    """(K, α): sympy's field Q(α) for the first root α of the irreducible
+    polynomial in λ fac, of degree two or more, with α in K."""
+    root = sympy.CRootOf(qq_poly(fac).as_expr(), 0)
     field = sympy.QQ.algebraic_field(root)
     return field, field.from_sympy(root)
 
@@ -323,7 +332,7 @@ def _field_orbit(field, A, B):
 
 def orbit_at_root(T, P, fac):
     """The orbit number of the member T - αP at the first root α of the
-    monic irreducible ``UniPoly`` fac, for T and P of shape (2, b, c) with
+    irreducible polynomial in λ fac, for T and P of shape (2, b, c) with
     that member concise; read in sympy's Q(α) (``_field_orbit``), its
     pencil transposed when b > c, as (2, 3, 2) is the table's (2, 2, 3)."""
     field, alpha = root_field(fac)

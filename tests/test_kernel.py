@@ -32,12 +32,12 @@ from sympy.polys.matrices import DomainMatrix
 
 from draws import DROP_SHAPES, non_concise_family
 from properties import flattening_drops
-from support import pencil_rows, poly_at, qq_poly, upoly, upoly_product
+from support import coefficients, pencil_rows, poly_at, qq_poly
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm
 from tensorloci.classify import OrbitId, family_orbit
-from tensorloci.exactnum import LAMBDA_INTS, UniPoly
+from tensorloci.exactnum import LAMBDA_INTS
 from tensorloci.linalg import (
     RING_Z,
     RING_ZX,
@@ -64,11 +64,11 @@ QLUV = QL[U, V]
 
 
 def sym(x):
-    """A Fraction, a UniPoly or a Z[λ] int list as a sympy expression in
-    LAM."""
-    if isinstance(x, (UniPoly, list)):
-        coeffs = x.coeffs if isinstance(x, UniPoly) else x
-        return sum((sympy.Rational(c) * LAM**i for i, c in enumerate(coeffs)), sympy.S.Zero)
+    """A Fraction, or a polynomial in λ given by its coefficients, lowest
+    degree first (a tuple of Fractions or a Z[λ] int list), as a sympy
+    expression in LAM."""
+    if isinstance(x, (tuple, list)):
+        return sum((sympy.Rational(c) * LAM**i for i, c in enumerate(x)), sympy.S.Zero)
     return sympy.Rational(x)
 
 
@@ -126,27 +126,27 @@ def test_det_of_sylvester_matrices_against_sympy_resultant():
 def pencil_over(t, ring):
     """(pencil, scales): the pencil of t over ``ring``, row i that of t times
     scales[i]: over Z each row of a rational t times the lcm of its
-    denominators; over Z[λ] each row of ``UniPoly``s times the lcm of its
-    denominators, as int lists."""
+    denominators; over Z[λ] each row of polynomials in λ, coefficient
+    tuples, times the lcm of its denominators, as int lists."""
     rows = pencil_rows(t)
     if ring is RING_Z:
         scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in rows]
         ints = [[int(x * k) for x in row] for row, k in zip(rows, scales)]
         return Pencil(ints, t.shape[2], RING_Z), scales
-    scales = [math.lcm(*(c.denominator for x in row for c in x.coeffs)) for row in rows]
-    ints = [[[int(c * k) for c in x.coeffs] for x in row] for row, k in zip(rows, scales)]
+    scales = [math.lcm(*(c.denominator for x in row for c in x)) for row in rows]
+    ints = [[[int(c * k) for c in x] for x in row] for row, k in zip(rows, scales)]
     return Pencil(ints, t.shape[2], RING_ZX), scales
 
 
 def unscaled(c, scale, ring):
     """A minor coefficient of the scaled rows over the product of their
-    scales: a Fraction or a UniPoly."""
+    scales: a Fraction, or a tuple of Fractions, lowest degree first."""
     if ring is RING_Z:
         return Fraction(c, scale)
-    return UniPoly([Fraction(x, scale) for x in c])
+    return tuple(Fraction(x, scale) for x in c)
 
 
-COEFF_TYPES = {RING_Z: Fraction, RING_ZX: UniPoly}
+COEFF_TYPES = {RING_Z: Fraction, RING_ZX: tuple}
 
 
 def check_pencil(t, ring):
@@ -205,10 +205,11 @@ def check_pencil(t, ring):
 
 
 def times(s, x):
-    """s * x for pencil entries: ``UniPoly``s multiplied by sympy
-    (``upoly_product``), other scalars as they are."""
-    if isinstance(s, UniPoly):
-        return upoly_product(s, x if isinstance(x, UniPoly) else [x])
+    """s * x for pencil entries: polynomials in λ, coefficient tuples,
+    multiplied by sympy (``qq_poly``, ``coefficients``), other scalars as
+    they are."""
+    if isinstance(s, tuple):
+        return coefficients(qq_poly(s) * qq_poly(x if isinstance(x, tuple) else [x]))
     return s * x
 
 
@@ -249,7 +250,7 @@ def test_minor_forms_of_quadratic_pencils_over_q_lambda_against_sympy():
     rng = random.Random(46)
 
     def entry(rng):
-        return UniPoly([rand_fraction(rng) for _ in range(rng.randint(0, 3))])
+        return coefficients(qq_poly([rand_fraction(rng) for _ in range(rng.randint(0, 3))]))
 
     for _ in range(8):
         rows = rng.randint(2, 3)
@@ -388,7 +389,7 @@ def rand_big_matrix(rng, n, m):
         rows[rng.randrange(n)] = [[] for _ in range(m)]
     elif kind == 2 and n > 2:
         s, t = (qq_poly([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(2))
-        rows[-1] = [[int(c) for c in upoly(s * qq_poly(a) + t * qq_poly(b)).coeffs]
+        rows[-1] = [[int(c) for c in coefficients(s * qq_poly(a) + t * qq_poly(b))]
                     for a, b in zip(rows[0], rows[1])]
     return rows
 
@@ -485,7 +486,7 @@ def test_family_discriminant_guards_on_big_entries_against_sympy():
         pencil = sympy.Matrix(n, n, lambda i, j: sum(
             w * (T[(k, i, j)] - LAM * d[(k, i, j)]) for k, w in enumerate((U, 1))))
         want = sympy.Poly(sympy.discriminant(pencil.det(), U), LAM)
-        got = [sympy.Integer(int(c)) for c in guards[-1].coeffs[::-1]]
+        got = [sympy.Integer(int(c)) for c in guards[-1][::-1]]
         assert got in (want.all_coeffs(), [-c for c in want.all_coeffs()])
 
 
@@ -514,7 +515,7 @@ def test_packed_member_rank_against_sympy():
         rows = rand_big_matrix(rng, n, 2 * c)
         a, b = rng.choice([(0, 1), (1, 0), (rng.randint(-4, 4), rng.randint(1, 4))])
         rank, piv = member_rank_at(Pencil(rows, c, RING_ZX), BinaryForm([a, b]))
-        member = [[[int(z) for z in upoly(-b * qq_poly(x) + a * qq_poly(y)).coeffs]
+        member = [[[int(z) for z in coefficients(-b * qq_poly(x) + a * qq_poly(y))]
                    for x, y in zip(r[:c], r[c:])] for r in rows]
         assert rank == ql_rank(member)
         assert_pivot_is_a_minor(piv, member, rank)
@@ -526,5 +527,6 @@ def test_packed_pencil_minors_against_sympy():
     rng = random.Random(53)
     for _ in range(8):
         rows = rng.randint(1, 3)
-        t = rand_pencil(rng, lambda rng: UniPoly(rand_big_zx(rng)), rows, rng.randint(1, 4))
+        t = rand_pencil(rng, lambda rng: coefficients(qq_poly(rand_big_zx(rng))), rows,
+                        rng.randint(1, 4))
         check_pencil(t, RING_ZX)

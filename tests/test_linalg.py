@@ -12,10 +12,9 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from support import root_field, zx_det
+from support import qq_poly, root_field, zx_det
 
 from tensorloci.errors import ZeroDivisor
-from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import (
     RING_Z,
     RING_ZX,
@@ -95,7 +94,7 @@ def test_rank_transpose_extension():
     Q(alpha), y taken to a root alpha of g."""
     rng = random.Random(13)
     mods = [[-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1]]
-    fields = [root_field(UniPoly(g)) for g in mods]
+    fields = [root_field(g) for g in mods]
     for i in range(200):
         g, (field, alpha) = mods[i % 3], fields[i % 3]
         n, m = rng.randint(1, 4), rng.randint(1, 4)
@@ -109,7 +108,7 @@ def test_rank_transpose_extension():
 
 @pytest.mark.parametrize(
     "entry",
-    [lambda: UniPoly([1, 1]), lambda: sympy.sqrt(2), lambda: 0.1],
+    [lambda: qq_poly([1, 1]), lambda: sympy.sqrt(2), lambda: 0.1],
     ids=["polynomial", "algebraic", "float"],
 )
 @pytest.mark.parametrize(

@@ -108,7 +108,7 @@ from tensorloci.errors import (
     UnsupportedShape,
     ZeroTensor,
 )
-from tensorloci.exactnum import UniPoly, candidate_factors
+from tensorloci.exactnum import candidate_factors
 from tensorloci.locus import (
     FORBIDDEN,
     GENERIC,
@@ -338,7 +338,7 @@ def irreducible_entries(groups):
     """Each (group, orbit) of ``groups`` as its irreducible factors, each
     with the group's orbit, by (degree, coefficients)."""
     split = [(q, oid) for fac, oid in groups for q in irreducible_factors(fac)]
-    return sorted(split, key=lambda e: (e[0].degree, e[0].coeffs))
+    return sorted(split, key=lambda e: (len(e[0]), e[0]))
 
 
 def report_code(T, P):
@@ -361,7 +361,7 @@ def test_parametric_reports_are_unchanged(orbit):
     assert got == PARAMETRIC_REPORTS[orbit]
 
 
-# The monic irreducible factors the function-field classifier recorded as
+# The irreducible factors the function-field classifier recorded as
 # candidate special values while classifying the generic member of each
 # seeded family T - lam*P, in the order of seeded_families (normal form,
 # then GL-moved, per point), written like the factors above. That recorder
@@ -464,7 +464,7 @@ def orbit_at(family, fac):
     """The orbit of the member at a root of the irreducible fac, classified
     as a tensor at a rational root, and read by sympy over Q(alpha) at an
     irrational one (``orbit_at_root``)."""
-    if fac.degree > 1:
+    if len(fac) > 2:
         return OrbitId.orbit(orbit_at_root(family.base, family.direction, fac))
     member = family.member_at(fac)
     return OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
@@ -480,9 +480,7 @@ def special_among_recorded(T, P, factors):
     for code in factors:
         if code == (0, 1):
             continue
-        lead = Fraction(code[-1])
-        fac = UniPoly([Fraction(c) / lead for c in code])
-        orbit = orbit_at(family, fac)
+        orbit = orbit_at(family, code)
         if orbit != report.generic:
             found.append((code, orbit.value))
     reported = [
@@ -520,9 +518,9 @@ def concise_family(T, P):
 
 
 def flat_minor_gcd(family, axis):
-    """Reference for _drop_value: the monic gcd over Q[lam] of every
-    maximal minor of a flattening, zero when they all vanish, from
-    sympy's determinants over QQ[lam]."""
+    """Reference for _drop_value: the gcd over Q[lam] of every maximal
+    minor of a flattening as a canonical int tuple (``primitive``), empty
+    when they all vanish, from sympy's determinants over QQ[lam]."""
     ring = sympy.QQ[sympy.Symbol("lam")]
 
     def q(x):
@@ -543,7 +541,7 @@ def flat_minor_gcd(family, axis):
         if g and g.degree() == 0:
             break
     coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(g.to_dense())]
-    return UniPoly(coeffs).monic()
+    return primitive(coeffs) if g else ()
 
 
 # The rank axes of the concise core of each normal form: the axes of the
@@ -619,11 +617,11 @@ def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
                 for axis in (1, 2, 3):
                     g = flat_minor_gcd(family, axis)
                     value = family.flattening_drop(axis)[1]
-                    assert g.degree >= 0, (orbit, p, axis)  # not every minor vanishes
-                    if g.degree == 0:
+                    assert g, (orbit, p, axis)  # not every minor vanishes
+                    if len(g) == 1:
                         assert value is None, (orbit, p, axis)
                     else:
-                        assert g == UniPoly([-value, 1]), (orbit, p, axis)
+                        assert g == (-value.numerator, value.denominator), (orbit, p, axis)
                         drops += 1
     assert drops > 0
 
@@ -644,7 +642,7 @@ def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
                     keep, drop = family.flattening_drop(axis)
                     if drop is None:
                         continue
-                    fac = UniPoly([-drop, 1])
+                    fac = (-drop.numerator, drop.denominator)
                     rows = flattening(family.member_at(fac), axis)
                     assert rank([rows[i] for i in keep]) < len(keep), (orbit, p)
                     flat.append(fac)
@@ -799,7 +797,7 @@ def irrational_candidates(orbit):
         for t, p in ((T, P), (gT, gP)):
             family = ParametricTensor(t, p)
             for fac in candidate_factors(family_orbit(family)[1]):
-                if fac.degree >= 2:
+                if len(fac) > 2:
                     for q, oid in irreducible_entries(orbits_at_roots(family, fac)):
                         yield family, q, oid
 
@@ -808,15 +806,20 @@ def test_members_at_irrational_roots_match_their_orbits_over_the_extension():
     """At the irrational roots of every candidate factor of the seeded
     families, normal form and GL-moved, the orbit read off the family's
     integer minors is the orbit sympy reads off the member over Q(alpha)
-    at each irreducible factor (``orbit_at_root``), and no irrational
-    group outside the generic orbit has rank r - 1
-    (``irrational_roots``)."""
-    counts = collections.Counter()
+    at each irreducible factor (``orbit_at_root``), no irrational group
+    outside the generic orbit has rank r - 1, and the candidates and
+    groups keep their contract (``irrational_roots``). The families of the
+    six escape orbits have 12 irrational groups off the generic orbit,
+    all on orbits 16 and 17, so the lemma of ``LambdaWitness`` is tested
+    where the escape route relies on it."""
+    counts, escape = collections.Counter(), collections.Counter()
     for orbit in ORBITS:
         for _sparse, T, P, gT, gP in seeded_families(orbit):
             for t, p in ((T, P), (gT, gP)):
-                assert irrational_roots(t, p, counts) == [], (orbit, p.factors)
-    assert counts["members at irrational roots"] == 36
+                found = escape if orbit in ESCAPE_ORBITS else counts
+                assert irrational_roots(t, p, found) == [], (orbit, p.factors)
+    assert escape["irrational groups off the generic orbit"] == 12
+    assert (counts + escape)["members at irrational roots"] == 36
 
 
 def test_root_groups_split_where_the_orbits_differ():
@@ -826,7 +829,7 @@ def test_root_groups_split_where_the_orbits_differ():
     groups, each with the orbit of the member over Q(alpha) at its roots
     (``orbit_at_root``). With lam^2 + 5 as well, the two generic parts come
     back merged into one group, wherever the splits fell."""
-    quad, other = UniPoly([-7, 0, 1]), UniPoly([5, 0, 1])
+    quad, other = (-7, 0, 1), (5, 0, 1)
     seen = 0
     for orbit in ORBITS:
         for family, fac, oid in irrational_candidates(orbit):
@@ -837,7 +840,7 @@ def test_root_groups_split_where_the_orbits_differ():
             for q in (quad, upoly_product(quad, other)):
                 want = [(fac, oid), (q, generic)]
                 assert orbits_at_roots(family, upoly_product(fac, q)) == sorted(
-                    want, key=lambda e: (e[0].degree, e[0].coeffs)), (orbit, fac)
+                    want, key=lambda e: (len(e[0]), e[0])), (orbit, fac)
             seen += 1
     assert seen == 36
 
@@ -861,7 +864,7 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
 
     def planted(family, report, **kwargs):
         parametric = real(family, report, **kwargs)
-        parametric.exceptional.append((UniPoly([-2, 0, 1]), OrbitId.orbit(14)))
+        parametric.exceptional.append(((-2, 0, 1), OrbitId.orbit(14)))
         return parametric
 
     with monkeypatch.context() as m:
@@ -1178,7 +1181,7 @@ def test_first_witness_takes_the_first_factor_of_the_target_rank():
     ever the witness."""
     T = normal_form(16)
     P = RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
-    lin, quad, other = UniPoly([-1, 1]), UniPoly([-2, 0, 1]), UniPoly([-3, 0, 1])
+    lin, quad, other = (-1, 1), (-2, 0, 1), (-3, 0, 1)
     family = ParametricTensor(T, P)
     for fac in (lin, quad, upoly_product(quad, other)):
         (group, oid), = orbits_at_roots(family, fac, ranks_only=True)
@@ -1217,22 +1220,6 @@ def escape_families():
             yield orbit, gT, gP
 
 
-def test_no_irrational_group_of_an_escape_family_has_the_target_rank():
-    """The lemma of ``LambdaWitness`` on the seeded families of the six
-    escape orbits, normal form and GL-moved: the exact
-    ``classify_parametric`` reports groups of irrational special values on
-    them (12, all on orbits 16 and 17), and none has rank r - 1,
-    r = rank T, so every witness is rational."""
-    groups = 0
-    for orbit, T, P in escape_families():
-        target = RANKS[orbit][0] - 1
-        report = classify_parametric(ParametricTensor(T, P), classify(T))
-        irrational = [oid for fac, oid in report.exceptional if fac.degree > 1]
-        assert [oid for oid in irrational if oid.rank_pair()[0] == target] == [], (orbit, P)
-        groups += len(irrational)
-    assert groups == 12
-
-
 def test_open_orbit_certificate_answers_without_family_orbit():
     """SPECIALIZED answers some seeded family of every escape orbit
     without ``family_orbit``: the member at 1 lies in the open orbit.
@@ -1254,7 +1241,7 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
     1, -1, 2 and on the seeded fallback families of the escape orbits."""
     T17 = normal_form(17)
     P17 = RankOneTensor([[Fraction(-1, 2), 0], [0, 1, 1], [1, 0, -1]])
-    one = UniPoly([-1, 1])
+    one = (-1, 1)
     classified, built = [], []
     real_orbits, real_family = locus.orbits_at_roots, locus.family_orbit
 
@@ -1281,7 +1268,7 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
                 assert classified == [one], (orbit, p, classified)
             if t is T17:
                 assert built and witness_code(verdict) == "2"
-                assert classified[:3] == [one, UniPoly([1, 1]), UniPoly([-2, 1])]
+                assert classified[:3] == [one, (1, 1), (-2, 1)]
     assert fallbacks > 1
 
 
@@ -1310,7 +1297,8 @@ SWEEP_SUMMARIES = {
     "ranks": "ranks: candidate roots exact 42, candidate roots ranks_only 36, "
              "candidate roots saved 6, families 44, 0 mismatches",
     "roots": "roots: D5 splits 0, candidate factors 16, families 22, in the generic orbit 0, "
-             "irrational groups 5, members at irrational roots 5, read discriminant_vanishes 1, "
+             "irrational groups 5, irrational groups off the generic orbit 5, "
+             "members at irrational roots 5, read discriminant_vanishes 1, "
              "read member_rank 2, read minor_gcd 5, read pure_square 0, read repeated_part 2, "
              "0 mismatches",
     "drops": "drops: drop 0 8, drop None 13, flattenings 21, one row fewer 0, 0 mismatches",

@@ -8,7 +8,6 @@ from draws import random_invertible
 from support import form_at, pencil_rows, poly_at, tensor_from_dict
 
 from tensorloci.binforms import BinaryForm, bform_discriminant
-from tensorloci.exactnum import UniPoly
 from tensorloci.orbits import PENCILS, normal_form
 from tensorloci.pencil import (
     Pencil,
@@ -26,16 +25,25 @@ from tensorloci.linalg import RING_Z
 U_SYM, V_SYM, LAM_SYM = sympy.symbols("u v lam")
 
 
+def trimmed(coeffs):
+    """The coefficients as a tuple of Fractions, trailing zeros dropped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def member_polynomial(hyperdet, T, P, degree):
-    """hyperdet(T - λP) as a UniPoly in λ, interpolated by sympy from its
-    values at degree + 1 rational λ. With P rank one each coefficient of
-    the det form is affine in λ (the matrix determinant lemma), so the
-    discriminant of a form of degree d has degree at most 2(d - 1)."""
+    """hyperdet(T - λP) as its Fraction coefficients, lowest degree first
+    (``trimmed``), interpolated by sympy from its values at degree + 1
+    rational λ. With P rank one each coefficient of the det form is affine
+    in λ (the matrix determinant lemma), so the discriminant of a form of
+    degree d has degree at most 2(d - 1)."""
     pts = [Fraction(k, 3) for k in range(-degree, degree + 1, 2)]
     data = [(sympy.Rational(x), sympy.Rational(hyperdet(subtract_scaled(T, x, P))))
             for x in pts]
     poly = sympy.Poly(sympy.interpolate(data, LAM_SYM), LAM_SYM)
-    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+    return trimmed(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
 
 
 def sympy_slices(t):
@@ -222,7 +230,7 @@ def test_hyperdet222_symbolic_identity():
             + 2 * a1 * a2 * b1 * b2 * c2**2
             + a1**2 * b2**2 * c2**2
         )
-        want = UniPoly([Fraction(0), -4 * a2 * b2 * c2, quad])
+        want = trimmed([0, -4 * a2 * b2 * c2, quad])
         assert h == want
 
 
@@ -267,13 +275,13 @@ def test_hyperdet233_symbolic_identities():
         P = RankOneTensor([a, b, c])
         h17 = member_polynomial(hyperdet233, t17, P, 4)
         assert poly_at(h17, 0) == 0
-        lam_coeff = h17.coeffs[1] if h17.degree >= 1 else Fraction(0)
+        lam_coeff = h17[1] if len(h17) > 1 else Fraction(0)
         assert lam_coeff == -4 * a2 * b2 * c1
 
         h15 = member_polynomial(hyperdet233, t15, P, 4)
         scale = a2**2 * b2**2 * c1**2
         dpol = (a2 * b1 * c1 + a1 * b2 * c1 + a2 * b2 * c2 + a2 * b3 * c3) ** 2
-        want = UniPoly([0, 0, 0, -4 * a2**3 * b2**3 * c1**3, scale * dpol])
+        want = trimmed([0, 0, 0, -4 * a2**3 * b2**3 * c1**3, scale * dpol])
         assert h15 == want
 
 

@@ -25,7 +25,6 @@ from support import flattening, orbit_at_root, pencil_rows, permute_axes, rank
 
 from tensorloci.classify import OrbitId, classify, orbits_at_roots
 from tensorloci.errors import ShapeMismatch, SingularMatrix, ZeroTensor
-from tensorloci.exactnum import UniPoly
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.orbits import normal_form
 from tensorloci.tensorcore import (
@@ -391,20 +390,20 @@ def test_parametric_specializations_agree():
 
 
 def test_member_at_matches_specialize():
-    """A linear factor gives the member over Q (``subtract_scaled``) times
-    a positive integer, with int entries. At a root of a quadratic one the
-    member is over Q(alpha), in the orbit orbits_at_roots reads off the
-    family, as sympy reads it there (``orbit_at_root``); member_at refuses
-    that factor."""
+    """A linear factor (-p, q) gives the member at p/q over Q
+    (``subtract_scaled``) times a positive integer, with int entries. At a
+    root of a quadratic one the member is over Q(alpha), in the orbit
+    orbits_at_roots reads off the family, as sympy reads it there
+    (``orbit_at_root``); member_at refuses that factor."""
     fam = ParametricTensor(
         normal_form(16), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     )
-    member = fam.member_at(UniPoly([Fraction(-5, 3), 1]))
+    member = fam.member_at((-5, 3))
     want = subtract_scaled(fam.base, Fraction(5, 3), fam.direction)
     assert all(type(x) is int for x in member.entries)
     ratio = next(a / b for a, b in zip(member.entries, want.entries) if b)
     assert ratio > 0 and member == want.scale(ratio)
-    quad = UniPoly([-2, 0, 1])
+    quad = (-2, 0, 1)
     want = OrbitId.orbit(orbit_at_root(fam.base, fam.direction, quad))
     assert orbits_at_roots(fam, quad) == [(quad, want)]
     with pytest.raises(ValueError):
