@@ -42,7 +42,7 @@ import sys
 import types
 from fractions import Fraction
 
-from tensorloci.classify import classify, classify_parametric
+from tensorloci.classify import classify_parametric
 from tensorloci.exactnum import format_rational
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership, locus_tangential
@@ -86,7 +86,7 @@ def load_tests_module(name):
 
 
 def report_code(support, T, P):
-    report = classify_parametric(ParametricTensor(T, P), classify(T))
+    report = classify_parametric(ParametricTensor(T, P))
     lam, rest = report.exceptional[0], report.exceptional[1:]
     split = sorted(((q, oid) for fac, oid in rest for q in support.irreducible_factors(fac)),
                    key=lambda e: (len(e[0]), [Fraction(c, e[0][-1]) for c in e[0]]))

@@ -24,18 +24,24 @@ polynomials whose roots include every value of λ where that invariant
 can differ from its generic value (``family_orbit``); a discriminant
 over Z[λ], the guard of a repeated part or of a quadratic, is one
 discriminant of an int form, the form packed at λ = 2^K and the value
-unpacked (Kronecker substitution, ``_lambda_discriminant``). A third
-reader reads the members at the irrational roots of the guards
-off the same pencil over Z[λ]: no affine minor vanishes there, so each
-member has the family's concise shape, and its minors are the family's
-at the root α, forms over Z[β] for an integer multiple β of α, which
-carry their ring: all but its minors and member ranks are the integer
-reader's reads. The guards are
+unpacked (Kronecker substitution, ``_lambda_discriminant``).
+
+The members are read off the same pencil over Z[λ]. The family's kept
+slices lose rank only at its flattening drops, all rational; off them
+each member has the family's concise shape, and its minors are the
+family's at the root. At a rational p/q they are int forms, q m0 + p m1
+for the family's minor m0 + λ m1 (``_RationalReads``); at the irrational
+roots α of a guard they are forms over Z[β] for an integer multiple β of
+α, which carry their ring (``_RootReads``). All but their minors and
+member ranks are the integer reader's reads. Only a member at a drop is
+built as an int tensor and classified (``member_orbit``). The guards are
 never split into irreducible factors: the reader takes all their
 irrational roots at once, as the roots of one square-free polynomial,
 and splits it only where a read tells two roots apart (dynamic
-evaluation, ``orbits_at_roots``). ``classify_parametric`` classifies
-the members at the roots so, at a rational one as an int tensor.
+evaluation, ``orbits_at_roots``). A family keeps one pencil, and that
+pencil keeps its minors over Z[λ], each size expanded once for all of
+these readers (``ParametricTensor.kept_pencil``). ``classify_parametric``
+reads every member so, T itself at λ = 0 included.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from __future__ import annotations
 from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_root
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
 from .exactnum import _ip_cross, _ip_exact_div, _ip_primitive, candidate_factors, zb_ring
-from .linalg import RING_Z, RING_ZX, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
+from .linalg import RING_Z, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
 from .orbits import PENCILS, RANKS, normal_form
 from .pencil import (
     Pencil,
@@ -158,7 +164,8 @@ class ParametricReport:
     the factor, an int tuple lowest degree first, primitive with a positive
     leading coefficient, lies in that orbit. The factor lambda itself,
     (0, 1) for the value 0, is always listed first, even when its orbit
-    agrees with the generic one, because rank cannot drop at lambda = 0.
+    agrees with the generic one, because rank cannot drop at lambda = 0;
+    its orbit is T's, read off the family like any rational root.
     Then come the rational special values p/q, one linear factor (-p, q)
     each, in the order of ``candidate_factors``; then the irrational ones,
     one group per orbit, square-free with no rational root and coprime to
@@ -206,7 +213,7 @@ def classify(t, *, ranks_only=False):
     perm = _canonical_permutation(shape)
     axes = tuple(a for a in perm if shape[a] > 1)
     core = red.core(axes) if len(axes) >= 2 else None
-    orbit = _orbit_of_shape(t.order, shape, lambda _: _CoreReads(core), ranks_only)
+    orbit = _orbit_of_shape(t.order, shape, lambda: _CoreReads(core), ranks_only)
     rank, brk = orbit.rank_pair()
     return ClassifyReport(orbit, rank, brk, shape, red, perm, core, axes)
 
@@ -214,8 +221,8 @@ def classify(t, *, ranks_only=False):
 def _orbit_of_shape(order, concise_shape, reads, ranks_only):
     """The orbit of an order-``order`` tensor with this concise shape.
 
-    Matrix cases are decided by the shape; otherwise ``reads(dims)`` gives
-    the reader of the canonical core, of shape dims.
+    Matrix cases are decided by the shape; otherwise ``reads()`` gives the
+    reader of the canonical core.
     """
     perm = _canonical_permutation(concise_shape)
     dims = tuple(concise_shape[i] for i in perm if concise_shape[i] > 1)
@@ -230,7 +237,7 @@ def _orbit_of_shape(order, concise_shape, reads, ranks_only):
         raise UnsupportedShape(
             "no finite orbit list for concise shape %r" % (concise_shape,)
         )
-    n = _orbit_of_canonical(dims, reads(dims), ranks_only)
+    n = _orbit_of_canonical(dims, reads(), ranks_only)
     if order == 3 and concise_shape == (2, 3, 2):
         n = TRANSPOSED_ROWS[n]
     return OrbitId.orbit(n)
@@ -380,6 +387,31 @@ class _FamilyReads(_CoreReads):
         return rank
 
 
+class _RationalReads(_CoreReads):
+    """The same invariants at the root p/q of ``fac`` = (-p, q), no
+    flattening drop, from the pencil ``p`` of the family over Z[λ]: there
+    the family on its kept slices is a concise core of the member. Each
+    minor of the family is f0 + λ f1 with f0, f1 int forms, so q f0 + p f1
+    is q times the member's minor; member ranks are read on the rows of
+    the family taken at p/q the same way."""
+
+    def __init__(self, p, fac):
+        self.p = p
+        self.fac = fac
+
+    def _at(self, c):
+        """q c(p/q), an int, for an affine Z[λ] int list c."""
+        c0, q = self.fac
+        return q * c[0] - c0 * c[1] if len(c) == 2 else q * c[0] if c else 0
+
+    def minor_gcd(self, k):
+        return pencil_minor_gcd(self.p, k, lambda m: BinaryForm([self._at(c) for c in m]))
+
+    def member_rank(self, ell):
+        rows = [[self._at(x) for x in r] for r in self.p.rows]
+        return member_rank_at(Pencil(rows, self.p.cols, RING_Z), ell)[0]
+
+
 class _RootReads(_CoreReads):
     """The same invariants at all the roots α of a monic square-free f
     with no rational root at once, from the pencil ``p`` of the family
@@ -431,14 +463,15 @@ def _family_table(f, reader, ranks_only=False):
     rank-one update M + λ c r^T, and rows S with independent (M_i | c_i)
     are dependent at λ0 exactly when (-λ0 r | 1) lies in their span. Its
     rows over Z[λ] on the pencil, row and column axes of the canonical
-    order make the ``Pencil`` that ``reader(pencil)`` reads."""
+    order make the ``Pencil`` that ``reader(pencil)`` reads, the one the
+    family keeps for every reader (``kept_pencil``)."""
     order = f.base.order
     slices, drops = zip(*(f.flattening_drop(axis) for axis in range(1, order + 1)))
     concise = tuple(len(s) for s in slices)
 
-    def reads(dims):
-        axes = [x for x in _canonical_permutation(concise) if concise[x] > 1]
-        return reader(Pencil(f.pencil_rows(axes, slices), dims[2], RING_ZX))
+    def reads():
+        return reader(f.kept_pencil(tuple(
+            x for x in _canonical_permutation(concise) if concise[x] > 1)))
 
     return _orbit_of_shape(order, concise, reads, ranks_only), drops
 
@@ -470,6 +503,14 @@ def _root_model(fac):
     return [c * lead ** (len(fac) - 2 - i) for i, c in enumerate(fac[:-1])] + [1], lead
 
 
+def member_orbit(f, fac, *, ranks_only=False):
+    """The orbit of the member of T - λP at the root of the linear factor
+    ``fac``, built as an int tensor (``member_at``) and classified, with
+    ``ranks_only`` passed on; MatrixRank(0) for the zero member."""
+    member = f.member_at(fac)
+    return OrbitId.matrix(0) if member.is_zero() else classify(member, ranks_only=ranks_only).orbit
+
+
 def orbits_at_roots(f, fac, *, ranks_only=False):
     """The orbits of the members of T - λP at the roots of ``fac``, an int
     tuple lowest degree first, primitive with a positive leading
@@ -477,18 +518,23 @@ def orbits_at_roots(f, fac, *, ranks_only=False):
     as a list of (group, orbit): the groups are int tuples of that form,
     pairwise coprime, multiplying to fac, one per orbit, sorted by
     (degree, coefficients), so the list does not depend on where fac was
-    split. A rational root is read on the int member (``member_at``). The
-    kept slices of a flattening lose rank at most at one λ, a rational one
-    (``flattening_drop``), so at irrational roots the table reads the
-    family on those slices at all roots of fac at once (``_RootReads``);
-    when a read tells two roots apart, fac splits there and the table
-    reads each part again (dynamic evaluation). ``ranks_only`` is passed
-    to ``classify`` at a rational root; the groups at irrational roots
-    are always exact."""
+    split. The kept slices of a flattening lose rank at most at one λ, a
+    rational one (``flattening_drop``); off those drops they stay a
+    concise core of the member, and the table reads the family on them at
+    the root. A rational root is read so on the family's pencil at p/q
+    (``_RationalReads``) and, at a drop, on the int member
+    (``member_orbit``). At irrational roots the table reads the family at
+    all roots of fac at once (``_RootReads``); when a read tells two roots
+    apart, fac splits there and the table reads each part again (dynamic
+    evaluation). ``ranks_only`` holds at a rational root; the groups at
+    irrational roots are always exact. Every read shares the family's
+    minors (``kept_pencil``)."""
     if len(fac) == 2:
-        member = f.member_at(fac)
-        return [(fac, OrbitId.matrix(0) if member.is_zero()
-                 else classify(member, ranks_only=ranks_only).orbit)]
+        c0, q = fac
+        if any(x is not None and x.numerator == -c0 and x.denominator == q
+               for x in (f.flattening_drop(a)[1] for a in range(1, f.base.order + 1))):
+            return [(fac, member_orbit(f, fac, ranks_only=ranks_only))]
+        return [(fac, _family_table(f, lambda p: _RationalReads(p, fac), ranks_only)[0])]
     g, den = _root_model(fac)
     todo, parts = [g], {}
     while todo:
@@ -505,25 +551,27 @@ def orbits_at_roots(f, fac, *, ranks_only=False):
     return sorted(groups, key=lambda e: (len(e[0]), e[0]))
 
 
-def classify_parametric(f, base_report, *, ranks_only=False):
+def classify_parametric(f, *, ranks_only=False):
     """Classify the family T - lambda*P for all values of the parameter.
 
-    ``base_report`` is ``classify(T)``, which the caller already holds; it
-    gives the member at lambda = 0. The generic orbit and the guards come
-    from ``family_orbit``; the candidate special values are the roots of
-    the guards (``candidate_factors``), each classified exactly
-    (``orbits_at_roots``: rational roots on an int member, the irrational
-    ones together on the family's integer minors). Roots whose orbit
-    equals the generic orbit are dropped, except lambda itself.
+    The member at lambda = 0, T itself, is read first, like every rational
+    root (``orbits_at_roots``), so a T with no orbit list raises
+    UnsupportedShape before the family is read. The generic orbit and the
+    guards come from ``family_orbit``; the candidate special values are
+    the roots of the guards (``candidate_factors``), each classified
+    exactly (``orbits_at_roots``: rational roots on the family's pencil
+    there, or on an int member at a flattening drop, the irrational ones
+    together on the family's integer minors). Roots whose orbit equals the
+    generic orbit are dropped, except lambda itself.
 
-    ``ranks_only`` classifies the family and its rational members only
-    up to ranks (``_orbit_of_canonical``; ``base_report`` likewise): a root
-    whose member's rank differs from the generic rank stays a candidate.
+    ``ranks_only`` classifies the family and its rational members, T
+    included, only up to ranks (``_orbit_of_canonical``): a root whose
+    member's rank differs from the generic rank stays a candidate.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
+    entries = orbits_at_roots(f, (0, 1), ranks_only=ranks_only)
     generic, guards = family_orbit(f, ranks_only=ranks_only)
-    entries = [((0, 1), base_report.orbit)]
     for fac in candidate_factors(guards):
         entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac, ranks_only=ranks_only)
                     if orbit != generic]

@@ -14,7 +14,9 @@ they can be played against each other in tests:
 * ``locus_membership`` with the generic strategy classifies the family
   T - lam*P for all lam at once (``classify_parametric``), only finely
   enough to read ranks, and reads the answer off the generic orbit and
-  the exceptional values.
+  the exceptional values. T is the member at lam = 0, read off the family
+  like every rational member, so GENERIC never classifies T on its own,
+  and builds and classifies a member only at a flattening drop.
 * The specialized strategy reads the concise core and its axis order
   from the classification of T; a P outside the spans of T is forbidden.
   Otherwise the rank of T picks one of two routes on the family on the
@@ -45,6 +47,7 @@ from .classify import (
     classify,
     classify_parametric,
     family_orbit,
+    member_orbit,
     orbit_rank,
     orbits_at_roots,
 )
@@ -55,6 +58,7 @@ from .errors import (
     TangencyPointRequested,
     UnsupportedOrbit,
     UnsupportedShape,
+    ZeroTensor,
 )
 from .exactnum import candidate_factors, to_fraction
 from .linalg import sample_points
@@ -253,20 +257,23 @@ def locus_tangential(T, P):
 # membership, generic strategy
 
 
-def _generic_membership(T, P, report):
-    target = report.rank - 1
+def _generic_membership(T, P):
+    if T.is_zero():
+        raise ZeroTensor("the zero tensor has no rank to lower")
     family = ParametricTensor(T, P)
     try:
-        parametric = classify_parametric(family, report, ranks_only=True)
+        parametric = classify_parametric(family, ranks_only=True)
     except UnsupportedShape:
-        # T - lam*P keeps more slices than T on some axis, so P's factor
-        # there is off T's span: projecting it away maps an r-term
-        # decomposition with P to an (r - 1)-term one of T.
-        if any(len(family.flattening_drop(axis)[0]) > d
-               for axis, d in enumerate(report.concise_shape, 1)):
-            return LocusVerdict.forbidden()
-        raise
-    special = parametric.exceptional[1:]
+        # T - lam*P keeps more slices than T on some axis, where 0 is then
+        # the drop: P's factor there is off T's span, and projecting it
+        # away maps an r-term decomposition with P to an (r - 1)-term one
+        # of T. Unless T itself has no orbit list: its entry raises again.
+        if not any(family.flattening_drop(axis)[1] == 0 for axis in range(1, T.order + 1)):
+            raise
+        orbits_at_roots(family, (0, 1), ranks_only=True)
+        return LocusVerdict.forbidden()
+    (_, base), *special = parametric.exceptional
+    target = orbit_rank(base) - 1
     if any(len(fac) > 2 and orbit_rank(oid) == target for fac, oid in special):
         raise InternalError("rank %d at irrational roots: the witness lemma of "
                             "LambdaWitness fails" % target)
@@ -307,8 +314,10 @@ def _drop_root_verdict(family, axes, target):
         if value is None or (shared is not None and value != shared):
             return LocusVerdict.forbidden()
         shared = value
-    verdict = _first_witness(family, [(-shared.numerator, shared.denominator)], target)
-    return verdict or LocusVerdict.forbidden()
+    fac = (-shared.numerator, shared.denominator)
+    if orbit_rank(member_orbit(family, fac, ranks_only=True)) == target:
+        return _factor_verdict(fac)
+    return LocusVerdict.forbidden()
 
 
 def _escape_verdict(family, target):
@@ -334,10 +343,10 @@ def _escape_verdict(family, target):
     returns, and the member at 1 is not classified again.
     """
     one = (-1, 1)
-    at_one = orbits_at_roots(family, one, ranks_only=True)
-    if at_one[0][1] == OrbitId.orbit(OPEN_ORBITS[family.base.shape]):
+    at_one = member_orbit(family, one, ranks_only=True)
+    if at_one == OrbitId.orbit(OPEN_ORBITS[family.base.shape]):
         return _factor_verdict(one)
-    known = {one: at_one}
+    known = {one: [(one, at_one)]}
     generic, guards = family_orbit(family, ranks_only=True)
     if orbit_rank(generic) == target:
         return _scan_rational_witness(family, target, guards, known)
@@ -388,16 +397,19 @@ def locus_membership(T, P, strategy=SPECIALIZED):
 
     Supported: any T, of any order and padded or not, whose concise core
     lies in a finite-orbit space, and any rank-one P of T's shape; other T
-    raise UnsupportedShape. Where T - lam*P has no orbit list, GENERIC
-    answers forbidden, as SPECIALIZED does (``_generic_membership``).
+    raise UnsupportedShape, and the zero T raises ZeroTensor. SPECIALIZED
+    classifies T first; GENERIC reads T's orbit, and so its rank, off the
+    entry at lam = 0 of its report. Where T - lam*P has no orbit list,
+    that is where lam = 0 is the drop of a flattening that keeps more
+    slices than T's, GENERIC answers forbidden, as SPECIALIZED does
+    (``_generic_membership``).
     """
     _check_probe(T.shape, P)
     if strategy not in (GENERIC, SPECIALIZED):
         raise ValueError("unknown strategy %r" % (strategy,))
-    report = classify(T, ranks_only=True)
     if strategy == GENERIC:
-        return _generic_membership(T, P, report)
-    return _specialized_membership(T, P, report)
+        return _generic_membership(T, P)
+    return _specialized_membership(T, P, classify(T, ranks_only=True))
 
 
 # ---------------------------------------------------------------------------

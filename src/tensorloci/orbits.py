@@ -13,8 +13,6 @@ presentations.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .tensorcore import Tensor
 
 _U = (1, 0)
@@ -105,17 +103,8 @@ def pencil_shape(n):
 
 
 def normal_form(n):
-    """The n-th normal form as a tensor of shape (2, b, c)."""
+    """The n-th normal form as a tensor of shape (2, b, c), int entries."""
     if n not in PENCILS:
         raise KeyError("normal forms are numbered 1..26")
     rows = PENCILS[n]
-    b, c = len(rows), len(rows[0])
-    t = Tensor.zeros((2, b, c))
-    for r in range(b):
-        for s in range(c):
-            cu, cv = rows[r][s]
-            if cu:
-                t.entries[0 * b * c + r * c + s] += Fraction(cu)
-            if cv:
-                t.entries[1 * b * c + r * c + s] += Fraction(cv)
-    return t
+    return Tensor(pencil_shape(n), [e[i] for i in (0, 1) for row in rows for e in row])

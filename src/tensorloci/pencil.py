@@ -26,8 +26,11 @@ together with a guard: a polynomial in λ whose roots include every value
 where the value at that λ differs from the generic one. Contents,
 quotients and the cofactor guard stay over Z and Z[λ] (Gauss's lemma
 makes every quotient by a primitive content exact). The same minors
-also give the member at an irrational root α: there each minor is
-m - αn, and ``pencil_minor_gcd`` takes their gcd as forms over Z[β].
+also give the members: at a rational p/q each minor is a multiple of
+q m - p n, an int form, and at an irrational root α it is m - αn, and
+``pencil_minor_gcd`` takes their gcd as int forms or as forms over Z[β].
+A pencil over Z[λ] expands the minors of each size once and keeps them
+for all of these reads.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 from .binforms import BinaryForm, bform_gcd
 from .errors import AllZero, InternalError, WrongShape
@@ -54,14 +56,16 @@ from .linalg import (
 class Pencil:
     """The pencil u*A + v*B of a 2 x b x c tensor as its rows [A_i | B_i]
     over ``ring``: ints over Z or Z[λ] int lists, row i being row i of the
-    pencil times a nonzero int."""
+    pencil times a nonzero int. Over Z[λ] it keeps its nonzero minors of
+    each size once expanded (``_nonzero_minors``)."""
 
-    __slots__ = ("rows", "cols", "ring")
+    __slots__ = ("rows", "cols", "ring", "_minors")
 
     def __init__(self, rows, cols, ring):
         self.rows = rows
         self.cols = cols
         self.ring = ring
+        self._minors = {}
 
     def __repr__(self):
         return "Pencil(%dx%d)" % (len(self.rows), self.cols)
@@ -126,27 +130,40 @@ def pencil_minors(p, k):
             yield row_idx, col_idx, expand(row_idx, col_idx)
 
 
+def _nonzero_minors(p, k):
+    """The coefficient lists of the nonzero k x k minors of
+    ``pencil_minors``. Over Z they are taken as they are asked for, so a
+    gcd that turns constant stops the expansion; over Z[λ] each size is
+    expanded once and kept on the pencil, whose reads over Q(λ), at
+    rational λ and at irrational roots all share it."""
+    if p.ring is not RING_ZX:
+        return (c for _, _, c in pencil_minors(p, k) if any(c))
+    hit = p._minors.get(k)
+    if hit is None:
+        hit = p._minors[k] = [c for _, _, c in pencil_minors(p, k) if any(c)]
+    return hit
+
+
 def pencil_minor_gcd(p, k, form=BinaryForm):
     """gcd of all k x k minors of a pencil, as ``bform_gcd`` gives it,
     which stops taking minors once the gcd is a constant; the zero form of
     degree k when every minor vanishes. ``form`` makes each nonzero minor
-    a binary form: an int form over Z, or over Z[β] a family's minor over
-    Z[λ] read at a root."""
+    a binary form: an int form over Z, or a family's minor over Z[λ] read
+    at a rational λ, an int form, or at a root, a form over Z[β]."""
     if k < 1 or k > min(len(p.rows), p.cols):
         raise WrongShape("minor size %d out of range" % k)
     try:
-        return bform_gcd(form(c) for _, _, c in pencil_minors(p, k) if any(c))
+        return bform_gcd(form(c) for c in _nonzero_minors(p, k))
     except AllZero:
         return BinaryForm([0] * (k + 1), k)
 
 
 def member_rank_at(p, ell):
-    """(rank, last Bareiss pivot) of the member at the root of the linear
-    form ``ell``, its root scaled to ints first; over Z[λ] the member is
+    """(rank, last Bareiss pivot) of the member at the root (-b, a) of the
+    linear int form ``ell`` = a u + b v; over Z[λ] the member is
     eliminated packed at 2^K."""
     alpha, beta = ell.coeffs
-    k = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
-    u0, v0 = int(-beta * k), int(alpha * k)
+    u0, v0 = -beta, alpha
     if p.ring is RING_ZX:
         rows, bits = packed_rows(p.rows, min(len(p.rows), p.cols), abs(u0) + abs(v0))
         rank, piv, _ = _bareiss(_member(rows, p.cols, u0, v0), RING_Z)
@@ -213,7 +230,7 @@ def family_minor_gcd(p, k):
     cofactors f/c are affine in λ and jump only where they share a root
     or all vanish, which their resultant (``_cofactor_guard``) catches.
     """
-    parts = [lambda_parts(m) for _, _, m in pencil_minors(p, k) if any(m)]
+    parts = [lambda_parts(m) for m in _nonzero_minors(p, k)]
     if not parts:
         return BinaryForm([[]] * (k + 1), ring=LAMBDA_INTS), None
     contents = [bform_gcd(pair) for pair in parts]

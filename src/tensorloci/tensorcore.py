@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix, ZeroTensor
 from .exactnum import _z_row, to_fraction
-from .linalg import RING_Z, _bareiss, bareiss_det, mat_ints, pivot_slices
+from .linalg import RING_Z, RING_ZX, _bareiss, bareiss_det, mat_ints, pivot_slices
+from .pencil import Pencil
 
 
 def _strides(shape):
@@ -167,9 +168,12 @@ class ParametricTensor:
     product of P's factors scaled to ints. With n/d = c s in lowest terms
     the family is (d T' - λ n P') / (c d), so its flattening rows over Z[λ]
     (int lists, lowest degree first) and its rational members are ints.
+    A family serves one call: it keeps its flattening rows, its drops and
+    the pencil of its kept slices, with the minors read off it, for that
+    call only.
     """
 
-    __slots__ = ("base", "direction", "_ints", "_rows", "_drops")
+    __slots__ = ("base", "direction", "_ints", "_rows", "_drops", "_pencils")
 
     def __init__(self, base, direction):
         if base.shape != direction.shape:
@@ -181,6 +185,7 @@ class ParametricTensor:
         self._ints = None
         self._rows = {}
         self._drops = {}
+        self._pencils = {}
 
     def _integer_form(self):
         """(entries of d T', factors of P', n, entries of P'): c s = n / d
@@ -264,6 +269,17 @@ class ParametricTensor:
         cols = [fixed + stride[a] * s + stride[c] * j for s in slices[a] for j in slices[c]]
         rows = self.flattening_rows(r + 1)
         return [[rows[i][k] for k in cols] for i in slices[r]]
+
+    def kept_pencil(self, axes):
+        """The ``pencil.Pencil`` over Z[λ] of the family on its kept
+        slices (``flattening_drop``), on the 0-based pencil, row and column
+        axes ``axes``, built once: it keeps the minors its readers expand."""
+        hit = self._pencils.get(axes)
+        if hit is None:
+            slices = [self.flattening_drop(x)[0] for x in range(1, self.base.order + 1)]
+            hit = self._pencils[axes] = Pencil(
+                self.pencil_rows(axes, slices), len(slices[axes[2]]), RING_ZX)
+        return hit
 
 
 def flat_rows(entries, shape, a0):

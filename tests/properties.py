@@ -184,7 +184,7 @@ def ranks_only(T, P, counts):
     candidate factors. Counts the degrees of the candidate factors of
     both (``candidate roots exact``, ``candidate roots ranks_only``)."""
     family = ParametricTensor(T, P)
-    exact = classify_parametric(family, classify(T))
+    exact = classify_parametric(family)
     generic, guards = family_orbit(family, ranks_only=True)
     fast = candidate_factors(guards)
     exact_roots = sum(len(f) - 1 for f in candidate_factors(family_orbit(family)[1]))
@@ -223,24 +223,45 @@ def candidate_problems(candidates):
     return problems
 
 
+def rational_roots(family, candidates, counts):
+    """At λ = 0, at each finite flattening drop and at each linear
+    candidate, ``orbits_at_roots`` gives, exact and ``ranks_only``, the
+    orbit ``classify`` gives the int member (``member_at``). Counts the
+    ``rational roots read off the family`` and the ``members at a drop``."""
+    drops = [family.flattening_drop(axis)[1] for axis in range(1, family.base.order + 1)]
+    drops = {(-x.numerator, x.denominator) for x in drops if x is not None}
+    problems = []
+    for fac in dict.fromkeys([(0, 1), *sorted(drops), *(c for c in candidates if len(c) == 2)]):
+        counts["members at a drop" if fac in drops else "rational roots read off the family"] += 1
+        member = family.member_at(fac)
+        for fast in (False, True):
+            want = OrbitId.matrix(0) if member.is_zero() else classify(member, ranks_only=fast).orbit
+            got = orbits_at_roots(family, fac, ranks_only=fast)
+            if got != [(fac, want)]:
+                problems.append("at %r, ranks_only %r: %r, member %r" % (fac, fast, got, want))
+    return problems
+
+
 def irrational_roots(T, P, counts):
     """At the irrational roots of every candidate factor of T - λP, the
     orbit ``orbits_at_roots`` reads off the family's integer minors is
     the orbit sympy reads off the member over Q(α) at each irreducible
     factor (``support.orbit_at_root``), and no irrational group outside
     the generic orbit has rank r - 1, r = rank T: no witness is
-    irrational (``locus.LambdaWitness``). The candidates keep the
-    contract of ``candidate_factors`` (``candidate_problems``), and the
-    groups of each are canonical and multiply to it. Counts the
-    ``irrational groups``, those ``off the generic orbit``, the
-    irreducible ``candidate factors``, those ``in the generic orbit``
-    (classifications ``classify_parametric`` wastes) and the ``members
-    at irrational roots``."""
+    irrational (``locus.LambdaWitness``). At the rational roots, λ = 0
+    and the drops included, it is the orbit of the int member
+    (``rational_roots``). The candidates keep the contract of
+    ``candidate_factors`` (``candidate_problems``), and the groups of each
+    are canonical and multiply to it. Counts the ``irrational groups``,
+    those ``off the generic orbit``, the irreducible ``candidate
+    factors``, those ``in the generic orbit`` (classifications
+    ``classify_parametric`` wastes), the ``members at irrational roots``
+    and the counts of ``rational_roots``."""
     family = ParametricTensor(T, P)
     target = classify(T).rank - 1
     generic, guards = family_orbit(family)
     candidates = candidate_factors(guards)
-    problems = candidate_problems(candidates)
+    problems = candidate_problems(candidates) + rational_roots(family, candidates, counts)
     for fac in candidates:
         groups = orbits_at_roots(family, fac)
         parts = [group for group, _ in groups]

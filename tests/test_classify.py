@@ -246,7 +246,7 @@ def test_parametric_tangency_families_have_no_special_values():
     fam = ParametricTensor(
         t5, RankOneTensor([unit(2, 0), unit(2, 0), unit(2, 1)])
     )
-    rep = classify_parametric(fam, classify(fam.base))
+    rep = classify_parametric(fam)
     assert rep.generic == OrbitId.orbit(5)
     assert rep.exceptional == [((0, 1), OrbitId.orbit(5))]
 
@@ -261,7 +261,7 @@ def test_parametric_tangency_families_have_no_special_values():
     fam = ParametricTensor(
         w, RankOneTensor([unit(2, 0), unit(2, 0), unit(2, 0)])
     )
-    rep = classify_parametric(fam, classify(fam.base))
+    rep = classify_parametric(fam)
     assert rep.generic == OrbitId.orbit(5)
     assert rep.exceptional == [((0, 1), OrbitId.orbit(5))]
 
@@ -271,7 +271,7 @@ def test_parametric_off_tangency_point_drops_once():
     fam = ParametricTensor(
         t5, RankOneTensor([unit(2, 0), unit(2, 0), unit(2, 0)])
     )
-    rep = classify_parametric(fam, classify(fam.base))
+    rep = classify_parametric(fam)
     assert rep.generic == OrbitId.orbit(5)
     drops = [(f, o) for f, o in rep.exceptional if f != (0, 1)]
     assert drops == [((-1, 1), OrbitId.orbit(2))]
@@ -294,7 +294,7 @@ def test_parametric_orbit9_pairing_factor():
         p = random_rank_one(rng, (2, 2, 4))
         s = pairing(*p.factors)
         fam = ParametricTensor(t9, p)
-        rep = classify_parametric(fam, classify(fam.base))
+        rep = classify_parametric(fam)
         assert rep.generic == OrbitId.orbit(9)
         if s == 0:
             continue
@@ -311,7 +311,7 @@ def test_parametric_rank_two_for_every_nonzero_lambda():
     fam = ParametricTensor(
         t5, RankOneTensor([unit(2, 1), unit(2, 1), unit(2, 1)])
     )
-    rep = classify_parametric(fam, classify(fam.base))
+    rep = classify_parametric(fam)
     assert rep.generic == OrbitId.orbit(6)
     assert rep.generic.rank_pair()[0] == 2
     assert rep.exceptional == [((0, 1), OrbitId.orbit(5))]
@@ -326,7 +326,7 @@ def test_random_specializations_match_generic():
         t = normal_form(n)
         p = random_rank_one(rng, t.shape)
         fam = ParametricTensor(t, p)
-        rep = classify_parametric(fam, classify(fam.base))
+        rep = classify_parametric(fam)
         bad = set()
         for fac, _orbit in rep.exceptional:
             if len(fac) == 2:
@@ -372,7 +372,7 @@ def test_parametric_report_predicts_integer_members(n):
     ):
         first, *rest = random_point(rng, t.shape, pool).factors
         fam = ParametricTensor(t, RankOneTensor([[scale * x for x in first]] + rest))
-        rep = classify_parametric(fam, classify(fam.base))
+        rep = classify_parametric(fam)
         for k in range(-8, 9):
             lam0 = Fraction(k)
             roots = [oid for fac, oid in rep.exceptional if poly_at(fac, lam0) == 0]

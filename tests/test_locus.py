@@ -126,6 +126,7 @@ from tensorloci.tensorcore import (
     Tensor,
     apply_gl,
     apply_gl_rank_one,
+    concise_reduce,
     factors_in_spans,
     flat_rows,
     subtract_scaled,
@@ -344,7 +345,7 @@ def irreducible_entries(groups):
 def report_code(T, P):
     """The report coded as in the table: lam first, then every special
     value as its irreducible factor, in (degree, coefficients) order."""
-    report = classify_parametric(ParametricTensor(T, P), classify(T))
+    report = classify_parametric(ParametricTensor(T, P))
     lam, rest = report.exceptional[0], report.exceptional[1:]
     return (
         report.generic.value,
@@ -475,7 +476,7 @@ def special_among_recorded(T, P, factors):
     leaves the generic orbit, each with that orbit, coded like
     report_code; and the same pairs read off classify_parametric."""
     family = ParametricTensor(T, P)
-    report = classify_parametric(family, classify(T))
+    report = classify_parametric(family)
     found = []
     for code in factors:
         if code == (0, 1):
@@ -811,7 +812,9 @@ def test_members_at_irrational_roots_match_their_orbits_over_the_extension():
     groups keep their contract (``irrational_roots``). The families of the
     six escape orbits have 12 irrational groups off the generic orbit,
     all on orbits 16 and 17, so the lemma of ``LambdaWitness`` is tested
-    where the escape route relies on it."""
+    where the escape route relies on it. At λ = 0, the drops and the
+    rational candidates, 242 orbits are read off the family's pencil and
+    28 on int members at a drop, each the orbit of the int member."""
     counts, escape = collections.Counter(), collections.Counter()
     for orbit in ORBITS:
         for _sparse, T, P, gT, gP in seeded_families(orbit):
@@ -820,6 +823,8 @@ def test_members_at_irrational_roots_match_their_orbits_over_the_extension():
                 assert irrational_roots(t, p, found) == [], (orbit, p.factors)
     assert escape["irrational groups off the generic orbit"] == 12
     assert (counts + escape)["members at irrational roots"] == 36
+    assert (counts + escape)["rational roots read off the family"] == 242
+    assert (counts + escape)["members at a drop"] == 28
 
 
 def test_root_groups_split_where_the_orbits_differ():
@@ -862,8 +867,8 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
     T, P = normal_form(17), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     real = locus.classify_parametric
 
-    def planted(family, report, **kwargs):
-        parametric = real(family, report, **kwargs)
+    def planted(family, **kwargs):
+        parametric = real(family, **kwargs)
         parametric.exceptional.append(((-2, 0, 1), OrbitId.orbit(14)))
         return parametric
 
@@ -1155,6 +1160,24 @@ def test_locus_membership_rejects_bad_input():
         locus_membership(T, P, "exhaustive")
 
 
+def test_both_strategies_refuse_a_tensor_with_no_orbit_list():
+    """GENERIC reads T off its family, at lam = 0, and still raises where
+    SPECIALIZED's classification of T does: on a (2, 4, 4) core padded by
+    a zero slice, with P on T's span and off it (the family keeps more
+    slices than T, so 0 is a drop), and on the zero tensor."""
+    rng = random.Random("no orbit list")
+    T = Tensor((3, 4, 4), [rng.randint(-2, 2) for _ in range(32)] + [0] * 16)
+    assert concise_reduce(T).concise_shape == (2, 4, 4)
+    for third in (0, 1):
+        P = RankOneTensor([[1, -1, third], [2, 0, 1, 1], [1, 1, 0, -2]])
+        for strategy in STRATEGIES:
+            with pytest.raises(UnsupportedShape):
+                locus_membership(T, P, strategy)
+    for strategy in STRATEGIES:
+        with pytest.raises(ZeroTensor):
+            locus_membership(Tensor.zeros((2, 2, 2)), RankOneTensor([[1, 0]] * 3), strategy)
+
+
 def test_witness_values_and_entries_follow_the_scalar_policy():
     """A float witness value is refused, not kept at its binary value; bool
     entries of T and P are taken as the ints they are."""
@@ -1237,17 +1260,24 @@ def test_open_orbit_certificate_answers_without_family_orbit():
 def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
     """Where the member at 1 is off the open orbit, the escape route builds
     ``family_orbit`` and classifies no member twice: the member at 1 is
-    classified first and reused. On the orbit-17 family whose scan walks
-    1, -1, 2 and on the seeded fallback families of the escape orbits."""
+    classified first, directly (``member_orbit``), and reused; the
+    candidates and the scan go through ``orbits_at_roots``. On the
+    orbit-17 family whose scan walks 1, -1, 2 and on the seeded fallback
+    families of the escape orbits."""
     T17 = normal_form(17)
     P17 = RankOneTensor([[Fraction(-1, 2), 0], [0, 1, 1], [1, 0, -1]])
     one = (-1, 1)
     classified, built = [], []
-    real_orbits, real_family = locus.orbits_at_roots, locus.family_orbit
+    real_orbits, real_member = locus.orbits_at_roots, locus.member_orbit
+    real_family = locus.family_orbit
 
     def orbits_at_roots(family, fac, **kwargs):
         classified.append(fac)
         return real_orbits(family, fac, **kwargs)
+
+    def member_orbit(family, fac, **kwargs):
+        classified.append(fac)
+        return real_member(family, fac, **kwargs)
 
     def family_orbit_spy(family, **kwargs):
         built.append(family)
@@ -1256,6 +1286,7 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
     fallbacks = 0
     with monkeypatch.context() as m:
         m.setattr(locus, "orbits_at_roots", orbits_at_roots)
+        m.setattr(locus, "member_orbit", member_orbit)
         m.setattr(locus, "family_orbit", family_orbit_spy)
         for orbit, t, p in [(17, T17, P17)] + list(escape_families()):
             del classified[:], built[:]
@@ -1298,7 +1329,8 @@ SWEEP_SUMMARIES = {
              "candidate roots saved 6, families 44, 0 mismatches",
     "roots": "roots: D5 splits 0, candidate factors 16, families 22, in the generic orbit 0, "
              "irrational groups 5, irrational groups off the generic orbit 5, "
-             "members at irrational roots 5, read discriminant_vanishes 1, "
+             "members at a drop 5, members at irrational roots 5, "
+             "rational roots read off the family 28, read discriminant_vanishes 1, "
              "read member_rank 2, read minor_gcd 5, read pure_square 0, read repeated_part 2, "
              "0 mismatches",
     "drops": "drops: drop 0 8, drop None 13, flattenings 21, one row fewer 0, 0 mismatches",
@@ -1460,7 +1492,7 @@ def test_closed_form_predicate_error_paths():
     with pytest.raises(ShapeMismatch):
         closed_form_predicate(13, RankOneTensor([[1, 0], [0, 1], [1, 2, 0]]))
     with pytest.raises(UnsupportedShape):
-        classify_parametric(normal_form(13), classify(normal_form(13)))
+        classify_parametric(normal_form(13))
     # a float factor is refused, not read at its binary value
     with pytest.raises(TypeError):
         closed_form_predicate(9, RankOneTensor([[0.1, 1], [1, 0], [1, 0, 0, 0]]))
