@@ -45,6 +45,7 @@ round.
 """
 
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -1061,6 +1062,50 @@ def test_closed_form_matches_specialized_on_the_box(orbit):
     thirteen orbits)."""
     for P in box_points(pencil_shape(orbit)):
         assert closed_form(orbit, P) == [], P.factors
+
+
+# Per stored form, on the {-1, 0, 1} box: (forbidden points, points, sha256
+# of the answers in walk order, "1" for forbidden). Any change to a stored
+# form that moves one answer in the box changes its digest.
+PINNED_FORMS = {
+    5: (1, 64, "d7fe1433b33ba634c71245763af2c7a3770c50582c79f2ddb47988946efda34f"),
+    6: (62, 64, "6cfe47b21f544b41ed81b08067e30f7578a0f3dff1e38e257006bd96f2d31605"),
+    9: (192, 640, "bed814b1d7710897c61558f9eda0be09207afb7deb9140693002148c61885fba"),
+    10: (555, 676, "0143a9551af73a87f557c7e8d68faa9f7cc36bcb97540cd19a6eff0de9208764"),
+    13: (316, 676, "595be32456227f62a7f4399ee749824c18c21cc8cf3cef639d039c610899458c"),
+    15: (232, 676, "72948bd0fac9d0e16946ef2074fc6c3029b41b4f939b886c3dfe2c74810bd8f8"),
+    16: (154, 676, "a26a110a0c47ec896a3b910c85c9c1f8dc346af329a8a908490769ec289bfd96"),
+    17: (134, 676, "81d78de0322c8149c03241fc16e7c45b73b121f3d69d6bb27fc95c730d6a761d"),
+    19: (1945, 2080, "c6606aebf2b3b00824d2e19ea4b45ee71545615893cdf472c858528c89febd31"),
+    20: (1732, 2080, "fdac471dcf04b7dabf8a26e84dff3b51834aab2e5daef9184c0b0780bc067853"),
+    21: (190, 2080, "f8c53611941cb834a2efa9eeb5d37ed822c3ae40a0d6d6ec954ff9b8e9c4ce9a"),
+    22: (1948, 2080, "2ac03bc6dd7498f7083ab008360e5c50d9b0e7e9db92aa8f500ffa6c86e6098c"),
+    23: (1986, 2080, "15e855270773b7e7da8dc9c01cf7cfb4d1bb5803266c4bc49e3fcbd7f5a182ff"),
+    24: (4183, 6292, "1573d3686716ea986c3fcdff3b4d773ff6aa234298373a30a7a42813b395cf7c"),
+    25: (4936, 6292, "0fa6d573781bb359ab0d5f37d18ae6d7d373dcd0efc986738a4855830af28730"),
+    26: (5236, 18928, "9aacd84dd333036efac0c2d09c1631627183ace2edd5b9683cda8e0a6feb8f32"),
+}
+
+
+def signed_box_points(shape):
+    """One rank-one point per projective class with factors in the
+    {-1, 0, 1} box: each factor's first nonzero entry is positive."""
+    vecs = [[list(v) for v in itertools.product((-1, 0, 1), repeat=d)
+             if any(v) and next(x for x in v if x) > 0] for d in shape]
+    for factors in itertools.product(*vecs):
+        yield RankOneTensor(factors)
+
+
+@pytest.mark.parametrize("orbit", sorted(PINNED_FORMS))
+def test_closed_form_pinned_on_the_signed_box(orbit):
+    """Every stored form gives its pinned answers on the {-1, 0, 1} box
+    (46060 points over the sixteen orbits). The thirteen forms of
+    ``CORRECT_CLOSED_FORMS`` agree with SPECIALIZED at every one of them,
+    so for those the pin extends the {0, 1} box test."""
+    bits = "".join("01"[closed_form_predicate(orbit, P)]
+                   for P in signed_box_points(pencil_shape(orbit)))
+    digest = hashlib.sha256(bits.encode()).hexdigest()
+    assert (bits.count("1"), len(bits), digest) == PINNED_FORMS[orbit]
 
 
 def in_span(A, x):
