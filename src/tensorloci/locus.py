@@ -32,9 +32,10 @@ they can be played against each other in tests:
   route needs the orbit of the family over Q(lam) and its guard
   polynomials (``classify.family_orbit``). Either way its witness is the
   one the generic strategy returns.
-* ``closed_form_predicate`` evaluates an explicit polynomial set
-  description of the forbidden locus, available for the normal forms of
-  certain orbits in their own coordinates.
+* ``closed_form_predicate`` evaluates the forbidden locus stored for the
+  normal form of certain orbits, in its own coordinates
+  (``orbits.CLOSED_FORMS``): a union of strata, each cut out by
+  polynomial equations and inequations, minus another such union.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ from .errors import (
     UnsupportedShape,
     ZeroTensor,
 )
-from .exactnum import candidate_factors, to_fraction
+from .exactnum import _z_row, candidate_factors, to_fraction
 from .linalg import sample_points
-from .orbits import OPEN_ORBITS, pencil_shape
+from .orbits import CLOSED_FORMS, OPEN_ORBITS, pencil_shape
 from .tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -416,313 +417,37 @@ def locus_membership(T, P, strategy=SPECIALIZED):
 # closed forms at the normal forms
 
 
-def _cf_5(a, b, c):
-    """P is forbidden only at the tangency point e1 x e1 x e2, the point
-    ``find_tangency(normal_form(5))`` returns: the normal form is tangent
-    to the rank ones there, and every other rank-one point lies in a
-    shortest decomposition."""
-    return a[1] == 0 and b[1] == 0 and c[0] == 0
-
-
-def _cf_6(a, b, c):
-    """The normal form e1 x e1 x e1 + e2 x e2 x e2 has one shortest
-    decomposition (Kruskal): P must be a multiple of one of its terms."""
-    return not (a[1] == b[1] == c[1] == 0 or a[0] == b[0] == c[0] == 0)
-
-
-def _cf_9(a, b, c):
-    a1, a2 = a
-    b1, b2 = b
-    c1, c2, c3, c4 = c
-    return a1 * b1 * c1 + a2 * b1 * c2 + a1 * b2 * c3 + a2 * b2 * c4 == 0
-
-
-def _cf_10(a, b, c):
-    """The normal form e1 x I: P outside its span (a2 != 0) is forbidden,
-    else det(I - lam a1 b c^T) = 1 - lam a1 b.c has a root iff b.c != 0."""
-    return a[1] != 0 or sum(x * y for x, y in zip(b, c)) == 0
-
-
-def _cf_13(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3 = c
-    pair = a1 * b1 * c1 + a2 * b1 * c2 + a1 * b2 * c3 + a2 * b3 * c3
-    lin_c = a1 * c1 + a2 * c2
-    lin_b = a1 * b2 + a2 * b3
-    quad = b3 * c1 - b2 * c2
-    first = (lin_c == 0 or lin_b == 0) and not (
-        (b2 == 0 and b3 == 0) or (c1 == 0 and c2 == 0)
-    )
-    second = (quad == 0 or lin_c == 0 or lin_b == 0) and pair == 0
-    return first or second
-
-
-def _cf_15(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3 = c
-    pair = a1 * b1 * c1 + a2 * b1 * c2 + a1 * b2 * c2 + a1 * b3 * c3
-    on_cone = a2 * b2 * c1 == 0
-    first = on_cone and not (
-        (b2 == 0 and b3 == 0 and c1 == 0 and c3 == 0)
-        or (a2 == 0 and b2 * c1 == 0)
-    )
-    second = on_cone and pair == 0
-    removed = (
-        (a2 == 0 and a1 * b2 * c1 != 0)
-        or (b2 == 0 and b3 == 0 and a2 * b1 * c1 != 0)
-        or (c1 == 0 and c3 == 0 and a2 * b2 * c2 != 0)
-    )
-    return (first or second) and not removed
-
-
-def _cf_16(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3 = c
-    pair = (
-        a1 * b1 * c1
-        + a1 * b2 * c2
-        + a1 * b3 * c3
-        + a2 * b1 * c2
-        + a2 * b2 * c3
-    )
-    on_cone = b3 * c1 == 0 and a2 * b3 * c2 == 0 and a2 * b2 * c1 == 0
-    first = on_cone and not (
-        (a2 == 0 and b2 == 0 and b3 == 0) or (a2 == 0 and c1 == 0 and c2 == 0)
-    )
-    second = on_cone and pair == 0
-    # Points whose line reaches the double-plus-simple orbit: the pencil
-    # picks up a rank-one matrix while the determinant keeps two distinct
-    # roots, so the member there has rank three.
-    removed = (
-        b3 == 0
-        and c1 == 0
-        and a2 * b2 * c2 != 0
-        and a2 * (b1 * c2 + b2 * c3) != 0
-    )
-    return (first or second) and not removed
-
-
-def _cf_17(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3 = c
-    pair = a1 * b1 * c1 + a1 * b2 * c2 + a2 * b1 * c2 + a2 * b3 * c3
-    on_cone = b2 * c1 == 0 and a2 * b2 * c2 == 0 and a2 * b1 * c1 == 0
-    first = on_cone and not (
-        (a1 == 0 and b1 == 0 and b2 == 0)
-        or (a2 == 0 and b2 == 0 and b3 == 0)
-        or (a1 == 0 and c1 == 0 and c2 == 0)
-        or (a2 == 0 and c1 == 0 and c3 == 0)
-    )
-    second = on_cone and pair == 0
-    # Same double-plus-simple escape as the single-contact-point orbit:
-    # with b2 = c1 = 0 the pencil of the member at the matching value
-    # contains a rank-one matrix, and when the determinant also keeps two
-    # distinct roots the member drops to rank three.
-    removed = (
-        b2 == 0
-        and c1 == 0
-        and a2 * b1 * c2 != 0
-        and a2 * (b1 * c2 + b3 * c3) != 0
-    )
-    return (first or second) and not removed
-
-
-def _cf_19(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4 = c
-    pair = a1 * b1 * c1 + a1 * b2 * c2 + a2 * b2 * c3 + a1 * b3 * c4
-    base = (
-        b2 * b3 == 0
-        and a2 * b3 == 0
-        and a2 * b1 - a1 * b2 == 0
-        and pair != 0
-    )
-    removed = (c1 * (4 * c1 * c3 - c2 * c2) == 0) and not (
-        b3 == 0 and c1 == 0 and c4 == 0 and c2 != 0
-    )
-    tail = a2 == 0 and c1 == 0 and c2 == 0 and c3 == 0
-    in_decomp = (base and not removed) or (base and tail)
-    return not in_decomp
-
-
-def _cf_20(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4 = c
-    pair = a1 * b1 * c1 + a2 * b1 * c2 + a1 * b2 * c3 + a1 * b3 * c4
-    first = (
-        b2 == 0
-        and b3 == 0
-        and c1 == 0
-        and c3 == 0
-        and c4 == 0
-        and a2 * b1 * c2 != 0
-    )
-    base = a2 * b3 == 0 and a2 * b2 == 0 and pair != 0
-    second = base and c1 != 0
-    third = base and a2 == 0 and c1 == 0 and c2 == 0
-    return not (first or second or third)
-
-
-def _cf_21(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4 = c
-    alpha = (
-        a1 * b1 * c1 * c1
-        + a2 * b1 * c1 * c2
-        + a1 * b2 * c1 * c3
-        + a2 * b2 * c2 * c3
-    )
-    plane = b3 == 0 and alpha == 0
-    first = (plane and c1 != 0) and (
-        (b1 == 0 and b2 == 0)
-        or (b2 == 0 and a1 * c1 + a2 * c2 == 0)
-        or (a2 == 0 and b1 * c1 + b2 * c3 == 0)
-    )
-    second = (plane and c1 == 0) and (
-        (b2 == 0 and a2 * b1 * c2 == 0)
-        or a2 == 0
-        or (c3 == 0 and not (b2 == 0 and a2 * b1 * c2 != 0))
-    )
-    third = (a2 == 0 and b3 != 0) and (c1 == 0 and c3 == 0)
-    return first or second or third
-
-
-def _cf_22(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4 = c
-    pair = a1 * b1 * c1 + a2 * b1 * c2 + a1 * b2 * c3 + a2 * b3 * c4
-    base = b2 * b3 == 0 and a1 * b3 == 0 and a2 * b2 == 0 and pair != 0
-    first = base and c1 * c2 != 0
-    second = base and (
-        c2 == 0
-        and c1 == 0
-        and c3 * c4 == 0
-        and a1 * c4 == 0
-        and a2 * c3 == 0
-        and a1 * a2 == 0
-    )
-    return not (first or second)
-
-
-def _cf_23(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4 = c
-    pair = a1 * b1 * c1 + a1 * b2 * c2 + a1 * b3 * c3 + a2 * b3 * c4
-    on_curve = (
-        b2 * b2 - b1 * b3 == 0
-        and a2 * b2 - a1 * b3 == 0
-        and a2 * b1 - a1 * b2 == 0
-    )
-    disc = (
-        -(c2 * c2) * c3 * c3
-        + 4 * c1 * c3 * c3 * c3
-        + 4 * c2 * c2 * c2 * c4
-        - 18 * c1 * c2 * c3 * c4
-        + 27 * c1 * c1 * c4 * c4
-    )
-    return not (on_curve and pair != 0 and disc != 0)
-
-
-def _cf_24(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4, c5 = c
-    pair = (
-        a1 * b1 * c1
-        + a2 * b1 * c2
-        + a1 * b2 * c3
-        + a2 * b2 * c4
-        + a1 * b3 * c5
-    )
-    first = (
-        a2 == 0
-        and c1 == 0
-        and c2 == 0
-        and c3 == 0
-        and c4 == 0
-        and a1 * b3 * c5 != 0
-    )
-    second = a2 * b3 == 0 and pair != 0
-    return not (first or second)
-
-
-def _cf_25(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4, c5 = c
-    pair = (
-        a1 * b1 * c1
-        + a1 * b2 * c2
-        + a2 * b2 * c3
-        + a1 * b3 * c4
-        + a2 * b3 * c5
-    )
-    base = a2 * b1 - a1 * b2 == 0 and pair != 0
-    removed = c4 == 0 and c5 == 0 and c2 * c2 - 4 * c1 * c3 == 0
-    return not (base and not removed)
-
-
-def _cf_26(a, b, c):
-    a1, a2 = a
-    b1, b2, b3 = b
-    c1, c2, c3, c4, c5, c6 = c
-    return (
-        a1 * b1 * c1
-        + a2 * b1 * c2
-        + a1 * b2 * c3
-        + a2 * b2 * c4
-        + a1 * b3 * c5
-        + a2 * b3 * c6
-        == 0
-    )
-
-
-_CLOSED_FORMS = {
-    5: _cf_5,
-    6: _cf_6,
-    9: _cf_9,
-    10: _cf_10,
-    13: _cf_13,
-    15: _cf_15,
-    16: _cf_16,
-    17: _cf_17,
-    19: _cf_19,
-    20: _cf_20,
-    21: _cf_21,
-    22: _cf_22,
-    23: _cf_23,
-    24: _cf_24,
-    25: _cf_25,
-    26: _cf_26,
-}
+def _table_value(poly, x):
+    """The value of a polynomial of ``orbits.CLOSED_FORMS`` at ``x``, a
+    dict from variable name to value."""
+    terms = poly.replace(" - ", " + -1*").split(" + ")
+    return sum(math.prod(x[f] if f in x else int(f) for f in t.split("*")) for t in terms)
 
 
 def closed_form_predicate(orbit, P):
-    """Evaluate the explicit forbidden-locus description of a normal form.
+    """Evaluate the stored forbidden locus of a normal form.
 
     ``orbit`` may be an orbit number or an OrbitId; ``P`` must be given
     in the coordinates of that orbit's normal form. Returns True when P
-    lies in the forbidden locus. Available exactly for the orbits listed
-    in ``_CLOSED_FORMS``; each predicate is homogeneous in every factor,
-    so the answer only depends on the projective class of P.
+    lies in the forbidden locus: on a stratum of the orbit's entry in
+    ``orbits.CLOSED_FORMS`` and on none of its removed strata. Available
+    exactly for the orbits of that table; its polynomials are homogeneous
+    in every factor, so the answer only depends on the projective class
+    of P.
     """
     if isinstance(orbit, OrbitId):
         if not orbit.is_orbit:
             raise UnsupportedOrbit("no closed form for matrix cases")
         orbit = orbit.value
-    if orbit not in _CLOSED_FORMS:
+    if orbit not in CLOSED_FORMS:
         raise UnsupportedOrbit(
             "no closed-form forbidden locus stored for orbit %r" % (orbit,)
         )
     _check_probe(pencil_shape(orbit), P)
-    a, b, c = ([to_fraction(x) for x in f] for f in P.factors)
-    return bool(_CLOSED_FORMS[orbit](a, b, c))
+    # each factor scaled to ints: every stored polynomial is homogeneous in it
+    x = {"abc"[i] + str(j): v for i, f in enumerate(P.factors)
+         for j, v in enumerate(_z_row([to_fraction(e) for e in f])[0], 1)}
+    on = (any(all(_table_value(f, x) == 0 for f in zeros)
+              and all(any(_table_value(g, x) for g in group) for group in groups)
+              for zeros, groups in part) for part in CLOSED_FORMS[orbit])
+    return next(on) and not next(on)

@@ -96,6 +96,94 @@ RANKS = {
 # them, in Ja'Ja's finite orbit list (SIAM J. Comput. 8, 1979).
 OPEN_ORBITS = {(2, 2, 2): 6, (2, 3, 3): 18, (2, 3, 4): 23}
 
+# The stored forbidden loci of the normal forms, in the coordinates of
+# P = a⊗b⊗c: a = (a1, a2), b = (b1, b2, ...), c = (c1, c2, ...). An orbit's
+# locus is (strata, removed): the points on some stratum of ``strata`` and on
+# none of ``removed``. A stratum (zeros, groups) holds where every polynomial
+# of ``zeros`` vanishes and each group has a polynomial that does not;
+# ``_WHOLE`` holds everywhere. A polynomial is a sum of *-products of
+# variables and int coefficients, its terms joined by " + " and " - ", the
+# first unsigned (``locus.closed_form_predicate`` reads them). Each is
+# homogeneous in each factor, so the locus is a union of projective classes.
+_WHOLE = ((), ())
+CLOSED_FORMS = {
+    # The tangency point e1⊗e1⊗e2, the one ``find_tangency(normal_form(5))``
+    # returns: the normal form is tangent to the rank ones there, and every
+    # other rank-one point lies in a shortest decomposition.
+    5: ([(("a2", "b2", "c1"), ())], []),
+    # e1⊗e1⊗e1 + e2⊗e2⊗e2 has one shortest decomposition (Kruskal): P must
+    # be a multiple of one of its terms.
+    6: ([_WHOLE], [(("a2", "b2", "c2"), ()), (("a1", "b1", "c1"), ())]),
+    9: ([(("a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a2*b2*c4",), ())], []),
+    # e1⊗I: P outside its span (a2 != 0) is forbidden, else
+    # det(I - lam a1 b c^T) = 1 - lam a1 b.c has a root iff b.c != 0.
+    10: ([((), (("a2",),)), (("b1*c1 + b2*c2 + b3*c3",), ())], []),
+    13: ([(("a1*c1 + a2*c2",), (("b2", "b3"), ("c1", "c2"))),
+          (("a1*b2 + a2*b3",), (("b2", "b3"), ("c1", "c2"))),
+          (("b3*c1 - b2*c2", "a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a2*b3*c3"), ())], []),
+    15: ([(("a2*b2*c1",), (("b2", "b3", "c1", "c3"), ("a2", "b2*c1"))),
+          (("a2*b2*c1", "a1*b1*c1 + a2*b1*c2 + a1*b2*c2 + a1*b3*c3"), ())],
+         [(("a2",), (("a1*b2*c1",),)),
+          (("b2", "b3"), (("a2*b1*c1",),)),
+          (("c1", "c3"), (("a2*b2*c2",),))]),
+    # Removed: the points whose line reaches the double-plus-simple orbit,
+    # where the pencil picks up a rank-one matrix while the determinant
+    # keeps two distinct roots, so the member there has rank three.
+    16: ([(("b3*c1", "a2*b3*c2", "a2*b2*c1"), (("a2", "b2", "b3"), ("a2", "c1", "c2"))),
+          (("b3*c1", "a2*b3*c2", "a2*b2*c1",
+            "a1*b1*c1 + a1*b2*c2 + a1*b3*c3 + a2*b1*c2 + a2*b2*c3"), ())],
+         [(("b3", "c1"), (("a2*b2*c2",), ("a2*b1*c2 + a2*b2*c3",)))]),
+    # Removed: the same double-plus-simple escape as orbit 16's, with
+    # b2 = c1 = 0.
+    17: ([(("b2*c1", "a2*b2*c2", "a2*b1*c1"),
+           (("a1", "b1", "b2"), ("a2", "b2", "b3"), ("a1", "c1", "c2"), ("a2", "c1", "c3"))),
+          (("b2*c1", "a2*b2*c2", "a2*b1*c1", "a1*b1*c1 + a1*b2*c2 + a2*b1*c2 + a2*b3*c3"), ())],
+         [(("b2", "c1"), (("a2*b1*c2",), ("a2*b1*c2 + a2*b3*c3",)))]),
+    19: ([_WHOLE],
+         [(("b2*b3", "a2*b3", "a2*b1 - a1*b2"),
+           (("a1*b1*c1 + a1*b2*c2 + a2*b2*c3 + a1*b3*c4",), ("4*c1*c1*c3 - c1*c2*c2",))),
+          (("b2*b3", "a2*b3", "a2*b1 - a1*b2", "b3", "c1", "c4"),
+           (("a1*b1*c1 + a1*b2*c2 + a2*b2*c3 + a1*b3*c4",), ("c2",))),
+          (("b2*b3", "a2*b3", "a2*b1 - a1*b2", "a2", "c1", "c2", "c3"),
+           (("a1*b1*c1 + a1*b2*c2 + a2*b2*c3 + a1*b3*c4",),))]),
+    20: ([_WHOLE],
+         [(("b2", "b3", "c1", "c3", "c4"), (("a2*b1*c2",),)),
+          (("a2*b3", "a2*b2"), (("a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a1*b3*c4",), ("c1",))),
+          (("a2*b3", "a2*b2", "a2", "c1", "c2"),
+           (("a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a1*b3*c4",),))]),
+    21: ([(("b3", "a1*b1*c1*c1 + a2*b1*c1*c2 + a1*b2*c1*c3 + a2*b2*c2*c3", "b2",
+            "a1*c1 + a2*c2"), (("c1",),)),
+          (("b3", "a1*b1*c1*c1 + a2*b1*c1*c2 + a1*b2*c1*c3 + a2*b2*c2*c3", "a2",
+            "b1*c1 + b2*c3"), (("c1",),)),
+          (("b3", "a1*b1*c1*c1 + a2*b1*c1*c2 + a1*b2*c1*c3 + a2*b2*c2*c3", "c1", "b2",
+            "a2*b1*c2"), ()),
+          (("b3", "a1*b1*c1*c1 + a2*b1*c1*c2 + a1*b2*c1*c3 + a2*b2*c2*c3", "c1", "a2"), ()),
+          (("b3", "a1*b1*c1*c1 + a2*b1*c1*c2 + a1*b2*c1*c3 + a2*b2*c2*c3", "c1", "c3"),
+           (("b2",),)),
+          (("a2", "c1", "c3"), (("b3",),))], []),
+    22: ([_WHOLE],
+         [(("b2*b3", "a1*b3", "a2*b2"),
+           (("a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a2*b3*c4",), ("c1*c2",))),
+          (("b2*b3", "a1*b3", "a2*b2", "c2", "c1", "c3*c4", "a1*c4", "a2*c3", "a1*a2"),
+           (("a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a2*b3*c4",),))]),
+    23: ([_WHOLE],
+         [(("b2*b2 - b1*b3", "a2*b2 - a1*b3", "a2*b1 - a1*b2"),
+           (("a1*b1*c1 + a1*b2*c2 + a1*b3*c3 + a2*b3*c4",),
+            ("4*c1*c3*c3*c3 - c2*c2*c3*c3 + 4*c2*c2*c2*c4 - 18*c1*c2*c3*c4"
+             " + 27*c1*c1*c4*c4",)))]),
+    24: ([_WHOLE],
+         [(("a2*b3",), (("a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a2*b2*c4 + a1*b3*c5",),))]),
+    25: ([_WHOLE],
+         [(("a2*b1 - a1*b2",), (("a1*b1*c1 + a1*b2*c2 + a2*b2*c3 + a1*b3*c4 + a2*b3*c5",),
+                                 ("c4", "c5", "c2*c2 - 4*c1*c3")))]),
+    26: ([(("a1*b1*c1 + a2*b1*c2 + a1*b2*c3 + a2*b2*c4 + a1*b3*c5 + a2*b3*c6",), ())], []),
+}
+
+# The stored forms that disagree with both membership strategies at some
+# points, the strategies' witnesses re-checking there (tests/test_locus.py,
+# ``CLOSED_FORM_DEFECTS``).
+WRONG_CLOSED_FORMS = (21, 22, 24)
+
 
 def pencil_shape(n):
     rows = PENCILS[n]

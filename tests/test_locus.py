@@ -40,8 +40,9 @@ order-four lifts of the normal forms get the same verdict from both
 strategies, and so do matrix and rank-one T of orders two to four, the
 matrix verdicts read off sympy's pseudo-inverse. In the {0, 1} box, one
 point per projective class, SPECIALIZED
-agrees with every stored closed form but the three known defective ones. ``scripts/dump_verdicts.py`` is smoke-tested on one
-round.
+agrees with every stored closed form but the three known defective ones,
+and on the {-1, 0, 1} box every stored form gives its pinned answers.
+``scripts/dump_verdicts.py`` is smoke-tested on one round.
 """
 
 import collections
@@ -120,7 +121,14 @@ from tensorloci.locus import (
     locus_membership,
     locus_tangential,
 )
-from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form, pencil_shape
+from tensorloci.orbits import (
+    CLOSED_FORMS,
+    OPEN_ORBITS,
+    RANKS,
+    WRONG_CLOSED_FORMS,
+    normal_form,
+    pencil_shape,
+)
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -1002,15 +1010,15 @@ def test_generic_answers_padded_forms_with_p_off_the_span():
 # strategies. The strategies agree with each other there and their
 # witnesses re-check, so the closed form is the one at fault.
 CF21_REACHES_RANK_FOUR = (
-    "_cf_21 calls the point forbidden, but the line reaches a rank-4 orbit "
+    "the stored form of orbit 21 calls the point forbidden, but the line reaches a rank-4 orbit "
     "(13 or 16) at a nonzero rational lam"
 )
 CF24_NO_RANK_DROP = (
-    "_cf_24 calls the point a member, but the only special member of the "
+    "the stored form of orbit 24 calls the point a member, but the only special member of the "
     "line lies in orbit 21, which has rank 5 like orbit 24"
 )
 CF22_REACHES_ORBIT_14 = (
-    "_cf_22 calls the point forbidden, but the line reaches orbit 14 "
+    "the stored form of orbit 22 calls the point forbidden, but the line reaches orbit 14 "
     "(rank 3) at lam = -1/2"
 )
 CLOSED_FORM_DEFECTS = [
@@ -1043,14 +1051,16 @@ def test_closed_form_defects(orbit, factors):
 
 
 # The stored closed forms that agree with both strategies everywhere in
-# the {0, 1} box; _cf_21, _cf_22 and _cf_24 do not (CLOSED_FORM_DEFECTS).
-CORRECT_CLOSED_FORMS = (5, 6, 9, 10, 13, 15, 16, 17, 19, 20, 23, 25, 26)
+# the {0, 1} box; the stored forms of orbits 21, 22 and 24 do not
+# (CLOSED_FORM_DEFECTS).
+CORRECT_CLOSED_FORMS = tuple(n for n in sorted(CLOSED_FORMS) if n not in WRONG_CLOSED_FORMS)
 
 
-def box_points(shape):
-    """One rank-one point per projective class with factors in the {0, 1}
-    box: two distinct nonzero 0/1 vectors are never proportional."""
-    vecs = [[list(v) for v in itertools.product((0, 1), repeat=d) if any(v)] for d in shape]
+def box_points(shape, values=(0, 1)):
+    """One rank-one point per projective class with factors in the box of
+    ``values``: each factor's first nonzero entry is positive."""
+    vecs = [[list(v) for v in itertools.product(values, repeat=d)
+             if any(v) and next(x for x in v if x) > 0] for d in shape]
     for factors in itertools.product(*vecs):
         yield RankOneTensor(factors)
 
@@ -1087,15 +1097,6 @@ PINNED_FORMS = {
 }
 
 
-def signed_box_points(shape):
-    """One rank-one point per projective class with factors in the
-    {-1, 0, 1} box: each factor's first nonzero entry is positive."""
-    vecs = [[list(v) for v in itertools.product((-1, 0, 1), repeat=d)
-             if any(v) and next(x for x in v if x) > 0] for d in shape]
-    for factors in itertools.product(*vecs):
-        yield RankOneTensor(factors)
-
-
 @pytest.mark.parametrize("orbit", sorted(PINNED_FORMS))
 def test_closed_form_pinned_on_the_signed_box(orbit):
     """Every stored form gives its pinned answers on the {-1, 0, 1} box
@@ -1103,7 +1104,7 @@ def test_closed_form_pinned_on_the_signed_box(orbit):
     ``CORRECT_CLOSED_FORMS`` agree with SPECIALIZED at every one of them,
     so for those the pin extends the {0, 1} box test."""
     bits = "".join("01"[closed_form_predicate(orbit, P)]
-                   for P in signed_box_points(pencil_shape(orbit)))
+                   for P in box_points(pencil_shape(orbit), (-1, 0, 1)))
     digest = hashlib.sha256(bits.encode()).hexdigest()
     assert (bits.count("1"), len(bits), digest) == PINNED_FORMS[orbit]
 
@@ -1529,7 +1530,7 @@ def test_closed_form_predicate_error_paths():
     assert closed_form_predicate(OrbitId.orbit(13), P) == closed_form_predicate(13, P)
     with pytest.raises(UnsupportedOrbit):
         closed_form_predicate(OrbitId.matrix(2), P)
-    for orbit in (14, OrbitId.orbit(18)):
+    for orbit in (1, 2, 3, 4, 7, 8, 11, 12, 14, OrbitId.orbit(18), 18, 27):
         with pytest.raises(UnsupportedOrbit):
             closed_form_predicate(orbit, P)
     with pytest.raises(ShapeMismatch):

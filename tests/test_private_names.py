@@ -30,6 +30,8 @@ ALLOWED = {
     "_generic_membership": "spy target: refused on the specialized routes",
     # kernels no public input reaches
     "_RootReads": "its member_rank at random linear forms, which no repeated part is",
+    "_table_value": "a closed-form polynomial's value, of which closed_form_predicate reads only "
+                    "whether it is 0",
 }
 
 
