@@ -26,7 +26,7 @@ from tensorloci.errors import ZeroDivisor
 
 TESTS = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                                       "tests"))
-READS = ("minor_gcd", "discriminant_vanishes", "repeated_part", "pure_square", "member_rank")
+READS = ("minor_gcd", "discriminant_vanishes", "repeated_part", "pure_square", "rank_one_at")
 
 
 def counting_reads(counts):

@@ -6,11 +6,13 @@ built once in the canonical axis order (dimensions non-decreasing, axes of
 dimension one dropped). Its shape is dispatched through one decision
 table: matrix shapes by rank, (2,2,2) by the Cayley hyperdeterminant (the
 discriminant of the determinant form), (2,2,n) by the 2-minor gcd, (2,3,3)
-by the root structure of the determinant form, (2,3,n) by minor gcds, and
-the largest shapes by conciseness alone. Three of its reads only tell
-apart two orbits of equal ranks (``_orbit_of_canonical``); the table skips
-them on request (``ranks_only``), as ``locus_membership`` asks. Every
-entry point is exact by default, and so are members at irrational roots.
+by the root structure of the determinant form and whether every 2-minor
+vanishes at its repeated root (``rank_one_at``: the member there has rank
+one), (2,3,n) by minor gcds, and the largest shapes by conciseness alone.
+Three of its reads only tell apart two orbits of equal ranks
+(``_orbit_of_canonical``); the table skips them on request
+(``ranks_only``), as ``locus_membership`` asks. Every entry point is
+exact by default, and so are members at irrational roots.
 
 The table reads the pencil invariants of the core through a reader. Every
 reader holds one ``pencil.Pencil``, the rows [A_i | B_i], whose minors
@@ -32,13 +34,14 @@ each member has the family's concise shape, and its minors are the
 family's at the root. At a rational p/q they are int forms, q m0 + p m1
 for the family's minor m0 + λ m1 (``_RationalReads``); at the irrational
 roots α of a guard they are forms over Z[β] for an integer multiple β of
-α, which carry their ring (``_RootReads``). All but their minors and
-member ranks are the integer reader's reads. Only a member at a drop is
-built as an int tensor and classified (``member_orbit``). The guards are
-never split into irreducible factors: the reader takes all their
-irrational roots at once, as the roots of one square-free polynomial,
-and splits it only where a read tells two roots apart (dynamic
-evaluation, ``orbits_at_roots``). A family keeps one pencil, and that
+α, which carry their ring (``_RootReads``). Each of these readers makes
+its minors into forms its own way (``_form``); every read on them is the
+integer reader's. Only a member at a drop is built as an int tensor and
+classified (``member_orbit``). The guards are never split into
+irreducible factors: the reader takes all their irrational roots at
+once, as the roots of one square-free polynomial, and splits it only
+where a read tells two roots apart (dynamic evaluation,
+``orbits_at_roots``). A family keeps one pencil, and that
 pencil keeps its minors over Z[λ], each size expanded once for all of
 these readers (``ParametricTensor.kept_pencil``). ``classify_parametric``
 reads every member so, T itself at λ = 0 included.
@@ -48,15 +51,23 @@ from __future__ import annotations
 
 from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_root
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
-from .exactnum import _ip_cross, _ip_exact_div, _ip_primitive, candidate_factors, zb_ring
-from .linalg import RING_Z, _bareiss, kronecker_pack, kronecker_unpack, ring_at_root
+from .exactnum import (
+    INTEGERS,
+    _ip_cross,
+    _ip_exact_div,
+    _ip_gcd,
+    _ip_primitive,
+    candidate_factors,
+    zb_ring,
+)
+from .linalg import kronecker_pack, kronecker_unpack
 from .orbits import PENCILS, RANKS, normal_form
 from .pencil import (
     Pencil,
+    _nonzero_minors,
     family_minor_gcd,
     lambda_form,
     lambda_parts,
-    member_rank_at,
     pencil_minor_gcd,
     zform_quotient,
 )
@@ -249,9 +260,10 @@ def _orbit_of_canonical(dims, reads, ranks_only):
     Three reads are name-only: each tells apart the two orbits of a pair
     of equal rank and border rank (``RANKS``), and nothing else. They are
     the 2-minor gcd on (2,2,3), 7 or 8 (11 or 12 as (2,3,2)), the 3-minor
-    gcd on (2,3,5), 24 or 25, and on (2,3,3) the member rank at the root
-    of the square repeated part, 15 or 16. With ``ranks_only`` they are
-    skipped and the first orbit of the pair is reported: the membership
+    gcd on (2,3,5), 24 or 25, and on (2,3,3) whether the member at the
+    root of the square repeated part has rank one (``rank_one_at``), 15
+    or 16. With ``ranks_only`` they are skipped and the first orbit of
+    the pair is reported: the membership
     question reads only ranks, so ``locus_membership`` asks for this on T,
     on its rational members and on the family over Q(λ). No open orbit
     (``OPEN_ORBITS``) lies in a pair.
@@ -283,12 +295,12 @@ def _orbit_233(reads, ranks_only):
     if g.degree == 0:
         return 18
     if g.degree == 1:
-        return 14 if reads.member_rank(g) == 1 else 17
+        return 14 if reads.rank_one_at(g) else 17
     if g.degree == 2:
         ok, ell = reads.pure_square(g)
         if not ok:
             raise InternalError("repeated part of a cubic must be a square")
-        return 15 if ranks_only or reads.member_rank(ell) == 1 else 16
+        return 15 if ranks_only or reads.rank_one_at(ell) else 16
     raise InternalError("cubic determinant form with repeated part %r" % g)
 
 
@@ -307,15 +319,26 @@ def _orbit_234(reads):
     raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
 
 
+def _at_root(f, ell):
+    """Minus the quadratic form f at the root (-b, a) of the linear form
+    ell = a u + b v, in their ring: zero exactly where f vanishes there."""
+    (c0, c1, c2), (a, b) = f.coeffs, ell.coeffs
+    cross, zero = f.ring.cross, f.ring.zero
+    return cross(cross(c1, a, c0, b), b, cross(c2, a, zero, zero), a)
+
+
 class _CoreReads:
     """The invariants the decision table reads, on the pencil of an integer
-    core of shape (2, b, c); the forms carry their ring."""
+    core of shape (2, b, c); the forms carry their ring. ``_form`` makes
+    a minor of the pencil a binary form."""
+
+    _form = BinaryForm
 
     def __init__(self, core):
-        self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], RING_Z)
+        self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], INTEGERS)
 
     def minor_gcd(self, k):
-        return pencil_minor_gcd(self.p, k)
+        return pencil_minor_gcd(self.p, k, self._form)
 
     def discriminant_vanishes(self, form):
         return not bform_discriminant(form)
@@ -326,8 +349,10 @@ class _CoreReads:
     def pure_square(self, g):
         return bform_square_root(g)
 
-    def member_rank(self, ell):
-        return member_rank_at(self.p, ell)[0]
+    def rank_one_at(self, ell):
+        """Whether the member at the root (-b, a) of ell = a u + b v has
+        rank at most one: whether every 2-minor vanishes there."""
+        return not any(_at_root(self._form(m), ell) for m in _nonzero_minors(self.p, 2))
 
 
 def _lambda_discriminant(form):
@@ -381,10 +406,24 @@ class _FamilyReads(_CoreReads):
             self._guard(disc)
         return rep
 
-    def member_rank(self, ell):
-        rank, pivot = member_rank_at(self.p, ell)
-        self._guard(pivot if rank else None)
-        return rank
+    def rank_one_at(self, ell):
+        """Rank at most one over Q(λ). Each 2-minor is m0 + λ m1 with m0
+        and m1 int forms, so its value at the root is m0(root) + λ
+        m1(root), affine in λ. When some value is nonzero, the member has
+        rank at most one exactly where every nonzero value vanishes, at
+        the roots of their gcd, the guard."""
+        guard = None
+        for m in _nonzero_minors(self.p, 2):
+            x, y = (_at_root(f, ell) for f in lambda_parts(m))
+            val = [x, y] if y else [x] if x else []
+            if val:
+                guard = val if guard is None else _ip_gcd(guard, val)
+                if len(guard) == 1:
+                    break
+        if guard is None:
+            return True
+        self._guard(guard)
+        return False
 
 
 class _RationalReads(_CoreReads):
@@ -392,8 +431,7 @@ class _RationalReads(_CoreReads):
     flattening drop, from the pencil ``p`` of the family over Z[λ]: there
     the family on its kept slices is a concise core of the member. Each
     minor of the family is f0 + λ f1 with f0, f1 int forms, so q f0 + p f1
-    is q times the member's minor; member ranks are read on the rows of
-    the family taken at p/q the same way."""
+    is q times the member's minor."""
 
     def __init__(self, p, fac):
         self.p = p
@@ -404,12 +442,8 @@ class _RationalReads(_CoreReads):
         c0, q = self.fac
         return q * c[0] - c0 * c[1] if len(c) == 2 else q * c[0] if c else 0
 
-    def minor_gcd(self, k):
-        return pencil_minor_gcd(self.p, k, lambda m: BinaryForm([self._at(c) for c in m]))
-
-    def member_rank(self, ell):
-        rows = [[self._at(x) for x in r] for r in self.p.rows]
-        return member_rank_at(Pencil(rows, self.p.cols, RING_Z), ell)[0]
+    def _form(self, m):
+        return BinaryForm([self._at(c) for c in m])
 
 
 class _RootReads(_CoreReads):
@@ -421,14 +455,12 @@ class _RootReads(_CoreReads):
     entry and minor of the family is f0 + λ f1 over Q, so at α it is a
     nonzero rational multiple of L f0 + β f1: zero only where f0 and f1
     both vanish, else a unit, g having no rational root. Every element
-    computed from those is made by the ring, up to an integer factor, or
-    tested as a pivot by ``linalg.ring_at_root``; one that vanishes at
-    some roots of g and not at others raises ZeroDivisor with the factor
-    of g to split off."""
+    computed from those is made by the ring, up to an integer factor; one
+    that vanishes at some roots of g and not at others raises ZeroDivisor
+    with the factor of g to split off."""
 
     def __init__(self, p, g, den):
         self.p = p
-        self.g = g
         self.den = den
         self.ring = zb_ring(g)
 
@@ -437,18 +469,8 @@ class _RootReads(_CoreReads):
         assert len(p) <= 2, "an entry of the family is not affine in λ"
         return [self.den * x for x in p[:1]] + p[1:]
 
-    def minor_gcd(self, k):
-        return pencil_minor_gcd(
-            self.p, k, lambda m: BinaryForm([self._lift(c) for c in m], k, self.ring))
-
-    def member_rank(self, ell):
-        """Rank at the root (-b, a) of ell = a u + b v, pivots tested at β."""
-        a, b = ell.coeffs
-        c = self.p.cols
-        cross = self.ring.cross
-        member = [[cross(a, self._lift(y), b, self._lift(x))
-                   for x, y in zip(r[:c], r[c:])] for r in self.p.rows]
-        return _bareiss(member, ring_at_root(self.g))[0]
+    def _form(self, m):
+        return BinaryForm([self._lift(c) for c in m], len(m) - 1, self.ring)
 
 
 def orbit_rank(oid):

@@ -13,7 +13,9 @@ rational root (``_zb_cross``, ``_zb_gcd``), where a zero divisor is
 reported rather than computed with. Each of Z and Z[β] is also one
 ``CoeffRing`` record, ``INTEGERS`` and ``zb_ring(g)``, which travels with
 a binary form over it: ``binforms`` computes with nothing else. A form
-over Z[λ] carries ``LAMBDA_INTS``, a record with no operations.
+over Z[λ] carries ``LAMBDA_INTS``, a record with no operations. The same
+records name the ring of a ``pencil.Pencil``'s rows and of
+``linalg.bareiss_det``, so every coefficient ring is named here.
 
 A one-parameter family T - λP is never computed over the field Q(λ): its
 invariants are polynomials in λ with int coefficients, and
@@ -250,9 +252,9 @@ INTEGERS = CoeffRing(
 )
 
 
-# Z[λ], int lists lowest degree first: the ring of a family's forms,
-# which are only split or packed into int forms, never read, so that no
-# operation is given and a read of such a form raises TypeError
+# Z[λ], int lists lowest degree first: the ring of a family's pencil rows
+# and forms, which are only split or packed into ints, never read, so that
+# no operation is given and a read of such a form raises TypeError
 LAMBDA_INTS = CoeffRing([], None, None, None, None)
 
 

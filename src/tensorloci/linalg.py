@@ -4,28 +4,27 @@ A ``Mat`` is a matrix over Q, its entries ``Fraction``s, as the GL action
 (``tensorcore.apply_gl``) takes one per axis; ``mat_det`` is its
 determinant. There is one elimination kernel and no row
 reduction: ranks, determinants and the independent rows all run on one
-fraction-free Bareiss elimination (``_bareiss``) with the first-nonzero
-pivot rule (scan columns left to right, take the topmost nonzero entry).
-A rational matrix is eliminated as kM, scaled to ints by the lcm k of
-all its denominators (``mat_ints``); ``mat_det`` divides k^n out once at
-the end. ``bareiss_det`` takes square matrices over Z, and over Z[λ], dense
-lists of ints, lowest degree first (the resultants of a family's
-cofactor guard): they are eliminated over Z at λ = 2^K, with K large
-enough that the determinant is read back from its value there
-(Kronecker substitution). ``pivot_slices`` reads the first independent
-rows off the pivot columns of the transpose. ``sample_points`` lists
-the small integers 0, 1, -1, 2, ... that the cofactor guard, the witness
-scan and the tangent nodes take in turn.
+fraction-free Bareiss elimination over Z (``_bareiss``) with the
+first-nonzero pivot rule (scan columns left to right, take the topmost
+nonzero entry). A rational matrix is eliminated as kM, scaled to ints by
+the lcm k of all its denominators (``mat_ints``); ``mat_det`` divides
+k^n out once at the end. ``bareiss_det`` takes square matrices over Z,
+and over Z[λ], dense lists of ints, lowest degree first (the resultants
+of a family's cofactor guard): they are eliminated over Z at λ = 2^K,
+with K large enough that the determinant is read back from its value
+there (Kronecker substitution). ``pivot_slices`` reads the first
+independent rows off the pivot columns of the transpose.
+``sample_points`` lists the small integers 0, 1, -1, 2, ... that the
+cofactor guard, the witness scan and the tangent nodes take in turn.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch
-from .exactnum import _ip_cross, _ip_exact_div, _z_row, _zb_reduce, to_fraction
+from .exactnum import INTEGERS, LAMBDA_INTS, _z_row, to_fraction
 
 
 class Mat:
@@ -74,25 +73,13 @@ class Mat:
 # --- the Bareiss kernel -----------------------------------------------------
 #
 # Rational matrices are eliminated in integer form: each row is scaled to
-# ints, where every Bareiss division is exact. A ring is the triple
-# (cross, div, nonzero) of what the elimination needs: cross(a, p, h, b) =
-# a*p - h*b, the exact division by the previous pivot, and the test that
-# picks a pivot. Z[λ] (dense int lists, lowest degree first, no trailing
-# zeros, [] for zero) has no triple: ``bareiss_det`` and the pencil layer
-# pack its rows into ints at λ = 2^K and eliminate them over Z. Every
-# entry Bareiss tests or divides by is a minor, evaluation at 2^K is a
-# ring map, and below the bound of ``kronecker_bits`` a polynomial is
-# zero exactly when its value there is; so ranks and minors come out as
-# over Z[λ]. Z[y] with pivots tested modulo g (``ring_at_root``) keeps
-# the list arithmetic.
-
-
-def _cross(a, p, h, b):
-    return a * p - h * b
-
-
-RING_Z = (_cross, operator.floordiv, bool)
-RING_ZX = "Z[λ]"  # rows over Z[λ]: packed at λ = 2^K, eliminated over RING_Z
+# ints, where every Bareiss division is exact. Z[λ] (dense int lists,
+# lowest degree first, no trailing zeros, [] for zero) is packed into ints
+# at λ = 2^K and eliminated over Z too (``bareiss_det``; the pencil layer
+# packs its minors the same way). Every entry Bareiss tests or divides by
+# is a minor, evaluation at 2^K is a ring map, and below the bound of
+# ``kronecker_bits`` a polynomial is zero exactly when its value there
+# is; so ranks and minors come out as over Z[λ].
 
 
 def kronecker_bits(n, s):
@@ -139,18 +126,8 @@ def packed_rows(rows, n, spread=1):
     return [[kronecker_pack(x, k) for x in row] for row in rows], k
 
 
-def ring_at_root(g):
-    """Z[y] with pivots tested at the roots β of the monic integer g, which
-    has no rational root: the Bareiss entries over Z[y] are minors and
-    evaluation at β is a ring map, so the elimination gives the rank at
-    every root of g at once. A pivot test that finds a nonzero residue
-    vanishing at only some of them raises ZeroDivisor with the common
-    factor (``exactnum._zb_reduce``), on which g splits."""
-    return (_ip_cross, _ip_exact_div, lambda x: bool(_zb_reduce(x, g)))
-
-
-def _bareiss(work, ring, pivots=None):
-    """Fraction-free elimination of the rows ``work``, in place.
+def _bareiss(work, pivots=None):
+    """Fraction-free elimination of the int rows ``work``, in place.
 
     Pivots follow the first-nonzero rule. Returns (rank, last pivot, sign
     of the row permutation); by the Bareiss minor invariant the last pivot
@@ -158,7 +135,6 @@ def _bareiss(work, ring, pivots=None):
     columns. The pivot columns are appended to ``pivots`` when it is a
     list.
     """
-    cross, div, nonzero = ring
     n = len(work)
     m = len(work[0]) if work else 0
     rank = 0
@@ -166,7 +142,7 @@ def _bareiss(work, ring, pivots=None):
     prev = None
     for col in range(m):
         for i in range(rank, n):
-            if nonzero(work[i][col]):
+            if work[i][col]:
                 break
         else:
             continue
@@ -181,8 +157,8 @@ def _bareiss(work, ring, pivots=None):
             row = work[i]
             head = row[col]
             for j in range(col + 1, m):
-                val = cross(row[j], pivot, head, top[j])
-                row[j] = val if prev is None else div(val, prev)
+                val = row[j] * pivot - head * top[j]
+                row[j] = val if prev is None else val // prev
         prev = pivot
         rank += 1
         if rank == n:
@@ -190,11 +166,12 @@ def _bareiss(work, ring, pivots=None):
     return rank, prev, sign
 
 
-def pivot_slices(rows, ring):
-    """The indices of the rows independent of the rows before them, which
-    span all of ``rows``, read off as the pivot columns of the transpose."""
+def pivot_slices(rows):
+    """The indices of the int rows independent of the rows before them,
+    which span all of ``rows``, read off as the pivot columns of the
+    transpose."""
     keep = []
-    _bareiss([list(c) for c in zip(*rows)], ring, pivots=keep)
+    _bareiss([list(c) for c in zip(*rows)], pivots=keep)
     return keep
 
 
@@ -211,16 +188,16 @@ def sample_points(n):
 
 def bareiss_det(rows, ring):
     """Determinant of a square matrix given by its rows over ``ring``,
-    ``RING_Z`` or ``RING_ZX``: an int over Z, an int list over Z[λ]; any
-    other ring raises ValueError. ``rows`` is consumed. One Bareiss pass
-    over Z: 0 when the rank is below n, else the last pivot times the sign
-    of the row permutation."""
-    if ring is RING_ZX:
+    ``exactnum.INTEGERS`` or ``LAMBDA_INTS``: an int over Z, an int list
+    over Z[λ]; any other ring raises ValueError. ``rows`` is consumed. One
+    Bareiss pass over Z: 0 when the rank is below n, else the last pivot
+    times the sign of the row permutation."""
+    if ring is LAMBDA_INTS:
         ints, k = packed_rows(rows, len(rows))
-        return kronecker_unpack(bareiss_det(ints, RING_Z), k)
-    if ring is not RING_Z:
+        return kronecker_unpack(bareiss_det(ints, INTEGERS), k)
+    if ring is not INTEGERS:
         raise ValueError("bareiss_det takes rows over Z or Z[λ]")
-    rank, piv, sign = _bareiss(rows, ring)
+    rank, piv, sign = _bareiss(rows)
     return sign * piv if rank == len(rows) else 0
 
 
@@ -232,4 +209,4 @@ def mat_det(M):
     if M.rows == 0:
         return Fraction(1)
     rows, k = mat_ints(M)
-    return Fraction(bareiss_det(rows, RING_Z), k**M.rows)
+    return Fraction(bareiss_det(rows, INTEGERS), k**M.rows)

@@ -2,8 +2,8 @@
 
 A tensor with first dimension 2 is the pencil of matrices u*A + v*B, where A
 and B are its two slices. Everything downstream of the shape-(2,3,n)
-classification reads off this pencil: minor gcds and the member ranks at
-roots of linear forms.
+classification reads off this pencil's minors: their gcds, and their
+values at the roots of linear forms, which tell the rank of a member.
 
 There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
 ints, each row scaled by an int of its own (the rows of an integer core,
@@ -13,24 +13,23 @@ each k x k minor is expanded along its first row as a binary form,
 sharing the smaller minors of the lower rows, in ints. Rows over Z[λ]
 are packed into ints at λ = 2^K, for K above a bound on every
 coefficient of the minors read (``linalg.kronecker_bits``), and the
-results unpacked from their signed base-2^K digits; so are the members
-whose ranks ``member_rank_at`` reads. Row scales change a minor only by
-a constant, so minor gcds (the remainder sequence of ``bform_gcd``) and
-member ranks use the scaled rows as they are.
+results unpacked from their signed base-2^K digits. Row scales change a
+minor only by a constant, so minor gcds (the remainder sequence of
+``bform_gcd``) and the vanishing of minors use the scaled rows as they
+are.
 
 The pencil of a family T - λP with P rank one is u*A + v*B minus λ times
 l(u, v) b c^T, a rank-one update, so each of its minors is m - λn with m
-and n int forms once the rows are over Z[λ]. ``family_minor_gcd`` and
-``member_rank_at`` work on those rows and give the value over Q(λ)
-together with a guard: a polynomial in λ whose roots include every value
-where the value at that λ differs from the generic one. Contents,
-quotients and the cofactor guard stay over Z and Z[λ] (Gauss's lemma
-makes every quotient by a primitive content exact). The same minors
-also give the members: at a rational p/q each minor is a multiple of
-q m - p n, an int form, and at an irrational root α it is m - αn, and
-``pencil_minor_gcd`` takes their gcd as int forms or as forms over Z[β].
-A pencil over Z[λ] expands the minors of each size once and keeps them
-for all of these reads.
+and n int forms once the rows are over Z[λ]. ``family_minor_gcd`` works
+on those rows and gives the gcd over Q(λ) together with a guard: a
+polynomial in λ whose roots include every value where the gcd at that λ
+differs from the generic one. Contents, quotients and the cofactor guard
+stay over Z and Z[λ] (Gauss's lemma makes every quotient by a primitive
+content exact). The same minors also give the members: at a rational p/q
+each minor is a multiple of q m - p n, an int form, and at an irrational
+root α it is m - αn, and ``pencil_minor_gcd`` takes their gcd as int
+forms or as forms over Z[β]. A pencil over Z[λ] expands the minors of
+each size once and keeps them for all of these reads.
 """
 
 from __future__ import annotations
@@ -41,23 +40,16 @@ import math
 
 from .binforms import BinaryForm, bform_gcd
 from .errors import AllZero, InternalError, WrongShape
-from .exactnum import LAMBDA_INTS, _ip_exact_div, _ip_gcd
-from .linalg import (
-    RING_Z,
-    RING_ZX,
-    _bareiss,
-    bareiss_det,
-    kronecker_unpack,
-    packed_rows,
-    sample_points,
-)
+from .exactnum import INTEGERS, LAMBDA_INTS, _ip_exact_div, _ip_gcd
+from .linalg import bareiss_det, kronecker_unpack, packed_rows, sample_points
 
 
 class Pencil:
     """The pencil u*A + v*B of a 2 x b x c tensor as its rows [A_i | B_i]
-    over ``ring``: ints over Z or Z[λ] int lists, row i being row i of the
-    pencil times a nonzero int. Over Z[λ] it keeps its nonzero minors of
-    each size once expanded (``_nonzero_minors``)."""
+    over ``ring``: ints over Z (``exactnum.INTEGERS``) or Z[λ] int lists
+    (``LAMBDA_INTS``), row i being row i of the pencil times a nonzero
+    int. Over Z[λ] it keeps its nonzero minors of each size once expanded
+    (``_nonzero_minors``)."""
 
     __slots__ = ("rows", "cols", "ring", "_minors")
 
@@ -69,12 +61,6 @@ class Pencil:
 
     def __repr__(self):
         return "Pencil(%dx%d)" % (len(self.rows), self.cols)
-
-
-def _member(rows, c, u0, v0):
-    """The rows of the member u0*A + v0*B of the int pencil rows
-    [A_i | B_i] with c columns, for ints u0, v0."""
-    return [[u0 * x + v0 * y for x, y in zip(r[:c], r[c:])] for r in rows]
 
 
 def pencil_minors(p, k):
@@ -89,9 +75,9 @@ def pencil_minors(p, k):
     (each entry a u + b v has norm at most twice the largest of the rows)
     and each coefficient unpacked.
     """
-    if p.ring is RING_ZX:
+    if p.ring is LAMBDA_INTS:
         rows, bits = packed_rows(p.rows, k, 2)
-        for row_idx, col_idx, coeffs in pencil_minors(Pencil(rows, p.cols, RING_Z), k):
+        for row_idx, col_idx, coeffs in pencil_minors(Pencil(rows, p.cols, INTEGERS), k):
             yield row_idx, col_idx, [kronecker_unpack(x, bits) for x in coeffs]
         return
     c = p.cols
@@ -136,7 +122,7 @@ def _nonzero_minors(p, k):
     gcd that turns constant stops the expansion; over Z[λ] each size is
     expanded once and kept on the pencil, whose reads over Q(λ), at
     rational λ and at irrational roots all share it."""
-    if p.ring is not RING_ZX:
+    if p.ring is not LAMBDA_INTS:
         return (c for _, _, c in pencil_minors(p, k) if any(c))
     hit = p._minors.get(k)
     if hit is None:
@@ -156,20 +142,6 @@ def pencil_minor_gcd(p, k, form=BinaryForm):
         return bform_gcd(form(c) for c in _nonzero_minors(p, k))
     except AllZero:
         return BinaryForm([0] * (k + 1), k)
-
-
-def member_rank_at(p, ell):
-    """(rank, last Bareiss pivot) of the member at the root (-b, a) of the
-    linear int form ``ell`` = a u + b v; over Z[λ] the member is
-    eliminated packed at 2^K."""
-    alpha, beta = ell.coeffs
-    u0, v0 = -beta, alpha
-    if p.ring is RING_ZX:
-        rows, bits = packed_rows(p.rows, min(len(p.rows), p.cols), abs(u0) + abs(v0))
-        rank, piv, _ = _bareiss(_member(rows, p.cols, u0, v0), RING_Z)
-        return rank, None if piv is None else kronecker_unpack(piv, bits)
-    rank, piv, _ = _bareiss(_member(p.rows, p.cols, u0, v0), p.ring)
-    return rank, piv
 
 
 def lambda_parts(coeffs):
@@ -273,7 +245,7 @@ def _cofactor_guard(cofactors):
                         acc[t] += y**j * x
             comb = [[x, z] if z else [x] if x else [] for x, z in comb]
             sylvester = [[[]] * i + h + [[]] * (e - 1 - i) for h in (first, comb) for i in range(e)]
-            r = bareiss_det(sylvester, RING_ZX)
+            r = bareiss_det(sylvester, LAMBDA_INTS)
             if r:
                 found.append(r)
                 if len(found) == 2:

@@ -23,8 +23,8 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeMismatch, SingularMatrix, ZeroTensor
-from .exactnum import _z_row, to_fraction
-from .linalg import RING_Z, RING_ZX, _bareiss, bareiss_det, mat_ints, pivot_slices
+from .exactnum import INTEGERS, LAMBDA_INTS, _z_row, to_fraction
+from .linalg import _bareiss, bareiss_det, mat_ints, pivot_slices
 from .pencil import Pencil
 
 
@@ -149,7 +149,7 @@ def _update_drop(m_rows, c, r):
     m = len(c)
     work = [[*col, y, 0] for col, y in zip(zip(*m_rows), r)] + [[*c, 0, 1]]
     pivots = []
-    rank = _bareiss(work, RING_Z, pivots=pivots)[0]
+    rank = _bareiss(work, pivots=pivots)[0]
     keep = [j for j in pivots if j < m]
     if pivots[-1] == m + 1:
         return keep, None
@@ -278,7 +278,7 @@ class ParametricTensor:
         if hit is None:
             slices = [self.flattening_drop(x)[0] for x in range(1, self.base.order + 1)]
             hit = self._pencils[axes] = Pencil(
-                self.pencil_rows(axes, slices), len(slices[axes[2]]), RING_ZX)
+                self.pencil_rows(axes, slices), len(slices[axes[2]]), LAMBDA_INTS)
         return hit
 
 
@@ -363,7 +363,7 @@ def _gl_ints(shape, mats):
         if M.rows != n or M.cols != n:
             raise ShapeMismatch("axis %d wants a %d-square matrix" % (a0 + 1, n))
         rows, k = mat_ints(M)
-        if not bareiss_det([list(r) for r in rows], RING_Z):
+        if not bareiss_det([list(r) for r in rows], INTEGERS):
             raise SingularMatrix("axis %d matrix is singular" % (a0 + 1,))
         out.append((rows, k))
     return out
@@ -381,7 +381,7 @@ def concise_reduce(T):
         raise ZeroTensor("the zero tensor has no concise reduction")
     scaled, c = _scaled_entries(T.entries)
     slices = [
-        pivot_slices(flat_rows(scaled, T.shape, a0), RING_Z)
+        pivot_slices(flat_rows(scaled, T.shape, a0))
         for a0 in range(T.order)
     ]
     return ConciseReduction(T.shape, scaled, c, slices)
@@ -424,7 +424,7 @@ def factors_in_spans(P, reduction):
         if len(keep) < len(vec):
             rows = flat_rows(reduction.scaled, reduction.ambient_shape, a0)
             aug = [row + [x] for row, x in zip(rows, _scaled_entries(vec)[0])]
-            if _bareiss(aug, RING_Z)[0] > len(keep):
+            if _bareiss(aug)[0] > len(keep):
                 return None
         coords.append([x if type(x) in (int, Fraction) else to_fraction(x)
                        for x in (vec[i] for i in keep)])

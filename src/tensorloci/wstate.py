@@ -65,8 +65,8 @@ from .errors import (
     TangencyPointRequested,
     ZeroTensor,
 )
-from .exactnum import to_fraction
-from .linalg import RING_Z, sample_points
+from .exactnum import INTEGERS, to_fraction
+from .linalg import sample_points
 from .pencil import Pencil, pencil_minor_gcd
 from .tensorcore import (
     RankOneTensor,
@@ -161,7 +161,7 @@ def _axis_point(red, a):
         if d == 1:
             continue
         X, Y = (flat_rows(F, rest, b) for F in flat_rows(core.entries, core.shape, a))
-        q = pencil_minor_gcd(Pencil([r + s for r, s in zip(X, Y)], len(X[0]), RING_Z), 2)
+        q = pencil_minor_gcd(Pencil([r + s for r, s in zip(X, Y)], len(X[0]), INTEGERS), 2)
         if not q.is_zero():
             quads.append(q)
     if not quads:

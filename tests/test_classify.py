@@ -21,7 +21,6 @@ from draws import (
 )
 from support import (
     LAM,
-    coefficients,
     flattening,
     orbit_at_root,
     poly_at,
@@ -51,8 +50,7 @@ from tensorloci.classify import (
     orbits_at_roots,
 )
 from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
-from tensorloci.exactnum import zb_ring
-from tensorloci.linalg import RING_ZX, pivot_slices, ring_at_root
+from tensorloci.exactnum import LAMBDA_INTS, zb_ring
 from tensorloci.pencil import Pencil
 from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form
 from tensorloci.tensorcore import (
@@ -538,31 +536,20 @@ def test_root_factors_come_back_split_by_orbit():
 
 def test_zb_cross_reports_a_zero_divisor_with_its_factor():
     """Modulo g = (y^2 - 2)(y^2 - 3), which has no rational root, a residue
-    a*p - h*b that vanishes at two of the roots of g makes the pivot test
-    of ``ring_at_root`` raise ZeroDivisor with the monic factor of g it
-    shares; a residue of degree at most one, or one coprime to g, is a
-    unit, a pivot; y^4 reduces to 5 y^2 - 6, their difference a zero
-    entry."""
-    g = [6, 0, -5, 0, 1]
-    ring = ring_at_root(g)
-
-    def cross(a, p, h, b):
-        return [x - y for x, y in itertools.zip_longest(
-            coefficients(qq_poly(a) * qq_poly(p)), coefficients(qq_poly(h) * qq_poly(b)),
-            fillvalue=0)]
-
-    def pivots(x):
-        return len(pivot_slices([[trimmed(int(c) for c in x)]], ring))
-
-    assert pivots(cross([0, 0, 1], [0, 0, 1], [], [])) == 1
-    assert pivots(cross([0, 0, 1], [0, 0, 1], [1], [-6, 0, 5])) == 0
-    assert pivots(cross([-5, 0, 1], [1], [], [])) == 1
-    assert pivots(cross([2, 1], [1], [], [])) == 1
+    a*p - h*b that vanishes at two of the roots of g makes ``cross`` of
+    ``zb_ring(g)`` raise ZeroDivisor with the monic factor of g it shares;
+    a residue of degree at most one, or one coprime to g, is a unit, a
+    nonzero residue; y^4 reduces to 5 y^2 - 6, their difference zero."""
+    cross = zb_ring([6, 0, -5, 0, 1]).cross
+    assert cross([0, 0, 1], [0, 0, 1], [], []) == [-6, 0, 5]
+    assert cross([0, 0, 1], [0, 0, 1], [1], [-6, 0, 5]) == []
+    assert cross([-5, 0, 1], [1], [], []) == [-5, 0, 1]
+    assert cross([2, 1], [1], [], []) == [2, 1]
     for a, p, h, b, factor in (([0, 1], [0, 1], [2], [1], [-2, 0, 1]),
                                ([0, 0, -3, 0, 1], [1], [], [], [-3, 0, 1]),
                                ([0, 0, 1], [0, 0, 1], [3], [0, 0, 1], [-3, 0, 1])):
         with pytest.raises(ZeroDivisor) as split:
-            pivots(cross(a, p, h, b))
+            cross(a, p, h, b)
         assert split.value.factor == factor
 
 
@@ -738,31 +725,53 @@ def test_family_square_read_is_the_int_rule(monkeypatch):
         assert classify(subtract_scaled(T, Fraction(lam0), P)).orbit == generic
 
 
-def test_root_reader_member_rank():
-    """Pencils A, lambda A + R over Z[lambda] with R of rank r: at the root
-    (-alpha, 1) the member is a multiple of R. Random pencils and linear
-    forms agree with sympy's rank over Q(alpha). Called directly: at the
-    irrational roots public inputs reach, the pencil is a family's and its
-    linear forms are repeated parts, never random ones."""
+def test_root_reader_rank_one_at():
+    """Pencils A, lambda A + R over Z[lambda] with A of rank one, so that
+    the minors are affine in lambda as a family's are, and R of rank r: at
+    the root (-alpha, 1) the member is R. Random pencils and linear forms
+    agree with sympy's rank at most one over Q(alpha). Called directly: at
+    the irrational roots public inputs reach, the pencil is a family's and
+    its linear forms are repeated parts, never random ones."""
     for fac, g, den, rng in root_models():
         K, alpha = root_field(fac)
         beta = den * alpha
         for r in range(4):
-            A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            x, y = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+            A = [[xi * yj for yj in y] for xi in x]
             left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
             right = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(r)]
             R = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(3)] for row in left]
-            want = rank(R)
+            want = rank(R) <= 1
             rows = [
                 [[x] if x else [] for x in a_row]
                 + [[y, x] if x else [y] if y else [] for x, y in zip(a_row, r_row)]
                 for a_row, r_row in zip(A, R)
             ]
-            reads = _RootReads(Pencil(rows, 3, RING_ZX), g, den)
-            assert reads.member_rank(BinaryForm([[den], [0, 1]], ring=reads.ring)) == want
+            reads = _RootReads(Pencil(rows, 3, LAMBDA_INTS), g, den)
+            assert reads.rank_one_at(BinaryForm([[den], [0, 1]], ring=reads.ring)) == want
             ell = BinaryForm([random_zb(rng, g), random_zb(rng, g, nonzero=False)],
                              ring=reads.ring)
             a, b = (zb_in_field(c, K, beta) for c in ell.coeffs)
             at_alpha = [[zb_in_field(e, K, alpha) for e in row] for row in rows]
             member = [[a * y - b * x for x, y in zip(row[:3], row[3:])] for row in at_alpha]
-            assert reads.member_rank(ell) == DomainMatrix(member, (3, 3), K).rank()
+            assert reads.rank_one_at(ell) == (DomainMatrix(member, (3, 3), K).rank() <= 1)
+
+
+def test_rank_one_at_splits_a_reducible_modulus_on_a_zero_divisor():
+    """At the roots beta of g = (y^2 - 2)(y^2 - 3) the member at the root
+    (-beta, 1) of u + beta v of the pencil [[u, 2v], [v, u]] has the
+    2-minor beta^2 - 2, which vanishes at two roots of g and not at the
+    other two: the read raises ZeroDivisor with the factor of g it shares.
+    With 5 v in place of 2 v the minor beta^2 - 5 is a unit at every root,
+    and the member has rank two."""
+    g = [6, 0, -5, 0, 1]
+    for c, factor in ((2, [-2, 0, 1]), (5, None)):
+        rows = [[[1], [], [], [c]], [[], [1], [1], []]]
+        reads = _RootReads(Pencil(rows, 2, LAMBDA_INTS), g, 1)
+        ell = BinaryForm([[1], [0, 1]], ring=reads.ring)
+        if factor is None:
+            assert reads.rank_one_at(ell) is False
+            continue
+        with pytest.raises(ZeroDivisor) as split:
+            reads.rank_one_at(ell)
+        assert split.value.factor == factor

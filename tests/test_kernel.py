@@ -36,24 +36,16 @@ from support import coefficients, pencil_rows, poly_at, qq_poly
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm
-from tensorloci.classify import OrbitId, family_orbit
-from tensorloci.exactnum import LAMBDA_INTS
+from tensorloci.classify import OrbitId, _FamilyReads, family_orbit
+from tensorloci.exactnum import INTEGERS, LAMBDA_INTS
 from tensorloci.linalg import (
-    RING_Z,
-    RING_ZX,
     bareiss_det,
     kronecker_bits,
     kronecker_pack,
     kronecker_unpack,
     sample_points,
 )
-from tensorloci.pencil import (
-    Pencil,
-    family_minor_gcd,
-    member_rank_at,
-    pencil_minor_gcd,
-    pencil_minors,
-)
+from tensorloci.pencil import Pencil, family_minor_gcd, pencil_minor_gcd, pencil_minors
 from tensorloci.tensorcore import ParametricTensor, RankOneTensor, Tensor
 
 LAM, U, V, X = sympy.symbols("lam u v x")
@@ -115,7 +107,7 @@ def test_det_of_sylvester_matrices_against_sympy_resultant():
         g = [rand_zx(rng, rng.randint(1, 2)) for _ in range(n + 1)]
         rows = sylvester(f, g)
         want = sympy_det([[sym(x) for x in row] for row in rows], QL)
-        det = bareiss_det(rows, RING_ZX)
+        det = bareiss_det(rows, LAMBDA_INTS)
         assert isinstance(det, list) and (not det or det[-1])
         assert QL.from_sympy(sym(det)) == want
         # sympy's resultant agrees up to its sign convention
@@ -129,34 +121,31 @@ def pencil_over(t, ring):
     denominators; over Z[λ] each row of polynomials in λ, coefficient
     tuples, times the lcm of its denominators, as int lists."""
     rows = pencil_rows(t)
-    if ring is RING_Z:
+    if ring is INTEGERS:
         scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in rows]
         ints = [[int(x * k) for x in row] for row, k in zip(rows, scales)]
-        return Pencil(ints, t.shape[2], RING_Z), scales
+        return Pencil(ints, t.shape[2], INTEGERS), scales
     scales = [math.lcm(*(c.denominator for x in row for c in x)) for row in rows]
     ints = [[[int(c * k) for c in x] for x in row] for row, k in zip(rows, scales)]
-    return Pencil(ints, t.shape[2], RING_ZX), scales
+    return Pencil(ints, t.shape[2], LAMBDA_INTS), scales
 
 
 def unscaled(c, scale, ring):
     """A minor coefficient of the scaled rows over the product of their
     scales: a Fraction, or a tuple of Fractions, lowest degree first."""
-    if ring is RING_Z:
+    if ring is INTEGERS:
         return Fraction(c, scale)
     return tuple(Fraction(x, scale) for x in c)
-
-
-COEFF_TYPES = {RING_Z: Fraction, RING_ZX: tuple}
 
 
 def check_pencil(t, ring):
     """Every minor of the pencil of t over ``ring`` (``pencil_over``), in
     enumeration order, its row scales divided out, against sympy's
-    determinant in Q(λ)[u, v] of the pencil of t, its coefficients of the
-    type of ``COEFF_TYPES``; the minor gcds too, except over Z[λ], where
-    ``pencil_minor_gcd`` does not apply."""
+    determinant in Q(λ)[u, v] of the pencil of t, its coefficients
+    Fractions over Z and tuples over Z[λ]; the minor gcds too, except over
+    Z[λ], where ``pencil_minor_gcd`` does not apply."""
     domain = QLUV
-    coeff_type = COEFF_TYPES[ring]
+    coeff_type = tuple if ring is LAMBDA_INTS else Fraction
     u, v = domain.gens
 
     def conv(x):
@@ -189,7 +178,7 @@ def check_pencil(t, ring):
         assert seen == list(itertools.product(
             itertools.combinations(range(rows), r), itertools.combinations(range(cols), r)
         ))
-        if ring is RING_ZX:
+        if ring is LAMBDA_INTS:
             continue
         g = pencil_minor_gcd(p, r)
         live = [m for m in minors if m]
@@ -233,14 +222,14 @@ def test_minor_forms_of_rational_pencils_against_sympy():
     for _ in range(12):
         rows = rng.randint(2, 3)
         t = rand_pencil(rng, rand_fraction, rows, rng.randint(rows, 4))
-        check_pencil(t, RING_Z)
+        check_pencil(t, INTEGERS)
 
 
 def test_minor_forms_of_wide_pencils_against_sympy():
     """3 x 5 and 3 x 6 pencils, the shapes of orbits 24-26."""
     rng = random.Random(45)
     for cols in (5, 5, 6, 6):
-        check_pencil(rand_pencil(rng, rand_fraction, 3, cols), RING_Z)
+        check_pencil(rand_pencil(rng, rand_fraction, 3, cols), INTEGERS)
 
 
 def test_minor_forms_of_quadratic_pencils_over_q_lambda_against_sympy():
@@ -255,7 +244,7 @@ def test_minor_forms_of_quadratic_pencils_over_q_lambda_against_sympy():
     for _ in range(8):
         rows = rng.randint(2, 3)
         t = rand_pencil(rng, entry, rows, rng.randint(rows, 4))
-        check_pencil(t, RING_ZX)
+        check_pencil(t, LAMBDA_INTS)
 
 
 def family_pencils():
@@ -289,7 +278,7 @@ def test_family_minor_gcd_is_the_gcd_over_the_function_field():
             for i in range(b)
         ]
         for k in range(1, min(b, c) + 1):
-            g, _guard = family_minor_gcd(Pencil(rows, c, RING_ZX), k)
+            g, _guard = family_minor_gcd(Pencil(rows, c, LAMBDA_INTS), k)
             want = ring.zero
             for ri, ci in itertools.product(
                 itertools.combinations(range(b), k), itertools.combinations(range(c), k)
@@ -315,10 +304,10 @@ def test_family_minor_gcd_specializes_off_its_guard():
     for T, P, rows in family_pencils():
         _, b, c = T.shape
         d = P.expand()
-        gcds = [family_minor_gcd(Pencil(rows, c, RING_ZX), k) for k in range(1, min(b, c) + 1)]
+        gcds = [family_minor_gcd(Pencil(rows, c, LAMBDA_INTS), k) for k in range(1, min(b, c) + 1)]
         for lam0 in range(-8, 9):
             member = Tensor(T.shape, [x - lam0 * y for x, y in zip(T.entries, d.entries)])
-            pencil = pencil_over(member, RING_Z)[0]
+            pencil = pencil_over(member, INTEGERS)[0]
             for k, (g, guard) in enumerate(gcds, 1):
                 if guard is not None and poly_at(guard, lam0) == 0:
                     continue
@@ -345,12 +334,12 @@ def test_family_minor_gcd_when_every_minor_vanishes():
         P = RankOneTensor([[1, rng.randint(-2, 2)], [rng.randint(1, 3), 1, 0],
                            [rng.randint(-2, 2), 1, 2]])
         rows = ParametricTensor(T, P).pencil_rows((0, 1, 2), [[0, 1], [0, 1, 2], [0, 1, 2]])
-        p = Pencil(rows, 3, RING_ZX)
+        p = Pencil(rows, 3, LAMBDA_INTS)
         assert not any(any(c) for _, _, c in pencil_minors(p, 3))
         g, guard = family_minor_gcd(p, 3)
         assert g.is_zero() and g.degree == 3 and guard is None
         assert g.ring is LAMBDA_INTS
-        top = Pencil(rows[:2], 3, RING_ZX)
+        top = Pencil(rows[:2], 3, LAMBDA_INTS)
         assert family_minor_gcd(p, 2) == family_minor_gcd(top, 2)
 
 
@@ -360,7 +349,7 @@ def test_family_minor_gcd_of_minors_equal_up_to_sign():
     T = Tensor((2, 1, 2), [1, -1, 0, 0])
     P = RankOneTensor([[0, 1], [1], [1, -1]])
     rows = ParametricTensor(T, P).pencil_rows((0, 1, 2), [[0, 1], [0], [0, 1]])
-    g, guard = family_minor_gcd(Pencil(rows, 2, RING_ZX), 1)
+    g, guard = family_minor_gcd(Pencil(rows, 2, LAMBDA_INTS), 1)
     (s,), lam = g.coeffs
     assert s and lam == [0, -s] and guard is None
 
@@ -413,17 +402,6 @@ def ql_rank(rows):
     return DomainMatrix(ents, (len(rows), len(rows[0])), QL).rank()
 
 
-def assert_pivot_is_a_minor(piv, rows, rank):
-    """The last Bareiss pivot of ``rows``: None at rank zero, else a
-    nonzero int list, up to sign a rank-sized minor."""
-    if rank == 0:
-        assert piv is None
-        return
-    assert piv and piv[-1], piv
-    got = in_qx(piv)
-    assert any(m in (got, -got) for m in qx_minors(rows, rank))
-
-
 def test_kronecker_round_trip_at_the_digit_bound():
     """Unpacking inverts packing on every list whose coefficients are at
     most 2^(K - 1) - 1 in absolute value, and not beyond."""
@@ -441,15 +419,12 @@ def test_kronecker_round_trip_at_the_digit_bound():
 
 def test_packed_kernels_at_minors_that_reach_the_bound():
     """[[a, a], [-a, a]] has the determinant 2 a^2, which is the bound
-    n! s^n: determinant and member rank come out exact."""
+    n! s^n: the determinant comes out exact."""
     for a in ([BIG], [-BIG], [3]):
         neg = [-c for c in a]
         rows = [[a, a], [neg, a]]
         det = [2 * a[0] ** 2]
-        assert bareiss_det([list(r) for r in rows], RING_ZX) == det
-        # the member at v = 0 of the pencil with A = rows and B = 0
-        p = Pencil([r + [[], []] for r in rows], 2, RING_ZX)
-        assert member_rank_at(p, BinaryForm([0, 1])) == (2, det)
+        assert bareiss_det([list(r) for r in rows], LAMBDA_INTS) == det
 
 
 def test_packed_det_against_sympy():
@@ -458,7 +433,7 @@ def test_packed_det_against_sympy():
         n = rng.randint(1, 4)
         rows = rand_big_matrix(rng, n, n)
         (want,) = qx_minors(rows, n)
-        det = bareiss_det([list(r) for r in rows], RING_ZX)
+        det = bareiss_det([list(r) for r in rows], LAMBDA_INTS)
         assert not det or det[-1]
         assert in_qx(det) == want
 
@@ -507,18 +482,56 @@ def test_flattening_drop_of_non_concise_bases_against_sympy():
     assert all(counts[branch] for branch in ("drop 0", "one row fewer", "nonzero drop")), counts
 
 
-def test_packed_member_rank_against_sympy():
-    """The member at the root (-b, a) of a u + b v, ranked over Q(λ)."""
+def zx_affine(x, y):
+    """x + λ y as a Z[λ] int list."""
+    return [x, y] if y else [x] if x else []
+
+
+def test_family_rank_one_read_against_sympy():
+    """The member at the root (-b, a) of a u + b v of a family T - λP, its
+    entries above 2^40, has rank at most one over Q(λ) exactly when
+    sympy's rank says so (``_FamilyReads.rank_one_at``); when it has
+    more, the guard the read appends is sympy's gcd over Q[λ] of the
+    member's 2-minors, the values of λ where it drops to rank one. Its
+    part -b T0 + a T1 at the root is drawn of any rank, of rank one, or of
+    rank one plus a multiple of P's matrix, which drops at one λ."""
     rng = random.Random(52)
+    seen = collections.Counter()
     for _ in range(30):
         n, c = rng.randint(1, 3), rng.randint(1, 4)
-        rows = rand_big_matrix(rng, n, 2 * c)
         a, b = rng.choice([(0, 1), (1, 0), (rng.randint(-4, 4), rng.randint(1, 4))])
-        rank, piv = member_rank_at(Pencil(rows, c, RING_ZX), BinaryForm([a, b]))
-        member = [[[int(z) for z in coefficients(-b * qq_poly(x) + a * qq_poly(y))]
-                   for x, y in zip(r[:c], r[c:])] for r in rows]
-        assert rank == ql_rank(member)
-        assert_pivot_is_a_minor(piv, member, rank)
+        p0, p1 = big_entry(rng), big_entry(rng)
+        q, r, x, y = ([big_entry(rng) for _ in range(d)] for d in (n, c, n, c))
+        kind = rng.randint(0, 2)
+        if kind == 0:
+            at_root = [[big_entry(rng) for _ in range(c)] for _ in range(n)]
+        else:
+            k = rng.randint(-3, 3) if kind == 2 else 0
+            at_root = [[x[i] * y[j] + k * q[i] * r[j] for j in range(c)] for i in range(n)]
+        # slices with -b T0 + a T1 a nonzero multiple of at_root
+        rest = [[big_entry(rng) for _ in range(c)] for _ in range(n)]
+        if a:
+            t0 = [[a * e for e in row] for row in rest]
+            t1 = [[b * e + f for e, f in zip(row, row2)] for row, row2 in zip(rest, at_root)]
+        else:
+            t0, t1 = [[-f for f in row] for row in at_root], rest
+        rows = [[zx_affine(t[i][j], -pk * q[i] * r[j]) for t, pk in ((t0, p0), (t1, p1))
+                 for j in range(c)] for i in range(n)]
+        guards = []
+        got = _FamilyReads(Pencil(rows, c, LAMBDA_INTS), guards).rank_one_at(BinaryForm([a, b]))
+        member = [[[int(z) for z in coefficients(-b * qq_poly(u) + a * qq_poly(w))]
+                   for u, w in zip(row[:c], row[c:])] for row in rows]
+        assert got == (ql_rank(member) <= 1)
+        gcd = QX.zero
+        for m in qx_minors(member, 2) if not got else []:
+            gcd = QX.gcd(gcd, m)
+        if got or gcd.degree() < 1:
+            assert guards == []
+            seen["rank one" if got else "no drop"] += 1
+        else:
+            assert len(guards) == 1 and in_qx(guards[0]).monic() == gcd.monic()
+            seen["drop"] += 1
+    assert all(seen[key] for key in ("rank one", "no drop", "drop")), seen
 
 
 def test_packed_pencil_minors_against_sympy():
@@ -529,4 +542,4 @@ def test_packed_pencil_minors_against_sympy():
         rows = rng.randint(1, 3)
         t = rand_pencil(rng, lambda rng: coefficients(qq_poly(rand_big_zx(rng))), rows,
                         rng.randint(1, 4))
-        check_pencil(t, RING_ZX)
+        check_pencil(t, LAMBDA_INTS)

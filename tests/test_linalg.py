@@ -1,30 +1,18 @@
 """Matrix layer tests: rank and determinant of rational matrices, and
 the TypeError on any other entry; the Bareiss kernel, through
-``pivot_slices`` and ``bareiss_det``, on rows over Z[λ] (against sympy's
-determinant over ZZ[λ]) and over Z[y] with pivots tested at the roots of
-g, against sympy's rank over Q(α) for an irreducible g, split on a
-zero divisor for a reducible one."""
+``pivot_slices`` and ``bareiss_det``, on rows over Z and over Z[λ]
+(against sympy's determinant over ZZ[λ]), and no other ring."""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.matrices import DomainMatrix
 
-from support import qq_poly, root_field, zx_det
+from support import qq_poly, zx_det
 
-from tensorloci.errors import ZeroDivisor
-from tensorloci.linalg import (
-    RING_Z,
-    RING_ZX,
-    Mat,
-    bareiss_det,
-    mat_det,
-    mat_ints,
-    pivot_slices,
-    ring_at_root,
-)
+from tensorloci.exactnum import INTEGERS, LAMBDA_INTS, zb_ring
+from tensorloci.linalg import Mat, bareiss_det, mat_det, mat_ints, pivot_slices
 from tensorloci.tensorcore import RankOneTensor, Tensor, subtract_scaled
 
 
@@ -54,23 +42,10 @@ def to_sympy(M):
     )
 
 
-def rand_zy(rng, n, m, degree):
-    """An n x m matrix over Z[y], entries int lists of degree below
-    ``degree``, lowest first with no trailing zeros; one in three zero."""
-
-    def entry():
-        e = [rng.randint(-5, 5) for _ in range(degree)] if rng.randrange(3) else []
-        while e and not e[-1]:
-            e.pop()
-        return e
-
-    return [[entry() for _ in range(m)] for _ in range(n)]
-
-
 def kernel_rank(M):
     """The rank of a rational matrix as the package reads it: the number
     of independent rows ``pivot_slices`` keeps of its integer rows."""
-    return len(pivot_slices(mat_ints(M)[0], RING_Z))
+    return len(pivot_slices(mat_ints(M)[0]))
 
 
 def test_rank_transpose_qq_with_oracle():
@@ -84,26 +59,6 @@ def test_rank_transpose_qq_with_oracle():
         r = kernel_rank(M)
         assert r == kernel_rank(Mat(list(zip(*M.entries))))
         assert r == to_sympy(M).rank()
-
-
-def test_rank_transpose_extension():
-    """The kernel over Z[y] with pivots tested at the roots of an
-    irreducible monic g, as ``orbits_at_roots`` runs it on a member at an
-    irrational root: row rank equals column rank, each the number of
-    independent rows ``pivot_slices`` keeps, and sympy's rank over
-    Q(alpha), y taken to a root alpha of g."""
-    rng = random.Random(13)
-    mods = [[-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1]]
-    fields = [root_field(g) for g in mods]
-    for i in range(200):
-        g, (field, alpha) = mods[i % 3], fields[i % 3]
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        rows = rand_zy(rng, n, m, len(g) - 1)
-        rank = len(pivot_slices(rows, ring_at_root(g)))
-        assert rank == len(pivot_slices([list(c) for c in zip(*rows)], ring_at_root(g)))
-        at_alpha = [[sum((field(c) * alpha**k for k, c in enumerate(x)), field.zero)
-                     for x in row] for row in rows]
-        assert rank == DomainMatrix(at_alpha, (n, m), field).rank()
 
 
 @pytest.mark.parametrize(
@@ -150,17 +105,17 @@ def test_det_polyring():
     """Determinants over Z[λ], rows of int lists, lowest degree first; and
     of singular square matrices, whose pivots run out before the last
     column or at a column of zeros: 0 over Z, [] over Z[λ]."""
-    assert bareiss_det([[[0, 1], [1]], [[1], [0, 1]]], RING_ZX) == [-1, 0, 1]
+    assert bareiss_det([[[0, 1], [1]], [[1], [0, 1]]], LAMBDA_INTS) == [-1, 0, 1]
 
     for rows in ([[0]], [[0, 1], [0, 2]], [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
                  [[1, 2, 3], [2, 4, 6], [1, 0, 1]], [[1, 0, 2], [0, 1, 3], [1, 1, 5]]):
-        assert bareiss_det([list(r) for r in rows], RING_Z) == 0
+        assert bareiss_det([list(r) for r in rows], INTEGERS) == 0
         assert mat_det(Mat(rows)) == 0
-        assert bareiss_det([[[x] if x else [] for x in r] for r in rows], RING_ZX) == []
+        assert bareiss_det([[[x] if x else [] for x in r] for r in rows], LAMBDA_INTS) == []
     for rows in ([[[1], [0, 1]], [[0, 1], [0, 0, 1]]],
                  [[[], [1]], [[], [0, 1]]],
                  [[[1], [2], [0, 1]], [[3], [], [1]], [[3, 1], [0, 2], [1, 0, 1]]]):
-        assert bareiss_det(rows, RING_ZX) == []
+        assert bareiss_det(rows, LAMBDA_INTS) == []
 
     # Dense 5 x 5 with entries affine in lam, the size of the largest
     # flattening minors; Bareiss divides exactly over Z[lam].
@@ -172,30 +127,17 @@ def test_det_polyring():
         rows = [[affine(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(5)]
                 for _ in range(5)]
         want = zx_det(rows)
-        det = bareiss_det(rows, RING_ZX)
+        det = bareiss_det(rows, LAMBDA_INTS)
         assert det == want
         assert len(det) <= 6
 
 
-def test_ring_at_root_splits_a_reducible_modulus_on_a_zero_divisor():
-    """Over Z[y] with pivots tested at the roots of g = (y^2 - 2)(y^2 - 3),
-    the pivot y^2 - 2 vanishes at two roots of g and not at the other two:
-    the elimination stops with the factor of g it shares. Pivots that are
-    units at every root, y and y^2 - 5, keep their rank."""
-    g = [6, 0, -5, 0, 1]
-    ring = ring_at_root(g)
-    assert len(pivot_slices([[[0, 1], [1]], [[1], [-5, 0, 1]]], ring)) == 2
-    with pytest.raises(ZeroDivisor) as split:
-        pivot_slices([[[-2, 0, 1], [1]], [[1], [0, 1]]], ring)
-    assert split.value.factor == [-2, 0, 1]
-
-
 def test_bareiss_det_refuses_rings_other_than_z_and_z_lambda():
     """The determinant of [[0, 1], [1, 0]] is -1 over Z and over Z[λ].
-    Over Z[y] with pivots tested at the roots of g, the sign of the row
-    swap would turn the list pivot [1] into []: 0 where the determinant is
-    -1. ``bareiss_det`` refuses that ring instead of answering."""
-    assert bareiss_det([[0, 1], [1, 0]], RING_Z) == -1
-    assert bareiss_det([[[], [1]], [[1], []]], RING_ZX) == [-1]
+    The kernel eliminates over Z only, so ``bareiss_det`` refuses any
+    other ring, Z[β] modulo g (``zb_ring(g)``) included, instead of
+    answering."""
+    assert bareiss_det([[0, 1], [1, 0]], INTEGERS) == -1
+    assert bareiss_det([[[], [1]], [[1], []]], LAMBDA_INTS) == [-1]
     with pytest.raises(ValueError):
-        bareiss_det([[[], [1]], [[1], []]], ring_at_root([6, 0, -5, 0, 1]))
+        bareiss_det([[[], [1]], [[1], []]], zb_ring([6, 0, -5, 0, 1]))

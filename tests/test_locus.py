@@ -742,7 +742,7 @@ class NameOnlyRead(Exception):
 def refuse_name_only_reads(m):
     """Make the three name-only reads raise on the integer cores and on the
     family over Q(lam): the 2-minor gcd of a 2 x 3 pencil, the 3-minor gcd
-    of a 3 x 5 pencil, and a member rank after the square check."""
+    of a 3 x 5 pencil, and the rank-one read after the square check."""
     for cls in (_CoreReads, _FamilyReads):
         def minor_gcd(self, k, real=cls.minor_gcd):
             if (k, len(self.p.rows), self.p.cols) in ((2, 2, 3), (3, 3, 5)):
@@ -753,12 +753,12 @@ def refuse_name_only_reads(m):
             self.squared = True
             return real(self, g)
 
-        def member_rank(self, ell, real=cls.member_rank):
+        def rank_one_at(self, ell, real=cls.rank_one_at):
             if getattr(self, "squared", False):
                 raise NameOnlyRead(ell)
             return real(self, ell)
 
-        for read in (minor_gcd, pure_square, member_rank):
+        for read in (minor_gcd, pure_square, rank_one_at):
             m.setattr(cls, read.__name__, read)
 
 
@@ -1377,7 +1377,7 @@ SWEEP_SUMMARIES = {
              "irrational groups 5, irrational groups off the generic orbit 5, "
              "members at a drop 5, members at irrational roots 5, "
              "rational roots read off the family 28, read discriminant_vanishes 1, "
-             "read member_rank 2, read minor_gcd 5, read pure_square 0, read repeated_part 2, "
+             "read minor_gcd 5, read pure_square 0, read rank_one_at 2, read repeated_part 2, "
              "0 mismatches",
     "drops": "drops: drop 0 8, drop None 13, flattenings 21, one row fewer 0, 0 mismatches",
     "tangential": "tangential: tangent tensors 169, 0 mismatches",

@@ -8,19 +8,16 @@ from draws import random_invertible
 from support import form_at, pencil_rows, poly_at, tensor_from_dict
 
 from tensorloci.binforms import BinaryForm, bform_discriminant
+from tensorloci.classify import _CoreReads, classify
+from tensorloci.exactnum import INTEGERS
 from tensorloci.orbits import PENCILS, normal_form
-from tensorloci.pencil import (
-    Pencil,
-    member_rank_at,
-    pencil_minor_gcd,
-)
+from tensorloci.pencil import Pencil, pencil_minor_gcd
 from tensorloci.tensorcore import (
     RankOneTensor,
     Tensor,
     apply_gl,
     subtract_scaled,
 )
-from tensorloci.linalg import RING_Z
 
 U_SYM, V_SYM, LAM_SYM = sympy.symbols("u v lam")
 
@@ -104,7 +101,7 @@ def int_pencil(t):
     [A_i | B_i] as ints, as the readers take an integer core."""
     rows = [[int(x) for x in r] for r in pencil_rows(t)]
     assert rows == pencil_rows(t), "not an integer tensor"
-    return Pencil(rows, t.shape[2], RING_Z)
+    return Pencil(rows, t.shape[2], INTEGERS)
 
 
 def slices(p):
@@ -146,14 +143,16 @@ def test_minor_gcd_examples():
     assert g == BinaryForm([Fraction(0), Fraction(1), Fraction(0)], 2)
     u = BinaryForm([Fraction(1), Fraction(0)], 1)
     v = BinaryForm([Fraction(0), Fraction(1)], 1)
-    assert [member_rank_at(p22, ell)[0] for ell in (v, u)] == [2, 2]
+    # the members at the roots of v and u have rank 2: a 2-minor is nonzero there
+    reads = _CoreReads(classify(normal_form(22)).core)
+    assert [reads.rank_one_at(ell) for ell in (v, u)] == [False, False]
 
-    # orbits 15 and 16 share the determinant form u^3; the rank of the
-    # member at its root tells them apart
-    for n, rank in ((15, 1), (16, 2)):
+    # orbits 15 and 16 share the determinant form u^3; whether the member
+    # at its root has rank one, every 2-minor vanishing there, tells them apart
+    for n, rank_one in ((15, True), (16, False)):
         p = int_pencil(normal_form(n))
         assert pencil_minor_gcd(p, 3) == BinaryForm([1, 0, 0, 0], 3)
-        assert member_rank_at(p, u)[0] == rank
+        assert _CoreReads(classify(normal_form(n)).core).rank_one_at(u) == rank_one
 
     # the 2-minors of this pencil vanish together only at u^2 = 2 v^2
     t = tensor_from_dict(

@@ -29,7 +29,7 @@ ALLOWED = {
     "_escape_verdict": "spy target: the escape route of the specialized strategy",
     "_generic_membership": "spy target: refused on the specialized routes",
     # kernels no public input reaches
-    "_RootReads": "its member_rank at random linear forms, which no repeated part is",
+    "_RootReads": "its rank_one_at at random linear forms, which no repeated part is",
     "_table_value": "a closed-form polynomial's value, of which closed_form_predicate reads only "
                     "whether it is 0",
 }

@@ -109,8 +109,8 @@ def test_decompose_does_not_depend_on_the_kept_slices(monkeypatch):
              for T, P, _q in cases]
     real = tensorcore.pivot_slices
 
-    def last_slices(rows, ring):
-        return sorted(len(rows) - 1 - i for i in real(rows[::-1], ring))
+    def last_slices(rows):
+        return sorted(len(rows) - 1 - i for i in real(rows[::-1]))
 
     moved = 0
     with monkeypatch.context() as m:
