@@ -49,6 +49,8 @@ reads every member so, T itself at λ = 0 included.
 
 from __future__ import annotations
 
+import itertools
+
 from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_root
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
 from .exactnum import (
@@ -61,7 +63,7 @@ from .exactnum import (
     zb_ring,
 )
 from .linalg import kronecker_pack, kronecker_unpack
-from .orbits import PENCILS, RANKS, normal_form
+from .orbits import OPEN_ORBITS, PENCILS, RANKS, normal_form
 from .pencil import (
     Pencil,
     _nonzero_minors,
@@ -71,7 +73,7 @@ from .pencil import (
     pencil_minor_gcd,
     zform_quotient,
 )
-from .tensorcore import ParametricTensor, concise_reduce, flat_rows
+from .tensorcore import ParametricTensor, Tensor, _scaled_entries, concise_reduce, flat_rows
 
 
 class OrbitId:
@@ -229,6 +231,26 @@ def classify(t, *, ranks_only=False):
     return ClassifyReport(orbit, rank, brk, shape, red, perm, core, axes)
 
 
+def in_open_orbit(t):
+    """Whether a tensor of a shape (2, b, c) of ``OPEN_ORBITS`` (another
+    raises UnsupportedShape) lies in its open orbit, 6, 18 or 23: a nonzero
+    discriminant of the determinant form on (2,2,2) and (2,3,3), a nonzero
+    constant 3-minor gcd on (2,3,4). Each fails wherever a row, a column or
+    the two slices are dependent: a dependent row, or column of a square
+    pencil, makes every maximal minor vanish; on (2,3,4) a dependent column
+    leaves one nonzero 3-minor, a cubic, in a column basis ending with it
+    (a change of basis moves the gcd by a constant); B = cA (or A = 0)
+    makes every maximal minor a multiple of (u + cv)^b (or v^b), b >= 2.
+    So a tensor that passes is concise, and the table puts it in 6, 18 (a
+    square-free cubic has a constant repeated part) or 23."""
+    if t.shape not in OPEN_ORBITS:
+        raise UnsupportedShape("no open orbit is listed for shape %r" % (t.shape,))
+    reads = _CoreReads(Tensor(t.shape, _scaled_entries(t.entries)[0]))
+    if t.shape[2] == 4:
+        return reads.minor_gcd(3).degree == 0
+    return not reads.discriminant_vanishes(reads.minor_gcd(t.shape[1]))
+
+
 def _orbit_of_shape(order, concise_shape, reads, ranks_only):
     """The orbit of an order-``order`` tensor with this concise shape.
 
@@ -288,6 +310,7 @@ def _orbit_of_canonical(dims, reads, ranks_only):
 
 
 def _orbit_233(reads, ranks_only):
+    """(2,3,3); an int cubic of nonzero discriminant is 18 with no gcd."""
     det = reads.minor_gcd(3)
     if det.is_zero():
         return 13
@@ -330,7 +353,8 @@ def _at_root(f, ell):
 class _CoreReads:
     """The invariants the decision table reads, on the pencil of an integer
     core of shape (2, b, c); the forms carry their ring. ``_form`` makes
-    a minor of the pencil a binary form."""
+    a minor of the pencil a binary form. On an int core two reads skip
+    forms: a square-free cubic's repeated part and rank one at a root."""
 
     _form = BinaryForm
 
@@ -344,6 +368,10 @@ class _CoreReads:
         return not bform_discriminant(form)
 
     def repeated_part(self, det):
+        """gcd(det, its partials); 1 for a square-free int cubic, by its
+        discriminant (over Z only: Z[β] forms take the gcd)."""
+        if det.ring is INTEGERS and det.degree == 3 and bform_discriminant(det):
+            return BinaryForm([1])
         return bform_gcd([det, det.partial_u(), det.partial_v()])
 
     def pure_square(self, g):
@@ -351,7 +379,14 @@ class _CoreReads:
 
     def rank_one_at(self, ell):
         """Whether the member at the root (-b, a) of ell = a u + b v has
-        rank at most one: whether every 2-minor vanishes there."""
+        rank at most one: whether every 2-minor vanishes there. On an int
+        pencil the member -bA + aB is one int matrix, and its 2-minors are
+        products of its entries."""
+        if self.p.ring is INTEGERS:
+            (a, b), c = ell.coeffs, self.p.cols
+            m = [[a * r[c + j] - b * r[j] for j in range(c)] for r in self.p.rows]
+            return not any(x * w - y * z for r, s in itertools.combinations(m, 2)
+                           for (x, z), (y, w) in itertools.combinations(zip(r, s), 2))
         return not any(_at_root(self._form(m), ell) for m in _nonzero_minors(self.p, 2))
 
 

@@ -1,8 +1,8 @@
 """Exact dense linear algebra: rational matrices on an integer kernel.
 
-A ``Mat`` is a matrix over Q, its entries ``Fraction``s, as the GL action
-(``tensorcore.apply_gl``) takes one per axis; ``mat_det`` is its
-determinant. There is one elimination kernel and no row
+A ``Mat`` is a matrix over Q, its entries ints or ``Fraction``s as given,
+as the GL action (``tensorcore.apply_gl``) takes one per axis; ``mat_det``
+is its determinant. There is one elimination kernel and no row
 reduction: ranks, determinants and the independent rows all run on one
 fraction-free Bareiss elimination over Z (``_bareiss``) with the
 first-nonzero pivot rule (scan columns left to right, take the topmost
@@ -13,7 +13,7 @@ and over Z[λ], dense lists of ints, lowest degree first (the resultants
 of a family's cofactor guard): they are eliminated over Z at λ = 2^K,
 with K large enough that the determinant is read back from its value
 there (Kronecker substitution). ``pivot_slices`` reads the first
-independent rows off the pivot columns of the transpose.
+independent slices of a tensor's axis off the pivot columns of its fibres.
 ``sample_points`` lists the small integers 0, 1, -1, 2, ... that the
 cofactor guard, the witness scan and the tangent nodes take in turn.
 """
@@ -28,9 +28,9 @@ from .exactnum import INTEGERS, LAMBDA_INTS, _z_row, to_fraction
 
 
 class Mat:
-    """A dense rational matrix; entries are row-major lists of Fractions.
-    Entries given as anything but ints and Fractions, floats included,
-    raise TypeError (``to_fraction``)."""
+    """A dense rational matrix; entries are row-major lists of ints (bools
+    read as ints) and Fractions, kept as given. Anything else, floats
+    included, raises TypeError (``to_fraction``)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -45,9 +45,8 @@ class Mat:
             w = 0
         self.rows = len(entries)
         self.cols = w
-        self.entries = [
-            [x if type(x) is Fraction else to_fraction(x) for x in row] for row in entries
-        ]
+        self.entries = [[x if type(x) in (int, Fraction) else int(x) if isinstance(x, int)
+                          else to_fraction(x) for x in row] for row in entries]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -166,12 +165,14 @@ def _bareiss(work, pivots=None):
     return rank, prev, sign
 
 
-def pivot_slices(rows):
-    """The indices of the int rows independent of the rows before them,
-    which span all of ``rows``, read off as the pivot columns of the
-    transpose."""
+def pivot_slices(entries, shape, a0):
+    """The indices of the slices of axis a0 of the int tensor (``entries``,
+    ``shape``) independent of the slices before them, which span all of
+    them: the pivot columns of its axis-a0 fibres, read off by strides."""
+    n, inner = shape[a0], math.prod(shape[a0 + 1:])
     keep = []
-    _bareiss([list(c) for c in zip(*rows)], pivots=keep)
+    _bareiss([entries[o + t:o + n * inner:inner]
+              for o in range(0, len(entries), n * inner) for t in range(inner)], pivots=keep)
     return keep
 
 

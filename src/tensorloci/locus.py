@@ -26,12 +26,13 @@ they can be played against each other in tests:
   elimination over Z per axis, a rank-one update of the base's); the
   member at that value is classified. The escape route, on the other
   cores, those of the orbits of rank above border rank: the member at
-  lam = 1 is classified first; when it lies in the open orbit of the
-  core's shape (``orbits.OPEN_ORBITS``) it certifies that the family's
-  generic orbit is that open orbit, and 1 is the witness. Otherwise the
-  route needs the orbit of the family over Q(lam) and its guard
-  polynomials (``classify.family_orbit``). Either way its witness is the
-  one the generic strategy returns.
+  lam = 1 is tested by one invariant of its pencil, which fails on every
+  member that is not concise and passes exactly in the open orbit of the
+  core's shape (``classify.in_open_orbit``); a pass certifies that the
+  family's generic orbit is that open orbit, and 1 is the witness.
+  Otherwise the route needs the orbit of the family over Q(lam) and its
+  guard polynomials (``classify.family_orbit``). Either way its witness
+  is the one the generic strategy returns.
 * ``closed_form_predicate`` evaluates the forbidden locus stored for the
   normal form of certain orbits, in its own coordinates
   (``orbits.CLOSED_FORMS``): a union of strata, each cut out by
@@ -48,6 +49,7 @@ from .classify import (
     classify,
     classify_parametric,
     family_orbit,
+    in_open_orbit,
     member_orbit,
     orbit_rank,
     orbits_at_roots,
@@ -63,7 +65,7 @@ from .errors import (
 )
 from .exactnum import _z_row, candidate_factors, to_fraction
 from .linalg import sample_points
-from .orbits import CLOSED_FORMS, OPEN_ORBITS, pencil_shape
+from .orbits import CLOSED_FORMS, pencil_shape
 from .tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -193,21 +195,19 @@ def _factor_verdict(fac):
     return LocusVerdict.member(LambdaWitness(Fraction(-fac[0], fac[1])))
 
 
-def _first_witness(family, factors, target, known=None):
+def _first_witness(family, factors, target):
     """Membership verdict at the root of the first of the linear factors
     ``factors``, int tuples, where the member of ``family``, T - lam*P, has
-    the rank ``target``, or None. ``known`` maps factors already
-    classified to their ``orbits_at_roots``. Only ranks are read, so
-    members are classified ``ranks_only``."""
+    the rank ``target``, or None. Only ranks are read, so members are
+    classified ``ranks_only``."""
     for fac in factors:
-        groups = known.get(fac) if known else None
-        (_, oid), = groups or orbits_at_roots(family, fac, ranks_only=True)
+        (_, oid), = orbits_at_roots(family, fac, ranks_only=True)
         if orbit_rank(oid) == target:
             return _factor_verdict(fac)
     return None
 
 
-def _scan_rational_witness(family, target, guards, known=None):
+def _scan_rational_witness(family, target, guards):
     """First integer lam in 1, -1, 2, -2, ... where the rank actually drops.
 
     Only called once the member has rank ``target`` at every lam != 0 off
@@ -215,7 +215,7 @@ def _scan_rational_witness(family, target, guards, known=None):
     1 + (sum of their degrees) values one is sure to work.
     """
     values = sample_points(2 + sum(len(g) - 1 for g in guards))[1:]
-    verdict = _first_witness(family, ((-lam0, 1) for lam0 in values), target, known)
+    verdict = _first_witness(family, ((-lam0, 1) for lam0 in values), target)
     if verdict is None:
         raise InternalError("no integer witness off the roots of the guards")
     return verdict
@@ -325,13 +325,12 @@ def _escape_verdict(family, target):
     """Cores with no rank axis, those of the orbits of rank above border
     rank: does the line reach rank ``target``, one below the rank of T?
 
-    The member at lam = 1 is classified first. If it lies in the open
-    orbit of the core's shape (``OPEN_ORBITS``), that open orbit is the
-    orbit of the family over Q(lam): every member lies in the closure of
-    the family's generic orbit, and an open orbit lies in the closure of
-    no other orbit. The open orbit has rank ``target``, so the scan below
-    would stop at its first value, 1: the witness is 1, the one the
-    generic strategy returns, and ``family_orbit`` is never built.
+    The member at lam = 1 is tested first, by one invariant of its pencil
+    that fails wherever a row, a column or the two slices are dependent
+    (``in_open_orbit``): it passes exactly in the open orbit of the core's
+    shape. Every member lies in the closure of the family's orbit over
+    Q(lam), an open orbit in no other's, so that open orbit, of rank
+    ``target``, is the family's: 1 is the witness the scan would find.
 
     Otherwise the orbit of the family over Q(lam) decides
     (``family_orbit``): if it has rank ``target``, so does every member
@@ -341,19 +340,16 @@ def _escape_verdict(family, target):
     has rank ``target`` (``LambdaWitness``). The guards include every
     flattening drop, so the members that leave the concise shape are among
     the candidates. Either way the witness is the one the generic strategy
-    returns, and the member at 1 is not classified again.
+    returns, and the member at 1 is read at most once (``orbits_at_roots``).
     """
     one = (-1, 1)
-    at_one = member_orbit(family, one, ranks_only=True)
-    if at_one == OrbitId.orbit(OPEN_ORBITS[family.base.shape]):
+    if in_open_orbit(family.member_at(one)):
         return _factor_verdict(one)
-    known = {one: [(one, at_one)]}
     generic, guards = family_orbit(family, ranks_only=True)
     if orbit_rank(generic) == target:
-        return _scan_rational_witness(family, target, guards, known)
+        return _scan_rational_witness(family, target, guards)
     linear = [fac for fac in candidate_factors(guards) if len(fac) == 2]
-    verdict = _first_witness(family, linear, target, known)
-    return verdict or LocusVerdict.forbidden()
+    return _first_witness(family, linear, target) or LocusVerdict.forbidden()
 
 
 def _core_point(report, axes, coords):

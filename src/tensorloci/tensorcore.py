@@ -9,10 +9,12 @@ a tensor is the tensor scaled to ints once, restricted to its first
 independent slices on each axis: an int subtensor, whose flattenings
 feed the integer Bareiss kernel directly, as do those of a family
 T - λP, rank-one updates of the base's (``_update_drop``). Flattenings
-are read by strides off the flat entry list, with no cache
-(``flat_rows``, on 0-based axes); the flattenings of a family are
-numbered from 1 (``ParametricTensor.flattening_rows``). The GL action
-runs on ints, one contraction per axis (``_contract``).
+and fibres are read by strides off the flat entry list, with no cache
+(``flat_rows``, ``linalg.pivot_slices``, on 0-based axes); the
+flattenings of a family are numbered from 1
+(``ParametricTensor.flattening_rows``). The GL action runs on ints, one
+contraction per axis (``_contract``): ints in, ints out, so an int
+tensor moved by int matrices reaches ``classify`` with nothing to scale.
 """
 
 from __future__ import annotations
@@ -122,9 +124,10 @@ class RankOneTensor:
 
 def _scaled_entries(entries):
     """(entries times c, c), a fresh list: rational entries, bools
-    included, become ints, c the lcm of their denominators (``_z_row``:
-    c = 1 when all are ints). Any other entry, a float included, raises
-    TypeError."""
+    included, become ints, c the lcm of their denominators (``_z_row``),
+    1 for all ints; any other entry, a float included, raises TypeError."""
+    if all(type(x) is int for x in entries):
+        return list(entries), 1
     for x in entries:
         if not isinstance(x, (int, Fraction)):
             raise TypeError("entries must be ints or Fractions, not %s" % type(x).__name__)
@@ -202,7 +205,10 @@ class ParametricTensor:
             g = math.gcd(n, d)
             n, d = n // g, d // g
             base = [d * x for x in base] if d > 1 else base
-            self._ints = (base, factors, n, RankOneTensor(factors).expand().entries)
+            direction = factors[0]
+            for f in factors[1:]:
+                direction = [x * y for x in direction for y in f]
+            self._ints = (base, factors, n, direction)
         return self._ints
 
     def member_at(self, fac):
@@ -342,7 +348,8 @@ def _contract(entries, shape, mats, c):
     contracted by mats[a] = (rows, k), a matrix times the int k. Ints or
     Fractions (else TypeError) are scaled to ints once; in each block of
     outer indices, new fibre i is sum_j rows[i][j] fibre j; c, k and the
-    scale are divided out once, into Fractions."""
+    scale are divided out once: ints when every moved entry is an
+    integer, else Fractions."""
     ints, scale = _scaled_entries(entries)
     inner = len(ints)
     for n, (rows, _) in zip(shape, mats):
@@ -351,7 +358,9 @@ def _contract(entries, shape, mats, c):
                   for o in range(0, len(ints), n * inner)]
         ints = [sum(map(operator.mul, row, col)) for cols in blocks for row in rows for col in cols]
     c *= scale * math.prod(k for _, k in mats)
-    return [Fraction(x, c) for x in ints]
+    if c > 1 and any(x % c for x in ints):
+        return [Fraction(x, c) for x in ints]
+    return [x // c for x in ints] if c > 1 else ints
 
 
 def _gl_ints(shape, mats):
@@ -380,22 +389,21 @@ def concise_reduce(T):
     if T.is_zero():
         raise ZeroTensor("the zero tensor has no concise reduction")
     scaled, c = _scaled_entries(T.entries)
-    slices = [
-        pivot_slices(flat_rows(scaled, T.shape, a0))
-        for a0 in range(T.order)
-    ]
+    slices = [pivot_slices(scaled, T.shape, a0) for a0 in range(T.order)]
     return ConciseReduction(T.shape, scaled, c, slices)
 
 
 def apply_gl(T, mats):
-    """Act on T by one invertible Mat per axis: (M_1, ..., M_k) T, with
-    Fraction entries, by ``_contract``."""
+    """Act on T by one invertible Mat per axis: (M_1, ..., M_k) T, by
+    ``_contract``: int entries when every moved entry is an integer (an
+    int T moved by int matrices always), else Fractions."""
     return Tensor(T.shape, _contract(T.entries, T.shape, _gl_ints(T.shape, mats), 1))
 
 
 def apply_gl_rank_one(P, mats):
-    """Act on a rank-one tensor factorwise, with the checks and Fraction
-    entries of ``apply_gl``: each factor is a one-axis ``_contract``."""
+    """Act on a rank-one tensor factorwise, with the checks and entry
+    types of ``apply_gl``, factor by factor: each factor is a one-axis
+    ``_contract``."""
     gls = zip(P.factors, _gl_ints(P.shape, mats))
     return RankOneTensor([_contract(f, (len(f),), [gl], 1) for f, gl in gls])
 

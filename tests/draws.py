@@ -23,7 +23,9 @@ The domain:
   model padded by zero slices and an inactive axis (``tangent_model``,
   ``tangent_direction``, ``padded_tangent``);
 - the families T - λP on bases that are mostly not concise that the
-  flattening drops are checked on (``non_concise_family``).
+  flattening drops are checked on (``non_concise_family``), and the
+  points P moved so that a drop of T - λP lands at λ = 1
+  (``drops_at_one``).
 
 The last functions are the batches the checks of ``properties.py`` run.
 """
@@ -179,6 +181,15 @@ def non_concise_family(rng, shape, on_a_term, pool=SPARSE_POOL):
         point = [f if a == free else [Fraction(x, 2) for x in term[a]]
                  for a, f in enumerate(point)]
     return ParametricTensor(T, RankOneTensor(point))
+
+
+def drops_at_one(T, P):
+    """P scaled by each distinct flattening drop λ0 != 0 of T - λP, its
+    first factor times λ0: the family T - μ λ0 P then loses rank on that
+    flattening at μ = 1, so on a concise T its member at 1 is not concise."""
+    family = ParametricTensor(T, P)
+    drops = dict.fromkeys(family.flattening_drop(a)[1] for a in range(1, T.order + 1))
+    return [RankOneTensor([[d * x for x in P.factors[0]]] + P.factors[1:]) for d in drops if d]
 
 
 # --- batches ---------------------------------------------------------------

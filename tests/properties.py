@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from draws import (
     drop_families,
+    drops_at_one,
     int_points,
     moved_pairs,
     orbit_points,
@@ -144,10 +145,12 @@ def invariance(T, P, gT, gP):
 
 
 def escape_certificate(orbit, T, P, counts):
-    """Wherever the open-orbit certificate of the escape route answers
-    (SPECIALIZED without ``family_orbit``), the witness is 1, the family
-    T - λP lies in the open orbit of the shape and GENERIC gives the same
-    whole verdict. Counts ``certificate hits`` and ``fallbacks``."""
+    """The open-orbit certificate of the escape route answers (SPECIALIZED
+    without ``family_orbit``) exactly where ``classify`` puts the member
+    T - P in the open orbit of the shape; wherever it answers, the witness
+    is 1, the family T - λP lies in that open orbit and GENERIC gives the
+    same whole verdict. Counts ``certificate hits``, ``fallbacks`` and the
+    ``non-concise members at 1``."""
     real, calls = locus.family_orbit, []
 
     def counted(family, **kwargs):
@@ -159,6 +162,12 @@ def escape_certificate(orbit, T, P, counts):
         spec = locus_membership(T, P, SPECIALIZED)
     finally:
         locus.family_orbit = real
+    at_one = classify(subtract_scaled(T, 1, P))
+    counts["non-concise members at 1"] += at_one.concise_shape != T.shape
+    open_orbit = OrbitId.orbit(OPEN_ORBITS[pencil_shape(orbit)])
+    if (at_one.orbit == open_orbit) == bool(calls):
+        return ["certificate %s, member at 1 in %r"
+                % ("missed" if calls else "hit", at_one.orbit)]
     if calls:
         counts["fallbacks"] += 1
         return []
@@ -166,7 +175,7 @@ def escape_certificate(orbit, T, P, counts):
     generic = family_orbit(ParametricTensor(T, P))[0]
     gen = locus_membership(T, P, GENERIC)
     want = LocusVerdict.member(LambdaWitness(value=1))
-    if generic != OrbitId.orbit(OPEN_ORBITS[pencil_shape(orbit)]) or not spec == gen == want:
+    if generic != open_orbit or not spec == gen == want:
         return ["family orbit %r, %s %r, %s %r" % (generic, SPECIALIZED, spec, GENERIC, gen)]
     return []
 
@@ -370,10 +379,12 @@ def check_gl(rng, n, orbits, counts):
 def check_escape(rng, n, _orbits, counts):
     """The open-orbit certificate on 2n points per escape orbit (5, 13,
     15-17 and 21), n sparse and n dense, each at the normal form and
-    moved by GL: ``escape_certificate``."""
+    moved by GL, and with P scaled so that a flattening drop lands at 1
+    (``drops_at_one``): ``escape_certificate``."""
     for orbit, T, P, gs in moved_pairs(rng, 2 * n, ESCAPE_ORBITS):
-        for problem in escape_certificate(orbit, T, P, counts):
-            yield "orbit %d P=%r moved by %r: %s" % (orbit, text(P), gs, problem)
+        for p in [P] + drops_at_one(T, P):
+            for problem in escape_certificate(orbit, T, p, counts):
+                yield "orbit %d P=%r moved by %r: %s" % (orbit, text(p), gs, problem)
 
 
 def check_ranks(rng, n, orbits, counts):

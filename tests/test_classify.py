@@ -12,6 +12,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from draws import (
+    BOX_POOL,
     DENSE_POOL,
     SPARSE_POOL,
     pad,
@@ -47,12 +48,13 @@ from tensorloci.classify import (
     classify,
     classify_parametric,
     family_orbit,
+    in_open_orbit,
     orbits_at_roots,
 )
 from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
 from tensorloci.exactnum import LAMBDA_INTS, zb_ring
 from tensorloci.pencil import Pencil
-from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form
+from tensorloci.orbits import OPEN_ORBITS, PENCILS, RANKS, normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -775,3 +777,31 @@ def test_rank_one_at_splits_a_reducible_modulus_on_a_zero_divisor():
         with pytest.raises(ZeroDivisor) as split:
             reads.rank_one_at(ell)
         assert split.value.factor == factor
+
+
+def test_in_open_orbit_is_the_open_orbit_that_classify_reads():
+    """``in_open_orbit`` holds exactly where ``classify`` names the open
+    orbit of the shape: on every normal form that fits in a shape of
+    ``OPEN_ORBITS``, padded with zero slices (so not concise when smaller)
+    and GL-moved, with int and with Fraction entries, and on seeded
+    tensors from the sparse and the box pool, many of them not concise.
+    Any other shape raises UnsupportedShape."""
+    rng = random.Random("in open orbit")
+    seen = collections.Counter()
+    for shape, n in OPEN_ORBITS.items():
+        cases = [pad(normal_form(m), shape) for m in PENCILS
+                 if all(d <= e for d, e in zip(pencil_shape(m), shape))]
+        cases += [Tensor(shape, [rng.choice(pool) for _ in range(math.prod(shape))])
+                  for pool in (SPARSE_POOL, BOX_POOL) * 20]
+        for t in cases:
+            if t.is_zero():
+                continue
+            moved = apply_gl(t, [random_invertible(rng, d) for d in shape])
+            want = classify(t).orbit == OrbitId.orbit(n)
+            for x in (t, moved, Tensor(shape, [Fraction(v, 3) for v in moved.entries])):
+                assert in_open_orbit(x) == want, (shape, t.entries)
+            seen[want, classify(t).concise_shape == shape] += 1
+    assert seen == {(True, True): 111, (False, True): 16, (False, False): 39}
+    for shape in ((2, 2, 3), (2, 3, 5), (3, 3, 2), (2, 2, 2, 2)):
+        with pytest.raises(UnsupportedShape):
+            in_open_orbit(Tensor(shape, [1] * math.prod(shape)))

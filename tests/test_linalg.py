@@ -44,8 +44,9 @@ def to_sympy(M):
 
 def kernel_rank(M):
     """The rank of a rational matrix as the package reads it: the number
-    of independent rows ``pivot_slices`` keeps of its integer rows."""
-    return len(pivot_slices(mat_ints(M)[0]))
+    of independent rows ``pivot_slices`` keeps of its integer rows, the
+    slices of axis 0 of the matrix as a tensor."""
+    return len(pivot_slices(sum(mat_ints(M)[0], []), (M.rows, M.cols), 0))
 
 
 def test_rank_transpose_qq_with_oracle():
@@ -86,10 +87,10 @@ def test_entries_other_than_rationals_raise_type_error(build, entry):
 
 
 def test_bool_entries_stay_rational():
-    """Bools are ints: a matrix of them holds Fractions, not floats."""
+    """Bools are ints: a matrix of them holds ints, not bools or floats."""
     A = Mat([[True, False], [False, True]])
     assert A == Mat([[1, 0], [0, 1]])
-    assert all(type(x) is Fraction for row in A.entries for x in row)
+    assert all(type(x) is int for row in A.entries for x in row)
     assert mat_det(A) == 1 and kernel_rank(A) == 2
 
 

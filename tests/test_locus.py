@@ -60,6 +60,7 @@ from sympy.polys.matrices import DomainMatrix
 from draws import (
     DENSE_POOL,
     SPARSE_POOL,
+    drops_at_one,
     pad,
     pad_point,
     padded_cases,
@@ -1282,11 +1283,15 @@ def test_scan_bound_covers_guard_roots_at_one_and_minus_one(monkeypatch):
 
 def escape_families():
     """(orbit, T, P) for the seeded families of each escape orbit, on the
-    normal form and GL-moved."""
+    normal form and GL-moved, each followed by the families with P scaled
+    so that a flattening drop lands at 1, the member there not concise
+    (``drops_at_one``)."""
     for orbit in ESCAPE_ORBITS:
         for _sparse, T, P, gT, gP in seeded_families(orbit):
-            yield orbit, T, P
-            yield orbit, gT, gP
+            for t, p in ((T, P), (gT, gP)):
+                yield orbit, t, p
+                for q in drops_at_one(t, p):
+                    yield orbit, t, q
 
 
 def test_open_orbit_certificate_answers_without_family_orbit():
@@ -1304,12 +1309,12 @@ def test_open_orbit_certificate_answers_without_family_orbit():
 
 
 def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
-    """Where the member at 1 is off the open orbit, the escape route builds
-    ``family_orbit`` and classifies no member twice: the member at 1 is
-    classified first, directly (``member_orbit``), and reused; the
-    candidates and the scan go through ``orbits_at_roots``. On the
-    orbit-17 family whose scan walks 1, -1, 2 and on the seeded fallback
-    families of the escape orbits."""
+    """A certificate hit classifies nothing: the member at 1 is tested by
+    one invariant (``in_open_orbit``). Where it is off the open orbit, the
+    escape route builds ``family_orbit`` and classifies no member twice:
+    the member at 1 is read, if at all, with the candidates and the scan,
+    through ``orbits_at_roots``. On the orbit-17 family whose scan walks
+    1, -1, 2 and on the seeded families of the escape orbits."""
     T17 = normal_form(17)
     P17 = RankOneTensor([[Fraction(-1, 2), 0], [0, 1, 1], [1, 0, -1]])
     one = (-1, 1)
@@ -1329,7 +1334,7 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
         built.append(family)
         return real_family(family, **kwargs)
 
-    fallbacks = 0
+    fallbacks = hits = 0
     with monkeypatch.context() as m:
         m.setattr(locus, "orbits_at_roots", orbits_at_roots)
         m.setattr(locus, "member_orbit", member_orbit)
@@ -1337,16 +1342,16 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
         for orbit, t, p in [(17, T17, P17)] + list(escape_families()):
             del classified[:], built[:]
             verdict = locus_membership(t, p, SPECIALIZED)
-            assert classified[0] == one, (orbit, p)
             assert len(classified) == len(set(classified)), (orbit, p, classified)
             if built:
                 fallbacks += 1
             else:
-                assert classified == [one], (orbit, p, classified)
+                hits += 1
+                assert classified == [] and witness_code(verdict) == "1", (orbit, p, classified)
             if t is T17:
                 assert built and witness_code(verdict) == "2"
                 assert classified[:3] == [one, (1, 1), (-2, 1)]
-    assert fallbacks > 1
+    assert fallbacks > 1 and hits > 1
 
 
 def test_open_orbit_table_holds_generic_tensors_one_rank_below_the_escapes():
@@ -1370,7 +1375,8 @@ SWEEP_SUMMARIES = {
     "agreement": "agreement: points 22, 0 mismatches",
     "padded": "padded: padded points 1, 0 mismatches",
     "gl": "gl: points 22, 0 mismatches",
-    "escape": "escape: certificate hits 18, fallbacks 6, 0 mismatches",
+    "escape": "escape: certificate hits 18, fallbacks 8, non-concise members at 1 2, "
+              "0 mismatches",
     "ranks": "ranks: candidate roots exact 42, candidate roots ranks_only 36, "
              "candidate roots saved 6, families 44, 0 mismatches",
     "roots": "roots: D5 splits 0, candidate factors 16, families 22, in the generic orbit 0, "

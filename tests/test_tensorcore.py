@@ -2,12 +2,14 @@
 
 The GL action (``apply_gl``, ``apply_gl_rank_one``) is checked against a
 reference kept here, a chain of rational matrix products, entry for entry
-and type for type; verdicts do not change under GL, so these tests, not
+and type for type (ints where every moved entry is an integer, else
+Fractions); verdicts do not change under GL, so these tests, not
 the verdict sweeps, are what would catch a wrong invertible action. The
 same reference rebuilds each tensor from its concise core and the bases
 that sympy solves for on the kept slices, and inverts the GL moves.
 """
 
+import collections
 import functools
 import importlib.util
 import itertools
@@ -218,12 +220,25 @@ def ref_gl_rank_one(P, mats):
             for f, M in zip(P.factors, mats)]
 
 
+def moved_type(want):
+    """The entry type of a GL move whose entries are ``want``: int when
+    every one is an integer, else Fraction."""
+    return int if all(Fraction(x).denominator == 1 for x in want) else Fraction
+
+
 def assert_same(got, want):
-    """Equal entries of equal types, and the types are Fractions."""
+    """Equal entries, all of the type ``moved_type`` names."""
     assert got.shape == want.shape
     assert got.entries == want.entries
-    assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
-    assert all(type(x) is Fraction for x in got.entries)
+    kind = moved_type(want.entries)
+    assert all(type(x) is kind for x in got.entries)
+
+
+def assert_same_factors(got, want):
+    """``assert_same`` for the factors of a rank-one tensor, each moved on
+    its own."""
+    assert got == want
+    assert all(type(x) is moved_type(w) for f, w in zip(got, want) for x in f)
 
 
 # entries of the invertible matrices of the GL cases: denominators up to 6
@@ -242,14 +257,29 @@ def gl_cases(seed, count):
 
 
 def test_gl_action_matches_the_reference():
+    """The seeded GL cases, and two more kinds: int T and P moved by int
+    matrices come out as ints, and T, P and matrices with entries of
+    denominators 2-5 as Fractions of the same values as the reference."""
     for T, P, g in gl_cases(31, 150):
         assert_same(apply_gl(T, g), ref_gl(T, g))
-        got = apply_gl_rank_one(P, g).factors
-        assert got == ref_gl_rank_one(P, g)
-        assert all(type(x) is Fraction for f in got for x in f)
+        assert_same_factors(apply_gl_rank_one(P, g).factors, ref_gl_rank_one(P, g))
         if T.is_zero():
             continue
         assert rebuilt_from_core(T, concise_reduce(T)) == T
+    rng = random.Random("int and fraction GL moves")
+    fractional = lambda r: Fraction(r.choice((-1, 1)) * r.randint(1, 6), r.randint(2, 5))  # noqa: E731
+    kinds = collections.Counter()
+    for k in range(60):
+        shape = tuple(rng.randint(2, 3) for _ in range(3))
+        entry = (lambda r: r.randint(-4, 4)) if k % 2 else fractional
+        T = Tensor(shape, [entry(rng) for _ in range(math.prod(shape))])
+        P = RankOneTensor([[entry(rng) or 1 for _ in range(d)] for d in shape])
+        g = [random_invertible(rng, d, entry=entry) for d in shape]
+        moved, factors = apply_gl(T, g), apply_gl_rank_one(P, g).factors
+        assert_same(moved, ref_gl(T, g))
+        assert_same_factors(factors, ref_gl_rank_one(P, g))
+        kinds[k % 2, type(moved.entries[0]), type(factors[0][0])] += 1
+    assert kinds == {(1, int, int): 30, (0, Fraction, Fraction): 30}
 
 
 def test_gl_action_group_laws():
@@ -310,7 +340,8 @@ def test_benchmark_moves_match_the_reference():
     for q, g, same_g in zip(queries, moves[::2], moves[1::2]):
         assert g is same_g
         assert_same(q.T, ref_gl(q.T0, g))
-        assert q.P.factors == ref_gl_rank_one(q.P0, g)
+        assert_same_factors(q.P.factors, ref_gl_rank_one(q.P0, g))
+        assert all(type(x) is int for x in q.T.entries)
 
 
 def test_apply_gl_rejects_singular():

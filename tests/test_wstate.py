@@ -1,6 +1,7 @@
 """Tangency recovery and explicit minimal decompositions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -109,8 +110,12 @@ def test_decompose_does_not_depend_on_the_kept_slices(monkeypatch):
              for T, P, _q in cases]
     real = tensorcore.pivot_slices
 
-    def last_slices(rows):
-        return sorted(len(rows) - 1 - i for i in real(rows[::-1]))
+    def last_slices(entries, shape, a0):
+        n, inner = shape[a0], math.prod(shape[a0 + 1:])
+        flipped = [entries[o + (n - 1 - i) * inner + t]
+                   for o in range(0, len(entries), n * inner) for i in range(n)
+                   for t in range(inner)]
+        return sorted(n - 1 - i for i in real(flipped, shape, a0))
 
     moved = 0
     with monkeypatch.context() as m:
