@@ -41,9 +41,9 @@ classified (``member_orbit``). The guards are never split into
 irreducible factors: the reader takes all their irrational roots at
 once, as the roots of one square-free polynomial, and splits it only
 where a read tells two roots apart (dynamic evaluation,
-``orbits_at_roots``). A family keeps one pencil, and that
-pencil keeps its minors over Z[λ], each size expanded once for all of
-these readers (``ParametricTensor.kept_pencil``). ``classify_parametric``
+``orbits_at_roots``). A family keeps one pencil, its subtensor on its
+kept slices, which keeps its minors over Z[λ], each size expanded once
+for all of these readers (``ParametricTensor.kept_pencil``). ``classify_parametric``
 reads every member so, T itself at λ = 0 included.
 """
 
@@ -515,13 +515,13 @@ def orbit_rank(oid):
 
 def _family_table(f, reader, ranks_only=False):
     """(orbit, drops): the table on the family restricted to the first
-    independent slices of each flattening over Z[λ], and the λ where
-    those slices lose rank (``flattening_drop``): each flattening is a
-    rank-one update M + λ c r^T, and rows S with independent (M_i | c_i)
-    are dependent at λ0 exactly when (-λ0 r | 1) lies in their span. Its
-    rows over Z[λ] on the pencil, row and column axes of the canonical
-    order make the ``Pencil`` that ``reader(pencil)`` reads, the one the
-    family keeps for every reader (``kept_pencil``)."""
+    independent slices of each flattening over Z[λ], and the linear factor
+    of the λ where those slices lose rank, or None (``flattening_drop``):
+    each flattening is a rank-one update M + λ c r^T, and rows S with
+    independent (M_i | c_i) are dependent at λ0 exactly when (-λ0 r | 1)
+    lies in their span. That subtensor on the pencil, row and column axes
+    of the canonical order makes the ``Pencil`` that ``reader(pencil)``
+    reads, the one the family keeps for every reader (``kept_pencil``)."""
     order = f.base.order
     slices, drops = zip(*(f.flattening_drop(axis) for axis in range(1, order + 1)))
     concise = tuple(len(s) for s in slices)
@@ -541,15 +541,15 @@ def family_orbit(f, *, ranks_only=False):
     Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
     another orbit is a root of one of the guards, nonconstant int lists or
     tuples, lowest degree first, each known up to a nonzero constant.
-    The first of them are the flattening drops, (-p, q) for each drop p/q
-    of a flattening whose kept slices lose rank somewhere: off those values
+    The first of them are the flattening drops (-p, q), one for each
+    flattening whose kept slices lose rank somewhere: off those values
     the family on the kept slices is a concise core of the member, whose
     pencil the table reads (``_FamilyReads``). A flattening whose kept
     slices never lose rank guards nothing.
     """
     guards = []
     orbit, drops = _family_table(f, lambda p: _FamilyReads(p, guards), ranks_only)
-    return orbit, [(-x.numerator, x.denominator) for x in drops if x is not None] + guards
+    return orbit, [fac for fac in drops if fac is not None] + guards
 
 
 def _root_model(fac):
@@ -587,9 +587,7 @@ def orbits_at_roots(f, fac, *, ranks_only=False):
     irrational roots are always exact. Every read shares the family's
     minors (``kept_pencil``)."""
     if len(fac) == 2:
-        c0, q = fac
-        if any(x is not None and x.numerator == -c0 and x.denominator == q
-               for x in (f.flattening_drop(a)[1] for a in range(1, f.base.order + 1))):
+        if fac in [f.flattening_drop(a)[1] for a in range(1, f.base.order + 1)]:
             return [(fac, member_orbit(f, fac, ranks_only=ranks_only))]
         return [(fac, _family_table(f, lambda p: _RationalReads(p, fac), ranks_only)[0])]
     g, den = _root_model(fac)

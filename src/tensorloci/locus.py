@@ -269,7 +269,7 @@ def _generic_membership(T, P):
         # the drop: P's factor there is off T's span, and projecting it
         # away maps an r-term decomposition with P to an (r - 1)-term one
         # of T. Unless T itself has no orbit list: its entry raises again.
-        if not any(family.flattening_drop(axis)[1] == 0 for axis in range(1, T.order + 1)):
+        if (0, 1) not in [family.flattening_drop(axis)[1] for axis in range(1, T.order + 1)]:
             raise
         orbits_at_roots(family, (0, 1), ranks_only=True)
         return LocusVerdict.forbidden()
@@ -298,9 +298,9 @@ def _drop_root_verdict(family, axes, target):
 
     The base's flattening on a rank axis has rank r. If rank(T - lam*P)
     = r - 1, then the member's flattening there has rank at most r - 1:
-    it loses rank, so lam is that flattening's one drop
-    (``flattening_drop``). One rank axis names the candidate, and any
-    others only reject early; the candidate is settled by exact
+    it loses rank, so lam is the root of that flattening's one drop, a
+    linear factor (``flattening_drop``). One rank axis names the
+    candidate, and any others only reject early; the candidate is settled by exact
     classification of the member. Where that flattening M is square, so
     invertible, the matrix determinant lemma gives det(M - lam c r^T) =
     det(M) (1 - lam r^T M^-1 c) for P's flattening c r^T, so the only
@@ -309,15 +309,14 @@ def _drop_root_verdict(family, axes, target):
     """
     shared = None
     for ax in axes:
-        keep, value = family.flattening_drop(ax)
+        keep, fac = family.flattening_drop(ax)
         if len(keep) < family.base.shape[ax - 1]:
             raise InternalError("concise core with a degenerate flattening line")
-        if value is None or (shared is not None and value != shared):
+        if fac is None or (shared is not None and fac != shared):
             return LocusVerdict.forbidden()
-        shared = value
-    fac = (-shared.numerator, shared.denominator)
-    if orbit_rank(member_orbit(family, fac, ranks_only=True)) == target:
-        return _factor_verdict(fac)
+        shared = fac
+    if orbit_rank(member_orbit(family, shared, ranks_only=True)) == target:
+        return _factor_verdict(shared)
     return LocusVerdict.forbidden()
 
 

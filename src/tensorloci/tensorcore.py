@@ -6,15 +6,16 @@ entry list (the last axis varies fastest). Entries are rationals, ints or
 wherever entries are scaled to ints: in ``concise_reduce`` (so in
 ``classify``), in the families and in the GL action. The concise core of
 a tensor is the tensor scaled to ints once, restricted to its first
-independent slices on each axis: an int subtensor, whose flattenings
-feed the integer Bareiss kernel directly, as do those of a family
-T - λP, rank-one updates of the base's (``_update_drop``). Flattenings
+independent slices on each axis: an int subtensor (``_subtensor``),
+whose flattenings feed the integer Bareiss kernel directly. A family
+T - λP keeps one integer form: its members (``subtract_scaled`` too),
+its flattenings (numbered from 1), rank-one updates of the base's, and
+its kept pencil, a subtensor like a core, are read off it. Flattenings
 and fibres are read by strides off the flat entry list, with no cache
-(``flat_rows``, ``linalg.pivot_slices``, on 0-based axes); the
-flattenings of a family are numbered from 1
-(``ParametricTensor.flattening_rows``). The GL action runs on ints, one
-contraction per axis (``_contract``): ints in, ints out, so an int
-tensor moved by int matrices reaches ``classify`` with nothing to scale.
+(``flat_rows``, ``linalg.pivot_slices``, on 0-based axes). The GL action
+runs on ints, one contraction per axis (``_contract``): ints in, ints
+out, so an int tensor moved by int matrices reaches ``classify`` with
+nothing to scale.
 """
 
 from __future__ import annotations
@@ -58,15 +59,16 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape):
-        return cls(shape, [Fraction(0)] * math.prod(shape))
+        return cls(shape, [0] * math.prod(shape))
 
     @property
     def order(self):
         return len(self.shape)
 
     def __getitem__(self, idx):
-        st = _strides(self.shape)
-        return self.entries[sum(i * s for i, s in zip(idx, st))]
+        if len(idx) != self.order or not all(0 <= i < d for i, d in zip(idx, self.shape)):
+            raise IndexError("index %r is off a tensor of shape %r" % (idx, self.shape))
+        return self.entries[sum(i * s for i, s in zip(idx, _strides(self.shape)))]
 
     def is_zero(self):
         return all(not x for x in self.entries)
@@ -147,7 +149,7 @@ def _update_drop(m_rows, c, r):
     b (r | 0) - a (0 | 1) is in the span before row t, and if t is the
     pivot row of a v_i, both first enter the span there and that v_i is
     not kept. The kept rows drop where (-λ r | 1) is a multiple of that
-    vector, at b / a, and nowhere when a is 0.
+    vector, at b / a, the root of (-b, a), and nowhere when a is 0.
     """
     m = len(c)
     work = [[*col, y, 0] for col, y in zip(zip(*m_rows), r)] + [[*c, 0, 1]]
@@ -161,7 +163,8 @@ def _update_drop(m_rows, c, r):
     if t < len(keep):
         del keep[t]
     a, b = work[t][m], work[t][m + 1]
-    return keep, Fraction(b, a) if a else None
+    g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+    return keep, (-b // g, a // g) if a else None
 
 
 class ParametricTensor:
@@ -169,14 +172,15 @@ class ParametricTensor:
 
     Both are scaled to ints once: T' = cT, and P = s P' with P' the
     product of P's factors scaled to ints. With n/d = c s in lowest terms
-    the family is (d T' - λ n P') / (c d), so its flattening rows over Z[λ]
-    (int lists, lowest degree first) and its rational members are ints.
-    A family serves one call: it keeps its flattening rows, its drops and
-    the pencil of its kept slices, with the minors read off it, for that
-    call only.
+    the family is (d T' - λ n P') / (c d), one integer form that every
+    member (``member_at``), flattening (``flattening_drop``) and pencil
+    (``kept_pencil``) is read off: its entries over Z[λ] and its rational
+    members are ints. A family serves one call: it keeps its drops and the
+    pencil of its kept slices, with the minors read off it, for that call
+    only.
     """
 
-    __slots__ = ("base", "direction", "_ints", "_rows", "_drops", "_pencils")
+    __slots__ = ("base", "direction", "_ints", "_drops", "_pencils")
 
     def __init__(self, base, direction):
         if base.shape != direction.shape:
@@ -186,16 +190,15 @@ class ParametricTensor:
         self.base = base
         self.direction = direction
         self._ints = None
-        self._rows = {}
         self._drops = {}
         self._pencils = {}
 
     def _integer_form(self):
-        """(entries of d T', factors of P', n, entries of P'): c s = n / d
+        """(entries of d T', factors of P', n, entries of P', c d): c s = n / d
         is the product of c and, per factor, its content over its scale."""
         if self._ints is None:
-            base, n = _scaled_entries(self.base.entries)
-            d = 1
+            base, c = _scaled_entries(self.base.entries)
+            n, d = c, 1
             factors = []
             for f in self.direction.factors:
                 ints, den = _scaled_entries(f)
@@ -208,83 +211,60 @@ class ParametricTensor:
             direction = factors[0]
             for f in factors[1:]:
                 direction = [x * y for x in direction for y in f]
-            self._ints = (base, factors, n, direction)
+            self._ints = (base, factors, n, direction, c * d)
         return self._ints
 
     def member_at(self, fac):
         """The member at the root p/q of the linear factor ``fac`` = (-p, q),
-        q > 0: the int tensor q d T' - p n P', the member times a positive
-        integer."""
+        q > 0: the int tensor q d T' - p n P', the member times q c d."""
         if len(fac) != 2:
             raise ValueError("member_at takes a linear factor")
         c0, q = fac
-        base, _, n, direction = self._integer_form()
+        base, _, n, direction, _ = self._integer_form()
         cn = c0 * n
         return Tensor(self.base.shape, [q * a + cn * b for a, b in zip(base, direction)])
 
     def _update(self, axis):
         """(M, c, r), ints: the axis flattening is M + λ c r^T."""
         a0 = axis - 1
-        base, factors, n, _ = self._integer_form()
+        base, factors, n, _, _ = self._integer_form()
         rest = [-n]
         for b, ints in enumerate(factors):
             if b != a0:
                 rest = [x * y for x in rest for y in ints]
         return flat_rows(base, self.base.shape, a0), factors[a0], rest
 
-    def flattening_rows(self, axis):
-        """The axis flattening (axis 1-based) over Z[λ], as described above."""
-        rows = self._rows.get(axis)
-        if rows is None:
-            t_rows, cs, rest = self._update(axis)
-            rows = self._rows[axis] = [
-                [[x, c * y] if c * y else [x] if x else [] for x, y in zip(t_row, rest)]
-                for t_row, c in zip(t_rows, cs)
-            ]
-        return rows
-
     def flattening_drop(self, axis):
-        """(slices, drop): the rows of the axis flattening over Z[λ] that are
-        independent of the rows before them, and the one λ where those rows
-        lose rank, a Fraction, or None where they never do.
+        """(slices, drop): the rows of the axis flattening (axis 1-based)
+        over Z[λ] that are independent of the rows before them, and the
+        one λ where those rows lose rank, as its linear factor (-p, q) for
+        λ = p/q, primitive with q > 0, or None where they never do.
 
         The flattening is M + λ c r^T, a rank-one update of the base's.
         Rows S with independent v_i = (M_i | c_i) are dependent at λ0
         exactly when (-λ0 r | 1) lies in span{v_i : i in S}, and over Q(λ)
         exactly when (r | 0) and (0 | 1) both do; ``_update_drop`` reads
-        both off one integer elimination. The drop is 0 where the base's
-        rows on the slices are dependent. Off the drop the slices stay
-        independent and span the member's flattening.
+        both off one integer elimination. The drop is (0, 1) where the
+        base's rows on the slices are dependent. Off the drop the slices
+        stay independent and span the member's flattening.
         """
         hit = self._drops.get(axis)
         if hit is None:
             hit = self._drops[axis] = _update_drop(*self._update(axis))
         return hit
 
-    def pencil_rows(self, axes, slices):
-        """The pencil rows [A_i | B_i] over Z[λ] of the family restricted
-        on each axis x to the indices ``slices[x]``: ``axes`` are the 0-based
-        pencil, row and column axes, and every other axis keeps one index."""
-        a, r, c = axes
-        others = [x for x in range(len(slices)) if x != r]
-        stride, step = {}, 1
-        for x in reversed(others):
-            stride[x] = step
-            step *= self.base.shape[x]
-        fixed = sum(stride[x] * slices[x][0] for x in others if x not in (a, c))
-        cols = [fixed + stride[a] * s + stride[c] * j for s in slices[a] for j in slices[c]]
-        rows = self.flattening_rows(r + 1)
-        return [[rows[i][k] for k in cols] for i in slices[r]]
-
     def kept_pencil(self, axes):
         """The ``pencil.Pencil`` over Z[λ] of the family on its kept
         slices (``flattening_drop``), on the 0-based pencil, row and column
-        axes ``axes``, built once: it keeps the minors its readers expand."""
+        axes ``axes``, built once: it keeps the minors its readers expand.
+        It is cut off d T' - λ n P' over Z[λ] as a core is (``_subtensor``)."""
         hit = self._pencils.get(axes)
         if hit is None:
+            base, _, n, direction, _ = self._integer_form()
+            entries = [[x, -n * y] if y else [x] if x else [] for x, y in zip(base, direction)]
             slices = [self.flattening_drop(x)[0] for x in range(1, self.base.order + 1)]
-            hit = self._pencils[axes] = Pencil(
-                self.pencil_rows(axes, slices), len(slices[axes[2]]), LAMBDA_INTS)
+            shape, entries = _subtensor(entries, self.base.shape, slices, axes)
+            hit = self._pencils[axes] = Pencil(flat_rows(entries, shape, 1), shape[2], LAMBDA_INTS)
         return hit
 
 
@@ -334,13 +314,18 @@ class ConciseReduction:
         if tuple(axes) == tuple(range(len(self.slices))) and all(
                 len(keep) == n for keep, n in zip(self.slices, self.ambient_shape)):
             return Tensor(self.ambient_shape, self.scaled)
-        st = _strides(self.ambient_shape)
-        base = sum(st[a] * keep[0] for a, keep in enumerate(self.slices) if a not in axes)
-        offsets = [[st[a] * i for i in self.slices[a]] for a in axes]
-        return Tensor(
-            tuple(len(self.slices[a]) for a in axes),
-            [self.scaled[base + sum(o)] for o in itertools.product(*offsets)],
-        )
+        return Tensor(*_subtensor(self.scaled, self.ambient_shape, self.slices, axes))
+
+
+def _subtensor(entries, shape, slices, axes):
+    """(shape, entries) of the flat entry list of ``shape`` restricted to
+    the indices slices[a] on each axis a of ``axes``, in that order; every
+    other axis is fixed at its first kept index."""
+    st = _strides(shape)
+    base = sum(st[a] * keep[0] for a, keep in enumerate(slices) if a not in axes)
+    offsets = [[st[a] * i for i in slices[a]] for a in axes]
+    return (tuple(len(slices[a]) for a in axes),
+            [entries[base + sum(o)] for o in itertools.product(*offsets)])
 
 
 def _contract(entries, shape, mats, c):
@@ -357,7 +342,12 @@ def _contract(entries, shape, mats, c):
         blocks = [[ints[o + t:o + n * inner:inner] for t in range(inner)]
                   for o in range(0, len(ints), n * inner)]
         ints = [sum(map(operator.mul, row, col)) for cols in blocks for row in rows for col in cols]
-    c *= scale * math.prod(k for _, k in mats)
+    return _divide_back(ints, c * scale * math.prod(k for _, k in mats))
+
+
+def _divide_back(ints, c):
+    """The ints divided by the positive int c: ints when c divides every
+    one of them, else Fractions."""
     if c > 1 and any(x % c for x in ints):
         return [Fraction(x, c) for x in ints]
     return [x // c for x in ints] if c > 1 else ints
@@ -409,15 +399,13 @@ def apply_gl_rank_one(P, mats):
 
 
 def subtract_scaled(T, lam, P):
-    """T - lam * P with P rank one, in Fractions: lam and the entries go
-    through ``to_fraction``, so a float raises TypeError."""
-    if T.shape != P.shape:
-        raise ShapeMismatch("shapes differ: %r vs %r" % (T.shape, P.shape))
+    """T - lam * P with P rank one, the family's member at lam = p/q
+    (``member_at``) divided back by q c d: ints where every entry is an
+    integer, else Fractions. A float lam or entry raises TypeError."""
+    family = ParametricTensor(T, P)
     lam = to_fraction(lam)
-    d = P.expand()
-    return Tensor(
-        T.shape, [to_fraction(a) - lam * to_fraction(b) for a, b in zip(T.entries, d.entries)]
-    )
+    member = family.member_at((-lam.numerator, lam.denominator)).entries
+    return Tensor(T.shape, _divide_back(member, lam.denominator * family._integer_form()[4]))
 
 
 def factors_in_spans(P, reduction):

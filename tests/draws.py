@@ -185,11 +185,13 @@ def non_concise_family(rng, shape, on_a_term, pool=SPARSE_POOL):
 
 def drops_at_one(T, P):
     """P scaled by each distinct flattening drop λ0 != 0 of T - λP, its
-    first factor times λ0: the family T - μ λ0 P then loses rank on that
-    flattening at μ = 1, so on a concise T its member at 1 is not concise."""
+    first factor times λ0, the root of the drop's linear factor: the
+    family T - μ λ0 P then loses rank on that flattening at μ = 1, so on a
+    concise T its member at 1 is not concise."""
     family = ParametricTensor(T, P)
     drops = dict.fromkeys(family.flattening_drop(a)[1] for a in range(1, T.order + 1))
-    return [RankOneTensor([[d * x for x in P.factors[0]]] + P.factors[1:]) for d in drops if d]
+    return [RankOneTensor([[Fraction(-fac[0], fac[1]) * x for x in P.factors[0]]] + P.factors[1:])
+            for fac in drops if fac and fac[0]]
 
 
 # --- batches ---------------------------------------------------------------

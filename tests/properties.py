@@ -23,6 +23,7 @@ from draws import (
     tangent_cases,
 )
 from support import (
+    family_flattening,
     irreducible_factors,
     normalized,
     orbit_at_root,
@@ -237,8 +238,8 @@ def rational_roots(family, candidates, counts):
     candidate, ``orbits_at_roots`` gives, exact and ``ranks_only``, the
     orbit ``classify`` gives the int member (``member_at``). Counts the
     ``rational roots read off the family`` and the ``members at a drop``."""
-    drops = [family.flattening_drop(axis)[1] for axis in range(1, family.base.order + 1)]
-    drops = {(-x.numerator, x.denominator) for x in drops if x is not None}
+    drops = {family.flattening_drop(axis)[1] for axis in range(1, family.base.order + 1)}
+    drops.discard(None)
     problems = []
     for fac in dict.fromkeys([(0, 1), *sorted(drops), *(c for c in candidates if len(c) == 2)]):
         counts["members at a drop" if fac in drops else "rational roots read off the family"] += 1
@@ -303,14 +304,14 @@ def flattening_drops(family, counts):
     problems = []
     for axis in range(1, family.base.order + 1):
         got = family.flattening_drop(axis)
-        rows = family.flattening_rows(axis)
+        rows = family_flattening(family.base, family.direction, axis)
         want = sympy_drop(rows)
         counts["flattenings"] += 1
         if got != want:
             problems.append("axis %d T=%r P=%r: %r, sympy %r"
                             % (axis, family.base.entries, text(family.direction), got, want))
         keep, drop = got
-        counts["drop None" if drop is None else "drop 0" if drop == 0 else "nonzero drop"] += 1
+        counts["drop None" if drop is None else "drop 0" if drop == (0, 1) else "nonzero drop"] += 1
         v = [[x[j] if len(x) > j else 0 for j in (0, 1) for x in row] for row in rows]
         counts["one row fewer"] += len(keep) < rank(v)
     return problems

@@ -8,17 +8,19 @@ in λ (``Poly``: ``qq_poly``, ``coefficients``, ``upoly``,
 ``upoly_product``), their irreducible factors (``irreducible_factors``)
 and primitive integer coefficients (``primitive``), determinants over
 ZZ[λ] (``zx_det``) and the flattening drop of a family over QQ[λ]
-(``sympy_drop``). A polynomial in λ is a sequence of coefficients,
-lowest degree first, as the package hands them over: ints, or Fractions
-in the references; a canonical one is an int tuple, primitive with a
-positive leading coefficient.
+(``sympy_drop``), as the linear factor (-p, q) of its root p/q. A
+polynomial in λ is a sequence of coefficients, lowest degree first, as
+the package hands them over: ints, or Fractions in the references; a
+canonical one is an int tuple, primitive with a positive leading
+coefficient.
 From sympy over Q(α) (``QQ.algebraic_field``): the orbit of the member
 T - αP of a family at an irrational root α (``orbit_at_root``), read by
 the decision table of ``orbits.py`` on sympy's minor gcds,
 discriminants, repeated parts and member ranks; the package has no
 arithmetic over Q(α) to take it from. By plain row-major
 indexing, keeping the entries as they are: the flattening of a tensor,
-the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, an axis
+the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, the
+flattenings over Z[λ] of a family T - λP (``family_flattening``), an axis
 permutation, a tensor from its nonzero entries, and whether a weighted
 rank-one decomposition sums back to a tensor, entry by entry.
 ``witness_code`` writes a verdict's witness as text. ``load_script``
@@ -101,6 +103,20 @@ def pencil_rows(T):
     _, b, c = T.shape
     return [[T.entries[_flat((k, i, j), T.shape)] for k in (0, 1) for j in range(c)]
             for i in range(b)]
+
+
+def family_flattening(T, P, axis):
+    """The rows of the axis-th flattening (axis 1-based, as ``flattening``)
+    of the family T - λP, P rank one, over Z[λ]: each entry a - λb times
+    the lcm of every denominator, an int list lowest degree first with no
+    trailing zero. On a 2 x b x c family axis 2 gives its pencil rows
+    [A_i | B_i]."""
+    pairs = [(Fraction(a), Fraction(math.prod(b)))
+             for a, b in zip(T.entries, itertools.product(*P.factors))]
+    den = math.lcm(*(x.denominator for pair in pairs for x in pair))
+    ints = [(int(a * den), int(-b * den)) for a, b in pairs]
+    entries = [[a, b] if b else [a] if a else [] for a, b in ints]
+    return flattening(Tensor(T.shape, entries), axis)
 
 
 def rank(rows):
@@ -225,8 +241,9 @@ def irreducible_factors(poly):
 def sympy_drop(rows):
     """(keep, drop) of the flattening rows of a family over Z[λ], int
     lists lowest degree first, over QQ[λ]: keep the rows independent of
-    the rows before them over QQ(λ), drop the root of the gcd of their
-    maximal minors, None when it is 1."""
+    the rows before them over QQ(λ), drop the gcd of their maximal minors
+    as a canonical int tuple (``primitive``), the linear factor of its
+    root, None when it is 1."""
     ring, field = sympy.QQ[LAM], sympy.QQ.frac_field(LAM)
     ents = [[ring.from_sympy(sum(c * LAM**i for i, c in enumerate(x))) for x in row]
             for row in rows]
@@ -242,8 +259,8 @@ def sympy_drop(rows):
         g = ring.gcd(g, DomainMatrix(sub, (len(keep), len(keep)), ring).det())
         if g.degree() == 0:
             return keep, None
-    c0, c1 = (Fraction(int(c.numerator), int(c.denominator)) for c in reversed(g.to_dense()))
-    return keep, -c0 / c1
+    return keep, primitive(Fraction(int(c.numerator), int(c.denominator))
+                           for c in reversed(g.to_dense()))
 
 
 def zx_det(rows):

@@ -32,7 +32,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from draws import DROP_SHAPES, non_concise_family
 from properties import flattening_drops
-from support import coefficients, pencil_rows, poly_at, qq_poly
+from support import coefficients, family_flattening, pencil_rows, poly_at, qq_poly
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm
@@ -249,14 +249,11 @@ def test_minor_forms_of_quadratic_pencils_over_q_lambda_against_sympy():
 
 def family_pencils():
     """(T, P, pencil rows over Z[λ]) of each seeded family, on the normal
-    form and after its GL move."""
+    form and after its GL move (``family_flattening`` on axis 2)."""
     for orbit in ORBITS:
         for _sparse, T, P, gT, gP in seeded_families(orbit):
             for t, p in ((T, P), (gT, gP)):
-                rows = ParametricTensor(t, p).pencil_rows(
-                    (0, 1, 2), [list(range(d)) for d in t.shape]
-                )
-                yield t, p, rows
+                yield t, p, family_flattening(t, p, 2)
 
 
 def test_family_minor_gcd_is_the_gcd_over_the_function_field():
@@ -333,7 +330,7 @@ def test_family_minor_gcd_when_every_minor_vanishes():
         T = Tensor((2, 3, 3), [x for s in slices for row in s for x in row])
         P = RankOneTensor([[1, rng.randint(-2, 2)], [rng.randint(1, 3), 1, 0],
                            [rng.randint(-2, 2), 1, 2]])
-        rows = ParametricTensor(T, P).pencil_rows((0, 1, 2), [[0, 1], [0, 1, 2], [0, 1, 2]])
+        rows = family_flattening(T, P, 2)
         p = Pencil(rows, 3, LAMBDA_INTS)
         assert not any(any(c) for _, _, c in pencil_minors(p, 3))
         g, guard = family_minor_gcd(p, 3)
@@ -348,7 +345,7 @@ def test_family_minor_gcd_of_minors_equal_up_to_sign():
     primitive part, so the gcd over Q(λ) is u - λv, with no guard."""
     T = Tensor((2, 1, 2), [1, -1, 0, 0])
     P = RankOneTensor([[0, 1], [1], [1, -1]])
-    rows = ParametricTensor(T, P).pencil_rows((0, 1, 2), [[0, 1], [0], [0, 1]])
+    rows = family_flattening(T, P, 2)
     g, guard = family_minor_gcd(Pencil(rows, 2, LAMBDA_INTS), 1)
     (s,), lam = g.coeffs
     assert s and lam == [0, -s] and guard is None

@@ -616,8 +616,8 @@ def test_a_drop_route_witness_drops_every_rank_axis_flattening():
 def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
     """On every seeded family of the concise orbits, each flattening of the
     core drops rank at its ``flattening_drop`` and nowhere else: None
-    exactly when the maximal minors are coprime, else the root of their
-    gcd."""
+    exactly when the maximal minors are coprime, else the linear factor
+    that is their gcd."""
     drops = 0
     for orbit in (5, 6, 7, 8, 9, *range(11, 27)):
         for _sparse, T, P, gT, gP in seeded_families(orbit):
@@ -627,12 +627,12 @@ def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
                     continue
                 for axis in (1, 2, 3):
                     g = flat_minor_gcd(family, axis)
-                    value = family.flattening_drop(axis)[1]
+                    fac = family.flattening_drop(axis)[1]
                     assert g, (orbit, p, axis)  # not every minor vanishes
                     if len(g) == 1:
-                        assert value is None, (orbit, p, axis)
+                        assert fac is None, (orbit, p, axis)
                     else:
-                        assert g == (-value.numerator, value.denominator), (orbit, p, axis)
+                        assert g == fac, (orbit, p, axis)
                         drops += 1
     assert drops > 0
 
@@ -650,10 +650,9 @@ def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
                 generic, guards = family_orbit(family)
                 flat = []
                 for axis in range(1, t.order + 1):
-                    keep, drop = family.flattening_drop(axis)
-                    if drop is None:
+                    keep, fac = family.flattening_drop(axis)
+                    if fac is None:
                         continue
-                    fac = (-drop.numerator, drop.denominator)
                     rows = flattening(family.member_at(fac), axis)
                     assert rank([rows[i] for i in keep]) < len(keep), (orbit, p)
                     flat.append(fac)

@@ -22,8 +22,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from draws import random_entry, random_invertible, random_rank_one
-from support import flattening, orbit_at_root, pencil_rows, permute_axes, rank
+from draws import non_concise_family, random_entry, random_invertible, random_rank_one
+from support import (
+    family_flattening,
+    flattening,
+    orbit_at_root,
+    pencil_rows,
+    permute_axes,
+    rank,
+)
 
 from tensorloci.classify import OrbitId, classify, orbits_at_roots
 from tensorloci.errors import ShapeMismatch, SingularMatrix, ZeroTensor
@@ -351,11 +358,62 @@ def test_apply_gl_rejects_singular():
         apply_gl(T, mats)
 
 
+def sympy_member(T, lam, P):
+    """T - lam P entry by entry in sympy's rationals, as ints when every
+    entry is an integer, else as Fractions."""
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    lam = q(lam)
+    entries = [q(a) - lam * math.prod(map(q, b))
+               for a, b in zip(T.entries, itertools.product(*P.factors))]
+    if all(x.q == 1 for x in entries):
+        return [int(x) for x in entries]
+    return [Fraction(int(x.p), int(x.q)) for x in entries]
+
+
+def member_multiple(T, lam, P):
+    """q c d, the positive int the family's member at lam = p/q is
+    T - lam P times: c the lcm of T's denominators, d the denominator of
+    c s for P = s P', P' the product of P's factors each scaled to
+    coprime ints."""
+    c = math.lcm(*(Fraction(x).denominator for x in T.entries))
+    s = Fraction(1)
+    for f in P.factors:
+        den = math.lcm(*(Fraction(x).denominator for x in f))
+        s *= Fraction(math.gcd(*(int(x * den) for x in f)), den)
+    return Fraction(lam).denominator * c * (c * s).denominator
+
+
 def test_subtract_scaled():
-    T = normal_form(6)
-    P = RankOneTensor([[1, 0], [1, 0], [1, 0]])
-    S = subtract_scaled(T, Fraction(1), P)
-    assert S[(0, 0, 0)] == 0
+    """T - lam P is sympy's, on seeded T, P and lam with and without
+    denominators: ints exactly where every entry is an integer, else
+    Fractions; it is the family's member at lam (``member_at``) divided
+    by q c d (``member_multiple``). A float in T, in P or as lam raises
+    TypeError, and a P of another shape ShapeMismatch."""
+    rng = random.Random(55)
+    pools = ((-2, -1, 0, 1, 3), (-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-2, 3)))
+    kinds = collections.Counter()
+    for k in range(64):
+        shape = ((2, 2, 2), (2, 3, 3), (2, 2, 3), (2, 2, 2, 2))[k % 4]
+        t_pool, p_pool, l_pool = (pools[k >> bit & 1] for bit in (2, 3, 4))
+        T = Tensor(shape, [rng.choice(t_pool) for _ in range(math.prod(shape))])
+        P = RankOneTensor([[rng.choice(p_pool) for _ in range(d - 1)] + [rng.choice((1, -2))]
+                           for d in shape])
+        lam = Fraction(rng.choice([x for x in l_pool if x]))
+        got = subtract_scaled(T, lam, P)
+        want = sympy_member(T, lam, P)
+        assert got.shape == shape and got.entries == want, (T.entries, P, lam)
+        assert [type(x) for x in got.entries] == [type(x) for x in want]
+        kinds[type(want[0]).__name__] += 1
+        member = ParametricTensor(T, P).member_at((-lam.numerator, lam.denominator))
+        assert member == got.scale(member_multiple(T, lam, P)), (T.entries, P, lam)
+    assert kinds["int"] and kinds["Fraction"], kinds
+    # denominators that cancel give ints
+    T = Tensor((2, 2, 2), [Fraction(1, 2), 0, 0, 1, 0, 1, 1, 0])
+    P = RankOneTensor([[Fraction(1, 2), 1], [1, 0], [1, 0]])
+    assert subtract_scaled(T, 1, P) == Tensor((2, 2, 2), [0, 0, 0, 1, -1, 1, 1, 0])
+    assert all(type(x) is int for x in subtract_scaled(T, 1, P).entries)
     with pytest.raises(ShapeMismatch):
         subtract_scaled(T, Fraction(1), RankOneTensor([[1], [1, 0], [1, 0]]))
     # a float lam or entry is refused, not computed in floats
@@ -363,6 +421,28 @@ def test_subtract_scaled():
         subtract_scaled(T, 0.5, P)
     with pytest.raises(TypeError):
         subtract_scaled(T, 1, RankOneTensor([[0.5, 0], [1, 0], [1, 0]]))
+    with pytest.raises(TypeError):
+        subtract_scaled(Tensor((2, 2, 2), [0.5] + [0] * 7), 1, P)
+
+
+def test_tensor_index_is_checked():
+    """An entry is read at a 0-based index of one int per axis, each on
+    its axis; any other index raises IndexError instead of reading
+    another entry off the flat list."""
+    T = Tensor((2, 2, 2), list(range(8)))
+    assert [T[idx] for idx in itertools.product(range(2), repeat=3)] == list(range(8))
+    for idx in ((0, 2, 0), (1,), (0, 0, 0, 5), (0, 0, -1), (2, 0, 0), ()):
+        with pytest.raises(IndexError):
+            T[idx]
+
+
+def test_zeros_are_ints():
+    """The zero tensor holds int zeros; adding Fractions to it gives
+    Fractions, exactly."""
+    Z = Tensor.zeros((2, 3))
+    assert Z.entries == [0] * 6 and all(type(x) is int for x in Z.entries)
+    S = Z.add(Tensor((2, 3), [Fraction(1, 3)] * 6))
+    assert all(x == Fraction(1, 3) and type(x) is Fraction for x in S.entries)
 
 
 def test_rank_one_rejects_zero_factor():
@@ -405,19 +485,42 @@ def test_transpose_axes_roundtrip():
 
 
 def test_parametric_specializations_agree():
-    """Each integer flattening row over Z[λ] is a positive multiple of the
-    flattening row of the member, at every λ0; P has rational factors."""
-    T = normal_form(9)
-    P = RankOneTensor([[1, 2], [Fraction(3, 2), 1], [1, 0, Fraction(-2, 3), 1]])
-    fam = ParametricTensor(T, P)
-    for lam0 in (Fraction(5, 3), Fraction(-1, 2), Fraction(4)):
-        direct = subtract_scaled(T, lam0, P)
-        for axis in (1, 2, 3):
-            flat = flattening(direct, axis)
-            for row, want in zip(fam.flattening_rows(axis), flat):
-                got = [sum(c * lam0**i for i, c in enumerate(x)) for x in row]
-                scale = next(g / w for g, w in zip(got, want) if w)
-                assert scale > 0 and got == [scale * w for w in want]
+    """At every λ0 the family's flattening rows over Z[λ]
+    (``support.family_flattening``) are positive multiples of the
+    member's flattening rows, and its kept pencil (``kept_pencil``) is a
+    positive multiple of the member's pencil on the kept slices, on T9
+    with P of rational factors and on seeded bases that are mostly not
+    concise."""
+    rng = random.Random(56)
+    families = [ParametricTensor(normal_form(9), RankOneTensor(
+        [[1, 2], [Fraction(3, 2), 1], [1, 0, Fraction(-2, 3), 1]]))]
+    families += [non_concise_family(rng, shape, k % 2)
+                 for k in range(6) for shape in ((2, 2, 3), (2, 3, 3), (2, 3, 4))]
+    kept = 0
+    for fam in families:
+        T, P = fam.base, fam.direction
+        slices = [fam.flattening_drop(axis)[0] for axis in (1, 2, 3)]
+        kept += slices != [list(range(d)) for d in T.shape]
+        pencil = fam.kept_pencil((0, 1, 2)).rows
+        for lam0 in (Fraction(5, 3), Fraction(-1, 2), Fraction(4)):
+            direct = subtract_scaled(T, lam0, P)
+            for axis in (1, 2, 3):
+                for row, want in zip(family_flattening(T, P, axis), flattening(direct, axis)):
+                    assert_positive_multiple(row, want, lam0)
+            rows = pencil_rows(direct)
+            want = [[rows[i][k * T.shape[2] + j] for k in slices[0] for j in slices[2]]
+                    for i in slices[1]]
+            assert_positive_multiple([x for row in pencil for x in row],
+                                     [x for row in want for x in row], lam0)
+    assert kept > 0
+
+
+def assert_positive_multiple(row, want, lam0):
+    """The Z[λ] int lists ``row`` at λ0 are the rationals ``want`` times
+    one positive scale, or all zero with them."""
+    got = [sum(c * lam0**i for i, c in enumerate(x)) for x in row]
+    scale = next((g / w for g, w in zip(got, want) if w), 1)
+    assert scale > 0 and got == [scale * w for w in want], (row, want, lam0)
 
 
 def test_member_at_matches_specialize():
