@@ -9,10 +9,12 @@ discriminant of the determinant form), (2,2,n) by the 2-minor gcd, (2,3,3)
 by the root structure of the determinant form and whether every 2-minor
 vanishes at its repeated root (``rank_one_at``: the member there has rank
 one), (2,3,n) by minor gcds, and the largest shapes by conciseness alone.
-Three of its reads only tell apart two orbits of equal ranks
-(``_orbit_of_canonical``); the table skips them on request
-(``ranks_only``), as ``locus_membership`` asks. Every entry point is
-exact by default, and so are members at irrational roots.
+On request (``ranks_only``), as ``locus_membership`` asks, it reads only
+what tells rank classes apart (``_orbit_of_canonical``). Every entry point
+is exact by default, and so are members at irrational roots. On the
+rank-jump shapes, the only ones where rank exceeds the largest concise
+dimension, T needs no ``concise_reduce`` where the table's first read
+shows it concise (``_CoreReads.concise``).
 
 The table reads the pencil invariants of the core through a reader. Every
 reader holds one ``pencil.Pencil``, the rows [A_i | B_i], whose minors
@@ -36,15 +38,15 @@ for the family's minor m0 + λ m1 (``_RationalReads``); at the irrational
 roots α of a guard they are forms over Z[β] for an integer multiple β of
 α, which carry their ring (``_RootReads``). Each of these readers makes
 its minors into forms its own way (``_form``); every read on them is the
-integer reader's. Only a member at a drop is built as an int tensor and
-classified (``member_orbit``). The guards are never split into
+integer reader's. Only a member at a drop, never concise, is built as an
+int tensor and classified (``member_orbit``). The guards are never split into
 irreducible factors: the reader takes all their irrational roots at
 once, as the roots of one square-free polynomial, and splits it only
 where a read tells two roots apart (dynamic evaluation,
 ``orbits_at_roots``). A family keeps one pencil, its subtensor on its
 kept slices, which keeps its minors over Z[λ], each size expanded once
 for all of these readers (``ParametricTensor.kept_pencil``). ``classify_parametric``
-reads every member so, T itself at λ = 0 included.
+reads every member so, and T at λ = 0 only where a guard vanishes there.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_ro
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
 from .exactnum import (
     INTEGERS,
+    LAMBDA_INTS,
     _ip_cross,
     _ip_exact_div,
     _ip_gcd,
@@ -73,7 +76,8 @@ from .pencil import (
     pencil_minor_gcd,
     zform_quotient,
 )
-from .tensorcore import ParametricTensor, Tensor, _scaled_entries, concise_reduce, flat_rows
+from .tensorcore import (ConciseReduction, ParametricTensor, Tensor, _scaled_entries,
+                         concise_reduce, flat_rows)
 
 
 class OrbitId:
@@ -178,7 +182,8 @@ class ParametricReport:
     leading coefficient, lies in that orbit. The factor lambda itself,
     (0, 1) for the value 0, is always listed first, even when its orbit
     agrees with the generic one, because rank cannot drop at lambda = 0;
-    its orbit is T's, read off the family like any rational root.
+    its orbit is T's: the generic one where no guard vanishes at 0, else
+    read off the family like any rational root.
     Then come the rational special values p/q, one linear factor (-p, q)
     each, in the order of ``candidate_factors``; then the irrational ones,
     one group per orbit, square-free with no rational root and coprime to
@@ -205,47 +210,67 @@ _SHAPES = {n: concise_reduce(normal_form(n)).concise_shape for n in PENCILS}
 MATRIX_CASE_ROWS = {s: n for n, s in _SHAPES.items() if sum(d > 1 for d in s) <= 2}
 TRANSPOSED_ROWS = {n: m for n in PENCILS if _SHAPES[n] == (2, 2, 3) for m in PENCILS
                    if PENCILS[m] == [list(col) for col in zip(*PENCILS[n])]}
+# The canonical shapes of the rank-jump orbits 5, 13, 15-17 and 21, with
+# their rank; every other orbit's rank is its largest concise dimension.
+_JUMP_RANKS = {tuple(sorted(s)): RANKS[n][0] for n, s in _SHAPES.items() if RANKS[n][0] > max(s)}
 
 
 def _canonical_permutation(shape):
     """Stable permutation sorting the axes by dimension, perm[new] = old."""
-    return tuple(sorted(range(len(shape)), key=lambda i: shape[i]))
+    return tuple(sorted(range(len(shape)), key=shape.__getitem__))
 
 
 def classify(t, *, ranks_only=False):
     """Full orbit classification of a nonzero tensor; with ``ranks_only``
-    the table skips its name-only reads (``_orbit_of_canonical``), and the
-    orbit is exact up to its rank and border rank.
+    the orbit is exact up to its rank class (``_orbit_of_canonical``).
+
+    On a rank-jump shape (``_JUMP_RANKS``) the reader is built on T, and
+    ``concise_reduce`` runs only where its conciseness read cannot tell:
+    on orbit 13 and on T that is not concise. A T then found concise keeps
+    the reader and its minors.
 
     Raises ZeroTensor for the zero tensor and UnsupportedShape when the
     concise core is not a matrix shape, (2,2,n), or (2,3,n) up to axis
     permutation.
     """
-    red = concise_reduce(t)
+    perm = _canonical_permutation(t.shape)
+    dims = tuple(t.shape[a] for a in perm)
+    if dims not in _JUMP_RANKS or t.is_zero():
+        return _reduced_report(t.order, concise_reduce(t), ranks_only)
+    scaled, c = _scaled_entries(t.entries)
+    red = ConciseReduction(t.shape, scaled, c, [list(range(d)) for d in t.shape])
+    core = red.core(perm)
+    reads = _CoreReads(core)
+    if not reads.concise():
+        red = concise_reduce(t)
+        if red.concise_shape != t.shape:
+            return _reduced_report(t.order, red, ranks_only)
+    orbit = OrbitId.orbit(_orbit_of_canonical(dims, reads, ranks_only))
+    return ClassifyReport(orbit, *orbit.rank_pair(), t.shape, red, perm, core, perm)
+
+
+def _reduced_report(order, red, ranks_only):
+    """The ClassifyReport of an order-``order`` tensor from ``red``."""
     shape = red.concise_shape
     perm = _canonical_permutation(shape)
     axes = tuple(a for a in perm if shape[a] > 1)
     core = red.core(axes) if len(axes) >= 2 else None
-    orbit = _orbit_of_shape(t.order, shape, lambda: _CoreReads(core), ranks_only)
-    rank, brk = orbit.rank_pair()
-    return ClassifyReport(orbit, rank, brk, shape, red, perm, core, axes)
+    orbit = _orbit_of_shape(order, shape, lambda: _CoreReads(core), ranks_only)
+    return ClassifyReport(orbit, *orbit.rank_pair(), shape, red, perm, core, axes)
 
 
 def in_open_orbit(t):
     """Whether a tensor of a shape (2, b, c) of ``OPEN_ORBITS`` (another
-    raises UnsupportedShape) lies in its open orbit, 6, 18 or 23: a nonzero
-    discriminant of the determinant form on (2,2,2) and (2,3,3), a nonzero
-    constant 3-minor gcd on (2,3,4). Each fails wherever a row, a column or
-    the two slices are dependent: a dependent row, or column of a square
-    pencil, makes every maximal minor vanish; on (2,3,4) a dependent column
-    leaves one nonzero 3-minor, a cubic, in a column basis ending with it
-    (a change of basis moves the gcd by a constant); B = cA (or A = 0)
-    makes every maximal minor a multiple of (u + cv)^b (or v^b), b >= 2.
-    So a tensor that passes is concise, and the table puts it in 6, 18 (a
-    square-free cubic has a constant repeated part) or 23."""
+    raises UnsupportedShape) lies in its open orbit, 6, 18 or 23: concise
+    by the reader's conciseness read (``_CoreReads.concise``), then a
+    nonzero discriminant of the determinant form on (2,2,2) and (2,3,3), a
+    nonzero constant 3-minor gcd on (2,3,4); the table puts such a tensor
+    in 6, 18 (a square-free cubic has a constant repeated part) or 23."""
     if t.shape not in OPEN_ORBITS:
         raise UnsupportedShape("no open orbit is listed for shape %r" % (t.shape,))
     reads = _CoreReads(Tensor(t.shape, _scaled_entries(t.entries)[0]))
+    if not reads.concise():
+        return False
     if t.shape[2] == 4:
         return reads.minor_gcd(3).degree == 0
     return not reads.discriminant_vanishes(reads.minor_gcd(t.shape[1]))
@@ -279,16 +304,16 @@ def _orbit_of_shape(order, concise_shape, reads, ranks_only):
 def _orbit_of_canonical(dims, reads, ranks_only):
     """Decision table on a concise core of shape (2, b, c), b in (2, 3).
 
-    Three reads are name-only: each tells apart the two orbits of a pair
-    of equal rank and border rank (``RANKS``), and nothing else. They are
-    the 2-minor gcd on (2,2,3), 7 or 8 (11 or 12 as (2,3,2)), the 3-minor
-    gcd on (2,3,5), 24 or 25, and on (2,3,3) whether the member at the
-    root of the square repeated part has rank one (``rank_one_at``), 15
-    or 16. With ``ranks_only`` they are skipped and the first orbit of
-    the pair is reported: the membership
-    question reads only ranks, so ``locus_membership`` asks for this on T,
-    on its rational members and on the family over Q(λ). No open orbit
-    (``OPEN_ORBITS``) lies in a pair.
+    With ``ranks_only`` the table tells apart only rank classes, orbits
+    of one shape and rank pair (``RANKS``), and reports one orbit of the
+    class: the membership question reads only ranks, so
+    ``locus_membership`` asks for this on T, its rational members and the
+    family over Q(λ). It skips the 2-minor gcd on (2,2,3), 7 or 8 (11 or
+    12 as (2,3,2)), the 3-minor gcd on (2,3,5), 24 or 25, and on (2,3,3)
+    rank one at the root of the square repeated part, 15 or 16; on (2,3,4)
+    a square-free 3-minor reads 19 for 19, 20, 22 and 23 (``_orbit_234``).
+    The one open orbit (``OPEN_ORBITS``) in a class, 23, the escape route
+    reads by ``in_open_orbit``.
     """
     if dims == (2, 2, 2):
         return 5 if reads.discriminant_vanishes(reads.minor_gcd(2)) else 6
@@ -299,7 +324,7 @@ def _orbit_of_canonical(dims, reads, ranks_only):
     if dims == (2, 3, 3):
         return _orbit_233(reads, ranks_only)
     if dims == (2, 3, 4):
-        return _orbit_234(reads)
+        return _orbit_234(reads, ranks_only)
     if dims == (2, 3, 5):
         return 24 if ranks_only or reads.minor_gcd(3).degree >= 1 else 25
     if dims == (2, 3, 6):
@@ -327,7 +352,13 @@ def _orbit_233(reads, ranks_only):
     raise InternalError("cubic determinant form with repeated part %r" % g)
 
 
-def _orbit_234(reads):
+def _orbit_234(reads, ranks_only):
+    """(2,3,4) by the 3-minor gcd g3. Only 21 has rank 5, and there every
+    3-minor has the factor g3 = ell^2. On 20 and 21 a 2-minor gcd of
+    positive degree (20) divides ell^2: it has one exactly when every
+    2-minor vanishes at the root of ell (``rank_one_at``)."""
+    if ranks_only and reads.square_free_minor():
+        return 19
     g3 = reads.minor_gcd(3)
     if g3.is_zero():
         raise InternalError("concise 2x3x4 tensor with vanishing 3-minors")
@@ -336,8 +367,9 @@ def _orbit_234(reads):
     if g3.degree == 1:
         return 19
     if g3.degree == 2:
-        if reads.discriminant_vanishes(g3):
-            return 20 if reads.minor_gcd(2).degree >= 1 else 21
+        ok, ell = reads.pure_square(g3)
+        if ok:
+            return 20 if reads.rank_one_at(ell) else 21
         return 22
     raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
 
@@ -348,6 +380,12 @@ def _at_root(f, ell):
     (c0, c1, c2), (a, b) = f.coeffs, ell.coeffs
     cross, zero = f.ring.cross, f.ring.zero
     return cross(cross(c1, a, c0, b), b, cross(c2, a, zero, zero), a)
+
+
+def _dependent(x, y):
+    """Whether the int vectors x and y are linearly dependent."""
+    i = next((i for i, a in enumerate(x) if a), None)
+    return i is None or all(x[i] * b == y[i] * a for a, b in zip(x, y))
 
 
 class _CoreReads:
@@ -361,8 +399,28 @@ class _CoreReads:
     def __init__(self, core):
         self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], INTEGERS)
 
+    def concise(self):
+        """Whether the maximal minors of a square or 3 x 4 int pencil show
+        it concise. A dependent row makes every one vanish, as a dependent
+        column does on a square pencil, whose slices are checked directly.
+        On 3 x 4 a dependent column leaves one nonzero 3-minor in a column
+        basis ending with it, and B = cA (or A = 0) makes each a multiple
+        of (u + cv)^3 (or v^3): two that are not proportional show it
+        concise. Only orbit 13, det = 0, is concise with no such read."""
+        p, c = self.p, self.p.cols
+        minors = _nonzero_minors(p, len(p.rows))
+        if len(p.rows) == c:
+            slices = ([x for r in p.rows for x in r[s:s + c]] for s in (0, c))
+            return not _dependent(*slices) and next(minors, None) is not None
+        first = next(minors, None)
+        return first is not None and not all(_dependent(first, m) for m in minors)
+
     def minor_gcd(self, k):
         return pencil_minor_gcd(self.p, k, self._form)
+
+    def square_free_minor(self):
+        """Whether some 3-minor has a nonzero discriminant, up to the first."""
+        return any(bform_discriminant(self._form(m)) for m in _nonzero_minors(self.p, 3))
 
     def discriminant_vanishes(self, form):
         return not bform_discriminant(form)
@@ -417,6 +475,18 @@ class _FamilyReads(_CoreReads):
         if poly is not None and len(poly) > 1:
             self.guards.append(poly)
 
+    def _gcd_guard(self, values):
+        """Whether some of the int lists ``values`` is nonzero; their gcd,
+        taken up to the first constant one, is then the guard."""
+        guard = None
+        for val in values:
+            if val:
+                guard = val if guard is None else _ip_gcd(guard, val)
+                if len(guard) == 1:
+                    break
+        self._guard(guard)
+        return guard is not None
+
     def minor_gcd(self, k):
         g, guard = family_minor_gcd(self.p, k)
         self._guard(guard)
@@ -426,6 +496,12 @@ class _FamilyReads(_CoreReads):
         disc = _lambda_discriminant(form)
         self._guard(disc)
         return not disc
+
+    def square_free_minor(self):
+        """Some 3-minor is square-free over Q(λ), and at λ0, exactly where
+        its discriminant over Z[λ] is nonzero: their gcd is the guard."""
+        return self._gcd_guard(_lambda_discriminant(BinaryForm(m, 3, LAMBDA_INTS))
+                               for m in _nonzero_minors(self.p, 3))
 
     def repeated_part(self, det):
         """The repeated part over Q(λ) of a nonzero determinant form c q,
@@ -441,24 +517,27 @@ class _FamilyReads(_CoreReads):
             self._guard(disc)
         return rep
 
+    def pure_square(self, g):
+        """A 3-minor gcd, its discriminant over Z[λ] the guard, is c or c
+        times a form irreducible over Q(λ) that moves with λ, c an int form
+        (``family_minor_gcd``): a square is c, read as an int form, as a
+        determinant form's repeated part is."""
+        if g.ring is LAMBDA_INTS:
+            if not self.discriminant_vanishes(g):
+                return False, None
+            g, moving = lambda_parts(g.coeffs)
+            if not moving.is_zero():
+                raise InternalError("a square 3-minor gcd over Q(λ) that moves with λ")
+        return bform_square_root(g)
+
     def rank_one_at(self, ell):
         """Rank at most one over Q(λ). Each 2-minor is m0 + λ m1 with m0
         and m1 int forms, so its value at the root is m0(root) + λ
         m1(root), affine in λ. When some value is nonzero, the member has
         rank at most one exactly where every nonzero value vanishes, at
         the roots of their gcd, the guard."""
-        guard = None
-        for m in _nonzero_minors(self.p, 2):
-            x, y = (_at_root(f, ell) for f in lambda_parts(m))
-            val = [x, y] if y else [x] if x else []
-            if val:
-                guard = val if guard is None else _ip_gcd(guard, val)
-                if len(guard) == 1:
-                    break
-        if guard is None:
-            return True
-        self._guard(guard)
-        return False
+        values = ([_at_root(f, ell) for f in lambda_parts(m)] for m in _nonzero_minors(self.p, 2))
+        return not self._gcd_guard([x, y] if y else [x] if x else [] for x, y in values)
 
 
 class _RationalReads(_CoreReads):
@@ -535,8 +614,8 @@ def _family_table(f, reader, ranks_only=False):
 
 def family_orbit(f, *, ranks_only=False):
     """The orbit over Q(λ) of the family T - λP, with its guards; with
-    ``ranks_only``, exact up to its ranks (``_orbit_of_canonical``), and the
-    guards only those of the reads kept.
+    ``ranks_only``, exact up to its rank class (``_orbit_of_canonical``),
+    and the guards only those of the reads made.
 
     Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
     another orbit is a root of one of the guards, nonconstant int lists or
@@ -561,11 +640,14 @@ def _root_model(fac):
 
 
 def member_orbit(f, fac, *, ranks_only=False):
-    """The orbit of the member of T - λP at the root of the linear factor
-    ``fac``, built as an int tensor (``member_at``) and classified, with
-    ``ranks_only`` passed on; MatrixRank(0) for the zero member."""
+    """The orbit of the member of T - λP at the flattening drop ``fac``,
+    built as an int tensor (``member_at``), not concise, and classified
+    from ``concise_reduce``, with ``ranks_only`` passed on; MatrixRank(0)
+    for the zero member."""
     member = f.member_at(fac)
-    return OrbitId.matrix(0) if member.is_zero() else classify(member, ranks_only=ranks_only).orbit
+    if member.is_zero():
+        return OrbitId.matrix(0)
+    return _reduced_report(member.order, concise_reduce(member), ranks_only).orbit
 
 
 def orbits_at_roots(f, fac, *, ranks_only=False):
@@ -609,24 +691,25 @@ def orbits_at_roots(f, fac, *, ranks_only=False):
 def classify_parametric(f, *, ranks_only=False):
     """Classify the family T - lambda*P for all values of the parameter.
 
-    The member at lambda = 0, T itself, is read first, like every rational
-    root (``orbits_at_roots``), so a T with no orbit list raises
-    UnsupportedShape before the family is read. The generic orbit and the
-    guards come from ``family_orbit``; the candidate special values are
-    the roots of the guards (``candidate_factors``), each classified
-    exactly (``orbits_at_roots``: rational roots on the family's pencil
-    there, or on an int member at a flattening drop, the irrational ones
-    together on the family's integer minors). Roots whose orbit equals the
-    generic orbit are dropped, except lambda itself.
+    The generic orbit and the guards come from ``family_orbit``. The
+    member at lambda = 0, T itself, is in the generic orbit unless some
+    guard vanishes at 0; only then is it read, like every rational root
+    (``orbits_at_roots``). The candidate special values are the roots of
+    the guards (``candidate_factors``), each classified exactly
+    (``orbits_at_roots``: rational roots on the family's pencil there, or
+    on an int member at a flattening drop, the irrational ones together on
+    the family's integer minors). Roots whose orbit equals the generic
+    orbit are dropped, except lambda itself.
 
     ``ranks_only`` classifies the family and its rational members, T
-    included, only up to ranks (``_orbit_of_canonical``): a root whose
+    included, only up to rank classes (``_orbit_of_canonical``): a root whose
     member's rank differs from the generic rank stays a candidate.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
-    entries = orbits_at_roots(f, (0, 1), ranks_only=ranks_only)
     generic, guards = family_orbit(f, ranks_only=ranks_only)
+    entries = ([((0, 1), generic)] if all(g[0] for g in guards)
+               else orbits_at_roots(f, (0, 1), ranks_only=ranks_only))
     for fac in candidate_factors(guards):
         entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac, ranks_only=ranks_only)
                     if orbit != generic]

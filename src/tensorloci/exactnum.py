@@ -51,7 +51,7 @@ def to_fraction(x):
 def _z_row(row):
     """A rational row times the lcm k of its denominators: (ints, k), a
     fresh list; an all-int row is copied as it is, with k = 1."""
-    if all(type(x) is int for x in row):
+    if set(map(type, row)) <= {int}:
         return list(row), 1
     k = math.lcm(*[x.denominator for x in row])
     return [x.numerator * (k // x.denominator) for x in row], k

@@ -14,7 +14,8 @@ they can be played against each other in tests:
 * ``locus_membership`` with the generic strategy classifies the family
   T - lam*P for all lam at once (``classify_parametric``), only finely
   enough to read ranks, and reads the answer off the generic orbit and
-  the exceptional values. T is the member at lam = 0, read off the family
+  the exceptional values. T is the member at lam = 0, in the generic
+  orbit unless a guard vanishes at 0, where it is read off the family
   like every rational member, so GENERIC never classifies T on its own,
   and builds and classifies a member only at a flattening drop.
 * The specialized strategy reads the concise core and its axis order
@@ -24,7 +25,8 @@ they can be played against each other in tests:
   rank T): a rank drop forces the flattening on each rank axis to lose
   rank, which it does at one value of lam at most (one fraction-free
   elimination over Z per axis, a rank-one update of the base's); the
-  member at that value is classified. The escape route, on the other
+  member there is classified only where it can lie in a rank-jump
+  orbit, and on 2 x 2 matrix cores. The escape route, on the other
   cores, those of the orbits of rank above border rank: the member at
   lam = 1 is tested by one invariant of its pencil, which fails on every
   member that is not concise and passes exactly in the open orbit of the
@@ -42,9 +44,11 @@ they can be played against each other in tests:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .classify import (
+    _JUMP_RANKS,
     OrbitId,
     classify,
     classify_parametric,
@@ -300,12 +304,22 @@ def _drop_root_verdict(family, axes, target):
     = r - 1, then the member's flattening there has rank at most r - 1:
     it loses rank, so lam is the root of that flattening's one drop, a
     linear factor (``flattening_drop``). One rank axis names the
-    candidate, and any others only reject early; the candidate is settled by exact
-    classification of the member. Where that flattening M is square, so
-    invertible, the matrix determinant lemma gives det(M - lam c r^T) =
-    det(M) (1 - lam r^T M^-1 c) for P's flattening c r^T, so the only
-    drop is lam = 1 / (r^T M^-1 c), and there is none when that pairing
-    is 0.
+    candidate, and any others only reject early. Where that flattening M
+    is square, so invertible, the matrix determinant lemma gives
+    det(M - lam c r^T) = det(M) (1 - lam r^T M^-1 c) for P's flattening
+    c r^T, so the only drop is lam = 1 / (r^T M^-1 c), and there is none
+    when that pairing is 0.
+
+    The member at the shared drop has rank at least r - 1 and concise
+    dimensions at most the core's, r - 1 on each rank axis. Outside the
+    rank-jump orbits rank is the largest concise dimension, so it is
+    classified only where the core of one of rank r fits in those
+    (``classify._JUMP_RANKS``): not on orbits 6, 9, 10 (a 3 x 3 matrix
+    core) and 26 nor on rank-one cores, where the shared drop is the
+    witness. The 2 x 2 cores of the matrix rows 2-4, in neither
+    benchmark workload, still read their member, a matrix of rank one:
+    it is the one membership path to the matrix ids (``MatrixRank``),
+    which ``tests/test_reachability.py`` requires the verdict dump to take.
     """
     shared = None
     for ax in axes:
@@ -315,7 +329,11 @@ def _drop_root_verdict(family, axes, target):
         if fac is None or (shared is not None and fac != shared):
             return LocusVerdict.forbidden()
         shared = fac
-    if orbit_rank(member_orbit(family, shared, ranks_only=True)) == target:
+    bounds = sorted(target if a in axes else d for a, d in enumerate(family.base.shape, 1))
+    jump = any(rank > target and len(s) == len(bounds) and all(map(operator.le, s, bounds))
+               for s, rank in _JUMP_RANKS.items())
+    if (not (jump or family.base.shape == (2, 2))
+            or orbit_rank(member_orbit(family, shared, ranks_only=True)) == target):
         return _factor_verdict(shared)
     return LocusVerdict.forbidden()
 

@@ -28,8 +28,8 @@ stay over Z and Z[λ] (Gauss's lemma makes every quotient by a primitive
 content exact). The same minors also give the members: at a rational p/q
 each minor is a multiple of q m - p n, an int form, and at an irrational
 root α it is m - αn, and ``pencil_minor_gcd`` takes their gcd as int
-forms or as forms over Z[β]. A pencil over Z[λ] expands the minors of
-each size once and keeps them for all of these reads.
+forms or as forms over Z[β]. A pencil expands its minors of each size
+once, as they are read, and keeps them for all of these reads.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Pencil:
     """The pencil u*A + v*B of a 2 x b x c tensor as its rows [A_i | B_i]
     over ``ring``: ints over Z (``exactnum.INTEGERS``) or Z[λ] int lists
     (``LAMBDA_INTS``), row i being row i of the pencil times a nonzero
-    int. Over Z[λ] it keeps its nonzero minors of each size once expanded
+    int. It keeps its nonzero minors of each size as they are expanded
     (``_nonzero_minors``)."""
 
     __slots__ = ("rows", "cols", "ring", "_minors")
@@ -118,16 +118,23 @@ def pencil_minors(p, k):
 
 def _nonzero_minors(p, k):
     """The coefficient lists of the nonzero k x k minors of
-    ``pencil_minors``. Over Z they are taken as they are asked for, so a
-    gcd that turns constant stops the expansion; over Z[λ] each size is
-    expanded once and kept on the pencil, whose reads over Q(λ), at
-    rational λ and at irrational roots all share it."""
-    if p.ring is not LAMBDA_INTS:
-        return (c for _, _, c in pencil_minors(p, k) if any(c))
+    ``pencil_minors``, expanded once per pencil as they are asked for: a
+    read that stops early, as a gcd turned constant does, leaves the rest,
+    and the next read goes on there. Every read of the pencil shares them."""
     hit = p._minors.get(k)
     if hit is None:
-        hit = p._minors[k] = [c for _, _, c in pencil_minors(p, k) if any(c)]
-    return hit
+        hit = p._minors[k] = ([], pencil_minors(p, k))
+    done, rest = hit
+    i = 0
+    while True:
+        while i == len(done):
+            minor = next(rest, None)
+            if minor is None:
+                return
+            if any(minor[2]):
+                done.append(minor[2])
+        yield done[i]
+        i += 1
 
 
 def pencil_minor_gcd(p, k, form=BinaryForm):

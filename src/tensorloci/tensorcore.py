@@ -71,7 +71,7 @@ class Tensor:
         return self.entries[sum(i * s for i, s in zip(idx, _strides(self.shape)))]
 
     def is_zero(self):
-        return all(not x for x in self.entries)
+        return not any(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -128,7 +128,7 @@ def _scaled_entries(entries):
     """(entries times c, c), a fresh list: rational entries, bools
     included, become ints, c the lcm of their denominators (``_z_row``),
     1 for all ints; any other entry, a float included, raises TypeError."""
-    if all(type(x) is int for x in entries):
+    if set(map(type, entries)) <= {int}:
         return list(entries), 1
     for x in entries:
         if not isinstance(x, (int, Fraction)):
@@ -375,12 +375,22 @@ def concise_reduce(T):
     slices (``pivot_slices``), which span all of its slices. The core, a
     subtensor, is concise (every flattening has full rank). A concise
     tensor is its own core; the zero tensor has none.
+
+    The largest axis k is eliminated first, to rank r. A dependency among
+    the slices of axis i caps that rank at (d_i - 1) prod_{j != i, k} d_j,
+    so where r exceeds it, axis i is concise with no elimination: one
+    decides every axis of a concise (2,2,3), (2,2,4), (2,3,5) or (2,3,6).
     """
     if T.is_zero():
         raise ZeroTensor("the zero tensor has no concise reduction")
     scaled, c = _scaled_entries(T.entries)
-    slices = [pivot_slices(scaled, T.shape, a0) for a0 in range(T.order)]
-    return ConciseReduction(T.shape, scaled, c, slices)
+    shape = T.shape
+    k = shape.index(max(shape))
+    keep = pivot_slices(scaled, shape, k)
+    rest = len(scaled) // shape[k]
+    slices = [keep if a0 == k else list(range(d)) if len(keep) * d > (d - 1) * rest
+              else pivot_slices(scaled, shape, a0) for a0, d in enumerate(shape)]
+    return ConciseReduction(shape, scaled, c, slices)
 
 
 def apply_gl(T, mats):

@@ -25,12 +25,17 @@ The domain:
 - the families T - λP on bases that are mostly not concise that the
   flattening drops are checked on (``non_concise_family``), and the
   points P moved so that a drop of T - λP lands at λ = 1
-  (``drops_at_one``).
+  (``drops_at_one``);
+- concise int tensors of the shapes ``CONCISE_SHAPES``, and the same
+  with a dependent slice planted on one axis (``concise_tensor``,
+  ``plant_dependent_slice``).
 
 The last functions are the batches the checks of ``properties.py`` run.
 """
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from tensorloci.linalg import Mat, mat_det
@@ -41,6 +46,7 @@ from tensorloci.tensorcore import (
     Tensor,
     apply_gl,
     apply_gl_rank_one,
+    flat_rows,
 )
 
 SPARSE_POOL = (0, 0, 0, 1, -1, 2, -2, 3)
@@ -49,6 +55,9 @@ FRACTION_POOL = (1, -1, Fraction(1, 2), Fraction(-3, 2), 2, 0)
 # every int in -3..3: a choice from it draws what randint(-3, 3) draws
 BOX_POOL = range(-3, 4)
 DROP_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 2), (2, 2, 2, 2), (2, 4))
+# every canonical shape (2, b, c) from (2, 2, 2) to (2, 3, 6), and (2, 2, 2, 2)
+CONCISE_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 3, 6),
+                  (2, 2, 2, 2))
 
 
 def random_vector(rng, d, pool):
@@ -183,6 +192,38 @@ def non_concise_family(rng, shape, on_a_term, pool=SPARSE_POOL):
     return ParametricTensor(T, RankOneTensor(point))
 
 
+def _full_rank(rows):
+    """Whether the int rows are independent: det(M M^T) != 0."""
+    return bool(mat_det(Mat([[sum(map(operator.mul, r, s)) for s in rows] for r in rows])))
+
+
+def concise_tensor(rng, shape):
+    """A concise tensor of ``shape``, entries ints in -3..3, drawn again
+    while a flattening has a dependent row."""
+    while True:
+        entries = [rng.randint(-3, 3) for _ in range(math.prod(shape))]
+        T = Tensor(shape, entries)
+        if all(_full_rank(flat_rows(entries, shape, a0)) for a0 in range(len(shape))):
+            return T
+
+
+def plant_dependent_slice(rng, T):
+    """T with one slice of a random axis replaced by a combination of the
+    other slices of that axis, weights in -2..2, all zero at times: a
+    dependent row, column or slice pair."""
+    axis = rng.randrange(T.order)
+    target = rng.randrange(T.shape[axis])
+    weights = [0 if i == target else rng.randint(-2, 2) for i in range(T.shape[axis])]
+    entries = []
+    for idx in itertools.product(*map(range, T.shape)):
+        if idx[axis] != target:
+            entries.append(T[idx])
+        else:
+            entries.append(sum(w * T[idx[:axis] + (i,) + idx[axis + 1:]]
+                               for i, w in enumerate(weights) if w))
+    return Tensor(T.shape, entries)
+
+
 def drops_at_one(T, P):
     """P scaled by each distinct flattening drop λ0 != 0 of T - λP, its
     first factor times λ0, the root of the drop's linear factor: the
@@ -246,6 +287,17 @@ def tangent_cases(rng, n):
                     for t, p in [(T, P), padded_tangent(rng, T, P)] if k < 6 else [(T, P)]:
                         gs = [random_invertible(rng, d) for d in t.shape]
                         yield k, coincident, apply_gl(t, gs), apply_gl_rank_one(p, gs)
+
+
+def concise_cases(rng, n):
+    """(shape, planted, T): n draws per shape of ``CONCISE_SHAPES``, each a
+    ``concise_tensor`` and the same with ``plant_dependent_slice``, each
+    moved by one ``random_invertible`` per axis."""
+    for shape in CONCISE_SHAPES:
+        for _ in range(n):
+            T = concise_tensor(rng, shape)
+            for planted, t in ((False, T), (True, plant_dependent_slice(rng, T))):
+                yield shape, planted, apply_gl(t, [random_invertible(rng, d) for d in shape])
 
 
 def drop_families(rng, n):

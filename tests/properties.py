@@ -14,6 +14,7 @@ import itertools
 from fractions import Fraction
 
 from draws import (
+    concise_cases,
     drop_families,
     drops_at_one,
     int_points,
@@ -23,6 +24,7 @@ from draws import (
     tangent_cases,
 )
 from support import (
+    concise_reference,
     family_flattening,
     irreducible_factors,
     normalized,
@@ -45,7 +47,7 @@ from tensorloci.classify import (
     orbit_rank,
     orbits_at_roots,
 )
-from tensorloci.errors import TensorLociError, UnsupportedOrbit
+from tensorloci.errors import TensorLociError, UnsupportedOrbit, UnsupportedShape
 from tensorloci.exactnum import candidate_factors
 from tensorloci.locus import (
     FORBIDDEN,
@@ -63,6 +65,7 @@ from tensorloci.tensorcore import (
     RankOneTensor,
     apply_gl,
     apply_gl_rank_one,
+    concise_reduce,
     subtract_scaled,
 )
 from tensorloci.wstate import decompose_tangential
@@ -317,6 +320,35 @@ def flattening_drops(family, counts):
     return problems
 
 
+def concise(T, counts):
+    """On T and on every permutation of its axes, ``concise_reduce`` keeps
+    the first independent slices of each axis, and ``classify``, exact and
+    ``ranks_only``, gives the concise shape and the rank of the sympy
+    reference (``support.concise_reference``), or raises UnsupportedShape
+    where it has no rank. Counts the ``concise`` tensors and the
+    ``unsupported`` ones."""
+    slices, want = concise_reference(T)
+    counts["concise"] += all(len(s) == d for s, d in zip(slices, T.shape))
+    counts["unsupported"] += want is None
+    problems = []
+    for perm in itertools.permutations(range(T.order)):
+        t = permute_axes(T, perm)
+        keep = [slices[a] for a in perm]
+        got = concise_reduce(t).slices
+        if got != keep:
+            problems.append("axes %r: slices %r, sympy %r" % (perm, got, keep))
+        expected = None if want is None else (tuple(map(len, keep)), want)
+        for fast in (False, True):
+            try:
+                report = classify(t, ranks_only=fast)
+                got = (report.concise_shape, report.rank)
+            except UnsupportedShape:
+                got = None
+            if got != expected:
+                problems.append("axes %r, ranks_only %r: %r, sympy %r" % (perm, fast, got, expected))
+    return problems
+
+
 def tangential(T, P, k, d):
     """On a tangent tensor T with k active axes and a P off its tangency
     point on d of them, ``decompose_tangential`` gives k terms that sum
@@ -416,6 +448,15 @@ def check_drops(rng, n, _orbits, counts):
             yield "shape %r: %s" % (family.base.shape, problem)
 
 
+def check_concise(rng, n, _orbits, counts):
+    """Conciseness and rank on n tensors per shape of
+    ``draws.CONCISE_SHAPES``, each concise and with a dependent slice
+    planted, moved by GL, in every axis order: ``concise``."""
+    for shape, planted, T in concise_cases(rng, n):
+        for problem in concise(T, counts):
+            yield "shape %r planted %r T=%r: %s" % (shape, planted, T.entries, problem)
+
+
 def check_tangential(rng, n, _orbits, counts):
     """The tangential decomposition and verdict on n GL-moved tangent
     tensors per order 3-6 and set C of axes where P agrees with the
@@ -435,5 +476,6 @@ CHECKS = {
     "ranks": check_ranks,
     "roots": check_roots,
     "drops": check_drops,
+    "concise": check_concise,
     "tangential": check_tangential,
 }

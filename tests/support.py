@@ -17,7 +17,9 @@ From sympy over Q(α) (``QQ.algebraic_field``): the orbit of the member
 T - αP of a family at an irrational root α (``orbit_at_root``), read by
 the decision table of ``orbits.py`` on sympy's minor gcds,
 discriminants, repeated parts and member ranks; the package has no
-arithmetic over Q(α) to take it from. By plain row-major
+arithmetic over Q(α) to take it from. The same table over QQ gives the
+rank of a tensor on its concise core, with its first independent slices
+(``concise_reference``). By plain row-major
 indexing, keeping the entries as they are: the flattening of a tensor,
 the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, the
 flattenings over Z[λ] of a family T - λP (``family_flattening``), an axis
@@ -46,6 +48,7 @@ from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
 from tensorloci.exactnum import format_rational
+from tensorloci.orbits import RANKS
 from tensorloci.tensorcore import Tensor
 
 _U, _V = sympy.symbols("u v")
@@ -345,6 +348,39 @@ def _field_orbit(field, A, B):
         return 24 if _form_degree(minor_gcd(3)) >= 1 else 25
     assert (b, c) == (3, 6), (b, c)
     return 26
+
+
+def concise_reference(T):
+    """(slices, rank) of a nonzero tensor T by sympy over QQ: on each axis
+    the slices independent of the slices before them, by the ranks of the
+    rows of its ``flattening``, and the rank of T, read on its concise
+    core with the axes of dimension above one in order of dimension: the
+    dimension of a matrix core (1 for no such axis), ``RANKS`` of the
+    orbit that ``_field_orbit`` reads over QQ on a 2 x b x c core with
+    b in (2, 3), and None, no orbit list, for any other core."""
+    slices = []
+    for axis in range(1, T.order + 1):
+        rows, keep = flattening(T, axis), []
+        for i in range(len(rows)):
+            if rank([rows[j] for j in keep + [i]]) > len(keep):
+                keep.append(i)
+        slices.append(keep)
+    axes = sorted((a for a in range(T.order) if len(slices[a]) > 1), key=lambda a: len(slices[a]))
+    dims = [len(slices[a]) for a in axes]
+    if len(dims) <= 2:
+        return slices, dims[-1] if dims else 1
+    if len(dims) > 3 or dims[0] != 2 or dims[1] > 3:
+        return slices, None
+    fixed = [keep[0] for keep in slices]
+
+    def entry(i, j, k):
+        idx = list(fixed)
+        for a, x in zip(axes, (i, j, k)):
+            idx[a] = slices[a][x]
+        return T[tuple(idx)]
+
+    A, B = ([[entry(s, j, k) for k in range(dims[2])] for j in range(dims[1])] for s in (0, 1))
+    return slices, RANKS[_field_orbit(sympy.QQ, A, B)][0]
 
 
 def orbit_at_root(T, P, fac):

@@ -34,6 +34,7 @@ from support import (
 from test_locus import ORBITS, irrational_candidates
 
 from tensorloci import classify as classify_module
+from tensorloci import linalg, locus, pencil, tensorcore
 from tensorloci.binforms import (
     BinaryForm,
     bform_discriminant,
@@ -52,6 +53,7 @@ from tensorloci.classify import (
     orbits_at_roots,
 )
 from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
+from tensorloci.locus import SPECIALIZED, locus_membership
 from tensorloci.exactnum import LAMBDA_INTS, zb_ring
 from tensorloci.pencil import Pencil
 from tensorloci.orbits import OPEN_ORBITS, PENCILS, RANKS, normal_form, pencil_shape
@@ -60,6 +62,8 @@ from tensorloci.tensorcore import (
     RankOneTensor,
     Tensor,
     apply_gl,
+    apply_gl_rank_one,
+    concise_reduce,
     factors_in_spans,
     subtract_scaled,
 )
@@ -132,16 +136,105 @@ def test_border_rank_never_exceeds_rank():
 
 
 def test_name_only_pairs_share_their_ranks():
-    """The table may report either orbit of a pair for both under
-    ``ranks_only`` (``_orbit_of_canonical``): the two have one rank and
-    border rank, and no open orbit of the escape route is in a pair."""
-    pairs = ((7, 8), (11, 12), (15, 16), (24, 25))
-    for a, b in pairs:
-        assert RANKS[a] == RANKS[b], (a, b)
-    assert not set(OPEN_ORBITS.values()) & set(itertools.chain(*pairs))
+    """Under ``ranks_only`` the table reports one orbit of a rank class,
+    the orbits of one concise shape and one rank and border rank
+    (``_orbit_of_canonical``): the pairs and the class of 19, 20, 22 and
+    23. On every normal form, and moved by GL, it reports an orbit of the
+    exact orbit's class, with its concise shape and rank pair; a GL move
+    of 22 or 23 has a square-free 3-minor and reads 19. The only open
+    orbit of the escape route in a class is 23, which ``in_open_orbit``
+    reads exactly."""
+    classes = ((7, 8), (11, 12), (15, 16), (24, 25), (19, 20, 22, 23))
+    for cls in classes:
+        assert len({(RANKS[n], CONCISE_SHAPES[n]) for n in cls}) == 1, cls
+    assert set(OPEN_ORBITS.values()) & set(itertools.chain(*classes)) == {23}
+    rng = random.Random("rank classes")
     for n in range(1, 27):
-        first = next((a for a, b in pairs if n in (a, b)), n)
-        assert classify(normal_form(n), ranks_only=True).orbit == OrbitId.orbit(first), n
+        cls = next((c for c in classes if n in c), (n,))
+        moved = apply_gl(normal_form(n), [random_invertible(rng, d) for d in pencil_shape(n)])
+        for t in (normal_form(n), moved):
+            exact, fast = classify(t), classify(t, ranks_only=True)
+            assert exact.orbit == OrbitId.orbit(n), n
+            assert fast.orbit.value in cls, (n, fast.orbit)
+            assert (fast.concise_shape, fast.rank, fast.border_rank) == (
+                exact.concise_shape, exact.rank, exact.border_rank), n
+        if n in (22, 23):
+            assert classify(moved, ranks_only=True).orbit == OrbitId.orbit(19), n
+
+
+# The calls each step of a seeded GL-moved SPECIALIZED query makes, per
+# orbit: classify(T, ranks_only=True) to ``pivot_slices``, then the whole
+# query to ``pivot_slices``, ``pencil_minors``, ``concise_reduce`` and
+# ``member_orbit``.
+WORK_COUNTS = {
+    5: (0, 3, 4, 1, 1), 6: (0, 0, 1, 0, 0), 7: (1, 4, 1, 2, 1), 8: (1, 4, 1, 2, 1),
+    9: (1, 1, 0, 1, 0), 10: (3, 3, 0, 1, 0), 11: (1, 4, 1, 2, 1), 12: (1, 4, 1, 2, 1),
+    13: (3, 6, 4, 2, 1), 14: (0, 3, 2, 1, 1), 15: (0, 3, 4, 1, 1), 16: (0, 3, 4, 1, 1),
+    17: (0, 3, 6, 1, 1), 18: (0, 3, 2, 1, 1), 19: (0, 3, 2, 1, 1), 20: (0, 3, 2, 1, 1),
+    21: (0, 3, 7, 1, 1), 22: (0, 3, 2, 1, 1), 23: (0, 3, 2, 1, 1), 24: (1, 3, 1, 2, 1),
+    25: (1, 3, 1, 2, 1), 26: (1, 1, 0, 1, 0),
+}
+
+WORK_COUNTED = (linalg.pivot_slices, pencil.pencil_minors, tensorcore.concise_reduce,
+                classify_module.member_orbit)
+
+
+def counted_calls(monkeypatch, call):
+    """The calls ``call()`` makes to the functions of ``WORK_COUNTED``,
+    through every name the package's modules bind them to, by name."""
+    counts = collections.Counter()
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for module in (linalg, tensorcore, pencil, classify_module, locus):
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in WORK_COUNTED):
+                    m.setattr(module, name, counted(value))
+        call()
+    return counts
+
+
+def test_work_counts_of_one_query_per_orbit(monkeypatch):
+    """Only what decides a rank is read. A concise T of a rank-jump shape,
+    (2,2,2), (2,3,3) or (2,3,4), is shown concise by the table's first read
+    with no elimination, but in orbit 13, whose determinant form vanishes;
+    on (2,2,3), (2,2,4), (2,3,5) and (2,3,6) one elimination decides every
+    axis (``concise_reduce``). On orbits 6, 9, 10 and 26 no rank-jump core
+    fits at the drop, which is the witness with no ``member_orbit``. The
+    rank-jump shapes are those of ``RANKS`` and the normal forms, and
+    every other orbit's rank is its largest concise dimension. P is the
+    first term e1 x e1 x e1 of the normal form's pencil, moved with T, so
+    the drop routes reach a drop."""
+    shapes = {n: concise_reduce(normal_form(n)).concise_shape for n in RANKS}
+    jumps = {n for n in RANKS if RANKS[n][0] > max(shapes[n])}
+    assert {tuple(sorted(shapes[n])) for n in jumps} == {(2, 2, 2), (2, 3, 3), (2, 3, 4)}
+    assert jumps == {5, 13, 15, 16, 17, 21}
+    assert all(RANKS[n][0] == max(shapes[n]) for n in RANKS if n not in jumps)
+    rng = random.Random("work counts")
+    got = {}
+    for n in range(5, 27):
+        shape = pencil_shape(n)
+        T, P = normal_form(n), RankOneTensor([unit(d, 0) for d in shape])
+        gs = [random_invertible(rng, d) for d in shape]
+        gT, gP = apply_gl(T, gs), apply_gl_rank_one(P, gs)
+        own = counted_calls(monkeypatch, lambda: classify(gT, ranks_only=True))
+        query = counted_calls(monkeypatch, lambda: locus_membership(gT, gP, SPECIALIZED))
+        got[n] = (own["pivot_slices"],) + tuple(query[f.__name__] for f in WORK_COUNTED)
+        dims = tuple(sorted(shape))
+        concise = tuple(sorted(shapes[n])) == dims
+        if concise and dims in ((2, 2, 2), (2, 3, 3), (2, 3, 4)):
+            assert own["pivot_slices"] == (3 if n == 13 else 0), n
+        elif concise:
+            assert own["pivot_slices"] == 1, n
+        if n in (6, 9, 10, 26):
+            assert query["member_orbit"] == 0, n
+            assert locus_membership(gT, gP, SPECIALIZED).in_decomposition, n
+    assert got == WORK_COUNTS
 
 
 def test_matrix_inputs():
