@@ -26,8 +26,12 @@ line: the factors of ``find_tangency``, the terms of
 ``decompose_tangential`` and the status and witness of
 ``locus_tangential``, as text; a witness lam0 is first re-checked on the
 decomposition, whose terms after the one along P must sum to T - lam0 P
-(``subtract_scaled``). The defaults cover 576 queries and 144
-tangent tensors, seeds 7-9 with two rounds. Two versions of the package
+(``subtract_scaled``). After every seed come the matrix cases once more,
+as the workload ``pencil-classify``: for each query of ``pencil-rows``,
+the orbit ``classify`` gives T and the one it gives T's concise core, a
+matrix (null for the rank-one row 1). The defaults cover 576 queries,
+144 tangent tensors and 96 matrix cases, seeds 7-9 with two rounds.
+Two versions of the package
 give the same answers there exactly when their outputs are equal:
 
     PYTHONPATH=src python scripts/dump_verdicts.py > verdicts.jsonl
@@ -42,7 +46,7 @@ import sys
 import types
 from fractions import Fraction
 
-from tensorloci.classify import classify_parametric
+from tensorloci.classify import classify, classify_parametric
 from tensorloci.exactnum import format_rational
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.locus import GENERIC, SPECIALIZED, locus_membership, locus_tangential
@@ -168,6 +172,16 @@ def print_answers(support, name, seed, orbit, T, P):
         print(json.dumps(line))
 
 
+def print_classes(seed, n, T):
+    """One line for the matrix case T of row n: the orbits ``classify``
+    gives T and its concise core."""
+    report = classify(T)
+    print(json.dumps({
+        "workload": "pencil-classify", "seed": seed, "orbit": n, "class": repr(report.orbit),
+        "core": None if report.core is None else repr(classify(report.core).orbit),
+    }))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8, 9])
@@ -185,6 +199,9 @@ def main(argv=None):
             print_answers(support, "pencil-rows", seed, n, T, P)
         for query in tangent_queries(draws, seed, args.rounds):
             print_tangent(support, seed, *query)
+    for seed in args.seeds:
+        for n, T, _P in matrix_row_queries(workloads, seed, args.rounds):
+            print_classes(seed, n, T)
     return 0
 
 

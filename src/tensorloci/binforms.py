@@ -11,12 +11,15 @@ raises.
 
 The gcd of forms is the ring's remainder sequence on their coefficient
 lists, over Z a primitive form, its first nonzero coefficient positive.
-Discriminants are the classical ones of degree 2, in either ring, and 3,
-over Z: every determinant form and repeated part in the package has
-degree at most 3. Squares are read by one rule, ``bform_square_root``, on
-the quadratics that are tested for one: the repeated part of a cubic
-determinant form and the 2-minor gcd of a tangent tensor's contraction
-pencil. No higher power is ever tested.
+Discriminants are the classical one of degree 2 and, in degree 3, that of
+the Hessian (``_hessian``), -3 times the classical one; both are written
+on the ring's operations, so they read Z and Z[β] alike. A form c l^d,
+d = 2 or 3, gives its l up to a constant by partials (``_linear_root``);
+a cubic's repeated part is read so off its Hessian, with no remainder
+sequence. Every determinant form and repeated part in the package has
+degree at most 3. ``bform_square_root`` is that rule behind the
+discriminant test, reported in the ring's normal form: the square test
+of the 2-minor gcd of a tangent tensor's contraction pencil.
 """
 
 from __future__ import annotations
@@ -104,36 +107,46 @@ def bform_gcd(forms):
 
 
 def bform_discriminant(f):
-    """Discriminant of a binary form of degree 2 or 3.
-
-    Degree 2 uses the classical b^2 - 4ac, in the form's ring; degree 3,
-    over Z only, the anchored quartic expression below (whose vanishing
-    set is the classical one). Larger degrees raise DegreeTooLarge.
-    """
-    d = f.degree
-    c = f.coeffs
-    if d < 2:
+    """Discriminant of a binary form of degree 2 or 3, in its ring, zero
+    exactly where the form has a repeated factor: b^2 - 4ac in degree 2;
+    in degree 3 the discriminant of the Hessian, -3 times the classical
+    one. Other degrees raise DegreeTooSmall or DegreeTooLarge."""
+    if f.degree < 2:
         raise DegreeTooSmall("discriminant needs degree >= 2")
-    if d == 2:
-        four_a, b, c2 = f.ring.scale((4, 1, 1), c)
-        return f.ring.cross(b, b, four_a, c2)
-    if d == 3:
-        return (
-            -(c[1] * c[1] * c[2] * c[2])
-            + 4 * c[0] * c[2] ** 3
-            + 4 * c[1] ** 3 * c[3]
-            - 18 * c[0] * c[1] * c[2] * c[3]
-            + 27 * c[0] ** 2 * c[3] ** 2
-        )
-    raise DegreeTooLarge("discriminant of a form of degree %d above 3" % d)
+    if f.degree > 3:
+        raise DegreeTooLarge("discriminant of a form of degree %d above 3" % f.degree)
+    if f.degree == 3:
+        f = _hessian(f)
+    four_a, b, c = f.ring.scale((4, 1, 1), f.coeffs)
+    return f.ring.cross(b, b, four_a, c)
+
+
+def _hessian(f):
+    """The Hessian of the cubic a u^3 + b u^2 v + c u v^2 + d v^3 over its
+    ring, up to the constant -4: (b^2 - 3ac) u^2 + (bc - 9ad) uv +
+    (c^2 - 3bd) v^2. It is zero exactly on c l^3, a constant times l^2 on
+    c l^2 m with m prime to l, and its discriminant is -3 times the cubic's."""
+    (a, b, c, d), cross = f.coeffs, f.ring.cross
+    three_a, nine_a, three_b = f.ring.scale((3, 9, 3), (a, a, b))
+    return BinaryForm([cross(b, b, three_a, c), cross(b, c, nine_a, d), cross(c, c, three_b, d)],
+                      2, f.ring)
+
+
+def _linear_root(f):
+    """l up to a nonzero constant for a nonzero form c l^d, l = a u + b v:
+    its u-partial where its u^d coefficient c a^d is nonzero, else its
+    v-partial, down to degree 1; each a nonzero multiple of l^(d - 1), in
+    either ring, since over Z[β] a nonzero element vanishes at no root."""
+    while f.degree > 1:
+        f = f.partial_u() if f.coeffs[0] else f.partial_v()
+    return f
 
 
 def bform_square_root(g):
     """(True, ell) when the nonzero quadratic form g is a constant times
-    ell^2, else (False, None): c0 u^2 + c1 uv + c2 v^2 is a square when
-    its discriminant c1^2 - 4 c0 c2 vanishes, of its u-partial 2 c0 u + c1 v,
-    or of v (its v-partial 2 c2 v) if c0 = 0, as ``bform_gcd`` reports it:
-    over Z primitive and signed like c0."""
+    ell^2, its discriminant 0, else (False, None); ell is ``_linear_root``,
+    2 c0 u + c1 v or, if c0 = 0, 2 c2 v, as ``bform_gcd`` reports it: over
+    Z primitive and signed like c0."""
     if bform_discriminant(g):
         return False, None
-    return True, bform_gcd([g.partial_u() if g.coeffs[0] else g.partial_v()])
+    return True, bform_gcd([_linear_root(g)])

@@ -1,59 +1,48 @@
-"""Orbit classification for tensors in the finite-orbit spaces.
+"""Orbit and rank of tensors in the finite-orbit spaces.
 
 A rational tensor is scaled to ints once; its concise core is the scaled
 tensor on its first independent slices of each axis (``concise_reduce``),
-built once in the canonical axis order (dimensions non-decreasing, axes of
-dimension one dropped). Its shape is dispatched through one decision
-table: matrix shapes by rank, (2,2,2) by the Cayley hyperdeterminant (the
-discriminant of the determinant form), (2,2,n) by the 2-minor gcd, (2,3,3)
-by the root structure of the determinant form and whether every 2-minor
-vanishes at its repeated root (``rank_one_at``: the member there has rank
-one), (2,3,n) by minor gcds, and the largest shapes by conciseness alone.
-On request (``ranks_only``), as ``locus_membership`` asks, it reads only
-what tells rank classes apart (``_orbit_of_canonical``). Every entry point
-is exact by default, and so are members at irrational roots. On the
-rank-jump shapes, the only ones where rank exceeds the largest concise
-dimension, T needs no ``concise_reduce`` where the table's first read
-shows it concise (``_CoreReads.concise``).
+in the canonical axis order (dimensions non-decreasing, axes of dimension
+one dropped). Its rank is read, not looked up (``_rank_of``): the largest
+concise dimension, plus one on the rank-jump shapes (2,2,2), (2,3,3) and
+(2,3,4) (``_JUMP_RANKS``) exactly where a predicate J holds (``_JUMPS``):
+the determinant form's discriminant vanishes; the determinant form is 0,
+a cube, or has a double root where the member is not of rank one; no
+3-minor is square-free, their gcd is l^2 and the member at l's root is not
+of rank one. ``locus_membership`` compares these ints. The orbit that
+``classify`` and ``classify_parametric`` report is one decision table on
+the same reads (``_orbit_of_shape``): matrix shapes by rank, (2,2,2) by
+J, (2,3,3) and (2,3,4) by the split after J, (2,2,3) and (2,3,5) by a
+minor gcd, the others by the shape. On a rank-jump shape T needs no
+``concise_reduce`` where the first read shows it concise
+(``_CoreReads.concise``).
 
-The table reads the pencil invariants of the core through a reader. Every
-reader holds one ``pencil.Pencil``, the rows [A_i | B_i], whose minors
-come from the one enumerator ``pencil_minors``. On the integer core of a
-tensor the rows, minors and the forms read off them are ints, known up
-to a nonzero constant, which is all the table needs. A family T - λP
-with P rank one is classified over Q(λ) by the same table with another
-reader, on its pencil over Z[λ]: there every minor is affine in λ, so
-each invariant is computed over Z and Z[λ], together with guard
-polynomials whose roots include every value of λ where that invariant
-can differ from its generic value (``family_orbit``); a discriminant
-over Z[λ], the guard of a repeated part or of a quadratic, is one
-discriminant of an int form, the form packed at λ = 2^K and the value
-unpacked (Kronecker substitution, ``_lambda_discriminant``).
-
-The members are read off the same pencil over Z[λ]. The family's kept
-slices lose rank only at its flattening drops, all rational; off them
-each member has the family's concise shape, and its minors are the
-family's at the root. At a rational p/q they are int forms, q m0 + p m1
-for the family's minor m0 + λ m1 (``_RationalReads``); at the irrational
-roots α of a guard they are forms over Z[β] for an integer multiple β of
-α, which carry their ring (``_RootReads``). Each of these readers makes
-its minors into forms its own way (``_form``); every read on them is the
-integer reader's. Only a member at a drop, never concise, is built as an
-int tensor and classified (``member_orbit``). The guards are never split into
-irreducible factors: the reader takes all their irrational roots at
-once, as the roots of one square-free polynomial, and splits it only
-where a read tells two roots apart (dynamic evaluation,
-``orbits_at_roots``). A family keeps one pencil, its subtensor on its
-kept slices, which keeps its minors over Z[λ], each size expanded once
-for all of these readers (``ParametricTensor.kept_pencil``). ``classify_parametric``
-reads every member so, and T at λ = 0 only where a guard vanishes there.
+The reads go through a reader holding one ``pencil.Pencil``, the rows
+[A_i | B_i], whose minors come from ``pencil_minors``; a reader makes its
+minors into binary forms its own way (``_form``), and every read on the
+forms is written once on their ring. On an integer core they are ints,
+known up to a nonzero constant. A family T - λP with P rank one is read
+over Q(λ) on its pencil over Z[λ], whose minors are affine in λ: each
+read also appends guards, polynomials whose roots include every λ where
+it can differ from its generic value (``_FamilyReads``), and a form over
+Z[λ] is read packed at λ = 2^K into an int form (Kronecker substitution,
+``_lambda_read``). Off its flattening drops, all rational, each member
+has the family's concise shape and its minors are the family's at the
+root: int forms at a rational root (``_RationalReads``), forms over Z[β],
+β an integer multiple of the root, at all the irrational roots of a
+guard at once (``_RootReads``), split only where a read tells two roots
+apart (dynamic evaluation, ``_at_roots``). Only a member at a drop is
+built as an int tensor (``_at_drop``). A family keeps one pencil on its
+kept slices, each size of minors expanded once for all of these readers
+(``ParametricTensor.kept_pencil``); T, the member at λ = 0, is read only
+where a guard vanishes there.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .binforms import BinaryForm, bform_discriminant, bform_gcd, bform_square_root
+from .binforms import BinaryForm, _hessian, _linear_root, bform_discriminant
 from .errors import InternalError, UnsupportedShape, ZeroDivisor
 from .exactnum import (
     INTEGERS,
@@ -67,15 +56,7 @@ from .exactnum import (
 )
 from .linalg import kronecker_pack, kronecker_unpack
 from .orbits import OPEN_ORBITS, PENCILS, RANKS, normal_form
-from .pencil import (
-    Pencil,
-    _nonzero_minors,
-    family_minor_gcd,
-    lambda_form,
-    lambda_parts,
-    pencil_minor_gcd,
-    zform_quotient,
-)
+from .pencil import Pencil, _nonzero_minors, family_minor_gcd, lambda_parts, pencil_minor_gcd
 from .tensorcore import (ConciseReduction, ParametricTensor, Tensor, _scaled_entries,
                          concise_reduce, flat_rows)
 
@@ -142,21 +123,11 @@ class ClassifyReport:
     the concise core in the canonical order, on the ambient axes
     ``core_axes`` (None for rank one)."""
 
-    __slots__ = (
-        "orbit",
-        "rank",
-        "border_rank",
-        "concise_shape",
-        "reduction",
-        "axis_permutation",
-        "core",
-        "core_axes",
-    )
+    __slots__ = ("orbit", "rank", "border_rank", "concise_shape", "reduction",
+                 "axis_permutation", "core", "core_axes")
 
-    def __init__(
-        self, orbit, rank, border_rank, concise_shape, reduction,
-        axis_permutation, core, core_axes,
-    ):
+    def __init__(self, orbit, rank, border_rank, concise_shape, reduction,
+                 axis_permutation, core, core_axes):
         self.orbit = orbit
         self.rank = rank
         self.border_rank = border_rank
@@ -168,10 +139,7 @@ class ClassifyReport:
 
     def __repr__(self):
         return "ClassifyReport(%r, rank=%d, border_rank=%d)" % (
-            self.orbit,
-            self.rank,
-            self.border_rank,
-        )
+            self.orbit, self.rank, self.border_rank)
 
 
 class ParametricReport:
@@ -180,14 +148,11 @@ class ParametricReport:
     exceptional holds (factor, OrbitId) pairs: the member at every root of
     the factor, an int tuple lowest degree first, primitive with a positive
     leading coefficient, lies in that orbit. The factor lambda itself,
-    (0, 1) for the value 0, is always listed first, even when its orbit
-    agrees with the generic one, because rank cannot drop at lambda = 0;
-    its orbit is T's: the generic one where no guard vanishes at 0, else
-    read off the family like any rational root.
-    Then come the rational special values p/q, one linear factor (-p, q)
-    each, in the order of ``candidate_factors``; then the irrational ones,
-    one group per orbit, square-free with no rational root and coprime to
-    the other groups.
+    (0, 1), comes first, with T's orbit, even when it is the generic one;
+    then the rational special values p/q, one linear factor (-p, q) each,
+    in the order of ``candidate_factors``; then the irrational ones, one
+    group per orbit, square-free with no rational root and coprime to the
+    other groups.
     """
 
     __slots__ = ("generic", "exceptional")
@@ -197,10 +162,7 @@ class ParametricReport:
         self.exceptional = exceptional
 
     def __repr__(self):
-        return "ParametricReport(generic=%r, exceptional=%r)" % (
-            self.generic,
-            self.exceptional,
-        )
+        return "ParametricReport(generic=%r, exceptional=%r)" % (self.generic, self.exceptional)
 
 
 # Both read off ``PENCILS``: the table rows that are matrix cases in a
@@ -220,43 +182,45 @@ def _canonical_permutation(shape):
     return tuple(sorted(range(len(shape)), key=shape.__getitem__))
 
 
-def classify(t, *, ranks_only=False):
-    """Full orbit classification of a nonzero tensor; with ``ranks_only``
-    the orbit is exact up to its rank class (``_orbit_of_canonical``).
-
-    On a rank-jump shape (``_JUMP_RANKS``) the reader is built on T, and
-    ``concise_reduce`` runs only where its conciseness read cannot tell:
-    on orbit 13 and on T that is not concise. A T then found concise keeps
-    the reader and its minors.
+def classify(t):
+    """Full orbit classification of a nonzero tensor (``_read``).
 
     Raises ZeroTensor for the zero tensor and UnsupportedShape when the
     concise core is not a matrix shape, (2,2,n), or (2,3,n) up to axis
     permutation.
     """
+    orbit, red, perm, core, axes = _read(t, _orbit_of_shape)
+    return ClassifyReport(orbit, *orbit.rank_pair(), red.concise_shape, red, perm, core, axes)
+
+
+def _read(t, table):
+    """(value, reduction, axis permutation, core, core axes) for a nonzero
+    tensor: ``table`` (``_orbit_of_shape`` or ``_rank_of``) on its concise
+    shape and the reader of its canonical core, on the ambient axes ``core
+    axes`` (None for rank one). On a rank-jump shape (``_JUMP_RANKS``) the
+    reader is built on T, and ``concise_reduce`` runs only where its
+    conciseness read cannot tell, on orbit 13 and on T not concise."""
     perm = _canonical_permutation(t.shape)
-    dims = tuple(t.shape[a] for a in perm)
-    if dims not in _JUMP_RANKS or t.is_zero():
-        return _reduced_report(t.order, concise_reduce(t), ranks_only)
-    scaled, c = _scaled_entries(t.entries)
-    red = ConciseReduction(t.shape, scaled, c, [list(range(d)) for d in t.shape])
-    core = red.core(perm)
-    reads = _CoreReads(core)
-    if not reads.concise():
-        red = concise_reduce(t)
-        if red.concise_shape != t.shape:
-            return _reduced_report(t.order, red, ranks_only)
-    orbit = OrbitId.orbit(_orbit_of_canonical(dims, reads, ranks_only))
-    return ClassifyReport(orbit, *orbit.rank_pair(), t.shape, red, perm, core, perm)
+    if tuple(t.shape[a] for a in perm) in _JUMP_RANKS and not t.is_zero():
+        scaled, c = _scaled_entries(t.entries)
+        red = ConciseReduction(t.shape, scaled, c, [list(range(d)) for d in t.shape])
+        core = red.core(perm)
+        reads = _CoreReads(core)
+        if not reads.concise():
+            red = concise_reduce(t)
+            if red.concise_shape != t.shape:
+                return _reduced(t.order, red, table)
+        return table(t.order, t.shape, lambda: reads), red, perm, core, perm
+    return _reduced(t.order, concise_reduce(t), table)
 
 
-def _reduced_report(order, red, ranks_only):
-    """The ClassifyReport of an order-``order`` tensor from ``red``."""
+def _reduced(order, red, table):
+    """``_read`` of an order-``order`` tensor from its reduction ``red``."""
     shape = red.concise_shape
     perm = _canonical_permutation(shape)
     axes = tuple(a for a in perm if shape[a] > 1)
     core = red.core(axes) if len(axes) >= 2 else None
-    orbit = _orbit_of_shape(order, shape, lambda: _CoreReads(core), ranks_only)
-    return ClassifyReport(orbit, *orbit.rank_pair(), shape, red, perm, core, axes)
+    return table(order, shape, lambda: _CoreReads(core)), red, perm, core, axes
 
 
 def in_open_orbit(t):
@@ -265,7 +229,7 @@ def in_open_orbit(t):
     by the reader's conciseness read (``_CoreReads.concise``), then a
     nonzero discriminant of the determinant form on (2,2,2) and (2,3,3), a
     nonzero constant 3-minor gcd on (2,3,4); the table puts such a tensor
-    in 6, 18 (a square-free cubic has a constant repeated part) or 23."""
+    in 6, 18 (a square-free cubic) or 23."""
     if t.shape not in OPEN_ORBITS:
         raise UnsupportedShape("no open orbit is listed for shape %r" % (t.shape,))
     reads = _CoreReads(Tensor(t.shape, _scaled_entries(t.entries)[0]))
@@ -273,105 +237,119 @@ def in_open_orbit(t):
         return False
     if t.shape[2] == 4:
         return reads.minor_gcd(3).degree == 0
-    return not reads.discriminant_vanishes(reads.minor_gcd(t.shape[1]))
+    return not reads.discriminant_vanishes(reads.det())
 
 
-def _orbit_of_shape(order, concise_shape, reads, ranks_only):
-    """The orbit of an order-``order`` tensor with this concise shape.
+def _canonical_dims(concise_shape):
+    """The concise dimensions above one, sorted: at most two (a matrix
+    case), or (2, b, c) with b in (2, 3); others raise UnsupportedShape."""
+    dims = tuple(sorted(d for d in concise_shape if d > 1))
+    if len(dims) == 1:
+        raise InternalError("a concise core cannot be a vector")
+    if len(dims) > 2 and (len(dims) != 3 or dims[0] != 2 or dims[1] not in (2, 3)):
+        raise UnsupportedShape("no finite orbit list for concise shape %r" % (concise_shape,))
+    return dims
+
+
+def _rank_of(order, concise_shape, reads):
+    """The rank of an order-``order`` tensor with this concise shape, all
+    zeros for the zero tensor: its largest concise dimension, plus one on
+    a rank-jump shape where J holds (``_JUMPS``, on the reader
+    ``reads()``). No other read is made."""
+    dims = _canonical_dims(concise_shape)
+    return max(concise_shape) + (dims in _JUMP_RANKS and _JUMPS[dims](reads()))
+
+
+def _orbit_of_shape(order, concise_shape, reads):
+    """The orbit of an order-``order`` tensor with this concise shape, all
+    zeros for the zero tensor, MatrixRank(0).
 
     Matrix cases are decided by the shape; otherwise ``reads()`` gives the
     reader of the canonical core.
     """
-    perm = _canonical_permutation(concise_shape)
-    dims = tuple(concise_shape[i] for i in perm if concise_shape[i] > 1)
+    dims = _canonical_dims(concise_shape)
     if len(dims) <= 2:
-        if len(dims) == 1:
-            raise InternalError("a concise core cannot be a vector")
-        r = dims[0] if dims else 1
         if order == 3 and concise_shape in MATRIX_CASE_ROWS:
             return OrbitId.orbit(MATRIX_CASE_ROWS[concise_shape])
-        return OrbitId.matrix(r)
-    if len(dims) != 3 or dims[0] != 2 or dims[1] not in (2, 3):
-        raise UnsupportedShape(
-            "no finite orbit list for concise shape %r" % (concise_shape,)
-        )
-    n = _orbit_of_canonical(dims, reads(), ranks_only)
+        return OrbitId.matrix(max(concise_shape))
+    n = _orbit_of_canonical(dims, reads())
     if order == 3 and concise_shape == (2, 3, 2):
         n = TRANSPOSED_ROWS[n]
     return OrbitId.orbit(n)
 
 
-def _orbit_of_canonical(dims, reads, ranks_only):
-    """Decision table on a concise core of shape (2, b, c), b in (2, 3).
-
-    With ``ranks_only`` the table tells apart only rank classes, orbits
-    of one shape and rank pair (``RANKS``), and reports one orbit of the
-    class: the membership question reads only ranks, so
-    ``locus_membership`` asks for this on T, its rational members and the
-    family over Q(λ). It skips the 2-minor gcd on (2,2,3), 7 or 8 (11 or
-    12 as (2,3,2)), the 3-minor gcd on (2,3,5), 24 or 25, and on (2,3,3)
-    rank one at the root of the square repeated part, 15 or 16; on (2,3,4)
-    a square-free 3-minor reads 19 for 19, 20, 22 and 23 (``_orbit_234``).
-    The one open orbit (``OPEN_ORBITS``) in a class, 23, the escape route
-    reads by ``in_open_orbit``.
-    """
+def _orbit_of_canonical(dims, reads):
+    """Decision table on a concise core of shape (2, b, c), b in (2, 3):
+    5 or 6 by J on (2,2,2); (2,3,3) and (2,3,4) split after J; 7 or 8 by
+    the 2-minor gcd, 24 or 25 by the 3-minor gcd; 9 and 26 by the shape."""
     if dims == (2, 2, 2):
-        return 5 if reads.discriminant_vanishes(reads.minor_gcd(2)) else 6
+        return 5 if _JUMPS[dims](reads) else 6
     if dims == (2, 2, 3):
-        return 7 if ranks_only or reads.minor_gcd(2).degree >= 1 else 8
-    if dims == (2, 2, 4):
-        return 9
+        return 7 if reads.minor_gcd(2).degree >= 1 else 8
     if dims == (2, 3, 3):
-        return _orbit_233(reads, ranks_only)
+        return _orbit_233(reads)
     if dims == (2, 3, 4):
-        return _orbit_234(reads, ranks_only)
+        return _orbit_234(reads)
     if dims == (2, 3, 5):
-        return 24 if ranks_only or reads.minor_gcd(3).degree >= 1 else 25
-    if dims == (2, 3, 6):
-        return 26
-    raise UnsupportedShape(
-        "no finite orbit list for concise shape %r" % (dims,)
-    )
+        return 24 if reads.minor_gcd(3).degree >= 1 else 25
+    return {(2, 2, 4): 9, (2, 3, 6): 26}[dims]
 
 
-def _orbit_233(reads, ranks_only):
-    """(2,3,3); an int cubic of nonzero discriminant is 18 with no gcd."""
-    det = reads.minor_gcd(3)
-    if det.is_zero():
+def _jump_233(reads):
+    """J on (2,3,3), orbits 13 and 15-17: the determinant form is 0, or its
+    repeated part l^k (``repeated_root``) is l^2, or l with the member at
+    l's root not of rank one."""
+    det = reads.det()
+    if reads.is_zero(det):
+        return True
+    k, ell = reads.repeated_root(det)
+    return k == 2 or k == 1 and not reads.rank_one_at(ell)
+
+
+def _orbit_233(reads):
+    """(2,3,3) split after J: 13 on a zero determinant form, 18 on a
+    square-free one, else rank one at l's root tells 14 from 17 (k = 1)
+    and 15 from 16 (k = 2)."""
+    det = reads.det()
+    if reads.is_zero(det):
         return 13
-    g = reads.repeated_part(det)
-    if g.degree == 0:
+    k, ell = reads.repeated_root(det)
+    if k == 0:
         return 18
-    if g.degree == 1:
-        return 14 if reads.rank_one_at(g) else 17
-    if g.degree == 2:
-        ok, ell = reads.pure_square(g)
-        if not ok:
-            raise InternalError("repeated part of a cubic must be a square")
-        return 15 if ranks_only or reads.rank_one_at(ell) else 16
-    raise InternalError("cubic determinant form with repeated part %r" % g)
+    one = reads.rank_one_at(ell)
+    return (14 if one else 17) if k == 1 else 15 if one else 16
 
 
-def _orbit_234(reads, ranks_only):
-    """(2,3,4) by the 3-minor gcd g3. Only 21 has rank 5, and there every
-    3-minor has the factor g3 = ell^2. On 20 and 21 a 2-minor gcd of
-    positive degree (20) divides ell^2: it has one exactly when every
-    2-minor vanishes at the root of ell (``rank_one_at``)."""
-    if ranks_only and reads.square_free_minor():
-        return 19
+def _jump_234(reads):
+    """J on (2,3,4), orbit 21: no 3-minor is square-free, their gcd g3 is
+    l^2 and the member at l's root is not of rank one. The square-free read
+    settles most of 19, 22 and 23, with fewer guard roots than g3's."""
+    if reads.square_free_minor():
+        return False
     g3 = reads.minor_gcd(3)
-    if g3.is_zero():
-        raise InternalError("concise 2x3x4 tensor with vanishing 3-minors")
-    if g3.degree == 0:
-        return 23
-    if g3.degree == 1:
-        return 19
-    if g3.degree == 2:
-        ok, ell = reads.pure_square(g3)
-        if ok:
-            return 20 if reads.rank_one_at(ell) else 21
+    return (g3.degree == 2 and reads.discriminant_vanishes(g3)
+            and not reads.rank_one_at(reads.linear_root(g3)))
+
+
+def _orbit_234(reads):
+    """(2,3,4) split after J, by g3: 23, 19 and 22 for degree 0, 1 and a
+    non-square; on l^2, 20 where the member at l's root has rank one (a
+    2-minor gcd of positive degree divides l^2), else 21."""
+    g3 = reads.minor_gcd(3)
+    if g3.is_zero() or g3.degree > 2:
+        raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
+    if g3.degree < 2:
+        return (23, 19)[g3.degree]
+    if not reads.discriminant_vanishes(g3):
         return 22
-    raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
+    return 20 if reads.rank_one_at(reads.linear_root(g3)) else 21
+
+
+# J, whether the rank exceeds the largest concise dimension, per rank-jump
+# shape; on (2,2,2), orbit 5, the Cayley hyperdeterminant, the discriminant
+# of the determinant form, vanishes
+_JUMPS = {(2, 2, 2): lambda reads: reads.discriminant_vanishes(reads.det()),
+          (2, 3, 3): _jump_233, (2, 3, 4): _jump_234}
 
 
 def _at_root(f, ell):
@@ -390,9 +368,9 @@ def _dependent(x, y):
 
 class _CoreReads:
     """The invariants the decision table reads, on the pencil of an integer
-    core of shape (2, b, c); the forms carry their ring. ``_form`` makes
-    a minor of the pencil a binary form. On an int core two reads skip
-    forms: a square-free cubic's repeated part and rank one at a root."""
+    core of shape (2, b, c); the forms carry their ring, and every read is
+    written once on the ring's operations. ``_form`` makes a minor of the
+    pencil a binary form. On an int core rank one at a root skips forms."""
 
     _form = BinaryForm
 
@@ -415,6 +393,12 @@ class _CoreReads:
         first = next(minors, None)
         return first is not None and not all(_dependent(first, m) for m in minors)
 
+    def det(self):
+        """The determinant form of a square pencil, its one maximal minor,
+        as a form; the zero form when it vanishes."""
+        n = len(self.p.rows)
+        return self._form(next(_nonzero_minors(self.p, n), [self.p.ring.zero] * (n + 1)))
+
     def minor_gcd(self, k):
         return pencil_minor_gcd(self.p, k, self._form)
 
@@ -422,18 +406,29 @@ class _CoreReads:
         """Whether some 3-minor has a nonzero discriminant, up to the first."""
         return any(bform_discriminant(self._form(m)) for m in _nonzero_minors(self.p, 3))
 
+    def is_zero(self, form):
+        return form.is_zero()
+
     def discriminant_vanishes(self, form):
         return not bform_discriminant(form)
 
-    def repeated_part(self, det):
-        """gcd(det, its partials); 1 for a square-free int cubic, by its
-        discriminant (over Z only: Z[β] forms take the gcd)."""
-        if det.ring is INTEGERS and det.degree == 3 and bform_discriminant(det):
-            return BinaryForm([1])
-        return bform_gcd([det, det.partial_u(), det.partial_v()])
+    def hessian(self, cubic):
+        return _hessian(cubic)
 
-    def pure_square(self, g):
-        return bform_square_root(g)
+    def linear_root(self, form):
+        return _linear_root(form)
+
+    def repeated_root(self, det):
+        """(k, l): the repeated part l^k of a nonzero cubic, read off its
+        Hessian H (``binforms._hessian``): k = 0 (l None) where the cubic's
+        discriminant, that of H, is nonzero; else k = 2 where H = 0, the
+        cubic c l^3, and k = 1 where H = c l^2 (``linear_root``)."""
+        if not self.discriminant_vanishes(det):
+            return 0, None
+        h = self.hessian(det)
+        if self.is_zero(h):
+            return 2, self.linear_root(det)
+        return 1, self.linear_root(h)
 
     def rank_one_at(self, ell):
         """Whether the member at the root (-b, a) of ell = a u + b v has
@@ -448,28 +443,39 @@ class _CoreReads:
         return not any(_at_root(self._form(m), ell) for m in _nonzero_minors(self.p, 2))
 
 
+def _lambda_read(read, form, bound):
+    """An int read of int forms, giving an int or a form, on a form over
+    Z[λ], by Kronecker substitution: ``bound(s)`` bounds each coefficient in
+    λ of the read, s the largest norm (sum of absolute values) of a
+    coefficient of the form; the read at λ = 2^K, K two bits above it,
+    unpacks to an int list or a form over Z[λ]."""
+    k = bound(max(sum(map(abs, c)) for c in form.coeffs)).bit_length() + 2
+    value = read(BinaryForm([kronecker_pack(c, k) for c in form.coeffs]))
+    if isinstance(value, int):
+        return kronecker_unpack(value, k)
+    return BinaryForm([kronecker_unpack(x, k) for x in value.coeffs], ring=LAMBDA_INTS)
+
+
 def _lambda_discriminant(form):
     """The discriminant, an int list, of a form of degree d = 2 or 3 over
-    Z[λ], by Kronecker substitution. Each of its terms is an int times a
-    product of 2d - 2 coefficients of the form, the ints adding up to at
-    most 1 + 4 + 4 + 18 + 27 = 54 in absolute value, and the norm (sum of
-    absolute values) of a product is at most the product of the norms; so
-    with s the largest norm of a coefficient, every coefficient of the
-    discriminant is at most 54 s^(2d - 2). At λ = 2^K, K two bits above
-    that bound, the discriminant of the packed int form unpacks to it."""
-    s = max(sum(map(abs, c)) for c in form.coeffs)
-    k = (54 * s ** (2 * form.degree - 2)).bit_length() + 2
-    packed = BinaryForm([kronecker_pack(c, k) for c in form.coeffs])
-    return kronecker_unpack(bform_discriminant(packed), k)
+    Z[λ]: an int combination of products of 2d - 2 coefficients, the ints
+    adding up to at most 3 (1 + 4 + 4 + 18 + 27) = 162 in absolute value,
+    and a product's norm is at most the product of the norms."""
+    return _lambda_read(bform_discriminant, form, lambda s: 162 * s ** (2 * form.degree - 2))
 
 
 class _FamilyReads(_CoreReads):
     """The same invariants over Q(λ) for the pencil ``p`` of a family over
-    Z[λ]; each read appends its guards to ``guards``."""
+    Z[λ], its forms over Z[λ] packed into int forms to be read; each read
+    appends its guards to ``guards``, so that off their roots each member
+    reads as the family does."""
 
     def __init__(self, p, guards):
         self.p = p
         self.guards = guards
+
+    def _form(self, m):
+        return BinaryForm(m, len(m) - 1, LAMBDA_INTS)
 
     def _guard(self, poly):
         if poly is not None and len(poly) > 1:
@@ -492,6 +498,10 @@ class _FamilyReads(_CoreReads):
         self._guard(guard)
         return g
 
+    def is_zero(self, form):
+        """The gcd of its coefficients is the guard."""
+        return not self._gcd_guard(form.coeffs)
+
     def discriminant_vanishes(self, form):
         disc = _lambda_discriminant(form)
         self._guard(disc)
@@ -500,35 +510,21 @@ class _FamilyReads(_CoreReads):
     def square_free_minor(self):
         """Some 3-minor is square-free over Q(λ), and at λ0, exactly where
         its discriminant over Z[λ] is nonzero: their gcd is the guard."""
-        return self._gcd_guard(_lambda_discriminant(BinaryForm(m, 3, LAMBDA_INTS))
+        return self._gcd_guard(_lambda_discriminant(self._form(m))
                                for m in _nonzero_minors(self.p, 3))
 
-    def repeated_part(self, det):
-        """The repeated part over Q(λ) of a nonzero determinant form c q,
-        c an int form and q 1 or irreducible over Q(λ), is that of c. It
-        stays so wherever det / rep is square-free, that is off the roots
-        of its discriminant over Z[λ] (``_lambda_discriminant``)."""
-        parts = lambda_parts(det.coeffs)
-        rep = super().repeated_part(bform_gcd(parts))
-        if det.degree - rep.degree >= 2:
-            disc = _lambda_discriminant(lambda_form(*(zform_quotient(f, rep) for f in parts)))
-            if not disc:
-                raise InternalError("square-free form with a zero discriminant")
-            self._guard(disc)
-        return rep
+    def hessian(self, cubic):
+        """Each coefficient is a product of two of the cubic's, the ints
+        adding up to at most 1 + 9 (``_lambda_read``)."""
+        return _lambda_read(_hessian, cubic, lambda s: 10 * s * s)
 
-    def pure_square(self, g):
-        """A 3-minor gcd, its discriminant over Z[λ] the guard, is c or c
-        times a form irreducible over Q(λ) that moves with λ, c an int form
-        (``family_minor_gcd``): a square is c, read as an int form, as a
-        determinant form's repeated part is."""
-        if g.ring is LAMBDA_INTS:
-            if not self.discriminant_vanishes(g):
-                return False, None
-            g, moving = lambda_parts(g.coeffs)
-            if not moving.is_zero():
-                raise InternalError("a square 3-minor gcd over Q(λ) that moves with λ")
-        return bform_square_root(g)
+    def linear_root(self, form):
+        """l for c l^d over Q(λ), l an int form, as every square and cube the
+        table reads is: the repeated part of a form f0 + λ f1 is its int
+        content's, the rest 1 or irreducible over Q(λ) (``family_minor_gcd``).
+        l is the root of the first nonzero int form f_i of sum λ^i f_i."""
+        i = min(next(i for i, x in enumerate(c) if x) for c in form.coeffs if c)
+        return super().linear_root(BinaryForm([c[i] if len(c) > i else 0 for c in form.coeffs]))
 
     def rank_one_at(self, ell):
         """Rank at most one over Q(λ). Each 2-minor is m0 + λ m1 with m0
@@ -587,20 +583,12 @@ class _RootReads(_CoreReads):
         return BinaryForm([self._lift(c) for c in m], len(m) - 1, self.ring)
 
 
-def orbit_rank(oid):
-    """Rank of an orbit id (the first entry of its rank pair)."""
-    return oid.rank_pair()[0]
-
-
-def _family_table(f, reader, ranks_only=False):
-    """(orbit, drops): the table on the family restricted to the first
+def _family_table(f, reader, table):
+    """(value, drops): ``table`` on the family restricted to the first
     independent slices of each flattening over Z[λ], and the linear factor
-    of the λ where those slices lose rank, or None (``flattening_drop``):
-    each flattening is a rank-one update M + λ c r^T, and rows S with
-    independent (M_i | c_i) are dependent at λ0 exactly when (-λ0 r | 1)
-    lies in their span. That subtensor on the pencil, row and column axes
-    of the canonical order makes the ``Pencil`` that ``reader(pencil)``
-    reads, the one the family keeps for every reader (``kept_pencil``)."""
+    of the λ where those slices lose rank, or None (``flattening_drop``).
+    That subtensor in the canonical order makes the ``Pencil`` that
+    ``reader(pencil)`` reads, the one the family keeps (``kept_pencil``)."""
     order = f.base.order
     slices, drops = zip(*(f.flattening_drop(axis) for axis in range(1, order + 1)))
     concise = tuple(len(s) for s in slices)
@@ -609,26 +597,25 @@ def _family_table(f, reader, ranks_only=False):
         return reader(f.kept_pencil(tuple(
             x for x in _canonical_permutation(concise) if concise[x] > 1)))
 
-    return _orbit_of_shape(order, concise, reads, ranks_only), drops
+    return table(order, concise, reads), drops
 
 
-def family_orbit(f, *, ranks_only=False):
-    """The orbit over Q(λ) of the family T - λP, with its guards; with
-    ``ranks_only``, exact up to its rank class (``_orbit_of_canonical``),
-    and the guards only those of the reads made.
+def family_orbit(f):
+    """The orbit of the family T - λP over Q(λ) and its guards (``_family_read``)."""
+    return _family_read(f, _orbit_of_shape)
 
-    Returns (OrbitId, guards): every λ0 where the member T - λ0 P lies in
-    another orbit is a root of one of the guards, nonconstant int lists or
-    tuples, lowest degree first, each known up to a nonzero constant.
-    The first of them are the flattening drops (-p, q), one for each
-    flattening whose kept slices lose rank somewhere: off those values
-    the family on the kept slices is a concise core of the member, whose
-    pencil the table reads (``_FamilyReads``). A flattening whose kept
-    slices never lose rank guards nothing.
-    """
+
+def _family_read(f, table):
+    """(value, guards): ``table`` (``_orbit_of_shape`` or ``_rank_of``) on
+    the family T - λP over Q(λ). Every λ0 where the member T - λ0 P reads
+    another value is a root of a guard, a nonconstant int list or tuple,
+    lowest degree first, known up to a nonzero constant. The first guards
+    are the flattening drops (-p, q): off them the family on the kept
+    slices is a concise core of the member, whose pencil the table reads
+    (``_FamilyReads``); the others are those of the reads it made."""
     guards = []
-    orbit, drops = _family_table(f, lambda p: _FamilyReads(p, guards), ranks_only)
-    return orbit, [fac for fac in drops if fac is not None] + guards
+    value, drops = _family_table(f, lambda p: _FamilyReads(p, guards), table)
+    return value, [fac for fac in drops if fac is not None] + guards
 
 
 def _root_model(fac):
@@ -639,78 +626,78 @@ def _root_model(fac):
     return [c * lead ** (len(fac) - 2 - i) for i, c in enumerate(fac[:-1])] + [1], lead
 
 
-def member_orbit(f, fac, *, ranks_only=False):
-    """The orbit of the member of T - λP at the flattening drop ``fac``,
-    built as an int tensor (``member_at``), not concise, and classified
-    from ``concise_reduce``, with ``ranks_only`` passed on; MatrixRank(0)
-    for the zero member."""
+def _at_drop(f, fac, table):
+    """``table`` on the member of T - λP at the flattening drop ``fac``,
+    built as an int tensor (``member_at``), not concise, and read from
+    ``concise_reduce``; the zero member has concise shape all zeros."""
     member = f.member_at(fac)
     if member.is_zero():
-        return OrbitId.matrix(0)
-    return _reduced_report(member.order, concise_reduce(member), ranks_only).orbit
+        return table(member.order, (0,) * member.order, None)
+    return _reduced(member.order, concise_reduce(member), table)[0]
 
 
-def orbits_at_roots(f, fac, *, ranks_only=False):
-    """The orbits of the members of T - λP at the roots of ``fac``, an int
+def orbits_at_roots(f, fac):
+    """The orbits of the members of T - λP at the roots of ``fac`` (``_at_roots``)."""
+    return _at_roots(f, fac, _orbit_of_shape)
+
+
+def _at_roots(f, fac, table):
+    """``table`` on the members of T - λP at the roots of ``fac``, an int
     tuple lowest degree first, primitive with a positive leading
-    coefficient, and either linear or square-free with no rational root,
-    as a list of (group, orbit): the groups are int tuples of that form,
-    pairwise coprime, multiplying to fac, one per orbit, sorted by
-    (degree, coefficients), so the list does not depend on where fac was
-    split. The kept slices of a flattening lose rank at most at one λ, a
-    rational one (``flattening_drop``); off those drops they stay a
-    concise core of the member, and the table reads the family on them at
-    the root. A rational root is read so on the family's pencil at p/q
-    (``_RationalReads``) and, at a drop, on the int member
-    (``member_orbit``). At irrational roots the table reads the family at
-    all roots of fac at once (``_RootReads``); when a read tells two roots
-    apart, fac splits there and the table reads each part again (dynamic
-    evaluation). ``ranks_only`` holds at a rational root; the groups at
-    irrational roots are always exact. Every read shares the family's
-    minors (``kept_pencil``)."""
+    coefficient, linear or square-free with no rational root, as a list
+    of (group, value): the groups are int tuples of that form, pairwise
+    coprime, multiplying to fac, one per value, sorted by (degree,
+    coefficients), so the list does not depend on where fac was split.
+    Off the flattening drops, all rational, the table reads the family's
+    pencil at the root: at p/q (``_RationalReads``), or at all roots of
+    fac at once (``_RootReads``), split where a read tells two roots apart
+    (dynamic evaluation). At a drop it reads the int member (``_at_drop``)."""
     if len(fac) == 2:
         if fac in [f.flattening_drop(a)[1] for a in range(1, f.base.order + 1)]:
-            return [(fac, member_orbit(f, fac, ranks_only=ranks_only))]
-        return [(fac, _family_table(f, lambda p: _RationalReads(p, fac), ranks_only)[0])]
+            return [(fac, _at_drop(f, fac, table))]
+        return [(fac, _family_table(f, lambda p: _RationalReads(p, fac), table)[0])]
     g, den = _root_model(fac)
     todo, parts = [g], {}
     while todo:
         g = todo.pop()
         try:
-            orbit = _family_table(f, lambda p: _RootReads(p, g, den))[0]
+            value = _family_table(f, lambda p: _RootReads(p, g, den), table)[0]
         except ZeroDivisor as split:
             todo += [split.factor, _ip_exact_div(g, split.factor)]
         else:
-            parts[orbit] = _ip_cross(parts.get(orbit, [1]), g, [], [])
+            parts[value] = _ip_cross(parts.get(value, [1]), g, [], [])
     # each part is monic in y = Lλ: part(Lλ) has the leading coefficient L^degree
-    groups = [(tuple(_ip_primitive([c * den**i for i, c in enumerate(part)])), orbit)
-              for orbit, part in parts.items()]
+    groups = [(tuple(_ip_primitive([c * den**i for i, c in enumerate(part)])), value)
+              for value, part in parts.items()]
     return sorted(groups, key=lambda e: (len(e[0]), e[0]))
 
 
-def classify_parametric(f, *, ranks_only=False):
+def classify_parametric(f):
     """Classify the family T - lambda*P for all values of the parameter.
 
     The generic orbit and the guards come from ``family_orbit``. The
     member at lambda = 0, T itself, is in the generic orbit unless some
-    guard vanishes at 0; only then is it read, like every rational root
-    (``orbits_at_roots``). The candidate special values are the roots of
-    the guards (``candidate_factors``), each classified exactly
-    (``orbits_at_roots``: rational roots on the family's pencil there, or
-    on an int member at a flattening drop, the irrational ones together on
-    the family's integer minors). Roots whose orbit equals the generic
-    orbit are dropped, except lambda itself.
-
-    ``ranks_only`` classifies the family and its rational members, T
-    included, only up to rank classes (``_orbit_of_canonical``): a root whose
-    member's rank differs from the generic rank stays a candidate.
+    guard vanishes at 0; only then is it read, like every root of the
+    guards (``candidate_factors``, ``orbits_at_roots``). Roots whose orbit
+    is the generic orbit are dropped, except lambda itself.
     """
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
-    generic, guards = family_orbit(f, ranks_only=ranks_only)
-    entries = ([((0, 1), generic)] if all(g[0] for g in guards)
-               else orbits_at_roots(f, (0, 1), ranks_only=ranks_only))
+    generic, guards = family_orbit(f)
+    entries = [((0, 1), generic)] if all(g[0] for g in guards) else orbits_at_roots(f, (0, 1))
     for fac in candidate_factors(guards):
-        entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac, ranks_only=ranks_only)
-                    if orbit != generic]
+        entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac) if orbit != generic]
     return ParametricReport(generic, entries)
+
+
+def _parametric_ranks(f):
+    """(generic rank, entries): the report of ``classify_parametric`` with
+    ranks for orbits, read by the same reads (``_rank_of``); the one
+    ``locus_membership`` reads. A special value is listed only where its
+    rank is not the generic rank; the rank of T, at lambda = 0, is listed
+    first."""
+    generic, guards = _family_read(f, _rank_of)
+    entries = [((0, 1), generic)] if all(g[0] for g in guards) else _at_roots(f, (0, 1), _rank_of)
+    for fac in candidate_factors(guards):
+        entries += [(g, rank) for g, rank in _at_roots(f, fac, _rank_of) if rank != generic]
+    return generic, entries

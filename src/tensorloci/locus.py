@@ -9,32 +9,31 @@ on the membership side, returns a witness lam, always a rational value:
 no lam the routes below can need is irrational (``LambdaWitness``).
 
 Three independent routes are provided and kept deliberately separate so
-they can be played against each other in tests:
+they can be played against each other in tests. The first two read ranks
+as ints, the largest concise dimension plus one where a predicate J holds
+on a rank-jump shape (``classify._rank_of``), and never compare orbits:
 
-* ``locus_membership`` with the generic strategy classifies the family
-  T - lam*P for all lam at once (``classify_parametric``), only finely
-  enough to read ranks, and reads the answer off the generic orbit and
-  the exceptional values. T is the member at lam = 0, in the generic
-  orbit unless a guard vanishes at 0, where it is read off the family
-  like every rational member, so GENERIC never classifies T on its own,
-  and builds and classifies a member only at a flattening drop.
-* The specialized strategy reads the concise core and its axis order
-  from the classification of T; a P outside the spans of T is forbidden.
-  Otherwise the rank of T picks one of two routes on the family on the
-  core. The drop route, on a core with a rank axis (one of dimension
-  rank T): a rank drop forces the flattening on each rank axis to lose
-  rank, which it does at one value of lam at most (one fraction-free
-  elimination over Z per axis, a rank-one update of the base's); the
-  member there is classified only where it can lie in a rank-jump
-  orbit, and on 2 x 2 matrix cores. The escape route, on the other
-  cores, those of the orbits of rank above border rank: the member at
-  lam = 1 is tested by one invariant of its pencil, which fails on every
-  member that is not concise and passes exactly in the open orbit of the
-  core's shape (``classify.in_open_orbit``); a pass certifies that the
-  family's generic orbit is that open orbit, and 1 is the witness.
-  Otherwise the route needs the orbit of the family over Q(lam) and its
-  guard polynomials (``classify.family_orbit``). Either way its witness
-  is the one the generic strategy returns.
+* ``locus_membership`` with the generic strategy reads the rank of the
+  family T - lam*P for all lam at once (``classify._parametric_ranks``):
+  its generic rank over Q(lam), and each special value where the rank
+  differs. T is the member at lam = 0, of the generic rank unless a guard
+  vanishes at 0, where it is read off the family like every rational
+  member; a member is built only at a flattening drop.
+* The specialized strategy reads the rank of T with its concise core; a
+  P outside the spans of T is forbidden. Otherwise the rank of T picks
+  one of two routes on the family on the core. The drop route, on a core
+  with a rank axis (one of dimension rank T): a rank drop forces the
+  flattening on each rank axis to lose rank, which it does at one value
+  of lam at most (one fraction-free elimination over Z per axis, a
+  rank-one update of the base's); the member there is read only where it
+  can lie in a rank-jump orbit. The escape route, on the other cores,
+  those of the orbits of rank above border rank: the member at lam = 1 is
+  tested by one invariant of its pencil, which passes exactly in the open
+  orbit of the core's shape (``classify.in_open_orbit``); a pass
+  certifies that the family's generic orbit is that open orbit, and 1 is
+  the witness. Otherwise the route reads the rank of the family over
+  Q(lam) and its guards (``classify._family_read``). Either way its
+  witness is the one the generic strategy returns.
 * ``closed_form_predicate`` evaluates the forbidden locus stored for the
   normal form of certain orbits, in its own coordinates
   (``orbits.CLOSED_FORMS``): a union of strata, each cut out by
@@ -50,13 +49,13 @@ from fractions import Fraction
 from .classify import (
     _JUMP_RANKS,
     OrbitId,
-    classify,
-    classify_parametric,
-    family_orbit,
+    _at_drop,
+    _at_roots,
+    _family_read,
+    _parametric_ranks,
+    _rank_of,
+    _read,
     in_open_orbit,
-    member_orbit,
-    orbit_rank,
-    orbits_at_roots,
 )
 from .errors import (
     InternalError,
@@ -92,25 +91,25 @@ class LambdaWitness:
     lam is that flattening's one drop (``_drop_root_verdict``), which is
     rational. On an escape core (orbits 5, 13, 15-17 and 21) the drops are
     rational too, so at an irrational alpha the member is concise in the
-    core's shape, and every pencil minor, and every minor at a lam-free
-    point (u0:v0), is affine in lam. The orbits of rank r - 1 are then
-    reachable at alpha only as follows:
+    core's shape, its rank is r - 1 exactly where J fails, and every
+    pencil minor, and every minor at a lam-free point (u0:v0), is affine in
+    lam. J fails at alpha and holds over Q(lam) only as follows:
 
-    * the open orbit of the shape (6, 18 or 23): it is then the family's
-      generic orbit, and the integer scan answers;
-    * orbit 14, when the family's generic orbit is 17: that needs rank one
-      at the lam-free double root, a rank-one update losing rank, so lam
-      is rational. When it is 15 or 16 the determinant form is
-      l^3 (a + b lam), and when it is 13 the form is 0;
-    * orbits 19, 20 or 22, when the family's generic orbit is 21: the
-      lam-free l^2 stays in the 3-minor gcd at alpha, so the member is not
-      in 19, 22 or 23, and 20 needs the 2-minors to vanish at the root of
-      l, affine in lam again.
+    * the member at alpha is in the open orbit of the shape (6, 18 or 23),
+      which is then the family's generic orbit, of rank r - 1;
+    * on (2,3,3), where the family's determinant form is 0, l^3 (a + b lam)
+      or has a lam-free double root l: only in the last case, with the
+      member of rank one at l's root, a condition affine in lam, so lam is
+      rational;
+    * on (2,3,4), where the lam-free l^2 stays in the 3-minor gcd at alpha:
+      only with the member of rank one at l's root, affine in lam again.
 
-    So no member at an irrational root is needed, and GENERIC checks the
-    claim on every call: an irrational group of rank r - 1 in its report
-    raises InternalError. ``is_rational`` is therefore always True; it
-    stays for the callers that read it.
+    So no member at an irrational root is needed. GENERIC checks the claim
+    on every call: its rank report lists a special value only where the
+    rank is not the generic rank, and the rank r - 1 there at an
+    irrational root, the generic rank not r - 1, raises InternalError.
+    ``is_rational`` is therefore always True; it stays for the callers
+    that read it.
     """
 
     __slots__ = ("value",)
@@ -202,11 +201,10 @@ def _factor_verdict(fac):
 def _first_witness(family, factors, target):
     """Membership verdict at the root of the first of the linear factors
     ``factors``, int tuples, where the member of ``family``, T - lam*P, has
-    the rank ``target``, or None. Only ranks are read, so members are
-    classified ``ranks_only``."""
+    the rank ``target``, or None."""
     for fac in factors:
-        (_, oid), = orbits_at_roots(family, fac, ranks_only=True)
-        if orbit_rank(oid) == target:
+        (_, rank), = _at_roots(family, fac, _rank_of)
+        if rank == target:
             return _factor_verdict(fac)
     return None
 
@@ -267,28 +265,29 @@ def _generic_membership(T, P):
         raise ZeroTensor("the zero tensor has no rank to lower")
     family = ParametricTensor(T, P)
     try:
-        parametric = classify_parametric(family, ranks_only=True)
+        generic, ((_, base), *special) = _parametric_ranks(family)
     except UnsupportedShape:
         # T - lam*P keeps more slices than T on some axis, where 0 is then
         # the drop: P's factor there is off T's span, and projecting it
         # away maps an r-term decomposition with P to an (r - 1)-term one
-        # of T. Unless T itself has no orbit list: its entry raises again.
+        # of T. Unless T itself has no orbit list: its rank read raises again.
         if (0, 1) not in [family.flattening_drop(axis)[1] for axis in range(1, T.order + 1)]:
             raise
-        orbits_at_roots(family, (0, 1), ranks_only=True)
+        _at_roots(family, (0, 1), _rank_of)
         return LocusVerdict.forbidden()
-    (_, base), *special = parametric.exceptional
-    target = orbit_rank(base) - 1
-    if any(len(fac) > 2 and orbit_rank(oid) == target for fac, oid in special):
+    target = base - 1
+    # the check of the lemma of LambdaWitness: the report lists an irrational
+    # group of the target rank only where the generic rank is not the target
+    if any(len(fac) > 2 and rank == target for fac, rank in special):
         raise InternalError("rank %d at irrational roots: the witness lemma of "
                             "LambdaWitness fails" % target)
-    if orbit_rank(parametric.generic) == target:
-        # every member off the special roots is in the generic orbit
+    if generic == target:
+        # every member off the listed roots has the generic rank
         return _scan_rational_witness(family, target, [fac for fac, _ in special])
-    # the report holds the orbit of the member at each special value, and
+    # the report holds the rank of the member at each special value, and
     # those of the target rank are rational
-    for fac, oid in special:
-        if orbit_rank(oid) == target:
+    for fac, rank in special:
+        if rank == target:
             return _factor_verdict(fac)
     return LocusVerdict.forbidden()
 
@@ -312,14 +311,11 @@ def _drop_root_verdict(family, axes, target):
 
     The member at the shared drop has rank at least r - 1 and concise
     dimensions at most the core's, r - 1 on each rank axis. Outside the
-    rank-jump orbits rank is the largest concise dimension, so it is
-    classified only where the core of one of rank r fits in those
+    rank-jump orbits rank is the largest concise dimension, so its rank is
+    read only where the core of one of rank r fits in those
     (``classify._JUMP_RANKS``): not on orbits 6, 9, 10 (a 3 x 3 matrix
-    core) and 26 nor on rank-one cores, where the shared drop is the
-    witness. The 2 x 2 cores of the matrix rows 2-4, in neither
-    benchmark workload, still read their member, a matrix of rank one:
-    it is the one membership path to the matrix ids (``MatrixRank``),
-    which ``tests/test_reachability.py`` requires the verdict dump to take.
+    core) and 26, nor on matrix and rank-one cores, where the shared drop
+    is the witness.
     """
     shared = None
     for ax in axes:
@@ -332,8 +328,7 @@ def _drop_root_verdict(family, axes, target):
     bounds = sorted(target if a in axes else d for a, d in enumerate(family.base.shape, 1))
     jump = any(rank > target and len(s) == len(bounds) and all(map(operator.le, s, bounds))
                for s, rank in _JUMP_RANKS.items())
-    if (not (jump or family.base.shape == (2, 2))
-            or orbit_rank(member_orbit(family, shared, ranks_only=True)) == target):
+    if not jump or _at_drop(family, shared, _rank_of) == target:
         return _factor_verdict(shared)
     return LocusVerdict.forbidden()
 
@@ -349,47 +344,49 @@ def _escape_verdict(family, target):
     Q(lam), an open orbit in no other's, so that open orbit, of rank
     ``target``, is the family's: 1 is the witness the scan would find.
 
-    Otherwise the orbit of the family over Q(lam) decides
-    (``family_orbit``): if it has rank ``target``, so does every member
+    Otherwise the rank of the family over Q(lam) decides
+    (``_family_read``): if it is ``target``, so is every member
     off the roots of its guards, and the scan finds one; otherwise only a
-    member at a root of a guard can, and the candidates are classified in
-    turn: only the rational ones, since no member at an irrational root
+    member at a root of a guard can, and the candidates are read in turn:
+    only the rational ones, since no member at an irrational root
     has rank ``target`` (``LambdaWitness``). The guards include every
     flattening drop, so the members that leave the concise shape are among
     the candidates. Either way the witness is the one the generic strategy
-    returns, and the member at 1 is read at most once (``orbits_at_roots``).
+    returns, and the member at 1 is read at most once (``_at_roots``).
     """
     one = (-1, 1)
     if in_open_orbit(family.member_at(one)):
         return _factor_verdict(one)
-    generic, guards = family_orbit(family, ranks_only=True)
-    if orbit_rank(generic) == target:
+    generic, guards = _family_read(family, _rank_of)
+    if generic == target:
         return _scan_rational_witness(family, target, guards)
     linear = [fac for fac in candidate_factors(guards) if len(fac) == 2]
     return _first_witness(family, linear, target) or LocusVerdict.forbidden()
 
 
-def _core_point(report, axes, coords):
-    """P in the core (c T on the kept slices of ``axes``) from its
-    coordinates ``coords`` (``factors_in_spans``): c and P's coordinate on
-    each dropped axis of dimension one scale the first factor, so the core
-    family is T - lam*P times a constant, in the same lam."""
-    scale = report.reduction.scale * math.prod(
+def _core_point(red, axes, coords):
+    """P in the core (c T on the kept slices of ``axes``, ``red`` T's
+    reduction) from its coordinates ``coords`` (``factors_in_spans``): c
+    and P's coordinate on each dropped axis of dimension one scale the
+    first factor, so the core family is T - lam*P times a constant, in the
+    same lam."""
+    scale = red.scale * math.prod(
         x[0] for a, x in enumerate(coords) if a not in axes)
     first = [scale * x for x in coords[axes[0]]]
     return RankOneTensor([first] + [coords[a] for a in axes[1:]])
 
 
-def _specialized_membership(T, P, report):
-    coords = factors_in_spans(P, report.reduction)
+def _specialized_membership(T, P):
+    rank, red, _, core, axes = _read(T, _rank_of)
+    coords = factors_in_spans(P, red)
     if coords is None:
         return LocusVerdict.forbidden()
     # a rank-one T has no canonical core; its 1 x ... x 1 core keeps every axis
-    axes = report.core_axes or tuple(range(T.order))
-    core = report.core or report.reduction.core(axes)
-    family = ParametricTensor(core, _core_point(report, axes, coords))
-    target = report.rank - 1
-    rank_axes = [a for a, d in enumerate(core.shape, 1) if d == report.rank]
+    axes = axes or tuple(range(T.order))
+    core = core or red.core(axes)
+    family = ParametricTensor(core, _core_point(red, axes, coords))
+    target = rank - 1
+    rank_axes = [a for a, d in enumerate(core.shape, 1) if d == rank]
     if rank_axes:
         return _drop_root_verdict(family, rank_axes, target)
     return _escape_verdict(family, target)
@@ -399,10 +396,10 @@ def locus_membership(T, P, strategy=SPECIALIZED):
     """Decide whether P appears in some shortest decomposition of T.
 
     Both strategies answer the same question and agree everywhere; the
-    generic one classifies the whole family T - lam*P at once, the
+    generic one reads the rank of the whole family T - lam*P at once, the
     specialized one picks its route by the rank of T. Only ranks decide,
-    so T, the family over Q(lam) and its rational members are classified
-    ``ranks_only``, with no guard for the reads skipped. Both return the
+    and T, the family over Q(lam) and its members are read for nothing
+    else: the reads of J, with their guards. Both return the
     same witness: the first of 1, -1, 2, -2, ... that lowers the rank when
     the generic member already has rank(T) - 1, else the first rational
     root that does among the candidates of ``candidate_factors``, in order.
@@ -412,8 +409,8 @@ def locus_membership(T, P, strategy=SPECIALIZED):
     Supported: any T, of any order and padded or not, whose concise core
     lies in a finite-orbit space, and any rank-one P of T's shape; other T
     raise UnsupportedShape, and the zero T raises ZeroTensor. SPECIALIZED
-    classifies T first; GENERIC reads T's orbit, and so its rank, off the
-    entry at lam = 0 of its report. Where T - lam*P has no orbit list,
+    reads the rank of T first; GENERIC reads it off the entry at lam = 0
+    of its rank report. Where T - lam*P has no orbit list,
     that is where lam = 0 is the drop of a flattening that keeps more
     slices than T's, GENERIC answers forbidden, as SPECIALIZED does
     (``_generic_membership``).
@@ -423,7 +420,7 @@ def locus_membership(T, P, strategy=SPECIALIZED):
         raise ValueError("unknown strategy %r" % (strategy,))
     if strategy == GENERIC:
         return _generic_membership(T, P)
-    return _specialized_membership(T, P, classify(T, ranks_only=True))
+    return _specialized_membership(T, P)
 
 
 # ---------------------------------------------------------------------------

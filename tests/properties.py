@@ -31,7 +31,6 @@ from support import (
     orbit_at_root,
     permute_axes,
     primitive,
-    qq_poly,
     rank,
     sums_back,
     sympy_drop,
@@ -41,10 +40,10 @@ from support import (
 from tensorloci import locus
 from tensorloci.classify import (
     OrbitId,
+    _parametric_ranks,
     classify,
     classify_parametric,
     family_orbit,
-    orbit_rank,
     orbits_at_roots,
 )
 from tensorloci.errors import TensorLociError, UnsupportedOrbit, UnsupportedShape
@@ -78,6 +77,11 @@ ESCAPE_ORBITS = tuple(n for n in sorted(RANKS) if RANKS[n][0] > RANKS[n][1])
 
 def text(P):
     return [[str(x) for x in f] for f in P.factors]
+
+
+def orbit_rank(oid):
+    """The rank of an orbit id, the first of its rank pair."""
+    return oid.rank_pair()[0]
 
 
 def member_rank(T, P, witness):
@@ -150,22 +154,24 @@ def invariance(T, P, gT, gP):
 
 def escape_certificate(orbit, T, P, counts):
     """The open-orbit certificate of the escape route answers (SPECIALIZED
-    without ``family_orbit``) exactly where ``classify`` puts the member
+    with no fallback to the family's rank) exactly where ``classify`` puts the member
     T - P in the open orbit of the shape; wherever it answers, the witness
     is 1, the family T - λP lies in that open orbit and GENERIC gives the
     same whole verdict. Counts ``certificate hits``, ``fallbacks`` and the
     ``non-concise members at 1``."""
-    real, calls = locus.family_orbit, []
+    real, calls = locus.in_open_orbit, []
 
-    def counted(family, **kwargs):
-        calls.append(family)
-        return real(family, **kwargs)
+    def counted(member):
+        hit = real(member)
+        if not hit:
+            calls.append(member)
+        return hit
 
-    locus.family_orbit = counted
+    locus.in_open_orbit = counted
     try:
         spec = locus_membership(T, P, SPECIALIZED)
     finally:
-        locus.family_orbit = real
+        locus.in_open_orbit = real
     at_one = classify(subtract_scaled(T, 1, P))
     counts["non-concise members at 1"] += at_one.concise_shape != T.shape
     open_orbit = OrbitId.orbit(OPEN_ORBITS[pencil_shape(orbit)])
@@ -184,33 +190,36 @@ def escape_certificate(orbit, T, P, counts):
     return []
 
 
-def divides(fac, c):
-    """True when the polynomial in λ fac divides c over Q, both given by
-    their coefficients, lowest degree first (``support.qq_poly``)."""
-    return qq_poly(c).rem(qq_poly(fac)).is_zero
-
-
-def ranks_only(T, P, counts):
-    """The family T - λP classified ``ranks_only``, as ``locus_membership``
-    does, keeps the generic rank of the exact ``classify_parametric``, and
-    each exact special value where the rank changes divides one of its
-    candidate factors. Counts the degrees of the candidate factors of
-    both (``candidate roots exact``, ``candidate roots ranks_only``)."""
+def ranks(T, P, counts):
+    """The membership path's rank report on T - λP
+    (``classify._parametric_ranks``) keeps the ranks of the exact
+    ``classify_parametric``: the generic rank and the rank of T; no listed
+    special value, irrational groups included, has the generic rank; and
+    for each other rank the listed factors multiply to the exact special
+    factors of that rank. GENERIC answers with no error, as its lemma
+    check (``locus.LambdaWitness``) reads this report. Counts the degrees
+    of the special factors of both (``special roots exact``, ``special
+    roots ranks``)."""
     family = ParametricTensor(T, P)
     exact = classify_parametric(family)
-    generic, guards = family_orbit(family, ranks_only=True)
-    fast = candidate_factors(guards)
-    exact_roots = sum(len(f) - 1 for f in candidate_factors(family_orbit(family)[1]))
-    fast_roots = sum(len(f) - 1 for f in fast)
-    counts["candidate roots exact"] += exact_roots
-    counts["candidate roots ranks_only"] += fast_roots
-    counts["candidate roots saved"] += exact_roots - fast_roots
-    want = orbit_rank(exact.generic)
-    lost = [fac for fac, oid in exact.exceptional[1:]
-            if orbit_rank(oid) != want and not any(divides(fac, c) for c in fast)]
-    if orbit_rank(generic) != want or lost:
-        return ["exact %r, ranks_only %r, lost %r" % (exact, generic, lost)]
-    return []
+    generic, entries = _parametric_ranks(family)
+    want = [(fac, orbit_rank(oid)) for fac, oid in exact.exceptional]
+    counts["special roots exact"] += sum(len(fac) - 1 for fac, _ in want[1:])
+    counts["special roots ranks"] += sum(len(fac) - 1 for fac, _ in entries[1:])
+    problems = []
+    if (generic, entries[0]) != (orbit_rank(exact.generic), want[0]):
+        problems.append("generic rank %r and T %r, exact %r" % (generic, entries[0], exact))
+    problems += ["listed %r with the generic rank %d" % (fac, rank)
+                 for fac, rank in entries[1:] if rank == generic]
+    for r in {rank for _, rank in want[1:] + entries[1:] if rank != generic}:
+        got, exact_r = ([fac for fac, rank in report[1:] if rank == r] for report in (entries, want))
+        if upoly_product(*got) != upoly_product(*exact_r):
+            problems.append("rank %d at %r, exact at %r" % (r, got, exact_r))
+    try:
+        locus_membership(T, P, GENERIC)
+    except TensorLociError as exc:
+        problems.append("%s raised %r" % (GENERIC, exc))
+    return problems
 
 
 def canonical(poly):
@@ -238,20 +247,19 @@ def candidate_problems(candidates):
 
 def rational_roots(family, candidates, counts):
     """At λ = 0, at each finite flattening drop and at each linear
-    candidate, ``orbits_at_roots`` gives, exact and ``ranks_only``, the
-    orbit ``classify`` gives the int member (``member_at``). Counts the
-    ``rational roots read off the family`` and the ``members at a drop``."""
+    candidate, ``orbits_at_roots`` gives the orbit ``classify`` gives the
+    int member (``member_at``). Counts the ``rational roots read off the
+    family`` and the ``members at a drop``."""
     drops = {family.flattening_drop(axis)[1] for axis in range(1, family.base.order + 1)}
     drops.discard(None)
     problems = []
     for fac in dict.fromkeys([(0, 1), *sorted(drops), *(c for c in candidates if len(c) == 2)]):
         counts["members at a drop" if fac in drops else "rational roots read off the family"] += 1
         member = family.member_at(fac)
-        for fast in (False, True):
-            want = OrbitId.matrix(0) if member.is_zero() else classify(member, ranks_only=fast).orbit
-            got = orbits_at_roots(family, fac, ranks_only=fast)
-            if got != [(fac, want)]:
-                problems.append("at %r, ranks_only %r: %r, member %r" % (fac, fast, got, want))
+        want = OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
+        got = orbits_at_roots(family, fac)
+        if got != [(fac, want)]:
+            problems.append("at %r: %r, member %r" % (fac, got, want))
     return problems
 
 
@@ -322,8 +330,8 @@ def flattening_drops(family, counts):
 
 def concise(T, counts):
     """On T and on every permutation of its axes, ``concise_reduce`` keeps
-    the first independent slices of each axis, and ``classify``, exact and
-    ``ranks_only``, gives the concise shape and the rank of the sympy
+    the first independent slices of each axis, and ``classify`` gives the
+    concise shape and the rank of the sympy
     reference (``support.concise_reference``), or raises UnsupportedShape
     where it has no rank. Counts the ``concise`` tensors and the
     ``unsupported`` ones."""
@@ -338,14 +346,13 @@ def concise(T, counts):
         if got != keep:
             problems.append("axes %r: slices %r, sympy %r" % (perm, got, keep))
         expected = None if want is None else (tuple(map(len, keep)), want)
-        for fast in (False, True):
-            try:
-                report = classify(t, ranks_only=fast)
-                got = (report.concise_shape, report.rank)
-            except UnsupportedShape:
-                got = None
-            if got != expected:
-                problems.append("axes %r, ranks_only %r: %r, sympy %r" % (perm, fast, got, expected))
+        try:
+            report = classify(t)
+            got = (report.concise_shape, report.rank)
+        except UnsupportedShape:
+            got = None
+        if got != expected:
+            problems.append("axes %r: %r, sympy %r" % (perm, got, expected))
     return problems
 
 
@@ -421,11 +428,12 @@ def check_escape(rng, n, _orbits, counts):
 
 
 def check_ranks(rng, n, orbits, counts):
-    """The family classified ``ranks_only`` against exactly, on n points
-    per orbit, each at the normal form and moved by GL: ``ranks_only``."""
+    """The membership path's rank report against the exact report, and
+    GENERIC, on n points per orbit, each at the normal form and moved by
+    GL: ``ranks``."""
     for orbit, T, P, gs in moved_pairs(rng, n, orbits):
         counts["families"] += 1
-        for problem in ranks_only(T, P, counts):
+        for problem in ranks(T, P, counts):
             yield "orbit %d P=%r moved by %r: %s" % (orbit, text(P), gs, problem)
 
 

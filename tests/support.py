@@ -17,8 +17,10 @@ From sympy over Q(α) (``QQ.algebraic_field``): the orbit of the member
 T - αP of a family at an irrational root α (``orbit_at_root``), read by
 the decision table of ``orbits.py`` on sympy's minor gcds,
 discriminants, repeated parts and member ranks; the package has no
-arithmetic over Q(α) to take it from. The same table over QQ gives the
-rank of a tensor on its concise core, with its first independent slices
+arithmetic over Q(α) to take it from. Also over Q(α), the classical
+discriminant and the repeated part of a binary cubic
+(``cubic_reference``). The same table over QQ gives the rank of a tensor
+on its concise core, with its first independent slices
 (``concise_reference``). By plain row-major
 indexing, keeping the entries as they are: the flattening of a tensor,
 the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, the
@@ -286,6 +288,19 @@ def root_field(fac):
 
 def _form_degree(f):
     return max(map(sum, f.monoms()))
+
+
+def cubic_reference(coeffs, field):
+    """(discriminant, repeated part) of the binary cubic a u^3 + b u^2 v +
+    c u v^2 + d v^3, its coefficients (a, b, c, d) in ``field``, sympy's QQ
+    or Q(α): the classical b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 abcd,
+    and gcd(f, f_u, f_v) over field[u, v], a polynomial of that ring."""
+    ring = field[_U, _V]
+    u, v = ring.gens
+    a, b, c, d = coeffs
+    f = ring(a) * u**3 + ring(b) * u**2 * v + ring(c) * u * v**2 + ring(d) * v**3
+    disc = b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    return disc, ring.gcd(ring.gcd(f, f.diff(u)), f.diff(v))
 
 
 def _field_orbit(field, A, B):

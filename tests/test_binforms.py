@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -13,8 +14,10 @@ from tensorloci.binforms import (
     bform_gcd,
     bform_square_root,
 )
+from tensorloci.classify import _CoreReads, classify
 from tensorloci.errors import AllZero, DegreeTooLarge, DegreeTooSmall
 from tensorloci.exactnum import zb_ring
+from tensorloci.orbits import normal_form
 from tensorloci.pencil import lambda_form, zform_quotient
 
 U, V = sympy.symbols("u v")
@@ -168,6 +171,9 @@ def test_discriminant_quadratic():
 
 
 def test_discriminant_cubic_anchor():
+    """The cubic discriminant is that of the Hessian, -3 times the
+    classical one: 3 times the anchored quartic expression below, which is
+    minus the classical one."""
     rng = random.Random(11)
     for _ in range(50):
         c1, c2, c3, c4 = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
@@ -179,7 +185,7 @@ def test_discriminant_cubic_anchor():
             - 18 * c1 * c2 * c3 * c4
             + 27 * c1**2 * c4**2
         )
-        assert bform_discriminant(form) == want
+        assert bform_discriminant(form) == 3 * want
 
 
 def _has_repeated_factor(form):
@@ -224,6 +230,33 @@ def test_discriminant_cubic_unimodular_invariance():
             [(U, a * U + b * V), (V, c * U + d * V)], simultaneous=True
         )
         assert bform_discriminant(from_sympy_expr(moved, 3)) == bform_discriminant(form)
+
+
+def test_hessian_reads_the_cubic_discriminant_and_repeated_part():
+    """On int cubics l^(k+1) m with repeated parts of degree k = 0, 1 and 2
+    (a product of three linear forms, l^2 m and l^3): the discriminant is
+    the Hessian's, -3 times the classical one, and the repeated part l^k
+    read off the Hessian (the reader's ``repeated_root``) is
+    ``bform_gcd([f, f_u, f_v])`` up to a constant."""
+    reads = _CoreReads(classify(normal_form(18)).core)
+    rng = random.Random(57)
+    seen = collections.Counter()
+    for case in range(90):
+        k = case % 3
+        ell = random_linear(rng)
+        planted = [ell] * (k + 1) if k else []
+        f = int_form(multiply(*planted, *[random_linear(rng) for _ in range(3 - len(planted))]))
+        a, b, c, d = f.coeffs
+        delta = b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+        assert bform_discriminant(f) == -3 * delta, f
+        want = bform_gcd([f, f.partial_u(), f.partial_v()])
+        got, root = reads.repeated_root(f)
+        assert got == want.degree, f
+        if got:
+            x, y = root.coeffs
+            assert proportional([x, y] if got == 1 else [x * x, 2 * x * y, y * y], want.coeffs)
+        seen[got] += 1
+    assert all(seen[k] for k in range(3)), seen
 
 
 def sympy_square_root(form):

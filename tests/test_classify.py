@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from draws import (
 )
 from support import (
     LAM,
+    cubic_reference,
     flattening,
     orbit_at_root,
     poly_at,
@@ -45,6 +47,7 @@ from tensorloci.binforms import (
 from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
+    _FamilyReads,
     _RootReads,
     classify,
     classify_parametric,
@@ -136,36 +139,31 @@ def test_border_rank_never_exceeds_rank():
 
 
 def test_name_only_pairs_share_their_ranks():
-    """Under ``ranks_only`` the table reports one orbit of a rank class,
-    the orbits of one concise shape and one rank and border rank
-    (``_orbit_of_canonical``): the pairs and the class of 19, 20, 22 and
-    23. On every normal form, and moved by GL, it reports an orbit of the
-    exact orbit's class, with its concise shape and rank pair; a GL move
-    of 22 or 23 has a square-free 3-minor and reads 19. The only open
-    orbit of the escape route in a class is 23, which ``in_open_orbit``
-    reads exactly."""
+    """The orbits that only the split after J tells apart share their
+    concise shape and rank pair: the pairs and the class of 19, 20, 22 and
+    23, the rank classes of the rank read. On every normal form, and moved
+    by GL, ``classify`` reports the exact orbit, and its rank is the
+    largest concise dimension plus one exactly on the rank-jump orbits 5,
+    13, 15-17 and 21, where J holds. The only open orbit of the escape
+    route in a class is 23, which ``in_open_orbit`` reads exactly."""
     classes = ((7, 8), (11, 12), (15, 16), (24, 25), (19, 20, 22, 23))
     for cls in classes:
         assert len({(RANKS[n], CONCISE_SHAPES[n]) for n in cls}) == 1, cls
     assert set(OPEN_ORBITS.values()) & set(itertools.chain(*classes)) == {23}
     rng = random.Random("rank classes")
     for n in range(1, 27):
-        cls = next((c for c in classes if n in c), (n,))
         moved = apply_gl(normal_form(n), [random_invertible(rng, d) for d in pencil_shape(n)])
         for t in (normal_form(n), moved):
-            exact, fast = classify(t), classify(t, ranks_only=True)
-            assert exact.orbit == OrbitId.orbit(n), n
-            assert fast.orbit.value in cls, (n, fast.orbit)
-            assert (fast.concise_shape, fast.rank, fast.border_rank) == (
-                exact.concise_shape, exact.rank, exact.border_rank), n
-        if n in (22, 23):
-            assert classify(moved, ranks_only=True).orbit == OrbitId.orbit(19), n
+            report = classify(t)
+            assert report.orbit == OrbitId.orbit(n), n
+            jump = n in (5, 13, 15, 16, 17, 21)
+            assert report.rank == max(report.concise_shape) + jump, n
 
 
 # The calls each step of a seeded GL-moved SPECIALIZED query makes, per
-# orbit: classify(T, ranks_only=True) to ``pivot_slices``, then the whole
-# query to ``pivot_slices``, ``pencil_minors``, ``concise_reduce`` and
-# ``member_orbit``.
+# orbit: classify(T) to ``pivot_slices``, then the whole query to
+# ``pivot_slices``, ``pencil_minors``, ``concise_reduce`` and ``_at_drop``,
+# the read of a member at a flattening drop.
 WORK_COUNTS = {
     5: (0, 3, 4, 1, 1), 6: (0, 0, 1, 0, 0), 7: (1, 4, 1, 2, 1), 8: (1, 4, 1, 2, 1),
     9: (1, 1, 0, 1, 0), 10: (3, 3, 0, 1, 0), 11: (1, 4, 1, 2, 1), 12: (1, 4, 1, 2, 1),
@@ -176,7 +174,7 @@ WORK_COUNTS = {
 }
 
 WORK_COUNTED = (linalg.pivot_slices, pencil.pencil_minors, tensorcore.concise_reduce,
-                classify_module.member_orbit)
+                classify_module._at_drop)
 
 
 def counted_calls(monkeypatch, call):
@@ -205,7 +203,7 @@ def test_work_counts_of_one_query_per_orbit(monkeypatch):
     with no elimination, but in orbit 13, whose determinant form vanishes;
     on (2,2,3), (2,2,4), (2,3,5) and (2,3,6) one elimination decides every
     axis (``concise_reduce``). On orbits 6, 9, 10 and 26 no rank-jump core
-    fits at the drop, which is the witness with no ``member_orbit``. The
+    fits at the drop, which is the witness with no ``_at_drop``. The
     rank-jump shapes are those of ``RANKS`` and the normal forms, and
     every other orbit's rank is its largest concise dimension. P is the
     first term e1 x e1 x e1 of the normal form's pencil, moved with T, so
@@ -222,7 +220,7 @@ def test_work_counts_of_one_query_per_orbit(monkeypatch):
         T, P = normal_form(n), RankOneTensor([unit(d, 0) for d in shape])
         gs = [random_invertible(rng, d) for d in shape]
         gT, gP = apply_gl(T, gs), apply_gl_rank_one(P, gs)
-        own = counted_calls(monkeypatch, lambda: classify(gT, ranks_only=True))
+        own = counted_calls(monkeypatch, lambda: classify(gT))
         query = counted_calls(monkeypatch, lambda: locus_membership(gT, gP, SPECIALIZED))
         got[n] = (own["pivot_slices"],) + tuple(query[f.__name__] for f in WORK_COUNTED)
         dims = tuple(sorted(shape))
@@ -232,7 +230,7 @@ def test_work_counts_of_one_query_per_orbit(monkeypatch):
         elif concise:
             assert own["pivot_slices"] == 1, n
         if n in (6, 9, 10, 26):
-            assert query["member_orbit"] == 0, n
+            assert query["_at_drop"] == 0, n
             assert locus_membership(gT, gP, SPECIALIZED).in_decomposition, n
     assert got == WORK_COUNTS
 
@@ -782,8 +780,8 @@ def test_int_pure_square_rule_matches_sympy():
     assert squares > 100
 
 
-# Families T - lam*P over Q(lam) whose generic orbit is 15 or 16: the
-# repeated part of their cubic determinant form is a square.
+# Families T - lam*P over Q(lam) whose generic orbit is 15 or 16: their
+# cubic determinant form is a cube.
 SQUARE_FAMILIES = [
     (15, [[-1, 0], [2, 0, 0], [2, 0, 0]], 15),
     (15, [[-1, -1], [1, -1, 0], [0, 0, -1]], 16),
@@ -792,30 +790,47 @@ SQUARE_FAMILIES = [
 ]
 
 
-def test_family_square_read_is_the_int_rule(monkeypatch):
-    """The family reader over Q(lam) reads its square repeated parts by
-    ``bform_square_root``, the rule above: on families whose generic
-    orbit is 15 or 16 each square it takes is a square, as sympy's
-    factorization over Q finds, and the orbit is that of the member at an
-    integer lam0 off the roots of the guards."""
-    calls = []
+def sympy_power_root(coeffs):
+    """(a, b) when sympy factors the int form c0 u^d + ... + cd v^d over Q
+    as a constant times (a u + b v)^d, else None."""
+    u, v = sympy.symbols("u v")
+    d = len(coeffs) - 1
+    form = sympy.Poly.from_dict({(d - i, i): c for i, c in enumerate(coeffs) if c}, u, v)
+    _, factors = form.factor_list()
+    if len(factors) != 1 or factors[0][1] != d:
+        return None
+    ell = factors[0][0]
+    return ell.coeff_monomial(u), ell.coeff_monomial(v)
 
-    def spy(g):
-        calls.append((g, bform_square_root(g)))
+
+def test_family_square_read_is_the_int_rule(monkeypatch):
+    """The family reader over Q(lam) reads the linear form l of its cubes
+    as an int form, by the rule of the integer reader on one λ-slice
+    (``linear_root``): on families whose generic orbit is 15 or 16 each
+    form it takes a root of has every nonzero λ-slice a constant times
+    l^3, as sympy's factorization over Q finds, and the orbit is that of
+    the member at an integer lam0 off the roots of the guards."""
+    calls = []
+    real = _FamilyReads.linear_root
+
+    def spy(self, form):
+        calls.append((form, real(self, form)))
         return calls[-1][1]
 
     for n, factors, want in SQUARE_FAMILIES:
         T, P = normal_form(n), RankOneTensor(factors)
         del calls[:]
         with monkeypatch.context() as m:
-            m.setattr(classify_module, "bform_square_root", spy)
+            m.setattr(_FamilyReads, "linear_root", spy)
             generic, guards = family_orbit(ParametricTensor(T, P))
         assert generic == OrbitId.orbit(want), (n, factors)
         assert calls, (n, factors)
-        for g, (ok, ell) in calls:
-            want_ok, root = sympy_square_root(g.coeffs, sympy.QQ)
-            assert ok and want_ok, g
-            assert ell.coeffs[0] * root[1] == ell.coeffs[1] * root[0]
+        for form, ell in calls:
+            slices = [[c[i] if len(c) > i else 0 for c in form.coeffs]
+                      for i in range(max(map(len, form.coeffs)))]
+            for coeffs in filter(any, slices):
+                a, b = sympy_power_root(coeffs)
+                assert ell.coeffs[0] * b == ell.coeffs[1] * a, (form, ell)
         lam0 = next(k for k in range(2, 20) if all(poly_at(q, k) for q in guards))
         assert classify(subtract_scaled(T, Fraction(lam0), P)).orbit == generic
 
@@ -850,6 +865,55 @@ def test_root_reader_rank_one_at():
             at_alpha = [[zb_in_field(e, K, alpha) for e in row] for row in rows]
             member = [[a * y - b * x for x, y in zip(row[:3], row[3:])] for row in at_alpha]
             assert reads.rank_one_at(ell) == (DomainMatrix(member, (3, 3), K).rank() <= 1)
+
+
+def zb_cubic_against_sympy(reads, coeffs, fac, den):
+    """At the roots alpha of the irreducible fac, beta = den alpha: the
+    discriminant of the cubic over Z[beta] is -3 times the classical one
+    over Q(alpha), and the repeated part l^k the reader reads off its
+    Hessian (``repeated_root``) is sympy's up to a constant
+    (``cubic_reference``). Returns k."""
+    K, alpha = root_field(fac)
+    beta = den * alpha
+    form = BinaryForm(coeffs, ring=reads.ring)
+    delta, want = cubic_reference([zb_in_field(c, K, beta) for c in coeffs], K)
+    assert zb_in_field(bform_discriminant(form), K, beta) == -3 * delta, coeffs
+    k, ell = reads.repeated_root(form)
+    ring = want.ring
+    u, v = ring.gens
+    x, y = (ring(zb_in_field(c, K, beta)) for c in ell.coeffs) if k else (ring.one, ring.zero)
+    got = (x * u + y * v) ** k
+    assert got * want.LC == want * got.LC, (coeffs, k)
+    return k
+
+
+def test_hessian_reads_cubics_over_zb_against_sympy():
+    """Over Z[beta], on cubics l^(k+1) m with repeated parts of degree k =
+    0, 1 and 2, as over Z: the discriminant and the repeated part read off
+    the Hessian agree with sympy over Q(alpha) (``zb_cubic_against_sympy``).
+    At the roots of g = (y^2 - 2)(y^2 - 3) the cubic u^3 + (beta^2 - 2)
+    u^2 v is a cube at two roots and u^2 (u + v) at the other two: the read
+    raises ZeroDivisor with the factor y^2 - 2, and on each factor of g it
+    agrees with sympy again."""
+    pencil = Pencil([[[1], [], [], [1]]], 2, LAMBDA_INTS)
+    seen = collections.Counter()
+    for fac, g, den, rng in root_models():
+        reads = _RootReads(pencil, g, den)
+        for case in range(6):
+            k = case % 3
+            ell = [random_zb(rng, g), random_zb(rng, g, nonzero=False)]
+            factors = [ell] * (k + 1) if k else []
+            factors += [[random_zb(rng, g), random_zb(rng, g)] for _ in range(3 - len(factors))]
+            coeffs = functools.reduce(lambda a, b: zb_poly_mul(a, b, g), factors)
+            seen[zb_cubic_against_sympy(reads, coeffs, fac, den)] += 1
+    assert all(seen[k] for k in range(3)), seen
+    g, cube = [6, 0, -5, 0, 1], [[1], [-2, 0, 1], [], []]
+    with pytest.raises(ZeroDivisor) as split:
+        _RootReads(pencil, g, 1).repeated_root(BinaryForm(cube, ring=zb_ring(g)))
+    assert split.value.factor == [-2, 0, 1]
+    for part, k in (([-2, 0, 1], 2), ([-3, 0, 1], 1)):
+        coeffs = [zb_mul(c, [1], part) for c in cube]
+        assert zb_cubic_against_sympy(_RootReads(pencil, part, 1), coeffs, part, 1) == k
 
 
 def test_rank_one_at_splits_a_reducible_modulus_on_a_zero_divisor():

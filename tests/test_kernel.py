@@ -443,10 +443,10 @@ def big_entry(rng):
 def test_family_discriminant_guards_on_big_entries_against_sympy():
     """The last guard of ``family_orbit`` on a generic (2,2,2) family, the
     discriminant of its quadratic determinant form, and on a generic
-    (2,3,3) family, that of the cubic one (``_FamilyReads.repeated_part``),
+    (2,3,3) family, that of the cubic one (``_FamilyReads.repeated_root``),
     both read by Kronecker substitution, are sympy's discriminant in λ
     of det(uA + vB) on T - λP, up to sign, with every entry of T and P
-    above 2^40."""
+    above 2^40; the cubic's is read as its Hessian's, 3 times sympy's."""
     rng = random.Random(51)
     for shape, orbit in [((2, 2, 2), 6)] * 3 + [((2, 3, 3), 18)] * 3:
         T = Tensor(shape, [big_entry(rng) for _ in range(math.prod(shape))])
@@ -459,7 +459,8 @@ def test_family_discriminant_guards_on_big_entries_against_sympy():
             w * (T[(k, i, j)] - LAM * d[(k, i, j)]) for k, w in enumerate((U, 1))))
         want = sympy.Poly(sympy.discriminant(pencil.det(), U), LAM)
         got = [sympy.Integer(int(c)) for c in guards[-1][::-1]]
-        assert got in (want.all_coeffs(), [-c for c in want.all_coeffs()])
+        scale = 3 if n == 3 else 1
+        assert got in ([scale * c for c in want.all_coeffs()], [-scale * c for c in want.all_coeffs()])
 
 
 def test_flattening_drop_of_non_concise_bases_against_sympy():

@@ -698,7 +698,7 @@ def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(locus, "_generic_membership", refuse)
-        m.setattr(locus, "classify_parametric", refuse)
+        m.setattr(locus, "_parametric_ranks", refuse)
         for orbit in ORBITS:
             got = [
                 witness_code(locus_membership(t, p, SPECIALIZED))
@@ -722,8 +722,12 @@ NAME_ONLY_ORBITS = (7, 8, 11, 12, 15, 16, 24, 25, 9, 26)
 
 
 # Escape families whose member at 1, or whose family over Q(lam), lies in
-# a pair, each with the witness code that both strategies give at the
-# normal form and after a GL move.
+# a pair or in the class of 19, 20, 22 and 23, each with the witness code
+# that both strategies give at the normal form and after a GL move. The
+# last six are orbit-21 families in orbit 23 over Q(lam), whose members at
+# the irrational roots of a quadratic guard (1 + 4 lam + 16 lam^2 on the
+# first) lie in 23 too: where 23 was compared with 19, the one orbit a read
+# of rank classes named for 19, 20, 22 and 23, GENERIC raised InternalError.
 NAME_ONLY_ESCAPES = [
     (13, [[0, 1], [0, 2, 0], [1, 0, 1]], None),
     (15, [[0, 1], [0, 0, -1], [2, -1, 0]], None),
@@ -732,6 +736,12 @@ NAME_ONLY_ESCAPES = [
     (16, [[1, 0], [1, 0, -1], [0, 0, -1]], "1"),
     (17, [[1, 0], [0, 1, 2], [0, 1, 1]], None),
     (21, [[2, -1], [-1, 0, 0], [0, 1, 0, -1]], "1"),
+    (21, [[-1, 3], [-1, 0, 1], [3, 1, 0, -1]], "1"),
+    (21, [[3, 2], [1, -1, -1], [-2, 3, 0, 2]], "1"),
+    (21, [[-2, 2], [1, 0, 3], [2, 2, 0, 2]], "1"),
+    (21, [[1, 1], [3, 2, 2], [-2, 2, 0, 2]], "1"),
+    (21, [[1, 3], [2, 1, -1], [3, -1, 0, 1]], "1"),
+    (21, [[3, 3], [-2, 0, 1], [-1, 1, 0, 2]], "1"),
 ]
 
 
@@ -740,27 +750,30 @@ class NameOnlyRead(Exception):
 
 
 def refuse_name_only_reads(m):
-    """Make the three name-only reads raise on the integer cores and on the
-    family over Q(lam): the 2-minor gcd of a 2 x 3 pencil, the 3-minor gcd
-    of a 3 x 5 pencil, and the rank-one read after the square check on a
-    3 x 3 pencil (15 or 16). On 3 x 4 that read tells 20 from 21, of
-    ranks 4 and 5."""
+    """Make the three name-only reads raise on every reader: the 2-minor
+    gcd of a 2 x 3 pencil, the 3-minor gcd of a 3 x 5 pencil, and the
+    rank-one read at the root of a cube determinant form of a 3 x 3 pencil
+    (15 or 16). On 3 x 4 the rank-one read at the root of g3 = l^2 tells
+    20 from 21, of ranks 4 and 5, and on 3 x 3 at a double root 14 from
+    17: J reads those."""
+    def repeated_root(self, det, real=_CoreReads.repeated_root):
+        k, ell = real(self, det)
+        self.cube = k == 2
+        return k, ell
+
+    m.setattr(_CoreReads, "repeated_root", repeated_root)
     for cls in (_CoreReads, _FamilyReads):
         def minor_gcd(self, k, real=cls.minor_gcd):
             if (k, len(self.p.rows), self.p.cols) in ((2, 2, 3), (3, 3, 5)):
                 raise NameOnlyRead(k)
             return real(self, k)
 
-        def pure_square(self, g, real=cls.pure_square):
-            self.squared = True
-            return real(self, g)
-
         def rank_one_at(self, ell, real=cls.rank_one_at):
-            if getattr(self, "squared", False) and self.p.cols == 3:
+            if getattr(self, "cube", False) and self.p.cols == 3:
                 raise NameOnlyRead(ell)
             return real(self, ell)
 
-        for read in (minor_gcd, pure_square, rank_one_at):
+        for read in (minor_gcd, rank_one_at):
             m.setattr(cls, read.__name__, read)
 
 
@@ -768,10 +781,10 @@ def test_membership_reads_ranks_not_orbit_names(monkeypatch):
     """With the name-only reads made to raise, both strategies still give
     the witnesses of the table on the seeded families of the pairs and of
     orbits 9 and 26, and the recorded ones on escape families that meet a
-    pair: T, its rational members and the family over Q(lam) are
-    classified ``ranks_only``. The exact defaults, which do make those
-    reads, still name both orbits of each pair, at the normal form and
-    after a GL move."""
+    pair or the class of 23: T, its members and the family over Q(lam) are
+    read for their rank, the largest concise dimension and J. ``classify``,
+    which does make those reads, still names both orbits of each pair, at
+    the normal form and after a GL move."""
     rng = random.Random("name-only reads")
     pairs = [(first, n, t) for first, second in NAME_ONLY_PAIRS for n in (first, second)
              for t in (normal_form(n), apply_gl(normal_form(n), [
@@ -792,10 +805,9 @@ def test_membership_reads_ranks_not_orbit_names(monkeypatch):
                 for strategy in (SPECIALIZED, GENERIC):
                     verdict = locus_membership(t, p, strategy)
                     assert witness_code(verdict) == want, (orbit, factors, strategy)
-        for first, n, t in pairs:
+        for _first, n, t in pairs:
             with pytest.raises(NameOnlyRead):
                 classify(t)
-            assert classify(t, ranks_only=True).orbit == OrbitId.orbit(first), n
     for _first, n, t in pairs:
         assert classify(t).orbit == OrbitId.orbit(n), n
 
@@ -865,8 +877,9 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
     """GENERIC answers every seeded family with the witnesses of the
     table, all rational. A report with an irrational group of
     rank r - 1, which the lemma of ``LambdaWitness`` rules out, would ask
-    for a witness over Q(alpha): planted in place of the report of a
-    family, it makes GENERIC raise InternalError instead of answering."""
+    for a witness over Q(alpha): planted in the rank report of a family
+    (``classify._parametric_ranks``), it makes GENERIC raise
+    InternalError instead of answering."""
     for orbit in ORBITS:
         verdicts = [
             locus_membership(t, p, GENERIC)
@@ -876,15 +889,14 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
         assert [witness_code(v) for v in verdicts] == [
             gen for _spec, gen in WITNESSES[orbit]], orbit
     T, P = normal_form(17), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
-    real = locus.classify_parametric
+    real = locus._parametric_ranks
 
-    def planted(family, **kwargs):
-        parametric = real(family, **kwargs)
-        parametric.exceptional.append(((-2, 0, 1), OrbitId.orbit(14)))
-        return parametric
+    def planted(family):
+        generic, entries = real(family)
+        return generic, entries + [((-2, 0, 1), 3)]
 
     with monkeypatch.context() as m:
-        m.setattr(locus, "classify_parametric", planted)
+        m.setattr(locus, "_parametric_ranks", planted)
         with pytest.raises(InternalError, match="irrational"):
             locus_membership(T, P, GENERIC)
     assert locus_membership(T, P, GENERIC).in_decomposition
@@ -1243,9 +1255,8 @@ def test_witness_values_and_entries_follow_the_scalar_policy():
 
 def test_first_witness_takes_the_first_factor_of_the_target_rank():
     """The members at lam = 1 and at lam = +-sqrt(2), +-sqrt(3) all have
-    rank three, read as the witness search reads them, ``orbits_at_roots``
-    up to ranks: each factor is one group, roots in one orbit sharing one,
-    and none has rank two. sympy reads the same rank over Q(alpha) at the
+    rank three, read by ``orbits_at_roots``: each factor is one group,
+    roots in one orbit sharing one, and none has rank two. sympy reads the same rank over Q(alpha) at the
     irrational ones (``orbit_at_root``): they are generic members, of rank
     r - 1 like every member off the special values, so both strategies
     take the first value of the integer scan, 1, and no irrational root is
@@ -1255,7 +1266,7 @@ def test_first_witness_takes_the_first_factor_of_the_target_rank():
     lin, quad, other = (-1, 1), (-2, 0, 1), (-3, 0, 1)
     family = ParametricTensor(T, P)
     for fac in (lin, quad, upoly_product(quad, other)):
-        (group, oid), = orbits_at_roots(family, fac, ranks_only=True)
+        (group, oid), = orbits_at_roots(family, fac)
         assert group == fac and oid.rank_pair()[0] == 3, fac
     for fac in (quad, other):
         assert RANKS[orbit_at_root(T, P, fac)][0] == 3, fac
@@ -1310,36 +1321,30 @@ def test_open_orbit_certificate_answers_without_family_orbit():
 
 
 def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
-    """A certificate hit classifies nothing: the member at 1 is tested by
-    one invariant (``in_open_orbit``). Where it is off the open orbit, the
-    escape route builds ``family_orbit`` and classifies no member twice:
-    the member at 1 is read, if at all, with the candidates and the scan,
-    through ``orbits_at_roots``. On the orbit-17 family whose scan walks
+    """A certificate hit reads no rank: the member at 1 is tested by one
+    invariant (``in_open_orbit``). Where it is off the open orbit, the
+    escape route reads the family's rank over Q(lam) and reads no member
+    twice: the member at 1 is read, if at all, with the candidates and the
+    scan, through ``_at_roots``. On the orbit-17 family whose scan walks
     1, -1, 2 and on the seeded families of the escape orbits."""
     T17 = normal_form(17)
     P17 = RankOneTensor([[Fraction(-1, 2), 0], [0, 1, 1], [1, 0, -1]])
     one = (-1, 1)
     classified, built = [], []
-    real_orbits, real_member = locus.orbits_at_roots, locus.member_orbit
-    real_family = locus.family_orbit
+    real_roots, real_family = locus._at_roots, locus._family_read
 
-    def orbits_at_roots(family, fac, **kwargs):
+    def at_roots(family, fac, table):
         classified.append(fac)
-        return real_orbits(family, fac, **kwargs)
+        return real_roots(family, fac, table)
 
-    def member_orbit(family, fac, **kwargs):
-        classified.append(fac)
-        return real_member(family, fac, **kwargs)
-
-    def family_orbit_spy(family, **kwargs):
+    def family_read(family, table):
         built.append(family)
-        return real_family(family, **kwargs)
+        return real_family(family, table)
 
     fallbacks = hits = 0
     with monkeypatch.context() as m:
-        m.setattr(locus, "orbits_at_roots", orbits_at_roots)
-        m.setattr(locus, "member_orbit", member_orbit)
-        m.setattr(locus, "family_orbit", family_orbit_spy)
+        m.setattr(locus, "_at_roots", at_roots)
+        m.setattr(locus, "_family_read", family_read)
         for orbit, t, p in [(17, T17, P17)] + list(escape_families()):
             del classified[:], built[:]
             verdict = locus_membership(t, p, SPECIALIZED)
@@ -1378,13 +1383,13 @@ SWEEP_SUMMARIES = {
     "gl": "gl: points 22, 0 mismatches",
     "escape": "escape: certificate hits 18, fallbacks 8, non-concise members at 1 2, "
               "0 mismatches",
-    "ranks": "ranks: candidate roots exact 42, candidate roots ranks_only 24, "
-             "candidate roots saved 18, families 44, 0 mismatches",
+    "ranks": "ranks: families 44, special roots exact 42, special roots ranks 24, "
+             "0 mismatches",
     "roots": "roots: D5 splits 0, candidate factors 16, families 22, in the generic orbit 0, "
              "irrational groups 5, irrational groups off the generic orbit 5, "
              "members at a drop 5, members at irrational roots 5, "
-             "rational roots read off the family 28, read discriminant_vanishes 1, "
-             "read minor_gcd 5, read pure_square 0, read rank_one_at 2, read repeated_part 2, "
+             "rational roots read off the family 28, read discriminant_vanishes 3, "
+             "read linear_root 2, read minor_gcd 2, read rank_one_at 2, read repeated_root 2, "
              "0 mismatches",
     "drops": "drops: drop 0 8, drop None 13, flattenings 21, one row fewer 0, 0 mismatches",
     "concise": "concise: concise 8, unsupported 1, 0 mismatches",
@@ -1407,11 +1412,15 @@ def test_dump_verdicts_script_runs_one_round(seed7_dump):
     strategies, and they agree on the status; each GENERIC line carries
     the parametric report, lam listed first. The 24 tangent tensors that
     follow are members, each decomposed into as many terms as it has
-    active axes."""
+    active axes. Last come the 8 matrix cases once more, each classified
+    in its row and its core, a matrix, as a matrix rank."""
     assert seed7_dump.status == 0
     lines = [json.loads(line) for line in seed7_dump.out.splitlines()]
-    lines, tangent = lines[:-24], lines[-24:]
+    lines, tangent, classes = lines[:-32], lines[-32:-8], lines[-8:]
     assert len(lines) == 2 * 44 * 2 + 8 * 2
+    assert [(c["workload"], c["orbit"], c["class"], c["core"]) for c in classes] == [
+        ("pencil-classify", n, "Orbit(%d)" % n, None if n == 1 else "MatrixRank(2)")
+        for n in (1, 2, 3, 4) for _ in range(2)]
     assert [(t["workload"], t["order"], t["coincident"], t["padded"]) for t in tangent] == [
         ("tangent", k, m, pad) for k in (3, 4, 5) for m in range(k) for pad in (False, True)]
     for t in tangent:

@@ -72,12 +72,13 @@ def hyperdet222(t):
 
 
 def hyperdet233(t):
-    """Schlafli hyperdeterminant of a 2x3x3 tensor: the discriminant of the
-    cubic determinant form of the pencil, negated so that the known
-    symbolic evaluations at normal forms minus lambda times a rank-one
-    point come out coefficient for coefficient."""
+    """Schlafli hyperdeterminant of a 2x3x3 tensor: the classical
+    discriminant of the cubic determinant form of the pencil, -1/3 times
+    ``bform_discriminant``'s, so that the known symbolic evaluations at
+    normal forms minus lambda times a rank-one point come out coefficient
+    for coefficient."""
     assert t.shape == (2, 3, 3)
-    return -bform_discriminant(det_form(t))
+    return Fraction(bform_discriminant(det_form(t)), -3)
 
 
 def to_sympy(form):

@@ -23,13 +23,20 @@ PACKAGE_DIR = os.path.join(TESTS_DIR, os.pardir, "src", "tensorloci")
 ALLOWED = {
     # monkeypatch spy targets: the tests wrap a route or a reader to see
     # which one answers, or make the reads that only name an orbit raise
-    "_CoreReads": "spy target: the name-only reads on an integer core",
+    "_CoreReads": "spy target: the name-only reads on an integer core; and its repeated_root "
+                  "on planted int cubics, which no core gives at will",
     "_FamilyReads": "spy target: the name-only reads on a family over Q(lam)",
     "_drop_root_verdict": "spy target: the drop route of the specialized strategy",
     "_escape_verdict": "spy target: the escape route of the specialized strategy",
     "_generic_membership": "spy target: refused on the specialized routes",
+    "_parametric_ranks": "the membership path's rank report: checked against classify_parametric, "
+                         "refused on the specialized routes, planted with a bad value",
+    "_at_roots": "spy target: the members the escape route reads",
+    "_family_read": "spy target: the escape route's read of the family over Q(lam)",
+    "_at_drop": "counted: the members read at a flattening drop, per query",
     # kernels no public input reaches
-    "_RootReads": "its rank_one_at at random linear forms, which no repeated part is",
+    "_RootReads": "its rank_one_at at random linear forms, which no repeated part is, and its "
+                  "repeated_root on planted cubics over Z[beta]",
     "_table_value": "a closed-form polynomial's value, of which closed_form_predicate reads only "
                     "whether it is 0",
 }

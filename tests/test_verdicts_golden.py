@@ -1,7 +1,8 @@
 """``scripts/dump_verdicts.py`` at seed 7, one round, prints exactly the
 committed ``tests/data/verdicts_seed7.jsonl``: every verdict, witness and
-parametric report of those 192 answers, and the tangency point,
-decomposition and verdict of its 24 tangent tensors, byte for byte. The
+parametric report of those 192 answers, the tangency point,
+decomposition and verdict of its 24 tangent tensors, and the orbits of
+its 8 matrix cases and their cores, byte for byte. The
 run is the shared ``seed7_dump`` of ``conftest.py``. Regenerate the
 file only for a deliberate change of answers, and say why in that change:
 
