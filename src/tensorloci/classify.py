@@ -56,7 +56,13 @@ from .exactnum import (
 )
 from .linalg import kronecker_pack, kronecker_unpack
 from .orbits import OPEN_ORBITS, PENCILS, RANKS, normal_form
-from .pencil import Pencil, _nonzero_minors, family_minor_gcd, lambda_parts, pencil_minor_gcd
+from .pencil import (
+    Pencil,
+    _nonzero_minors,
+    family_minor_gcd,
+    lambda_parts,
+    pencil_minor_gcd,
+)
 from .tensorcore import (ConciseReduction, ParametricTensor, Tensor, _scaled_entries,
                          concise_reduce, flat_rows)
 
@@ -123,11 +129,21 @@ class ClassifyReport:
     the concise core in the canonical order, on the ambient axes
     ``core_axes`` (None for rank one)."""
 
-    __slots__ = ("orbit", "rank", "border_rank", "concise_shape", "reduction",
-                 "axis_permutation", "core", "core_axes")
+    __slots__ = (
+        "orbit",
+        "rank",
+        "border_rank",
+        "concise_shape",
+        "reduction",
+        "axis_permutation",
+        "core",
+        "core_axes",
+    )
 
-    def __init__(self, orbit, rank, border_rank, concise_shape, reduction,
-                 axis_permutation, core, core_axes):
+    def __init__(
+        self, orbit, rank, border_rank, concise_shape, reduction,
+        axis_permutation, core, core_axes,
+    ):
         self.orbit = orbit
         self.rank = rank
         self.border_rank = border_rank
@@ -139,7 +155,10 @@ class ClassifyReport:
 
     def __repr__(self):
         return "ClassifyReport(%r, rank=%d, border_rank=%d)" % (
-            self.orbit, self.rank, self.border_rank)
+            self.orbit,
+            self.rank,
+            self.border_rank,
+        )
 
 
 class ParametricReport:
@@ -148,11 +167,14 @@ class ParametricReport:
     exceptional holds (factor, OrbitId) pairs: the member at every root of
     the factor, an int tuple lowest degree first, primitive with a positive
     leading coefficient, lies in that orbit. The factor lambda itself,
-    (0, 1), comes first, with T's orbit, even when it is the generic one;
-    then the rational special values p/q, one linear factor (-p, q) each,
-    in the order of ``candidate_factors``; then the irrational ones, one
-    group per orbit, square-free with no rational root and coprime to the
-    other groups.
+    (0, 1) for the value 0, is always listed first, even when its orbit
+    agrees with the generic one, because rank cannot drop at lambda = 0;
+    its orbit is T's: the generic one where no guard vanishes at 0, else
+    read off the family like any rational root.
+    Then come the rational special values p/q, one linear factor (-p, q)
+    each, in the order of ``candidate_factors``; then the irrational ones,
+    one group per orbit, square-free with no rational root and coprime to
+    the other groups.
     """
 
     __slots__ = ("generic", "exceptional")
@@ -162,7 +184,10 @@ class ParametricReport:
         self.exceptional = exceptional
 
     def __repr__(self):
-        return "ParametricReport(generic=%r, exceptional=%r)" % (self.generic, self.exceptional)
+        return "ParametricReport(generic=%r, exceptional=%r)" % (
+            self.generic,
+            self.exceptional,
+        )
 
 
 # Both read off ``PENCILS``: the table rows that are matrix cases in a
@@ -247,7 +272,9 @@ def _canonical_dims(concise_shape):
     if len(dims) == 1:
         raise InternalError("a concise core cannot be a vector")
     if len(dims) > 2 and (len(dims) != 3 or dims[0] != 2 or dims[1] not in (2, 3)):
-        raise UnsupportedShape("no finite orbit list for concise shape %r" % (concise_shape,))
+        raise UnsupportedShape(
+            "no finite orbit list for concise shape %r" % (concise_shape,)
+        )
     return dims
 
 
@@ -286,70 +313,62 @@ def _orbit_of_canonical(dims, reads):
         return 5 if _JUMPS[dims](reads) else 6
     if dims == (2, 2, 3):
         return 7 if reads.minor_gcd(2).degree >= 1 else 8
+    if dims == (2, 2, 4):
+        return 9
     if dims == (2, 3, 3):
         return _orbit_233(reads)
     if dims == (2, 3, 4):
         return _orbit_234(reads)
     if dims == (2, 3, 5):
         return 24 if reads.minor_gcd(3).degree >= 1 else 25
-    return {(2, 2, 4): 9, (2, 3, 6): 26}[dims]
+    return 26
 
 
 def _jump_233(reads):
-    """J on (2,3,3), orbits 13 and 15-17: the determinant form is 0, or its
-    repeated part l^k (``repeated_root``) is l^2, or l with the member at
-    l's root not of rank one."""
-    det = reads.det()
-    if reads.is_zero(det):
-        return True
-    k, ell = reads.repeated_root(det)
-    return k == 2 or k == 1 and not reads.rank_one_at(ell)
+    """J on (2,3,3), orbits 13 and 15-17: the determinant form is 0, or
+    its repeated part l^k (``repeated_root``) is l^2, or l with the member
+    at l's root not of rank one."""
+    k, ell = reads.repeated_root(reads.det())
+    return k is None or k == 2 or k == 1 and not reads.rank_one_at(ell)
 
 
 def _orbit_233(reads):
-    """(2,3,3) split after J: 13 on a zero determinant form, 18 on a
-    square-free one, else rank one at l's root tells 14 from 17 (k = 1)
-    and 15 from 16 (k = 2)."""
-    det = reads.det()
-    if reads.is_zero(det):
+    """(2,3,3) split after J, on the same reads: 13 on a zero determinant
+    form, 18 on a square-free one, else rank one at l's root tells 14
+    from 17 (k = 1) and 15 from 16 (k = 2)."""
+    k, ell = reads.repeated_root(reads.det())
+    if k is None:
         return 13
-    k, ell = reads.repeated_root(det)
     if k == 0:
         return 18
     one = reads.rank_one_at(ell)
     return (14 if one else 17) if k == 1 else 15 if one else 16
 
 
-def _jump_234(reads):
-    """J on (2,3,4), orbit 21: no 3-minor is square-free, their gcd g3 is
-    l^2 and the member at l's root is not of rank one. The square-free read
-    settles most of 19, 22 and 23, with fewer guard roots than g3's."""
-    if reads.square_free_minor():
-        return False
-    g3 = reads.minor_gcd(3)
-    return (g3.degree == 2 and reads.discriminant_vanishes(g3)
-            and not reads.rank_one_at(reads.linear_root(g3)))
-
-
 def _orbit_234(reads):
-    """(2,3,4) split after J, by g3: 23, 19 and 22 for degree 0, 1 and a
+    """(2,3,4) by the 3-minor gcd g3: 23, 19 and 22 for degree 0, 1 and a
     non-square; on l^2, 20 where the member at l's root has rank one (a
     2-minor gcd of positive degree divides l^2), else 21."""
     g3 = reads.minor_gcd(3)
     if g3.is_zero() or g3.degree > 2:
         raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
-    if g3.degree < 2:
-        return (23, 19)[g3.degree]
+    if g3.degree == 0:
+        return 23
+    if g3.degree == 1:
+        return 19
     if not reads.discriminant_vanishes(g3):
         return 22
     return 20 if reads.rank_one_at(reads.linear_root(g3)) else 21
 
 
 # J, whether the rank exceeds the largest concise dimension, per rank-jump
-# shape; on (2,2,2), orbit 5, the Cayley hyperdeterminant, the discriminant
-# of the determinant form, vanishes
+# shape: on (2,2,2), orbit 5, the Cayley hyperdeterminant, the discriminant
+# of the determinant form, vanishes; on (2,3,4), orbit 21, no 3-minor is
+# square-free, a read that settles most of 19, 22 and 23 with fewer guard
+# roots than g3's, and then the split reads 21
 _JUMPS = {(2, 2, 2): lambda reads: reads.discriminant_vanishes(reads.det()),
-          (2, 3, 3): _jump_233, (2, 3, 4): _jump_234}
+          (2, 3, 3): _jump_233,
+          (2, 3, 4): lambda reads: not reads.square_free_minor() and _orbit_234(reads) == 21}
 
 
 def _at_root(f, ell):
@@ -419,10 +438,13 @@ class _CoreReads:
         return _linear_root(form)
 
     def repeated_root(self, det):
-        """(k, l): the repeated part l^k of a nonzero cubic, read off its
-        Hessian H (``binforms._hessian``): k = 0 (l None) where the cubic's
-        discriminant, that of H, is nonzero; else k = 2 where H = 0, the
-        cubic c l^3, and k = 1 where H = c l^2 (``linear_root``)."""
+        """(k, l): the repeated part l^k of a cubic, read off its Hessian H
+        (``binforms._hessian``): k None (l None) for the zero form; k = 0
+        (l None) where the cubic's discriminant, that of H, is nonzero; else
+        k = 2 where H = 0, the cubic c l^3, and k = 1 where H = c l^2
+        (``linear_root``)."""
+        if self.is_zero(det):
+            return None, None
         if not self.discriminant_vanishes(det):
             return 0, None
         h = self.hessian(det)

@@ -40,7 +40,10 @@ from support import (
 from tensorloci import locus
 from tensorloci.classify import (
     OrbitId,
+    _at_roots,
     _parametric_ranks,
+    _rank_of,
+    _read,
     classify,
     classify_parametric,
     family_orbit,
@@ -248,8 +251,10 @@ def candidate_problems(candidates):
 def rational_roots(family, candidates, counts):
     """At λ = 0, at each finite flattening drop and at each linear
     candidate, ``orbits_at_roots`` gives the orbit ``classify`` gives the
-    int member (``member_at``). Counts the ``rational roots read off the
-    family`` and the ``members at a drop``."""
+    int member (``member_at``), and the membership path's rank read there
+    (``_at_roots`` with ``_rank_of``) gives that orbit's rank, 0 for the
+    zero member. Counts the ``rational roots read off the family`` and the
+    ``members at a drop``."""
     drops = {family.flattening_drop(axis)[1] for axis in range(1, family.base.order + 1)}
     drops.discard(None)
     problems = []
@@ -260,6 +265,9 @@ def rational_roots(family, candidates, counts):
         got = orbits_at_roots(family, fac)
         if got != [(fac, want)]:
             problems.append("at %r: %r, member %r" % (fac, got, want))
+        got = _at_roots(family, fac, _rank_of)
+        if got != [(fac, orbit_rank(want))]:
+            problems.append("at %r: ranks %r, member %r" % (fac, got, want))
     return problems
 
 
@@ -330,11 +338,12 @@ def flattening_drops(family, counts):
 
 def concise(T, counts):
     """On T and on every permutation of its axes, ``concise_reduce`` keeps
-    the first independent slices of each axis, and ``classify`` gives the
-    concise shape and the rank of the sympy
-    reference (``support.concise_reference``), or raises UnsupportedShape
-    where it has no rank. Counts the ``concise`` tensors and the
-    ``unsupported`` ones."""
+    the first independent slices of each axis; ``classify`` gives the
+    concise shape and the rank of the sympy reference
+    (``support.concise_reference``), and the membership path's rank read
+    (``classify._read`` with ``_rank_of``) gives that rank; each raises
+    UnsupportedShape where it has no rank. Counts the ``concise`` tensors
+    and the ``unsupported`` ones."""
     slices, want = concise_reference(T)
     counts["concise"] += all(len(s) == d for s, d in zip(slices, T.shape))
     counts["unsupported"] += want is None
@@ -353,6 +362,12 @@ def concise(T, counts):
             got = None
         if got != expected:
             problems.append("axes %r: %r, sympy %r" % (perm, got, expected))
+        try:
+            got = _read(t, _rank_of)[0]
+        except UnsupportedShape:
+            got = None
+        if got != want:
+            problems.append("axes %r: rank read %r, sympy %r" % (perm, got, want))
     return problems
 
 

@@ -98,6 +98,8 @@ from tensorloci.classify import (
     OrbitId,
     _CoreReads,
     _FamilyReads,
+    _at_roots,
+    _rank_of,
     classify,
     classify_parametric,
     family_orbit,
@@ -1255,17 +1257,19 @@ def test_witness_values_and_entries_follow_the_scalar_policy():
 
 def test_first_witness_takes_the_first_factor_of_the_target_rank():
     """The members at lam = 1 and at lam = +-sqrt(2), +-sqrt(3) all have
-    rank three, read by ``orbits_at_roots``: each factor is one group,
-    roots in one orbit sharing one, and none has rank two. sympy reads the same rank over Q(alpha) at the
-    irrational ones (``orbit_at_root``): they are generic members, of rank
-    r - 1 like every member off the special values, so both strategies
-    take the first value of the integer scan, 1, and no irrational root is
-    ever the witness."""
+    rank three, read as the witness search reads them (``_at_roots`` with
+    ``_rank_of``) and by ``orbits_at_roots``: each factor is one group of
+    rank three, and none has rank two. sympy reads the same rank over
+    Q(alpha) at the irrational ones (``orbit_at_root``): they are generic
+    members, of rank r - 1 like every member off the special values, so
+    both strategies take the first value of the integer scan, 1, and no
+    irrational root is ever the witness."""
     T = normal_form(16)
     P = RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
     lin, quad, other = (-1, 1), (-2, 0, 1), (-3, 0, 1)
     family = ParametricTensor(T, P)
     for fac in (lin, quad, upoly_product(quad, other)):
+        assert _at_roots(family, fac, _rank_of) == [(fac, 3)], fac
         (group, oid), = orbits_at_roots(family, fac)
         assert group == fac and oid.rank_pair()[0] == 3, fac
     for fac in (quad, other):

@@ -31,6 +31,10 @@ ALLOWED = {
     "_generic_membership": "spy target: refused on the specialized routes",
     "_parametric_ranks": "the membership path's rank report: checked against classify_parametric, "
                          "refused on the specialized routes, planted with a bad value",
+    "_read": "the membership path's rank of T: checked against sympy's rank on every canonical "
+             "shape and axis order",
+    "_rank_of": "the table the membership path reads ranks with, passed to _read and _at_roots in "
+                "the checks of the rank read",
     "_at_roots": "spy target: the members the escape route reads",
     "_family_read": "spy target: the escape route's read of the family over Q(lam)",
     "_at_drop": "counted: the members read at a flattening drop, per query",
