@@ -15,25 +15,29 @@ the same reads (``_orbit_of_shape``): matrix shapes by rank, (2,2,2) by
 J, (2,3,3) and (2,3,4) by the split after J, (2,2,3) and (2,3,5) by a
 minor gcd, the others by the shape. On a rank-jump shape T needs no
 ``concise_reduce`` where the first read shows it concise
-(``_CoreReads.concise``).
+(``_CoreReads.concise``). J's closed reads alone, on one member of a line
+T - λP, can show J false on the whole line (``_jump_free``), the
+certificate of the escape route of ``locus_membership``.
 
 The reads go through a reader holding one ``pencil.Pencil``, the rows
-[A_i | B_i], whose minors come from ``pencil_minors``; a reader makes its
-minors into binary forms its own way (``_form``), and every read on the
-forms is written once on their ring. On an integer core they are ints,
-known up to a nonzero constant. A family T - λP with P rank one is read
-over Q(λ) on its pencil over Z[λ], whose minors are affine in λ: each
-read also appends guards, polynomials whose roots include every λ where
-it can differ from its generic value (``_FamilyReads``), and a form over
-Z[λ] is read packed at λ = 2^K into an int form (Kronecker substitution,
-``_lambda_read``). Off its flattening drops, all rational, each member
-has the family's concise shape and its minors are the family's at the
-root: int forms at a rational root (``_RationalReads``), forms over Z[β],
-β an integer multiple of the root, at all the irrational roots of a
-guard at once (``_RootReads``), split only where a read tells two roots
-apart (dynamic evaluation, ``_at_roots``). Only a member at a drop is
-built as an int tensor (``_at_drop``). A family keeps one pencil on its
-kept slices, each size of minors expanded once for all of these readers
+[A_i | B_i], whose minors come from ``pencil_minors``; a reader makes each
+entry and minor coefficient an element of its forms' ring by one hook
+(``_entry``), and every read on the forms is written once on their ring.
+On an integer core they are ints, known up to a nonzero constant. Rank
+one at a root is read on the member's matrix there (``rank_one_at``).
+A family T - λP with P rank one is read over Q(λ) on its pencil over
+Z[λ], whose minors are affine in λ: each read also appends guards,
+polynomials whose roots include every λ where it can differ from its
+generic value (``_FamilyReads``), and a form over Z[λ] is read packed at
+λ = 2^K into an int form (Kronecker substitution, ``_lambda_read``). Off
+its flattening drops, all rational, each member has the family's concise
+shape and its minors are the family's at the root: int forms at a
+rational root (``_RationalReads``), forms over Z[β], β an integer
+multiple of the root, at all the irrational roots of a guard at once
+(``_RootReads``), split only where a read tells two roots apart (dynamic
+evaluation, ``_at_roots``). Only a member at a drop is built as an int
+tensor (``_at_drop``). A family keeps one pencil on its kept slices, each
+size of minors expanded once for all of these readers
 (``ParametricTensor.kept_pencil``); T, the member at λ = 0, is read only
 where a guard vanishes there.
 """
@@ -55,16 +59,15 @@ from .exactnum import (
     zb_ring,
 )
 from .linalg import kronecker_pack, kronecker_unpack
-from .orbits import OPEN_ORBITS, PENCILS, RANKS, normal_form
+from .orbits import PENCILS, RANKS, normal_form
 from .pencil import (
     Pencil,
     _nonzero_minors,
     family_minor_gcd,
-    lambda_parts,
     pencil_minor_gcd,
 )
-from .tensorcore import (ConciseReduction, ParametricTensor, Tensor, _scaled_entries,
-                         concise_reduce, flat_rows)
+from .tensorcore import (ConciseReduction, ParametricTensor, _scaled_entries, concise_reduce,
+                         flat_rows)
 
 
 class OrbitId:
@@ -248,23 +251,6 @@ def _reduced(order, red, table):
     return table(order, shape, lambda: _CoreReads(core)), red, perm, core, axes
 
 
-def in_open_orbit(t):
-    """Whether a tensor of a shape (2, b, c) of ``OPEN_ORBITS`` (another
-    raises UnsupportedShape) lies in its open orbit, 6, 18 or 23: concise
-    by the reader's conciseness read (``_CoreReads.concise``), then a
-    nonzero discriminant of the determinant form on (2,2,2) and (2,3,3), a
-    nonzero constant 3-minor gcd on (2,3,4); the table puts such a tensor
-    in 6, 18 (a square-free cubic) or 23."""
-    if t.shape not in OPEN_ORBITS:
-        raise UnsupportedShape("no open orbit is listed for shape %r" % (t.shape,))
-    reads = _CoreReads(Tensor(t.shape, _scaled_entries(t.entries)[0]))
-    if not reads.concise():
-        return False
-    if t.shape[2] == 4:
-        return reads.minor_gcd(3).degree == 0
-    return not reads.discriminant_vanishes(reads.det())
-
-
 def _canonical_dims(concise_shape):
     """The concise dimensions above one, sorted: at most two (a matrix
     case), or (2, b, c) with b in (2, 3); others raise UnsupportedShape."""
@@ -371,12 +357,31 @@ _JUMPS = {(2, 2, 2): lambda reads: reads.discriminant_vanishes(reads.det()),
           (2, 3, 4): lambda reads: not reads.square_free_minor() and _orbit_234(reads) == 21}
 
 
-def _at_root(f, ell):
-    """Minus the quadratic form f at the root (-b, a) of the linear form
-    ell = a u + b v, in their ring: zero exactly where f vanishes there."""
-    (c0, c1, c2), (a, b) = f.coeffs, ell.coeffs
-    cross, zero = f.ring.cross, f.ring.zero
-    return cross(cross(c1, a, c0, b), b, cross(c2, a, zero, zero), a)
+def _jump_free(t):
+    """Whether the int tensor t, of a rank-jump shape in the canonical
+    order, lies off the set C where J's closed reads fail: on (2,2,2) and
+    (2,3,3) the determinant form has a nonzero discriminant, which rules
+    out a dependent row, column or slice pair; on (2,3,4) some 3-minor is
+    square-free (J's first read), or else the 3-minor gcd is constant.
+
+    The escape route reads it on the member at 1 of T - λP, T concise of
+    rank r in this shape, and answers 1 where it holds:
+
+    * J holds only on C, and C is Zariski-closed in the coordinates of
+      t: the discriminant vanishes, or on (2,3,4) every 3-minor's does
+      and the 3-minors share a root.
+    * The members of the line T - λP in C are either all of them or
+      finitely many. So a member at 1 off C puts the generic member off
+      C. J then fails generically on the concise shape of T, the generic
+      rank is r - 1, and GENERIC's scan answers 1.
+    * The member at 1 has that rank too. Off C on (2,2,2) and (2,3,3) it
+      is concise with J false. On (2,3,4) every member has rank at least
+      4 = r - 1, and only a concise member with J true has more.
+    """
+    reads = _CoreReads(t)
+    if t.shape[2] == 4:
+        return reads.square_free_minor() or reads.minor_gcd(3).degree == 0
+    return not reads.discriminant_vanishes(reads.det())
 
 
 def _dependent(x, y):
@@ -388,13 +393,23 @@ def _dependent(x, y):
 class _CoreReads:
     """The invariants the decision table reads, on the pencil of an integer
     core of shape (2, b, c); the forms carry their ring, and every read is
-    written once on the ring's operations. ``_form`` makes a minor of the
-    pencil a binary form. On an int core rank one at a root skips forms."""
+    written once on the ring's operations. A reader holds the pencil ``p``,
+    the ``ring`` of its forms and one entry hook, ``_entry``, which makes
+    an entry or minor coefficient of ``p`` an element of that ring: the
+    int itself on a core."""
 
-    _form = BinaryForm
+    ring = INTEGERS
 
     def __init__(self, core):
         self.p = Pencil(flat_rows(core.entries, core.shape, 1), core.shape[2], INTEGERS)
+
+    @staticmethod
+    def _entry(x):
+        return x
+
+    def _form(self, m):
+        """A minor of the pencil as a binary form over ``ring``."""
+        return BinaryForm(map(self._entry, m), len(m) - 1, self.ring)
 
     def concise(self):
         """Whether the maximal minors of a square or 3 x 4 int pencil show
@@ -452,17 +467,21 @@ class _CoreReads:
             return 2, self.linear_root(det)
         return 1, self.linear_root(h)
 
+    def _member_minors(self, cross, a, b):
+        """The 2-minors, lazily, of the member -bA + aB of the pencil rows
+        [A_i | B_i], in the ring of a and b: entry (i, j) is cross(B_ij, a,
+        A_ij, b) on the entries ``_entry`` makes, and each minor one more
+        ``cross`` (cross(a, p, h, b) = a p - h b)."""
+        c, e = self.p.cols, self._entry
+        m = [[cross(e(r[c + j]), a, e(r[j]), b) for j in range(c)] for r in self.p.rows]
+        return (cross(x, w, y, z) for r, s in itertools.combinations(m, 2)
+                for (x, z), (y, w) in itertools.combinations(zip(r, s), 2))
+
     def rank_one_at(self, ell):
-        """Whether the member at the root (-b, a) of ell = a u + b v has
-        rank at most one: whether every 2-minor vanishes there. On an int
-        pencil the member -bA + aB is one int matrix, and its 2-minors are
-        products of its entries."""
-        if self.p.ring is INTEGERS:
-            (a, b), c = ell.coeffs, self.p.cols
-            m = [[a * r[c + j] - b * r[j] for j in range(c)] for r in self.p.rows]
-            return not any(x * w - y * z for r, s in itertools.combinations(m, 2)
-                           for (x, z), (y, w) in itertools.combinations(zip(r, s), 2))
-        return not any(_at_root(self._form(m), ell) for m in _nonzero_minors(self.p, 2))
+        """Whether the member at the root (-b, a) of ell = a u + b v, the
+        matrix -bA + aB over ell's ring, has rank at most one: whether
+        every 2-minor vanishes."""
+        return not any(self._member_minors(self.ring.cross, *ell.coeffs))
 
 
 def _lambda_read(read, form, bound):
@@ -490,14 +509,14 @@ class _FamilyReads(_CoreReads):
     """The same invariants over Q(λ) for the pencil ``p`` of a family over
     Z[λ], its forms over Z[λ] packed into int forms to be read; each read
     appends its guards to ``guards``, so that off their roots each member
-    reads as the family does."""
+    reads as the family does. Rank one at a root is read on the member
+    there, a matrix over Z[λ] (``rank_one_at``)."""
+
+    ring = LAMBDA_INTS
 
     def __init__(self, p, guards):
         self.p = p
         self.guards = guards
-
-    def _form(self, m):
-        return BinaryForm(m, len(m) - 1, LAMBDA_INTS)
 
     def _guard(self, poly):
         if poly is not None and len(poly) > 1:
@@ -549,33 +568,29 @@ class _FamilyReads(_CoreReads):
         return super().linear_root(BinaryForm([c[i] if len(c) > i else 0 for c in form.coeffs]))
 
     def rank_one_at(self, ell):
-        """Rank at most one over Q(λ). Each 2-minor is m0 + λ m1 with m0
-        and m1 int forms, so its value at the root is m0(root) + λ
-        m1(root), affine in λ. When some value is nonzero, the member has
-        rank at most one exactly where every nonzero value vanishes, at
-        the roots of their gcd, the guard."""
-        values = ([_at_root(f, ell) for f in lambda_parts(m)] for m in _nonzero_minors(self.p, 2))
-        return not self._gcd_guard([x, y] if y else [x] if x else [] for x, y in values)
+        """Rank at most one over Q(λ), ell an int form: the member -bA + aB
+        over Z[λ] has 2-minors affine in λ, P being rank one. When some is
+        nonzero, it has rank at most one exactly where every nonzero one
+        vanishes, at the roots of their gcd, the guard."""
+        a, b = ell.coeffs
+        return not self._gcd_guard(self._member_minors(_ip_cross, [a], [b]))
 
 
 class _RationalReads(_CoreReads):
     """The same invariants at the root p/q of ``fac`` = (-p, q), no
     flattening drop, from the pencil ``p`` of the family over Z[λ]: there
     the family on its kept slices is a concise core of the member. Each
-    minor of the family is f0 + λ f1 with f0, f1 int forms, so q f0 + p f1
-    is q times the member's minor."""
+    entry and minor of the family is f0 + λ f1, so q f0 + p f1 is q times
+    the member's (``_entry``)."""
 
     def __init__(self, p, fac):
         self.p = p
         self.fac = fac
 
-    def _at(self, c):
+    def _entry(self, c):
         """q c(p/q), an int, for an affine Z[λ] int list c."""
         c0, q = self.fac
         return q * c[0] - c0 * c[1] if len(c) == 2 else q * c[0] if c else 0
-
-    def _form(self, m):
-        return BinaryForm([self._at(c) for c in m])
 
 
 class _RootReads(_CoreReads):
@@ -596,13 +611,10 @@ class _RootReads(_CoreReads):
         self.den = den
         self.ring = zb_ring(g)
 
-    def _lift(self, p):
+    def _entry(self, p):
         """L p(α) in Z[β] for an affine Z[λ] int list p."""
         assert len(p) <= 2, "an entry of the family is not affine in λ"
         return [self.den * x for x in p[:1]] + p[1:]
-
-    def _form(self, m):
-        return BinaryForm([self._lift(c) for c in m], len(m) - 1, self.ring)
 
 
 def _family_table(f, reader, table):
@@ -620,11 +632,6 @@ def _family_table(f, reader, table):
             x for x in _canonical_permutation(concise) if concise[x] > 1)))
 
     return table(order, concise, reads), drops
-
-
-def family_orbit(f):
-    """The orbit of the family T - λP over Q(λ) and its guards (``_family_read``)."""
-    return _family_read(f, _orbit_of_shape)
 
 
 def _family_read(f, table):
@@ -656,11 +663,6 @@ def _at_drop(f, fac, table):
     if member.is_zero():
         return table(member.order, (0,) * member.order, None)
     return _reduced(member.order, concise_reduce(member), table)[0]
-
-
-def orbits_at_roots(f, fac):
-    """The orbits of the members of T - λP at the roots of ``fac`` (``_at_roots``)."""
-    return _at_roots(f, fac, _orbit_of_shape)
 
 
 def _at_roots(f, fac, table):
@@ -695,31 +697,24 @@ def _at_roots(f, fac, table):
 
 
 def classify_parametric(f):
-    """Classify the family T - lambda*P for all values of the parameter.
-
-    The generic orbit and the guards come from ``family_orbit``. The
-    member at lambda = 0, T itself, is in the generic orbit unless some
-    guard vanishes at 0; only then is it read, like every root of the
-    guards (``candidate_factors``, ``orbits_at_roots``). Roots whose orbit
-    is the generic orbit are dropped, except lambda itself.
-    """
+    """Classify the family T - lambda*P for all values of the parameter:
+    its generic orbit and the special values (``_parametric``)."""
     if not isinstance(f, ParametricTensor):
         raise UnsupportedShape("classify_parametric needs a parametric family")
-    generic, guards = family_orbit(f)
-    entries = [((0, 1), generic)] if all(g[0] for g in guards) else orbits_at_roots(f, (0, 1))
-    for fac in candidate_factors(guards):
-        entries += [(g, orbit) for g, orbit in orbits_at_roots(f, fac) if orbit != generic]
-    return ParametricReport(generic, entries)
+    return ParametricReport(*_parametric(f, _orbit_of_shape))
 
 
-def _parametric_ranks(f):
-    """(generic rank, entries): the report of ``classify_parametric`` with
-    ranks for orbits, read by the same reads (``_rank_of``); the one
-    ``locus_membership`` reads. A special value is listed only where its
-    rank is not the generic rank; the rank of T, at lambda = 0, is listed
-    first."""
-    generic, guards = _family_read(f, _rank_of)
-    entries = [((0, 1), generic)] if all(g[0] for g in guards) else _at_roots(f, (0, 1), _rank_of)
+def _parametric(f, table):
+    """(generic value, entries): ``table`` (``_orbit_of_shape`` or
+    ``_rank_of``) on the family T - λP over Q(λ), with its guards
+    (``_family_read``), and the (factor, value) entries of a
+    ``ParametricReport``. The member at λ = 0, T itself, has the generic
+    value unless some guard vanishes at 0; only then is it read, like
+    every root of the guards (``candidate_factors``, ``_at_roots``). Roots
+    whose value is the generic one are dropped, except λ itself. With
+    ``_rank_of`` it is the rank report ``locus_membership`` reads."""
+    generic, guards = _family_read(f, table)
+    entries = [((0, 1), generic)] if all(g[0] for g in guards) else _at_roots(f, (0, 1), table)
     for fac in candidate_factors(guards):
-        entries += [(g, rank) for g, rank in _at_roots(f, fac, _rank_of) if rank != generic]
+        entries += [(g, value) for g, value in _at_roots(f, fac, table) if value != generic]
     return generic, entries

@@ -320,7 +320,7 @@ def candidate_factors(polys):
     root, one square-free polynomial with no rational root whose roots
     are exactly those: the lcm of the square-free parts of the guards
     with λ and the rational roots taken out. It is not split into
-    irreducible factors; ``classify.orbits_at_roots`` reads it whole.
+    irreducible factors; ``classify._at_roots`` reads it whole.
     Candidates given back come back unchanged.
     """
     roots = set()

@@ -14,7 +14,7 @@ as ints, the largest concise dimension plus one where a predicate J holds
 on a rank-jump shape (``classify._rank_of``), and never compare orbits:
 
 * ``locus_membership`` with the generic strategy reads the rank of the
-  family T - lam*P for all lam at once (``classify._parametric_ranks``):
+  family T - lam*P for all lam at once (``classify._parametric``):
   its generic rank over Q(lam), and each special value where the rank
   differs. T is the member at lam = 0, of the generic rank unless a guard
   vanishes at 0, where it is read off the family like every rational
@@ -28,12 +28,11 @@ on a rank-jump shape (``classify._rank_of``), and never compare orbits:
   rank-one update of the base's); the member there is read only where it
   can lie in a rank-jump orbit. The escape route, on the other cores,
   those of the orbits of rank above border rank: the member at lam = 1 is
-  tested by one invariant of its pencil, which passes exactly in the open
-  orbit of the core's shape (``classify.in_open_orbit``); a pass
-  certifies that the family's generic orbit is that open orbit, and 1 is
-  the witness. Otherwise the route reads the rank of the family over
-  Q(lam) and its guards (``classify._family_read``). Either way its
-  witness is the one the generic strategy returns.
+  read by J's closed reads (``classify._jump_free``); where it lies off
+  the closed set they cut out, J fails on the family over Q(lam) and at
+  1, and 1 is the witness. Otherwise the route reads the rank of the
+  family over Q(lam) and its guards (``classify._family_read``). Either
+  way its witness is the one the generic strategy returns.
 * ``closed_form_predicate`` evaluates the forbidden locus stored for the
   normal form of certain orbits, in its own coordinates
   (``orbits.CLOSED_FORMS``): a union of strata, each cut out by
@@ -52,10 +51,10 @@ from .classify import (
     _at_drop,
     _at_roots,
     _family_read,
-    _parametric_ranks,
+    _jump_free,
+    _parametric,
     _rank_of,
     _read,
-    in_open_orbit,
 )
 from .errors import (
     InternalError,
@@ -265,7 +264,7 @@ def _generic_membership(T, P):
         raise ZeroTensor("the zero tensor has no rank to lower")
     family = ParametricTensor(T, P)
     try:
-        generic, ((_, base), *special) = _parametric_ranks(family)
+        generic, ((_, base), *special) = _parametric(family, _rank_of)
     except UnsupportedShape:
         # T - lam*P keeps more slices than T on some axis, where 0 is then
         # the drop: P's factor there is off T's span, and projecting it
@@ -337,12 +336,13 @@ def _escape_verdict(family, target):
     """Cores with no rank axis, those of the orbits of rank above border
     rank: does the line reach rank ``target``, one below the rank of T?
 
-    The member at lam = 1 is tested first, by one invariant of its pencil
-    that fails wherever a row, a column or the two slices are dependent
-    (``in_open_orbit``): it passes exactly in the open orbit of the core's
-    shape. Every member lies in the closure of the family's orbit over
-    Q(lam), an open orbit in no other's, so that open orbit, of rank
-    ``target``, is the family's: 1 is the witness the scan would find.
+    The member at lam = 1 is read first, by J's closed reads
+    (``_jump_free``): a nonzero discriminant of the determinant form, or
+    on (2,3,4) a square-free 3-minor or a constant 3-minor gcd. J holds
+    only where they fail, on a Zariski-closed set, which holds all the
+    members of the line or finitely many. A member at 1 off it puts the
+    family off it, of rank ``target`` over Q(lam), and the member at 1 has
+    rank ``target`` too: 1 is the witness the scan would find.
 
     Otherwise the rank of the family over Q(lam) decides
     (``_family_read``): if it is ``target``, so is every member
@@ -355,7 +355,7 @@ def _escape_verdict(family, target):
     returns, and the member at 1 is read at most once (``_at_roots``).
     """
     one = (-1, 1)
-    if in_open_orbit(family.member_at(one)):
+    if _jump_free(family.member_at(one)):
         return _factor_verdict(one)
     generic, guards = _family_read(family, _rank_of)
     if generic == target:

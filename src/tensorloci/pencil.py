@@ -2,8 +2,9 @@
 
 A tensor with first dimension 2 is the pencil of matrices u*A + v*B, where A
 and B are its two slices. Everything downstream of the shape-(2,3,n)
-classification reads off this pencil's minors: their gcds, and their
-values at the roots of linear forms, which tell the rank of a member.
+classification reads off this pencil's minors, their gcds and
+discriminants, but the rank of a member at the root of a linear form,
+read on the member's matrix (``classify._CoreReads.rank_one_at``).
 
 There is one representation, ``Pencil``: the rows [A_i | B_i] over a ring,
 ints, each row scaled by an int of its own (the rows of an integer core,

@@ -41,13 +41,13 @@ from tensorloci import locus
 from tensorloci.classify import (
     OrbitId,
     _at_roots,
-    _parametric_ranks,
+    _family_read,
+    _orbit_of_shape,
+    _parametric,
     _rank_of,
     _read,
     classify,
     classify_parametric,
-    family_orbit,
-    orbits_at_roots,
 )
 from tensorloci.errors import TensorLociError, UnsupportedOrbit, UnsupportedShape
 from tensorloci.exactnum import candidate_factors
@@ -156,46 +156,48 @@ def invariance(T, P, gT, gP):
 
 
 def escape_certificate(orbit, T, P, counts):
-    """The open-orbit certificate of the escape route answers (SPECIALIZED
-    with no fallback to the family's rank) exactly where ``classify`` puts the member
-    T - P in the open orbit of the shape; wherever it answers, the witness
-    is 1, the family T - λP lies in that open orbit and GENERIC gives the
-    same whole verdict. Counts ``certificate hits``, ``fallbacks`` and the
-    ``non-concise members at 1``."""
-    real, calls = locus.in_open_orbit, []
+    """The escape route's certificate, J's closed reads on the member T - P
+    (``classify._jump_free``), is read once, and answers (SPECIALIZED with
+    no fallback to the family's rank) wherever ``classify`` puts that
+    member in the open orbit of the shape; wherever it answers, both
+    strategies give the witness 1, and the family T - λP has the generic
+    rank rank T - 1 over Q(λ), read by the orbit table. Counts
+    ``certificate hits``, the hits ``off the open orbit``, ``fallbacks``
+    and the ``non-concise members at 1``."""
+    real, calls = locus._jump_free, []
 
     def counted(member):
-        hit = real(member)
-        if not hit:
-            calls.append(member)
-        return hit
+        calls.append(real(member))
+        return calls[-1]
 
-    locus.in_open_orbit = counted
+    locus._jump_free = counted
     try:
         spec = locus_membership(T, P, SPECIALIZED)
     finally:
-        locus.in_open_orbit = real
+        locus._jump_free = real
     at_one = classify(subtract_scaled(T, 1, P))
     counts["non-concise members at 1"] += at_one.concise_shape != T.shape
     open_orbit = OrbitId.orbit(OPEN_ORBITS[pencil_shape(orbit)])
-    if (at_one.orbit == open_orbit) == bool(calls):
-        return ["certificate %s, member at 1 in %r"
-                % ("missed" if calls else "hit", at_one.orbit)]
-    if calls:
+    if len(calls) != 1:
+        return ["certificate read %d times" % len(calls)]
+    if not calls[0]:
         counts["fallbacks"] += 1
+        if at_one.orbit == open_orbit:
+            return ["certificate missed, member at 1 in %r" % (at_one.orbit,)]
         return []
     counts["certificate hits"] += 1
-    generic = family_orbit(ParametricTensor(T, P))[0]
+    counts["off the open orbit"] += at_one.orbit != open_orbit
+    generic = _family_read(ParametricTensor(T, P), _orbit_of_shape)[0]
     gen = locus_membership(T, P, GENERIC)
     want = LocusVerdict.member(LambdaWitness(value=1))
-    if generic != open_orbit or not spec == gen == want:
+    if orbit_rank(generic) != classify(T).rank - 1 or not spec == gen == want:
         return ["family orbit %r, %s %r, %s %r" % (generic, SPECIALIZED, spec, GENERIC, gen)]
     return []
 
 
 def ranks(T, P, counts):
     """The membership path's rank report on T - λP
-    (``classify._parametric_ranks``) keeps the ranks of the exact
+    (``classify._parametric`` with ``_rank_of``) keeps the ranks of the exact
     ``classify_parametric``: the generic rank and the rank of T; no listed
     special value, irrational groups included, has the generic rank; and
     for each other rank the listed factors multiply to the exact special
@@ -205,7 +207,7 @@ def ranks(T, P, counts):
     roots ranks``)."""
     family = ParametricTensor(T, P)
     exact = classify_parametric(family)
-    generic, entries = _parametric_ranks(family)
+    generic, entries = _parametric(family, _rank_of)
     want = [(fac, orbit_rank(oid)) for fac, oid in exact.exceptional]
     counts["special roots exact"] += sum(len(fac) - 1 for fac, _ in want[1:])
     counts["special roots ranks"] += sum(len(fac) - 1 for fac, _ in entries[1:])
@@ -250,11 +252,11 @@ def candidate_problems(candidates):
 
 def rational_roots(family, candidates, counts):
     """At λ = 0, at each finite flattening drop and at each linear
-    candidate, ``orbits_at_roots`` gives the orbit ``classify`` gives the
-    int member (``member_at``), and the membership path's rank read there
-    (``_at_roots`` with ``_rank_of``) gives that orbit's rank, 0 for the
-    zero member. Counts the ``rational roots read off the family`` and the
-    ``members at a drop``."""
+    candidate, ``_at_roots`` with ``_orbit_of_shape`` gives the orbit
+    ``classify`` gives the int member (``member_at``), and the membership
+    path's rank read there (``_at_roots`` with ``_rank_of``) gives that
+    orbit's rank, 0 for the zero member. Counts the ``rational roots read
+    off the family`` and the ``members at a drop``."""
     drops = {family.flattening_drop(axis)[1] for axis in range(1, family.base.order + 1)}
     drops.discard(None)
     problems = []
@@ -262,7 +264,7 @@ def rational_roots(family, candidates, counts):
         counts["members at a drop" if fac in drops else "rational roots read off the family"] += 1
         member = family.member_at(fac)
         want = OrbitId.matrix(0) if member.is_zero() else classify(member).orbit
-        got = orbits_at_roots(family, fac)
+        got = _at_roots(family, fac, _orbit_of_shape)
         if got != [(fac, want)]:
             problems.append("at %r: %r, member %r" % (fac, got, want))
         got = _at_roots(family, fac, _rank_of)
@@ -273,7 +275,7 @@ def rational_roots(family, candidates, counts):
 
 def irrational_roots(T, P, counts):
     """At the irrational roots of every candidate factor of T - λP, the
-    orbit ``orbits_at_roots`` reads off the family's integer minors is
+    orbit ``_at_roots`` reads off the family's integer minors is
     the orbit sympy reads off the member over Q(α) at each irreducible
     factor (``support.orbit_at_root``), and no irrational group outside
     the generic orbit has rank r - 1, r = rank T: no witness is
@@ -288,11 +290,11 @@ def irrational_roots(T, P, counts):
     and the counts of ``rational_roots``."""
     family = ParametricTensor(T, P)
     target = classify(T).rank - 1
-    generic, guards = family_orbit(family)
+    generic, guards = _family_read(family, _orbit_of_shape)
     candidates = candidate_factors(guards)
     problems = candidate_problems(candidates) + rational_roots(family, candidates, counts)
     for fac in candidates:
-        groups = orbits_at_roots(family, fac)
+        groups = _at_roots(family, fac, _orbit_of_shape)
         parts = [group for group, _ in groups]
         if not all(map(canonical, parts)) or upoly_product(*parts) != fac:
             problems.append("groups %r of %r" % (groups, fac))
@@ -432,7 +434,7 @@ def check_gl(rng, n, orbits, counts):
 
 
 def check_escape(rng, n, _orbits, counts):
-    """The open-orbit certificate on 2n points per escape orbit (5, 13,
+    """The escape route's certificate on 2n points per escape orbit (5, 13,
     15-17 and 21), n sparse and n dense, each at the normal form and
     moved by GL, and with P scaled so that a flattening drop lands at 1
     (``drops_at_one``): ``escape_certificate``."""

@@ -23,6 +23,7 @@ from draws import (
 )
 from support import (
     LAM,
+    concise_reference,
     cubic_reference,
     flattening,
     orbit_at_root,
@@ -47,13 +48,16 @@ from tensorloci.binforms import (
 from tensorloci.classify import (
     ClassifyReport,
     OrbitId,
+    _CoreReads,
     _FamilyReads,
     _RootReads,
+    _at_roots,
+    _family_read,
+    _jump_free,
+    _orbit_of_shape,
+    _rank_of,
     classify,
     classify_parametric,
-    family_orbit,
-    in_open_orbit,
-    orbits_at_roots,
 )
 from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
 from tensorloci.locus import SPECIALIZED, locus_membership
@@ -145,7 +149,7 @@ def test_name_only_pairs_share_their_ranks():
     by GL, ``classify`` reports the exact orbit, and its rank is the
     largest concise dimension plus one exactly on the rank-jump orbits 5,
     13, 15-17 and 21, where J holds. The only open orbit of the escape
-    route in a class is 23, which ``in_open_orbit`` reads exactly."""
+    route in a class is 23."""
     classes = ((7, 8), (11, 12), (15, 16), (24, 25), (19, 20, 22, 23))
     for cls in classes:
         assert len({(RANKS[n], CONCISE_SHAPES[n]) for n in cls}) == 1, cls
@@ -168,8 +172,8 @@ WORK_COUNTS = {
     5: (0, 3, 4, 1, 1), 6: (0, 0, 1, 0, 0), 7: (1, 4, 1, 2, 1), 8: (1, 4, 1, 2, 1),
     9: (1, 1, 0, 1, 0), 10: (3, 3, 0, 1, 0), 11: (1, 4, 1, 2, 1), 12: (1, 4, 1, 2, 1),
     13: (3, 6, 4, 2, 1), 14: (0, 3, 2, 1, 1), 15: (0, 3, 4, 1, 1), 16: (0, 3, 4, 1, 1),
-    17: (0, 3, 6, 1, 1), 18: (0, 3, 2, 1, 1), 19: (0, 3, 2, 1, 1), 20: (0, 3, 2, 1, 1),
-    21: (0, 3, 7, 1, 1), 22: (0, 3, 2, 1, 1), 23: (0, 3, 2, 1, 1), 24: (1, 3, 1, 2, 1),
+    17: (0, 3, 4, 1, 1), 18: (0, 3, 2, 1, 1), 19: (0, 3, 2, 1, 1), 20: (0, 3, 2, 1, 1),
+    21: (0, 3, 5, 1, 1), 22: (0, 3, 2, 1, 1), 23: (0, 3, 2, 1, 1), 24: (1, 3, 1, 2, 1),
     25: (1, 3, 1, 2, 1), 26: (1, 1, 0, 1, 0),
 }
 
@@ -530,7 +534,7 @@ def test_integer_core_is_the_tensor_on_its_first_independent_slices():
 
 # --- members at irrational roots, read in Z[beta] ---------------------------
 #
-# orbits_at_roots reads the members at all the roots of a factor at once,
+# _at_roots reads the members at all the roots of a factor at once,
 # in Z[beta], beta = L alpha for a root alpha of the factor with the
 # leading coefficient L; each orbit it reads is checked against sympy's
 # reading of the member over Q(alpha) (``support.orbit_at_root``).
@@ -617,12 +621,12 @@ def test_root_factors_come_back_split_by_orbit():
     multiply back to the product exactly, each with the orbit sympy reads
     over Q(alpha) at its roots, the generic one at the roots of fac."""
     for family, q, oid in candidate_per_orbit():
-        generic = family_orbit(family)[0]
+        generic = _family_read(family, _orbit_of_shape)[0]
         assert oid != generic
         for fac in ROOT_FACTORS:
             want = OrbitId.orbit(orbit_at_root(family.base, family.direction, fac))
             assert want == generic, fac
-            got = orbits_at_roots(family, upoly_product(q, fac))
+            got = _at_roots(family, upoly_product(q, fac), _orbit_of_shape)
             assert got == sorted([(q, oid), (fac, want)],
                                  key=lambda e: (len(e[0]), e[0])), (oid, fac)
 
@@ -822,7 +826,7 @@ def test_family_square_read_is_the_int_rule(monkeypatch):
         del calls[:]
         with monkeypatch.context() as m:
             m.setattr(_FamilyReads, "linear_root", spy)
-            generic, guards = family_orbit(ParametricTensor(T, P))
+            generic, guards = _family_read(ParametricTensor(T, P), _orbit_of_shape)
         assert generic == OrbitId.orbit(want), (n, factors)
         assert calls, (n, factors)
         for form, ell in calls:
@@ -865,6 +869,37 @@ def test_root_reader_rank_one_at():
             at_alpha = [[zb_in_field(e, K, alpha) for e in row] for row in rows]
             member = [[a * y - b * x for x, y in zip(row[:3], row[3:])] for row in at_alpha]
             assert reads.rank_one_at(ell) == (DomainMatrix(member, (3, 3), K).rank() <= 1)
+
+
+def test_rational_reader_reads_rank_one_on_the_members_matrix(monkeypatch):
+    """At a rational root off the flattening drops the member is read off
+    the family's pencil (``_RationalReads``), rank one at a repeated root
+    on the member's own matrix (``rank_one_at``). On families T - lam P
+    with T = M + P, so that the member at 1 is M, M a GL move of the
+    normal form of 14 or 17, of shape (2,3,3) with a double root of the
+    determinant form, or of 20 or 21, of shape (2,3,4) with g3 = l^2,
+    where that read tells the two apart: the rank at 1 (``_at_roots``
+    with ``_rank_of``) is sympy's (``support.concise_reference``), and
+    the orbit M's."""
+    reached = collections.Counter()
+    real = _CoreReads.rank_one_at
+
+    def rank_one_at(self, ell):
+        reached[type(self).__name__, len(self.p.rows), self.p.cols] += 1
+        return real(self, ell)
+
+    monkeypatch.setattr(_CoreReads, "rank_one_at", rank_one_at)
+    rng = random.Random("rational rank one")
+    one = (-1, 1)
+    for n in (14, 17, 20, 21):
+        shape = pencil_shape(n)
+        for _ in range(3):
+            M = apply_gl(normal_form(n), [random_invertible(rng, d) for d in shape])
+            P = random_rank_one(rng, shape)
+            family = ParametricTensor(subtract_scaled(M, -1, P), P)
+            assert _at_roots(family, one, _rank_of) == [(one, concise_reference(M)[1])], n
+            assert _at_roots(family, one, _orbit_of_shape) == [(one, OrbitId.orbit(n))], n
+    assert reached["_RationalReads", 3, 3] and reached["_RationalReads", 3, 4], reached
 
 
 def zb_cubic_against_sympy(reads, coeffs, fac, den):
@@ -936,16 +971,25 @@ def test_rank_one_at_splits_a_reducible_modulus_on_a_zero_divisor():
         assert split.value.factor == factor
 
 
-def test_in_open_orbit_is_the_open_orbit_that_classify_reads():
-    """``in_open_orbit`` holds exactly where ``classify`` names the open
-    orbit of the shape: on every normal form that fits in a shape of
-    ``OPEN_ORBITS``, padded with zero slices (so not concise when smaller)
-    and GL-moved, with int and with Fraction entries, and on seeded
-    tensors from the sparse and the box pool, many of them not concise.
-    Any other shape raises UnsupportedShape."""
+# The orbits where J's closed reads can hold, in each rank-jump shape:
+# concise with J false, and on (2,3,4) also 18, a (2,3,3) core, whose
+# nonzero 3-minors are multiples of its square-free determinant form.
+# Every 3-minor of 20 and 21 is a multiple of l^2; on 19 and 22 it
+# depends on the basis whether one is square-free.
+JUMP_FREE_ORBITS = {(2, 2, 2): {6}, (2, 3, 3): {18}, (2, 3, 4): {18, 19, 22, 23}}
+
+
+def test_jump_free_reads_hold_on_the_open_orbit_and_only_off_j():
+    """J's closed reads (``_jump_free``) hold wherever ``classify`` names
+    the open orbit of the shape (``OPEN_ORBITS``), and only where it names
+    an orbit of ``JUMP_FREE_ORBITS``, where J fails: the rank is the
+    largest concise dimension. On every normal form that fits in a
+    rank-jump shape, padded with zero slices (so not concise when
+    smaller) and GL-moved, and on seeded tensors from the sparse and the
+    box pool, many of them not concise."""
     rng = random.Random("in open orbit")
     seen = collections.Counter()
-    for shape, n in OPEN_ORBITS.items():
+    for shape, orbits in JUMP_FREE_ORBITS.items():
         cases = [pad(normal_form(m), shape) for m in PENCILS
                  if all(d <= e for d, e in zip(pencil_shape(m), shape))]
         cases += [Tensor(shape, [rng.choice(pool) for _ in range(math.prod(shape))])
@@ -953,12 +997,13 @@ def test_in_open_orbit_is_the_open_orbit_that_classify_reads():
         for t in cases:
             if t.is_zero():
                 continue
-            moved = apply_gl(t, [random_invertible(rng, d) for d in shape])
-            want = classify(t).orbit == OrbitId.orbit(n)
-            for x in (t, moved, Tensor(shape, [Fraction(v, 3) for v in moved.entries])):
-                assert in_open_orbit(x) == want, (shape, t.entries)
-            seen[want, classify(t).concise_shape == shape] += 1
-    assert seen == {(True, True): 111, (False, True): 16, (False, False): 39}
-    for shape in ((2, 2, 3), (2, 3, 5), (3, 3, 2), (2, 2, 2, 2)):
-        with pytest.raises(UnsupportedShape):
-            in_open_orbit(Tensor(shape, [1] * math.prod(shape)))
+            report = classify(t)
+            n = report.orbit.value if report.orbit.is_orbit else None
+            for x in (t, apply_gl(t, [random_invertible(rng, d) for d in shape])):
+                holds = _jump_free(x)
+                assert holds or n != OPEN_ORBITS[shape], (shape, x.entries)
+                assert not holds or n in orbits, (shape, x.entries)
+                seen[holds, n == OPEN_ORBITS[shape]] += 1
+            if n in orbits:
+                assert report.rank == max(report.concise_shape), (shape, t.entries)
+    assert seen == {(True, True): 222, (True, False): 10, (False, False): 100}

@@ -16,7 +16,7 @@ pencils up to 3 x 6 (on their int rows) and Z[λ] pencils with entries of
 the pencils of the seeded families T - λP
 (``test_locus.seeded_families``) are compared with sympy's gcd over
 Q(λ)[u, v], and with the gcd at every small integer λ0 off the roots of
-their guards. The discriminant guards of ``family_orbit`` on (2,2,2) and
+their guards. The discriminant guards of ``_family_read`` on (2,2,2) and
 (2,3,3) families with entries above 2^40 are compared with sympy's
 discriminant in λ.
 """
@@ -36,7 +36,7 @@ from support import coefficients, family_flattening, pencil_rows, poly_at, qq_po
 from test_locus import ORBITS, seeded_families
 
 from tensorloci.binforms import BinaryForm
-from tensorloci.classify import OrbitId, _FamilyReads, family_orbit
+from tensorloci.classify import OrbitId, _FamilyReads, _family_read, _orbit_of_shape
 from tensorloci.exactnum import INTEGERS, LAMBDA_INTS
 from tensorloci.linalg import (
     bareiss_det,
@@ -441,7 +441,7 @@ def big_entry(rng):
 
 
 def test_family_discriminant_guards_on_big_entries_against_sympy():
-    """The last guard of ``family_orbit`` on a generic (2,2,2) family, the
+    """The last guard of ``_family_read`` on a generic (2,2,2) family, the
     discriminant of its quadratic determinant form, and on a generic
     (2,3,3) family, that of the cubic one (``_FamilyReads.repeated_root``),
     both read by Kronecker substitution, are sympy's discriminant in λ
@@ -451,7 +451,7 @@ def test_family_discriminant_guards_on_big_entries_against_sympy():
     for shape, orbit in [((2, 2, 2), 6)] * 3 + [((2, 3, 3), 18)] * 3:
         T = Tensor(shape, [big_entry(rng) for _ in range(math.prod(shape))])
         P = RankOneTensor([[big_entry(rng) for _ in range(d)] for d in shape])
-        generic, guards = family_orbit(ParametricTensor(T, P))
+        generic, guards = _family_read(ParametricTensor(T, P), _orbit_of_shape)
         assert generic == OrbitId.orbit(orbit)
         n = shape[1]
         d = P.expand()

@@ -15,9 +15,10 @@ The points come from ``draws.py`` and the checks are the properties of
 script is smoke-tested here once per check. Normal forms padded by zero
 slices and moved by GL, P off the spans in about 30% of draws, get the
 same verdict from both strategies.
-That certificate must answer some seeded family of every escape orbit
-without ``family_orbit``, agree with it and with GENERIC wherever it
-fires, and leave the member at 1 classified once where it does not. Axis
+The escape route's certificate, J's closed reads on the member at 1, must
+answer some seeded family of every escape orbit without the family's read
+over Q(lam) (``_family_read``), agree with it and with GENERIC wherever
+it fires, and leave the member at 1 classified once where it does not. Axis
 permutations of T and P, the tangential route at, near and away from the
 tangency point, and the error paths of each entry point are checked too.
 The rank axes of each normal form's core, those of dimension rank T,
@@ -99,11 +100,11 @@ from tensorloci.classify import (
     _CoreReads,
     _FamilyReads,
     _at_roots,
+    _family_read,
+    _orbit_of_shape,
     _rank_of,
     classify,
     classify_parametric,
-    family_orbit,
-    orbits_at_roots,
 )
 from tensorloci.errors import (
     InternalError,
@@ -641,7 +642,7 @@ def test_drop_value_is_the_root_of_the_flattening_minor_gcd():
 
 def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
     """On every seeded family, normal form and GL-moved, the flattening
-    guards of ``family_orbit`` are its drops: at each root the member's
+    guards of ``_family_read`` are its drops: at each root the member's
     kept slices lose rank. And no candidate factor that
     ``classify_parametric`` classifies lands back in the generic orbit."""
     candidates = wasted = drops = 0
@@ -649,7 +650,7 @@ def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
         for _sparse, T, P, gT, gP in seeded_families(orbit):
             for t, p in ((T, P), (gT, gP)):
                 family = ParametricTensor(t, p)
-                generic, guards = family_orbit(family)
+                generic, guards = _family_read(family, _orbit_of_shape)
                 flat = []
                 for axis in range(1, t.order + 1):
                     keep, fac = family.flattening_drop(axis)
@@ -661,7 +662,7 @@ def test_flattening_guards_are_drops_and_no_candidate_is_wasted():
                 assert guards[:len(flat)] == flat, (orbit, p)
                 drops += len(flat)
                 for fac in candidate_factors(guards):
-                    for q, orbit in irreducible_entries(orbits_at_roots(family, fac)):
+                    for q, orbit in irreducible_entries(_at_roots(family, fac, _orbit_of_shape)):
                         candidates += 1
                         wasted += orbit == generic
     assert drops > 0 and candidates > 0
@@ -700,7 +701,7 @@ def test_specialized_routes_never_reach_the_parametric_classifier(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(locus, "_generic_membership", refuse)
-        m.setattr(locus, "_parametric_ranks", refuse)
+        m.setattr(locus, "_parametric", refuse)
         for orbit in ORBITS:
             got = [
                 witness_code(locus_membership(t, p, SPECIALIZED))
@@ -817,14 +818,14 @@ def test_membership_reads_ranks_not_orbit_names(monkeypatch):
 def irrational_candidates(orbit):
     """(family, factor, orbit) for each irreducible factor of degree >= 2
     of the candidates of the seeded families of an orbit, on the normal
-    form and GL-moved, with the orbit ``orbits_at_roots`` reads at its
+    form and GL-moved, with the orbit ``_at_roots`` reads at its
     roots."""
     for _sparse, T, P, gT, gP in seeded_families(orbit):
         for t, p in ((T, P), (gT, gP)):
             family = ParametricTensor(t, p)
-            for fac in candidate_factors(family_orbit(family)[1]):
+            for fac in candidate_factors(_family_read(family, _orbit_of_shape)[1]):
                 if len(fac) > 2:
-                    for q, oid in irreducible_entries(orbits_at_roots(family, fac)):
+                    for q, oid in irreducible_entries(_at_roots(family, fac, _orbit_of_shape)):
                         yield family, q, oid
 
 
@@ -863,13 +864,13 @@ def test_root_groups_split_where_the_orbits_differ():
     seen = 0
     for orbit in ORBITS:
         for family, fac, oid in irrational_candidates(orbit):
-            generic = family_orbit(family)[0]
+            generic = _family_read(family, _orbit_of_shape)[0]
             assert oid != generic
             for q in (quad, other):
                 assert orbit_at_root(family.base, family.direction, q) == generic.value
             for q in (quad, upoly_product(quad, other)):
                 want = [(fac, oid), (q, generic)]
-                assert orbits_at_roots(family, upoly_product(fac, q)) == sorted(
+                assert _at_roots(family, upoly_product(fac, q), _orbit_of_shape) == sorted(
                     want, key=lambda e: (len(e[0]), e[0])), (orbit, fac)
             seen += 1
     assert seen == 36
@@ -880,7 +881,7 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
     table, all rational. A report with an irrational group of
     rank r - 1, which the lemma of ``LambdaWitness`` rules out, would ask
     for a witness over Q(alpha): planted in the rank report of a family
-    (``classify._parametric_ranks``), it makes GENERIC raise
+    (``classify._parametric`` with ``_rank_of``), it makes GENERIC raise
     InternalError instead of answering."""
     for orbit in ORBITS:
         verdicts = [
@@ -891,14 +892,14 @@ def test_generic_strategy_never_computes_over_an_extension_field(monkeypatch):
         assert [witness_code(v) for v in verdicts] == [
             gen for _spec, gen in WITNESSES[orbit]], orbit
     T, P = normal_form(17), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
-    real = locus._parametric_ranks
+    real = locus._parametric
 
-    def planted(family):
-        generic, entries = real(family)
+    def planted(family, table):
+        generic, entries = real(family, table)
         return generic, entries + [((-2, 0, 1), 3)]
 
     with monkeypatch.context() as m:
-        m.setattr(locus, "_parametric_ranks", planted)
+        m.setattr(locus, "_parametric", planted)
         with pytest.raises(InternalError, match="irrational"):
             locus_membership(T, P, GENERIC)
     assert locus_membership(T, P, GENERIC).in_decomposition
@@ -1015,7 +1016,7 @@ def test_generic_answers_padded_forms_with_p_off_the_span():
             assert agreement(T, P) == [], (orbit, axis)
             assert locus_membership(T, P).status == FORBIDDEN, (orbit, axis)
             try:
-                family_orbit(ParametricTensor(T, P))
+                _family_read(ParametricTensor(T, P), _orbit_of_shape)
             except UnsupportedShape:
                 unlisted.append((orbit, axis))
     assert sorted(unlisted) == sorted(
@@ -1258,7 +1259,7 @@ def test_witness_values_and_entries_follow_the_scalar_policy():
 def test_first_witness_takes_the_first_factor_of_the_target_rank():
     """The members at lam = 1 and at lam = +-sqrt(2), +-sqrt(3) all have
     rank three, read as the witness search reads them (``_at_roots`` with
-    ``_rank_of``) and by ``orbits_at_roots``: each factor is one group of
+    ``_rank_of``) and with ``_orbit_of_shape``: each factor is one group of
     rank three, and none has rank two. sympy reads the same rank over
     Q(alpha) at the irrational ones (``orbit_at_root``): they are generic
     members, of rank r - 1 like every member off the special values, so
@@ -1270,7 +1271,7 @@ def test_first_witness_takes_the_first_factor_of_the_target_rank():
     family = ParametricTensor(T, P)
     for fac in (lin, quad, upoly_product(quad, other)):
         assert _at_roots(family, fac, _rank_of) == [(fac, 3)], fac
-        (group, oid), = orbits_at_roots(family, fac)
+        (group, oid), = _at_roots(family, fac, _orbit_of_shape)
         assert group == fac and oid.rank_pair()[0] == 3, fac
     for fac in (quad, other):
         assert RANKS[orbit_at_root(T, P, fac)][0] == 3, fac
@@ -1312,10 +1313,10 @@ def escape_families():
 
 def test_open_orbit_certificate_answers_without_family_orbit():
     """SPECIALIZED answers some seeded family of every escape orbit
-    without ``family_orbit``: the member at 1 lies in the open orbit.
-    Wherever it does, the witness is 1, GENERIC's whole verdict is the
-    same, and ``family_orbit`` gives the open orbit as the family's
-    (``escape_certificate``)."""
+    without ``_family_read``: J's closed reads hold on the member at 1,
+    as they do wherever it lies in the open orbit. Wherever they hold, the
+    witness of both strategies is 1, and the family's generic rank over
+    Q(lam) is rank T - 1 (``escape_certificate``)."""
     hits = collections.Counter()
     for orbit, t, p in escape_families():
         counts = collections.Counter()
@@ -1324,13 +1325,23 @@ def test_open_orbit_certificate_answers_without_family_orbit():
     assert sorted(n for n in hits if hits[n]) == list(ESCAPE_ORBITS)
 
 
+# Orbit-21 points at the normal form whose member at 1 lies in orbit 19
+# or 22, off the open orbit 23 but off the closed set of J's reads too
+ESCAPES_OFF_THE_OPEN_ORBIT = [
+    ([[1, 0], [0, -2, 2], [3, 3, 0, 1]], 19),
+    ([[-1, 0], [-1, 1, -1], [-1, 2, 0, 2]], 22),
+]
+
+
 def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
-    """A certificate hit reads no rank: the member at 1 is tested by one
-    invariant (``in_open_orbit``). Where it is off the open orbit, the
-    escape route reads the family's rank over Q(lam) and reads no member
-    twice: the member at 1 is read, if at all, with the candidates and the
-    scan, through ``_at_roots``. On the orbit-17 family whose scan walks
-    1, -1, 2 and on the seeded families of the escape orbits."""
+    """A certificate hit reads no rank: the member at 1 is read only by
+    J's closed reads (``_jump_free``), which also hold on the orbit-21
+    points of ``ESCAPES_OFF_THE_OPEN_ORBIT``, whose member at 1 is not in
+    the open orbit. Where they fail, the escape route reads the family's
+    rank over Q(lam) and reads no member twice: the member at 1 is read,
+    if at all, with the candidates and the scan, through ``_at_roots``. On
+    the orbit-17 family whose scan walks 1, -1, 2, on those points and on
+    the seeded families of the escape orbits."""
     T17 = normal_form(17)
     P17 = RankOneTensor([[Fraction(-1, 2), 0], [0, 1, 1], [1, 0, -1]])
     one = (-1, 1)
@@ -1345,11 +1356,15 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
         built.append(family)
         return real_family(family, table)
 
+    off_open = [(21, normal_form(21), RankOneTensor(factors))
+                for factors, _ in ESCAPES_OFF_THE_OPEN_ORBIT]
+    for (_, t, p), (_, at_one) in zip(off_open, ESCAPES_OFF_THE_OPEN_ORBIT):
+        assert classify(subtract_scaled(t, 1, p)).orbit == OrbitId.orbit(at_one)
     fallbacks = hits = 0
     with monkeypatch.context() as m:
         m.setattr(locus, "_at_roots", at_roots)
         m.setattr(locus, "_family_read", family_read)
-        for orbit, t, p in [(17, T17, P17)] + list(escape_families()):
+        for orbit, t, p in [(17, T17, P17)] + off_open + list(escape_families()):
             del classified[:], built[:]
             verdict = locus_membership(t, p, SPECIALIZED)
             assert len(classified) == len(set(classified)), (orbit, p, classified)
@@ -1361,6 +1376,8 @@ def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
             if t is T17:
                 assert built and witness_code(verdict) == "2"
                 assert classified[:3] == [one, (1, 1), (-2, 1)]
+            if any(p is q for _, _, q in off_open):
+                assert not built, p.factors
     assert fallbacks > 1 and hits > 1
 
 
@@ -1385,8 +1402,8 @@ SWEEP_SUMMARIES = {
     "agreement": "agreement: points 22, 0 mismatches",
     "padded": "padded: padded points 1, 0 mismatches",
     "gl": "gl: points 22, 0 mismatches",
-    "escape": "escape: certificate hits 18, fallbacks 8, non-concise members at 1 2, "
-              "0 mismatches",
+    "escape": "escape: certificate hits 20, fallbacks 6, non-concise members at 1 2, "
+              "off the open orbit 2, 0 mismatches",
     "ranks": "ranks: families 44, special roots exact 42, special roots ranks 24, "
              "0 mismatches",
     "roots": "roots: D5 splits 0, candidate factors 16, families 22, in the generic orbit 0, "

@@ -29,8 +29,12 @@ ALLOWED = {
     "_drop_root_verdict": "spy target: the drop route of the specialized strategy",
     "_escape_verdict": "spy target: the escape route of the specialized strategy",
     "_generic_membership": "spy target: refused on the specialized routes",
-    "_parametric_ranks": "the membership path's rank report: checked against classify_parametric, "
-                         "refused on the specialized routes, planted with a bad value",
+    "_parametric": "the membership path's rank report with _rank_of: checked against "
+                   "classify_parametric, refused on the specialized routes, planted with a bad value",
+    "_orbit_of_shape": "the orbit table, passed to _family_read and _at_roots where tests read the "
+                       "orbits of a family over Q(lam) and of its members at roots",
+    "_jump_free": "spy target: the escape route's certificate, J's closed reads on the member at 1; "
+                  "and checked on its own against the orbits classify names",
     "_read": "the membership path's rank of T: checked against sympy's rank on every canonical "
              "shape and axis order",
     "_rank_of": "the table the membership path reads ranks with, passed to _read and _at_roots in "

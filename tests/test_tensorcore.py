@@ -32,7 +32,7 @@ from support import (
     rank,
 )
 
-from tensorloci.classify import OrbitId, classify, orbits_at_roots
+from tensorloci.classify import OrbitId, _at_roots, _orbit_of_shape, classify
 from tensorloci.errors import ShapeMismatch, SingularMatrix, ZeroTensor
 from tensorloci.linalg import Mat, mat_det
 from tensorloci.orbits import normal_form
@@ -527,7 +527,7 @@ def test_member_at_matches_specialize():
     """A linear factor (-p, q) gives the member at p/q over Q
     (``subtract_scaled``) times a positive integer, with int entries. At a
     root of a quadratic one the member is over Q(alpha), in the orbit
-    orbits_at_roots reads off the family, as sympy reads it there
+    _at_roots reads off the family, as sympy reads it there
     (``orbit_at_root``); member_at refuses that factor."""
     fam = ParametricTensor(
         normal_form(16), RankOneTensor([[1, -2], [3, 0, 1], [2, 1, -1]])
@@ -539,6 +539,6 @@ def test_member_at_matches_specialize():
     assert ratio > 0 and member == want.scale(ratio)
     quad = (-2, 0, 1)
     want = OrbitId.orbit(orbit_at_root(fam.base, fam.direction, quad))
-    assert orbits_at_roots(fam, quad) == [(quad, want)]
+    assert _at_roots(fam, quad, _orbit_of_shape) == [(quad, want)]
     with pytest.raises(ValueError):
         fam.member_at(quad)
