@@ -9,9 +9,11 @@ summary line: what the check counted on the way, and the number of
 mismatches. The exit status is 1 when there was one. Tier-1 runs the same
 properties on small seeded batches. Like tier-1, every check needs sympy:
 ``properties.py`` imports the references of ``tests/support.py``. The
-``roots`` check also counts each read of the irrational-root reader
-(``read ...``) and the D5 splits, the decision tables that stopped on a
-zero divisor because the roots of one candidate lie in different orbits.
+``roots`` check also counts each chain read of the irrational-root
+reader (``read ...``): the top of the chain D_b with its repeated part,
+D_b as a minor gcd where the pencil is not square, and D_(b-1) as rank
+one at a root; and the D5 splits, the table reads that stopped on a zero
+divisor because the roots of one candidate lie in different orbits.
 """
 
 import argparse
@@ -26,7 +28,7 @@ from tensorloci.errors import ZeroDivisor
 
 TESTS = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                                       "tests"))
-READS = ("minor_gcd", "discriminant_vanishes", "repeated_root", "linear_root", "rank_one_at")
+READS = ("top", "minor_gcd", "rank_one_at")
 
 
 def counting_reads(counts):

@@ -3,21 +3,25 @@
 A rational tensor is scaled to ints once; its concise core is the scaled
 tensor on its first independent slices of each axis (``concise_reduce``),
 in the canonical axis order (dimensions non-decreasing, axes of dimension
-one dropped). Its rank is read, not looked up (``_rank_of``): the largest
-concise dimension, plus one on the rank-jump shapes (2,2,2), (2,3,3) and
-(2,3,4) (``_JUMP_RANKS``) exactly where a predicate J holds (``_JUMPS``):
-the determinant form's discriminant vanishes; the determinant form is 0,
-a cube, or has a double root where the member is not of rank one; no
-3-minor is square-free, their gcd is l^2 and the member at l's root is not
-of rank one. ``locus_membership`` compares these ints. The orbit that
-``classify`` and ``classify_parametric`` report is one decision table on
-the same reads (``_orbit_of_shape``): matrix shapes by rank, (2,2,2) by
-J, (2,3,3) and (2,3,4) by the split after J, (2,2,3) and (2,3,5) by a
-minor gcd, the others by the shape. On a rank-jump shape T needs no
-``concise_reduce`` where the first read shows it concise
-(``_CoreReads.concise``). J's closed reads alone, on one member of a line
-T - λP, can show J false on the whole line (``_jump_free``), the
-certificate of the escape route of ``locus_membership``.
+one dropped). On a core (2, b, c), b <= c, both the rank and the orbit
+are read off the top of the chain D_1 | D_2 | ... of the gcds D_k of the
+k x k minors of its pencil u A + v B (Gantmacher, vol. 2, ch. XII): the
+gcd D_b of the maximal minors, its determinant form where square, with
+its repeated part l^k, k None where D_b = 0 (``_CoreReads.top``); and
+D_(b-1), read only where k > 0 and b = 3, as rank one of the member at
+l's root (``_CoreReads.lower``). By Ja'Ja' (SIAM J. Comput. 8, 1979) the
+rank is b + c - ρ + δ, ρ the largest k with D_k nonzero; with b <= 3 it
+is c plus one exactly where J holds, ρ < b or D_b / D_(b-1) not
+square-free (``_rank_of``, on the rank-jump shapes of ``_JUMP_RANKS``).
+``locus_membership`` compares these ints. The orbit that ``classify`` and
+``classify_parametric`` report is looked up by the profile (shape, deg
+D_b, k, deg D_(b-1)) in ``_ORBIT_OF_PROFILE``, read off the normal forms
+at import; (2,2,4) and (2,3,6), of one orbit each, by the shape alone. On
+a rank-jump shape T needs no ``concise_reduce`` where the first read
+shows it concise (``_CoreReads.concise``). A nonzero square-free D_b on
+one member of a line T - λP shows J false on the whole line
+(``_jump_free``), the certificate of the escape route of
+``locus_membership``.
 
 The reads go through a reader holding one ``pencil.Pencil``, the rows
 [A_i | B_i], whose minors come from ``pencil_minors``; a reader makes each
@@ -71,7 +75,8 @@ from .tensorcore import (ConciseReduction, ParametricTensor, _scaled_entries, co
 
 
 class OrbitId:
-    """Either a Table row Orbit(n) or a pure matrix case MatrixRank(r)."""
+    """Either a Table row Orbit(n) or a pure matrix case MatrixRank(r), n
+    and r ints (any other value, a bool too, raises TypeError)."""
 
     __slots__ = ("kind", "value")
 
@@ -79,6 +84,8 @@ class OrbitId:
     KIND_MATRIX = "matrix"
 
     def __init__(self, kind, value):
+        if type(value) is not int:
+            raise TypeError("orbit id value %r is not an int" % (value,))
         if kind == self.KIND_ORBIT:
             if not 1 <= value <= 26:
                 raise ValueError("orbit number %r out of range" % (value,))
@@ -267,121 +274,63 @@ def _canonical_dims(concise_shape):
 def _rank_of(order, concise_shape, reads):
     """The rank of an order-``order`` tensor with this concise shape, all
     zeros for the zero tensor: its largest concise dimension, plus one on
-    a rank-jump shape where J holds (``_JUMPS``, on the reader
+    a rank-jump shape where J holds (``_CoreReads.jumps``, on the reader
     ``reads()``). No other read is made."""
     dims = _canonical_dims(concise_shape)
-    return max(concise_shape) + (dims in _JUMP_RANKS and _JUMPS[dims](reads()))
+    return max(concise_shape) + (dims in _JUMP_RANKS and reads().jumps())
 
 
 def _orbit_of_shape(order, concise_shape, reads):
     """The orbit of an order-``order`` tensor with this concise shape, all
     zeros for the zero tensor, MatrixRank(0).
 
-    Matrix cases are decided by the shape; otherwise ``reads()`` gives the
-    reader of the canonical core.
+    Matrix cases are decided by the shape, as are (2,2,4) and (2,3,6);
+    otherwise the orbit is looked up by the profile that ``reads()``, the
+    reader of the canonical core, gives (``_ORBIT_OF_PROFILE``).
     """
     dims = _canonical_dims(concise_shape)
     if len(dims) <= 2:
         if order == 3 and concise_shape in MATRIX_CASE_ROWS:
             return OrbitId.orbit(MATRIX_CASE_ROWS[concise_shape])
         return OrbitId.matrix(max(concise_shape))
-    n = _orbit_of_canonical(dims, reads())
+    key = dims if dims in _ORBIT_OF_PROFILE else reads().profile()
+    if key not in _ORBIT_OF_PROFILE:
+        raise InternalError("no orbit has the invariant-factor profile %r" % (key,))
+    n = _ORBIT_OF_PROFILE[key]
     if order == 3 and concise_shape == (2, 3, 2):
         n = TRANSPOSED_ROWS[n]
     return OrbitId.orbit(n)
 
 
-def _orbit_of_canonical(dims, reads):
-    """Decision table on a concise core of shape (2, b, c), b in (2, 3):
-    5 or 6 by J on (2,2,2); (2,3,3) and (2,3,4) split after J; 7 or 8 by
-    the 2-minor gcd, 24 or 25 by the 3-minor gcd; 9 and 26 by the shape."""
-    if dims == (2, 2, 2):
-        return 5 if _JUMPS[dims](reads) else 6
-    if dims == (2, 2, 3):
-        return 7 if reads.minor_gcd(2).degree >= 1 else 8
-    if dims == (2, 2, 4):
-        return 9
-    if dims == (2, 3, 3):
-        return _orbit_233(reads)
-    if dims == (2, 3, 4):
-        return _orbit_234(reads)
-    if dims == (2, 3, 5):
-        return 24 if reads.minor_gcd(3).degree >= 1 else 25
-    return 26
-
-
-def _jump_233(reads):
-    """J on (2,3,3), orbits 13 and 15-17: the determinant form is 0, or
-    its repeated part l^k (``repeated_root``) is l^2, or l with the member
-    at l's root not of rank one."""
-    k, ell = reads.repeated_root(reads.det())
-    return k is None or k == 2 or k == 1 and not reads.rank_one_at(ell)
-
-
-def _orbit_233(reads):
-    """(2,3,3) split after J, on the same reads: 13 on a zero determinant
-    form, 18 on a square-free one, else rank one at l's root tells 14
-    from 17 (k = 1) and 15 from 16 (k = 2)."""
-    k, ell = reads.repeated_root(reads.det())
-    if k is None:
-        return 13
-    if k == 0:
-        return 18
-    one = reads.rank_one_at(ell)
-    return (14 if one else 17) if k == 1 else 15 if one else 16
-
-
-def _orbit_234(reads):
-    """(2,3,4) by the 3-minor gcd g3: 23, 19 and 22 for degree 0, 1 and a
-    non-square; on l^2, 20 where the member at l's root has rank one (a
-    2-minor gcd of positive degree divides l^2), else 21."""
-    g3 = reads.minor_gcd(3)
-    if g3.is_zero() or g3.degree > 2:
-        raise InternalError("concise 2x3x4 tensor with 3-minor gcd %r" % g3)
-    if g3.degree == 0:
-        return 23
-    if g3.degree == 1:
-        return 19
-    if not reads.discriminant_vanishes(g3):
-        return 22
-    return 20 if reads.rank_one_at(reads.linear_root(g3)) else 21
-
-
-# J, whether the rank exceeds the largest concise dimension, per rank-jump
-# shape: on (2,2,2), orbit 5, the Cayley hyperdeterminant, the discriminant
-# of the determinant form, vanishes; on (2,3,4), orbit 21, no 3-minor is
-# square-free, a read that settles most of 19, 22 and 23 with fewer guard
-# roots than g3's, and then the split reads 21
-_JUMPS = {(2, 2, 2): lambda reads: reads.discriminant_vanishes(reads.det()),
-          (2, 3, 3): _jump_233,
-          (2, 3, 4): lambda reads: not reads.square_free_minor() and _orbit_234(reads) == 21}
-
-
 def _jump_free(t):
-    """Whether the int tensor t, of a rank-jump shape in the canonical
-    order, lies off the set C where J's closed reads fail: on (2,2,2) and
-    (2,3,3) the determinant form has a nonzero discriminant, which rules
-    out a dependent row, column or slice pair; on (2,3,4) some 3-minor is
-    square-free (J's first read), or else the 3-minor gcd is constant.
+    """Whether the int tensor t, of a rank-jump shape (2, b, c) in the
+    canonical order, lies off the set C where D_b, the gcd of its
+    b-minors, is 0 or not square-free: some b-minor is square-free, or
+    else D_b is nonzero with no repeated root (``_CoreReads.top``).
 
     The escape route reads it on the member at 1 of T - λP, T concise of
     rank r in this shape, and answers 1 where it holds:
 
-    * J holds only on C, and C is Zariski-closed in the coordinates of
-      t: the discriminant vanishes, or on (2,3,4) every 3-minor's does
-      and the 3-minors share a root.
+    * J holds only on C: D_b = D_(b-1) (D_b / D_(b-1)) is 0 where ρ < b,
+      and not square-free where D_b / D_(b-1) is not.
+    * C is Zariski-closed in the coordinates of t. A binary form vanishes
+      to order 2 at a point of P^1 exactly where the square of a linear
+      form vanishing there divides it; so C is the set of t for which
+      some point of P^1 has every b-minor and its two partials vanish
+      there. That is the image of a closed set of (t, point) under the
+      projection along P^1, which is proper, so the image is closed.
     * The members of the line T - λP in C are either all of them or
       finitely many. So a member at 1 off C puts the generic member off
       C. J then fails generically on the concise shape of T, the generic
       rank is r - 1, and GENERIC's scan answers 1.
     * The member at 1 has that rank too. Off C on (2,2,2) and (2,3,3) it
-      is concise with J false. On (2,3,4) every member has rank at least
-      4 = r - 1, and only a concise member with J true has more.
+      is concise, a dependent row, column or slice pair making the
+      determinant form 0 or a constant times l^b, and J fails. On (2,3,4)
+      every member has rank at least 4 = r - 1, and only a concise member
+      with J true has more.
     """
     reads = _CoreReads(t)
-    if t.shape[2] == 4:
-        return reads.square_free_minor() or reads.minor_gcd(3).degree == 0
-    return not reads.discriminant_vanishes(reads.det())
+    return reads.square_free_minor() or reads.top()[1] == 0
 
 
 def _dependent(x, y):
@@ -391,9 +340,9 @@ def _dependent(x, y):
 
 
 class _CoreReads:
-    """The invariants the decision table reads, on the pencil of an integer
-    core of shape (2, b, c); the forms carry their ring, and every read is
-    written once on the ring's operations. A reader holds the pencil ``p``,
+    """The reads of the chain D_1 | D_2 | ... on the pencil of an integer
+    core of shape (2, b, c), b <= c; the forms carry their ring, and every
+    read is written once on the ring's operations. A reader holds the pencil ``p``,
     the ``ring`` of its forms and one entry hook, ``_entry``, which makes
     an entry or minor coefficient of ``p`` an element of that ring: the
     int itself on a core."""
@@ -437,8 +386,9 @@ class _CoreReads:
         return pencil_minor_gcd(self.p, k, self._form)
 
     def square_free_minor(self):
-        """Whether some 3-minor has a nonzero discriminant, up to the first."""
-        return any(bform_discriminant(self._form(m)) for m in _nonzero_minors(self.p, 3))
+        """Whether some b-minor has a nonzero discriminant, up to the first."""
+        return any(bform_discriminant(self._form(m))
+                   for m in _nonzero_minors(self.p, len(self.p.rows)))
 
     def is_zero(self, form):
         return form.is_zero()
@@ -452,20 +402,58 @@ class _CoreReads:
     def linear_root(self, form):
         return _linear_root(form)
 
-    def repeated_root(self, det):
-        """(k, l): the repeated part l^k of a cubic, read off its Hessian H
-        (``binforms._hessian``): k None (l None) for the zero form; k = 0
-        (l None) where the cubic's discriminant, that of H, is nonzero; else
-        k = 2 where H = 0, the cubic c l^3, and k = 1 where H = c l^2
-        (``linear_root``)."""
-        if self.is_zero(det):
+    def repeated_root(self, form):
+        """(k, l): the repeated part l^k of a form of degree at most 3, k
+        None (l None) for the zero form, k = 0 (l None) below degree 2 or
+        where the discriminant is nonzero. Else a quadratic is c l^2, k = 1,
+        and a cubic is read off its Hessian H (``binforms._hessian``), whose
+        discriminant is the cubic's: k = 2 where H = 0, the cubic c l^3, and
+        k = 1 where H = c l^2 (``linear_root``)."""
+        if self.is_zero(form):
             return None, None
-        if not self.discriminant_vanishes(det):
+        if form.degree < 2 or not self.discriminant_vanishes(form):
             return 0, None
-        h = self.hessian(det)
-        if self.is_zero(h):
-            return 2, self.linear_root(det)
-        return 1, self.linear_root(h)
+        if form.degree == 3:
+            h = self.hessian(form)
+            if self.is_zero(h):
+                return 2, self.linear_root(form)
+            form = h
+        return 1, self.linear_root(form)
+
+    def top(self):
+        """(deg D_b, k, l): D_b, the gcd of the b-minors, the determinant
+        form on a square pencil, and its repeated part l^k
+        (``repeated_root``), k None where D_b = 0, that is ρ < b."""
+        b = len(self.p.rows)
+        d = self.det() if b == self.p.cols else self.minor_gcd(b)
+        return (d.degree,) + self.repeated_root(d)
+
+    def lower(self, k, ell):
+        """deg D_(b-1) on a concise core, from the repeated part l^k of D_b
+        (``top``): 1 where k > 0, b = 3 and the member at l's root has rank
+        one, l then dividing every 2-minor, else 0. D_1 = 1, a nonconstant
+        D_1 making the slices proportional. The invariant factors D_k /
+        D_(k-1) divide each other in turn, so D_(b-1)^2 divides D_b, of
+        degree at most 3: every root of D_(b-1) is a repeated root of D_b,
+        which has at most one, l's, and l^2 does not divide D_(b-1)."""
+        return int(bool(k) and len(self.p.rows) == 3 and self.rank_one_at(ell))
+
+    def profile(self):
+        """The key of ``_ORBIT_OF_PROFILE`` on a concise core: (shape, deg
+        D_b, k, deg D_(b-1)), from ``top`` and ``lower``."""
+        degree, k, ell = self.top()
+        return (2, len(self.p.rows), self.p.cols), degree, k, self.lower(k, ell)
+
+    def jumps(self):
+        """J on a concise core: ρ < b, or D_b / D_(b-1) is not square-free,
+        so that the rank b + c - ρ + δ is c + 1. A square-free b-minor
+        makes D_b square-free, and J false, with no gcd read. Otherwise J
+        is k None (ρ < b), k > 1 (l^3 divides D_b, l^2 divides D_b /
+        D_(b-1)), or k = 1 with D_(b-1) constant (``top``, ``lower``)."""
+        if self.square_free_minor():
+            return False
+        _, k, ell = self.top()
+        return k is None or k > 1 or k == 1 and not self.lower(k, ell)
 
     def _member_minors(self, cross, a, b):
         """The 2-minors, lazily, of the member -bA + aB of the pencil rows
@@ -482,6 +470,16 @@ class _CoreReads:
         matrix -bA + aB over ell's ring, has rank at most one: whether
         every 2-minor vanishes."""
         return not any(self._member_minors(self.ring.cross, *ell.coeffs))
+
+
+# The orbit of each concise (2, b, c) row with b <= c by the profile of its
+# normal form (``_CoreReads.profile``), and of the row alone in its shape,
+# (2,2,4) or (2,3,6), by the shape; import fails if two rows share a key.
+_CORES = {n: s for n, s in _SHAPES.items() if min(s) > 1 and list(s) == sorted(s)}
+_ORBIT_OF_PROFILE = {s if list(_CORES.values()).count(s) == 1
+                     else _CoreReads(normal_form(n)).profile(): n for n, s in _CORES.items()}
+if len(_ORBIT_OF_PROFILE) != len(_CORES):
+    raise InternalError("two orbits share an invariant-factor profile")
 
 
 def _lambda_read(read, form, bound):
@@ -549,10 +547,10 @@ class _FamilyReads(_CoreReads):
         return not disc
 
     def square_free_minor(self):
-        """Some 3-minor is square-free over Q(λ), and at λ0, exactly where
+        """Some b-minor is square-free over Q(λ), and at λ0, exactly where
         its discriminant over Z[λ] is nonzero: their gcd is the guard."""
         return self._gcd_guard(_lambda_discriminant(self._form(m))
-                               for m in _nonzero_minors(self.p, 3))
+                               for m in _nonzero_minors(self.p, len(self.p.rows)))
 
     def hessian(self, cubic):
         """Each coefficient is a product of two of the cubic's, the ints
@@ -561,7 +559,7 @@ class _FamilyReads(_CoreReads):
 
     def linear_root(self, form):
         """l for c l^d over Q(λ), l an int form, as every square and cube the
-        table reads is: the repeated part of a form f0 + λ f1 is its int
+        chain reads is: the repeated part of a form f0 + λ f1 is its int
         content's, the rest 1 or irreducible over Q(λ) (``family_minor_gcd``).
         l is the root of the first nonzero int form f_i of sum λ^i f_i."""
         i = min(next(i for i, x in enumerate(c) if x) for c in form.coeffs if c)

@@ -10,8 +10,10 @@ no lam the routes below can need is irrational (``LambdaWitness``).
 
 Three independent routes are provided and kept deliberately separate so
 they can be played against each other in tests. The first two read ranks
-as ints, the largest concise dimension plus one where a predicate J holds
-on a rank-jump shape (``classify._rank_of``), and never compare orbits:
+as ints, the largest concise dimension plus one where J holds on a
+rank-jump shape: ρ < b, or D_b / D_(b-1) is not square-free, D_k the gcd
+of the k x k minors of the core's pencil (``classify._rank_of``). They
+never compare orbits:
 
 * ``locus_membership`` with the generic strategy reads the rank of the
   family T - lam*P for all lam at once (``classify._parametric``):
@@ -27,10 +29,10 @@ on a rank-jump shape (``classify._rank_of``), and never compare orbits:
   of lam at most (one fraction-free elimination over Z per axis, a
   rank-one update of the base's); the member there is read only where it
   can lie in a rank-jump orbit. The escape route, on the other cores,
-  those of the orbits of rank above border rank: the member at lam = 1 is
-  read by J's closed reads (``classify._jump_free``); where it lies off
-  the closed set they cut out, J fails on the family over Q(lam) and at
-  1, and 1 is the witness. Otherwise the route reads the rank of the
+  those of the orbits of rank above border rank: where the member at
+  lam = 1 has a nonzero square-free D_b (``classify._jump_free``), it lies
+  off a closed set that holds J, so J fails on the family over Q(lam) and
+  at 1, and 1 is the witness. Otherwise the route reads the rank of the
   family over Q(lam) and its guards (``classify._family_read``). Either
   way its witness is the one the generic strategy returns.
 * ``closed_form_predicate`` evaluates the forbidden locus stored for the
@@ -90,18 +92,22 @@ class LambdaWitness:
     lam is that flattening's one drop (``_drop_root_verdict``), which is
     rational. On an escape core (orbits 5, 13, 15-17 and 21) the drops are
     rational too, so at an irrational alpha the member is concise in the
-    core's shape, its rank is r - 1 exactly where J fails, and every
-    pencil minor, and every minor at a lam-free point (u0:v0), is affine in
-    lam. J fails at alpha and holds over Q(lam) only as follows:
+    core's shape (2, b, c), its rank is r - 1 exactly where J fails, and
+    every pencil minor, and every minor at a lam-free point (u0:v0), is
+    affine in lam. Where J fails over Q(lam) the generic rank is r - 1, and
+    the scan finds a rational witness. Where J holds over Q(lam), on the
+    chain D_1 | D_2 | ... of the gcds of the pencil's minors, it holds at
+    alpha too:
 
-    * the member at alpha is in the open orbit of the shape (6, 18 or 23),
-      which is then the family's generic orbit, of rank r - 1;
-    * on (2,3,3), where the family's determinant form is 0, l^3 (a + b lam)
-      or has a lam-free double root l: only in the last case, with the
-      member of rank one at l's root, a condition affine in lam, so lam is
-      rational;
-    * on (2,3,4), where the lam-free l^2 stays in the 3-minor gcd at alpha:
-      only with the member of rank one at l's root, affine in lam again.
+    * ρ < b over Q(lam), D_b = 0, stays at alpha;
+    * else D_b has a repeated part l^k, k > 0, and l is lam-free: a form
+      f0 + lam f1 over Z has the repeated part of its int content
+      (``pencil.family_minor_gcd``). So l^(k+1) still divides every
+      b-minor at alpha. With k = 2, or with b = 2 (D_1 = 1), l^2 then
+      divides D_b / D_(b-1) at alpha; with k = 1 and b = 3, unless l
+      divides D_2 at alpha, that is unless the member there has rank one
+      at l's root. Its 2-minors are affine in lam, and not all zero, J
+      holding over Q(lam): they all vanish at a rational lam only.
 
     So no member at an irrational root is needed. GENERIC checks the claim
     on every call: its rank report lists a special value only where the
@@ -336,13 +342,12 @@ def _escape_verdict(family, target):
     """Cores with no rank axis, those of the orbits of rank above border
     rank: does the line reach rank ``target``, one below the rank of T?
 
-    The member at lam = 1 is read first, by J's closed reads
-    (``_jump_free``): a nonzero discriminant of the determinant form, or
-    on (2,3,4) a square-free 3-minor or a constant 3-minor gcd. J holds
-    only where they fail, on a Zariski-closed set, which holds all the
-    members of the line or finitely many. A member at 1 off it puts the
-    family off it, of rank ``target`` over Q(lam), and the member at 1 has
-    rank ``target`` too: 1 is the witness the scan would find.
+    The member at lam = 1 is read first (``_jump_free``): whether D_b, the
+    gcd of its b-minors, is nonzero and square-free. J holds only where
+    it is not, on a Zariski-closed set, which holds all the members of the
+    line or finitely many. A member at 1 off it puts the family off it, of
+    rank ``target`` over Q(lam), and the member at 1 has rank ``target``
+    too: 1 is the witness the scan would find.
 
     Otherwise the rank of the family over Q(lam) decides
     (``_family_read``): if it is ``target``, so is every member

@@ -91,11 +91,6 @@ RANKS = {
     26: (6, 6),
 }
 
-# The cores that reach this table have no rank axis, no dimension equal to
-# their rank. Per concise shape (2, b, c): the open orbit, one rank below
-# them, in Ja'Ja's finite orbit list (SIAM J. Comput. 8, 1979).
-OPEN_ORBITS = {(2, 2, 2): 6, (2, 3, 3): 18, (2, 3, 4): 23}
-
 # The stored forbidden loci of the normal forms, in the coordinates of
 # P = a⊗b⊗c: a = (a1, a2), b = (b1, b2, ...), c = (c1, c2, ...). An orbit's
 # locus is (strata, removed): the points on some stratum of ``strata`` and on

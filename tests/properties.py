@@ -24,6 +24,8 @@ from draws import (
     tangent_cases,
 )
 from support import (
+    OPEN_ORBITS,
+    chain_reference,
     concise_reference,
     family_flattening,
     irreducible_factors,
@@ -61,7 +63,7 @@ from tensorloci.locus import (
     locus_membership,
     locus_tangential,
 )
-from tensorloci.orbits import OPEN_ORBITS, RANKS, normal_form, pencil_shape
+from tensorloci.orbits import RANKS, normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -156,12 +158,12 @@ def invariance(T, P, gT, gP):
 
 
 def escape_certificate(orbit, T, P, counts):
-    """The escape route's certificate, J's closed reads on the member T - P
-    (``classify._jump_free``), is read once, and answers (SPECIALIZED with
-    no fallback to the family's rank) wherever ``classify`` puts that
-    member in the open orbit of the shape; wherever it answers, both
-    strategies give the witness 1, and the family T - λP has the generic
-    rank rank T - 1 over Q(λ), read by the orbit table. Counts
+    """The escape route's certificate, D_b nonzero and square-free on the
+    member T - P (``classify._jump_free``), is read once, and answers
+    (SPECIALIZED with no fallback to the family's rank) wherever
+    ``classify`` puts that member in the open orbit of the shape; wherever
+    it answers, both strategies give the witness 1, and the family T - λP
+    has the generic rank rank T - 1 over Q(λ), read by the orbit table. Counts
     ``certificate hits``, the hits ``off the open orbit``, ``fallbacks``
     and the ``non-concise members at 1``."""
     real, calls = locus._jump_free, []
@@ -338,18 +340,32 @@ def flattening_drops(family, counts):
     return problems
 
 
+def chain_profile(order, concise_shape, reads):
+    """A table for ``classify._read``: the invariant-factor profile that
+    the reader ``reads()`` of a 2 x b x c core, b in (2, 3), gives
+    (``_CoreReads.profile``), the key of its orbit; None on other cores."""
+    dims = sorted(d for d in concise_shape if d > 1)
+    return reads().profile() if len(dims) == 3 and dims[0] == 2 and dims[1] <= 3 else None
+
+
 def concise(T, counts):
     """On T and on every permutation of its axes, ``concise_reduce`` keeps
     the first independent slices of each axis; ``classify`` gives the
     concise shape and the rank of the sympy reference
     (``support.concise_reference``), and the membership path's rank read
     (``classify._read`` with ``_rank_of``) gives that rank; each raises
-    UnsupportedShape where it has no rank. Counts the ``concise`` tensors
-    and the ``unsupported`` ones."""
+    UnsupportedShape where it has no rank. On a 2 x b x c core the profile
+    the package reads off the top of its minor-gcd chain (``chain_profile``)
+    is the one sympy reads off the whole chain, and Ja'Ja''s rank b + c -
+    ρ + δ from sympy's chain is the reference's (``support.chain_reference``).
+    Counts the ``concise`` tensors and the ``unsupported`` ones."""
     slices, want = concise_reference(T)
     counts["concise"] += all(len(s) == d for s, d in zip(slices, T.shape))
     counts["unsupported"] += want is None
     problems = []
+    chain = chain_reference(T)
+    if chain is not None and chain[1] != want:
+        problems.append("rank from sympy's chain %r, sympy %r" % (chain[1], want))
     for perm in itertools.permutations(range(T.order)):
         t = permute_axes(T, perm)
         keep = [slices[a] for a in perm]
@@ -370,6 +386,9 @@ def concise(T, counts):
             got = None
         if got != want:
             problems.append("axes %r: rank read %r, sympy %r" % (perm, got, want))
+        got = _read(t, chain_profile)[0]
+        if got != (chain and chain[0]):
+            problems.append("axes %r: profile %r, sympy %r" % (perm, got, chain and chain[0]))
     return problems
 
 

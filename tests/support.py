@@ -21,7 +21,10 @@ arithmetic over Q(α) to take it from. Also over Q(α), the classical
 discriminant and the repeated part of a binary cubic
 (``cubic_reference``). The same table over QQ gives the rank of a tensor
 on its concise core, with its first independent slices
-(``concise_reference``). By plain row-major
+(``concise_reference``); over QQ too, the whole chain of the gcds of the
+core's minors gives its invariant-factor profile and Ja'Ja''s rank
+(``chain_reference``). ``OPEN_ORBITS`` states the open orbit of each
+shape of the escape route. By plain row-major
 indexing, keeping the entries as they are: the flattening of a tensor,
 the rows [A_i | B_i] of the pencil of a 2 x b x c tensor, the
 flattenings over Z[λ] of a family T - λP (``family_flattening``), an axis
@@ -56,6 +59,11 @@ from tensorloci.tensorcore import Tensor
 _U, _V = sympy.symbols("u v")
 LAM = sympy.Symbol("lam")
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
+
+# The cores of the escape route have no rank axis, no dimension equal to
+# their rank. Per concise shape (2, b, c): the open orbit, one rank below
+# them, in Ja'Ja's finite orbit list (SIAM J. Comput. 8, 1979).
+OPEN_ORBITS = {(2, 2, 2): 6, (2, 3, 3): 18, (2, 3, 4): 23}
 
 
 def _qq(x):
@@ -303,6 +311,20 @@ def cubic_reference(coeffs, field):
     return disc, ring.gcd(ring.gcd(f, f.diff(u)), f.diff(v))
 
 
+def _minor_gcd(ring, A, B, k):
+    """The gcd over ``ring``, field[u, v], of the k x k minors of the
+    pencil u A + v B, A and B b x c; 0 where every one vanishes."""
+    u, v = ring.gens
+    b, c = len(A), len(A[0])
+    pencil = [[u * ring(A[i][j]) + v * ring(B[i][j]) for j in range(c)] for i in range(b)]
+    g = ring.zero
+    for ri in itertools.combinations(range(b), k):
+        for ci in itertools.combinations(range(c), k):
+            sub = [[pencil[i][j] for j in ci] for i in ri]
+            g = ring.gcd(g, DomainMatrix(sub, (k, k), ring).det())
+    return g
+
+
 def _field_orbit(field, A, B):
     """The orbit number of the concise tensor over ``field`` with slices A
     and B, b x c, b in (2, 3) and b <= c: the decision table of ``orbits.py``
@@ -312,15 +334,7 @@ def _field_orbit(field, A, B):
     ring = field[_U, _V]
     u, v = ring.gens
     b, c = len(A), len(A[0])
-    pencil = [[u * ring(A[i][j]) + v * ring(B[i][j]) for j in range(c)] for i in range(b)]
-
-    def minor_gcd(k):
-        g = ring.zero
-        for ri in itertools.combinations(range(b), k):
-            for ci in itertools.combinations(range(c), k):
-                sub = [[pencil[i][j] for j in ci] for i in ri]
-                g = ring.gcd(g, DomainMatrix(sub, (k, k), ring).det())
-        return g
+    minor_gcd = functools.partial(_minor_gcd, ring, A, B)
 
     def square_free_quadratic(g):
         c0, c1, c2 = (g.get(m, field.zero) for m in ((2, 0), (1, 1), (0, 2)))
@@ -365,14 +379,13 @@ def _field_orbit(field, A, B):
     return 26
 
 
-def concise_reference(T):
-    """(slices, rank) of a nonzero tensor T by sympy over QQ: on each axis
-    the slices independent of the slices before them, by the ranks of the
-    rows of its ``flattening``, and the rank of T, read on its concise
-    core with the axes of dimension above one in order of dimension: the
-    dimension of a matrix core (1 for no such axis), ``RANKS`` of the
-    orbit that ``_field_orbit`` reads over QQ on a 2 x b x c core with
-    b in (2, 3), and None, no orbit list, for any other core."""
+def _core_pencil(T):
+    """(slices, dims, A, B) of a nonzero tensor T by sympy over QQ: on each
+    axis the slices independent of the slices before them, by the ranks
+    of the rows of its ``flattening``; the dimensions above one of its
+    concise core, in order; and the slices A and B of that core with its
+    axes in that order where it is 2 x b x c with b in (2, 3), else None
+    and None."""
     slices = []
     for axis in range(1, T.order + 1):
         rows, keep = flattening(T, axis), []
@@ -382,10 +395,8 @@ def concise_reference(T):
         slices.append(keep)
     axes = sorted((a for a in range(T.order) if len(slices[a]) > 1), key=lambda a: len(slices[a]))
     dims = [len(slices[a]) for a in axes]
-    if len(dims) <= 2:
-        return slices, dims[-1] if dims else 1
-    if len(dims) > 3 or dims[0] != 2 or dims[1] > 3:
-        return slices, None
+    if len(dims) != 3 or dims[0] != 2 or dims[1] > 3:
+        return slices, dims, None, None
     fixed = [keep[0] for keep in slices]
 
     def entry(i, j, k):
@@ -395,7 +406,53 @@ def concise_reference(T):
         return T[tuple(idx)]
 
     A, B = ([[entry(s, j, k) for k in range(dims[2])] for j in range(dims[1])] for s in (0, 1))
-    return slices, RANKS[_field_orbit(sympy.QQ, A, B)][0]
+    return slices, dims, A, B
+
+
+def concise_reference(T):
+    """(slices, rank) of a nonzero tensor T by sympy over QQ: its
+    independent slices on each axis (``_core_pencil``), and the rank of T,
+    read on its concise core with the axes of dimension above one in order
+    of dimension: the dimension of a matrix core (1 for no such axis),
+    ``RANKS`` of the orbit that ``_field_orbit`` reads over QQ on a
+    2 x b x c core with b in (2, 3), and None, no orbit list, for any
+    other core."""
+    slices, dims, A, B = _core_pencil(T)
+    if A is not None:
+        return slices, RANKS[_field_orbit(sympy.QQ, A, B)][0]
+    return slices, (dims[-1] if dims else 1) if len(dims) <= 2 else None
+
+
+def chain_reference(T):
+    """(profile, rank) of a nonzero tensor T whose concise core is
+    2 x b x c with b in (2, 3) (``_core_pencil``), else None; by sympy
+    over QQ, from the gcds D_k of the k x k minors of the core's pencil
+    u A + v B (D_0 = 1), its invariant factors D_k / D_(k-1), and for a
+    form f its repeated part gcd(f, f_u, f_v).
+
+    The profile is (shape, deg D_b, k, deg D_(b-1)), k the degree of the
+    repeated part of D_b, the degree b and k None where D_b = 0, as the
+    b-minors are forms of degree b. The rank is Ja'Ja''s b + c - ρ + δ, ρ
+    the largest k with D_k nonzero, and δ = ρ - k + 1 for the first k
+    whose invariant factor is not square-free, 0 if none is."""
+    _, dims, A, B = _core_pencil(T)
+    if A is None:
+        return None
+    ring = sympy.QQ[_U, _V]
+    u, v = ring.gens
+    b, c = dims[1:]
+    chain = [ring.one] + [_minor_gcd(ring, A, B, k) for k in range(1, b + 1)]
+    rho = max(k for k, d in enumerate(chain) if d)
+
+    def repeated(f):
+        return _form_degree(ring.gcd(ring.gcd(f, f.diff(u)), f.diff(v)))
+
+    delta = next((rho - k + 1 for k in range(1, rho + 1)
+                  if repeated(chain[k].exquo(chain[k - 1]))), 0)
+    top = chain[b]
+    profile = ((2, b, c), _form_degree(top) if top else b, repeated(top) if top else None,
+               _form_degree(chain[b - 1]))
+    return profile, b + c - rho + delta
 
 
 def orbit_at_root(T, P, fac):

@@ -237,26 +237,31 @@ def test_hessian_reads_the_cubic_discriminant_and_repeated_part():
     (a product of three linear forms, l^2 m and l^3): the discriminant is
     the Hessian's, -3 times the classical one, and the repeated part l^k
     read off the Hessian (the reader's ``repeated_root``) is
-    ``bform_gcd([f, f_u, f_v])`` up to a constant."""
+    ``bform_gcd([f, f_u, f_v])`` up to a constant. So it is on int
+    quadratics l m and l^2, and a linear form has none."""
     reads = _CoreReads(classify(normal_form(18)).core)
     rng = random.Random(57)
     seen = collections.Counter()
-    for case in range(90):
-        k = case % 3
+    for case in range(120):
+        degree, k = (3, case % 3) if case < 90 else (2, case % 2)
         ell = random_linear(rng)
         planted = [ell] * (k + 1) if k else []
-        f = int_form(multiply(*planted, *[random_linear(rng) for _ in range(3 - len(planted))]))
-        a, b, c, d = f.coeffs
-        delta = b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
-        assert bform_discriminant(f) == -3 * delta, f
+        f = int_form(multiply(*planted, *[random_linear(rng)
+                                          for _ in range(degree - len(planted))]))
+        if degree == 3:
+            a, b, c, d = f.coeffs
+            delta = (b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d
+                     + 18 * a * b * c * d)
+            assert bform_discriminant(f) == -3 * delta, f
         want = bform_gcd([f, f.partial_u(), f.partial_v()])
         got, root = reads.repeated_root(f)
         assert got == want.degree, f
         if got:
             x, y = root.coeffs
             assert proportional([x, y] if got == 1 else [x * x, 2 * x * y, y * y], want.coeffs)
-        seen[got] += 1
-    assert all(seen[k] for k in range(3)), seen
+        seen[degree, got] += 1
+    assert all(seen[3, k] for k in range(3)) and seen[2, 0] and seen[2, 1], seen
+    assert reads.repeated_root(int_form(random_linear(rng))) == (0, None)
 
 
 def sympy_square_root(form):

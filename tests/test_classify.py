@@ -23,6 +23,8 @@ from draws import (
 )
 from support import (
     LAM,
+    OPEN_ORBITS,
+    chain_reference,
     concise_reference,
     cubic_reference,
     flattening,
@@ -59,11 +61,11 @@ from tensorloci.classify import (
     classify,
     classify_parametric,
 )
-from tensorloci.errors import UnsupportedShape, ZeroDivisor, ZeroTensor
+from tensorloci.errors import InternalError, UnsupportedShape, ZeroDivisor, ZeroTensor
 from tensorloci.locus import SPECIALIZED, locus_membership
 from tensorloci.exactnum import LAMBDA_INTS, zb_ring
 from tensorloci.pencil import Pencil
-from tensorloci.orbits import OPEN_ORBITS, PENCILS, RANKS, normal_form, pencil_shape
+from tensorloci.orbits import PENCILS, RANKS, normal_form, pencil_shape
 from tensorloci.tensorcore import (
     ParametricTensor,
     RankOneTensor,
@@ -126,14 +128,57 @@ def test_orbit_tables_are_read_off_the_pencils():
     assert classify_module.TRANSPOSED_ROWS == {7: 11, 8: 12}
 
 
+# The invariant-factor profile of each concise (2, b, c) row with b <= c,
+# the key ``classify`` looks its orbit up by: (shape, deg D_b, k,
+# deg D_(b-1)), D_k the gcd of the k-minors of the pencil, l^k the repeated
+# part of D_b, k None where D_b = 0. Rows 9 and 26, alone in their shapes,
+# are looked up by the shape.
+ORBIT_PROFILES = {
+    5: ((2, 2, 2), 2, 1, 0), 6: ((2, 2, 2), 2, 0, 0),
+    7: ((2, 2, 3), 1, 0, 0), 8: ((2, 2, 3), 0, 0, 0), 9: (2, 2, 4),
+    13: ((2, 3, 3), 3, None, 0), 14: ((2, 3, 3), 3, 1, 1), 15: ((2, 3, 3), 3, 2, 1),
+    16: ((2, 3, 3), 3, 2, 0), 17: ((2, 3, 3), 3, 1, 0), 18: ((2, 3, 3), 3, 0, 0),
+    19: ((2, 3, 4), 1, 0, 0), 20: ((2, 3, 4), 2, 1, 1), 21: ((2, 3, 4), 2, 1, 0),
+    22: ((2, 3, 4), 2, 0, 0), 23: ((2, 3, 4), 0, 0, 0),
+    24: ((2, 3, 5), 1, 0, 0), 25: ((2, 3, 5), 0, 0, 0), 26: (2, 3, 6),
+}
+
+
+def test_orbits_are_looked_up_by_their_invariant_factor_profiles(monkeypatch):
+    """The 19 keys are distinct. On each normal form, and moved by GL, the
+    reader's profile (``_CoreReads.profile``) is its key, sympy reads the
+    same one off the whole minor-gcd chain, and Ja'Ja''s rank b + c - ρ +
+    δ from that chain is the stated rank (``support.chain_reference``). A
+    profile that no row has raises InternalError naming it."""
+    assert len(set(ORBIT_PROFILES.values())) == 19
+    rng = random.Random("profiles")
+    for n, key in ORBIT_PROFILES.items():
+        moved = apply_gl(normal_form(n), [random_invertible(rng, d) for d in pencil_shape(n)])
+        for t in (normal_form(n), moved):
+            profile, jaja = chain_reference(t)
+            assert jaja == RANKS[n][0], n
+            if len(key) == 4:
+                assert _CoreReads(t).profile() == profile == key, n
+            assert classify(t).orbit == OrbitId.orbit(n), n
+    monkeypatch.setattr(_CoreReads, "profile", lambda self: ((2, 3, 3), 3, 7, 0))
+    with pytest.raises(InternalError, match=r"\(\(2, 3, 3\), 3, 7, 0\)"):
+        classify(normal_form(18))
+
+
 def test_orbit_ids_have_two_kinds():
     """An OrbitId is a table row or a matrix rank; any other kind is
-    refused, not printed as a matrix rank."""
+    refused, not printed as a matrix rank. Its value is an int: a float,
+    a Fraction, a string or a bool is refused, not truncated in its repr
+    or taken for 0 or 1."""
     assert repr(OrbitId("orbit", 3)) == "Orbit(3)"
     assert repr(OrbitId("matrix", 3)) == "MatrixRank(3)"
     for kind in ("foo", "Orbit", None):
         with pytest.raises(ValueError):
             OrbitId(kind, 3)
+    for value in (5.5, 5.0, Fraction(5), "5", True, False, None):
+        for make in (OrbitId.orbit, OrbitId.matrix):
+            with pytest.raises(TypeError):
+                make(value)
 
 
 def test_border_rank_never_exceeds_rank():
@@ -971,18 +1016,18 @@ def test_rank_one_at_splits_a_reducible_modulus_on_a_zero_divisor():
         assert split.value.factor == factor
 
 
-# The orbits where J's closed reads can hold, in each rank-jump shape:
-# concise with J false, and on (2,3,4) also 18, a (2,3,3) core, whose
-# nonzero 3-minors are multiples of its square-free determinant form.
-# Every 3-minor of 20 and 21 is a multiple of l^2; on 19 and 22 it
-# depends on the basis whether one is square-free.
+# The orbits where the escape certificate holds, D_b nonzero and
+# square-free, in each rank-jump shape: concise with J false, and on
+# (2,3,4) also 18, a (2,3,3) core, whose nonzero 3-minors are multiples of
+# its square-free determinant form. D_3 is l^2 on 20 and 21, of degree 1
+# on 19 and a square-free quadratic on 22.
 JUMP_FREE_ORBITS = {(2, 2, 2): {6}, (2, 3, 3): {18}, (2, 3, 4): {18, 19, 22, 23}}
 
 
 def test_jump_free_reads_hold_on_the_open_orbit_and_only_off_j():
-    """J's closed reads (``_jump_free``) hold wherever ``classify`` names
-    the open orbit of the shape (``OPEN_ORBITS``), and only where it names
-    an orbit of ``JUMP_FREE_ORBITS``, where J fails: the rank is the
+    """The escape certificate (``_jump_free``) holds exactly where
+    ``classify`` names an orbit of ``JUMP_FREE_ORBITS``, the open orbit of
+    the shape (``OPEN_ORBITS``) among them, where J fails: the rank is the
     largest concise dimension. On every normal form that fits in a
     rank-jump shape, padded with zero slices (so not concise when
     smaller) and GL-moved, and on seeded tensors from the sparse and the
@@ -1001,9 +1046,8 @@ def test_jump_free_reads_hold_on_the_open_orbit_and_only_off_j():
             n = report.orbit.value if report.orbit.is_orbit else None
             for x in (t, apply_gl(t, [random_invertible(rng, d) for d in shape])):
                 holds = _jump_free(x)
-                assert holds or n != OPEN_ORBITS[shape], (shape, x.entries)
-                assert not holds or n in orbits, (shape, x.entries)
+                assert holds == (n in orbits), (shape, x.entries)
                 seen[holds, n == OPEN_ORBITS[shape]] += 1
             if n in orbits:
                 assert report.rank == max(report.concise_shape), (shape, t.entries)
-    assert seen == {(True, True): 222, (True, False): 10, (False, False): 100}
+    assert seen == {(True, True): 222, (True, False): 12, (False, False): 98}

@@ -443,10 +443,11 @@ def big_entry(rng):
 def test_family_discriminant_guards_on_big_entries_against_sympy():
     """The last guard of ``_family_read`` on a generic (2,2,2) family, the
     discriminant of its quadratic determinant form, and on a generic
-    (2,3,3) family, that of the cubic one (``_FamilyReads.repeated_root``),
-    both read by Kronecker substitution, are sympy's discriminant in λ
-    of det(uA + vB) on T - λP, up to sign, with every entry of T and P
-    above 2^40; the cubic's is read as its Hessian's, 3 times sympy's."""
+    (2,3,3) family, that of the cubic one, each the discriminant the chain
+    reads (``_FamilyReads.repeated_root``), both read by Kronecker
+    substitution, are sympy's discriminant in λ of det(uA + vB) on
+    T - λP, up to sign, with every entry of T and P above 2^40; the
+    cubic's is read as its Hessian's, 3 times sympy's."""
     rng = random.Random(51)
     for shape, orbit in [((2, 2, 2), 6)] * 3 + [((2, 3, 3), 18)] * 3:
         T = Tensor(shape, [big_entry(rng) for _ in range(math.prod(shape))])

@@ -15,12 +15,13 @@ The points come from ``draws.py`` and the checks are the properties of
 script is smoke-tested here once per check. Normal forms padded by zero
 slices and moved by GL, P off the spans in about 30% of draws, get the
 same verdict from both strategies.
-The escape route's certificate, J's closed reads on the member at 1, must
-answer some seeded family of every escape orbit without the family's read
-over Q(lam) (``_family_read``), agree with it and with GENERIC wherever
-it fires, and leave the member at 1 classified once where it does not. Axis
-permutations of T and P, the tangential route at, near and away from the
-tangency point, and the error paths of each entry point are checked too.
+The escape route's certificate, a nonzero square-free D_b on the member
+at 1, must answer some seeded family of every escape orbit without the
+family's read over Q(lam) (``_family_read``), agree with it and with
+GENERIC wherever it fires, and leave the member at 1 classified once
+where it does not. Axis permutations of T and P, the tangential route at,
+near and away from the tangency point, and the error paths of each entry
+point are checked too.
 The rank axes of each normal form's core, those of dimension rank T,
 must pick its specialized route, and at every drop-route witness each
 rank-axis flattening must lose rank.
@@ -83,6 +84,7 @@ from properties import (
     normal_form_agreement,
 )
 from support import (
+    OPEN_ORBITS,
     flattening,
     irreducible_factors,
     load_script,
@@ -127,7 +129,6 @@ from tensorloci.locus import (
 )
 from tensorloci.orbits import (
     CLOSED_FORMS,
-    OPEN_ORBITS,
     RANKS,
     WRONG_CLOSED_FORMS,
     normal_form,
@@ -1313,8 +1314,8 @@ def escape_families():
 
 def test_open_orbit_certificate_answers_without_family_orbit():
     """SPECIALIZED answers some seeded family of every escape orbit
-    without ``_family_read``: J's closed reads hold on the member at 1,
-    as they do wherever it lies in the open orbit. Wherever they hold, the
+    without ``_family_read``: the certificate holds on the member at 1,
+    as it does wherever that lies in the open orbit. Wherever it holds, the
     witness of both strategies is 1, and the family's generic rank over
     Q(lam) is rank T - 1 (``escape_certificate``)."""
     hits = collections.Counter()
@@ -1335,9 +1336,9 @@ ESCAPES_OFF_THE_OPEN_ORBIT = [
 
 def test_escape_fallback_classifies_the_member_at_one_once(monkeypatch):
     """A certificate hit reads no rank: the member at 1 is read only by
-    J's closed reads (``_jump_free``), which also hold on the orbit-21
+    the certificate (``_jump_free``), which also holds on the orbit-21
     points of ``ESCAPES_OFF_THE_OPEN_ORBIT``, whose member at 1 is not in
-    the open orbit. Where they fail, the escape route reads the family's
+    the open orbit. Where it fails, the escape route reads the family's
     rank over Q(lam) and reads no member twice: the member at 1 is read,
     if at all, with the candidates and the scan, through ``_at_roots``. On
     the orbit-17 family whose scan walks 1, -1, 2, on those points and on
@@ -1409,9 +1410,8 @@ SWEEP_SUMMARIES = {
     "roots": "roots: D5 splits 0, candidate factors 16, families 22, in the generic orbit 0, "
              "irrational groups 5, irrational groups off the generic orbit 5, "
              "members at a drop 5, members at irrational roots 5, "
-             "rational roots read off the family 28, read discriminant_vanishes 3, "
-             "read linear_root 2, read minor_gcd 2, read rank_one_at 2, read repeated_root 2, "
-             "0 mismatches",
+             "rational roots read off the family 28, read minor_gcd 2, read rank_one_at 2, "
+             "read top 5, 0 mismatches",
     "drops": "drops: drop 0 8, drop None 13, flattenings 21, one row fewer 0, 0 mismatches",
     "concise": "concise: concise 8, unsupported 1, 0 mismatches",
     "tangential": "tangential: tangent tensors 169, 0 mismatches",

@@ -23,8 +23,9 @@ PACKAGE_DIR = os.path.join(TESTS_DIR, os.pardir, "src", "tensorloci")
 ALLOWED = {
     # monkeypatch spy targets: the tests wrap a route or a reader to see
     # which one answers, or make the reads that only name an orbit raise
-    "_CoreReads": "spy target: the name-only reads on an integer core; and its repeated_root "
-                  "on planted int cubics, which no core gives at will",
+    "_CoreReads": "spy target: the name-only reads on an integer core; its repeated_root on "
+                  "planted int quadratics and cubics, which no core gives at will; and the "
+                  "profile it reads on each normal form, the key of its orbit",
     "_FamilyReads": "spy target: the name-only reads on a family over Q(lam)",
     "_drop_root_verdict": "spy target: the drop route of the specialized strategy",
     "_escape_verdict": "spy target: the escape route of the specialized strategy",
@@ -33,8 +34,8 @@ ALLOWED = {
                    "classify_parametric, refused on the specialized routes, planted with a bad value",
     "_orbit_of_shape": "the orbit table, passed to _family_read and _at_roots where tests read the "
                        "orbits of a family over Q(lam) and of its members at roots",
-    "_jump_free": "spy target: the escape route's certificate, J's closed reads on the member at 1; "
-                  "and checked on its own against the orbits classify names",
+    "_jump_free": "spy target: the escape route's certificate, D_b square-free on the member "
+                  "at 1; and checked on its own against the orbits classify names",
     "_read": "the membership path's rank of T: checked against sympy's rank on every canonical "
              "shape and axis order",
     "_rank_of": "the table the membership path reads ranks with, passed to _read and _at_roots in "
